@@ -11,7 +11,6 @@ package serving
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -127,6 +126,17 @@ func (n *GraphNode) validate(path string) error {
 	return nil
 }
 
+// servedGraph is a registered graph and the metrics of its HTTP endpoint
+// (the wire-codec stages; model stages land on each model's own Metrics).
+type servedGraph struct {
+	spec    GraphSpec
+	metrics *Metrics
+}
+
+// graphMetricsPrefix namespaces graphs among the /metrics model labels;
+// model names cannot contain a slash.
+const graphMetricsPrefix = "graph/"
+
 // RegisterGraph adds (or replaces) a named inference graph on the
 // server.
 func (s *Server) RegisterGraph(spec GraphSpec) error {
@@ -138,8 +148,7 @@ func (s *Server) RegisterGraph(spec GraphSpec) error {
 	}
 	s.graphMu.Lock()
 	defer s.graphMu.Unlock()
-	sp := spec
-	s.graphs[spec.Name] = &sp
+	s.graphs[spec.Name] = &servedGraph{spec: spec, metrics: NewMetrics()}
 	return nil
 }
 
@@ -288,7 +297,7 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.graphMu.Lock()
-	spec, ok := s.graphs[name]
+	g, ok := s.graphs[name]
 	s.graphMu.Unlock()
 	if !ok {
 		writeJSON(w, http.StatusNotFound, map[string]any{"error": fmt.Sprintf("graph %q not found", name)})
@@ -296,9 +305,9 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case verb == "" && r.Method == http.MethodGet:
-		writeJSON(w, http.StatusOK, spec)
+		writeJSON(w, http.StatusOK, g.spec)
 	case verb == "predict" && r.Method == http.MethodPost:
-		s.handleGraphPredict(w, r, spec)
+		s.handleGraphPredict(w, r, g)
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
@@ -307,12 +316,12 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 // handleGraphPredict runs every instance through the graph. Instances
 // fan out concurrently (each instance's model stages still coalesce into
 // batches with everyone else's via the per-model schedulers).
-func (s *Server) handleGraphPredict(w http.ResponseWriter, r *http.Request, spec *GraphSpec) {
+func (s *Server) handleGraphPredict(w http.ResponseWriter, r *http.Request, g *servedGraph) {
 	if s.draining.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"error": ErrShuttingDown.Error()})
 		return
 	}
-	insts, reqID, ok := s.decodePredict(w, r)
+	insts, reqID, ok := s.decodePredict(w, r, g.metrics)
 	if !ok {
 		return
 	}
@@ -331,7 +340,7 @@ func (s *Server) handleGraphPredict(w http.ResponseWriter, r *http.Request, spec
 			if len(insts) > 1 {
 				id = fmt.Sprintf("%s#%d", reqID, i)
 			}
-			outs[i], errs[i] = s.runGraphNode(ctx, spec.Root, insts[i], id+"/"+spec.Name, "root")
+			outs[i], errs[i] = s.runGraphNode(ctx, g.spec.Root, insts[i], id+"/"+g.spec.Name, "root")
 		}(i)
 	}
 	wg.Wait()
@@ -341,45 +350,5 @@ func (s *Server) handleGraphPredict(w http.ResponseWriter, r *http.Request, spec
 			return
 		}
 	}
-	preds := make([]any, len(outs))
-	for i, out := range outs {
-		preds[i] = out.Render()
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"predictions": preds})
-}
-
-// decodePredict parses the shared predict wire format and stamps the
-// X-Request-ID response header. ok=false means the error response was
-// already written.
-func (s *Server) decodePredict(w http.ResponseWriter, r *http.Request) ([]Instance, string, bool) {
-	var req predictRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "malformed request body: " + err.Error()})
-		return nil, "", false
-	}
-	if len(req.Instances) == 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "no instances in request"})
-		return nil, "", false
-	}
-	insts := make([]Instance, len(req.Instances))
-	for i, raw := range req.Instances {
-		var v any
-		if err := json.Unmarshal(raw, &v); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
-			return nil, "", false
-		}
-		inst, err := ParseInstance(v)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
-			return nil, "", false
-		}
-		insts[i] = inst
-	}
-	reqID := r.Header.Get("X-Request-ID")
-	if reqID == "" {
-		reqID = generateRequestID()
-	}
-	w.Header().Set("X-Request-ID", reqID)
-	return insts, reqID, true
+	writePredictions(w, fmt.Sprintf("graph %q", g.spec.Name), g.metrics, outs)
 }

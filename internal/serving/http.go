@@ -65,7 +65,7 @@ type Server struct {
 	draining   atomic.Bool
 
 	graphMu sync.Mutex
-	graphs  map[string]*GraphSpec
+	graphs  map[string]*servedGraph
 }
 
 // NewServer wraps a registry in the HTTP API and attaches the telemetry
@@ -77,7 +77,7 @@ func NewServer(reg *Registry) *Server {
 		trace:    telemetry.NewRecorder(0),
 		stats:    telemetry.NewStats(),
 		profiler: telemetry.NewProfiler(),
-		graphs:   map[string]*GraphSpec{},
+		graphs:   map[string]*servedGraph{},
 	}
 	hub := core.Global().Telemetry()
 	removeTrace := hub.Register(s.trace)
@@ -167,7 +167,13 @@ func wantsOpenMetrics(r *http.Request) bool {
 // Accept: application/openmetrics-text gets the same samples as
 // OpenMetrics 1.0 text (HELP/TYPE metadata, contiguous families, # EOF).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	expo := buildExposition(s.reg.Snapshots(), s.stats, s.profiler, s.trace)
+	snaps := s.reg.Snapshots()
+	s.graphMu.Lock()
+	for name, g := range s.graphs {
+		snaps[graphMetricsPrefix+name] = g.metrics.snapshot(0)
+	}
+	s.graphMu.Unlock()
+	expo := buildExposition(snaps, s.stats, s.profiler, s.trace)
 	if wantsOpenMetrics(r) {
 		w.Header().Set("Content-Type", openMetricsContentType)
 		fmt.Fprint(w, expo.RenderOpenMetrics())
@@ -385,46 +391,12 @@ func (s *Server) handleRollout(w http.ResponseWriter, r *http.Request, base, ver
 	writeJSON(w, http.StatusOK, st)
 }
 
-// predictRequest is the KServe V1 request body.
-type predictRequest struct {
-	Instances []json.RawMessage `json:"instances"`
-}
-
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, res RouteResult) {
 	m := res.Model
-	var req predictRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "malformed request body: " + err.Error()})
+	insts, reqID, ok := s.decodePredict(w, r, m.metrics)
+	if !ok {
 		return
 	}
-	if len(req.Instances) == 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "no instances in request"})
-		return
-	}
-	insts := make([]Instance, len(req.Instances))
-	for i, raw := range req.Instances {
-		var v any
-		if err := json.Unmarshal(raw, &v); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
-			return
-		}
-		inst, err := ParseInstance(v)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
-			return
-		}
-		insts[i] = inst
-	}
-
-	// Trace ID: honor the caller's X-Request-ID, mint one otherwise, and
-	// echo it on the response so the caller can correlate this HTTP
-	// exchange with the request's stage events in /debug/trace.
-	reqID := r.Header.Get("X-Request-ID")
-	if reqID == "" {
-		reqID = generateRequestID()
-	}
-	w.Header().Set("X-Request-ID", reqID)
 	// Which version served this, and why — the observable half of a
 	// canary rollout.
 	w.Header().Set("X-Serving-Model", m.Name())
@@ -486,11 +458,64 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, res Route
 			return
 		}
 	}
-	preds := make([]any, len(outs))
-	for i, out := range outs {
-		preds[i] = out.Render()
+	writePredictions(w, fmt.Sprintf("model %q", m.Name()), m.metrics, outs)
+}
+
+// decodePredict reads and decodes the predict wire format shared by the
+// model and graph endpoints, and stamps the X-Request-ID response header:
+// the caller's ID is honored, one is minted otherwise, and it is echoed so
+// the caller can correlate this HTTP exchange with the request's stage
+// events in /debug/trace. The "decode" stage it observes on metrics is the
+// parse alone, not the wait for the client's bytes. ok=false means the
+// error response was already written.
+func (s *Server) decodePredict(w http.ResponseWriter, r *http.Request, metrics *Metrics) ([]Instance, string, bool) {
+	d := decoderPool.Get().(*predictDecoder)
+	defer d.release()
+	if err := d.readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, map[string]any{
+				"error": fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})
+		} else {
+			writeJSON(w, http.StatusBadRequest, map[string]any{"error": "reading request body: " + err.Error()})
+		}
+		return nil, "", false
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"predictions": preds})
+	start := time.Now()
+	insts, err := d.decode()
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
+		return nil, "", false
+	}
+	metrics.ObserveStage("decode", durMS(start, time.Now()))
+	reqID := r.Header.Get("X-Request-ID")
+	if reqID == "" {
+		reqID = generateRequestID()
+	}
+	w.Header().Set("X-Request-ID", reqID)
+	return insts, reqID, true
+}
+
+// writePredictions encodes outs and writes the 200 response. Encoding
+// finishes before the status line goes out, so an output JSON cannot carry
+// (NaN, ±Inf) is a 500 naming its producer ("model ..." or "graph ...")
+// rather than a 200 with a truncated body.
+func writePredictions(w http.ResponseWriter, producer string, metrics *Metrics, outs []Instance) {
+	start := time.Now()
+	bufp := encodeBufPool.Get().(*[]byte)
+	buf, err := appendPredictions((*bufp)[:0], outs)
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": fmt.Sprintf("%s: %v", producer, err)})
+	} else {
+		metrics.ObserveStage("encode", durMS(start, time.Now()))
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(buf) // the status is out; a failed write means the client went away
+	}
+	if cap(buf) <= poolKeepBytes {
+		*bufp = buf
+		encodeBufPool.Put(bufp)
+	}
 }
 
 // writePredictError maps a predict error to its status, attaching the

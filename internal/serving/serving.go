@@ -109,7 +109,9 @@ func (in Instance) numElements() int {
 
 // ParseInstance converts a decoded JSON value (nested arrays of numbers,
 // or a bare number) into an Instance, inferring the shape from the
-// nesting and validating that it is rectangular.
+// nesting and validating that it is rectangular. It is the API for
+// callers that already hold a decoded value; the HTTP endpoints decode
+// request bytes directly (codec.go) and keep this as their test oracle.
 func ParseInstance(v any) (Instance, error) {
 	var inst Instance
 	shape, err := inferShape(v)
@@ -163,7 +165,9 @@ func flattenInto(v any, shape []int, out *[]float32) error {
 	return nil
 }
 
-// Render converts the instance back into nested arrays for JSON encoding.
+// Render converts the instance back into nested arrays for JSON encoding
+// by the caller. The HTTP endpoints write response bytes directly
+// (codec.go), identical to encoding/json's for this tree.
 func (in Instance) Render() any {
 	v, _ := render(in.Values, in.Shape)
 	return v

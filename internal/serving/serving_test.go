@@ -464,6 +464,13 @@ func TestTraceAndKernelBreakdown(t *testing.T) {
 	if !strings.Contains(string(metrics), `serving_kernel_invocations_total{model="mnet"`) {
 		t.Fatalf("/metrics missing per-model kernel series:\n%.2000s", metrics)
 	}
+	// The stage series cover the request's whole budget, wire codec
+	// included.
+	for _, stage := range []string{"decode", "queue_wait", "gather", "execute", "split", "encode"} {
+		if series := fmt.Sprintf("serving_stage_latency_ms{model=%q,stage=%q,", "mnet", stage); !strings.Contains(string(metrics), series) {
+			t.Errorf("/metrics missing %s…} after one HTTP predict", series)
+		}
+	}
 	agreed := 0
 	for _, span := range api.Stats().Spans() {
 		if modelOfSpan(span) != "mnet" {
