@@ -65,7 +65,7 @@ func main() {
 	leaks := flag.Bool("leaks", false, "run under the tensor-lifetime tracker and print the leak report")
 	injectLeak := flag.Bool("inject-leak", false, "deliberately leak one tensor to demonstrate -leaks attribution")
 	fusionRep := flag.Bool("fusion-report", false, "print the graph-optimizer report: patterns fired, per-kernel dispatch/byte deltas, peak memory")
-	planRep := flag.Bool("plan-report", false, "verify the compiled fast-path plan and print its per-root lifetime table")
+	planRep := flag.Bool("plan-report", false, "verify the compiled plan and print its per-root lifetime table")
 	planOpt := flag.Bool("plan-optimize", true, "with -plan-report: run the graph optimizer before compiling the plan")
 	workers := flag.Int("workers", 0, "intra-op worker budget on the node backend (0 = leave default, <0 = reset)")
 	gemm := flag.String("gemm", "", "GEMM core on the node backend: packed or naive (empty = leave default)")

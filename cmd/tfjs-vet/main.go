@@ -11,7 +11,7 @@
 //	poolretain    no Raw/ReadSync buffer view may escape the recycler's reach
 //	lockorder     exec lock is outermost; never acquire it under a mutex
 //
-// The IR tier (-plan) verifies the compiled fast-path execution plans
+// The IR tier (-plan) verifies the compiled execution plans
 // themselves: it synthesizes the shipped example models in-process, loads
 // each with the planvet dataflow verifier on (def-before-use, no
 // use-after-free, dispose-exactly-once, acyclic aliases, protected
@@ -47,7 +47,7 @@ func main() {
 	list := flag.Bool("list", false, "list the registered analyzers and exit")
 	run := flag.String("run", "", "comma-separated analyzers to run (default: all)")
 	showSuppressed := flag.Bool("show-suppressed", false, "also print suppressed findings with their justifications")
-	plan := flag.String("plan", "", `verify the compiled fast-path plan of an example model ("zoo", or mobilenet-<alpha>-<size>[-unoptimized]) and print its lifetime table`)
+	plan := flag.String("plan", "", `verify the compiled plan of an example model ("zoo", or mobilenet-<alpha>-<size>[-unoptimized]) and print its lifetime table`)
 	flag.Parse()
 
 	if *plan != "" {

@@ -28,7 +28,7 @@
 //     may acquire it (RunExclusive, or anything that transitively calls
 //     it) while holding a sync.Mutex/RWMutex.
 //
-// The compiled execution plans the fast path runs have their own
+// The compiled execution plans graph models run have their own
 // IR-level verifier (internal/planvet, `tfjs-vet -plan`): dataflow proofs
 // over slots, alias roots and dispose points, run at model load.
 //

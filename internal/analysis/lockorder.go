@@ -11,7 +11,7 @@ import (
 // `Model.Execute`/`Predict` and everything built on them) is the
 // outermost lock; pool and local mutexes (the bufpool free-list mutex,
 // registry maps, metrics) nest inside it — `DisposeData` already takes
-// the pool mutex while the caller holds the exec lock on every fast-path
+// the pool mutex while the caller holds the exec lock on every plan
 // execution. A goroutine that acquires the exec lock while holding any
 // sync.Mutex/RWMutex inverts that order and can deadlock against the
 // steady-state serving path. The analyzer is module-wide: it computes

@@ -543,18 +543,6 @@ func (e *Engine) DataBackend(id tensor.DataID) kernels.Backend {
 	return nil
 }
 
-// FastEligible reports whether execution may bypass the engine's
-// per-kernel bookkeeping (tensor handles, tape recording, telemetry
-// events): no telemetry observers, no gradient tape, no lifetime tracker.
-// The graphmodel plan executor checks this before taking its direct
-// kernel-dispatch path.
-func (e *Engine) FastEligible() bool {
-	if e.hub.Active() || e.lifetime.Load() != nil {
-		return false
-	}
-	return e.GradDepth() == 0
-}
-
 // NumTensors returns the count of live (undisposed) tensor handles.
 func (e *Engine) NumTensors() int {
 	e.mu.Lock()
@@ -604,7 +592,7 @@ func (e *Engine) RunKernel(name string, inputs []*tensor.Tensor, attrs kernels.A
 	}
 
 	for _, in := range inputs {
-		e.ensureOnBackend(in, b)
+		e.EnsureOnBackend(in, b)
 	}
 
 	var outs []*tensor.Tensor
@@ -617,7 +605,7 @@ func (e *Engine) RunKernel(name string, inputs []*tensor.Tensor, attrs kernels.A
 	// the NaN check, and the unobserved dispatch path pays one predictable
 	// branch per kernel.
 	if e.hub.Active() {
-		e.instrumentedRun(name, b, inputs, attrs, run, func() []*tensor.Tensor { return outs })
+		e.instrumentedRun(name, b, inputs, run, func() []*tensor.Tensor { return outs })
 	} else {
 		run()
 	}
@@ -694,10 +682,11 @@ func (e *Engine) shareData(in *tensor.Tensor, shape []int, dtype tensor.DataType
 	return out
 }
 
-// ensureOnBackend migrates a tensor's data to backend b when it lives
+// EnsureOnBackend migrates a tensor's data to backend b when it lives
 // elsewhere, mirroring how TensorFlow.js moves data when the active backend
-// changes.
-func (e *Engine) ensureOnBackend(t *tensor.Tensor, b kernels.Backend) {
+// changes. RunKernel does this for every operand; the graphmodel plan
+// executor does it for feeds and weights before dispatching kernels itself.
+func (e *Engine) EnsureOnBackend(t *tensor.Tensor, b kernels.Backend) {
 	e.mu.Lock()
 	entry, ok := e.data[t.DataID]
 	e.mu.Unlock()
@@ -719,16 +708,21 @@ func (e *Engine) ensureOnBackend(t *tensor.Tensor, b kernels.Backend) {
 	e.mu.Unlock()
 }
 
+// kernelInputs views tensors as kernel operands.
+func kernelInputs(ts []*tensor.Tensor) []kernels.Input {
+	ins := make([]kernels.Input, len(ts))
+	for i, t := range ts {
+		ins[i] = kernels.Input{DataID: t.DataID, Shape: t.Shape, DType: t.DType}
+	}
+	return ins
+}
+
 // dispatch runs the kernel on the backend: device override first, else the
 // reference kernel through host memory.
 func (e *Engine) dispatch(name string, b kernels.Backend, inputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
 	if ov, ok := b.(kernels.Overrider); ok {
 		if k, ok := ov.KernelOverride(name); ok {
-			kIns := make([]kernels.Input, len(inputs))
-			for i, in := range inputs {
-				kIns[i] = kernels.Input{DataID: in.DataID, Shape: in.Shape, DType: in.DType}
-			}
-			infos, err := k(kIns, attrs)
+			infos, err := k(kernelInputs(inputs), attrs)
 			switch {
 			case err == nil:
 				outs := make([]*tensor.Tensor, len(infos))
@@ -951,14 +945,35 @@ func recordFromEvent(ev telemetry.Event) KernelRecord {
 	}
 }
 
-// instrumentedRun wraps a kernel execution with timing, memory accounting,
-// telemetry emission and the debug-mode NaN check.
-func (e *Engine) instrumentedRun(name string, b kernels.Backend, inputs []*tensor.Tensor, attrs kernels.Attrs, run func(), outs func() []*tensor.Tensor) {
-	before := e.Memory()
+// instrumentedRun wraps a kernel execution with timing and memory
+// accounting, and reports it through EmitKernel.
+func (e *Engine) instrumentedRun(name string, b kernels.Backend, inputs []*tensor.Tensor, run func(), outs func() []*tensor.Tensor) {
+	before := e.Memory().NumBytes
 	start := time.Now()
 	ti := b.Time(run)
-	after := e.Memory()
+	after := e.Memory().NumBytes
+	produced := outs()
+	infos := make([]kernels.TensorInfo, len(produced))
+	for i, out := range produced {
+		infos[i] = kernels.TensorInfo{DataID: out.DataID, Shape: out.Shape, DType: out.DType}
+	}
+	if err := e.EmitKernel(name, b, start, ti, kernelInputs(inputs), infos, after-before, after); err != nil {
+		panic(err)
+	}
+}
 
+// EmitKernel reports one executed kernel to the telemetry hub and, in debug
+// mode, records it and scans its outputs for NaNs (Section 3.8). It is the
+// only builder of KindKernel events: RunKernel's observed path and the
+// graphmodel plan executor both end here, so profiles, traces and /metrics
+// describe whichever path ran in the same vocabulary. The caller timed the
+// kernel under b.Time; added and total are the bytes the kernel allocated
+// and the bytes live after it. Shapes are copied — observers retain events,
+// callers reuse their shape storage. The returned *OpError is non-nil when
+// debug mode found a NaN: the caller panics with it once it has let go of
+// whatever the kernel produced.
+func (e *Engine) EmitKernel(name string, b kernels.Backend, start time.Time, ti kernels.TimeInfo,
+	ins []kernels.Input, outs []kernels.TensorInfo, added, total int64) *OpError {
 	ev := telemetry.Event{
 		Kind:        telemetry.KindKernel,
 		Name:        name,
@@ -967,16 +982,30 @@ func (e *Engine) instrumentedRun(name string, b kernels.Backend, inputs []*tenso
 		DurMS:       ti.WallMS,
 		KernelMS:    ti.KernelMS,
 		HasKernelMS: ti.HasKernelMS,
-		Bytes:       after.NumBytes - before.NumBytes,
-		TotalBytes:  after.NumBytes,
+		Bytes:       added,
+		TotalBytes:  total,
 	}
-	for _, in := range inputs {
-		ev.InputShapes = append(ev.InputShapes, tensor.CopyShape(in.Shape))
+	// Two allocations for all shapes: every served kernel passes through here.
+	rank := 0
+	for _, in := range ins {
+		rank += len(in.Shape)
 	}
-	for _, out := range outs() {
-		ev.OutputShapes = append(ev.OutputShapes, tensor.CopyShape(out.Shape))
-		ev.Elements += int64(out.Size())
+	for _, out := range outs {
+		rank += len(out.Shape)
+		ev.Elements += int64(tensor.ShapeSize(out.Shape))
 	}
+	shapes, dims := make([][]int, 0, len(ins)+len(outs)), make([]int, 0, rank)
+	add := func(shape []int) {
+		dims = append(dims, shape...)
+		shapes = append(shapes, dims[len(dims)-len(shape):len(dims):len(dims)])
+	}
+	for _, in := range ins {
+		add(in.Shape)
+	}
+	for _, out := range outs {
+		add(out.Shape)
+	}
+	ev.InputShapes, ev.OutputShapes = shapes[:len(ins):len(ins)], shapes[len(ins):]
 	e.hub.Emit(ev)
 
 	if e.debugOn.Load() {
@@ -984,15 +1013,16 @@ func (e *Engine) instrumentedRun(name string, b kernels.Backend, inputs []*tenso
 		e.debugKernels = append(e.debugKernels, recordFromEvent(ev))
 		e.mu.Unlock()
 		// Download every output and throw at the first NaN (Section 3.8).
-		for _, out := range outs() {
+		for _, out := range outs {
 			vals := b.ReadSync(out.DataID)
 			for i, v := range vals {
 				if math.IsNaN(float64(v)) {
-					opPanic(name, fmt.Errorf("debug mode: NaN introduced at output element %d (output shape %v)", i, out.Shape))
+					return &OpError{Kernel: name, Err: fmt.Errorf("debug mode: NaN introduced at output element %d (output shape %v)", i, out.Shape)}
 				}
 			}
 		}
 	}
+	return nil
 }
 
 // ProfileInfo is the result of Profile (tf.profile()): memory effects and

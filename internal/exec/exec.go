@@ -71,7 +71,7 @@ type Config struct {
 	Verify   *bool
 
 	// PlanVerify gates the load-time dataflow verification of the
-	// compiled fast-path plan (internal/planvet): def-before-use,
+	// compiled plan (internal/planvet): def-before-use,
 	// use-after-free across dispose points, dispose-exactly-once, alias
 	// acyclicity, and feed/output recycler exclusion. nil means on.
 	PlanVerify *bool
@@ -124,7 +124,7 @@ func WithVerify(on bool) Option {
 }
 
 // WithPlanVerify toggles load-time dataflow verification of the compiled
-// fast-path plan.
+// plan.
 func WithPlanVerify(on bool) Option {
 	return func(c *Config) { c.PlanVerify = &on }
 }

@@ -2,10 +2,10 @@
 // behind tf.loadModel(url) for graph-format models (Section 5.1). Loading
 // runs a Grappler-style graph optimizer (operator fusion, batch-norm and
 // constant folding, pruning; see optimize.go) and compiles the result into
-// an execution plan (typed steps over integer slots with liveness-based
-// disposal; see plan.go), so Execute does no graph traversal, no attribute
-// decoding and no rewriting — and a converted model runs on whichever
-// backend is active.
+// an execution plan (kernel-level steps over integer slots with
+// liveness-based disposal; see plan.go and execute.go), so Execute does no
+// graph traversal, no attribute decoding and no rewriting — and a converted
+// model runs the same plan on whichever backend is active.
 package graphmodel
 
 import (
@@ -77,23 +77,16 @@ type Model struct {
 	order []string             // topological execution order over exec
 	nodes map[string]*savedmodel.NodeDef
 
-	// plan is the compiled execution plan: attrs decoded once, steps
-	// flattened, liveness annotated. Immutable after New; shared by
-	// concurrent Execute calls.
+	// plan is the compiled execution plan: attrs decoded once, every op
+	// lowered onto its kernels, liveness annotated, plus the per-model
+	// execution scratch the engine execution lock guards.
 	plan     *plan
 	optStats OptimizeStats
 
-	// fast is the direct-dispatch projection of the plan (fastpath.go):
-	// kernel calls over backend containers, bypassing per-step tensor
-	// handles and scope tracking so warmed steady-state inference
-	// allocates nothing. nil when any node has no fast lowering; the
-	// legacy plan then always runs. fastBK caches the backend the weights
-	// were last verified resident on (see fastReady).
-	fast   *fastPlan
-	fastBK kernels.Backend
-
 	// weights are uploaded once at load time and shared across calls.
-	weights map[string]*tensor.Tensor
+	// weightsOn is the backend they were last migrated to (execute.go).
+	weights   map[string]*tensor.Tensor
+	weightsOn kernels.Backend
 
 	// span is the telemetry span name every Execute opens: model name plus
 	// serving signature, so concurrent serving traces are attributable per
@@ -166,7 +159,6 @@ func New(g *savedmodel.GraphDef, opts ...Option) (*Model, error) {
 	}
 	m.order = order
 	m.plan = compilePlan(m.exec, m.order, m.nodes, cfg.exec.MeasuredCost())
-	m.fast = compileFast(m.exec, m.order, m.nodes, m.plan)
 	if cfg.exec.PlanVerifyOn() {
 		// Prove the compiled plan's dispose points and alias roots memory-
 		// safe before the first execution (see planexport.go); a defective
@@ -299,6 +291,11 @@ func (m *Model) Execute(feeds map[string]*tensor.Tensor) (map[string]*tensor.Ten
 		}
 	}
 	e := m.Engine()
+	if e.GradDepth() > 0 {
+		// The plan dispatches kernels without engine handles, so nothing
+		// would reach the tape: refuse rather than return an untaped result.
+		return nil, fmt.Errorf("graphmodel: model %q executed inside a gradient scope; graph models are inference-only and record no tape", m.span)
+	}
 	var results map[string]*tensor.Tensor
 	var err error
 	e.RunExclusive(func() {
@@ -310,10 +307,10 @@ func (m *Model) Execute(feeds map[string]*tensor.Tensor) (map[string]*tensor.Ten
 		defer end()
 		if telemetry.ProfilingOn() {
 			t0 := time.Now()
-			results, err = m.executeLocked(e, feeds)
+			results, err = m.execute(e, feeds)
 			m.execCost.ObserveCost(time.Since(t0).Nanoseconds(), 1)
 		} else {
-			results, err = m.executeLocked(e, feeds)
+			results, err = m.execute(e, feeds)
 		}
 	})
 	return results, err
@@ -333,85 +330,6 @@ func (m *Model) Engine() *core.Engine {
 		return m.eng
 	}
 	return core.Global()
-}
-
-// executeLocked runs the compiled plan; the caller holds the execution
-// lock. Each execution owns its slot array, so concurrent Execute calls
-// share the immutable plan safely. Intermediates are disposed at their
-// statically-computed last use (the liveness analysis in compilePlan), so
-// peak engine memory tracks the live set; the surrounding tidy scope
-// remains as the safety net for the error paths.
-func (m *Model) executeLocked(e *core.Engine, feeds map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	// The direct-dispatch path handles the steady-state serving case:
-	// engine bypass-eligible (no profiling hub, no tape, no tidy-scope
-	// observers), a pooling backend with the plan-kernel interface, and
-	// feeds plus weights resident on it. Everything else — gradients,
-	// profiling, -pool=off A/B runs, foreign-backend feeds — takes the
-	// legacy plan below, which migrates data and tracks handles.
-	if m.fast != nil && e.FastEligible() {
-		if bk, ok := e.Backend().(fastBackend); ok && bk.PoolActive() &&
-			feedsOn(e, bk, feeds) && m.fastReady(e, bk) {
-			return m.executeFast(e, bk, feeds)
-		}
-	}
-	results := map[string]*tensor.Tensor{}
-	var execErr error
-	p := m.plan
-	outs := e.Tidy("graph-execute", func() []*tensor.Tensor {
-		env := make([]*tensor.Tensor, p.numSlots)
-		fed := make([]bool, p.numSlots)
-		for name, t := range feeds {
-			if s, ok := p.slots[name]; ok {
-				env[s] = t
-				fed[s] = true
-			}
-		}
-		for _, ws := range p.weightSlots {
-			if !fed[ws.slot] {
-				env[ws.slot] = m.weights[ws.name]
-			}
-		}
-		// The plan carries each step's widened hint — arithmetic intensity
-		// plus the step's rolling measured-cost account; hint it to the
-		// backend (if it listens) so the parallelism grain derives from
-		// the step's real per-element cost (static or measured), and so
-		// per-chunk timings feed the account. Cleared on every exit.
-		bk := e.Backend()
-		defer exec.HintStep(bk, nil)
-		for i := range p.steps {
-			st := &p.steps[i]
-			// A feed for any node short-circuits its step, as the lazy
-			// executor's env pre-population did.
-			if !fed[st.out] {
-				exec.HintStep(bk, st.hint)
-				out, err := st.run(env)
-				if err != nil {
-					execErr = err
-					return nil
-				}
-				env[st.out] = out
-			}
-			for _, s := range st.dispose {
-				// Never dispose caller-owned feeds; the liveness analysis
-				// already excludes weights and outputs.
-				if !fed[s] && env[s] != nil {
-					env[s].Dispose()
-					env[s] = nil
-				}
-			}
-		}
-		var escape []*tensor.Tensor
-		for i, out := range m.exec.Outputs {
-			results[out] = env[p.outSlots[i]]
-			escape = append(escape, env[p.outSlots[i]])
-		}
-		return escape
-	})
-	if execErr != nil {
-		return nil, execErr
-	}
-	_ = outs
-	return results, nil
 }
 
 func attrBool(attrs map[string]any, key string) bool {

@@ -1,15 +1,15 @@
 package graphmodel
 
-// This file exports the compiled fast-path program as a planvet.Plan —
-// the inspectable IR behind `tfjs-vet -plan` and `tfjs-profile
-// -plan-report` — and runs the planvet dataflow verifier over it at load
-// time (default-on; WithPlanVerify(false) is the escape hatch). The
-// verifier proves the memory-safety invariants the fast path's liveness
-// compilation is trusted with: no slot read before definition, no root
-// read after its dispose point, dispose-exactly-once, acyclic alias
-// chains, and no feed/weight/output container ever parked in the
-// recycler. A defective plan is rejected at New, before it can execute,
-// with the node/step/slot/lifetime attribution of every violation.
+// This file exports the compiled plan as a planvet.Plan — the inspectable
+// IR behind `tfjs-vet -plan` and `tfjs-profile -plan-report` — and runs the
+// planvet dataflow verifier over it at load time (default-on;
+// WithPlanVerify(false) is the escape hatch). The verifier proves the
+// memory-safety invariants the plan's liveness compilation is trusted
+// with: no slot read before definition, no root read after its dispose
+// point, dispose-exactly-once, acyclic alias chains, and no
+// feed/weight/output container ever parked in the recycler. A defective
+// plan is rejected at New, before it can execute, with the
+// node/step/slot/lifetime attribution of every violation.
 
 import (
 	"fmt"
@@ -20,69 +20,56 @@ import (
 )
 
 // WithPlanVerify enables or disables the load-time dataflow verification
-// of the compiled fast-path plan (enabled by default), mirroring
-// WithVerify. Disabling it loads the model with the plan unchecked — the
+// of the compiled plan (enabled by default), mirroring WithVerify.
+// Disabling it loads the model with the plan unchecked — the
 // runtime NaN-poison scribble becomes the only use-after-free net.
 func WithPlanVerify(enabled bool) Option {
 	return func(c *config) { c.exec.PlanVerify = &enabled }
 }
 
-// PlanIR exports the compiled fast-path program — slots, alias roots,
-// step order, dispose points — as a planvet.Plan. Returns nil when the
-// model has no fast plan (an op without a fast lowering keeps the model
-// on the legacy interpreter, which allocates per-step tensor handles and
-// has no static dispose points to verify). The returned plan is a fresh
-// copy each call; corrupting it (planvet.Corrupt) never touches the
-// model.
+// PlanIR exports the compiled program — slots, alias roots, step order,
+// dispose points — as a planvet.Plan: the plan every Execute runs, on every
+// backend. The returned plan is a fresh copy each call; corrupting it
+// (planvet.Corrupt) never touches the model.
 func (m *Model) PlanIR() *planvet.Plan {
-	fp := m.fast
-	if fp == nil {
-		return nil
-	}
-	p := &planvet.Plan{
+	p := m.plan
+	ir := &planvet.Plan{
 		Model: m.span,
-		Slots: make([]planvet.Slot, fp.numSlots),
-		Roots: append([]int(nil), fp.root...),
-		Steps: make([]planvet.Step, 0, len(fp.steps)),
+		Slots: make([]planvet.Slot, p.numSlots),
+		Roots: append([]int(nil), p.root...),
+		Steps: make([]planvet.Step, 0, len(p.steps)),
 	}
-	for name, s := range fp.slots {
-		p.Slots[s].Name = name
+	for name, s := range p.slots {
+		ir.Slots[s].Name = name
 	}
-	for _, ws := range fp.weightSlots {
-		p.Slots[ws.slot].Weight = true
+	for _, ws := range p.weightSlots {
+		ir.Slots[ws.slot].Weight = true
 	}
-	for _, s := range fp.outSlots {
-		p.Slots[s].Output = true
+	for _, s := range p.outSlots {
+		ir.Slots[s].Output = true
 	}
-	for i := range fp.steps {
-		st := &fp.steps[i]
+	for i := range p.steps {
+		st := &p.steps[i]
 		if st.op == "Placeholder" {
-			p.Slots[st.out].Feed = true
+			ir.Slots[st.out].Feed = true
 		}
-		dispose := make([]int, len(st.dispose))
-		for j, d := range st.dispose {
-			dispose[j] = d.root
-		}
-		p.Steps = append(p.Steps, planvet.Step{
+		ir.Steps = append(ir.Steps, planvet.Step{
 			Node:    st.name,
 			Op:      st.op,
 			Ins:     append([]int(nil), st.ins...),
 			Out:     st.out,
 			Alias:   st.alias,
-			Dispose: dispose,
+			Dispose: append([]int(nil), st.dispose...),
 		})
 	}
-	return p
+	return ir
 }
 
-// verifyPlan runs the planvet dataflow verifier over the compiled fast
-// plan and emits the KindVerify telemetry event ("plan-ok"/"plan-reject",
-// Count = steps checked). A nil fast plan verifies trivially.
+// verifyPlan runs the planvet dataflow verifier over the compiled plan and
+// emits the KindVerify telemetry event ("plan-ok"/"plan-reject", Count =
+// steps checked).
 func (m *Model) verifyPlan(hub *telemetry.Hub) error {
 	ir := m.PlanIR()
-	if ir == nil {
-		return nil
-	}
 	start := time.Now()
 	err := planvet.Verify(ir)
 	if hub.Active() {

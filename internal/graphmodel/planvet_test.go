@@ -36,32 +36,41 @@ func mobileNetGraph(t testing.TB, alpha float64, inputSize int) *savedmodel.Grap
 // TestPlanVerifyZeroFalsePositives loads every shipped example-model
 // shape and checks the default-on plan verification accepts each —
 // loading itself runs the verifier, and the exported IR must re-verify
-// clean. Any failure here is a false positive: these are the plans the
-// fast path executes in production.
+// clean. Any failure here is a false positive: these are the plans every
+// Execute runs, on every backend — including a plan with an error step
+// (a node that cannot be lowered still occupies its slot and its place in
+// the liveness schedule) and a plan that has executed on webgl.
 func TestPlanVerifyZeroFalsePositives(t *testing.T) {
 	cases := []struct {
-		name string
-		g    *savedmodel.GraphDef
-		opts []graphmodel.Option
+		name    string
+		g       *savedmodel.GraphDef
+		opts    []graphmodel.Option
+		backend string // execute once here before exporting; "" = load only
 	}{
-		{"tiny", tinyGraph(), nil},
-		{"mobilenet-0.25-96", mobileNetGraph(t, 0.25, 96), nil},
-		{"mobilenet-0.5-64", mobileNetGraph(t, 0.5, 64), nil},
+		{"tiny", tinyGraph(), nil, ""},
+		{"mobilenet-0.25-96", mobileNetGraph(t, 0.25, 96), nil, ""},
+		{"mobilenet-0.5-64", mobileNetGraph(t, 0.5, 64), nil, ""},
 		{"mobilenet-unoptimized", mobileNetGraph(t, 0.25, 64),
-			[]graphmodel.Option{graphmodel.WithOptimize(false)}},
+			[]graphmodel.Option{graphmodel.WithOptimize(false)}, ""},
+		{"error-step", brokenNodeGraph(savedmodel.NodeDef{Op: "FFT"}), nil, ""},
+		{"mobilenet-on-webgl", mobileNetGraph(t, 0.25, 32), nil, "webgl"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.backend != "" {
+				onBackend(t, tc.backend)
+			}
 			m, err := graphmodel.New(tc.g, tc.opts...)
 			if err != nil {
 				t.Fatalf("load-time plan verification rejected a clean model: %v", err)
 			}
 			defer m.Dispose()
-			ir := m.PlanIR()
-			if ir == nil {
-				t.Fatal("model has no fast plan; the verifier never saw it")
+			if tc.backend != "" {
+				x := imageFeed(32)
+				defer x.Dispose()
+				predictBits(t, m, x)
 			}
-			if err := planvet.Verify(ir); err != nil {
+			if err := planvet.Verify(m.PlanIR()); err != nil {
 				t.Fatalf("exported IR fails re-verification: %v", err)
 			}
 		})

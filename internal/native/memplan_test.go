@@ -16,10 +16,10 @@ import (
 )
 
 // These tests are the memory planner's acceptance gates (ISSUE 9): the
-// buffer recycler plus the compiled fast path must collapse warmed
-// steady-state Predict to near-zero heap allocations, and must do so
-// without perturbing a single output bit — across worker counts and
-// across every rung of the acceleration ladder.
+// buffer recycler plus the direct-dispatch plan must keep warmed
+// steady-state Predict near-zero in heap allocations, and the recycler must
+// do its part without perturbing a single output bit — across worker counts
+// and across every rung of the acceleration ladder.
 
 // nodeBackend switches the global engine onto the native backend and
 // returns it.
@@ -78,12 +78,13 @@ func predictBits(t testing.TB, gm *graphmodel.Model, x *tensor.Tensor) []float32
 	return append([]float32(nil), y.DataSync()...)
 }
 
-// TestSteadyStateAllocsGate is the blocking CI gate for the memory
-// planner: after warmup, a pooled Predict must allocate at most 10% of
-// what the same model allocates with the recycler off. The comparison is
-// relative and measured in-process, so it holds across Go versions and
-// hosts; at the time of writing the absolute numbers are ~51 pooled vs
-// ~945 unpooled allocations per op (a 94.6% reduction).
+// TestSteadyStateAllocsGate is the blocking CI gate for the memory planner:
+// after warmup, an unobserved Predict allocates at most 60 objects with the
+// recycler on and 100 with it off (51 and 82 when written). Both arms run
+// the one plan executor — the recycler only decides whether a kernel's
+// output buffer comes from a free list or from make — so the budgets are
+// absolute; the observed, served path has its own budget in
+// internal/serving (TestServedExecuteAllocBudget).
 func TestSteadyStateAllocsGate(t *testing.T) {
 	nb := nodeBackend(t)
 	nb.SetWorkers(1)
@@ -102,43 +103,35 @@ func TestSteadyStateAllocsGate(t *testing.T) {
 	x := ops.FromValues(vals, 1, 96, 96, 3)
 	defer x.Dispose()
 
-	measure := func(pooled bool) float64 {
-		nb.EnablePooling(pooled)
-		for i := 0; i < 3; i++ { // warmup: uploads, pool fill, plan caches
+	for _, arm := range []struct {
+		name   string
+		pooled bool
+		budget float64
+	}{{"unpooled", false, 100}, {"pooled", true, 60}} {
+		nb.EnablePooling(arm.pooled)
+		predict := func() {
 			y, err := gm.Predict(x)
 			if err != nil {
 				t.Fatal(err)
 			}
 			y.Dispose()
 		}
-		return testing.AllocsPerRun(20, func() {
-			y, err := gm.Predict(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			y.Dispose()
-		})
-	}
-
-	unpooled := measure(false)
-	pooled := measure(true)
-	t.Logf("warmed Predict allocs/op: pooled=%.1f unpooled=%.1f (%.1f%% reduction)",
-		pooled, unpooled, 100*(1-pooled/unpooled))
-	if unpooled == 0 {
-		t.Fatal("unpooled run reported zero allocations; measurement broken")
-	}
-	if pooled > 0.10*unpooled {
-		t.Fatalf("pooled Predict allocates %.1f/op, more than 10%% of the %.1f/op unpooled baseline",
-			pooled, unpooled)
+		for i := 0; i < 3; i++ { // warmup: uploads, pool fill, plan caches
+			predict()
+		}
+		allocs := testing.AllocsPerRun(20, predict)
+		t.Logf("warmed Predict allocs/op, %s: %.1f (budget %.0f)", arm.name, allocs, arm.budget)
+		if allocs > arm.budget {
+			t.Errorf("%s Predict allocates %.1f/op, budget %.0f", arm.name, allocs, arm.budget)
+		}
 	}
 }
 
 // TestPooledBitIdentityMatrix checks the planner's correctness invariant:
-// with the recycler on (and therefore the compiled fast path engaged),
-// outputs are bitwise identical to the unpooled legacy interpreter — not
-// merely close — at every worker count and on every rung of the
-// acceleration ladder. Buffer reuse may never change which values a
-// kernel reads or writes.
+// with the recycler on, outputs are bitwise identical to the same plan run
+// with the recycler off — not merely close — at every worker count and on
+// every rung of the acceleration ladder. Buffer reuse may never change
+// which values a kernel reads or writes.
 func TestPooledBitIdentityMatrix(t *testing.T) {
 	nb := nodeBackend(t)
 	defer nb.SetWorkers(-1)

@@ -1,6 +1,6 @@
 // Package planvet statically verifies compiled execution plans — the
-// IR-level front of the tfjs-vet suite. The graph executor's fast path
-// (internal/graphmodel, fastpath.go) compiles a model into a dataflow
+// IR-level front of the tfjs-vet suite. The graph executor
+// (internal/graphmodel, plan.go) compiles a model into a dataflow
 // program over integer slots: alias steps share physical containers
 // through union-find roots, reverse-scan liveness frees each intermediate
 // at its last consumer, and the freed buffers park on the engine's
@@ -71,7 +71,7 @@ type Step struct {
 }
 
 // Plan is the exported compiled program: the exact slot/root/step/dispose
-// structure the fast path executes, lifted into plain data so it can be
+// structure the executor runs, lifted into plain data so it can be
 // verified, printed and (in tests) corrupted.
 type Plan struct {
 	// Model labels errors and the lifetime table (telemetry span or name).

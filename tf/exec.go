@@ -76,7 +76,7 @@ func WithQuantizedCompute(on bool) ExecOption { return exec.WithQuantizedCompute
 func WithOptimize(on bool) ExecOption { return exec.WithOptimize(on) }
 
 // WithPlanVerify toggles load-time dataflow verification of the compiled
-// fast-path execution plan (dispose points, alias roots; enabled by
+// execution plan (dispose points, alias roots; enabled by
 // default — see internal/planvet).
 func WithPlanVerify(on bool) ExecOption { return exec.WithPlanVerify(on) }
 
