@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/converter"
 	"repro/tf"
 )
 
@@ -16,20 +15,18 @@ import (
 // single-image MobileNet inference — each rung enables one more piece of
 // the execution config, all through the unified options API:
 //
-//	naive    ×1   row-streaming GEMM, one worker (the seed baseline)
-//	packed   ×1   cache-blocked packed GEMM, one worker
-//	packed   ×N   same core sharded across GOMAXPROCS workers
+//	packed   ×1   the native kernels (adaptive packed/row-streaming GEMM),
+//	              one worker
+//	packed   ×N   same kernels sharded across GOMAXPROCS workers
 //	measured ×N   chunk grain from the continuous profiler's measured
 //	              ns/element accounts instead of static flop estimates
-//	int8     ×N   quantized compute path on the int8-converted artifact
 //
-// Two gates ride on the ladder. The measured rung must be bitwise
+// One gate rides on the ladder. The measured rung must be bitwise
 // identical to packed ×N — the cost model only moves chunk boundaries,
 // and kernels never split one output element's accumulation across
-// chunks, so any drift is a bug. The int8 rung's class probabilities
-// must stay within 5% of the f32 output's dynamic range. Either
-// violation exits nonzero. outPath, when set, writes the measured
-// numbers as JSON (the CI artifact behind the README ladder table).
+// chunks, so any drift is a bug, and the run exits nonzero. outPath, when
+// set, writes the measured numbers as JSON (the CI artifact behind the
+// README ladder table).
 func ladderExperiment(alpha float64, size, runs int, outPath string) {
 	procs := runtime.GOMAXPROCS(0)
 	fmt.Printf("\n=== Native acceleration ladder: MobileNet v1 alpha=%.2f @%dx%d, %d runs, GOMAXPROCS=%d ===\n\n",
@@ -49,14 +46,8 @@ func ladderExperiment(alpha float64, size, runs int, outPath string) {
 		log.Fatal(err)
 	}
 	model.Dispose()
-	f32Store := tf.NewMemStore()
-	if _, err := tf.Convert(g, f32Store, tf.ConvertOptions{}); err != nil {
-		log.Fatal(err)
-	}
-	int8Store := tf.NewMemStore()
-	if _, err := tf.Convert(g, int8Store, tf.ConvertOptions{
-		QuantizationScheme: converter.QuantizationInt8,
-	}); err != nil {
+	store := tf.NewMemStore()
+	if _, err := tf.Convert(g, store, tf.ConvertOptions{}); err != nil {
 		log.Fatal(err)
 	}
 
@@ -68,19 +59,14 @@ func ladderExperiment(alpha float64, size, runs int, outPath string) {
 	rungs := []struct {
 		label    string
 		workers  int
-		gemm     tf.GEMMMode
-		store    tf.ArtifactStore
-		int8     bool
 		measured bool
 	}{
-		{"naive ×1", 1, tf.GEMMNaive, f32Store, false, false},
-		{"packed ×1", 1, tf.GEMMPacked, f32Store, false, false},
-		{fmt.Sprintf("packed ×%d", procs), procs, tf.GEMMPacked, f32Store, false, false},
-		{fmt.Sprintf("measured ×%d", procs), procs, tf.GEMMPacked, f32Store, false, true},
-		{fmt.Sprintf("int8 ×%d", procs), procs, tf.GEMMPacked, int8Store, true, false},
+		{"packed ×1", 1, false},
+		{fmt.Sprintf("packed ×%d", procs), procs, false},
+		{fmt.Sprintf("measured ×%d", procs), procs, true},
 	}
 	defer func() {
-		if err := tf.ConfigureExec(tf.WithWorkers(-1), tf.WithGEMM(tf.GEMMPacked)); err != nil {
+		if err := tf.ConfigureExec(tf.WithWorkers(-1)); err != nil {
 			log.Fatal(err)
 		}
 	}()
@@ -90,22 +76,16 @@ func ladderExperiment(alpha float64, size, runs int, outPath string) {
 	var baseMS float64
 	fmt.Printf("%-14s %12s %10s\n", "Rung", "ms/infer", "speedup")
 	for _, r := range rungs {
-		if err := tf.ConfigureExec(tf.WithWorkers(r.workers), tf.WithGEMM(r.gemm)); err != nil {
+		if err := tf.ConfigureExec(tf.WithWorkers(r.workers)); err != nil {
 			log.Fatal(err)
 		}
 		var loadOpts []tf.ExecOption
-		if r.int8 {
-			loadOpts = append(loadOpts, tf.WithQuantizedCompute(true))
-		}
 		if r.measured {
 			loadOpts = append(loadOpts, tf.WithCostModel(tf.CostModelMeasured))
 		}
-		m, err := tf.LoadGraphModel(r.store, loadOpts...)
+		m, err := tf.LoadGraphModel(store, loadOpts...)
 		if err != nil {
 			log.Fatal(err)
-		}
-		if r.int8 && m.OptimizeStats().QuantizedOps == 0 {
-			log.Fatal("int8 rung: no op was rewritten to the quantized kernels")
 		}
 		infer := func() []float32 {
 			x := tf.Tensor4D(vals, 1, size, size, 3)
@@ -136,8 +116,8 @@ func ladderExperiment(alpha float64, size, runs int, outPath string) {
 	// Bit-identity gate: the measured rung against packed ×N. The cost
 	// model may only move chunk boundaries, never arithmetic, so the two
 	// float32 vectors must match bit for bit.
-	f32Out := outputs[rungs[2].label]
-	measOut := outputs[rungs[3].label]
+	f32Out := outputs[rungs[1].label]
+	measOut := outputs[rungs[2].label]
 	for i := range f32Out {
 		if math.Float32bits(measOut[i]) != math.Float32bits(f32Out[i]) {
 			fmt.Printf("\nmeasured-cost bit-identity gate FAILED: class %d measured=%x static=%x\n",
@@ -148,31 +128,8 @@ func ladderExperiment(alpha float64, size, runs int, outPath string) {
 	fmt.Printf("\nmeasured-cost bit-identity gate: all %d class probabilities bitwise equal to packed ×%d\n",
 		len(f32Out), procs)
 
-	// Parity gate: the int8 rung against its f32 sibling at the same
-	// worker count. 5% of the f32 dynamic range is the same envelope the
-	// kernel- and model-level tests enforce.
-	want := outputs[rungs[2].label]
-	got := outputs[rungs[4].label]
-	var rangeF float64
-	for _, v := range want {
-		if a := math.Abs(float64(v)); a > rangeF {
-			rangeF = a
-		}
-	}
-	tol := 0.05 * rangeF
-	for i := range want {
-		if diff := math.Abs(float64(got[i] - want[i])); diff > tol {
-			fmt.Printf("\nint8 parity gate FAILED: class %d int8=%g f32=%g (diff %g > tol %g)\n",
-				i, got[i], want[i], diff, tol)
-			os.Exit(1)
-		}
-	}
-	fmt.Printf("\nint8 parity gate: all %d class probabilities within %.4f of f32 (5%% of range)\n",
-		len(want), tol)
-
 	if outPath != "" {
-		bench := newServingBench(alpha, size, runs, 1)
-		bench.Benchmark = "ladder"
+		bench := newBenchResult("ladder", alpha, size, runs, 1)
 		bench.Modes = results
 		if err := bench.writeJSON(outPath); err != nil {
 			log.Fatal(err)

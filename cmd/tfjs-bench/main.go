@@ -7,56 +7,38 @@
 //	tfjs-bench squeeze   — §4.1: logical-shape squeezing ablation
 //	tfjs-bench recycling — §4.1.2: texture recycler ablation
 //	tfjs-bench census    — §4.1.3: device support shares (WebGLStats analogue)
-//	tfjs-bench serve     — serving: micro-batched vs unbatched QPS and latency
 //	tfjs-bench fusion    — graph optimizer A/B: operator fusion on vs off
-//	tfjs-bench ladder    — native acceleration ladder: naive → packed →
-//	                       packed+multicore → measured-cost → int8, with the
-//	                       bit-identity and int8 parity gates
+//	tfjs-bench ladder    — native acceleration ladder: packed ×1 →
+//	                       packed ×N → measured-cost ×N, with the
+//	                       measured-vs-static bit-identity gate
 //	tfjs-bench overhead  — continuous profiler: QPS with profiling on vs off,
 //	                       exit nonzero beyond -overhead-budget (CI gate)
-//	tfjs-bench all       — everything above
+//	tfjs-bench all       — the paper tables and figures above
 //
 // Flags -alpha, -size and -runs scale the MobileNet workload; the defaults
 // keep the plain-CPU baseline tractable. Absolute times differ from the
 // paper (the WebGL device is simulated; see EXPERIMENTS.md), but the
 // orderings and ratios are the reproduction targets.
 //
-// For the serve command, -out writes the measured QPS/latency numbers as
-// JSON and -baseline compares the run against a committed baseline
-// (BENCH_serving.json at the repo root), exiting nonzero when either
-// mode's QPS regressed more than 20% — the CI regression tripwire:
-//
-//	tfjs-bench serve -out BENCH_serving.json            # (re)seed baseline
-//	tfjs-bench serve -baseline BENCH_serving.json       # compare
-//
 // The fusion command is the graph-optimizer A/B: it loads the same
 // converted MobileNet with the optimizer on and off, reports kernel
 // dispatches, Predict latency and peak memory per arm, verifies the arms
 // agree to 1e-5, and (with -tracedir) writes a Chrome trace per arm.
-// -fusion=off also lets the serve command run unoptimized graphs for
-// before/after comparisons.
 //
-// -gemm, -quant and -cost-model steer the native execution config for
-// the serve command (the CI A/B matrix runs serve under every
-// combination): -gemm selects the matmul core (packed, the cache-blocked
-// default, or naive), -quant=int8 converts the model with the int8
-// scheme and serves it on the quantized compute path, and
-// -cost-model=measured feeds the continuous profiler's ns/element
-// accounts back into the parallelism grain. -pool=off disables the
-// backend buffer recycler (the memory-planner A/B arm): every served
-// mode also reports heap allocations and bytes per request plus the GC
-// pause p95 over the run, so the pooled-vs-unpooled delta is measurable
-// from two invocations. The ladder command measures
-// all five rungs in one run — naive ×1 worker, packed ×1, packed ×N
-// cores, measured ×N, int8 ×N — and enforces two gates: the measured
-// rung must be bitwise identical to packed ×N (grain changes may never
-// change results), and the int8 rung must stay within 5% of the f32
-// output's dynamic range. Both exit nonzero on violation.
+// The ladder command measures three rungs in one run — packed ×1 worker,
+// packed ×N cores, measured ×N (the measured cost model: the continuous
+// profiler's ns/element accounts drive the parallelism grain) — and
+// enforces one gate: the measured rung must be bitwise identical to
+// packed ×N (grain changes may never change results), or it exits
+// nonzero.
+//
+// The serving benchmark is bench/ (BENCHMARK.json): `bash bench/run.sh`.
 //
 // The overhead command is the profiler's cost gate: it interleaves
 // serving rounds with profiling enabled and hard-disabled, compares
 // median QPS, and exits nonzero when the loss exceeds -overhead-budget
-// (default 3%) — CI runs it blocking.
+// (default 3%) — CI runs it blocking. For fusion, ladder and overhead, -out
+// writes the measured numbers as JSON.
 package main
 
 import (
@@ -75,35 +57,13 @@ func main() {
 	alpha := flag.Float64("alpha", 0.25, "MobileNet width multiplier (paper: 1.0)")
 	size := flag.Int("size", 96, "MobileNet input resolution (paper: 224)")
 	runs := flag.Int("runs", 10, "inference runs to average (paper: 100)")
-	baseline := flag.String("baseline", "", "serve/fusion: compare QPS against this baseline JSON, exit nonzero on >20% regression")
-	out := flag.String("out", "", "serve/fusion: write measured results as JSON to this file")
-	fusion := flag.String("fusion", "on", "graph optimizer for the serve command: on or off")
-	gemm := flag.String("gemm", "packed", "serve: native matmul core, packed or naive")
-	quant := flag.String("quant", "f32", "serve: compute precision, f32 or int8 (int8 converts with the int8 scheme and serves on the quantized path)")
-	costModel := flag.String("cost-model", "static", "serve/overhead: parallelism cost source, static or measured")
-	pool := flag.String("pool", "on", "serve: backend buffer recycler, on or off (the memory-planner A/B arm; off forces a fresh allocation per tensor)")
+	out := flag.String("out", "", "fusion/ladder/overhead: write measured results as JSON to this file")
+	costModel := flag.String("cost-model", "static", "overhead: parallelism cost source, static or measured")
 	overheadBudget := flag.Float64("overhead-budget", 3.0, "overhead: max profiler QPS overhead in percent before exiting nonzero")
-	replicas := flag.Int("replicas", 1, "serve: also measure an N-replica engine pool (adds a replicasN mode)")
 	traceDir := flag.String("tracedir", "", "fusion: write trace_fusion_{on,off}.json Chrome traces to this directory")
 	flag.Parse()
-	if *fusion != "on" && *fusion != "off" {
-		fmt.Fprintf(os.Stderr, "-fusion must be on or off, got %q\n", *fusion)
-		os.Exit(2)
-	}
-	if *gemm != string(tf.GEMMPacked) && *gemm != string(tf.GEMMNaive) {
-		fmt.Fprintf(os.Stderr, "-gemm must be packed or naive, got %q\n", *gemm)
-		os.Exit(2)
-	}
-	if *quant != "f32" && *quant != "int8" {
-		fmt.Fprintf(os.Stderr, "-quant must be f32 or int8, got %q\n", *quant)
-		os.Exit(2)
-	}
 	if cm := tf.CostModel(*costModel); cm != tf.CostModelStatic && cm != tf.CostModelMeasured {
 		fmt.Fprintf(os.Stderr, "-cost-model must be static or measured, got %q\n", *costModel)
-		os.Exit(2)
-	}
-	if *pool != "on" && *pool != "off" {
-		fmt.Fprintf(os.Stderr, "-pool must be on or off, got %q\n", *pool)
 		os.Exit(2)
 	}
 
@@ -128,10 +88,8 @@ func main() {
 		cacheExperiment()
 	case "webgpu":
 		webgpuExperiment()
-	case "serve":
-		serveExperiment(*alpha, *size, 10**runs, *baseline, *out, *fusion == "on", *replicas, *gemm, *quant, *costModel, *pool == "on")
 	case "fusion":
-		fusionExperiment(*alpha, *size, *runs, *baseline, *out, *traceDir)
+		fusionExperiment(*alpha, *size, *runs, *out, *traceDir)
 	case "ladder":
 		ladderExperiment(*alpha, *size, *runs, *out)
 	case "overhead":

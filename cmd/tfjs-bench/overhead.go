@@ -59,14 +59,14 @@ func overheadExperiment(alpha float64, size, total int, budgetPct float64, costM
 			// per-kernel events, exactly what tfjs-serve runs.
 			removeProfiler = tf.WithTelemetry(profiler)
 		}
-		r := serveThroughput(store, size, 16, total, execOpts, 1)
+		qps := serveThroughput(store, size, 16, total, execOpts)
 		if removeProfiler != nil {
 			removeProfiler()
 		}
 		if profilingOn {
-			onQPS = append(onQPS, r.QPS)
+			onQPS = append(onQPS, qps)
 		} else {
-			offQPS = append(offQPS, r.QPS)
+			offQPS = append(offQPS, qps)
 		}
 	}
 
@@ -85,8 +85,7 @@ func overheadExperiment(alpha float64, size, total int, budgetPct float64, costM
 	fmt.Printf("profiler consumed %d kernel events; sampled observe cost %d ns/event\n", events, overheadNS)
 
 	if outPath != "" {
-		bench := newServingBench(alpha, size, total, 32)
-		bench.Benchmark = "overhead"
+		bench := newBenchResult("overhead", alpha, size, total, 32)
 		bench.Modes = map[string]ModeResult{
 			"profiler_on":  {QPS: on},
 			"profiler_off": {QPS: off},

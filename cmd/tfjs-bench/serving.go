@@ -2,12 +2,7 @@ package main
 
 import (
 	"context"
-	"fmt"
 	"log"
-	"math"
-	"os"
-	"runtime"
-	"runtime/metrics"
 	"sync"
 	"time"
 
@@ -16,124 +11,18 @@ import (
 	"repro/tf"
 )
 
-// serveExperiment measures end-to-end serving throughput with and without
-// the dynamic micro-batcher: a MobileNet is converted into a MemStore,
-// loaded into a registry on the native backend, and hammered by concurrent
-// clients. It prints QPS and p50/p95/p99 request latency for both modes.
-//
-// Micro-batching amortizes per-execution overhead (graph walk, kernel
-// dispatch, goroutine fan-out) across the batch; the native backend splits
-// each batched kernel across runtime.NumCPU() workers, so the throughput
-// gap widens with core count.
-//
-// outPath, when set, writes the measured numbers as JSON (the CI
-// artifact, or a new BENCH_serving.json baseline). baselinePath compares
-// the run against a committed baseline and exits nonzero on a QPS
-// regression beyond the tolerance.
-func serveExperiment(alpha float64, size, runs int, baselinePath, outPath string, fusion bool, replicas int, gemm, quant, costModel string, pool bool) {
-	fmt.Printf("\n=== Serving: dynamic micro-batching throughput ===\n")
-	fmt.Printf("MobileNet v1 alpha=%.2f input=%dx%dx3, native backend, %d CPU core(s), 32 concurrent clients, %d requests per mode, fusion=%v gemm=%s quant=%s cost-model=%s pool=%v\n\n",
-		alpha, size, size, runtime.NumCPU(), runs, fusion, gemm, quant, costModel, pool)
-
-	store := converter.NewMemStore()
-	model, err := tf.MobileNetV1(tf.MobileNetConfig{
-		Alpha: alpha, InputSize: size, NumClasses: 1000, IncludeTop: true, Seed: 1,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	g, err := tf.ExportSavedModel(model, false)
-	if err != nil {
-		log.Fatal(err)
-	}
-	convOpts := tf.ConvertOptions{}
-	if quant == "int8" {
-		convOpts.QuantizationScheme = converter.QuantizationInt8
-	}
-	if _, err := tf.Convert(g, store, convOpts); err != nil {
-		log.Fatal(err)
-	}
-	model.Dispose()
-
-	// One exec-option list covers every knob the A/B matrix varies: the
-	// optimizer toggle, the GEMM core, the int8 compute path, and the
-	// parallelism cost source.
-	execOpts := []tf.ExecOption{
-		tf.WithOptimize(fusion),
-		tf.WithGEMM(tf.GEMMMode(gemm)),
-		tf.WithCostModel(tf.CostModel(costModel)),
-		tf.WithPooling(pool),
-	}
-	if quant == "int8" {
-		execOpts = append(execOpts, tf.WithQuantizedCompute(true))
-	}
-
-	inst := serving.Instance{Values: make([]float32, size*size*3), Shape: []int{size, size, 3}}
-	for i := range inst.Values {
-		inst.Values[i] = float32(i%251) / 251
-	}
-
-	results := newServingBench(alpha, size, runs, 32)
-	modes := []struct {
-		label    string
-		maxBatch int
-		replicas int
-	}{
-		{"batched", 16, 1},
-		{"unbatched", 1, 1},
-	}
-	if replicas > 1 {
-		// The replica-pool mode: same batched config, N independent
-		// engines behind the scheduler. On a multi-core host this is the
-		// serving control plane's headline number — concurrent batches
-		// execute in parallel instead of serializing on one engine lock.
-		modes = append(modes, struct {
-			label    string
-			maxBatch int
-			replicas int
-		}{fmt.Sprintf("replicas%d", replicas), 16, replicas})
-	}
-	fmt.Printf("%-12s %10s %10s %10s %10s %10s %12s %11s %12s %11s\n",
-		"Mode", "QPS", "p50 (ms)", "p95 (ms)", "p99 (ms)", "max batch", "dispatch/req", "allocs/req", "bytes/req", "gc p95 (ms)")
-	for _, mode := range modes {
-		r := serveThroughput(store, size, mode.maxBatch, runs, execOpts, mode.replicas)
-		fmt.Printf("%-12s %10.1f %10.1f %10.1f %10.1f %10d %12d %11.1f %12.0f %11.3f\n",
-			mode.label, r.QPS, r.P50MS, r.P95MS, r.P99MS, r.MaxBatch, r.KernelDispatches,
-			r.AllocsPerOp, r.BytesPerOp, r.GCPauseP95MS)
-		results.Modes[mode.label] = r
-	}
-	fmt.Println("\n(single-core hosts show ~1x: the batched speedup comes from parallelizing the")
-	fmt.Println(" coalesced batch across cores and amortizing dispatch; the replicasN mode needs")
-	fmt.Println(" GOMAXPROCS ≥ N to overlap batch executions; see bench_serving_test.go)")
-
-	if outPath != "" {
-		if err := results.writeJSON(outPath); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\nwrote results to %s\n", outPath)
-	}
-	if baselinePath != "" {
-		baseline, err := loadBaseline(baselinePath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if compareBaseline(results, baseline) {
-			fmt.Println("\nserving QPS regressed beyond tolerance; failing")
-			os.Exit(1)
-		}
-	}
-}
-
-// serveThroughput drives total requests through one registry model from 32
-// concurrent clients and reports QPS, latency percentiles and the kernel
-// dispatches the telemetry hub attributes to each request on average.
-func serveThroughput(store converter.Store, size, maxBatch, total int, execOpts []tf.ExecOption, replicas int) ModeResult {
+// serveThroughput is the load loop of the profiler-overhead gate: it
+// drives total single-image requests through one registry model on the
+// native backend from 32 concurrent clients (micro-batching up to
+// maxBatch) and returns the achieved QPS. A kernel-stats observer stays
+// attached for the run, as one always is behind tfjs-serve, so the gate's
+// two arms differ only in the profiler.
+func serveThroughput(store converter.Store, size, maxBatch, total int, execOpts []tf.ExecOption) float64 {
 	reg := serving.NewRegistry()
 	defer reg.Close()
 	m, err := reg.Load("mobilenet", store, serving.ModelOptions{
-		Backend:  "node",
-		Exec:     execOpts,
-		Replicas: replicas,
+		Backend: "node",
+		Exec:    execOpts,
 		Batching: serving.Config{
 			MaxBatchSize: maxBatch,
 			BatchTimeout: 2 * time.Millisecond,
@@ -151,28 +40,15 @@ func serveThroughput(store converter.Store, size, maxBatch, total int, execOpts 
 	if _, err := m.Predict(ctx, inst); err != nil { // warmup
 		log.Fatal(err)
 	}
-
-	// Count kernel dispatches per served request: micro-batching and
-	// operator fusion both shrink this number, from opposite directions
-	// (amortization across the batch vs fewer launches per graph).
-	stats := tf.NewKernelStats()
-	removeStats := tf.WithTelemetry(stats)
+	defer tf.WithTelemetry(tf.NewKernelStats())()
 
 	const clients = 32
 	var wg sync.WaitGroup
-	work := make(chan struct{}, total)
+	work := make(chan struct{}, total) // sized to the number of sends
 	for i := 0; i < total; i++ {
 		work <- struct{}{}
 	}
 	close(work)
-	// Heap-pressure bookkeeping for the pool A/B: allocations and bytes per
-	// request over the measured run, plus the p95 GC pause during it. With
-	// the recycler on, steady-state allocs/req collapses to the per-request
-	// plumbing (channels, response slices); -pool=off shows the cost of
-	// malloc-per-tensor inference.
-	var memBefore runtime.MemStats
-	runtime.ReadMemStats(&memBefore)
-	pausesBefore := gcPauseHistogram()
 	start := time.Now()
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -186,79 +62,5 @@ func serveThroughput(store converter.Store, size, maxBatch, total int, execOpts 
 		}()
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-	removeStats()
-	var memAfter runtime.MemStats
-	runtime.ReadMemStats(&memAfter)
-	gcPauseP95 := gcPauseP95MS(pausesBefore, gcPauseHistogram())
-
-	var dispatches int64
-	counts := map[string]int64{}
-	for _, k := range stats.Kernels() {
-		dispatches += k.Count
-		counts[k.Name] = k.Count
-	}
-	p50, p95, p99 := m.Metrics().Percentiles()
-	return ModeResult{
-		QPS:              float64(total) / elapsed.Seconds(),
-		P50MS:            p50,
-		P95MS:            p95,
-		P99MS:            p99,
-		MaxBatch:         m.Metrics().MaxBatchObserved(),
-		KernelDispatches: dispatches / int64(total),
-		// Totals for the whole run: micro-batching amortizes launches
-		// across coalesced requests, so per-request tallies would truncate
-		// to zero for most kernels.
-		KernelCounts: counts,
-		AllocsPerOp:  float64(memAfter.Mallocs-memBefore.Mallocs) / float64(total),
-		BytesPerOp:   float64(memAfter.TotalAlloc-memBefore.TotalAlloc) / float64(total),
-		GCPauseP95MS: gcPauseP95,
-	}
-}
-
-// gcPauseHistogram samples the runtime's cumulative stop-the-world GC
-// pause histogram.
-func gcPauseHistogram() *metrics.Float64Histogram {
-	s := []metrics.Sample{{Name: "/sched/pauses/total/gc:seconds"}}
-	metrics.Read(s)
-	if s[0].Value.Kind() != metrics.KindFloat64Histogram {
-		return nil
-	}
-	return s[0].Value.Float64Histogram()
-}
-
-// gcPauseP95MS computes the p95 GC pause (milliseconds) of the pauses that
-// happened between two cumulative histogram samples. The quantile is
-// pessimistic — it reports the upper bound of the bucket the 95th
-// percentile falls in (the +Inf bucket clamps to its lower bound).
-func gcPauseP95MS(before, after *metrics.Float64Histogram) float64 {
-	if before == nil || after == nil {
-		return 0
-	}
-	counts := make([]uint64, len(after.Counts))
-	var total uint64
-	for i, c := range after.Counts {
-		d := c
-		if i < len(before.Counts) {
-			d -= before.Counts[i]
-		}
-		counts[i] = d
-		total += d
-	}
-	if total == 0 {
-		return 0
-	}
-	target := uint64(0.95 * float64(total))
-	var cum uint64
-	for b, c := range counts {
-		cum += c
-		if cum > target {
-			hi := after.Buckets[b+1]
-			if math.IsInf(hi, 1) {
-				hi = after.Buckets[b]
-			}
-			return hi * 1000
-		}
-	}
-	return 0
+	return float64(total) / time.Since(start).Seconds()
 }

@@ -23,17 +23,17 @@
 // optimized graphs, and the peak engine memory of each arm.
 //
 // With -plan-report it instead loads the converted MobileNet (running the
-// planvet dataflow verifier the load performs by default) and prints the
+// planvet dataflow verifier every load performs) and prints the
 // compiled plan's per-root lifetime table: when each container is
 // produced, last read, and returned to the recycler. `tfjs-vet -plan`
 // gates CI on the same verification.
 //
-// -workers and -gemm set the node backend's execution config through the
-// same tf.ConfigureExec options API the library exposes, so a profile of
-// "-gemm naive -workers 1" measures exactly what that configuration runs.
+// -workers sets the node backend's worker budget through the same
+// tf.ConfigureExec options API the library exposes, so a profile of
+// "-workers 1" measures exactly what that configuration runs.
 //
 //	tfjs-profile -backend webgl -alpha 0.25 -size 96
-//	tfjs-profile -backend node -gemm naive -workers 1
+//	tfjs-profile -backend node -workers 1
 //	tfjs-profile -backend webgl -trace trace.json
 //	tfjs-profile -backend webgl -debug -inject-nan
 //	tfjs-profile -backend webgl -leaks -inject-leak
@@ -68,7 +68,6 @@ func main() {
 	planRep := flag.Bool("plan-report", false, "verify the compiled plan and print its per-root lifetime table")
 	planOpt := flag.Bool("plan-optimize", true, "with -plan-report: run the graph optimizer before compiling the plan")
 	workers := flag.Int("workers", 0, "intra-op worker budget on the node backend (0 = leave default, <0 = reset)")
-	gemm := flag.String("gemm", "", "GEMM core on the node backend: packed or naive (empty = leave default)")
 	liveURL := flag.String("url", "", "live top mode: poll this /metrics URL (e.g. http://localhost:8500/metrics) instead of profiling locally")
 	interval := flag.Duration("interval", 2*time.Second, "live top mode: poll interval")
 	iterations := flag.Int("iterations", 0, "live top mode: number of frames to render (0 = until interrupted)")
@@ -87,10 +86,10 @@ func main() {
 	if err := tf.SetBackend(*backend); err != nil {
 		log.Fatal(err)
 	}
-	// Exec knobs route through the same options API as library callers
-	// (tf.ConfigureExec) — profiling a configuration means profiling
-	// exactly what that configuration runs.
-	if err := tf.ConfigureExec(tf.WithWorkers(*workers), tf.WithGEMM(tf.GEMMMode(*gemm))); err != nil {
+	// The worker budget routes through the same options API as library
+	// callers (tf.ConfigureExec) — profiling a configuration means
+	// profiling exactly what that configuration runs.
+	if err := tf.ConfigureExec(tf.WithWorkers(*workers)); err != nil {
 		log.Fatal(err)
 	}
 

@@ -127,35 +127,6 @@ func TestKernelParityFixture(t *testing.T) {
 	}
 }
 
-func TestDeprecatedFixture(t *testing.T) {
-	got := runFixture(t, "deprfix")
-	checkGolden(t, "deprfix", got)
-	for _, fragment := range []string{
-		"oldapi.Tune is deprecated: use Configure.",
-		"oldapi.LegacyWorkers is deprecated: use Workers.",
-		"oldapi.Mode is deprecated: modes were folded into Options.",
-		"oldapi.ModeFast is deprecated: modes were folded into Options.",
-	} {
-		if !strings.Contains(got, fragment) {
-			t.Errorf("expected a finding containing %q, got:\n%s", fragment, got)
-		}
-	}
-	if !strings.Contains(got, "suppressed (mirrors the pre-redesign README example") {
-		t.Errorf("justified suppression not honored:\n%s", got)
-	}
-	// The replacement surface and oldapi's own shim wiring must be clean:
-	// every finding names deprfix.go, none oldapi.go.
-	for _, line := range strings.Split(strings.TrimSpace(got), "\n") {
-		if strings.Contains(line, "oldapi/oldapi.go") {
-			t.Errorf("same-package use must not be flagged: %s", line)
-		}
-	}
-	if strings.Contains(got, "oldapi.Configure is deprecated") ||
-		strings.Contains(got, "oldapi.Workers is deprecated") {
-		t.Errorf("false positive on a replacement symbol:\n%s", got)
-	}
-}
-
 func TestSuppressions(t *testing.T) {
 	got := runFixture(t, "suppressfix")
 	checkGolden(t, "suppressfix", got)

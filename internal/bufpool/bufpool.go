@@ -15,8 +15,8 @@
 // touched for a while are trimmed opportunistically during Put), so a
 // burst of large batches cannot pin its peak working set forever.
 //
-// Poison mode scribbles every freed buffer with a sentinel (NaN for
-// float32) so a recycler-induced use-after-dispose corrupts outputs loudly
+// Poison mode scribbles every freed buffer with NaN so a
+// recycler-induced use-after-dispose corrupts outputs loudly
 // — NaNs propagate and trip the debug-mode NaN check and the bit-identity
 // suites — instead of silently reading stale-but-plausible values.
 package bufpool
@@ -28,20 +28,13 @@ import (
 	"time"
 )
 
-// Elem is the element type a Pool recycles. The three instantiations cover
-// the engine's data plane (float32) and the native backend's quantized
-// compute scratch (int8 activation codes, int32 accumulators).
-type Elem interface {
-	~float32 | ~int8 | ~int32
-}
-
 const (
 	// minClassBits is the smallest pooled class (32 elements); smaller
 	// requests round up. Sub-cacheline buffers are cheaper to make than to
 	// track.
 	minClassBits = 5
-	// maxClassBits is the largest pooled class (2^26 = 64M elements, 256 MiB
-	// of float32); larger requests bypass the pool entirely.
+	// maxClassBits is the largest pooled class (2^26 = 64M elements,
+	// 256 MiB); larger requests bypass the pool entirely.
 	maxClassBits = 26
 	numClasses   = maxClassBits - minClassBits + 1
 
@@ -57,8 +50,8 @@ const (
 const DefaultMaxBytes = 256 << 20
 
 // class is one power-of-two free list.
-type class[T Elem] struct {
-	free [][]T
+type class struct {
+	free [][]float32
 	// lastUse is the trim clock: updated on every hit and put, compared
 	// against idleAfter during opportunistic scans.
 	lastUse time.Time
@@ -76,11 +69,15 @@ type Stats struct {
 	FreeBuffers int
 }
 
-// Pool is a size-class buffer recycler. The zero value is not usable; use
+// elemBytes is the size of one pooled element.
+const elemBytes = 4
+
+// Pool is a size-class recycler of float32 buffers — the engine's data
+// plane and the native kernels' scratch. The zero value is not usable; use
 // New. All methods are safe for concurrent use.
-type Pool[T Elem] struct {
+type Pool struct {
 	mu        sync.Mutex
-	classes   [numClasses]class[T]
+	classes   [numClasses]class
 	poolBytes int64
 	freeBufs  int
 	maxBytes  int64
@@ -89,26 +86,14 @@ type Pool[T Elem] struct {
 	poison atomic.Bool
 
 	hits, misses, recycled atomic.Int64
-
-	elemBytes int64
 }
 
 // New returns an empty pool with the default high-water cap.
-func New[T Elem]() *Pool[T] {
-	var z T
-	p := &Pool[T]{maxBytes: DefaultMaxBytes}
-	switch any(z).(type) {
-	case float32, int32:
-		p.elemBytes = 4
-	case int8:
-		p.elemBytes = 1
-	}
-	return p
-}
+func New() *Pool { return &Pool{maxBytes: DefaultMaxBytes} }
 
 // SetMaxBytes sets the high-water cap: Puts that would push the parked
 // bytes beyond it are dropped to the GC. n <= 0 restores the default.
-func (p *Pool[T]) SetMaxBytes(n int64) {
+func (p *Pool) SetMaxBytes(n int64) {
 	if n <= 0 {
 		n = DefaultMaxBytes
 	}
@@ -117,12 +102,12 @@ func (p *Pool[T]) SetMaxBytes(n int64) {
 	p.mu.Unlock()
 }
 
-// SetPoison toggles poison mode: freed buffers are scribbled with a
-// sentinel value (NaN for float32) on Put.
-func (p *Pool[T]) SetPoison(on bool) { p.poison.Store(on) }
+// SetPoison toggles poison mode: freed buffers are scribbled with NaN on
+// Put.
+func (p *Pool) SetPoison(on bool) { p.poison.Store(on) }
 
 // Poison reports whether poison mode is on.
-func (p *Pool[T]) Poison() bool { return p.poison.Load() }
+func (p *Pool) Poison() bool { return p.poison.Load() }
 
 // classFor returns the class index whose buffers hold at least n elements,
 // or -1 when n is outside the pooled range.
@@ -147,11 +132,11 @@ func classSize(c int) int { return 1 << (c + minClassBits) }
 // recycled buffer holds stale (or poisoned) values; callers that need
 // zeros must clear it. Buffers outside the pooled size range come straight
 // from make and will not recycle.
-func (p *Pool[T]) Get(n int) []T {
+func (p *Pool) Get(n int) []float32 {
 	c := classFor(n)
 	if c < 0 {
 		p.misses.Add(1)
-		return make([]T, n)
+		return make([]float32, n)
 	}
 	p.mu.Lock()
 	cl := &p.classes[c]
@@ -159,24 +144,24 @@ func (p *Pool[T]) Get(n int) []T {
 		buf := cl.free[k-1]
 		cl.free[k-1] = nil
 		cl.free = cl.free[:k-1]
-		p.poolBytes -= int64(cap(buf)) * p.elemBytes
+		p.poolBytes -= int64(cap(buf)) * elemBytes
 		p.freeBufs--
 		cl.lastUse = time.Now()
 		p.mu.Unlock()
 		p.hits.Add(1)
-		p.recycled.Add(int64(n) * p.elemBytes)
+		p.recycled.Add(int64(n) * elemBytes)
 		return buf[:n]
 	}
 	p.mu.Unlock()
 	p.misses.Add(1)
-	return make([]T, n, classSize(c))
+	return make([]float32, n, classSize(c))
 }
 
 // Put parks a buffer for reuse. Only buffers whose capacity is exactly a
 // class size are accepted (everything Get hands out qualifies); foreign
 // buffers are left to the GC. Put drops the buffer instead when the pool
 // is at its high-water cap.
-func (p *Pool[T]) Put(buf []T) {
+func (p *Pool) Put(buf []float32) {
 	c := classFor(cap(buf))
 	if c < 0 || classSize(c) != cap(buf) {
 		return
@@ -184,7 +169,7 @@ func (p *Pool[T]) Put(buf []T) {
 	if p.poison.Load() {
 		poisonFill(buf[:cap(buf)])
 	}
-	bytes := int64(cap(buf)) * p.elemBytes
+	bytes := int64(cap(buf)) * elemBytes
 	now := time.Time{}
 	p.mu.Lock()
 	p.putCount++
@@ -223,14 +208,14 @@ func latest(a, b time.Time) time.Time {
 
 // trimLocked drops the free lists of classes idle longer than idleAfter.
 // Caller holds p.mu.
-func (p *Pool[T]) trimLocked(now time.Time) {
+func (p *Pool) trimLocked(now time.Time) {
 	for i := range p.classes {
 		cl := &p.classes[i]
 		if len(cl.free) == 0 || now.Sub(cl.lastUse) < idleAfter {
 			continue
 		}
 		for j := range cl.free {
-			p.poolBytes -= int64(cap(cl.free[j])) * p.elemBytes
+			p.poolBytes -= int64(cap(cl.free[j])) * elemBytes
 			cl.free[j] = nil
 		}
 		p.freeBufs -= len(cl.free)
@@ -239,7 +224,7 @@ func (p *Pool[T]) trimLocked(now time.Time) {
 }
 
 // Drain empties every free list, returning parked memory to the GC.
-func (p *Pool[T]) Drain() {
+func (p *Pool) Drain() {
 	p.mu.Lock()
 	for i := range p.classes {
 		p.classes[i].free = nil
@@ -250,7 +235,7 @@ func (p *Pool[T]) Drain() {
 }
 
 // Stats returns a snapshot of the pool's counters.
-func (p *Pool[T]) Stats() Stats {
+func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	bytes, bufs := p.poolBytes, p.freeBufs
 	p.mu.Unlock()
@@ -263,20 +248,11 @@ func (p *Pool[T]) Stats() Stats {
 	}
 }
 
-// poisonFill scribbles the sentinel over buf: quiet NaN for float32 (any
-// arithmetic on it yields NaN, so corruption propagates to outputs), and a
-// recognizable 0xAA.. pattern for the integer scratch types.
-func poisonFill[T Elem](buf []T) {
-	var v T
-	switch pv := any(&v).(type) {
-	case *float32:
-		*pv = float32(math.NaN())
-	case *int8:
-		*pv = -86 // 0xAA
-	case *int32:
-		*pv = -1431655766 // 0xAAAAAAAA
-	}
+// poisonFill scribbles quiet NaN over buf: any arithmetic on it yields NaN,
+// so corruption propagates to outputs.
+func poisonFill(buf []float32) {
+	nan := float32(math.NaN())
 	for i := range buf {
-		buf[i] = v
+		buf[i] = nan
 	}
 }

@@ -25,7 +25,7 @@ func TestClassFor(t *testing.T) {
 }
 
 func TestGetPutRecycles(t *testing.T) {
-	p := New[float32]()
+	p := New()
 	a := p.Get(100)
 	if len(a) != 100 || cap(a) != 128 {
 		t.Fatalf("Get(100): len=%d cap=%d, want 100/128", len(a), cap(a))
@@ -52,7 +52,7 @@ func TestGetPutRecycles(t *testing.T) {
 }
 
 func TestPutDropsForeignCaps(t *testing.T) {
-	p := New[float32]()
+	p := New()
 	p.Put(make([]float32, 100)) // cap 100: not a class size
 	if st := p.Stats(); st.FreeBuffers != 0 {
 		t.Fatalf("foreign-cap buffer was pooled: %+v", st)
@@ -65,7 +65,7 @@ func TestPutDropsForeignCaps(t *testing.T) {
 }
 
 func TestPoison(t *testing.T) {
-	p := New[float32]()
+	p := New()
 	p.SetPoison(true)
 	a := p.Get(32)
 	for i := range a {
@@ -78,25 +78,10 @@ func TestPoison(t *testing.T) {
 		}
 	}
 
-	p8 := New[int8]()
-	p8.SetPoison(true)
-	b := p8.Get(32)
-	p8.Put(b)
-	if b[0] != -86 {
-		t.Fatalf("int8 poison = %d, want -86", b[0])
-	}
-
-	p32 := New[int32]()
-	p32.SetPoison(true)
-	c := p32.Get(32)
-	p32.Put(c)
-	if c[0] != -1431655766 {
-		t.Fatalf("int32 poison = %d, want -1431655766", c[0])
-	}
 }
 
 func TestHighWaterCap(t *testing.T) {
-	p := New[float32]()
+	p := New()
 	p.SetMaxBytes(1024) // two 128-element float32 buffers = 1024 bytes
 	p.Put(make([]float32, 128))
 	p.Put(make([]float32, 128))
@@ -108,7 +93,7 @@ func TestHighWaterCap(t *testing.T) {
 }
 
 func TestDrain(t *testing.T) {
-	p := New[float32]()
+	p := New()
 	p.Put(make([]float32, 64))
 	p.Put(make([]float32, 256))
 	p.Drain()
@@ -119,7 +104,7 @@ func TestDrain(t *testing.T) {
 }
 
 func TestTrimIdleClasses(t *testing.T) {
-	p := New[float32]()
+	p := New()
 	p.Put(make([]float32, 64))
 	// Backdate the class so an explicit scan sees it as idle.
 	p.mu.Lock()
@@ -137,7 +122,7 @@ func TestTrimIdleClasses(t *testing.T) {
 }
 
 func TestGetZeroLen(t *testing.T) {
-	p := New[float32]()
+	p := New()
 	if got := p.Get(0); len(got) != 0 {
 		t.Fatalf("Get(0) len = %d", len(got))
 	}

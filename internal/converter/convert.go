@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/kernels"
 	"repro/internal/savedmodel"
 	"repro/internal/tensor"
 )
@@ -15,28 +14,11 @@ import (
 // weights into 4MB files, optimizing for browser auto-caching".
 const DefaultShardBytes = 4 << 20
 
-// QuantizationInt8 is the Options.QuantizationScheme value selecting
-// per-channel symmetric int8 weight storage. Unlike the affine
-// uint8/uint16 transport quantization (QuantizationBytes), the int8
-// scheme is compute-capable: the stored codes round-trip exactly
-// (decoded value = code·scale, and round(value/scale) recovers the
-// code), and the per-channel scales ride along in the manifest and on
-// the loaded savedmodel.Weight, so the graph optimizer can rewrite
-// eligible consumers onto the int8 kernels when quantized compute is
-// enabled.
-const QuantizationInt8 = "int8"
-
 // Options configures a conversion.
 type Options struct {
 	// QuantizationBytes is 0 (none), 1 (uint8, 4x smaller) or
 	// 2 (uint16, 2x smaller).
 	QuantizationBytes int
-	// QuantizationScheme, when set to QuantizationInt8, stores eligible
-	// weights (rank ≥ 2: conv filters and matmul weights; biases and
-	// norm params stay float32) as per-channel symmetric int8 — the same
-	// 4x size reduction as QuantizationBytes=1, plus int8 compute
-	// eligibility at load. Mutually exclusive with QuantizationBytes.
-	QuantizationScheme string
 	// ShardBytes overrides the shard size; 0 means DefaultShardBytes.
 	ShardBytes int
 	// SkipPruning disables the training-op pruning pass (for tests).
@@ -49,14 +31,12 @@ type Options struct {
 	SkipVerify bool
 }
 
-// WeightQuant records the dequantization parameters of one weight:
-// affine min/scale for the uint8/uint16 transport schemes, or
-// per-channel symmetric scales for the int8 compute scheme.
+// WeightQuant records the affine dequantization parameters of one
+// weight (the uint8/uint16 transport encodings of §5.1).
 type WeightQuant struct {
-	Min    float64   `json:"min,omitempty"`
-	Scale  float64   `json:"scale,omitempty"`
-	DType  string    `json:"dtype"` // "uint8", "uint16" or "int8"
-	Scales []float32 `json:"scales,omitempty"`
+	Min   float64 `json:"min,omitempty"`
+	Scale float64 `json:"scale,omitempty"`
+	DType string  `json:"dtype"` // "uint8" or "uint16"
 }
 
 // WeightSpec describes one weight inside the manifest.
@@ -109,12 +89,6 @@ func Convert(g *savedmodel.GraphDef, store Store, opts Options) (*Result, error)
 	if opts.QuantizationBytes != 0 && opts.QuantizationBytes != 1 && opts.QuantizationBytes != 2 {
 		return nil, fmt.Errorf("converter: quantization must be 0, 1 or 2 bytes, got %d", opts.QuantizationBytes)
 	}
-	if opts.QuantizationScheme != "" && opts.QuantizationScheme != QuantizationInt8 {
-		return nil, fmt.Errorf("converter: unknown quantization scheme %q", opts.QuantizationScheme)
-	}
-	if opts.QuantizationScheme != "" && opts.QuantizationBytes != 0 {
-		return nil, fmt.Errorf("converter: QuantizationScheme and QuantizationBytes are mutually exclusive")
-	}
 
 	res := &Result{NodesBefore: len(g.Nodes)}
 	pruned := g
@@ -142,13 +116,7 @@ func Convert(g *savedmodel.GraphDef, store Store, opts Options) (*Result, error)
 		}
 		w := pruned.Weights[n.Name]
 		spec := WeightSpec{Name: w.Name, Shape: tensor.CopyShape(w.Shape), DType: "float32"}
-		var data []byte
-		var quant *WeightQuant
-		if opts.QuantizationScheme == QuantizationInt8 && int8Eligible(w.Shape) {
-			data, quant = encodeWeightInt8(w.Values, w.Shape[len(w.Shape)-1])
-		} else {
-			data, quant = encodeWeight(w.Values, opts.QuantizationBytes)
-		}
+		data, quant := encodeWeight(w.Values, opts.QuantizationBytes)
 		spec.Quantization = quant
 		specs = append(specs, spec)
 		payload = append(payload, data...)
@@ -284,28 +252,6 @@ func encodeWeight(values []float32, quantBytes int) ([]byte, *WeightQuant) {
 	}
 }
 
-// int8Eligible reports whether a weight shape takes per-channel int8
-// quantization: rank ≥ 2 with a positive innermost (channel) dimension.
-// Biases and batch-norm parameters (rank 1) stay float32 — they are
-// tiny, and the quantized kernels consume them in f32 anyway.
-func int8Eligible(shape []int) bool {
-	return len(shape) >= 2 && shape[len(shape)-1] > 0
-}
-
-// encodeWeightInt8 stores values as per-channel symmetric int8: one
-// scale per innermost-dim channel (maxAbs/127), codes as two's-
-// complement bytes. The scales come from the same kernels helper the
-// runtime uses to re-quantize, so decode → re-quantize is lossless.
-func encodeWeightInt8(values []float32, channels int) ([]byte, *WeightQuant) {
-	scales := kernels.WeightScalesInt8(values, channels)
-	codes := kernels.QuantizeWeightsInt8(values, channels, scales)
-	out := make([]byte, len(codes))
-	for i, c := range codes {
-		out[i] = byte(c)
-	}
-	return out, &WeightQuant{DType: "int8", Scales: scales}
-}
-
 // decodeWeight is the inverse of encodeWeight.
 func decodeWeight(data []byte, n int, quant *WeightQuant) ([]float32, error) {
 	out := make([]float32, n)
@@ -332,32 +278,25 @@ func decodeWeight(data []byte, n int, quant *WeightQuant) ([]float32, error) {
 			q := binary.LittleEndian.Uint16(data[2*i:])
 			out[i] = float32(quant.Min + float64(q)*quant.Scale)
 		}
-	case quant.DType == "int8":
-		if len(data) < n {
-			return nil, fmt.Errorf("converter: quantized payload truncated")
-		}
-		if len(quant.Scales) == 0 || n%len(quant.Scales) != 0 {
-			return nil, fmt.Errorf("converter: int8 weight has %d values for %d channel scales", n, len(quant.Scales))
-		}
-		ch := len(quant.Scales)
-		for i := 0; i < n; i++ {
-			out[i] = float32(int8(data[i])) * quant.Scales[i%ch]
-		}
 	default:
 		return nil, fmt.Errorf("converter: unknown quantization dtype %q", quant.DType)
 	}
 	return out, nil
 }
 
-// weightByteLen returns the encoded byte length of a weight.
-func weightByteLen(n int, quant *WeightQuant) int {
+// weightByteLen returns the encoded byte length of a weight, or an error
+// for a quantization dtype this loader does not decode — guessing a width
+// would mis-slice every weight packed after it.
+func weightByteLen(n int, quant *WeightQuant) (int, error) {
 	switch {
 	case quant == nil:
-		return 4 * n
-	case quant.DType == "uint8" || quant.DType == "int8":
-		return n
+		return 4 * n, nil
+	case quant.DType == "uint8":
+		return n, nil
+	case quant.DType == "uint16":
+		return 2 * n, nil
 	default:
-		return 2 * n
+		return 0, fmt.Errorf("converter: unknown quantization dtype %q", quant.DType)
 	}
 }
 
@@ -389,7 +328,10 @@ func LoadArtifacts(store Store) (*savedmodel.GraphDef, error) {
 		offset := 0
 		for _, spec := range group.Weights {
 			n := tensor.ShapeSize(spec.Shape)
-			byteLen := weightByteLen(n, spec.Quantization)
+			byteLen, err := weightByteLen(n, spec.Quantization)
+			if err != nil {
+				return nil, fmt.Errorf("converter: weight %q: %w", spec.Name, err)
+			}
 			if offset+byteLen > len(payload) {
 				return nil, fmt.Errorf("converter: weight %q exceeds payload", spec.Name)
 			}
@@ -398,13 +340,9 @@ func LoadArtifacts(store Store) (*savedmodel.GraphDef, error) {
 				return nil, fmt.Errorf("converter: weight %q: %w", spec.Name, err)
 			}
 			offset += byteLen
-			w := &savedmodel.Weight{
+			g.Weights[spec.Name] = &savedmodel.Weight{
 				Name: spec.Name, Shape: spec.Shape, DType: spec.DType, Values: values,
 			}
-			if spec.Quantization != nil && spec.Quantization.DType == "int8" {
-				w.Int8Scales = spec.Quantization.Scales
-			}
-			g.Weights[spec.Name] = w
 		}
 	}
 	if err := g.Validate(); err != nil {

@@ -113,7 +113,10 @@ func LoadLayersModel(store Store) (*layers.Sequential, error) {
 		offset := 0
 		for _, spec := range group.Weights {
 			n := tensor.ShapeSize(spec.Shape)
-			byteLen := weightByteLen(n, spec.Quantization)
+			byteLen, err := weightByteLen(n, spec.Quantization)
+			if err != nil {
+				return nil, fmt.Errorf("converter: weight %q: %w", spec.Name, err)
+			}
 			if offset+byteLen > len(payload) {
 				return nil, fmt.Errorf("converter: weight %q exceeds payload", spec.Name)
 			}

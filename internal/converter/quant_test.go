@@ -1,99 +1,60 @@
 package converter_test
 
 import (
-	"math"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"repro/internal/converter"
-	"repro/internal/kernels"
 )
 
-// TestInt8ConvertRoundTrip: the int8 scheme stores eligible weights as
-// per-channel symmetric codes and the round trip is exact in the sense
-// the compute path relies on — decoded values are code·scale, so
-// re-quantizing them with the artifact scales recovers the codes (and
-// hence the decoded values) bit-for-bit.
-func TestInt8ConvertRoundTrip(t *testing.T) {
-	_, g := buildModel(t)
-
-	full := converter.NewMemStore()
-	fullRes, err := converter.Convert(g, full, converter.Options{})
-	if err != nil {
+// TestInt8ArtifactRejected: the loaders decode the paper's uint8/uint16
+// transport encodings and nothing else. A manifest naming any other
+// quantization dtype (here the "int8" scheme earlier converters could
+// write) is an error that names the dtype — never a guessed byte width,
+// which would mis-slice every weight packed after it.
+func TestInt8ArtifactRejected(t *testing.T) {
+	m, g := buildModel(t)
+	graphStore := converter.NewMemStore()
+	if _, err := converter.Convert(g, graphStore, converter.Options{QuantizationBytes: 1}); err != nil {
 		t.Fatal(err)
 	}
-	q := converter.NewMemStore()
-	qRes, err := converter.Convert(g, q, converter.Options{QuantizationScheme: converter.QuantizationInt8})
-	if err != nil {
+	layersStore := converter.NewMemStore()
+	if _, err := converter.SaveLayersModel(m, layersStore, converter.Options{QuantizationBytes: 1}); err != nil {
 		t.Fatal(err)
 	}
-	// Filters and matmul weights shrink 4x; rank-1 biases stay f32, so the
-	// total lands between 4x smaller and full size — well under half.
-	if qRes.WeightBytes >= fullRes.WeightBytes/2 {
-		t.Fatalf("int8 artifacts should be much smaller: %d vs %d", qRes.WeightBytes, fullRes.WeightBytes)
-	}
-
-	loaded, err := converter.LoadArtifacts(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := converter.LoadArtifacts(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	quantized := 0
-	for name, w := range loaded.Weights {
-		channels := 0
-		if len(w.Shape) >= 2 {
-			channels = w.Shape[len(w.Shape)-1]
-		}
-		if len(w.Shape) < 2 {
-			if w.Int8Scales != nil {
-				t.Fatalf("%s: rank-%d weight must stay float32", name, len(w.Shape))
+	for _, tc := range []struct {
+		name  string
+		store *converter.MemStore
+		load  func(converter.Store) error
+	}{
+		{"LoadArtifacts", graphStore, func(s converter.Store) error { _, err := converter.LoadArtifacts(s); return err }},
+		{"LoadLayersModel", layersStore, func(s converter.Store) error { _, err := converter.LoadLayersModel(s); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.load(tc.store); err != nil {
+				t.Fatalf("uint8 artifact must load: %v", err)
 			}
-			continue
-		}
-		quantized++
-		if len(w.Int8Scales) != channels {
-			t.Fatalf("%s: Int8Scales has %d entries, want %d", name, len(w.Int8Scales), channels)
-		}
-		for c, s := range w.Int8Scales {
-			if !(s > 0) {
-				t.Fatalf("%s: scale[%d] = %g, want > 0", name, c, s)
+			raw, err := tc.store.Read("model.json")
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		// Exactness: re-quantize the decoded weights with the artifact
-		// scales; decoding those codes again must be bit-identical.
-		codes := kernels.QuantizeWeightsInt8(w.Values, channels, w.Int8Scales)
-		for i, code := range codes {
-			back := float32(code) * w.Int8Scales[i%channels]
-			if math.Float32bits(back) != math.Float32bits(w.Values[i]) {
-				t.Fatalf("%s: value %d not code·scale: %g vs %g", name, i, w.Values[i], back)
+			var model converter.ModelJSON
+			if err := json.Unmarshal(raw, &model); err != nil {
+				t.Fatal(err)
 			}
-		}
-		// Lossiness is bounded by half a quantization step per value.
-		orig := ref.Weights[name]
-		for i := range w.Values {
-			step := float64(w.Int8Scales[i%channels])
-			if diff := math.Abs(float64(w.Values[i] - orig.Values[i])); diff > step/2+1e-7 {
-				t.Fatalf("%s: value %d off by %g, more than half a step %g", name, i, diff, step)
+			model.WeightsManifest[0].Weights[0].Quantization.DType = "int8"
+			patched, err := json.Marshal(model)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if quantized == 0 {
-		t.Fatal("no weight was int8-quantized")
-	}
-}
-
-func TestInt8SchemeValidation(t *testing.T) {
-	_, g := buildModel(t)
-	_, err := converter.Convert(g, converter.NewMemStore(), converter.Options{QuantizationScheme: "int4"})
-	if err == nil || !strings.Contains(err.Error(), "unknown quantization scheme") {
-		t.Fatalf("want unknown-scheme error, got %v", err)
-	}
-	_, err = converter.Convert(g, converter.NewMemStore(),
-		converter.Options{QuantizationScheme: converter.QuantizationInt8, QuantizationBytes: 1})
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("want mutual-exclusion error, got %v", err)
+			if err := tc.store.Write("model.json", patched); err != nil {
+				t.Fatal(err)
+			}
+			err = tc.load(tc.store)
+			if err == nil || !strings.Contains(err.Error(), `"int8"`) {
+				t.Fatalf("want an error naming dtype \"int8\", got %v", err)
+			}
+		})
 	}
 }

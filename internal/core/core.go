@@ -917,21 +917,8 @@ func (e *Engine) DebugKernels() []KernelRecord {
 	return out
 }
 
-// AddKernelListener registers a callback invoked with every kernel record.
-//
-// Deprecated: this is a thin compatibility wrapper over the telemetry hub;
-// register a telemetry.Observer on Telemetry() (or via tf.WithTelemetry)
-// instead. Returns a remove function.
-func (e *Engine) AddKernelListener(fn func(KernelRecord)) (remove func()) {
-	return e.hub.Register(telemetry.ObserverFunc(func(ev telemetry.Event) {
-		if ev.Kind == telemetry.KindKernel {
-			fn(recordFromEvent(ev))
-		}
-	}))
-}
-
-// recordFromEvent converts a telemetry kernel event back into the legacy
-// KernelRecord shape used by the compatibility wrappers.
+// recordFromEvent converts a telemetry kernel event into the KernelRecord
+// shape debug mode and Profile report.
 func recordFromEvent(ev telemetry.Event) KernelRecord {
 	return KernelRecord{
 		Name:         ev.Name,

@@ -34,7 +34,7 @@ type Backend struct {
 	// generalization of the WebGL texture recycler): DisposeData parks
 	// buffers here and Alloc/Write draw from it before make. It is an
 	// atomic pointer so config-time toggles don't race in-flight kernels.
-	pool   atomic.Pointer[bufpool.Pool[float32]]
+	pool   atomic.Pointer[bufpool.Pool]
 	poison atomic.Bool
 }
 
@@ -56,7 +56,7 @@ func (b *Backend) Name() string { return b.name }
 func (b *Backend) EnablePooling(on bool) {
 	if on {
 		if b.pool.Load() == nil {
-			p := bufpool.New[float32]()
+			p := bufpool.New()
 			p.SetPoison(b.poison.Load())
 			b.pool.CompareAndSwap(nil, p)
 		}

@@ -1,19 +1,38 @@
 package exec_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/exec"
 )
 
+// TestConfigSurface pins Config's field set. Admission rule for a new
+// field: two non-test callers at the parent commit must set different
+// values for it. A value the code can derive from its inputs or from a
+// measurement it already takes (which GEMM core, whether to pool, whether
+// to verify a plan) is not an option, and an A/B-only switch belongs in
+// the experiment that needs it, not here.
+func TestConfigSurface(t *testing.T) {
+	want := []string{"Workers", "Optimize", "Verify", "CostModel", "PoolPoison"}
+	typ := reflect.TypeOf(exec.Config{})
+	var got []string
+	for i := 0; i < typ.NumField(); i++ {
+		got = append(got, typ.Field(i).Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("exec.Config fields = %v, want exactly %v (see the admission rule above)", got, want)
+	}
+}
+
 func TestZeroConfigMeansDefaults(t *testing.T) {
 	var c exec.Config
 	if !c.OptimizeOn() || !c.VerifyOn() {
 		t.Fatalf("zero config: OptimizeOn=%v VerifyOn=%v, want both true", c.OptimizeOn(), c.VerifyOn())
 	}
-	if c.QuantizedCompute {
-		t.Fatal("zero config must not enable quantized compute")
+	if c.MeasuredCost() {
+		t.Fatal("zero config must select the static cost model")
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatalf("zero config must validate: %v", err)
@@ -23,13 +42,12 @@ func TestZeroConfigMeansDefaults(t *testing.T) {
 func TestMakeResolvesOptions(t *testing.T) {
 	c := exec.Make(
 		exec.WithWorkers(4),
-		exec.WithGEMM(exec.GEMMNaive),
-		exec.WithQuantizedCompute(true),
+		exec.WithCostModel(exec.CostModelMeasured),
 		exec.WithOptimize(false),
 		exec.WithVerify(false),
 		nil, // nil options are tolerated
 	)
-	if c.Workers != 4 || c.GEMM != exec.GEMMNaive || !c.QuantizedCompute {
+	if c.Workers != 4 || !c.MeasuredCost() {
 		t.Fatalf("unexpected config: %+v", c)
 	}
 	if c.OptimizeOn() || c.VerifyOn() {
@@ -41,18 +59,18 @@ func TestMakeResolvesOptions(t *testing.T) {
 // inherits the rest — the precedence rule ConfigureExec, LoadGraphModel
 // and serving.ModelOptions all rely on.
 func TestMergePrecedence(t *testing.T) {
-	base := exec.Make(exec.WithWorkers(8), exec.WithGEMM(exec.GEMMNaive), exec.WithVerify(false))
+	base := exec.Make(exec.WithWorkers(8), exec.WithCostModel(exec.CostModelMeasured), exec.WithVerify(false))
 
-	over := exec.Make(exec.WithWorkers(2), exec.WithQuantizedCompute(true))
+	over := exec.Make(exec.WithWorkers(2), exec.WithPoolPoison(true))
 	got := base.Merge(over)
 	if got.Workers != 2 {
 		t.Fatalf("override Workers must win: got %d", got.Workers)
 	}
-	if got.GEMM != exec.GEMMNaive {
-		t.Fatalf("unset GEMM must inherit: got %q", got.GEMM)
+	if !got.MeasuredCost() {
+		t.Fatalf("unset CostModel must inherit: got %q", got.CostModel)
 	}
-	if !got.QuantizedCompute {
-		t.Fatal("override QuantizedCompute must win")
+	if got.PoolPoison == nil || !*got.PoolPoison {
+		t.Fatal("override PoolPoison must win")
 	}
 	if got.VerifyOn() {
 		t.Fatal("inherited Verify=false lost in merge")
@@ -65,20 +83,19 @@ func TestMergePrecedence(t *testing.T) {
 	}
 
 	// Merging a zero config changes nothing.
-	if got := base.Merge(exec.Config{}); got.Workers != 8 || got.GEMM != exec.GEMMNaive || got.VerifyOn() {
+	if got := base.Merge(exec.Config{}); got.Workers != 8 || !got.MeasuredCost() || got.VerifyOn() {
 		t.Fatalf("zero-config merge must be identity: %+v", got)
 	}
 }
 
-func TestValidateRejectsUnknownGEMM(t *testing.T) {
-	c := exec.Make(exec.WithGEMM("blocked"))
-	err := c.Validate()
-	if err == nil || !strings.Contains(err.Error(), "unknown GEMM mode") {
-		t.Fatalf("want unknown-GEMM error, got %v", err)
+func TestValidateRejectsUnknownCostModel(t *testing.T) {
+	err := exec.Make(exec.WithCostModel("guessed")).Validate()
+	if err == nil || !strings.Contains(err.Error(), "unknown cost model") {
+		t.Fatalf("want unknown-cost-model error, got %v", err)
 	}
-	for _, mode := range []exec.GEMMMode{"", exec.GEMMPacked, exec.GEMMNaive} {
-		if err := exec.Make(exec.WithGEMM(mode)).Validate(); err != nil {
-			t.Fatalf("mode %q must validate: %v", mode, err)
+	for _, m := range []exec.CostModel{"", exec.CostModelStatic, exec.CostModelMeasured} {
+		if err := exec.Make(exec.WithCostModel(m)).Validate(); err != nil {
+			t.Fatalf("cost model %q must validate: %v", m, err)
 		}
 	}
 }
@@ -87,12 +104,12 @@ func TestValidateRejectsUnknownGEMM(t *testing.T) {
 type fakeBackend struct {
 	cfg   exec.Config
 	nCfg  int
-	cost  int
-	nCost int
+	hint  *exec.StepHint
+	nHint int
 }
 
 func (f *fakeBackend) ApplyExecConfig(c exec.Config) { f.cfg = c; f.nCfg++ }
-func (f *fakeBackend) SetStepCost(n int)             { f.cost = n; f.nCost++ }
+func (f *fakeBackend) SetStepHint(h *exec.StepHint)  { f.hint = h; f.nHint++ }
 
 func TestApplyAndHintDispatchViaInterfaces(t *testing.T) {
 	f := &fakeBackend{}
@@ -103,13 +120,18 @@ func TestApplyAndHintDispatchViaInterfaces(t *testing.T) {
 	if f.nCfg != 1 || f.cfg.Workers != 3 {
 		t.Fatalf("config not delivered: %+v", f)
 	}
-	exec.HintStepCost(f, 18)
-	if f.nCost != 1 || f.cost != 18 {
+	h := &exec.StepHint{Flops: 18}
+	exec.HintStep(f, h)
+	if f.nHint != 1 || f.hint != h {
 		t.Fatalf("hint not delivered: %+v", f)
+	}
+	exec.HintStep(f, nil)
+	if f.nHint != 2 || f.hint != nil {
+		t.Fatalf("nil hint must clear: %+v", f)
 	}
 	// Backends without the hooks are ignored, not crashed on.
 	if exec.Apply(struct{}{}, c) {
 		t.Fatal("Apply must report false for a plain backend")
 	}
-	exec.HintStepCost(struct{}{}, 5)
+	exec.HintStep(struct{}{}, h)
 }

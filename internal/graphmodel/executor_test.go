@@ -343,8 +343,9 @@ func TestBrokenNodeFailsOnlyWhenReached(t *testing.T) {
 			`graphmodel: unsupported op "FFT" (node "bad")`},
 		{"pad with two paddings", savedmodel.NodeDef{Op: "Pad", Attrs: map[string]any{"padding": []int{1, 1}}},
 			`graphmodel: Pad node "bad" needs [top bottom left right], got [1 1]`},
-		{"quantized op without scales", savedmodel.NodeDef{Op: "QuantizedFusedConv2D", Inputs: []string{"r", "w"}},
-			`graphmodel: node "bad" (QuantizedFusedConv2D) missing wScales attr`},
+		// The int8 compute tier is gone: no plan lowers its ops.
+		{"quantized op is unsupported", savedmodel.NodeDef{Op: "QuantizedFusedConv2D", Inputs: []string{"r", "w"}},
+			`graphmodel: unsupported op "QuantizedFusedConv2D" (node "bad")`},
 		{"fused op with one input", savedmodel.NodeDef{Op: "FusedConv2D"},
 			`graphmodel: node "bad" (FusedConv2D) needs 2 or 3 inputs, got 1`},
 		{"binary op with one input", savedmodel.NodeDef{Op: "Add"},

@@ -35,15 +35,15 @@ type Option func(*config)
 
 // WithOptimize enables or disables the load-time graph optimizer
 // (enabled by default). Disabling it executes the graph exactly as
-// converted — the A/B switch behind `tfjs-bench -fusion=off`.
+// converted — the reference arm of the fusion parity tests.
 func WithOptimize(enabled bool) Option {
 	return func(c *config) { c.exec.Optimize = &enabled }
 }
 
-// WithExecOptions applies execution options (worker budget, GEMM core,
-// quantized compute, optimize/verify gates) to the load. The backend-level
-// knobs are applied to the model's engine's backend at load time; the
-// graph-level knobs steer the optimizer and verifier.
+// WithExecOptions applies execution options (worker budget, cost model,
+// optimize/verify gates) to the load. The backend-level knobs are applied
+// to the model's engine's backend at load time; the graph-level knobs
+// steer the optimizer and verifier.
 func WithExecOptions(opts ...exec.Option) Option {
 	return func(c *config) {
 		for _, o := range opts {
@@ -132,13 +132,13 @@ func New(g *savedmodel.GraphDef, opts ...Option) (*Model, error) {
 	if eng == nil {
 		eng = core.Global()
 	}
-	// Backend-level knobs (worker budget, GEMM core) apply to the engine
+	// Backend-level knobs (worker budget, pool poison) apply to the engine
 	// this model executes on; backends without the hook ignore them.
 	exec.Apply(eng.Backend(), cfg.exec)
 	m := &Model{graph: g, exec: g, eng: eng, execCost: telemetry.NewCostAccount()}
 	m.span = spanName("graphmodel", g)
 	if cfg.exec.OptimizeOn() {
-		m.exec, m.optStats = optimize(g, eng.Telemetry(), m.span, cfg.exec.QuantizedCompute)
+		m.exec, m.optStats = optimize(g, eng.Telemetry(), m.span)
 	}
 	if cfg.exec.VerifyOn() {
 		// Verify the execution graph — the one the plan compiles — so the
@@ -159,14 +159,12 @@ func New(g *savedmodel.GraphDef, opts ...Option) (*Model, error) {
 	}
 	m.order = order
 	m.plan = compilePlan(m.exec, m.order, m.nodes, cfg.exec.MeasuredCost())
-	if cfg.exec.PlanVerifyOn() {
-		// Prove the compiled plan's dispose points and alias roots memory-
-		// safe before the first execution (see planexport.go); a defective
-		// plan is a compiler bug, surfaced here as a load error instead of
-		// silent corruption through the recycler.
-		if err := m.verifyPlan(eng.Telemetry()); err != nil {
-			return nil, err
-		}
+	// Prove the compiled plan's dispose points and alias roots memory-
+	// safe before the first execution (see planexport.go); a defective
+	// plan is a compiler bug, surfaced here as a load error instead of
+	// silent corruption through the recycler.
+	if err := m.verifyPlan(eng.Telemetry()); err != nil {
+		return nil, err
 	}
 	m.weights = map[string]*tensor.Tensor{}
 	e := eng
@@ -352,24 +350,6 @@ func attrFloat(attrs map[string]any, key string, def float64) float64 {
 		return float64(v)
 	}
 	return def
-}
-
-func attrFloats(attrs map[string]any, key string) []float32 {
-	switch v := attrs[key].(type) {
-	case []float32:
-		return v
-	case []any:
-		out := make([]float32, len(v))
-		for i, e := range v {
-			f, ok := e.(float64)
-			if !ok {
-				return nil
-			}
-			out[i] = float32(f)
-		}
-		return out
-	}
-	return nil
 }
 
 func attrInts(attrs map[string]any, key string, def []int) []int {

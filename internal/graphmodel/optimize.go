@@ -19,9 +19,6 @@ import (
 //                         plus a BiasAdd, exposing the fusion pattern below
 //  4. fusePatterns      — rewrite Conv2D|DepthwiseConv2D|MatMul → BiasAdd →
 //                         {activation} chains into the fused kernels
-//  5. quantize          — (only with exec.WithQuantizedCompute) rewrite
-//                         fused nodes whose weights carry per-channel int8
-//                         scales onto the int8 compute kernels
 //
 // followed by a reachability prune. Every rewrite emits a KindRewrite
 // telemetry event and increments OptimizeStats, so fusion is observable; it
@@ -49,9 +46,6 @@ type OptimizeStats struct {
 	FusedConv2D          int `json:"fused_conv2d"`
 	FusedDepthwiseConv2D int `json:"fused_depthwise_conv2d"`
 	FusedMatMul          int `json:"fused_matmul"`
-	// QuantizedOps counts fused nodes rewritten onto the int8 compute
-	// kernels (only with exec.WithQuantizedCompute and int8 artifacts).
-	QuantizedOps int `json:"quantized_ops,omitempty"`
 	// FoldedBatchNorms counts Conv→FusedBatchNorm folds into weights+bias.
 	FoldedBatchNorms int `json:"folded_batch_norms"`
 	// FoldedConstants counts shape-only ops folded into their Const input.
@@ -80,8 +74,7 @@ type optimizer struct {
 
 // optimize runs the rewrite pipeline over a clone of g, returning the
 // rewritten graph and the stats. The input graph is never mutated.
-// quantized enables the int8 rewrite pass (exec.WithQuantizedCompute).
-func optimize(g *savedmodel.GraphDef, hub *telemetry.Hub, span string, quantized bool) (*savedmodel.GraphDef, OptimizeStats) {
+func optimize(g *savedmodel.GraphDef, hub *telemetry.Hub, span string) (*savedmodel.GraphDef, OptimizeStats) {
 	o := &optimizer{
 		g:     g.Clone(),
 		stats: &OptimizeStats{Enabled: true, NodesBefore: len(g.Nodes), Patterns: map[string]int{}},
@@ -93,9 +86,6 @@ func optimize(g *savedmodel.GraphDef, hub *telemetry.Hub, span string, quantized
 	o.foldConstants()
 	o.foldBatchNorms()
 	o.fusePatterns()
-	if quantized {
-		o.quantize()
-	}
 	o.prune()
 	o.compact()
 	o.stats.NodesAfter = len(o.g.Nodes)
@@ -312,33 +302,7 @@ func (o *optimizer) foldBatchNorms() {
 		for i, v := range filter.Values {
 			foldedW[i] = v * scale[i%outC]
 		}
-		// Propagate int8 metadata through the fold: scaling channel c by
-		// s preserves the quantization codes up to sign (w' = code·q·s
-		// re-quantizes against q' = q·|s| to ±code exactly), so the folded
-		// filter stays eligible for the quantized compute path. Only
-		// regular convs qualify — a depthwise filter's scales are per
-		// innermost (multiplier) dim and don't align with the per-outC
-		// fold. A zeroed channel (s == 0) keeps the original scale; its
-		// folded weights are all zero, which any scale encodes exactly.
-		var foldedScales []float32
-		if conv.Op == "Conv2D" && len(filter.Int8Scales) == outC {
-			foldedScales = make([]float32, outC)
-			for c, q := range filter.Int8Scales {
-				s := scale[c]
-				if s < 0 {
-					s = -s
-				}
-				f := q * s
-				if f == 0 {
-					// s == 0 (or underflow): the folded channel is all
-					// zeros, which any positive scale encodes exactly.
-					f = q
-				}
-				foldedScales[c] = f
-			}
-		}
 		wName := o.addConst(conv.Name+"/bn_folded_filter", filter.Shape, foldedW)
-		o.g.Weights[wName].Int8Scales = foldedScales
 		bName := o.addConst(bn.Name+"/bn_folded_bias", []int{outC}, bias)
 		conv = o.nodes[conv.Name] // re-take after reindex
 		bn = o.nodes[bn.Name]
@@ -482,56 +446,6 @@ func (o *optimizer) fusePatterns() {
 			o.stats.FusedMatMul++
 		}
 		o.record(pattern, tail.Name, removedCount)
-	}
-}
-
-// quantize rewrites fused nodes onto the int8 compute kernels when their
-// weight Const carries per-channel int8 scales (converter.QuantizationInt8
-// artifacts; the BN fold propagates scales through folded filters). The
-// rewrite is in place — same name, same inputs — adding the "wScales"
-// attr the quantized kernels need. Refusals: transposed matmuls (the
-// quantized kernel is untransposed-only), scale counts that don't match
-// the output-channel count, and depthwise convs (per-multiplier scales
-// don't fit the per-outC kernel contract; the depthwise layers stay f32).
-func (o *optimizer) quantize() {
-	for i := range o.g.Nodes {
-		n := &o.g.Nodes[i]
-		if o.removed[n.Name] || len(n.Inputs) < 2 {
-			continue
-		}
-		var quantOp string
-		var channels int
-		switch n.Op {
-		case "FusedConv2D":
-			w, ok := o.constWeight(n.Inputs[1])
-			if !ok || len(w.Shape) != 4 || len(w.Int8Scales) != w.Shape[3] {
-				continue
-			}
-			quantOp = "QuantizedFusedConv2D"
-			channels = w.Shape[3]
-		case "_FusedMatMul":
-			if attrBool(n.Attrs, "transpose_a") || attrBool(n.Attrs, "transpose_b") {
-				continue
-			}
-			w, ok := o.constWeight(n.Inputs[1])
-			if !ok || len(w.Shape) != 2 || len(w.Int8Scales) != w.Shape[1] {
-				continue
-			}
-			quantOp = "_QuantizedFusedMatMul"
-			channels = w.Shape[1]
-		default:
-			continue
-		}
-		w, _ := o.constWeight(n.Inputs[1])
-		scales := append([]float32(nil), w.Int8Scales[:channels]...)
-		pattern := "quantize:" + n.Op
-		if n.Attrs == nil {
-			n.Attrs = map[string]any{}
-		}
-		n.Op = quantOp
-		n.Attrs["wScales"] = scales
-		o.stats.QuantizedOps++
-		o.record(pattern, n.Name, 0)
 	}
 }
 

@@ -166,7 +166,7 @@ func stepCost(n *savedmodel.NodeDef, g *savedmodel.GraphDef) int {
 		return nil
 	}
 	switch n.Op {
-	case "MatMul", "_FusedMatMul", "_QuantizedFusedMatMul":
+	case "MatMul", "_FusedMatMul":
 		if s := wShape(1); len(s) == 2 {
 			k := s[0]
 			if attrBool(n.Attrs, "transpose_b") {
@@ -174,7 +174,7 @@ func stepCost(n *savedmodel.NodeDef, g *savedmodel.GraphDef) int {
 			}
 			return 2 * k
 		}
-	case "Conv2D", "FusedConv2D", "QuantizedFusedConv2D":
+	case "Conv2D", "FusedConv2D":
 		if s := wShape(1); len(s) == 4 {
 			return 2 * s[0] * s[1] * s[2]
 		}
@@ -378,18 +378,6 @@ func compileStep(n *savedmodel.NodeDef, slot int, slots map[string]int) step {
 			"transposeB": attrBool(attrs, "transpose_b"),
 			"activation": attrString(attrs, "activation", ""),
 		})
-	case "QuantizedFusedConv2D", "_QuantizedFusedMatMul":
-		wScales := attrFloats(attrs, "wScales")
-		if len(wScales) == 0 {
-			return fail("graphmodel: node %q (%s) missing wScales attr", n.Name, n.Op)
-		}
-		a := kernels.Attrs{}
-		if n.Op == "QuantizedFusedConv2D" {
-			a = convKernelAttrs(attrs)
-		}
-		a["activation"] = attrString(attrs, "activation", "")
-		a["wScales"] = wScales
-		return fused(n.Op, a)
 	case "MaxPool", "AvgPool":
 		filterSize := attrInts(attrs, "ksize", []int{2, 2})
 		strides := attrInts(attrs, "strides", nil)
@@ -507,8 +495,8 @@ func compileStep(n *savedmodel.NodeDef, slot int, slots map[string]int) step {
 	}
 }
 
-// convKernelAttrs decodes the graph conv attributes shared by the plain,
-// fused and quantized convs into the kernel attribute bag.
+// convKernelAttrs decodes the graph conv attributes shared by the plain
+// and fused convs into the kernel attribute bag.
 func convKernelAttrs(attrs map[string]any) kernels.Attrs {
 	return kernels.Attrs{
 		"strides":   attrInts(attrs, "strides", []int{1, 1}),

@@ -2,8 +2,7 @@ package graphmodel
 
 // This file exports the compiled plan as a planvet.Plan — the inspectable
 // IR behind `tfjs-vet -plan` and `tfjs-profile -plan-report` — and runs the
-// planvet dataflow verifier over it at load time (default-on;
-// WithPlanVerify(false) is the escape hatch). The verifier proves the
+// planvet dataflow verifier over it at every load. The verifier proves the
 // memory-safety invariants the plan's liveness compilation is trusted
 // with: no slot read before definition, no root read after its dispose
 // point, dispose-exactly-once, acyclic alias chains, and no
@@ -18,14 +17,6 @@ import (
 	"repro/internal/planvet"
 	"repro/internal/telemetry"
 )
-
-// WithPlanVerify enables or disables the load-time dataflow verification
-// of the compiled plan (enabled by default), mirroring WithVerify.
-// Disabling it loads the model with the plan unchecked — the
-// runtime NaN-poison scribble becomes the only use-after-free net.
-func WithPlanVerify(enabled bool) Option {
-	return func(c *config) { c.exec.PlanVerify = &enabled }
-}
 
 // PlanIR exports the compiled program — slots, alias roots, step order,
 // dispose points — as a planvet.Plan: the plan every Execute runs, on every
@@ -87,7 +78,7 @@ func (m *Model) verifyPlan(hub *telemetry.Hub) error {
 		})
 	}
 	if err != nil {
-		return fmt.Errorf("graphmodel: compiled plan failed dataflow verification (WithPlanVerify(false) skips this check): %w", err)
+		return fmt.Errorf("graphmodel: compiled plan failed dataflow verification: %w", err)
 	}
 	return nil
 }

@@ -139,19 +139,6 @@ func TestPlanVerifyConvictsMutatedMobileNet(t *testing.T) {
 	}
 }
 
-// TestPlanVerifyEscapeHatch: WithPlanVerify(false) skips the load-time
-// check but keeps the IR exportable for offline tooling.
-func TestPlanVerifyEscapeHatch(t *testing.T) {
-	m, err := graphmodel.New(tinyGraph(), graphmodel.WithPlanVerify(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Dispose()
-	if m.PlanIR() == nil {
-		t.Fatal("escape hatch must not suppress the IR export")
-	}
-}
-
 // TestPlanLifetimeTable sanity-checks the rendered lifetime table for the
 // MobileNet plan: every class of container appears, and every
 // intermediate is freed at a dispose point (MobileNet is a chain — no

@@ -1,89 +1,29 @@
 package native_test
 
-// Microbenchmarks for the native backend's compute cores, all pinned to
-// one worker so they measure kernel quality, not scheduling:
+// Whole-model microbenchmark for the native backend, pinned to one worker
+// so it measures kernel quality, not scheduling: single-image MobileNet
+// inference on the ladder benchmark shape (alpha=0.25 @96×96), the same
+// plan `tfjs-bench ladder` reports with wall-clock. The per-core GEMM
+// benchmarks live in gemm_internal_test.go.
 //
 //	go test -run xxx -bench . ./internal/native/
-//
-// The Gemm pairs A/B the packed micro-kernel against the row-streaming
-// naive loop on dense and 50%-sparse operands (the sparse case is what
-// the adaptive dispatch in gemmAuto routes to the naive core). The
-// MobileNet trio measures whole-model inference on the ladder benchmark
-// shape (alpha=0.25 @96×96) for the packed, naive, and int8 paths — the
-// same rungs `tfjs-bench ladder` reports with wall-clock.
 
 import (
-	"math/rand"
 	"testing"
 
-	"repro/internal/converter"
-	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/graphmodel"
-	"repro/internal/models"
-	"repro/internal/native"
 	"repro/internal/ops"
-	"repro/internal/savedmodel"
-	"repro/internal/tensor"
 )
 
-func benchGemm(b *testing.B, mode exec.GEMMMode, m, k, n int, sparsity float64) {
-	e := core.Global()
-	if err := e.SetBackend("node"); err != nil {
-		b.Fatal(err)
-	}
-	nb := e.Backend().(*native.Backend)
+func BenchmarkMobileNet(b *testing.B) {
+	nb := nodeBackend(b)
 	nb.SetWorkers(1)
-	nb.ApplyExecConfig(exec.Config{GEMM: mode})
-	defer nb.ApplyExecConfig(exec.Config{GEMM: exec.GEMMPacked})
-	rng := rand.New(rand.NewSource(1))
-	av := make([]float32, m*k)
-	bv := make([]float32, k*n)
-	for i := range av {
-		if rng.Float64() >= sparsity {
-			av[i] = rng.Float32()
-		}
-	}
-	for i := range bv {
-		bv[i] = rng.Float32()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Tidy("node", func() []*tensor.Tensor {
-			r := ops.MatMul(ops.FromValues(av, m, k), ops.FromValues(bv, k, n), false, false)
-			r.DataSync()
-			return nil
-		})
-	}
-}
-
-// 2304×64 · 64×64 is MobileNet alpha=0.25 @96's largest pointwise shape.
-func BenchmarkGemmPackedDense(b *testing.B)  { benchGemm(b, exec.GEMMPacked, 2304, 64, 64, 0) }
-func BenchmarkGemmNaiveDense(b *testing.B)   { benchGemm(b, exec.GEMMNaive, 2304, 64, 64, 0) }
-func BenchmarkGemmPackedSparse(b *testing.B) { benchGemm(b, exec.GEMMPacked, 2304, 64, 64, 0.5) }
-func BenchmarkGemmNaiveSparse(b *testing.B)  { benchGemm(b, exec.GEMMNaive, 2304, 64, 64, 0.5) }
-func BenchmarkGemmPackedBig(b *testing.B)    { benchGemm(b, exec.GEMMPacked, 512, 512, 512, 0) }
-func BenchmarkGemmNaiveBig(b *testing.B)     { benchGemm(b, exec.GEMMNaive, 512, 512, 512, 0) }
-
-// ladderModel builds the MobileNet graph the ladder benchmark runs.
-func ladderModel(b *testing.B) *savedmodel.GraphDef {
-	b.Helper()
-	model, err := models.MobileNetV1(models.MobileNetConfig{
-		Alpha: 0.25, InputSize: 96, NumClasses: 1000, IncludeTop: true, Seed: 1,
-	})
+	defer nb.SetWorkers(-1)
+	gm, err := graphmodel.New(mobileNetGraph(b, 96))
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer model.Dispose()
-	g, err := savedmodel.FromSequential(model, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return g
-}
-
-func benchPredict(b *testing.B, gm *graphmodel.Model) {
-	b.Helper()
+	defer gm.Dispose()
 	vals := make([]float32, 96*96*3)
 	for i := range vals {
 		vals[i] = float32(i%251) / 251
@@ -99,51 +39,4 @@ func benchPredict(b *testing.B, gm *graphmodel.Model) {
 		y.Dispose()
 		x.Dispose()
 	}
-}
-
-func benchMobileNet(b *testing.B, mode exec.GEMMMode) {
-	e := core.Global()
-	if err := e.SetBackend("node"); err != nil {
-		b.Fatal(err)
-	}
-	nb := e.Backend().(*native.Backend)
-	nb.SetWorkers(1)
-	nb.ApplyExecConfig(exec.Config{GEMM: mode})
-	defer nb.ApplyExecConfig(exec.Config{GEMM: exec.GEMMPacked})
-	gm, err := graphmodel.New(ladderModel(b))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer gm.Dispose()
-	benchPredict(b, gm)
-}
-
-func BenchmarkMobileNetPacked(b *testing.B) { benchMobileNet(b, exec.GEMMPacked) }
-func BenchmarkMobileNetNaive(b *testing.B)  { benchMobileNet(b, exec.GEMMNaive) }
-
-func BenchmarkMobileNetInt8(b *testing.B) {
-	e := core.Global()
-	if err := e.SetBackend("node"); err != nil {
-		b.Fatal(err)
-	}
-	nb := e.Backend().(*native.Backend)
-	nb.SetWorkers(1)
-	nb.ApplyExecConfig(exec.Config{GEMM: exec.GEMMPacked})
-	store := converter.NewMemStore()
-	if _, err := converter.Convert(ladderModel(b), store, converter.Options{QuantizationScheme: converter.QuantizationInt8}); err != nil {
-		b.Fatal(err)
-	}
-	arts, err := converter.LoadArtifacts(store)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gm, err := graphmodel.New(arts, graphmodel.WithExecOptions(exec.WithQuantizedCompute(true)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer gm.Dispose()
-	if gm.OptimizeStats().QuantizedOps == 0 {
-		b.Fatal("nothing quantized")
-	}
-	benchPredict(b, gm)
 }

@@ -102,8 +102,9 @@ func (b *Backend) fusedConv2D(inputs []kernels.Input, attrs kernels.Attrs, out *
 	// Pointwise fast path: a 1×1 stride-1 convolution is exactly the
 	// matmul [batch*h*w, inC] × [inC, outC] — MobileNet's pointwise convs
 	// are where its FLOPs live. It runs through the shared GEMM core
-	// (packed micro-kernel, or the zero-skipping naive loop under
-	// -gemm=naive) with the bias+activation epilogue fused into the store.
+	// (packed micro-kernel, or the zero-skipping row-streaming loop when
+	// the activations are sparse) with the bias+activation epilogue fused
+	// into the store.
 	if info.FilterHeight == 1 && info.FilterWidth == 1 &&
 		info.StrideHeight == 1 && info.StrideWidth == 1 &&
 		info.PadTop == 0 && info.PadLeft == 0 &&

@@ -1,9 +1,6 @@
 package native
 
-import (
-	"repro/internal/exec"
-	"repro/internal/kernels"
-)
+import "repro/internal/kernels"
 
 // The packed GEMM core: a cache-blocked micro-kernel shared by
 // BatchMatMul, _FusedMatMul and the 1×1-pointwise FusedConv2D fast path.
@@ -91,17 +88,13 @@ func packBInto(buf, bBuf []float32, k, n, ldb int) packedB {
 func (b *Backend) packedBFor(w kernels.Input, k, n int) packedB {
 	b.packMu.Lock()
 	defer b.packMu.Unlock()
-	f := b.packCache[w.DataID]
-	if f == nil {
-		f = &packedForms{}
-		b.packCache[w.DataID] = f
-	}
-	if f.gemmB == nil {
+	pb, ok := b.packCache[w.DataID]
+	if !ok {
 		panels := (n + gemmNR - 1) / gemmNR
-		pb := packBInto(make([]float32, panels*k*gemmNR), b.in(w), k, n, n)
-		f.gemmB = &pb
+		pb = packBInto(make([]float32, panels*k*gemmNR), b.in(w), k, n, n)
+		b.packCache[w.DataID] = pb
 	}
-	return *f.gemmB
+	return pb
 }
 
 // packA packs rows [i0, i0+h) of row-major A (row stride lda) into one
@@ -237,14 +230,12 @@ func lhsZeroFraction(a []float32) float64 {
 	return float64(zeros) / float64(probes)
 }
 
-// gemmAuto runs A[m×k]·B[k×n] through the configured core. The packed
-// mode (default) is adaptive: the cache-blocked micro-kernel for dense
-// operands, bailing out to the row-streaming loop when sampling shows
-// the lhs sparse enough for its zero-skip to win (activations after a
-// relu-family epilogue). exec.GEMMNaive forces row-streaming always —
-// the benchmark A/B control and cross-check oracle.
+// gemmAuto runs A[m×k]·B[k×n] through the core its lhs suits: the
+// cache-blocked micro-kernel for dense operands, the row-streaming loop
+// when sampling shows the lhs sparse enough for its zero-skip to win
+// (activations after a relu-family epilogue).
 func (b *Backend) gemmAuto(m, n, k int, aBuf, bBuf []float32, out []float32, ep gemmEpilogue) {
-	if b.gemm == exec.GEMMNaive || lhsZeroFraction(aBuf) >= gemmSparseBail {
+	if lhsZeroFraction(aBuf) >= gemmSparseBail {
 		b.gemmNaive(m, n, k, aBuf, bBuf, out, ep)
 		return
 	}
@@ -257,15 +248,16 @@ func (b *Backend) gemmAuto(m, n, k int, aBuf, bBuf []float32, out []float32, ep 
 // (the fused matmul and pointwise-conv paths): the packed panels come
 // from the per-DataID cache instead of being rebuilt per call.
 func (b *Backend) gemmAutoW(m, n, k int, aBuf []float32, w kernels.Input, out []float32, ep gemmEpilogue) {
-	if b.gemm == exec.GEMMNaive || lhsZeroFraction(aBuf) >= gemmSparseBail {
+	if lhsZeroFraction(aBuf) >= gemmSparseBail {
 		b.gemmNaive(m, n, k, aBuf, b.in(w), out, ep)
 		return
 	}
 	b.gemmPacked(m, n, k, aBuf, k, b.packedBFor(w, k, n), out, n, ep)
 }
 
-// gemmNaive is the original k-outer j-inner row-streaming core with the
-// activation-sparsity zero-skip, retained for -gemm=naive A/B runs.
+// gemmNaive is the k-outer j-inner row-streaming core with the
+// activation-sparsity zero-skip: gemmAuto's choice for sparse lhs
+// operands.
 func (b *Backend) gemmNaive(m, n, k int, aBuf, bBuf []float32, out []float32, ep gemmEpilogue) {
 	b.parallelFor(m, 2*k*n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {

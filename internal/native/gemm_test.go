@@ -6,16 +6,13 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/exec"
-	"repro/internal/kernels"
 	"repro/internal/native"
 	"repro/internal/ops"
 	"repro/internal/tensor"
 )
 
 // withNode activates the node backend and returns the live instance so
-// tests can steer its worker count and GEMM core, restoring defaults on
-// cleanup.
+// tests can steer its worker count, restoring the default on cleanup.
 func withNode(t *testing.T) *native.Backend {
 	t.Helper()
 	e := core.Global()
@@ -28,7 +25,6 @@ func withNode(t *testing.T) *native.Backend {
 	}
 	t.Cleanup(func() {
 		b.SetWorkers(-1)
-		b.ApplyExecConfig(exec.Config{GEMM: exec.GEMMPacked})
 		if err := e.SetBackend("cpu"); err != nil {
 			t.Fatal(err)
 		}
@@ -64,13 +60,30 @@ func requireBitIdentical(t *testing.T, label string, got, want []float32) {
 	}
 }
 
+// reluVals returns randVals with the negatives zeroed: a post-ReLU
+// activation matrix, ~50% zeros, which gemmAuto routes to the
+// row-streaming core.
+func reluVals(rng *rand.Rand, n int) []float32 {
+	vals := randVals(rng, n)
+	for i, v := range vals {
+		if v < 0 {
+			vals[i] = 0
+		}
+	}
+	return vals
+}
+
 // determinismCases builds kernels whose index spaces exercise every
-// parallel path: GEMM row panels (odd edge panels), conv rows, the
-// 1×1-pointwise GEMM fast path, depthwise, and the split reductions.
+// parallel path: GEMM row panels (odd edge panels) on both cores — dense
+// lhs operands run the packed core, the *Sparse cases' post-ReLU lhs the
+// row-streaming one — conv rows, the 1×1-pointwise GEMM fast path,
+// depthwise, and the split reductions.
 // Odd, non-round sizes make chunk boundaries land differently for every
 // worker count, which is exactly what must not show in the output bits.
 func determinismCases(rng *rand.Rand) map[string]func() *tensor.Tensor {
 	av := randVals(rng, 37*29)
+	avSparse := reluVals(rng, 37*29)
+	pvSparse := reluVals(rng, 1*9*9*8)
 	bv := randVals(rng, 29*23)
 	fv := randVals(rng, 33*17)
 	gv := randVals(rng, 17*9)
@@ -87,6 +100,9 @@ func determinismCases(rng *rand.Rand) map[string]func() *tensor.Tensor {
 		"matmul": func() *tensor.Tensor {
 			return ops.MatMul(ops.FromValues(av, 37, 29), ops.FromValues(bv, 29, 23), false, false)
 		},
+		"matmulSparse": func() *tensor.Tensor {
+			return ops.MatMul(ops.FromValues(avSparse, 37, 29), ops.FromValues(bv, 29, 23), false, false)
+		},
 		"fusedMatMul": func() *tensor.Tensor {
 			return ops.FusedMatMul(ops.FromValues(fv, 33, 17), ops.FromValues(gv, 17, 9),
 				ops.FromValues(biasN, 9), false, false, "relu")
@@ -97,6 +113,10 @@ func determinismCases(rng *rand.Rand) map[string]func() *tensor.Tensor {
 		},
 		"pointwiseFusedConv": func() *tensor.Tensor {
 			return ops.FusedConv2D(ops.FromValues(pv, 1, 9, 9, 8), ops.FromValues(pw, 1, 1, 8, 16),
+				ops.FromValues(pbias, 16), ops.ConvOpts{Strides: []int{1, 1}, Pad: "valid"}, "relu6")
+		},
+		"pointwiseFusedConvSparse": func() *tensor.Tensor {
+			return ops.FusedConv2D(ops.FromValues(pvSparse, 1, 9, 9, 8), ops.FromValues(pw, 1, 1, 8, 16),
 				ops.FromValues(pbias, 16), ops.ConvOpts{Strides: []int{1, 1}, Pad: "valid"}, "relu6")
 		},
 		"depthwise": func() *tensor.Tensor {
@@ -115,139 +135,22 @@ func determinismCases(rng *rand.Rand) map[string]func() *tensor.Tensor {
 	}
 }
 
-// TestBitIdenticalAcrossWorkerCounts is the tentpole determinism gate:
-// for both GEMM cores, every parallel kernel must produce bit-identical
-// outputs at Workers ∈ {1, 2, 4, 7}. The per-element accumulation loops
-// (the k loop of GEMM, the filter loop of conv, the per-chunk reduction
-// tree) are never split across workers, so the only thing a worker count
-// may change is wall time.
+// TestBitIdenticalAcrossWorkerCounts is the determinism gate: every
+// parallel kernel, on both GEMM cores, must produce bit-identical outputs
+// at Workers ∈ {1, 2, 4, 7}. The per-element accumulation loops (the k
+// loop of GEMM, the filter loop of conv, the per-chunk reduction tree) are
+// never split across workers, so the only thing a worker count may change
+// is wall time.
 func TestBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	b := withNode(t)
 	rng := rand.New(rand.NewSource(77))
-	cases := determinismCases(rng)
-	for _, mode := range []exec.GEMMMode{exec.GEMMPacked, exec.GEMMNaive} {
-		b.ApplyExecConfig(exec.Config{GEMM: mode})
-		for name, fn := range cases {
-			b.SetWorkers(1)
-			want := evalOn(t, "node", fn)
-			for _, workers := range []int{2, 4, 7} {
-				b.SetWorkers(workers)
-				got := evalOn(t, "node", fn)
-				requireBitIdentical(t, string(mode)+"/"+name, got, want)
-			}
-		}
-	}
-}
-
-// TestPackedNaiveGEMMParity: the packed core associates the k-loop sums
-// differently from the naive core, so the two agree to rounding, not to
-// the bit. 2e-5 relative matches the node-vs-cpu parity bound used
-// throughout the suite.
-func TestPackedNaiveGEMMParity(t *testing.T) {
-	b := withNode(t)
-	rng := rand.New(rand.NewSource(11))
-	cases := determinismCases(rng)
-	for _, name := range []string{"matmul", "fusedMatMul", "pointwiseFusedConv"} {
-		fn := cases[name]
-		b.ApplyExecConfig(exec.Config{GEMM: exec.GEMMNaive})
-		want := evalOn(t, "node", fn)
-		b.ApplyExecConfig(exec.Config{GEMM: exec.GEMMPacked})
-		got := evalOn(t, "node", fn)
-		if len(got) != len(want) {
-			t.Fatalf("%s: length %d vs %d", name, len(got), len(want))
-		}
-		for i := range want {
-			if math.Abs(float64(got[i]-want[i])) > 2e-5*(1+math.Abs(float64(want[i]))) {
-				t.Fatalf("%s: element %d: packed %g vs naive %g", name, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// quantCases builds the two quantized fused ops with converter-style
-// per-channel scales.
-func quantCases(rng *rand.Rand) map[string]func() *tensor.Tensor {
-	mv := randVals(rng, 21*13)
-	wv := randVals(rng, 13*10)
-	bias := randVals(rng, 10)
-	wScales := kernels.WeightScalesInt8(wv, 10)
-	xv := randVals(rng, 2*9*9*4)
-	cv := randVals(rng, 3*3*4*6)
-	cbias := randVals(rng, 6)
-	cScales := kernels.WeightScalesInt8(cv, 6)
-	return map[string]func() *tensor.Tensor{
-		"quantMatMul": func() *tensor.Tensor {
-			return ops.QuantizedFusedMatMul(ops.FromValues(mv, 21, 13), ops.FromValues(wv, 13, 10),
-				ops.FromValues(bias, 10), "relu", wScales)
-		},
-		"quantConv2d": func() *tensor.Tensor {
-			return ops.QuantizedFusedConv2D(ops.FromValues(xv, 2, 9, 9, 4), ops.FromValues(cv, 3, 3, 4, 6),
-				ops.FromValues(cbias, 6), ops.ConvOpts{Strides: []int{1, 1}, Pad: "same"}, "relu6", cScales)
-		},
-	}
-}
-
-// TestQuantizedNativeMatchesReferenceBitExact: int32 accumulation is
-// exact integer arithmetic, so the native tier must agree with the
-// reference kernels bit-for-bit — the oracle check the quantized path is
-// verified against.
-func TestQuantizedNativeMatchesReferenceBitExact(t *testing.T) {
-	withNode(t)
-	rng := rand.New(rand.NewSource(33))
-	for name, fn := range quantCases(rng) {
-		want := evalOn(t, "cpu", fn)
-		got := evalOn(t, "node", fn)
-		requireBitIdentical(t, name, got, want)
-	}
-}
-
-// TestQuantizedBitIdenticalAcrossWorkerCounts: order-independent int32
-// accumulation makes the quantized path bit-stable across worker counts
-// too.
-func TestQuantizedBitIdenticalAcrossWorkerCounts(t *testing.T) {
-	b := withNode(t)
-	rng := rand.New(rand.NewSource(33))
-	for name, fn := range quantCases(rng) {
+	for name, fn := range determinismCases(rng) {
 		b.SetWorkers(1)
 		want := evalOn(t, "node", fn)
 		for _, workers := range []int{2, 4, 7} {
 			b.SetWorkers(workers)
 			got := evalOn(t, "node", fn)
 			requireBitIdentical(t, name, got, want)
-		}
-	}
-}
-
-// TestQuantizedCloseToF32 bounds the quantization error against the f32
-// fused kernels: activations round to 8 bits, so per-element error stays
-// within 5% of the output's dynamic range (the parity-gate tolerance in
-// the CI A/B run).
-func TestQuantizedCloseToF32(t *testing.T) {
-	withNode(t)
-	rng := rand.New(rand.NewSource(91))
-	mv := randVals(rng, 21*13)
-	wv := randVals(rng, 13*10)
-	bias := randVals(rng, 10)
-	wScales := kernels.WeightScalesInt8(wv, 10)
-
-	f32 := evalOn(t, "node", func() *tensor.Tensor {
-		return ops.FusedMatMul(ops.FromValues(mv, 21, 13), ops.FromValues(wv, 13, 10),
-			ops.FromValues(bias, 10), false, false, "relu")
-	})
-	q := evalOn(t, "node", func() *tensor.Tensor {
-		return ops.QuantizedFusedMatMul(ops.FromValues(mv, 21, 13), ops.FromValues(wv, 13, 10),
-			ops.FromValues(bias, 10), "relu", wScales)
-	})
-	var rangeF float64
-	for _, v := range f32 {
-		if a := math.Abs(float64(v)); a > rangeF {
-			rangeF = a
-		}
-	}
-	tol := 0.05 * rangeF
-	for i := range f32 {
-		if diff := math.Abs(float64(q[i] - f32[i])); diff > tol {
-			t.Fatalf("element %d: int8 %g vs f32 %g (diff %g > tol %g)", i, q[i], f32[i], diff, tol)
 		}
 	}
 }

@@ -26,7 +26,6 @@ func (b *Backend) initKernels() {
 	b.registerElementwise()
 	b.registerReduce()
 	b.registerFused()
-	b.registerQuant()
 }
 
 // in returns the raw buffer of an input.
@@ -108,8 +107,8 @@ func (b *Backend) registerMatMul() {
 		aMat, bMat := a.Shape[1]*a.Shape[2], x.Shape[1]*x.Shape[2]
 
 		// The common untransposed product goes through the shared GEMM
-		// core (packed micro-kernel, or the naive row-streaming loop under
-		// -gemm=naive), one call per batch element.
+		// core (packed micro-kernel, or the row-streaming loop for a sparse
+		// lhs), one call per batch element.
 		if !transposeA && !transposeB {
 			for p := 0; p < batch; p++ {
 				aOff := (p % batchA) * aMat

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/graphmodel"
-	"repro/internal/kernels"
 	"repro/internal/models"
 	"repro/internal/native"
 	"repro/internal/ops"
@@ -19,7 +18,7 @@ import (
 // buffer recycler plus the direct-dispatch plan must keep warmed
 // steady-state Predict near-zero in heap allocations, and the recycler must
 // do its part without perturbing a single output bit — across worker counts
-// and across every rung of the acceleration ladder.
+// and under both cost models.
 
 // nodeBackend switches the global engine onto the native backend and
 // returns it.
@@ -32,12 +31,8 @@ func nodeBackend(t testing.TB) *native.Backend {
 	return e.Backend().(*native.Backend)
 }
 
-// mobileNetGraph exports a seeded MobileNet as a serving GraphDef. With
-// int8 set, every matrix-shaped weight is snapped to its int8-decoded
-// form with per-channel scales attached — what LoadArtifacts produces for
-// a converter.QuantizationInt8 artifact — so the quantize pass can
-// rewrite the fused nodes onto the int8 kernels.
-func mobileNetGraph(t testing.TB, inputSize int, int8 bool) *savedmodel.GraphDef {
+// mobileNetGraph exports a seeded MobileNet as a serving GraphDef.
+func mobileNetGraph(t testing.TB, inputSize int) *savedmodel.GraphDef {
 	t.Helper()
 	model, err := models.MobileNetV1(models.MobileNetConfig{
 		Alpha: 0.25, InputSize: inputSize, NumClasses: 1000, IncludeTop: true, Seed: 1,
@@ -49,20 +44,6 @@ func mobileNetGraph(t testing.TB, inputSize int, int8 bool) *savedmodel.GraphDef
 	g, err := savedmodel.FromSequential(model, false)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if int8 {
-		for _, w := range g.Weights {
-			if len(w.Shape) < 2 {
-				continue
-			}
-			channels := w.Shape[len(w.Shape)-1]
-			scales := kernels.WeightScalesInt8(w.Values, channels)
-			codes := kernels.QuantizeWeightsInt8(w.Values, channels, scales)
-			for i, c := range codes {
-				w.Values[i] = float32(c) * scales[i%channels]
-			}
-			w.Int8Scales = scales
-		}
 	}
 	return g
 }
@@ -91,7 +72,7 @@ func TestSteadyStateAllocsGate(t *testing.T) {
 	defer nb.SetWorkers(-1)
 	defer nb.EnablePooling(true)
 
-	gm, err := graphmodel.New(mobileNetGraph(t, 96, false))
+	gm, err := graphmodel.New(mobileNetGraph(t, 96))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,9 +110,9 @@ func TestSteadyStateAllocsGate(t *testing.T) {
 
 // TestPooledBitIdentityMatrix checks the planner's correctness invariant:
 // with the recycler on, outputs are bitwise identical to the same plan run
-// with the recycler off — not merely close — at every worker count and on
-// every rung of the acceleration ladder. Buffer reuse may never change
-// which values a kernel reads or writes.
+// with the recycler off — not merely close — at every worker count, on the
+// static-cost (packed) and measured-cost rungs of the acceleration ladder.
+// Buffer reuse may never change which values a kernel reads or writes.
 func TestPooledBitIdentityMatrix(t *testing.T) {
 	nb := nodeBackend(t)
 	defer nb.SetWorkers(-1)
@@ -139,13 +120,10 @@ func TestPooledBitIdentityMatrix(t *testing.T) {
 
 	rungs := []struct {
 		name string
-		int8 bool
 		opts []exec.Option
 	}{
-		{"naive", false, []exec.Option{exec.WithGEMM(exec.GEMMNaive)}},
-		{"packed", false, []exec.Option{exec.WithGEMM(exec.GEMMPacked)}},
-		{"int8", true, []exec.Option{exec.WithGEMM(exec.GEMMPacked), exec.WithQuantizedCompute(true)}},
-		{"measured", false, []exec.Option{exec.WithGEMM(exec.GEMMPacked), exec.WithCostModel(exec.CostModelMeasured)}},
+		{"packed", nil},
+		{"measured", []exec.Option{exec.WithCostModel(exec.CostModelMeasured)}},
 	}
 	const inputSize = 64
 	vals := make([]float32, inputSize*inputSize*3)
@@ -155,15 +133,12 @@ func TestPooledBitIdentityMatrix(t *testing.T) {
 
 	for _, rung := range rungs {
 		t.Run(rung.name, func(t *testing.T) {
-			gm, err := graphmodel.New(mobileNetGraph(t, inputSize, rung.int8),
+			gm, err := graphmodel.New(mobileNetGraph(t, inputSize),
 				graphmodel.WithExecOptions(rung.opts...))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer gm.Dispose()
-			if rung.int8 && gm.OptimizeStats().QuantizedOps == 0 {
-				t.Fatal("int8 rung did not rewrite any ops onto the quantized kernels")
-			}
 			x := ops.FromValues(vals, 1, inputSize, inputSize, 3)
 			defer x.Dispose()
 

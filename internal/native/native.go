@@ -6,18 +6,15 @@
 // There is no TensorFlow C library in this reproduction (see DESIGN.md);
 // instead the backend plays the same architectural role: it shares the
 // user-facing API with every other backend while delegating the hot kernels
-// to optimized code — here a cache-blocked packed GEMM core, an int8
-// quantized compute path, and loops sharded across a persistent worker
-// pool that stand in for the vendored BLAS/Eigen kernels. Everything not
-// overridden falls back to the reference kernels through the engine,
-// exactly like the real Node backend falls back for ops the C API does
-// not expose.
+// to optimized code — here a cache-blocked packed GEMM core and loops
+// sharded across a persistent worker pool that stand in for the vendored
+// BLAS/Eigen kernels. Everything not overridden falls back to the
+// reference kernels through the engine, exactly like the real Node backend
+// falls back for ops the C API does not expose.
 package native
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -28,56 +25,16 @@ import (
 	"repro/internal/tensor"
 )
 
-// EnvWorkers is the environment variable overriding the worker-pool size,
-// mirroring how the Node.js backend respects the libuv/OMP thread knobs
-// instead of hardcoding the host core count.
-const EnvWorkers = "TFJS_NUM_WORKERS"
-
-// EnvPool disables the data-plane buffer recycler when set to "off" or "0"
-// (pooling is on by default for this backend).
-const EnvPool = "TFJS_POOL"
-
-// EnvPoolPoison enables NaN-scribbling of freed buffers when set to a
-// non-empty value other than "off"/"0". Race-detector builds default it on.
-const EnvPoolPoison = "TFJS_POOL_POISON"
-
-func envOff(key string) bool {
-	s := os.Getenv(key)
-	return s == "off" || s == "0"
-}
-
-// defaultPooling reports whether the recycler starts enabled.
-func defaultPooling() bool { return !envOff(EnvPool) }
-
-// defaultPoison reports whether poison mode starts enabled: explicitly via
-// TFJS_POOL_POISON, or implicitly in race-detector builds so lifetime bugs
-// fail loudly exactly where data races would.
-func defaultPoison() bool {
-	if s := os.Getenv(EnvPoolPoison); s != "" {
-		return !envOff(EnvPoolPoison)
-	}
-	return bufpool.RaceEnabled
-}
-
-// DefaultWorkers resolves the initial worker count: TFJS_NUM_WORKERS when
-// set to a positive integer, else the host core count.
-func DefaultWorkers() int {
-	if s := os.Getenv(EnvWorkers); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return runtime.NumCPU()
-}
+// DefaultWorkers is the initial worker count: GOMAXPROCS, the bound Go
+// already lets an operator set on how many chunks can run at once.
+func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // Backend is the optimized host backend. It embeds the plain CPU storage
 // plane; only kernel execution differs.
 type Backend struct {
 	*cpu.Backend
-	workers  atomic.Int64
-	gemm     exec.GEMMMode
-	stepCost atomic.Int64 // plan-step flops-per-element hint; 0 = unset
-	// stepHint is the widened per-step hint: static flops plus the step's
+	workers atomic.Int64
+	// stepHint is the per-plan-step hint: static flops plus the step's
 	// rolling measured-cost account. Published by the graph executor with
 	// one atomic store per step; parallelFor reads it to pick the grain
 	// source and to feed per-chunk timings back into the account.
@@ -88,60 +45,45 @@ type Backend struct {
 	// shape-copy allocations of the OverrideKernel contract.
 	plans map[string]planKernel
 
-	// Scratch recyclers for kernel-internal temporaries (GEMM pack panels,
-	// int8 activation codes, int32 accumulators). Always active — they
-	// replace the former package-global sync.Pools with per-backend (and so
-	// per-replica) free lists — and independent of the data-plane Pooling
-	// flag; only poison mode is shared.
-	scratchF32 *bufpool.Pool[float32]
-	scratchI8  *bufpool.Pool[int8]
-	scratchI32 *bufpool.Pool[int32]
+	// scratchF32 recycles kernel-internal temporaries (GEMM pack panels):
+	// a per-backend (and so per-replica) free list, independent of whether
+	// the data plane pools; only poison mode is shared.
+	scratchF32 *bufpool.Pool
 
-	// packCache holds per-weight preprocessed forms keyed by the weight's
-	// DataID: int8 quantized codes for the quantized kernels, and the
-	// cache-blocked panel layout for the packed GEMM core. Weights are
-	// written once and immutable thereafter, so entries stay valid until
-	// the data is disposed (see DisposeData).
+	// packCache holds the cache-blocked panel layout of each weight the
+	// packed GEMM core has multiplied by, keyed by the weight's DataID.
+	// Weights are written once and immutable thereafter, so entries stay
+	// valid until the data is disposed (see DisposeData).
 	packMu    sync.Mutex
-	packCache map[tensor.DataID]*packedForms
-}
-
-// packedForms collects the preprocessed forms of one immutable weight
-// buffer, each filled lazily on first use by its compute path.
-type packedForms struct {
-	quant *quantWeights
-	gemmB *packedB
+	packCache map[tensor.DataID]packedB
 }
 
 // New returns the native backend.
 func New() *Backend {
 	b := &Backend{
 		Backend:    cpu.NewNamed("node"),
-		gemm:       exec.GEMMPacked,
-		packCache:  map[tensor.DataID]*packedForms{},
-		scratchF32: bufpool.New[float32](),
-		scratchI8:  bufpool.New[int8](),
-		scratchI32: bufpool.New[int32](),
+		packCache:  map[tensor.DataID]packedB{},
+		scratchF32: bufpool.New(),
 	}
 	b.workers.Store(int64(DefaultWorkers()))
-	b.EnablePooling(defaultPooling())
-	b.SetPoolPoison(defaultPoison())
+	b.EnablePooling(true)
+	// Poison defaults on in race-detector builds, so lifetime bugs fail
+	// loudly exactly where data races would.
+	b.SetPoolPoison(bufpool.RaceEnabled)
 	b.initKernels()
 	return b
 }
 
 // SetPoolPoison toggles poison mode on the data-plane recycler and the
-// kernel scratch pools together.
+// kernel scratch pool together.
 func (b *Backend) SetPoolPoison(on bool) {
 	b.Backend.SetPoolPoison(on)
 	b.scratchF32.SetPoison(on)
-	b.scratchI8.SetPoison(on)
-	b.scratchI32.SetPoison(on)
 }
 
 // SetWorkers sets the intra-op parallelism budget: how many chunks of one
 // kernel may execute concurrently (the caller plus helpers drawn from the
-// shared pool). Values < 1 reset to the environment/core-count default.
+// shared pool). Values < 1 reset to DefaultWorkers.
 // Safe to call at any time; results are bit-identical across settings.
 func (b *Backend) SetWorkers(n int) {
 	if n < 1 {
@@ -156,54 +98,28 @@ func (b *Backend) Workers() int { return int(b.workers.Load()) }
 // ApplyExecConfig implements exec.Configurable: the one entry point
 // through which tf.ConfigureExec, graphmodel options and serving model
 // options reach the backend.
-// Only explicitly-set fields act: Workers == 0 and GEMM == "" mean "leave
-// the backend as configured" (a zero exec.Config is a no-op), so loading a
-// model with default options never stomps a prior ConfigureExec. Pass a
-// negative worker count to reset to the backend default.
+// Only explicitly-set fields act: Workers == 0 means "leave the backend as
+// configured" (a zero exec.Config is a no-op), so loading a model with
+// default options never stomps a prior ConfigureExec. Pass a negative
+// worker count to reset to the backend default.
 func (b *Backend) ApplyExecConfig(c exec.Config) {
 	if c.Workers != 0 {
 		b.SetWorkers(c.Workers)
-	}
-	if c.GEMM != "" {
-		b.gemm = c.GEMM
-	}
-	if c.Pooling != nil {
-		b.EnablePooling(*c.Pooling)
 	}
 	if c.PoolPoison != nil {
 		b.SetPoolPoison(*c.PoolPoison)
 	}
 }
 
-// GEMM reports the active matmul core ("packed" or "naive").
-func (b *Backend) GEMM() exec.GEMMMode { return b.gemm }
+// SetStepHint implements exec.StepHintSetter: the graph executor
+// publishes the compiled plan step's hint before running each kernel.
+func (b *Backend) SetStepHint(h *exec.StepHint) { b.stepHint.Store(h) }
 
-// SetStepCost implements exec.StepHinter: the graph executor sets the
-// compiled plan step's flops-per-element estimate before running each
-// kernel, and parallelFor folds it into the chunk grain for kernels that
-// have no better local estimate.
-func (b *Backend) SetStepCost(flopsPerElement int) {
-	b.stepHint.Store(nil)
-	b.stepCost.Store(int64(flopsPerElement))
-}
-
-// SetStepHint implements exec.StepHintSetter: the widened per-step hint.
-// The legacy stepCost mirror keeps costPerElem (and kernels that consult
-// it directly) working unchanged.
-func (b *Backend) SetStepHint(h *exec.StepHint) {
-	b.stepHint.Store(h)
-	if h == nil {
-		b.stepCost.Store(0)
-		return
-	}
-	b.stepCost.Store(int64(h.Flops))
-}
-
-// costPerElem returns the plan-step cost hint when one is set, else the
-// kernel's own estimate.
+// costPerElem returns the plan step's flops-per-element hint when one is
+// set, else the kernel's own estimate.
 func (b *Backend) costPerElem(local int) int {
-	if h := int(b.stepCost.Load()); h > 0 {
-		return h
+	if h := b.stepHint.Load(); h != nil && h.Flops > 0 {
+		return h.Flops
 	}
 	if local < 1 {
 		return 1
@@ -248,17 +164,16 @@ func (b *Backend) RunPlanKernel(name string, inputs []kernels.Input, attrs kerne
 	return true, k(inputs, attrs, out)
 }
 
-// Memory folds the scratch recyclers into the embedded storage plane's
+// Memory folds the scratch recycler into the embedded storage plane's
 // snapshot so /metrics sees the full pooled footprint.
 func (b *Backend) Memory() kernels.MemoryInfo {
 	info := b.Backend.Memory()
-	for _, st := range []bufpool.Stats{b.scratchF32.Stats(), b.scratchI8.Stats(), b.scratchI32.Stats()} {
-		info.FreeBuffers += st.FreeBuffers
-		info.PoolBytes += st.PoolBytes
-		info.PoolHits += st.Hits
-		info.PoolMisses += st.Misses
-		info.RecycledBytes += st.RecycledBytes
-	}
+	st := b.scratchF32.Stats()
+	info.FreeBuffers += st.FreeBuffers
+	info.PoolBytes += st.PoolBytes
+	info.PoolHits += st.Hits
+	info.PoolMisses += st.Misses
+	info.RecycledBytes += st.RecycledBytes
 	return info
 }
 
@@ -278,6 +193,5 @@ var (
 	_ kernels.Recycler     = (*Backend)(nil)
 	_ kernels.PlanExecutor = (*Backend)(nil)
 	_ exec.Configurable    = (*Backend)(nil)
-	_ exec.StepHinter      = (*Backend)(nil)
 	_ exec.StepHintSetter  = (*Backend)(nil)
 )

@@ -3,6 +3,7 @@ package native_test
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -162,23 +163,22 @@ func TestNativeTrainingParity(t *testing.T) {
 	}
 }
 
+// TestWorkersConfiguration: the worker budget defaults to GOMAXPROCS — the
+// bound Go already lets an operator set — and SetWorkers(<1) returns to it.
 func TestWorkersConfiguration(t *testing.T) {
-	t.Setenv(native.EnvWorkers, "3")
+	if got, want := native.DefaultWorkers(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("DefaultWorkers() = %d, want GOMAXPROCS = %d", got, want)
+	}
 	b := native.New()
-	if got := b.Workers(); got != 3 {
-		t.Fatalf("TFJS_NUM_WORKERS=3: Workers() = %d, want 3", got)
+	if got := b.Workers(); got != native.DefaultWorkers() {
+		t.Fatalf("New(): Workers() = %d, want %d", got, native.DefaultWorkers())
 	}
 	b.SetWorkers(7)
 	if got := b.Workers(); got != 7 {
 		t.Fatalf("SetWorkers(7): Workers() = %d, want 7", got)
 	}
-	b.SetWorkers(-1) // reset to env default
-	if got := b.Workers(); got != 3 {
-		t.Fatalf("SetWorkers(-1): Workers() = %d, want env default 3", got)
-	}
-
-	t.Setenv(native.EnvWorkers, "bogus")
-	if got := native.DefaultWorkers(); got < 1 {
-		t.Fatalf("DefaultWorkers() with bogus env = %d, want >= 1", got)
+	b.SetWorkers(-1)
+	if got := b.Workers(); got != native.DefaultWorkers() {
+		t.Fatalf("SetWorkers(-1): Workers() = %d, want default %d", got, native.DefaultWorkers())
 	}
 }

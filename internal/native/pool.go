@@ -141,10 +141,7 @@ func (b *Backend) parallelFor(n, costPerItem int, fn func(lo, hi int)) {
 	}
 	if grain <= 0 {
 		if costPerItem <= 0 {
-			costPerItem = int(b.stepCost.Load())
-			if costPerItem <= 0 {
-				costPerItem = 1
-			}
+			costPerItem = b.costPerElem(1)
 		}
 		grain = chunkFlops / costPerItem
 	}

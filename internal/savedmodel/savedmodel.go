@@ -38,14 +38,6 @@ type Weight struct {
 	Shape  []int     `json:"shape"`
 	DType  string    `json:"dtype"`
 	Values []float32 `json:"-"` // serialized via the weight shards, not JSON
-
-	// Int8Scales, when non-nil, records that this weight was stored with
-	// per-channel symmetric int8 quantization (channel = innermost dim;
-	// Values[i] = code·Int8Scales[i % len(Int8Scales)]). The decoded f32
-	// values are exact, so execution is unaffected by default — but the
-	// quantized-compute optimizer pass uses the scales to rewrite
-	// eligible consumers onto the int8 kernels.
-	Int8Scales []float32 `json:"-"`
 }
 
 // GraphDef is the SavedModel stand-in.
@@ -134,7 +126,6 @@ func (g *GraphDef) Clone() *GraphDef {
 	for name, w := range g.Weights {
 		cw := *w
 		cw.Shape = append([]int(nil), w.Shape...)
-		cw.Int8Scales = append([]float32(nil), w.Int8Scales...)
 		c.Weights[name] = &cw
 	}
 	return c

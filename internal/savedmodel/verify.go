@@ -235,7 +235,7 @@ func (v *verifier) infer(n *NodeDef, ins []valueInfo) valueInfo {
 		}
 		return valueInfo{shape: out, dtype: "float32"}
 
-	case "MatMul", "_FusedMatMul", "_QuantizedFusedMatMul":
+	case "MatMul", "_FusedMatMul":
 		if !v.arity(n, ins, 2, 3) {
 			return unknown
 		}
@@ -245,10 +245,6 @@ func (v *verifier) infer(n *NodeDef, ins []valueInfo) valueInfo {
 		}
 		v.requireFloat32(n, ins)
 		ta, tb := vAttrBool(attrs, "transpose_a"), vAttrBool(attrs, "transpose_b")
-		if n.Op == "_QuantizedFusedMatMul" && (ta || tb) {
-			v.errf(n, "", "quantized matmul does not support transposed operands")
-			return unknown
-		}
 		m, ka := matDims(ins[0].shape, ta)
 		kb, nn := matDims(ins[1].shape, tb)
 		for i := 0; i < 2; i++ {
@@ -269,12 +265,9 @@ func (v *verifier) infer(n *NodeDef, ins []valueInfo) valueInfo {
 			}
 			v.checkActivation(n, attrs)
 		}
-		if n.Op == "_QuantizedFusedMatMul" {
-			v.checkWScales(n, attrs, nn)
-		}
 		return valueInfo{shape: []int{m, nn}, dtype: "float32"}
 
-	case "Conv2D", "DepthwiseConv2dNative", "FusedConv2D", "FusedDepthwiseConv2dNative", "QuantizedFusedConv2D":
+	case "Conv2D", "DepthwiseConv2dNative", "FusedConv2D", "FusedDepthwiseConv2dNative":
 		fused := n.Op != "Conv2D" && n.Op != "DepthwiseConv2dNative"
 		depthwise := n.Op == "DepthwiseConv2dNative" || n.Op == "FusedDepthwiseConv2dNative"
 		if fused {
@@ -294,9 +287,6 @@ func (v *verifier) infer(n *NodeDef, ins []valueInfo) valueInfo {
 				v.checkBias(n, 2, ins[2], outC)
 			}
 			v.checkActivation(n, attrs)
-		}
-		if n.Op == "QuantizedFusedConv2D" {
-			v.checkWScales(n, attrs, outC)
 		}
 		return valueInfo{shape: out, dtype: "float32"}
 
@@ -484,27 +474,6 @@ func (v *verifier) checkBias(n *NodeDef, i int, bias valueInfo, outC int) {
 	}
 	if s[0] != DimUnknown && outC != DimUnknown && s[0] != outC {
 		v.errf(n, inputName(n, i), "shape mismatch: bias has %d channels, output has %d", s[0], outC)
-	}
-}
-
-// checkWScales validates the quantized kernels' mandatory per-channel
-// weight-scale attribute: present, and one positive scale per output
-// channel when the channel count is known.
-func (v *verifier) checkWScales(n *NodeDef, attrs map[string]any, outC int) {
-	scales, ok := vAttrFloats(attrs, "wScales")
-	if !ok || len(scales) == 0 {
-		v.errf(n, "", "quantized kernel needs a wScales attr (one scale per output channel)")
-		return
-	}
-	if outC != DimUnknown && len(scales) != outC {
-		v.errf(n, "", "shape mismatch: wScales has %d entries, output has %d channels", len(scales), outC)
-		return
-	}
-	for i, s := range scales {
-		if !(s > 0) {
-			v.errf(n, "", "wScales[%d] = %v, want > 0", i, s)
-			return
-		}
 	}
 }
 
@@ -741,24 +710,6 @@ func vAttrInts(attrs map[string]any, key string) ([]int, bool) {
 			default:
 				return nil, false
 			}
-		}
-		return out, true
-	}
-	return nil, false
-}
-
-func vAttrFloats(attrs map[string]any, key string) ([]float32, bool) {
-	switch v := attrs[key].(type) {
-	case []float32:
-		return v, true
-	case []any:
-		out := make([]float32, len(v))
-		for i, e := range v {
-			f, ok := e.(float64)
-			if !ok {
-				return nil, false
-			}
-			out[i] = float32(f)
 		}
 		return out, true
 	}

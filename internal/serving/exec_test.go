@@ -13,36 +13,31 @@ import (
 	"repro/internal/savedmodel"
 )
 
-// TestExecOptionsPrecedence: the deprecated Disable* booleans seed the
-// model's execution config, and the Exec option list overrides them —
-// callers on the unified surface always win.
+// TestExecOptionsPrecedence: ModelOptions.Exec is the model's whole
+// execution config — later options win, unset ones keep their defaults.
 func TestExecOptionsPrecedence(t *testing.T) {
-	m := newModel("m", ModelOptions{DisableOptimize: true, DisableVerify: true})
-	if m.exec.OptimizeOn() || m.exec.VerifyOn() {
-		t.Fatalf("legacy booleans ignored: OptimizeOn=%v VerifyOn=%v", m.exec.OptimizeOn(), m.exec.VerifyOn())
-	}
-
-	m = newModel("m", ModelOptions{
-		DisableOptimize: true,
-		Exec:            []exec.Option{exec.WithOptimize(true)},
-	})
-	if !m.exec.OptimizeOn() {
-		t.Fatal("explicit Exec optimize setting must override DisableOptimize")
-	}
-
-	m = newModel("m", ModelOptions{Exec: []exec.Option{
-		exec.WithWorkers(2), exec.WithGEMM(exec.GEMMNaive), exec.WithQuantizedCompute(true),
-	}})
-	if m.exec.Workers != 2 || m.exec.GEMM != exec.GEMMNaive || !m.exec.QuantizedCompute {
-		t.Fatalf("Exec options lost in resolution: %+v", m.exec)
-	}
+	m := newModel("m", ModelOptions{})
 	if !m.exec.OptimizeOn() || !m.exec.VerifyOn() {
 		t.Fatal("unset optimize/verify must stay on")
 	}
+
+	m = newModel("m", ModelOptions{Exec: []exec.Option{
+		exec.WithOptimize(false), exec.WithVerify(false), exec.WithOptimize(true),
+	}})
+	if !m.exec.OptimizeOn() || m.exec.VerifyOn() {
+		t.Fatalf("later option must win: OptimizeOn=%v VerifyOn=%v", m.exec.OptimizeOn(), m.exec.VerifyOn())
+	}
+
+	m = newModel("m", ModelOptions{Exec: []exec.Option{
+		exec.WithWorkers(2), exec.WithCostModel(exec.CostModelMeasured),
+	}})
+	if m.exec.Workers != 2 || !m.exec.MeasuredCost() {
+		t.Fatalf("Exec options lost in resolution: %+v", m.exec)
+	}
 }
 
-// TestQuantizedReplicatedServing: an int8 artifact served by a replica
-// pool with quantized compute and an explicit worker budget. Heavy
+// TestQuantizedReplicatedServing: a 1-byte-quantized artifact served by a
+// replica pool with an explicit worker budget. Heavy
 // concurrent traffic doubles as the race-detector workout for the
 // worker pool + replica pool combination.
 func TestQuantizedReplicatedServing(t *testing.T) {
@@ -59,22 +54,17 @@ func TestQuantizedReplicatedServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := converter.NewMemStore()
-	if _, err := converter.Convert(g, store, converter.Options{
-		QuantizationScheme: converter.QuantizationInt8,
-	}); err != nil {
+	if _, err := converter.Convert(g, store, converter.Options{QuantizationBytes: 1}); err != nil {
 		t.Fatal(err)
 	}
 
 	reg := NewRegistry()
 	defer reg.Close()
-	m, err := reg.Load("mnet-int8", store, ModelOptions{
+	m, err := reg.Load("mnet-uint8", store, ModelOptions{
 		Backend:  "node",
 		Replicas: 3,
 		Batching: Config{MaxBatchSize: 4, BatchTimeout: 5 * time.Millisecond, QueueSize: 64},
-		Exec: []exec.Option{
-			exec.WithQuantizedCompute(true),
-			exec.WithWorkers(2),
-		},
+		Exec:     []exec.Option{exec.WithWorkers(2)},
 	})
 	if err != nil {
 		t.Fatal(err)

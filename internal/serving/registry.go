@@ -70,24 +70,10 @@ type ModelOptions struct {
 	// entirely (every request competes only at the bounded queue).
 	Tenants map[string]int
 	// Exec carries the execution configuration applied to this model's
-	// load and to each replica's backend: worker budget, GEMM core,
-	// quantized compute, and the optimize/verify gates. One option list,
-	// the same surface as tf.LoadGraphModel and tf.ConfigureExec.
+	// load and to each replica's backend: worker budget, cost model, and
+	// the optimize/verify gates. One option list, the same surface as
+	// tf.LoadGraphModel and tf.ConfigureExec.
 	Exec []exec.Option
-	// DisableOptimize loads graph models with the load-time graph
-	// optimizer off: no operator fusion, no folding, no compiled-plan
-	// rewrites beyond attr decoding.
-	//
-	// Deprecated: use Exec with exec.WithOptimize(false). An explicit
-	// Exec optimize setting overrides this field.
-	DisableOptimize bool
-	// DisableVerify loads graph models with the load-time static
-	// shape/dtype verifier off: inconsistent models surface errors at the
-	// first request instead of being rejected at Load.
-	//
-	// Deprecated: use Exec with exec.WithVerify(false). An explicit Exec
-	// verify setting overrides this field.
-	DisableVerify bool
 }
 
 // Model is one served model version: scheduler, metrics and lifecycle
@@ -460,20 +446,10 @@ func newModel(name string, opts ModelOptions) *Model {
 		// replica for the duration of a batch.
 		cfg.Workers = opts.Replicas
 	}
-	// Resolve the execution config: the deprecated Disable* booleans seed
-	// the defaults, then the Exec option list overrides — so callers on the
-	// new surface always win.
-	var shim []exec.Option
-	if opts.DisableOptimize {
-		shim = append(shim, exec.WithOptimize(false))
-	}
-	if opts.DisableVerify {
-		shim = append(shim, exec.WithVerify(false))
-	}
 	m := &Model{
 		name:     name,
 		backend:  backend,
-		exec:     exec.Make(append(shim, opts.Exec...)...),
+		exec:     exec.Make(opts.Exec...),
 		replicas: opts.Replicas,
 		cfg:      cfg,
 		metrics:  NewMetrics(),

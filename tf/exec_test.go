@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/converter"
 	"repro/internal/models"
 	"repro/tf"
 )
@@ -16,7 +15,7 @@ func TestConfigureExecFlowsToNodeBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() {
-		if err := tf.ConfigureExec(tf.WithWorkers(-1), tf.WithGEMM(tf.GEMMPacked)); err != nil {
+		if err := tf.ConfigureExec(tf.WithWorkers(-1), tf.WithCostModel(tf.CostModelStatic)); err != nil {
 			t.Fatal(err)
 		}
 	}()
@@ -28,35 +27,29 @@ func TestConfigureExecFlowsToNodeBackend(t *testing.T) {
 		t.Fatalf("NumWorkers = %d after ConfigureExec(WithWorkers(3))", got)
 	}
 	// A later call touching a different knob must not disturb workers.
-	if err := tf.ConfigureExec(tf.WithGEMM(tf.GEMMNaive)); err != nil {
+	if err := tf.ConfigureExec(tf.WithCostModel(tf.CostModelMeasured)); err != nil {
 		t.Fatal(err)
 	}
 	if got := tf.NumWorkers(); got != 3 {
 		t.Fatalf("NumWorkers = %d, want 3 preserved across unrelated ConfigureExec", got)
 	}
 	cfg := tf.ExecConfigured()
-	if cfg.Workers != 3 || cfg.GEMM != tf.GEMMNaive {
-		t.Fatalf("accumulated config %+v, want Workers=3 GEMM=naive", cfg)
+	if cfg.Workers != 3 || cfg.CostModel != tf.CostModelMeasured {
+		t.Fatalf("accumulated config %+v, want Workers=3 CostModel=measured", cfg)
 	}
 	// Invalid configs are rejected at the edge and change nothing.
-	if err := tf.ConfigureExec(tf.WithGEMM("blocked")); err == nil {
-		t.Fatal("unknown GEMM mode must be rejected")
+	if err := tf.ConfigureExec(tf.WithCostModel("guessed")); err == nil {
+		t.Fatal("unknown cost model must be rejected")
 	}
-	if got := tf.ExecConfigured(); got.GEMM != tf.GEMMNaive {
-		t.Fatalf("rejected config must not apply, got GEMM %q", got.GEMM)
-	}
-
-	// The deprecated shim forwards to the same state.
-	tf.Configure(tf.Config{Workers: 5})
-	if got := tf.NumWorkers(); got != 5 {
-		t.Fatalf("NumWorkers = %d after deprecated Configure, want 5", got)
+	if got := tf.ExecConfigured(); got.CostModel != tf.CostModelMeasured {
+		t.Fatalf("rejected config must not apply, got cost model %q", got.CostModel)
 	}
 }
 
-// TestQuantizedModelStillPredictsReasonably is the end-to-end int8 gate:
-// a MobileNet classifier converted with the int8 scheme and loaded with
-// quantized compute must quantize its conv stack and rank classes the
-// same way the f32 model does.
+// TestQuantizedModelStillPredictsReasonably is the end-to-end gate for the
+// converter's 1-byte weight transport encoding (§5.1) through the facade:
+// a MobileNet classifier converted with -quantize 1 must be 4× smaller,
+// load with tf.LoadGraphModel and rank classes the way the f32 model does.
 func TestQuantizedModelStillPredictsReasonably(t *testing.T) {
 	if err := tf.SetBackend("node"); err != nil {
 		t.Fatal(err)
@@ -73,12 +66,17 @@ func TestQuantizedModelStillPredictsReasonably(t *testing.T) {
 	}
 
 	f32Store := tf.NewMemStore()
-	if _, err := tf.Convert(g, f32Store, tf.ConvertOptions{}); err != nil {
+	f32Res, err := tf.Convert(g, f32Store, tf.ConvertOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	int8Store := tf.NewMemStore()
-	if _, err := tf.Convert(g, int8Store, tf.ConvertOptions{QuantizationScheme: converter.QuantizationInt8}); err != nil {
+	u8Store := tf.NewMemStore()
+	u8Res, err := tf.Convert(g, u8Store, tf.ConvertOptions{QuantizationBytes: 1})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if u8Res.WeightBytes*4 != f32Res.WeightBytes {
+		t.Fatalf("uint8 artifact should be exactly 4x smaller: %d vs %d", u8Res.WeightBytes, f32Res.WeightBytes)
 	}
 
 	fm, err := tf.LoadGraphModel(f32Store)
@@ -86,14 +84,11 @@ func TestQuantizedModelStillPredictsReasonably(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fm.Dispose()
-	qm, err := tf.LoadGraphModel(int8Store, tf.WithQuantizedCompute(true))
+	qm, err := tf.LoadGraphModel(u8Store)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer qm.Dispose()
-	if n := qm.OptimizeStats().QuantizedOps; n == 0 {
-		t.Fatal("no op was rewritten to the int8 kernels")
-	}
 
 	// A deterministic synthetic image.
 	vals := make([]float32, 96*96*3)
@@ -124,16 +119,16 @@ func TestQuantizedModelStillPredictsReasonably(t *testing.T) {
 	}
 	// Synthetic weights give near-uniform scores, so the top classes can
 	// be statistically tied; "still predicts reasonably" means the f32
-	// winner stays within noise of the int8 winner, and every class
-	// probability survives within the int8 error envelope.
+	// winner stays within noise of the quantized winner, and every class
+	// probability survives within the 8-bit error envelope.
 	top := argmax(want)
 	if gap := got[argmax(got)] - got[top]; float64(gap) > 0.01 {
-		t.Fatalf("f32 top-1 class %d fell %g behind int8 winner %d: %v vs %v",
+		t.Fatalf("f32 top-1 class %d fell %g behind uint8 winner %d: %v vs %v",
 			top, gap, argmax(got), got, want)
 	}
 	for i := range want {
 		if diff := math.Abs(float64(got[i] - want[i])); diff > 0.05 {
-			t.Fatalf("class %d: int8 %g vs f32 %g (diff %g)", i, got[i], want[i], diff)
+			t.Fatalf("class %d: uint8 %g vs f32 %g (diff %g)", i, got[i], want[i], diff)
 		}
 	}
 }

@@ -44,37 +44,8 @@ func Convert(g *GraphDef, store ArtifactStore, opts ConvertOptions) (*ConvertRes
 	return converter.Convert(g, store, opts)
 }
 
-// GraphModelOption configures LoadModel.
-//
-// Deprecated: use LoadGraphModel with ExecOption values (WithOptimize,
-// WithVerify, WithWorkers, WithGEMM, WithQuantizedCompute).
-type GraphModelOption = graphmodel.Option
-
 // OptimizeStats reports what the load-time graph optimizer did.
 type OptimizeStats = graphmodel.OptimizeStats
-
-// WithGraphOptimize enables or disables the load-time graph optimizer
-// (operator fusion, batch-norm/constant folding, pruning); on by default.
-//
-// Deprecated: use WithOptimize with LoadGraphModel.
-func WithGraphOptimize(enabled bool) GraphModelOption { return graphmodel.WithOptimize(enabled) }
-
-// WithGraphVerify enables or disables load-time static shape/dtype
-// verification of the execution graph (on by default): rank- or
-// dtype-inconsistent models are rejected with a node-and-edge diagnostic
-// at LoadModel instead of failing at the first Predict.
-//
-// Deprecated: use WithVerify with LoadGraphModel.
-func WithGraphVerify(enabled bool) GraphModelOption { return graphmodel.WithVerify(enabled) }
-
-// LoadModel loads a converted model from an artifact store —
-// tf.loadModel(url) (Section 5.1).
-//
-// Deprecated: use LoadGraphModel, which takes the unified ExecOption
-// surface instead of graph-model-specific options.
-func LoadModel(store ArtifactStore, opts ...GraphModelOption) (*GraphModel, error) {
-	return graphmodel.Load(store, opts...)
-}
 
 // ---------------------------------------------------------------------------
 // Models repository (Section 5.2)

@@ -114,17 +114,6 @@ func LeakCheck(fn func()) (*LeakReport, error) {
 	return rep, nil
 }
 
-// Config carries process-wide tuning knobs applied by Configure.
-//
-// Deprecated: use ConfigureExec with WithWorkers — the one execution
-// configuration shared by LoadGraphModel, serving and the CLIs.
-type Config struct {
-	// Workers sets the goroutine fan-out of the "node" backend's parallel
-	// kernels. 0 leaves the current value; negative resets to the default
-	// (TFJS_NUM_WORKERS env, else the host core count).
-	Workers int
-}
-
 var (
 	nodeMu      sync.Mutex
 	nodeBackend *native.Backend
@@ -140,19 +129,6 @@ func newNodeBackend() *native.Backend {
 	b.ApplyExecConfig(pendingExec)
 	nodeBackend = b
 	return b
-}
-
-// Configure applies the config to the process: the worker count takes
-// effect on the live "node" backend immediately and is remembered for a
-// backend instantiated later. The TFJS_NUM_WORKERS environment variable
-// provides the same knob without code changes.
-//
-// Deprecated: use ConfigureExec(WithWorkers(n)).
-func Configure(c Config) {
-	if c.Workers != 0 {
-		//lint:ignore operr the legacy signature returns nothing, and a workers-only config always validates
-		_ = ConfigureExec(WithWorkers(c.Workers))
-	}
 }
 
 // NumWorkers reports the "node" backend's current worker-pool size (the
