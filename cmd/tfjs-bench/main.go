@@ -11,7 +11,8 @@
 //	tfjs-bench ladder    — native acceleration ladder: packed ×1 →
 //	                       packed ×N → measured-cost ×N, with the
 //	                       measured-vs-static bit-identity gate
-//	tfjs-bench overhead  — continuous profiler: QPS with profiling on vs off,
+//	tfjs-bench overhead  — telemetry cost: QPS with the server's observers and
+//	                       profiling on vs nothing attached and profiling off,
 //	                       exit nonzero beyond -overhead-budget (CI gate)
 //	tfjs-bench all       — the paper tables and figures above
 //
@@ -34,11 +35,12 @@
 //
 // The serving benchmark is bench/ (BENCHMARK.json): `bash bench/run.sh`.
 //
-// The overhead command is the profiler's cost gate: it interleaves
-// serving rounds with profiling enabled and hard-disabled, compares
-// median QPS, and exits nonzero when the loss exceeds -overhead-budget
-// (default 3%) — CI runs it blocking. For fusion, ladder and overhead, -out
-// writes the measured numbers as JSON.
+// The overhead command is telemetry's cost gate: it alternates serving
+// rounds with exactly serving.NewServer's observers attached and profiling
+// enabled against rounds with an inactive hub and profiling disabled, ten
+// pairs, and exits nonzero when the median per-pair QPS loss exceeds
+// -overhead-budget (default 3%) — CI runs it blocking. For fusion, ladder
+// and overhead, -out writes the measured numbers as JSON.
 package main
 
 import (
@@ -59,7 +61,7 @@ func main() {
 	runs := flag.Int("runs", 10, "inference runs to average (paper: 100)")
 	out := flag.String("out", "", "fusion/ladder/overhead: write measured results as JSON to this file")
 	costModel := flag.String("cost-model", "static", "overhead: parallelism cost source, static or measured")
-	overheadBudget := flag.Float64("overhead-budget", 3.0, "overhead: max profiler QPS overhead in percent before exiting nonzero")
+	overheadBudget := flag.Float64("overhead-budget", 3.0, "overhead: max median telemetry QPS overhead in percent before exiting nonzero")
 	traceDir := flag.String("tracedir", "", "fusion: write trace_fusion_{on,off}.json Chrome traces to this directory")
 	flag.Parse()
 	if cm := tf.CostModel(*costModel); cm != tf.CostModelStatic && cm != tf.CostModelMeasured {

@@ -142,7 +142,7 @@ func main() {
 	remove := tf.WithTelemetry(stats, rec)
 	span := fmt.Sprintf("mobilenet_a%.2f_%d:predict", *alpha, *size)
 	for i := 0; i < *runs; i++ {
-		end := tf.EngineOf().Telemetry().BeginSpan(span)
+		end := tf.EngineOf().BeginSpan(span)
 		infer()
 		end()
 	}

@@ -13,8 +13,8 @@ import (
 // The live "top" view: poll a tfjs-serve /metrics endpoint (negotiating
 // the OpenMetrics format) and render a refreshing terminal dashboard —
 // per-model request rate and latency quantiles, per-stage breakdown, and
-// the top-K kernels by measured cost from the server's continuous
-// profiler. QPS comes from counter deltas between consecutive scrapes,
+// the top-K kernels by measured cost from the server's kernel-stats
+// aggregator. QPS comes from counter deltas between consecutive scrapes,
 // so the first frame shows totals only.
 
 // scrape fetches and strictly parses one OpenMetrics exposition.
@@ -137,7 +137,7 @@ func renderStages(out io.Writer, p *telemetry.Parsed) {
 }
 
 // renderKernels prints the top-K kernels by cumulative measured cost from
-// the server's continuous profiler.
+// the server's kernel-stats aggregator.
 func renderKernels(out io.Writer, p *telemetry.Parsed, topK int) {
 	type row struct {
 		kernel           string
@@ -198,8 +198,8 @@ func renderKernels(out io.Writer, p *telemetry.Parsed, topK int) {
 	fmt.Fprintln(out)
 }
 
-// renderProfilerHealth prints the profiler's own counters: events
-// consumed, sampled self-overhead, and trace-ring drops.
+// renderProfilerHealth prints the aggregator's own counters: kernel events
+// measured, sampled self-overhead, and trace-ring drops.
 func renderProfilerHealth(out io.Writer, p *telemetry.Parsed) {
 	events, _ := p.Value("telemetry_profiler_events_total", nil)
 	overheadNS, _ := p.Value("telemetry_profiler_overhead_ns_total", nil)

@@ -6,7 +6,6 @@
 //	syncread      no blocking reads reachable from event-loop callbacks
 //	operr         typed *core.OpError panics; no discarded internal errors
 //	kernelparity  backend/decoder kernel-name literals must agree
-//	enginebind    goroutines must Bind/SpawnReplica before ambient engine use
 //	poolretain    no Raw/ReadSync buffer view may escape the recycler's reach
 //	lockorder     exec lock is outermost; never acquire it under a mutex
 //

@@ -75,12 +75,12 @@ func TestExitCodes(t *testing.T) {
 	})
 
 	t.Run("dirty-fixture-selected-analyzer", func(t *testing.T) {
-		out, code := runVet(t, bin, fixtures, "-run", "enginebind", "./enginebindfix")
+		out, code := runVet(t, bin, fixtures, "-run", "poolretain", "./poolretainfix", "./lockorderfix")
 		if code != 1 {
-			t.Fatalf("enginebind findings must exit 1, got %d:\n%s", code, out)
+			t.Fatalf("poolretain findings must exit 1, got %d:\n%s", code, out)
 		}
-		if !strings.Contains(out, "enginebind:") || strings.Contains(out, "poolretain:") {
-			t.Errorf("expected only enginebind findings:\n%s", out)
+		if !strings.Contains(out, "poolretain:") || strings.Contains(out, "lockorder:") {
+			t.Errorf("expected only poolretain findings:\n%s", out)
 		}
 	})
 

@@ -1,6 +1,6 @@
 // Package analysis is the source-level tier of the tfjs-vet static-analysis
 // suite: a small analyzer framework (stdlib go/parser + go/types only, no
-// external driver) plus seven repo-specific analyzers encoding the paper's
+// external driver) plus six repo-specific analyzers encoding the paper's
 // discipline for a GC-free tensor library:
 //
 //   - tensorleak: every ops.*/tf.* constructor result must be disposed,
@@ -14,9 +14,6 @@
 //     naming the kernel, and module-internal errors may not be discarded.
 //   - kernelparity: kernel registration strings stay consistent across the
 //     reference/native/webgl backends and the graph decoder.
-//   - enginebind: no ambient tensor construction or core.Current() from a
-//     spawned goroutine without Engine.Bind/SpawnReplica/RunExclusive —
-//     the goroutine-bound-engine contract of the serving replica pools.
 //   - poolretain: no backend Raw/ReadSync buffer view escaping into
 //     fields, channels, package vars or exported results, nor read after
 //     DisposeData — stale views the buffer recycler turns into silent
@@ -95,7 +92,7 @@ type Analyzer struct {
 }
 
 // All lists every registered analyzer in reporting order.
-var All = []*Analyzer{TensorLeak, SyncRead, OpErr, KernelParity, EngineBind, PoolRetain, LockOrder}
+var All = []*Analyzer{TensorLeak, SyncRead, OpErr, KernelParity, PoolRetain, LockOrder}
 
 // ByName resolves a comma-separated analyzer list; nil selects All.
 func ByName(names string) ([]*Analyzer, error) {

@@ -148,22 +148,6 @@ func TestSuppressions(t *testing.T) {
 	}
 }
 
-func TestEngineBindFixture(t *testing.T) {
-	got := runFixture(t, "enginebindfix")
-	checkGolden(t, "enginebindfix", got)
-	if n := strings.Count(got, "enginebind:"); n != 4 {
-		t.Errorf("want exactly 4 enginebind findings (2 direct, 2 via helpers), got %d:\n%s", n, got)
-	}
-	if !strings.Contains(got, "core.Current()") || !strings.Contains(got, "allocates on core.Current()") {
-		t.Errorf("expected both Current() and constructor findings:\n%s", got)
-	}
-	for _, clean := range []string{"CleanBind", "CleanExclusive", "CleanReplica", "CleanSynchronous"} {
-		if strings.Contains(got, clean) {
-			t.Errorf("false positive mentioning %s:\n%s", clean, got)
-		}
-	}
-}
-
 func TestPoolRetainFixture(t *testing.T) {
 	got := runFixture(t, "poolretainfix")
 	checkGolden(t, "poolretainfix", got)

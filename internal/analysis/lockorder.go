@@ -216,3 +216,14 @@ func sameLockFrame(stack []ast.Node, body ast.Node) bool {
 	}
 	return true
 }
+
+// isEngineMethodCall reports whether call invokes the named method on
+// core.Engine.
+func isEngineMethodCall(info *types.Info, call *ast.CallExpr, name string) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != name {
+		return false
+	}
+	s, ok := info.Selections[sel]
+	return ok && isNamed(s.Recv(), "internal/core", "Engine")
+}

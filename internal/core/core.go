@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/gid"
 	"repro/internal/jsenv"
 	"repro/internal/kernels"
 	"repro/internal/telemetry"
@@ -86,6 +85,12 @@ type Engine struct {
 	// debug-mode NaN check.
 	hub *telemetry.Hub
 
+	// span is the model span open on this engine (BeginSpan), nil when
+	// none: the Span of every event the engine emits. Atomic because a
+	// readback on another goroutine may emit while an execution opens or
+	// closes its span.
+	span atomic.Pointer[telemetry.Span]
+
 	// debugOn gates the NaN-checking debug mode inside the instrumented
 	// path. The dispatch-time gate itself is hub.Active() alone: enabling
 	// debug mode registers a no-op observer on the hub (debugRemove), so
@@ -113,10 +118,9 @@ type Engine struct {
 	// isGlobalEngine marks the process-global engine. Set once inside
 	// Global()'s sync.Once before the engine is published, so it needs no
 	// synchronization. Non-global engines stamp themselves as the owner
-	// of the tensors they register (tensor.SetOwner) and bind themselves
-	// to the executing goroutine in RunExclusive; the global engine skips
-	// both, keeping the single-engine path identical to before replicas
-	// existed.
+	// of the tensors they register (tensor.SetOwner) so reads and disposal
+	// reach their registry; the global engine is the default handler and
+	// skips that.
 	isGlobalEngine bool
 }
 
@@ -160,56 +164,40 @@ func Global() *Engine {
 }
 
 // ---------------------------------------------------------------------------
-// Goroutine-bound engine resolution
+// Engines are passed, not looked up
 //
-// The ops package (and everything built on it: compiled graph plans, the
-// layers runtime) resolves "the current engine" ambiently rather than
-// threading an *Engine through every call. With a single global engine
-// that resolution is trivial; with replica engines it is goroutine-scoped:
-// RunExclusive on a non-global engine binds the engine to the calling
-// goroutine for the duration of the exclusive section, and Current()
-// consults that binding. The boundCount fast path keeps the common
-// single-engine process at one atomic load per resolution — no stack
-// parsing unless a replica is actually executing somewhere.
+// There is no ambient "current engine": the ops package and the layers
+// runtime built on it execute on Global(), and everything that runs on a
+// replica engine — graphmodel's plan executor, the serving runner's batch
+// gather and split — holds its *Engine and calls its methods. The same
+// goes for telemetry: the model span open on an engine is a field of that
+// engine (BeginSpan), and every event the engine emits is stamped from it.
 
-var (
-	boundEngines sync.Map // goroutine id (uint64) -> *Engine
-	boundCount   atomic.Int64
-)
-
-// Current returns the engine bound to the calling goroutine, or the
-// global engine when none is bound.
-func Current() *Engine {
-	if boundCount.Load() == 0 {
-		return Global()
+// BeginSpan opens a model-scoped span on this engine: until the returned
+// end function runs, every event the engine emits (kernels, uploads,
+// downloads, scope closes) carries name in its Span, whichever goroutine
+// triggers it and whatever other engines are executing. Model executions
+// hold the engine's execution lock, so an engine has one span at a time;
+// a span opened while another is open (an eager section profiling a
+// nested model) shadows it until it ends. The hub is told too: it emits
+// the KindSpan event and keeps the most recently opened span as the
+// attribution fallback for emitters that belong to no engine.
+func (e *Engine) BeginSpan(name string) (end func()) {
+	s := e.hub.BeginSpan(name)
+	prev := e.span.Swap(s)
+	return func() {
+		// A second call finds another span (or prev) open and leaves it.
+		e.span.CompareAndSwap(s, prev)
+		s.End()
 	}
-	if v, ok := boundEngines.Load(gid.ID()); ok {
-		return v.(*Engine)
-	}
-	return Global()
 }
 
-// Bind associates the calling goroutine with e until the returned release
-// function runs. Ambient engine resolution (ops, compiled plans, layers)
-// on this goroutine targets e in between. Bindings nest: release restores
-// whatever was bound before. RunExclusive binds automatically; Bind is
-// for code that must create tensors on a specific engine outside an
-// exclusive section (model loading, weight upload).
-func (e *Engine) Bind() (release func()) {
-	id := gid.ID()
-	prev, hadPrev := boundEngines.Load(id)
-	boundEngines.Store(id, e)
-	if !hadPrev {
-		boundCount.Add(1)
+// Span returns the label of the span open on this engine, or "".
+func (e *Engine) Span() string {
+	if s := e.span.Load(); s != nil {
+		return s.Name()
 	}
-	return func() {
-		if hadPrev {
-			boundEngines.Store(id, prev)
-			return
-		}
-		boundEngines.Delete(id)
-		boundCount.Add(-1)
-	}
+	return ""
 }
 
 // SpawnReplica returns a fresh engine sharing this engine's backend
@@ -333,6 +321,7 @@ func (e *Engine) MakeTensor(values []float32, shape []int, dtype tensor.DataType
 		e.hub.Emit(telemetry.Event{
 			Kind:    telemetry.KindUpload,
 			Name:    "upload",
+			Span:    e.Span(),
 			Backend: b.Name(),
 			Start:   start,
 			DurMS:   float64(time.Since(start)) / float64(time.Millisecond),
@@ -376,7 +365,7 @@ func (e *Engine) registerTensor(t *tensor.Tensor, b kernels.Backend) {
 	finalize := e.autoFinalize
 	e.mu.Unlock()
 	if lt := e.lifetime.Load(); lt != nil {
-		lt.OnAlloc(t.ID, int64(t.Bytes()), scopeName, e.hub.CurrentSpan())
+		lt.OnAlloc(t.ID, int64(t.Bytes()), scopeName, e.Span())
 	}
 	if finalize {
 		// Finalizer-based cleanup, the Node.js behaviour of Section 4.2:
@@ -444,6 +433,7 @@ func (e *Engine) ReadSync(t *tensor.Tensor) []float32 {
 		e.hub.Emit(telemetry.Event{
 			Kind:    telemetry.KindDownload,
 			Name:    "dataSync",
+			Span:    e.Span(),
 			Backend: entry.backend.Name(),
 			Start:   start,
 			DurMS:   float64(time.Since(start)) / float64(time.Millisecond),
@@ -485,6 +475,7 @@ func (e *Engine) Read(t *tensor.Tensor) *jsenv.Future[[]float32] {
 		e.hub.Emit(telemetry.Event{
 			Kind:    telemetry.KindDownload,
 			Name:    "data",
+			Span:    e.Span(),
 			Backend: entry.backend.Name(),
 			Bytes:   entry.bytes,
 		})
@@ -828,6 +819,7 @@ func (e *Engine) EndScope(escaping []*tensor.Tensor) {
 		e.hub.Emit(telemetry.Event{
 			Kind:       telemetry.KindScope,
 			Name:       s.name,
+			Span:       e.Span(),
 			NumTensors: numTensors,
 			TotalBytes: numBytes,
 		})
@@ -854,17 +846,13 @@ func (e *Engine) Tidy(name string, fn func() []*tensor.Tensor) []*tensor.Tensor 
 // lock. The lock is not reentrant: fn must not call RunExclusive or an
 // API that does (such as graphmodel.Execute).
 //
-// On a non-global engine, RunExclusive additionally binds the engine to
-// the calling goroutine (see Current), so ambient ops inside fn dispatch
-// to this engine. Two RunExclusive sections on different engines run
-// concurrently — that is the replica-serving concurrency model.
+// Two RunExclusive sections on different engines run concurrently — that
+// is the replica-serving concurrency model. fn must address a non-global
+// engine explicitly (e.MakeTensor, e.RunKernel): the ops package always
+// executes on Global().
 func (e *Engine) RunExclusive(fn func()) {
 	e.execMu.Lock()
 	defer e.execMu.Unlock()
-	if !e.isGlobalEngine {
-		release := e.Bind()
-		defer release()
-	}
 	fn()
 }
 
@@ -964,6 +952,7 @@ func (e *Engine) EmitKernel(name string, b kernels.Backend, start time.Time, ti 
 	ev := telemetry.Event{
 		Kind:        telemetry.KindKernel,
 		Name:        name,
+		Span:        e.Span(),
 		Backend:     b.Name(),
 		Start:       start,
 		DurMS:       ti.WallMS,

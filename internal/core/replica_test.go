@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ops"
 	"repro/internal/tensor"
 )
 
@@ -24,7 +23,7 @@ func TestSpawnReplicaIsolation(t *testing.T) {
 
 	var rt *tensor.Tensor
 	r.RunExclusive(func() {
-		rt = ops.FromValues([]float32{1, 2, 3, 4}, 2, 2)
+		rt = r.MakeTensor([]float32{1, 2, 3, 4}, []int{2, 2}, tensor.Float32)
 	})
 	if rt.Owner() == nil {
 		t.Fatal("replica-created tensor must carry its owning engine")
@@ -37,8 +36,7 @@ func TestSpawnReplicaIsolation(t *testing.T) {
 		t.Fatal("replica accounting missed its own allocation")
 	}
 
-	// Reads and disposal route to the replica from any goroutine, with no
-	// binding in effect.
+	// Reads and disposal route to the replica from any goroutine.
 	done := make(chan []float32, 1)
 	go func() { done <- rt.DataSync() }()
 	vals := <-done
@@ -48,29 +46,6 @@ func TestSpawnReplicaIsolation(t *testing.T) {
 	rt.Dispose()
 	if r.Memory().NumBytes != 0 {
 		t.Fatalf("replica bytes after dispose = %d", r.Memory().NumBytes)
-	}
-}
-
-// TestCurrentFollowsRunExclusive: ambient engine resolution targets the
-// replica inside its exclusive section and reverts afterwards, per
-// goroutine.
-func TestCurrentFollowsRunExclusive(t *testing.T) {
-	if core.Current() != core.Global() {
-		t.Fatal("unbound goroutine must resolve to the global engine")
-	}
-	r := core.Global().SpawnReplica()
-	r.RunExclusive(func() {
-		if core.Current() != r {
-			t.Error("inside RunExclusive, Current() must be the replica")
-		}
-		// Ops created here land on the replica.
-		x := ops.FromValues([]float32{5}, 1)
-		if x.Owner() == nil {
-			t.Error("op output inside replica section must be replica-owned")
-		}
-	})
-	if core.Current() != core.Global() {
-		t.Fatal("binding must be released when RunExclusive returns")
 	}
 }
 
@@ -89,7 +64,7 @@ func TestReplicasRunConcurrently(t *testing.T) {
 		go func(e *core.Engine) {
 			defer wg.Done()
 			e.RunExclusive(func() {
-				x := ops.FromValues([]float32{1}, 1)
+				x := e.MakeTensor([]float32{1}, []int{1}, tensor.Float32)
 				time.Sleep(hold)
 				x.Dispose()
 			})
@@ -108,7 +83,7 @@ func TestReplicaTidyScopesIndependent(t *testing.T) {
 	var stray *tensor.Tensor
 	core.Global().Tidy("outer", func() []*tensor.Tensor {
 		r.RunExclusive(func() {
-			stray = ops.FromValues([]float32{7}, 1)
+			stray = r.MakeTensor([]float32{7}, []int{1}, tensor.Float32)
 		})
 		return nil
 	})

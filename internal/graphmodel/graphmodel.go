@@ -297,11 +297,10 @@ func (m *Model) Execute(feeds map[string]*tensor.Tensor) (map[string]*tensor.Ten
 	var results map[string]*tensor.Tensor
 	var err error
 	e.RunExclusive(func() {
-		// The span opens inside the execution lock; spans are
-		// goroutine-scoped on the hub, so concurrent executions on other
-		// engines keep their own attribution while every kernel
-		// dispatched here is attributed to this model.
-		end := e.Telemetry().BeginSpan(m.span)
+		// The span opens inside the execution lock and lives on the engine:
+		// every event e emits until end is stamped with this model's span,
+		// whatever other engines are executing.
+		end := e.BeginSpan(m.span)
 		defer end()
 		if telemetry.ProfilingOn() {
 			t0 := time.Now()

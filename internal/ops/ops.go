@@ -17,13 +17,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// eng returns the engine ops execute on: the engine bound to the calling
-// goroutine (a replica inside its RunExclusive section), or the global
-// engine otherwise. This single chokepoint is what lets compiled graph
-// plans — whose steps are closures over ops calls — execute on whichever
-// replica engine is driving them without threading an engine parameter
-// through every op signature.
-func eng() *core.Engine { return core.Current() }
+// eng returns the engine ops execute on: the global one. Code that runs on
+// a replica engine (graphmodel's plan executor, the serving runner) holds
+// that engine and dispatches kernels on it directly, never through ops.
+func eng() *core.Engine { return core.Global() }
 
 func run1(name string, inputs []*tensor.Tensor, attrs kernels.Attrs) *tensor.Tensor {
 	return eng().RunKernel1(name, inputs, attrs)

@@ -53,14 +53,14 @@ const maxBodyBytes = 64 << 20
 //
 // The server registers a trace recorder and a stats aggregator on the
 // engine's telemetry hub, so /metrics carries per-model per-kernel
-// breakdowns and /debug/trace serves the last seconds of execution as a
-// chrome://tracing-loadable file. Close unregisters both.
+// breakdowns and measured kernel costs and /debug/trace serves the last
+// seconds of execution as a chrome://tracing-loadable file. Those two are
+// every observer a served process runs; Close unregisters both.
 type Server struct {
 	reg        *Registry
 	mux        *http.ServeMux
 	trace      *telemetry.Recorder
 	stats      *telemetry.Stats
-	profiler   *telemetry.Profiler
 	unregister func()
 	draining   atomic.Bool
 
@@ -72,21 +72,18 @@ type Server struct {
 // collectors to the global engine's hub.
 func NewServer(reg *Registry) *Server {
 	s := &Server{
-		reg:      reg,
-		mux:      http.NewServeMux(),
-		trace:    telemetry.NewRecorder(0),
-		stats:    telemetry.NewStats(),
-		profiler: telemetry.NewProfiler(),
-		graphs:   map[string]*servedGraph{},
+		reg:    reg,
+		mux:    http.NewServeMux(),
+		trace:  telemetry.NewRecorder(0),
+		stats:  telemetry.NewStats(),
+		graphs: map[string]*servedGraph{},
 	}
 	hub := core.Global().Telemetry()
 	removeTrace := hub.Register(s.trace)
 	removeStats := hub.Register(s.stats)
-	removeProfiler := hub.Register(s.profiler)
 	s.unregister = func() {
 		removeTrace()
 		removeStats()
-		removeProfiler()
 	}
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/readyz", s.handleReady)
@@ -118,9 +115,6 @@ func (s *Server) Stats() *telemetry.Stats { return s.stats }
 
 // Trace exposes the server's trace recorder.
 func (s *Server) Trace() *telemetry.Recorder { return s.trace }
-
-// Profiler exposes the server's continuous kernel-cost profiler.
-func (s *Server) Profiler() *telemetry.Profiler { return s.profiler }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
@@ -173,7 +167,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		snaps[graphMetricsPrefix+name] = g.metrics.snapshot(0)
 	}
 	s.graphMu.Unlock()
-	expo := buildExposition(snaps, s.stats, s.profiler, s.trace)
+	expo := buildExposition(snaps, s.stats, s.trace)
 	if wantsOpenMetrics(r) {
 		w.Header().Set("Content-Type", openMetricsContentType)
 		fmt.Fprint(w, expo.RenderOpenMetrics())

@@ -220,22 +220,14 @@ func modelOfSpan(span string) string {
 	return span
 }
 
-// renderMetrics emits the Prometheus-style text exposition: per-model
-// request/latency/batch series, per-model per-kernel breakdowns from the
-// telemetry aggregator (nil skips them), and the engine's tensor/byte
-// counters. Kept as the legacy-format entry point; the HTTP handler
-// builds the richer exposition (profiler + trace series) itself.
-func renderMetrics(models map[string]Snapshot, stats *telemetry.Stats) string {
-	return buildExposition(models, stats, nil, nil).RenderLegacy()
-}
-
-// buildExposition assembles the full metrics sample set. The sample
+// buildExposition assembles the full metrics sample set: per-model
+// request/latency/batch series, the per-model per-kernel breakdowns and
+// measured kernel costs from the telemetry aggregator, the engine's
+// tensor/byte counters and the trace-ring drop counters. The sample
 // insertion order here IS the legacy wire format (RenderLegacy replays it
 // line by line), so samples must keep their historical order; the
-// OpenMetrics renderer regroups them by family on its own. prof and trace
-// are optional: nil skips the profiler cost accounts and the trace-ring
-// drop counters.
-func buildExposition(models map[string]Snapshot, stats *telemetry.Stats, prof *telemetry.Profiler, trace *telemetry.Recorder) *telemetry.Exposition {
+// OpenMetrics renderer regroups them by family on its own.
+func buildExposition(models map[string]Snapshot, stats *telemetry.Stats, trace *telemetry.Recorder) *telemetry.Exposition {
 	e := telemetry.NewExposition()
 	e.Family("serving_requests_total", telemetry.TypeCounter, "Finished requests by model and outcome.")
 	e.Family("serving_request_latency_ms", telemetry.TypeGauge, "End-to-end request latency quantiles over the recent window (ms).")
@@ -320,9 +312,7 @@ func buildExposition(models map[string]Snapshot, stats *telemetry.Stats, prof *t
 			e.Float("serving_stage_latency_ms", sl.P99, model, stageL, telemetry.L("quantile", "0.99"))
 		}
 	}
-	if stats != nil {
-		addKernelSamples(e, stats)
-	}
+	addKernelSamples(e, stats)
 	e.Family("engine_num_tensors", telemetry.TypeGauge, "Live tensors on the global engine.")
 	e.Family("engine_num_data_buffers", telemetry.TypeGauge, "Live backing buffers on the global engine.")
 	e.Family("engine_num_bytes", telemetry.TypeGauge, "Bytes held by live buffers on the global engine.")
@@ -343,12 +333,8 @@ func buildExposition(models map[string]Snapshot, stats *telemetry.Stats, prof *t
 	e.Int("engine_pool_misses_total", mem.Backend.PoolMisses)
 	e.Int("engine_pool_recycled_bytes_total", mem.Backend.RecycledBytes)
 	addRuntimeSamples(e)
-	if trace != nil {
-		addTraceSamples(e, trace)
-	}
-	if prof != nil {
-		addProfilerSamples(e, prof)
-	}
+	addTraceSamples(e, trace)
+	addKernelCostSamples(e, stats)
 	return e
 }
 
@@ -459,26 +445,30 @@ func addTraceSamples(e *telemetry.Exposition, trace *telemetry.Recorder) {
 	}
 }
 
-// addProfilerSamples appends the continuous profiler's own series: how
-// many events it consumed, what its sampled self-overhead cost, and the
-// per-kernel measured cost accounts (ns/element EWMA plus quantiles).
-func addProfilerSamples(e *telemetry.Exposition, prof *telemetry.Profiler) {
-	e.Family("telemetry_profiler_events_total", telemetry.TypeCounter, "Kernel events consumed by the continuous profiler.")
-	e.Family("telemetry_profiler_overhead_samples_total", telemetry.TypeCounter, "Profiler self-overhead samples taken (1 in 64 events).")
-	e.Family("telemetry_profiler_overhead_ns_total", telemetry.TypeCounter, "Sampled wall time spent inside the profiler's observe path (ns).")
+// addKernelCostSamples appends the continuous-profiling series: how many
+// kernel events the aggregator measured, what its sampled self-overhead
+// cost, and the per-kernel measured cost (ns per output element: mean plus
+// windowed quantiles).
+func addKernelCostSamples(e *telemetry.Exposition, stats *telemetry.Stats) {
+	e.Family("telemetry_profiler_events_total", telemetry.TypeCounter, "Kernel events folded into the measured kernel costs.")
+	e.Family("telemetry_profiler_overhead_samples_total", telemetry.TypeCounter, "Aggregator self-overhead samples taken (1 in 64 events).")
+	e.Family("telemetry_profiler_overhead_ns_total", telemetry.TypeCounter, "Sampled wall time spent inside the aggregator's observe path (ns).")
 	e.Family("telemetry_kernel_cost_ns_total", telemetry.TypeCounter, "Cumulative measured kernel time by kernel (ns).")
 	e.Family("telemetry_kernel_cost_items_total", telemetry.TypeCounter, "Output elements processed by measured kernel dispatches.")
-	e.Family("telemetry_kernel_cost_ns_per_element", telemetry.TypeGauge, "Measured kernel cost: ns per output element (EWMA, plus p50/p95 quantiles).")
-	e.Int("telemetry_profiler_events_total", prof.Events())
-	samples, overheadNS := prof.Overhead()
+	e.Family("telemetry_kernel_cost_ns_per_element", telemetry.TypeGauge, "Measured kernel cost: ns per output element (mean, plus p50/p95 quantiles over the recent window).")
+	measured, samples, overheadNS := stats.SelfCost()
+	e.Int("telemetry_profiler_events_total", measured)
 	e.Int("telemetry_profiler_overhead_samples_total", samples)
 	e.Int("telemetry_profiler_overhead_ns_total", overheadNS)
-	for _, cs := range prof.Snapshot() {
-		kernel := telemetry.L("kernel", cs.Kernel)
-		e.Int("telemetry_kernel_cost_ns_total", cs.TotalNS, kernel)
-		e.Int("telemetry_kernel_cost_items_total", cs.Items, kernel)
-		e.Float("telemetry_kernel_cost_ns_per_element", cs.NSPerItem, kernel)
-		e.Float("telemetry_kernel_cost_ns_per_element", cs.P50, kernel, telemetry.L("quantile", "0.5"))
-		e.Float("telemetry_kernel_cost_ns_per_element", cs.P95, kernel, telemetry.L("quantile", "0.95"))
+	for _, ks := range stats.Kernels() {
+		if ks.Elements == 0 {
+			continue
+		}
+		kernel := telemetry.L("kernel", ks.Name)
+		e.Int("telemetry_kernel_cost_ns_total", ks.CostNS, kernel)
+		e.Int("telemetry_kernel_cost_items_total", ks.Elements, kernel)
+		e.Float("telemetry_kernel_cost_ns_per_element", ks.NSPerElement(), kernel)
+		e.Float("telemetry_kernel_cost_ns_per_element", ks.P50NSPerElement, kernel, telemetry.L("quantile", "0.5"))
+		e.Float("telemetry_kernel_cost_ns_per_element", ks.P95NSPerElement, kernel, telemetry.L("quantile", "0.95"))
 	}
 }

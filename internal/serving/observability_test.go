@@ -123,12 +123,12 @@ func TestMetricsContentNegotiation(t *testing.T) {
 }
 
 // TestMetricsProfilerSeries feeds kernel events through the server's
-// profiler and checks the per-kernel measured-cost series appear on the
-// OpenMetrics exposition with their quantile variants.
+// stats aggregator and checks the per-kernel measured-cost series appear
+// on the OpenMetrics exposition with their quantile variants.
 func TestMetricsProfilerSeries(t *testing.T) {
 	api, srv := observabilityServer(t)
 	for i := 0; i < 10; i++ {
-		api.Profiler().Observe(telemetry.Event{
+		api.Stats().Observe(telemetry.Event{
 			Kind: telemetry.KindKernel, Name: "fused_MatMul", DurMS: 2, Elements: 1 << 16,
 		})
 	}

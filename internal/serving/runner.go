@@ -5,8 +5,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graphmodel"
+	"repro/internal/kernels"
 	"repro/internal/layers"
-	"repro/internal/ops"
 	"repro/internal/tensor"
 )
 
@@ -53,7 +53,7 @@ func concatBatch(e *core.Engine, batch []Instance) *tensor.Tensor {
 	if len(parts) == 1 {
 		return parts[0]
 	}
-	batched := ops.Concat(parts, 0)
+	batched := e.RunKernel1("Concat", parts, kernels.Attrs{"axis": 0})
 	for _, p := range parts {
 		p.Dispose()
 	}
@@ -62,21 +62,25 @@ func concatBatch(e *core.Engine, batch []Instance) *tensor.Tensor {
 
 // splitBatch splits a [n, shape...] output back into per-example
 // instances and disposes the batched tensor. Caller holds the execution
-// lock.
-func splitBatch(y *tensor.Tensor, n int) []Instance {
+// lock of e, the engine y lives on.
+func splitBatch(e *core.Engine, y *tensor.Tensor, n int) []Instance {
+	defer y.Dispose()
 	outShape := tensor.CopyShape(y.Shape[1:])
 	out := make([]Instance, n)
 	if n == 1 {
-		vals := y.DataSync()
-		out[0] = Instance{Values: append([]float32(nil), vals...), Shape: outShape}
-		y.Dispose()
+		out[0] = Instance{Values: append([]float32(nil), y.DataSync()...), Shape: outShape}
 		return out
 	}
-	parts := ops.Split(y, n, 0)
-	y.Dispose()
-	for i, p := range parts {
-		vals := p.DataSync()
-		out[i] = Instance{Values: append([]float32(nil), vals...), Shape: outShape}
+	if y.Shape[0]%n != 0 {
+		panic(&core.OpError{Kernel: "Split", Err: fmt.Errorf("cannot split output %v into %d instances", y.Shape, n)})
+	}
+	begin, size := make([]int, y.Rank()), tensor.CopyShape(y.Shape)
+	size[0] = y.Shape[0] / n
+	for i := range out {
+		begin[0] = i * size[0]
+		p := e.RunKernel1("Slice", []*tensor.Tensor{y}, kernels.Attrs{
+			"begin": tensor.CopyShape(begin), "size": tensor.CopyShape(size)})
+		out[i] = Instance{Values: append([]float32(nil), p.DataSync()...), Shape: outShape}
 		p.Dispose()
 	}
 	return out
@@ -129,7 +133,7 @@ func (r *graphRunner) run(batch []Instance) (out []Instance, err error) {
 	}
 	e.RunExclusive(func() {
 		batched.Dispose()
-		out = splitBatch(outs[r.output], len(batch))
+		out = splitBatch(e, outs[r.output], len(batch))
 	})
 	return out, nil
 }
@@ -146,7 +150,7 @@ func (r *layersRunner) run(batch []Instance) (out []Instance, err error) {
 	e := core.Global()
 	e.RunExclusive(func() {
 		if r.span != "" {
-			end := e.Telemetry().BeginSpan(r.span)
+			end := e.BeginSpan(r.span)
 			defer end()
 		}
 		if serr := e.SetBackend(r.backend); serr != nil {
@@ -156,7 +160,7 @@ func (r *layersRunner) run(batch []Instance) (out []Instance, err error) {
 		batched := concatBatch(e, batch)
 		y := r.model.Predict(batched)
 		batched.Dispose()
-		out = splitBatch(y, len(batch))
+		out = splitBatch(e, y, len(batch))
 	})
 	if err != nil {
 		return nil, err

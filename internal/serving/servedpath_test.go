@@ -18,13 +18,14 @@ import (
 )
 
 // TestServedExecuteAllocBudget asserts which path serves a request: behind
-// NewServer — trace recorder, stats and profiler attached to the hub, as
+// NewServer — trace recorder and kernel stats attached to the hub, as
 // tfjs-serve runs — a predict executes the same direct-dispatch plan the
 // allocation gate and planvet cover, and that plan still reports every
 // kernel. The budget is the evidence: the handle-tracking interpreter that
 // used to take over whenever an observer was attached cost ~1000
 // allocations per MobileNet execute; the plan costs ~50 unobserved and
-// under 320 with the server's three observers recording 31 kernel events.
+// under 320 (278 measured) with the server's two observers recording 31
+// kernel events.
 func TestServedExecuteAllocBudget(t *testing.T) {
 	store := buildMobileNetStore(t, 96, 10)
 	reg := NewRegistry()

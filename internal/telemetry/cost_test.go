@@ -2,57 +2,9 @@ package telemetry
 
 import (
 	"math"
-	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 )
-
-// TestP2QuantileVsSorted checks the streaming P² estimates against exact
-// sorted-sample quantiles on a deterministic stream: the estimator has no
-// buffer, so some error is expected, but it must land near the truth.
-func TestP2QuantileVsSorted(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const n = 20000
-	samples := make([]float64, n)
-	p50 := newP2(0.50)
-	p95 := newP2(0.95)
-	for i := range samples {
-		// A right-skewed mixture, like real per-item kernel costs: mostly
-		// cheap with an occasional expensive tail.
-		v := rng.Float64() * 100
-		if rng.Intn(10) == 0 {
-			v += 500
-		}
-		samples[i] = v
-		p50.observe(v)
-		p95.observe(v)
-	}
-	sort.Float64s(samples)
-	exact50 := samples[n/2]
-	exact95 := samples[n*95/100]
-	if got := p50.value(); math.Abs(got-exact50) > 0.1*exact50 {
-		t.Errorf("p50 estimate %.2f, exact %.2f (>10%% off)", got, exact50)
-	}
-	if got := p95.value(); math.Abs(got-exact95) > 0.1*exact95 {
-		t.Errorf("p95 estimate %.2f, exact %.2f (>10%% off)", got, exact95)
-	}
-}
-
-// TestP2QuantileSmallStreams checks the exact-small-n path (n < 5 keeps
-// raw samples) and the empty case.
-func TestP2QuantileSmallStreams(t *testing.T) {
-	e := newP2(0.5)
-	if got := e.value(); got != 0 {
-		t.Errorf("empty estimator: got %v, want 0", got)
-	}
-	e.observe(30)
-	e.observe(10)
-	e.observe(20)
-	if got := e.value(); got != 20 {
-		t.Errorf("median of {10,20,30}: got %v, want 20", got)
-	}
-}
 
 // TestCostAccountEWMAConverges feeds a constant per-item cost and checks
 // the EWMA settles on it, then shifts the cost and checks it tracks.
@@ -78,10 +30,6 @@ func TestCostAccountEWMAConverges(t *testing.T) {
 	if a.Count() != 2100 || a.Items() != 21000 || a.TotalNS() != 100*1000+2000*2000 {
 		t.Errorf("totals: count=%d items=%d ns=%d", a.Count(), a.Items(), a.TotalNS())
 	}
-	p50, p95 := a.Quantiles()
-	if p50 < 100 || p50 > 200 || p95 < p50 {
-		t.Errorf("quantiles p50=%v p95=%v out of range", p50, p95)
-	}
 	// Non-positive item counts are ignored, never divide by zero.
 	a.ObserveCost(500, 0)
 	a.ObserveCost(500, -3)
@@ -91,7 +39,7 @@ func TestCostAccountEWMAConverges(t *testing.T) {
 }
 
 // TestCostAccountConcurrent hammers one account from many goroutines while
-// readers poll the EWMA and quantiles — run under -race this is the
+// readers poll the EWMA and totals — run under -race this is the
 // lock-freedom proof for the hot path; the totals check catches lost CAS
 // updates.
 func TestCostAccountConcurrent(t *testing.T) {
@@ -110,7 +58,7 @@ func TestCostAccountConcurrent(t *testing.T) {
 					return
 				default:
 					_ = a.NSPerItem()
-					_, _ = a.Quantiles()
+					_ = a.Items()
 					_ = a.Count()
 				}
 			}
@@ -131,6 +79,16 @@ func TestCostAccountConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := a.Count(); got != writers*perWriter {
 		t.Errorf("lost observations: count=%d want %d", got, writers*perWriter)
+	}
+	// Writer i%7, i%3 cycles are the same for every writer, so the totals
+	// are exact: any lost atomic add shows.
+	var wantItems, wantNS int64
+	for i := 0; i < perWriter; i++ {
+		wantItems += int64(1 + i%3)
+		wantNS += int64(100 + i%7)
+	}
+	if a.Items() != writers*wantItems || a.TotalNS() != writers*wantNS {
+		t.Errorf("totals: items=%d ns=%d, want %d / %d", a.Items(), a.TotalNS(), writers*wantItems, writers*wantNS)
 	}
 	if a.NSPerItem() <= 0 {
 		t.Errorf("EWMA = %v after %d observations", a.NSPerItem(), a.Count())
@@ -184,61 +142,70 @@ func TestDistributionConcurrentQuantiles(t *testing.T) {
 	}
 }
 
-// TestProfilerObserve checks the event filter and the EnableProfiling
-// gate: only kernel events with a positive element count feed accounts,
-// and nothing is recorded while profiling is off.
+// TestProfilerObserve checks the measured-cost columns of Stats — the
+// continuous profiler's per-kernel view: only kernel events with a positive
+// element count feed them, nothing is measured while profiling is off, and
+// the plain count/total columns see every kernel event regardless.
 func TestProfilerObserve(t *testing.T) {
-	p := NewProfiler()
-	p.Observe(Event{Kind: KindKernel, Name: "MatMul", DurMS: 1, Elements: 1000})
-	p.Observe(Event{Kind: KindKernel, Name: "MatMul", DurMS: 3, Elements: 1000})
-	p.Observe(Event{Kind: KindKernel, Name: "Relu", DurMS: 0.5, Elements: 500})
-	p.Observe(Event{Kind: KindUpload, Name: "upload", DurMS: 9, Elements: 100}) // wrong kind
-	p.Observe(Event{Kind: KindKernel, Name: "NoElems", DurMS: 9})               // no element count
-	if got := p.Events(); got != 3 {
-		t.Fatalf("Events() = %d, want 3", got)
+	s := NewStats()
+	s.Observe(Event{Kind: KindKernel, Name: "MatMul", DurMS: 1, Elements: 1000})
+	s.Observe(Event{Kind: KindKernel, Name: "MatMul", DurMS: 3, Elements: 1000})
+	s.Observe(Event{Kind: KindKernel, Name: "Relu", DurMS: 0.5, Elements: 500})
+	s.Observe(Event{Kind: KindUpload, Name: "upload", DurMS: 9, Elements: 100}) // wrong kind
+	s.Observe(Event{Kind: KindKernel, Name: "NoElems", DurMS: 9})               // no element count
+	if got, _, _ := s.SelfCost(); got != 3 {
+		t.Fatalf("measured events = %d, want 3", got)
 	}
 
 	EnableProfiling(false)
-	p.Observe(Event{Kind: KindKernel, Name: "MatMul", DurMS: 1, Elements: 1000})
+	s.Observe(Event{Kind: KindKernel, Name: "MatMul", DurMS: 1, Elements: 1000})
 	EnableProfiling(true)
-	p.Observe(Event{Kind: KindKernel, Name: "MatMul", DurMS: 1, Elements: 1000})
-	if got := p.Events(); got != 4 {
-		t.Fatalf("Events() = %d after gate cycle, want 4", got)
+	s.Observe(Event{Kind: KindKernel, Name: "MatMul", DurMS: 1, Elements: 1000})
+	if got, _, _ := s.SelfCost(); got != 4 {
+		t.Fatalf("measured events = %d after gate cycle, want 4", got)
 	}
 
-	snap := p.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("Snapshot() has %d kernels, want 2: %+v", len(snap), snap)
+	// Kernels sorts by total time descending: NoElems 9ms, MatMul 6ms over
+	// 4 dispatches of which 3 were measured (5ms, 3000 elements), Relu.
+	snap := s.Kernels()
+	if len(snap) != 3 || snap[0].Name != "NoElems" || snap[1].Name != "MatMul" || snap[2].Name != "Relu" {
+		t.Fatalf("Kernels() = %+v", snap)
 	}
-	// MatMul accumulated 5ms over 3000 elements, Relu 0.5ms over 500 —
-	// Snapshot sorts by total time descending.
-	if snap[0].Kernel != "MatMul" || snap[1].Kernel != "Relu" {
-		t.Errorf("snapshot order: %q, %q", snap[0].Kernel, snap[1].Kernel)
+	if snap[0].Elements != 0 || snap[0].NSPerElement() != 0 {
+		t.Errorf("NoElems was measured: %+v", snap[0])
 	}
-	if snap[0].Count != 3 || snap[0].Items != 3000 {
-		t.Errorf("MatMul summary: %+v", snap[0])
+	mm := snap[1]
+	if mm.Count != 4 || mm.Elements != 3000 || mm.CostNS != 5e6 {
+		t.Errorf("MatMul summary: %+v", mm)
 	}
-	if snap[0].NSPerItem <= 0 {
-		t.Errorf("MatMul NSPerItem = %v", snap[0].NSPerItem)
+	if got := mm.NSPerElement(); math.Abs(got-5e6/3000) > 1e-9 {
+		t.Errorf("MatMul NSPerElement = %v", got)
 	}
-	if top := p.Top(1); len(top) != 1 || top[0].Kernel != "MatMul" {
-		t.Errorf("Top(1) = %+v", top)
+	// Per-dispatch ns/element samples were 1000, 3000, 1000; Distribution
+	// takes the floor rank, so both quantiles of three samples are 1000.
+	if mm.P50NSPerElement != 1000 || mm.P95NSPerElement != 1000 {
+		t.Errorf("MatMul ns/element quantiles p50=%v p95=%v", mm.P50NSPerElement, mm.P95NSPerElement)
 	}
 }
 
-// TestProfilerOverheadSampling drives enough events through Observe that
-// the 1-in-overheadSampleEvery self-timing must have triggered.
+// TestProfilerOverheadSampling drives enough measured events through
+// Stats.Observe that the 1-in-overheadSampleEvery self-timing must have
+// triggered exactly three times.
 func TestProfilerOverheadSampling(t *testing.T) {
-	p := NewProfiler()
+	s := NewStats()
 	for i := 0; i < 3*overheadSampleEvery; i++ {
-		p.Observe(Event{Kind: KindKernel, Name: "K", DurMS: 0.1, Elements: 10})
+		s.Observe(Event{Kind: KindKernel, Name: "K", DurMS: 0.1, Elements: 10})
 	}
-	samples, totalNS := p.Overhead()
+	_, samples, totalNS := s.SelfCost()
 	if samples != 3 {
 		t.Errorf("overhead samples = %d, want 3", samples)
 	}
 	if totalNS < 0 {
 		t.Errorf("overhead totalNS = %d", totalNS)
+	}
+	s.Reset()
+	if measured, samples, _ := s.SelfCost(); measured != 0 || samples != 0 {
+		t.Errorf("Reset left measured=%d samples=%d", measured, samples)
 	}
 }
 

@@ -130,22 +130,24 @@ func TestHubConcurrentSpansAndObservers(t *testing.T) {
 			}
 		}()
 	}
-	// One span writer (the contract: model executions serialize, so there
-	// is a single BeginSpan/end caller at a time) racing against...
-	emitters.Add(1)
-	go func() {
-		defer emitters.Done()
-		for j := 0; j < 500; j++ {
-			end := h.BeginSpan("outer")
-			inner := h.BeginSpan("inner")
-			h.Emit(Event{Kind: KindKernel, Name: "K", Span: h.CurrentSpan()})
-			inner()
-			h.Emit(Event{Kind: KindStage, Name: "execute", Span: h.CurrentSpan()})
-			end()
-		}
-	}()
+	// Two span writers (one per replica engine: executions serialize per
+	// engine, not per hub) racing against each other and against...
+	for w := 0; w < 2; w++ {
+		emitters.Add(1)
+		go func() {
+			defer emitters.Done()
+			for j := 0; j < 500; j++ {
+				outer := h.BeginSpan("outer")
+				inner := h.BeginSpan("inner")
+				h.Emit(Event{Kind: KindKernel, Name: "K", Span: h.CurrentSpan()})
+				inner.End()
+				h.Emit(Event{Kind: KindStage, Name: "execute", Span: h.CurrentSpan()})
+				outer.End()
+			}
+		}()
+	}
 	// ...concurrent emitters on other goroutines, which read the span
-	// pointer while the writer swaps it.
+	// pointer while the writers swap it.
 	for i := 0; i < 3; i++ {
 		emitters.Add(1)
 		go func() {

@@ -11,7 +11,7 @@ import (
 const distributionWindow = 512
 
 // Distribution is a bounded sliding window of float64 samples with
-// quantile estimation — the percentile primitive shared by the kernel
+// quantile estimation — the one percentile primitive, shared by the kernel
 // stats aggregator and the serving latency metrics.
 type Distribution struct {
 	mu      sync.Mutex
@@ -72,8 +72,8 @@ func (d *Distribution) Quantiles(qs ...float64) []float64 {
 }
 
 // KernelStat is the aggregate for one kernel name: invocation count,
-// total and p50/p95 wall time, device kernel time where measured, and the
-// bytes its outputs added.
+// total and p50/p95 wall time, device kernel time where measured, the
+// bytes its outputs added, and the measured cost per output element.
 type KernelStat struct {
 	Name       string  `json:"name"`
 	Count      int64   `json:"count"`
@@ -83,6 +83,24 @@ type KernelStat struct {
 	KernelMS   float64 `json:"kernel_ms,omitempty"`
 	HasKernel  bool    `json:"-"`
 	BytesAdded int64   `json:"bytes_added"`
+	// The measured-cost columns (Kernels only; zero in KernelsForSpan)
+	// cover the dispatches that reported an output element count while
+	// profiling was on (EnableProfiling):
+	// elements produced, wall nanoseconds spent producing them, and the
+	// p50/p95 of per-dispatch ns/element over the recent window.
+	Elements        int64   `json:"elements,omitempty"`
+	CostNS          int64   `json:"cost_ns,omitempty"`
+	P50NSPerElement float64 `json:"p50_ns_per_element,omitempty"`
+	P95NSPerElement float64 `json:"p95_ns_per_element,omitempty"`
+}
+
+// NSPerElement is the mean measured cost of one output element, 0 when
+// nothing was measured.
+func (k KernelStat) NSPerElement() float64 {
+	if k.Elements == 0 {
+		return 0
+	}
+	return float64(k.CostNS) / float64(k.Elements)
 }
 
 // TransferStat aggregates data movement across the host/device boundary.
@@ -112,6 +130,11 @@ type MemorySample struct {
 // timelineCap bounds the retained memory timeline.
 const timelineCap = 4096
 
+// overheadSampleEvery is the self-overhead sampling rate: one in this
+// many measured kernel events has its fold timed, so Stats reports its own
+// cost without paying two clock reads per kernel.
+const overheadSampleEvery = 64
+
 // kernelAgg is the mutable per-kernel accumulator.
 type kernelAgg struct {
 	count     int64
@@ -120,20 +143,29 @@ type kernelAgg struct {
 	hasKernel bool
 	bytes     int64
 	dist      *Distribution
+	elements  int64
+	costNS    int64
+	perElem   *Distribution // ns/element per dispatch; nil until measured
 }
 
 // Stats is an Observer aggregating kernel statistics (globally and per
-// model span), transfer counters and the engine memory timeline. It backs
-// tfjs-profile's table and the serving /metrics per-kernel breakdowns, so
-// the two surfaces agree by construction.
+// model span), transfer counters and the engine memory timeline. It is the
+// one consumer of kernel events behind tfjs-profile's table, the serving
+// /metrics per-kernel breakdowns and the measured ns/element series, so
+// those surfaces agree by construction.
 type Stats struct {
-	mu       sync.Mutex
-	kernels  map[string]*kernelAgg            // by kernel name
-	bySpan   map[string]map[string]*kernelAgg // span → kernel name → agg
-	transfer TransferStat
-	timeline []MemorySample
-	tlAt     int
-	rewrites map[string]int64 // optimizer pattern label → fire count
+	mu      sync.Mutex
+	kernels map[string]*kernelAgg            // by kernel name
+	bySpan  map[string]map[string]*kernelAgg // span → kernel name → agg
+	// measured counts the kernel events folded into the measured-cost
+	// columns; one in overheadSampleEvery of them is timed.
+	measured        int64
+	overheadSamples int64
+	overheadNS      int64
+	transfer        TransferStat
+	timeline        []MemorySample
+	tlAt            int
+	rewrites        map[string]int64 // optimizer pattern label → fire count
 }
 
 // NewStats returns an empty aggregator.
@@ -151,14 +183,28 @@ func (s *Stats) Observe(ev Event) {
 	defer s.mu.Unlock()
 	switch ev.Kind {
 	case KindKernel:
-		s.aggregate(s.kernels, ev)
+		measured := ev.Elements > 0 && ProfilingOn()
+		var t0 time.Time
+		if measured {
+			s.measured++
+			if s.measured%overheadSampleEvery == 0 {
+				t0 = time.Now()
+			}
+		}
+		aggregate(s.kernels, ev, measured)
 		if ev.Span != "" {
 			m, ok := s.bySpan[ev.Span]
 			if !ok {
 				m = map[string]*kernelAgg{}
 				s.bySpan[ev.Span] = m
 			}
-			s.aggregate(m, ev)
+			// Nobody reads a per-span cost column: the measured-cost series
+			// are per kernel, not per model.
+			aggregate(m, ev, false)
+		}
+		if !t0.IsZero() {
+			s.overheadSamples++
+			s.overheadNS += time.Since(t0).Nanoseconds()
 		}
 	case KindUpload:
 		s.transfer.UploadCount++
@@ -194,9 +240,9 @@ func (s *Stats) Observe(ev Event) {
 	}
 }
 
-// aggregate folds one kernel event into an accumulator map. Caller holds
-// the lock.
-func (s *Stats) aggregate(m map[string]*kernelAgg, ev Event) {
+// aggregate folds one kernel event into an accumulator map; measured adds
+// it to the cost-per-element columns too. Caller holds the lock.
+func aggregate(m map[string]*kernelAgg, ev Event, measured bool) {
 	a, ok := m[ev.Name]
 	if !ok {
 		a = &kernelAgg{dist: NewDistribution()}
@@ -210,6 +256,15 @@ func (s *Stats) aggregate(m map[string]*kernelAgg, ev Event) {
 		a.hasKernel = true
 	}
 	a.dist.Observe(ev.DurMS)
+	if measured {
+		ns := ev.DurMS * float64(time.Millisecond)
+		a.elements += ev.Elements
+		a.costNS += int64(ns)
+		if a.perElem == nil {
+			a.perElem = NewDistribution()
+		}
+		a.perElem.Observe(ns / float64(ev.Elements))
+	}
 }
 
 // snapshot renders an accumulator map, sorted by total time descending.
@@ -217,7 +272,7 @@ func snapshot(m map[string]*kernelAgg) []KernelStat {
 	out := make([]KernelStat, 0, len(m))
 	for name, a := range m {
 		qs := a.dist.Quantiles(0.50, 0.95)
-		out = append(out, KernelStat{
+		ks := KernelStat{
 			Name:       name,
 			Count:      a.count,
 			TotalMS:    a.totalMS,
@@ -226,7 +281,14 @@ func snapshot(m map[string]*kernelAgg) []KernelStat {
 			KernelMS:   a.kernelMS,
 			HasKernel:  a.hasKernel,
 			BytesAdded: a.bytes,
-		})
+			Elements:   a.elements,
+			CostNS:     a.costNS,
+		}
+		if a.perElem != nil {
+			qs = a.perElem.Quantiles(0.50, 0.95)
+			ks.P50NSPerElement, ks.P95NSPerElement = qs[0], qs[1]
+		}
+		out = append(out, ks)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].TotalMS != out[j].TotalMS {
@@ -267,6 +329,16 @@ func (s *Stats) KernelsForSpan(span string) []KernelStat {
 		return nil
 	}
 	return snapshot(m)
+}
+
+// SelfCost reports what the aggregator costs the kernel path: how many
+// kernel events it folded into the measured-cost columns, and for the one
+// in overheadSampleEvery of them it timed, how many samples and their
+// summed nanoseconds. ns/samples estimates the per-event cost of Observe.
+func (s *Stats) SelfCost() (measured, samples, ns int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.measured, s.overheadSamples, s.overheadNS
 }
 
 // Transfers returns the data-movement counters.
@@ -312,6 +384,7 @@ func (s *Stats) Reset() {
 	s.timeline = nil
 	s.tlAt = 0
 	s.rewrites = map[string]int64{}
+	s.measured, s.overheadSamples, s.overheadNS = 0, 0, 0
 }
 
 var _ Observer = (*Stats)(nil)

@@ -18,11 +18,10 @@
 package telemetry
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/gid"
 )
 
 // EventKind discriminates the event types flowing through a Hub.
@@ -110,8 +109,10 @@ type Event struct {
 	// Name is the kernel name, scope name, span name, or device event
 	// label.
 	Name string
-	// Span is the enclosing model span, when a model execution is in
-	// flight (set by the hub, not the producer).
+	// Span is the model span the event belongs to. The producer sets it:
+	// an engine stamps the span open on it (core.Engine.BeginSpan), the
+	// serving scheduler its model, device-level emitters that belong to no
+	// engine the hub's CurrentSpan. The hub never fills it in.
 	Span string
 	// Backend names the backend involved, when known.
 	Backend string
@@ -172,33 +173,29 @@ func (f ObserverFunc) Observe(ev Event) { f(ev) }
 type Hub struct {
 	mu        sync.Mutex // guards writes to observers
 	observers atomic.Pointer[[]*registration]
-	// spans maps goroutine id -> innermost open *spanFrame. With replica
-	// engines, several model executions (each its own span) run
-	// concurrently on one hub; goroutine-keyed frames keep each
-	// execution's kernel events attributed to its own model. spanCount
-	// gates the map lookup so a span-free process never parses a stack.
-	spans     sync.Map
-	spanCount atomic.Int64
-	// span is the most-recently-opened frame, kept as a fallback for
-	// emitters running on goroutines that did not open the span
-	// themselves (backend worker pools, async download futures). With one
-	// execution at a time it is exact — the pre-replica behaviour; with
-	// concurrent spans it is an approximation for off-goroutine events
-	// only.
-	span  atomic.Pointer[spanFrame]
-	clock func() time.Time // test seam; nil means time.Now
+	// open holds the spans that are open, in opening order (spanMu), and
+	// span its last entry for lock-free reads. Engines do not read it —
+	// each stamps its own events with the span open on it — so it serves
+	// only emitters that belong to no engine (the simulated WebGL device's
+	// fences and paging). With one execution at a time it is exact; with
+	// replicas executing concurrently it is an approximation, for those
+	// events only.
+	spanMu sync.Mutex
+	open   []*Span
+	span   atomic.Pointer[Span]
+	clock  func() time.Time // test seam; nil means time.Now
 }
 
 // registration gives each registered observer a unique identity so removal
 // works for uncomparable observer types (funcs).
 type registration struct{ obs Observer }
 
-// spanFrame is one entry of the model-span stack (spans nest when a model
-// executes inside another's scope).
-type spanFrame struct {
-	name   string
-	start  time.Time
-	parent *spanFrame
+// Span is one model span (BeginSpan), open until its End.
+type Span struct {
+	hub   *Hub
+	name  string
+	start time.Time
+	ended atomic.Bool
 }
 
 // NewHub returns an empty hub.
@@ -259,8 +256,8 @@ func (h *Hub) now() time.Time {
 }
 
 // Emit delivers the event to every registered observer, stamping the start
-// time when unset and tagging the event with the current model span. A hub
-// with no observers drops the event after one atomic load.
+// time when unset. A hub with no observers drops the event after one atomic
+// load.
 func (h *Hub) Emit(ev Event) {
 	obs := h.observers.Load()
 	if obs == nil || len(*obs) == 0 {
@@ -269,80 +266,64 @@ func (h *Hub) Emit(ev Event) {
 	if ev.Start.IsZero() {
 		ev.Start = h.now()
 	}
-	if ev.Span == "" {
-		if f := h.currentFrame(); f != nil {
-			ev.Span = f.name
-		}
-	}
 	for _, r := range *obs {
 		r.obs.Observe(ev)
 	}
 }
 
-// BeginSpan opens a model-scoped span: until the returned end function
-// runs, kernel and transfer events emitted by this goroutine are tagged
-// with name, which makes concurrent serving traces attributable per
-// model. Spans may nest on one goroutine; the innermost wins. The end
-// function emits a KindSpan event spanning the section.
-//
-// Spans opened by different goroutines are independent: each replica
-// engine's execution tags its own events even while others run. Events
-// emitted from goroutines that did not open a span (device worker pools)
-// fall back to the most-recently-opened frame.
-func (h *Hub) BeginSpan(name string) (end func()) {
-	id := gid.ID()
-	var parent *spanFrame
-	prev, hadPrev := h.spans.Load(id)
-	if hadPrev {
-		parent = prev.(*spanFrame)
-	}
-	frame := &spanFrame{name: name, start: h.now(), parent: parent}
-	h.spans.Store(id, frame)
-	if !hadPrev {
-		h.spanCount.Add(1)
-	}
-	h.span.Store(frame)
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			// end may run on a different goroutine than BeginSpan (a
-			// deferred close after a channel handoff); restore the entry
-			// under the opener's id either way.
-			if parent != nil {
-				h.spans.Store(id, parent)
-			} else {
-				h.spans.Delete(id)
-				h.spanCount.Add(-1)
-			}
-			// Only roll back the global fallback if no later span has
-			// replaced it; concurrent spans race here by design and the
-			// gid-keyed map stays exact regardless.
-			h.span.CompareAndSwap(frame, parent)
-			h.Emit(Event{
-				Kind:  KindSpan,
-				Name:  name,
-				Start: frame.start,
-				DurMS: float64(h.now().Sub(frame.start)) / float64(time.Millisecond),
-			})
-		})
-	}
+// BeginSpan opens a model-scoped span; its End emits a KindSpan event
+// covering the section. Callers executing on an engine use
+// core.Engine.BeginSpan, which also makes the span the Span of that
+// engine's events; the hub itself only remembers which span was opened
+// last (CurrentSpan). Spans nest — ending the innermost re-exposes its
+// parent — and may be opened and ended concurrently from different
+// engines.
+func (h *Hub) BeginSpan(name string) *Span {
+	s := &Span{hub: h, name: name, start: h.now()}
+	h.spanMu.Lock()
+	h.open = append(h.open, s)
+	h.span.Store(s)
+	h.spanMu.Unlock()
+	return s
 }
 
-// currentFrame resolves the innermost span for the calling goroutine,
-// falling back to the most-recently-opened frame for goroutines that
-// opened none.
-func (h *Hub) currentFrame() *spanFrame {
-	if h.spanCount.Load() != 0 {
-		if v, ok := h.spans.Load(gid.ID()); ok {
-			return v.(*spanFrame)
+// Name returns the span's label.
+func (s *Span) Name() string { return s.name }
+
+// End closes the span and emits its KindSpan event. Idempotent.
+func (s *Span) End() {
+	if !s.ended.CompareAndSwap(false, true) {
+		return
+	}
+	h := s.hub
+	h.spanMu.Lock()
+	// Usually the last entry; an earlier one when a span from another
+	// engine was opened after this one and is still open.
+	for i := len(h.open) - 1; i >= 0; i-- {
+		if h.open[i] == s {
+			h.open = slices.Delete(h.open, i, i+1)
+			break
 		}
 	}
-	return h.span.Load()
+	var last *Span
+	if n := len(h.open); n > 0 {
+		last = h.open[n-1]
+	}
+	h.span.Store(last)
+	h.spanMu.Unlock()
+	h.Emit(Event{
+		Kind:  KindSpan,
+		Name:  s.name,
+		Span:  s.name,
+		Start: s.start,
+		DurMS: float64(h.now().Sub(s.start)) / float64(time.Millisecond),
+	})
 }
 
-// CurrentSpan returns the innermost open span name, or "".
+// CurrentSpan returns the most recently opened span that is still open,
+// or "".
 func (h *Hub) CurrentSpan() string {
-	if f := h.currentFrame(); f != nil {
+	if f := h.span.Load(); f != nil {
 		return f.name
 	}
 	return ""

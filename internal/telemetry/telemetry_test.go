@@ -43,6 +43,10 @@ func TestHubRegisterEmitRemove(t *testing.T) {
 	}
 }
 
+// TestHubSpanAttribution covers the hub's half of span attribution: the
+// stack of open spans behind CurrentSpan, which emitters that belong to no
+// engine stamp their events from (an engine stamps its own; see
+// core.Engine.BeginSpan and serving's TestConcurrentSpanAttribution).
 func TestHubSpanAttribution(t *testing.T) {
 	h := NewHub()
 	var spans []string
@@ -53,23 +57,28 @@ func TestHubSpanAttribution(t *testing.T) {
 		}
 		if ev.Kind == KindSpan {
 			names = append(names, ev.Name)
+			if ev.Span != ev.Name {
+				t.Errorf("span event %q says it belongs to %q", ev.Name, ev.Span)
+			}
 		}
 	}))
-	h.Emit(Event{Kind: KindKernel, Name: "A"})
-	end := h.BeginSpan("mobilenet:input->Softmax")
+	emit := func(name string) { h.Emit(Event{Kind: KindKernel, Name: name, Span: h.CurrentSpan()}) }
+	emit("A")
+	outer := h.BeginSpan("mobilenet:input->Softmax")
 	if h.CurrentSpan() != "mobilenet:input->Softmax" {
 		t.Fatalf("CurrentSpan = %q", h.CurrentSpan())
 	}
-	h.Emit(Event{Kind: KindKernel, Name: "B"})
-	endInner := h.BeginSpan("inner")
-	h.Emit(Event{Kind: KindKernel, Name: "C"})
-	endInner()
-	h.Emit(Event{Kind: KindKernel, Name: "D"})
-	end()
-	end() // idempotent
-	h.Emit(Event{Kind: KindKernel, Name: "E"})
+	emit("B")
+	inner := h.BeginSpan("inner")
+	emit("C")
+	inner.End()
+	emit("D")
+	outer.End()
+	outer.End() // idempotent
+	emit("E")
+	h.Emit(Event{Kind: KindKernel, Name: "F"}) // the hub never fills Span in
 
-	want := []string{"", "mobilenet:input->Softmax", "inner", "mobilenet:input->Softmax", ""}
+	want := []string{"", "mobilenet:input->Softmax", "inner", "mobilenet:input->Softmax", "", ""}
 	if len(spans) != len(want) {
 		t.Fatalf("spans = %v", spans)
 	}
@@ -80,6 +89,19 @@ func TestHubSpanAttribution(t *testing.T) {
 	}
 	if len(names) != 2 || names[0] != "inner" || names[1] != "mobilenet:input->Softmax" {
 		t.Fatalf("span events = %v", names)
+	}
+
+	// Two engines' spans overlap without nesting: the first opened ends
+	// first. The later one stays current, and ending it unlinks both.
+	a := h.BeginSpan("a")
+	b := h.BeginSpan("b")
+	a.End()
+	if got := h.CurrentSpan(); got != "b" {
+		t.Fatalf("CurrentSpan after the older span ended = %q, want b", got)
+	}
+	b.End()
+	if got := h.CurrentSpan(); got != "" {
+		t.Fatalf("CurrentSpan after both ended = %q", got)
 	}
 }
 

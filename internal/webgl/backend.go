@@ -195,7 +195,7 @@ func (b *Backend) touch(td *texData) *glsim.Texture {
 	b.pageIns.Add(1)
 	if hub := telemetry.Default(); hub.Active() {
 		hub.Emit(telemetry.Event{
-			Kind: telemetry.KindPageIn, Name: "page_in",
+			Kind: telemetry.KindPageIn, Name: "page_in", Span: hub.CurrentSpan(),
 			Backend: "webgl", Bytes: td.bytes(),
 		})
 	}
@@ -256,7 +256,7 @@ func (b *Backend) pageOut(td *texData) {
 	b.pageOuts.Add(1)
 	if hub := telemetry.Default(); hub.Active() {
 		hub.Emit(telemetry.Event{
-			Kind: telemetry.KindPageOut, Name: "page_out",
+			Kind: telemetry.KindPageOut, Name: "page_out", Span: hub.CurrentSpan(),
 			Backend: "webgl", Start: start,
 			DurMS: float64(time.Since(start)) / float64(time.Millisecond),
 			Bytes: td.bytes(),
@@ -321,7 +321,7 @@ func (b *Backend) Read(d tensor.DataID) *jsenv.Future[[]float32] {
 				// The fence event records how long the device took to
 				// signal — the async-readback latency of §4.1.1.
 				hub.Emit(telemetry.Event{
-					Kind: telemetry.KindFence, Name: "fenceSync",
+					Kind: telemetry.KindFence, Name: "fenceSync", Span: hub.CurrentSpan(),
 					Backend: "webgl", Start: issued,
 					DurMS: float64(time.Since(issued)) / float64(time.Millisecond),
 				})
