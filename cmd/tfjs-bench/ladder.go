@@ -15,14 +15,14 @@ import (
 // single-image MobileNet inference — each rung enables one more piece of
 // the execution config, all through the unified options API:
 //
-//	packed   ×1   the native kernels (adaptive packed/row-streaming GEMM),
-//	              one worker
-//	packed   ×N   same kernels sharded across GOMAXPROCS workers
+//	native   ×1   the native kernels (AVX2 vector cores where the CPU has
+//	              them), one worker
+//	native   ×N   same kernels sharded across GOMAXPROCS workers
 //	measured ×N   chunk grain from the continuous profiler's measured
 //	              ns/element accounts instead of static flop estimates
 //
 // One gate rides on the ladder. The measured rung must be bitwise
-// identical to packed ×N — the cost model only moves chunk boundaries,
+// identical to native ×N — the cost model only moves chunk boundaries,
 // and kernels never split one output element's accumulation across
 // chunks, so any drift is a bug, and the run exits nonzero. outPath, when
 // set, writes the measured numbers as JSON (the CI artifact behind the
@@ -61,8 +61,8 @@ func ladderExperiment(alpha float64, size, runs int, outPath string) {
 		workers  int
 		measured bool
 	}{
-		{"packed ×1", 1, false},
-		{fmt.Sprintf("packed ×%d", procs), procs, false},
+		{"native ×1", 1, false},
+		{fmt.Sprintf("native ×%d", procs), procs, false},
 		{fmt.Sprintf("measured ×%d", procs), procs, true},
 	}
 	defer func() {
@@ -107,13 +107,13 @@ func ladderExperiment(alpha float64, size, runs int, outPath string) {
 		if baseMS == 0 {
 			baseMS = ms
 		}
-		fmt.Printf("%-14s %12.1f %9.2fx\n", r.label, ms, baseMS/ms)
+		fmt.Printf("%-14s %12.2f %9.2fx\n", r.label, ms, baseMS/ms)
 		results[r.label] = ModeResult{PredictMS: ms, QPS: 1000 / ms}
 	}
 	fmt.Println("\n(the ×N rung needs GOMAXPROCS physical cores to show its gain; on fewer")
 	fmt.Println(" cores the workers time-slice and the rung measures scheduling overhead)")
 
-	// Bit-identity gate: the measured rung against packed ×N. The cost
+	// Bit-identity gate: the measured rung against native ×N. The cost
 	// model may only move chunk boundaries, never arithmetic, so the two
 	// float32 vectors must match bit for bit.
 	f32Out := outputs[rungs[1].label]
@@ -125,7 +125,7 @@ func ladderExperiment(alpha float64, size, runs int, outPath string) {
 			os.Exit(1)
 		}
 	}
-	fmt.Printf("\nmeasured-cost bit-identity gate: all %d class probabilities bitwise equal to packed ×%d\n",
+	fmt.Printf("\nmeasured-cost bit-identity gate: all %d class probabilities bitwise equal to native ×%d\n",
 		len(f32Out), procs)
 
 	if outPath != "" {

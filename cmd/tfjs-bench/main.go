@@ -8,8 +8,8 @@
 //	tfjs-bench recycling — §4.1.2: texture recycler ablation
 //	tfjs-bench census    — §4.1.3: device support shares (WebGLStats analogue)
 //	tfjs-bench fusion    — graph optimizer A/B: operator fusion on vs off
-//	tfjs-bench ladder    — native acceleration ladder: packed ×1 →
-//	                       packed ×N → measured-cost ×N, with the
+//	tfjs-bench ladder    — native acceleration ladder: native ×1 →
+//	                       native ×N → measured-cost ×N, with the
 //	                       measured-vs-static bit-identity gate
 //	tfjs-bench overhead  — telemetry cost: QPS with the server's observers and
 //	                       profiling on vs nothing attached and profiling off,
@@ -26,11 +26,11 @@
 // dispatches, Predict latency and peak memory per arm, verifies the arms
 // agree to 1e-5, and (with -tracedir) writes a Chrome trace per arm.
 //
-// The ladder command measures three rungs in one run — packed ×1 worker,
-// packed ×N cores, measured ×N (the measured cost model: the continuous
+// The ladder command measures three rungs in one run — native ×1 worker,
+// native ×N cores, measured ×N (the measured cost model: the continuous
 // profiler's ns/element accounts drive the parallelism grain) — and
 // enforces one gate: the measured rung must be bitwise identical to
-// packed ×N (grain changes may never change results), or it exits
+// native ×N (grain changes may never change results), or it exits
 // nonzero.
 //
 // The serving benchmark is bench/ (BENCHMARK.json): `bash bench/run.sh`.

@@ -61,8 +61,7 @@ func requireBitIdentical(t *testing.T, label string, got, want []float32) {
 }
 
 // reluVals returns randVals with the negatives zeroed: a post-ReLU
-// activation matrix, ~50% zeros, which gemmAuto routes to the
-// row-streaming core.
+// activation matrix, ~50% zeros, each of which the GEMM core skips.
 func reluVals(rng *rand.Rand, n int) []float32 {
 	vals := randVals(rng, n)
 	for i, v := range vals {
@@ -74,10 +73,9 @@ func reluVals(rng *rand.Rand, n int) []float32 {
 }
 
 // determinismCases builds kernels whose index spaces exercise every
-// parallel path: GEMM row panels (odd edge panels) on both cores — dense
-// lhs operands run the packed core, the *Sparse cases' post-ReLU lhs the
-// row-streaming one — conv rows, the 1×1-pointwise GEMM fast path,
-// depthwise, and the split reductions.
+// parallel path: GEMM rows on dense and post-ReLU (zero-skipping) lhs
+// operands, conv rows, the 1×1-pointwise GEMM fast path, depthwise, and
+// the split reductions.
 // Odd, non-round sizes make chunk boundaries land differently for every
 // worker count, which is exactly what must not show in the output bits.
 func determinismCases(rng *rand.Rand) map[string]func() *tensor.Tensor {
@@ -136,8 +134,8 @@ func determinismCases(rng *rand.Rand) map[string]func() *tensor.Tensor {
 }
 
 // TestBitIdenticalAcrossWorkerCounts is the determinism gate: every
-// parallel kernel, on both GEMM cores, must produce bit-identical outputs
-// at Workers ∈ {1, 2, 4, 7}. The per-element accumulation loops (the k
+// parallel kernel must produce bit-identical outputs at Workers ∈
+// {1, 2, 4, 7}. The per-element accumulation loops (the k
 // loop of GEMM, the filter loop of conv, the per-chunk reduction tree) are
 // never split across workers, so the only thing a worker count may change
 // is wall time.

@@ -1,0 +1,171 @@
+package native
+
+// Per-kernel benchmark entry points mirroring the per-layer rows of the
+// repo benchmark (native.gemm_pointwise_ms, native.depthwise_ms,
+// native.conv3x3_ms), on MobileNet α=0.25 @96 layer shapes, one worker,
+// kernels called directly. Each reports GFLOP/s (2 flops per
+// multiply-add) and, through SetBytes, the operand + output bytes one
+// call touches. The whole-model number is BenchmarkMobileNet in
+// bench_test.go.
+//
+//	go test -run '^$' -bench . -cpu 1 ./internal/native/
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/kernels"
+	"repro/internal/tensor"
+)
+
+// benchVals returns n normal values with the given fraction zeroed — a
+// post-ReLU6 activation map is about half zeros.
+func benchVals(rng *rand.Rand, n int, sparsity float64) []float32 {
+	vals := make([]float32, n)
+	for i := range vals {
+		if rng.Float64() >= sparsity {
+			vals[i] = float32(rng.NormFloat64())
+		}
+	}
+	return vals
+}
+
+func benchBackend() *Backend {
+	nb := New()
+	nb.SetWorkers(1)
+	return nb
+}
+
+func reportKernel(b *testing.B, flops, floats int) {
+	b.SetBytes(int64(4 * floats))
+	b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+// benchGemm times the GEMM core on an m×k lhs with the given zero
+// fraction. The zeroing of out is inside the loop, as it is in a served
+// request (the output buffer comes zeroed from the allocator).
+func benchGemm(b *testing.B, m, k, n int, sparsity float64) {
+	nb := benchBackend()
+	rng := rand.New(rand.NewSource(1))
+	av, bv := benchVals(rng, m*k, sparsity), benchVals(rng, k*n, 0)
+	out := make([]float32, m*n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(out)
+		nb.matmul(m, n, k, av, bv, false, false, out, epilogue{})
+	}
+	reportKernel(b, 2*m*k*n, m*k+k*n+m*n)
+}
+
+// 2304×64 · 64×64 is the repo benchmark's native.gemm_pointwise shape.
+// These three and the GEMV are the pairs the packed 4×4 micro-kernel
+// tier was deleted on (EXPERIMENTS.md, "Native row gets its AVX2").
+func BenchmarkGemmDense(b *testing.B)  { benchGemm(b, 2304, 64, 64, 0) }
+func BenchmarkGemmSparse(b *testing.B) { benchGemm(b, 2304, 64, 64, 0.5) }
+func BenchmarkGemmBig(b *testing.B)    { benchGemm(b, 512, 512, 512, 0) }
+
+// BenchmarkGemvClassifier is the batch-1 classifier head: 1×256 · 256×1000.
+func BenchmarkGemvClassifier(b *testing.B) { benchGemm(b, 1, 256, 1000, 0) }
+
+// benchPlanKernel times one registered kernel through its plan entry
+// point, disposing the output each iteration so the recycler serves the
+// next one, as the plan executor does.
+func benchPlanKernel(b *testing.B, nb *Backend, name string, attrs kernels.Attrs, flops int, inputs ...kernels.Input) {
+	k := nb.plans[name]
+	var out kernels.TensorInfo
+	floats := 0
+	for _, in := range inputs {
+		floats += tensor.ShapeSize(in.Shape)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := k(inputs, attrs, &out); err != nil {
+			b.Fatal(err)
+		}
+		nb.DisposeData(out.DataID)
+	}
+	reportKernel(b, flops, floats+tensor.ShapeSize(out.Shape))
+}
+
+func benchInput(nb *Backend, vals []float32, shape ...int) kernels.Input {
+	id := tensor.NewDataID()
+	nb.WriteOwned(id, vals)
+	return kernels.Input{DataID: id, Shape: shape, DType: tensor.Float32}
+}
+
+// BenchmarkPointwise runs the fused 1×1 conv + bias + relu6 over the nine
+// distinct (rows, inC, outC) shapes of MobileNet α=0.25 @96's thirteen
+// pointwise layers, on post-ReLU6 (half-zero) inputs.
+func BenchmarkPointwise(b *testing.B) {
+	for _, s := range [][3]int{
+		{48, 8, 16}, {24, 16, 32}, {24, 32, 32}, {12, 32, 64}, {12, 64, 64},
+		{6, 64, 128}, {6, 128, 128}, {3, 128, 256}, {3, 256, 256},
+	} {
+		side, inC, outC := s[0], s[1], s[2]
+		b.Run(fmt.Sprintf("%dx%dx%d", side*side, inC, outC), func(b *testing.B) {
+			nb := benchBackend()
+			rng := rand.New(rand.NewSource(1))
+			x := benchInput(nb, benchVals(rng, side*side*inC, 0.5), 1, side, side, inC)
+			w := benchInput(nb, benchVals(rng, inC*outC, 0), 1, 1, inC, outC)
+			bias := benchInput(nb, benchVals(rng, outC, 0), outC)
+			benchPlanKernel(b, nb, "FusedConv2D", kernels.Attrs{"activation": "relu6"},
+				2*side*side*inC*outC, x, w, bias)
+		})
+	}
+}
+
+// benchDepthwise is the fused 3×3 depthwise + bias + relu6 on a
+// 24×24×32 map (MobileNet α=0.25 @96 blocks 3 and 4).
+func benchDepthwise(b *testing.B, stride int) {
+	const side, c = 24, 32
+	nb := benchBackend()
+	rng := rand.New(rand.NewSource(1))
+	x := benchInput(nb, benchVals(rng, side*side*c, 0.5), 1, side, side, c)
+	w := benchInput(nb, benchVals(rng, 3*3*c, 0), 3, 3, c, 1)
+	bias := benchInput(nb, benchVals(rng, c, 0), c)
+	outSide := side / stride
+	benchPlanKernel(b, nb, "FusedDepthwiseConv2dNative",
+		kernels.Attrs{"activation": "relu6", "pad": "same", "strides": []int{stride, stride}},
+		2*outSide*outSide*c*9, x, w, bias)
+}
+
+func BenchmarkDepthwise3x3S1(b *testing.B) { benchDepthwise(b, 1) }
+func BenchmarkDepthwise3x3S2(b *testing.B) { benchDepthwise(b, 2) }
+
+// BenchmarkConvStem3x3S2 is MobileNet's first layer: 96×96×3 → 48×48×8,
+// 3×3 stride 2, fused bias + relu6, on a dense image.
+func BenchmarkConvStem3x3S2(b *testing.B) {
+	nb := benchBackend()
+	rng := rand.New(rand.NewSource(1))
+	x := benchInput(nb, benchVals(rng, 96*96*3, 0), 1, 96, 96, 3)
+	w := benchInput(nb, benchVals(rng, 3*3*3*8, 0), 3, 3, 3, 8)
+	bias := benchInput(nb, benchVals(rng, 8, 0), 8)
+	benchPlanKernel(b, nb, "FusedConv2D",
+		kernels.Attrs{"activation": "relu6", "pad": "same", "strides": []int{2, 2}},
+		2*48*48*8*27, x, w, bias)
+}
+
+// BenchmarkEpilogueRelu6 applies bias + relu6 to a 24×24 map of 32
+// channels, one call per output position as the conv kernels make it.
+// Each iteration first restores the pre-activation values (a copy the
+// reported time includes): applied to its own output the epilogue would
+// converge on a map of 0s and 6s.
+func BenchmarkEpilogueRelu6(b *testing.B) {
+	const positions, c = 24 * 24, 32
+	rng := rand.New(rand.NewSource(1))
+	src := benchVals(rng, positions*c, 0)
+	for i := range src {
+		src[i] *= 4
+	}
+	dst := make([]float32, len(src))
+	ep := epilogue{bias: benchVals(rng, c, 0), kind: actRelu6}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(dst, src)
+		for p := 0; p < positions; p++ {
+			ep.apply(dst[p*c : (p+1)*c])
+		}
+	}
+	reportKernel(b, 2*positions*c, 2*positions*c)
+}

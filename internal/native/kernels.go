@@ -21,11 +21,10 @@ import (
 func (b *Backend) initKernels() {
 	b.table = map[string]kernels.OverrideKernel{}
 	b.plans = map[string]planKernel{}
-	b.registerMatMul()
-	b.registerConv()
+	b.registerConvMatMul()
+	b.registerPool()
 	b.registerElementwise()
 	b.registerReduce()
-	b.registerFused()
 }
 
 // in returns the raw buffer of an input.
@@ -70,214 +69,7 @@ func (b *Backend) refInto(name string, inputs []kernels.Input, attrs kernels.Att
 	return nil
 }
 
-func (b *Backend) registerMatMul() {
-	b.register("BatchMatMul", func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
-		if len(inputs) != 2 {
-			return fmt.Errorf("BatchMatMul: got %d inputs, want 2", len(inputs))
-		}
-		a, x := inputs[0], inputs[1]
-		transposeA := attrs.Bool("transposeA", false)
-		transposeB := attrs.Bool("transposeB", false)
-		if len(a.Shape) != 3 || len(x.Shape) != 3 {
-			return fmt.Errorf("BatchMatMul: inputs must be rank 3, got %v and %v", a.Shape, x.Shape)
-		}
-		batchA, batchB := a.Shape[0], x.Shape[0]
-		batch := batchA
-		if batchB > batch {
-			batch = batchB
-		}
-		if batchA != batchB && batchA != 1 && batchB != 1 {
-			return fmt.Errorf("BatchMatMul: incompatible batch dims %d and %d", batchA, batchB)
-		}
-		m, kA := a.Shape[1], a.Shape[2]
-		if transposeA {
-			m, kA = kA, m
-		}
-		kB, n := x.Shape[1], x.Shape[2]
-		if transposeB {
-			kB, n = n, kB
-		}
-		if kA != kB {
-			return fmt.Errorf("BatchMatMul: inner dims mismatch %v x %v", a.Shape, x.Shape)
-		}
-		k := kA
-		aBuf, bBuf := b.in(a), b.in(x)
-		out.Shape = append(out.Shape[:0], batch, m, n)
-		dst := b.outInto(out, tensor.Float32)
-		aMat, bMat := a.Shape[1]*a.Shape[2], x.Shape[1]*x.Shape[2]
-
-		// The common untransposed product goes through the shared GEMM
-		// core (packed micro-kernel, or the row-streaming loop for a sparse
-		// lhs), one call per batch element.
-		if !transposeA && !transposeB {
-			for p := 0; p < batch; p++ {
-				aOff := (p % batchA) * aMat
-				bOff := (p % batchB) * bMat
-				b.gemmAuto(m, n, k, aBuf[aOff:], bBuf[bOff:], dst[p*m*n:(p+1)*m*n], gemmEpilogue{})
-			}
-			return nil
-		}
-
-		// Transposed variants: parallelize across (batch, row) pairs with
-		// the generic strided loop (2·k·n flops per row).
-		b.parallelFor(batch*m, 2*k*n, func(lo, hi int) {
-			for bi := lo; bi < hi; bi++ {
-				p := bi / m
-				i := bi % m
-				aOff := (p % batchA) * aMat
-				bOff := (p % batchB) * bMat
-				row := dst[(p*m+i)*n : (p*m+i+1)*n]
-				for kk := 0; kk < k; kk++ {
-					var av float32
-					if transposeA {
-						av = aBuf[aOff+kk*m+i]
-					} else {
-						av = aBuf[aOff+i*k+kk]
-					}
-					if av == 0 {
-						continue
-					}
-					if transposeB {
-						for j := 0; j < n; j++ {
-							row[j] += av * bBuf[bOff+j*k+kk]
-						}
-					} else {
-						bRow := bBuf[bOff+kk*n : bOff+(kk+1)*n]
-						for j, bv := range bRow {
-							row[j] += av * bv
-						}
-					}
-				}
-			}
-		})
-		return nil
-	})
-}
-
-func (b *Backend) registerConv() {
-	b.register("Conv2D", func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
-		if len(inputs) != 2 {
-			return fmt.Errorf("Conv2D: got %d inputs, want 2", len(inputs))
-		}
-		x, w := inputs[0], inputs[1]
-		info, err := kernels.ComputeConv2DInfo(x.Shape, w.Shape,
-			attrs.Ints("strides", defaultConvStride), attrs.Ints("dilations", defaultConvStride),
-			attrs.String("pad", "valid"), false)
-		if err != nil {
-			return err
-		}
-		xBuf, wBuf := b.in(x), b.in(w)
-		out.Shape = append(out.Shape[:0], info.BatchSize, info.OutHeight, info.OutWidth, info.OutChannels)
-		dst := b.outInto(out, tensor.Float32)
-		inC, outC := info.InChannels, info.OutChannels
-		inRow := info.InWidth * inC
-		inImg := info.InHeight * inRow
-		outRow := info.OutWidth * outC
-		outImg := info.OutHeight * outRow
-
-		// Parallelize across output rows (batch × outY); each row costs
-		// outW·outC inner products of length fh·fw·inC.
-		rowCost := info.OutWidth * outC * b.costPerElem(2*info.FilterHeight*info.FilterWidth*inC)
-		b.parallelFor(info.BatchSize*info.OutHeight, rowCost, func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				bb := r / info.OutHeight
-				oy := r % info.OutHeight
-				yCorner := oy*info.StrideHeight - info.PadTop
-				for ox := 0; ox < info.OutWidth; ox++ {
-					xCorner := ox*info.StrideWidth - info.PadLeft
-					outBase := bb*outImg + oy*outRow + ox*outC
-					rowDst := dst[outBase : outBase+outC]
-					for fy := 0; fy < info.FilterHeight; fy++ {
-						iy := yCorner + fy*info.DilationHeight
-						if iy < 0 || iy >= info.InHeight {
-							continue
-						}
-						for fx := 0; fx < info.FilterWidth; fx++ {
-							ix := xCorner + fx*info.DilationWidth
-							if ix < 0 || ix >= info.InWidth {
-								continue
-							}
-							inBase := bb*inImg + iy*inRow + ix*inC
-							wBase := (fy*info.FilterWidth + fx) * inC * outC
-							for ic := 0; ic < inC; ic++ {
-								xv := xBuf[inBase+ic]
-								if xv == 0 {
-									continue
-								}
-								wRow := wBuf[wBase+ic*outC : wBase+(ic+1)*outC]
-								for oc, wv := range wRow {
-									rowDst[oc] += xv * wv
-								}
-							}
-						}
-					}
-				}
-			}
-		})
-		return nil
-	})
-
-	b.register("DepthwiseConv2dNative", func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
-		if len(inputs) != 2 {
-			return fmt.Errorf("DepthwiseConv2dNative: got %d inputs, want 2", len(inputs))
-		}
-		x, w := inputs[0], inputs[1]
-		info, err := kernels.ComputeConv2DInfo(x.Shape, w.Shape,
-			attrs.Ints("strides", defaultConvStride), attrs.Ints("dilations", defaultConvStride),
-			attrs.String("pad", "valid"), true)
-		if err != nil {
-			return err
-		}
-		xBuf, wBuf := b.in(x), b.in(w)
-		out.Shape = append(out.Shape[:0], info.BatchSize, info.OutHeight, info.OutWidth, info.OutChannels)
-		dst := b.outInto(out, tensor.Float32)
-		inC, mult, outC := info.InChannels, info.ChannelMultiplier, info.OutChannels
-		inRow := info.InWidth * inC
-		inImg := info.InHeight * inRow
-		outRow := info.OutWidth * outC
-		outImg := info.OutHeight * outRow
-
-		rowCost := info.OutWidth * outC * b.costPerElem(2*info.FilterHeight*info.FilterWidth)
-		b.parallelFor(info.BatchSize*info.OutHeight, rowCost, func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				bb := r / info.OutHeight
-				oy := r % info.OutHeight
-				yCorner := oy*info.StrideHeight - info.PadTop
-				for ox := 0; ox < info.OutWidth; ox++ {
-					xCorner := ox*info.StrideWidth - info.PadLeft
-					outBase := bb*outImg + oy*outRow + ox*outC
-					for fy := 0; fy < info.FilterHeight; fy++ {
-						iy := yCorner + fy*info.DilationHeight
-						if iy < 0 || iy >= info.InHeight {
-							continue
-						}
-						for fx := 0; fx < info.FilterWidth; fx++ {
-							ix := xCorner + fx*info.DilationWidth
-							if ix < 0 || ix >= info.InWidth {
-								continue
-							}
-							inBase := bb*inImg + iy*inRow + ix*inC
-							wBase := (fy*info.FilterWidth + fx) * inC * mult
-							if mult == 1 {
-								for ic := 0; ic < inC; ic++ {
-									dst[outBase+ic] += xBuf[inBase+ic] * wBuf[wBase+ic]
-								}
-							} else {
-								for ic := 0; ic < inC; ic++ {
-									xv := xBuf[inBase+ic]
-									for q := 0; q < mult; q++ {
-										dst[outBase+ic*mult+q] += xv * wBuf[wBase+ic*mult+q]
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-		})
-		return nil
-	})
-
+func (b *Backend) registerPool() {
 	pool := func(name string, isMax bool) planKernel {
 		return func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
 			if len(inputs) != 1 {

@@ -1,6 +1,7 @@
 package native_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -111,7 +112,7 @@ func TestSteadyStateAllocsGate(t *testing.T) {
 // TestPooledBitIdentityMatrix checks the planner's correctness invariant:
 // with the recycler on, outputs are bitwise identical to the same plan run
 // with the recycler off — not merely close — at every worker count, on the
-// static-cost (packed) and measured-cost rungs of the acceleration ladder.
+// static-cost and measured-cost rungs of the acceleration ladder.
 // Buffer reuse may never change which values a kernel reads or writes.
 func TestPooledBitIdentityMatrix(t *testing.T) {
 	nb := nodeBackend(t)
@@ -122,7 +123,7 @@ func TestPooledBitIdentityMatrix(t *testing.T) {
 		name string
 		opts []exec.Option
 	}{
-		{"packed", nil},
+		{"static", nil},
 		{"measured", []exec.Option{exec.WithCostModel(exec.CostModelMeasured)}},
 	}
 	const inputSize = 64
@@ -171,6 +172,42 @@ func TestPooledBitIdentityMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestVectorScalarBitIdentity is the whole-model form of the vector
+// cores' contract (vec.go): MobileNet α=0.25 @96 run on the AVX2 bodies
+// gives, bit for bit, the output of the pure-Go bodies — at batch 1 and
+// 16, and at every worker count against the one-worker scalar reference.
+func TestVectorScalarBitIdentity(t *testing.T) {
+	if !native.VectorCores() {
+		t.Skip("no AVX2 on this CPU: the Go bodies are the only ones that run")
+	}
+	nb := nodeBackend(t)
+	defer nb.SetWorkers(-1)
+	gm, err := graphmodel.New(mobileNetGraph(t, 96))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gm.Dispose()
+
+	for _, batch := range []int{1, 16} {
+		vals := make([]float32, batch*96*96*3)
+		for i := range vals {
+			vals[i] = float32(i%257)/257 - 0.3
+		}
+		x := ops.FromValues(vals, batch, 96, 96, 3)
+		defer x.Dispose()
+
+		nb.SetWorkers(1)
+		restore := native.ForceScalar()
+		want := predictBits(t, gm, x)
+		restore()
+		for _, workers := range []int{1, 2, 4, 8} {
+			nb.SetWorkers(workers)
+			requireBitIdentical(t, fmt.Sprintf("AVX2 vs scalar, batch %d, workers %d", batch, workers),
+				predictBits(t, gm, x), want)
+		}
 	}
 }
 

@@ -6,23 +6,22 @@
 // There is no TensorFlow C library in this reproduction (see DESIGN.md);
 // instead the backend plays the same architectural role: it shares the
 // user-facing API with every other backend while delegating the hot kernels
-// to optimized code — here a cache-blocked packed GEMM core and loops
-// sharded across a persistent worker pool that stand in for the vendored
-// BLAS/Eigen kernels. Everything not overridden falls back to the
+// to optimized code — here AVX2 vector cores under the GEMM, convolution
+// and epilogue inner loops (vec.go; pure Go where there is no AVX2) and
+// loops sharded across a persistent worker pool, standing in for the
+// vendored BLAS/Eigen kernels. Everything not overridden falls back to the
 // reference kernels through the engine, exactly like the real Node backend
 // falls back for ops the C API does not expose.
 package native
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/bufpool"
 	"repro/internal/cpu"
 	"repro/internal/exec"
 	"repro/internal/kernels"
-	"repro/internal/tensor"
 )
 
 // DefaultWorkers is the initial worker count: GOMAXPROCS, the bound Go
@@ -45,24 +44,17 @@ type Backend struct {
 	// shape-copy allocations of the OverrideKernel contract.
 	plans map[string]planKernel
 
-	// scratchF32 recycles kernel-internal temporaries (GEMM pack panels):
-	// a per-backend (and so per-replica) free list, independent of whether
-	// the data plane pools; only poison mode is shared.
+	// scratchF32 recycles kernel-internal temporaries (FusedBatchNorm's
+	// per-channel scale and shift): a per-backend (and so per-replica)
+	// free list, independent of whether the data plane pools; only poison
+	// mode is shared.
 	scratchF32 *bufpool.Pool
-
-	// packCache holds the cache-blocked panel layout of each weight the
-	// packed GEMM core has multiplied by, keyed by the weight's DataID.
-	// Weights are written once and immutable thereafter, so entries stay
-	// valid until the data is disposed (see DisposeData).
-	packMu    sync.Mutex
-	packCache map[tensor.DataID]packedB
 }
 
 // New returns the native backend.
 func New() *Backend {
 	b := &Backend{
 		Backend:    cpu.NewNamed("node"),
-		packCache:  map[tensor.DataID]packedB{},
 		scratchF32: bufpool.New(),
 	}
 	b.workers.Store(int64(DefaultWorkers()))
@@ -175,16 +167,6 @@ func (b *Backend) Memory() kernels.MemoryInfo {
 	info.PoolMisses += st.Misses
 	info.RecycledBytes += st.RecycledBytes
 	return info
-}
-
-// DisposeData drops any cached preprocessed form of the buffer before
-// releasing the storage, so the pack cache can never outlive (or alias a
-// recycled DataID of) the weight it was derived from.
-func (b *Backend) DisposeData(d tensor.DataID) {
-	b.packMu.Lock()
-	delete(b.packCache, d)
-	b.packMu.Unlock()
-	b.Backend.DisposeData(d)
 }
 
 var (

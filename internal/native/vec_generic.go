@@ -1,0 +1,20 @@
+//go:build !amd64
+
+package native
+
+// Off amd64 there is no assembly: hasAVX2 keeps useAVX2 false, so the
+// pure-Go bodies in vec.go run and these are never reached.
+
+func hasAVX2() bool { return false }
+
+func axpyNAVX2(row, a []float32, off []int, b []float32) {
+	panic("native: no AVX2 core on this GOARCH")
+}
+
+func dwPixelAVX2(dst, x, w []float32, xRowStride, xTapStride, wRowStride, rows, taps int) {
+	panic("native: no AVX2 core on this GOARCH")
+}
+
+func biasActAVX2(dst, bias []float32, kind int) {
+	panic("native: no AVX2 core on this GOARCH")
+}

@@ -117,30 +117,35 @@ func TestWebGPUSharedMemoryReducesFetches(t *testing.T) {
 	// 128³ matmul the fragment path fetches 2·128³ values; the tiled
 	// path fetches each operand element once per opposing tile:
 	// 2·128²·(128/16).
+	//
+	// The device exposes no fetch counter, so the test reads modeled GPU
+	// time, which is scaled from the wall clock of the program's run. One
+	// sample is at the mercy of whatever else the host is doing; the
+	// minimum of several is the run that was not disturbed.
 	e := core.Global()
-	count := func(backend string) int64 {
+	const samples = 7
+	modeledNS := func(backend string) int64 {
 		if err := e.SetBackend(backend); err != nil {
 			t.Fatal(err)
 		}
 		defer e.SetBackend("cpu")
-		var fetches int64
+		best := int64(math.MaxInt64)
 		e.Tidy("fetch-count", func() []*tensor.Tensor {
 			a := ops.Fill([]int{128, 128}, 0.5)
 			a.DataSync()
-			// Texture fetch counters are not exposed; approximate with
-			// device texel invocations is not enough — so measure via
-			// modeled GPU time instead, which tracks work done.
-			ti := e.Time(func() {
-				ops.MatMul(a, a, false, false).DataSync()
-			})
-			fetches = int64(ti.KernelMS * 1e6) // ns of modeled device time
+			for i := 0; i < samples; i++ {
+				ti := e.Time(func() {
+					ops.MatMul(a, a, false, false).DataSync()
+				})
+				best = min(best, int64(ti.KernelMS*1e6))
+			}
 			return nil
 		})
-		return fetches
+		return best
 	}
-	fragment := count("webgl")
-	compute := count("webgpu")
+	fragment := modeledNS("webgl")
+	compute := modeledNS("webgpu")
 	if compute >= fragment {
-		t.Fatalf("compute matmul (modeled %dns) should beat fragment (%dns)", compute, fragment)
+		t.Fatalf("compute matmul (modeled %dns, best of %d) should beat fragment (%dns)", compute, samples, fragment)
 	}
 }
