@@ -19,7 +19,8 @@ import (
 // is loaded twice — optimizer on (the default) and off — and run on the
 // native backend. For each arm it measures kernel dispatches, average
 // Predict latency and peak engine memory via the telemetry hub, checks the
-// two arms agree numerically, and prints which fusion patterns fired.
+// two arms agree numerically, and prints the per-kernel dispatch and byte
+// deltas and which fusion patterns fired.
 //
 // outPath writes the numbers as a BenchResult JSON with modes "fusion_on"
 // and "fusion_off" (the CI artifact); traceDir, when set, writes Chrome
@@ -91,13 +92,20 @@ func fusionExperiment(alpha float64, size, runs int, outPath, traceDir string) {
 	fmt.Printf("peak memory:        %.2f -> %.2f MiB\n", float64(off.peakBytes)/(1<<20), float64(on.peakBytes)/(1<<20))
 	fmt.Printf("max |on-off| over %d outputs: %.2g\n", len(on.output), diff)
 
-	fmt.Printf("\npatterns fired at load (optimizer on): %d -> %d nodes\n", on.stats.NodesBefore, on.stats.NodesAfter)
-	patterns := make([]string, 0, len(on.stats.Patterns))
-	for p := range on.stats.Patterns {
-		patterns = append(patterns, p)
+	fmt.Printf("\nper-kernel dispatches and bytes added per inference:\n")
+	fmt.Printf("%-28s %10s %10s %14s %14s\n", "Kernel", "off calls", "on calls", "off bytes", "on bytes")
+	kernels := map[string]bool{}
+	for _, a := range arms {
+		for k := range a.kernelCounts {
+			kernels[k] = true
+		}
 	}
-	sort.Strings(patterns)
-	for _, p := range patterns {
+	for _, k := range sortedKeys(kernels) {
+		fmt.Printf("%-28s %10d %10d %14d %14d\n", k, off.kernelCounts[k], on.kernelCounts[k], off.kernelBytes[k], on.kernelBytes[k])
+	}
+
+	fmt.Printf("\npatterns fired at load (optimizer on): %d -> %d nodes\n", on.stats.NodesBefore, on.stats.NodesAfter)
+	for _, p := range sortedKeys(on.stats.Patterns) {
 		fmt.Printf("  %-44s %4d\n", p, on.stats.Patterns[p])
 	}
 
@@ -117,7 +125,8 @@ func fusionExperiment(alpha float64, size, runs int, outPath, traceDir string) {
 type fusionArm struct {
 	predictMS    float64
 	dispatches   int64
-	kernelCounts map[string]int64
+	kernelCounts map[string]int64 // per inference
+	kernelBytes  map[string]int64 // bytes added, per inference
 	peakBytes    int64
 	output       []float32
 	stats        tf.OptimizeStats
@@ -164,20 +173,32 @@ func runFusionArm(store converter.Store, vals []float32, size, runs int, optimiz
 	remove()
 
 	var dispatches int64
-	counts := map[string]int64{}
+	counts, added := map[string]int64{}, map[string]int64{}
 	for _, k := range stats.Kernels() {
 		dispatches += k.Count
 		counts[k.Name] = k.Count
+		added[k.Name] = k.BytesAdded
 	}
 	return fusionArm{
 		predictMS:    float64(elapsed) / float64(time.Millisecond) / float64(runs),
 		dispatches:   dispatches / int64(runs),
 		kernelCounts: perRun(counts, runs),
+		kernelBytes:  perRun(added, runs),
 		peakBytes:    peak,
 		output:       output,
 		stats:        m.OptimizeStats(),
 		trace:        rec,
 	}
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // perRun normalizes accumulated per-kernel counts to a single inference.

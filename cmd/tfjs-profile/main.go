@@ -17,11 +17,6 @@
 // (tfjs-vet) reports the same bug class at vet time with the same
 // "func (file:line)" site naming, so the two reports cross-reference.
 //
-// With -fusion-report it instead runs the graph-optimizer A/B on a
-// converted MobileNet and prints the patterns the optimizer fired at load,
-// the per-kernel dispatch and byte deltas between the unoptimized and
-// optimized graphs, and the peak engine memory of each arm.
-//
 // With -plan-report it instead loads the converted MobileNet (running the
 // planvet dataflow verifier every load performs) and prints the
 // compiled plan's per-root lifetime table: when each container is
@@ -37,7 +32,6 @@
 //	tfjs-profile -backend webgl -trace trace.json
 //	tfjs-profile -backend webgl -debug -inject-nan
 //	tfjs-profile -backend webgl -leaks -inject-leak
-//	tfjs-profile -backend node -fusion-report
 package main
 
 import (
@@ -64,7 +58,6 @@ func main() {
 	injectNaN := flag.Bool("inject-nan", false, "inject a NaN to demonstrate debug mode")
 	leaks := flag.Bool("leaks", false, "run under the tensor-lifetime tracker and print the leak report")
 	injectLeak := flag.Bool("inject-leak", false, "deliberately leak one tensor to demonstrate -leaks attribution")
-	fusionRep := flag.Bool("fusion-report", false, "print the graph-optimizer report: patterns fired, per-kernel dispatch/byte deltas, peak memory")
 	planRep := flag.Bool("plan-report", false, "verify the compiled plan and print its per-root lifetime table")
 	planOpt := flag.Bool("plan-optimize", true, "with -plan-report: run the graph optimizer before compiling the plan")
 	workers := flag.Int("workers", 0, "intra-op worker budget on the node backend (0 = leave default, <0 = reset)")
@@ -91,11 +84,6 @@ func main() {
 	// profiling exactly what that configuration runs.
 	if err := tf.ConfigureExec(tf.WithWorkers(*workers)); err != nil {
 		log.Fatal(err)
-	}
-
-	if *fusionRep {
-		fusionReport(*alpha, *size, *runs)
-		return
 	}
 
 	if *planRep {

@@ -3,6 +3,7 @@ package serving
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -193,50 +194,54 @@ func (s *scheduler) gather(first *request) []*request {
 }
 
 // execute groups the batch by instance shape (only same-shaped examples
-// can share a Concat) and runs each group as one batched execution.
+// can share a slab) and runs each group as one batched execution, in order
+// of each shape's first arrival.
 func (s *scheduler) execute(batch []*request) {
-	groups := map[string][]*request{}
-	var order []string
+	var groups [][]*request
 	for _, r := range batch {
-		key := r.inst.shapeKey()
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
+		i := slices.IndexFunc(groups, func(g []*request) bool { return slices.Equal(g[0].inst.Shape, r.inst.Shape) })
+		if i < 0 {
+			i = len(groups)
+			groups = append(groups, nil)
 		}
-		groups[key] = append(groups[key], r)
+		groups[i] = append(groups[i], r)
 	}
-	for _, key := range order {
-		s.runGroup(groups[key])
+	for _, g := range groups {
+		s.runGroup(g)
+	}
+}
+
+// stage records one sample of a named stage's latency: always in the
+// stage's /metrics histogram and, when the hub is observed, as a KindStage
+// trace event for each request that spent that time there — one request
+// for queue_wait, gather and split, the whole group for execute (the batch
+// is what executed: one sample per batch, one event per member).
+func (s *scheduler) stage(name string, start, end time.Time, members ...*request) {
+	ms := durMS(start, end)
+	s.metrics.ObserveStage(name, ms)
+	if !s.hub.Active() {
+		return
+	}
+	for _, r := range members {
+		s.hub.Emit(telemetry.Event{
+			Kind: telemetry.KindStage, Name: name, Span: s.model,
+			Trace: r.trace, FlowID: r.flow, Start: start, DurMS: ms,
+		})
 	}
 }
 
 // runGroup executes one same-shaped group as a single batched call and
-// delivers per-request results, recording stage latencies and — when the
-// hub is observed — the trace events that render the fan-in.
+// delivers per-request results. Every request passes four stages here:
+// queue_wait (enqueue to dequeue), gather (dequeue until its batch is
+// formed and leaves — the batch-formation wait, not a copy), execute (the
+// runner: slab copy and upload, model execution, read-back) and split
+// (execute's end until its result is handed over).
 func (s *scheduler) runGroup(group []*request) {
 	execStart := time.Now()
-	observed := s.hub.Active()
-
-	// Stage histograms are always recorded (two time.Now() calls per
-	// request beyond what delivery needs); events only when observed.
-	for _, r := range group {
-		queueMS := durMS(r.enqueued, r.dequeued)
-		gatherMS := durMS(r.dequeued, execStart)
-		s.metrics.ObserveStage("queue_wait", queueMS)
-		s.metrics.ObserveStage("gather", gatherMS)
-		if observed {
-			s.hub.Emit(telemetry.Event{
-				Kind: telemetry.KindStage, Name: "queue_wait", Span: s.model,
-				Trace: r.trace, FlowID: r.flow, Start: r.enqueued, DurMS: queueMS,
-			})
-			s.hub.Emit(telemetry.Event{
-				Kind: telemetry.KindStage, Name: "gather", Span: s.model,
-				Trace: r.trace, FlowID: r.flow, Start: r.dequeued, DurMS: gatherMS,
-			})
-		}
-	}
-
 	insts := make([]Instance, len(group))
 	for i, r := range group {
+		s.stage("queue_wait", r.enqueued, r.dequeued, r)
+		s.stage("gather", r.dequeued, execStart, r)
 		insts[i] = r.inst
 	}
 	s.metrics.ObserveBatch(len(group))
@@ -245,26 +250,18 @@ func (s *scheduler) runGroup(group []*request) {
 		err = fmt.Errorf("serving: runner returned %d results for a batch of %d", len(outs), len(group))
 	}
 	execEnd := time.Now()
-	execMS := durMS(execStart, execEnd)
-	s.metrics.ObserveStage("execute", execMS)
 
+	observed := s.hub.Active()
 	if observed {
-		// One batch slice per group — the fan-in target — then one
-		// execute stage per member request carrying the flow ID that the
-		// trace renderer turns into an arrow from the request's span into
-		// this slice.
-		batchID := nextID()
+		// One batch slice per group — the fan-in target; each member's
+		// execute event below carries the flow ID that the trace renderer
+		// turns into an arrow from the request's span into this slice.
 		s.hub.Emit(telemetry.Event{
 			Kind: telemetry.KindBatch, Name: "batch", Span: s.model,
-			FlowID: batchID, Count: len(group), Start: execStart, DurMS: execMS,
+			FlowID: nextID(), Count: len(group), Start: execStart, DurMS: durMS(execStart, execEnd),
 		})
-		for _, r := range group {
-			s.hub.Emit(telemetry.Event{
-				Kind: telemetry.KindStage, Name: "execute", Span: s.model,
-				Trace: r.trace, FlowID: r.flow, Start: execStart, DurMS: execMS,
-			})
-		}
 	}
+	s.stage("execute", execStart, execEnd, group...)
 
 	for i, r := range group {
 		if err != nil {
@@ -273,13 +270,8 @@ func (s *scheduler) runGroup(group []*request) {
 			r.resp <- response{inst: outs[i]}
 		}
 		end := time.Now()
-		splitMS := durMS(execEnd, end)
-		s.metrics.ObserveStage("split", splitMS)
+		s.stage("split", execEnd, end, r)
 		if observed {
-			s.hub.Emit(telemetry.Event{
-				Kind: telemetry.KindStage, Name: "split", Span: s.model,
-				Trace: r.trace, FlowID: r.flow, Start: execEnd, DurMS: splitMS,
-			})
 			s.hub.Emit(telemetry.Event{
 				Kind: telemetry.KindRequest, Name: "request", Span: s.model,
 				Trace: r.trace, FlowID: r.flow, Start: r.enqueued,

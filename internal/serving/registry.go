@@ -320,7 +320,7 @@ func loadRunner(name string, store converter.Store, backend string, replicas int
 			return nil, "", nil, err
 		}
 		dispose := func() { core.Global().RunExclusive(lm.Dispose) }
-		return &layersRunner{model: lm, backend: backend, span: name + ":predict"}, meta.Format, dispose, nil
+		return &layersRunner{model: lm, backend: backend, name: name}, meta.Format, dispose, nil
 	default:
 		return nil, "", nil, fmt.Errorf("serving: model.json format %q is neither graph-model nor layers-model", meta.Format)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graphmodel"
-	"repro/internal/kernels"
 	"repro/internal/layers"
 	"repro/internal/tensor"
 )
@@ -43,47 +42,51 @@ func recoverOpError(err *error) {
 	}
 }
 
-// concatBatch uploads every instance as a [1, shape...] tensor and concats
-// them along the batch dimension. Caller holds the execution lock.
-func concatBatch(e *core.Engine, batch []Instance) *tensor.Tensor {
-	parts := make([]*tensor.Tensor, len(batch))
-	for i, in := range batch {
-		parts[i] = e.MakeTensor(in.Values, append([]int{1}, in.Shape...), tensor.Float32)
+// gatherBatch copies every instance's row into *slab and uploads the slab
+// as one [n, shape...] tensor. The backend's Write (§3.4) copies it into
+// the container it owns — the only other copy a request's input bytes see —
+// so the tensor never aliases the slab, which is the runner's and keeps
+// its capacity between batches; the caller holds e's execution lock, which
+// is what lets several scheduler workers share it. An instance whose value
+// count is not its shape's, or not the batch's row length, fails the whole
+// batch before anything is uploaded, so no batch-mate can receive a
+// shifted row.
+func gatherBatch(e *core.Engine, slab *[]float32, batch []Instance) (*tensor.Tensor, error) {
+	shape := append([]int{len(batch)}, batch[0].Shape...)
+	row := batch[0].numElements()
+	buf := (*slab)[:0]
+	for _, in := range batch {
+		if len(in.Values) != row || in.numElements() != row {
+			return nil, &core.OpError{Kernel: "MakeTensor", Err: fmt.Errorf(
+				"instance has %d values for shape %v in a batch of %d-value rows", len(in.Values), in.Shape, row)}
+		}
+		buf = append(buf, in.Values...)
 	}
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	batched := e.RunKernel1("Concat", parts, kernels.Attrs{"axis": 0})
-	for _, p := range parts {
-		p.Dispose()
-	}
-	return batched
+	*slab = buf
+	return e.MakeTensor(buf, shape, tensor.Float32), nil
 }
 
-// splitBatch splits a [n, shape...] output back into per-example
-// instances and disposes the batched tensor. Caller holds the execution
-// lock of e, the engine y lives on.
-func splitBatch(e *core.Engine, y *tensor.Tensor, n int) []Instance {
+// splitBatch reads the [n, shape...] output back once, hands request i row
+// i of it and disposes the tensor. The engine's read is already safe to
+// retain; capping each row's capacity at its length keeps an append to one
+// request's values out of its neighbour's. An output whose leading
+// dimension is not the batch size is the model's fault, not the client's,
+// and is reported as such (500). Caller holds the execution lock of the
+// engine y lives on.
+func splitBatch(model string, y *tensor.Tensor, n int) ([]Instance, error) {
 	defer y.Dispose()
-	outShape := tensor.CopyShape(y.Shape[1:])
+	if y.Rank() == 0 || y.Shape[0] != n {
+		return nil, fmt.Errorf("serving: model %q produced output shape %v for a batch of %d: its leading dimension is not the batch size",
+			model, y.Shape, n)
+	}
+	vals := y.DataSync()
+	shape := tensor.CopyShape(y.Shape[1:])
+	row := len(vals) / n
 	out := make([]Instance, n)
-	if n == 1 {
-		out[0] = Instance{Values: append([]float32(nil), y.DataSync()...), Shape: outShape}
-		return out
-	}
-	if y.Shape[0]%n != 0 {
-		panic(&core.OpError{Kernel: "Split", Err: fmt.Errorf("cannot split output %v into %d instances", y.Shape, n)})
-	}
-	begin, size := make([]int, y.Rank()), tensor.CopyShape(y.Shape)
-	size[0] = y.Shape[0] / n
 	for i := range out {
-		begin[0] = i * size[0]
-		p := e.RunKernel1("Slice", []*tensor.Tensor{y}, kernels.Attrs{
-			"begin": tensor.CopyShape(begin), "size": tensor.CopyShape(size)})
-		out[i] = Instance{Values: append([]float32(nil), p.DataSync()...), Shape: outShape}
-		p.Dispose()
+		out[i] = Instance{Values: vals[i*row : (i+1)*row : (i+1)*row], Shape: shape}
 	}
-	return out
+	return out, nil
 }
 
 // graphRunner serves a converted graph model. The batched input feeds the
@@ -93,6 +96,7 @@ type graphRunner struct {
 	backend string
 	input   string
 	output  string
+	slab    []float32 // gatherBatch's buffer; touched only under the engine's execution lock
 }
 
 func newGraphRunner(m *graphmodel.Model, backend string) (*graphRunner, error) {
@@ -117,53 +121,45 @@ func (r *graphRunner) run(batch []Instance) (out []Instance, err error) {
 	e := r.model.Engine()
 	var batched *tensor.Tensor
 	e.RunExclusive(func() {
-		if serr := e.SetBackend(r.backend); serr != nil {
-			err = serr
-			return
+		if err = e.SetBackend(r.backend); err == nil {
+			batched, err = gatherBatch(e, &r.slab, batch)
 		}
-		batched = concatBatch(e, batch)
 	})
 	if err != nil {
 		return nil, err
 	}
 	outs, err := r.model.Execute(map[string]*tensor.Tensor{r.input: batched})
-	if err != nil {
-		e.RunExclusive(func() { batched.Dispose() })
-		return nil, err
-	}
 	e.RunExclusive(func() {
 		batched.Dispose()
-		out = splitBatch(e, outs[r.output], len(batch))
+		if err == nil {
+			out, err = splitBatch(r.model.Name(), outs[r.output], len(batch))
+		}
 	})
-	return out, nil
+	return out, err
 }
 
 // layersRunner serves a restored Layers-API model via Sequential.Predict.
 type layersRunner struct {
 	model   *layers.Sequential
 	backend string
-	span    string // telemetry span label ("<name>:predict")
+	name    string    // model name, for errors and the "<name>:predict" span
+	slab    []float32 // gatherBatch's buffer; touched only under the engine's execution lock
 }
 
 func (r *layersRunner) run(batch []Instance) (out []Instance, err error) {
 	defer recoverOpError(&err)
 	e := core.Global()
 	e.RunExclusive(func() {
-		if r.span != "" {
-			end := e.BeginSpan(r.span)
-			defer end()
-		}
-		if serr := e.SetBackend(r.backend); serr != nil {
-			err = serr
+		defer e.BeginSpan(r.name + ":predict")()
+		if err = e.SetBackend(r.backend); err != nil {
 			return
 		}
-		batched := concatBatch(e, batch)
-		y := r.model.Predict(batched)
-		batched.Dispose()
-		out = splitBatch(e, y, len(batch))
+		var batched *tensor.Tensor
+		if batched, err = gatherBatch(e, &r.slab, batch); err != nil {
+			return
+		}
+		defer batched.Dispose() // also when Predict panics on a shape the model rejects
+		out, err = splitBatch(r.name, r.model.Predict(batched), len(batch))
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, err
 }

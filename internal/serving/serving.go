@@ -9,8 +9,13 @@
 //     (graph models and layers models), with per-model backend selection
 //     and load/unload/ready lifecycle states.
 //   - Batcher: a dynamic micro-batcher coalescing concurrent single-example
-//     Predict requests into one batched Execute along the batch dimension
-//     (Concat in, Split out), governed by MaxBatchSize and BatchTimeout.
+//     Predict requests into one batched Execute along the batch dimension,
+//     governed by MaxBatchSize and BatchTimeout. A batch is a slab: the
+//     runner copies each request's row into one reused buffer, uploads it
+//     with a single write, reads the output back once and hands every
+//     request its row of it — no kernel is dispatched to move bytes. Both
+//     copies are timed inside the execute stage; the gather stage is the
+//     wait for the batch to form.
 //   - Scheduler: a bounded per-model request queue and worker pool with
 //     backpressure — queue-full and not-ready fail fast instead of
 //     blocking — and context-deadline propagation.
@@ -94,9 +99,6 @@ type Instance struct {
 	Values []float32
 	Shape  []int
 }
-
-// shapeKey is a map key identifying instances that can share a batch.
-func (in Instance) shapeKey() string { return fmt.Sprint(in.Shape) }
 
 // numElements returns the product of the shape dimensions.
 func (in Instance) numElements() int {

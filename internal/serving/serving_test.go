@@ -21,12 +21,14 @@ import (
 	"repro/internal/native"
 	"repro/internal/savedmodel"
 	"repro/internal/telemetry"
+	"repro/internal/webgl"
 )
 
 func init() {
 	e := core.Global()
 	e.RegisterBackend("cpu", func() (kernels.Backend, error) { return cpu.New(), nil })
 	e.RegisterBackend("node", func() (kernels.Backend, error) { return native.New(), nil })
+	e.RegisterBackend("webgl", func() (kernels.Backend, error) { return webgl.New(webgl.DefaultConfig()), nil })
 }
 
 // buildMobileNetStore converts a MobileNet-sized synthetic model into an
