@@ -433,3 +433,99 @@ func TestMemoryInvariantUnderRandomOps(t *testing.T) {
 		}
 	}
 }
+
+// TestBackpropSkipsUnwatchedInputs: backprop tells a gradient function
+// which inputs the tape watches, and the conv and matmul gradients skip
+// the backward kernel of one it does not — the gradient w.r.t. a model's
+// data batch, which nothing reads.
+func TestBackpropSkipsUnwatchedInputs(t *testing.T) {
+	e := core.Global()
+	rng := rand.New(rand.NewSource(2))
+	randn := func(shape ...int) *tensor.Tensor {
+		vals := make([]float32, tensor.ShapeSize(shape))
+		for i := range vals {
+			vals[i] = float32(rng.NormFloat64())
+		}
+		return ops.FromValues(vals, shape...)
+	}
+	x := randn(2, 6, 6, 1)
+	w1, w2 := randn(3, 3, 1, 2), randn(3, 3, 2, 3)
+	v1, v2 := e.NewVariable(w1, "skip/w1", true), e.NewVariable(w2, "skip/w2", true)
+	defer func() {
+		for _, d := range []interface{ Dispose() }{x, w1, w2, v1, v2} {
+			d.Dispose()
+		}
+	}()
+	model := func() *tensor.Tensor {
+		h := ops.Relu(ops.Conv2D(x, v1.Value(), ops.ConvOpts{Pad: "same"}))
+		return ops.Sum(ops.Conv2D(h, v2.Value(), ops.ConvOpts{Pad: "same"}), nil, false)
+	}
+	dispatched := func(info core.ProfileInfo, kernel string) int {
+		n := 0
+		for _, k := range info.Kernels {
+			if k.Name == kernel {
+				n++
+			}
+		}
+		return n
+	}
+
+	// Differentiating against the variables: conv 2 needs the gradient
+	// w.r.t. its input (conv 1's output), conv 1 does not (x is data).
+	var byVars core.VariableGradsResult
+	info := e.Profile(func() { byVars = e.VariableGrads(model, []*core.Variable{v1, v2}) })
+	if in, f := dispatched(info, "Conv2DBackpropInput"), dispatched(info, "Conv2DBackpropFilter"); in != 1 || f != 2 {
+		t.Errorf("VariableGrads dispatched %d Conv2DBackpropInput and %d Conv2DBackpropFilter, want 1 and 2", in, f)
+	}
+
+	// Differentiating against x as well: both convs need both.
+	var byAll core.GradResult
+	info = e.Profile(func() {
+		byAll = e.Gradients(model, []*tensor.Tensor{x, v1.Value(), v2.Value()}, nil)
+	})
+	if in, f := dispatched(info, "Conv2DBackpropInput"), dispatched(info, "Conv2DBackpropFilter"); in != 2 || f != 2 {
+		t.Errorf("Gradients w.r.t. x dispatched %d Conv2DBackpropInput and %d Conv2DBackpropFilter, want 2 and 2", in, f)
+	}
+	// Skipping the unread gradient changes no gradient that is read.
+	for i, v := range []*core.Variable{v1, v2} {
+		got, want := byVars.Grads[v].DataSync(), byAll.Grads[i+1].DataSync()
+		for j := range want {
+			if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+				t.Fatalf("variable %d element %d: %g with x unwatched, %g with x watched", i, j, got[j], want[j])
+			}
+		}
+	}
+	byVars.Value.Dispose()
+	for _, g := range byVars.Grads {
+		g.Dispose()
+	}
+	byAll.Value.Dispose()
+	for _, g := range byAll.Grads {
+		g.Dispose()
+	}
+
+	// Nested tapes: the inner tape watches only b, so the inner backward
+	// pass skips da — but the db it does compute, aᵀ·1, is a function of
+	// a, which the outer tape watches: h(a) = Σ c∘(aᵀ·1) has
+	// ∂h/∂a[i,k] = Σ_j c[k,j].
+	a, b, c := randn(3, 4), randn(4, 2), randn(4, 2)
+	defer a.Dispose()
+	defer b.Dispose()
+	defer c.Dispose()
+	outer := e.Gradients(func() *tensor.Tensor {
+		inner := e.Gradients(func() *tensor.Tensor {
+			return ops.Sum(ops.MatMul(a, b, false, false), nil, false)
+		}, []*tensor.Tensor{b}, nil)
+		return ops.Sum(ops.Mul(inner.Grads[0], c), nil, false)
+	}, []*tensor.Tensor{a}, nil)
+	defer outer.Value.Dispose()
+	defer outer.Grads[0].Dispose()
+	got, cv := outer.Grads[0].DataSync(), c.DataSync()
+	for i := 0; i < 3; i++ {
+		for k := 0; k < 4; k++ {
+			if want := cv[2*k] + cv[2*k+1]; math.Abs(float64(got[4*i+k]-want)) > 1e-5 {
+				t.Fatalf("∂h/∂a[%d,%d] = %g, want %g", i, k, got[4*i+k], want)
+			}
+		}
+	}
+}

@@ -14,14 +14,31 @@ import (
 // integer index inputs).
 type GradFunc func(e *Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor
 
+// WatchedGradFunc is a GradFunc that is also told which of the kernel's
+// inputs the tape being walked watches: watched[i] is false when nothing
+// the caller differentiates against reaches inputs[i] (a data batch, a
+// frozen weight), so its gradient would be accumulated and never read.
+// The function may return nil for such an input instead of running the
+// backward kernel (TF.js prunes the same way: a gradient function returns
+// one thunk per input and the engine calls only those on a path from the
+// requested xs).
+type WatchedGradFunc func(e *Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs, watched []bool) []*tensor.Tensor
+
 var (
 	gradMu       sync.RWMutex
-	gradRegistry = map[string]GradFunc{}
+	gradRegistry = map[string]WatchedGradFunc{}
 )
 
 // RegisterGradient installs the gradient definition of a kernel. The ops
 // package registers gradients for every differentiable kernel at init time.
 func RegisterGradient(kernel string, fn GradFunc) {
+	RegisterWatchedGradient(kernel, fn.ignoreWatched())
+}
+
+// RegisterWatchedGradient is RegisterGradient for a kernel whose backward
+// pass is one expensive kernel per input, worth skipping for an input
+// nobody watches.
+func RegisterWatchedGradient(kernel string, fn WatchedGradFunc) {
 	gradMu.Lock()
 	defer gradMu.Unlock()
 	if _, dup := gradRegistry[kernel]; dup {
@@ -30,7 +47,13 @@ func RegisterGradient(kernel string, fn GradFunc) {
 	gradRegistry[kernel] = fn
 }
 
-func lookupGradient(kernel string) (GradFunc, bool) {
+func (fn GradFunc) ignoreWatched() WatchedGradFunc {
+	return func(e *Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs, _ []bool) []*tensor.Tensor {
+		return fn(e, dys, inputs, outputs, attrs)
+	}
+}
+
+func lookupGradient(kernel string) (WatchedGradFunc, bool) {
 	gradMu.RLock()
 	defer gradMu.RUnlock()
 	fn, ok := gradRegistry[kernel]
@@ -199,15 +222,22 @@ func (e *Engine) backprop(t *tape, y, seed *tensor.Tensor) map[int64]*tensor.Ten
 				dys[j] = e.RunKernel1("Fill", nil, kernels.Attrs{"shape": tensor.CopyShape(out.Shape), "value": 0.0})
 			}
 		}
-		gradFn := node.gradFn
-		if gradFn == nil {
+		var inGrads []*tensor.Tensor
+		if node.gradFn != nil {
+			inGrads = node.gradFn(e, dys, node.inputs, node.outputs, node.attrs)
+		} else {
 			fn, ok := lookupGradient(node.kernel)
 			if !ok {
 				opPanic(node.kernel, fmt.Errorf("kernel has no registered gradient"))
 			}
-			gradFn = fn
+			// An input this tape does not watch is neither one of the xs
+			// nor the output of a recorded node: nothing reads its gradient.
+			watched := make([]bool, len(node.inputs))
+			for j, in := range node.inputs {
+				watched[j] = t.watched[in.ID]
+			}
+			inGrads = fn(e, dys, node.inputs, node.outputs, node.attrs, watched)
 		}
-		inGrads := gradFn(e, dys, node.inputs, node.outputs, node.attrs)
 		if len(inGrads) != len(node.inputs) {
 			opPanic(node.kernel, fmt.Errorf("gradient returned %d grads for %d inputs", len(inGrads), len(node.inputs)))
 		}

@@ -1,6 +1,8 @@
 package kernels
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"reflect"
@@ -263,6 +265,79 @@ func TestMaxPoolAndGrad(t *testing.T) {
 	// row-major 3x3 is [[1,3,2],[4,6,5],[9,7,8]]. window(0,0)={1,3,4,6}->6,
 	// window(0,1)={3,2,6,5}->6, window(1,0)={4,6,9,7}->9, window(1,1)={6,5,7,8}->8.
 	wantVals(t, dx, []float32{0, 0, 0, 0, 2, 0, 1, 0, 1}, 0)
+}
+
+// TestPoolKernelsGolden pins the four pooling kernels to the bits they
+// produced when poolForEach handed its body an iterator closure: padded
+// and unpadded, overlapping and disjoint windows, ties between zeros. The
+// hash is FNV-1a over every output's Float32bits, in the order computed.
+func TestPoolKernelsGolden(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	h := fnv.New64a()
+	add := func(b Buffer) {
+		for _, v := range b.Data {
+			h.Write(binary.LittleEndian.AppendUint32(nil, math.Float32bits(v)))
+		}
+	}
+	for _, pad := range []string{"same", "valid"} {
+		for _, g := range [][3]int{{2, 2, 2}, {2, 2, 1}, {3, 3, 2}, {3, 2, 1}, {3, 3, 3}, {4, 4, 1}} {
+			for _, c := range []int{1, 3} {
+				shape := []int{2, 7, 9, c}
+				info, err := ComputePool2DInfo(shape, g[:2], []int{g[2], g[2]}, pad)
+				if err != nil {
+					t.Fatal(err)
+				}
+				x := buf(make([]float32, tensor.ShapeSize(shape)), shape...)
+				for i := range x.Data {
+					x.Data[i] = float32(rng.NormFloat64())
+					if rng.Intn(3) == 0 {
+						x.Data[i] = 0
+					}
+				}
+				dy := buf(make([]float32, tensor.ShapeSize(info.OutShape())), info.OutShape()...)
+				for i := range dy.Data {
+					dy.Data[i] = float32(rng.NormFloat64())
+				}
+				attrs := Attrs{"filterSize": g[:2], "strides": []int{g[2], g[2]}, "pad": pad, "inputShape": shape}
+				add(runRef(t, "MaxPool", []Buffer{x}, attrs))
+				add(runRef(t, "AvgPool", []Buffer{x}, attrs))
+				add(runRef(t, "MaxPoolGrad", []Buffer{dy, x}, attrs))
+				add(runRef(t, "AvgPoolGrad", []Buffer{dy}, attrs))
+			}
+		}
+	}
+	if got, want := h.Sum64(), uint64(0x33e4048620890e6a); got != want {
+		t.Fatalf("pool kernels hash %#x, want %#x", got, want)
+	}
+}
+
+// TestPoolKernelsDoNotAllocatePerCell: the reference pool kernels
+// allocate their output and a few shape slices, nothing per output cell
+// (1,152 of them here).
+func TestPoolKernelsDoNotAllocatePerCell(t *testing.T) {
+	x := buf(make([]float32, 2*24*24*4), 2, 24, 24, 4)
+	for i := range x.Data {
+		x.Data[i] = float32(i % 7)
+	}
+	dy := buf(make([]float32, 2*12*12*4), 2, 12, 12, 4)
+	attrs := Attrs{"inputShape": x.Shape}
+	for _, c := range []struct {
+		name   string
+		inputs []Buffer
+	}{
+		{"MaxPool", []Buffer{x}}, {"AvgPool", []Buffer{x}},
+		{"MaxPoolGrad", []Buffer{dy, x}}, {"AvgPoolGrad", []Buffer{dy}},
+	} {
+		k, _ := LookupRef(c.name)
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := k(c.inputs, attrs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 12 {
+			t.Errorf("%s: %v allocs per call, want a small constant", c.name, allocs)
+		}
+	}
 }
 
 func TestAvgPoolExcludesPadding(t *testing.T) {

@@ -26,9 +26,9 @@ func init() {
 			return nil, errIn("MaxPool", "%v", err)
 		}
 		out := NewBuffer(info.OutShape(), x.DType)
-		poolForEach(info, func(b, oy, ox, c, outIdx int, window func(visit func(inIdx int))) {
+		poolForEach(info, func(outIdx int, w poolWindow) {
 			best := float32(math.Inf(-1))
-			window(func(inIdx int) {
+			w.each(func(inIdx int) {
 				if v := x.Data[inIdx]; v > best {
 					best = v
 				}
@@ -51,14 +51,10 @@ func init() {
 			return nil, errIn("AvgPool", "%v", err)
 		}
 		out := NewBuffer(info.OutShape(), tensor.Float32)
-		poolForEach(info, func(b, oy, ox, c, outIdx int, window func(visit func(inIdx int))) {
+		poolForEach(info, func(outIdx int, w poolWindow) {
 			var sum float32
-			count := 0
-			window(func(inIdx int) {
-				sum += x.Data[inIdx]
-				count++
-			})
-			if count > 0 {
+			w.each(func(inIdx int) { sum += x.Data[inIdx] })
+			if count := w.rows * w.cols; count > 0 {
 				out.Data[outIdx] = sum / float32(count)
 			}
 		})
@@ -81,10 +77,10 @@ func init() {
 			return nil, errIn("MaxPoolGrad", "dy shape %v != pool output shape %v", dy.Shape, info.OutShape())
 		}
 		dx := NewBuffer(x.Shape, tensor.Float32)
-		poolForEach(info, func(b, oy, ox, c, outIdx int, window func(visit func(inIdx int))) {
+		poolForEach(info, func(outIdx int, w poolWindow) {
 			best := float32(math.Inf(-1))
 			bestIdx := -1
-			window(func(inIdx int) {
+			w.each(func(inIdx int) {
 				if v := x.Data[inIdx]; v > best {
 					best = v
 					bestIdx = inIdx
@@ -114,53 +110,70 @@ func init() {
 			return nil, errIn("AvgPoolGrad", "dy shape %v != pool output shape %v", dy.Shape, info.OutShape())
 		}
 		dx := NewBuffer(inShape, tensor.Float32)
-		poolForEach(info, func(b, oy, ox, c, outIdx int, window func(visit func(inIdx int))) {
-			count := 0
-			window(func(int) { count++ })
+		poolForEach(info, func(outIdx int, w poolWindow) {
+			count := w.rows * w.cols
 			if count == 0 {
 				return
 			}
 			share := dy.Data[outIdx] / float32(count)
-			window(func(inIdx int) { dx.Data[inIdx] += share })
+			w.each(func(inIdx int) { dx.Data[inIdx] += share })
 		})
 		return []Buffer{dx}, nil
 	})
 }
 
+// poolWindow is the part of one output cell's receptive field that lies
+// inside the input, for one channel: rows × cols input cells, the first
+// at flat index base.
+type poolWindow struct {
+	base, rows, cols     int
+	rowStride, colStride int
+}
+
+// each visits the window's input indices, row by row. visit does not
+// escape, so a closure passed here lives on the caller's stack.
+func (w poolWindow) each(visit func(inIdx int)) {
+	for r := 0; r < w.rows; r++ {
+		idx := w.base + r*w.rowStride
+		for c := 0; c < w.cols; c++ {
+			visit(idx)
+			idx += w.colStride
+		}
+	}
+}
+
 // poolForEach iterates every (batch, output y, output x, channel) cell of a
-// pooling op and hands the body a window iterator over the in-bounds input
-// indices of that cell's receptive field.
-func poolForEach(info Conv2DInfo, body func(b, oy, ox, c, outIdx int, window func(visit func(inIdx int)))) {
+// pooling op and hands the body the cell's clipped window — a value, not
+// an iterator closure, so a cell costs no heap object.
+func poolForEach(info Conv2DInfo, body func(outIdx int, w poolWindow)) {
 	c := info.OutChannels
 	inRow := info.InWidth * c
 	inImg := info.InHeight * inRow
-	outRow := info.OutWidth * c
-	outImg := info.OutHeight * outRow
+	outIdx := 0
 	for b := 0; b < info.BatchSize; b++ {
 		for oy := 0; oy < info.OutHeight; oy++ {
 			yCorner := oy*info.StrideHeight - info.PadTop
+			yLo, yHi := clipWindow(yCorner, info.FilterHeight, info.InHeight)
 			for ox := 0; ox < info.OutWidth; ox++ {
 				xCorner := ox*info.StrideWidth - info.PadLeft
+				xLo, xHi := clipWindow(xCorner, info.FilterWidth, info.InWidth)
+				w := poolWindow{
+					base: b*inImg + yLo*inRow + xLo*c,
+					rows: yHi - yLo, cols: xHi - xLo,
+					rowStride: inRow, colStride: c,
+				}
 				for ch := 0; ch < c; ch++ {
-					outIdx := b*outImg + oy*outRow + ox*c + ch
-					window := func(visit func(inIdx int)) {
-						for fy := 0; fy < info.FilterHeight; fy++ {
-							iy := yCorner + fy
-							if iy < 0 || iy >= info.InHeight {
-								continue
-							}
-							for fx := 0; fx < info.FilterWidth; fx++ {
-								ix := xCorner + fx
-								if ix < 0 || ix >= info.InWidth {
-									continue
-								}
-								visit(b*inImg + iy*inRow + ix*c + ch)
-							}
-						}
-					}
-					body(b, oy, ox, ch, outIdx, window)
+					body(outIdx, w)
+					w.base++
+					outIdx++
 				}
 			}
 		}
 	}
+}
+
+// clipWindow clips the input span [corner, corner+size) to [0, limit).
+func clipWindow(corner, size, limit int) (lo, hi int) {
+	lo, hi = max(corner, 0), min(corner+size, limit)
+	return lo, max(lo, hi)
 }

@@ -251,12 +251,16 @@ type FitConfig struct {
 type History struct {
 	Epochs int
 	// Logs maps metric name ("loss", "acc", "val_loss", ...) to one value
-	// per epoch.
+	// per epoch. Training metrics ("acc"), like "loss", are the mean over
+	// the epoch's batches of the value on that batch's training forward
+	// pass: weights as they were before the batch's update, dropout on.
+	// "val_*" entries come from a separate inference pass.
 	Logs map[string][]float64
 }
 
 // Fit trains the model (model.fit in Listing 1). x and y are full-dataset
-// tensors whose first dimension indexes examples.
+// tensors whose first dimension indexes examples. Each step runs one
+// forward pass: loss and metrics are both taken from it (see History.Logs).
 func (m *Sequential) Fit(x, y *tensor.Tensor, cfg FitConfig) (*History, error) {
 	if m.optimizer == nil || m.loss == nil {
 		return nil, fmt.Errorf("layers: model %q must be compiled before fit", m.name)
@@ -338,7 +342,9 @@ func (m *Sequential) Fit(x, y *tensor.Tensor, cfg FitConfig) (*History, error) {
 	return hist, nil
 }
 
-// trainBatch runs one minimization step on the examples at batchIdx.
+// trainBatch runs one minimization step on the examples at batchIdx and
+// returns the batch's loss and metrics; Fit and FitAsync both step
+// through it.
 func (m *Sequential) trainBatch(e *core.Engine, x, y *tensor.Tensor, batchIdx []int, vars []*core.Variable) (float64, []float64) {
 	var lossVal float64
 	metricVals := make([]float64, len(m.metrics))
@@ -350,20 +356,19 @@ func (m *Sequential) trainBatch(e *core.Engine, x, y *tensor.Tensor, batchIdx []
 		idx := ops.FromValuesTyped(idxVals, []int{len(batchIdx)}, tensor.Int32)
 		bx := ops.Gather(x, idx, 0)
 		by := ops.Gather(y, idx, 0)
-		var preds *tensor.Tensor
+		// Metrics read the training forward pass's own predictions, inside
+		// the closure (they are disposed with the tape when Minimize
+		// returns), as TF.js's trainFunction does: one forward pass per
+		// step. Nothing differentiates through them — the tape only walks
+		// back from the loss.
 		loss := train.Minimize(m.optimizer, func() *tensor.Tensor {
-			preds = m.apply(bx, true)
+			preds := m.apply(bx, true)
+			for i, metric := range m.metrics {
+				metricVals[i] = float64(metric.Fn(by, preds).DataSync()[0])
+			}
 			return m.loss(by, preds)
 		}, vars)
 		lossVal = float64(loss.DataSync()[0])
-		// Metrics are computed on a fresh forward pass (weights already
-		// updated is fine for epoch-level reporting).
-		if len(m.metrics) > 0 {
-			evalPreds := m.apply(bx, false)
-			for i, metric := range m.metrics {
-				metricVals[i] = float64(metric.Fn(by, evalPreds).DataSync()[0])
-			}
-		}
 		return nil
 	})
 	return lossVal, metricVals

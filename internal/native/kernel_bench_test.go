@@ -169,3 +169,101 @@ func BenchmarkEpilogueRelu6(b *testing.B) {
 	}
 	reportKernel(b, 2*positions*c, 2*positions*c)
 }
+
+// The training-path kernels. Each has a "reference" sibling that runs the
+// internal/kernels implementation on the same operands, so the ratio the
+// native tier buys is one `go test -bench` away:
+//
+//	go test -run '^$' -bench 'Backprop|MaxPoolGrad|BiasAdd' -cpu 1 ./internal/native/
+
+// benchVsReference times kernel `name` on the native tier and on the
+// reference tier.
+func benchVsReference(b *testing.B, name string, attrs kernels.Attrs, flops int, ops ...operand) {
+	b.Run("native", func(b *testing.B) {
+		nb := benchBackend()
+		inputs := make([]kernels.Input, len(ops))
+		for i, o := range ops {
+			inputs[i] = benchInput(nb, o.vals, o.shape...)
+		}
+		benchPlanKernel(b, nb, name, attrs, flops, inputs...)
+	})
+	b.Run("reference", func(b *testing.B) {
+		ref, _ := kernels.LookupRef(name)
+		bufs := make([]kernels.Buffer, len(ops))
+		floats := 0
+		for i, o := range ops {
+			bufs[i] = kernels.Buffer{Data: o.vals, Shape: o.shape, DType: tensor.Float32}
+			floats += len(o.vals)
+		}
+		var outs []kernels.Buffer
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if outs, err = ref(bufs, attrs); err != nil {
+				b.Fatal(err)
+			}
+		}
+		reportKernel(b, flops, floats+len(outs[0].Data))
+	})
+}
+
+// convGradShapes are batch-32 3×3 "same" convolutions: the bench
+// convnet's two layers (inC→outC@side) and one wide enough that the
+// vector core is compute-bound.
+var convGradShapes = []struct{ inC, outC, side int }{{1, 8, 16}, {8, 16, 8}, {32, 64, 14}}
+
+// benchConvGrad runs one Conv2D backward kernel over convGradShapes, on a
+// post-ReLU x and the sparser dy a ReLU and a 2×2 max pool send back.
+func benchConvGrad(b *testing.B, name string) {
+	for _, s := range convGradShapes {
+		b.Run(fmt.Sprintf("%d→%d@%d", s.inC, s.outC, s.side), func(b *testing.B) {
+			const batch = 32
+			rng := rand.New(rand.NewSource(1))
+			xShape := []int{batch, s.side, s.side, s.inC}
+			wShape := []int{3, 3, s.inC, s.outC}
+			dyShape := []int{batch, s.side, s.side, s.outC}
+			x := operand{benchVals(rng, tensor.ShapeSize(xShape), 0.5), xShape}
+			w := operand{benchVals(rng, tensor.ShapeSize(wShape), 0), wShape}
+			dy := operand{benchVals(rng, tensor.ShapeSize(dyShape), 0.8), dyShape}
+			flops := 2 * batch * s.side * s.side * 9 * s.inC * s.outC
+			if name == "Conv2DBackpropFilter" {
+				benchVsReference(b, name, kernels.Attrs{"pad": "same", "filterShape": wShape}, flops, x, dy)
+			} else {
+				benchVsReference(b, name, kernels.Attrs{"pad": "same", "inputShape": xShape}, flops, dy, w)
+			}
+		})
+	}
+}
+
+func BenchmarkConvBackpropFilter(b *testing.B) { benchConvGrad(b, "Conv2DBackpropFilter") }
+func BenchmarkConvBackpropInput(b *testing.B)  { benchConvGrad(b, "Conv2DBackpropInput") }
+
+// BenchmarkMaxPoolGrad2x2 is the bench convnet's first pool: 32×16×16×8
+// post-ReLU activations, 2×2 windows.
+func BenchmarkMaxPoolGrad2x2(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x := operand{benchVals(rng, 32*16*16*8, 0.5), []int{32, 16, 16, 8}}
+	dy := operand{benchVals(rng, 32*8*8*8, 0.5), []int{32, 8, 8, 8}}
+	benchVsReference(b, "MaxPoolGrad", kernels.Attrs{}, 32*16*16*8, dy, x)
+}
+
+// BenchmarkBiasAddBroadcast adds a [C] bias to the first conv's
+// 32×16×16×8 output: the one broadcast every Layers forward pass uses.
+func BenchmarkBiasAddBroadcast(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	y := operand{benchVals(rng, 32*16*16*8, 0), []int{32, 16, 16, 8}}
+	bias := operand{benchVals(rng, 8, 0), []int{8}}
+	benchVsReference(b, "Add", nil, 32*16*16*8, y, bias)
+}
+
+// BenchmarkActivationLoops runs Relu, Relu6 and Step (the ReLU gradient's
+// mask) over the first conv's 32×16×16×8 pre-activations: dense, half of
+// them negative.
+func BenchmarkActivationLoops(b *testing.B) {
+	for _, name := range []string{"Relu", "Relu6", "Step"} {
+		b.Run(name, func(b *testing.B) {
+			x := operand{benchVals(rand.New(rand.NewSource(1)), 32*16*16*8, 0), []int{32, 16, 16, 8}}
+			benchVsReference(b, name, nil, 32*16*16*8, x)
+		})
+	}
+}

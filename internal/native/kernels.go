@@ -10,8 +10,11 @@ import (
 
 // initKernels installs the optimized kernels. Only the operations that
 // dominate model inference and training time are overridden — matmul,
-// convolutions, pooling, the element-wise workhorses, reductions and
-// softmax; the long tail inherits the reference implementations.
+// convolutions and pooling with their gradients, the element-wise
+// workhorses (with the bias/scalar broadcast every layer and optimizer
+// step uses), reductions and softmax; the long tail (depthwise and
+// average-pool gradients, general broadcasts, transposes) inherits the
+// reference implementations.
 //
 // Every kernel is written in the planKernel form: it appends its output
 // shape into out.Shape (caller-owned scratch, so the steady-state plan
@@ -23,6 +26,7 @@ func (b *Backend) initKernels() {
 	b.plans = map[string]planKernel{}
 	b.registerConvMatMul()
 	b.registerPool()
+	b.registerGrad()
 	b.registerElementwise()
 	b.registerReduce()
 }
@@ -69,6 +73,12 @@ func (b *Backend) refInto(name string, inputs []kernels.Input, attrs kernels.Att
 	return nil
 }
 
+// poolInfo resolves a pooling kernel's attributes against its input.
+func poolInfo(xShape []int, attrs kernels.Attrs) (kernels.Conv2DInfo, error) {
+	filterSize := attrs.Ints("filterSize", []int{2, 2})
+	return kernels.ComputePool2DInfo(xShape, filterSize, attrs.Ints("strides", filterSize), attrs.String("pad", "valid"))
+}
+
 func (b *Backend) registerPool() {
 	pool := func(name string, isMax bool) planKernel {
 		return func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
@@ -76,9 +86,7 @@ func (b *Backend) registerPool() {
 				return fmt.Errorf("%s: got %d inputs, want 1", name, len(inputs))
 			}
 			x := inputs[0]
-			filterSize := attrs.Ints("filterSize", []int{2, 2})
-			strides := attrs.Ints("strides", filterSize)
-			info, err := kernels.ComputePool2DInfo(x.Shape, filterSize, strides, attrs.String("pad", "valid"))
+			info, err := poolInfo(x.Shape, attrs)
 			if err != nil {
 				return err
 			}
@@ -140,63 +148,203 @@ func (b *Backend) registerPool() {
 	b.register("AvgPool", pool("AvgPool", false))
 }
 
-func (b *Backend) registerElementwise() {
-	bin := func(name string, f func(a, x float32) float32) {
-		b.register(name, func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
-			if len(inputs) != 2 {
-				return fmt.Errorf("%s: got %d inputs, want 2", name, len(inputs))
-			}
-			a, x := inputs[0], inputs[1]
-			if !tensor.ShapesEqual(a.Shape, x.Shape) {
-				// Broadcasting falls back to the reference kernel.
-				return b.refInto(name, inputs, attrs, out)
-			}
-			aBuf, xBuf := b.in(a), b.in(x)
-			out.Shape = append(out.Shape[:0], a.Shape...)
-			dst := b.outInto(out, a.DType)
-			b.parallelFor(len(dst), b.costPerElem(1), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					dst[i] = f(aBuf[i], xBuf[i])
-				}
-			})
-			return nil
-		})
-	}
-	bin("Add", func(a, x float32) float32 { return a + x })
-	bin("Sub", func(a, x float32) float32 { return a - x })
-	bin("Mul", func(a, x float32) float32 { return a * x })
-	bin("RealDiv", func(a, x float32) float32 { return a / x })
+// binOp selects the arithmetic of a binary kernel: an integer the row
+// loop switches on once, where a func value would cost an indirect call
+// per element.
+type binOp int
 
-	un := func(name string, f func(x float32) float32) {
-		b.register(name, func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
-			if len(inputs) != 1 {
-				return fmt.Errorf("%s: got %d inputs, want 1", name, len(inputs))
-			}
-			xBuf := b.in(inputs[0])
-			out.Shape = append(out.Shape[:0], inputs[0].Shape...)
-			dst := b.outInto(out, inputs[0].DType)
+const (
+	opAdd binOp = iota
+	opSub
+	opMul
+	opDiv
+)
+
+// binaryRow computes dst[i] = a[i*aStep] op x[i*xStep]. A step of 0
+// broadcasts a one-element operand; operand order is the kernel's.
+func binaryRow(op binOp, dst, a, x []float32, aStep, xStep int) {
+	ai, xi := 0, 0
+	switch op {
+	case opAdd:
+		for i := range dst {
+			dst[i] = a[ai] + x[xi]
+			ai, xi = ai+aStep, xi+xStep
+		}
+	case opSub:
+		for i := range dst {
+			dst[i] = a[ai] - x[xi]
+			ai, xi = ai+aStep, xi+xStep
+		}
+	case opMul:
+		for i := range dst {
+			dst[i] = a[ai] * x[xi]
+			ai, xi = ai+aStep, xi+xStep
+		}
+	case opDiv:
+		for i := range dst {
+			dst[i] = a[ai] / x[xi]
+			ai, xi = ai+aStep, xi+xStep
+		}
+	}
+}
+
+// isSuffixShape reports whether small, with its leading 1s dropped, is
+// the trailing dims of big: broadcasting small against big then repeats
+// small's buffer once per row of big — a bias [C] onto [..., C], a scalar
+// onto anything.
+func isSuffixShape(small, big []int) bool {
+	for len(small) > 0 && small[0] == 1 {
+		small = small[1:]
+	}
+	return len(small) <= len(big) && tensor.ShapesEqual(small, big[len(big)-len(small):])
+}
+
+// binary is Add, Sub, Mul and RealDiv: equal shapes and the suffix
+// broadcast run here, bit-equal to the reference kernel (the same
+// operation on the same two operands in the same order); every other
+// broadcast falls back to it.
+func (b *Backend) binary(name string, op binOp) planKernel {
+	return func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
+		if len(inputs) != 2 {
+			return fmt.Errorf("%s: got %d inputs, want 2", name, len(inputs))
+		}
+		a, x := inputs[0], inputs[1]
+		// big is the operand with the output's element count; the other
+		// one's buffer is the row repeated against it.
+		big, aIsRow := a.Shape, false
+		switch {
+		case tensor.ShapesEqual(a.Shape, x.Shape):
+		case isSuffixShape(x.Shape, a.Shape):
+		case isSuffixShape(a.Shape, x.Shape):
+			big, aIsRow = x.Shape, true
+		default:
+			return b.refInto(name, inputs, attrs, out)
+		}
+		aBuf, xBuf := b.in(a), b.in(x)
+		out.Shape = out.Shape[:0]
+		for i := len(big); i < max(len(a.Shape), len(x.Shape)); i++ {
+			out.Shape = append(out.Shape, 1) // the row operand had the higher rank
+		}
+		out.Shape = append(out.Shape, big...)
+		dst := b.outInto(out, a.DType)
+		// flat runs the whole output as one row; a step of 0 holds a scalar.
+		flat := func(aStep, xStep int) {
 			b.parallelFor(len(dst), b.costPerElem(1), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					dst[i] = f(xBuf[i])
+				binaryRow(op, dst[lo:hi], aBuf[lo*aStep:], xBuf[lo*xStep:], aStep, xStep)
+			})
+		}
+		inner := len(xBuf)
+		if aIsRow {
+			inner = len(aBuf)
+		}
+		switch {
+		case inner == len(dst):
+			flat(1, 1)
+		case inner == 1 && aIsRow:
+			flat(0, 1)
+		case inner == 1:
+			flat(1, 0)
+		default:
+			b.parallelFor(len(dst)/inner, inner*b.costPerElem(1), func(lo, hi int) {
+				for r := lo; r < hi; r++ {
+					row := dst[r*inner : (r+1)*inner]
+					if aIsRow {
+						binaryRow(op, row, aBuf, xBuf[r*inner:], 1, 1)
+					} else {
+						binaryRow(op, row, aBuf[r*inner:], xBuf, 1, 1)
+					}
 				}
 			})
-			return nil
+		}
+		return nil
+	}
+}
+
+// maskIf is all ones when cond holds, else zero; inlined, it is a
+// conditional move.
+func maskIf(cond bool) uint32 {
+	if cond {
+		return ^uint32(0)
+	}
+	return 0
+}
+
+// unary runs an element-wise kernel: body maps a chunk of x to the same
+// chunk of dst.
+func (b *Backend) unary(name string, inputs []kernels.Input, out *kernels.TensorInfo, body func(dst, x []float32)) error {
+	if len(inputs) != 1 {
+		return fmt.Errorf("%s: got %d inputs, want 1", name, len(inputs))
+	}
+	xBuf := b.in(inputs[0])
+	out.Shape = append(out.Shape[:0], inputs[0].Shape...)
+	dst := b.outInto(out, inputs[0].DType)
+	b.parallelFor(len(dst), b.costPerElem(1), func(lo, hi int) {
+		body(dst[lo:hi], xBuf[lo:hi])
+	})
+	return nil
+}
+
+func (b *Backend) registerElementwise() {
+	b.register("Add", b.binary("Add", opAdd))
+	b.register("Sub", b.binary("Sub", opSub))
+	b.register("Mul", b.binary("Mul", opMul))
+	b.register("RealDiv", b.binary("RealDiv", opDiv))
+
+	// The activations every training step runs forward (Relu, Relu6) and
+	// backward (Step, the ReLU gradient's mask) are slice loops that select
+	// on the bit pattern instead of comparing floats: a sign test on
+	// activations is a coin flip to the branch predictor, and an integer
+	// select compiles to a conditional move. Read as unsigned integers,
+	// the floats above zero are [1, infBits], those below [signBit+1,
+	// signBit+infBits], and a NaN is a magnitude past infBits — so each
+	// test is one subtract or shift and one unsigned compare. The rest of
+	// the unary kernels pay an indirect call per element for their math.
+	loop := func(name string, body func(dst, x []float32)) {
+		b.register(name, func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
+			return b.unary(name, inputs, out, body)
 		})
 	}
-	un("Relu", func(x float32) float32 {
-		if x > 0 {
-			return x
+	un := func(name string, f func(x float32) float32) {
+		loop(name, func(dst, x []float32) {
+			for i, v := range x {
+				dst[i] = f(v)
+			}
+		})
+	}
+	const (
+		signBit = 1 << 31
+		infBits = 0x7f800000
+		sixBits = 0x40c00000 // float32(6)
+		oneBits = 0x3f800000 // float32(1)
+	)
+	// Relu(x) = x > 0 ? x : 0, so NaN and -0 become +0.
+	loop("Relu", func(dst, x []float32) {
+		for i, v := range x {
+			bits := math.Float32bits(v)
+			dst[i] = math.Float32frombits(bits & maskIf(bits-1 < infBits))
 		}
-		return 0
 	})
-	un("Relu6", func(x float32) float32 {
-		if x < 0 {
-			return 0
+	// Relu6(x) = x < 0 ? 0 : x > 6 ? 6 : x, so NaN and -0 pass through.
+	loop("Relu6", func(dst, x []float32) {
+		for i, v := range x {
+			bits := math.Float32bits(v)
+			below := maskIf(bits-(signBit+1) < infBits)
+			above := maskIf(bits-(sixBits+1) < infBits-sixBits)
+			dst[i] = math.Float32frombits(bits&^(below|above) | sixBits&above)
 		}
-		if x > 6 {
-			return 6
-		}
-		return x
+	})
+	// Step(x) = x > 0 ? 1 : alpha, and a NaN passes through, as in the
+	// reference kernel.
+	b.register("Step", func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
+		alpha := math.Float32bits(float32(attrs.Float("alpha", 0)))
+		return b.unary("Step", inputs, out, func(dst, x []float32) {
+			for i, v := range x {
+				bits := math.Float32bits(v)
+				above := maskIf(bits-1 < infBits)
+				nan := maskIf(bits<<1 > infBits<<1)
+				dst[i] = math.Float32frombits(alpha&^(above|nan) | oneBits&above | bits&nan)
+			}
+		})
 	})
 	un("Sigmoid", func(x float32) float32 { return float32(1 / (1 + math.Exp(-float64(x)))) })
 	un("Tanh", func(x float32) float32 { return float32(math.Tanh(float64(x))) })

@@ -9,9 +9,12 @@
 // to optimized code — here AVX2 vector cores under the GEMM, convolution
 // and epilogue inner loops (vec.go; pure Go where there is no AVX2) and
 // loops sharded across a persistent worker pool, standing in for the
-// vendored BLAS/Eigen kernels. Everything not overridden falls back to the
-// reference kernels through the engine, exactly like the real Node backend
-// falls back for ops the C API does not expose.
+// vendored BLAS/Eigen kernels. That covers training as well as inference:
+// the Node backend exists so that model.fit runs on native kernels, and the
+// convolution and max-pool gradients (grad.go) run on the same cores,
+// bit-equal to the reference kernels. Everything not overridden falls back
+// to the reference kernels through the engine, exactly like the real Node
+// backend falls back for ops the C API does not expose.
 package native
 
 import (

@@ -70,6 +70,26 @@ func gemmRow(row, a []float32, aStride int, b []float32) {
 	}
 }
 
+// axpyN is the step under gemmRow, for a caller that gathers the nonzero
+// lhs elements itself (to reuse one gather across several rows):
+// row[j] += vals[t] * b[offs[t]+j], t ascending; offs ascends.
+func axpyN(row, vals []float32, offs []int, b []float32) {
+	if len(vals) == 0 || len(row) == 0 {
+		return
+	}
+	offs = offs[:len(vals)]
+	_ = b[offs[len(offs)-1]+len(row)-1]
+	if useAVX2 {
+		axpyNAVX2(row, vals, offs, b)
+		return
+	}
+	for t, av := range vals {
+		for j, bv := range b[offs[t] : offs[t]+len(row)] {
+			row[j] += float32(av * bv)
+		}
+	}
+}
+
 // nzCap is how many nonzero lhs elements gemmRow gathers before handing
 // them to the assembly: a multiple of its four-wide step, small enough
 // that zeroing the two stack arrays per call is noise.

@@ -50,7 +50,7 @@ func requireSameFloats(t testing.TB, label string, got, want []float32) {
 	for i := range want {
 		g, w := got[i], want[i]
 		if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
-			t.Fatalf("%s: element %d: AVX2 %g (bits %08x) vs Go %g (bits %08x)",
+			t.Fatalf("%s: element %d: got %g (bits %08x), want %g (bits %08x)",
 				label, i, g, math.Float32bits(g), w, math.Float32bits(w))
 		}
 	}

@@ -112,45 +112,35 @@ func BatchNorm(x, mean, variance, offset, scale *tensor.Tensor, epsilon float64)
 		kernels.Attrs{"varianceEpsilon": epsilon})
 }
 
+// convGrad is the gradient of a Conv2D-family kernel: one backward kernel
+// per operand, each run only when the tape watches that operand — a
+// model's first convolution never needs the gradient w.r.t. the data batch.
+func convGrad(inputKernel, filterKernel string) core.WatchedGradFunc {
+	return func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs, watched []bool) []*tensor.Tensor {
+		dy := dys[0]
+		x, filter := inputs[0], inputs[1]
+		backAttrs := func(shapeKey string, shape []int) kernels.Attrs {
+			return kernels.Attrs{
+				shapeKey:  tensor.CopyShape(shape),
+				"strides": attrs.Ints("strides", []int{1, 1}), "dilations": attrs.Ints("dilations", []int{1, 1}),
+				"pad": attrs.String("pad", "valid"),
+			}
+		}
+		grads := make([]*tensor.Tensor, 2)
+		if watched[0] {
+			grads[0] = run1(inputKernel, []*tensor.Tensor{dy, filter}, backAttrs("inputShape", x.Shape))
+		}
+		if watched[1] {
+			grads[1] = run1(filterKernel, []*tensor.Tensor{x, dy}, backAttrs("filterShape", filter.Shape))
+		}
+		return grads
+	}
+}
+
 func init() {
-	core.RegisterGradient("Conv2D", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
-		dy := dys[0]
-		x, filter := inputs[0], inputs[1]
-		back := kernels.Attrs{
-			"strides": attrs.Ints("strides", []int{1, 1}), "dilations": attrs.Ints("dilations", []int{1, 1}),
-			"pad": attrs.String("pad", "valid"),
-		}
-		dxAttrs := kernels.Attrs{"inputShape": tensor.CopyShape(x.Shape)}
-		for k, v := range back {
-			dxAttrs[k] = v
-		}
-		dwAttrs := kernels.Attrs{"filterShape": tensor.CopyShape(filter.Shape)}
-		for k, v := range back {
-			dwAttrs[k] = v
-		}
-		dx := run1("Conv2DBackpropInput", []*tensor.Tensor{dy, filter}, dxAttrs)
-		dw := run1("Conv2DBackpropFilter", []*tensor.Tensor{x, dy}, dwAttrs)
-		return []*tensor.Tensor{dx, dw}
-	})
-	core.RegisterGradient("DepthwiseConv2dNative", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
-		dy := dys[0]
-		x, filter := inputs[0], inputs[1]
-		back := kernels.Attrs{
-			"strides": attrs.Ints("strides", []int{1, 1}), "dilations": attrs.Ints("dilations", []int{1, 1}),
-			"pad": attrs.String("pad", "valid"),
-		}
-		dxAttrs := kernels.Attrs{"inputShape": tensor.CopyShape(x.Shape)}
-		for k, v := range back {
-			dxAttrs[k] = v
-		}
-		dwAttrs := kernels.Attrs{"filterShape": tensor.CopyShape(filter.Shape)}
-		for k, v := range back {
-			dwAttrs[k] = v
-		}
-		dx := run1("DepthwiseConv2dNativeBackpropInput", []*tensor.Tensor{dy, filter}, dxAttrs)
-		dw := run1("DepthwiseConv2dNativeBackpropFilter", []*tensor.Tensor{x, dy}, dwAttrs)
-		return []*tensor.Tensor{dx, dw}
-	})
+	core.RegisterWatchedGradient("Conv2D", convGrad("Conv2DBackpropInput", "Conv2DBackpropFilter"))
+	core.RegisterWatchedGradient("DepthwiseConv2dNative",
+		convGrad("DepthwiseConv2dNativeBackpropInput", "DepthwiseConv2dNativeBackpropFilter"))
 	core.RegisterGradient("MaxPool", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
 		dx := run1("MaxPoolGrad", []*tensor.Tensor{dys[0], inputs[0]}, attrs)
 		return []*tensor.Tensor{dx}

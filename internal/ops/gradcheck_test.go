@@ -79,6 +79,21 @@ func gradCheck(t *testing.T, name string, inShapes [][]int, f func(xs []*tensor.
 	}
 }
 
+// onCPUAndNode runs check on the reference tier and on the node backend,
+// whose conv, pool and matmul backward kernels are its own.
+func onCPUAndNode(t *testing.T, check func(t *testing.T)) {
+	e := core.Global()
+	for _, backend := range []string{"cpu", "node"} {
+		t.Run(backend, func(t *testing.T) {
+			if err := e.SetBackend(backend); err != nil {
+				t.Fatal(err)
+			}
+			defer e.SetBackend("cpu")
+			check(t)
+		})
+	}
+}
+
 func positive(i int, rng *rand.Rand, shape []int) []float32 {
 	vals := make([]float32, tensor.ShapeSize(shape))
 	for j := range vals {
@@ -154,54 +169,66 @@ func TestGradLeakyRelu(t *testing.T) {
 }
 
 func TestGradMatMul(t *testing.T) {
-	gradCheck(t, "MatMul", [][]int{{3, 4}, {4, 2}}, func(xs []*tensor.Tensor) *tensor.Tensor {
-		return Sum(MatMul(xs[0], xs[1], false, false), nil, false)
-	}, nil)
+	onCPUAndNode(t, func(t *testing.T) {
+		gradCheck(t, "MatMul", [][]int{{3, 4}, {4, 2}}, func(xs []*tensor.Tensor) *tensor.Tensor {
+			return Sum(MatMul(xs[0], xs[1], false, false), nil, false)
+		}, nil)
+	})
 }
 
 func TestGradMatMulTransposed(t *testing.T) {
-	gradCheck(t, "MatMul(tA)", [][]int{{4, 3}, {4, 2}}, func(xs []*tensor.Tensor) *tensor.Tensor {
-		return Sum(MatMul(xs[0], xs[1], true, false), nil, false)
-	}, nil)
-	gradCheck(t, "MatMul(tB)", [][]int{{3, 4}, {2, 4}}, func(xs []*tensor.Tensor) *tensor.Tensor {
-		return Sum(MatMul(xs[0], xs[1], false, true), nil, false)
-	}, nil)
+	onCPUAndNode(t, func(t *testing.T) {
+		gradCheck(t, "MatMul(tA)", [][]int{{4, 3}, {4, 2}}, func(xs []*tensor.Tensor) *tensor.Tensor {
+			return Sum(MatMul(xs[0], xs[1], true, false), nil, false)
+		}, nil)
+		gradCheck(t, "MatMul(tB)", [][]int{{3, 4}, {2, 4}}, func(xs []*tensor.Tensor) *tensor.Tensor {
+			return Sum(MatMul(xs[0], xs[1], false, true), nil, false)
+		}, nil)
+	})
 }
 
 func TestGradBatchMatMulBroadcast(t *testing.T) {
-	gradCheck(t, "BatchMatMul", [][]int{{1, 2, 3}, {2, 3, 2}}, func(xs []*tensor.Tensor) *tensor.Tensor {
-		return Sum(BatchMatMul(xs[0], xs[1], false, false), nil, false)
-	}, nil)
+	onCPUAndNode(t, func(t *testing.T) {
+		gradCheck(t, "BatchMatMul", [][]int{{1, 2, 3}, {2, 3, 2}}, func(xs []*tensor.Tensor) *tensor.Tensor {
+			return Sum(BatchMatMul(xs[0], xs[1], false, false), nil, false)
+		}, nil)
+	})
 }
 
 func TestGradConv2D(t *testing.T) {
-	gradCheck(t, "Conv2D", [][]int{{1, 5, 5, 2}, {3, 3, 2, 2}}, func(xs []*tensor.Tensor) *tensor.Tensor {
-		return Sum(Conv2D(xs[0], xs[1], ConvOpts{Strides: []int{2, 2}, Pad: "same"}), nil, false)
-	}, nil)
+	onCPUAndNode(t, func(t *testing.T) {
+		gradCheck(t, "Conv2D", [][]int{{1, 5, 5, 2}, {3, 3, 2, 2}}, func(xs []*tensor.Tensor) *tensor.Tensor {
+			return Sum(Conv2D(xs[0], xs[1], ConvOpts{Strides: []int{2, 2}, Pad: "same"}), nil, false)
+		}, nil)
+	})
 }
 
 func TestGradDepthwiseConv2D(t *testing.T) {
-	gradCheck(t, "Depthwise", [][]int{{1, 4, 4, 2}, {3, 3, 2, 1}}, func(xs []*tensor.Tensor) *tensor.Tensor {
-		return Sum(DepthwiseConv2D(xs[0], xs[1], ConvOpts{Strides: []int{1, 1}, Pad: "same"}), nil, false)
-	}, nil)
+	onCPUAndNode(t, func(t *testing.T) {
+		gradCheck(t, "Depthwise", [][]int{{1, 4, 4, 2}, {3, 3, 2, 1}}, func(xs []*tensor.Tensor) *tensor.Tensor {
+			return Sum(DepthwiseConv2D(xs[0], xs[1], ConvOpts{Strides: []int{1, 1}, Pad: "same"}), nil, false)
+		}, nil)
+	})
 }
 
 func TestGradPools(t *testing.T) {
-	// MaxPool grads are exact only away from ties; use distinct values.
-	distinct := func(i int, rng *rand.Rand, shape []int) []float32 {
-		vals := make([]float32, tensor.ShapeSize(shape))
-		perm := rng.Perm(len(vals))
-		for j := range vals {
-			vals[j] = float32(perm[j]) * 0.37
+	onCPUAndNode(t, func(t *testing.T) {
+		// MaxPool grads are exact only away from ties; use distinct values.
+		distinct := func(i int, rng *rand.Rand, shape []int) []float32 {
+			vals := make([]float32, tensor.ShapeSize(shape))
+			perm := rng.Perm(len(vals))
+			for j := range vals {
+				vals[j] = float32(perm[j]) * 0.37
+			}
+			return vals
 		}
-		return vals
-	}
-	gradCheck(t, "MaxPool", [][]int{{1, 4, 4, 1}}, func(xs []*tensor.Tensor) *tensor.Tensor {
-		return Sum(MaxPool(xs[0], PoolOpts{FilterSize: []int{2, 2}, Strides: []int{2, 2}}), nil, false)
-	}, distinct)
-	gradCheck(t, "AvgPool", [][]int{{1, 4, 4, 2}}, func(xs []*tensor.Tensor) *tensor.Tensor {
-		return Sum(AvgPool(xs[0], PoolOpts{FilterSize: []int{2, 2}, Strides: []int{1, 1}, Pad: "same"}), nil, false)
-	}, nil)
+		gradCheck(t, "MaxPool", [][]int{{1, 4, 4, 1}}, func(xs []*tensor.Tensor) *tensor.Tensor {
+			return Sum(MaxPool(xs[0], PoolOpts{FilterSize: []int{2, 2}, Strides: []int{2, 2}}), nil, false)
+		}, distinct)
+		gradCheck(t, "AvgPool", [][]int{{1, 4, 4, 2}}, func(xs []*tensor.Tensor) *tensor.Tensor {
+			return Sum(AvgPool(xs[0], PoolOpts{FilterSize: []int{2, 2}, Strides: []int{1, 1}, Pad: "same"}), nil, false)
+		}, nil)
+	})
 }
 
 func TestGradReductions(t *testing.T) {

@@ -38,29 +38,43 @@ func Dot(a, b *tensor.Tensor) *tensor.Tensor {
 }
 
 func init() {
-	core.RegisterGradient("BatchMatMul", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
+	core.RegisterWatchedGradient("BatchMatMul", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs, watched []bool) []*tensor.Tensor {
 		dy := dys[0]
 		a, b := inputs[0], inputs[1]
 		tA := attrs.Bool("transposeA", false)
 		tB := attrs.Bool("transposeB", false)
-		var da, db *tensor.Tensor
-		switch {
-		case !tA && !tB:
-			da = BatchMatMul(dy, b, false, true)
-			db = BatchMatMul(a, dy, true, false)
-		case !tA && tB:
-			da = BatchMatMul(dy, b, false, false)
-			db = BatchMatMul(dy, a, true, false)
-		case tA && !tB:
-			da = BatchMatMul(b, dy, false, true)
-			db = BatchMatMul(a, dy, false, false)
-		default: // tA && tB
-			da = BatchMatMul(b, dy, true, true)
-			db = BatchMatMul(dy, a, true, true)
+		// One product per operand, skipped when the tape does not watch it
+		// (the first dense layer's input is the data batch). sumToShape
+		// reverses batch broadcasting if the operand had batch 1.
+		grads := make([]*tensor.Tensor, 2)
+		if watched[0] {
+			var da *tensor.Tensor
+			switch {
+			case !tA && !tB:
+				da = BatchMatMul(dy, b, false, true)
+			case !tA && tB:
+				da = BatchMatMul(dy, b, false, false)
+			case tA && !tB:
+				da = BatchMatMul(b, dy, false, true)
+			default: // tA && tB
+				da = BatchMatMul(b, dy, true, true)
+			}
+			grads[0] = sumToShape(e, da, a.Shape)
 		}
-		// Reverse batch broadcasting if either operand had batch 1.
-		da = sumToShape(e, da, a.Shape)
-		db = sumToShape(e, db, b.Shape)
-		return []*tensor.Tensor{da, db}
+		if watched[1] {
+			var db *tensor.Tensor
+			switch {
+			case !tA && !tB:
+				db = BatchMatMul(a, dy, true, false)
+			case !tA && tB:
+				db = BatchMatMul(dy, a, true, false)
+			case tA && !tB:
+				db = BatchMatMul(a, dy, false, false)
+			default: // tA && tB
+				db = BatchMatMul(dy, a, true, true)
+			}
+			grads[1] = sumToShape(e, db, b.Shape)
+		}
+		return grads
 	})
 }

@@ -7,11 +7,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/kernels"
+	"repro/internal/native"
 	"repro/internal/tensor"
 )
 
 func init() {
 	core.Global().RegisterBackend("cpu", func() (kernels.Backend, error) { return cpu.New(), nil })
+	core.Global().RegisterBackend("node", func() (kernels.Backend, error) { return native.New(), nil })
 }
 
 func almostEqual(t *testing.T, got []float32, want []float32, tol float64) {
