@@ -1,9 +1,6 @@
 package glsim
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // This file simulates the compute-shader execution model of WebGPU — the
 // future web standard the paper identifies as "a promising avenue for
@@ -29,18 +26,18 @@ type ComputeProgram struct {
 	ThreadsPerGroup int
 	// SharedSize is the per-workgroup scratch length in floats.
 	SharedSize int
-	Main       WorkgroupFunc
+	// Work is what one dispatch costs the modelled device.
+	Work Work
+	Main WorkgroupFunc
 }
 
 // ExecuteCompute dispatches a compute program writing into out. Workgroups
 // run in parallel across the device's workers; each worker reuses one
 // shared-memory buffer, as hardware reuses workgroup storage. Timing uses
-// the same analytic model as fragment programs, with parallelism capped by
-// the number of workgroups — fewer, fatter invocations than the per-texel
-// model, which is precisely the efficiency compute shaders add.
+// the same counted-work model as fragment programs, with NumGroups ×
+// ThreadsPerGroup invocations.
 func (d *Device) ExecuteCompute(p *ComputeProgram, out *Texture) {
 	d.submit(func() {
-		start := time.Now()
 		groups := p.NumGroups
 		workers := d.workers
 		if workers > groups {
@@ -75,23 +72,11 @@ func (d *Device) ExecuteCompute(p *ComputeProgram, out *Texture) {
 			}
 			wg.Wait()
 		}
-		d.stats.programs.Add(1)
 		d.stats.texels.Add(int64(out.Texels()))
 		threads := p.ThreadsPerGroup
 		if threads < 1 {
 			threads = 1
 		}
-		parallelism := d.cfg.SimulatedCores
-		if groups*threads < parallelism {
-			parallelism = groups * threads
-		}
-		if parallelism < 1 {
-			parallelism = 1
-		}
-		d.timingMu.Lock()
-		if d.timing {
-			d.timedMillis += float64(time.Since(start)) / float64(time.Millisecond) / float64(parallelism)
-		}
-		d.timingMu.Unlock()
+		d.charge(p.Work, groups*threads)
 	})
 }

@@ -73,9 +73,7 @@ func TestComputeOrderedWithFragmentPrograms(t *testing.T) {
 	d.Upload(a, []float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	// Fragment program doubles into out; compute program then adds 1
 	// in place; strict queue ordering must make both visible.
-	d.Execute(&Program{Name: "double", Main: func(i int) [4]float32 {
-		return [4]float32{a.FetchFlat(i) * 2}
-	}}, out)
+	d.Execute(&Program{Name: "double", Main: perTexel(func(i int) float32 { return a.FetchFlat(i) * 2 })}, out)
 	d.ExecuteCompute(&ComputeProgram{
 		Name:      "inc",
 		NumGroups: 1,
@@ -94,35 +92,32 @@ func TestComputeOrderedWithFragmentPrograms(t *testing.T) {
 	}
 }
 
+// TestComputeTimingUsesThreadModel: a compute dispatch occupies
+// NumGroups × ThreadsPerGroup invocations. With 4 groups of 256 threads the
+// model saturates the 64 cores; with 4 groups of 1 thread it can use 4
+// lanes — the same declared work, 16× the modelled time.
 func TestComputeTimingUsesThreadModel(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SimulatedCores = 64
 	d := newTestDevice(t, cfg)
 	out, _ := d.CreateTexture(64, 64, R32F)
-	work := func(groups, threads int) float64 {
-		d.BeginTiming()
+	work := Work{Fetches: 6400, Shared: 12800, ALU: 25600}
+	dispatch := func(groups, threads int) int64 {
+		before := clockAfter(d)
 		d.ExecuteCompute(&ComputeProgram{
-			Name: "spin", NumGroups: groups, ThreadsPerGroup: threads,
-			Main: func(group int, shared []float32, store func(int, float32)) {
-				s := float32(0)
-				for i := 0; i < 20000; i++ {
-					s += float32(i % 7)
-				}
-				store(group, s)
-			},
+			Name: "model", NumGroups: groups, ThreadsPerGroup: threads, Work: work,
+			Main: func(group int, shared []float32, store func(int, float32)) { store(group, 1) },
 		}, out)
-		return d.EndTiming()
+		return clockAfter(d) - before
 	}
-	// With 4 groups of 256 threads the model saturates the 64 cores;
-	// with 4 groups of 1 thread it can only use 4 lanes. Same host work,
-	// ~16x different modeled time.
-	wide := work(4, 256)
-	narrow := work(4, 1)
-	if wide <= 0 || narrow <= 0 {
-		t.Fatalf("modeled times must be positive: %g, %g", wide, narrow)
+	priced := int64(6400*fetchPS + (12800+25600)*aluPS)
+	if got, want := dispatch(4, 256), launchPS+(4*256*invokePS+priced)/64; got != want {
+		t.Errorf("4 groups × 256 threads: %d ps, want %d", got, want)
 	}
-	ratio := narrow / wide
-	if ratio < 4 {
-		t.Fatalf("thread model not applied: narrow/wide = %.2f, want >= 4", ratio)
+	if got, want := dispatch(4, 1), launchPS+(4*invokePS+priced)/4; got != want {
+		t.Errorf("4 groups × 1 thread: %d ps, want %d", got, want)
+	}
+	if got, want := dispatch(4, 0), launchPS+(4*invokePS+priced)/4; got != want {
+		t.Errorf("ThreadsPerGroup 0 means 1: %d ps, want %d", got, want)
 	}
 }

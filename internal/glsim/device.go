@@ -8,6 +8,20 @@ import (
 	"time"
 )
 
+// The modelled device's cost constants, in picoseconds. They are the whole
+// timing model (DESIGN.md, substitution 2, derives them): one dispatch
+// costs launchPS plus the work it declares — invocations, texture fetches,
+// ALU operations (workgroup-memory reads cost an ALU operation) — spread
+// over min(SimulatedCores, invocations) shader cores. They are constants,
+// not Config fields: a number printed by the clock must mean the same
+// thing on every host and in every PR.
+const (
+	launchPS = 100_000
+	invokePS = 28_000
+	fetchPS  = 1_000
+	aluPS    = 250
+)
+
 // Config describes the simulated device's capabilities, the properties the
 // paper's backend has to detect and adapt to (Section 4.1.3).
 type Config struct {
@@ -26,21 +40,21 @@ type Config struct {
 	// invocations; 0 means NumCPU.
 	Workers int
 	// SimulatedCores is the number of shader cores the device's timing
-	// model assumes. Texel invocations execute functionally on the host,
-	// but the device's timer (the disjoint-timer-query / tf.time()
-	// backing) reports modeled GPU time: the host execution time of a
-	// program divided by the parallelism available to it,
-	// min(SimulatedCores, output texels). 0 means 64, roughly an
-	// integrated laptop GPU's effective fragment throughput relative to
-	// one CPU core. See DESIGN.md on the WebGL substitution.
+	// model assumes. Programs execute functionally on the host, but the
+	// device's clock (the disjoint-timer-query / tf.time() backing)
+	// advances by the work each dispatch declares, divided by the
+	// parallelism available to it, min(SimulatedCores, invocations). 0
+	// means 64, roughly an integrated laptop GPU's effective fragment
+	// throughput. See DESIGN.md on the WebGL substitution.
 	SimulatedCores int
 	// QueueDepth is the command queue capacity; 0 means 1024.
 	QueueDepth int
-	// TextureAllocCost models the driver cost of allocating a texture;
-	// deletion charges half. The paper's recycler exists because
-	// "disposing and re-allocating WebGL textures is relatively
-	// expensive" (Section 4.1.2); without a cost model the ablation
-	// cannot show that. 0 means 50µs; negative disables.
+	// TextureAllocCost is the modelled driver cost of allocating a
+	// texture, charged to the device clock; deletion charges half. The
+	// paper's recycler exists because "disposing and re-allocating WebGL
+	// textures is relatively expensive" (Section 4.1.2); without a cost
+	// model the ablation cannot show that. 0 means 50µs; negative
+	// disables.
 	TextureAllocCost time.Duration
 }
 
@@ -58,10 +72,14 @@ type command struct {
 	run func()
 }
 
-// Stats counts device activity for tests and ablation benchmarks.
+// Stats counts device activity for tests and ablation benchmarks. Fetches,
+// SharedReads and ALUOps total the Work of every program executed.
 type Stats struct {
 	ProgramsExecuted int64
 	TexelInvocations int64
+	Fetches          int64
+	SharedReads      int64
+	ALUOps           int64
 	TexturesCreated  int64
 	TexturesDeleted  int64
 	Uploads          int64
@@ -87,17 +105,19 @@ type Device struct {
 	stats struct {
 		programs atomic.Int64
 		texels   atomic.Int64
+		fetches  atomic.Int64
+		shared   atomic.Int64
+		alu      atomic.Int64
 		created  atomic.Int64
 		deleted  atomic.Int64
 		uploads  atomic.Int64
 		reads    atomic.Int64
 	}
 
-	// timing is guarded by timingMu and only touched on the GPU goroutine
-	// plus readers.
-	timingMu    sync.Mutex
-	timing      bool
-	timedMillis float64
+	// clockPS is the modelled device time in picoseconds. It only moves
+	// forward, by amounts that are functions of what was dispatched,
+	// created and deleted — never of how long the host took.
+	clockPS atomic.Int64
 }
 
 // NewDevice creates and starts a simulated device.
@@ -188,9 +208,7 @@ func (d *Device) CreateTexture(width, height int, format TextureFormat) (*Textur
 	if width > d.cfg.MaxTextureSize || height > d.cfg.MaxTextureSize {
 		return nil, fmt.Errorf("glsim: texture %dx%d exceeds MAX_TEXTURE_SIZE %d", width, height, d.cfg.MaxTextureSize)
 	}
-	if d.cfg.TextureAllocCost > 0 {
-		time.Sleep(d.cfg.TextureAllocCost)
-	}
+	d.chargeAlloc(d.cfg.TextureAllocCost)
 	t := &Texture{
 		Width:     width,
 		Height:    height,
@@ -217,9 +235,7 @@ func (d *Device) DeleteTexture(t *Texture) {
 		if t.deleted {
 			return
 		}
-		if d.cfg.TextureAllocCost > 0 {
-			time.Sleep(d.cfg.TextureAllocCost / 2)
-		}
+		d.chargeAlloc(d.cfg.TextureAllocCost / 2)
 		t.deleted = true
 		t.data = nil
 		d.mu.Lock()
@@ -277,16 +293,17 @@ func (d *Device) FenceSync() <-chan struct{} {
 // flips when the enclosing commands have executed and must be polled.
 type Query struct {
 	done    atomic.Bool
-	elapsed atomic.Int64 // nanoseconds
-	begin   *time.Time   // written on the GPU goroutine between Begin/End
+	beginPS int64 // written and read on the GPU goroutine only
+	elapsed atomic.Int64
 }
 
 // Done reports whether the query's commands have completed. Callers poll
 // this, as the paper's WebGL 1.0 implementation polls the extension bit.
 func (q *Query) Done() bool { return q.done.Load() }
 
-// ElapsedMS returns the measured GPU time once Done reports true.
-func (q *Query) ElapsedMS() float64 { return float64(q.elapsed.Load()) / 1e6 }
+// ElapsedMS returns the modelled GPU time between BeginQuery and EndQuery
+// once Done reports true.
+func (q *Query) ElapsedMS() float64 { return float64(q.elapsed.Load()) / 1e9 }
 
 // BeginQuery starts a disjoint timer query; EndQuery closes it. The query's
 // done bit flips when the GPU executes the end command.
@@ -295,21 +312,14 @@ func (d *Device) BeginQuery() *Query {
 		panic("glsim: EXT_disjoint_timer_query not supported on this device")
 	}
 	q := &Query{}
-	start := &time.Time{}
-	d.submit(func() { *start = time.Now() })
-	q.elapsed.Store(-1)
-	// Stash the start pointer on the query via closure in EndQuery; the
-	// device keeps ordering, so capturing here is safe.
-	q.begin = start
+	d.submit(func() { q.beginPS = d.clockPS.Load() })
 	return q
 }
 
 // EndQuery marks the end of the query window.
 func (d *Device) EndQuery(q *Query) {
 	d.submit(func() {
-		if q.begin != nil && !q.begin.IsZero() {
-			q.elapsed.Store(int64(time.Since(*q.begin)))
-		}
+		q.elapsed.Store(d.clockPS.Load() - q.beginPS)
 		q.done.Store(true)
 	})
 }
@@ -317,35 +327,49 @@ func (d *Device) EndQuery(q *Query) {
 // ---------------------------------------------------------------------------
 // Program execution
 
-// TexelFunc is the body of a fragment shader: it computes the value(s) of
-// one output texel. It runs concurrently for different texels and must not
-// write anything except through its return value (Figure 4: "main() runs in
-// the context of each output value and in parallel, with no shared
-// memory").
-type TexelFunc func(texelIndex int) [4]float32
-
-// Program is a compiled shader program: a name (for profiling) and the
-// per-texel main function.
-type Program struct {
-	Name string
-	Main TexelFunc
+// Work is what one dispatch of a program costs the modelled device: the
+// texture fetches, workgroup-memory reads and arithmetic operations its
+// invocations perform in total. Programs declare it as a closed form of
+// their shapes; the device never measures it.
+type Work struct {
+	Fetches int64
+	Shared  int64
+	ALU     int64
 }
 
-// Execute binds output to the framebuffer and runs the program once per
+// Program is a compiled fragment-shader program: a name (for profiling),
+// the work one dispatch costs the modelled device, and the main function.
+//
+// Main computes the output texels [lo, hi). dst is the output texture's own
+// storage for exactly those texels — (hi-lo)*channels floats, texel-major —
+// and Main must write every element of it, may read any input texture, and
+// must write nothing else. The device calls Main concurrently on disjoint
+// ranges whose boundaries it chooses, so the value Main writes for a texel
+// may depend only on that texel's index and the inputs: Figure 4's model,
+// "main() runs in the context of each output value and in parallel, with
+// no shared memory", stated over a range so that a program can decode
+// coordinates and clip its window once per run of values instead of once
+// per value. On half-float textures the device rounds dst through fp16
+// after Main returns.
+type Program struct {
+	Name string
+	Work Work
+	Main func(lo, hi int, dst []float32)
+}
+
+// Execute binds output to the framebuffer and runs the program over every
 // output texel, parallelized across the device's workers. The call only
 // enqueues; it returns immediately, which is what makes op dispatch
 // sub-millisecond while the GPU works in the background (Section 4.1.1).
 func (d *Device) Execute(p *Program, out *Texture) {
 	d.submit(func() {
-		start := time.Now()
 		texels := out.Texels()
-		ch := out.Format.Channels()
 		workers := d.workers
 		if workers > texels {
 			workers = texels
 		}
 		if workers <= 1 {
-			runTexelRange(p, out, 0, texels, ch)
+			out.render(p, 0, texels)
 		} else {
 			var wg sync.WaitGroup
 			chunk := (texels + workers - 1) / workers
@@ -361,65 +385,52 @@ func (d *Device) Execute(p *Program, out *Texture) {
 				wg.Add(1)
 				go func(lo, hi int) {
 					defer wg.Done()
-					runTexelRange(p, out, lo, hi, ch)
+					out.render(p, lo, hi)
 				}(lo, hi)
 			}
 			wg.Wait()
 		}
-		d.stats.programs.Add(1)
 		d.stats.texels.Add(int64(texels))
-		// Timing model: the program's texels would run spread across the
-		// device's shader cores; report host time divided by the
-		// parallelism this program can use.
-		parallelism := d.cfg.SimulatedCores
-		if texels < parallelism {
-			parallelism = texels
-		}
-		if parallelism < 1 {
-			parallelism = 1
-		}
-		d.timingMu.Lock()
-		if d.timing {
-			d.timedMillis += float64(time.Since(start)) / float64(time.Millisecond) / float64(parallelism)
-		}
-		d.timingMu.Unlock()
+		d.charge(p.Work, texels)
 	})
 }
 
-func runTexelRange(p *Program, out *Texture, lo, hi, channels int) {
-	for t := lo; t < hi; t++ {
-		vals := p.Main(t)
-		base := t * channels
-		for c := 0; c < channels; c++ {
-			out.store(base+c, vals[c])
-		}
+// charge advances the clock by one dispatch: the launch cost plus the
+// declared work spread over the shader cores the dispatch can occupy.
+func (d *Device) charge(w Work, invocations int) {
+	parallelism := d.cfg.SimulatedCores
+	if invocations < parallelism {
+		parallelism = invocations
+	}
+	if parallelism < 1 {
+		parallelism = 1
+	}
+	work := int64(invocations)*invokePS + w.Fetches*fetchPS + (w.Shared+w.ALU)*aluPS
+	d.clockPS.Add(launchPS + work/int64(parallelism))
+	d.stats.programs.Add(1)
+	d.stats.fetches.Add(w.Fetches)
+	d.stats.shared.Add(w.Shared)
+	d.stats.alu.Add(w.ALU)
+}
+
+// chargeAlloc advances the clock by the modelled driver cost of creating
+// or deleting a texture; a negative TextureAllocCost charges nothing.
+func (d *Device) chargeAlloc(cost time.Duration) {
+	if cost > 0 {
+		d.clockPS.Add(cost.Nanoseconds() * 1000)
 	}
 }
 
 // ---------------------------------------------------------------------------
 // Timing and accounting
 
-// BeginTiming starts accumulating GPU program time (the backing mechanism
-// of tf.time()'s kernelMs on the WebGL backend, Section 3.8).
-func (d *Device) BeginTiming() {
-	d.timingMu.Lock()
-	d.timing = true
-	d.timedMillis = 0
-	d.timingMu.Unlock()
-}
-
-// EndTiming stops accumulation and returns modeled GPU milliseconds spent
-// in programs since BeginTiming — excluding upload and download time, as
-// the paper specifies for WebGL timing, and scaled by the device's
-// shader-core timing model (Config.SimulatedCores).
-func (d *Device) EndTiming() float64 {
-	// Drain pending work so every submitted program is counted.
-	<-d.FenceSync()
-	d.timingMu.Lock()
-	defer d.timingMu.Unlock()
-	d.timing = false
-	return d.timedMillis
-}
+// ClockPS returns the modelled device time in picoseconds. Programs and
+// texture deletions advance it on the GPU goroutine as the queue reaches
+// them (texture creation, which is synchronous, at once), so a caller that
+// wants the time of everything it has submitted waits on FenceSync first.
+// It backs tf.time()'s kernelMs on the WebGL backend (Section 3.8) and
+// excludes upload and download, as the paper specifies.
+func (d *Device) ClockPS() int64 { return d.clockPS.Load() }
 
 // TextureBytes returns current device memory held by textures.
 func (d *Device) TextureBytes() int64 {
@@ -449,6 +460,9 @@ func (d *Device) Stats() Stats {
 	return Stats{
 		ProgramsExecuted: d.stats.programs.Load(),
 		TexelInvocations: d.stats.texels.Load(),
+		Fetches:          d.stats.fetches.Load(),
+		SharedReads:      d.stats.shared.Load(),
+		ALUOps:           d.stats.alu.Load(),
 		TexturesCreated:  d.stats.created.Load(),
 		TexturesDeleted:  d.stats.deleted.Load(),
 		Uploads:          d.stats.uploads.Load(),

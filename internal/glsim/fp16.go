@@ -1,15 +1,30 @@
 // Package glsim simulates a WebGL graphics device: float textures, a GPU
 // command queue running on its own goroutine, fragment-shader programs
-// executed per output texel in parallel, fences (gl.fenceSync) and the
-// EXT_disjoint_timer_query extension.
+// executed over the output texels in parallel, fences (gl.fenceSync) and
+// the EXT_disjoint_timer_query extension.
 //
 // The package substitutes for the browser WebGL API the paper's backend is
-// built on (Section 4.1). It intentionally enforces the fragment-shader
-// execution model — a program's main function runs once per output texel,
-// in parallel, with no shared memory and read-only access to input
-// textures — so the backend built on top of it has to solve the same
-// problems the paper describes: logical-to-physical layout, packing,
-// asynchronous readback and texture lifecycle management.
+// built on (Section 4.1). It keeps the fragment-shader execution model — a
+// program computes each output texel from that texel's index and read-only
+// input textures, in parallel, with no shared memory — so the backend built
+// on top of it has to solve the same problems the paper describes:
+// logical-to-physical layout, packing, asynchronous readback and texture
+// lifecycle management. A program's main function receives a contiguous
+// range of texels and the output texture's own storage for it
+// (Program.Main), which is what lets the simulator run at row speed; the
+// per-texel contract is the same and is enforced by the backend's
+// TestKernelContract rather than by the signature.
+//
+// The simulation is functional plus a timing model. Programs compute real
+// values on the host; how long the modelled GPU took is a separate matter,
+// kept by one monotonic clock in integer picoseconds (Device.ClockPS) that
+// advances by the work each dispatch declares (Work: texture fetches,
+// workgroup-memory reads, ALU operations, plus its invocations and a launch
+// cost, spread over the shader cores it can occupy) and by the modelled
+// driver cost of creating and deleting textures. Nothing in the package
+// reads the host's clock, so every modelled number is a pure function of
+// what was dispatched: it repeats to the digit on any host, at any worker
+// count, however fast or slow the simulator itself runs.
 package glsim
 
 import "math"

@@ -72,8 +72,28 @@ func (t *Texture) Fetch(x, y, c int) float32 {
 // FetchFlat reads the i-th float value in texel-major order.
 func (t *Texture) FetchFlat(i int) float32 { return t.data[i] }
 
+// Floats is the texture's storage in texel-major order, for programs that
+// read an operand a row at a time. Like Fetch it is read-only, and valid
+// while a program that takes the texture as input executes.
+func (t *Texture) Floats() []float32 { return t.data }
+
+// render runs p over the texels [lo, hi) of t, writing straight into the
+// texture's storage, then applies the half-float rounding store would have
+// applied per value.
+func (t *Texture) render(p *Program, lo, hi int) {
+	ch := t.Format.Channels()
+	dst := t.data[lo*ch : hi*ch : hi*ch]
+	p.Main(lo, hi, dst)
+	if t.HalfFloat {
+		for i, v := range dst {
+			dst[i] = RoundToFloat16(v)
+		}
+	}
+}
+
 // store writes value into flat position i, applying half-float rounding
-// when the texture is 16-bit. Only the device's GPU goroutine calls store.
+// when the texture is 16-bit: the write path of uploads and compute
+// programs. Only the device's GPU goroutine calls store.
 func (t *Texture) store(i int, v float32) {
 	if t.HalfFloat {
 		v = RoundToFloat16(v)

@@ -407,19 +407,29 @@ func (b *Backend) DeviceMemory() *telemetry.DeviceMemory {
 // RecyclingStats reports texture acquisitions and recycle hits.
 func (b *Backend) RecyclingStats() (acquires, hits int64) { return b.manager.stats() }
 
-// Time implements kernels.Backend. KernelMS is the device-measured GPU
-// program time, excluding upload and download (Section 3.8: "the WebGL
-// backend measures the exact GPU time").
+// Time implements kernels.Backend. KernelMS is the device's modelled GPU
+// time for what f submitted, excluding upload and download (Section 3.8:
+// "the WebGL backend measures the exact GPU time"): the difference of two
+// readings of a monotonic clock, so calls nest and add — the engine's
+// observed path times every kernel inside whatever tf.time() the caller
+// has open.
 func (b *Backend) Time(f func()) kernels.TimeInfo {
-	b.device.BeginTiming()
+	before := b.deviceClock()
 	start := time.Now()
 	f()
-	kernelMS := b.device.EndTiming()
+	after := b.deviceClock()
 	return kernels.TimeInfo{
 		WallMS:      float64(time.Since(start)) / float64(time.Millisecond),
-		KernelMS:    kernelMS,
+		KernelMS:    float64(after-before) / 1e9,
 		HasKernelMS: true,
 	}
+}
+
+// deviceClock drains the command queue and reads the modelled device
+// clock: the time of everything submitted so far and of nothing else.
+func (b *Backend) deviceClock() int64 {
+	<-b.device.FenceSync()
+	return b.device.ClockPS()
 }
 
 // Close implements kernels.Backend.

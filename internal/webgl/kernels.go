@@ -54,37 +54,35 @@ func (b *Backend) output(shape []int, dtype tensor.DataType) (*texData, kernels.
 	return td, kernels.TensorInfo{DataID: id, Shape: tensor.CopyShape(shape), DType: dtype}, nil
 }
 
-// runFlat executes a program whose value at flat output index i is
-// valueAt(i). It handles both texel layouts: with packing, one texel
-// invocation produces four consecutive values (the §3.9 packing
-// optimization — a quarter of the shader invocations).
-func (b *Backend) runFlat(name string, out *texData, valueAt func(flat int) float32) {
-	size := out.size
-	var main glsim.TexelFunc
-	if out.tex.Format == glsim.RGBA32F {
-		main = func(texel int) [4]float32 {
-			var vals [4]float32
-			base := texel * 4
-			for c := 0; c < 4 && base+c < size; c++ {
-				vals[c] = valueAt(base + c)
-			}
-			return vals
+// run executes a program whose body computes the output's logical values
+// [lo, hi), in flat row-major order, into dst (len hi-lo). It is the one
+// place the two texel layouts differ: the device hands out texel ranges —
+// a quarter as many invocations when packed (§3.9) — and run turns them
+// into value ranges, clips them to the logical size and zeroes the padding
+// values of the last texels. The body inherits the fragment-shader
+// contract from glsim.Program.Main: what it writes for a value depends
+// only on that value's index (TestKernelContract).
+func (b *Backend) run(name string, out *texData, work glsim.Work, body func(lo, hi int, dst []float32)) {
+	size, channels := out.size, out.tex.Format.Channels()
+	b.device.Execute(&glsim.Program{Name: name, Work: work, Main: func(lo, hi int, dst []float32) {
+		lo, hi = lo*channels, min(hi*channels, size)
+		n := max(hi-lo, 0)
+		if n > 0 {
+			body(lo, hi, dst[:n])
 		}
-	} else {
-		main = func(texel int) [4]float32 {
-			if texel >= size {
-				return [4]float32{}
-			}
-			return [4]float32{valueAt(texel)}
-		}
-	}
-	b.device.Execute(&glsim.Program{Name: name, Main: main}, out.tex)
+		clear(dst[n:])
+	}}, out.tex)
 }
 
-// runTexel executes a program with full control of the per-texel function;
-// used by kernels with packed-specific fast paths.
-func (b *Backend) runTexel(name string, out *texData, main glsim.TexelFunc) {
-	b.device.Execute(&glsim.Program{Name: name, Main: main}, out.tex)
+// runFlat executes a program whose value at flat output index i is
+// valueAt(i): the per-value form of the paper's shaders, which the long
+// tail of cold kernels keeps.
+func (b *Backend) runFlat(name string, out *texData, work glsim.Work, valueAt func(flat int) float32) {
+	b.run(name, out, work, func(lo, hi int, dst []float32) {
+		for i := range dst {
+			dst[i] = valueAt(lo + i)
+		}
+	})
 }
 
 // indexTerm is one dimension's contribution when mapping an output flat

@@ -38,7 +38,9 @@ func (b *Backend) registerConvGrad() {
 		inC, outC := info.InChannels, info.OutChannels
 		outRow := info.OutWidth * outC
 		outImg := info.OutHeight * outRow
-		b.runFlat("Conv2DBackpropInput", out, func(flat int) float32 {
+		pairs, _ := backpropTaps(info)
+		work := macWork(out.size, pairs*int64(inC)*int64(outC), 3)
+		b.runFlat("Conv2DBackpropInput", out, work, func(flat int) float32 {
 			ic := flat % inC
 			rest := flat / inC
 			ix := rest % info.InWidth
@@ -104,7 +106,9 @@ func (b *Backend) registerConvGrad() {
 		inImg := info.InHeight * inRow
 		outRow := info.OutWidth * outC
 		outImg := info.OutHeight * outRow
-		b.runFlat("Conv2DBackpropFilter", out, func(flat int) float32 {
+		// Each filter value sums over the forward pass's in-bounds taps.
+		work := macWork(out.size, int64(convTaps(info))*int64(inC)*int64(outC), 3)
+		b.runFlat("Conv2DBackpropFilter", out, work, func(flat int) float32 {
 			oc := flat % outC
 			rest := flat / outC
 			ic := rest % inC
@@ -157,7 +161,9 @@ func (b *Backend) registerConvGrad() {
 		inC, mult, outC := info.InChannels, info.ChannelMultiplier, info.OutChannels
 		outRow := info.OutWidth * outC
 		outImg := info.OutHeight * outRow
-		b.runFlat("DepthwiseConv2dNativeBackpropInput", out, func(flat int) float32 {
+		pairs, _ := backpropTaps(info)
+		work := macWork(out.size, pairs*int64(outC), 3)
+		b.runFlat("DepthwiseConv2dNativeBackpropInput", out, work, func(flat int) float32 {
 			ic := flat % inC
 			rest := flat / inC
 			ix := rest % info.InWidth
@@ -221,7 +227,8 @@ func (b *Backend) registerConvGrad() {
 		inImg := info.InHeight * inRow
 		outRow := info.OutWidth * outC
 		outImg := info.OutHeight * outRow
-		b.runFlat("DepthwiseConv2dNativeBackpropFilter", out, func(flat int) float32 {
+		work := macWork(out.size, int64(convTaps(info))*int64(outC), 3)
+		b.runFlat("DepthwiseConv2dNativeBackpropFilter", out, work, func(flat int) float32 {
 			q := flat % mult
 			rest := flat / mult
 			ic := rest % inC
@@ -272,7 +279,14 @@ func (b *Backend) registerConvGrad() {
 		inImg := info.InHeight * inRow
 		outRow := info.OutWidth * c
 		outImg := info.OutHeight * outRow
-		b.runFlat("MaxPoolGrad", out, func(flat int) float32 {
+		// Per value: its own x, and per covering window a rescan of the
+		// window's cells (fetch + compare) and dy's value (charged as
+		// taken: whether this position is the argmax is data).
+		pairs, cells := backpropTaps(info)
+		work := perValue(out.size, 1, 3*aluDecode)
+		work.Fetches += int64(c) * (cells + pairs)
+		work.ALU += int64(c) * (cells + 2*pairs)
+		b.runFlat("MaxPoolGrad", out, work, func(flat int) float32 {
 			ch := flat % c
 			rest := flat / c
 			ix := rest % info.InWidth
@@ -354,7 +368,13 @@ func (b *Backend) registerConvGrad() {
 		c := info.OutChannels
 		outRow := info.OutWidth * c
 		outImg := info.OutHeight * outRow
-		b.runFlat("AvgPoolGrad", out, func(flat int) float32 {
+		// Per covering window: a recount of its in-bounds cells, one dy
+		// fetch, a divide and an add.
+		pairs, cells := backpropTaps(info)
+		work := perValue(out.size, 0, 3*aluDecode)
+		work.Fetches += int64(c) * pairs
+		work.ALU += int64(c) * (cells + 2*pairs)
+		b.runFlat("AvgPoolGrad", out, work, func(flat int) float32 {
 			ch := flat % c
 			rest := flat / c
 			ix := rest % info.InWidth

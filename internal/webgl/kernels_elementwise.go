@@ -10,10 +10,11 @@ import (
 )
 
 // registerElementwise installs the element-wise binary and unary shader
-// programs. The binary programs come in two forms: a same-shape fast path
-// that reads both operands at the output's own flat index (and, when
-// packed, processes a whole RGBA texel per invocation), and a broadcast
-// path that routes through the compiler-generated samplers.
+// programs. The binary programs come in two forms: a channel-suffix path
+// for operands whose shape is the output's trailing dimensions (the
+// output's own shape, a bias or batch-norm vector, a scalar), which walks
+// each operand with a wrapping counter, and a broadcast path that routes
+// through the compiler-generated samplers.
 func (b *Backend) registerElementwise() {
 	type binOp struct {
 		name  string
@@ -173,7 +174,7 @@ func (b *Backend) registerElementwise() {
 		if err != nil {
 			return nil, err
 		}
-		b.runFlat("Fill", out, func(int) float32 { return value })
+		b.runFlat("Fill", out, glsim.Work{}, func(int) float32 { return value })
 		return []kernels.TensorInfo{info}, nil
 	})
 
@@ -198,7 +199,9 @@ func (b *Backend) registerElementwise() {
 			return nil, err
 		}
 		maps := b.broadcastSamplers(outShape, [][]int{inputs[0].Shape, inputs[1].Shape, inputs[2].Shape})
-		b.runFlat("Select", out, func(i int) float32 {
+		// The condition and the chosen branch are fetched; one compare.
+		work := perValue(out.size, 2, 1+aluTerm*b.termCount(outShape, inputs[0].Shape, inputs[1].Shape, inputs[2].Shape))
+		b.runFlat("Select", out, work, func(i int) float32 {
 			if condTex.FetchFlat(maps[0](i)) != 0 {
 				return tTex.FetchFlat(maps[1](i))
 			}
@@ -224,18 +227,36 @@ func (b *Backend) registerElementwise() {
 		if err != nil {
 			return nil, err
 		}
-		maps := b.broadcastSamplers(inputs[0].Shape, shapes)
+		// Five fetches; subtract, add ε, rsqrt, multiply, scale, offset;
+		// x is read at the output's own index, the four parameters
+		// through their samplers.
+		work := perValue(out.size, 5, 6+aluTerm*b.termCount(inputs[0].Shape, shapes[1:]...))
 		x, mean, variance, offset, scale := texes[0], texes[1], texes[2], texes[3], texes[4]
-		b.runFlat("FusedBatchNorm", out, func(i int) float32 {
-			m := mean.FetchFlat(maps[1](i))
-			v := variance.FetchFlat(maps[2](i))
-			o := offset.FetchFlat(maps[3](i))
-			s := scale.FetchFlat(maps[4](i))
-			norm := (x.FetchFlat(i) - m) / float32(math.Sqrt(float64(v+eps)))
-			return norm*s + o
+		if periods, ok := suffixPeriods(inputs[0].Shape, shapes[1:]...); ok {
+			b.run("FusedBatchNorm", out, work, func(lo, hi int, dst []float32) {
+				xs := x.Floats()[lo:hi]
+				ms, vs, os, ss := mean.Floats(), variance.Floats(), offset.Floats(), scale.Floats()
+				im, iv, io, is := lo%periods[0], lo%periods[1], lo%periods[2], lo%periods[3]
+				for j, xv := range xs {
+					dst[j] = batchNorm(xv, ms[im], vs[iv], os[io], ss[is], eps)
+					im, iv, io, is = next(im, periods[0]), next(iv, periods[1]), next(io, periods[2]), next(is, periods[3])
+				}
+			})
+			return []kernels.TensorInfo{info}, nil
+		}
+		maps := b.broadcastSamplers(inputs[0].Shape, shapes)
+		b.runFlat("FusedBatchNorm", out, work, func(i int) float32 {
+			return batchNorm(x.FetchFlat(i), mean.FetchFlat(maps[1](i)), variance.FetchFlat(maps[2](i)),
+				offset.FetchFlat(maps[3](i)), scale.FetchFlat(maps[4](i)), eps)
 		})
 		return []kernels.TensorInfo{info}, nil
 	})
+}
+
+// batchNorm is FusedBatchNorm's value: (x − mean)/√(variance + ε) · scale +
+// offset, each step rounded to float32.
+func batchNorm(x, mean, variance, offset, scale, eps float32) float32 {
+	return (x-mean)/float32(math.Sqrt(float64(variance+eps)))*scale + offset
 }
 
 func b2f(c bool) float32 {
@@ -247,9 +268,39 @@ func b2f(c bool) float32 {
 
 func errf(format string, args ...any) error { return fmt.Errorf(format, args...) }
 
-// binaryProgram assembles an element-wise binary shader. Equal shapes use
-// the direct path (and a packed whole-texel fast path); otherwise the
-// broadcast samplers are compiled in.
+// suffixPeriods reports whether every operand shape, leading 1s dropped, is
+// the trailing dimensions of outShape — BatchNorm's [C] vectors, a bias [C]
+// onto [..., C], a scalar, the output's own shape — and returns each
+// operand's element count. Such an operand repeats with that period along
+// the output's flat order, so a program reads it at flat%period and needs
+// no compiled sampler. An empty output has no suffix path: nothing runs.
+func suffixPeriods(outShape []int, inShapes ...[]int) ([]int, bool) {
+	if tensor.ShapeSize(outShape) == 0 {
+		return nil, false
+	}
+	periods := make([]int, len(inShapes))
+	for k, shape := range inShapes {
+		for len(shape) > 0 && shape[0] == 1 {
+			shape = shape[1:]
+		}
+		if len(shape) > len(outShape) || !tensor.ShapesEqual(shape, outShape[len(outShape)-len(shape):]) {
+			return nil, false
+		}
+		periods[k] = tensor.ShapeSize(shape)
+	}
+	return periods, true
+}
+
+// next advances a suffix operand's index, wrapping at its period.
+func next(i, period int) int {
+	if i++; i == period {
+		return 0
+	}
+	return i
+}
+
+// binaryProgram assembles an element-wise binary shader: out = f(a, x),
+// operands in that order whichever of them broadcasts.
 func (b *Backend) binaryProgram(name string, inputs []kernels.Input, f func(a, x float32) float32, boolOut bool) ([]kernels.TensorInfo, error) {
 	if len(inputs) != 2 {
 		return nil, errf("%s: got %d inputs, want 2", name, len(inputs))
@@ -268,33 +319,25 @@ func (b *Backend) binaryProgram(name string, inputs []kernels.Input, f func(a, x
 	if err != nil {
 		return nil, err
 	}
-	if sameShape(outShape, [][]int{inputs[0].Shape, inputs[1].Shape}) {
-		if out.tex.Format == glsim.RGBA32F {
-			// Packed fast path: one invocation computes a whole RGBA
-			// texel of four consecutive values, the analogue of the
-			// vec4 arithmetic packing enables in GLSL.
-			size := out.size
-			b.runTexel(name, out, func(texel int) [4]float32 {
-				var vals [4]float32
-				base := texel * 4
-				n := size - base
-				if n > 4 {
-					n = 4
-				}
-				for c := 0; c < n; c++ {
-					vals[c] = f(aTex.FetchFlat(base+c), xTex.FetchFlat(base+c))
-				}
-				return vals
-			})
-		} else {
-			b.runFlat(name, out, func(i int) float32 {
-				return f(aTex.FetchFlat(i), xTex.FetchFlat(i))
-			})
-		}
+	// Two fetches and the operation; operands of the output's own shape
+	// are read at its flat index, anything else through sampler terms.
+	work := perValue(out.size, 2, 1)
+	if !sameShape(outShape, [][]int{inputs[0].Shape, inputs[1].Shape}) {
+		work.ALU += int64(out.size) * int64(aluTerm*b.termCount(outShape, inputs[0].Shape, inputs[1].Shape))
+	}
+	if periods, ok := suffixPeriods(outShape, inputs[0].Shape, inputs[1].Shape); ok {
+		b.run(name, out, work, func(lo, hi int, dst []float32) {
+			as, xs := aTex.Floats(), xTex.Floats()
+			ia, ix := lo%periods[0], lo%periods[1]
+			for j := range dst {
+				dst[j] = f(as[ia], xs[ix])
+				ia, ix = next(ia, periods[0]), next(ix, periods[1])
+			}
+		})
 		return []kernels.TensorInfo{info}, nil
 	}
 	maps := b.broadcastSamplers(outShape, [][]int{inputs[0].Shape, inputs[1].Shape})
-	b.runFlat(name, out, func(i int) float32 {
+	b.runFlat(name, out, work, func(i int) float32 {
 		return f(aTex.FetchFlat(maps[0](i)), xTex.FetchFlat(maps[1](i)))
 	})
 	return []kernels.TensorInfo{info}, nil
@@ -310,22 +353,10 @@ func (b *Backend) unaryProgram(name string, inputs []kernels.Input, f func(x flo
 	if err != nil {
 		return nil, err
 	}
-	if out.tex.Format == glsim.RGBA32F {
-		size := out.size
-		b.runTexel(name, out, func(texel int) [4]float32 {
-			var vals [4]float32
-			base := texel * 4
-			n := size - base
-			if n > 4 {
-				n = 4
-			}
-			for c := 0; c < n; c++ {
-				vals[c] = f(xTex.FetchFlat(base + c))
-			}
-			return vals
-		})
-	} else {
-		b.runFlat(name, out, func(i int) float32 { return f(xTex.FetchFlat(i)) })
-	}
+	b.run(name, out, perValue(out.size, 1, 1), func(lo, hi int, dst []float32) {
+		for j, v := range xTex.Floats()[lo:hi] {
+			dst[j] = f(v)
+		}
+	})
 	return []kernels.TensorInfo{info}, nil
 }

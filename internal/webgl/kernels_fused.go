@@ -3,209 +3,60 @@ package webgl
 import (
 	"repro/internal/glsim"
 	"repro/internal/kernels"
-	"repro/internal/tensor"
 )
 
-// registerFused installs the fused conv/matmul shader programs. Each is a
-// single program whose per-texel function accumulates the convolution (or
-// matmul), samples the bias texture, and applies the activation inline —
-// one shader dispatch and one output texture where the unfused graph needed
-// three of each. This is the WebGL analogue of TensorFlow's Grappler fused
-// ops: the activation formulas come from kernels.FusedActivation, so the
-// fused program agrees bit-for-bit with the op sequence it replaces.
+// registerFused installs the fused conv/matmul shader programs. Each is the
+// unfused program's body plus an epilogue that samples the bias texture and
+// applies the activation inline — one shader dispatch and one output
+// texture where the unfused graph needed three of each. This is the WebGL
+// analogue of TensorFlow's Grappler fused ops: the activation formulas come
+// from kernels.FusedActivation, so the fused program agrees bit-for-bit
+// with the op sequence it replaces.
 func (b *Backend) registerFused() {
-	// fusedTail resolves the optional bias texture (inputs[2]) and the
-	// activation for a fused kernel with outC output channels.
-	fusedTail := func(name string, inputs []kernels.Input, attrs kernels.Attrs, outC int) (*glsim.Texture, func(float32) float32, error) {
-		var biasTex *glsim.Texture
-		if len(inputs) == 3 {
-			bi := inputs[2]
-			if len(bi.Shape) != 1 || bi.Shape[0] != outC {
-				return nil, nil, errf("%s: bias must have shape [%d], got %v", name, outC, bi.Shape)
-			}
-			_, biasTex = b.input(bi)
-		}
-		actName := attrs.String("activation", "")
-		act, ok := kernels.FusedActivation(actName)
-		if !ok {
-			return nil, nil, errf("%s: unknown activation %q", name, actName)
-		}
-		return biasTex, act, nil
-	}
-	// finish applies the epilogue to one accumulated output value.
-	finish := func(sum float32, oc int, biasTex *glsim.Texture, act func(float32) float32) float32 {
-		if biasTex != nil {
-			sum += biasTex.FetchFlat(oc)
-		}
-		if act != nil {
-			sum = act(sum)
-		}
-		return sum
-	}
-
 	b.register("FusedConv2D", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
 		if len(inputs) != 2 && len(inputs) != 3 {
 			return nil, errf("FusedConv2D: got %d inputs, want 2 or 3", len(inputs))
 		}
-		x, w := inputs[0], inputs[1]
-		info, err := kernels.ComputeConv2DInfo(x.Shape, w.Shape,
-			attrs.Ints("strides", []int{1, 1}), attrs.Ints("dilations", []int{1, 1}),
-			attrs.String("pad", "valid"), false)
-		if err != nil {
-			return nil, err
-		}
-		biasTex, act, err := fusedTail("FusedConv2D", inputs, attrs, info.OutChannels)
-		if err != nil {
-			return nil, err
-		}
-		_, xTex := b.input(x)
-		_, wTex := b.input(w)
-		out, tinfo, err := b.output(info.OutShape(), tensor.Float32)
-		if err != nil {
-			return nil, err
-		}
-		inC, outC := info.InChannels, info.OutChannels
-		inRow := info.InWidth * inC
-		inImg := info.InHeight * inRow
-		b.runFlat("FusedConv2D", out, func(flat int) float32 {
-			oc := flat % outC
-			rest := flat / outC
-			ox := rest % info.OutWidth
-			rest /= info.OutWidth
-			oy := rest % info.OutHeight
-			bb := rest / info.OutHeight
-			yCorner := oy*info.StrideHeight - info.PadTop
-			xCorner := ox*info.StrideWidth - info.PadLeft
-			var sum float32
-			for fy := 0; fy < info.FilterHeight; fy++ {
-				iy := yCorner + fy*info.DilationHeight
-				if iy < 0 || iy >= info.InHeight {
-					continue
-				}
-				for fx := 0; fx < info.FilterWidth; fx++ {
-					ix := xCorner + fx*info.DilationWidth
-					if ix < 0 || ix >= info.InWidth {
-						continue
-					}
-					inBase := bb*inImg + iy*inRow + ix*inC
-					wBase := ((fy*info.FilterWidth)+fx)*inC*outC + oc
-					for ic := 0; ic < inC; ic++ {
-						sum += xTex.FetchFlat(inBase+ic) * wTex.FetchFlat(wBase+ic*outC)
-					}
-				}
-			}
-			return finish(sum, oc, biasTex, act)
-		})
-		return []kernels.TensorInfo{tinfo}, nil
+		return b.conv2D("FusedConv2D", inputs, attrs, true)
 	})
 
 	b.register("FusedDepthwiseConv2dNative", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
 		if len(inputs) != 2 && len(inputs) != 3 {
 			return nil, errf("FusedDepthwiseConv2dNative: got %d inputs, want 2 or 3", len(inputs))
 		}
-		x, w := inputs[0], inputs[1]
-		info, err := kernels.ComputeConv2DInfo(x.Shape, w.Shape,
-			attrs.Ints("strides", []int{1, 1}), attrs.Ints("dilations", []int{1, 1}),
-			attrs.String("pad", "valid"), true)
-		if err != nil {
-			return nil, err
-		}
-		biasTex, act, err := fusedTail("FusedDepthwiseConv2dNative", inputs, attrs, info.OutChannels)
-		if err != nil {
-			return nil, err
-		}
-		_, xTex := b.input(x)
-		_, wTex := b.input(w)
-		out, tinfo, err := b.output(info.OutShape(), tensor.Float32)
-		if err != nil {
-			return nil, err
-		}
-		inC, mult, outC := info.InChannels, info.ChannelMultiplier, info.OutChannels
-		inRow := info.InWidth * inC
-		inImg := info.InHeight * inRow
-		b.runFlat("FusedDepthwiseConv2dNative", out, func(flat int) float32 {
-			oc := flat % outC
-			rest := flat / outC
-			ox := rest % info.OutWidth
-			rest /= info.OutWidth
-			oy := rest % info.OutHeight
-			bb := rest / info.OutHeight
-			ic := oc / mult
-			q := oc % mult
-			yCorner := oy*info.StrideHeight - info.PadTop
-			xCorner := ox*info.StrideWidth - info.PadLeft
-			var sum float32
-			for fy := 0; fy < info.FilterHeight; fy++ {
-				iy := yCorner + fy*info.DilationHeight
-				if iy < 0 || iy >= info.InHeight {
-					continue
-				}
-				for fx := 0; fx < info.FilterWidth; fx++ {
-					ix := xCorner + fx*info.DilationWidth
-					if ix < 0 || ix >= info.InWidth {
-						continue
-					}
-					sum += xTex.FetchFlat(bb*inImg+iy*inRow+ix*inC+ic) *
-						wTex.FetchFlat(((fy*info.FilterWidth)+fx)*inC*mult+ic*mult+q)
-				}
-			}
-			return finish(sum, oc, biasTex, act)
-		})
-		return []kernels.TensorInfo{tinfo}, nil
+		return b.depthwiseConv2D("FusedDepthwiseConv2dNative", inputs, attrs, true)
 	})
 
 	b.register("_FusedMatMul", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
 		if len(inputs) != 2 && len(inputs) != 3 {
 			return nil, errf("_FusedMatMul: got %d inputs, want 2 or 3", len(inputs))
 		}
-		a, w := inputs[0], inputs[1]
-		transposeA := attrs.Bool("transposeA", false)
-		transposeB := attrs.Bool("transposeB", false)
-		if len(a.Shape) != 2 || len(w.Shape) != 2 {
-			return nil, errf("_FusedMatMul: inputs must be rank 2, got %v and %v", a.Shape, w.Shape)
+		if len(inputs[0].Shape) != 2 || len(inputs[1].Shape) != 2 {
+			return nil, errf("_FusedMatMul: inputs must be rank 2, got %v and %v", inputs[0].Shape, inputs[1].Shape)
 		}
-		m, kA := a.Shape[0], a.Shape[1]
-		if transposeA {
-			m, kA = kA, m
-		}
-		kB, n := w.Shape[0], w.Shape[1]
-		if transposeB {
-			kB, n = n, kB
-		}
-		if kA != kB {
-			return nil, errf("_FusedMatMul: inner dims mismatch %v x %v", a.Shape, w.Shape)
-		}
-		k := kA
-		biasTex, act, err := fusedTail("_FusedMatMul", inputs, attrs, n)
-		if err != nil {
-			return nil, err
-		}
-		_, aTex := b.input(a)
-		_, wTex := b.input(w)
-		out, tinfo, err := b.output([]int{m, n}, tensor.Float32)
-		if err != nil {
-			return nil, err
-		}
-		b.runFlat("_FusedMatMul", out, func(flat int) float32 {
-			i := flat / n
-			j := flat % n
-			var sum float32
-			for kk := 0; kk < k; kk++ {
-				var av, bv float32
-				if transposeA {
-					av = aTex.FetchFlat(kk*m + i)
-				} else {
-					av = aTex.FetchFlat(i*k + kk)
-				}
-				if transposeB {
-					bv = wTex.FetchFlat(j*k + kk)
-				} else {
-					bv = wTex.FetchFlat(kk*n + j)
-				}
-				sum += av * bv
-			}
-			return finish(sum, j, biasTex, act)
-		})
-		return []kernels.TensorInfo{tinfo}, nil
+		return b.matMul("_FusedMatMul", inputs, attrs, true)
 	})
+}
+
+// fusedTail resolves the epilogue of a kernel with outC output channels:
+// for a fused kernel, the optional bias texture (inputs[2]) and the
+// activation; for its unfused twin, nothing.
+func (b *Backend) fusedTail(name string, inputs []kernels.Input, attrs kernels.Attrs, outC int, fused bool) (*glsim.Texture, func(float32) float32, error) {
+	if !fused {
+		return nil, nil, nil
+	}
+	var biasTex *glsim.Texture
+	if len(inputs) == 3 {
+		bi := inputs[2]
+		if len(bi.Shape) != 1 || bi.Shape[0] != outC {
+			return nil, nil, errf("%s: bias must have shape [%d], got %v", name, outC, bi.Shape)
+		}
+		_, biasTex = b.input(bi)
+	}
+	actName := attrs.String("activation", "")
+	act, ok := kernels.FusedActivation(actName)
+	if !ok {
+		return nil, nil, errf("%s: unknown activation %q", name, actName)
+	}
+	return biasTex, act, nil
 }

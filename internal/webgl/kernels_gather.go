@@ -35,7 +35,7 @@ func (b *Backend) registerGather() {
 		axisSize := x.Shape[axis]
 		innerSize := tensor.ShapeSize(x.Shape[axis+1:])
 		numIdx := tensor.ShapeSize(indices.Shape)
-		b.runFlat("GatherV2", out, func(flat int) float32 {
+		b.runFlat("GatherV2", out, perValue(out.size, 2, 2*aluDecode+2), func(flat int) float32 {
 			inner := flat % innerSize
 			rest := flat / innerSize
 			ii := rest % numIdx
@@ -68,7 +68,7 @@ func (b *Backend) registerGather() {
 		if err != nil {
 			return nil, err
 		}
-		b.runFlat("OneHot", out, func(flat int) float32 {
+		b.runFlat("OneHot", out, perValue(out.size, 1, aluDecode+1), func(flat int) float32 {
 			c := flat % depth
 			i := flat / depth
 			if int(idxTex.FetchFlat(i)) == c {
@@ -104,7 +104,7 @@ func (b *Backend) registerGather() {
 		outStrides := tensor.ComputeStrides(outShape)
 		inStrides := tensor.ComputeStrides(x.Shape)
 		inShape := tensor.CopyShape(x.Shape)
-		b.runFlat("Tile", out, func(flat int) float32 {
+		b.runFlat("Tile", out, perValue(out.size, 1, (aluTerm+1)*rank), func(flat int) float32 {
 			idx := 0
 			for d := 0; d < rank; d++ {
 				c := flat / outStrides[d] % outShape[d]

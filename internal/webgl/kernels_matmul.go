@@ -7,62 +7,83 @@ import (
 )
 
 // registerMatMul installs the matrix-multiplication shader — the Go
-// counterpart of Listing 2 in the paper: each output texel decodes its
-// (row, col) coordinates with getOutputCoords(), samples rows of A and
-// columns of B through compiler-generated getters, and accumulates a dot
+// counterpart of Listing 2 in the paper: each output value decodes its
+// (row, col) coordinates with getOutputCoords(), samples a row of A and a
+// column of B through compiler-generated getters, and accumulates a dot
 // product.
 func (b *Backend) registerMatMul() {
 	b.register("BatchMatMul", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
 		if len(inputs) != 2 {
 			return nil, errf("BatchMatMul: got %d inputs, want 2", len(inputs))
 		}
-		a, x := inputs[0], inputs[1]
-		transposeA := attrs.Bool("transposeA", false)
-		transposeB := attrs.Bool("transposeB", false)
-		if len(a.Shape) != 3 || len(x.Shape) != 3 {
-			return nil, errf("BatchMatMul: inputs must be rank 3, got %v and %v", a.Shape, x.Shape)
+		if len(inputs[0].Shape) != 3 || len(inputs[1].Shape) != 3 {
+			return nil, errf("BatchMatMul: inputs must be rank 3, got %v and %v", inputs[0].Shape, inputs[1].Shape)
 		}
-		batchA, batchB := a.Shape[0], x.Shape[0]
-		batch := batchA
-		if batchB > batch {
-			batch = batchB
-		}
-		if batchA != batchB && batchA != 1 && batchB != 1 {
-			return nil, errf("BatchMatMul: incompatible batch dims %d and %d", batchA, batchB)
-		}
-		m, kA := a.Shape[1], a.Shape[2]
-		if transposeA {
-			m, kA = kA, m
-		}
-		kB, n := x.Shape[1], x.Shape[2]
-		if transposeB {
-			kB, n = n, kB
-		}
-		if kA != kB {
-			return nil, errf("BatchMatMul: inner dims mismatch %v x %v", a.Shape, x.Shape)
-		}
-		k := kA
-		_, aTex := b.input(a)
-		_, bTex := b.input(x)
-		out, info, err := b.output([]int{batch, m, n}, tensor.Float32)
-		if err != nil {
-			return nil, err
-		}
+		return b.matMul("BatchMatMul", inputs, attrs, false)
+	})
+}
 
-		aMat := a.Shape[1] * a.Shape[2]
-		bMat := x.Shape[1] * x.Shape[2]
+// matMul is the BatchMatMul (rank 3, batch-broadcasting) and _FusedMatMul
+// (rank 2, with the fused epilogue) program. Every output value is the sum
+// over kk, in order, of A[i,kk]·B[kk,j]. Without transposes a B row is
+// contiguous along j, so a row of outputs accumulates at once —
+// acc[j] += a·b[j] — which keeps each value's own order of additions;
+// transposed operands take the per-value shader.
+func (b *Backend) matMul(name string, inputs []kernels.Input, attrs kernels.Attrs, fused bool) ([]kernels.TensorInfo, error) {
+	a, x := inputs[0], inputs[1]
+	transposeA := attrs.Bool("transposeA", false)
+	transposeB := attrs.Bool("transposeB", false)
+	rank := len(a.Shape)
+	// The trailing two dimensions are the matrices; a rank-3 input leads
+	// with a batch dimension that may broadcast.
+	aRows, aCols := a.Shape[rank-2], a.Shape[rank-1]
+	bRows, bCols := x.Shape[rank-2], x.Shape[rank-1]
+	batchA, batchB := 1, 1
+	if rank == 3 {
+		batchA, batchB = a.Shape[0], x.Shape[0]
+	}
+	batch := max(batchA, batchB)
+	if batchA != batchB && batchA != 1 && batchB != 1 {
+		return nil, errf("%s: incompatible batch dims %d and %d", name, batchA, batchB)
+	}
+	m, kA := aRows, aCols
+	if transposeA {
+		m, kA = kA, m
+	}
+	kB, n := bRows, bCols
+	if transposeB {
+		kB, n = n, kB
+	}
+	if kA != kB {
+		return nil, errf("%s: inner dims mismatch %v x %v", name, a.Shape, x.Shape)
+	}
+	k := kA
+	biasTex, act, err := b.fusedTail(name, inputs, attrs, n, fused)
+	if err != nil {
+		return nil, err
+	}
+	_, aTex := b.input(a)
+	_, bTex := b.input(x)
+	outShape := []int{batch, m, n}[3-rank:]
+	out, info, err := b.output(outShape, tensor.Float32)
+	if err != nil {
+		return nil, err
+	}
+	aMat, bMat := aRows*aCols, bRows*bCols
+
+	work := addEpilogue(macWork(out.size, int64(out.size)*int64(k), rank-1), out.size, biasTex != nil, act != nil)
+	if transposeA || transposeB {
 		// Compiler-generated samplers: getA(p, i, kk) and getB(p, kk, j)
 		// in flat index form, with the transpose folded into strides.
-		aRowStride, aColStride := a.Shape[2], 1
+		aRowStride, aColStride := aCols, 1
 		if transposeA {
-			aRowStride, aColStride = 1, a.Shape[2]
+			aRowStride, aColStride = 1, aCols
 		}
-		bRowStride, bColStride := x.Shape[2], 1
+		bRowStride, bColStride := bCols, 1
 		if transposeB {
-			bRowStride, bColStride = 1, x.Shape[2]
+			bRowStride, bColStride = 1, bCols
 		}
-
-		valueAt := func(flat int) float32 {
+		b.runFlat(name, out, work, func(flat int) float32 {
 			// getOutputCoords()
 			j := flat % n
 			rest := flat / n
@@ -75,51 +96,40 @@ func (b *Backend) registerMatMul() {
 				sum += aTex.FetchFlat(aOff+i*aRowStride+kk*aColStride) *
 					bTex.FetchFlat(bOff+kk*bRowStride+j*bColStride)
 			}
+			if biasTex != nil {
+				sum += biasTex.FetchFlat(j)
+			}
+			if act != nil {
+				sum = act(sum)
+			}
 			return sum
-		}
-
-		if out.tex.Format == glsim.RGBA32F && !transposeA && !transposeB {
-			// Packed matmul: one texel computes four consecutive output
-			// columns, re-using the A row samples across all four — the
-			// simulation analogue of the vec4 dot-product trick in the
-			// paper's packed shaders.
-			size := out.size
-			b.runTexel("BatchMatMul(packed)", out, func(texel int) [4]float32 {
-				var vals [4]float32
-				base := texel * 4
-				limit := size - base
-				if limit > 4 {
-					limit = 4
-				}
-				if limit <= 0 {
-					return vals
-				}
-				j0 := base % n
-				rest := base / n
-				i := rest % m
-				p := rest / m
-				if j0+limit <= n {
-					// All four outputs share row i: fetch A once per k.
-					aOff := (p%batchA)*aMat + i*aRowStride
-					bOff := (p % batchB) * bMat
-					for kk := 0; kk < k; kk++ {
-						av := aTex.FetchFlat(aOff + kk)
-						bRow := bOff + kk*bRowStride + j0
-						for c := 0; c < limit; c++ {
-							vals[c] += av * bTex.FetchFlat(bRow+c)
-						}
-					}
-					return vals
-				}
-				for c := 0; c < limit; c++ {
-					vals[c] = valueAt(base + c)
-				}
-				return vals
-			})
-			return []kernels.TensorInfo{info}, nil
-		}
-
-		b.runFlat("BatchMatMul", out, valueAt)
+		})
 		return []kernels.TensorInfo{info}, nil
+	}
+
+	if !fused && out.tex.Format == glsim.RGBA32F {
+		// Packed matmul: a texel's four consecutive output columns share
+		// their A row samples — the vec4 dot-product trick of the paper's
+		// packed shaders, which the device's clock sees as fewer fetches.
+		name, work = name+"(packed)", packedMatMulWork(out.size, n, k)
+	}
+	b.run(name, out, work, func(lo, hi int, dst []float32) {
+		as, bs := aTex.Floats(), bTex.Floats()
+		for at := lo; at < hi; {
+			row, jLo := at/n, at%n
+			acc := dst[at-lo : at-lo+min(n-jLo, hi-at)]
+			i, p := row%m, row/m
+			clear(acc)
+			bBase := (p%batchB)*bMat + jLo
+			for _, av := range as[(p%batchA)*aMat+i*k:][:k] {
+				for j, bv := range bs[bBase : bBase+len(acc)] {
+					acc[j] += av * bv
+				}
+				bBase += n
+			}
+			epilogue(acc, jLo, biasTex, act)
+			at += len(acc)
+		}
 	})
+	return []kernels.TensorInfo{info}, nil
 }

@@ -31,7 +31,11 @@ func (b *Backend) registerReduce() {
 			if err != nil {
 				return nil, err
 			}
-			b.runFlat(name, out, func(o int) float32 {
+			work := perValue(outer, inner, inner)
+			if finish != nil {
+				work.ALU += int64(outer)
+			}
+			b.runFlat(name, out, work, func(o int) float32 {
 				acc := initial
 				base := o * inner
 				for i := 0; i < inner; i++ {
@@ -78,7 +82,7 @@ func (b *Backend) registerReduce() {
 			if err != nil {
 				return nil, err
 			}
-			b.runFlat(name, out, func(o int) float32 {
+			b.runFlat(name, out, perValue(outer, inner, inner), func(o int) float32 {
 				base := o * inner
 				best := xTex.FetchFlat(base)
 				bestIdx := 0
@@ -113,7 +117,7 @@ func (b *Backend) registerReduce() {
 		if err != nil {
 			return nil, err
 		}
-		b.runFlat("Softmax/rowMax", rowMax, func(o int) float32 {
+		b.runFlat("Softmax/rowMax", rowMax, perValue(outer, inner, inner), func(o int) float32 {
 			base := o * inner
 			best := xTex.FetchFlat(base)
 			for i := 1; i < inner; i++ {
@@ -130,7 +134,7 @@ func (b *Backend) registerReduce() {
 		if err != nil {
 			return nil, err
 		}
-		b.runFlat("Softmax/rowSum", rowSum, func(o int) float32 {
+		b.runFlat("Softmax/rowSum", rowSum, perValue(outer, inner+1, 3*inner), func(o int) float32 {
 			base := o * inner
 			m := maxTex.FetchFlat(o)
 			var sum float32
@@ -146,7 +150,7 @@ func (b *Backend) registerReduce() {
 		if err != nil {
 			return nil, err
 		}
-		b.runFlat("Softmax/normalize", out, func(flat int) float32 {
+		b.runFlat("Softmax/normalize", out, perValue(out.size, 3, aluDecode+3), func(flat int) float32 {
 			o := flat / inner
 			m := maxTex.FetchFlat(o)
 			s := sumTex.FetchFlat(o)

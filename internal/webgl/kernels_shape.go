@@ -42,7 +42,7 @@ func (b *Backend) registerShape() {
 			}
 			terms = append(terms, indexTerm{div: outStrides[i], dim: outShape[i], stride: inStrides[perm[i]]})
 		}
-		b.runFlat("Transpose", out, func(flat int) float32 {
+		b.runFlat("Transpose", out, perValue(out.size, 1, aluTerm*len(terms)), func(flat int) float32 {
 			idx := 0
 			for _, t := range terms {
 				idx += (flat / t.div % t.dim) * t.stride
@@ -79,7 +79,9 @@ func (b *Backend) registerShape() {
 		for d := 0; d < rank; d++ {
 			before[d] = paddings[2*d]
 		}
-		b.runFlat("PadV2", out, func(flat int) float32 {
+		// Every dimension decodes and bounds-checks; the fetch is charged
+		// as taken for padding values too.
+		b.runFlat("PadV2", out, perValue(out.size, 1, (aluTerm+2)*rank), func(flat int) float32 {
 			idx := 0
 			for d := 0; d < rank; d++ {
 				c := flat / outStrides[d] % outShape[d]
@@ -134,7 +136,7 @@ func (b *Backend) registerShape() {
 			}
 			terms = append(terms, indexTerm{div: outStrides[d], dim: outShape[d], stride: inStrides[d]})
 		}
-		b.runFlat("Slice", out, func(flat int) float32 {
+		b.runFlat("Slice", out, perValue(out.size, 1, aluTerm*len(terms)), func(flat int) float32 {
 			idx := baseOffset
 			for _, t := range terms {
 				idx += (flat / t.div % t.dim) * t.stride
@@ -180,7 +182,8 @@ func (b *Backend) registerShape() {
 		for i, in := range inputs {
 			inAxis[i] = in.Shape[axis]
 		}
-		b.runFlat("Concat", out, func(flat int) float32 {
+		// Two div/mod pairs, then a chain of coordinate comparisons.
+		b.runFlat("Concat", out, perValue(out.size, 1, 2*aluDecode+len(inputs)), func(flat int) float32 {
 			innerIdx := flat % innerSize
 			rest := flat / innerSize
 			a := rest % axisDim

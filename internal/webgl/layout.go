@@ -6,8 +6,17 @@
 //   - tensors live in 2-D float textures; a "shader compiler" maps
 //     high-dimensional logical coordinates onto physical texture space,
 //     squeezing size-1 dimensions (the ~1.3x logical-mapping optimization);
-//   - operations compile to fragment-shader programs executed once per
-//     output texel (Figure 4, Listing 2);
+//   - operations compile to fragment-shader programs that compute every
+//     output value from its own index (Figure 4, Listing 2); the hot ones
+//     (convolutions, batch norm, element-wise, matmul, pools) are written
+//     over runs of values — one coordinate decode and window clip per
+//     pixel, operands read a row at a time — with each value's arithmetic
+//     and its order unchanged, and the rest keep the per-value form
+//     (runFlat);
+//   - every program declares the work one dispatch costs the modelled
+//     device (work.go: fetches and ALU operations as closed forms of its
+//     shapes), which is what tf.time() and the paper's ablations read —
+//     never the host's clock;
 //   - data can be stored packed, four values per RGBA texel, instead of one
 //     value in the red channel (the 1.3-1.4x packing optimization, §3.9);
 //   - dispatch is asynchronous: ops enqueue programs and return immediately;

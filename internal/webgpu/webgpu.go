@@ -105,6 +105,7 @@ func (b *Backend) matmulCompute(inputs []kernels.Input, attrs kernels.Attrs) ([]
 		ThreadsPerGroup: TileSize * TileSize,
 		// Shared memory: an A tile, a B tile and the accumulator tile.
 		SharedSize: 3 * TileSize * TileSize,
+		Work:       tiledMatMulWork(batch, m, k, n),
 		Main: func(group int, shared []float32, store func(int, float32)) {
 			tileN := group % tilesN
 			rest := group / tilesN
@@ -191,6 +192,26 @@ func (b *Backend) matmulCompute(inputs []kernels.Input, attrs kernels.Attrs) ([]
 	}
 	b.Device().ExecuteCompute(prog, out)
 	return []kernels.TensorInfo{info}, nil
+}
+
+// tiledMatMulWork is what one dispatch of the tiled pipeline costs the
+// modelled device. Every A element is fetched from its texture once per
+// column tile and every B element once per row tile — 1/TileSize of the
+// fragment shader's two fetches per multiply-add; the multiply-adds then
+// read the staged tiles from workgroup memory (the A value once per row
+// step, the B value once per product; a zero A value's skipped products
+// are charged as taken).
+func tiledMatMulWork(batch, m, k, n int) glsim.Work {
+	tilesM := int64((m + TileSize - 1) / TileSize)
+	tilesN := int64((n + TileSize - 1) / TileSize)
+	aElems := int64(batch) * int64(m) * int64(k)
+	bElems := int64(batch) * int64(k) * int64(n)
+	macs := aElems * int64(n)
+	return glsim.Work{
+		Fetches: aElems*tilesN + bElems*tilesM,
+		Shared:  aElems*tilesN + macs,
+		ALU:     2 * macs,
+	}
 }
 
 var (

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/glsim"
 	"repro/internal/kernels"
 	"repro/internal/ops"
 	"repro/internal/tensor"
@@ -111,41 +112,38 @@ func TestTransposedMatMulFallsBackToFragmentPath(t *testing.T) {
 	}
 }
 
+// TestWebGPUSharedMemoryReducesFetches is the point of workgroups + shared
+// memory (§4.3): each operand value is fetched once per tile instead of
+// once per output element. For a 128³ matmul the packed fragment shader
+// fetches B once and A a quarter of a time per multiply-add,
+// 1.25·128³; the tiled pipeline fetches each operand element once per
+// opposing tile, 2·128²·(128/16) — a tenth as many — and reads the staged
+// tiles from workgroup memory instead. The device counts both.
 func TestWebGPUSharedMemoryReducesFetches(t *testing.T) {
-	// The point of workgroups + shared memory (§4.3): each operand value
-	// is fetched once per tile instead of once per output element. For a
-	// 128³ matmul the fragment path fetches 2·128³ values; the tiled
-	// path fetches each operand element once per opposing tile:
-	// 2·128²·(128/16).
-	//
-	// The device exposes no fetch counter, so the test reads modeled GPU
-	// time, which is scaled from the wall clock of the program's run. One
-	// sample is at the mercy of whatever else the host is doing; the
-	// minimum of several is the run that was not disturbed.
 	e := core.Global()
-	const samples = 7
-	modeledNS := func(backend string) int64 {
+	counted := func(backend string) (fetches, shared int64) {
 		if err := e.SetBackend(backend); err != nil {
 			t.Fatal(err)
 		}
 		defer e.SetBackend("cpu")
-		best := int64(math.MaxInt64)
+		dev := e.Backend().(interface{ Device() *glsim.Device }).Device()
 		e.Tidy("fetch-count", func() []*tensor.Tensor {
 			a := ops.Fill([]int{128, 128}, 0.5)
 			a.DataSync()
-			for i := 0; i < samples; i++ {
-				ti := e.Time(func() {
-					ops.MatMul(a, a, false, false).DataSync()
-				})
-				best = min(best, int64(ti.KernelMS*1e6))
-			}
+			before := dev.Stats()
+			ops.MatMul(a, a, false, false).DataSync()
+			after := dev.Stats()
+			fetches, shared = after.Fetches-before.Fetches, after.SharedReads-before.SharedReads
 			return nil
 		})
-		return best
+		return fetches, shared
 	}
-	fragment := modeledNS("webgl")
-	compute := modeledNS("webgpu")
-	if compute >= fragment {
-		t.Fatalf("compute matmul (modeled %dns, best of %d) should beat fragment (%dns)", compute, samples, fragment)
+	const n = 128
+	if fetches, shared := counted("webgl"); fetches != n*n*n+n*n*n/4 || shared != 0 {
+		t.Errorf("fragment matmul: %d fetches, %d shared reads; want %d and 0", fetches, shared, n*n*n+n*n*n/4)
+	}
+	if fetches, shared := counted("webgpu"); fetches != 2*n*n*(n/webgpu.TileSize) || shared != n*n*n+n*n*(n/webgpu.TileSize) {
+		t.Errorf("compute matmul: %d fetches, %d shared reads; want %d and %d",
+			fetches, shared, 2*n*n*(n/webgpu.TileSize), n*n*n+n*n*(n/webgpu.TileSize))
 	}
 }
