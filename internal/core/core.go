@@ -15,7 +15,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -509,7 +508,7 @@ func (e *Engine) Clone(t *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(t.DataID, t.Shape, t.DType)
 	e.registerTensor(out, entry.backend)
 	// A clone is differentiable: record it like an identity kernel.
-	e.recordOnTape("Identity", []*tensor.Tensor{t}, []*tensor.Tensor{out}, nil)
+	e.recordOnTape("Identity", []*tensor.Tensor{t}, out, nil)
 	return out
 }
 
@@ -569,9 +568,12 @@ func (e *Engine) Memory() MemoryInfo {
 // Kernel dispatch
 
 // RunKernel executes the named kernel on the active backend and returns its
-// outputs as tracked tensors. Inputs living on another backend are migrated
-// first. Kernel errors panic with *OpError.
-func (e *Engine) RunKernel(name string, inputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
+// output as a tracked tensor. Inputs living on another backend are migrated
+// first. Kernel errors panic with *OpError. Which kernel runs — the
+// backend's own, or the reference kernel through host memory — is
+// kernels.Dispatch's decision; the engine adds the tensor handle, the
+// telemetry and the tape around it.
+func (e *Engine) RunKernel(name string, inputs []*tensor.Tensor, attrs kernels.Attrs) *tensor.Tensor {
 	if attrs == nil {
 		attrs = kernels.Attrs{}
 	}
@@ -586,38 +588,27 @@ func (e *Engine) RunKernel(name string, inputs []*tensor.Tensor, attrs kernels.A
 		e.EnsureOnBackend(in, b)
 	}
 
-	var outs []*tensor.Tensor
-	run := func() {
-		outs = e.dispatch(name, b, inputs, attrs)
-	}
-
 	// Exactly one atomic load: debug mode registers a (no-op) hub observer
 	// when enabled, so hub.Active() alone gates both instrumentation and
 	// the NaN check, and the unobserved dispatch path pays one predictable
 	// branch per kernel.
+	var info kernels.TensorInfo
+	ins := kernelInputs(inputs)
 	if e.hub.Active() {
-		e.instrumentedRun(name, b, inputs, run, func() []*tensor.Tensor { return outs })
-	} else {
-		run()
+		e.instrumentedRun(name, b, ins, attrs, &info)
+	} else if err := kernels.Dispatch(b, name, ins, attrs, &info); err != nil {
+		opPanic(name, err)
 	}
-
-	e.recordOnTape(name, inputs, outs, attrs)
-	return outs
-}
-
-// RunKernel1 runs a kernel expected to produce exactly one output.
-func (e *Engine) RunKernel1(name string, inputs []*tensor.Tensor, attrs kernels.Attrs) *tensor.Tensor {
-	outs := e.RunKernel(name, inputs, attrs)
-	if len(outs) != 1 {
-		opPanic(name, fmt.Errorf("expected 1 output, got %d", len(outs)))
-	}
-	return outs[0]
+	out := tensor.New(info.DataID, info.Shape, info.DType)
+	e.registerTensor(out, b)
+	e.recordOnTape(name, inputs, out, attrs)
+	return out
 }
 
 // tryFreeKernel handles the kernels that are free because tensors are
 // decoupled from their data (Section 3.4): Reshape, Identity and
 // dtype-preserving Cast share the input's container.
-func (e *Engine) tryFreeKernel(name string, inputs []*tensor.Tensor, attrs kernels.Attrs) ([]*tensor.Tensor, bool) {
+func (e *Engine) tryFreeKernel(name string, inputs []*tensor.Tensor, attrs kernels.Attrs) (*tensor.Tensor, bool) {
 	switch name {
 	case "Reshape":
 		if len(inputs) != 1 {
@@ -629,16 +620,16 @@ func (e *Engine) tryFreeKernel(name string, inputs []*tensor.Tensor, attrs kerne
 			opPanic(name, err)
 		}
 		out := e.shareData(in, shape, in.DType)
-		e.recordOnTape(name, inputs, []*tensor.Tensor{out}, kernels.Attrs{"shape": shape, "inputShape": tensor.CopyShape(in.Shape)})
-		return []*tensor.Tensor{out}, true
+		e.recordOnTape(name, inputs, out, kernels.Attrs{"shape": shape, "inputShape": tensor.CopyShape(in.Shape)})
+		return out, true
 	case "Identity":
 		if len(inputs) != 1 {
 			opPanic(name, fmt.Errorf("got %d inputs, want 1", len(inputs)))
 		}
 		in := inputs[0]
 		out := e.shareData(in, in.Shape, in.DType)
-		e.recordOnTape(name, inputs, []*tensor.Tensor{out}, nil)
-		return []*tensor.Tensor{out}, true
+		e.recordOnTape(name, inputs, out, nil)
+		return out, true
 	case "Cast":
 		if len(inputs) != 1 {
 			opPanic(name, fmt.Errorf("got %d inputs, want 1", len(inputs)))
@@ -652,8 +643,8 @@ func (e *Engine) tryFreeKernel(name string, inputs []*tensor.Tensor, attrs kerne
 			// Bool (0/1) and Int32 values are already valid float32
 			// payloads; only float->int/bool needs value conversion.
 			out := e.shareData(in, in.Shape, dt)
-			e.recordOnTape("Cast", inputs, []*tensor.Tensor{out}, attrs)
-			return []*tensor.Tensor{out}, true
+			e.recordOnTape("Cast", inputs, out, attrs)
+			return out, true
 		}
 		return nil, false
 	}
@@ -706,53 +697,6 @@ func kernelInputs(ts []*tensor.Tensor) []kernels.Input {
 		ins[i] = kernels.Input{DataID: t.DataID, Shape: t.Shape, DType: t.DType}
 	}
 	return ins
-}
-
-// dispatch runs the kernel on the backend: device override first, else the
-// reference kernel through host memory.
-func (e *Engine) dispatch(name string, b kernels.Backend, inputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
-	if ov, ok := b.(kernels.Overrider); ok {
-		if k, ok := ov.KernelOverride(name); ok {
-			infos, err := k(kernelInputs(inputs), attrs)
-			switch {
-			case err == nil:
-				outs := make([]*tensor.Tensor, len(infos))
-				for i, info := range infos {
-					t := tensor.New(info.DataID, info.Shape, info.DType)
-					e.registerTensor(t, b)
-					outs[i] = t
-				}
-				return outs
-			case errors.Is(err, kernels.ErrFallback):
-				// The override declined this shape/attr combination;
-				// run the reference kernel below.
-			default:
-				opPanic(name, err)
-			}
-		}
-	}
-
-	ref, ok := kernels.LookupRef(name)
-	if !ok {
-		opPanic(name, fmt.Errorf("kernel not registered for backend %q and no reference implementation", b.Name()))
-	}
-	bufs := make([]kernels.Buffer, len(inputs))
-	for i, in := range inputs {
-		bufs[i] = kernels.Buffer{Data: b.ReadSync(in.DataID), Shape: in.Shape, DType: in.DType}
-	}
-	outBufs, err := ref(bufs, attrs)
-	if err != nil {
-		opPanic(name, err)
-	}
-	outs := make([]*tensor.Tensor, len(outBufs))
-	for i, ob := range outBufs {
-		id := tensor.NewDataID()
-		b.Write(id, ob.Data, ob.Shape, ob.DType)
-		t := tensor.New(id, ob.Shape, ob.DType)
-		e.registerTensor(t, b)
-		outs[i] = t
-	}
-	return outs
 }
 
 // ---------------------------------------------------------------------------
@@ -920,20 +864,23 @@ func recordFromEvent(ev telemetry.Event) KernelRecord {
 	}
 }
 
-// instrumentedRun wraps a kernel execution with timing and memory
-// accounting, and reports it through EmitKernel.
-func (e *Engine) instrumentedRun(name string, b kernels.Backend, inputs []*tensor.Tensor, run func(), outs func() []*tensor.Tensor) {
+// instrumentedRun is RunKernel's dispatch under an observer: the same
+// kernels.Dispatch, timed by the backend, with its memory effect accounted
+// and the kernel reported through EmitKernel.
+func (e *Engine) instrumentedRun(name string, b kernels.Backend, ins []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) {
 	before := e.Memory().NumBytes
 	start := time.Now()
-	ti := b.Time(run)
-	after := e.Memory().NumBytes
-	produced := outs()
-	infos := make([]kernels.TensorInfo, len(produced))
-	for i, out := range produced {
-		infos[i] = kernels.TensorInfo{DataID: out.DataID, Shape: out.Shape, DType: out.DType}
+	var err error
+	ti := b.Time(func() { err = kernels.Dispatch(b, name, ins, attrs, out) })
+	if err != nil {
+		opPanic(name, err)
 	}
-	if err := e.EmitKernel(name, b, start, ti, kernelInputs(inputs), infos, after-before, after); err != nil {
-		panic(err)
+	// The output is not a registered handle yet: its bytes are what the
+	// kernel added.
+	added := int64(tensor.ShapeSize(out.Shape) * out.DType.BytesPerElement())
+	if nan := e.EmitKernel(name, b, start, ti, ins, *out, added, before+added); nan != nil {
+		b.DisposeData(out.DataID)
+		panic(nan)
 	}
 }
 
@@ -946,9 +893,9 @@ func (e *Engine) instrumentedRun(name string, b kernels.Backend, inputs []*tenso
 // and the bytes live after it. Shapes are copied — observers retain events,
 // callers reuse their shape storage. The returned *OpError is non-nil when
 // debug mode found a NaN: the caller panics with it once it has let go of
-// whatever the kernel produced.
+// what the kernel produced.
 func (e *Engine) EmitKernel(name string, b kernels.Backend, start time.Time, ti kernels.TimeInfo,
-	ins []kernels.Input, outs []kernels.TensorInfo, added, total int64) *OpError {
+	ins []kernels.Input, out kernels.TensorInfo, added, total int64) *OpError {
 	ev := telemetry.Event{
 		Kind:        telemetry.KindKernel,
 		Name:        name,
@@ -960,17 +907,14 @@ func (e *Engine) EmitKernel(name string, b kernels.Backend, start time.Time, ti 
 		HasKernelMS: ti.HasKernelMS,
 		Bytes:       added,
 		TotalBytes:  total,
+		Elements:    int64(tensor.ShapeSize(out.Shape)),
 	}
 	// Two allocations for all shapes: every served kernel passes through here.
-	rank := 0
+	rank := len(out.Shape)
 	for _, in := range ins {
 		rank += len(in.Shape)
 	}
-	for _, out := range outs {
-		rank += len(out.Shape)
-		ev.Elements += int64(tensor.ShapeSize(out.Shape))
-	}
-	shapes, dims := make([][]int, 0, len(ins)+len(outs)), make([]int, 0, rank)
+	shapes, dims := make([][]int, 0, len(ins)+1), make([]int, 0, rank)
 	add := func(shape []int) {
 		dims = append(dims, shape...)
 		shapes = append(shapes, dims[len(dims)-len(shape):len(dims):len(dims)])
@@ -978,9 +922,7 @@ func (e *Engine) EmitKernel(name string, b kernels.Backend, start time.Time, ti 
 	for _, in := range ins {
 		add(in.Shape)
 	}
-	for _, out := range outs {
-		add(out.Shape)
-	}
+	add(out.Shape)
 	ev.InputShapes, ev.OutputShapes = shapes[:len(ins):len(ins)], shapes[len(ins):]
 	e.hub.Emit(ev)
 
@@ -988,13 +930,10 @@ func (e *Engine) EmitKernel(name string, b kernels.Backend, start time.Time, ti 
 		e.mu.Lock()
 		e.debugKernels = append(e.debugKernels, recordFromEvent(ev))
 		e.mu.Unlock()
-		// Download every output and throw at the first NaN (Section 3.8).
-		for _, out := range outs {
-			vals := b.ReadSync(out.DataID)
-			for i, v := range vals {
-				if math.IsNaN(float64(v)) {
-					return &OpError{Kernel: name, Err: fmt.Errorf("debug mode: NaN introduced at output element %d (output shape %v)", i, out.Shape)}
-				}
+		// Download the output and throw at the first NaN (Section 3.8).
+		for i, v := range b.ReadSync(out.DataID) {
+			if math.IsNaN(float64(v)) {
+				return &OpError{Kernel: name, Err: fmt.Errorf("debug mode: NaN introduced at output element %d (output shape %v)", i, out.Shape)}
 			}
 		}
 	}

@@ -77,10 +77,11 @@ type tape struct {
 	watched map[int64]bool
 }
 
-// recordOnTape appends a node to the innermost active tape when any input
-// is watched (reachable from the tensors being differentiated against).
-func (e *Engine) recordOnTape(kernel string, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) {
-	e.recordNode(&tapeNode{kernel: kernel, inputs: inputs, outputs: outputs, attrs: attrs})
+// recordOnTape appends a node for a kernel's one output to the innermost
+// active tape when any input is watched (reachable from the tensors being
+// differentiated against).
+func (e *Engine) recordOnTape(kernel string, inputs []*tensor.Tensor, out *tensor.Tensor, attrs kernels.Attrs) {
+	e.recordNode(&tapeNode{kernel: kernel, inputs: inputs, outputs: []*tensor.Tensor{out}, attrs: attrs})
 }
 
 func (e *Engine) recordNode(node *tapeNode) {
@@ -182,7 +183,7 @@ func (e *Engine) Gradients(f func() *tensor.Tensor, xs []*tensor.Tensor, dy *ten
 		if y.Size() != 1 {
 			opPanic("Gradients", fmt.Errorf("function must return a scalar when dy is nil; got shape %v", y.Shape))
 		}
-		seed = e.RunKernel1("Fill", nil, kernels.Attrs{"shape": tensor.CopyShape(y.Shape), "value": 1.0})
+		seed = e.RunKernel("Fill", nil, kernels.Attrs{"shape": tensor.CopyShape(y.Shape), "value": 1.0})
 	} else if !tensor.ShapesEqual(seed.Shape, y.Shape) {
 		opPanic("Gradients", fmt.Errorf("dy shape %v does not match value shape %v", seed.Shape, y.Shape))
 	}
@@ -193,7 +194,7 @@ func (e *Engine) Gradients(f func() *tensor.Tensor, xs []*tensor.Tensor, dy *ten
 		if g, ok := accum[x.ID]; ok {
 			res.Grads[i] = g
 		} else {
-			res.Grads[i] = e.RunKernel1("Fill", nil, kernels.Attrs{"shape": tensor.CopyShape(x.Shape), "value": 0.0})
+			res.Grads[i] = e.RunKernel("Fill", nil, kernels.Attrs{"shape": tensor.CopyShape(x.Shape), "value": 0.0})
 		}
 	}
 	return res
@@ -219,7 +220,7 @@ func (e *Engine) backprop(t *tape, y, seed *tensor.Tensor) map[int64]*tensor.Ten
 		// assume every dy is present.
 		for j, out := range node.outputs {
 			if dys[j] == nil {
-				dys[j] = e.RunKernel1("Fill", nil, kernels.Attrs{"shape": tensor.CopyShape(out.Shape), "value": 0.0})
+				dys[j] = e.RunKernel("Fill", nil, kernels.Attrs{"shape": tensor.CopyShape(out.Shape), "value": 0.0})
 			}
 		}
 		var inGrads []*tensor.Tensor
@@ -250,7 +251,7 @@ func (e *Engine) backprop(t *tape, y, seed *tensor.Tensor) map[int64]*tensor.Ten
 				opPanic(node.kernel, fmt.Errorf("gradient %d has shape %v, input has shape %v", j, g.Shape, in.Shape))
 			}
 			if prev, ok := accum[in.ID]; ok {
-				accum[in.ID] = e.RunKernel1("Add", []*tensor.Tensor{prev, g}, nil)
+				accum[in.ID] = e.RunKernel("Add", []*tensor.Tensor{prev, g}, nil)
 			} else {
 				accum[in.ID] = g
 			}
@@ -291,7 +292,7 @@ func init() {
 	})
 	RegisterGradient("Reshape", func(e *Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
 		inShape := attrs.Ints("inputShape", tensor.CopyShape(inputs[0].Shape))
-		g := e.RunKernel1("Reshape", []*tensor.Tensor{dys[0]}, kernels.Attrs{"shape": inShape})
+		g := e.RunKernel("Reshape", []*tensor.Tensor{dys[0]}, kernels.Attrs{"shape": inShape})
 		return []*tensor.Tensor{g}
 	})
 	RegisterGradient("Cast", func(e *Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {

@@ -4,8 +4,8 @@
 // baseline of Table 1.
 //
 // The backend stores data containers as host slices and provides no kernel
-// overrides: every operation executes through the engine's reference-kernel
-// path, scalar and single-threaded, just as the plain JS backend executes
+// overrides: every operation executes on kernels.Dispatch's reference-kernel
+// leg, scalar and single-threaded, just as the plain JS backend executes
 // interpreted loops. The optimized backends (webgl, native) embed this
 // package's storage plane and override the kernels that matter.
 package cpu

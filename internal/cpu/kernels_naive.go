@@ -35,11 +35,13 @@ func (b *NaiveBackend) KernelOverride(name string) (kernels.OverrideKernel, bool
 	return k, ok
 }
 
-func (b *NaiveBackend) out(shape []int, dtype tensor.DataType) ([]float32, kernels.TensorInfo) {
+// out allocates and registers a kernel's output buffer and describes it in
+// res; the shape is copied, never aliased from an input.
+func (b *NaiveBackend) out(shape []int, dtype tensor.DataType, res *kernels.TensorInfo) []float32 {
 	buf := make([]float32, tensor.ShapeSize(shape))
-	id := tensor.NewDataID()
-	b.WriteOwned(id, buf)
-	return buf, kernels.TensorInfo{DataID: id, Shape: tensor.CopyShape(shape), DType: dtype}
+	res.Set(tensor.NewDataID(), shape, dtype)
+	b.WriteOwned(res.DataID, buf)
+	return buf
 }
 
 // loc4 recomputes a flat NHWC index from coordinates the long way, the way
@@ -52,20 +54,20 @@ func (b *NaiveBackend) initNaiveKernels() {
 	b.table = map[string]kernels.OverrideKernel{}
 
 	bin := func(name string, f func(x, y float64) float64) {
-		b.table[name] = func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+		b.table[name] = func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 			if len(inputs) != 2 {
-				return nil, fmt.Errorf("%s: got %d inputs, want 2", name, len(inputs))
+				return fmt.Errorf("%s: got %d inputs, want 2", name, len(inputs))
 			}
 			a, x := inputs[0], inputs[1]
 			if !tensor.ShapesEqual(a.Shape, x.Shape) {
-				return nil, kernels.ErrFallback // broadcasting goes through the reference kernel
+				return kernels.ErrFallback // broadcasting goes through the reference kernel
 			}
 			aBuf, xBuf := b.Raw(a.DataID), b.Raw(x.DataID)
-			out, info := b.out(a.Shape, a.DType)
+			out := b.out(a.Shape, a.DType, res)
 			for i := range out {
 				out[i] = float32(f(float64(aBuf[i]), float64(xBuf[i])))
 			}
-			return []kernels.TensorInfo{info}, nil
+			return nil
 		}
 	}
 	bin("Add", func(x, y float64) float64 { return x + y })
@@ -76,16 +78,16 @@ func (b *NaiveBackend) initNaiveKernels() {
 	bin("Minimum", math.Min)
 
 	un := func(name string, f func(x float64) float64) {
-		b.table[name] = func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+		b.table[name] = func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 			if len(inputs) != 1 {
-				return nil, fmt.Errorf("%s: got %d inputs, want 1", name, len(inputs))
+				return fmt.Errorf("%s: got %d inputs, want 1", name, len(inputs))
 			}
 			xBuf := b.Raw(inputs[0].DataID)
-			out, info := b.out(inputs[0].Shape, inputs[0].DType)
+			out := b.out(inputs[0].Shape, inputs[0].DType, res)
 			for i := range out {
 				out[i] = float32(f(float64(xBuf[i])))
 			}
-			return []kernels.TensorInfo{info}, nil
+			return nil
 		}
 	}
 	un("Relu", func(x float64) float64 { return math.Max(x, 0) })
@@ -110,16 +112,16 @@ func (b *NaiveBackend) initNaiveKernels() {
 	b.table["Min"] = b.naiveReduce("Min")
 }
 
-func (b *NaiveBackend) naiveBatchMatMul(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+func (b *NaiveBackend) naiveBatchMatMul(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 	if len(inputs) != 2 {
-		return nil, fmt.Errorf("BatchMatMul: got %d inputs, want 2", len(inputs))
+		return fmt.Errorf("BatchMatMul: got %d inputs, want 2", len(inputs))
 	}
 	if attrs.Bool("transposeA", false) || attrs.Bool("transposeB", false) {
-		return nil, kernels.ErrFallback
+		return kernels.ErrFallback
 	}
 	a, x := inputs[0], inputs[1]
 	if len(a.Shape) != 3 || len(x.Shape) != 3 {
-		return nil, fmt.Errorf("BatchMatMul: inputs must be rank 3")
+		return fmt.Errorf("BatchMatMul: inputs must be rank 3")
 	}
 	batchA, batchB := a.Shape[0], x.Shape[0]
 	batch := batchA
@@ -127,15 +129,15 @@ func (b *NaiveBackend) naiveBatchMatMul(inputs []kernels.Input, attrs kernels.At
 		batch = batchB
 	}
 	if batchA != batchB && batchA != 1 && batchB != 1 {
-		return nil, fmt.Errorf("BatchMatMul: incompatible batch dims")
+		return fmt.Errorf("BatchMatMul: incompatible batch dims")
 	}
 	m, k := a.Shape[1], a.Shape[2]
 	if x.Shape[1] != k {
-		return nil, fmt.Errorf("BatchMatMul: inner dims mismatch %v x %v", a.Shape, x.Shape)
+		return fmt.Errorf("BatchMatMul: inner dims mismatch %v x %v", a.Shape, x.Shape)
 	}
 	n := x.Shape[2]
 	aBuf, bBuf := b.Raw(a.DataID), b.Raw(x.DataID)
-	out, info := b.out([]int{batch, m, n}, tensor.Float32)
+	out := b.out([]int{batch, m, n}, tensor.Float32, res)
 	// Naive ijk loop with per-access index arithmetic and float64 math.
 	for p := 0; p < batch; p++ {
 		for i := 0; i < m; i++ {
@@ -148,22 +150,22 @@ func (b *NaiveBackend) naiveBatchMatMul(inputs []kernels.Input, attrs kernels.At
 			}
 		}
 	}
-	return []kernels.TensorInfo{info}, nil
+	return nil
 }
 
-func (b *NaiveBackend) naiveConv2D(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+func (b *NaiveBackend) naiveConv2D(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 	if len(inputs) != 2 {
-		return nil, fmt.Errorf("Conv2D: got %d inputs, want 2", len(inputs))
+		return fmt.Errorf("Conv2D: got %d inputs, want 2", len(inputs))
 	}
 	x, w := inputs[0], inputs[1]
 	info, err := kernels.ComputeConv2DInfo(x.Shape, w.Shape,
 		attrs.Ints("strides", []int{1, 1}), attrs.Ints("dilations", []int{1, 1}),
 		attrs.String("pad", "valid"), false)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	xBuf, wBuf := b.Raw(x.DataID), b.Raw(w.DataID)
-	out, tinfo := b.out(info.OutShape(), tensor.Float32)
+	out := b.out(info.OutShape(), tensor.Float32, res)
 	inC, outC := info.InChannels, info.OutChannels
 	// One loop per output element, innermost over the receptive field,
 	// recomputing flat indices from coordinates at every access.
@@ -193,22 +195,22 @@ func (b *NaiveBackend) naiveConv2D(inputs []kernels.Input, attrs kernels.Attrs) 
 			}
 		}
 	}
-	return []kernels.TensorInfo{tinfo}, nil
+	return nil
 }
 
-func (b *NaiveBackend) naiveDepthwise(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+func (b *NaiveBackend) naiveDepthwise(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 	if len(inputs) != 2 {
-		return nil, fmt.Errorf("DepthwiseConv2dNative: got %d inputs, want 2", len(inputs))
+		return fmt.Errorf("DepthwiseConv2dNative: got %d inputs, want 2", len(inputs))
 	}
 	x, w := inputs[0], inputs[1]
 	info, err := kernels.ComputeConv2DInfo(x.Shape, w.Shape,
 		attrs.Ints("strides", []int{1, 1}), attrs.Ints("dilations", []int{1, 1}),
 		attrs.String("pad", "valid"), true)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	xBuf, wBuf := b.Raw(x.DataID), b.Raw(w.DataID)
-	out, tinfo := b.out(info.OutShape(), tensor.Float32)
+	out := b.out(info.OutShape(), tensor.Float32, res)
 	inC, mult, outC := info.InChannels, info.ChannelMultiplier, info.OutChannels
 	for bb := 0; bb < info.BatchSize; bb++ {
 		for oy := 0; oy < info.OutHeight; oy++ {
@@ -236,23 +238,23 @@ func (b *NaiveBackend) naiveDepthwise(inputs []kernels.Input, attrs kernels.Attr
 			}
 		}
 	}
-	return []kernels.TensorInfo{tinfo}, nil
+	return nil
 }
 
 func (b *NaiveBackend) naivePool(isMax bool) kernels.OverrideKernel {
-	return func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	return func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		if len(inputs) != 1 {
-			return nil, fmt.Errorf("pool: got %d inputs, want 1", len(inputs))
+			return fmt.Errorf("pool: got %d inputs, want 1", len(inputs))
 		}
 		x := inputs[0]
 		filterSize := attrs.Ints("filterSize", []int{2, 2})
 		strides := attrs.Ints("strides", filterSize)
 		info, err := kernels.ComputePool2DInfo(x.Shape, filterSize, strides, attrs.String("pad", "valid"))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		xBuf := b.Raw(x.DataID)
-		out, tinfo := b.out(info.OutShape(), x.DType)
+		out := b.out(info.OutShape(), x.DType, res)
 		c := info.OutChannels
 		for bb := 0; bb < info.BatchSize; bb++ {
 			for oy := 0; oy < info.OutHeight; oy++ {
@@ -290,13 +292,13 @@ func (b *NaiveBackend) naivePool(isMax bool) kernels.OverrideKernel {
 				}
 			}
 		}
-		return []kernels.TensorInfo{tinfo}, nil
+		return nil
 	}
 }
 
-func (b *NaiveBackend) naiveBatchNorm(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+func (b *NaiveBackend) naiveBatchNorm(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 	if len(inputs) != 5 {
-		return nil, fmt.Errorf("FusedBatchNorm: got %d inputs, want 5", len(inputs))
+		return fmt.Errorf("FusedBatchNorm: got %d inputs, want 5", len(inputs))
 	}
 	x := inputs[0]
 	rank := len(x.Shape)
@@ -306,29 +308,29 @@ func (b *NaiveBackend) naiveBatchNorm(inputs []kernels.Input, attrs kernels.Attr
 	}
 	for _, p := range inputs[1:] {
 		if !(len(p.Shape) == 1 && p.Shape[0] == c) {
-			return nil, kernels.ErrFallback
+			return kernels.ErrFallback
 		}
 	}
 	eps := attrs.Float("varianceEpsilon", 1e-3)
 	xBuf := b.Raw(x.DataID)
 	mean, variance := b.Raw(inputs[1].DataID), b.Raw(inputs[2].DataID)
 	offset, scale := b.Raw(inputs[3].DataID), b.Raw(inputs[4].DataID)
-	out, info := b.out(x.Shape, tensor.Float32)
+	out := b.out(x.Shape, tensor.Float32, res)
 	for i := range out {
 		ch := i % c
 		norm := (float64(xBuf[i]) - float64(mean[ch])) / math.Sqrt(float64(variance[ch])+eps)
 		out[i] = float32(norm*float64(scale[ch]) + float64(offset[ch]))
 	}
-	return []kernels.TensorInfo{info}, nil
+	return nil
 }
 
-func (b *NaiveBackend) naiveSoftmax(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+func (b *NaiveBackend) naiveSoftmax(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 	if len(inputs) != 1 || len(inputs[0].Shape) != 2 {
-		return nil, kernels.ErrFallback
+		return kernels.ErrFallback
 	}
 	outer, inner := inputs[0].Shape[0], inputs[0].Shape[1]
 	xBuf := b.Raw(inputs[0].DataID)
-	out, info := b.out(inputs[0].Shape, tensor.Float32)
+	out := b.out(inputs[0].Shape, tensor.Float32, res)
 	for o := 0; o < outer; o++ {
 		maxV := math.Inf(-1)
 		for i := 0; i < inner; i++ {
@@ -344,13 +346,13 @@ func (b *NaiveBackend) naiveSoftmax(inputs []kernels.Input, attrs kernels.Attrs)
 			out[o*inner+i] = float32(float64(out[o*inner+i]) / sum)
 		}
 	}
-	return []kernels.TensorInfo{info}, nil
+	return nil
 }
 
 func (b *NaiveBackend) naiveReduce(name string) kernels.OverrideKernel {
-	return func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	return func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		if len(inputs) != 1 || len(inputs[0].Shape) != 2 {
-			return nil, kernels.ErrFallback
+			return kernels.ErrFallback
 		}
 		outer, inner := inputs[0].Shape[0], inputs[0].Shape[1]
 		xBuf := b.Raw(inputs[0].DataID)
@@ -358,7 +360,7 @@ func (b *NaiveBackend) naiveReduce(name string) kernels.OverrideKernel {
 		if name == "Mean" {
 			dt = tensor.Float32
 		}
-		out, info := b.out([]int{outer}, dt)
+		out := b.out([]int{outer}, dt, res)
 		for o := 0; o < outer; o++ {
 			var acc float64
 			switch name {
@@ -383,7 +385,7 @@ func (b *NaiveBackend) naiveReduce(name string) kernels.OverrideKernel {
 			}
 			out[o] = float32(acc)
 		}
-		return []kernels.TensorInfo{info}, nil
+		return nil
 	}
 }
 

@@ -1,7 +1,6 @@
 package graphmodel
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -61,15 +60,16 @@ func (x *execState) release() {
 	}
 }
 
-// kernel runs one kernel and accounts for its output. dst's Shape is
-// caller-owned scratch; kernels append into it by value. Unobserved it costs
-// one atomic load over the dispatch; with an observer on the engine's hub
-// (or debug mode on) the same dispatch runs under the backend's timer and is
-// reported through the engine, as an eagerly-run kernel would be. Kernel
-// failures come back as *core.OpError.
+// kernel runs one kernel through kernels.Dispatch — the engine's own
+// dispatch, minus the handle bookkeeping — and accounts for its output.
+// dst's Shape is caller-owned scratch; kernels append into it by value.
+// Unobserved it costs one atomic load over the dispatch; with an observer on
+// the engine's hub (or debug mode on) the same dispatch runs under the
+// backend's timer and is reported through the engine, as an eagerly-run
+// kernel would be. Kernel failures come back as *core.OpError.
 func (x *execState) kernel(name string, ins []kernels.Input, attrs kernels.Attrs, dst *kernels.TensorInfo) error {
 	if !x.eng.Telemetry().Active() {
-		if err := x.dispatch(name, ins, attrs, dst); err != nil {
+		if err := kernels.Dispatch(x.bk, name, ins, attrs, dst); err != nil {
 			return &core.OpError{Kernel: name, Err: err}
 		}
 		x.liveBytes += inputBytes(kernels.Input(*dst))
@@ -77,70 +77,18 @@ func (x *execState) kernel(name string, ins []kernels.Input, attrs kernels.Attrs
 	}
 	var err error
 	start := time.Now()
-	ti := x.bk.Time(func() { err = x.dispatch(name, ins, attrs, dst) })
+	ti := x.bk.Time(func() { err = kernels.Dispatch(x.bk, name, ins, attrs, dst) })
 	if err != nil {
 		return &core.OpError{Kernel: name, Err: err}
 	}
 	added := inputBytes(kernels.Input(*dst))
 	x.liveBytes += added
-	if nan := x.eng.EmitKernel(name, x.bk, start, ti, ins, []kernels.TensorInfo{*dst}, added, x.eng.Memory().NumBytes+x.liveBytes); nan != nil {
+	if nan := x.eng.EmitKernel(name, x.bk, start, ti, ins, *dst, added, x.eng.Memory().NumBytes+x.liveBytes); nan != nil {
 		// Debug mode throws at the first kernel that introduces a NaN.
 		x.free(kernels.Input(*dst))
 		panic(nan)
 	}
 	return nil
-}
-
-// dispatch picks the kernel the way the engine does, minus the handle
-// bookkeeping: the backend's single-output plan form (native), else its
-// override (cpu, webgl, webgpu), else the reference kernel through host
-// memory.
-func (x *execState) dispatch(name string, ins []kernels.Input, attrs kernels.Attrs, dst *kernels.TensorInfo) error {
-	var found bool
-	var err error
-	if pe, ok := x.bk.(kernels.PlanExecutor); ok {
-		found, err = pe.RunPlanKernel(name, ins, attrs, dst)
-	} else if ov, ok := x.bk.(kernels.Overrider); ok {
-		var k kernels.OverrideKernel
-		if k, found = ov.KernelOverride(name); found {
-			var outs []kernels.TensorInfo
-			if outs, err = k(ins, attrs); err == nil {
-				if len(outs) != 1 {
-					return fmt.Errorf("kernel returned %d outputs, want 1", len(outs))
-				}
-				setInfo(dst, outs[0].DataID, outs[0].Shape, outs[0].DType)
-			}
-		}
-	}
-	if found && !errors.Is(err, kernels.ErrFallback) {
-		return err
-	}
-	ref, ok := kernels.LookupRef(name)
-	if !ok {
-		return fmt.Errorf("kernel not registered for backend %q and no reference implementation", x.bk.Name())
-	}
-	bufs := make([]kernels.Buffer, len(ins))
-	for i, in := range ins {
-		bufs[i] = kernels.Buffer{Data: x.bk.ReadSync(in.DataID), Shape: in.Shape, DType: in.DType}
-	}
-	outs, err := ref(bufs, attrs)
-	if err != nil {
-		return err
-	}
-	if len(outs) != 1 {
-		return fmt.Errorf("kernel returned %d outputs, want 1", len(outs))
-	}
-	id := tensor.NewDataID()
-	x.bk.Write(id, outs[0].Data, outs[0].Shape, outs[0].DType)
-	setInfo(dst, id, outs[0].Shape, outs[0].DType)
-	return nil
-}
-
-// setInfo fills a step's output descriptor. The shape is copied, never
-// aliased: dst.Shape is step scratch that outlives the kernel's own slice.
-func setInfo(dst *kernels.TensorInfo, id tensor.DataID, shape []int, dtype tensor.DataType) {
-	dst.DataID, dst.DType = id, dtype
-	dst.Shape = append(dst.Shape[:0], shape...)
 }
 
 // execute runs the plan; the caller holds the execution lock. Feeds and

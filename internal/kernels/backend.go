@@ -10,8 +10,9 @@
 //   - a registry of reference kernels: straightforward, single-threaded,
 //     scalar implementations of every operation. The plain CPU backend (the
 //     analogue of the paper's "plain JS" backend) executes these directly;
-//     faster backends override the kernels that matter and inherit the rest
-//     through the engine's fallback path.
+//     faster backends override the kernels that matter and inherit the rest;
+//   - Dispatch, the one function that picks between the two: the eager
+//     engine and the graph plan executor both run kernels through it.
 package kernels
 
 import (
@@ -69,10 +70,16 @@ type Overrider interface {
 	KernelOverride(name string) (OverrideKernel, bool)
 }
 
-// OverrideKernel is a device-resident kernel: it consumes input containers
-// already living on the backend and produces output containers without
-// round-tripping values through host memory.
-type OverrideKernel func(inputs []Input, attrs Attrs) ([]TensorInfo, error)
+// OverrideKernel is a device-resident kernel, and the one kernel contract
+// every backend implements: it consumes input containers already living on
+// the backend and describes its single output container in *out, without
+// round-tripping values through host memory. The output shape is appended
+// into out.Shape[:0] by value — never aliased from an input — so a caller
+// that reuses out (the plan executor's per-step scratch) re-runs a kernel
+// without allocating, and an output can outlive its inputs. Returning
+// ErrFallback declines the invocation; Dispatch then runs the reference
+// kernel.
+type OverrideKernel func(inputs []Input, attrs Attrs, out *TensorInfo) error
 
 // Recycler is implemented by backends whose DisposeData returns buffers to
 // a free list for reuse — the generalization of the WebGL texture recycler
@@ -83,19 +90,6 @@ type OverrideKernel func(inputs []Input, attrs Attrs) ([]TensorInfo, error)
 type Recycler interface {
 	// PoolActive reports whether the data-plane buffer pool is on.
 	PoolActive() bool
-}
-
-// PlanExecutor is implemented by backends that can run a single-output
-// kernel writing the result descriptor into caller-provided storage. The
-// plan executor in graphmodel uses this form on the steady-state inference
-// path: it avoids the per-call []TensorInfo and shape-copy allocations of
-// the OverrideKernel contract.
-type PlanExecutor interface {
-	// RunPlanKernel executes the named kernel, filling *out. The boolean
-	// reports whether the backend has a kernel under that name at all; a
-	// true/ErrFallback combination means the backend declined this input
-	// and the caller should use the reference implementation.
-	RunPlanKernel(name string, inputs []Input, attrs Attrs, out *TensorInfo) (bool, error)
 }
 
 // Input pairs a data container with its logical shape and dtype, the view
@@ -114,6 +108,14 @@ type TensorInfo struct {
 	DataID tensor.DataID
 	Shape  []int
 	DType  tensor.DataType
+}
+
+// Set describes a kernel output: container, dtype and a copy of shape,
+// appended into t.Shape[:0] so a reused descriptor's storage is reused and
+// the output never aliases the slice it was described from.
+func (t *TensorInfo) Set(id tensor.DataID, shape []int, dtype tensor.DataType) {
+	t.DataID, t.DType = id, dtype
+	t.Shape = append(t.Shape[:0], shape...)
 }
 
 // MemoryInfo is the per-backend allocation snapshot surfaced through

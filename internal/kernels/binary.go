@@ -9,14 +9,14 @@ import (
 // binaryKernel builds a broadcasting element-wise binary reference kernel.
 // outDType selects the result dtype; nil keeps the first input's dtype.
 func binaryKernel(name string, f func(a, b float32) float32, outDType func(a, b tensor.DataType) tensor.DataType) RefKernel {
-	return func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	return func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs(name, inputs, 2); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		a, b := inputs[0], inputs[1]
 		outShape, err := tensor.BroadcastShapes(a.Shape, b.Shape)
 		if err != nil {
-			return nil, errIn(name, "%v", err)
+			return Buffer{}, errIn(name, "%v", err)
 		}
 		dtype := a.DType
 		if outDType != nil {
@@ -28,14 +28,14 @@ func binaryKernel(name string, f func(a, b float32) float32, outDType func(a, b 
 			for i := range out.Data {
 				out.Data[i] = f(a.Data[i], b.Data[i])
 			}
-			return []Buffer{out}, nil
+			return out, nil
 		}
 		as := broadcastStrides(a.Shape, outShape)
 		bs := broadcastStrides(b.Shape, outShape)
 		odometer(outShape, as, bs, func(oi, ai, bi int) {
 			out.Data[oi] = f(a.Data[ai], b.Data[bi])
 		})
-		return []Buffer{out}, nil
+		return out, nil
 	}
 }
 

@@ -13,15 +13,15 @@ func convAttrs(attrs Attrs) (strides, dilations []int, pad string) {
 func init() {
 	// Conv2D computes a 2-D convolution over NHWC input with filter
 	// [fh, fw, inC, outC].
-	RegisterRef("Conv2D", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("Conv2D", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs("Conv2D", inputs, 2); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		x, w := inputs[0], inputs[1]
 		strides, dilations, pad := convAttrs(attrs)
 		info, err := ComputeConv2DInfo(x.Shape, w.Shape, strides, dilations, pad, false)
 		if err != nil {
-			return nil, errIn("Conv2D", "%v", err)
+			return Buffer{}, errIn("Conv2D", "%v", err)
 		}
 		out := NewBuffer(info.OutShape(), tensor.Float32)
 		// Dense inner loop, no per-element zero-skip: the old
@@ -31,25 +31,25 @@ func init() {
 		// structural: the gradient kernels below, whose dy/x operands are
 		// post-ReLU sparse (see EXPERIMENTS.md for the benchmark note).
 		convolve2D(out.Data, x.Data, w.Data, info)
-		return []Buffer{out}, nil
+		return out, nil
 	})
 
 	// Conv2DBackpropInput computes the gradient of Conv2D with respect to
 	// its input. Inputs are (dy, filter); attr "inputShape" gives the
 	// original input shape.
-	RegisterRef("Conv2DBackpropInput", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("Conv2DBackpropInput", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs("Conv2DBackpropInput", inputs, 2); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		dy, w := inputs[0], inputs[1]
 		inShape := attrs.Ints("inputShape", nil)
 		strides, dilations, pad := convAttrs(attrs)
 		info, err := ComputeConv2DInfo(inShape, w.Shape, strides, dilations, pad, false)
 		if err != nil {
-			return nil, errIn("Conv2DBackpropInput", "%v", err)
+			return Buffer{}, errIn("Conv2DBackpropInput", "%v", err)
 		}
 		if !tensor.ShapesEqual(dy.Shape, info.OutShape()) {
-			return nil, errIn("Conv2DBackpropInput", "dy shape %v != conv output shape %v", dy.Shape, info.OutShape())
+			return Buffer{}, errIn("Conv2DBackpropInput", "dy shape %v != conv output shape %v", dy.Shape, info.OutShape())
 		}
 		dx := NewBuffer(inShape, tensor.Float32)
 		inC, outC := info.InChannels, info.OutChannels
@@ -90,25 +90,25 @@ func init() {
 				}
 			}
 		}
-		return []Buffer{dx}, nil
+		return dx, nil
 	})
 
 	// Conv2DBackpropFilter computes the gradient of Conv2D with respect to
 	// its filter. Inputs are (x, dy); attr "filterShape" gives the filter
 	// shape.
-	RegisterRef("Conv2DBackpropFilter", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("Conv2DBackpropFilter", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs("Conv2DBackpropFilter", inputs, 2); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		x, dy := inputs[0], inputs[1]
 		filterShape := attrs.Ints("filterShape", nil)
 		strides, dilations, pad := convAttrs(attrs)
 		info, err := ComputeConv2DInfo(x.Shape, filterShape, strides, dilations, pad, false)
 		if err != nil {
-			return nil, errIn("Conv2DBackpropFilter", "%v", err)
+			return Buffer{}, errIn("Conv2DBackpropFilter", "%v", err)
 		}
 		if !tensor.ShapesEqual(dy.Shape, info.OutShape()) {
-			return nil, errIn("Conv2DBackpropFilter", "dy shape %v != conv output shape %v", dy.Shape, info.OutShape())
+			return Buffer{}, errIn("Conv2DBackpropFilter", "dy shape %v != conv output shape %v", dy.Shape, info.OutShape())
 		}
 		dw := NewBuffer(filterShape, tensor.Float32)
 		inC, outC := info.InChannels, info.OutChannels
@@ -149,38 +149,38 @@ func init() {
 				}
 			}
 		}
-		return []Buffer{dw}, nil
+		return dw, nil
 	})
 
 	// DepthwiseConv2dNative applies one filter per input channel with a
 	// channel multiplier: filter [fh, fw, inC, mult].
-	RegisterRef("DepthwiseConv2dNative", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("DepthwiseConv2dNative", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs("DepthwiseConv2dNative", inputs, 2); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		x, w := inputs[0], inputs[1]
 		strides, dilations, pad := convAttrs(attrs)
 		info, err := ComputeConv2DInfo(x.Shape, w.Shape, strides, dilations, pad, true)
 		if err != nil {
-			return nil, errIn("DepthwiseConv2dNative", "%v", err)
+			return Buffer{}, errIn("DepthwiseConv2dNative", "%v", err)
 		}
 		out := NewBuffer(info.OutShape(), tensor.Float32)
 		depthwiseConvolve2D(out.Data, x.Data, w.Data, info)
-		return []Buffer{out}, nil
+		return out, nil
 	})
 
 	// DepthwiseConv2dNativeBackpropInput: inputs (dy, filter), attr
 	// "inputShape".
-	RegisterRef("DepthwiseConv2dNativeBackpropInput", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("DepthwiseConv2dNativeBackpropInput", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs("DepthwiseConv2dNativeBackpropInput", inputs, 2); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		dy, w := inputs[0], inputs[1]
 		inShape := attrs.Ints("inputShape", nil)
 		strides, dilations, pad := convAttrs(attrs)
 		info, err := ComputeConv2DInfo(inShape, w.Shape, strides, dilations, pad, true)
 		if err != nil {
-			return nil, errIn("DepthwiseConv2dNativeBackpropInput", "%v", err)
+			return Buffer{}, errIn("DepthwiseConv2dNativeBackpropInput", "%v", err)
 		}
 		dx := NewBuffer(inShape, tensor.Float32)
 		inC, mult := info.InChannels, info.ChannelMultiplier
@@ -219,21 +219,21 @@ func init() {
 				}
 			}
 		}
-		return []Buffer{dx}, nil
+		return dx, nil
 	})
 
 	// DepthwiseConv2dNativeBackpropFilter: inputs (x, dy), attr
 	// "filterShape".
-	RegisterRef("DepthwiseConv2dNativeBackpropFilter", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("DepthwiseConv2dNativeBackpropFilter", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs("DepthwiseConv2dNativeBackpropFilter", inputs, 2); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		x, dy := inputs[0], inputs[1]
 		filterShape := attrs.Ints("filterShape", nil)
 		strides, dilations, pad := convAttrs(attrs)
 		info, err := ComputeConv2DInfo(x.Shape, filterShape, strides, dilations, pad, true)
 		if err != nil {
-			return nil, errIn("DepthwiseConv2dNativeBackpropFilter", "%v", err)
+			return Buffer{}, errIn("DepthwiseConv2dNativeBackpropFilter", "%v", err)
 		}
 		dw := NewBuffer(filterShape, tensor.Float32)
 		inC, mult := info.InChannels, info.ChannelMultiplier
@@ -274,6 +274,6 @@ func init() {
 				}
 			}
 		}
-		return []Buffer{dw}, nil
+		return dw, nil
 	})
 }

@@ -91,60 +91,60 @@ func init() {
 	// "linear", "relu", "relu6", "elu", "sigmoid", "tanh". This is the
 	// reference tier — the correctness oracle the native and webgl fused
 	// kernels are tested against.
-	RegisterRef("FusedConv2D", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("FusedConv2D", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if len(inputs) != 2 && len(inputs) != 3 {
-			return nil, errIn("FusedConv2D", "got %d inputs, want 2 or 3", len(inputs))
+			return Buffer{}, errIn("FusedConv2D", "got %d inputs, want 2 or 3", len(inputs))
 		}
 		x, w := inputs[0], inputs[1]
 		strides, dilations, pad := convAttrs(attrs)
 		info, err := ComputeConv2DInfo(x.Shape, w.Shape, strides, dilations, pad, false)
 		if err != nil {
-			return nil, errIn("FusedConv2D", "%v", err)
+			return Buffer{}, errIn("FusedConv2D", "%v", err)
 		}
 		bias, act, err := fusedEpilogue("FusedConv2D", inputs, attrs, info.OutChannels)
 		if err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		out := NewBuffer(info.OutShape(), tensor.Float32)
 		convolve2D(out.Data, x.Data, w.Data, info)
 		applyEpilogue(out.Data, info.OutChannels, bias, act)
-		return []Buffer{out}, nil
+		return out, nil
 	})
 
 	// FusedDepthwiseConv2dNative is DepthwiseConv2dNative + bias +
 	// activation.
-	RegisterRef("FusedDepthwiseConv2dNative", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("FusedDepthwiseConv2dNative", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if len(inputs) != 2 && len(inputs) != 3 {
-			return nil, errIn("FusedDepthwiseConv2dNative", "got %d inputs, want 2 or 3", len(inputs))
+			return Buffer{}, errIn("FusedDepthwiseConv2dNative", "got %d inputs, want 2 or 3", len(inputs))
 		}
 		x, w := inputs[0], inputs[1]
 		strides, dilations, pad := convAttrs(attrs)
 		info, err := ComputeConv2DInfo(x.Shape, w.Shape, strides, dilations, pad, true)
 		if err != nil {
-			return nil, errIn("FusedDepthwiseConv2dNative", "%v", err)
+			return Buffer{}, errIn("FusedDepthwiseConv2dNative", "%v", err)
 		}
 		bias, act, err := fusedEpilogue("FusedDepthwiseConv2dNative", inputs, attrs, info.OutChannels)
 		if err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		out := NewBuffer(info.OutShape(), tensor.Float32)
 		depthwiseConvolve2D(out.Data, x.Data, w.Data, info)
 		applyEpilogue(out.Data, info.OutChannels, bias, act)
-		return []Buffer{out}, nil
+		return out, nil
 	})
 
 	// _FusedMatMul is the rank-2 MatMul + bias + activation fusion (the
 	// underscore name matches the TensorFlow Grappler rewrite it mirrors).
 	// Inputs (a, b[, bias]); attrs transposeA/transposeB/activation.
-	RegisterRef("_FusedMatMul", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("_FusedMatMul", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if len(inputs) != 2 && len(inputs) != 3 {
-			return nil, errIn("_FusedMatMul", "got %d inputs, want 2 or 3", len(inputs))
+			return Buffer{}, errIn("_FusedMatMul", "got %d inputs, want 2 or 3", len(inputs))
 		}
 		a, b := inputs[0], inputs[1]
 		transposeA := attrs.Bool("transposeA", false)
 		transposeB := attrs.Bool("transposeB", false)
 		if a.Rank() != 2 || b.Rank() != 2 {
-			return nil, errIn("_FusedMatMul", "inputs must be rank 2, got %v and %v", a.Shape, b.Shape)
+			return Buffer{}, errIn("_FusedMatMul", "inputs must be rank 2, got %v and %v", a.Shape, b.Shape)
 		}
 		m, kA := a.Shape[0], a.Shape[1]
 		if transposeA {
@@ -155,17 +155,17 @@ func init() {
 			kB, n = n, kB
 		}
 		if kA != kB {
-			return nil, errIn("_FusedMatMul", "inner dims mismatch: %v x %v (transposeA=%v transposeB=%v)",
+			return Buffer{}, errIn("_FusedMatMul", "inner dims mismatch: %v x %v (transposeA=%v transposeB=%v)",
 				a.Shape, b.Shape, transposeA, transposeB)
 		}
 		bias, act, err := fusedEpilogue("_FusedMatMul", inputs, attrs, n)
 		if err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		out := NewBuffer([]int{m, n}, tensor.Float32)
 		matmul2D(out.Data, a.Data, b.Data, m, kA, n, transposeA, transposeB)
 		applyEpilogue(out.Data, n, bias, act)
-		return []Buffer{out}, nil
+		return out, nil
 	})
 }
 

@@ -7,15 +7,15 @@ func init() {
 	// with optional transposition of the inner matrices and batch
 	// broadcasting (batch of 1 broadcasts). The ops layer reshapes 2-D
 	// matmuls into batch 1.
-	RegisterRef("BatchMatMul", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("BatchMatMul", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs("BatchMatMul", inputs, 2); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		a, b := inputs[0], inputs[1]
 		transposeA := attrs.Bool("transposeA", false)
 		transposeB := attrs.Bool("transposeB", false)
 		if a.Rank() != 3 || b.Rank() != 3 {
-			return nil, errIn("BatchMatMul", "inputs must be rank 3, got %v and %v", a.Shape, b.Shape)
+			return Buffer{}, errIn("BatchMatMul", "inputs must be rank 3, got %v and %v", a.Shape, b.Shape)
 		}
 		batchA, batchB := a.Shape[0], b.Shape[0]
 		batch := batchA
@@ -23,7 +23,7 @@ func init() {
 			batch = batchB
 		}
 		if batchA != batchB && batchA != 1 && batchB != 1 {
-			return nil, errIn("BatchMatMul", "incompatible batch dims %d and %d", batchA, batchB)
+			return Buffer{}, errIn("BatchMatMul", "incompatible batch dims %d and %d", batchA, batchB)
 		}
 		m, kA := a.Shape[1], a.Shape[2]
 		if transposeA {
@@ -34,7 +34,7 @@ func init() {
 			kB, n = n, kB
 		}
 		if kA != kB {
-			return nil, errIn("BatchMatMul", "inner dims mismatch: %v x %v (transposeA=%v transposeB=%v)",
+			return Buffer{}, errIn("BatchMatMul", "inner dims mismatch: %v x %v (transposeA=%v transposeB=%v)",
 				a.Shape, b.Shape, transposeA, transposeB)
 		}
 		k := kA
@@ -52,6 +52,6 @@ func init() {
 			matmul2D(out.Data[oOff:oOff+m*n], a.Data[aOff:aOff+aMat], b.Data[bOff:bOff+bMat],
 				m, k, n, transposeA, transposeB)
 		}
-		return []Buffer{out}, nil
+		return out, nil
 	})
 }

@@ -10,15 +10,15 @@ func init() {
 	// Cast converts between logical dtypes. Because all storage is
 	// float32, float->int truncates values and ->bool collapses non-zero
 	// to 1.
-	RegisterRef("Cast", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("Cast", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs("Cast", inputs, 1); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		x := inputs[0]
 		dtypeName := attrs.String("dtype", "float32")
 		dt, err := tensor.ParseDataType(dtypeName)
 		if err != nil {
-			return nil, errIn("Cast", "%v", err)
+			return Buffer{}, errIn("Cast", "%v", err)
 		}
 		out := NewBuffer(x.Shape, dt)
 		switch dt {
@@ -33,19 +33,19 @@ func init() {
 		default:
 			copy(out.Data, x.Data)
 		}
-		return []Buffer{out}, nil
+		return out, nil
 	})
 
 	// Fill creates a tensor of attr "shape" filled with attr "value".
-	RegisterRef("Fill", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("Fill", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs("Fill", inputs, 0); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		shape := attrs.Ints("shape", nil)
 		value := float32(attrs.Float("value", 0))
 		dt, err := tensor.ParseDataType(attrs.String("dtype", "float32"))
 		if err != nil {
-			return nil, errIn("Fill", "%v", err)
+			return Buffer{}, errIn("Fill", "%v", err)
 		}
 		out := NewBuffer(shape, dt)
 		if value != 0 {
@@ -53,22 +53,22 @@ func init() {
 				out.Data[i] = value
 			}
 		}
-		return []Buffer{out}, nil
+		return out, nil
 	})
 
 	// Range produces [start, stop) with the given step.
-	RegisterRef("Range", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("Range", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs("Range", inputs, 0); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		start := attrs.Float("start", 0)
 		stop := attrs.Float("stop", 0)
 		step := attrs.Float("step", 1)
 		if step == 0 {
-			return nil, errIn("Range", "step must be non-zero")
+			return Buffer{}, errIn("Range", "step must be non-zero")
 		}
 		if (stop-start)/step < 0 {
-			return nil, errIn("Range", "step %g has wrong sign for start %g stop %g", step, start, stop)
+			return Buffer{}, errIn("Range", "step %g has wrong sign for start %g stop %g", step, start, stop)
 		}
 		n := int(math.Ceil((stop - start) / step))
 		if n < 0 {
@@ -76,26 +76,26 @@ func init() {
 		}
 		dt, err := tensor.ParseDataType(attrs.String("dtype", "float32"))
 		if err != nil {
-			return nil, errIn("Range", "%v", err)
+			return Buffer{}, errIn("Range", "%v", err)
 		}
 		out := NewBuffer([]int{n}, dt)
 		for i := 0; i < n; i++ {
 			out.Data[i] = float32(start + float64(i)*step)
 		}
-		return []Buffer{out}, nil
+		return out, nil
 	})
 
 	// OneHot expands integer labels into one-hot rows.
-	RegisterRef("OneHot", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("OneHot", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs("OneHot", inputs, 1); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		indices := inputs[0]
 		depth := attrs.Int("depth", 0)
 		onValue := float32(attrs.Float("onValue", 1))
 		offValue := float32(attrs.Float("offValue", 0))
 		if depth <= 0 {
-			return nil, errIn("OneHot", "depth must be positive, got %d", depth)
+			return Buffer{}, errIn("OneHot", "depth must be positive, got %d", depth)
 		}
 		outShape := append(tensor.CopyShape(indices.Shape), depth)
 		out := NewBuffer(outShape, tensor.Float32)
@@ -110,23 +110,23 @@ func init() {
 				out.Data[i*depth+idx] = onValue
 			}
 		}
-		return []Buffer{out}, nil
+		return out, nil
 	})
 
 	// Select picks from (t, f) according to a condition tensor, with
 	// broadcasting across all three inputs.
-	RegisterRef("Select", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("Select", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs("Select", inputs, 3); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		cond, tVal, fVal := inputs[0], inputs[1], inputs[2]
 		shape, err := tensor.BroadcastShapes(tVal.Shape, fVal.Shape)
 		if err != nil {
-			return nil, errIn("Select", "%v", err)
+			return Buffer{}, errIn("Select", "%v", err)
 		}
 		shape, err = tensor.BroadcastShapes(shape, cond.Shape)
 		if err != nil {
-			return nil, errIn("Select", "%v", err)
+			return Buffer{}, errIn("Select", "%v", err)
 		}
 		out := NewBuffer(shape, tVal.DType)
 		cs := broadcastStrides(cond.Shape, shape)
@@ -156,16 +156,16 @@ func init() {
 				fi -= shape[d] * fs[d]
 			}
 		}
-		return []Buffer{out}, nil
+		return out, nil
 	})
 
 	// FusedBatchNorm normalizes x with running statistics:
 	// out = (x - mean) / sqrt(variance + eps) * scale + offset.
 	// Inputs: x, mean, variance, offset, scale. mean/variance/offset/
 	// scale broadcast against x (typically shape [C]).
-	RegisterRef("FusedBatchNorm", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("FusedBatchNorm", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs("FusedBatchNorm", inputs, 5); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		x, mean, variance, offset, scale := inputs[0], inputs[1], inputs[2], inputs[3], inputs[4]
 		eps := float32(attrs.Float("varianceEpsilon", 1e-3))
@@ -197,6 +197,6 @@ func init() {
 				si -= shape[d] * ss[d]
 			}
 		}
-		return []Buffer{out}, nil
+		return out, nil
 	})
 }

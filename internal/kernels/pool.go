@@ -15,15 +15,15 @@ func poolAttrs(attrs Attrs) (filterSize, strides []int, pad string) {
 
 func init() {
 	// MaxPool computes 2-D max pooling over NHWC input.
-	RegisterRef("MaxPool", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("MaxPool", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs("MaxPool", inputs, 1); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		x := inputs[0]
 		filterSize, strides, pad := poolAttrs(attrs)
 		info, err := ComputePool2DInfo(x.Shape, filterSize, strides, pad)
 		if err != nil {
-			return nil, errIn("MaxPool", "%v", err)
+			return Buffer{}, errIn("MaxPool", "%v", err)
 		}
 		out := NewBuffer(info.OutShape(), x.DType)
 		poolForEach(info, func(outIdx int, w poolWindow) {
@@ -35,20 +35,20 @@ func init() {
 			})
 			out.Data[outIdx] = best
 		})
-		return []Buffer{out}, nil
+		return out, nil
 	})
 
 	// AvgPool computes 2-D average pooling; padding cells are excluded
 	// from the average, matching TensorFlow semantics.
-	RegisterRef("AvgPool", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("AvgPool", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs("AvgPool", inputs, 1); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		x := inputs[0]
 		filterSize, strides, pad := poolAttrs(attrs)
 		info, err := ComputePool2DInfo(x.Shape, filterSize, strides, pad)
 		if err != nil {
-			return nil, errIn("AvgPool", "%v", err)
+			return Buffer{}, errIn("AvgPool", "%v", err)
 		}
 		out := NewBuffer(info.OutShape(), tensor.Float32)
 		poolForEach(info, func(outIdx int, w poolWindow) {
@@ -58,23 +58,23 @@ func init() {
 				out.Data[outIdx] = sum / float32(count)
 			}
 		})
-		return []Buffer{out}, nil
+		return out, nil
 	})
 
 	// MaxPoolGrad routes dy to the max position of each window. Inputs
 	// are (dy, x).
-	RegisterRef("MaxPoolGrad", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("MaxPoolGrad", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs("MaxPoolGrad", inputs, 2); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		dy, x := inputs[0], inputs[1]
 		filterSize, strides, pad := poolAttrs(attrs)
 		info, err := ComputePool2DInfo(x.Shape, filterSize, strides, pad)
 		if err != nil {
-			return nil, errIn("MaxPoolGrad", "%v", err)
+			return Buffer{}, errIn("MaxPoolGrad", "%v", err)
 		}
 		if !tensor.ShapesEqual(dy.Shape, info.OutShape()) {
-			return nil, errIn("MaxPoolGrad", "dy shape %v != pool output shape %v", dy.Shape, info.OutShape())
+			return Buffer{}, errIn("MaxPoolGrad", "dy shape %v != pool output shape %v", dy.Shape, info.OutShape())
 		}
 		dx := NewBuffer(x.Shape, tensor.Float32)
 		poolForEach(info, func(outIdx int, w poolWindow) {
@@ -90,24 +90,24 @@ func init() {
 				dx.Data[bestIdx] += dy.Data[outIdx]
 			}
 		})
-		return []Buffer{dx}, nil
+		return dx, nil
 	})
 
 	// AvgPoolGrad distributes dy evenly over each window. Input is dy;
 	// attr "inputShape" gives the original input shape.
-	RegisterRef("AvgPoolGrad", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("AvgPoolGrad", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs("AvgPoolGrad", inputs, 1); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		dy := inputs[0]
 		inShape := attrs.Ints("inputShape", nil)
 		filterSize, strides, pad := poolAttrs(attrs)
 		info, err := ComputePool2DInfo(inShape, filterSize, strides, pad)
 		if err != nil {
-			return nil, errIn("AvgPoolGrad", "%v", err)
+			return Buffer{}, errIn("AvgPoolGrad", "%v", err)
 		}
 		if !tensor.ShapesEqual(dy.Shape, info.OutShape()) {
-			return nil, errIn("AvgPoolGrad", "dy shape %v != pool output shape %v", dy.Shape, info.OutShape())
+			return Buffer{}, errIn("AvgPoolGrad", "dy shape %v != pool output shape %v", dy.Shape, info.OutShape())
 		}
 		dx := NewBuffer(inShape, tensor.Float32)
 		poolForEach(info, func(outIdx int, w poolWindow) {
@@ -118,7 +118,7 @@ func init() {
 			share := dy.Data[outIdx] / float32(count)
 			w.each(func(inIdx int) { dx.Data[inIdx] += share })
 		})
-		return []Buffer{dx}, nil
+		return dx, nil
 	})
 }
 

@@ -24,10 +24,10 @@ func reduce2D(name string, inputs []Buffer) (outer, inner int, err error) {
 
 // reduceKernel builds a [outer, inner] -> [outer] reduction.
 func reduceKernel(name string, initial float32, merge func(acc, v float32) float32, finish func(acc float32, n int) float32, dtype func(in tensor.DataType) tensor.DataType) RefKernel {
-	return func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	return func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		outer, inner, err := reduce2D(name, inputs)
 		if err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		x := inputs[0]
 		dt := x.DType
@@ -46,19 +46,19 @@ func reduceKernel(name string, initial float32, merge func(acc, v float32) float
 			}
 			out.Data[o] = acc
 		}
-		return []Buffer{out}, nil
+		return out, nil
 	}
 }
 
 // argReduceKernel builds a [outer, inner] -> [outer] index reduction.
 func argReduceKernel(name string, better func(v, best float32) bool) RefKernel {
-	return func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	return func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		outer, inner, err := reduce2D(name, inputs)
 		if err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		if inner == 0 {
-			return nil, errIn(name, "cannot reduce over empty dimension")
+			return Buffer{}, errIn(name, "cannot reduce over empty dimension")
 		}
 		x := inputs[0]
 		out := NewBuffer([]int{outer}, tensor.Int32)
@@ -74,7 +74,7 @@ func argReduceKernel(name string, better func(v, best float32) bool) RefKernel {
 			}
 			out.Data[o] = float32(bestIdx)
 		}
-		return []Buffer{out}, nil
+		return out, nil
 	}
 }
 
@@ -118,10 +118,10 @@ func init() {
 
 	// Softmax computes a numerically stable softmax over the inner
 	// dimension of a [outer, inner] input.
-	RegisterRef("Softmax", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("Softmax", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		outer, inner, err := reduce2D("Softmax", inputs)
 		if err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		x := inputs[0]
 		out := NewBuffer(x.Shape, tensor.Float32)
@@ -144,15 +144,15 @@ func init() {
 				out.Data[base+i] *= inv
 			}
 		}
-		return []Buffer{out}, nil
+		return out, nil
 	})
 
 	// CumSum computes an inclusive or exclusive cumulative sum over the
 	// inner dimension of a [outer, inner] input.
-	RegisterRef("CumSum", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("CumSum", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		outer, inner, err := reduce2D("CumSum", inputs)
 		if err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		exclusive := attrs.Bool("exclusive", false)
 		reverse := attrs.Bool("reverse", false)
@@ -175,6 +175,6 @@ func init() {
 				}
 			}
 		}
-		return []Buffer{out}, nil
+		return out, nil
 	})
 }

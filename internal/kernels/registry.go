@@ -10,8 +10,8 @@ import (
 )
 
 // ErrFallback is returned by a kernel override to decline an invocation it
-// does not specialize (for example, a broadcasting shape combination); the
-// engine then executes the reference kernel instead.
+// does not specialize (for example, a broadcasting shape combination);
+// Dispatch then executes the reference kernel through host memory instead.
 var ErrFallback = errors.New("kernels: fall back to reference implementation")
 
 // Attrs carries the attribute bag of a kernel invocation (strides, padding,
@@ -130,8 +130,9 @@ func (b Buffer) Rank() int { return len(b.Shape) }
 // RefKernel is a reference kernel: a pure host-memory implementation of an
 // operation. Reference kernels are the single source of truth for kernel
 // semantics; every backend either overrides them with a device-specific
-// version or inherits them through the engine's fallback path.
-type RefKernel func(inputs []Buffer, attrs Attrs) ([]Buffer, error)
+// version or inherits them through Dispatch. Like every kernel, a reference
+// kernel has one output.
+type RefKernel func(inputs []Buffer, attrs Attrs) (Buffer, error)
 
 var (
 	refMu       sync.RWMutex

@@ -6,21 +6,21 @@ import (
 
 func init() {
 	// Transpose permutes dimensions according to the "perm" attribute.
-	RegisterRef("Transpose", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("Transpose", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs("Transpose", inputs, 1); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		x := inputs[0]
 		perm := attrs.Ints("perm", nil)
 		rank := x.Rank()
 		if len(perm) != rank {
-			return nil, errIn("Transpose", "perm %v incompatible with rank %d", perm, rank)
+			return Buffer{}, errIn("Transpose", "perm %v incompatible with rank %d", perm, rank)
 		}
 		seen := make([]bool, rank)
 		outShape := make([]int, rank)
 		for i, p := range perm {
 			if p < 0 || p >= rank || seen[p] {
-				return nil, errIn("Transpose", "invalid perm %v", perm)
+				return Buffer{}, errIn("Transpose", "invalid perm %v", perm)
 			}
 			seen[p] = true
 			outShape[i] = x.Shape[p]
@@ -31,7 +31,7 @@ func init() {
 		size := x.Size()
 		if rank == 0 || size == 0 {
 			copy(out.Data, x.Data)
-			return []Buffer{out}, nil
+			return out, nil
 		}
 		// Walk output coordinates; map each back to the input index.
 		coords := make([]int, rank)
@@ -55,13 +55,13 @@ func init() {
 				inIdx -= outShape[d] * permStrides[d]
 			}
 		}
-		return []Buffer{out}, nil
+		return out, nil
 	})
 
 	// Concat concatenates any number of inputs along the "axis" attribute.
-	RegisterRef("Concat", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("Concat", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if len(inputs) == 0 {
-			return nil, errIn("Concat", "needs at least one input")
+			return Buffer{}, errIn("Concat", "needs at least one input")
 		}
 		axis := attrs.Int("axis", 0)
 		rank := inputs[0].Rank()
@@ -69,17 +69,17 @@ func init() {
 			axis += rank
 		}
 		if axis < 0 || axis >= rank {
-			return nil, errIn("Concat", "axis %d out of range for rank %d", attrs.Int("axis", 0), rank)
+			return Buffer{}, errIn("Concat", "axis %d out of range for rank %d", attrs.Int("axis", 0), rank)
 		}
 		outShape := tensor.CopyShape(inputs[0].Shape)
 		outShape[axis] = 0
 		for i, in := range inputs {
 			if in.Rank() != rank {
-				return nil, errIn("Concat", "input %d rank %d != %d", i, in.Rank(), rank)
+				return Buffer{}, errIn("Concat", "input %d rank %d != %d", i, in.Rank(), rank)
 			}
 			for d := 0; d < rank; d++ {
 				if d != axis && in.Shape[d] != inputs[0].Shape[d] {
-					return nil, errIn("Concat", "input %d shape %v incompatible with %v along axis %d",
+					return Buffer{}, errIn("Concat", "input %d shape %v incompatible with %v along axis %d",
 						i, in.Shape, inputs[0].Shape, axis)
 				}
 			}
@@ -101,21 +101,21 @@ func init() {
 			}
 			colOffset += run
 		}
-		return []Buffer{out}, nil
+		return out, nil
 	})
 
 	// Slice extracts a contiguous region given "begin" and "size"
 	// attributes; a size entry of -1 extends to the end of that dim.
-	RegisterRef("Slice", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("Slice", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs("Slice", inputs, 1); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		x := inputs[0]
 		begin := attrs.Ints("begin", nil)
 		size := attrs.Ints("size", nil)
 		rank := x.Rank()
 		if len(begin) != rank || len(size) != rank {
-			return nil, errIn("Slice", "begin %v / size %v incompatible with rank %d", begin, size, rank)
+			return Buffer{}, errIn("Slice", "begin %v / size %v incompatible with rank %d", begin, size, rank)
 		}
 		outShape := make([]int, rank)
 		for d := 0; d < rank; d++ {
@@ -124,19 +124,19 @@ func init() {
 				s = x.Shape[d] - begin[d]
 			}
 			if begin[d] < 0 || s < 0 || begin[d]+s > x.Shape[d] {
-				return nil, errIn("Slice", "begin %v size %v out of bounds for shape %v", begin, size, x.Shape)
+				return Buffer{}, errIn("Slice", "begin %v size %v out of bounds for shape %v", begin, size, x.Shape)
 			}
 			outShape[d] = s
 		}
 		out := NewBuffer(outShape, x.DType)
 		if out.Size() == 0 {
-			return []Buffer{out}, nil
+			return out, nil
 		}
 		inStrides := tensor.ComputeStrides(x.Shape)
 		// Copy row-by-row along the innermost dimension.
 		if rank == 0 {
 			out.Data[0] = x.Data[0]
-			return []Buffer{out}, nil
+			return out, nil
 		}
 		rowLen := outShape[rank-1]
 		numRows := out.Size() / rowLen
@@ -155,26 +155,26 @@ func init() {
 				coords[d] = 0
 			}
 		}
-		return []Buffer{out}, nil
+		return out, nil
 	})
 
 	// Pad pads with a constant value; the "paddings" attribute holds
 	// [before0, after0, before1, after1, ...].
-	RegisterRef("PadV2", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("PadV2", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs("PadV2", inputs, 1); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		x := inputs[0]
 		paddings := attrs.Ints("paddings", nil)
 		constValue := float32(attrs.Float("constantValue", 0))
 		rank := x.Rank()
 		if len(paddings) != 2*rank {
-			return nil, errIn("PadV2", "paddings %v must have 2*rank=%d entries", paddings, 2*rank)
+			return Buffer{}, errIn("PadV2", "paddings %v must have 2*rank=%d entries", paddings, 2*rank)
 		}
 		outShape := make([]int, rank)
 		for d := 0; d < rank; d++ {
 			if paddings[2*d] < 0 || paddings[2*d+1] < 0 {
-				return nil, errIn("PadV2", "negative padding %v", paddings)
+				return Buffer{}, errIn("PadV2", "negative padding %v", paddings)
 			}
 			outShape[d] = x.Shape[d] + paddings[2*d] + paddings[2*d+1]
 		}
@@ -185,12 +185,12 @@ func init() {
 			}
 		}
 		if x.Size() == 0 {
-			return []Buffer{out}, nil
+			return out, nil
 		}
 		outStrides := tensor.ComputeStrides(outShape)
 		if rank == 0 {
 			out.Data[0] = x.Data[0]
-			return []Buffer{out}, nil
+			return out, nil
 		}
 		// Copy input rows into their shifted positions.
 		rowLen := x.Shape[rank-1]
@@ -210,13 +210,13 @@ func init() {
 				coords[d] = 0
 			}
 		}
-		return []Buffer{out}, nil
+		return out, nil
 	})
 
 	// GatherV2 gathers slices along "axis" using integer indices (input 1).
-	RegisterRef("GatherV2", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("GatherV2", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs("GatherV2", inputs, 2); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		x, indices := inputs[0], inputs[1]
 		axis := attrs.Int("axis", 0)
@@ -225,7 +225,7 @@ func init() {
 			axis += rank
 		}
 		if axis < 0 || axis >= rank {
-			return nil, errIn("GatherV2", "axis %d out of range for rank %d", attrs.Int("axis", 0), rank)
+			return Buffer{}, errIn("GatherV2", "axis %d out of range for rank %d", attrs.Int("axis", 0), rank)
 		}
 		outShape := make([]int, 0, rank-1+indices.Rank())
 		outShape = append(outShape, x.Shape[:axis]...)
@@ -240,31 +240,31 @@ func init() {
 			for ii := 0; ii < numIdx; ii++ {
 				idx := int(indices.Data[ii])
 				if idx < 0 || idx >= axisSize {
-					return nil, errIn("GatherV2", "index %d out of range [0, %d)", idx, axisSize)
+					return Buffer{}, errIn("GatherV2", "index %d out of range [0, %d)", idx, axisSize)
 				}
 				src := x.Data[(o*axisSize+idx)*innerSize:]
 				dst := out.Data[(o*numIdx+ii)*innerSize:]
 				copy(dst[:innerSize], src[:innerSize])
 			}
 		}
-		return []Buffer{out}, nil
+		return out, nil
 	})
 
 	// Tile repeats the input along each dimension per the "reps" attribute.
-	RegisterRef("Tile", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("Tile", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs("Tile", inputs, 1); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		x := inputs[0]
 		reps := attrs.Ints("reps", nil)
 		rank := x.Rank()
 		if len(reps) != rank {
-			return nil, errIn("Tile", "reps %v incompatible with rank %d", reps, rank)
+			return Buffer{}, errIn("Tile", "reps %v incompatible with rank %d", reps, rank)
 		}
 		outShape := make([]int, rank)
 		for d := 0; d < rank; d++ {
 			if reps[d] <= 0 {
-				return nil, errIn("Tile", "reps must be positive, got %v", reps)
+				return Buffer{}, errIn("Tile", "reps must be positive, got %v", reps)
 			}
 			outShape[d] = x.Shape[d] * reps[d]
 		}
@@ -286,13 +286,13 @@ func init() {
 				coords[d] = 0
 			}
 		}
-		return []Buffer{out}, nil
+		return out, nil
 	})
 
 	// Reverse flips the listed axes.
-	RegisterRef("Reverse", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("Reverse", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs("Reverse", inputs, 1); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		x := inputs[0]
 		axes := attrs.Ints("axes", nil)
@@ -303,7 +303,7 @@ func init() {
 				a += rank
 			}
 			if a < 0 || a >= rank {
-				return nil, errIn("Reverse", "axis out of range in %v for rank %d", axes, rank)
+				return Buffer{}, errIn("Reverse", "axis out of range in %v for rank %d", axes, rank)
 			}
 			flip[a] = true
 		}
@@ -329,6 +329,6 @@ func init() {
 				coords[d] = 0
 			}
 		}
-		return []Buffer{out}, nil
+		return out, nil
 	})
 }

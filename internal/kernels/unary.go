@@ -9,9 +9,9 @@ import (
 // unaryKernel builds an element-wise unary reference kernel. If dtype is
 // non-nil it overrides the output dtype.
 func unaryKernel(name string, f func(x float32) float32, dtype *tensor.DataType) RefKernel {
-	return func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	return func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs(name, inputs, 1); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		in := inputs[0]
 		dt := in.DType
@@ -22,7 +22,7 @@ func unaryKernel(name string, f func(x float32) float32, dtype *tensor.DataType)
 		for i, v := range in.Data {
 			out.Data[i] = f(v)
 		}
-		return []Buffer{out}, nil
+		return out, nil
 	}
 }
 
@@ -97,9 +97,9 @@ func init() {
 	RegisterRef("LogicalNot", unaryKernel("LogicalNot", func(x float32) float32 { return toBool(x == 0) }, &boolT))
 
 	// LeakyRelu takes its negative slope as an attribute.
-	RegisterRef("LeakyRelu", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("LeakyRelu", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs("LeakyRelu", inputs, 1); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		alpha := float32(attrs.Float("alpha", 0.2))
 		in := inputs[0]
@@ -111,18 +111,18 @@ func init() {
 				out.Data[i] = alpha * v
 			}
 		}
-		return []Buffer{out}, nil
+		return out, nil
 	})
 
 	// ClipByValue takes min/max as attributes.
-	RegisterRef("ClipByValue", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("ClipByValue", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs("ClipByValue", inputs, 1); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		lo := float32(attrs.Float("clipValueMin", math.Inf(-1)))
 		hi := float32(attrs.Float("clipValueMax", math.Inf(1)))
 		if lo > hi {
-			return nil, errIn("ClipByValue", "clipValueMin %g > clipValueMax %g", lo, hi)
+			return Buffer{}, errIn("ClipByValue", "clipValueMin %g > clipValueMax %g", lo, hi)
 		}
 		in := inputs[0]
 		out := NewBuffer(in.Shape, in.DType)
@@ -136,13 +136,13 @@ func init() {
 				out.Data[i] = v
 			}
 		}
-		return []Buffer{out}, nil
+		return out, nil
 	})
 
 	// Step(x) = 0 if x <= 0 else 1, used by Abs/Relu gradients.
-	RegisterRef("Step", func(inputs []Buffer, attrs Attrs) ([]Buffer, error) {
+	RegisterRef("Step", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs("Step", inputs, 1); err != nil {
-			return nil, err
+			return Buffer{}, err
 		}
 		alpha := float32(attrs.Float("alpha", 0))
 		in := inputs[0]
@@ -157,7 +157,7 @@ func init() {
 				out.Data[i] = alpha
 			}
 		}
-		return []Buffer{out}, nil
+		return out, nil
 	})
 
 	// Prelu is binary (x, alpha) but element-wise with broadcasting.

@@ -106,11 +106,13 @@ func TestBenchConvnetLossHistoryBitIdenticalToReferenceTier(t *testing.T) {
 }
 
 // TestTrainStepAllocBudget: one warmed 32-example step of the bench
-// convnet on node makes 3,340 allocations — eager dispatch, the tape and
-// the tidy scopes, a few dozen small objects per kernel. The budget is
-// there to catch a kernel that allocates per output element: with
-// MaxPoolGrad on the reference tier's per-cell iterator closures the same
-// step made 102,419.
+// convnet on node makes 3,032 allocations at GOMAXPROCS 2 (2,968 at 1,
+// 3,076 at 8) — eager dispatch, the tape and the tidy scopes, a few dozen
+// small objects per kernel. It made 3,340 while every eager kernel handed
+// its one output back as a slice through a per-kernel wrapper (ISSUE 22),
+// which the budget no longer admits; and it is there to catch a kernel
+// that allocates per output element: with MaxPoolGrad on the reference
+// tier's per-cell iterator closures the same step made 102,419.
 func TestTrainStepAllocBudget(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("sync.Pool drops entries at random under -race")
@@ -127,8 +129,10 @@ func TestTrainStepAllocBudget(t *testing.T) {
 	}
 	step()
 	step()
-	const budget = 4000
-	if allocs := testing.AllocsPerRun(10, step); allocs > budget {
+	const budget = 3200
+	allocs := testing.AllocsPerRun(10, step)
+	t.Logf("one warmed training step: %.0f allocs (budget %d)", allocs, budget)
+	if allocs > budget {
 		t.Fatalf("%v allocs per training step, budget %d", allocs, budget)
 	}
 }

@@ -85,7 +85,7 @@ func TestActivationLoopsBitIdenticalToReference(t *testing.T) {
 	nan := math.Float32frombits(0x7fc12345)
 	in := benchInput(nb, []float32{nan, -1, 2}, 3)
 	var out kernels.TensorInfo
-	if err := nb.plans["Step"]([]kernels.Input{in}, kernels.Attrs{"alpha": -3.0}, &out); err != nil {
+	if err := nb.table["Step"]([]kernels.Input{in}, kernels.Attrs{"alpha": -3.0}, &out); err != nil {
 		t.Fatal(err)
 	}
 	got := nb.Raw(out.DataID)

@@ -82,7 +82,7 @@ func tapRange(corner, dilation, taps, size int) (lo, hi int) {
 	return lo, max(lo, hi)
 }
 
-func (b *Backend) conv2D(name string, fused bool) planKernel {
+func (b *Backend) conv2D(name string, fused bool) kernels.OverrideKernel {
 	return func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
 		if err := checkInputs(name, inputs, fused); err != nil {
 			return err
@@ -165,7 +165,7 @@ func (b *Backend) conv2D(name string, fused bool) planKernel {
 	}
 }
 
-func (b *Backend) depthwiseConv2D(name string, fused bool) planKernel {
+func (b *Backend) depthwiseConv2D(name string, fused bool) kernels.OverrideKernel {
 	return func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
 		if err := checkInputs(name, inputs, fused); err != nil {
 			return err

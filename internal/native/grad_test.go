@@ -46,7 +46,12 @@ func checkAgainstReference(t testing.TB, nb *Backend, label, name string, attrs 
 	live := nb.Memory().NumBuffers
 	want, wantErr := ref(bufs, attrs)
 	var got kernels.TensorInfo
-	gotErr := nb.plans[name](inputs, attrs, &got)
+	if _, ok := nb.KernelOverride(name); !ok {
+		t.Fatalf("%s: no native kernel", name)
+	}
+	// Through the dispatcher: a shape the native kernel declines comes back
+	// from the reference leg, as it does for the engine and the plan.
+	gotErr := kernels.Dispatch(nb, name, inputs, attrs, &got)
 	if (wantErr != nil) != (gotErr != nil) {
 		t.Fatalf("%s: reference error %v, native error %v", label, wantErr, gotErr)
 	}
@@ -57,13 +62,13 @@ func checkAgainstReference(t testing.TB, nb *Backend, label, name string, attrs 
 		return
 	}
 	defer nb.DisposeData(got.DataID)
-	if !tensor.ShapesEqual(got.Shape, want[0].Shape) {
-		t.Fatalf("%s: shape %v, reference %v", label, got.Shape, want[0].Shape)
+	if !tensor.ShapesEqual(got.Shape, want.Shape) {
+		t.Fatalf("%s: shape %v, reference %v", label, got.Shape, want.Shape)
 	}
-	if got.DType != want[0].DType {
-		t.Fatalf("%s: dtype %v, reference %v", label, got.DType, want[0].DType)
+	if got.DType != want.DType {
+		t.Fatalf("%s: dtype %v, reference %v", label, got.DType, want.DType)
 	}
-	requireSameFloats(t, label, nb.Raw(got.DataID), want[0].Data)
+	requireSameFloats(t, label, nb.Raw(got.DataID), want.Data)
 }
 
 // gradGeometry is one forward convolution or pool whose backward kernels

@@ -68,11 +68,11 @@ func BenchmarkGemmBig(b *testing.B)    { benchGemm(b, 512, 512, 512, 0) }
 // BenchmarkGemvClassifier is the batch-1 classifier head: 1×256 · 256×1000.
 func BenchmarkGemvClassifier(b *testing.B) { benchGemm(b, 1, 256, 1000, 0) }
 
-// benchPlanKernel times one registered kernel through its plan entry
-// point, disposing the output each iteration so the recycler serves the
-// next one, as the plan executor does.
+// benchPlanKernel times one registered kernel called as the plan executor
+// calls it: one reused output descriptor, the output disposed each
+// iteration so the recycler serves the next one.
 func benchPlanKernel(b *testing.B, nb *Backend, name string, attrs kernels.Attrs, flops int, inputs ...kernels.Input) {
-	k := nb.plans[name]
+	k := nb.table[name]
 	var out kernels.TensorInfo
 	floats := 0
 	for _, in := range inputs {
@@ -195,15 +195,15 @@ func benchVsReference(b *testing.B, name string, attrs kernels.Attrs, flops int,
 			bufs[i] = kernels.Buffer{Data: o.vals, Shape: o.shape, DType: tensor.Float32}
 			floats += len(o.vals)
 		}
-		var outs []kernels.Buffer
+		var out kernels.Buffer
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			var err error
-			if outs, err = ref(bufs, attrs); err != nil {
+			if out, err = ref(bufs, attrs); err != nil {
 				b.Fatal(err)
 			}
 		}
-		reportKernel(b, flops, floats+len(outs[0].Data))
+		reportKernel(b, flops, floats+len(out.Data))
 	})
 }
 

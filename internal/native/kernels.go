@@ -16,14 +16,14 @@ import (
 // average-pool gradients, general broadcasts, transposes) inherits the
 // reference implementations.
 //
-// Every kernel is written in the planKernel form: it appends its output
-// shape into out.Shape (caller-owned scratch, so the steady-state plan
-// executor re-runs a step without allocating) and registers its buffer via
-// outInto. Shapes are always appended by value, never aliased from an
-// input, so an output can outlive its inputs.
+// Every kernel appends its output shape into out.Shape (caller-owned
+// scratch, so the steady-state plan executor re-runs a step without
+// allocating) and registers its buffer via outInto. Shapes are always
+// appended by value, never aliased from an input, so an output can outlive
+// its inputs. A kernel that does not specialize a shape or layout returns
+// kernels.ErrFallback and kernels.Dispatch runs the reference kernel.
 func (b *Backend) initKernels() {
 	b.table = map[string]kernels.OverrideKernel{}
-	b.plans = map[string]planKernel{}
 	b.registerConvMatMul()
 	b.registerPool()
 	b.registerGrad()
@@ -45,34 +45,6 @@ func (b *Backend) outInto(dst *kernels.TensorInfo, dtype tensor.DataType) []floa
 	return buf
 }
 
-// refInto runs the reference kernel and registers its single output into
-// dst. Shared by overrides that decline a shape/layout combination.
-func (b *Backend) refInto(name string, inputs []kernels.Input, attrs kernels.Attrs, dst *kernels.TensorInfo) error {
-	ref, ok := kernels.LookupRef(name)
-	if !ok {
-		return fmt.Errorf("%s: no reference implementation", name)
-	}
-	bufs := make([]kernels.Buffer, len(inputs))
-	for i, in := range inputs {
-		bufs[i] = kernels.Buffer{Data: b.in(in), Shape: in.Shape, DType: in.DType}
-	}
-	outs, err := ref(bufs, attrs)
-	if err != nil {
-		return err
-	}
-	if len(outs) != 1 {
-		return fmt.Errorf("%s: reference kernel produced %d outputs, want 1", name, len(outs))
-	}
-	id := tensor.NewDataID()
-	b.WriteOwned(id, outs[0].Data)
-	dst.DataID = id
-	// Copy, don't alias: a reference kernel's output shape may share its
-	// input's backing slice.
-	dst.Shape = append(dst.Shape[:0], outs[0].Shape...)
-	dst.DType = outs[0].DType
-	return nil
-}
-
 // poolInfo resolves a pooling kernel's attributes against its input.
 func poolInfo(xShape []int, attrs kernels.Attrs) (kernels.Conv2DInfo, error) {
 	filterSize := attrs.Ints("filterSize", []int{2, 2})
@@ -80,7 +52,7 @@ func poolInfo(xShape []int, attrs kernels.Attrs) (kernels.Conv2DInfo, error) {
 }
 
 func (b *Backend) registerPool() {
-	pool := func(name string, isMax bool) planKernel {
+	pool := func(name string, isMax bool) kernels.OverrideKernel {
 		return func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
 			if len(inputs) != 1 {
 				return fmt.Errorf("%s: got %d inputs, want 1", name, len(inputs))
@@ -203,7 +175,7 @@ func isSuffixShape(small, big []int) bool {
 // broadcast run here, bit-equal to the reference kernel (the same
 // operation on the same two operands in the same order); every other
 // broadcast falls back to it.
-func (b *Backend) binary(name string, op binOp) planKernel {
+func (b *Backend) binary(name string, op binOp) kernels.OverrideKernel {
 	return func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
 		if len(inputs) != 2 {
 			return fmt.Errorf("%s: got %d inputs, want 2", name, len(inputs))
@@ -218,7 +190,7 @@ func (b *Backend) binary(name string, op binOp) planKernel {
 		case isSuffixShape(a.Shape, x.Shape):
 			big, aIsRow = x.Shape, true
 		default:
-			return b.refInto(name, inputs, attrs, out)
+			return kernels.ErrFallback
 		}
 		aBuf, xBuf := b.in(a), b.in(x)
 		out.Shape = out.Shape[:0]
@@ -373,7 +345,7 @@ func (b *Backend) registerElementwise() {
 			}
 		}
 		if !channelParams {
-			return b.refInto("FusedBatchNorm", inputs, attrs, out)
+			return kernels.ErrFallback
 		}
 		eps := float32(attrs.Float("varianceEpsilon", 1e-3))
 		xBuf := b.in(x)

@@ -13,8 +13,8 @@
 // the Node backend exists so that model.fit runs on native kernels, and the
 // convolution and max-pool gradients (grad.go) run on the same cores,
 // bit-equal to the reference kernels. Everything not overridden falls back
-// to the reference kernels through the engine, exactly like the real Node
-// backend falls back for ops the C API does not expose.
+// to the reference kernels through kernels.Dispatch, exactly like the real
+// Node backend falls back for ops the C API does not expose.
 package native
 
 import (
@@ -42,10 +42,6 @@ type Backend struct {
 	// source and to feed per-chunk timings back into the account.
 	stepHint atomic.Pointer[exec.StepHint]
 	table    map[string]kernels.OverrideKernel
-	// plans is the single-output write-into form of the same kernels,
-	// used by the graphmodel plan executor to skip the per-call slice and
-	// shape-copy allocations of the OverrideKernel contract.
-	plans map[string]planKernel
 
 	// scratchF32 recycles kernel-internal temporaries (FusedBatchNorm's
 	// per-channel scale and shift): a per-backend (and so per-replica)
@@ -128,36 +124,8 @@ func (b *Backend) KernelOverride(name string) (kernels.OverrideKernel, bool) {
 	return k, ok
 }
 
-// planKernel is the internal single-output kernel form: it writes the
-// result descriptor into caller-provided storage instead of returning a
-// fresh []TensorInfo, so the steady-state plan executor allocates nothing
-// per dispatch. Every native override is written in this form; the legacy
-// OverrideKernel table entries are thin wrappers.
-type planKernel func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error
-
-// register installs a kernel in both tables: the direct plan form and the
-// wrapped engine form.
-func (b *Backend) register(name string, k planKernel) {
-	b.plans[name] = k
-	b.table[name] = func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
-		// info.Shape starts nil, so the kernel's append builds a fresh
-		// slice: the engine may retain it past the inputs' lifetime.
-		var info kernels.TensorInfo
-		if err := k(inputs, attrs, &info); err != nil {
-			return nil, err
-		}
-		return []kernels.TensorInfo{info}, nil
-	}
-}
-
-// RunPlanKernel implements kernels.PlanExecutor.
-func (b *Backend) RunPlanKernel(name string, inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) (bool, error) {
-	k, ok := b.plans[name]
-	if !ok {
-		return false, nil
-	}
-	return true, k(inputs, attrs, out)
-}
+// register installs a kernel.
+func (b *Backend) register(name string, k kernels.OverrideKernel) { b.table[name] = k }
 
 // Memory folds the scratch recycler into the embedded storage plane's
 // snapshot so /metrics sees the full pooled footprint.
@@ -173,10 +141,9 @@ func (b *Backend) Memory() kernels.MemoryInfo {
 }
 
 var (
-	_ kernels.Backend      = (*Backend)(nil)
-	_ kernels.Overrider    = (*Backend)(nil)
-	_ kernels.Recycler     = (*Backend)(nil)
-	_ kernels.PlanExecutor = (*Backend)(nil)
-	_ exec.Configurable    = (*Backend)(nil)
-	_ exec.StepHintSetter  = (*Backend)(nil)
+	_ kernels.Backend     = (*Backend)(nil)
+	_ kernels.Overrider   = (*Backend)(nil)
+	_ kernels.Recycler    = (*Backend)(nil)
+	_ exec.Configurable   = (*Backend)(nil)
+	_ exec.StepHintSetter = (*Backend)(nil)
 )

@@ -45,7 +45,7 @@ func TestOpErrorTyping(t *testing.T) {
 		{
 			name: "unknown kernel",
 			fn: func() {
-				core.Global().RunKernel1("NoSuchKernel", []*tensor.Tensor{Ones(1)}, nil)
+				core.Global().RunKernel("NoSuchKernel", []*tensor.Tensor{Ones(1)}, nil)
 			},
 			wantKernel: "NoSuchKernel",
 			wantCause:  "not registered",

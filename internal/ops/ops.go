@@ -23,7 +23,7 @@ import (
 func eng() *core.Engine { return core.Global() }
 
 func run1(name string, inputs []*tensor.Tensor, attrs kernels.Attrs) *tensor.Tensor {
-	return eng().RunKernel1(name, inputs, attrs)
+	return eng().RunKernel(name, inputs, attrs)
 }
 
 // ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ func init() {
 	core.RegisterGradient("CumSum", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
 		exclusive := attrs.Bool("exclusive", false)
 		reverse := attrs.Bool("reverse", false)
-		g := e.RunKernel1("CumSum", []*tensor.Tensor{dys[0]},
+		g := e.RunKernel("CumSum", []*tensor.Tensor{dys[0]},
 			kernels.Attrs{"exclusive": exclusive, "reverse": !reverse})
 		return []*tensor.Tensor{g}
 	})

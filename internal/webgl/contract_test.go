@@ -455,23 +455,22 @@ func runContractCase(b *Backend, name string, c contractCase) (string, error) {
 	if attrs == nil {
 		attrs = kernels.Attrs{}
 	}
-	outs, err := b.kernelsTable[name](inputs, attrs)
+	var out kernels.TensorInfo
+	err := b.kernelsTable[name](inputs, attrs, &out)
 	if err != nil {
 		return "", err
 	}
 	h := fnv.New64a()
-	for _, out := range outs {
-		td := b.lookup(out.DataID)
-		texture := b.device.ReadPixels(td.tex)
-		fmt.Fprintf(h, "%v %v|", out.Shape, out.DType)
-		hashFloats(h, texture[:td.size])
-		for i, v := range texture[td.size:] {
-			if math.Float32bits(v) != 0 {
-				err = fmt.Errorf("padding value %d of the output texture is %g, want +0", td.size+i, v)
-			}
+	td := b.lookup(out.DataID)
+	texture := b.device.ReadPixels(td.tex)
+	fmt.Fprintf(h, "%v %v|", out.Shape, out.DType)
+	hashFloats(h, texture[:td.size])
+	for i, v := range texture[td.size:] {
+		if math.Float32bits(v) != 0 {
+			err = fmt.Errorf("padding value %d of the output texture is %g, want +0", td.size+i, v)
 		}
-		b.DisposeData(out.DataID)
 	}
+	b.DisposeData(out.DataID)
 	return fmt.Sprintf("%016x", h.Sum64()), err
 }
 

@@ -43,15 +43,17 @@ func (b *Backend) input(in kernels.Input) (*texData, *glsim.Texture) {
 	return td, tex
 }
 
-// output allocates a data container for a kernel result and returns its
-// record plus the TensorInfo handed back to the engine.
-func (b *Backend) output(shape []int, dtype tensor.DataType) (*texData, kernels.TensorInfo, error) {
+// output allocates a data container for a kernel result, describes it in
+// res — what the kernel hands back to its dispatcher — and returns its
+// record. The shape is copied into res, never aliased.
+func (b *Backend) output(shape []int, dtype tensor.DataType, res *kernels.TensorInfo) (*texData, error) {
 	id := tensor.NewDataID()
 	td, err := b.newTexData(id, shape, dtype)
 	if err != nil {
-		return nil, kernels.TensorInfo{}, err
+		return nil, err
 	}
-	return td, kernels.TensorInfo{DataID: id, Shape: tensor.CopyShape(shape), DType: dtype}, nil
+	res.Set(id, shape, dtype)
+	return td, nil
 }
 
 // run executes a program whose body computes the output's logical values
@@ -141,12 +143,12 @@ func (b *Backend) InputTexture(in kernels.Input) *glsim.Texture {
 	return tex
 }
 
-// Output allocates a device container for a kernel result, returning its
-// texture and the TensorInfo for the engine. Exported for layered backends.
-func (b *Backend) Output(shape []int, dtype tensor.DataType) (*glsim.Texture, kernels.TensorInfo, error) {
-	td, info, err := b.output(shape, dtype)
+// Output allocates a device container for a kernel result, describes it in
+// res and returns its texture. Exported for layered backends.
+func (b *Backend) Output(shape []int, dtype tensor.DataType, res *kernels.TensorInfo) (*glsim.Texture, error) {
+	td, err := b.output(shape, dtype, res)
 	if err != nil {
-		return nil, kernels.TensorInfo{}, err
+		return nil, err
 	}
-	return td.tex, info, nil
+	return td.tex, nil
 }

@@ -16,24 +16,24 @@ import (
 // getA(batch, row, column, depth) method to sample from a 4D tensor"),
 // with the per-value work that every value of a pixel shares done once.
 func (b *Backend) registerConv() {
-	b.register("Conv2D", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	b.register("Conv2D", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		if len(inputs) != 2 {
-			return nil, errf("Conv2D: got %d inputs, want 2", len(inputs))
+			return errf("Conv2D: got %d inputs, want 2", len(inputs))
 		}
-		return b.conv2D("Conv2D", inputs, attrs, false)
+		return b.conv2D("Conv2D", inputs, attrs, false, res)
 	})
 
-	b.register("DepthwiseConv2dNative", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	b.register("DepthwiseConv2dNative", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		if len(inputs) != 2 {
-			return nil, errf("DepthwiseConv2dNative: got %d inputs, want 2", len(inputs))
+			return errf("DepthwiseConv2dNative: got %d inputs, want 2", len(inputs))
 		}
-		return b.depthwiseConv2D("DepthwiseConv2dNative", inputs, attrs, false)
+		return b.depthwiseConv2D("DepthwiseConv2dNative", inputs, attrs, false, res)
 	})
 
 	pool := func(name string, isMax bool) kernels.OverrideKernel {
-		return func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+		return func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 			if len(inputs) != 1 {
-				return nil, errf("%s: got %d inputs, want 1", name, len(inputs))
+				return errf("%s: got %d inputs, want 1", name, len(inputs))
 			}
 			x := inputs[0]
 			filterSize := attrs.Ints("filterSize", []int{2, 2})
@@ -41,12 +41,12 @@ func (b *Backend) registerConv() {
 			pad := attrs.String("pad", "valid")
 			info, err := kernels.ComputePool2DInfo(x.Shape, filterSize, strides, pad)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			_, xTex := b.input(x)
-			out, tinfo, err := b.output(info.OutShape(), x.DType)
+			out, err := b.output(info.OutShape(), x.DType, res)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			c := info.OutChannels
 			// One fetch and one compare-or-add per in-bounds tap; the
@@ -91,7 +91,7 @@ func (b *Backend) registerConv() {
 					}
 				})
 			})
-			return []kernels.TensorInfo{tinfo}, nil
+			return nil
 		}
 	}
 	b.register("MaxPool", pool("MaxPool", true))
@@ -164,29 +164,50 @@ func epilogue(acc []float32, cLo int, biasTex *glsim.Texture, act func(float32) 
 	}
 }
 
+// axpy is acc[j] += a·row[j], four values a turn. It is the inner loop of the
+// convolution and matrix-multiply programs, and it is unrolled for the
+// host's sake: as a three-instruction loop its speed depended on whether the
+// linker put it across a 64-byte line (predict_webgl p50 5.98 or 8.92 ms
+// from the same machine code, EXPERIMENTS.md ISSUE 22). Each value keeps its
+// own order of additions.
+func axpy(acc, row []float32, a float32) {
+	row = row[:len(acc)]
+	j := 0
+	for ; j+4 <= len(acc); j += 4 {
+		d, r := acc[j:j+4:j+4], row[j:j+4:j+4]
+		d[0] += a * r[0]
+		d[1] += a * r[1]
+		d[2] += a * r[2]
+		d[3] += a * r[3]
+	}
+	for ; j < len(acc); j++ {
+		acc[j] += a * row[j]
+	}
+}
+
 // conv2D is the Conv2D and FusedConv2D program: every output value is the
 // sum, in (fy, fx, ic) order, of input × filter over the in-bounds taps,
 // then the epilogue. The sum is accumulated for a pixel's whole run of
 // output channels at once — acc[j] += x·w[j] over a contiguous filter row —
 // which leaves each value's own order of additions, and so its bits,
 // unchanged.
-func (b *Backend) conv2D(name string, inputs []kernels.Input, attrs kernels.Attrs, fused bool) ([]kernels.TensorInfo, error) {
+func (b *Backend) conv2D(name string, inputs []kernels.Input, attrs kernels.Attrs, fused bool, res *kernels.TensorInfo) error {
 	x, w := inputs[0], inputs[1]
 	info, err := kernels.ComputeConv2DInfo(x.Shape, w.Shape,
 		attrs.Ints("strides", []int{1, 1}), attrs.Ints("dilations", []int{1, 1}),
 		attrs.String("pad", "valid"), false)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	biasTex, act, err := b.fusedTail(name, inputs, attrs, info.OutChannels, fused)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	_, xTex := b.input(x)
 	_, wTex := b.input(w)
-	out, tinfo, err := b.output(info.OutShape(), tensor.Float32)
+	out, err := b.output(info.OutShape(), tensor.Float32, res)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	inC, outC := info.InChannels, info.OutChannels
 	b.run(name, out, convWork(info, out.size, biasTex != nil, act != nil), func(lo, hi int, dst []float32) {
@@ -196,39 +217,37 @@ func (b *Backend) conv2D(name string, inputs []kernels.Input, attrs kernels.Attr
 			win.forEachTap(info, func(inBase, tap int) {
 				wBase := tap*inC*outC + cLo
 				for _, xv := range xs[inBase : inBase+inC] {
-					for j, wv := range ws[wBase : wBase+len(acc)] {
-						acc[j] += xv * wv
-					}
+					axpy(acc, ws[wBase:wBase+len(acc)], xv)
 					wBase += outC
 				}
 			})
 			epilogue(acc, cLo, biasTex, act)
 		})
 	})
-	return []kernels.TensorInfo{tinfo}, nil
+	return nil
 }
 
 // depthwiseConv2D is the DepthwiseConv2dNative and
 // FusedDepthwiseConv2dNative program: output channel oc reads input
 // channel oc/multiplier, and the filter is laid out so that a tap's
 // weights for a pixel's output channels are one contiguous row.
-func (b *Backend) depthwiseConv2D(name string, inputs []kernels.Input, attrs kernels.Attrs, fused bool) ([]kernels.TensorInfo, error) {
+func (b *Backend) depthwiseConv2D(name string, inputs []kernels.Input, attrs kernels.Attrs, fused bool, res *kernels.TensorInfo) error {
 	x, w := inputs[0], inputs[1]
 	info, err := kernels.ComputeConv2DInfo(x.Shape, w.Shape,
 		attrs.Ints("strides", []int{1, 1}), attrs.Ints("dilations", []int{1, 1}),
 		attrs.String("pad", "valid"), true)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	biasTex, act, err := b.fusedTail(name, inputs, attrs, info.OutChannels, fused)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	_, xTex := b.input(x)
 	_, wTex := b.input(w)
-	out, tinfo, err := b.output(info.OutShape(), tensor.Float32)
+	out, err := b.output(info.OutShape(), tensor.Float32, res)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	mult, outC := info.ChannelMultiplier, info.OutChannels
 	b.run(name, out, depthwiseWork(info, out.size, biasTex != nil, act != nil), func(lo, hi int, dst []float32) {
@@ -250,5 +269,5 @@ func (b *Backend) depthwiseConv2D(name string, inputs []kernels.Input, attrs ker
 			epilogue(acc, cLo, biasTex, act)
 		})
 	})
-	return []kernels.TensorInfo{tinfo}, nil
+	return nil
 }

@@ -14,9 +14,9 @@ import (
 // the output-gradient texture (fragment shaders cannot scatter), the same
 // formulation the real WebGL backend uses.
 func (b *Backend) registerConvGrad() {
-	b.register("Conv2DBackpropInput", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	b.register("Conv2DBackpropInput", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		if len(inputs) != 2 {
-			return nil, errf("Conv2DBackpropInput: got %d inputs, want 2", len(inputs))
+			return errf("Conv2DBackpropInput: got %d inputs, want 2", len(inputs))
 		}
 		dy, w := inputs[0], inputs[1]
 		inShape := attrs.Ints("inputShape", nil)
@@ -24,16 +24,16 @@ func (b *Backend) registerConvGrad() {
 			attrs.Ints("strides", []int{1, 1}), attrs.Ints("dilations", []int{1, 1}),
 			attrs.String("pad", "valid"), false)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if info.DilationHeight != 1 || info.DilationWidth != 1 {
-			return nil, kernels.ErrFallback // dilated backprop via reference
+			return kernels.ErrFallback // dilated backprop via reference
 		}
 		_, dyTex := b.input(dy)
 		_, wTex := b.input(w)
-		out, tinfo, err := b.output(inShape, tensor.Float32)
+		out, err := b.output(inShape, tensor.Float32, res)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		inC, outC := info.InChannels, info.OutChannels
 		outRow := info.OutWidth * outC
@@ -77,12 +77,12 @@ func (b *Backend) registerConvGrad() {
 			}
 			return sum
 		})
-		return []kernels.TensorInfo{tinfo}, nil
+		return nil
 	})
 
-	b.register("Conv2DBackpropFilter", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	b.register("Conv2DBackpropFilter", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		if len(inputs) != 2 {
-			return nil, errf("Conv2DBackpropFilter: got %d inputs, want 2", len(inputs))
+			return errf("Conv2DBackpropFilter: got %d inputs, want 2", len(inputs))
 		}
 		x, dy := inputs[0], inputs[1]
 		filterShape := attrs.Ints("filterShape", nil)
@@ -90,16 +90,16 @@ func (b *Backend) registerConvGrad() {
 			attrs.Ints("strides", []int{1, 1}), attrs.Ints("dilations", []int{1, 1}),
 			attrs.String("pad", "valid"), false)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if info.DilationHeight != 1 || info.DilationWidth != 1 {
-			return nil, kernels.ErrFallback
+			return kernels.ErrFallback
 		}
 		_, xTex := b.input(x)
 		_, dyTex := b.input(dy)
-		out, tinfo, err := b.output(filterShape, tensor.Float32)
+		out, err := b.output(filterShape, tensor.Float32, res)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		inC, outC := info.InChannels, info.OutChannels
 		inRow := info.InWidth * inC
@@ -134,12 +134,12 @@ func (b *Backend) registerConvGrad() {
 			}
 			return sum
 		})
-		return []kernels.TensorInfo{tinfo}, nil
+		return nil
 	})
 
-	b.register("DepthwiseConv2dNativeBackpropInput", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	b.register("DepthwiseConv2dNativeBackpropInput", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		if len(inputs) != 2 {
-			return nil, errf("DepthwiseConv2dNativeBackpropInput: got %d inputs, want 2", len(inputs))
+			return errf("DepthwiseConv2dNativeBackpropInput: got %d inputs, want 2", len(inputs))
 		}
 		dy, w := inputs[0], inputs[1]
 		inShape := attrs.Ints("inputShape", nil)
@@ -147,16 +147,16 @@ func (b *Backend) registerConvGrad() {
 			attrs.Ints("strides", []int{1, 1}), attrs.Ints("dilations", []int{1, 1}),
 			attrs.String("pad", "valid"), true)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if info.DilationHeight != 1 || info.DilationWidth != 1 {
-			return nil, kernels.ErrFallback
+			return kernels.ErrFallback
 		}
 		_, dyTex := b.input(dy)
 		_, wTex := b.input(w)
-		out, tinfo, err := b.output(inShape, tensor.Float32)
+		out, err := b.output(inShape, tensor.Float32, res)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		inC, mult, outC := info.InChannels, info.ChannelMultiplier, info.OutChannels
 		outRow := info.OutWidth * outC
@@ -198,12 +198,12 @@ func (b *Backend) registerConvGrad() {
 			}
 			return sum
 		})
-		return []kernels.TensorInfo{tinfo}, nil
+		return nil
 	})
 
-	b.register("DepthwiseConv2dNativeBackpropFilter", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	b.register("DepthwiseConv2dNativeBackpropFilter", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		if len(inputs) != 2 {
-			return nil, errf("DepthwiseConv2dNativeBackpropFilter: got %d inputs, want 2", len(inputs))
+			return errf("DepthwiseConv2dNativeBackpropFilter: got %d inputs, want 2", len(inputs))
 		}
 		x, dy := inputs[0], inputs[1]
 		filterShape := attrs.Ints("filterShape", nil)
@@ -211,16 +211,16 @@ func (b *Backend) registerConvGrad() {
 			attrs.Ints("strides", []int{1, 1}), attrs.Ints("dilations", []int{1, 1}),
 			attrs.String("pad", "valid"), true)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if info.DilationHeight != 1 || info.DilationWidth != 1 {
-			return nil, kernels.ErrFallback
+			return kernels.ErrFallback
 		}
 		_, xTex := b.input(x)
 		_, dyTex := b.input(dy)
-		out, tinfo, err := b.output(filterShape, tensor.Float32)
+		out, err := b.output(filterShape, tensor.Float32, res)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		inC, mult, outC := info.InChannels, info.ChannelMultiplier, info.OutChannels
 		inRow := info.InWidth * inC
@@ -254,25 +254,25 @@ func (b *Backend) registerConvGrad() {
 			}
 			return sum
 		})
-		return []kernels.TensorInfo{tinfo}, nil
+		return nil
 	})
 
-	b.register("MaxPoolGrad", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	b.register("MaxPoolGrad", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		if len(inputs) != 2 {
-			return nil, errf("MaxPoolGrad: got %d inputs, want 2", len(inputs))
+			return errf("MaxPoolGrad: got %d inputs, want 2", len(inputs))
 		}
 		dy, x := inputs[0], inputs[1]
 		filterSize := attrs.Ints("filterSize", []int{2, 2})
 		strides := attrs.Ints("strides", filterSize)
 		info, err := kernels.ComputePool2DInfo(x.Shape, filterSize, strides, attrs.String("pad", "valid"))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		_, dyTex := b.input(dy)
 		_, xTex := b.input(x)
-		out, tinfo, err := b.output(x.Shape, tensor.Float32)
+		out, err := b.output(x.Shape, tensor.Float32, res)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		c := info.OutChannels
 		inRow := info.InWidth * c
@@ -345,12 +345,12 @@ func (b *Backend) registerConvGrad() {
 			}
 			return sum
 		})
-		return []kernels.TensorInfo{tinfo}, nil
+		return nil
 	})
 
-	b.register("AvgPoolGrad", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	b.register("AvgPoolGrad", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		if len(inputs) != 1 {
-			return nil, errf("AvgPoolGrad: got %d inputs, want 1", len(inputs))
+			return errf("AvgPoolGrad: got %d inputs, want 1", len(inputs))
 		}
 		dy := inputs[0]
 		inShape := attrs.Ints("inputShape", nil)
@@ -358,12 +358,12 @@ func (b *Backend) registerConvGrad() {
 		strides := attrs.Ints("strides", filterSize)
 		info, err := kernels.ComputePool2DInfo(inShape, filterSize, strides, attrs.String("pad", "valid"))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		_, dyTex := b.input(dy)
-		out, tinfo, err := b.output(inShape, tensor.Float32)
+		out, err := b.output(inShape, tensor.Float32, res)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		c := info.OutChannels
 		outRow := info.OutWidth * c
@@ -424,6 +424,6 @@ func (b *Backend) registerConvGrad() {
 			}
 			return sum
 		})
-		return []kernels.TensorInfo{tinfo}, nil
+		return nil
 	})
 }

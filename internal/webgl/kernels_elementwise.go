@@ -57,8 +57,8 @@ func (b *Backend) registerElementwise() {
 	}
 	for _, op := range binOps {
 		op := op
-		b.register(op.name, func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
-			return b.binaryProgram(op.name, inputs, op.f, op.boolO)
+		b.register(op.name, func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
+			return b.binaryProgram(op.name, inputs, op.f, op.boolO, res)
 		})
 	}
 
@@ -120,13 +120,13 @@ func (b *Backend) registerElementwise() {
 	}
 	for _, op := range unOps {
 		op := op
-		b.register(op.name, func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
-			return b.unaryProgram(op.name, inputs, op.f)
+		b.register(op.name, func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
+			return b.unaryProgram(op.name, inputs, op.f, res)
 		})
 	}
 
 	// Attribute-parameterized unary programs.
-	b.register("ClipByValue", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	b.register("ClipByValue", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		lo := float32(attrs.Float("clipValueMin", math.Inf(-1)))
 		hi := float32(attrs.Float("clipValueMax", math.Inf(1)))
 		return b.unaryProgram("ClipByValue", inputs, func(x float32) float32 {
@@ -137,18 +137,18 @@ func (b *Backend) registerElementwise() {
 				return hi
 			}
 			return x
-		})
+		}, res)
 	})
-	b.register("LeakyRelu", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	b.register("LeakyRelu", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		alpha := float32(attrs.Float("alpha", 0.2))
 		return b.unaryProgram("LeakyRelu", inputs, func(x float32) float32 {
 			if x >= 0 {
 				return x
 			}
 			return alpha * x
-		})
+		}, res)
 	})
-	b.register("Step", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	b.register("Step", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		alpha := float32(attrs.Float("alpha", 0))
 		return b.unaryProgram("Step", inputs, func(x float32) float32 {
 			switch {
@@ -159,44 +159,44 @@ func (b *Backend) registerElementwise() {
 			default:
 				return alpha
 			}
-		})
+		}, res)
 	})
 
 	// Fill is a zero-input program: every texel computes the constant.
-	b.register("Fill", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	b.register("Fill", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		shape := attrs.Ints("shape", nil)
 		value := float32(attrs.Float("value", 0))
 		dt, err := tensor.ParseDataType(attrs.String("dtype", "float32"))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out, info, err := b.output(shape, dt)
+		out, err := b.output(shape, dt, res)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		b.runFlat("Fill", out, glsim.Work{}, func(int) float32 { return value })
-		return []kernels.TensorInfo{info}, nil
+		return nil
 	})
 
 	// Select: three-input broadcast program.
-	b.register("Select", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	b.register("Select", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		if len(inputs) != 3 {
-			return nil, errf("Select: got %d inputs, want 3", len(inputs))
+			return errf("Select: got %d inputs, want 3", len(inputs))
 		}
 		_, condTex := b.input(inputs[0])
 		_, tTex := b.input(inputs[1])
 		_, fTex := b.input(inputs[2])
 		outShape, err := tensor.BroadcastShapes(inputs[1].Shape, inputs[2].Shape)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		outShape, err = tensor.BroadcastShapes(outShape, inputs[0].Shape)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out, info, err := b.output(outShape, inputs[1].DType)
+		out, err := b.output(outShape, inputs[1].DType, res)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		maps := b.broadcastSamplers(outShape, [][]int{inputs[0].Shape, inputs[1].Shape, inputs[2].Shape})
 		// The condition and the chosen branch are fetched; one compare.
@@ -207,14 +207,14 @@ func (b *Backend) registerElementwise() {
 			}
 			return fTex.FetchFlat(maps[2](i))
 		})
-		return []kernels.TensorInfo{info}, nil
+		return nil
 	})
 
 	// FusedBatchNorm: five-input broadcast program (x, mean, variance,
 	// offset, scale).
-	b.register("FusedBatchNorm", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	b.register("FusedBatchNorm", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		if len(inputs) != 5 {
-			return nil, errf("FusedBatchNorm: got %d inputs, want 5", len(inputs))
+			return errf("FusedBatchNorm: got %d inputs, want 5", len(inputs))
 		}
 		eps := float32(attrs.Float("varianceEpsilon", 1e-3))
 		texes := make([]*glsim.Texture, 5)
@@ -223,9 +223,9 @@ func (b *Backend) registerElementwise() {
 			_, texes[i] = b.input(inputs[i])
 			shapes[i] = inputs[i].Shape
 		}
-		out, info, err := b.output(inputs[0].Shape, tensor.Float32)
+		out, err := b.output(inputs[0].Shape, tensor.Float32, res)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// Five fetches; subtract, add ε, rsqrt, multiply, scale, offset;
 		// x is read at the output's own index, the four parameters
@@ -242,14 +242,14 @@ func (b *Backend) registerElementwise() {
 					im, iv, io, is = next(im, periods[0]), next(iv, periods[1]), next(io, periods[2]), next(is, periods[3])
 				}
 			})
-			return []kernels.TensorInfo{info}, nil
+			return nil
 		}
 		maps := b.broadcastSamplers(inputs[0].Shape, shapes)
 		b.runFlat("FusedBatchNorm", out, work, func(i int) float32 {
 			return batchNorm(x.FetchFlat(i), mean.FetchFlat(maps[1](i)), variance.FetchFlat(maps[2](i)),
 				offset.FetchFlat(maps[3](i)), scale.FetchFlat(maps[4](i)), eps)
 		})
-		return []kernels.TensorInfo{info}, nil
+		return nil
 	})
 }
 
@@ -301,23 +301,23 @@ func next(i, period int) int {
 
 // binaryProgram assembles an element-wise binary shader: out = f(a, x),
 // operands in that order whichever of them broadcasts.
-func (b *Backend) binaryProgram(name string, inputs []kernels.Input, f func(a, x float32) float32, boolOut bool) ([]kernels.TensorInfo, error) {
+func (b *Backend) binaryProgram(name string, inputs []kernels.Input, f func(a, x float32) float32, boolOut bool, res *kernels.TensorInfo) error {
 	if len(inputs) != 2 {
-		return nil, errf("%s: got %d inputs, want 2", name, len(inputs))
+		return errf("%s: got %d inputs, want 2", name, len(inputs))
 	}
 	_, aTex := b.input(inputs[0])
 	_, xTex := b.input(inputs[1])
 	outShape, err := tensor.BroadcastShapes(inputs[0].Shape, inputs[1].Shape)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	dt := inputs[0].DType
 	if boolOut {
 		dt = tensor.Bool
 	}
-	out, info, err := b.output(outShape, dt)
+	out, err := b.output(outShape, dt, res)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Two fetches and the operation; operands of the output's own shape
 	// are read at its flat index, anything else through sampler terms.
@@ -334,29 +334,29 @@ func (b *Backend) binaryProgram(name string, inputs []kernels.Input, f func(a, x
 				ia, ix = next(ia, periods[0]), next(ix, periods[1])
 			}
 		})
-		return []kernels.TensorInfo{info}, nil
+		return nil
 	}
 	maps := b.broadcastSamplers(outShape, [][]int{inputs[0].Shape, inputs[1].Shape})
 	b.runFlat(name, out, work, func(i int) float32 {
 		return f(aTex.FetchFlat(maps[0](i)), xTex.FetchFlat(maps[1](i)))
 	})
-	return []kernels.TensorInfo{info}, nil
+	return nil
 }
 
 // unaryProgram assembles an element-wise unary shader.
-func (b *Backend) unaryProgram(name string, inputs []kernels.Input, f func(x float32) float32) ([]kernels.TensorInfo, error) {
+func (b *Backend) unaryProgram(name string, inputs []kernels.Input, f func(x float32) float32, res *kernels.TensorInfo) error {
 	if len(inputs) != 1 {
-		return nil, errf("%s: got %d inputs, want 1", name, len(inputs))
+		return errf("%s: got %d inputs, want 1", name, len(inputs))
 	}
 	_, xTex := b.input(inputs[0])
-	out, info, err := b.output(inputs[0].Shape, inputs[0].DType)
+	out, err := b.output(inputs[0].Shape, inputs[0].DType, res)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	b.run(name, out, perValue(out.size, 1, 1), func(lo, hi int, dst []float32) {
 		for j, v := range xTex.Floats()[lo:hi] {
 			dst[j] = f(v)
 		}
 	})
-	return []kernels.TensorInfo{info}, nil
+	return nil
 }

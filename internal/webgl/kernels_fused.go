@@ -13,28 +13,28 @@ import (
 // from kernels.FusedActivation, so the fused program agrees bit-for-bit
 // with the op sequence it replaces.
 func (b *Backend) registerFused() {
-	b.register("FusedConv2D", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	b.register("FusedConv2D", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		if len(inputs) != 2 && len(inputs) != 3 {
-			return nil, errf("FusedConv2D: got %d inputs, want 2 or 3", len(inputs))
+			return errf("FusedConv2D: got %d inputs, want 2 or 3", len(inputs))
 		}
-		return b.conv2D("FusedConv2D", inputs, attrs, true)
+		return b.conv2D("FusedConv2D", inputs, attrs, true, res)
 	})
 
-	b.register("FusedDepthwiseConv2dNative", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	b.register("FusedDepthwiseConv2dNative", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		if len(inputs) != 2 && len(inputs) != 3 {
-			return nil, errf("FusedDepthwiseConv2dNative: got %d inputs, want 2 or 3", len(inputs))
+			return errf("FusedDepthwiseConv2dNative: got %d inputs, want 2 or 3", len(inputs))
 		}
-		return b.depthwiseConv2D("FusedDepthwiseConv2dNative", inputs, attrs, true)
+		return b.depthwiseConv2D("FusedDepthwiseConv2dNative", inputs, attrs, true, res)
 	})
 
-	b.register("_FusedMatMul", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	b.register("_FusedMatMul", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		if len(inputs) != 2 && len(inputs) != 3 {
-			return nil, errf("_FusedMatMul: got %d inputs, want 2 or 3", len(inputs))
+			return errf("_FusedMatMul: got %d inputs, want 2 or 3", len(inputs))
 		}
 		if len(inputs[0].Shape) != 2 || len(inputs[1].Shape) != 2 {
-			return nil, errf("_FusedMatMul: inputs must be rank 2, got %v and %v", inputs[0].Shape, inputs[1].Shape)
+			return errf("_FusedMatMul: inputs must be rank 2, got %v and %v", inputs[0].Shape, inputs[1].Shape)
 		}
-		return b.matMul("_FusedMatMul", inputs, attrs, true)
+		return b.matMul("_FusedMatMul", inputs, attrs, true, res)
 	})
 }
 

@@ -9,9 +9,9 @@ import (
 // by training loops (minibatch gathers, one-hot labels, broadcast-grad
 // tiles), so backpropagation stays device-resident.
 func (b *Backend) registerGather() {
-	b.register("GatherV2", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	b.register("GatherV2", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		if len(inputs) != 2 {
-			return nil, errf("GatherV2: got %d inputs, want 2", len(inputs))
+			return errf("GatherV2: got %d inputs, want 2", len(inputs))
 		}
 		x, indices := inputs[0], inputs[1]
 		axis := attrs.Int("axis", 0)
@@ -20,7 +20,7 @@ func (b *Backend) registerGather() {
 			axis += rank
 		}
 		if axis < 0 || axis >= rank {
-			return nil, errf("GatherV2: axis out of range for rank %d", rank)
+			return errf("GatherV2: axis out of range for rank %d", rank)
 		}
 		outShape := make([]int, 0, rank-1+len(indices.Shape))
 		outShape = append(outShape, x.Shape[:axis]...)
@@ -28,9 +28,9 @@ func (b *Backend) registerGather() {
 		outShape = append(outShape, x.Shape[axis+1:]...)
 		_, xTex := b.input(x)
 		_, idxTex := b.input(indices)
-		out, info, err := b.output(outShape, x.DType)
+		out, err := b.output(outShape, x.DType, res)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		axisSize := x.Shape[axis]
 		innerSize := tensor.ShapeSize(x.Shape[axis+1:])
@@ -48,25 +48,25 @@ func (b *Backend) registerGather() {
 			}
 			return xTex.FetchFlat((outer*axisSize+idx)*innerSize + inner)
 		})
-		return []kernels.TensorInfo{info}, nil
+		return nil
 	})
 
-	b.register("OneHot", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	b.register("OneHot", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		if len(inputs) != 1 {
-			return nil, errf("OneHot: got %d inputs, want 1", len(inputs))
+			return errf("OneHot: got %d inputs, want 1", len(inputs))
 		}
 		indices := inputs[0]
 		depth := attrs.Int("depth", 0)
 		if depth <= 0 {
-			return nil, errf("OneHot: depth must be positive")
+			return errf("OneHot: depth must be positive")
 		}
 		onValue := float32(attrs.Float("onValue", 1))
 		offValue := float32(attrs.Float("offValue", 0))
 		outShape := append(tensor.CopyShape(indices.Shape), depth)
 		_, idxTex := b.input(indices)
-		out, info, err := b.output(outShape, tensor.Float32)
+		out, err := b.output(outShape, tensor.Float32, res)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		b.runFlat("OneHot", out, perValue(out.size, 1, aluDecode+1), func(flat int) float32 {
 			c := flat % depth
@@ -76,30 +76,30 @@ func (b *Backend) registerGather() {
 			}
 			return offValue
 		})
-		return []kernels.TensorInfo{info}, nil
+		return nil
 	})
 
-	b.register("Tile", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	b.register("Tile", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		if len(inputs) != 1 {
-			return nil, errf("Tile: got %d inputs, want 1", len(inputs))
+			return errf("Tile: got %d inputs, want 1", len(inputs))
 		}
 		x := inputs[0]
 		reps := attrs.Ints("reps", nil)
 		rank := len(x.Shape)
 		if len(reps) != rank {
-			return nil, errf("Tile: reps %v incompatible with rank %d", reps, rank)
+			return errf("Tile: reps %v incompatible with rank %d", reps, rank)
 		}
 		outShape := make([]int, rank)
 		for d := 0; d < rank; d++ {
 			if reps[d] <= 0 {
-				return nil, errf("Tile: reps must be positive, got %v", reps)
+				return errf("Tile: reps must be positive, got %v", reps)
 			}
 			outShape[d] = x.Shape[d] * reps[d]
 		}
 		_, xTex := b.input(x)
-		out, info, err := b.output(outShape, x.DType)
+		out, err := b.output(outShape, x.DType, res)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		outStrides := tensor.ComputeStrides(outShape)
 		inStrides := tensor.ComputeStrides(x.Shape)
@@ -112,6 +112,6 @@ func (b *Backend) registerGather() {
 			}
 			return xTex.FetchFlat(idx)
 		})
-		return []kernels.TensorInfo{info}, nil
+		return nil
 	})
 }

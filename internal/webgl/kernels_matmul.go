@@ -12,14 +12,14 @@ import (
 // column of B through compiler-generated getters, and accumulates a dot
 // product.
 func (b *Backend) registerMatMul() {
-	b.register("BatchMatMul", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	b.register("BatchMatMul", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		if len(inputs) != 2 {
-			return nil, errf("BatchMatMul: got %d inputs, want 2", len(inputs))
+			return errf("BatchMatMul: got %d inputs, want 2", len(inputs))
 		}
 		if len(inputs[0].Shape) != 3 || len(inputs[1].Shape) != 3 {
-			return nil, errf("BatchMatMul: inputs must be rank 3, got %v and %v", inputs[0].Shape, inputs[1].Shape)
+			return errf("BatchMatMul: inputs must be rank 3, got %v and %v", inputs[0].Shape, inputs[1].Shape)
 		}
-		return b.matMul("BatchMatMul", inputs, attrs, false)
+		return b.matMul("BatchMatMul", inputs, attrs, false, res)
 	})
 }
 
@@ -29,7 +29,7 @@ func (b *Backend) registerMatMul() {
 // contiguous along j, so a row of outputs accumulates at once —
 // acc[j] += a·b[j] — which keeps each value's own order of additions;
 // transposed operands take the per-value shader.
-func (b *Backend) matMul(name string, inputs []kernels.Input, attrs kernels.Attrs, fused bool) ([]kernels.TensorInfo, error) {
+func (b *Backend) matMul(name string, inputs []kernels.Input, attrs kernels.Attrs, fused bool, res *kernels.TensorInfo) error {
 	a, x := inputs[0], inputs[1]
 	transposeA := attrs.Bool("transposeA", false)
 	transposeB := attrs.Bool("transposeB", false)
@@ -44,7 +44,7 @@ func (b *Backend) matMul(name string, inputs []kernels.Input, attrs kernels.Attr
 	}
 	batch := max(batchA, batchB)
 	if batchA != batchB && batchA != 1 && batchB != 1 {
-		return nil, errf("%s: incompatible batch dims %d and %d", name, batchA, batchB)
+		return errf("%s: incompatible batch dims %d and %d", name, batchA, batchB)
 	}
 	m, kA := aRows, aCols
 	if transposeA {
@@ -55,19 +55,19 @@ func (b *Backend) matMul(name string, inputs []kernels.Input, attrs kernels.Attr
 		kB, n = n, kB
 	}
 	if kA != kB {
-		return nil, errf("%s: inner dims mismatch %v x %v", name, a.Shape, x.Shape)
+		return errf("%s: inner dims mismatch %v x %v", name, a.Shape, x.Shape)
 	}
 	k := kA
 	biasTex, act, err := b.fusedTail(name, inputs, attrs, n, fused)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	_, aTex := b.input(a)
 	_, bTex := b.input(x)
 	outShape := []int{batch, m, n}[3-rank:]
-	out, info, err := b.output(outShape, tensor.Float32)
+	out, err := b.output(outShape, tensor.Float32, res)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	aMat, bMat := aRows*aCols, bRows*bCols
 
@@ -104,7 +104,7 @@ func (b *Backend) matMul(name string, inputs []kernels.Input, attrs kernels.Attr
 			}
 			return sum
 		})
-		return []kernels.TensorInfo{info}, nil
+		return nil
 	}
 
 	if !fused && out.tex.Format == glsim.RGBA32F {
@@ -122,14 +122,12 @@ func (b *Backend) matMul(name string, inputs []kernels.Input, attrs kernels.Attr
 			clear(acc)
 			bBase := (p%batchB)*bMat + jLo
 			for _, av := range as[(p%batchA)*aMat+i*k:][:k] {
-				for j, bv := range bs[bBase : bBase+len(acc)] {
-					acc[j] += av * bv
-				}
+				axpy(acc, bs[bBase:bBase+len(acc)], av)
 				bBase += n
 			}
 			epilogue(acc, jLo, biasTex, act)
 			at += len(acc)
 		}
 	})
-	return []kernels.TensorInfo{info}, nil
+	return nil
 }

@@ -13,13 +13,13 @@ import (
 // intermediate textures, the way the real backend chains fragment shaders.
 func (b *Backend) registerReduce() {
 	reduceOp := func(name string, initial float32, merge func(acc, v float32) float32, finish func(acc float32, n int) float32, outDType func(tensor.DataType) tensor.DataType) kernels.OverrideKernel {
-		return func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+		return func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 			if len(inputs) != 1 {
-				return nil, errf("%s: got %d inputs, want 1", name, len(inputs))
+				return errf("%s: got %d inputs, want 1", name, len(inputs))
 			}
 			x := inputs[0]
 			if len(x.Shape) != 2 {
-				return nil, errf("%s: input must be rank 2 [outer, inner], got %v", name, x.Shape)
+				return errf("%s: input must be rank 2 [outer, inner], got %v", name, x.Shape)
 			}
 			outer, inner := x.Shape[0], x.Shape[1]
 			_, xTex := b.input(x)
@@ -27,9 +27,9 @@ func (b *Backend) registerReduce() {
 			if outDType != nil {
 				dt = outDType(x.DType)
 			}
-			out, info, err := b.output([]int{outer}, dt)
+			out, err := b.output([]int{outer}, dt, res)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			work := perValue(outer, inner, inner)
 			if finish != nil {
@@ -46,7 +46,7 @@ func (b *Backend) registerReduce() {
 				}
 				return acc
 			})
-			return []kernels.TensorInfo{info}, nil
+			return nil
 		}
 	}
 	b.register("Sum", reduceOp("Sum", 0, func(a, v float32) float32 { return a + v }, nil, nil))
@@ -68,19 +68,19 @@ func (b *Backend) registerReduce() {
 	b.register("Prod", reduceOp("Prod", 1, func(a, v float32) float32 { return a * v }, nil, nil))
 
 	argOp := func(name string, better func(v, best float32) bool) kernels.OverrideKernel {
-		return func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+		return func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 			if len(inputs) != 1 {
-				return nil, errf("%s: got %d inputs, want 1", name, len(inputs))
+				return errf("%s: got %d inputs, want 1", name, len(inputs))
 			}
 			x := inputs[0]
 			if len(x.Shape) != 2 || x.Shape[1] == 0 {
-				return nil, errf("%s: input must be rank 2 with non-empty inner dim, got %v", name, x.Shape)
+				return errf("%s: input must be rank 2 with non-empty inner dim, got %v", name, x.Shape)
 			}
 			outer, inner := x.Shape[0], x.Shape[1]
 			_, xTex := b.input(x)
-			out, info, err := b.output([]int{outer}, tensor.Int32)
+			out, err := b.output([]int{outer}, tensor.Int32, res)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			b.runFlat(name, out, perValue(outer, inner, inner), func(o int) float32 {
 				base := o * inner
@@ -94,28 +94,28 @@ func (b *Backend) registerReduce() {
 				}
 				return float32(bestIdx)
 			})
-			return []kernels.TensorInfo{info}, nil
+			return nil
 		}
 	}
 	b.register("ArgMax", argOp("ArgMax", func(v, best float32) bool { return v > best }))
 	b.register("ArgMin", argOp("ArgMin", func(v, best float32) bool { return v < best }))
 
 	// Softmax: three chained programs over intermediate textures.
-	b.register("Softmax", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	b.register("Softmax", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		if len(inputs) != 1 {
-			return nil, errf("Softmax: got %d inputs, want 1", len(inputs))
+			return errf("Softmax: got %d inputs, want 1", len(inputs))
 		}
 		x := inputs[0]
 		if len(x.Shape) != 2 {
-			return nil, errf("Softmax: input must be rank 2 [outer, inner], got %v", x.Shape)
+			return errf("Softmax: input must be rank 2 [outer, inner], got %v", x.Shape)
 		}
 		outer, inner := x.Shape[0], x.Shape[1]
 		_, xTex := b.input(x)
 
 		// Pass 1: row maxima.
-		rowMax, _, err := b.output([]int{outer}, tensor.Float32)
+		rowMax, err := b.newTexData(tensor.NewDataID(), []int{outer}, tensor.Float32)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		b.runFlat("Softmax/rowMax", rowMax, perValue(outer, inner, inner), func(o int) float32 {
 			base := o * inner
@@ -130,9 +130,9 @@ func (b *Backend) registerReduce() {
 		maxTex := rowMax.tex
 
 		// Pass 2: row sums of exp(x - max).
-		rowSum, _, err := b.output([]int{outer}, tensor.Float32)
+		rowSum, err := b.newTexData(tensor.NewDataID(), []int{outer}, tensor.Float32)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		b.runFlat("Softmax/rowSum", rowSum, perValue(outer, inner+1, 3*inner), func(o int) float32 {
 			base := o * inner
@@ -146,9 +146,9 @@ func (b *Backend) registerReduce() {
 		sumTex := rowSum.tex
 
 		// Pass 3: normalized output.
-		out, info, err := b.output(x.Shape, tensor.Float32)
+		out, err := b.output(x.Shape, tensor.Float32, res)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		b.runFlat("Softmax/normalize", out, perValue(out.size, 3, aluDecode+3), func(flat int) float32 {
 			o := flat / inner
@@ -162,6 +162,6 @@ func (b *Backend) registerReduce() {
 		// textures alive until execution).
 		b.DisposeData(rowMax.id)
 		b.DisposeData(rowSum.id)
-		return []kernels.TensorInfo{info}, nil
+		return nil
 	})
 }

@@ -9,27 +9,27 @@ import (
 // registerShape installs data-movement programs: transpose, pad, slice and
 // concat. Each is a pure coordinate remapping executed per output texel.
 func (b *Backend) registerShape() {
-	b.register("Transpose", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	b.register("Transpose", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		if len(inputs) != 1 {
-			return nil, errf("Transpose: got %d inputs, want 1", len(inputs))
+			return errf("Transpose: got %d inputs, want 1", len(inputs))
 		}
 		x := inputs[0]
 		perm := attrs.Ints("perm", nil)
 		rank := len(x.Shape)
 		if len(perm) != rank {
-			return nil, errf("Transpose: perm %v incompatible with rank %d", perm, rank)
+			return errf("Transpose: perm %v incompatible with rank %d", perm, rank)
 		}
 		outShape := make([]int, rank)
 		for i, p := range perm {
 			if p < 0 || p >= rank {
-				return nil, errf("Transpose: invalid perm %v", perm)
+				return errf("Transpose: invalid perm %v", perm)
 			}
 			outShape[i] = x.Shape[p]
 		}
 		_, xTex := b.input(x)
-		out, info, err := b.output(outShape, x.DType)
+		out, err := b.output(outShape, x.DType, res)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		inStrides := tensor.ComputeStrides(x.Shape)
 		outStrides := tensor.ComputeStrides(outShape)
@@ -49,28 +49,28 @@ func (b *Backend) registerShape() {
 			}
 			return xTex.FetchFlat(idx)
 		})
-		return []kernels.TensorInfo{info}, nil
+		return nil
 	})
 
-	b.register("PadV2", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	b.register("PadV2", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		if len(inputs) != 1 {
-			return nil, errf("PadV2: got %d inputs, want 1", len(inputs))
+			return errf("PadV2: got %d inputs, want 1", len(inputs))
 		}
 		x := inputs[0]
 		paddings := attrs.Ints("paddings", nil)
 		constValue := float32(attrs.Float("constantValue", 0))
 		rank := len(x.Shape)
 		if len(paddings) != 2*rank {
-			return nil, errf("PadV2: paddings %v must have 2*rank entries", paddings)
+			return errf("PadV2: paddings %v must have 2*rank entries", paddings)
 		}
 		outShape := make([]int, rank)
 		for d := 0; d < rank; d++ {
 			outShape[d] = x.Shape[d] + paddings[2*d] + paddings[2*d+1]
 		}
 		_, xTex := b.input(x)
-		out, info, err := b.output(outShape, x.DType)
+		out, err := b.output(outShape, x.DType, res)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		outStrides := tensor.ComputeStrides(outShape)
 		inStrides := tensor.ComputeStrides(x.Shape)
@@ -93,19 +93,19 @@ func (b *Backend) registerShape() {
 			}
 			return xTex.FetchFlat(idx)
 		})
-		return []kernels.TensorInfo{info}, nil
+		return nil
 	})
 
-	b.register("Slice", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	b.register("Slice", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		if len(inputs) != 1 {
-			return nil, errf("Slice: got %d inputs, want 1", len(inputs))
+			return errf("Slice: got %d inputs, want 1", len(inputs))
 		}
 		x := inputs[0]
 		begin := attrs.Ints("begin", nil)
 		size := attrs.Ints("size", nil)
 		rank := len(x.Shape)
 		if len(begin) != rank || len(size) != rank {
-			return nil, errf("Slice: begin/size incompatible with rank %d", rank)
+			return errf("Slice: begin/size incompatible with rank %d", rank)
 		}
 		outShape := make([]int, rank)
 		for d := 0; d < rank; d++ {
@@ -114,14 +114,14 @@ func (b *Backend) registerShape() {
 				s = x.Shape[d] - begin[d]
 			}
 			if begin[d] < 0 || s < 0 || begin[d]+s > x.Shape[d] {
-				return nil, errf("Slice: begin %v size %v out of bounds for %v", begin, size, x.Shape)
+				return errf("Slice: begin %v size %v out of bounds for %v", begin, size, x.Shape)
 			}
 			outShape[d] = s
 		}
 		_, xTex := b.input(x)
-		out, info, err := b.output(outShape, x.DType)
+		out, err := b.output(outShape, x.DType, res)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		outStrides := tensor.ComputeStrides(outShape)
 		inStrides := tensor.ComputeStrides(x.Shape)
@@ -143,12 +143,12 @@ func (b *Backend) registerShape() {
 			}
 			return xTex.FetchFlat(idx)
 		})
-		return []kernels.TensorInfo{info}, nil
+		return nil
 	})
 
-	b.register("Concat", func(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
+	b.register("Concat", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		if len(inputs) == 0 {
-			return nil, errf("Concat: needs at least one input")
+			return errf("Concat: needs at least one input")
 		}
 		axis := attrs.Int("axis", 0)
 		rank := len(inputs[0].Shape)
@@ -156,7 +156,7 @@ func (b *Backend) registerShape() {
 			axis += rank
 		}
 		if axis < 0 || axis >= rank {
-			return nil, errf("Concat: axis out of range for rank %d", rank)
+			return errf("Concat: axis out of range for rank %d", rank)
 		}
 		outShape := tensor.CopyShape(inputs[0].Shape)
 		outShape[axis] = 0
@@ -164,15 +164,15 @@ func (b *Backend) registerShape() {
 		offsets := make([]int, len(inputs)) // cumulative sizes along axis
 		for i, in := range inputs {
 			if len(in.Shape) != rank {
-				return nil, errf("Concat: rank mismatch")
+				return errf("Concat: rank mismatch")
 			}
 			offsets[i] = outShape[axis]
 			outShape[axis] += in.Shape[axis]
 			_, texes[i] = b.input(in)
 		}
-		out, info, err := b.output(outShape, inputs[0].DType)
+		out, err := b.output(outShape, inputs[0].DType, res)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		outerSize := tensor.ShapeSize(outShape[:axis])
 		innerSize := tensor.ShapeSize(outShape[axis+1:])
@@ -198,6 +198,6 @@ func (b *Backend) registerShape() {
 			}
 			return 0
 		})
-		return []kernels.TensorInfo{info}, nil
+		return nil
 	})
 }

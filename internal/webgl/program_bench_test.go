@@ -48,12 +48,12 @@ func BenchmarkProgram(b *testing.B) {
 					inputs[i] = kernels.Input{DataID: id, Shape: shape, DType: tensor.Float32}
 				}
 				dispatch := func() {
-					outs, err := backend.kernelsTable[p.kernel](inputs, p.attrs)
-					if err != nil {
+					var out kernels.TensorInfo
+					if err := backend.kernelsTable[p.kernel](inputs, p.attrs, &out); err != nil {
 						b.Fatal(err)
 					}
 					<-backend.device.FenceSync()
-					backend.DisposeData(outs[0].DataID)
+					backend.DisposeData(out.DataID)
 				}
 				dispatch() // fills the recycler
 				clock, fetches := backend.deviceClock(), backend.device.Stats().Fetches

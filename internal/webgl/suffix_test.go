@@ -64,11 +64,11 @@ func TestBatchNormDispatchCompilesNothing(t *testing.T) {
 	}
 	attrs := kernels.Attrs{"varianceEpsilon": 1e-3}
 	dispatch := func() {
-		outs, err := b.kernelsTable["FusedBatchNorm"](inputs, attrs)
-		if err != nil {
+		var out kernels.TensorInfo
+		if err := b.kernelsTable["FusedBatchNorm"](inputs, attrs, &out); err != nil {
 			t.Fatal(err)
 		}
-		b.DisposeData(outs[0].DataID)
+		b.DisposeData(out.DataID)
 	}
 	dispatch() // fills the recycler
 	<-b.device.FenceSync()
@@ -91,12 +91,12 @@ func TestRecyclerKeepsTextureCostOffTheClock(t *testing.T) {
 		b.Write(id, make([]float32, 256), shape, tensor.Float32)
 		in := kernels.Input{DataID: id, Shape: shape, DType: tensor.Float32}
 		for i := 0; i < 5; i++ {
-			outs, err := b.kernelsTable["Relu"]([]kernels.Input{in}, kernels.Attrs{})
-			if err != nil {
+			var out kernels.TensorInfo
+			if err := b.kernelsTable["Relu"]([]kernels.Input{in}, kernels.Attrs{}, &out); err != nil {
 				t.Fatal(err)
 			}
 			b.DisposeData(in.DataID)
-			in = kernels.Input{DataID: outs[0].DataID, Shape: shape, DType: tensor.Float32}
+			in = kernels.Input{DataID: out.DataID, Shape: shape, DType: tensor.Float32}
 		}
 		b.DisposeData(in.DataID)
 	}

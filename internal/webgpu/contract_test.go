@@ -80,17 +80,18 @@ func TestComputeMatMulContract(t *testing.T) {
 					aID, bID := tensor.NewDataID(), tensor.NewDataID()
 					b.Write(aID, c.av, c.a, tensor.Float32)
 					b.Write(bID, c.bv, c.b, tensor.Float32)
-					outs, err := b.matmulCompute([]kernels.Input{
+					var out kernels.TensorInfo
+					err := b.matmulCompute([]kernels.Input{
 						{DataID: aID, Shape: c.a, DType: tensor.Float32},
 						{DataID: bID, Shape: c.b, DType: tensor.Float32},
-					}, kernels.Attrs{})
+					}, kernels.Attrs{}, &out)
 					if err != nil {
 						t.Fatalf("%s: %v", c.label, err)
 					}
 					h := fnv.New64a()
-					fmt.Fprintf(h, "%v|", outs[0].Shape)
+					fmt.Fprintf(h, "%v|", out.Shape)
 					var buf [4]byte
-					for _, v := range b.ReadSync(outs[0].DataID) {
+					for _, v := range b.ReadSync(out.DataID) {
 						bits := math.Float32bits(v)
 						buf[0], buf[1], buf[2], buf[3] = byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24)
 						h.Write(buf[:])
@@ -101,7 +102,7 @@ func TestComputeMatMulContract(t *testing.T) {
 						t.Errorf("%s packed=%v workers=%d: digest %s, another configuration gave %s", key, packed, workers, got, prev)
 					}
 					recorded[key] = got
-					for _, id := range []tensor.DataID{aID, bID, outs[0].DataID} {
+					for _, id := range []tensor.DataID{aID, bID, out.DataID} {
 						b.DisposeData(id)
 					}
 				}

@@ -61,37 +61,34 @@ func (b *Backend) initKernels() {
 // matmulCompute is the tiled matrix-multiply pipeline. Each workgroup owns
 // a TileSize×TileSize tile of the output; it marches over the shared
 // dimension in TileSize steps, staging the A and B tiles into workgroup
-// memory once and reusing each staged value TileSize times.
-func (b *Backend) matmulCompute(inputs []kernels.Input, attrs kernels.Attrs) ([]kernels.TensorInfo, error) {
-	if len(inputs) != 2 {
-		return nil, kernels.ErrFallback
-	}
-	if attrs.Bool("transposeA", false) || attrs.Bool("transposeB", false) {
-		return nil, kernels.ErrFallback // fragment path handles transposes
+// memory once and reusing each staged value TileSize times. What the
+// pipeline does not specialize — transposed operands, and every malformed
+// call, whose error the fragment kernel words — runs on the inherited
+// fragment-shader program, on the device: declining with ErrFallback
+// instead would read both operands back to the host for the reference
+// kernel.
+func (b *Backend) matmulCompute(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
+	fragment, _ := b.Backend.KernelOverride("BatchMatMul")
+	if len(inputs) != 2 || attrs.Bool("transposeA", false) || attrs.Bool("transposeB", false) {
+		return fragment(inputs, attrs, res)
 	}
 	a, x := inputs[0], inputs[1]
 	if len(a.Shape) != 3 || len(x.Shape) != 3 {
-		return nil, kernels.ErrFallback
+		return fragment(inputs, attrs, res)
 	}
 	batchA, batchB := a.Shape[0], x.Shape[0]
-	batch := batchA
-	if batchB > batch {
-		batch = batchB
-	}
-	if batchA != batchB && batchA != 1 && batchB != 1 {
-		return nil, kernels.ErrFallback
-	}
+	batch := max(batchA, batchB)
 	m, k := a.Shape[1], a.Shape[2]
-	if x.Shape[1] != k {
-		return nil, kernels.ErrFallback
+	if (batchA != batchB && batchA != 1 && batchB != 1) || x.Shape[1] != k {
+		return fragment(inputs, attrs, res)
 	}
 	n := x.Shape[2]
 
 	aTex := b.InputTexture(a)
 	bTex := b.InputTexture(x)
-	out, info, err := b.Output([]int{batch, m, n}, tensor.Float32)
+	out, err := b.Output([]int{batch, m, n}, tensor.Float32, res)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	tilesM := (m + TileSize - 1) / TileSize
@@ -191,7 +188,7 @@ func (b *Backend) matmulCompute(inputs []kernels.Input, attrs kernels.Attrs) ([]
 		},
 	}
 	b.Device().ExecuteCompute(prog, out)
-	return []kernels.TensorInfo{info}, nil
+	return nil
 }
 
 // tiledMatMulWork is what one dispatch of the tiled pipeline costs the

@@ -1,6 +1,7 @@
 package webgpu_test
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -88,27 +89,92 @@ func TestComputeMatMulBatchBroadcast(t *testing.T) {
 	}
 }
 
+// TestTransposedMatMulFallsBackToFragmentPath: what the compute pipeline
+// declines runs on the inherited fragment-shader kernel — one device
+// program, nothing read back to the host and nothing uploaded before the
+// caller reads the result — and never on the reference kernel, which
+// ErrFallback would mean: two operand readbacks, host arithmetic and an
+// upload. A malformed call is declined the same way and fails on the
+// device side, with the fragment kernel's error and no readback.
 func TestTransposedMatMulFallsBackToFragmentPath(t *testing.T) {
-	// Transposed matmuls decline the compute pipeline and run through the
-	// inherited WebGL fragment kernels; results must still be correct.
 	rng := rand.New(rand.NewSource(11))
-	av := make([]float32, 6*4)
-	bv := make([]float32, 6*5)
-	for i := range av {
-		av[i] = float32(rng.NormFloat64())
-	}
-	for i := range bv {
-		bv[i] = float32(rng.NormFloat64())
-	}
-	run := func() []float32 {
-		return ops.MatMul(ops.FromValues(av, 6, 4), ops.FromValues(bv, 6, 5), true, false).DataSync()
-	}
-	want := onBackend(t, "cpu", run)
-	got := onBackend(t, "webgpu", run)
-	for i := range want {
-		if math.Abs(float64(got[i]-want[i])) > 1e-4 {
-			t.Fatalf("element %d: %g vs %g", i, got[i], want[i])
+	vals := func(n int) []float32 {
+		v := make([]float32, n)
+		for i := range v {
+			v[i] = float32(rng.NormFloat64())
 		}
+		return v
+	}
+	av, bv := vals(6*4), vals(6*5)
+	for _, c := range []struct {
+		name    string
+		run     func() *tensor.Tensor
+		wantErr bool
+	}{
+		{name: "transposed A", run: func() *tensor.Tensor {
+			return ops.MatMul(ops.FromValues(av, 6, 4), ops.FromValues(bv, 6, 5), true, false)
+		}},
+		{name: "transposed B", run: func() *tensor.Tensor {
+			return ops.MatMul(ops.FromValues(av, 4, 6), ops.FromValues(bv, 5, 6), false, true)
+		}},
+		{name: "rank-mismatched operands", wantErr: true, run: func() *tensor.Tensor {
+			return ops.BatchMatMul(ops.FromValues(av, 4, 6), ops.FromValues(bv, 1, 6, 5), false, false)
+		}},
+		{name: "batch dims that do not broadcast", wantErr: true, run: func() *tensor.Tensor {
+			return ops.BatchMatMul(ops.FromValues(av, 2, 3, 4), ops.FromValues(vals(3*4*5), 3, 4, 5), false, false)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var want []float32
+			if !c.wantErr {
+				want = onBackend(t, "cpu", func() []float32 { return c.run().DataSync() })
+			}
+			e := core.Global()
+			got := onBackend(t, "webgpu", func() []float32 {
+				dev := e.Backend().(*webgpu.Backend).Device()
+				// The run uploads its two operands (FromValues); the
+				// reference leg would upload its result as a third.
+				<-dev.FenceSync()
+				before := dev.Stats()
+				var out *tensor.Tensor
+				var failed any
+				func() {
+					defer func() { failed = recover() }()
+					out = c.run()
+				}()
+				<-dev.FenceSync()
+				after := dev.Stats()
+				if reads := after.Readbacks - before.Readbacks; reads != 0 {
+					t.Errorf("%d readbacks before the result is read, want 0: the reference kernel ran", reads)
+				}
+				if ups := after.Uploads - before.Uploads; ups != 2 {
+					t.Errorf("%d uploads, want the 2 operands only", ups)
+				}
+				programs := after.ProgramsExecuted - before.ProgramsExecuted
+				if c.wantErr {
+					var opErr *core.OpError
+					if err, _ := failed.(error); !errors.As(err, &opErr) || errors.Is(err, kernels.ErrFallback) {
+						t.Errorf("panic value %v, want the fragment kernel's *core.OpError", failed)
+					}
+					if programs != 0 {
+						t.Errorf("%d device programs for a malformed call, want 0", programs)
+					}
+					return nil
+				}
+				if failed != nil {
+					panic(failed)
+				}
+				if programs != 1 {
+					t.Errorf("%d device programs, want the one fragment-shader matmul", programs)
+				}
+				return out.DataSync()
+			})
+			for i := range want {
+				if math.Abs(float64(got[i]-want[i])) > 1e-4 {
+					t.Fatalf("element %d: %g vs %g", i, got[i], want[i])
+				}
+			}
+		})
 	}
 }
 
