@@ -199,8 +199,12 @@ func (d *Device) Close() {
 // ---------------------------------------------------------------------------
 // Textures
 
-// CreateTexture allocates a texture. Creation is synchronous (the driver
-// allocates immediately) and counts toward device memory.
+// CreateTexture allocates a texture. The handle, the modelled driver cost
+// and the device-memory accounting are synchronous; the host slice behind
+// the texture is made by a command queued here, ahead of every command that
+// can touch it, so an enqueue on the dispatching goroutine never pays for
+// (or starts a garbage collection with) megabytes of zeroed host memory
+// while the workers hold every P (Section 4.1.1: enqueueing is cheap).
 func (d *Device) CreateTexture(width, height int, format TextureFormat) (*Texture, error) {
 	if width <= 0 || height <= 0 {
 		return nil, fmt.Errorf("glsim: invalid texture size %dx%d", width, height)
@@ -214,7 +218,6 @@ func (d *Device) CreateTexture(width, height int, format TextureFormat) (*Textur
 		Height:    height,
 		Format:    format,
 		HalfFloat: d.cfg.HalfFloatOnly,
-		data:      make([]float32, width*height*format.Channels()),
 		device:    d,
 	}
 	d.mu.Lock()
@@ -225,6 +228,7 @@ func (d *Device) CreateTexture(width, height int, format TextureFormat) (*Textur
 	}
 	d.mu.Unlock()
 	d.stats.created.Add(1)
+	d.submit(func() { t.data = make([]float32, t.Len()) })
 	return t, nil
 }
 

@@ -42,6 +42,8 @@ type Texture struct {
 	// (Section 4.1.3).
 	HalfFloat bool
 
+	// data is made, written and dropped by queued commands only: it is nil
+	// until the queue reaches the texture's creation.
 	data    []float32
 	device  *Device
 	deleted bool

@@ -127,3 +127,14 @@ func max0(x int) int {
 	}
 	return x
 }
+
+// TapRange returns the filter taps [lo, hi) of one axis whose input
+// coordinate corner + t*dilation lies inside [0, size): padding clips a
+// filter to a contiguous run of taps along each axis.
+func TapRange(corner, dilation, taps, size int) (lo, hi int) {
+	if corner < 0 {
+		lo = (-corner + dilation - 1) / dilation
+	}
+	hi = min(taps, (size-corner+dilation-1)/dilation)
+	return lo, max(lo, hi)
+}

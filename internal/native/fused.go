@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/kernels"
 	"repro/internal/tensor"
+	"repro/internal/vec"
 )
 
 // The convolution and matmul kernels, each registered twice: plain, and
@@ -58,28 +59,17 @@ func (b *Backend) fusedOperands(name string, inputs []kernels.Input, attrs kerne
 	if !ok {
 		return ep, fmt.Errorf("%s: unknown activation %q", name, actName)
 	}
-	// The hot activations get vector bodies (vec.go); an indirect call per
-	// output element would cost more than the activation math itself.
-	switch {
-	case actName == "relu":
-		ep.kind = actRelu
-	case actName == "relu6":
-		ep.kind = actRelu6
-	case act != nil:
-		ep.kind, ep.act = actFunc, act
+	// The hot activations get vector bodies (internal/vec); an indirect call
+	// per output element would cost more than the activation math itself.
+	switch actName {
+	case "relu":
+		ep.kind = vec.ActRelu
+	case "relu6":
+		ep.kind = vec.ActRelu6
+	default:
+		ep.act = act
 	}
 	return ep, nil
-}
-
-// tapRange returns the filter taps [lo, hi) whose input coordinate
-// corner + t*dilation lies inside [0, size): padding clips a filter to a
-// contiguous run of taps along each axis.
-func tapRange(corner, dilation, taps, size int) (lo, hi int) {
-	if corner < 0 {
-		lo = (-corner + dilation - 1) / dilation
-	}
-	hi = min(taps, (size-corner+dilation-1)/dilation)
-	return lo, max(lo, hi)
 }
 
 func (b *Backend) conv2D(name string, fused bool) kernels.OverrideKernel {
@@ -136,11 +126,11 @@ func (b *Backend) conv2D(name string, fused bool) kernels.OverrideKernel {
 				bb := r / outH
 				oy := r % outH
 				yCorner := oy*sH - padT
-				fyLo, fyHi := tapRange(yCorner, dH, fH, inH)
+				fyLo, fyHi := kernels.TapRange(yCorner, dH, fH, inH)
 				rowBase := bb*outImg + oy*outRow
 				for ox := 0; ox < outW; ox++ {
 					xCorner := ox*sW - padL
-					fxLo, fxHi := tapRange(xCorner, dW, fW, inW)
+					fxLo, fxHi := kernels.TapRange(xCorner, dW, fW, inW)
 					// Each tap is a [inC]·[inC×outC] row update. Undilated,
 					// a filter row's taps are contiguous in x and in w, so
 					// one update covers the whole run.
@@ -203,16 +193,16 @@ func (b *Backend) depthwiseConv2D(name string, fused bool) kernels.OverrideKerne
 				bb := r / outH
 				oy := r % outH
 				yCorner := oy*sH - padT
-				fyLo, fyHi := tapRange(yCorner, dH, fH, inH)
+				fyLo, fyHi := kernels.TapRange(yCorner, dH, fH, inH)
 				rowBase := bb*outImg + oy*outRow
 				for ox := 0; ox < outW; ox++ {
 					xCorner := ox*sW - padL
-					fxLo, fxHi := tapRange(xCorner, dW, fW, inW)
+					fxLo, fxHi := kernels.TapRange(xCorner, dW, fW, inW)
 					dst := dstBuf[rowBase+ox*outC : rowBase+(ox+1)*outC]
 					inBase := bb*inImg + (yCorner+fyLo*dH)*inRow + (xCorner+fxLo*dW)*inC
 					wBase := (fyLo*fW + fxLo) * outC
 					if mult == 1 {
-						dwPixel(dst, xBuf[inBase:], wBuf[wBase:], dH*inRow, dW*inC, fW*inC, fyHi-fyLo, fxHi-fxLo)
+						vec.DwPixel(dst, xBuf[inBase:], wBuf[wBase:], dH*inRow, dW*inC, fW*inC, fyHi-fyLo, fxHi-fxLo)
 					} else {
 						for fy := 0; fy < fyHi-fyLo; fy++ {
 							for fx := 0; fx < fxHi-fxLo; fx++ {

@@ -1,11 +1,13 @@
 package native
 
+import "repro/internal/vec"
+
 // The matmul core shared by BatchMatMul, _FusedMatMul and the 1×1-pointwise
 // conv fast path: row-streaming, k-outer j-inner. Each output row is
-// built as row += a[i,k]·B[k,:] over k (gemmRow in vec.go), so B is read
-// with unit stride and the row stays in L1 across the whole k loop; a
-// zero lhs element (half of them after a relu-family epilogue) is skipped
-// outright. An m=1 product is a GEMV with no special case.
+// built as row += a[i,k]·B[k,:] over k (gemmRow), so B is read with unit
+// stride and the row stays in L1 across the whole k loop; a zero lhs
+// element (half of them after a relu-family epilogue) is skipped outright.
+// An m=1 product is a GEMV with no special case.
 //
 // Determinism: each output element accumulates over k in one sequential
 // loop, in one chunk — the k loop is never split across chunks or
@@ -16,23 +18,55 @@ package native
 // so the per-call construction stays off the heap; the zero value is a
 // no-op.
 type epilogue struct {
-	bias []float32 // nil, or one value per output channel
-	kind actKind
-	act  func(float32) float32 // kind == actFunc only
+	bias []float32             // nil, or one value per output channel
+	kind vec.Act               // relu and relu6 run in the vector core's own loop
+	act  func(float32) float32 // any other activation: a scalar function per element
 }
 
 // apply reproduces kernels.FusedActivation exactly (including NaN
 // behavior), so the parity suite holds bit-for-bit.
 func (e epilogue) apply(dst []float32) {
-	if e.kind != actFunc {
-		biasAct(dst, e.bias, e.kind)
-		return
-	}
-	biasAct(dst, e.bias, actNone)
-	for i, v := range dst {
-		dst[i] = e.act(v)
+	vec.BiasAct(dst, e.bias, e.kind)
+	if e.act != nil {
+		for i, v := range dst {
+			dst[i] = e.act(v)
+		}
 	}
 }
+
+// gemmRow accumulates one output row of a matrix product:
+// row[j] += a[kk*aStride] * b[kk*len(row)+j], kk ascending over the
+// ⌈len(a)/aStride⌉ lhs elements, skipping those that are zero (half of
+// them after a relu-family epilogue; a skipped 0·Inf also stays out of
+// the sum, as it always has on this backend — the dense vec.AxpyN under
+// it multiplies whatever it is handed).
+//
+// The nonzero elements are compacted into a short list — the compaction
+// compiles to conditional moves, so a random sparsity pattern costs no
+// branch mispredictions — and handed to the vector core nzCap at a time.
+func gemmRow(row, a []float32, aStride int, b []float32) {
+	n := len(row)
+	var vals [nzCap]float32
+	var offs [nzCap]int
+	p := 0
+	for ai, off := 0, 0; ai < len(a); ai, off = ai+aStride, off+n {
+		av := a[ai]
+		vals[p], offs[p] = av, off
+		if av != 0 {
+			p++
+		}
+		if p == nzCap {
+			vec.AxpyN(row, vals[:], offs[:], b)
+			p = 0
+		}
+	}
+	vec.AxpyN(row, vals[:p], offs[:p], b)
+}
+
+// nzCap is how many nonzero lhs elements gemmRow gathers before handing
+// them to the vector core: a multiple of its four-wide step, small enough
+// that zeroing the two stack arrays per call is noise.
+const nzCap = 32
 
 // matmul accumulates op(A)·op(B) into out[m×n] (zeroed by the caller's
 // allocation), rows sharded across the worker pool, then applies ep to

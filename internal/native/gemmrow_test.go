@@ -7,12 +7,14 @@ import (
 	"testing"
 )
 
-// Differential tests for the vector cores: each AVX2 body against its
-// pure-Go body, compared by bit pattern. Two NaNs count as equal whatever
-// their payloads (see vec.go: which payload survives NaN∘NaN is operand
-// order, which the compiler picks for the Go bodies); everything else —
-// rounding, ±0, ±Inf, denormals, where a NaN appears at all — must match
-// to the bit.
+// Differential tests for gemmRow, this backend's layer over the vector
+// cores (internal/vec holds the cores' own): the zero-skipping compaction
+// onto vec.AxpyN against the loop that defines it, compared by bit pattern.
+// Two NaNs count as equal whatever their payloads (which payload survives
+// NaN∘NaN is operand order, which the compiler picks for the Go bodies);
+// everything else — rounding, ±0, ±Inf, denormals, where a NaN appears at
+// all, that a 0·Inf stays out of the sum — must match to the bit. The
+// operand generators also feed the gradient and element-wise suites.
 
 // vecSpecials are the operand values the cores' edge semantics turn on.
 var vecSpecials = []float32{
@@ -56,10 +58,21 @@ func requireSameFloats(t testing.TB, label string, got, want []float32) {
 	}
 }
 
-// The check functions run one core on both bodies. They call the AVX2
-// side through its vec.go wrapper, so the wrapper's part of the contract
-// (gemmRow's zero-skip and compaction, the bounds it derives) is held to
-// the Go body too.
+// gemmRowGo is gemmRow's definition: a[kk]·b[kk,:] added into the row in
+// kk order, a zero a[kk] skipped. The float32 conversion forbids fusing
+// the product into the add, as in the cores.
+func gemmRowGo(row, a []float32, aStride int, b []float32) {
+	n := len(row)
+	for ai, off := 0, 0; ai < len(a); ai, off = ai+aStride, off+n {
+		av := a[ai]
+		if av == 0 {
+			continue
+		}
+		for j, bv := range b[off : off+n] {
+			row[j] += float32(av * bv)
+		}
+	}
+}
 
 func checkGemmRow(t testing.TB, row, a []float32, aStride int, b []float32) {
 	t.Helper()
@@ -69,37 +82,11 @@ func checkGemmRow(t testing.TB, row, a []float32, aStride int, b []float32) {
 	requireSameFloats(t, "gemmRow", got, want)
 }
 
-func checkDwPixel(t testing.TB, dst, x, w []float32, xRowStride, xTapStride, wRowStride, rows, taps int) {
-	t.Helper()
-	got, want := slices.Clone(dst), slices.Clone(dst)
-	dwPixel(got, x, w, xRowStride, xTapStride, wRowStride, rows, taps)
-	dwPixelGo(want, x, w, xRowStride, xTapStride, wRowStride, rows, taps)
-	requireSameFloats(t, "dwPixel", got, want)
-}
-
-func checkBiasAct(t testing.TB, dst, bias []float32) {
-	t.Helper()
-	for kind, name := range map[actKind]string{actNone: "none", actRelu: "relu", actRelu6: "relu6"} {
-		got, want := slices.Clone(dst), slices.Clone(dst)
-		biasAct(got, bias, kind)
-		biasActGo(want, bias, kind)
-		requireSameFloats(t, "biasAct "+name, got, want)
-	}
-}
-
-func requireAVX2(t testing.TB) {
-	t.Helper()
-	if !useAVX2 {
-		t.Skip("no AVX2 on this CPU: the Go bodies are the only ones that run")
-	}
-}
-
 // TestVecCoresBitIdentity sweeps every output length 0…67 (empty, pure
 // scalar tail, one to eight 8-wide steps plus each tail) at every
 // sub-slice offset 0…7 of its backing array, so the loads and stores hit
 // every alignment, on operands seeded from vecSpecials.
 func TestVecCoresBitIdentity(t *testing.T) {
-	requireAVX2(t)
 	seed := uint32(0)
 	for n := 0; n <= 67; n++ {
 		for off := 0; off <= 7; off++ {
@@ -115,19 +102,6 @@ func TestVecCoresBitIdentity(t *testing.T) {
 				b := vecOperand(off+k*n, seed+2)[off:]
 				checkGemmRow(t, dst, a, stride, b)
 			}
-
-			// A 3×3 filter clipped to every rows×taps rectangle, strides as
-			// a stride-2 dilation-1 layer would pass them.
-			for rows := 1; rows <= 3; rows++ {
-				for taps := 1; taps <= 3; taps++ {
-					xRow, xTap, wRow := 5*n+1, n, 3*n
-					x := vecOperand(off+(rows-1)*xRow+(taps-1)*xTap+n, seed+1)[off:]
-					w := vecOperand(off+(rows-1)*wRow+taps*n, seed+2)[off:]
-					checkDwPixel(t, dst, x, w, xRow, xTap, wRow, rows, taps)
-				}
-			}
-
-			checkBiasAct(t, dst, vecOperand(off+n, seed+1)[off:])
 		}
 	}
 	// Every special against every special, in every lane of an 8-wide step
@@ -146,17 +120,14 @@ func TestVecCoresBitIdentity(t *testing.T) {
 					y[i] = yv
 				}
 				checkGemmRow(t, y, a, 1, b)
-				checkDwPixel(t, y, b, b[11:], 22, 11, 22, 2, 2)
-				checkBiasAct(t, y, b[:11])
 			}
 		}
 	}
 }
 
-// TestVecCoresStayInBounds: a core writes exactly the slice it was given —
+// TestVecCoresStayInBounds: gemmRow writes exactly the row it was given —
 // the elements either side keep their sentinel.
 func TestVecCoresStayInBounds(t *testing.T) {
-	requireAVX2(t)
 	const sentinel = 12345
 	for n := 0; n <= 40; n++ {
 		buf := make([]float32, n+16)
@@ -165,11 +136,9 @@ func TestVecCoresStayInBounds(t *testing.T) {
 		}
 		dst := buf[8 : 8+n : 8+n]
 		gemmRow(dst, vecOperand(6, 7), 1, vecOperand(6*n, 8))
-		dwPixel(dst, vecOperand(4*n, 9), vecOperand(4*n, 10), 2*n, n, 2*n, 2, 2)
-		biasAct(dst, vecOperand(n, 11), actRelu6)
 		for i, v := range buf {
 			if (i < 8 || i >= 8+n) && v != sentinel {
-				t.Fatalf("n=%d: buf[%d] = %g, outside the slice handed to the cores", n, i, v)
+				t.Fatalf("n=%d: buf[%d] = %g, outside the row handed to gemmRow", n, i, v)
 			}
 		}
 	}
@@ -177,11 +146,9 @@ func TestVecCoresStayInBounds(t *testing.T) {
 
 // FuzzVecCores reads its input as float32 bit patterns, so the fuzzer
 // reaches every NaN payload, denormal and sign combination, and carves
-// the three cores' operands out of them: k and the tap rectangle come
-// from the two leading arguments, the output length from how many floats
-// there are.
+// gemmRow's operands out of them: k and the lhs stride come from the two
+// leading arguments, the output length from how many floats there are.
 func FuzzVecCores(f *testing.F) {
-	requireAVX2(f)
 	var specials []byte
 	for _, a := range vecSpecials {
 		for _, b := range vecSpecials {
@@ -193,26 +160,16 @@ func FuzzVecCores(f *testing.F) {
 	f.Add(uint8(36), uint8(8), specials)
 	f.Add(uint8(1), uint8(0), specials[:4*19])
 	f.Add(uint8(0), uint8(0), []byte{})
-	f.Fuzz(func(t *testing.T, kSel, tapSel uint8, data []byte) {
+	f.Fuzz(func(t *testing.T, kSel, strideSel uint8, data []byte) {
 		vals := make([]float32, len(data)/4)
 		for i := range vals {
 			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
 		}
-
-		// vals = a[k] ‖ row[n] ‖ b[k×n]
-		k := 1 + int(kSel)%(nzCap+8)
-		if len(vals) >= k {
-			n := (len(vals) - k) / (k + 1)
-			checkGemmRow(t, vals[k:k+n], vals[:k], 1, vals[k+n:k+n+k*n])
+		// vals = a[(k-1)×stride+1] ‖ row[n] ‖ b[k×n]
+		k, stride := 1+int(kSel)%(nzCap+8), 1+int(strideSel)%3
+		if lhs := (k-1)*stride + 1; len(vals) >= lhs {
+			n := (len(vals) - lhs) / (k + 1)
+			checkGemmRow(t, vals[lhs:lhs+n], vals[:lhs], stride, vals[lhs+n:lhs+n+k*n])
 		}
-
-		// vals = dst[c] ‖ x[rows×taps×c] ‖ w[rows×taps×c]
-		rows, taps := 1+int(tapSel)%3, 1+int(tapSel)/3%3
-		c := len(vals) / (2*rows*taps + 1)
-		x := vals[c : c+rows*taps*c]
-		w := vals[c+rows*taps*c:]
-		checkDwPixel(t, vals[:c], x, w, taps*c, c, taps*c, rows, taps)
-
-		checkBiasAct(t, vals[:len(vals)/2], vals[len(vals)/2:])
 	})
 }

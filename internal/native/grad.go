@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/kernels"
 	"repro/internal/tensor"
+	"repro/internal/vec"
 )
 
 // The backward kernels model.fit spends its time in: the two Conv2D
@@ -44,8 +45,9 @@ func backpropInfo(name string, xShape, wShape, dyShape []int, attrs kernels.Attr
 }
 
 // outRange returns the output positions [lo, hi) whose input coordinate
-// o*stride + offset lies inside [0, size): the transpose of tapRange, for
-// a fixed filter tap instead of a fixed output position.
+// o*stride + offset lies inside [0, size): the transpose of
+// kernels.TapRange, for a fixed filter tap instead of a fixed output
+// position.
 func outRange(offset, stride, outSize, size int) (lo, hi int) {
 	if offset < 0 {
 		lo = (-offset + stride - 1) / stride
@@ -97,7 +99,7 @@ func (b *Backend) conv2DBackpropFilter(inputs []kernels.Input, attrs kernels.Att
 		for bb := 0; bb < batch; bb++ {
 			for oy := 0; oy < outH; oy++ {
 				yCorner := oy*sH - padT
-				fyLo, fyHi := tapRange(yCorner, dH, fH, inH)
+				fyLo, fyHi := kernels.TapRange(yCorner, dH, fH, inH)
 				for fy := fyLo; fy < fyHi; fy++ {
 					xRow := bb*inImg + (yCorner+fy*dH)*inRow
 					for fx := 0; fx < fW; fx++ {
@@ -133,7 +135,7 @@ func (b *Backend) conv2DBackpropFilter(inputs []kernels.Input, attrs kernels.Att
 // is defined by the order of the positions that reach it, (oy, ox), and of
 // oc within each — the taps of a position can go in any order. That lets
 // the position's nonzero dy elements be gathered once and handed, per
-// filter row, to one axpyN over the whole run of taps that row has inside
+// filter row, to one vec.AxpyN over the whole run of taps that row has inside
 // the input: undilated they are contiguous in dx, and the filter is
 // transposed once per call to [fy][oc][fx][ic] so that they are contiguous
 // in it too. A position whose dy is all zero (most of them, behind a ReLU
@@ -183,10 +185,10 @@ func (b *Backend) conv2DBackpropInput(inputs []kernels.Input, attrs kernels.Attr
 		for bb := lo; bb < hi; bb++ {
 			for oy := 0; oy < outH; oy++ {
 				yCorner := oy*sH - padT
-				fyLo, fyHi := tapRange(yCorner, dH, fH, inH)
+				fyLo, fyHi := kernels.TapRange(yCorner, dH, fH, inH)
 				for ox := 0; ox < outW; ox++ {
 					xCorner := ox*sW - padL
-					fxLo, fxHi := tapRange(xCorner, dW, fW, inW)
+					fxLo, fxHi := kernels.TapRange(xCorner, dW, fW, inW)
 					run := 1
 					if dW == 1 {
 						run = fxHi - fxLo
@@ -209,7 +211,7 @@ func (b *Backend) conv2DBackpropInput(inputs []kernels.Input, attrs kernels.Attr
 							dxRow := bb*inImg + (yCorner+fy*dH)*inRow
 							for fx := fxLo; fx < fxHi; fx += run {
 								dxBase := dxRow + (xCorner+fx*dW)*inC
-								axpyN(dx[dxBase:dxBase+run*inC], vals[:p], offs[:p], wT[fy*outC*ocStride+fx*inC:])
+								vec.AxpyN(dx[dxBase:dxBase+run*inC], vals[:p], offs[:p], wT[fy*outC*ocStride+fx*inC:])
 							}
 						}
 					}
@@ -255,10 +257,10 @@ func (b *Backend) maxPoolGrad(inputs []kernels.Input, attrs kernels.Attrs, out *
 		for bb := lo; bb < hi; bb++ {
 			for oy := 0; oy < outH; oy++ {
 				yCorner := oy*sH - padT
-				fyLo, fyHi := tapRange(yCorner, 1, fH, inH)
+				fyLo, fyHi := kernels.TapRange(yCorner, 1, fH, inH)
 				for ox := 0; ox < outW; ox++ {
 					xCorner := ox*sW - padL
-					fxLo, fxHi := tapRange(xCorner, 1, fW, inW)
+					fxLo, fxHi := kernels.TapRange(xCorner, 1, fW, inW)
 					outBase := bb*outImg + oy*outRow + ox*c
 					for ch := 0; ch < c; ch++ {
 						best, bestIdx := negInf, -1

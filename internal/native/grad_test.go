@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/kernels"
 	"repro/internal/tensor"
+	"repro/internal/vec"
 )
 
 // Differential tests for the backward kernels (grad.go) and the other
@@ -203,7 +204,8 @@ func TestGradKernelsBitIdenticalToReference(t *testing.T) {
 		})
 	}
 	t.Run("scalar", func(t *testing.T) {
-		defer ForceScalar()()
+		restore, _ := vec.ForceScalar()
+		defer restore()
 		nb := New()
 		nb.SetWorkers(4)
 		checkGradMatrix(t, nb)

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/kernels"
 	"repro/internal/tensor"
+	"repro/internal/vec"
 )
 
 // benchVals returns n normal values with the given fraction zeroed — a
@@ -159,7 +160,7 @@ func BenchmarkEpilogueRelu6(b *testing.B) {
 		src[i] *= 4
 	}
 	dst := make([]float32, len(src))
-	ep := epilogue{bias: benchVals(rng, c, 0), kind: actRelu6}
+	ep := epilogue{bias: benchVals(rng, c, 0), kind: vec.ActRelu6}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(dst, src)

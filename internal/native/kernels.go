@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/kernels"
 	"repro/internal/tensor"
+	"repro/internal/vec"
 )
 
 // initKernels installs the optimized kernels. Only the operations that
@@ -232,15 +233,6 @@ func (b *Backend) binary(name string, op binOp) kernels.OverrideKernel {
 	}
 }
 
-// maskIf is all ones when cond holds, else zero; inlined, it is a
-// conditional move.
-func maskIf(cond bool) uint32 {
-	if cond {
-		return ^uint32(0)
-	}
-	return 0
-}
-
 // unary runs an element-wise kernel: body maps a chunk of x to the same
 // chunk of dst.
 func (b *Backend) unary(name string, inputs []kernels.Input, out *kernels.TensorInfo, body func(dst, x []float32)) error {
@@ -263,14 +255,9 @@ func (b *Backend) registerElementwise() {
 	b.register("RealDiv", b.binary("RealDiv", opDiv))
 
 	// The activations every training step runs forward (Relu, Relu6) and
-	// backward (Step, the ReLU gradient's mask) are slice loops that select
-	// on the bit pattern instead of comparing floats: a sign test on
-	// activations is a coin flip to the branch predictor, and an integer
-	// select compiles to a conditional move. Read as unsigned integers,
-	// the floats above zero are [1, infBits], those below [signBit+1,
-	// signBit+infBits], and a NaN is a magnitude past infBits — so each
-	// test is one subtract or shift and one unsigned compare. The rest of
-	// the unary kernels pay an indirect call per element for their math.
+	// backward (Step, the ReLU gradient's mask) are internal/vec's
+	// branch-free row loops. The rest of the unary kernels pay an indirect
+	// call per element for their math.
 	loop := func(name string, body func(dst, x []float32)) {
 		b.register(name, func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
 			return b.unary(name, inputs, out, body)
@@ -283,40 +270,13 @@ func (b *Backend) registerElementwise() {
 			}
 		})
 	}
-	const (
-		signBit = 1 << 31
-		infBits = 0x7f800000
-		sixBits = 0x40c00000 // float32(6)
-		oneBits = 0x3f800000 // float32(1)
-	)
-	// Relu(x) = x > 0 ? x : 0, so NaN and -0 become +0.
-	loop("Relu", func(dst, x []float32) {
-		for i, v := range x {
-			bits := math.Float32bits(v)
-			dst[i] = math.Float32frombits(bits & maskIf(bits-1 < infBits))
-		}
-	})
-	// Relu6(x) = x < 0 ? 0 : x > 6 ? 6 : x, so NaN and -0 pass through.
-	loop("Relu6", func(dst, x []float32) {
-		for i, v := range x {
-			bits := math.Float32bits(v)
-			below := maskIf(bits-(signBit+1) < infBits)
-			above := maskIf(bits-(sixBits+1) < infBits-sixBits)
-			dst[i] = math.Float32frombits(bits&^(below|above) | sixBits&above)
-		}
-	})
+	loop("Relu", vec.Relu)
+	loop("Relu6", vec.Relu6)
 	// Step(x) = x > 0 ? 1 : alpha, and a NaN passes through, as in the
 	// reference kernel.
 	b.register("Step", func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
-		alpha := math.Float32bits(float32(attrs.Float("alpha", 0)))
-		return b.unary("Step", inputs, out, func(dst, x []float32) {
-			for i, v := range x {
-				bits := math.Float32bits(v)
-				above := maskIf(bits-1 < infBits)
-				nan := maskIf(bits<<1 > infBits<<1)
-				dst[i] = math.Float32frombits(alpha&^(above|nan) | oneBits&above | bits&nan)
-			}
-		})
+		alpha := float32(attrs.Float("alpha", 0))
+		return b.unary("Step", inputs, out, func(dst, x []float32) { vec.Step(dst, x, alpha) })
 	})
 	un("Sigmoid", func(x float32) float32 { return float32(1 / (1 + math.Exp(-float64(x)))) })
 	un("Tanh", func(x float32) float32 { return float32(math.Tanh(float64(x))) })

@@ -13,6 +13,7 @@ import (
 	"repro/internal/ops"
 	"repro/internal/savedmodel"
 	"repro/internal/tensor"
+	"repro/internal/vec"
 )
 
 // These tests are the memory planner's acceptance gates (ISSUE 9): the
@@ -177,12 +178,14 @@ func TestPooledBitIdentityMatrix(t *testing.T) {
 }
 
 // TestVectorScalarBitIdentity is the whole-model form of the vector
-// cores' contract (vec.go): MobileNet α=0.25 @96 run on the AVX2 bodies
+// cores' contract (internal/vec): MobileNet α=0.25 @96 run on the AVX2 bodies
 // gives, bit for bit, the output of the pure-Go bodies — at batch 1 and
 // 16, and at every worker count against the one-worker scalar reference.
 func TestVectorScalarBitIdentity(t *testing.T) {
-	if !native.VectorCores() {
+	if restore, forced := vec.ForceScalar(); !forced {
 		t.Skip("no AVX2 on this CPU: the Go bodies are the only ones that run")
+	} else {
+		restore()
 	}
 	nb := nodeBackend(t)
 	defer nb.SetWorkers(-1)
@@ -201,7 +204,7 @@ func TestVectorScalarBitIdentity(t *testing.T) {
 		defer x.Dispose()
 
 		nb.SetWorkers(1)
-		restore := native.ForceScalar()
+		restore, _ := vec.ForceScalar()
 		want := predictBits(t, gm, x)
 		restore()
 		for _, workers := range []int{1, 2, 4, 8} {

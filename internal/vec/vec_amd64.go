@@ -1,4 +1,4 @@
-package native
+package vec
 
 // Implemented in vec_amd64.s. They check no bounds (the wrappers in
 // vec.go do) and retain no argument.
@@ -9,13 +9,13 @@ package native
 //go:noescape
 func axpyNAVX2(row, a []float32, off []int, b []float32)
 
-// dwPixelAVX2 is dwPixel's body; see there.
+// dwPixelAVX2 is DwPixel's body; see there.
 //
 //go:noescape
 func dwPixelAVX2(dst, x, w []float32, xRowStride, xTapStride, wRowStride, rows, taps int)
 
-// biasActAVX2 is biasAct's with-bias body; len(bias) == len(dst), kind is
-// actNone, actRelu or actRelu6.
+// biasActAVX2 is BiasAct's with-bias body; len(bias) == len(dst), kind is
+// ActNone, ActRelu or ActRelu6.
 //
 //go:noescape
 func biasActAVX2(dst, bias []float32, kind int)

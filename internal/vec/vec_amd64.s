@@ -202,7 +202,7 @@ GLOBL six<>(SB), RODATA|NOPTR, $4
 
 // func biasActAVX2(dst, bias []float32, kind int)
 // dst[i] = act(dst[i] + bias[i]), len(bias) == len(dst); kind is an
-// actKind: 0 none, 1 relu, 2 relu6.
+// Act: 0 none, 1 relu, 2 relu6.
 //
 // VMAXPS/VMINPS return their second source when either input is NaN or
 // both are zero, so operand order reproduces the Go branches exactly:

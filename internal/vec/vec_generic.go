@@ -1,6 +1,6 @@
 //go:build !amd64
 
-package native
+package vec
 
 // Off amd64 there is no assembly: hasAVX2 keeps useAVX2 false, so the
 // pure-Go bodies in vec.go run and these are never reached.
@@ -8,13 +8,13 @@ package native
 func hasAVX2() bool { return false }
 
 func axpyNAVX2(row, a []float32, off []int, b []float32) {
-	panic("native: no AVX2 core on this GOARCH")
+	panic("vec: no AVX2 core on this GOARCH")
 }
 
 func dwPixelAVX2(dst, x, w []float32, xRowStride, xTapStride, wRowStride, rows, taps int) {
-	panic("native: no AVX2 core on this GOARCH")
+	panic("vec: no AVX2 core on this GOARCH")
 }
 
 func biasActAVX2(dst, bias []float32, kind int) {
-	panic("native: no AVX2 core on this GOARCH")
+	panic("vec: no AVX2 core on this GOARCH")
 }

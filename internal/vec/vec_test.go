@@ -1,0 +1,310 @@
+package vec
+
+import (
+	"encoding/binary"
+	"math"
+	"slices"
+	"testing"
+)
+
+// Differential tests for the vector cores: each AVX2 body against its
+// pure-Go body, compared by bit pattern. Two NaNs count as equal whatever
+// their payloads (see vec.go: which payload survives NaN∘NaN is operand
+// order, which the compiler picks for the Go bodies); everything else —
+// rounding, ±0, ±Inf, denormals, where a NaN appears at all — must match
+// to the bit.
+
+// vecSpecials are the operand values the cores' edge semantics turn on.
+var vecSpecials = []float32{
+	float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+	float32(math.Copysign(0, -1)), 0,
+	math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-39, // denormals
+	math.MaxFloat32, -math.MaxFloat32, 3e38, 1.5e30, // products that overflow
+	6, -6, 1, -1, 0.1, 5.9999995, 6.0000005,
+}
+
+// vecOperand fills n values from a cheap deterministic mix of ordinary
+// magnitudes and, about one in four, a special.
+func vecOperand(n int, seed uint32) []float32 {
+	s := seed*2654435761 + 1
+	next := func() uint32 {
+		s ^= s << 13
+		s ^= s >> 17
+		s ^= s << 5
+		return s
+	}
+	out := make([]float32, n)
+	for i := range out {
+		r := next()
+		if r%4 == 0 {
+			out[i] = vecSpecials[int(r>>8)%len(vecSpecials)]
+		} else {
+			out[i] = (float32(r>>8)/float32(1<<24) - 0.5) * 16
+		}
+	}
+	return out
+}
+
+func requireSameFloats(t testing.TB, label string, got, want []float32) {
+	t.Helper()
+	for i := range want {
+		g, w := got[i], want[i]
+		if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
+			t.Fatalf("%s: element %d: got %g (bits %08x), want %g (bits %08x)",
+				label, i, g, math.Float32bits(g), w, math.Float32bits(w))
+		}
+	}
+}
+
+// The check functions run one core on both bodies, through its exported
+// wrapper, so the wrapper's part of the contract (the bounds it derives,
+// BiasAct's nil-bias form) is held to the Go body too.
+
+// onGoBodies runs f with the assembly switched off.
+func onGoBodies(f func()) {
+	restore, _ := ForceScalar()
+	defer restore()
+	f()
+}
+
+func checkAxpyN(t testing.TB, row, vals []float32, offs []int, b []float32) {
+	t.Helper()
+	got, want := slices.Clone(row), slices.Clone(row)
+	AxpyN(got, vals, offs, b)
+	onGoBodies(func() { AxpyN(want, vals, offs, b) })
+	requireSameFloats(t, "AxpyN", got, want)
+}
+
+func checkDwPixel(t testing.TB, dst, x, w []float32, xRowStride, xTapStride, wRowStride, rows, taps int) {
+	t.Helper()
+	got, want := slices.Clone(dst), slices.Clone(dst)
+	DwPixel(got, x, w, xRowStride, xTapStride, wRowStride, rows, taps)
+	onGoBodies(func() { DwPixel(want, x, w, xRowStride, xTapStride, wRowStride, rows, taps) })
+	requireSameFloats(t, "DwPixel", got, want)
+}
+
+func checkBiasAct(t testing.TB, dst, bias []float32) {
+	t.Helper()
+	for act, name := range map[Act]string{ActNone: "none", ActRelu: "relu", ActRelu6: "relu6"} {
+		got, want := slices.Clone(dst), slices.Clone(dst)
+		BiasAct(got, bias, act)
+		onGoBodies(func() { BiasAct(want, bias, act) })
+		requireSameFloats(t, "BiasAct "+name, got, want)
+	}
+}
+
+// checkReluFamily holds the bit-select rows to the float comparisons that
+// define them, exactly: no NaN is produced, so payloads count too.
+func checkReluFamily(t testing.TB, x []float32, alpha float32) {
+	t.Helper()
+	relu, relu6, step := make([]float32, len(x)), make([]float32, len(x)), make([]float32, len(x))
+	Relu(relu, x)
+	Relu6(relu6, x)
+	Step(step, x, alpha)
+	for i, v := range x {
+		var r, r6 float32
+		if v > 0 {
+			r = v
+		}
+		switch {
+		case v < 0:
+			r6 = 0
+		case v > 6:
+			r6 = 6
+		default:
+			r6 = v
+		}
+		s := alpha
+		switch {
+		case v != v:
+			s = v
+		case v > 0:
+			s = 1
+		}
+		for _, c := range []struct {
+			name      string
+			got, want float32
+		}{{"Relu", relu[i], r}, {"Relu6", relu6[i], r6}, {"Step", step[i], s}} {
+			if math.Float32bits(c.got) != math.Float32bits(c.want) {
+				t.Fatalf("%s(%g, bits %08x) = bits %08x, want %08x", c.name, v, math.Float32bits(v), math.Float32bits(c.got), math.Float32bits(c.want))
+			}
+		}
+	}
+}
+
+// strideOffs is the offset table of a dense product: t*stride.
+func strideOffs(k, stride int) []int {
+	offs := make([]int, k)
+	for t := range offs {
+		offs[t] = t * stride
+	}
+	return offs
+}
+
+func requireAVX2(t testing.TB) {
+	t.Helper()
+	if !useAVX2 {
+		t.Skip("no AVX2 on this CPU: the Go bodies are the only ones that run")
+	}
+}
+
+// TestVecCoresBitIdentity sweeps every output length 0…67 (empty, pure
+// scalar tail, one to eight 8-wide steps plus each tail) at every
+// sub-slice offset 0…7 of its backing array, so the loads and stores hit
+// every alignment, on operands seeded from vecSpecials.
+func TestVecCoresBitIdentity(t *testing.T) {
+	requireAVX2(t)
+	seed := uint32(0)
+	for n := 0; n <= 67; n++ {
+		for off := 0; off <= 7; off++ {
+			seed += 3
+			dst := vecOperand(off+n, seed)[off:]
+
+			// k from 0 to 40, so the run ends on every remainder of the
+			// four-wide step; about a quarter of vals is ±0 and some of it
+			// NaN/Inf, all of it multiplied. The row stride is the row's
+			// own length (a GEMM) and wider (a pixel's slice of a filter row).
+			k := int(seed) % 41
+			for _, stride := range []int{n, n + 5} {
+				vals := vecOperand(off+k, seed+1)[off:]
+				b := vecOperand(off+k*stride+n, seed+2)[off:]
+				checkAxpyN(t, dst, vals, strideOffs(k, stride), b)
+			}
+
+			// A 3×3 filter clipped to every rows×taps rectangle, strides as
+			// a stride-2 dilation-1 layer would pass them.
+			for rows := 1; rows <= 3; rows++ {
+				for taps := 1; taps <= 3; taps++ {
+					xRow, xTap, wRow := 5*n+1, n, 3*n
+					x := vecOperand(off+(rows-1)*xRow+(taps-1)*xTap+n, seed+1)[off:]
+					w := vecOperand(off+(rows-1)*wRow+taps*n, seed+2)[off:]
+					checkDwPixel(t, dst, x, w, xRow, xTap, wRow, rows, taps)
+				}
+			}
+
+			checkBiasAct(t, dst, vecOperand(off+n, seed+1)[off:])
+			checkBiasAct(t, dst, nil)
+			checkReluFamily(t, dst, 0.25)
+		}
+	}
+	// Every special against every special, in every lane of an 8-wide step
+	// and of the scalar tail.
+	for _, av := range vecSpecials {
+		for _, bv := range vecSpecials {
+			for _, yv := range vecSpecials {
+				a, b, y := make([]float32, 5), make([]float32, 5*11), make([]float32, 11)
+				for i := range a {
+					a[i] = av
+				}
+				for i := range b {
+					b[i] = bv
+				}
+				for i := range y {
+					y[i] = yv
+				}
+				checkAxpyN(t, y, a, strideOffs(5, 11), b)
+				checkDwPixel(t, y, b, b[11:], 22, 11, 22, 2, 2)
+				checkBiasAct(t, y, b[:11])
+			}
+		}
+	}
+}
+
+// TestVecCoresStayInBounds: a core writes exactly the slice it was given —
+// the elements either side keep their sentinel.
+func TestVecCoresStayInBounds(t *testing.T) {
+	requireAVX2(t)
+	const sentinel = 12345
+	for n := 0; n <= 40; n++ {
+		buf := make([]float32, n+16)
+		for i := range buf {
+			buf[i] = sentinel
+		}
+		dst := buf[8 : 8+n : 8+n]
+		AxpyN(dst, vecOperand(6, 7), strideOffs(6, n), vecOperand(6*n, 8))
+		DwPixel(dst, vecOperand(4*n, 9), vecOperand(4*n, 10), 2*n, n, 2*n, 2, 2)
+		BiasAct(dst, vecOperand(n, 11), ActRelu6)
+		Relu6(dst, dst)
+		for i, v := range buf {
+			if (i < 8 || i >= 8+n) && v != sentinel {
+				t.Fatalf("n=%d: buf[%d] = %g, outside the slice handed to the cores", n, i, v)
+			}
+		}
+	}
+}
+
+// FuzzVecCores reads its input as float32 bit patterns, so the fuzzer
+// reaches every NaN payload, denormal and sign combination, and carves
+// the three cores' operands out of them: k and the tap rectangle come
+// from the two leading arguments, the output length from how many floats
+// there are.
+func FuzzVecCores(f *testing.F) {
+	requireAVX2(f)
+	var specials []byte
+	for _, a := range vecSpecials {
+		for _, b := range vecSpecials {
+			specials = binary.LittleEndian.AppendUint32(specials, math.Float32bits(a))
+			specials = binary.LittleEndian.AppendUint32(specials, math.Float32bits(b))
+		}
+	}
+	f.Add(uint8(3), uint8(4), specials)
+	f.Add(uint8(36), uint8(8), specials)
+	f.Add(uint8(1), uint8(0), specials[:4*19])
+	f.Add(uint8(0), uint8(0), []byte{})
+	// The case that separates the dense AxpyN from a zero-skipping caller:
+	// four ±0 steps against a b of +Inf and NaN.
+	var zeroInf []byte
+	for i := 0; i < 4+9+4*9; i++ {
+		bits := [4]uint32{0, 1 << 31, 0x7f800000, 0x7fc00000}[i%2+2*min(i/4, 1)]
+		zeroInf = binary.LittleEndian.AppendUint32(zeroInf, bits)
+	}
+	f.Add(uint8(3), uint8(0), zeroInf)
+	f.Fuzz(func(t *testing.T, kSel, tapSel uint8, data []byte) {
+		vals := make([]float32, len(data)/4)
+		for i := range vals {
+			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+
+		// vals = a[k] ‖ row[n] ‖ b[k×n]
+		k := 1 + int(kSel)%40
+		if len(vals) >= k {
+			n := (len(vals) - k) / (k + 1)
+			checkAxpyN(t, vals[k:k+n], vals[:k], strideOffs(k, n), vals[k+n:k+n+k*n])
+		}
+
+		// vals = dst[c] ‖ x[rows×taps×c] ‖ w[rows×taps×c]
+		rows, taps := 1+int(tapSel)%3, 1+int(tapSel)/3%3
+		c := len(vals) / (2*rows*taps + 1)
+		x := vals[c : c+rows*taps*c]
+		w := vals[c+rows*taps*c:]
+		checkDwPixel(t, vals[:c], x, w, taps*c, c, taps*c, rows, taps)
+
+		checkBiasAct(t, vals[:len(vals)/2], vals[len(vals)/2:])
+		checkBiasAct(t, vals, nil)
+		checkReluFamily(t, vals, float32(kSel)/16)
+	})
+}
+
+// TestAxpyNIsDense: a zero step is multiplied, not skipped, on both bodies —
+// 0·Inf and 0·NaN are NaN in every lane and in the tail. The shader programs
+// that call AxpyN depend on it; native's gemmRow gets its skip by leaving
+// zeros out of vals.
+func TestAxpyNIsDense(t *testing.T) {
+	for _, zero := range []float32{0, float32(math.Copysign(0, -1))} {
+		for _, w := range []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())} {
+			b := make([]float32, 5*11)
+			for i := range b {
+				b[i] = w
+			}
+			for _, body := range []func(func()){func(f func()) { f() }, onGoBodies} {
+				row := make([]float32, 11)
+				body(func() { AxpyN(row, []float32{zero, zero, zero, zero, zero}, strideOffs(5, 11), b) })
+				for j, v := range row {
+					if v == v {
+						t.Fatalf("%g·%g: row[%d] = %g, want NaN", zero, w, j, v)
+					}
+				}
+			}
+		}
+	}
+}

@@ -3,9 +3,9 @@ package webgl
 import (
 	"math"
 
-	"repro/internal/glsim"
 	"repro/internal/kernels"
 	"repro/internal/tensor"
+	"repro/internal/vec"
 )
 
 // registerConv installs the convolution and pooling shader programs. Each
@@ -129,60 +129,60 @@ func forEachPixel(info kernels.Conv2DInfo, outC, lo, hi int, dst []float32, fn f
 	}
 }
 
+// clip returns the filter taps [fyLo, fyHi) × [fxLo, fxHi) of the window
+// that land inside the input image: padding clips a filter to a rectangle
+// (empty when the window lies wholly in the padding).
+func (w window) clip(info kernels.Conv2DInfo) (fyLo, fyHi, fxLo, fxHi int) {
+	fyLo, fyHi = kernels.TapRange(w.yCorner, info.DilationHeight, info.FilterHeight, info.InHeight)
+	fxLo, fxHi = kernels.TapRange(w.xCorner, info.DilationWidth, info.FilterWidth, info.InWidth)
+	return
+}
+
 // forEachTap calls fn for every filter tap of the window that lands inside
 // the input image, in (fy, fx) order, with the flat input offset of the
 // tap's pixel and the tap's index fy*FilterWidth+fx.
 func (w window) forEachTap(info kernels.Conv2DInfo, fn func(inBase, tap int)) {
 	inRow := info.InWidth * info.InChannels
-	for fy := 0; fy < info.FilterHeight; fy++ {
-		iy := w.yCorner + fy*info.DilationHeight
-		if iy < 0 || iy >= info.InHeight {
-			continue
-		}
-		for fx := 0; fx < info.FilterWidth; fx++ {
-			ix := w.xCorner + fx*info.DilationWidth
-			if ix < 0 || ix >= info.InWidth {
-				continue
-			}
-			fn(w.imgBase+iy*inRow+ix*info.InChannels, fy*info.FilterWidth+fx)
+	fyLo, fyHi, fxLo, fxHi := w.clip(info)
+	for fy := fyLo; fy < fyHi; fy++ {
+		rowBase := w.imgBase + (w.yCorner+fy*info.DilationHeight)*inRow
+		for fx := fxLo; fx < fxHi; fx++ {
+			fn(rowBase+(w.xCorner+fx*info.DilationWidth)*info.InChannels, fy*info.FilterWidth+fx)
 		}
 	}
 }
 
-// epilogue applies a fused kernel's bias and activation to the output
-// channels [cLo, cLo+len(acc)) of one pixel or row.
-func epilogue(acc []float32, cLo int, biasTex *glsim.Texture, act func(float32) float32) {
-	if biasTex != nil {
-		for j, bv := range biasTex.Floats()[cLo : cLo+len(acc)] {
-			acc[j] += bv
-		}
-	}
-	if act != nil {
-		for j, v := range acc {
-			acc[j] = act(v)
-		}
-	}
+// denseSteps is a dense product's offset table — step t reads its row of
+// weights at t*stride — for the first len(offs) steps: what vec.AxpyN takes
+// where a caller that skips zeros (native's gemmRow) passes the offsets it
+// kept. A program body builds one on its stack per range it is handed;
+// nothing is allocated per dispatch. Its length is a multiple of the vector
+// core's four-wide step.
+type denseSteps struct {
+	stride int
+	offs   [32]int
 }
 
-// axpy is acc[j] += a·row[j], four values a turn. It is the inner loop of the
-// convolution and matrix-multiply programs, and it is unrolled for the
-// host's sake: as a three-instruction loop its speed depended on whether the
-// linker put it across a 64-byte line (predict_webgl p50 5.98 or 8.92 ms
-// from the same machine code, EXPERIMENTS.md ISSUE 22). Each value keeps its
-// own order of additions.
-func axpy(acc, row []float32, a float32) {
-	row = row[:len(acc)]
-	j := 0
-	for ; j+4 <= len(acc); j += 4 {
-		d, r := acc[j:j+4:j+4], row[j:j+4:j+4]
-		d[0] += a * r[0]
-		d[1] += a * r[1]
-		d[2] += a * r[2]
-		d[3] += a * r[3]
+func newDenseSteps(stride int) (s denseSteps) {
+	s.stride = stride
+	for t := range s.offs {
+		s.offs[t] = t * stride
 	}
-	for ; j < len(acc); j++ {
-		acc[j] += a * row[j]
+	return s
+}
+
+// accumulate is acc[j] += xs[t]·ws[t*stride+j], t ascending: the inner loop
+// of the convolution and matrix-multiply programs. The stride is a filter or
+// matrix row's length, which is not len(acc) on the partial pixels at a
+// range's ends. Every step is multiplied, a zero xs[t] too, as the shader
+// does — 0·Inf is NaN here and on the reference tier, which is why this is
+// the dense vec.AxpyN and not native's zero-skipping gemmRow.
+func (s *denseSteps) accumulate(acc, xs, ws []float32) {
+	for len(xs) > len(s.offs) {
+		vec.AxpyN(acc, xs[:len(s.offs)], s.offs[:], ws)
+		xs, ws = xs[len(s.offs):], ws[len(s.offs)*s.stride:]
 	}
+	vec.AxpyN(acc, xs, s.offs[:], ws)
 }
 
 // conv2D is the Conv2D and FusedConv2D program: every output value is the
@@ -199,7 +199,7 @@ func (b *Backend) conv2D(name string, inputs []kernels.Input, attrs kernels.Attr
 	if err != nil {
 		return err
 	}
-	biasTex, act, err := b.fusedTail(name, inputs, attrs, info.OutChannels, fused)
+	ep, err := b.fusedTail(name, inputs, attrs, info.OutChannels, fused)
 	if err != nil {
 		return err
 	}
@@ -210,18 +210,29 @@ func (b *Backend) conv2D(name string, inputs []kernels.Input, attrs kernels.Attr
 		return err
 	}
 	inC, outC := info.InChannels, info.OutChannels
-	b.run(name, out, convWork(info, out.size, biasTex != nil, act != nil), func(lo, hi int, dst []float32) {
+	inRow := info.InWidth * inC
+	b.run(name, out, convWork(info, out.size, ep.bias != nil, ep.act != nil), func(lo, hi int, dst []float32) {
 		xs, ws := xTex.Floats(), wTex.Floats()
+		steps := newDenseSteps(outC)
 		forEachPixel(info, outC, lo, hi, dst, func(acc []float32, cLo int, win window) {
 			clear(acc)
-			win.forEachTap(info, func(inBase, tap int) {
-				wBase := tap*inC*outC + cLo
-				for _, xv := range xs[inBase : inBase+inC] {
-					axpy(acc, ws[wBase:wBase+len(acc)], xv)
-					wBase += outC
+			fyLo, fyHi, fxLo, fxHi := win.clip(info)
+			// Undilated, a filter row's in-bounds taps are contiguous in x
+			// and in w, so one product covers the whole run of them — the
+			// stem's inC = 3 becomes nine steps, not three.
+			run := 1
+			if info.DilationWidth == 1 {
+				run = fxHi - fxLo
+			}
+			for fy := fyLo; fy < fyHi; fy++ {
+				rowBase := win.imgBase + (win.yCorner+fy*info.DilationHeight)*inRow
+				for fx := fxLo; fx < fxHi; fx += run {
+					inBase := rowBase + (win.xCorner+fx*info.DilationWidth)*inC
+					wBase := (fy*info.FilterWidth+fx)*inC*outC + cLo
+					steps.accumulate(acc, xs[inBase:inBase+run*inC], ws[wBase:])
 				}
-			})
-			epilogue(acc, cLo, biasTex, act)
+			}
+			ep.apply(acc, cLo)
 		})
 	})
 	return nil
@@ -239,7 +250,7 @@ func (b *Backend) depthwiseConv2D(name string, inputs []kernels.Input, attrs ker
 	if err != nil {
 		return err
 	}
-	biasTex, act, err := b.fusedTail(name, inputs, attrs, info.OutChannels, fused)
+	ep, err := b.fusedTail(name, inputs, attrs, info.OutChannels, fused)
 	if err != nil {
 		return err
 	}
@@ -250,23 +261,31 @@ func (b *Backend) depthwiseConv2D(name string, inputs []kernels.Input, attrs ker
 		return err
 	}
 	mult, outC := info.ChannelMultiplier, info.OutChannels
-	b.run(name, out, depthwiseWork(info, out.size, biasTex != nil, act != nil), func(lo, hi int, dst []float32) {
+	inRow := info.InWidth * info.InChannels
+	b.run(name, out, depthwiseWork(info, out.size, ep.bias != nil, ep.act != nil), func(lo, hi int, dst []float32) {
 		xs, ws := xTex.Floats(), wTex.Floats()
 		forEachPixel(info, outC, lo, hi, dst, func(acc []float32, cLo int, win window) {
 			clear(acc)
+			if mult == 1 && len(acc) == outC {
+				// A whole pixel, one input channel per output channel: the
+				// clipped filter is a rectangle of contiguous channel rows.
+				fyLo, fyHi, fxLo, fxHi := win.clip(info)
+				if fyLo < fyHi && fxLo < fxHi {
+					inBase := win.imgBase + (win.yCorner+fyLo*info.DilationHeight)*inRow + (win.xCorner+fxLo*info.DilationWidth)*outC
+					vec.DwPixel(acc, xs[inBase:], ws[(fyLo*info.FilterWidth+fxLo)*outC:],
+						info.DilationHeight*inRow, info.DilationWidth*outC, info.FilterWidth*outC, fyHi-fyLo, fxHi-fxLo)
+				}
+				ep.apply(acc, cLo)
+				return
+			}
+			// The partial pixels at a range's ends, and multipliers above 1.
 			win.forEachTap(info, func(inBase, tap int) {
 				wRow := ws[tap*outC+cLo : tap*outC+cLo+len(acc)]
-				if mult == 1 {
-					for j, xv := range xs[inBase+cLo : inBase+cLo+len(acc)] {
-						acc[j] += xv * wRow[j]
-					}
-					return
-				}
 				for j, wv := range wRow {
-					acc[j] += xs[inBase+(cLo+j)/mult] * wv
+					acc[j] += float32(xs[inBase+(cLo+j)/mult] * wv)
 				}
 			})
-			epilogue(acc, cLo, biasTex, act)
+			ep.apply(acc, cLo)
 		})
 	})
 	return nil

@@ -7,6 +7,7 @@ import (
 	"repro/internal/glsim"
 	"repro/internal/kernels"
 	"repro/internal/tensor"
+	"repro/internal/vec"
 )
 
 // registerElementwise installs the element-wise binary and unary shader
@@ -96,21 +97,6 @@ func (b *Backend) registerElementwise() {
 		{"Tanh", func(x float32) float32 { return float32(math.Tanh(float64(x))) }},
 		{"Sigmoid", func(x float32) float32 { return float32(1 / (1 + math.Exp(-float64(x)))) }},
 		{"Softplus", func(x float32) float32 { return float32(math.Log1p(math.Exp(float64(x)))) }},
-		{"Relu", func(x float32) float32 {
-			if x > 0 {
-				return x
-			}
-			return 0
-		}},
-		{"Relu6", func(x float32) float32 {
-			if x < 0 {
-				return 0
-			}
-			if x > 6 {
-				return 6
-			}
-			return x
-		}},
 		{"Elu", func(x float32) float32 {
 			if x >= 0 {
 				return x
@@ -118,18 +104,26 @@ func (b *Backend) registerElementwise() {
 			return float32(math.Expm1(float64(x)))
 		}},
 	}
-	for _, op := range unOps {
-		op := op
-		b.register(op.name, func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-			return b.unaryProgram(op.name, inputs, op.f, res)
+	// A unary program's body is a row loop. The ReLU family has branch-free
+	// ones in internal/vec (a sign test on activations is a coin flip to the
+	// branch predictor); the rest pay an indirect call per element for
+	// their math.
+	unary := func(name string, row func(dst, x []float32)) {
+		b.register(name, func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
+			return b.unaryProgram(name, inputs, row, res)
 		})
 	}
+	for _, op := range unOps {
+		unary(op.name, perElement(op.f))
+	}
+	unary("Relu", vec.Relu)
+	unary("Relu6", vec.Relu6)
 
 	// Attribute-parameterized unary programs.
 	b.register("ClipByValue", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		lo := float32(attrs.Float("clipValueMin", math.Inf(-1)))
 		hi := float32(attrs.Float("clipValueMax", math.Inf(1)))
-		return b.unaryProgram("ClipByValue", inputs, func(x float32) float32 {
+		return b.unaryProgram("ClipByValue", inputs, perElement(func(x float32) float32 {
 			if x < lo {
 				return lo
 			}
@@ -137,29 +131,20 @@ func (b *Backend) registerElementwise() {
 				return hi
 			}
 			return x
-		}, res)
+		}), res)
 	})
 	b.register("LeakyRelu", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		alpha := float32(attrs.Float("alpha", 0.2))
-		return b.unaryProgram("LeakyRelu", inputs, func(x float32) float32 {
+		return b.unaryProgram("LeakyRelu", inputs, perElement(func(x float32) float32 {
 			if x >= 0 {
 				return x
 			}
 			return alpha * x
-		}, res)
+		}), res)
 	})
 	b.register("Step", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		alpha := float32(attrs.Float("alpha", 0))
-		return b.unaryProgram("Step", inputs, func(x float32) float32 {
-			switch {
-			case math.IsNaN(float64(x)):
-				return x
-			case x > 0:
-				return 1
-			default:
-				return alpha
-			}
-		}, res)
+		return b.unaryProgram("Step", inputs, func(dst, x []float32) { vec.Step(dst, x, alpha) }, res)
 	})
 
 	// Fill is a zero-input program: every texel computes the constant.
@@ -232,14 +217,32 @@ func (b *Backend) registerElementwise() {
 		// through their samplers.
 		work := perValue(out.size, 5, 6+aluTerm*b.termCount(inputs[0].Shape, shapes[1:]...))
 		x, mean, variance, offset, scale := texes[0], texes[1], texes[2], texes[3], texes[4]
-		if periods, ok := suffixPeriods(inputs[0].Shape, shapes[1:]...); ok {
+		if c, ok := channelPeriod(inputs[0].Shape, shapes[1:]...); ok {
 			b.run("FusedBatchNorm", out, work, func(lo, hi int, dst []float32) {
-				xs := x.Floats()[lo:hi]
+				xs := x.Floats()
 				ms, vs, os, ss := mean.Floats(), variance.Floats(), offset.Floats(), scale.Floats()
-				im, iv, io, is := lo%periods[0], lo%periods[1], lo%periods[2], lo%periods[3]
-				for j, xv := range xs {
-					dst[j] = batchNorm(xv, ms[im], vs[iv], os[io], ss[is], eps)
-					im, iv, io, is = next(im, periods[0]), next(iv, periods[1]), next(io, periods[2]), next(is, periods[3])
+				// √(variance+ε) is a channel's, not a value's: it is taken once
+				// per channel into sd, bnTile channels at a time, and each pixel
+				// the range touches runs its part of the tile as a row — the
+				// same five roundings per value, in the same order, as
+				// batchNorm. Nothing is kept from one range to the next.
+				var sd [bnTile]float32
+				for c0 := 0; c0 < c; c0 += bnTile {
+					c1 := min(c0+bnTile, c)
+					for j, v := range vs[c0:c1] {
+						sd[j] = float32(math.Sqrt(float64(v + eps)))
+					}
+					for pixel := lo - lo%c; pixel < hi; pixel += c {
+						from, to := max(lo, pixel+c0), min(hi, pixel+c1)
+						if from >= to {
+							continue
+						}
+						ch := from - pixel
+						row, m, d, s, o := dst[from-lo:to-lo], ms[ch:], sd[ch-c0:], ss[ch:], os[ch:]
+						for j, xv := range xs[from:to] {
+							row[j] = float32((xv-m[j])/d[j]*s[j]) + o[j]
+						}
+					}
 				}
 			})
 			return nil
@@ -256,7 +259,28 @@ func (b *Backend) registerElementwise() {
 // batchNorm is FusedBatchNorm's value: (x − mean)/√(variance + ε) · scale +
 // offset, each step rounded to float32.
 func batchNorm(x, mean, variance, offset, scale, eps float32) float32 {
-	return (x-mean)/float32(math.Sqrt(float64(variance+eps)))*scale + offset
+	return float32((x-mean)/float32(math.Sqrt(float64(variance+eps)))*scale) + offset
+}
+
+// bnTile is how many channels' √(variance+ε) the batch-norm program keeps
+// on its stack at a time.
+const bnTile = 256
+
+// channelPeriod reports whether every operand is a channel-suffix operand
+// (suffixPeriods) of one and the same period c — batch norm's four [C]
+// vectors against [..., C] — so that the output is rows of c values, each
+// row reading the operands at 0…c-1.
+func channelPeriod(outShape []int, inShapes ...[]int) (c int, ok bool) {
+	periods, ok := suffixPeriods(outShape, inShapes...)
+	if !ok {
+		return 0, false
+	}
+	for _, p := range periods {
+		if p != periods[0] {
+			return 0, false
+		}
+	}
+	return periods[0], true
 }
 
 func b2f(c bool) float32 {
@@ -343,8 +367,18 @@ func (b *Backend) binaryProgram(name string, inputs []kernels.Input, f func(a, x
 	return nil
 }
 
-// unaryProgram assembles an element-wise unary shader.
-func (b *Backend) unaryProgram(name string, inputs []kernels.Input, f func(x float32) float32, res *kernels.TensorInfo) error {
+// perElement is the row body of a unary program that computes f per value.
+func perElement(f func(x float32) float32) func(dst, x []float32) {
+	return func(dst, x []float32) {
+		for j, v := range x {
+			dst[j] = f(v)
+		}
+	}
+}
+
+// unaryProgram assembles an element-wise unary shader: row maps a range of
+// the input's values to the same range of the output's.
+func (b *Backend) unaryProgram(name string, inputs []kernels.Input, row func(dst, x []float32), res *kernels.TensorInfo) error {
 	if len(inputs) != 1 {
 		return errf("%s: got %d inputs, want 1", name, len(inputs))
 	}
@@ -354,9 +388,7 @@ func (b *Backend) unaryProgram(name string, inputs []kernels.Input, f func(x flo
 		return err
 	}
 	b.run(name, out, perValue(out.size, 1, 1), func(lo, hi int, dst []float32) {
-		for j, v := range xTex.Floats()[lo:hi] {
-			dst[j] = f(v)
-		}
+		row(dst, xTex.Floats()[lo:hi])
 	})
 	return nil
 }

@@ -3,6 +3,7 @@ package webgl
 import (
 	"repro/internal/glsim"
 	"repro/internal/kernels"
+	"repro/internal/vec"
 )
 
 // registerFused installs the fused conv/matmul shader programs. Each is the
@@ -38,25 +39,54 @@ func (b *Backend) registerFused() {
 	})
 }
 
+// epilogue is a fused kernel's tail: the optional bias texture, one value
+// per output channel, and the activation. The zero value does nothing.
+type epilogue struct {
+	bias *glsim.Texture
+	act  func(float32) float32 // nil: none
+	kind vec.Act               // act again, when it is one the vector core applies itself
+}
+
+// apply adds the bias and applies the activation to the output channels
+// [cLo, cLo+len(acc)) of one pixel or row.
+func (e epilogue) apply(acc []float32, cLo int) {
+	var bias []float32
+	if e.bias != nil {
+		bias = e.bias.Floats()[cLo : cLo+len(acc)]
+	}
+	vec.BiasAct(acc, bias, e.kind)
+	if e.kind == vec.ActNone && e.act != nil {
+		for j, v := range acc {
+			acc[j] = e.act(v)
+		}
+	}
+}
+
 // fusedTail resolves the epilogue of a kernel with outC output channels:
 // for a fused kernel, the optional bias texture (inputs[2]) and the
 // activation; for its unfused twin, nothing.
-func (b *Backend) fusedTail(name string, inputs []kernels.Input, attrs kernels.Attrs, outC int, fused bool) (*glsim.Texture, func(float32) float32, error) {
+func (b *Backend) fusedTail(name string, inputs []kernels.Input, attrs kernels.Attrs, outC int, fused bool) (ep epilogue, err error) {
 	if !fused {
-		return nil, nil, nil
+		return ep, nil
 	}
-	var biasTex *glsim.Texture
 	if len(inputs) == 3 {
 		bi := inputs[2]
 		if len(bi.Shape) != 1 || bi.Shape[0] != outC {
-			return nil, nil, errf("%s: bias must have shape [%d], got %v", name, outC, bi.Shape)
+			return ep, errf("%s: bias must have shape [%d], got %v", name, outC, bi.Shape)
 		}
-		_, biasTex = b.input(bi)
+		_, ep.bias = b.input(bi)
 	}
 	actName := attrs.String("activation", "")
 	act, ok := kernels.FusedActivation(actName)
 	if !ok {
-		return nil, nil, errf("%s: unknown activation %q", name, actName)
+		return ep, errf("%s: unknown activation %q", name, actName)
 	}
-	return biasTex, act, nil
+	ep.act = act
+	switch actName {
+	case "relu":
+		ep.kind = vec.ActRelu
+	case "relu6":
+		ep.kind = vec.ActRelu6
+	}
+	return ep, nil
 }

@@ -58,7 +58,7 @@ func (b *Backend) matMul(name string, inputs []kernels.Input, attrs kernels.Attr
 		return errf("%s: inner dims mismatch %v x %v", name, a.Shape, x.Shape)
 	}
 	k := kA
-	biasTex, act, err := b.fusedTail(name, inputs, attrs, n, fused)
+	ep, err := b.fusedTail(name, inputs, attrs, n, fused)
 	if err != nil {
 		return err
 	}
@@ -71,7 +71,7 @@ func (b *Backend) matMul(name string, inputs []kernels.Input, attrs kernels.Attr
 	}
 	aMat, bMat := aRows*aCols, bRows*bCols
 
-	work := addEpilogue(macWork(out.size, int64(out.size)*int64(k), rank-1), out.size, biasTex != nil, act != nil)
+	work := addEpilogue(macWork(out.size, int64(out.size)*int64(k), rank-1), out.size, ep.bias != nil, ep.act != nil)
 	if transposeA || transposeB {
 		// Compiler-generated samplers: getA(p, i, kk) and getB(p, kk, j)
 		// in flat index form, with the transpose folded into strides.
@@ -96,11 +96,11 @@ func (b *Backend) matMul(name string, inputs []kernels.Input, attrs kernels.Attr
 				sum += aTex.FetchFlat(aOff+i*aRowStride+kk*aColStride) *
 					bTex.FetchFlat(bOff+kk*bRowStride+j*bColStride)
 			}
-			if biasTex != nil {
-				sum += biasTex.FetchFlat(j)
+			if ep.bias != nil {
+				sum += ep.bias.FetchFlat(j)
 			}
-			if act != nil {
-				sum = act(sum)
+			if ep.act != nil {
+				sum = ep.act(sum)
 			}
 			return sum
 		})
@@ -115,17 +115,16 @@ func (b *Backend) matMul(name string, inputs []kernels.Input, attrs kernels.Attr
 	}
 	b.run(name, out, work, func(lo, hi int, dst []float32) {
 		as, bs := aTex.Floats(), bTex.Floats()
+		steps := newDenseSteps(n)
 		for at := lo; at < hi; {
 			row, jLo := at/n, at%n
 			acc := dst[at-lo : at-lo+min(n-jLo, hi-at)]
 			i, p := row%m, row/m
 			clear(acc)
-			bBase := (p%batchB)*bMat + jLo
-			for _, av := range as[(p%batchA)*aMat+i*k:][:k] {
-				axpy(acc, bs[bBase:bBase+len(acc)], av)
-				bBase += n
+			if k > 0 {
+				steps.accumulate(acc, as[(p%batchA)*aMat+i*k:][:k], bs[(p%batchB)*bMat+jLo:])
 			}
-			epilogue(acc, jLo, biasTex, act)
+			ep.apply(acc, jLo)
 			at += len(acc)
 		}
 	})

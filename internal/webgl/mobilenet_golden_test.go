@@ -3,6 +3,8 @@ package webgl
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/kernels"
 	"repro/internal/models"
+	"repro/internal/vec"
 )
 
 const mobilenetGoldenFile = "testdata/mobilenet_golden.json"
@@ -82,5 +85,60 @@ func TestMobileNetLogitsGolden(t *testing.T) {
 	}
 	if *updateGoldens {
 		saveGoldens(t, mobilenetGoldenFile, recorded)
+	}
+}
+
+// TestVectorScalarBitIdentity is the whole-model form of the vector cores'
+// contract (internal/vec) on this backend: the Table 1 network's logits on
+// the AVX2 bodies are, bit for bit, its logits on the pure-Go bodies — at
+// 1, 3 and 7 device workers (ranges ending mid-pixel take the programs'
+// own Go loops beside the cores), packed and unpacked.
+func TestVectorScalarBitIdentity(t *testing.T) {
+	if restore, forced := vec.ForceScalar(); !forced {
+		t.Skip("no AVX2 on this CPU: the Go bodies are the only ones that run")
+	} else {
+		restore()
+	}
+	e := core.Global()
+	e.RegisterBackend("cpu", func() (kernels.Backend, error) { return cpu.New(), nil })
+	x := data.FromPixelsBatch(data.SyntheticPhoto(96, 42))
+	defer x.Dispose()
+	for _, packed := range []bool{true, false} {
+		for _, workers := range []int{1, 3, 7} {
+			cfg := DefaultConfig()
+			cfg.Packed, cfg.Device.Workers, cfg.Device.TextureAllocCost = packed, workers, -1
+			backend := fmt.Sprintf("cores-packed=%v-workers=%d", packed, workers)
+			e.RegisterBackend(backend, func() (kernels.Backend, error) { return New(cfg), nil })
+			if err := e.SetBackend(backend); err != nil {
+				t.Fatal(err)
+			}
+			model, err := models.MobileNetV1(models.MobileNetConfig{
+				Alpha: 0.25, InputSize: 96, NumClasses: 1000, IncludeTop: true, Seed: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// DataSync returns once the device is idle, so the switch is
+			// flipped between programs, never under one.
+			logits := func() []float32 {
+				out := model.Predict(x)
+				defer out.Dispose()
+				return slices.Clone(out.DataSync())
+			}
+			vector := logits()
+			restore, _ := vec.ForceScalar()
+			scalar := logits()
+			restore()
+			for i := range scalar {
+				if math.Float32bits(vector[i]) != math.Float32bits(scalar[i]) {
+					t.Fatalf("%s: logit %d is %g (bits %08x) on the AVX2 bodies, %g (bits %08x) on the Go bodies",
+						backend, i, vector[i], math.Float32bits(vector[i]), scalar[i], math.Float32bits(scalar[i]))
+				}
+			}
+			model.Dispose()
+			if err := e.SetBackend("cpu"); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package webgl
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/kernels"
@@ -13,7 +14,11 @@ import (
 // allocs/op are the simulator's host cost; gpu-ms/op and fetches/op are
 // what the modelled device is charged, and do not move when a body is
 // rewritten — so the host/model split of any change is one
-// `go test -run '^$' -bench Program ./internal/webgl` away.
+// `go test -run '^$' -bench Program ./internal/webgl` away. Operands are
+// seeded normal values × 4: they change sign and cross 6 at random, as
+// activations do, so a body that branches on its data pays for it here (a
+// ReLU6 over operands all inside (0, 6) is perfectly predicted and read 1.2×
+// for a change worth 2× in a real predict). A variance is 0.5 + |value|.
 func BenchmarkProgram(b *testing.B) {
 	programs := []struct {
 		name   string
@@ -23,7 +28,9 @@ func BenchmarkProgram(b *testing.B) {
 	}{
 		{"Conv1x1_48x48x8→16", "Conv2D", [][]int{{1, 48, 48, 8}, {1, 1, 8, 16}}, convAttrs([]int{1, 1}, []int{1, 1}, "same")},
 		{"Conv3x3Stem_96→48x8", "Conv2D", [][]int{{1, 96, 96, 3}, {3, 3, 3, 8}}, convAttrs([]int{2, 2}, []int{1, 1}, "same")},
+		{"Conv1x1_6x6x128→128", "Conv2D", [][]int{{1, 6, 6, 128}, {1, 1, 128, 128}}, convAttrs([]int{1, 1}, []int{1, 1}, "same")},
 		{"Depthwise3x3_24x24x32", "DepthwiseConv2dNative", [][]int{{1, 24, 24, 32}, {3, 3, 32, 1}}, convAttrs([]int{1, 1}, []int{1, 1}, "same")},
+		{"Depthwise3x3s2_24x24x32→12x12", "DepthwiseConv2dNative", [][]int{{1, 24, 24, 32}, {3, 3, 32, 1}}, convAttrs([]int{2, 2}, []int{1, 1}, "same")},
 		{"BatchNorm_24x24x32", "FusedBatchNorm", [][]int{{1, 24, 24, 32}, {32}, {32}, {32}, {32}}, kernels.Attrs{"varianceEpsilon": 1e-3}},
 		{"Relu6_24x24x32", "Relu6", [][]int{{1, 24, 24, 32}}, kernels.Attrs{}},
 		{"Dense_256→1000", "BatchMatMul", [][]int{{1, 1, 256}, {1, 256, 1000}}, kernels.Attrs{"transposeA": false, "transposeB": false}},
@@ -37,11 +44,15 @@ func BenchmarkProgram(b *testing.B) {
 				cfg.Device.Workers = 1
 				backend := New(cfg)
 				defer backend.Close()
+				rng := rand.New(rand.NewSource(1))
 				inputs := make([]kernels.Input, len(p.shapes))
 				for i, shape := range p.shapes {
 					vals := make([]float32, tensor.ShapeSize(shape))
 					for j := range vals {
-						vals[j] = 0.5 + float32(j%13)/16
+						vals[j] = float32(rng.NormFloat64()) * 4
+						if p.kernel == "FusedBatchNorm" && i == 2 {
+							vals[j] = 0.5 + max(vals[j], -vals[j])
+						}
 					}
 					id := tensor.NewDataID()
 					backend.Write(id, vals, shape, tensor.Float32)

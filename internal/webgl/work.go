@@ -134,14 +134,38 @@ func addEpilogue(w glsim.Work, size int, bias, act bool) glsim.Work {
 // computes four consecutive outputs: a texel that lies inside one output
 // row fetches A once per k for all its columns (the vec4 trick); a texel
 // that straddles a row end falls back to the per-value shader.
+//
+// Which texels straddle repeats every lcm(4, n) values, so one period is
+// walked and multiplied, then the tail: the form is evaluated on the
+// dispatching goroutine, where an enqueue may not cost a walk of every
+// texel (Section 4.1.1).
 func packedMatMulWork(size, n, k int) glsim.Work {
 	w := macWork(size, int64(size)*int64(k), 2)
-	for base := 0; base < size; base += 4 {
-		limit := min(4, size-base)
-		if base%n+limit <= n {
-			w.Fetches -= int64(limit-1) * int64(k)
-		}
+	if size == 0 {
+		return w
 	}
+	// saved counts the A samples per k that the texels of [lo, hi) share.
+	saved := func(lo, hi int) (shared int64) {
+		for base := lo; base < hi; base += 4 {
+			limit := min(4, size-base)
+			if base%n+limit <= n {
+				shared += int64(limit - 1)
+			}
+		}
+		return shared
+	}
+	period := 4 * n
+	if n%4 == 0 {
+		period = n
+	} else if n%2 == 0 {
+		period = 2 * n
+	}
+	full := size / period
+	shared := saved(full*period, size)
+	if full > 0 {
+		shared += int64(full) * saved(0, period)
+	}
+	w.Fetches -= shared * int64(k)
 	return w
 }
 
