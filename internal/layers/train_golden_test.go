@@ -106,11 +106,14 @@ func TestBenchConvnetLossHistoryBitIdenticalToReferenceTier(t *testing.T) {
 }
 
 // TestTrainStepAllocBudget: one warmed 32-example step of the bench
-// convnet on node makes 3,032 allocations at GOMAXPROCS 2 (2,968 at 1,
-// 3,076 at 8) — eager dispatch, the tape and the tidy scopes, a few dozen
-// small objects per kernel. It made 3,340 while every eager kernel handed
-// its one output back as a slice through a per-kernel wrapper (ISSUE 22),
-// which the budget no longer admits; and it is there to catch a kernel
+// convnet on node makes 3,005 allocations at GOMAXPROCS 2 (2,937 at 1,
+// 3,049 at 8) — eager dispatch, the tape and the tidy scopes, a few dozen
+// small objects per kernel; the budget is that reading plus 5%. It made
+// 3,032 while every bias gradient's Transpose went through the reference
+// kernel's host copies and every pool dispatch built its default window
+// (ISSUE 24), and 3,340 while every eager kernel handed its one output
+// back as a slice through a per-kernel wrapper (ISSUE 22), which the
+// budget no longer admits; and it is there to catch a kernel
 // that allocates per output element: with MaxPoolGrad on the reference
 // tier's per-cell iterator closures the same step made 102,419.
 func TestTrainStepAllocBudget(t *testing.T) {
@@ -129,7 +132,7 @@ func TestTrainStepAllocBudget(t *testing.T) {
 	}
 	step()
 	step()
-	const budget = 3200
+	const budget = 3155
 	allocs := testing.AllocsPerRun(10, step)
 	t.Logf("one warmed training step: %.0f allocs (budget %d)", allocs, budget)
 	if allocs > budget {

@@ -121,33 +121,51 @@ func (b *Backend) conv2D(name string, fused bool) kernels.OverrideKernel {
 		// Parallelize across output rows (batch × outY); each row costs
 		// outW·outC inner products of length fH·fW·inC.
 		rowCost := outW * outC * b.costPerElem(2*fH*fW*inC)
+		narrow := narrowRow(outC)
 		b.parallelFor(info.BatchSize*outH, rowCost, func(lo, hi int) {
+			var nz nzList
 			for r := lo; r < hi; r++ {
 				bb := r / outH
 				oy := r % outH
 				yCorner := oy*sH - padT
 				fyLo, fyHi := kernels.TapRange(yCorner, dH, fH, inH)
 				rowBase := bb*outImg + oy*outRow
-				for ox := 0; ox < outW; ox++ {
+				for ox := 0; ox < outW; {
 					xCorner := ox*sW - padL
 					fxLo, fxHi := kernels.TapRange(xCorner, dW, fW, inW)
-					// Each tap is a [inC]·[inC×outC] row update. Undilated,
-					// a filter row's taps are contiguous in x and in w, so
-					// one update covers the whole run.
+					// An output pixel is one row of a product whose k runs
+					// over (fy, fx, ic). Undilated, a filter row's taps are
+					// contiguous in x and in w, so one call covers the run.
 					run := 1
 					if dW == 1 {
 						run = fxHi - fxLo
 					}
-					dst := dstBuf[rowBase+ox*outC : rowBase+(ox+1)*outC]
+					// Narrow rows: the pixels from ox on that the padding
+					// clips alike go to the vector core together.
+					end := ox + 1
+					for narrow && end < outW {
+						if l, h := kernels.TapRange(end*sW-padL, dW, fW, inW); l != fxLo || h != fxHi {
+							break
+						}
+						end++
+					}
+					dst := dstBuf[rowBase+ox*outC : rowBase+end*outC]
 					for fy := fyLo; fy < fyHi; fy++ {
 						iy := yCorner + fy*dH
 						for fx := fxLo; fx < fxHi; fx += run {
 							inBase := bb*inImg + iy*inRow + (xCorner+fx*dW)*inC
 							wBase := (fy*fW + fx) * inC * outC
-							gemmRow(dst, xBuf[inBase:inBase+run*inC], 1, wBuf[wBase:wBase+run*inC*outC])
+							if narrow {
+								vec.AxpyRows(dst, outC, xBuf[inBase:], sW*inC, 1, run*inC, wBuf[wBase:])
+							} else {
+								gemmRow(dst, xBuf[inBase:inBase+run*inC], 1, wBuf[wBase:wBase+run*inC*outC], &nz)
+							}
 						}
 					}
-					ep.apply(dst)
+					for px := 0; px < len(dst); px += outC {
+						ep.apply(dst[px : px+outC])
+					}
+					ox = end
 				}
 			}
 		})

@@ -1,6 +1,10 @@
 package native
 
-import "repro/internal/vec"
+import (
+	"math"
+
+	"repro/internal/vec"
+)
 
 // The matmul core shared by BatchMatMul, _FusedMatMul and the 1×1-pointwise
 // conv fast path: row-streaming, k-outer j-inner. Each output row is
@@ -34,6 +38,29 @@ func (e epilogue) apply(dst []float32) {
 	}
 }
 
+// nzCap is how many nonzero lhs elements gemmRow gathers before handing
+// them to the vector core: a multiple of its four-wide step, and a power
+// of two.
+const nzCap = 32
+
+// nzList is gemmRow's scratch: the nonzero lhs elements of one output row,
+// each with the offset of the rhs row it multiplies. A chunk body declares
+// one and passes it down, so it is zeroed once per chunk, not once per
+// output row.
+type nzList struct {
+	vals [nzCap]float32
+	offs [nzCap]int
+}
+
+// narrowRow reports whether an output row of n floats is one or two vector
+// steps. Such a row's arithmetic is a handful of instructions per lhs
+// element, less than listing that element costs, so the convolutions whose
+// rows are narrow hand vec.AxpyRows the lhs as it lies — it skips the zeros
+// itself, by selection, and advances several rows' add chains together —
+// where wide rows go through gemmRow, which spares them the work of a zero
+// element altogether.
+func narrowRow(n int) bool { return n == 8 || n == 16 }
+
 // gemmRow accumulates one output row of a matrix product:
 // row[j] += a[kk*aStride] * b[kk*len(row)+j], kk ascending over the
 // ⌈len(a)/aStride⌉ lhs elements, skipping those that are zero (half of
@@ -41,18 +68,20 @@ func (e epilogue) apply(dst []float32) {
 // the sum, as it always has on this backend — the dense vec.AxpyN under
 // it multiplies whatever it is handed).
 //
-// The nonzero elements are compacted into a short list — the compaction
-// compiles to conditional moves, so a random sparsity pattern costs no
-// branch mispredictions — and handed to the vector core nzCap at a time.
-func gemmRow(row, a []float32, aStride int, b []float32) {
+// The nonzero elements are compacted into nz and handed to the vector core
+// nzCap at a time. The compaction is branch-free — ±0 is the one value
+// whose bits, shifted clear of the sign, are zero, and the test compiles to
+// a conditional move — so a random sparsity pattern costs no
+// mispredictions; p stays under nzCap, so the index masks change nothing
+// but spare the loop its two bounds checks.
+func gemmRow(row, a []float32, aStride int, b []float32, nz *nzList) {
 	n := len(row)
-	var vals [nzCap]float32
-	var offs [nzCap]int
+	vals, offs := &nz.vals, &nz.offs
 	p := 0
 	for ai, off := 0, 0; ai < len(a); ai, off = ai+aStride, off+n {
 		av := a[ai]
-		vals[p], offs[p] = av, off
-		if av != 0 {
+		vals[p&(nzCap-1)], offs[p&(nzCap-1)] = av, off
+		if math.Float32bits(av)<<1 != 0 {
 			p++
 		}
 		if p == nzCap {
@@ -63,17 +92,13 @@ func gemmRow(row, a []float32, aStride int, b []float32) {
 	vec.AxpyN(row, vals[:p], offs[:p], b)
 }
 
-// nzCap is how many nonzero lhs elements gemmRow gathers before handing
-// them to the vector core: a multiple of its four-wide step, small enough
-// that zeroing the two stack arrays per call is noise.
-const nzCap = 32
-
 // matmul accumulates op(A)·op(B) into out[m×n] (zeroed by the caller's
 // allocation), rows sharded across the worker pool, then applies ep to
 // each finished row. op transposes its operand when the flag is set: A is
 // then stored k×m and B n×k.
 func (b *Backend) matmul(m, n, k int, aBuf, bBuf []float32, transposeA, transposeB bool, out []float32, ep epilogue) {
 	b.parallelFor(m, 2*k*n, func(lo, hi int) {
+		var nz nzList
 		for i := lo; i < hi; i++ {
 			row := out[i*n : (i+1)*n]
 			aOff, aStride := i*k, 1
@@ -93,7 +118,7 @@ func (b *Backend) matmul(m, n, k int, aBuf, bBuf []float32, transposeA, transpos
 					}
 				}
 			} else if k > 0 {
-				gemmRow(row, aBuf[aOff:aOff+(k-1)*aStride+1], aStride, bBuf)
+				gemmRow(row, aBuf[aOff:aOff+(k-1)*aStride+1], aStride, bBuf, &nz)
 			}
 			ep.apply(row)
 		}

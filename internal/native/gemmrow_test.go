@@ -77,7 +77,7 @@ func gemmRowGo(row, a []float32, aStride int, b []float32) {
 func checkGemmRow(t testing.TB, row, a []float32, aStride int, b []float32) {
 	t.Helper()
 	got, want := slices.Clone(row), slices.Clone(row)
-	gemmRow(got, a, aStride, b)
+	gemmRow(got, a, aStride, b, new(nzList))
 	gemmRowGo(want, a, aStride, b)
 	requireSameFloats(t, "gemmRow", got, want)
 }
@@ -135,7 +135,7 @@ func TestVecCoresStayInBounds(t *testing.T) {
 			buf[i] = sentinel
 		}
 		dst := buf[8 : 8+n : 8+n]
-		gemmRow(dst, vecOperand(6, 7), 1, vecOperand(6*n, 8))
+		gemmRow(dst, vecOperand(6, 7), 1, vecOperand(6*n, 8), new(nzList))
 		for i, v := range buf {
 			if (i < 8 || i >= 8+n) && v != sentinel {
 				t.Fatalf("n=%d: buf[%d] = %g, outside the row handed to gemmRow", n, i, v)

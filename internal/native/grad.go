@@ -2,7 +2,6 @@ package native
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/kernels"
 	"repro/internal/tensor"
@@ -19,9 +18,9 @@ import (
 // zero x / dy elements; these kernels shard over outputs that share no
 // accumulator (filter rows, images), walk (b, oy, ox, fy, fx) in that
 // order inside a shard, and get the zero-skip and the rounding from
-// gemmRow. So a model trained on node reproduces, bit for bit, the loss
-// history it has with every gradient on the reference tier, for every
-// worker count and with the AVX2 cores on or off.
+// gemmRow and vec.AxpyRows. So a model trained on node reproduces, bit for
+// bit, the loss history it has with every gradient on the reference tier,
+// for every worker count and with the AVX2 cores on or off.
 
 func (b *Backend) registerGrad() {
 	b.register("Conv2DBackpropFilter", b.conv2DBackpropFilter)
@@ -63,8 +62,10 @@ func outRange(offset, stride, outSize, size int) (lo, hi int) {
 // x[b, iy, ix, ic]·dy[b, oy, ox, :] over every output position whose tap
 // (fy, fx) lands inside the input. Along one output row those x elements
 // sit strideW·inC apart and the dy rows are contiguous, so the row's share
-// of (b, oy) is one gemmRow with the x elements as the strided lhs. Rows
-// are sharded across workers: no two chunks touch the same accumulator.
+// of (b, oy) is one gemmRow with the x elements as the strided lhs — or,
+// when a row is one or two vector steps, one vec.AxpyRows for all the input
+// channels of the tap, which share that run of dy. Rows are sharded across
+// workers: no two chunks touch the same accumulator.
 func (b *Backend) conv2DBackpropFilter(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
 	if len(inputs) != 2 {
 		return fmt.Errorf("Conv2DBackpropFilter: got %d inputs, want 2", len(inputs))
@@ -92,7 +93,9 @@ func (b *Backend) conv2DBackpropFilter(inputs []kernels.Input, attrs kernels.Att
 	dH, dW := info.DilationHeight, info.DilationWidth
 	padT, padL := info.PadTop, info.PadLeft
 	aStride := sW * inC
+	narrow := narrowRow(outC)
 	b.parallelFor(fH*fW*inC, 2*batch*outH*outW*outC, func(lo, hi int) {
+		var nz nzList
 		// (b, oy) outermost keeps one dy row and the chunk's dw rows in L1
 		// while every filter row takes its share of them; each dw row
 		// still sees its contributions in (b, oy, ox) order.
@@ -117,9 +120,13 @@ func (b *Backend) conv2DBackpropFilter(inputs []kernels.Input, attrs kernels.Att
 						xBase := xRow + (oxLo*sW+xOff)*inC
 						dyBase := bb*outImg + oy*outRow + oxLo*outC
 						dyRun := dyBuf[dyBase : dyBase+(oxHi-oxLo)*outC]
+						if narrow {
+							vec.AxpyRows(dw[(tapRow+icLo)*outC:(tapRow+icHi)*outC], outC, xBuf[xBase+icLo:], 1, aStride, oxHi-oxLo, dyRun)
+							continue
+						}
 						for ic := icLo; ic < icHi; ic++ {
 							r := tapRow + ic
-							gemmRow(dw[r*outC:(r+1)*outC], xBuf[xBase+ic:xBase+ic+span], aStride, dyRun)
+							gemmRow(dw[r*outC:(r+1)*outC], xBuf[xBase+ic:xBase+ic+span], aStride, dyRun, &nz)
 						}
 					}
 				}
@@ -225,8 +232,10 @@ func (b *Backend) conv2DBackpropInput(inputs []kernels.Input, attrs kernels.Attr
 
 // maxPoolGrad: inputs (dy, x). Each output cell routes its dy to the
 // first maximum of its window (none when nothing in the window exceeds
-// -Inf, as in the reference). Overlapping windows add into the same input
-// cell in (oy, ox) order, so images, not rows, are sharded across workers.
+// -Inf, as in the reference): vec.PoolMaxGrad, on the window clipped to the
+// input, all channels of the pixel at once. Overlapping windows add into
+// the same input cell in (oy, ox) order, so images, not rows, are sharded
+// across workers.
 func (b *Backend) maxPoolGrad(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
 	if len(inputs) != 2 {
 		return fmt.Errorf("MaxPoolGrad: got %d inputs, want 2", len(inputs))
@@ -252,7 +261,6 @@ func (b *Backend) maxPoolGrad(inputs []kernels.Input, attrs kernels.Attrs, out *
 	fH, fW := info.FilterHeight, info.FilterWidth
 	sH, sW := info.StrideHeight, info.StrideWidth
 	padT, padL := info.PadTop, info.PadLeft
-	negInf := float32(math.Inf(-1))
 	b.parallelFor(info.BatchSize, outImg*fH*fW, func(lo, hi int) {
 		for bb := lo; bb < hi; bb++ {
 			for oy := 0; oy < outH; oy++ {
@@ -261,22 +269,12 @@ func (b *Backend) maxPoolGrad(inputs []kernels.Input, attrs kernels.Attrs, out *
 				for ox := 0; ox < outW; ox++ {
 					xCorner := ox*sW - padL
 					fxLo, fxHi := kernels.TapRange(xCorner, 1, fW, inW)
-					outBase := bb*outImg + oy*outRow + ox*c
-					for ch := 0; ch < c; ch++ {
-						best, bestIdx := negInf, -1
-						for fy := fyLo; fy < fyHi; fy++ {
-							idx := bb*inImg + (yCorner+fy)*inRow + (xCorner+fxLo)*c + ch
-							for fx := fxLo; fx < fxHi; fx++ {
-								if v := xBuf[idx]; v > best {
-									best, bestIdx = v, idx
-								}
-								idx += c
-							}
-						}
-						if bestIdx >= 0 {
-							dx[bestIdx] += dyBuf[outBase+ch]
-						}
+					if fyLo == fyHi || fxLo == fxHi {
+						continue
 					}
+					outBase := bb*outImg + oy*outRow + ox*c
+					inBase := bb*inImg + (yCorner+fyLo)*inRow + (xCorner+fxLo)*c
+					vec.PoolMaxGrad(dx[inBase:], xBuf[inBase:], dyBuf[outBase:outBase+c], inRow, c, fyHi-fyLo, fxHi-fxLo)
 				}
 			}
 		}

@@ -147,6 +147,27 @@ func BenchmarkConvStem3x3S2(b *testing.B) {
 		2*48*48*8*27, x, w, bias)
 }
 
+// BenchmarkConvNarrow is the bench convnet's two forward convolutions at
+// batch 32 (inC→outC@side, 3×3 "same", no epilogue — the Layers API adds
+// the bias and activation as kernels of their own): output rows of one and
+// two vector steps, where per-pixel overhead, not arithmetic, is the cost.
+// The first reads the image, the second a post-ReLU, post-pool map.
+func BenchmarkConvNarrow(b *testing.B) {
+	for _, s := range convGradShapes[:2] {
+		b.Run(fmt.Sprintf("%d→%d@%d", s.inC, s.outC, s.side), func(b *testing.B) {
+			const batch = 32
+			rng := rand.New(rand.NewSource(1))
+			sparsity := 0.0
+			if s.inC > 1 {
+				sparsity = 0.5
+			}
+			x := operand{benchVals(rng, batch*s.side*s.side*s.inC, sparsity), []int{batch, s.side, s.side, s.inC}}
+			w := operand{benchVals(rng, 3*3*s.inC*s.outC, 0), []int{3, 3, s.inC, s.outC}}
+			benchVsReference(b, "Conv2D", kernels.Attrs{"pad": "same"}, 2*batch*s.side*s.side*9*s.inC*s.outC, x, w)
+		})
+	}
+}
+
 // BenchmarkEpilogueRelu6 applies bias + relu6 to a 24×24 map of 32
 // channels, one call per output position as the conv kernels make it.
 // Each iteration first restores the pre-activation values (a copy the
@@ -246,6 +267,52 @@ func BenchmarkMaxPoolGrad2x2(b *testing.B) {
 	x := operand{benchVals(rng, 32*16*16*8, 0.5), []int{32, 16, 16, 8}}
 	dy := operand{benchVals(rng, 32*8*8*8, 0.5), []int{32, 8, 8, 8}}
 	benchVsReference(b, "MaxPoolGrad", kernels.Attrs{}, 32*16*16*8, dy, x)
+}
+
+// benchPool runs a 2×2 pool over the bench convnet's two pooled maps
+// (channels@side, batch 32, post-ReLU).
+func benchPool(b *testing.B, name string) {
+	for _, s := range [][2]int{{8, 16}, {16, 8}} {
+		c, side := s[0], s[1]
+		b.Run(fmt.Sprintf("%d@%d", c, side), func(b *testing.B) {
+			x := operand{benchVals(rand.New(rand.NewSource(1)), 32*side*side*c, 0.5), []int{32, side, side, c}}
+			benchVsReference(b, name, kernels.Attrs{}, 32*side*side*c, x)
+		})
+	}
+}
+
+func BenchmarkMaxPool2x2(b *testing.B) { benchPool(b, "MaxPool") }
+func BenchmarkAvgPool(b *testing.B)    { benchPool(b, "AvgPool") }
+
+// BenchmarkBiasGradReduce is the bias gradient of the bench convnet's two
+// convolutions as the Layers API issues it — ops.Sum(dy, [0, 1, 2]), which
+// lowers to Transpose([3 0 1 2]) then Sum over [C, N·H·W] — so it times
+// the two kernels together, with the dispatcher's fallback leg when a
+// backend has no Transpose of its own.
+func BenchmarkBiasGradReduce(b *testing.B) {
+	for _, s := range convGradShapes[:2] {
+		b.Run(fmt.Sprintf("%d@%d", s.outC, s.side), func(b *testing.B) {
+			nb := benchBackend()
+			shape := []int{32, s.side, s.side, s.outC}
+			rows := 32 * s.side * s.side
+			dy := benchInput(nb, benchVals(rand.New(rand.NewSource(1)), rows*s.outC, 0.8), shape...)
+			perm := kernels.Attrs{"perm": []int{3, 0, 1, 2}}
+			var t, sum kernels.TensorInfo
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := kernels.Dispatch(nb, "Transpose", []kernels.Input{dy}, perm, &t); err != nil {
+					b.Fatal(err)
+				}
+				flat := kernels.Input{DataID: t.DataID, Shape: []int{s.outC, rows}, DType: t.DType}
+				if err := kernels.Dispatch(nb, "Sum", []kernels.Input{flat}, nil, &sum); err != nil {
+					b.Fatal(err)
+				}
+				nb.DisposeData(t.DataID)
+				nb.DisposeData(sum.DataID)
+			}
+			reportKernel(b, rows*s.outC, 2*rows*s.outC+s.outC)
+		})
+	}
 }
 
 // BenchmarkBiasAddBroadcast adds a [C] bias to the first conv's

@@ -13,8 +13,9 @@ import (
 // dominate model inference and training time are overridden — matmul,
 // convolutions and pooling with their gradients, the element-wise
 // workhorses (with the bias/scalar broadcast every layer and optimizer
-// step uses), reductions and softmax; the long tail (depthwise and
-// average-pool gradients, general broadcasts, transposes) inherits the
+// step uses), reductions with the transpose that brings their axes
+// innermost, and softmax; the long tail (depthwise and average-pool
+// gradients, general broadcasts, every other transpose) inherits the
 // reference implementations.
 //
 // Every kernel appends its output shape into out.Shape (caller-owned
@@ -46,79 +47,71 @@ func (b *Backend) outInto(dst *kernels.TensorInfo, dtype tensor.DataType) []floa
 	return buf
 }
 
+// defaultPoolSize is the [2, 2] default of a pool's filterSize attribute,
+// package-level for defaultConvStride's reason: a literal at the call site
+// is an allocation per pool and pool-gradient dispatch.
+var defaultPoolSize = []int{2, 2}
+
 // poolInfo resolves a pooling kernel's attributes against its input.
 func poolInfo(xShape []int, attrs kernels.Attrs) (kernels.Conv2DInfo, error) {
-	filterSize := attrs.Ints("filterSize", []int{2, 2})
+	filterSize := attrs.Ints("filterSize", defaultPoolSize)
 	return kernels.ComputePool2DInfo(xShape, filterSize, attrs.Ints("strides", filterSize), attrs.String("pad", "valid"))
 }
 
-func (b *Backend) registerPool() {
-	pool := func(name string, isMax bool) kernels.OverrideKernel {
-		return func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
-			if len(inputs) != 1 {
-				return fmt.Errorf("%s: got %d inputs, want 1", name, len(inputs))
-			}
-			x := inputs[0]
-			info, err := poolInfo(x.Shape, attrs)
-			if err != nil {
-				return err
-			}
-			xBuf := b.in(x)
-			out.Shape = append(out.Shape[:0], info.BatchSize, info.OutHeight, info.OutWidth, info.OutChannels)
-			dst := b.outInto(out, x.DType)
-			c := info.OutChannels
-			inRow := info.InWidth * c
-			inImg := info.InHeight * inRow
-			outRow := info.OutWidth * c
-			outImg := info.OutHeight * outRow
-			rowCost := info.OutWidth * c * b.costPerElem(info.FilterHeight*info.FilterWidth)
-			b.parallelFor(info.BatchSize*info.OutHeight, rowCost, func(lo, hi int) {
-				for r := lo; r < hi; r++ {
-					bb := r / info.OutHeight
-					oy := r % info.OutHeight
-					yCorner := oy*info.StrideHeight - info.PadTop
-					for ox := 0; ox < info.OutWidth; ox++ {
-						xCorner := ox*info.StrideWidth - info.PadLeft
-						outBase := bb*outImg + oy*outRow + ox*c
-						for ch := 0; ch < c; ch++ {
-							best := float32(math.Inf(-1))
-							var sum float32
-							count := 0
-							for fy := 0; fy < info.FilterHeight; fy++ {
-								iy := yCorner + fy
-								if iy < 0 || iy >= info.InHeight {
-									continue
-								}
-								for fx := 0; fx < info.FilterWidth; fx++ {
-									ix := xCorner + fx
-									if ix < 0 || ix >= info.InWidth {
-										continue
-									}
-									v := xBuf[bb*inImg+iy*inRow+ix*c+ch]
-									if isMax {
-										if v > best {
-											best = v
-										}
-									} else {
-										sum += v
-										count++
-									}
-								}
-							}
-							if isMax {
-								dst[outBase+ch] = best
-							} else if count > 0 {
-								dst[outBase+ch] = sum / float32(count)
-							}
-						}
-					}
-				}
-			})
-			return nil
+// pool is MaxPool and AvgPool: per output pixel, the window clipped to the
+// input once and handed, with the channel run innermost, to the vector
+// core that reduces it (vec.PoolMax, vec.PoolAvg) — bit-equal to the
+// reference kernels, which visit the same cells in the same order.
+func (b *Backend) pool(name string, pixel func(dst, x []float32, rowStride, tapStride, rows, taps int)) kernels.OverrideKernel {
+	return func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
+		if len(inputs) != 1 {
+			return fmt.Errorf("%s: got %d inputs, want 1", name, len(inputs))
 		}
+		x := inputs[0]
+		info, err := poolInfo(x.Shape, attrs)
+		if err != nil {
+			return err
+		}
+		xBuf := b.in(x)
+		out.Shape = append(out.Shape[:0], info.BatchSize, info.OutHeight, info.OutWidth, info.OutChannels)
+		dst := b.outInto(out, x.DType)
+		c := info.OutChannels
+		inRow := info.InWidth * c
+		inImg := info.InHeight * inRow
+		outRow := info.OutWidth * c
+		// Scalar geometry copies keep the Conv2DInfo struct out of the
+		// closure (see conv2D).
+		inH, inW, outH, outW := info.InHeight, info.InWidth, info.OutHeight, info.OutWidth
+		fH, fW := info.FilterHeight, info.FilterWidth
+		sH, sW := info.StrideHeight, info.StrideWidth
+		padT, padL := info.PadTop, info.PadLeft
+		rowCost := outRow * b.costPerElem(fH*fW)
+		b.parallelFor(info.BatchSize*outH, rowCost, func(lo, hi int) {
+			for r := lo; r < hi; r++ {
+				bb := r / outH
+				oy := r % outH
+				yCorner := oy*sH - padT
+				fyLo, fyHi := kernels.TapRange(yCorner, 1, fH, inH)
+				for ox := 0; ox < outW; ox++ {
+					xCorner := ox*sW - padL
+					fxLo, fxHi := kernels.TapRange(xCorner, 1, fW, inW)
+					px := dst[r*outRow+ox*c : r*outRow+(ox+1)*c]
+					if fyLo == fyHi || fxLo == fxHi {
+						pixel(px, nil, 0, 0, 0, 0) // a window wholly in the padding
+						continue
+					}
+					inBase := bb*inImg + (yCorner+fyLo)*inRow + (xCorner+fxLo)*c
+					pixel(px, xBuf[inBase:], inRow, c, fyHi-fyLo, fxHi-fxLo)
+				}
+			}
+		})
+		return nil
 	}
-	b.register("MaxPool", pool("MaxPool", true))
-	b.register("AvgPool", pool("AvgPool", false))
+}
+
+func (b *Backend) registerPool() {
+	b.register("MaxPool", b.pool("MaxPool", vec.PoolMax))
+	b.register("AvgPool", b.pool("AvgPool", vec.PoolAvg))
 }
 
 // binOp selects the arithmetic of a binary kernel: an integer the row
@@ -335,57 +328,84 @@ func (b *Backend) registerElementwise() {
 	})
 }
 
-func (b *Backend) registerReduce() {
-	red := func(name string, initial float32, merge func(acc, v float32) float32, finish func(acc float32, n int) float32) {
-		b.register(name, func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
-			if len(inputs) != 1 {
-				return fmt.Errorf("%s: got %d inputs, want 1", name, len(inputs))
+// redOp selects a reduction, as binOp selects a binary kernel's arithmetic.
+type redOp int
+
+const (
+	redSum redOp = iota
+	redMean
+	redMax
+	redMin
+)
+
+// reduceRow folds one row left to right, as the reference kernel does:
+// sums from +0, Max from -Inf and Min from +Inf with a NaN never taken.
+func reduceRow(op redOp, row []float32) float32 {
+	switch op {
+	case redMax:
+		acc := float32(math.Inf(-1))
+		for _, v := range row {
+			if v > acc {
+				acc = v
 			}
-			x := inputs[0]
-			if len(x.Shape) != 2 {
-				return fmt.Errorf("%s: input must be rank 2, got %v", name, x.Shape)
+		}
+		return acc
+	case redMin:
+		acc := float32(math.Inf(1))
+		for _, v := range row {
+			if v < acc {
+				acc = v
 			}
-			outer, inner := x.Shape[0], x.Shape[1]
-			xBuf := b.in(x)
-			dt := x.DType
-			if name == "Mean" {
-				dt = tensor.Float32
-			}
-			out.Shape = append(out.Shape[:0], outer)
-			dst := b.outInto(out, dt)
-			// Each output element is one full row reduction; the inner
-			// accumulation never splits across chunks, so reduction order
-			// is fixed regardless of the worker count.
-			b.parallelFor(outer, inner*b.costPerElem(2), func(lo, hi int) {
-				for o := lo; o < hi; o++ {
-					acc := initial
-					row := xBuf[o*inner : (o+1)*inner]
-					for _, v := range row {
-						acc = merge(acc, v)
-					}
-					if finish != nil {
-						acc = finish(acc, inner)
-					}
-					dst[o] = acc
-				}
-			})
-			return nil
-		})
+		}
+		return acc
 	}
-	red("Sum", 0, func(a, v float32) float32 { return a + v }, nil)
-	red("Mean", 0, func(a, v float32) float32 { return a + v }, func(a float32, n int) float32 { return a / float32(n) })
-	red("Max", float32(math.Inf(-1)), func(a, v float32) float32 {
-		if v > a {
-			return v
+	var acc float32
+	for _, v := range row {
+		acc += v
+	}
+	if op == redMean {
+		acc /= float32(len(row))
+	}
+	return acc
+}
+
+// reduce is Sum, Mean, Max and Min over the inner dimension of an
+// [outer, inner] input.
+func (b *Backend) reduce(name string, op redOp) kernels.OverrideKernel {
+	return func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
+		if len(inputs) != 1 {
+			return fmt.Errorf("%s: got %d inputs, want 1", name, len(inputs))
 		}
-		return a
-	}, nil)
-	red("Min", float32(math.Inf(1)), func(a, v float32) float32 {
-		if v < a {
-			return v
+		x := inputs[0]
+		if len(x.Shape) != 2 {
+			return fmt.Errorf("%s: input must be rank 2, got %v", name, x.Shape)
 		}
-		return a
-	}, nil)
+		outer, inner := x.Shape[0], x.Shape[1]
+		xBuf := b.in(x)
+		dt := x.DType
+		if op == redMean {
+			dt = tensor.Float32
+		}
+		out.Shape = append(out.Shape[:0], outer)
+		dst := b.outInto(out, dt)
+		// Each output element is one full row reduction; the inner
+		// accumulation never splits across chunks, so reduction order
+		// is fixed regardless of the worker count.
+		b.parallelFor(outer, inner*b.costPerElem(2), func(lo, hi int) {
+			for o := lo; o < hi; o++ {
+				dst[o] = reduceRow(op, xBuf[o*inner:(o+1)*inner])
+			}
+		})
+		return nil
+	}
+}
+
+func (b *Backend) registerReduce() {
+	b.register("Sum", b.reduce("Sum", redSum))
+	b.register("Mean", b.reduce("Mean", redMean))
+	b.register("Max", b.reduce("Max", redMax))
+	b.register("Min", b.reduce("Min", redMin))
+	b.register("Transpose", b.transpose)
 
 	b.register("Softmax", func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
 		if len(inputs) != 1 {
@@ -423,4 +443,108 @@ func (b *Backend) registerReduce() {
 		})
 		return nil
 	})
+}
+
+// transposeTile is the side of the square tile transpose copies at a time:
+// 32×32 floats read and as many written, both inside the L1 cache whatever
+// the two strides are.
+const transposeTile = 32
+
+// transpose runs the permutations that move a tensor's trailing axes, as a
+// block, in front of the axes before them and leave any leading axes
+// where they are — what ops.reduce and the plan's Mean emit to bring the
+// reduced axes innermost: [3 0 1 2] for a bias gradient, [0 3 1 2] for a
+// global average pool. Such a permutation is a batch of 2-D transposes
+// [A, B] → [B, A], copied tile by tile. Every other permutation (and every
+// malformed one, for the reference kernel to reject) is declined.
+func (b *Backend) transpose(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
+	if len(inputs) != 1 {
+		return kernels.ErrFallback
+	}
+	x := inputs[0]
+	perm := attrs.Ints("perm", nil)
+	rank := len(x.Shape)
+	if len(perm) != rank {
+		return kernels.ErrFallback
+	}
+	// perm = 0 … lead-1, then split … rank-1, then lead … split-1.
+	lead := 0
+	for lead < rank && perm[lead] == lead {
+		lead++
+	}
+	split := rank
+	if lead < rank {
+		if split = perm[lead]; split <= lead || split >= rank {
+			return kernels.ErrFallback
+		}
+	}
+	for i := lead; i < rank; i++ {
+		want := split + i - lead
+		if want >= rank {
+			want -= rank - lead
+		}
+		if perm[i] != want {
+			return kernels.ErrFallback
+		}
+	}
+	batch, rows, cols := 1, 1, 1 // x as [batch, rows, cols] → [batch, cols, rows]
+	for i, d := range x.Shape {
+		switch {
+		case i < lead:
+			batch *= d
+		case i < split:
+			rows *= d
+		default:
+			cols *= d
+		}
+	}
+	xBuf := b.in(x)
+	out.Shape = out.Shape[:0]
+	for _, p := range perm {
+		out.Shape = append(out.Shape, x.Shape[p])
+	}
+	dst := b.outInto(out, x.DType)
+	if rows == 1 || cols == 1 {
+		copy(dst, xBuf) // transposing a vector moves nothing
+		return nil
+	}
+	// Sharded over the rows of the input: a chunk writes its own columns
+	// of every output row.
+	b.parallelFor(batch*rows, cols*b.costPerElem(1), func(lo, hi int) {
+		for lo < hi {
+			mat := lo / rows
+			r0 := lo % rows
+			r1 := min(rows, r0+hi-lo)
+			lo += r1 - r0
+			src, dstMat := xBuf[mat*rows*cols:], dst[mat*rows*cols:]
+			for rt := r0; rt < r1; rt += transposeTile {
+				rEnd := min(rt+transposeTile, r1)
+				for ct := 0; ct < cols; ct += transposeTile {
+					cEnd := min(ct+transposeTile, cols)
+					col := ct
+					// Four columns a pass: one bounds check on the source
+					// row per four floats moved.
+					for ; col+4 <= cEnd; col += 4 {
+						from := src[rt*cols+col:]
+						to0 := dstMat[col*rows+rt : col*rows+rEnd]
+						to1 := dstMat[(col+1)*rows+rt:][:len(to0)]
+						to2 := dstMat[(col+2)*rows+rt:][:len(to0)]
+						to3 := dstMat[(col+3)*rows+rt:][:len(to0)]
+						for i := range to0 {
+							q := from[i*cols : i*cols+4 : i*cols+4]
+							to0[i], to1[i], to2[i], to3[i] = q[0], q[1], q[2], q[3]
+						}
+					}
+					for ; col < cEnd; col++ {
+						from := src[rt*cols+col:]
+						to := dstMat[col*rows+rt : col*rows+rEnd]
+						for i := range to {
+							to[i] = from[i*cols]
+						}
+					}
+				}
+			}
+		}
+	})
+	return nil
 }

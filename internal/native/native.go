@@ -6,13 +6,13 @@
 // There is no TensorFlow C library in this reproduction (see DESIGN.md);
 // instead the backend plays the same architectural role: it shares the
 // user-facing API with every other backend while delegating the hot kernels
-// to optimized code — here AVX2 vector cores under the GEMM, convolution
-// and epilogue inner loops (vec.go; pure Go where there is no AVX2) and
-// loops sharded across a persistent worker pool, standing in for the
-// vendored BLAS/Eigen kernels. That covers training as well as inference:
-// the Node backend exists so that model.fit runs on native kernels, and the
-// convolution and max-pool gradients (grad.go) run on the same cores,
-// bit-equal to the reference kernels. Everything not overridden falls back
+// to optimized code — here AVX2 vector cores under the GEMM, convolution,
+// pooling and epilogue inner loops (internal/vec; pure Go where there is no
+// AVX2) and loops sharded across a persistent worker pool, standing in for
+// the vendored BLAS/Eigen kernels. That covers training as well as
+// inference: the Node backend exists so that model.fit runs on native
+// kernels, and the convolution and max-pool gradients (grad.go) run on the
+// same cores, bit-equal to the reference kernels. Everything not overridden falls back
 // to the reference kernels through kernels.Dispatch, exactly like the real
 // Node backend falls back for ops the C API does not expose.
 package native

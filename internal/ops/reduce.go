@@ -9,9 +9,19 @@ import (
 	"repro/internal/tensor"
 )
 
+// axisSet is a set of axes as a bit mask; normalizeAxes rejects a rank it
+// cannot hold.
+type axisSet uint64
+
+func (s axisSet) has(axis int) bool { return s>>uint(axis)&1 != 0 }
+func (s *axisSet) add(axis int)     { *s |= 1 << uint(axis) }
+
 // normalizeAxes resolves negative axes and defaults to all axes when none
 // are given. The result is sorted and de-duplicated.
 func normalizeAxes(name string, axes []int, rank int) []int {
+	if rank > 64 {
+		panic(&core.OpError{Kernel: name, Err: fmt.Errorf("rank %d is beyond the 64 axes a reduction handles", rank)})
+	}
 	if len(axes) == 0 {
 		out := make([]int, rank)
 		for i := range out {
@@ -19,8 +29,8 @@ func normalizeAxes(name string, axes []int, rank int) []int {
 		}
 		return out
 	}
-	seen := map[int]bool{}
-	var out []int
+	var seen axisSet
+	out := make([]int, 0, len(axes))
 	for _, a := range axes {
 		if a < 0 {
 			a += rank
@@ -28,8 +38,8 @@ func normalizeAxes(name string, axes []int, rank int) []int {
 		if a < 0 || a >= rank {
 			panic(&core.OpError{Kernel: name, Err: fmt.Errorf("axis %v out of range for rank %d", axes, rank)})
 		}
-		if !seen[a] {
-			seen[a] = true
+		if !seen.has(a) {
+			seen.add(a)
 			out = append(out, a)
 		}
 	}
@@ -57,15 +67,15 @@ func reduce(name string, t *tensor.Tensor, axes []int, keepDims bool) *tensor.Te
 	if len(axes) == 0 {
 		return t.Clone()
 	}
-	reduced := map[int]bool{}
+	var reduced axisSet
 	for _, a := range axes {
-		reduced[a] = true
+		reduced.add(a)
 	}
 	work := t
 	if !axesAreInner(axes, rank) {
 		perm := make([]int, 0, rank)
 		for i := 0; i < rank; i++ {
-			if !reduced[i] {
+			if !reduced.has(i) {
 				perm = append(perm, i)
 			}
 		}
@@ -80,10 +90,10 @@ func reduce(name string, t *tensor.Tensor, axes []int, keepDims bool) *tensor.Te
 	flat := Reshape(work, outer, inner)
 	res := run1(name, []*tensor.Tensor{flat}, nil)
 	// Build the final shape.
-	var outShape []int
+	outShape := make([]int, 0, rank)
 	for i := 0; i < rank; i++ {
 		switch {
-		case !reduced[i]:
+		case !reduced.has(i):
 			outShape = append(outShape, t.Shape[i])
 		case keepDims:
 			outShape = append(outShape, 1)

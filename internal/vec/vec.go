@@ -1,21 +1,24 @@
 // Package vec holds the vector cores: the row loops that carry a model's
 // host time on every backend that computes on the host — the dense row
-// update under GEMM and convolution, the depthwise pixel, the
-// bias+activation epilogue, and the ReLU family — each written once, here.
-// native's kernels and the WebGL simulator's shader programs both call
-// them; a second copy of one of these loops in a backend is a fork (CI
-// greps for it).
+// update under GEMM and convolution (dense for one row, zero-skipping for
+// several narrow ones), the depthwise pixel, the bias+activation epilogue,
+// the pooling pixel (max, average, and the
+// max pool's gradient) and the ReLU family — each written once, here.
+// native's kernels and the WebGL simulator's shader programs call them; a
+// second copy of one of these loops in a backend is a fork (CI greps for
+// it).
 //
-// The first three have an AVX2 body in vec_amd64.s and the pure-Go body
-// below. The Go bodies are always compiled: they are the oracle the
+// All but the ReLU family have an AVX2 body in vec_amd64.s and the pure-Go
+// body below. The Go bodies are always compiled: they are the oracle the
 // differential tests hold the assembly to, and what runs on a CPU without
 // AVX2 or off amd64. The ReLU family is Go only: it selects on the bit
 // pattern, which the compiler already turns into conditional moves.
 //
 // The assembly is bit-identical to the Go bodies, not merely close: one
 // SIMD lane per output element, a separate multiply and add per step (no
-// FMA, which would skip the product's rounding), and the same order over
-// k or over filter taps. So the backends' bit-identity contracts — across
+// FMA, which would skip the product's rounding), the same order over k or
+// over filter taps, and compares whose operand order reproduces the Go
+// branch on NaN and on ±0 ties. So the backends' bit-identity contracts — across
 // worker counts, pooled vs unpooled, fused vs unfused, goldens recorded on
 // scalar loops — hold with the cores on or off and need no tolerance. The
 // one thing not pinned is which payload survives when two NaNs meet in an
@@ -80,6 +83,46 @@ func AxpyN(row, vals []float32, offs []int, b []float32) {
 	}
 }
 
+// AxpyRows accumulates a small product into len(acc)/n output rows of n
+// floats, leaving out the zeros of its lhs:
+//
+//	acc[i*n+j] += a[i*iStride+t*tStride] * b[t*n+j]   where a[…] != 0
+//
+// t ascending over k steps for every row i. It is native's product for
+// rows of one or two vector steps, where gathering each row's nonzero lhs
+// into a list for AxpyN costs more than the arithmetic: several pixels of
+// a convolution (iStride the distance between their windows, tStride 1),
+// or the filter-gradient rows of several input channels (iStride 1,
+// tStride the distance between output positions). A zero lhs element is
+// skipped, not multiplied — 0·Inf stays out of the sum — which the
+// assembly does without a branch: it multiplies, then selects -0 in place
+// of the product, and adding -0 changes no float. Four rows advance
+// together, so their add chains overlap.
+func AxpyRows(acc []float32, n int, a []float32, iStride, tStride, k int, b []float32) {
+	if n <= 0 || k <= 0 || len(acc) < n {
+		return
+	}
+	rows := len(acc) / n
+	acc = acc[:rows*n]
+	_, _ = a[(rows-1)*iStride+(k-1)*tStride], b[k*n-1]
+	if useAVX2 && n%8 == 0 {
+		axpyRowsAVX2(acc, n, a, iStride, tStride, k, b)
+		return
+	}
+	for i := 0; i < rows; i++ {
+		row := acc[i*n : (i+1)*n]
+		for t := 0; t < k; t++ {
+			av := a[i*iStride+t*tStride]
+			if av == 0 {
+				continue
+			}
+			for j, bv := range b[t*n : (t+1)*n] {
+				row[j] += float32(av * bv)
+			}
+		}
+	}
+}
+
 // DwPixel accumulates one output pixel of a depthwise convolution with
 // channel multiplier 1 over a rows×taps rectangle of filter taps (the
 // part of the filter that lies inside the input), c = len(dst) channels:
@@ -106,6 +149,118 @@ func DwPixel(dst, x, w []float32, xRowStride, xTapStride, wRowStride, rows, taps
 			for ch := range dst {
 				dst[ch] += float32(xs[ch] * ws[ch])
 			}
+		}
+	}
+}
+
+// The pooling pixels work on one output position of an NHWC pool: the
+// rows×taps rectangle of input pixels its window covers inside the input,
+// c channels each, the rectangle's first pixel at x[0], the next tap
+// tapStride floats on and the next row rowStride. The channel run is the
+// inner loop, so every tap is one contiguous load per eight channels.
+
+// windowEnd is one past the last float a rows×taps window of c-channel
+// pixels touches.
+func windowEnd(c, rowStride, tapStride, rows, taps int) int {
+	return (rows-1)*rowStride + (taps-1)*tapStride + c
+}
+
+// PoolMax is a max pool's output pixel: dst[ch] is the running maximum
+// that starts at -Inf and takes each v = x[r*rowStride+t*tapStride+ch], r
+// then t ascending, for which v > maximum. So a NaN never wins, of two
+// equal zeros the first stays, and an all-NaN or empty window reads -Inf.
+func PoolMax(dst, x []float32, rowStride, tapStride, rows, taps int) {
+	c := len(dst)
+	if c == 0 {
+		return
+	}
+	if rows > 0 && taps > 0 {
+		_ = x[windowEnd(c, rowStride, tapStride, rows, taps)-1]
+		if useAVX2 {
+			poolMaxAVX2(dst, x, rowStride, tapStride, rows, taps)
+			return
+		}
+	} else {
+		rows = 0
+	}
+	negInf := float32(math.Inf(-1))
+	for ch := range dst {
+		dst[ch] = negInf
+	}
+	for r := 0; r < rows; r++ {
+		for t := 0; t < taps; t++ {
+			for ch, v := range x[r*rowStride+t*tapStride:][:c] {
+				if v > dst[ch] {
+					dst[ch] = v
+				}
+			}
+		}
+	}
+}
+
+// PoolAvg is an average pool's output pixel: the window's values added
+// to +0 one at a time, r then t ascending, and the sum divided by the
+// rows·taps cells the window has inside the input. An empty window reads 0.
+func PoolAvg(dst, x []float32, rowStride, tapStride, rows, taps int) {
+	c := len(dst)
+	if c == 0 {
+		return
+	}
+	if rows <= 0 || taps <= 0 {
+		clear(dst)
+		return
+	}
+	_ = x[windowEnd(c, rowStride, tapStride, rows, taps)-1]
+	if useAVX2 {
+		poolAvgAVX2(dst, x, rowStride, tapStride, rows, taps)
+		return
+	}
+	clear(dst)
+	for r := 0; r < rows; r++ {
+		for t := 0; t < taps; t++ {
+			for ch, v := range x[r*rowStride+t*tapStride:][:c] {
+				dst[ch] += v
+			}
+		}
+	}
+	n := float32(rows * taps)
+	for ch := range dst {
+		dst[ch] /= n
+	}
+}
+
+// PoolMaxGrad routes one output pixel's gradient dy (c = len(dy)
+// channels) back through a max pool: per channel, dy[ch] is added to dx at
+// the window's first maximum — the tap PoolMax's comparison would have
+// kept — and to nothing when no tap exceeds -Inf. dx is laid out as x is
+// and starts at the same pixel. The assembly finds the winning tap of
+// eight channels with a compare and two blends per tap, then walks the
+// taps again and stores dx+dy where the tap won and dx unchanged elsewhere:
+// a select, not a multiply or an add of zero, so a NaN or Inf in dy reaches
+// only the winner and a -0 already in dx survives.
+func PoolMaxGrad(dx, x, dy []float32, rowStride, tapStride, rows, taps int) {
+	c := len(dy)
+	if c == 0 || rows <= 0 || taps <= 0 {
+		return
+	}
+	end := windowEnd(c, rowStride, tapStride, rows, taps)
+	_, _ = x[end-1], dx[end-1]
+	if useAVX2 {
+		poolMaxGradAVX2(dx, x, dy, rowStride, tapStride, rows, taps)
+		return
+	}
+	for ch, g := range dy {
+		best, bestAt := float32(math.Inf(-1)), -1
+		for r := 0; r < rows; r++ {
+			for t := 0; t < taps; t++ {
+				at := r*rowStride + t*tapStride + ch
+				if v := x[at]; v > best {
+					best, bestAt = v, at
+				}
+			}
+		}
+		if bestAt >= 0 {
+			dx[bestAt] += g
 		}
 	}
 }

@@ -9,6 +9,12 @@ package vec
 //go:noescape
 func axpyNAVX2(row, a []float32, off []int, b []float32)
 
+// axpyRowsAVX2 is AxpyRows' body for n a multiple of 8: len(acc) a
+// positive multiple of n, k >= 1.
+//
+//go:noescape
+func axpyRowsAVX2(acc []float32, n int, a []float32, iStride, tStride, k int, b []float32)
+
 // dwPixelAVX2 is DwPixel's body; see there.
 //
 //go:noescape
@@ -19,6 +25,18 @@ func dwPixelAVX2(dst, x, w []float32, xRowStride, xTapStride, wRowStride, rows, 
 //
 //go:noescape
 func biasActAVX2(dst, bias []float32, kind int)
+
+// poolMaxAVX2, poolAvgAVX2 and poolMaxGradAVX2 are the bodies of PoolMax,
+// PoolAvg and PoolMaxGrad; rows >= 1, taps >= 1.
+//
+//go:noescape
+func poolMaxAVX2(dst, x []float32, rowStride, tapStride, rows, taps int)
+
+//go:noescape
+func poolAvgAVX2(dst, x []float32, rowStride, tapStride, rows, taps int)
+
+//go:noescape
+func poolMaxGradAVX2(dx, x, dy []float32, rowStride, tapStride, rows, taps int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

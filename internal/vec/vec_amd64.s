@@ -114,6 +114,110 @@ axpyNDone:
 	VZEROUPPER
 	RET
 
+DATA negZero<>+0(SB)/4, $0x80000000
+GLOBL negZero<>(SB), RODATA|NOPTR, $4
+
+// One row of axpyRowsAVX2's step: the lhs element at addr, broadcast,
+// times the eight rhs floats in Y8, added to acc — or -0 added, which
+// changes nothing, where the lhs element is ±0 (predicate 4, not-equal
+// unordered: a NaN lhs is multiplied).
+#define AXPY_ROW(addr, acc) \
+	VBROADCASTSS addr, Y9         \
+	VCMPPS       $4, Y14, Y9, Y10 \
+	VMULPS       Y8, Y9, Y9       \
+	VBLENDVPS    Y10, Y9, Y15, Y9 \
+	VADDPS       Y9, acc, acc
+
+// func axpyRowsAVX2(acc []float32, n int, a []float32, iStride, tStride, k int, b []float32)
+// acc[i*n+j] += a[i*iStride+t*tStride] * b[t*n+j] where the a element is
+// not zero, t ascending; n a multiple of 8, len(acc) a multiple of n. The
+// rows are taken eight columns at a time, four rows together and then one:
+// a tile's accumulators stay in Y0-Y3 across all k steps.
+TEXT ·axpyRowsAVX2(SB), NOSPLIT, $0-104
+	MOVQ         n+24(FP), R11
+	MOVQ         iStride+56(FP), R8
+	MOVQ         tStride+64(FP), R10
+	SHLQ         $2, R11             // n, iStride and tStride in bytes
+	SHLQ         $2, R8
+	SHLQ         $2, R10
+	LEAQ         (R8)(R8*2), R9      // 3*iStride
+	LEAQ         (R11)(R11*2), DI    // 3*n
+	VXORPS       Y14, Y14, Y14
+	VBROADCASTSS negZero<>(SB), Y15
+	XORQ         R12, R12            // column offset
+
+axpyRowsCols:
+	CMPQ R12, R11
+	JAE  axpyRowsDone
+	MOVQ acc_base+0(FP), AX
+	ADDQ R12, AX                     // the tile's first accumulator
+	MOVQ a_base+32(FP), R13          // and its first lhs element
+	MOVQ acc_len+8(FP), DX
+	SHLQ $2, DX                      // bytes of rows still to do
+
+axpyRows4:
+	LEAQ    (R11*4), CX
+	CMPQ    DX, CX
+	JB      axpyRows1
+	VMOVUPS (AX), Y0
+	VMOVUPS (AX)(R11*1), Y1
+	VMOVUPS (AX)(R11*2), Y2
+	VMOVUPS (AX)(DI*1), Y3
+	MOVQ    R13, SI
+	MOVQ    b_base+80(FP), BX
+	ADDQ    R12, BX
+	MOVQ    k+72(FP), CX
+
+axpyRows4Step:
+	VMOVUPS (BX), Y8
+	AXPY_ROW((SI), Y0)
+	AXPY_ROW((SI)(R8*1), Y1)
+	AXPY_ROW((SI)(R8*2), Y2)
+	AXPY_ROW((SI)(R9*1), Y3)
+	ADDQ    R10, SI
+	ADDQ    R11, BX
+	DECQ    CX
+	JNZ     axpyRows4Step
+	VMOVUPS Y0, (AX)
+	VMOVUPS Y1, (AX)(R11*1)
+	VMOVUPS Y2, (AX)(R11*2)
+	VMOVUPS Y3, (AX)(DI*1)
+	LEAQ    (AX)(R11*4), AX
+	LEAQ    (R13)(R8*4), R13
+	LEAQ    (R11*4), CX
+	SUBQ    CX, DX
+	JMP     axpyRows4
+
+axpyRows1:
+	CMPQ    DX, R11
+	JB      axpyRowsNextCols
+	VMOVUPS (AX), Y0
+	MOVQ    R13, SI
+	MOVQ    b_base+80(FP), BX
+	ADDQ    R12, BX
+	MOVQ    k+72(FP), CX
+
+axpyRows1Step:
+	VMOVUPS (BX), Y8
+	AXPY_ROW((SI), Y0)
+	ADDQ    R10, SI
+	ADDQ    R11, BX
+	DECQ    CX
+	JNZ     axpyRows1Step
+	VMOVUPS Y0, (AX)
+	ADDQ    R11, AX
+	ADDQ    R8, R13
+	SUBQ    R11, DX
+	JMP     axpyRows1
+
+axpyRowsNextCols:
+	ADDQ $32, R12
+	JMP  axpyRowsCols
+
+axpyRowsDone:
+	VZEROUPPER
+	RET
+
 // func dwPixelAVX2(dst, x, w []float32, xRowStride, xTapStride, wRowStride, rows, taps int)
 // dst[ch] += x[r*xRowStride+t*xTapStride+ch] * w[r*wRowStride+t*len(dst)+ch],
 // r then t ascending, rows >= 1, taps >= 1. Eight channels of dst stay in
@@ -264,6 +368,293 @@ biasAct1NotRelu6:
 	JMP    biasAct1Store
 
 biasActDone:
+	VZEROUPPER
+	RET
+
+DATA negInf<>+0(SB)/4, $0xff800000
+GLOBL negInf<>(SB), RODATA|NOPTR, $4
+
+// The pooling pixels: one output position's rows×taps window of c-channel
+// input pixels, rows >= 1, taps >= 1, eight channels at a time and then
+// one. rowStride and tapStride are in floats.
+
+// func poolMaxAVX2(dst, x []float32, rowStride, tapStride, rows, taps int)
+// dst[ch] = max over the window of x[r*rowStride+t*tapStride+ch], from
+// -Inf, r then t ascending. VMAXPS returns its second source (first in Go
+// operand order) when either input is NaN or both are zero; with the
+// running maximum there, a NaN tap and a tie of zeros keep it, as the Go
+// body's `v > best` does.
+TEXT ·poolMaxAVX2(SB), NOSPLIT, $0-80
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), DX
+	MOVQ         x_base+24(FP), R12
+	MOVQ         rowStride+48(FP), R8
+	MOVQ         tapStride+56(FP), R9
+	MOVQ         rows+64(FP), R10
+	MOVQ         taps+72(FP), BX
+	SHLQ         $2, DX              // all three in bytes
+	SHLQ         $2, R8
+	SHLQ         $2, R9
+	VBROADCASTSS negInf<>(SB), Y15
+	XORQ         AX, AX              // channel offset
+
+poolMax8:
+	LEAQ    32(AX), R13
+	CMPQ    R13, DX
+	JA      poolMax1
+	VMOVAPS Y15, Y0
+	LEAQ    (R12)(AX*1), R11
+	MOVQ    R10, R13
+
+poolMax8Row:
+	MOVQ R11, SI
+	MOVQ BX, CX
+
+poolMax8Tap:
+	VMOVUPS (SI), Y1
+	VMAXPS  Y0, Y1, Y0
+	ADDQ    R9, SI
+	DECQ    CX
+	JNZ     poolMax8Tap
+	ADDQ    R8, R11
+	DECQ    R13
+	JNZ     poolMax8Row
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	JMP     poolMax8
+
+poolMax1:
+	CMPQ    AX, DX
+	JAE     poolMaxDone
+	VMOVAPS X15, X0
+	LEAQ    (R12)(AX*1), R11
+	MOVQ    R10, R13
+
+poolMax1Row:
+	MOVQ R11, SI
+	MOVQ BX, CX
+
+poolMax1Tap:
+	VMOVSS (SI), X1
+	VMAXSS X0, X1, X0
+	ADDQ   R9, SI
+	DECQ   CX
+	JNZ    poolMax1Tap
+	ADDQ   R8, R11
+	DECQ   R13
+	JNZ    poolMax1Row
+	VMOVSS X0, (DI)(AX*1)
+	ADDQ   $4, AX
+	JMP    poolMax1
+
+poolMaxDone:
+	VZEROUPPER
+	RET
+
+// func poolAvgAVX2(dst, x []float32, rowStride, tapStride, rows, taps int)
+// dst[ch] = (the window's x[r*rowStride+t*tapStride+ch] added to +0 one at
+// a time, r then t ascending) / float32(rows*taps).
+TEXT ·poolAvgAVX2(SB), NOSPLIT, $0-80
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), DX
+	MOVQ         x_base+24(FP), R12
+	MOVQ         rowStride+48(FP), R8
+	MOVQ         tapStride+56(FP), R9
+	MOVQ         rows+64(FP), R10
+	MOVQ         taps+72(FP), BX
+	SHLQ         $2, DX
+	SHLQ         $2, R8
+	SHLQ         $2, R9
+	MOVQ         R10, R13
+	IMULQ        BX, R13
+	VXORPS       X15, X15, X15
+	VCVTSI2SSQ   R13, X15, X15
+	VBROADCASTSS X15, Y15            // the divisor
+	XORQ         AX, AX
+
+poolAvg8:
+	LEAQ   32(AX), R13
+	CMPQ   R13, DX
+	JA     poolAvg1
+	VXORPS Y0, Y0, Y0
+	LEAQ   (R12)(AX*1), R11
+	MOVQ   R10, R13
+
+poolAvg8Row:
+	MOVQ R11, SI
+	MOVQ BX, CX
+
+poolAvg8Tap:
+	VADDPS  (SI), Y0, Y0
+	ADDQ    R9, SI
+	DECQ    CX
+	JNZ     poolAvg8Tap
+	ADDQ    R8, R11
+	DECQ    R13
+	JNZ     poolAvg8Row
+	VDIVPS  Y15, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	JMP     poolAvg8
+
+poolAvg1:
+	CMPQ   AX, DX
+	JAE    poolAvgDone
+	VXORPS X0, X0, X0
+	LEAQ   (R12)(AX*1), R11
+	MOVQ   R10, R13
+
+poolAvg1Row:
+	MOVQ R11, SI
+	MOVQ BX, CX
+
+poolAvg1Tap:
+	VADDSS (SI), X0, X0
+	ADDQ   R9, SI
+	DECQ   CX
+	JNZ    poolAvg1Tap
+	ADDQ   R8, R11
+	DECQ   R13
+	JNZ    poolAvg1Row
+	VDIVSS X15, X0, X0
+	VMOVSS X0, (DI)(AX*1)
+	ADDQ   $4, AX
+	JMP    poolAvg1
+
+poolAvgDone:
+	VZEROUPPER
+	RET
+
+// func poolMaxGradAVX2(dx, x, dy []float32, rowStride, tapStride, rows, taps int)
+// Per channel ch < len(dy): dx[at] += dy[ch] at the first at =
+// r*rowStride+t*tapStride+ch whose x[at] is the window's maximum above
+// -Inf. First pass: the running maximum in Y0 and the tap number that set
+// it in Y1 (-1: none yet), both replaced where x > maximum (predicate
+// 0x1e, greater-than ordered: false on a NaN and on a tie, so the first
+// maximum stays). Second pass: every tap's dx is loaded, and dx+dy stored
+// back in the lanes whose winning tap number is this tap's, dx itself in
+// the others.
+TEXT ·poolMaxGradAVX2(SB), NOSPLIT, $0-104
+	MOVQ         dy_len+56(FP), DX
+	MOVQ         rowStride+72(FP), R8
+	MOVQ         tapStride+80(FP), R9
+	MOVQ         taps+96(FP), BX
+	SHLQ         $2, DX
+	SHLQ         $2, R8
+	SHLQ         $2, R9
+	VBROADCASTSS negInf<>(SB), Y15
+	VPCMPEQD     Y14, Y14, Y14       // -1 in every lane
+	VPSRLD       $31, Y14, Y13       // 1 in every lane
+	XORQ         AX, AX
+
+poolMaxGrad8:
+	LEAQ    32(AX), R13
+	CMPQ    R13, DX
+	JA      poolMaxGrad1
+	VMOVAPS Y15, Y0
+	VMOVDQA Y14, Y1
+	VPXOR   Y2, Y2, Y2              // this tap's number
+	MOVQ    x_base+24(FP), R11
+	ADDQ    AX, R11
+	MOVQ    rows+88(FP), R13
+
+poolMaxGrad8FindRow:
+	MOVQ R11, SI
+	MOVQ BX, CX
+
+poolMaxGrad8FindTap:
+	VMOVUPS   (SI), Y4
+	VCMPPS    $0x1e, Y0, Y4, Y5
+	VBLENDVPS Y5, Y4, Y0, Y0
+	VBLENDVPS Y5, Y2, Y1, Y1
+	VPADDD    Y13, Y2, Y2
+	ADDQ      R9, SI
+	DECQ      CX
+	JNZ       poolMaxGrad8FindTap
+	ADDQ      R8, R11
+	DECQ      R13
+	JNZ       poolMaxGrad8FindRow
+	MOVQ      dy_base+48(FP), R12
+	VMOVUPS   (R12)(AX*1), Y6
+	VPXOR     Y2, Y2, Y2
+	MOVQ      dx_base+0(FP), R11
+	ADDQ      AX, R11
+	MOVQ      rows+88(FP), R13
+
+poolMaxGrad8AddRow:
+	MOVQ R11, DI
+	MOVQ BX, CX
+
+poolMaxGrad8AddTap:
+	VPCMPEQD  Y2, Y1, Y5
+	VMOVUPS   (DI), Y7
+	VADDPS    Y6, Y7, Y8
+	VBLENDVPS Y5, Y8, Y7, Y7
+	VMOVUPS   Y7, (DI)
+	VPADDD    Y13, Y2, Y2
+	ADDQ      R9, DI
+	DECQ      CX
+	JNZ       poolMaxGrad8AddTap
+	ADDQ      R8, R11
+	DECQ      R13
+	JNZ       poolMaxGrad8AddRow
+	ADDQ      $32, AX
+	JMP       poolMaxGrad8
+
+poolMaxGrad1:
+	CMPQ    AX, DX
+	JAE     poolMaxGradDone
+	VMOVAPS X15, X0
+	VMOVDQA X14, X1
+	VPXOR   X2, X2, X2
+	MOVQ    x_base+24(FP), R11
+	ADDQ    AX, R11
+	MOVQ    rows+88(FP), R13
+
+poolMaxGrad1FindRow:
+	MOVQ R11, SI
+	MOVQ BX, CX
+
+poolMaxGrad1FindTap:
+	VMOVSS    (SI), X4
+	VCMPSS    $0x1e, X0, X4, X5
+	VBLENDVPS X5, X4, X0, X0
+	VBLENDVPS X5, X2, X1, X1
+	VPADDD    X13, X2, X2
+	ADDQ      R9, SI
+	DECQ      CX
+	JNZ       poolMaxGrad1FindTap
+	ADDQ      R8, R11
+	DECQ      R13
+	JNZ       poolMaxGrad1FindRow
+	MOVQ      dy_base+48(FP), R12
+	VMOVSS    (R12)(AX*1), X6
+	VPXOR     X2, X2, X2
+	MOVQ      dx_base+0(FP), R11
+	ADDQ      AX, R11
+	MOVQ      rows+88(FP), R13
+
+poolMaxGrad1AddRow:
+	MOVQ R11, DI
+	MOVQ BX, CX
+
+poolMaxGrad1AddTap:
+	VPCMPEQD  X2, X1, X5
+	VMOVSS    (DI), X7
+	VADDSS    X6, X7, X8
+	VBLENDVPS X5, X8, X7, X7
+	VMOVSS    X7, (DI)
+	VPADDD    X13, X2, X2
+	ADDQ      R9, DI
+	DECQ      CX
+	JNZ       poolMaxGrad1AddTap
+	ADDQ      R8, R11
+	DECQ      R13
+	JNZ       poolMaxGrad1AddRow
+	ADDQ      $4, AX
+	JMP       poolMaxGrad1
+
+poolMaxGradDone:
 	VZEROUPPER
 	RET
 

@@ -11,10 +11,26 @@ func axpyNAVX2(row, a []float32, off []int, b []float32) {
 	panic("vec: no AVX2 core on this GOARCH")
 }
 
+func axpyRowsAVX2(acc []float32, n int, a []float32, iStride, tStride, k int, b []float32) {
+	panic("vec: no AVX2 core on this GOARCH")
+}
+
 func dwPixelAVX2(dst, x, w []float32, xRowStride, xTapStride, wRowStride, rows, taps int) {
 	panic("vec: no AVX2 core on this GOARCH")
 }
 
 func biasActAVX2(dst, bias []float32, kind int) {
+	panic("vec: no AVX2 core on this GOARCH")
+}
+
+func poolMaxAVX2(dst, x []float32, rowStride, tapStride, rows, taps int) {
+	panic("vec: no AVX2 core on this GOARCH")
+}
+
+func poolAvgAVX2(dst, x []float32, rowStride, tapStride, rows, taps int) {
+	panic("vec: no AVX2 core on this GOARCH")
+}
+
+func poolMaxGradAVX2(dx, x, dy []float32, rowStride, tapStride, rows, taps int) {
 	panic("vec: no AVX2 core on this GOARCH")
 }

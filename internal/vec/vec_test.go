@@ -67,12 +67,23 @@ func onGoBodies(f func()) {
 	f()
 }
 
+// bothBodies runs a function with the assembly on and with it off.
+var bothBodies = map[string]func(func()){"avx2": func(f func()) { f() }, "go": onGoBodies}
+
 func checkAxpyN(t testing.TB, row, vals []float32, offs []int, b []float32) {
 	t.Helper()
 	got, want := slices.Clone(row), slices.Clone(row)
 	AxpyN(got, vals, offs, b)
 	onGoBodies(func() { AxpyN(want, vals, offs, b) })
 	requireSameFloats(t, "AxpyN", got, want)
+}
+
+func checkAxpyRows(t testing.TB, acc []float32, n int, a []float32, iStride, tStride, k int, b []float32) {
+	t.Helper()
+	got, want := slices.Clone(acc), slices.Clone(acc)
+	AxpyRows(got, n, a, iStride, tStride, k, b)
+	onGoBodies(func() { AxpyRows(want, n, a, iStride, tStride, k, b) })
+	requireSameFloats(t, "AxpyRows", got, want)
 }
 
 func checkDwPixel(t testing.TB, dst, x, w []float32, xRowStride, xTapStride, wRowStride, rows, taps int) {
@@ -91,6 +102,24 @@ func checkBiasAct(t testing.TB, dst, bias []float32) {
 		onGoBodies(func() { BiasAct(want, bias, act) })
 		requireSameFloats(t, "BiasAct "+name, got, want)
 	}
+}
+
+func checkPoolPixels(t testing.TB, c int, x []float32, rowStride, tapStride, rows, taps int) {
+	t.Helper()
+	for name, pool := range map[string]func(dst, x []float32, rowStride, tapStride, rows, taps int){"PoolMax": PoolMax, "PoolAvg": PoolAvg} {
+		got, want := make([]float32, c), make([]float32, c)
+		pool(got, x, rowStride, tapStride, rows, taps)
+		onGoBodies(func() { pool(want, x, rowStride, tapStride, rows, taps) })
+		requireSameFloats(t, name, got, want)
+	}
+}
+
+func checkPoolMaxGrad(t testing.TB, dx, x, dy []float32, rowStride, tapStride, rows, taps int) {
+	t.Helper()
+	got, want := slices.Clone(dx), slices.Clone(dx)
+	PoolMaxGrad(got, x, dy, rowStride, tapStride, rows, taps)
+	onGoBodies(func() { PoolMaxGrad(want, x, dy, rowStride, tapStride, rows, taps) })
+	requireSameFloats(t, "PoolMaxGrad", got, want)
 }
 
 // checkReluFamily holds the bit-select rows to the float comparisons that
@@ -171,6 +200,18 @@ func TestVecCoresBitIdentity(t *testing.T) {
 				checkAxpyN(t, dst, vals, strideOffs(k, stride), b)
 			}
 
+			// One to six rows of the same product (a tile of four and every
+			// remainder), the lhs laid out as a convolution's pixels are
+			// (rows far apart, steps adjacent) and as a filter gradient's
+			// channels are (rows adjacent, steps far apart). Only a row of
+			// whole vector steps reaches the assembly.
+			for rows := 1; rows <= 6; rows++ {
+				acc := vecOperand(off+rows*n, seed+3)[off:]
+				b := vecOperand(off+k*n, seed+2)[off:]
+				checkAxpyRows(t, acc, n, vecOperand(off+rows*(k+2), seed+1)[off:], k+2, 1, k, b)
+				checkAxpyRows(t, acc, n, vecOperand(off+rows+k*(rows+3), seed+1)[off:], 1, rows+3, k, b)
+			}
+
 			// A 3×3 filter clipped to every rows×taps rectangle, strides as
 			// a stride-2 dilation-1 layer would pass them.
 			for rows := 1; rows <= 3; rows++ {
@@ -179,6 +220,10 @@ func TestVecCoresBitIdentity(t *testing.T) {
 					x := vecOperand(off+(rows-1)*xRow+(taps-1)*xTap+n, seed+1)[off:]
 					w := vecOperand(off+(rows-1)*wRow+taps*n, seed+2)[off:]
 					checkDwPixel(t, dst, x, w, xRow, xTap, wRow, rows, taps)
+					// The same rectangles as pooling windows; w, cut to x's
+					// length, stands in for the gradient already in dx.
+					checkPoolPixels(t, n, x, xRow, xTap, rows, taps)
+					checkPoolMaxGrad(t, w[:min(len(w), len(x))], x[:min(len(w), len(x))], dst, min(xRow, wRow), xTap, rows, taps)
 				}
 			}
 
@@ -203,8 +248,23 @@ func TestVecCoresBitIdentity(t *testing.T) {
 					y[i] = yv
 				}
 				checkAxpyN(t, y, a, strideOffs(5, 11), b)
+				for _, n := range []int{8, 16} {
+					acc := make([]float32, 5*n)
+					for i := range acc {
+						acc[i] = yv
+					}
+					checkAxpyRows(t, acc, n, a, 1, 0, 3, b)
+				}
 				checkDwPixel(t, y, b, b[11:], 22, 11, 22, 2, 2)
 				checkBiasAct(t, y, b[:11])
+				// A window of nothing but bv, and one with av in each
+				// position in turn.
+				for at := 0; at < 4*11; at += 11 {
+					x := slices.Clone(b[:4*11])
+					copy(x[at:], a)
+					checkPoolPixels(t, 11, x, 22, 11, 2, 2)
+					checkPoolMaxGrad(t, slices.Clone(b[:4*11]), x, y, 22, 11, 2, 2)
+				}
 			}
 		}
 	}
@@ -223,8 +283,15 @@ func TestVecCoresStayInBounds(t *testing.T) {
 		dst := buf[8 : 8+n : 8+n]
 		AxpyN(dst, vecOperand(6, 7), strideOffs(6, n), vecOperand(6*n, 8))
 		DwPixel(dst, vecOperand(4*n, 9), vecOperand(4*n, 10), 2*n, n, 2*n, 2, 2)
+		if n >= 8 {
+			AxpyRows(dst[:n/8*8], 8, vecOperand(3*n, 16), 3, 1, 3, vecOperand(3*8, 17))
+		}
 		BiasAct(dst, vecOperand(n, 11), ActRelu6)
 		Relu6(dst, dst)
+		PoolMax(dst, vecOperand(4*n, 12), 2*n, n, 2, 2)
+		PoolAvg(dst, vecOperand(4*n, 13), 2*n, n, 2, 2)
+		// dst as the gradient's dx: one tap, so the window is the slice.
+		PoolMaxGrad(dst, vecOperand(n, 14), vecOperand(n, 15), n, n, 1, 1)
 		for i, v := range buf {
 			if (i < 8 || i >= 8+n) && v != sentinel {
 				t.Fatalf("n=%d: buf[%d] = %g, outside the slice handed to the cores", n, i, v)
@@ -272,17 +339,73 @@ func FuzzVecCores(f *testing.F) {
 			checkAxpyN(t, vals[k:k+n], vals[:k], strideOffs(k, n), vals[k+n:k+n+k*n])
 		}
 
+		// vals = a[rows×k] ‖ acc[rows×n] ‖ b[k×n], n 8 or 16
+		if n, rows := 8+8*int(tapSel&1), 1+int(tapSel>>1)%6; len(vals) >= rows*k+rows*n+k*n {
+			a, acc, b := vals[:rows*k], vals[rows*k:rows*k+rows*n], vals[rows*k+rows*n:]
+			checkAxpyRows(t, acc, n, a, k, 1, k, b)
+			checkAxpyRows(t, acc, n, a, 1, rows, k, b)
+		}
+
 		// vals = dst[c] ‖ x[rows×taps×c] ‖ w[rows×taps×c]
 		rows, taps := 1+int(tapSel)%3, 1+int(tapSel)/3%3
 		c := len(vals) / (2*rows*taps + 1)
 		x := vals[c : c+rows*taps*c]
 		w := vals[c+rows*taps*c:]
 		checkDwPixel(t, vals[:c], x, w, taps*c, c, taps*c, rows, taps)
+		if c > 0 {
+			checkPoolPixels(t, c, x, taps*c, c, rows, taps)
+			checkPoolMaxGrad(t, w, x, vals[:c], taps*c, c, rows, taps)
+		}
 
 		checkBiasAct(t, vals[:len(vals)/2], vals[len(vals)/2:])
 		checkBiasAct(t, vals, nil)
 		checkReluFamily(t, vals, float32(kSel)/16)
 	})
+}
+
+// TestAxpyRowsSkipsZeros: a ±0 lhs element contributes nothing on either
+// body — not the NaN that 0·Inf is, and not a +0 that would turn a -0
+// accumulator into +0 — where a NaN lhs element is multiplied like any
+// other value. native's narrow convolutions depend on it as its wide ones
+// do on gemmRow leaving zeros out of AxpyN's list.
+func TestAxpyRowsSkipsZeros(t *testing.T) {
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	negZero := float32(math.Copysign(0, -1))
+	for _, n := range []int{8, 16, 11} {
+		for _, rows := range []int{1, 4, 6} {
+			for _, body := range bothBodies {
+				// Steps: ±0 against Inf and NaN, then 2 against 3, and in
+				// the last row NaN against 3.
+				a := make([]float32, rows*4)
+				for i := 0; i < rows; i++ {
+					copy(a[i*4:], []float32{0, negZero, 2, 0})
+				}
+				a[rows*4-1] = nan
+				b := make([]float32, 4*n)
+				for j := 0; j < n; j++ {
+					b[j], b[n+j], b[2*n+j], b[3*n+j] = inf, nan, 3, 3
+				}
+				acc := make([]float32, rows*n)
+				for i := range acc {
+					acc[i] = negZero
+				}
+				body(func() {
+					AxpyRows(acc, n, a, 4, 1, 2, b) // the two zero steps only
+				})
+				for i, v := range acc {
+					if math.Float32bits(v) != math.Float32bits(negZero) {
+						t.Fatalf("n=%d rows=%d: acc[%d] = %g (bits %08x) after zero steps, want -0", n, rows, i, v, math.Float32bits(v))
+					}
+				}
+				body(func() { AxpyRows(acc, n, a, 4, 1, 4, b) })
+				for i, v := range acc {
+					if last := i/n == rows-1; last && v == v || !last && v != 6 {
+						t.Fatalf("n=%d rows=%d: acc[%d] = %g, want 6 (NaN in the last row)", n, rows, i, v)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestAxpyNIsDense: a zero step is multiplied, not skipped, on both bodies —
@@ -304,6 +427,86 @@ func TestAxpyNIsDense(t *testing.T) {
 						t.Fatalf("%g·%g: row[%d] = %g, want NaN", zero, w, j, v)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestPoolPixelEdgeSemantics pins, on both bodies, the cases the pooling
+// pixels' comparison turns on: a NaN never wins, the first of two equal
+// values (±0 included) stays, a window with nothing above -Inf has no
+// winner, and the gradient touches the winning cell only.
+func TestPoolPixelEdgeSemantics(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	for _, c := range []struct {
+		name   string
+		window [4]float32 // a 2×2 window of one channel
+		max    float32
+		winner int // the tap the gradient goes to, -1 for none
+	}{
+		{"nan first", [4]float32{nan, 1, 3, 2}, 3, 2},
+		{"nan last", [4]float32{1, 3, 2, nan}, 3, 1},
+		{"nan only", [4]float32{nan, nan, nan, nan}, -inf, -1},
+		{"all -inf", [4]float32{-inf, -inf, -inf, -inf}, -inf, -1},
+		{"+0 then -0", [4]float32{-1, 0, negZero, -2}, 0, 1},
+		{"-0 then +0", [4]float32{-1, negZero, 0, -2}, negZero, 1},
+		{"tie", [4]float32{2, 5, 5, 5}, 5, 1},
+		{"+inf", [4]float32{1, inf, nan, inf}, inf, 1},
+		{"denormal", [4]float32{-1e-39, 1e-45, 1e-39, 0}, 1e-39, 2},
+	} {
+		for _, lanes := range []int{1, 8, 11} { // scalar tail, one vector, both
+			for body, run := range bothBodies {
+				x := make([]float32, 4*lanes)
+				for tap, v := range c.window {
+					for ch := 0; ch < lanes; ch++ {
+						x[tap*lanes+ch] = v
+					}
+				}
+				got := make([]float32, lanes)
+				// dy is +Inf and dx holds -0: a multiply by a 0/1 mask
+				// would leave NaNs in the losing cells, an added +0 would
+				// flip their sign.
+				dx, dy := make([]float32, 4*lanes), make([]float32, lanes)
+				for i := range dx {
+					dx[i] = negZero
+				}
+				for i := range dy {
+					dy[i] = inf
+				}
+				run(func() {
+					PoolMax(got, x, 2*lanes, lanes, 2, 2)
+					PoolMaxGrad(dx, x, dy, 2*lanes, lanes, 2, 2)
+				})
+				for ch, v := range got {
+					if math.Float32bits(v) != math.Float32bits(c.max) {
+						t.Errorf("%s/%s/%d lanes: PoolMax[%d] = %g (bits %08x), want %g", c.name, body, lanes, ch, v, math.Float32bits(v), c.max)
+					}
+				}
+				for i, v := range dx {
+					want := negZero
+					if i/lanes == c.winner {
+						want = inf
+					}
+					if math.Float32bits(v) != math.Float32bits(want) {
+						t.Errorf("%s/%s/%d lanes: PoolMaxGrad dx[%d] = %g (bits %08x), want %g", c.name, body, lanes, i, v, math.Float32bits(v), want)
+					}
+				}
+			}
+		}
+	}
+	// The average starts from +0 (a window of -0 reads +0) and an empty
+	// window reads 0 / -Inf.
+	for body, run := range bothBodies {
+		avg, max := []float32{7, 7, 7}, []float32{7, 7, 7}
+		run(func() {
+			PoolAvg(avg[:2], []float32{negZero, negZero, negZero, negZero}, 2, 2, 1, 2)
+			PoolAvg(avg[2:], nil, 0, 0, 0, 0)
+			PoolMax(max, nil, 0, 0, 0, 3)
+		})
+		for i := range avg {
+			if math.Float32bits(avg[i]) != 0 || max[i] != -inf {
+				t.Errorf("%s: avg[%d] = %g (bits %08x), max[%d] = %g; want +0 and -Inf", body, i, avg[i], math.Float32bits(avg[i]), i, max[i])
 			}
 		}
 	}
