@@ -144,7 +144,7 @@ func (b *NaiveBackend) naiveBatchMatMul(inputs []kernels.Input, attrs kernels.At
 			for j := 0; j < n; j++ {
 				sum := 0.0
 				for kk := 0; kk < k; kk++ {
-					sum += float64(aBuf[((p%batchA)*m+i)*k+kk]) * float64(bBuf[((p%batchB)*k+kk)*n+j])
+					sum += float64(float64(aBuf[((p%batchA)*m+i)*k+kk]) * float64(bBuf[((p%batchB)*k+kk)*n+j]))
 				}
 				out[(p*m+i)*n+j] = float32(sum)
 			}
@@ -185,8 +185,8 @@ func (b *NaiveBackend) naiveConv2D(inputs []kernels.Input, attrs kernels.Attrs, 
 								continue
 							}
 							for ic := 0; ic < inC; ic++ {
-								sum += float64(xBuf[loc4(info.InHeight, info.InWidth, inC, bb, iy, ix, ic)]) *
-									float64(wBuf[loc4(info.FilterWidth, inC, outC, fy, fx, ic, oc)])
+								sum += float64(float64(xBuf[loc4(info.InHeight, info.InWidth, inC, bb, iy, ix, ic)]) *
+									float64(wBuf[loc4(info.FilterWidth, inC, outC, fy, fx, ic, oc)]))
 							}
 						}
 					}
@@ -229,8 +229,8 @@ func (b *NaiveBackend) naiveDepthwise(inputs []kernels.Input, attrs kernels.Attr
 							if ix < 0 || ix >= info.InWidth {
 								continue
 							}
-							sum += float64(xBuf[loc4(info.InHeight, info.InWidth, inC, bb, iy, ix, ic)]) *
-								float64(wBuf[loc4(info.FilterWidth, inC, mult, fy, fx, ic, q)])
+							sum += float64(float64(xBuf[loc4(info.InHeight, info.InWidth, inC, bb, iy, ix, ic)]) *
+								float64(wBuf[loc4(info.FilterWidth, inC, mult, fy, fx, ic, q)]))
 						}
 					}
 					out[loc4(info.OutHeight, info.OutWidth, outC, bb, oy, ox, oc)] = float32(sum)
@@ -319,7 +319,7 @@ func (b *NaiveBackend) naiveBatchNorm(inputs []kernels.Input, attrs kernels.Attr
 	for i := range out {
 		ch := i % c
 		norm := (float64(xBuf[i]) - float64(mean[ch])) / math.Sqrt(float64(variance[ch])+eps)
-		out[i] = float32(norm*float64(scale[ch]) + float64(offset[ch]))
+		out[i] = float32(float64(norm*float64(scale[ch])) + float64(offset[ch]))
 	}
 	return nil
 }

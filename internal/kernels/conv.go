@@ -82,7 +82,7 @@ func init() {
 									continue
 								}
 								for ic := 0; ic < inC; ic++ {
-									dx.Data[dxBase+ic] += g * w.Data[wBase+ic*outC+oc]
+									dx.Data[dxBase+ic] += float32(g * w.Data[wBase+ic*outC+oc])
 								}
 							}
 						}
@@ -141,7 +141,7 @@ func init() {
 								}
 								wOff := wBase + ic*outC
 								for oc := 0; oc < outC; oc++ {
-									dw.Data[wOff+oc] += xv * dy.Data[dyBase+oc]
+									dw.Data[wOff+oc] += float32(xv * dy.Data[dyBase+oc])
 								}
 							}
 						}
@@ -210,7 +210,7 @@ func init() {
 							for ic := 0; ic < inC; ic++ {
 								var sum float32
 								for q := 0; q < mult; q++ {
-									sum += dy.Data[dyBase+ic*mult+q] * w.Data[wBase+ic*mult+q]
+									sum += float32(dy.Data[dyBase+ic*mult+q] * w.Data[wBase+ic*mult+q])
 								}
 								dx.Data[dxBase+ic] += sum
 							}
@@ -266,7 +266,7 @@ func init() {
 									continue
 								}
 								for q := 0; q < mult; q++ {
-									dw.Data[wBase+ic*mult+q] += xv * dy.Data[dyBase+ic*mult+q]
+									dw.Data[wBase+ic*mult+q] += float32(xv * dy.Data[dyBase+ic*mult+q])
 								}
 							}
 						}

@@ -201,7 +201,7 @@ func convolve2D(out, x, w []float32, info Conv2DInfo) {
 							xv := x[inBase+ic]
 							wRow := w[wBase+ic*outC : wBase+(ic+1)*outC]
 							for oc, wv := range wRow {
-								dst[oc] += xv * wv
+								dst[oc] += float32(xv * wv)
 							}
 						}
 					}
@@ -240,7 +240,7 @@ func depthwiseConvolve2D(out, x, w []float32, info Conv2DInfo) {
 						for ic := 0; ic < inC; ic++ {
 							xv := x[inBase+ic]
 							for q := 0; q < mult; q++ {
-								out[outBase+ic*mult+q] += xv * w[wBase+ic*mult+q]
+								out[outBase+ic*mult+q] += float32(xv * w[wBase+ic*mult+q])
 							}
 						}
 					}
@@ -262,7 +262,7 @@ func matmul2D(out, a, b []float32, m, k, n int, transposeA, transposeB bool) {
 			for kk, av := range aRow {
 				bRow := b[kk*n : (kk+1)*n]
 				for j, bv := range bRow {
-					row[j] += av * bv
+					row[j] += float32(av * bv)
 				}
 			}
 		}
@@ -273,7 +273,7 @@ func matmul2D(out, a, b []float32, m, k, n int, transposeA, transposeB bool) {
 			for i, av := range aRow {
 				row := out[i*n : (i+1)*n]
 				for j, bv := range bRow {
-					row[j] += av * bv
+					row[j] += float32(av * bv)
 				}
 			}
 		}
@@ -285,7 +285,7 @@ func matmul2D(out, a, b []float32, m, k, n int, transposeA, transposeB bool) {
 				bRow := b[j*k : (j+1)*k]
 				var sum float32
 				for kk, av := range aRow {
-					sum += av * bRow[kk]
+					sum += float32(av * bRow[kk])
 				}
 				row[j] = sum
 			}
@@ -296,7 +296,7 @@ func matmul2D(out, a, b []float32, m, k, n int, transposeA, transposeB bool) {
 			for i, av := range aRow {
 				row := out[i*n : (i+1)*n]
 				for j := 0; j < n; j++ {
-					row[j] += av * b[j*k+kk]
+					row[j] += float32(av * b[j*k+kk])
 				}
 			}
 		}

@@ -80,7 +80,7 @@ func init() {
 		}
 		out := NewBuffer([]int{n}, dt)
 		for i := 0; i < n; i++ {
-			out.Data[i] = float32(start + float64(i)*step)
+			out.Data[i] = float32(start + float64(float64(i)*step))
 		}
 		return out, nil
 	})
@@ -180,7 +180,7 @@ func init() {
 		mi, vi, oi, si := 0, 0, 0, 0
 		for idx := 0; idx < x.Size(); idx++ {
 			norm := (x.Data[idx] - mean.Data[mi]) / float32(math.Sqrt(float64(variance.Data[vi]+eps)))
-			out.Data[idx] = norm*scale.Data[si] + offset.Data[oi]
+			out.Data[idx] = float32(norm*scale.Data[si]) + offset.Data[oi]
 			for d := rank - 1; d >= 0; d-- {
 				coords[d]++
 				mi += ms[d]

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/kernels"
 	"repro/internal/tensor"
+	"repro/internal/vec"
 )
 
 // TestBinaryBroadcastBitIdenticalToReference: Add/Sub/Mul/RealDiv agree
@@ -92,4 +93,60 @@ func TestActivationLoopsBitIdenticalToReference(t *testing.T) {
 	if math.Float32bits(got[0]) != 0x7fc12345 || got[1] != -3 || got[2] != 1 {
 		t.Fatalf("Step([NaN(0x7fc12345), -1, 2], alpha=-3) = %v (NaN bits %#x)", got, math.Float32bits(got[0]))
 	}
+}
+
+// TestBatchNormBitIdenticalToReference: FusedBatchNorm with [C] statistics
+// runs vec's normalise row and agrees with the reference kernel to the bit
+// — the same subtract, divide, multiply and add per value, where the
+// kernel it replaced folded them into x·(scale/sd) + (offset − mean·scale/sd)
+// — for channel counts under, at and over a vector step and wider than
+// the row's √(variance+ε) tile, on every forward-kernel fill (NaN, ±Inf, ±0
+// and denormals among them) with the variances as filled (negative ones
+// normalise to NaN) and made non-negative, at every worker count and with
+// the AVX2 cores on or off. An empty channel axis falls back to the
+// reference kernel (it divided by zero).
+func TestBatchNormBitIdenticalToReference(t *testing.T) {
+	check := func(t *testing.T, nb *Backend) {
+		attrs := kernels.Attrs{"varianceEpsilon": 1e-3}
+		for _, f := range forwardFills {
+			for _, c := range []int{1, 7, 8, 9, 32, 300} {
+				for _, shape := range [][]int{{2, 3, 5, c}, {c}} {
+					for _, nonNegative := range []bool{false, true} {
+						x := operand{f.gen(tensor.ShapeSize(shape), 1), shape}
+						p := make([]operand, 4) // mean, variance, offset, scale
+						for i := range p {
+							p[i] = operand{f.gen(c, uint32(i)+2), []int{c}}
+						}
+						if nonNegative {
+							for i, v := range p[1].vals {
+								p[1].vals[i] = float32(math.Abs(float64(v)))
+							}
+						}
+						label := fmt.Sprintf("FusedBatchNorm/%v/%s/nonNegative=%v", shape, f.name, nonNegative)
+						checkAgainstReference(t, nb, label, "FusedBatchNorm", attrs, x, p[0], p[1], p[2], p[3])
+					}
+				}
+			}
+		}
+		// Large enough that parallelFor splits it.
+		x := operand{vecOperand(4*24*24*32, 3), []int{4, 24, 24, 32}}
+		p := operand{vecOperand(32, 4), []int{32}}
+		checkAgainstReference(t, nb, "FusedBatchNorm/4x24x24x32", "FusedBatchNorm", attrs, x, p, p, p, p)
+		empty := operand{nil, []int{0}}
+		checkAgainstReference(t, nb, "FusedBatchNorm/empty channels", "FusedBatchNorm", attrs, operand{nil, []int{2, 0}}, empty, empty, empty, empty)
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			nb := New()
+			nb.SetWorkers(workers)
+			check(t, nb)
+		})
+	}
+	t.Run("scalar", func(t *testing.T) {
+		restore, _ := vec.ForceScalar()
+		defer restore()
+		nb := New()
+		nb.SetWorkers(4)
+		check(t, nb)
+	})
 }

@@ -229,7 +229,7 @@ func (b *Backend) depthwiseConv2D(name string, fused bool) kernels.OverrideKerne
 								for ic := 0; ic < inC; ic++ {
 									xv := xs[ic]
 									for q := 0; q < mult; q++ {
-										dst[ic*mult+q] += xv * ws[ic*mult+q]
+										dst[ic*mult+q] += float32(xv * ws[ic*mult+q])
 									}
 								}
 							}

@@ -114,7 +114,7 @@ func (b *Backend) matmul(m, n, k int, aBuf, bBuf []float32, transposeA, transpos
 						continue
 					}
 					for j := range row {
-						row[j] += av * bBuf[j*k+kk]
+						row[j] += float32(av * bBuf[j*k+kk])
 					}
 				}
 			} else if k > 0 {

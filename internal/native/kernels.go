@@ -114,46 +114,6 @@ func (b *Backend) registerPool() {
 	b.register("AvgPool", b.pool("AvgPool", vec.PoolAvg))
 }
 
-// binOp selects the arithmetic of a binary kernel: an integer the row
-// loop switches on once, where a func value would cost an indirect call
-// per element.
-type binOp int
-
-const (
-	opAdd binOp = iota
-	opSub
-	opMul
-	opDiv
-)
-
-// binaryRow computes dst[i] = a[i*aStep] op x[i*xStep]. A step of 0
-// broadcasts a one-element operand; operand order is the kernel's.
-func binaryRow(op binOp, dst, a, x []float32, aStep, xStep int) {
-	ai, xi := 0, 0
-	switch op {
-	case opAdd:
-		for i := range dst {
-			dst[i] = a[ai] + x[xi]
-			ai, xi = ai+aStep, xi+xStep
-		}
-	case opSub:
-		for i := range dst {
-			dst[i] = a[ai] - x[xi]
-			ai, xi = ai+aStep, xi+xStep
-		}
-	case opMul:
-		for i := range dst {
-			dst[i] = a[ai] * x[xi]
-			ai, xi = ai+aStep, xi+xStep
-		}
-	case opDiv:
-		for i := range dst {
-			dst[i] = a[ai] / x[xi]
-			ai, xi = ai+aStep, xi+xStep
-		}
-	}
-}
-
 // isSuffixShape reports whether small, with its leading 1s dropped, is
 // the trailing dims of big: broadcasting small against big then repeats
 // small's buffer once per row of big — a bias [C] onto [..., C], a scalar
@@ -166,10 +126,10 @@ func isSuffixShape(small, big []int) bool {
 }
 
 // binary is Add, Sub, Mul and RealDiv: equal shapes and the suffix
-// broadcast run here, bit-equal to the reference kernel (the same
-// operation on the same two operands in the same order); every other
+// broadcast run here on vec.Binary, bit-equal to the reference kernel (the
+// same operation on the same two operands in the same order); every other
 // broadcast falls back to it.
-func (b *Backend) binary(name string, op binOp) kernels.OverrideKernel {
+func (b *Backend) binary(name string, op vec.BinOp) kernels.OverrideKernel {
 	return func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
 		if len(inputs) != 2 {
 			return fmt.Errorf("%s: got %d inputs, want 2", name, len(inputs))
@@ -177,12 +137,12 @@ func (b *Backend) binary(name string, op binOp) kernels.OverrideKernel {
 		a, x := inputs[0], inputs[1]
 		// big is the operand with the output's element count; the other
 		// one's buffer is the row repeated against it.
-		big, aIsRow := a.Shape, false
+		big := a.Shape
 		switch {
 		case tensor.ShapesEqual(a.Shape, x.Shape):
 		case isSuffixShape(x.Shape, a.Shape):
 		case isSuffixShape(a.Shape, x.Shape):
-			big, aIsRow = x.Shape, true
+			big = x.Shape
 		default:
 			return kernels.ErrFallback
 		}
@@ -193,35 +153,26 @@ func (b *Backend) binary(name string, op binOp) kernels.OverrideKernel {
 		}
 		out.Shape = append(out.Shape, big...)
 		dst := b.outInto(out, a.DType)
-		// flat runs the whole output as one row; a step of 0 holds a scalar.
-		flat := func(aStep, xStep int) {
-			b.parallelFor(len(dst), b.costPerElem(1), func(lo, hi int) {
-				binaryRow(op, dst[lo:hi], aBuf[lo*aStep:], xBuf[lo*xStep:], aStep, xStep)
-			})
+		if len(dst) == 0 {
+			return nil
 		}
-		inner := len(xBuf)
-		if aIsRow {
-			inner = len(aBuf)
+		// The shorter operand repeats every row values of the output (a
+		// bias, a scalar); a chunk is whole rows, so it starts the row at
+		// its first value. Two operands of the output's size chunk anywhere.
+		row := min(len(aBuf), len(xBuf))
+		if row == len(dst) {
+			row = 1
 		}
-		switch {
-		case inner == len(dst):
-			flat(1, 1)
-		case inner == 1 && aIsRow:
-			flat(0, 1)
-		case inner == 1:
-			flat(1, 0)
-		default:
-			b.parallelFor(len(dst)/inner, inner*b.costPerElem(1), func(lo, hi int) {
-				for r := lo; r < hi; r++ {
-					row := dst[r*inner : (r+1)*inner]
-					if aIsRow {
-						binaryRow(op, row, aBuf, xBuf[r*inner:], 1, 1)
-					} else {
-						binaryRow(op, row, aBuf[r*inner:], xBuf, 1, 1)
-					}
-				}
-			})
-		}
+		b.parallelFor(len(dst)/row, row*b.costPerElem(1), func(lo, hi int) {
+			as, xs := aBuf, xBuf
+			if len(as) == len(dst) {
+				as = as[lo*row : hi*row]
+			}
+			if len(xs) == len(dst) {
+				xs = xs[lo*row : hi*row]
+			}
+			vec.Binary(op, dst[lo*row:hi*row], as, xs)
+		})
 		return nil
 	}
 }
@@ -242,10 +193,10 @@ func (b *Backend) unary(name string, inputs []kernels.Input, out *kernels.Tensor
 }
 
 func (b *Backend) registerElementwise() {
-	b.register("Add", b.binary("Add", opAdd))
-	b.register("Sub", b.binary("Sub", opSub))
-	b.register("Mul", b.binary("Mul", opMul))
-	b.register("RealDiv", b.binary("RealDiv", opDiv))
+	b.register("Add", b.binary("Add", vec.Add))
+	b.register("Sub", b.binary("Sub", vec.Sub))
+	b.register("Mul", b.binary("Mul", vec.Mul))
+	b.register("RealDiv", b.binary("RealDiv", vec.Div))
 
 	// The activations every training step runs forward (Relu, Relu6) and
 	// backward (Step, the ReLU gradient's mask) are internal/vec's
@@ -279,7 +230,7 @@ func (b *Backend) registerElementwise() {
 	un("Square", func(x float32) float32 { return x * x })
 
 	// FusedBatchNorm with the common layout (params of shape [C], input
-	// [..., C]) runs a channel-indexed tight loop.
+	// [..., C]) runs vec's normalise row, bit-equal to the reference kernel.
 	b.register("FusedBatchNorm", func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
 		if len(inputs) != 5 {
 			return fmt.Errorf("FusedBatchNorm: got %d inputs, want 5", len(inputs))
@@ -290,40 +241,22 @@ func (b *Backend) registerElementwise() {
 		if rank > 0 {
 			c = x.Shape[rank-1]
 		}
-		channelParams := true
+		if c == 0 {
+			return kernels.ErrFallback
+		}
 		for _, p := range inputs[1:] {
 			if !(len(p.Shape) == 1 && p.Shape[0] == c) {
-				channelParams = false
-				break
+				return kernels.ErrFallback
 			}
-		}
-		if !channelParams {
-			return kernels.ErrFallback
 		}
 		eps := float32(attrs.Float("varianceEpsilon", 1e-3))
 		xBuf := b.in(x)
 		mean, variance, offset, scale := b.in(inputs[1]), b.in(inputs[2]), b.in(inputs[3]), b.in(inputs[4])
-		// Precompute per-channel multiplier and bias:
-		// out = x*mulC + addC. Scratch from the recycler; fully overwritten.
-		mulC := b.scratchF32.Get(c)
-		addC := b.scratchF32.Get(c)
-		for ch := 0; ch < c; ch++ {
-			inv := float32(1 / math.Sqrt(float64(variance[ch]+eps)))
-			mulC[ch] = scale[ch] * inv
-			addC[ch] = offset[ch] - mean[ch]*mulC[ch]
-		}
 		out.Shape = append(out.Shape[:0], x.Shape...)
 		dst := b.outInto(out, tensor.Float32)
 		b.parallelFor(len(dst)/c, c*b.costPerElem(2), func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				base := r * c
-				for ch := 0; ch < c; ch++ {
-					dst[base+ch] = xBuf[base+ch]*mulC[ch] + addC[ch]
-				}
-			}
+			vec.BatchNorm(dst[lo*c:hi*c], xBuf[lo*c:hi*c], mean, variance, scale, offset, eps, 0)
 		})
-		b.scratchF32.Put(mulC)
-		b.scratchF32.Put(addC)
 		return nil
 	})
 }

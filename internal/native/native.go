@@ -43,8 +43,8 @@ type Backend struct {
 	stepHint atomic.Pointer[exec.StepHint]
 	table    map[string]kernels.OverrideKernel
 
-	// scratchF32 recycles kernel-internal temporaries (FusedBatchNorm's
-	// per-channel scale and shift): a per-backend (and so per-replica)
+	// scratchF32 recycles kernel-internal temporaries (Conv2DBackpropInput's
+	// transposed filter): a per-backend (and so per-replica)
 	// free list, independent of whether the data plane pools; only poison
 	// mode is shared.
 	scratchF32 *bufpool.Pool

@@ -2,17 +2,16 @@
 // host time on every backend that computes on the host — the dense row
 // update under GEMM and convolution (dense for one row, zero-skipping for
 // several narrow ones), the depthwise pixel, the bias+activation epilogue,
-// the pooling pixel (max, average, and the
-// max pool's gradient) and the ReLU family — each written once, here.
-// native's kernels and the WebGL simulator's shader programs call them; a
-// second copy of one of these loops in a backend is a fork (CI greps for
-// it).
+// the pooling pixel (max, average, and the max pool's gradient) and the
+// element-wise rows — the ReLU family, Step, batch norm's normalise row and
+// the four arithmetic binaries — each written once, here. native's kernels
+// and the WebGL simulator's shader programs call them; a second copy of one
+// of these loops in a backend is a fork (CI greps for it).
 //
-// All but the ReLU family have an AVX2 body in vec_amd64.s and the pure-Go
-// body below. The Go bodies are always compiled: they are the oracle the
-// differential tests hold the assembly to, and what runs on a CPU without
-// AVX2 or off amd64. The ReLU family is Go only: it selects on the bit
-// pattern, which the compiler already turns into conditional moves.
+// Every core has an AVX2 body in vec_amd64.s and the pure-Go body below.
+// The Go bodies are always compiled: they are the oracle the differential
+// tests hold the assembly to, and what runs on a CPU without AVX2 or off
+// amd64.
 //
 // The assembly is bit-identical to the Go bodies, not merely close: one
 // SIMD lane per output element, a separate multiply and add per step (no
@@ -266,13 +265,13 @@ func PoolMaxGrad(dx, x, dy []float32, rowStride, tapStride, rows, taps int) {
 }
 
 // BiasAct computes dst[i] = act(dst[i] + bias[i]); a nil bias skips the
-// add. Only the with-bias form has an assembly body: adding a zero vector
-// instead would turn -0 into +0.
+// add (adding a zero vector instead would turn -0 into +0), and the ReLU
+// rows below are BiasAct without one.
 func BiasAct(dst, bias []float32, act Act) {
 	if bias != nil {
 		bias = bias[:len(dst)]
 		if useAVX2 {
-			biasActAVX2(dst, bias, int(act))
+			biasActAVX2(dst, dst, bias, int(act))
 			return
 		}
 		for i := range dst {
@@ -287,10 +286,10 @@ func BiasAct(dst, bias []float32, act Act) {
 	}
 }
 
-// The ReLU family selects on the bit pattern instead of comparing floats:
-// a sign test on activations is a coin flip to the branch predictor, and
-// an integer select compiles to a conditional move. Read as unsigned
-// integers, the floats above zero are [1, infBits], those below
+// The Go bodies of the ReLU family select on the bit pattern instead of
+// comparing floats: a sign test on activations is a coin flip to the branch
+// predictor, and an integer select compiles to a conditional move. Read as
+// unsigned integers, the floats above zero are [1, infBits], those below
 // [signBit+1, signBit+infBits], and a NaN is a magnitude past infBits — so
 // each test is one subtract or shift and one unsigned compare. dst and x
 // have the same length and may be the same slice.
@@ -313,6 +312,10 @@ func maskIf(cond bool) uint32 {
 // Relu is dst[i] = x[i] > 0 ? x[i] : 0, so NaN and -0 become +0.
 func Relu(dst, x []float32) {
 	dst = dst[:len(x)]
+	if useAVX2 {
+		biasActAVX2(dst, x, nil, int(ActRelu))
+		return
+	}
 	for i, v := range x {
 		bits := math.Float32bits(v)
 		dst[i] = math.Float32frombits(bits & maskIf(bits-1 < infBits))
@@ -323,6 +326,10 @@ func Relu(dst, x []float32) {
 // pass through.
 func Relu6(dst, x []float32) {
 	dst = dst[:len(x)]
+	if useAVX2 {
+		biasActAVX2(dst, x, nil, int(ActRelu6))
+		return
+	}
 	for i, v := range x {
 		bits := math.Float32bits(v)
 		below := maskIf(bits-(signBit+1) < infBits)
@@ -335,6 +342,10 @@ func Relu6(dst, x []float32) {
 // ReLU gradient's mask.
 func Step(dst, x []float32, alpha float32) {
 	dst = dst[:len(x)]
+	if useAVX2 {
+		stepAVX2(dst, x, alpha)
+		return
+	}
 	alphaBits := math.Float32bits(alpha)
 	for i, v := range x {
 		bits := math.Float32bits(v)
@@ -342,4 +353,143 @@ func Step(dst, x []float32, alpha float32) {
 		nan := maskIf(bits<<1 > infBits<<1)
 		dst[i] = math.Float32frombits(alphaBits&^(above|nan) | oneBits&above | bits&nan)
 	}
+}
+
+// normTile is how many channels' √(variance+ε) BatchNorm keeps on its
+// stack at a time; MobileNet α=0.25's widest layer fits one tile.
+const normTile = 256
+
+// BatchNorm is FusedBatchNorm over a run of channel-innermost values — a
+// whole [..., c] tensor or any range of it — against c = len(mean) channels
+// of statistics:
+//
+//	dst[i] = float32((x[i]-mean[k])/sd[k]*scale[k]) + offset[k]
+//	k = (phase+i) % c,  sd[k] = float32(√(variance[k]+eps))
+//
+// every step rounded to float32 in the reference kernel's order — a
+// subtract, a divide, a multiply and an add, none fused into the next, and
+// no division turned into a multiply by the reciprocal. √(variance+ε) is a
+// channel's, not a value's: it is taken here, in Go, once per channel into
+// a stack tile of normTile. When the c channels fit one tile the range is
+// one call to the body, which walks it with the four [c] vectors as its
+// period; wider layers take one call per pixel and tile. dst and x have the
+// same length and may be the same slice; 0 <= phase < c.
+func BatchNorm(dst, x, mean, variance, scale, offset []float32, eps float32, phase int) {
+	if len(x) == 0 {
+		return
+	}
+	c := len(mean)
+	_ = mean[phase]
+	dst, variance, scale, offset = dst[:len(x)], variance[:c], scale[:c], offset[:c]
+	var sd [normTile]float32
+	for c0 := 0; c0 < c; c0 += normTile {
+		c1 := min(c0+normTile, c)
+		for j, v := range variance[c0:c1] {
+			sd[j] = float32(math.Sqrt(float64(v + eps)))
+		}
+		if c1-c0 == c {
+			normRow(dst, x, mean, sd[:c], scale, offset, phase)
+			return
+		}
+		// Pixel by pixel, the first starting phase values before x[0].
+		for p := -phase; p < len(x); p += c {
+			from, to := max(0, p+c0), min(len(x), p+c1)
+			if from >= to {
+				continue
+			}
+			k, n := from-p, to-from
+			normRow(dst[from:to], x[from:to], mean[k:k+n], sd[k-c0:k-c0+n], scale[k:k+n], offset[k:k+n], 0)
+		}
+	}
+}
+
+// normRow is BatchNorm's body with sd given: len(sd) == len(mean).
+func normRow(dst, x, mean, sd, scale, offset []float32, phase int) {
+	if useAVX2 {
+		batchNormAVX2(dst, x, mean, sd, scale, offset, phase)
+		return
+	}
+	for c := len(mean); len(x) > 0; phase = 0 {
+		n := min(len(x), c-phase)
+		m, d, s, o := mean[phase:phase+n], sd[phase:phase+n], scale[phase:phase+n], offset[phase:phase+n]
+		for j, v := range x[:n] {
+			dst[j] = float32((v-m[j])/d[j]*s[j]) + o[j]
+		}
+		dst, x = dst[n:], x[n:]
+	}
+}
+
+// BinOp is the arithmetic of a Binary row.
+type BinOp int
+
+const (
+	Add BinOp = iota
+	Sub
+	Mul
+	Div
+)
+
+// rowRun is how many floats Binary repeats a short row into before it
+// walks it: a scalar or an 8-float bias row then costs one pass of the
+// body's run loop per 64 values, not per one or per eight.
+const rowRun = 64
+
+// Binary is element-wise Add, Sub, Mul or Div (RealDiv), operands in that
+// order:
+//
+//	dst[i] = a[i%len(a)] op x[i%len(x)]
+//
+// so an operand as long as dst is read straight and a shorter one is a row
+// repeated along it — a bias onto the channels of [..., C], a scalar onto
+// anything. Both bodies walk dst in runs that end where either operand
+// wraps, with the plain IEEE operation per value.
+func Binary(op BinOp, dst, a, x []float32) {
+	if len(dst) == 0 {
+		return
+	}
+	var aRow, xRow [rowRun]float32
+	a, x = repeatRow(aRow[:], a, len(dst)), repeatRow(xRow[:], x, len(dst))
+	if useAVX2 {
+		binaryAVX2(int(op), dst, a, x)
+		return
+	}
+	for i := 0; i < len(dst); {
+		ia, ix := i%len(a), i%len(x)
+		n := min(len(dst)-i, len(a)-ia, len(x)-ix)
+		d, av, xv := dst[i:i+n], a[ia:ia+n], x[ix:ix+n]
+		switch op {
+		case Add:
+			for j := range d {
+				d[j] = av[j] + xv[j]
+			}
+		case Sub:
+			for j := range d {
+				d[j] = av[j] - xv[j]
+			}
+		case Mul:
+			for j := range d {
+				d[j] = av[j] * xv[j]
+			}
+		case Div:
+			for j := range d {
+				d[j] = av[j] / xv[j]
+			}
+		}
+		i += n
+	}
+}
+
+// repeatRow returns row, or — when it is shorter than both buf and the n
+// values it is repeated along — as many whole copies of it as buf holds,
+// which read the same at every index i%len.
+func repeatRow(buf, row []float32, n int) []float32 {
+	_ = row[0]
+	if len(row) >= len(buf) || len(row) >= n {
+		return row
+	}
+	k := len(buf) / len(row) * len(row)
+	for i := 0; i < k; i += len(row) {
+		copy(buf[i:], row)
+	}
+	return buf[:k]
 }

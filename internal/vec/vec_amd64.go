@@ -20,11 +20,28 @@ func axpyRowsAVX2(acc []float32, n int, a []float32, iStride, tStride, k int, b 
 //go:noescape
 func dwPixelAVX2(dst, x, w []float32, xRowStride, xTapStride, wRowStride, rows, taps int)
 
-// biasActAVX2 is BiasAct's with-bias body; len(bias) == len(dst), kind is
-// ActNone, ActRelu or ActRelu6.
+// biasActAVX2 is the body of BiasAct and of the ReLU rows: dst[i] =
+// act(x[i] + bias[i]), or act(x[i]) when bias is empty; len(x) == len(dst),
+// len(bias) is len(dst) or 0, kind is ActNone, ActRelu or ActRelu6.
 //
 //go:noescape
-func biasActAVX2(dst, bias []float32, kind int)
+func biasActAVX2(dst, x, bias []float32, kind int)
+
+// stepAVX2 is Step's body; len(x) == len(dst).
+//
+//go:noescape
+func stepAVX2(dst, x []float32, alpha float32)
+
+// batchNormAVX2 is BatchNorm's row with sd given: len(x) == len(dst), the
+// four parameter slices len(mean) long, 0 <= phase < len(mean).
+//
+//go:noescape
+func batchNormAVX2(dst, x, mean, sd, scale, offset []float32, phase int)
+
+// binaryAVX2 is Binary's body; op is a BinOp, len(a) and len(x) >= 1.
+//
+//go:noescape
+func binaryAVX2(op int, dst, a, x []float32)
 
 // poolMaxAVX2, poolAvgAVX2 and poolMaxGradAVX2 are the bodies of PoolMax,
 // PoolAvg and PoolMaxGrad; rows >= 1, taps >= 1.

@@ -304,70 +304,280 @@ dwPixelDone:
 DATA six<>+0(SB)/4, $6.0
 GLOBL six<>(SB), RODATA|NOPTR, $4
 
-// func biasActAVX2(dst, bias []float32, kind int)
-// dst[i] = act(dst[i] + bias[i]), len(bias) == len(dst); kind is an
-// Act: 0 none, 1 relu, 2 relu6.
+// What biasActAVX2 does to each value, as macros so that each of its loops
+// is specialised and takes one branch per eight values: the optional bias
+// add (the pointer in SI) and the activation on register R, with Y14/X14
+// holding 0 and Y15/X15 holding 6. The one-lane forms work on X registers,
+// whose upper lanes are never stored.
+#define BIAS8 VADDPS (SI), Y0, Y0; ADDQ $32, SI
+#define BIAS1 VADDSS (SI), X0, X0; ADDQ $4, SI
+#define NO_BIAS
+#define ACT_NONE(R, Z, S)
+#define ACT_RELU(R, Z, S) VMAXPS Z, R, R
+#define ACT_RELU6(R, Z, S) VMAXPS R, Z, R; VMINPS R, S, R
+
+// One of biasActAVX2's loops: dst[i] = ACT(x[i] + BIAS), eight values at a
+// time and then one.
+#define BIAS_ACT(B8, B1, ACT, v8, v1) \
+v8:                           \
+	CMPQ    CX, $8            \
+	JB      v1                \
+	VMOVUPS (R8), Y0          \
+	B8                        \
+	ACT(Y0, Y14, Y15)         \
+	VMOVUPS Y0, (DI)          \
+	ADDQ    $32, R8           \
+	ADDQ    $32, DI           \
+	SUBQ    $8, CX            \
+	JMP     v8                \
+v1:                           \
+	TESTQ   CX, CX            \
+	JE      biasActDone       \
+	VMOVSS  (R8), X0          \
+	B1                        \
+	ACT(X0, X14, X15)         \
+	VMOVSS  X0, (DI)          \
+	ADDQ    $4, R8            \
+	ADDQ    $4, DI            \
+	DECQ    CX                \
+	JMP     v1
+
+// func biasActAVX2(dst, x, bias []float32, kind int)
+// dst[i] = act(x[i] + bias[i]), or act(x[i]) when bias is empty — the add is
+// skipped, not made with zeros, so a -0 stays -0; len(x) == len(dst), kind
+// is an Act: 0 none, 1 relu, 2 relu6. BiasAct and the ReLU rows both run
+// here, on the one copy of each activation above.
 //
 // VMAXPS/VMINPS return their second source when either input is NaN or
 // both are zero, so operand order reproduces the Go branches exactly:
 // relu is max(v, 0) — NaN and -0 give +0, as !(v > 0) does — and relu6 is
 // min(6, max(0, v)) — NaN and -0 pass through, as v < 0 / v > 6 both
 // being false does. (In Go operand order the second source comes first.)
-TEXT ·biasActAVX2(SB), NOSPLIT, $0-56
+TEXT ·biasActAVX2(SB), NOSPLIT, $0-80
 	MOVQ         dst_base+0(FP), DI
 	MOVQ         dst_len+8(FP), CX
-	MOVQ         bias_base+24(FP), SI
-	MOVQ         kind+48(FP), AX
+	MOVQ         x_base+24(FP), R8
+	MOVQ         bias_base+48(FP), SI
+	MOVQ         bias_len+56(FP), DX
+	MOVQ         kind+72(FP), AX
 	VXORPS       Y14, Y14, Y14
 	VBROADCASTSS six<>(SB), Y15
+	TESTQ        DX, DX
+	JE           biasActNoBias
+	CMPQ         AX, $1
+	JB           biasNone8
+	JE           biasRelu8
+	JMP          biasRelu68
 
-biasAct8:
-	CMPQ    CX, $8
-	JB      biasAct1
-	VMOVUPS (DI), Y0
-	VADDPS  (SI), Y0, Y0
-	CMPQ    AX, $2
-	JNE     biasAct8NotRelu6
-	VMAXPS  Y0, Y14, Y0
-	VMINPS  Y0, Y15, Y0
+biasActNoBias:
+	CMPQ AX, $1
+	JB   none8
+	JE   relu8
+	JMP  relu68
 
-biasAct8Store:
+	BIAS_ACT(BIAS8, BIAS1, ACT_NONE, biasNone8, biasNone1)
+	BIAS_ACT(BIAS8, BIAS1, ACT_RELU, biasRelu8, biasRelu1)
+	BIAS_ACT(BIAS8, BIAS1, ACT_RELU6, biasRelu68, biasRelu61)
+	BIAS_ACT(NO_BIAS, NO_BIAS, ACT_NONE, none8, none1)
+	BIAS_ACT(NO_BIAS, NO_BIAS, ACT_RELU, relu8, relu1)
+	BIAS_ACT(NO_BIAS, NO_BIAS, ACT_RELU6, relu68, relu61)
+
+biasActDone:
+	VZEROUPPER
+	RET
+
+DATA one<>+0(SB)/4, $1.0
+GLOBL one<>(SB), RODATA|NOPTR, $4
+
+// func stepAVX2(dst, x []float32, alpha float32)
+// dst[i] = x[i] > 0 ? 1 : alpha, a NaN x[i] itself. Predicate 0x1e
+// (greater-than, ordered) is false on a NaN and on ±0, so those lanes take
+// alpha; predicate 3 (unordered) against itself then finds the NaNs, and
+// the blend puts their bits back unchanged.
+TEXT ·stepAVX2(SB), NOSPLIT, $0-52
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         x_base+24(FP), SI
+	VBROADCASTSS alpha+48(FP), Y13
+	VBROADCASTSS one<>(SB), Y12
+	VXORPS       Y14, Y14, Y14
+
+step8:
+	CMPQ      CX, $8
+	JB        step1
+	VMOVUPS   (SI), Y0
+	VCMPPS    $0x1e, Y14, Y0, Y1
+	VBLENDVPS Y1, Y12, Y13, Y2
+	VCMPPS    $3, Y0, Y0, Y1
+	VBLENDVPS Y1, Y0, Y2, Y2
+	VMOVUPS   Y2, (DI)
+	ADDQ      $32, SI
+	ADDQ      $32, DI
+	SUBQ      $8, CX
+	JMP       step8
+
+step1:
+	TESTQ     CX, CX
+	JE        stepDone
+	VMOVSS    (SI), X0
+	VCMPSS    $0x1e, X14, X0, X1
+	VBLENDVPS X1, X12, X13, X2
+	VCMPSS    $3, X0, X0, X1
+	VBLENDVPS X1, X0, X2, X2
+	VMOVSS    X2, (DI)
+	ADDQ      $4, SI
+	ADDQ      $4, DI
+	DECQ      CX
+	JMP       step1
+
+stepDone:
+	VZEROUPPER
+	RET
+
+// func batchNormAVX2(dst, x, mean, sd, scale, offset []float32, phase int)
+// dst[i] = ((x[i] - mean[k]) / sd[k]) * scale[k] + offset[k], k = (phase+i)
+// mod len(mean): four separate operations, each rounded, as the Go body's.
+// The range is walked in runs that end at a pixel's last channel (the
+// parameters' offset AX wraps to 0 there) or at dst's end, eight channels
+// at a time and then one.
+TEXT ·batchNormAVX2(SB), NOSPLIT, $0-152
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ x_base+24(FP), SI
+	MOVQ mean_base+48(FP), R8
+	MOVQ mean_len+56(FP), DX
+	MOVQ sd_base+72(FP), R9
+	MOVQ scale_base+96(FP), R10
+	MOVQ offset_base+120(FP), R11
+	MOVQ phase+144(FP), AX
+	SHLQ $2, CX                      // all three in bytes
+	SHLQ $2, DX
+	SHLQ $2, AX
+
+batchNormRun:
+	TESTQ   CX, CX
+	JE      batchNormDone
+	XORQ    R12, R12
+	CMPQ    AX, DX
+	CMOVQEQ R12, AX                  // a new pixel starts at channel 0
+	LEAQ    (AX)(CX*1), BX
+	CMPQ    DX, BX
+	CMOVQLT DX, BX                   // the run ends at the pixel's end or dst's
+	SUBQ    BX, CX
+	ADDQ    AX, CX
+
+batchNorm8:
+	LEAQ    32(AX), R12
+	CMPQ    R12, BX
+	JA      batchNorm1
+	VMOVUPS (SI), Y0
+	VSUBPS  (R8)(AX*1), Y0, Y0
+	VDIVPS  (R9)(AX*1), Y0, Y0
+	VMULPS  (R10)(AX*1), Y0, Y0
+	VADDPS  (R11)(AX*1), Y0, Y0
 	VMOVUPS Y0, (DI)
 	ADDQ    $32, SI
 	ADDQ    $32, DI
-	SUBQ    $8, CX
-	JMP     biasAct8
+	MOVQ    R12, AX
+	JMP     batchNorm8
 
-biasAct8NotRelu6:
-	CMPQ   AX, $1
-	JNE    biasAct8Store
-	VMAXPS Y14, Y0, Y0
-	JMP    biasAct8Store
-
-biasAct1:
-	TESTQ  CX, CX
-	JE     biasActDone
-	VMOVSS (DI), X0
-	VADDSS (SI), X0, X0
-	CMPQ   AX, $2
-	JNE    biasAct1NotRelu6
-	VMAXSS X0, X14, X0
-	VMINSS X0, X15, X0
-
-biasAct1Store:
+batchNorm1:
+	CMPQ   AX, BX
+	JAE    batchNormRun
+	VMOVSS (SI), X0
+	VSUBSS (R8)(AX*1), X0, X0
+	VDIVSS (R9)(AX*1), X0, X0
+	VMULSS (R10)(AX*1), X0, X0
+	VADDSS (R11)(AX*1), X0, X0
 	VMOVSS X0, (DI)
 	ADDQ   $4, SI
 	ADDQ   $4, DI
-	DECQ   CX
-	JMP    biasAct1
+	ADDQ   $4, AX
+	JMP    batchNorm1
 
-biasAct1NotRelu6:
-	CMPQ   AX, $1
-	JNE    biasAct1Store
-	VMAXSS X14, X0, X0
-	JMP    biasAct1Store
+batchNormDone:
+	VZEROUPPER
+	RET
 
-biasActDone:
+// One run of binaryAVX2: dst[j] = a[j] op x[j] for the BX bytes at DI, SI
+// and DX, eight floats at a time and then one.
+#define BINARY_RUN(VOP, SOP, vec, one) \
+vec:                                \
+	LEAQ    32(AX), R14             \
+	CMPQ    R14, BX                 \
+	JA      one                     \
+	VMOVUPS (SI)(AX*1), Y0          \
+	VOP     (DX)(AX*1), Y0, Y0      \
+	VMOVUPS Y0, (DI)(AX*1)          \
+	MOVQ    R14, AX                 \
+	JMP     vec                     \
+one:                                \
+	CMPQ    AX, BX                  \
+	JAE     binaryNext              \
+	VMOVSS  (SI)(AX*1), X0          \
+	SOP     (DX)(AX*1), X0, X0      \
+	VMOVSS  X0, (DI)(AX*1)          \
+	ADDQ    $4, AX                  \
+	JMP     one
+
+// func binaryAVX2(op int, dst, a, x []float32)
+// dst[i] = a[i mod len(a)] op x[i mod len(x)], op a BinOp: 0 add, 1
+// subtract, 2 multiply, 3 divide. dst is walked in runs that end where an
+// operand wraps (R10 and R13 are a's and x's offsets, R9 and R12 their
+// lengths, all in bytes) or where dst ends.
+TEXT ·binaryAVX2(SB), NOSPLIT, $0-80
+	MOVQ dst_base+8(FP), DI
+	MOVQ dst_len+16(FP), CX
+	MOVQ a_base+32(FP), R8
+	MOVQ a_len+40(FP), R9
+	MOVQ x_base+56(FP), R11
+	MOVQ x_len+64(FP), R12
+	SHLQ $2, CX
+	SHLQ $2, R9
+	SHLQ $2, R12
+	XORQ R10, R10
+	XORQ R13, R13
+
+binaryRun:
+	TESTQ   CX, CX
+	JE      binaryDone
+	XORQ    R14, R14
+	CMPQ    R10, R9
+	CMOVQEQ R14, R10
+	CMPQ    R13, R12
+	CMOVQEQ R14, R13
+	MOVQ    R9, BX
+	SUBQ    R10, BX
+	MOVQ    R12, R14
+	SUBQ    R13, R14
+	CMPQ    R14, BX
+	CMOVQLT R14, BX
+	CMPQ    CX, BX
+	CMOVQLT CX, BX
+	LEAQ    (R8)(R10*1), SI
+	LEAQ    (R11)(R13*1), DX
+	ADDQ    BX, R10
+	ADDQ    BX, R13
+	SUBQ    BX, CX
+	XORQ    AX, AX
+	MOVQ    op+0(FP), R14
+	CMPQ    R14, $1
+	JB      binaryAdd8
+	JE      binarySub8
+	CMPQ    R14, $3
+	JB      binaryMul8
+	JMP     binaryDiv8
+
+	BINARY_RUN(VADDPS, VADDSS, binaryAdd8, binaryAdd1)
+	BINARY_RUN(VSUBPS, VSUBSS, binarySub8, binarySub1)
+	BINARY_RUN(VMULPS, VMULSS, binaryMul8, binaryMul1)
+	BINARY_RUN(VDIVPS, VDIVSS, binaryDiv8, binaryDiv1)
+
+binaryNext:
+	ADDQ BX, DI
+	JMP  binaryRun
+
+binaryDone:
 	VZEROUPPER
 	RET
 

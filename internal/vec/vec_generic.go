@@ -19,7 +19,19 @@ func dwPixelAVX2(dst, x, w []float32, xRowStride, xTapStride, wRowStride, rows, 
 	panic("vec: no AVX2 core on this GOARCH")
 }
 
-func biasActAVX2(dst, bias []float32, kind int) {
+func biasActAVX2(dst, x, bias []float32, kind int) {
+	panic("vec: no AVX2 core on this GOARCH")
+}
+
+func stepAVX2(dst, x []float32, alpha float32) {
+	panic("vec: no AVX2 core on this GOARCH")
+}
+
+func batchNormAVX2(dst, x, mean, sd, scale, offset []float32, phase int) {
+	panic("vec: no AVX2 core on this GOARCH")
+}
+
+func binaryAVX2(op int, dst, a, x []float32) {
 	panic("vec: no AVX2 core on this GOARCH")
 }
 

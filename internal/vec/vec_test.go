@@ -2,6 +2,7 @@ package vec
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -122,6 +123,80 @@ func checkPoolMaxGrad(t testing.TB, dx, x, dy []float32, rowStride, tapStride, r
 	requireSameFloats(t, "PoolMaxGrad", got, want)
 }
 
+// checkRow runs one element-wise row on both bodies, into a fresh dst and
+// in place (dst aliasing x, as BiasAct runs Relu(dst, dst)).
+func checkRow(t testing.TB, label string, x []float32, row func(dst, x []float32)) {
+	t.Helper()
+	got, want := make([]float32, len(x)), make([]float32, len(x))
+	row(got, x)
+	onGoBodies(func() { row(want, x) })
+	requireSameFloats(t, label, got, want)
+	inPlace := slices.Clone(x)
+	row(inPlace, inPlace)
+	requireSameFloats(t, label+" in place", inPlace, want)
+}
+
+// checkReluRows runs Relu, Relu6 and Step on both bodies.
+func checkReluRows(t testing.TB, x []float32, alpha float32) {
+	t.Helper()
+	checkRow(t, "Relu", x, Relu)
+	checkRow(t, "Relu6", x, Relu6)
+	checkRow(t, "Step", x, func(dst, x []float32) { Step(dst, x, alpha) })
+}
+
+// checkBatchNorm normalises x against c = len(p)/4 channels of statistics
+// p = mean ‖ variance ‖ scale ‖ offset, starting phase channels into a
+// pixel, on both bodies.
+func checkBatchNorm(t testing.TB, x, p []float32, phase int) {
+	t.Helper()
+	c := len(p) / 4
+	mean, variance, scale, offset := p[:c], p[c:2*c], p[2*c:3*c], p[3*c:4*c]
+	checkRow(t, fmt.Sprintf("BatchNorm c=%d phase=%d", c, phase), x, func(dst, x []float32) {
+		BatchNorm(dst, x, mean, variance, scale, offset, 1e-3, phase)
+	})
+}
+
+var binOps = map[BinOp]string{Add: "Add", Sub: "Sub", Mul: "Mul", Div: "Div"}
+
+// checkBinary runs the four binaries on both bodies, a op x into n values,
+// and — where a is as long as the output — in place over a.
+func checkBinary(t testing.TB, n int, a, x []float32) {
+	t.Helper()
+	for op, name := range binOps {
+		label := fmt.Sprintf("%s n=%d len(a)=%d len(x)=%d", name, n, len(a), len(x))
+		got, want := make([]float32, n), make([]float32, n)
+		Binary(op, got, a, x)
+		onGoBodies(func() { Binary(op, want, a, x) })
+		requireSameFloats(t, label, got, want)
+		if len(a) == n {
+			inPlace := slices.Clone(a)
+			Binary(op, inPlace, inPlace, x)
+			requireSameFloats(t, label+" in place over a", inPlace, want)
+		}
+		if len(x) == n {
+			inPlace := slices.Clone(x)
+			Binary(op, inPlace, a, inPlace)
+			requireSameFloats(t, label+" in place over x", inPlace, want)
+		}
+	}
+}
+
+// checkBinaryLayouts runs every layout native's binary kernels pass: the
+// same shape, a scalar on either side, and rows of 3, 8 and 16 floats (an
+// odd bias, one vector, two) repeated along the other operand on either
+// side.
+func checkBinaryLayouts(t testing.TB, a, x []float32) {
+	t.Helper()
+	n := len(a)
+	checkBinary(t, n, a, x[:n])
+	for _, p := range []int{1, 3, 8, 16} {
+		if p <= len(x) {
+			checkBinary(t, n, a, x[:p])
+			checkBinary(t, n, x[:p], a)
+		}
+	}
+}
+
 // checkReluFamily holds the bit-select rows to the float comparisons that
 // define them, exactly: no NaN is produced, so payloads count too.
 func checkReluFamily(t testing.TB, x []float32, alpha float32) {
@@ -230,6 +305,19 @@ func TestVecCoresBitIdentity(t *testing.T) {
 			checkBiasAct(t, dst, vecOperand(off+n, seed+1)[off:])
 			checkBiasAct(t, dst, nil)
 			checkReluFamily(t, dst, 0.25)
+			checkReluRows(t, dst, 0.25)
+			checkBinaryLayouts(t, dst, vecOperand(off+n+16, seed+1)[off:])
+			// Channel counts under a vector, either side of one and of two,
+			// and wider than BatchNorm's tile (so every range here is part
+			// of one pixel); ranges begin at every phase in turn. Most
+			// variances are made non-negative so most outputs are numbers.
+			for _, c := range []int{1, 3, 8, 9, 16, 32, 300} {
+				p := vecOperand(off+4*c, seed+4)[off:]
+				for i := c; i < 2*c; i++ {
+					p[i] = float32(math.Abs(float64(p[i])))
+				}
+				checkBatchNorm(t, dst, p, int(seed)%c)
+			}
 		}
 	}
 	// Every special against every special, in every lane of an 8-wide step
@@ -257,6 +345,15 @@ func TestVecCoresBitIdentity(t *testing.T) {
 				}
 				checkDwPixel(t, y, b, b[11:], 22, 11, 22, 2, 2)
 				checkBiasAct(t, y, b[:11])
+				checkReluRows(t, y, av)
+				checkBinaryLayouts(t, y, b[:16])
+				// x = av against mean bv and variance yv, one pixel of 11
+				// channels; scale av and offset bv.
+				x := make([]float32, 11)
+				for i := range x {
+					x[i] = av
+				}
+				checkBatchNorm(t, x, slices.Concat(b[:11], y, x, b[:11]), 0)
 				// A window of nothing but bv, and one with av in each
 				// position in turn.
 				for at := 0; at < 4*11; at += 11 {
@@ -288,6 +385,11 @@ func TestVecCoresStayInBounds(t *testing.T) {
 		}
 		BiasAct(dst, vecOperand(n, 11), ActRelu6)
 		Relu6(dst, dst)
+		Relu(dst, vecOperand(n, 18))
+		Step(dst, dst, 0.5)
+		Binary(Div, dst, vecOperand(n, 19), vecOperand(3, 20))
+		Binary(Sub, dst, vecOperand(1, 21), dst)
+		BatchNorm(dst, vecOperand(n, 22), vecOperand(9, 23), vecOperand(9, 24), vecOperand(9, 25), vecOperand(9, 26), 1e-3, n%9)
 		PoolMax(dst, vecOperand(4*n, 12), 2*n, n, 2, 2)
 		PoolAvg(dst, vecOperand(4*n, 13), 2*n, n, 2, 2)
 		// dst as the gradient's dx: one tap, so the window is the slice.
@@ -302,9 +404,9 @@ func TestVecCoresStayInBounds(t *testing.T) {
 
 // FuzzVecCores reads its input as float32 bit patterns, so the fuzzer
 // reaches every NaN payload, denormal and sign combination, and carves
-// the three cores' operands out of them: k and the tap rectangle come
-// from the two leading arguments, the output length from how many floats
-// there are.
+// every core's operands out of them: k, the tap rectangle, the binaries'
+// row and batch norm's channel count and phase come from the two leading
+// arguments, the output length from how many floats there are.
 func FuzzVecCores(f *testing.F) {
 	requireAVX2(f)
 	var specials []byte
@@ -360,6 +462,22 @@ func FuzzVecCores(f *testing.F) {
 		checkBiasAct(t, vals[:len(vals)/2], vals[len(vals)/2:])
 		checkBiasAct(t, vals, nil)
 		checkReluFamily(t, vals, float32(kSel)/16)
+		checkReluRows(t, vals, float32(kSel)/16)
+
+		// vals = a[n] ‖ x[n]: the same shape, and x's first p values as a
+		// row on either side.
+		if n, p := len(vals)/2, 1+int(tapSel)%20; n > 0 {
+			checkBinary(t, n, vals[:n], vals[n:2*n])
+			if p <= n {
+				checkBinary(t, n, vals[:n], vals[n:n+p])
+				checkBinary(t, n, vals[n:n+p], vals[:n])
+			}
+		}
+
+		// vals = mean[c] ‖ variance[c] ‖ scale[c] ‖ offset[c] ‖ x
+		if c := 1 + int(kSel)%40; len(vals) > 4*c {
+			checkBatchNorm(t, vals[4*c:], vals[:4*c], int(tapSel)%c)
+		}
 	})
 }
 

@@ -71,7 +71,7 @@ func (b *Backend) registerConvGrad() {
 					dyBase := bb*outImg + oy*outRow + ox*outC
 					wBase := (fy*info.FilterWidth+fx)*inC*outC + ic*outC
 					for oc := 0; oc < outC; oc++ {
-						sum += dyTex.FetchFlat(dyBase+oc) * wTex.FetchFlat(wBase+oc)
+						sum += float32(dyTex.FetchFlat(dyBase+oc) * wTex.FetchFlat(wBase+oc))
 					}
 				}
 			}
@@ -127,8 +127,8 @@ func (b *Backend) registerConvGrad() {
 						if ix < 0 || ix >= info.InWidth {
 							continue
 						}
-						sum += xTex.FetchFlat(bb*inImg+iy*inRow+ix*inC+ic) *
-							dyTex.FetchFlat(bb*outImg+oy*outRow+ox*outC+oc)
+						sum += float32(xTex.FetchFlat(bb*inImg+iy*inRow+ix*inC+ic) *
+							dyTex.FetchFlat(bb*outImg+oy*outRow+ox*outC+oc))
 					}
 				}
 			}
@@ -192,7 +192,7 @@ func (b *Backend) registerConvGrad() {
 					dyBase := bb*outImg + oy*outRow + ox*outC
 					wBase := (fy*info.FilterWidth + fx) * inC * mult
 					for q := 0; q < mult; q++ {
-						sum += dyTex.FetchFlat(dyBase+ic*mult+q) * wTex.FetchFlat(wBase+ic*mult+q)
+						sum += float32(dyTex.FetchFlat(dyBase+ic*mult+q) * wTex.FetchFlat(wBase+ic*mult+q))
 					}
 				}
 			}
@@ -247,8 +247,8 @@ func (b *Backend) registerConvGrad() {
 						if ix < 0 || ix >= info.InWidth {
 							continue
 						}
-						sum += xTex.FetchFlat(bb*inImg+iy*inRow+ix*inC+ic) *
-							dyTex.FetchFlat(bb*outImg+oy*outRow+ox*outC+ic*mult+q)
+						sum += float32(xTex.FetchFlat(bb*inImg+iy*inRow+ix*inC+ic) *
+							dyTex.FetchFlat(bb*outImg+oy*outRow+ox*outC+ic*mult+q))
 					}
 				}
 			}

@@ -219,31 +219,8 @@ func (b *Backend) registerElementwise() {
 		x, mean, variance, offset, scale := texes[0], texes[1], texes[2], texes[3], texes[4]
 		if c, ok := channelPeriod(inputs[0].Shape, shapes[1:]...); ok {
 			b.run("FusedBatchNorm", out, work, func(lo, hi int, dst []float32) {
-				xs := x.Floats()
-				ms, vs, os, ss := mean.Floats(), variance.Floats(), offset.Floats(), scale.Floats()
-				// √(variance+ε) is a channel's, not a value's: it is taken once
-				// per channel into sd, bnTile channels at a time, and each pixel
-				// the range touches runs its part of the tile as a row — the
-				// same five roundings per value, in the same order, as
-				// batchNorm. Nothing is kept from one range to the next.
-				var sd [bnTile]float32
-				for c0 := 0; c0 < c; c0 += bnTile {
-					c1 := min(c0+bnTile, c)
-					for j, v := range vs[c0:c1] {
-						sd[j] = float32(math.Sqrt(float64(v + eps)))
-					}
-					for pixel := lo - lo%c; pixel < hi; pixel += c {
-						from, to := max(lo, pixel+c0), min(hi, pixel+c1)
-						if from >= to {
-							continue
-						}
-						ch := from - pixel
-						row, m, d, s, o := dst[from-lo:to-lo], ms[ch:], sd[ch-c0:], ss[ch:], os[ch:]
-						for j, xv := range xs[from:to] {
-							row[j] = float32((xv-m[j])/d[j]*s[j]) + o[j]
-						}
-					}
-				}
+				// The range may begin and end mid-pixel: channel lo%c first.
+				vec.BatchNorm(dst, x.Floats()[lo:hi], mean.Floats()[:c], variance.Floats(), scale.Floats(), offset.Floats(), eps, lo%c)
 			})
 			return nil
 		}
@@ -261,10 +238,6 @@ func (b *Backend) registerElementwise() {
 func batchNorm(x, mean, variance, offset, scale, eps float32) float32 {
 	return float32((x-mean)/float32(math.Sqrt(float64(variance+eps)))*scale) + offset
 }
-
-// bnTile is how many channels' √(variance+ε) the batch-norm program keeps
-// on its stack at a time.
-const bnTile = 256
 
 // channelPeriod reports whether every operand is a channel-suffix operand
 // (suffixPeriods) of one and the same period c — batch norm's four [C]

@@ -93,8 +93,8 @@ func (b *Backend) matMul(name string, inputs []kernels.Input, attrs kernels.Attr
 			bOff := (p % batchB) * bMat
 			var sum float32
 			for kk := 0; kk < k; kk++ {
-				sum += aTex.FetchFlat(aOff+i*aRowStride+kk*aColStride) *
-					bTex.FetchFlat(bOff+kk*bRowStride+j*bColStride)
+				sum += float32(aTex.FetchFlat(aOff+i*aRowStride+kk*aColStride) *
+					bTex.FetchFlat(bOff+kk*bRowStride+j*bColStride))
 			}
 			if ep.bias != nil {
 				sum += ep.bias.FetchFlat(j)

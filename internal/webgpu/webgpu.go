@@ -165,7 +165,7 @@ func (b *Backend) matmulCompute(inputs []kernels.Input, attrs kernels.Attrs, res
 						bRow := bTile[kk*TileSize:]
 						accRow := acc[r*TileSize:]
 						for c := 0; c < cLen; c++ {
-							accRow[c] += av * bRow[c]
+							accRow[c] += float32(av * bRow[c])
 						}
 					}
 				}
