@@ -98,6 +98,15 @@ func (b *Backend) Alloc(n int) []float32 {
 	return buf
 }
 
+// AllocOver is Alloc for an output its kernel writes in full before reading
+// any of it: a recycled buffer keeps its old contents.
+func (b *Backend) AllocOver(n int) []float32 {
+	if p := b.pool.Load(); p != nil {
+		return p.Get(n)
+	}
+	return make([]float32, n)
+}
+
 // Write implements kernels.Backend.
 func (b *Backend) Write(d tensor.DataID, values []float32, shape []int, dtype tensor.DataType) {
 	var buf []float32

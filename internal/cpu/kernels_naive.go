@@ -144,7 +144,9 @@ func (b *NaiveBackend) naiveBatchMatMul(inputs []kernels.Input, attrs kernels.At
 			for j := 0; j < n; j++ {
 				sum := 0.0
 				for kk := 0; kk < k; kk++ {
-					sum += float64(float64(aBuf[((p%batchA)*m+i)*k+kk]) * float64(bBuf[((p%batchB)*k+kk)*n+j]))
+					if av := aBuf[((p%batchA)*m+i)*k+kk]; av != 0 { // a zero lhs element is left out, as on every tier
+						sum += float64(float64(av) * float64(bBuf[((p%batchB)*k+kk)*n+j]))
+					}
 				}
 				out[(p*m+i)*n+j] = float32(sum)
 			}
@@ -185,8 +187,9 @@ func (b *NaiveBackend) naiveConv2D(inputs []kernels.Input, attrs kernels.Attrs, 
 								continue
 							}
 							for ic := 0; ic < inC; ic++ {
-								sum += float64(float64(xBuf[loc4(info.InHeight, info.InWidth, inC, bb, iy, ix, ic)]) *
-									float64(wBuf[loc4(info.FilterWidth, inC, outC, fy, fx, ic, oc)]))
+								if xv := xBuf[loc4(info.InHeight, info.InWidth, inC, bb, iy, ix, ic)]; xv != 0 { // a zero lhs element is left out, as on every tier
+									sum += float64(float64(xv) * float64(wBuf[loc4(info.FilterWidth, inC, outC, fy, fx, ic, oc)]))
+								}
 							}
 						}
 					}

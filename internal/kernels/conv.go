@@ -24,12 +24,6 @@ func init() {
 			return Buffer{}, errIn("Conv2D", "%v", err)
 		}
 		out := NewBuffer(info.OutShape(), tensor.Float32)
-		// Dense inner loop, no per-element zero-skip: the old
-		// `if xv == 0 { continue }` paid a data-dependent branch per
-		// multiply, which mispredicts on dense inputs (images, the common
-		// case for a forward conv). The skip survives only where zeros are
-		// structural: the gradient kernels below, whose dy/x operands are
-		// post-ReLU sparse (see EXPERIMENTS.md for the benchmark note).
 		convolve2D(out.Data, x.Data, w.Data, info)
 		return out, nil
 	})

@@ -169,9 +169,17 @@ func init() {
 	})
 }
 
-// convolve2D accumulates a dense NHWC convolution into out. The inner loop
-// streams one filter row against one output-channel row with no per-element
-// branching (see the Conv2D kernel's note on the removed zero-skip).
+// The products of Conv2D, FusedConv2D, BatchMatMul and _FusedMatMul, like
+// those of the two Conv2D gradients, leave a zero lhs element (x, or a)
+// out of the sum, on this tier and on every backend (vec.GemmRow): 0·Inf
+// stays out of it. On finite operands that changes no bit — each sum
+// starts at +0, and adding ±0 to a sum that started there moves nothing —
+// and after a ReLU-family activation half the lhs is zeros, whose products
+// the host backends save (EXPERIMENTS.md measures both). A depthwise
+// convolution takes every product.
+
+// convolve2D accumulates an NHWC convolution into out, one filter row
+// against one output-channel row at a time.
 func convolve2D(out, x, w []float32, info Conv2DInfo) {
 	inC, outC := info.InChannels, info.OutChannels
 	inRow := info.InWidth * inC
@@ -199,6 +207,9 @@ func convolve2D(out, x, w []float32, info Conv2DInfo) {
 						wBase := (fy*info.FilterWidth + fx) * inC * outC
 						for ic := 0; ic < inC; ic++ {
 							xv := x[inBase+ic]
+							if xv == 0 {
+								continue
+							}
 							wRow := w[wBase+ic*outC : wBase+(ic+1)*outC]
 							for oc, wv := range wRow {
 								dst[oc] += float32(xv * wv)
@@ -250,9 +261,10 @@ func depthwiseConvolve2D(out, x, w []float32, info Conv2DInfo) {
 	}
 }
 
-// matmul2D accumulates a single [m,k]x[k,n] matrix product into out, with
-// the transpose flags hoisted into four specialized loop nests (the same
-// structure as the BatchMatMul reference kernel).
+// matmul2D accumulates a single [m,k]x[k,n] matrix product into out, a
+// zero element of a left out, with the transpose flags hoisted into four
+// specialized loop nests (the same structure as the BatchMatMul reference
+// kernel).
 func matmul2D(out, a, b []float32, m, k, n int, transposeA, transposeB bool) {
 	switch {
 	case !transposeA && !transposeB:
@@ -260,6 +272,9 @@ func matmul2D(out, a, b []float32, m, k, n int, transposeA, transposeB bool) {
 			row := out[i*n : (i+1)*n]
 			aRow := a[i*k : (i+1)*k]
 			for kk, av := range aRow {
+				if av == 0 {
+					continue
+				}
 				bRow := b[kk*n : (kk+1)*n]
 				for j, bv := range bRow {
 					row[j] += float32(av * bv)
@@ -271,6 +286,9 @@ func matmul2D(out, a, b []float32, m, k, n int, transposeA, transposeB bool) {
 			aRow := a[kk*m : (kk+1)*m]
 			bRow := b[kk*n : (kk+1)*n]
 			for i, av := range aRow {
+				if av == 0 {
+					continue
+				}
 				row := out[i*n : (i+1)*n]
 				for j, bv := range bRow {
 					row[j] += float32(av * bv)
@@ -285,7 +303,9 @@ func matmul2D(out, a, b []float32, m, k, n int, transposeA, transposeB bool) {
 				bRow := b[j*k : (j+1)*k]
 				var sum float32
 				for kk, av := range aRow {
-					sum += float32(av * bRow[kk])
+					if av != 0 {
+						sum += float32(av * bRow[kk])
+					}
 				}
 				row[j] = sum
 			}
@@ -294,6 +314,9 @@ func matmul2D(out, a, b []float32, m, k, n int, transposeA, transposeB bool) {
 		for kk := 0; kk < k; kk++ {
 			aRow := a[kk*m : (kk+1)*m]
 			for i, av := range aRow {
+				if av == 0 {
+					continue
+				}
 				row := out[i*n : (i+1)*n]
 				for j := 0; j < n; j++ {
 					row[j] += float32(av * b[j*k+kk])

@@ -11,9 +11,9 @@ import (
 	"repro/internal/vec"
 )
 
-// Differential tests for the forward kernels a training step runs beside
-// its convolutions — the pools, the [outer, inner] reductions and the
-// transpose ops.reduce puts in front of them — against internal/kernels,
+// Differential tests for the forward kernels a training step runs — the
+// convolution, the pools, the [outer, inner] reductions and the transpose
+// ops.reduce puts in front of them — against internal/kernels,
 // by bit pattern (grad_test.go holds the backward kernels to the same
 // standard). What the comparisons turn on: a NaN never wins a max, the
 // first of two equal values stays (±0 included), an average divides by the
@@ -64,65 +64,14 @@ func checkPools(t testing.TB, nb *Backend, g gradGeometry, f fill) {
 	}
 }
 
-// convSkippingZeros is the forward convolution this backend computes: per
-// output pixel, x·w over (fy, fx, ic) ascending, each product rounded and
-// then added, a zero x left out. The reference kernel is dense — there
-// 0·Inf is NaN — so native's Conv2D is held to this definition instead,
-// on both its paths: vec.AxpyRows under narrow output rows, one gemmRow
-// per filter row under wide ones.
-func convSkippingZeros(x, w []float32, info kernels.Conv2DInfo) []float32 {
-	inC, outC := info.InChannels, info.OutChannels
-	out := make([]float32, info.BatchSize*info.OutHeight*info.OutWidth*outC)
-	for b := 0; b < info.BatchSize; b++ {
-		for oy := 0; oy < info.OutHeight; oy++ {
-			for ox := 0; ox < info.OutWidth; ox++ {
-				dst := out[((b*info.OutHeight+oy)*info.OutWidth+ox)*outC:][:outC]
-				for fy := 0; fy < info.FilterHeight; fy++ {
-					iy := oy*info.StrideHeight - info.PadTop + fy*info.DilationHeight
-					for fx := 0; fx < info.FilterWidth; fx++ {
-						ix := ox*info.StrideWidth - info.PadLeft + fx*info.DilationWidth
-						if iy < 0 || iy >= info.InHeight || ix < 0 || ix >= info.InWidth {
-							continue
-						}
-						for ic := 0; ic < inC; ic++ {
-							xv := x[((b*info.InHeight+iy)*info.InWidth+ix)*inC+ic]
-							if xv == 0 {
-								continue
-							}
-							for oc, wv := range w[((fy*info.FilterWidth+fx)*inC+ic)*outC:][:outC] {
-								dst[oc] += float32(xv * wv)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-// checkConvForward runs Conv2D on g against convSkippingZeros.
+// checkConvForward runs Conv2D on g against the reference kernel.
 func checkConvForward(t testing.TB, nb *Backend, g gradGeometry, f fill) {
 	t.Helper()
 	xShape := []int{g.batch, g.h, g.w, g.inC}
 	wShape := []int{g.fh, g.fw, g.inC, g.outC}
-	info, err := kernels.ComputeConv2DInfo(xShape, wShape, []int{g.stride, g.stride}, []int{g.dilation, g.dilation}, g.pad, false)
-	if err != nil {
-		return // the filter does not fit
-	}
-	x, w := f.gen(tensor.ShapeSize(xShape), 1), f.gen(tensor.ShapeSize(wShape), 2)
-	in := []kernels.Input{benchInput(nb, x, xShape...), benchInput(nb, w, wShape...)}
-	defer nb.DisposeData(in[0].DataID)
-	defer nb.DisposeData(in[1].DataID)
-	var out kernels.TensorInfo
-	if err := nb.table["Conv2D"](in, g.convAttrs(), &out); err != nil {
-		t.Fatalf("Conv2D/%s/%s: %v", g, f.name, err)
-	}
-	defer nb.DisposeData(out.DataID)
-	if !tensor.ShapesEqual(out.Shape, info.OutShape()) {
-		t.Fatalf("Conv2D/%s/%s: shape %v, want %v", g, f.name, out.Shape, info.OutShape())
-	}
-	requireSameFloats(t, "Conv2D/"+g.String()+"/"+f.name, nb.Raw(out.DataID), convSkippingZeros(x, w, info))
+	x := operand{f.gen(tensor.ShapeSize(xShape), 1), xShape}
+	w := operand{f.gen(tensor.ShapeSize(wShape), 2), wShape}
+	checkAgainstReference(t, nb, "Conv2D/"+g.String()+"/"+f.name, "Conv2D", g.convAttrs(), x, w)
 }
 
 // checkReductions runs the four [outer, inner] reductions.
@@ -214,10 +163,10 @@ func checkForwardMatrix(t *testing.T, nb *Backend) {
 	}
 }
 
-// TestForwardKernelsBitIdenticalToReference: MaxPool, AvgPool, Sum, Mean,
-// Max, Min and Transpose on node agree with the reference kernels to the
-// bit, and Conv2D with its zero-skipping definition, at every worker count
-// and with the AVX2 cores on or off.
+// TestForwardKernelsBitIdenticalToReference: Conv2D, MaxPool, AvgPool,
+// Sum, Mean, Max, Min and Transpose on node agree with the reference
+// kernels to the bit, at every worker count and with the AVX2 cores on or
+// off.
 func TestForwardKernelsBitIdenticalToReference(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
@@ -233,52 +182,6 @@ func TestForwardKernelsBitIdenticalToReference(t *testing.T) {
 		nb.SetWorkers(4)
 		checkForwardMatrix(t, nb)
 	})
-}
-
-// TestConvSkipsZeroLhsInEveryFilterRow: a zero x opposite an Inf or NaN
-// weight contributes nothing wherever in the pixel's window it lies — first
-// filter row or last, narrow output row or wide — so 0·Inf never reaches a
-// sum as NaN on this backend, however the pixel's taps are batched into
-// calls to the vector cores.
-func TestConvSkipsZeroLhsInEveryFilterRow(t *testing.T) {
-	nb := benchBackend()
-	for _, outC := range []int{8, 16, 12, 40} {
-		for _, inC := range []int{1, 3, 16} { // 9, 27 and 144 taps a pixel: under and over nzCap
-			for _, special := range []float32{inf32, -inf32, nan32} {
-				for row := 0; row < 3; row++ {
-					// One 3×3 window, "valid": a single output pixel. x is 1
-					// except for ±0 across filter row `row`; w is 0.5 except
-					// for the special opposite those zeros.
-					x, w := make([]float32, 3*3*inC), make([]float32, 3*3*inC*outC)
-					for i := range x {
-						x[i] = 1
-					}
-					for i := range w {
-						w[i] = 0.5
-					}
-					for i := row * 3 * inC; i < (row+1)*3*inC; i++ {
-						x[i] = []float32{0, negZero32}[i%2]
-						for oc := 0; oc < outC; oc++ {
-							w[i*outC+oc] = special
-						}
-					}
-					in := []kernels.Input{benchInput(nb, x, 1, 3, 3, inC), benchInput(nb, w, 3, 3, inC, outC)}
-					var out kernels.TensorInfo
-					if err := nb.table["Conv2D"](in, kernels.Attrs{}, &out); err != nil {
-						t.Fatal(err)
-					}
-					for oc, v := range nb.Raw(out.DataID) {
-						if want := float32(6*inC) * 0.5; v != want {
-							t.Errorf("outC %d inC %d, zeros in filter row %d opposite %g: out[%d] = %g, want %g", outC, inC, row, special, oc, v, want)
-						}
-					}
-					for _, id := range []tensor.DataID{in[0].DataID, in[1].DataID, out.DataID} {
-						nb.DisposeData(id)
-					}
-				}
-			}
-		}
-	}
 }
 
 // TestForwardKernelErrorParity: what the reference rejects the native

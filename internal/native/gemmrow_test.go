@@ -5,11 +5,14 @@ import (
 	"math"
 	"slices"
 	"testing"
+
+	"repro/internal/vec"
 )
 
-// Differential tests for gemmRow, this backend's layer over the vector
-// cores (internal/vec holds the cores' own): the zero-skipping compaction
-// onto vec.AxpyN against the loop that defines it, compared by bit pattern.
+// Differential tests for vec.GemmRow, the product under this backend's
+// matmul, wide convolutions and filter gradient (internal/vec holds the
+// cores' own tests): the zero-skipping compaction onto vec.AxpyN against
+// the loop that defines it, compared by bit pattern.
 // Two NaNs count as equal whatever their payloads (which payload survives
 // NaN∘NaN is operand order, which the compiler picks for the Go bodies);
 // everything else — rounding, ±0, ±Inf, denormals, where a NaN appears at
@@ -58,28 +61,33 @@ func requireSameFloats(t testing.TB, label string, got, want []float32) {
 	}
 }
 
-// gemmRowGo is gemmRow's definition: a[kk]·b[kk,:] added into the row in
-// kk order, a zero a[kk] skipped. The float32 conversion forbids fusing
-// the product into the add, as in the cores.
-func gemmRowGo(row, a []float32, aStride int, b []float32) {
-	n := len(row)
-	for ai, off := 0, 0; ai < len(a); ai, off = ai+aStride, off+n {
+// nzCap is the number of nonzero lhs elements vec.GemmRow lists per call
+// to its vector core; the sweeps below cross it.
+const nzCap = 32
+
+// gemmRowGo is vec.GemmRow's definition: a[kk]·b[kk*bStride:] added into
+// the row in kk order, a zero a[kk] skipped. The float32 conversion forbids
+// fusing the product into the add, as in the cores.
+func gemmRowGo(row, a []float32, aStride int, b []float32, bStride int) {
+	for ai, off := 0, 0; ai < len(a); ai, off = ai+aStride, off+bStride {
 		av := a[ai]
 		if av == 0 {
 			continue
 		}
-		for j, bv := range b[off : off+n] {
+		for j, bv := range b[off : off+len(row)] {
 			row[j] += float32(av * bv)
 		}
 	}
 }
 
-func checkGemmRow(t testing.TB, row, a []float32, aStride int, b []float32) {
+// checkGemmRow compares vec.GemmRow with its definition on a row of b's
+// rows bStride apart (bStride > len(row): a part of an output row).
+func checkGemmRow(t testing.TB, row, a []float32, aStride int, b []float32, bStride int) {
 	t.Helper()
 	got, want := slices.Clone(row), slices.Clone(row)
-	gemmRow(got, a, aStride, b, new(nzList))
-	gemmRowGo(want, a, aStride, b)
-	requireSameFloats(t, "gemmRow", got, want)
+	vec.GemmRow(got, a, aStride, b, bStride, new(vec.NZList))
+	gemmRowGo(want, a, aStride, b, bStride)
+	requireSameFloats(t, "GemmRow", got, want)
 }
 
 // TestVecCoresBitIdentity sweeps every output length 0…67 (empty, pure
@@ -99,8 +107,9 @@ func TestVecCoresBitIdentity(t *testing.T) {
 			k := int(seed) % (nzCap + 9)
 			for _, stride := range []int{1, 3} {
 				a := vecOperand(off+max(0, (k-1)*stride+1), seed+1)[off:]
-				b := vecOperand(off+k*n, seed+2)[off:]
-				checkGemmRow(t, dst, a, stride, b)
+				b := vecOperand(off+k*(n+2), seed+2)[off:]
+				checkGemmRow(t, dst, a, stride, b[:k*n], n)
+				checkGemmRow(t, dst, a, stride, b, n+2)
 			}
 		}
 	}
@@ -119,13 +128,13 @@ func TestVecCoresBitIdentity(t *testing.T) {
 				for i := range y {
 					y[i] = yv
 				}
-				checkGemmRow(t, y, a, 1, b)
+				checkGemmRow(t, y, a, 1, b, 11)
 			}
 		}
 	}
 }
 
-// TestVecCoresStayInBounds: gemmRow writes exactly the row it was given —
+// TestVecCoresStayInBounds: vec.GemmRow writes exactly the row it was given —
 // the elements either side keep their sentinel.
 func TestVecCoresStayInBounds(t *testing.T) {
 	const sentinel = 12345
@@ -135,10 +144,10 @@ func TestVecCoresStayInBounds(t *testing.T) {
 			buf[i] = sentinel
 		}
 		dst := buf[8 : 8+n : 8+n]
-		gemmRow(dst, vecOperand(6, 7), 1, vecOperand(6*n, 8), new(nzList))
+		vec.GemmRow(dst, vecOperand(6, 7), 1, vecOperand(6*n, 8), n, new(vec.NZList))
 		for i, v := range buf {
 			if (i < 8 || i >= 8+n) && v != sentinel {
-				t.Fatalf("n=%d: buf[%d] = %g, outside the row handed to gemmRow", n, i, v)
+				t.Fatalf("n=%d: buf[%d] = %g, outside the row handed to GemmRow", n, i, v)
 			}
 		}
 	}
@@ -146,7 +155,7 @@ func TestVecCoresStayInBounds(t *testing.T) {
 
 // FuzzVecCores reads its input as float32 bit patterns, so the fuzzer
 // reaches every NaN payload, denormal and sign combination, and carves
-// gemmRow's operands out of them: k and the lhs stride come from the two
+// vec.GemmRow's operands out of them: k and the lhs stride come from the two
 // leading arguments, the output length from how many floats there are.
 func FuzzVecCores(f *testing.F) {
 	var specials []byte
@@ -169,7 +178,7 @@ func FuzzVecCores(f *testing.F) {
 		k, stride := 1+int(kSel)%(nzCap+8), 1+int(strideSel)%3
 		if lhs := (k-1)*stride + 1; len(vals) >= lhs {
 			n := (len(vals) - lhs) / (k + 1)
-			checkGemmRow(t, vals[lhs:lhs+n], vals[:lhs], stride, vals[lhs+n:lhs+n+k*n])
+			checkGemmRow(t, vals[lhs:lhs+n], vals[:lhs], stride, vals[lhs+n:lhs+n+k*n], n)
 		}
 	})
 }

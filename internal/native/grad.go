@@ -8,8 +8,9 @@ import (
 	"repro/internal/vec"
 )
 
-// The backward kernels model.fit spends its time in: the two Conv2D
-// gradients on the gemmRow core and MaxPoolGrad as a direct window loop.
+// The backward kernels model.fit spends its time in: the filter gradient
+// on vec.GemmRow and vec.AxpyRows, and the input gradient and MaxPoolGrad
+// on the convolution walk (kernels.Walk).
 //
 // Each is Float32bits-equal to its reference kernel in internal/kernels,
 // not merely close, because every output element receives the same
@@ -18,9 +19,10 @@ import (
 // zero x / dy elements; these kernels shard over outputs that share no
 // accumulator (filter rows, images), walk (b, oy, ox, fy, fx) in that
 // order inside a shard, and get the zero-skip and the rounding from
-// gemmRow and vec.AxpyRows. So a model trained on node reproduces, bit for
-// bit, the loss history it has with every gradient on the reference tier,
-// for every worker count and with the AVX2 cores on or off.
+// vec.GemmRow, vec.AxpyRows and vec.AxpyN. So a model trained on node
+// reproduces, bit for bit, the loss history it has with every gradient on
+// the reference tier, for every worker count and with the AVX2 cores on or
+// off.
 
 func (b *Backend) registerGrad() {
 	b.register("Conv2DBackpropFilter", b.conv2DBackpropFilter)
@@ -62,7 +64,7 @@ func outRange(offset, stride, outSize, size int) (lo, hi int) {
 // x[b, iy, ix, ic]·dy[b, oy, ox, :] over every output position whose tap
 // (fy, fx) lands inside the input. Along one output row those x elements
 // sit strideW·inC apart and the dy rows are contiguous, so the row's share
-// of (b, oy) is one gemmRow with the x elements as the strided lhs — or,
+// of (b, oy) is one vec.GemmRow with the x elements as the strided lhs — or,
 // when a row is one or two vector steps, one vec.AxpyRows for all the input
 // channels of the tap, which share that run of dy. Rows are sharded across
 // workers: no two chunks touch the same accumulator.
@@ -93,9 +95,9 @@ func (b *Backend) conv2DBackpropFilter(inputs []kernels.Input, attrs kernels.Att
 	dH, dW := info.DilationHeight, info.DilationWidth
 	padT, padL := info.PadTop, info.PadLeft
 	aStride := sW * inC
-	narrow := narrowRow(outC)
+	narrow := vec.NarrowRow(outC)
 	b.parallelFor(fH*fW*inC, 2*batch*outH*outW*outC, func(lo, hi int) {
-		var nz nzList
+		var nz vec.NZList
 		// (b, oy) outermost keeps one dy row and the chunk's dw rows in L1
 		// while every filter row takes its share of them; each dw row
 		// still sees its contributions in (b, oy, ox) order.
@@ -126,7 +128,7 @@ func (b *Backend) conv2DBackpropFilter(inputs []kernels.Input, attrs kernels.Att
 						}
 						for ic := icLo; ic < icHi; ic++ {
 							r := tapRow + ic
-							gemmRow(dw[r*outC:(r+1)*outC], xBuf[xBase+ic:xBase+ic+span], aStride, dyRun, &nz)
+							vec.GemmRow(dw[r*outC:(r+1)*outC], xBuf[xBase+ic:xBase+ic+span], aStride, dyRun, outC, &nz)
 						}
 					}
 				}
@@ -136,17 +138,12 @@ func (b *Backend) conv2DBackpropFilter(inputs []kernels.Input, attrs kernels.Att
 	return nil
 }
 
-// conv2DBackpropInput: inputs (dy, filter), attr inputShape. An output
-// position scatters dy[pixel, :]·wᵀ[tap] to one input pixel per tap. No
-// two taps of one position reach the same input pixel, so an input element
-// is defined by the order of the positions that reach it, (oy, ox), and of
-// oc within each — the taps of a position can go in any order. That lets
-// the position's nonzero dy elements be gathered once and handed, per
-// filter row, to one vec.AxpyN over the whole run of taps that row has inside
-// the input: undilated they are contiguous in dx, and the filter is
-// transposed once per call to [fy][oc][fx][ic] so that they are contiguous
-// in it too. A position whose dy is all zero (most of them, behind a ReLU
-// and a max pool) costs the gather and nothing else. Images are sharded
+// conv2DBackpropInput: inputs (dy, filter), attr inputShape. Each output
+// position's dy scatters through the filter into dx on the shared walk
+// (kernels.Walk.InputGrad), the filter transposed once per call to
+// [fy][oc][fx][ic] so that a filter row's run of taps is contiguous in it
+// as it is in dx. A position whose dy is all zero (most of them, behind a
+// ReLU and a max pool) costs a gather and nothing else. Images are sharded
 // across workers.
 func (b *Backend) conv2DBackpropInput(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
 	if len(inputs) != 2 {
@@ -163,11 +160,7 @@ func (b *Backend) conv2DBackpropInput(inputs []kernels.Input, attrs kernels.Attr
 	dx := b.outInto(out, tensor.Float32)
 
 	inC, outC := info.InChannels, info.OutChannels
-	inH, inW, outH, outW := info.InHeight, info.InWidth, info.OutHeight, info.OutWidth
 	fH, fW := info.FilterHeight, info.FilterWidth
-	sH, sW := info.StrideHeight, info.StrideWidth
-	dH, dW := info.DilationHeight, info.DilationWidth
-	padT, padL := info.PadTop, info.PadLeft
 	ocStride := fW * inC // one oc's taps of one filter row
 	wT := b.scratchF32.Get(len(wBuf))
 	for fy := 0; fy < fH; fy++ {
@@ -181,50 +174,9 @@ func (b *Backend) conv2DBackpropInput(inputs []kernels.Input, attrs kernels.Attr
 			}
 		}
 	}
-
-	inRow := inW * inC
-	inImg := inH * inRow
-	outRow := outW * outC
-	outImg := outH * outRow
-	b.parallelFor(info.BatchSize, 2*outH*outW*fH*fW*inC*outC, func(lo, hi int) {
-		var vals [nzCap]float32
-		var offs [nzCap]int
-		for bb := lo; bb < hi; bb++ {
-			for oy := 0; oy < outH; oy++ {
-				yCorner := oy*sH - padT
-				fyLo, fyHi := kernels.TapRange(yCorner, dH, fH, inH)
-				for ox := 0; ox < outW; ox++ {
-					xCorner := ox*sW - padL
-					fxLo, fxHi := kernels.TapRange(xCorner, dW, fW, inW)
-					run := 1
-					if dW == 1 {
-						run = fxHi - fxLo
-					}
-					dyBase := bb*outImg + oy*outRow + ox*outC
-					for ocLo := 0; ocLo < outC; ocLo += nzCap {
-						// Branch-free gather, as in gemmRow.
-						p := 0
-						for oc := ocLo; oc < min(ocLo+nzCap, outC); oc++ {
-							g := dyBuf[dyBase+oc]
-							vals[p], offs[p] = g, oc*ocStride
-							if g != 0 {
-								p++
-							}
-						}
-						if p == 0 {
-							continue
-						}
-						for fy := fyLo; fy < fyHi; fy++ {
-							dxRow := bb*inImg + (yCorner+fy*dH)*inRow
-							for fx := fxLo; fx < fxHi; fx += run {
-								dxBase := dxRow + (xCorner+fx*dW)*inC
-								vec.AxpyN(dx[dxBase:dxBase+run*inC], vals[:p], offs[:p], wT[fy*outC*ocStride+fx*inC:])
-							}
-						}
-					}
-				}
-			}
-		}
+	outImg, walk := info.OutHeight*info.OutWidth*outC, kernels.NewWalk(info)
+	b.parallelFor(info.BatchSize, 2*outImg*fH*fW*inC, func(lo, hi int) {
+		walk.InputGrad(wT, dx, lo*outImg, dyBuf[lo*outImg:hi*outImg])
 	})
 	b.scratchF32.Put(wT)
 	return nil
@@ -232,10 +184,9 @@ func (b *Backend) conv2DBackpropInput(inputs []kernels.Input, attrs kernels.Attr
 
 // maxPoolGrad: inputs (dy, x). Each output cell routes its dy to the
 // first maximum of its window (none when nothing in the window exceeds
-// -Inf, as in the reference): vec.PoolMaxGrad, on the window clipped to the
-// input, all channels of the pixel at once. Overlapping windows add into
-// the same input cell in (oy, ox) order, so images, not rows, are sharded
-// across workers.
+// -Inf, as in the reference): kernels.Walk.PoolGrad. Overlapping windows add
+// into the same input cell in (oy, ox) order, so images, not rows, are
+// sharded across workers.
 func (b *Backend) maxPoolGrad(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
 	if len(inputs) != 2 {
 		return fmt.Errorf("MaxPoolGrad: got %d inputs, want 2", len(inputs))
@@ -252,32 +203,9 @@ func (b *Backend) maxPoolGrad(inputs []kernels.Input, attrs kernels.Attrs, out *
 	out.Shape = append(out.Shape[:0], x.Shape...)
 	dx := b.outInto(out, tensor.Float32)
 
-	c := info.OutChannels
-	inRow := info.InWidth * c
-	inImg := info.InHeight * inRow
-	outRow := info.OutWidth * c
-	outImg := info.OutHeight * outRow
-	inH, inW, outH, outW := info.InHeight, info.InWidth, info.OutHeight, info.OutWidth
-	fH, fW := info.FilterHeight, info.FilterWidth
-	sH, sW := info.StrideHeight, info.StrideWidth
-	padT, padL := info.PadTop, info.PadLeft
-	b.parallelFor(info.BatchSize, outImg*fH*fW, func(lo, hi int) {
-		for bb := lo; bb < hi; bb++ {
-			for oy := 0; oy < outH; oy++ {
-				yCorner := oy*sH - padT
-				fyLo, fyHi := kernels.TapRange(yCorner, 1, fH, inH)
-				for ox := 0; ox < outW; ox++ {
-					xCorner := ox*sW - padL
-					fxLo, fxHi := kernels.TapRange(xCorner, 1, fW, inW)
-					if fyLo == fyHi || fxLo == fxHi {
-						continue
-					}
-					outBase := bb*outImg + oy*outRow + ox*c
-					inBase := bb*inImg + (yCorner+fyLo)*inRow + (xCorner+fxLo)*c
-					vec.PoolMaxGrad(dx[inBase:], xBuf[inBase:], dyBuf[outBase:outBase+c], inRow, c, fyHi-fyLo, fxHi-fxLo)
-				}
-			}
-		}
+	outImg, walk := info.OutHeight*info.OutWidth*info.OutChannels, kernels.NewWalk(info)
+	b.parallelFor(info.BatchSize, outImg*info.FilterHeight*info.FilterWidth, func(lo, hi int) {
+		walk.PoolGrad(xBuf, dx, lo*outImg, dyBuf[lo*outImg:hi*outImg])
 	})
 	return nil
 }

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/kernels"
 	"repro/internal/tensor"
-	"repro/internal/vec"
 )
 
 // benchVals returns n normal values with the given fraction zeroed — a
@@ -54,7 +53,7 @@ func benchGemm(b *testing.B, m, k, n int, sparsity float64) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clear(out)
-		nb.matmul(m, n, k, av, bv, false, false, out, epilogue{})
+		nb.matmul(m, n, k, av, bv, false, false, out, kernels.Epilogue{})
 	}
 	reportKernel(b, 2*m*k*n, m*k+k*n+m*n)
 }
@@ -181,12 +180,13 @@ func BenchmarkEpilogueRelu6(b *testing.B) {
 		src[i] *= 4
 	}
 	dst := make([]float32, len(src))
-	ep := epilogue{bias: benchVals(rng, c, 0), kind: vec.ActRelu6}
+	ep, _ := kernels.FusedTail("FusedConv2D", nil, kernels.Attrs{"activation": "relu6"}, c, nil)
+	ep.Bias = benchVals(rng, c, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(dst, src)
 		for p := 0; p < positions; p++ {
-			ep.apply(dst[p*c : (p+1)*c])
+			ep.Apply(dst[p*c:(p+1)*c], 0)
 		}
 	}
 	reportKernel(b, 2*positions*c, 2*positions*c)

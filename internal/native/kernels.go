@@ -37,9 +37,19 @@ func (b *Backend) initKernels() {
 func (b *Backend) in(i kernels.Input) []float32 { return b.Raw(i.DataID) }
 
 // outInto allocates (from the recycler when pooling is on) and registers
-// the output buffer for dst. dst.Shape must already hold the output shape.
+// the zeroed output buffer for dst. dst.Shape must already hold the output
+// shape.
 func (b *Backend) outInto(dst *kernels.TensorInfo, dtype tensor.DataType) []float32 {
-	buf := b.Alloc(tensor.ShapeSize(dst.Shape))
+	return b.own(dst, dtype, b.Alloc(tensor.ShapeSize(dst.Shape)))
+}
+
+// outOver is outInto for the kernels on the shared convolution walk, which
+// writes every output value before it reads one: the buffer is not zeroed.
+func (b *Backend) outOver(dst *kernels.TensorInfo, dtype tensor.DataType) []float32 {
+	return b.own(dst, dtype, b.AllocOver(tensor.ShapeSize(dst.Shape)))
+}
+
+func (b *Backend) own(dst *kernels.TensorInfo, dtype tensor.DataType, buf []float32) []float32 {
 	id := tensor.NewDataID()
 	b.WriteOwned(id, buf)
 	dst.DataID = id
@@ -58,10 +68,11 @@ func poolInfo(xShape []int, attrs kernels.Attrs) (kernels.Conv2DInfo, error) {
 	return kernels.ComputePool2DInfo(xShape, filterSize, attrs.Ints("strides", filterSize), attrs.String("pad", "valid"))
 }
 
-// pool is MaxPool and AvgPool: per output pixel, the window clipped to the
-// input once and handed, with the channel run innermost, to the vector
-// core that reduces it (vec.PoolMax, vec.PoolAvg) — bit-equal to the
-// reference kernels, which visit the same cells in the same order.
+// pool is MaxPool and AvgPool: output rows sharded across the worker pool,
+// each chunk walked by kernels.Walk.Pool, which hands every pixel's window,
+// clipped to the input once and channel run innermost, to the vector core
+// that reduces it (vec.PoolMax, vec.PoolAvg) — bit-equal to the reference
+// kernels, which visit the same cells in the same order.
 func (b *Backend) pool(name string, pixel func(dst, x []float32, rowStride, tapStride, rows, taps int)) kernels.OverrideKernel {
 	return func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
 		if len(inputs) != 1 {
@@ -74,36 +85,10 @@ func (b *Backend) pool(name string, pixel func(dst, x []float32, rowStride, tapS
 		}
 		xBuf := b.in(x)
 		out.Shape = append(out.Shape[:0], info.BatchSize, info.OutHeight, info.OutWidth, info.OutChannels)
-		dst := b.outInto(out, x.DType)
-		c := info.OutChannels
-		inRow := info.InWidth * c
-		inImg := info.InHeight * inRow
-		outRow := info.OutWidth * c
-		// Scalar geometry copies keep the Conv2DInfo struct out of the
-		// closure (see conv2D).
-		inH, inW, outH, outW := info.InHeight, info.InWidth, info.OutHeight, info.OutWidth
-		fH, fW := info.FilterHeight, info.FilterWidth
-		sH, sW := info.StrideHeight, info.StrideWidth
-		padT, padL := info.PadTop, info.PadLeft
-		rowCost := outRow * b.costPerElem(fH*fW)
-		b.parallelFor(info.BatchSize*outH, rowCost, func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				bb := r / outH
-				oy := r % outH
-				yCorner := oy*sH - padT
-				fyLo, fyHi := kernels.TapRange(yCorner, 1, fH, inH)
-				for ox := 0; ox < outW; ox++ {
-					xCorner := ox*sW - padL
-					fxLo, fxHi := kernels.TapRange(xCorner, 1, fW, inW)
-					px := dst[r*outRow+ox*c : r*outRow+(ox+1)*c]
-					if fyLo == fyHi || fxLo == fxHi {
-						pixel(px, nil, 0, 0, 0, 0) // a window wholly in the padding
-						continue
-					}
-					inBase := bb*inImg + (yCorner+fyLo)*inRow + (xCorner+fxLo)*c
-					pixel(px, xBuf[inBase:], inRow, c, fyHi-fyLo, fxHi-fxLo)
-				}
-			}
+		dst := b.outOver(out, x.DType)
+		outRow, walk := info.OutWidth*info.OutChannels, kernels.NewWalk(info)
+		b.parallelFor(info.BatchSize*info.OutHeight, outRow*b.costPerElem(info.FilterHeight*info.FilterWidth), func(lo, hi int) {
+			walk.Pool(xBuf, pixel, lo*outRow, dst[lo*outRow:hi*outRow])
 		})
 		return nil
 	}

@@ -1,10 +1,11 @@
 // Package vec holds the vector cores: the row loops that carry a model's
-// host time on every backend that computes on the host — the dense row
-// update under GEMM and convolution (dense for one row, zero-skipping for
-// several narrow ones), the depthwise pixel, the bias+activation epilogue,
-// the pooling pixel (max, average, and the max pool's gradient) and the
-// element-wise rows — the ReLU family, Step, batch norm's normalise row and
-// the four arithmetic binaries — each written once, here. native's kernels
+// host time on every backend that computes on the host — the row product
+// under GEMM and convolution (GemmRow for one row, AxpyRows for several
+// narrow ones, both leaving a zero lhs element out of the sum), the
+// depthwise pixel, the bias+activation epilogue, the pooling pixel (max,
+// average, and the max pool's gradient) and the element-wise rows — the
+// ReLU family, Step, batch norm's normalise row and the four arithmetic
+// binaries — each written once, here. native's kernels
 // and the WebGL simulator's shader programs call them; a second copy of one
 // of these loops in a backend is a fork (CI greps for it).
 //
@@ -55,9 +56,9 @@ const (
 //
 //	row[j] += vals[t] * b[offs[t]+j]
 //
-// t ascending; offs ascends. It is dense — a zero in vals is multiplied
-// like any other value, so 0·Inf puts a NaN in the sum; a caller that wants
-// zeros skipped (native's gemmRow) leaves them out of vals. The assembly
+// t ascending; offs ascends. It multiplies whatever it is handed — a zero
+// in vals too, so 0·Inf puts a NaN in the sum; the products leave a zero
+// lhs element out by leaving it out of vals (GemmRow). The assembly
 // consumes the entries four at a time: the row is loaded and stored once
 // per four steps, and each element still sees its adds one at a time in t
 // order.
@@ -87,16 +88,16 @@ func AxpyN(row, vals []float32, offs []int, b []float32) {
 //
 //	acc[i*n+j] += a[i*iStride+t*tStride] * b[t*n+j]   where a[…] != 0
 //
-// t ascending over k steps for every row i. It is native's product for
-// rows of one or two vector steps, where gathering each row's nonzero lhs
-// into a list for AxpyN costs more than the arithmetic: several pixels of
-// a convolution (iStride the distance between their windows, tStride 1),
-// or the filter-gradient rows of several input channels (iStride 1,
-// tStride the distance between output positions). A zero lhs element is
-// skipped, not multiplied — 0·Inf stays out of the sum — which the
-// assembly does without a branch: it multiplies, then selects -0 in place
-// of the product, and adding -0 changes no float. Four rows advance
-// together, so their add chains overlap.
+// t ascending over k steps for every row i. It is GemmRow for rows of one
+// or two vector steps, where gathering each row's nonzero lhs into a list
+// costs more than the arithmetic: several pixels of a convolution (iStride
+// the distance between their windows, tStride 1), or the filter-gradient
+// rows of several input channels (iStride 1, tStride the distance between
+// output positions). A zero lhs element is left out, as in every product
+// (GemmRow) — 0·Inf stays out of the sum — which the assembly does without
+// a branch: it multiplies, then selects -0 in place of the product, and
+// adding -0 changes no float. Four rows advance together, so their add
+// chains overlap.
 func AxpyRows(acc []float32, n int, a []float32, iStride, tStride, k int, b []float32) {
 	if n <= 0 || k <= 0 || len(acc) < n {
 		return
@@ -120,6 +121,62 @@ func AxpyRows(acc []float32, n int, a []float32, iStride, tStride, k int, b []fl
 			}
 		}
 	}
+}
+
+// nzCap is how many nonzero lhs elements GemmRow gathers before handing
+// them to AxpyN: a multiple of its four-wide step, and a power of two.
+const nzCap = 32
+
+// NZList is GemmRow's scratch: the nonzero lhs elements of one output row,
+// each with the offset of the rhs row it multiplies. A caller declares one
+// per range of rows and passes it down, so it is zeroed once per range,
+// not once per row.
+type NZList struct {
+	vals [nzCap]float32
+	offs [nzCap]int
+}
+
+// NarrowRow reports whether an output row of n floats is one or two vector
+// steps. Such a row's arithmetic is a handful of instructions per lhs
+// element, less than listing that element costs, so a product whose rows
+// are narrow goes to AxpyRows, which takes the lhs as it lies, and a wide
+// one to GemmRow, which spares the row the work of a zero altogether.
+func NarrowRow(n int) bool { return n == 8 || n == 16 }
+
+// GemmRow accumulates one output row of a matrix product, leaving out the
+// zeros of its lhs:
+//
+//	row[j] += a[kk*aStride] * b[kk*bStride+j]   where a[kk*aStride] != 0
+//
+// kk ascending over the ⌈len(a)/aStride⌉ lhs elements. This is the product
+// of the host backends' convolutions and matrix multiplies, and its rule is
+// every tier's, the reference kernels' included: a zero lhs element
+// contributes nothing, so 0·Inf stays out of the sum. On finite operands
+// leaving it out changes no bit — the sum starts at +0, which no added ±0
+// moves — and after a ReLU-family activation half the lhs is zeros, whose
+// products the skip saves.
+//
+// The nonzero elements are compacted into nz and handed to AxpyN nzCap at
+// a time. The compaction is branch-free — ±0 is the one value whose bits,
+// shifted clear of the sign, are zero, and the test compiles to a
+// conditional move — so a random sparsity pattern costs no mispredictions;
+// p stays under nzCap, so the index masks change nothing but spare the
+// loop its two bounds checks.
+func GemmRow(row, a []float32, aStride int, b []float32, bStride int, nz *NZList) {
+	vals, offs := &nz.vals, &nz.offs
+	p := 0
+	for ai, off := 0, 0; ai < len(a); ai, off = ai+aStride, off+bStride {
+		av := a[ai]
+		vals[p&(nzCap-1)], offs[p&(nzCap-1)] = av, off
+		if math.Float32bits(av)<<1 != 0 {
+			p++
+		}
+		if p == nzCap {
+			AxpyN(row, vals[:], offs[:], b)
+			p = 0
+		}
+	}
+	AxpyN(row, vals[:p], offs[:p], b)
 }
 
 // DwPixel accumulates one output pixel of a depthwise convolution with

@@ -484,8 +484,8 @@ func FuzzVecCores(f *testing.F) {
 // TestAxpyRowsSkipsZeros: a ±0 lhs element contributes nothing on either
 // body — not the NaN that 0·Inf is, and not a +0 that would turn a -0
 // accumulator into +0 — where a NaN lhs element is multiplied like any
-// other value. native's narrow convolutions depend on it as its wide ones
-// do on gemmRow leaving zeros out of AxpyN's list.
+// other value. The narrow rows of every product depend on it as the wide
+// ones do on GemmRow leaving zeros out of AxpyN's list.
 func TestAxpyRowsSkipsZeros(t *testing.T) {
 	inf, nan := float32(math.Inf(1)), float32(math.NaN())
 	negZero := float32(math.Copysign(0, -1))
@@ -527,9 +527,9 @@ func TestAxpyRowsSkipsZeros(t *testing.T) {
 }
 
 // TestAxpyNIsDense: a zero step is multiplied, not skipped, on both bodies —
-// 0·Inf and 0·NaN are NaN in every lane and in the tail. The shader programs
-// that call AxpyN depend on it; native's gemmRow gets its skip by leaving
-// zeros out of vals.
+// 0·Inf and 0·NaN are NaN in every lane and in the tail. GemmRow gets its
+// skip by leaving zeros out of vals, and native's input gradient by
+// gathering only the nonzero dy; the core itself takes what it is handed.
 func TestAxpyNIsDense(t *testing.T) {
 	for _, zero := range []float32{0, float32(math.Copysign(0, -1))} {
 		for _, w := range []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())} {

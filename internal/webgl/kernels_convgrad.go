@@ -12,7 +12,9 @@ import (
 // paper's headline capability of "integrated training and inference on the
 // GPU from the browser". Each backward pass is expressed as a gather from
 // the output-gradient texture (fragment shaders cannot scatter), the same
-// formulation the real WebGL backend uses.
+// formulation the real WebGL backend uses. The products leave out what the
+// reference kernels leave out: a zero dy in the input gradient, a zero x in
+// the filter gradients.
 func (b *Backend) registerConvGrad() {
 	b.register("Conv2DBackpropInput", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		if len(inputs) != 2 {
@@ -71,7 +73,9 @@ func (b *Backend) registerConvGrad() {
 					dyBase := bb*outImg + oy*outRow + ox*outC
 					wBase := (fy*info.FilterWidth+fx)*inC*outC + ic*outC
 					for oc := 0; oc < outC; oc++ {
-						sum += float32(dyTex.FetchFlat(dyBase+oc) * wTex.FetchFlat(wBase+oc))
+						if g := dyTex.FetchFlat(dyBase + oc); g != 0 {
+							sum += float32(g * wTex.FetchFlat(wBase+oc))
+						}
 					}
 				}
 			}
@@ -127,8 +131,9 @@ func (b *Backend) registerConvGrad() {
 						if ix < 0 || ix >= info.InWidth {
 							continue
 						}
-						sum += float32(xTex.FetchFlat(bb*inImg+iy*inRow+ix*inC+ic) *
-							dyTex.FetchFlat(bb*outImg+oy*outRow+ox*outC+oc))
+						if xv := xTex.FetchFlat(bb*inImg + iy*inRow + ix*inC + ic); xv != 0 {
+							sum += float32(xv * dyTex.FetchFlat(bb*outImg+oy*outRow+ox*outC+oc))
+						}
 					}
 				}
 			}
@@ -247,8 +252,9 @@ func (b *Backend) registerConvGrad() {
 						if ix < 0 || ix >= info.InWidth {
 							continue
 						}
-						sum += float32(xTex.FetchFlat(bb*inImg+iy*inRow+ix*inC+ic) *
-							dyTex.FetchFlat(bb*outImg+oy*outRow+ox*outC+ic*mult+q))
+						if xv := xTex.FetchFlat(bb*inImg + iy*inRow + ix*inC + ic); xv != 0 {
+							sum += float32(xv * dyTex.FetchFlat(bb*outImg+oy*outRow+ox*outC+ic*mult+q))
+						}
 					}
 				}
 			}

@@ -3,28 +3,31 @@ package webgl_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/kernels"
+	"repro/internal/native"
 	"repro/internal/tensor"
 	"repro/internal/webgl"
 	"repro/internal/webgpu"
 )
 
-// The shader programs are dense: a fragment shader multiplies every tap it
-// samples, so an exact 0 (or −0) opposite a +Inf or NaN weight puts a NaN in
-// the sum, as it does on the cpu reference tier. That is what separates them
-// from native's gemmRow, which skips zero lhs elements and keeps 0·Inf out
-// of the sum — and why the conv and matmul programs run on the dense
-// vec.AxpyN, not on gemmRow. These tests pin both halves: where the NaNs
-// land, and what the ReLU family makes of every special value.
+// Every tier computes one function, edge values included: the shader
+// programs, native's kernels, the plain cpu backend and the reference
+// kernels agree on where a NaN lands and on what the ReLU family makes of
+// every special value. The products of the convolutions, the matrix
+// multiplies and the Conv2D gradients leave a zero lhs element out of the
+// sum on every tier (kernels/fused.go), so a 0 opposite an Inf or a NaN
+// contributes nothing; a depthwise convolution multiplies every tap.
 
-// denseBackends are the devices the semantics are pinned on: webgl packed
-// and unpacked, fp32 and the simulated fp16 device, and webgpu (which
-// inherits every fragment program). Three workers, so chunks end mid-pixel
-// and the partial-pixel bodies run too.
-func denseBackends(t *testing.T) []denseBackend {
-	var backends []denseBackend
+// deviceBackends are the simulated devices the semantics are pinned on:
+// webgl packed and unpacked, fp32 and the simulated fp16 device, and
+// webgpu (which inherits every fragment program). Three workers, so chunks
+// end mid-pixel and the partial-pixel bodies run too.
+func deviceBackends(t *testing.T) []tier {
+	var backends []tier
 	for _, half := range []bool{false, true} {
 		precision := map[bool]string{false: "fp32", true: "fp16"}[half]
 		for _, packed := range []bool{true, false} {
@@ -32,13 +35,13 @@ func denseBackends(t *testing.T) []denseBackend {
 			cfg.Packed, cfg.Device.HalfFloatOnly, cfg.Device.Workers = packed, half, 3
 			b := webgl.New(cfg)
 			t.Cleanup(b.Close)
-			backends = append(backends, denseBackend{fmt.Sprintf("webgl %s packed=%v", precision, packed), precision, b})
+			backends = append(backends, tier{fmt.Sprintf("webgl %s packed=%v", precision, packed), precision, b})
 		}
 		cfg := webgl.DefaultConfig()
 		cfg.Device.HalfFloatOnly, cfg.Device.Workers = half, 3
 		b := webgpu.New(cfg)
 		t.Cleanup(b.Close)
-		backends = append(backends, denseBackend{"webgpu " + precision, precision, b})
+		backends = append(backends, tier{"webgpu " + precision, precision, b})
 	}
 	return backends
 }
@@ -46,7 +49,7 @@ func denseBackends(t *testing.T) []denseBackend {
 // (The backend is a named field, not embedded: an embedded kernels.Backend
 // would hide the device's KernelOverride method from kernels.Dispatch, and
 // every case would quietly run on the reference kernel.)
-type denseBackend struct {
+type tier struct {
 	name, precision string
 	backend         kernels.Backend
 }
@@ -83,48 +86,66 @@ func dispatch(t *testing.T, b kernels.Backend, name string, inputs []kernels.Buf
 		t.Fatalf("%s on %s: %v", name, b.Name(), err)
 	}
 	defer b.DisposeData(out.DataID)
-	return b.ReadSync(out.DataID)
+	// A copy: on the host backends ReadSync is the buffer itself, which the
+	// pool poisons once it is disposed.
+	return slices.Clone(b.ReadSync(out.DataID))
 }
 
-func TestZeroTimesInfIsNaNAsOnTheReferenceTier(t *testing.T) {
+// TestZeroLhsLeftOutOnEveryTier: with zeros of either sign in the lhs
+// opposite +Inf and NaN in the rhs, every tier puts its NaNs where the
+// reference kernel does — cpu, node (three workers: its chunks end
+// mid-image) and every simulated device — and agrees with it on every
+// other value. Each case has NaNs from a NaN times a nonzero value on every
+// tier, so it separates nothing unless 0·Inf and 0·NaN are left out.
+func TestZeroLhsLeftOutOnEveryTier(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	inf, nan := float32(math.Inf(1)), float32(math.NaN())
-	conv := func(strides []int, pad string) kernels.Attrs {
-		return kernels.Attrs{"strides": strides, "dilations": []int{1, 1}, "pad": pad}
+	conv := func(strides, dilations []int, pad string) kernels.Attrs {
+		return kernels.Attrs{"strides": strides, "dilations": dilations, "pad": pad}
 	}
+	s11, s22, d11 := []int{1, 1}, []int{2, 2}, []int{1, 1}
+	grad := func(attrs kernels.Attrs, key string, shape []int) kernels.Attrs {
+		attrs[key] = shape
+		return attrs
+	}
+	zeros := func(shape []int, first, stride int) kernels.Buffer { return operand(shape, first, stride, 0, negZero) }
+	specials := func(shape []int, first, stride int) kernels.Buffer { return operand(shape, first, stride, inf, nan) }
 	cases := []struct {
 		label, kernel string
 		inputs        []kernels.Buffer
 		attrs         kernels.Attrs
 	}{
-		{"stem", "Conv2D", []kernels.Buffer{operand([]int{1, 9, 9, 3}, 4, 11, 0, negZero), operand([]int{3, 3, 3, 8}, 5, 37, inf, nan)}, conv([]int{2, 2}, "same")},
-		{"pointwise", "Conv2D", []kernels.Buffer{operand([]int{1, 4, 4, 8}, 3, 13, 0, negZero), operand([]int{1, 1, 8, 16}, 9, 29, inf, nan)}, conv([]int{1, 1}, "same")},
-		{"wide", "Conv2D", []kernels.Buffer{operand([]int{1, 3, 3, 40}, 7, 53, 0, negZero), operand([]int{1, 1, 40, 9}, 2, 61, inf, nan)}, conv([]int{1, 1}, "valid")},
-		{"c9", "DepthwiseConv2dNative", []kernels.Buffer{operand([]int{1, 5, 5, 9}, 2, 7, 0, negZero), operand([]int{3, 3, 9, 1}, 4, 10, inf, nan)}, conv([]int{1, 1}, "same")},
-		{"stride2", "DepthwiseConv2dNative", []kernels.Buffer{operand([]int{1, 6, 6, 16}, 5, 23, 0, negZero), operand([]int{3, 3, 16, 1}, 1, 19, inf, nan)}, conv([]int{2, 2}, "same")},
-		{"mult2", "DepthwiseConv2dNative", []kernels.Buffer{operand([]int{1, 5, 5, 3}, 1, 5, 0, negZero), operand([]int{3, 3, 3, 2}, 3, 8, inf, nan)}, conv([]int{1, 1}, "valid")},
-		{"dense", "BatchMatMul", []kernels.Buffer{operand([]int{1, 4, 40}, 6, 17, 0, negZero), operand([]int{1, 40, 12}, 8, 43, inf, nan)}, kernels.Attrs{"transposeA": false, "transposeB": false}},
-		{"bcast", "BatchMatMul", []kernels.Buffer{operand([]int{1, 3, 5}, 2, 4, 0, negZero), operand([]int{2, 5, 9}, 3, 11, inf, nan)}, kernels.Attrs{"transposeA": false, "transposeB": false}},
+		{"stem", "Conv2D", []kernels.Buffer{zeros([]int{1, 9, 9, 3}, 4, 11), specials([]int{3, 3, 3, 8}, 5, 37)}, conv(s22, d11, "same")},
+		{"narrowPointwise", "Conv2D", []kernels.Buffer{zeros([]int{1, 4, 4, 8}, 3, 13), specials([]int{1, 1, 8, 16}, 9, 29)}, conv(s11, d11, "same")},
+		{"widePointwise", "Conv2D", []kernels.Buffer{zeros([]int{1, 3, 3, 40}, 7, 53), specials([]int{1, 1, 40, 9}, 2, 61)}, conv(s11, d11, "valid")},
+		{"dilation2", "Conv2D", []kernels.Buffer{zeros([]int{1, 7, 6, 5}, 1, 9), specials([]int{3, 3, 5, 12}, 6, 47)}, conv(s11, s22, "same")},
+		{"inPadding", "Conv2D", []kernels.Buffer{zeros([]int{1, 2, 2, 3}, 1, 4), specials([]int{2, 2, 3, 16}, 2, 13)}, conv(s11, []int{3, 3}, "same")},
+		{"depthwiseMult2", "DepthwiseConv2dNative", []kernels.Buffer{zeros([]int{1, 5, 5, 3}, 1, 5), specials([]int{3, 3, 3, 2}, 3, 8)}, conv(s11, d11, "valid")},
+		{"matmul", "BatchMatMul", []kernels.Buffer{zeros([]int{1, 4, 40}, 6, 17), specials([]int{1, 40, 12}, 8, 43)}, kernels.Attrs{"transposeA": false, "transposeB": false}},
+		{"matmulBcast", "BatchMatMul", []kernels.Buffer{zeros([]int{1, 3, 5}, 2, 4), specials([]int{2, 5, 9}, 3, 11)}, kernels.Attrs{"transposeA": false, "transposeB": false}},
+		{"filterGrad", "Conv2DBackpropFilter", []kernels.Buffer{zeros([]int{2, 6, 6, 3}, 2, 7), specials([]int{2, 6, 6, 8}, 5, 31)},
+			grad(conv(s11, d11, "same"), "filterShape", []int{3, 3, 3, 8})},
+		{"inputGrad", "Conv2DBackpropInput", []kernels.Buffer{zeros([]int{2, 3, 3, 8}, 1, 5), specials([]int{3, 3, 3, 8}, 4, 41)},
+			grad(conv(s22, d11, "same"), "inputShape", []int{2, 6, 6, 3})},
 	}
-	for _, b := range denseBackends(t) {
+	nb := native.New()
+	nb.SetWorkers(3)
+	t.Cleanup(nb.Close)
+	naive := cpu.NewNaive()
+	t.Cleanup(naive.Close)
+	tiers := append([]tier{{"cpu", "fp32", naive}, {"node", "fp32", nb}}, deviceBackends(t)...)
+	for _, b := range tiers {
 		for _, c := range cases {
 			where := fmt.Sprintf("%s/%s on %s", c.kernel, c.label, b.name)
 			ref, _ := kernels.LookupRef(c.kernel)
-			wantBuf, err := ref(c.inputs, c.attrs)
+			want, err := ref(c.inputs, c.attrs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, got := wantBuf.Data, dispatch(t, b.backend, c.kernel, c.inputs, c.attrs)
-			// webgpu's tiled matmul pipeline stages A tiles and skips their
-			// zeros (webgpu.go: "a zero A value's skipped products are charged
-			// as taken"), so there a 0·Inf stays out of the sum: pinned as it
-			// is, against the same walk with the zeros' products left out.
-			if b.backend.Name() == "webgpu" && c.kernel == "BatchMatMul" {
-				want = matMulSkippingZeros(c.inputs[0], c.inputs[1])
-			}
+			got := dispatch(t, b.backend, c.kernel, c.inputs, c.attrs)
 			nans := 0
-			for i := range want {
-				if w, g := want[i], got[i]; w != w {
+			for i, w := range want.Data {
+				if g := got[i]; w != w {
 					nans++
 					if g == g {
 						t.Fatalf("%s: output %d is %g, the reference tier has NaN there", where, i, g)
@@ -133,32 +154,11 @@ func TestZeroTimesInfIsNaNAsOnTheReferenceTier(t *testing.T) {
 					t.Fatalf("%s: output %d is %g, the reference tier has %g", where, i, g, w)
 				}
 			}
-			if nans == 0 || nans == len(want) {
-				t.Fatalf("%s: %d of %d reference outputs are NaN: the case separates nothing", where, nans, len(want))
+			if nans == 0 || nans == len(want.Data) {
+				t.Fatalf("%s: %d of %d reference outputs are NaN: the case separates nothing", where, nans, len(want.Data))
 			}
 		}
 	}
-}
-
-// matMulSkippingZeros is BatchMatMul (no transposes, batch broadcast) with a
-// zero lhs element's products left out of the sum.
-func matMulSkippingZeros(a, x kernels.Buffer) []float32 {
-	batch, m, k, n := max(a.Shape[0], x.Shape[0]), a.Shape[1], a.Shape[2], x.Shape[2]
-	out := make([]float32, batch*m*n)
-	for p := 0; p < batch; p++ {
-		av, xv := a.Data[p%a.Shape[0]*m*k:], x.Data[p%x.Shape[0]*k*n:]
-		for i := 0; i < m; i++ {
-			for kk := 0; kk < k; kk++ {
-				if av[i*k+kk] == 0 {
-					continue
-				}
-				for j := 0; j < n; j++ {
-					out[(p*m+i)*n+j] += av[i*k+kk] * xv[kk*n+j]
-				}
-			}
-		}
-	}
-	return out
 }
 
 // The batch-norm row program keeps 256 channels' √(variance+ε) on its stack
@@ -263,7 +263,7 @@ func TestReluFamilyRowsMatchTheClosuresTheyReplaced(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = inputs[i%len(inputs)]
 	}
-	for _, b := range denseBackends(t) {
+	for _, b := range deviceBackends(t) {
 		for _, k := range []struct {
 			kernel string
 			attrs  kernels.Attrs
