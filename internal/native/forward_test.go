@@ -184,6 +184,53 @@ func TestForwardKernelsBitIdenticalToReference(t *testing.T) {
 	})
 }
 
+// TestConvSkipsZeroLhsInEveryFilterRow: a zero x opposite an Inf or NaN
+// weight contributes nothing wherever in the pixel's window it lies — first
+// filter row or last, narrow output row or wide — so 0·Inf never reaches a
+// sum as NaN on this backend, however the walk batches the pixel's taps
+// into calls to the vector cores (AxpyRows under narrow output rows,
+// GemmRow under wide ones).
+func TestConvSkipsZeroLhsInEveryFilterRow(t *testing.T) {
+	nb := benchBackend()
+	for _, outC := range []int{8, 16, 12, 40} {
+		for _, inC := range []int{1, 3, 16} { // 9, 27 and 144 taps a pixel: under and over nzCap
+			for _, special := range []float32{inf32, -inf32, nan32} {
+				for row := 0; row < 3; row++ {
+					// One 3×3 window, "valid": a single output pixel. x is 1
+					// except for ±0 across filter row `row`; w is 0.5 except
+					// for the special opposite those zeros.
+					x, w := make([]float32, 3*3*inC), make([]float32, 3*3*inC*outC)
+					for i := range x {
+						x[i] = 1
+					}
+					for i := range w {
+						w[i] = 0.5
+					}
+					for i := row * 3 * inC; i < (row+1)*3*inC; i++ {
+						x[i] = []float32{0, negZero32}[i%2]
+						for oc := 0; oc < outC; oc++ {
+							w[i*outC+oc] = special
+						}
+					}
+					in := []kernels.Input{benchInput(nb, x, 1, 3, 3, inC), benchInput(nb, w, 3, 3, inC, outC)}
+					var out kernels.TensorInfo
+					if err := nb.table["Conv2D"](in, kernels.Attrs{}, &out); err != nil {
+						t.Fatal(err)
+					}
+					for oc, v := range nb.Raw(out.DataID) {
+						if want := float32(6*inC) * 0.5; v != want {
+							t.Errorf("outC %d inC %d, zeros in filter row %d opposite %g: out[%d] = %g, want %g", outC, inC, row, special, oc, v, want)
+						}
+					}
+					for _, id := range []tensor.DataID{in[0].DataID, in[1].DataID, out.DataID} {
+						nb.DisposeData(id)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestForwardKernelErrorParity: what the reference rejects the native
 // kernel rejects, and a rejected call registers no output.
 func TestForwardKernelErrorParity(t *testing.T) {

@@ -91,43 +91,39 @@ func dispatch(t *testing.T, b kernels.Backend, name string, inputs []kernels.Buf
 	return slices.Clone(b.ReadSync(out.DataID))
 }
 
-// TestZeroLhsLeftOutOnEveryTier: with zeros of either sign in the lhs
-// opposite +Inf and NaN in the rhs, every tier puts its NaNs where the
-// reference kernel does — cpu, node (three workers: its chunks end
-// mid-image) and every simulated device — and agrees with it on every
-// other value. Each case has NaNs from a NaN times a nonzero value on every
-// tier, so it separates nothing unless 0·Inf and 0·NaN are left out.
-func TestZeroLhsLeftOutOnEveryTier(t *testing.T) {
-	negZero := float32(math.Copysign(0, -1))
-	inf, nan := float32(math.Inf(1)), float32(math.NaN())
-	conv := func(strides, dilations []int, pad string) kernels.Attrs {
-		return kernels.Attrs{"strides": strides, "dilations": dilations, "pad": pad}
-	}
-	s11, s22, d11 := []int{1, 1}, []int{2, 2}, []int{1, 1}
-	grad := func(attrs kernels.Attrs, key string, shape []int) kernels.Attrs {
-		attrs[key] = shape
-		return attrs
-	}
-	zeros := func(shape []int, first, stride int) kernels.Buffer { return operand(shape, first, stride, 0, negZero) }
-	specials := func(shape []int, first, stride int) kernels.Buffer { return operand(shape, first, stride, inf, nan) }
-	cases := []struct {
-		label, kernel string
-		inputs        []kernels.Buffer
-		attrs         kernels.Attrs
-	}{
-		{"stem", "Conv2D", []kernels.Buffer{zeros([]int{1, 9, 9, 3}, 4, 11), specials([]int{3, 3, 3, 8}, 5, 37)}, conv(s22, d11, "same")},
-		{"narrowPointwise", "Conv2D", []kernels.Buffer{zeros([]int{1, 4, 4, 8}, 3, 13), specials([]int{1, 1, 8, 16}, 9, 29)}, conv(s11, d11, "same")},
-		{"widePointwise", "Conv2D", []kernels.Buffer{zeros([]int{1, 3, 3, 40}, 7, 53), specials([]int{1, 1, 40, 9}, 2, 61)}, conv(s11, d11, "valid")},
-		{"dilation2", "Conv2D", []kernels.Buffer{zeros([]int{1, 7, 6, 5}, 1, 9), specials([]int{3, 3, 5, 12}, 6, 47)}, conv(s11, s22, "same")},
-		{"inPadding", "Conv2D", []kernels.Buffer{zeros([]int{1, 2, 2, 3}, 1, 4), specials([]int{2, 2, 3, 16}, 2, 13)}, conv(s11, []int{3, 3}, "same")},
-		{"depthwiseMult2", "DepthwiseConv2dNative", []kernels.Buffer{zeros([]int{1, 5, 5, 3}, 1, 5), specials([]int{3, 3, 3, 2}, 3, 8)}, conv(s11, d11, "valid")},
-		{"matmul", "BatchMatMul", []kernels.Buffer{zeros([]int{1, 4, 40}, 6, 17), specials([]int{1, 40, 12}, 8, 43)}, kernels.Attrs{"transposeA": false, "transposeB": false}},
-		{"matmulBcast", "BatchMatMul", []kernels.Buffer{zeros([]int{1, 3, 5}, 2, 4), specials([]int{2, 5, 9}, 3, 11)}, kernels.Attrs{"transposeA": false, "transposeB": false}},
-		{"filterGrad", "Conv2DBackpropFilter", []kernels.Buffer{zeros([]int{2, 6, 6, 3}, 2, 7), specials([]int{2, 6, 6, 8}, 5, 31)},
-			grad(conv(s11, d11, "same"), "filterShape", []int{3, 3, 3, 8})},
-		{"inputGrad", "Conv2DBackpropInput", []kernels.Buffer{zeros([]int{2, 3, 3, 8}, 1, 5), specials([]int{3, 3, 3, 8}, 4, 41)},
-			grad(conv(s22, d11, "same"), "inputShape", []int{2, 6, 6, 3})},
-	}
+// tierCase is one kernel call whose NaNs every tier must put where the
+// reference kernel does.
+type tierCase struct {
+	label, kernel string
+	inputs        []kernels.Buffer
+	attrs         kernels.Attrs
+}
+
+var (
+	negZero  = float32(math.Copysign(0, -1))
+	inf, nan = float32(math.Inf(1)), float32(math.NaN())
+)
+
+// zeros and specials are the two sides of every case: ±0 planted in the
+// lhs, +Inf and NaN in the rhs.
+func zeros(shape []int, first, stride int) kernels.Buffer {
+	return operand(shape, first, stride, 0, negZero)
+}
+
+func specials(shape []int, first, stride int) kernels.Buffer {
+	return operand(shape, first, stride, inf, nan)
+}
+
+func convAttrs(strides, dilations []int, pad string) kernels.Attrs {
+	return kernels.Attrs{"strides": strides, "dilations": dilations, "pad": pad}
+}
+
+// pinNaNsToReference runs every case on cpu, node (three workers: its
+// chunks end mid-image) and every simulated device, and requires NaN
+// exactly where the reference kernel has one and its value everywhere
+// else. A case whose reference output is all NaN or has none separates
+// nothing and fails.
+func pinNaNsToReference(t *testing.T, cases []tierCase) {
 	nb := native.New()
 	nb.SetWorkers(3)
 	t.Cleanup(nb.Close)
@@ -159,6 +155,47 @@ func TestZeroLhsLeftOutOnEveryTier(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestZeroLhsLeftOutOnEveryTier: the zero-skipping products — Conv2D
+// (stem, pointwise narrow and wide, dilated, a window wholly in padding),
+// BatchMatMul and the two Conv2D gradients — put their NaNs where the
+// reference kernel does on every tier. Each case has NaNs from a NaN times
+// a nonzero value on every tier, so it separates nothing unless 0·Inf and
+// 0·NaN are left out.
+func TestZeroLhsLeftOutOnEveryTier(t *testing.T) {
+	s11, s22, d11 := []int{1, 1}, []int{2, 2}, []int{1, 1}
+	grad := func(attrs kernels.Attrs, key string, shape []int) kernels.Attrs {
+		attrs[key] = shape
+		return attrs
+	}
+	pinNaNsToReference(t, []tierCase{
+		{"stem", "Conv2D", []kernels.Buffer{zeros([]int{1, 9, 9, 3}, 4, 11), specials([]int{3, 3, 3, 8}, 5, 37)}, convAttrs(s22, d11, "same")},
+		{"narrowPointwise", "Conv2D", []kernels.Buffer{zeros([]int{1, 4, 4, 8}, 3, 13), specials([]int{1, 1, 8, 16}, 9, 29)}, convAttrs(s11, d11, "same")},
+		{"widePointwise", "Conv2D", []kernels.Buffer{zeros([]int{1, 3, 3, 40}, 7, 53), specials([]int{1, 1, 40, 9}, 2, 61)}, convAttrs(s11, d11, "valid")},
+		{"dilation2", "Conv2D", []kernels.Buffer{zeros([]int{1, 7, 6, 5}, 1, 9), specials([]int{3, 3, 5, 12}, 6, 47)}, convAttrs(s11, s22, "same")},
+		{"inPadding", "Conv2D", []kernels.Buffer{zeros([]int{1, 2, 2, 3}, 1, 4), specials([]int{2, 2, 3, 16}, 2, 13)}, convAttrs(s11, []int{3, 3}, "same")},
+		{"matmul", "BatchMatMul", []kernels.Buffer{zeros([]int{1, 4, 40}, 6, 17), specials([]int{1, 40, 12}, 8, 43)}, kernels.Attrs{"transposeA": false, "transposeB": false}},
+		{"matmulBcast", "BatchMatMul", []kernels.Buffer{zeros([]int{1, 3, 5}, 2, 4), specials([]int{2, 5, 9}, 3, 11)}, kernels.Attrs{"transposeA": false, "transposeB": false}},
+		{"filterGrad", "Conv2DBackpropFilter", []kernels.Buffer{zeros([]int{2, 6, 6, 3}, 2, 7), specials([]int{2, 6, 6, 8}, 5, 31)},
+			grad(convAttrs(s11, d11, "same"), "filterShape", []int{3, 3, 3, 8})},
+		{"inputGrad", "Conv2DBackpropInput", []kernels.Buffer{zeros([]int{2, 3, 3, 8}, 1, 5), specials([]int{3, 3, 3, 8}, 4, 41)},
+			grad(convAttrs(s22, d11, "same"), "inputShape", []int{2, 6, 6, 3})},
+	})
+}
+
+// TestZeroTimesInfIsNaNAsOnTheReferenceTier: the depthwise convolution is
+// the one product that stays dense — the reference kernel multiplies every
+// tap, so a ±0 opposite +Inf or NaN puts a NaN in the sum — and every tier
+// puts those NaNs where the reference does: channel multiplier 1 at stride
+// 1 and 2, and multiplier 2.
+func TestZeroTimesInfIsNaNAsOnTheReferenceTier(t *testing.T) {
+	s11, s22, d11 := []int{1, 1}, []int{2, 2}, []int{1, 1}
+	pinNaNsToReference(t, []tierCase{
+		{"c9", "DepthwiseConv2dNative", []kernels.Buffer{zeros([]int{1, 5, 5, 9}, 2, 7), specials([]int{3, 3, 9, 1}, 4, 10)}, convAttrs(s11, d11, "same")},
+		{"stride2", "DepthwiseConv2dNative", []kernels.Buffer{zeros([]int{1, 6, 6, 16}, 5, 23), specials([]int{3, 3, 16, 1}, 1, 19)}, convAttrs(s22, d11, "same")},
+		{"depthwiseMult2", "DepthwiseConv2dNative", []kernels.Buffer{zeros([]int{1, 5, 5, 3}, 1, 5), specials([]int{3, 3, 3, 2}, 3, 8)}, convAttrs(s11, d11, "valid")},
+	})
 }
 
 // The batch-norm row program keeps 256 channels' √(variance+ε) on its stack
