@@ -9,7 +9,9 @@ import (
 // Reduction kernels operate on a canonical 2-D view [outer, inner] and
 // reduce the inner dimension. The ops layer is responsible for transposing
 // the reduced axes innermost and reshaping, exactly as the TensorFlow.js
-// op layer does before invoking its reduction kernels.
+// op layer does before invoking its reduction kernels. The one exception is
+// BiasAddGrad, which reduces the outer dimension: a sum over leading axes
+// needs no transpose.
 
 func reduce2D(name string, inputs []Buffer) (outer, inner int, err error) {
 	if err := wantInputs(name, inputs, 1); err != nil {
@@ -112,6 +114,25 @@ func init() {
 	RegisterRef("All", reduceKernel("All", 1,
 		func(acc, v float32) float32 { return toBool(acc != 0 && v != 0) }, nil,
 		func(tensor.DataType) tensor.DataType { return tensor.Bool }))
+
+	// BiasAddGrad sums the outer dimension of a [outer, inner] input — the
+	// leading axes of a bias gradient, [N·H·W, C] — into [inner]: rows
+	// added in order from +0, so each column meets its values in the order
+	// Sum meets them after a transpose brings that column innermost.
+	RegisterRef("BiasAddGrad", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
+		outer, inner, err := reduce2D("BiasAddGrad", inputs)
+		if err != nil {
+			return Buffer{}, err
+		}
+		x := inputs[0]
+		out := NewBuffer([]int{inner}, x.DType)
+		for o := 0; o < outer; o++ {
+			for i, v := range x.Data[o*inner : (o+1)*inner] {
+				out.Data[i] += v
+			}
+		}
+		return out, nil
+	})
 
 	RegisterRef("ArgMax", argReduceKernel("ArgMax", func(v, best float32) bool { return v > best }))
 	RegisterRef("ArgMin", argReduceKernel("ArgMin", func(v, best float32) bool { return v < best }))

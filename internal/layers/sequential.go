@@ -19,10 +19,11 @@ type Sequential struct {
 	inputShape []int // per-example shape, set by the first layer's config
 	built      bool
 
-	optimizer train.Optimizer
-	loss      train.Loss
-	lossName  string
-	metrics   []train.Metric
+	optimizer     train.Optimizer
+	ownsOptimizer bool // Compile built it from a name
+	loss          train.Loss
+	lossName      string
+	metrics       []train.Metric
 }
 
 // NewSequential creates an empty model.
@@ -187,45 +188,53 @@ type CompileConfig struct {
 	Metrics []string
 }
 
-// Compile configures the model for training.
+// Compile configures the model for training. An optimizer Compile built
+// from a name is the model's: compiling again disposes it, slots and all.
+// A train.Optimizer passed in stays the caller's.
 func (m *Sequential) Compile(cfg CompileConfig) error {
-	switch opt := cfg.Optimizer.(type) {
+	var opt train.Optimizer
+	owned := false
+	switch o := cfg.Optimizer.(type) {
 	case string:
-		o, err := train.NewOptimizer(opt, cfg.LearningRate)
+		built, err := train.NewOptimizer(o, cfg.LearningRate)
 		if err != nil {
 			return err
 		}
-		m.optimizer = o
+		opt, owned = built, true
 	case train.Optimizer:
-		m.optimizer = opt
+		opt = o
 	default:
 		return fmt.Errorf("layers: compile needs an optimizer name or train.Optimizer, got %T", cfg.Optimizer)
 	}
-	switch loss := cfg.Loss.(type) {
+	var loss train.Loss
+	lossName := "custom"
+	switch l := cfg.Loss.(type) {
 	case string:
-		l, err := train.NewLoss(loss)
+		built, err := train.NewLoss(l)
 		if err != nil {
 			return err
 		}
-		m.loss = l
-		m.lossName = loss
+		loss, lossName = built, l
 	case train.Loss:
-		m.loss = loss
-		m.lossName = "custom"
+		loss = l
 	case func(yTrue, yPred *tensor.Tensor) *tensor.Tensor:
-		m.loss = loss
-		m.lossName = "custom"
+		loss = l
 	default:
 		return fmt.Errorf("layers: compile needs a loss name or train.Loss, got %T", cfg.Loss)
 	}
-	m.metrics = nil
+	var metrics []train.Metric
 	for _, name := range cfg.Metrics {
 		metric, err := train.NewMetric(name)
 		if err != nil {
 			return err
 		}
-		m.metrics = append(m.metrics, metric)
+		metrics = append(metrics, metric)
 	}
+	if m.ownsOptimizer && m.optimizer != opt {
+		m.optimizer.Dispose()
+	}
+	m.optimizer, m.ownsOptimizer = opt, owned
+	m.loss, m.lossName, m.metrics = loss, lossName, metrics
 	return nil
 }
 

@@ -95,6 +95,87 @@ func TestActivationLoopsBitIdenticalToReference(t *testing.T) {
 	}
 }
 
+// poisonNext parks a NaN-poisoned buffer of n floats on nb's free list, so
+// that the next output of n floats is drawn from it.
+func poisonNext(nb *Backend, n int) {
+	id := tensor.NewDataID()
+	nb.WriteOwned(id, nb.AllocOver(n))
+	nb.DisposeData(id)
+}
+
+// TestOverwritingKernelsUnderPoolPoison: the kernels whose output buffer is
+// not zeroed (outOver) — the binaries, the unary rows, batch norm, the
+// reductions, softmax, transpose, BiasAddGrad and Adam's two — write every
+// value of it. Each runs on a recycled buffer the pool has scribbled with
+// NaN, on operands whose results hold no NaN, and agrees with the
+// reference kernel to the bit: a value left unwritten reads NaN.
+func TestOverwritingKernelsUnderPoolPoison(t *testing.T) {
+	nb := New()
+	nb.SetWorkers(3)
+	nb.SetPoolPoison(true)
+	dense := gradFills[0].gen
+	positive := func(n int, seed uint32) []float32 {
+		vals := dense(n, seed)
+		for i, v := range vals {
+			vals[i] = 0.5 + float32(math.Abs(float64(v)))
+		}
+		return vals
+	}
+	x := operand{dense(4*5*8, 1), []int{4, 5, 8}}
+	y := operand{dense(4*5*8, 2), []int{4, 5, 8}}
+	p := operand{positive(4*5*8, 3), []int{4, 5, 8}}
+	row := operand{dense(8, 4), []int{8}}
+	posRow := operand{positive(8, 5), []int{8}}
+	flat := operand{dense(20*8, 6), []int{20, 8}}
+	g := operand{dense(3*8, 7), []int{3, 8}}
+	slot := operand{append(dense(3*8, 8), positive(3*8, 9)...), []int{2, 3, 8}}
+	for _, c := range []struct {
+		name  string
+		attrs kernels.Attrs
+		ops   []operand
+	}{
+		{"Add", nil, []operand{x, y}},
+		{"Sub", nil, []operand{x, row}},
+		{"Mul", nil, []operand{row, x}},
+		{"RealDiv", nil, []operand{x, p}},
+		{"Relu", nil, []operand{x}},
+		{"Relu6", nil, []operand{x}},
+		{"Step", nil, []operand{x}},
+		{"Sigmoid", nil, []operand{x}},
+		{"Tanh", nil, []operand{x}},
+		{"Exp", nil, []operand{x}},
+		{"Neg", nil, []operand{x}},
+		{"Sqrt", nil, []operand{p}},
+		{"Square", nil, []operand{x}},
+		{"FusedBatchNorm", kernels.Attrs{"varianceEpsilon": 1e-3}, []operand{x, row, posRow, row, posRow}},
+		{"Sum", nil, []operand{flat}},
+		{"Mean", nil, []operand{flat}},
+		{"Max", nil, []operand{flat}},
+		{"Min", nil, []operand{flat}},
+		{"Softmax", nil, []operand{flat}},
+		{"Transpose", kernels.Attrs{"perm": []int{2, 0, 1}}, []operand{x}},
+		{"BiasAddGrad", nil, []operand{flat}},
+		{"AdamMoments", adamAttrs[0], []operand{slot, g}},
+		{"ApplyAdam", adamAttrs[1], []operand{g, slot}},
+	} {
+		bufs := make([]kernels.Buffer, len(c.ops))
+		for i, o := range c.ops {
+			bufs[i] = kernels.Buffer{Data: o.vals, Shape: o.shape, DType: tensor.Float32}
+		}
+		ref, _ := kernels.LookupRef(c.name)
+		want, err := ref(bufs, c.attrs)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		poisonNext(nb, len(want.Data))
+		hits := nb.Memory().PoolHits
+		checkAgainstReference(t, nb, c.name+"/poisoned", c.name, c.attrs, c.ops...)
+		if nb.Memory().PoolHits == hits {
+			t.Errorf("%s: the output was not drawn from the poisoned free list", c.name)
+		}
+	}
+}
+
 // TestBatchNormBitIdenticalToReference: FusedBatchNorm with [C] statistics
 // runs vec's normalise row and agrees with the reference kernel to the bit
 // — the same subtract, divide, multiply and add per value, where the

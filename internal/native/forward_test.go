@@ -74,11 +74,12 @@ func checkConvForward(t testing.TB, nb *Backend, g gradGeometry, f fill) {
 	checkAgainstReference(t, nb, "Conv2D/"+g.String()+"/"+f.name, "Conv2D", g.convAttrs(), x, w)
 }
 
-// checkReductions runs the four [outer, inner] reductions.
+// checkReductions runs the four [outer, inner] reductions and BiasAddGrad,
+// which sums the outer dimension instead.
 func checkReductions(t testing.TB, nb *Backend, outer, inner int, f fill) {
 	t.Helper()
 	x := operand{f.gen(outer*inner, 6), []int{outer, inner}}
-	for _, name := range []string{"Sum", "Mean", "Max", "Min"} {
+	for _, name := range []string{"Sum", "Mean", "Max", "Min", "BiasAddGrad"} {
 		checkAgainstReference(t, nb, fmt.Sprintf("%s/%dx%d/%s", name, outer, inner, f.name), name, nil, x)
 	}
 }
@@ -140,13 +141,18 @@ func checkForwardMatrix(t *testing.T, nb *Backend) {
 			checkConvForward(t, nb, g, f)
 		}
 		// Empty on either side, one element, short and long rows, and
-		// 64×2048: eight chunks.
+		// 64×2048: eight chunks. BiasAddGrad's columns: a vector step and
+		// either side of one, four steps and either side of them.
 		for _, outer := range []int{0, 1, 3, 17} {
-			for _, inner := range []int{0, 1, 7, 64, 1000} {
+			for _, inner := range []int{0, 1, 7, 8, 9, 31, 32, 33, 64, 1000} {
 				checkReductions(t, nb, outer, inner, f)
 			}
 		}
 		checkReductions(t, nb, 64, 2048, f)
+		// The bench convnet's three bias gradients: [N·H·W, C].
+		checkReductions(t, nb, 32*16*16, 8, f)
+		checkReductions(t, nb, 32*8*8, 16, f)
+		checkReductions(t, nb, 32, 10, f)
 		// Every permutation of every rank up to four — the rotations
 		// ops.reduce emits (alone and behind leading axes that stay put)
 		// and everything that is not one — with unit and zero dims.
@@ -164,7 +170,7 @@ func checkForwardMatrix(t *testing.T, nb *Backend) {
 }
 
 // TestForwardKernelsBitIdenticalToReference: Conv2D, MaxPool, AvgPool,
-// Sum, Mean, Max, Min and Transpose on node agree with the reference
+// Sum, Mean, Max, Min, BiasAddGrad and Transpose on node agree with the reference
 // kernels to the bit, at every worker count and with the AVX2 cores on or
 // off.
 func TestForwardKernelsBitIdenticalToReference(t *testing.T) {
@@ -250,6 +256,8 @@ func TestForwardKernelErrorParity(t *testing.T) {
 		{"pool/window larger than input", "MaxPool", kernels.Attrs{"filterSize": []int{6, 6}}, []operand{x}},
 		{"reduce/rank", "Sum", nil, []operand{x}},
 		{"reduce/no input", "Max", nil, nil},
+		{"bias grad/rank", "BiasAddGrad", nil, []operand{x}},
+		{"bias grad/two inputs", "BiasAddGrad", nil, []operand{flat, flat}},
 		{"transpose/ok", "Transpose", perm(1, 0), []operand{flat}},
 		{"transpose/short perm", "Transpose", perm(0), []operand{flat}},
 		{"transpose/no perm", "Transpose", nil, []operand{flat}},
@@ -299,8 +307,9 @@ func TestTransposeRunsRotationsNatively(t *testing.T) {
 }
 
 // FuzzForwardKernels is FuzzGradKernels' sibling for the forward suite:
-// the selector bytes pick a pooling geometry, a reduction shape, a
-// transpose shape and permutation or a forward convolution, and the
+// the selector bytes pick a pooling geometry, a reduction shape (the four
+// reductions and BiasAddGrad), a transpose shape and permutation or a
+// forward convolution, and the
 // operand cycles through data read as float32 bit patterns.
 func FuzzForwardKernels(f *testing.F) {
 	var specials []byte
@@ -318,6 +327,7 @@ func FuzzForwardKernels(f *testing.F) {
 	f.Add(uint8(0x40), uint8(0x03), uint8(0x01), uint8(0xf2), specials)  // a zero dim
 	f.Add(uint8(0xff), uint8(0x1f), uint8(0x00), uint8(0x01), specials)  // long rows
 	f.Add(uint8(0x00), uint8(0x05), uint8(0x00), uint8(0x01), []byte{1}) // empty rows
+	f.Add(uint8(0x08), uint8(0x13), uint8(0x00), uint8(0x01), specials)  // 19 rows of 8: a bias gradient
 	f.Add(uint8(0x77), uint8(0x02), uint8(0x0a), uint8(0x13), specials)  // conv, outC 8
 	f.Add(uint8(0x59), uint8(0x17), uint8(0x5a), uint8(0x27), specials)  // conv, outC 16, stride 2
 	f.Add(uint8(0x95), uint8(0x28), uint8(0x4a), uint8(0x03), specials)  // conv, outC 3, dilation 2

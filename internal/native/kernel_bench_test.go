@@ -196,7 +196,7 @@ func BenchmarkEpilogueRelu6(b *testing.B) {
 // internal/kernels implementation on the same operands, so the ratio the
 // native tier buys is one `go test -bench` away:
 //
-//	go test -run '^$' -bench 'Backprop|MaxPoolGrad|BiasAdd' -cpu 1 ./internal/native/
+//	go test -run '^$' -bench 'Backprop|MaxPoolGrad|BiasAdd|BiasGrad' -cpu 1 ./internal/native/
 
 // benchVsReference times kernel `name` on the native tier and on the
 // reference tier.
@@ -285,32 +285,34 @@ func BenchmarkMaxPool2x2(b *testing.B) { benchPool(b, "MaxPool") }
 func BenchmarkAvgPool(b *testing.B)    { benchPool(b, "AvgPool") }
 
 // BenchmarkBiasGradReduce is the bias gradient of the bench convnet's two
-// convolutions as the Layers API issues it — ops.Sum(dy, [0, 1, 2]), which
-// lowers to Transpose([3 0 1 2]) then Sum over [C, N·H·W] — so it times
-// the two kernels together, with the dispatcher's fallback leg when a
-// backend has no Transpose of its own.
+// convolutions, ops.Sum(dy, [0, 1, 2]): BiasAddGrad on the [N·H·W, C] view,
+// against the reference kernel and against the lowering it replaced —
+// Transpose([3 0 1 2]) then Sum over [C, N·H·W], native kernels both.
 func BenchmarkBiasGradReduce(b *testing.B) {
 	for _, s := range convGradShapes[:2] {
 		b.Run(fmt.Sprintf("%d@%d", s.outC, s.side), func(b *testing.B) {
-			nb := benchBackend()
-			shape := []int{32, s.side, s.side, s.outC}
 			rows := 32 * s.side * s.side
-			dy := benchInput(nb, benchVals(rand.New(rand.NewSource(1)), rows*s.outC, 0.8), shape...)
-			perm := kernels.Attrs{"perm": []int{3, 0, 1, 2}}
-			var t, sum kernels.TensorInfo
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := kernels.Dispatch(nb, "Transpose", []kernels.Input{dy}, perm, &t); err != nil {
-					b.Fatal(err)
+			dy := benchVals(rand.New(rand.NewSource(1)), rows*s.outC, 0.8)
+			benchVsReference(b, "BiasAddGrad", nil, rows*s.outC, operand{dy, []int{rows, s.outC}})
+			b.Run("transpose+sum", func(b *testing.B) {
+				nb := benchBackend()
+				in := benchInput(nb, dy, 32, s.side, s.side, s.outC)
+				perm := kernels.Attrs{"perm": []int{3, 0, 1, 2}}
+				var t, sum kernels.TensorInfo
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := nb.table["Transpose"]([]kernels.Input{in}, perm, &t); err != nil {
+						b.Fatal(err)
+					}
+					flat := kernels.Input{DataID: t.DataID, Shape: []int{s.outC, rows}, DType: t.DType}
+					if err := nb.table["Sum"]([]kernels.Input{flat}, nil, &sum); err != nil {
+						b.Fatal(err)
+					}
+					nb.DisposeData(t.DataID)
+					nb.DisposeData(sum.DataID)
 				}
-				flat := kernels.Input{DataID: t.DataID, Shape: []int{s.outC, rows}, DType: t.DType}
-				if err := kernels.Dispatch(nb, "Sum", []kernels.Input{flat}, nil, &sum); err != nil {
-					b.Fatal(err)
-				}
-				nb.DisposeData(t.DataID)
-				nb.DisposeData(sum.DataID)
-			}
-			reportKernel(b, rows*s.outC, 2*rows*s.outC+s.outC)
+				reportKernel(b, rows*s.outC, 2*rows*s.outC+s.outC)
+			})
 		})
 	}
 }

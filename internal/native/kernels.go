@@ -20,7 +20,7 @@ import (
 //
 // Every kernel appends its output shape into out.Shape (caller-owned
 // scratch, so the steady-state plan executor re-runs a step without
-// allocating) and registers its buffer via outInto. Shapes are always
+// allocating) and registers its buffer via outInto or outOver. Shapes are always
 // appended by value, never aliased from an input, so an output can outlive
 // its inputs. A kernel that does not specialize a shape or layout returns
 // kernels.ErrFallback and kernels.Dispatch runs the reference kernel.
@@ -31,20 +31,22 @@ func (b *Backend) initKernels() {
 	b.registerGrad()
 	b.registerElementwise()
 	b.registerReduce()
+	b.registerAdam()
 }
 
 // in returns the raw buffer of an input.
 func (b *Backend) in(i kernels.Input) []float32 { return b.Raw(i.DataID) }
 
 // outInto allocates (from the recycler when pooling is on) and registers
-// the zeroed output buffer for dst. dst.Shape must already hold the output
-// shape.
+// the zeroed output buffer for dst, for the kernels that accumulate into
+// their output. dst.Shape must already hold the output shape.
 func (b *Backend) outInto(dst *kernels.TensorInfo, dtype tensor.DataType) []float32 {
 	return b.own(dst, dtype, b.Alloc(tensor.ShapeSize(dst.Shape)))
 }
 
-// outOver is outInto for the kernels on the shared convolution walk, which
-// writes every output value before it reads one: the buffer is not zeroed.
+// outOver is outInto for a kernel that writes every output value before it
+// reads one — the shared convolution walk, the element-wise, reduction,
+// softmax and transpose kernels, Adam's: the buffer is not zeroed.
 func (b *Backend) outOver(dst *kernels.TensorInfo, dtype tensor.DataType) []float32 {
 	return b.own(dst, dtype, b.AllocOver(tensor.ShapeSize(dst.Shape)))
 }
@@ -137,7 +139,7 @@ func (b *Backend) binary(name string, op vec.BinOp) kernels.OverrideKernel {
 			out.Shape = append(out.Shape, 1) // the row operand had the higher rank
 		}
 		out.Shape = append(out.Shape, big...)
-		dst := b.outInto(out, a.DType)
+		dst := b.outOver(out, a.DType)
 		if len(dst) == 0 {
 			return nil
 		}
@@ -170,7 +172,7 @@ func (b *Backend) unary(name string, inputs []kernels.Input, out *kernels.Tensor
 	}
 	xBuf := b.in(inputs[0])
 	out.Shape = append(out.Shape[:0], inputs[0].Shape...)
-	dst := b.outInto(out, inputs[0].DType)
+	dst := b.outOver(out, inputs[0].DType)
 	b.parallelFor(len(dst), b.costPerElem(1), func(lo, hi int) {
 		body(dst[lo:hi], xBuf[lo:hi])
 	})
@@ -238,7 +240,7 @@ func (b *Backend) registerElementwise() {
 		xBuf := b.in(x)
 		mean, variance, offset, scale := b.in(inputs[1]), b.in(inputs[2]), b.in(inputs[3]), b.in(inputs[4])
 		out.Shape = append(out.Shape[:0], x.Shape...)
-		dst := b.outInto(out, tensor.Float32)
+		dst := b.outOver(out, tensor.Float32)
 		b.parallelFor(len(dst)/c, c*b.costPerElem(2), func(lo, hi int) {
 			vec.BatchNorm(dst[lo*c:hi*c], xBuf[lo*c:hi*c], mean, variance, scale, offset, eps, 0)
 		})
@@ -305,7 +307,7 @@ func (b *Backend) reduce(name string, op redOp) kernels.OverrideKernel {
 			dt = tensor.Float32
 		}
 		out.Shape = append(out.Shape[:0], outer)
-		dst := b.outInto(out, dt)
+		dst := b.outOver(out, dt)
 		// Each output element is one full row reduction; the inner
 		// accumulation never splits across chunks, so reduction order
 		// is fixed regardless of the worker count.
@@ -325,6 +327,28 @@ func (b *Backend) registerReduce() {
 	b.register("Min", b.reduce("Min", redMin))
 	b.register("Transpose", b.transpose)
 
+	// BiasAddGrad sums the rows of [outer, inner] into [inner] on
+	// vec.SumRows, bit-equal to the reference kernel (each column meets its
+	// rows in order). Chunks are blocks of eight columns, whole vector steps.
+	b.register("BiasAddGrad", func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
+		if len(inputs) != 1 || len(inputs[0].Shape) != 2 {
+			return kernels.ErrFallback // the reference kernel words the error
+		}
+		x := inputs[0]
+		outer, inner := x.Shape[0], x.Shape[1]
+		xBuf := b.in(x)
+		out.Shape = append(out.Shape[:0], inner)
+		dst := b.outOver(out, x.DType)
+		if outer == 0 {
+			clear(dst)
+			return nil
+		}
+		b.parallelFor((inner+7)/8, 8*outer*b.costPerElem(1), func(lo, hi int) {
+			vec.SumRows(dst[lo*8:min(hi*8, inner)], xBuf[lo*8:], inner, outer)
+		})
+		return nil
+	})
+
 	b.register("Softmax", func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
 		if len(inputs) != 1 {
 			return fmt.Errorf("Softmax: got %d inputs, want 1", len(inputs))
@@ -336,7 +360,7 @@ func (b *Backend) registerReduce() {
 		outer, inner := x.Shape[0], x.Shape[1]
 		xBuf := b.in(x)
 		out.Shape = append(out.Shape[:0], x.Shape...)
-		dst := b.outInto(out, tensor.Float32)
+		dst := b.outOver(out, tensor.Float32)
 		b.parallelFor(outer, inner*b.costPerElem(16), func(lo, hi int) {
 			for o := lo; o < hi; o++ {
 				row := xBuf[o*inner : (o+1)*inner]
@@ -421,7 +445,7 @@ func (b *Backend) transpose(inputs []kernels.Input, attrs kernels.Attrs, out *ke
 	for _, p := range perm {
 		out.Shape = append(out.Shape, x.Shape[p])
 	}
-	dst := b.outInto(out, x.DType)
+	dst := b.outOver(out, x.DType)
 	if rows == 1 || cols == 1 {
 		copy(dst, xBuf) // transposing a vector moves nothing
 		return nil

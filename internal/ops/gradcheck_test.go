@@ -257,6 +257,48 @@ func TestGradReductions(t *testing.T) {
 	}, positive)
 }
 
+// TestGradBiasAddGrad: a sum over the leading axes is BiasAddGrad, whose
+// gradient tiles dy over the summed rows.
+func TestGradBiasAddGrad(t *testing.T) {
+	onCPUAndNode(t, func(t *testing.T) {
+		gradCheck(t, "Sum(leading axes)", [][]int{{2, 3, 4}}, func(xs []*tensor.Tensor) *tensor.Tensor {
+			return Sum(Square(Sum(xs[0], []int{0, 1}, false)), nil, false)
+		}, nil)
+		gradCheck(t, "Sum(leading axis, keepDims)", [][]int{{3, 5}}, func(xs []*tensor.Tensor) *tensor.Tensor {
+			w := FromValues([]float32{1, -2, 3, 0.5, -1}, 1, 5)
+			return Sum(Mul(Sum(xs[0], []int{0}, true), w), nil, false)
+		}, nil)
+	})
+}
+
+// TestSumOverLeadingAxesIsOneBiasAddGrad: ops.Sum over exactly the leading
+// axes — every bias gradient — dispatches one BiasAddGrad and no
+// Transpose, and its sums are Float32bits-equal to the Sum of the
+// transposed tensor, which meets each column's values in the same order.
+func TestSumOverLeadingAxesIsOneBiasAddGrad(t *testing.T) {
+	onCPUAndNode(t, func(t *testing.T) {
+		e := core.Global()
+		e.Tidy("leading", func() []*tensor.Tensor {
+			x := RandNormal([]int{4, 5, 6, 9}, 0, 1, rand.New(rand.NewSource(5)))
+			var got *tensor.Tensor
+			info := e.Profile(func() { got = Sum(x, []int{0, 1, 2}, false) })
+			if len(info.Kernels) != 1 || info.Kernels[0].Name != "BiasAddGrad" {
+				t.Errorf("Sum over [0 1 2] dispatched %v, want one BiasAddGrad", info.KernelNames())
+			}
+			want := Sum(Transpose(x, 3, 0, 1, 2), []int{1, 2, 3}, false).DataSync()
+			for i, v := range got.DataSync() {
+				if math.Float32bits(v) != math.Float32bits(want[i]) {
+					t.Errorf("column %d: %g, the transposed Sum gives %g", i, v, want[i])
+				}
+			}
+			if kept := Sum(x, []int{0, 1}, true); !tensor.ShapesEqual(kept.Shape, []int{1, 1, 6, 9}) {
+				t.Errorf("keepDims shape %v, want [1 1 6 9]", kept.Shape)
+			}
+			return nil
+		})
+	})
+}
+
 func TestGradSoftmaxAndLogSoftmax(t *testing.T) {
 	gradCheck(t, "Softmax", [][]int{{2, 4}}, func(xs []*tensor.Tensor) *tensor.Tensor {
 		// Weighted softmax output so the gradient is non-trivial.

@@ -57,10 +57,23 @@ func axesAreInner(axes []int, rank int) bool {
 	return true
 }
 
+// axesAreLeading reports whether axes are exactly the leading dimensions.
+func axesAreLeading(axes []int) bool {
+	for i, a := range axes {
+		if a != i {
+			return false
+		}
+	}
+	return true
+}
+
 // reduce lowers an axis reduction onto the canonical [outer, inner] kernel:
 // reduced axes are transposed innermost (when not already), the tensor is
 // reshaped to 2-D, the kernel reduces the inner dimension, and the result
-// is reshaped to the output shape.
+// is reshaped to the output shape. A sum over exactly the leading axes —
+// every bias gradient sumToShape takes — is BiasAddGrad on the
+// [reduced, kept] view instead: the same sums in the same order, without
+// the transpose.
 func reduce(name string, t *tensor.Tensor, axes []int, keepDims bool) *tensor.Tensor {
 	rank := t.Rank()
 	axes = normalizeAxes(name, axes, rank)
@@ -71,8 +84,21 @@ func reduce(name string, t *tensor.Tensor, axes []int, keepDims bool) *tensor.Te
 	for _, a := range axes {
 		reduced.add(a)
 	}
-	work := t
-	if !axesAreInner(axes, rank) {
+	inner, outer := 1, 1 // the reduced and the kept elements
+	for i, d := range t.Shape {
+		if reduced.has(i) {
+			inner *= d
+		} else {
+			outer *= d
+		}
+	}
+	var res *tensor.Tensor
+	switch {
+	case axesAreInner(axes, rank):
+		res = run1(name, []*tensor.Tensor{Reshape(t, outer, inner)}, nil)
+	case name == "Sum" && axesAreLeading(axes):
+		res = run1("BiasAddGrad", []*tensor.Tensor{Reshape(t, inner, outer)}, nil)
+	default:
 		perm := make([]int, 0, rank)
 		for i := 0; i < rank; i++ {
 			if !reduced.has(i) {
@@ -80,15 +106,8 @@ func reduce(name string, t *tensor.Tensor, axes []int, keepDims bool) *tensor.Te
 			}
 		}
 		perm = append(perm, axes...)
-		work = Transpose(t, perm...)
+		res = run1(name, []*tensor.Tensor{Reshape(Transpose(t, perm...), outer, inner)}, nil)
 	}
-	inner := 1
-	for _, a := range axes {
-		inner *= t.Shape[a]
-	}
-	outer := t.Size() / inner
-	flat := Reshape(work, outer, inner)
-	res := run1(name, []*tensor.Tensor{flat}, nil)
 	// Build the final shape.
 	outShape := make([]int, 0, rank)
 	for i := 0; i < rank; i++ {
@@ -218,6 +237,10 @@ func init() {
 	}
 	core.RegisterGradient("Sum", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
 		return []*tensor.Tensor{expand(dys[0], inputs[0].Shape[1])}
+	})
+	core.RegisterGradient("BiasAddGrad", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
+		outer, inner := inputs[0].Shape[0], inputs[0].Shape[1]
+		return []*tensor.Tensor{Tile(Reshape(dys[0], 1, inner), []int{outer, 1})}
 	})
 	core.RegisterGradient("Mean", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
 		inner := inputs[0].Shape[1]

@@ -8,6 +8,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/kernels"
 	"repro/internal/ops"
 	"repro/internal/tensor"
 )
@@ -18,38 +19,57 @@ import (
 type Optimizer interface {
 	// Name identifies the optimizer in serialized configs ("sgd", "adam").
 	Name() string
-	// ApplyGradients applies one update step.
-	ApplyGradients(grads map[*core.Variable]*tensor.Tensor)
+	// ApplyGradients applies one update step, to the variables in the
+	// order given.
+	ApplyGradients(grads []VarGrad)
 	// Dispose releases slot variables.
 	Dispose()
 }
 
+// VarGrad is a variable and its gradient: ApplyGradients takes a list of
+// them, as TensorFlow's apply_gradients takes (gradient, variable) pairs,
+// so an update visits the variables in one fixed order.
+type VarGrad struct {
+	Var  *core.Variable
+	Grad *tensor.Tensor
+}
+
 // Minimize computes gradients of f with respect to vars and applies them,
-// returning the loss value. It is the optimizer.minimize() of the paper's
-// training loop; all intermediates are tidied away (Section 3.7: "model.fit
-// ... internally manage memory").
+// in the order of vars, returning the loss value. It is the
+// optimizer.minimize() of the paper's training loop; all intermediates are
+// tidied away (Section 3.7: "model.fit ... internally manage memory").
 func Minimize(opt Optimizer, f func() *tensor.Tensor, vars []*core.Variable) *tensor.Tensor {
 	e := core.Global()
-	var loss *tensor.Tensor
 	outs := e.Tidy("minimize", func() []*tensor.Tensor {
 		res := e.VariableGrads(f, vars)
-		opt.ApplyGradients(res.Grads)
+		grads := make([]VarGrad, 0, len(res.Grads))
+		for _, v := range vars {
+			if g, ok := res.Grads[v]; ok {
+				grads = append(grads, VarGrad{v, g})
+			}
+		}
+		opt.ApplyGradients(grads)
 		return []*tensor.Tensor{res.Value}
 	})
-	loss = outs[0]
-	return loss
+	return outs[0]
 }
 
 // slotMap lazily creates one zero-initialized slot variable per model
 // variable.
 type slotMap map[*core.Variable]*core.Variable
 
-func (s slotMap) get(v *core.Variable, name string) *core.Variable {
+// get returns v's slot, creating it on first use: zeros shaped like v, or,
+// for copies > 1, like [copies, ...v's shape].
+func (s slotMap) get(v *core.Variable, name string, copies int) *core.Variable {
 	if slot, ok := s[v]; ok {
 		return slot
 	}
 	e := core.Global()
-	zeros := ops.Zeros(v.Shape()...)
+	shape := v.Shape()
+	if copies > 1 {
+		shape = append([]int{copies}, shape...)
+	}
+	zeros := ops.Zeros(shape...)
 	slot := e.NewVariable(zeros, v.Name+"/"+name, false)
 	zeros.Dispose()
 	s[v] = slot
@@ -74,10 +94,11 @@ func NewSGD(lr float64) *SGD { return &SGD{LearningRate: lr} }
 func (o *SGD) Name() string { return "sgd" }
 
 // ApplyGradients implements Optimizer.
-func (o *SGD) ApplyGradients(grads map[*core.Variable]*tensor.Tensor) {
+func (o *SGD) ApplyGradients(grads []VarGrad) {
 	e := core.Global()
 	e.Tidy("sgd", func() []*tensor.Tensor {
-		for v, g := range grads {
+		for _, vg := range grads {
+			v, g := vg.Var, vg.Grad
 			v.Assign(ops.Sub(v.Value(), ops.MulScalar(g, float32(o.LearningRate))))
 		}
 		return nil
@@ -105,11 +126,12 @@ func NewMomentum(lr, momentum float64, nesterov bool) *Momentum {
 func (o *Momentum) Name() string { return "momentum" }
 
 // ApplyGradients implements Optimizer.
-func (o *Momentum) ApplyGradients(grads map[*core.Variable]*tensor.Tensor) {
+func (o *Momentum) ApplyGradients(grads []VarGrad) {
 	e := core.Global()
 	e.Tidy("momentum", func() []*tensor.Tensor {
-		for v, g := range grads {
-			m := o.accum.get(v, "momentum")
+		for _, vg := range grads {
+			v, g := vg.Var, vg.Grad
+			m := o.accum.get(v, "momentum", 1)
 			newM := ops.Add(ops.MulScalar(m.Value(), float32(o.MomentumRate)), g)
 			m.Assign(newM)
 			step := newM
@@ -146,11 +168,12 @@ func NewRMSProp(lr, decay, epsilon float64) *RMSProp {
 func (o *RMSProp) Name() string { return "rmsprop" }
 
 // ApplyGradients implements Optimizer.
-func (o *RMSProp) ApplyGradients(grads map[*core.Variable]*tensor.Tensor) {
+func (o *RMSProp) ApplyGradients(grads []VarGrad) {
 	e := core.Global()
 	e.Tidy("rmsprop", func() []*tensor.Tensor {
-		for v, g := range grads {
-			s := o.ms.get(v, "rms")
+		for _, vg := range grads {
+			v, g := vg.Var, vg.Grad
+			s := o.ms.get(v, "rms", 1)
 			newS := ops.Add(
 				ops.MulScalar(s.Value(), float32(o.Decay)),
 				ops.MulScalar(ops.Square(g), float32(1-o.Decay)))
@@ -183,11 +206,12 @@ func NewAdagrad(lr float64) *Adagrad {
 func (o *Adagrad) Name() string { return "adagrad" }
 
 // ApplyGradients implements Optimizer.
-func (o *Adagrad) ApplyGradients(grads map[*core.Variable]*tensor.Tensor) {
+func (o *Adagrad) ApplyGradients(grads []VarGrad) {
 	e := core.Global()
 	e.Tidy("adagrad", func() []*tensor.Tensor {
-		for v, g := range grads {
-			s := o.accum.get(v, "accum")
+		for _, vg := range grads {
+			v, g := vg.Var, vg.Grad
+			s := o.accum.get(v, "accum", 1)
 			newS := ops.Add(s.Value(), ops.Square(g))
 			s.Assign(newS)
 			update := ops.Div(ops.MulScalar(g, float32(o.LearningRate)),
@@ -201,15 +225,20 @@ func (o *Adagrad) ApplyGradients(grads map[*core.Variable]*tensor.Tensor) {
 // Dispose implements Optimizer.
 func (o *Adagrad) Dispose() { o.accum.dispose() }
 
-// Adam implements the Adam optimizer with bias correction.
+// Adam implements the Adam optimizer with bias correction. A step is two
+// fused kernels per variable (internal/kernels/adam.go): AdamMoments
+// updates the variable's one [2, ...shape] slot of first and second
+// moments, ApplyAdam the variable from it — each value through the same
+// float32 operations, in the same order, as the fourteen-op eager chain
+// (moments, bias corrections, square root, update) the kernels replace.
 type Adam struct {
 	LearningRate float64
 	Beta1        float64
 	Beta2        float64
 	Epsilon      float64
 
-	m, v slotMap
-	step int
+	moments slotMap
+	step    int
 }
 
 // NewAdam returns an Adam optimizer with the standard defaults when betas
@@ -224,41 +253,37 @@ func NewAdam(lr, beta1, beta2, epsilon float64) *Adam {
 	if epsilon == 0 {
 		epsilon = 1e-8
 	}
-	return &Adam{LearningRate: lr, Beta1: beta1, Beta2: beta2, Epsilon: epsilon, m: slotMap{}, v: slotMap{}}
+	return &Adam{LearningRate: lr, Beta1: beta1, Beta2: beta2, Epsilon: epsilon, moments: slotMap{}}
 }
 
 // Name implements Optimizer.
 func (o *Adam) Name() string { return "adam" }
 
-// ApplyGradients implements Optimizer.
-func (o *Adam) ApplyGradients(grads map[*core.Variable]*tensor.Tensor) {
+// ApplyGradients implements Optimizer. The attributes are the step's, one
+// pair of maps shared by every variable's two dispatches.
+func (o *Adam) ApplyGradients(grads []VarGrad) {
 	o.step++
-	corr1 := 1 - math.Pow(o.Beta1, float64(o.step))
-	corr2 := 1 - math.Pow(o.Beta2, float64(o.step))
+	moments := kernels.Attrs{"beta1": o.Beta1, "beta2": o.Beta2}
+	update := kernels.Attrs{
+		"learningRate": o.LearningRate,
+		"beta1Power":   math.Pow(o.Beta1, float64(o.step)),
+		"beta2Power":   math.Pow(o.Beta2, float64(o.step)),
+		"epsilon":      o.Epsilon,
+	}
 	e := core.Global()
 	e.Tidy("adam", func() []*tensor.Tensor {
-		for vr, g := range grads {
-			m := o.m.get(vr, "m")
-			v := o.v.get(vr, "v")
-			newM := ops.Add(ops.MulScalar(m.Value(), float32(o.Beta1)), ops.MulScalar(g, float32(1-o.Beta1)))
-			newV := ops.Add(ops.MulScalar(v.Value(), float32(o.Beta2)), ops.MulScalar(ops.Square(g), float32(1-o.Beta2)))
-			m.Assign(newM)
-			v.Assign(newV)
-			mHat := ops.DivScalar(newM, float32(corr1))
-			vHat := ops.DivScalar(newV, float32(corr2))
-			update := ops.Div(ops.MulScalar(mHat, float32(o.LearningRate)),
-				ops.AddScalar(ops.Sqrt(vHat), float32(o.Epsilon)))
-			vr.Assign(ops.Sub(vr.Value(), update))
+		for _, vg := range grads {
+			slot := o.moments.get(vg.Var, "moments", 2)
+			mv := e.RunKernel("AdamMoments", []*tensor.Tensor{slot.Value(), vg.Grad}, moments)
+			slot.Assign(mv)
+			vg.Var.Assign(e.RunKernel("ApplyAdam", []*tensor.Tensor{vg.Var.Value(), mv}, update))
 		}
 		return nil
 	})
 }
 
 // Dispose implements Optimizer.
-func (o *Adam) Dispose() {
-	o.m.dispose()
-	o.v.dispose()
-}
+func (o *Adam) Dispose() { o.moments.dispose() }
 
 // NewOptimizer constructs an optimizer from a serialized name, as used by
 // model.compile({optimizer: 'sgd'}) (Listing 1).

@@ -3,6 +3,7 @@ package vec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -11,10 +12,12 @@ import (
 // under ForceScalar) at the shapes the gated workloads run them: MobileNet
 // α=0.25's 24×24×32 and 6×6×128 maps (predict_webgl's batch norm and ReLU6)
 // and the training convnet's 32×16×16×8 activations (train_mnist's Relu,
-// Step, bias add and optimizer arithmetic). Binaries run the same shape and
-// a channel row — the bias — repeated along the map. Operands are seeded
-// normal values × 4, so they change sign and cross 6 at random as
-// activations do; variances are 0.5 + |value|.
+// Step, bias add and bias gradient). Binaries run the same shape and a
+// channel row — the bias — repeated along the map; SumRows sums the map's
+// rows into one channel row, as a bias gradient does; Adam's two rows update
+// a variable of the map's size. Operands are seeded normal values × 4, so
+// they change sign and cross 6 at random as activations do; variances are
+// 0.5 + |value|.
 func BenchmarkRows(b *testing.B) {
 	for _, shape := range [][]int{{24, 24, 32}, {6, 6, 128}, {32, 16, 16, 8}} {
 		n, c := 1, shape[len(shape)-1]
@@ -34,6 +37,11 @@ func BenchmarkRows(b *testing.B) {
 		for i, v := range variance {
 			variance[i] = 0.5 + max(v, -v)
 		}
+		// Adam's slot: x as the first moments, y² as the second.
+		slot, moments := append(slices.Clone(x), make([]float32, n)...), make([]float32, 2*n)
+		for i, v := range y {
+			slot[n+i] = v * v
+		}
 		rows := []struct {
 			name string
 			run  func()
@@ -46,6 +54,9 @@ func BenchmarkRows(b *testing.B) {
 			{"Mul", func() { Binary(Mul, dst, x, y) }},
 			{fmt.Sprintf("Add_row%d", c), func() { Binary(Add, dst, x, bias) }},
 			{fmt.Sprintf("Mul_row%d", c), func() { Binary(Mul, dst, x, bias) }},
+			{"SumRows", func() { SumRows(dst[:c], x, c, n/c) }},
+			{"AdamMoments", func() { AdamMoments(moments, slot, y, 0, 0.9, 0.1, 0.999, 0.001) }},
+			{"AdamStep", func() { AdamStep(dst, x, slot[:n], slot[n:], 0.01, 0.271, 0.003, 1e-8) }},
 		}
 		shapeName := strings.Trim(strings.ReplaceAll(fmt.Sprint(shape), " ", "x"), "[]")
 		for _, r := range rows {

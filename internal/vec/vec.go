@@ -3,9 +3,10 @@
 // under GEMM and convolution (GemmRow for one row, AxpyRows for several
 // narrow ones, both leaving a zero lhs element out of the sum), the
 // depthwise pixel, the bias+activation epilogue, the pooling pixel (max,
-// average, and the max pool's gradient) and the element-wise rows — the
+// average, and the max pool's gradient), the element-wise rows — the
 // ReLU family, Step, batch norm's normalise row and the four arithmetic
-// binaries — each written once, here. native's kernels
+// binaries — and a training step's tail — the leading-axes sum of a bias
+// gradient and Adam's two update rows — each written once, here. native's kernels
 // and the WebGL simulator's shader programs call them; a second copy of one
 // of these loops in a backend is a fork (CI greps for it).
 //
@@ -549,4 +550,106 @@ func repeatRow(buf, row []float32, n int) []float32 {
 		copy(buf[i:], row)
 	}
 	return buf[:k]
+}
+
+// SumRows adds rows of x column by column:
+//
+//	dst[j] = +0 + x[j] + x[stride+j] + … + x[(rows-1)*stride+j]
+//
+// left to right, each add rounded — the order in which a sum over the
+// leading axes of [rows, stride] meets each column's values (BiasAddGrad),
+// which is the order the reference Sum meets them in after transposing the
+// column innermost. Columns are independent add chains; the assembly keeps
+// four vectors of them in registers across all the rows.
+func SumRows(dst, x []float32, stride, rows int) {
+	if len(dst) == 0 {
+		return
+	}
+	if rows <= 0 {
+		clear(dst)
+		return
+	}
+	_ = x[(rows-1)*stride+len(dst)-1]
+	if useAVX2 {
+		sumRowsAVX2(dst, x, stride, rows)
+		return
+	}
+	clear(dst)
+	for r := 0; r < rows; r++ {
+		for j, v := range x[r*stride:][:len(dst)] {
+			dst[j] += v
+		}
+	}
+}
+
+// AdamMoments is Adam's moment update over a range of its slot, which
+// holds the first moments m and then the second moments v of an n-value
+// variable ([2, ...shape]):
+//
+//	m'[i] = float32(m[i]·beta1) + float32(g[i]·c1)
+//	v'[i] = float32(v[i]·beta2) + float32(float32(g[i]·g[i])·c2)
+//
+// c1 = 1-beta1 and c2 = 1-beta2 as the caller rounded them: every step is
+// the float32 operation the eager op chain (Mul, Square, Add) performed, in
+// its order. dst holds the slot's values [lo, lo+len(dst)) — a range that
+// may begin in m and end in v, as a program's texel range does — mv is the
+// whole current slot and n = len(g).
+func AdamMoments(dst, mv, g []float32, lo int, beta1, c1, beta2, c2 float32) {
+	n, hi := len(g), lo+len(dst)
+	mv = mv[:2*n]
+	if lo < n {
+		k := min(hi, n)
+		moment(dst[:k-lo], mv[lo:k], g[lo:k], beta1, c1, false)
+	}
+	if hi > n {
+		from := max(lo, n)
+		moment(dst[from-lo:], mv[from:hi], g[from-n:hi-n], beta2, c2, true)
+	}
+}
+
+// moment is AdamMoments' body over one moment: dst[i] = float32(s[i]·beta)
+// + float32(q·c), q = g[i], or g[i]·g[i] rounded when square.
+func moment(dst, s, g []float32, beta, c float32, square bool) {
+	s, g = s[:len(dst)], g[:len(dst)]
+	if useAVX2 {
+		sq := 0
+		if square {
+			sq = 1
+		}
+		momentAVX2(dst, s, g, beta, c, sq)
+		return
+	}
+	if square {
+		for i, gv := range g {
+			dst[i] = float32(s[i]*beta) + float32(float32(gv*gv)*c)
+		}
+		return
+	}
+	for i, gv := range g {
+		dst[i] = float32(s[i]*beta) + float32(gv*c)
+	}
+}
+
+// AdamStep is Adam's variable update over a range of n values, from the
+// moments AdamMoments just produced:
+//
+//	dst[i] = x[i] - float32(m[i]/corr1·lr) / (float32(√(v[i]/corr2)) + eps)
+//
+// corr1 = 1-beta1^t and corr2 = 1-beta2^t as the caller rounded them. Each
+// of the seven operations rounds to float32 in the eager op chain's order
+// (two RealDivs, a Mul, Sqrt, Add, RealDiv, Sub); the square root is taken
+// in float64 and rounded, which is the correctly rounded float32 root that
+// VSQRTPS computes. dst may be x.
+func AdamStep(dst, x, m, v []float32, lr, corr1, corr2, eps float32) {
+	dst, m, v = dst[:len(x)], m[:len(x)], v[:len(x)]
+	if useAVX2 {
+		adamStepAVX2(dst, x, m, v, lr, corr1, corr2, eps)
+		return
+	}
+	for i, xv := range x {
+		mHat := m[i] / corr1
+		num := mHat * lr
+		den := float32(math.Sqrt(float64(v[i]/corr2))) + eps
+		dst[i] = xv - num/den
+	}
 }

@@ -55,6 +55,22 @@ func poolAvgAVX2(dst, x []float32, rowStride, tapStride, rows, taps int)
 //go:noescape
 func poolMaxGradAVX2(dx, x, dy []float32, rowStride, tapStride, rows, taps int)
 
+// sumRowsAVX2 is SumRows' body; rows >= 1, len(dst) >= 1.
+//
+//go:noescape
+func sumRowsAVX2(dst, x []float32, stride, rows int)
+
+// momentAVX2 is AdamMoments' body over one moment; len(s) and len(g) are
+// len(dst), square is 0 or 1.
+//
+//go:noescape
+func momentAVX2(dst, s, g []float32, beta, c float32, square int)
+
+// adamStepAVX2 is AdamStep's body; the four slices have one length.
+//
+//go:noescape
+func adamStepAVX2(dst, x, m, v []float32, lr, corr1, corr2, eps float32)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)

@@ -868,6 +868,207 @@ poolMaxGradDone:
 	VZEROUPPER
 	RET
 
+// func sumRowsAVX2(dst, x []float32, stride, rows int)
+// dst[j] = +0 + x[j] + x[stride+j] + ... over rows >= 1 rows, one add at a
+// time in row order per column. Columns are taken 32 at a time (four
+// independent add chains in Y0-Y3, which hides the add latency), then 8,
+// then one; each block's sums stay in registers across all the rows.
+TEXT ·sumRowsAVX2(SB), NOSPLIT, $0-64
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), DX
+	MOVQ x_base+24(FP), R8
+	MOVQ stride+48(FP), R9
+	MOVQ rows+56(FP), R10
+	SHLQ $2, DX                 // dst length and stride in bytes
+	SHLQ $2, R9
+	XORQ AX, AX                 // column offset
+
+sumRows32:
+	LEAQ   128(AX), R11
+	CMPQ   R11, DX
+	JA     sumRows8
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	LEAQ   (R8)(AX*1), SI
+	MOVQ   R10, CX
+
+sumRows32Row:
+	VADDPS  (SI), Y0, Y0
+	VADDPS  32(SI), Y1, Y1
+	VADDPS  64(SI), Y2, Y2
+	VADDPS  96(SI), Y3, Y3
+	ADDQ    R9, SI
+	DECQ    CX
+	JNZ     sumRows32Row
+	VMOVUPS Y0, (DI)(AX*1)
+	VMOVUPS Y1, 32(DI)(AX*1)
+	VMOVUPS Y2, 64(DI)(AX*1)
+	VMOVUPS Y3, 96(DI)(AX*1)
+	MOVQ    R11, AX
+	JMP     sumRows32
+
+sumRows8:
+	LEAQ   32(AX), R11
+	CMPQ   R11, DX
+	JA     sumRows1
+	VXORPS Y0, Y0, Y0
+	LEAQ   (R8)(AX*1), SI
+	MOVQ   R10, CX
+
+sumRows8Row:
+	VADDPS  (SI), Y0, Y0
+	ADDQ    R9, SI
+	DECQ    CX
+	JNZ     sumRows8Row
+	VMOVUPS Y0, (DI)(AX*1)
+	MOVQ    R11, AX
+	JMP     sumRows8
+
+sumRows1:
+	CMPQ   AX, DX
+	JAE    sumRowsDone
+	VXORPS X0, X0, X0
+	LEAQ   (R8)(AX*1), SI
+	MOVQ   R10, CX
+
+sumRows1Row:
+	VADDSS (SI), X0, X0
+	ADDQ   R9, SI
+	DECQ   CX
+	JNZ    sumRows1Row
+	VMOVSS X0, (DI)(AX*1)
+	ADDQ   $4, AX
+	JMP    sumRows1
+
+sumRowsDone:
+	VZEROUPPER
+	RET
+
+// One of momentAVX2's loops: dst[i] = s[i]*beta + q*c, q the gradient or,
+// with SQ8/SQ1 squaring it first, its square — each product rounded, then
+// the add. Y14/X14 hold beta, Y15/X15 c; eight values at a time and then
+// one.
+#define MOMENT(SQ8, SQ1, v8, v1) \
+v8:                           \
+	CMPQ    CX, $8            \
+	JB      v1                \
+	VMULPS  (SI), Y14, Y0     \
+	VMOVUPS (DX), Y1          \
+	SQ8                       \
+	VMULPS  Y15, Y1, Y1       \
+	VADDPS  Y1, Y0, Y0        \
+	VMOVUPS Y0, (DI)          \
+	ADDQ    $32, SI           \
+	ADDQ    $32, DX           \
+	ADDQ    $32, DI           \
+	SUBQ    $8, CX            \
+	JMP     v8                \
+v1:                           \
+	TESTQ   CX, CX            \
+	JE      momentDone        \
+	VMOVSS  (SI), X0          \
+	VMULSS  X14, X0, X0       \
+	VMOVSS  (DX), X1          \
+	SQ1                       \
+	VMULSS  X15, X1, X1       \
+	VADDSS  X1, X0, X0        \
+	VMOVSS  X0, (DI)          \
+	ADDQ    $4, SI            \
+	ADDQ    $4, DX            \
+	ADDQ    $4, DI            \
+	DECQ    CX                \
+	JMP     v1
+
+#define SQUARE8 VMULPS Y1, Y1, Y1
+#define SQUARE1 VMULSS X1, X1, X1
+#define NO_SQUARE
+
+// func momentAVX2(dst, s, g []float32, beta, c float32, square int)
+// dst[i] = s[i]*beta + g[i]*c, or s[i]*beta + (g[i]*g[i])*c when square is
+// 1: Adam's first and second moment, every product and the sum rounded
+// separately.
+TEXT ·momentAVX2(SB), NOSPLIT, $0-88
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         s_base+24(FP), SI
+	MOVQ         g_base+48(FP), DX
+	VBROADCASTSS beta+72(FP), Y14
+	VBROADCASTSS c+76(FP), Y15
+	MOVQ         square+80(FP), AX
+	TESTQ        AX, AX
+	JNE          second8
+
+	MOMENT(NO_SQUARE, NO_SQUARE, first8, first1)
+	MOMENT(SQUARE8, SQUARE1, second8, second1)
+
+momentDone:
+	VZEROUPPER
+	RET
+
+// func adamStepAVX2(dst, x, m, v []float32, lr, corr1, corr2, eps float32)
+// dst[i] = x[i] - ((m[i]/corr1)*lr) / (sqrt(v[i]/corr2) + eps): seven
+// operations, each rounded, in that order. VDIVPS and VSQRTPS round
+// correctly, as the Go body's float32 division and its float64 root rounded
+// to float32 do. Y12-Y15 hold lr, corr1, corr2 and eps.
+TEXT ·adamStepAVX2(SB), NOSPLIT, $0-112
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         x_base+24(FP), SI
+	MOVQ         m_base+48(FP), R8
+	MOVQ         v_base+72(FP), R9
+	VBROADCASTSS lr+96(FP), Y12
+	VBROADCASTSS corr1+100(FP), Y13
+	VBROADCASTSS corr2+104(FP), Y14
+	VBROADCASTSS eps+108(FP), Y15
+
+adamStep8:
+	CMPQ    CX, $8
+	JB      adamStep1
+	VMOVUPS (R8), Y0
+	VDIVPS  Y13, Y0, Y0
+	VMULPS  Y12, Y0, Y0
+	VMOVUPS (R9), Y1
+	VDIVPS  Y14, Y1, Y1
+	VSQRTPS Y1, Y1
+	VADDPS  Y15, Y1, Y1
+	VDIVPS  Y1, Y0, Y0
+	VMOVUPS (SI), Y2
+	VSUBPS  Y0, Y2, Y2
+	VMOVUPS Y2, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, R8
+	ADDQ    $32, R9
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JMP     adamStep8
+
+adamStep1:
+	TESTQ   CX, CX
+	JE      adamStepDone
+	VMOVSS  (R8), X0
+	VDIVSS  X13, X0, X0
+	VMULSS  X12, X0, X0
+	VMOVSS  (R9), X1
+	VDIVSS  X14, X1, X1
+	VSQRTSS X1, X1, X1
+	VADDSS  X15, X1, X1
+	VDIVSS  X1, X0, X0
+	VMOVSS  (SI), X2
+	VSUBSS  X0, X2, X2
+	VMOVSS  X2, (DI)
+	ADDQ    $4, SI
+	ADDQ    $4, R8
+	ADDQ    $4, R9
+	ADDQ    $4, DI
+	DECQ    CX
+	JMP     adamStep1
+
+adamStepDone:
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

@@ -46,3 +46,15 @@ func poolAvgAVX2(dst, x []float32, rowStride, tapStride, rows, taps int) {
 func poolMaxGradAVX2(dx, x, dy []float32, rowStride, tapStride, rows, taps int) {
 	panic("vec: no AVX2 core on this GOARCH")
 }
+
+func sumRowsAVX2(dst, x []float32, stride, rows int) {
+	panic("vec: no AVX2 core on this GOARCH")
+}
+
+func momentAVX2(dst, s, g []float32, beta, c float32, square int) {
+	panic("vec: no AVX2 core on this GOARCH")
+}
+
+func adamStepAVX2(dst, x, m, v []float32, lr, corr1, corr2, eps float32) {
+	panic("vec: no AVX2 core on this GOARCH")
+}

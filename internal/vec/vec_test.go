@@ -197,6 +197,53 @@ func checkBinaryLayouts(t testing.TB, a, x []float32) {
 	}
 }
 
+// checkSumRows sums rows rows of x (stride floats apart) into n columns on
+// both bodies.
+func checkSumRows(t testing.TB, n int, x []float32, stride, rows int) {
+	t.Helper()
+	got, want := make([]float32, n), make([]float32, n)
+	SumRows(got, x, stride, rows)
+	onGoBodies(func() { SumRows(want, x, stride, rows) })
+	requireSameFloats(t, fmt.Sprintf("SumRows n=%d stride=%d rows=%d", n, stride, rows), got, want)
+}
+
+// adamCoef is beta1, 1-beta1, beta2, 1-beta2, lr, 1-beta1³, 1-beta2³ and
+// eps of Adam's third step with the default betas, rounded as the optimizer
+// rounds them.
+var adamCoef = [8]float32{0.9, float32(1 - 0.9), 0.999, float32(1 - 0.999), 0.01,
+	float32(1 - 0.9*0.9*0.9), float32(1 - 0.999*0.999*0.999), 1e-8}
+
+// checkAdam runs Adam's two rows on both bodies for a variable x with
+// gradient g and slot mv (m ‖ v, 2·len(g) values): AdamMoments over the
+// whole slot, and cut at lo and hi — three ranges, the middle one crossing
+// from m into v when lo < len(g) < hi — which must give the same values as
+// the whole; then AdamStep from the new moments, into a fresh dst and in
+// place over a copy of x.
+func checkAdam(t testing.TB, x, mv, g []float32, coef [8]float32, lo, hi int) {
+	t.Helper()
+	n := len(g)
+	beta1, c1, beta2, c2, lr, corr1, corr2, eps := coef[0], coef[1], coef[2], coef[3], coef[4], coef[5], coef[6], coef[7]
+	label := fmt.Sprintf("n=%d coef=%v", n, coef)
+	got, want := make([]float32, 2*n), make([]float32, 2*n)
+	AdamMoments(got, mv, g, 0, beta1, c1, beta2, c2)
+	onGoBodies(func() { AdamMoments(want, mv, g, 0, beta1, c1, beta2, c2) })
+	requireSameFloats(t, "AdamMoments "+label, got, want)
+	lo, hi = min(lo, 2*n), min(max(lo, hi), 2*n)
+	cut := make([]float32, 2*n)
+	for _, r := range [][2]int{{0, lo}, {lo, hi}, {hi, 2 * n}} {
+		AdamMoments(cut[r[0]:r[1]], mv, g, r[0], beta1, c1, beta2, c2)
+	}
+	requireSameFloats(t, fmt.Sprintf("AdamMoments cut at %d, %d, %s", lo, hi, label), cut, want)
+
+	step, stepWant := make([]float32, n), make([]float32, n)
+	AdamStep(step, x, want[:n], want[n:], lr, corr1, corr2, eps)
+	onGoBodies(func() { AdamStep(stepWant, x, want[:n], want[n:], lr, corr1, corr2, eps) })
+	requireSameFloats(t, "AdamStep "+label, step, stepWant)
+	inPlace := slices.Clone(x)
+	AdamStep(inPlace, inPlace, want[:n], want[n:], lr, corr1, corr2, eps)
+	requireSameFloats(t, "AdamStep in place "+label, inPlace, stepWant)
+}
+
 // checkReluFamily holds the bit-select rows to the float comparisons that
 // define them, exactly: no NaN is produced, so payloads count too.
 func checkReluFamily(t testing.TB, x []float32, alpha float32) {
@@ -307,6 +354,14 @@ func TestVecCoresBitIdentity(t *testing.T) {
 			checkReluFamily(t, dst, 0.25)
 			checkReluRows(t, dst, 0.25)
 			checkBinaryLayouts(t, dst, vecOperand(off+n+16, seed+1)[off:])
+			// No rows to a few, rows packed (a bias gradient's [rows, n]) and
+			// strided wider than the sum.
+			for rows := 0; rows <= 5; rows++ {
+				for _, stride := range []int{n, n + 3} {
+					checkSumRows(t, n, vecOperand(off+max(0, rows*stride), seed+5)[off:], stride, rows)
+				}
+			}
+			checkAdam(t, dst, vecOperand(off+2*n, seed+6)[off:], vecOperand(off+n, seed+7)[off:], adamCoef, n/2, n+n/3+1)
 			// Channel counts under a vector, either side of one and of two,
 			// and wider than BatchNorm's tile (so every range here is part
 			// of one pixel); ranges begin at every phase in turn. Most
@@ -361,7 +416,14 @@ func TestVecCoresBitIdentity(t *testing.T) {
 					copy(x[at:], a)
 					checkPoolPixels(t, 11, x, 22, 11, 2, 2)
 					checkPoolMaxGrad(t, slices.Clone(b[:4*11]), x, y, 22, 11, 2, 2)
+					checkSumRows(t, 11, x, 11, 4)
 				}
+				// Adam: variable yv, gradient av (x), moments bv and yv,
+				// under the standard coefficients and under av, bv and yv
+				// as coefficients.
+				mv := slices.Concat(b[:11], y)
+				checkAdam(t, y, mv, x, adamCoef, 5, 16)
+				checkAdam(t, y, mv, x, [8]float32{bv, yv, av, bv, yv, av, bv, yv}, 11, 11)
 			}
 		}
 	}
@@ -394,6 +456,10 @@ func TestVecCoresStayInBounds(t *testing.T) {
 		PoolAvg(dst, vecOperand(4*n, 13), 2*n, n, 2, 2)
 		// dst as the gradient's dx: one tap, so the window is the slice.
 		PoolMaxGrad(dst, vecOperand(n, 14), vecOperand(n, 15), n, n, 1, 1)
+		SumRows(dst, vecOperand(3*n+2, 27), n+1, 3)
+		// dst as values [n/2, n/2+n) of a 2n slot: the end of m, the start of v.
+		AdamMoments(dst, vecOperand(2*n, 28), vecOperand(n, 29), n/2, 0.9, 0.1, 0.999, 0.001)
+		AdamStep(dst, vecOperand(n, 30), vecOperand(n, 31), vecOperand(n, 32), 0.01, 0.1, 0.001, 1e-8)
 		for i, v := range buf {
 			if (i < 8 || i >= 8+n) && v != sentinel {
 				t.Fatalf("n=%d: buf[%d] = %g, outside the slice handed to the cores", n, i, v)
@@ -477,6 +543,24 @@ func FuzzVecCores(f *testing.F) {
 		// vals = mean[c] ‖ variance[c] ‖ scale[c] ‖ offset[c] ‖ x
 		if c := 1 + int(kSel)%40; len(vals) > 4*c {
 			checkBatchNorm(t, vals[4*c:], vals[:4*c], int(tapSel)%c)
+		}
+
+		// vals as rows of 1 + kSel%40 columns, 1 + tapSel%8 floats apart
+		// beyond them.
+		if n := 1 + int(kSel)%40; len(vals) >= n {
+			stride := n + int(tapSel)%8
+			checkSumRows(t, n, vals, stride, 1+(len(vals)-n)/stride)
+		}
+
+		// vals = x[n] ‖ m[n] ‖ v[n] ‖ g[n], under the standard coefficients
+		// or, when kSel is odd, under the first eight values as coefficients;
+		// the moments cut at the tapSel-th value and in the middle of v.
+		if n := len(vals) / 4; n > 0 {
+			coef := adamCoef
+			if kSel&1 == 1 && len(vals) >= 8 {
+				coef = [8]float32(vals[:8])
+			}
+			checkAdam(t, vals[:n], vals[n:3*n], vals[3*n:4*n], coef, int(tapSel)%(2*n), n+n/2)
 		}
 	})
 }

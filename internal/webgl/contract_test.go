@@ -389,6 +389,36 @@ func contractCases() map[string][]contractCase {
 		add("MaxPoolGrad", contractCase{g.label, []cin{rnd(rng, info.OutShape()...), x}, attrs})
 		add("AvgPoolGrad", contractCase{g.label, []cin{rnd(rng, info.OutShape()...)}, attrs})
 	}
+
+	// A training step's tail: the bias gradient's sum over leading axes, and
+	// Adam's moments and update. The moments' slot is m ‖ v; its v half is
+	// kept positive, as a second moment is. These come last so that no
+	// earlier case's random draws move.
+	add("BiasAddGrad",
+		contractCase{"rep", []cin{rnd(rng, 64, 8)}, nil},
+		contractCase{"wide", []cin{rnd(rng, 9, 45)}, nil},
+		contractCase{"odd", []cin{special(rnd(rng, 7, 3))}, nil},
+		contractCase{"zeroRows", []cin{rnd(rng, 0, 5)}, nil},
+		contractCase{"zeroCols", []cin{rnd(rng, 4, 0)}, nil},
+	)
+	moments := kernels.Attrs{"beta1": 0.9, "beta2": 0.999}
+	step := kernels.Attrs{"learningRate": 0.01, "beta1Power": 0.729, "beta2Power": 0.997002999, "epsilon": 1e-8}
+	slot := func(shape ...int) cin {
+		m, v := rnd(rng, shape...), pos(rng, shape...)
+		return cin{shape: append([]int{2}, shape...), dtype: tensor.Float32, vals: append(m.vals, v.vals...)}
+	}
+	add("AdamMoments",
+		contractCase{"rep", []cin{slot(3, 3, 1, 8), rnd(rng, 3, 3, 1, 8)}, moments},
+		contractCase{"odd", []cin{slot(5, 7), special(rnd(rng, 5, 7))}, moments},
+		contractCase{"scalar", []cin{slot(), rnd(rng)}, moments},
+		contractCase{"zero", []cin{slot(0, 3), rnd(rng, 0, 3)}, moments},
+	)
+	add("ApplyAdam",
+		contractCase{"rep", []cin{rnd(rng, 3, 3, 1, 8), slot(3, 3, 1, 8)}, step},
+		contractCase{"odd", []cin{special(rnd(rng, 5, 7)), slot(5, 7)}, step},
+		contractCase{"scalar", []cin{rnd(rng), slot()}, step},
+		contractCase{"zero", []cin{rnd(rng, 0, 3), slot(0, 3)}, step},
+	)
 	return cases
 }
 

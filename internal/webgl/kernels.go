@@ -33,6 +33,7 @@ func (b *Backend) initKernels() {
 	b.registerGather()
 	b.registerConvGrad()
 	b.registerFused()
+	b.registerTrain()
 }
 
 // input resolves a kernel input to its live texture (paging it back in when

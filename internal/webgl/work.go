@@ -178,6 +178,20 @@ func backpropTaps(info kernels.Conv2DInfo) (pairs, cells int64) {
 	return int64(info.BatchSize) * int64(pr) * int64(pc), int64(info.BatchSize) * int64(cr) * int64(cc)
 }
 
+// aluAdamStep is ApplyAdam's arithmetic per value: the two bias-correction
+// divides, the learning-rate multiply, the square root, the epsilon add,
+// the update's divide and the subtract (three fetches: x, m and v).
+const aluAdamStep = 7
+
+// adamMomentsWork is the work of AdamMoments over the 2n-value slot of an
+// n-value variable: every value fetches its old moment and the gradient
+// and compares its index against n to learn which moment it is; a first
+// moment is then two multiplies and an add, a second moment squares the
+// gradient first.
+func adamMomentsWork(n int) glsim.Work {
+	return glsim.Work{Fetches: 4 * int64(n), ALU: int64(n)*(1+3) + int64(n)*(1+4)}
+}
+
 // macWork is the work of size output values that together perform macs
 // multiply-adds (two fetches each) behind a decode of decodeDims div/mods.
 func macWork(size int, macs int64, decodeDims int) glsim.Work {

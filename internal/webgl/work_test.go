@@ -1,6 +1,7 @@
 package webgl
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/glsim"
@@ -177,6 +178,77 @@ func TestMatMulWorkMatchesAWalk(t *testing.T) {
 		}
 		if size > 0 && c.k > 0 && c.n >= 4 && packed.Fetches >= unpacked.Fetches {
 			t.Errorf("%dx%d·k%d: packing must save A fetches (%d vs %d)", c.rows, c.n, c.k, packed.Fetches, unpacked.Fetches)
+		}
+	}
+}
+
+// declaredWork dispatches one registered program on b and returns the work
+// the device was charged for it.
+func declaredWork(t *testing.T, b *Backend, name string, attrs kernels.Attrs, inputs ...cin) glsim.Work {
+	t.Helper()
+	ins := make([]kernels.Input, len(inputs))
+	for i, in := range inputs {
+		id := tensor.NewDataID()
+		b.Write(id, in.vals, in.shape, in.dtype)
+		ins[i] = kernels.Input{DataID: id, Shape: in.shape, DType: in.dtype}
+		defer b.DisposeData(id)
+	}
+	<-b.device.FenceSync()
+	before := b.device.Stats()
+	var out kernels.TensorInfo
+	if err := b.kernelsTable[name](ins, attrs, &out); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	defer b.DisposeData(out.DataID)
+	<-b.device.FenceSync()
+	after := b.device.Stats()
+	return glsim.Work{Fetches: after.Fetches - before.Fetches, Shared: after.SharedReads - before.SharedReads, ALU: after.ALUOps - before.ALUOps}
+}
+
+// TestTrainingWorkMatchesAWalk: the programs of a training step's tail —
+// the bias gradient's leading-axes sum and Adam's two kernels — are charged
+// what a walk of their per-value shaders counts.
+func TestTrainingWorkMatchesAWalk(t *testing.T) {
+	b := newContractBackend(t, contractConfig{packed: true, squeeze: true}, 1)
+	rng := rand.New(rand.NewSource(1))
+	for _, s := range [][2]int{{0, 4}, {3, 0}, {1, 1}, {32, 10}, {17, 9}} {
+		outer, inner := s[0], s[1]
+		var want glsim.Work
+		for c := 0; c < inner; c++ {
+			for r := 0; r < outer; r++ {
+				want.Fetches++ // x[r, c]
+				want.ALU++     // added to the column's sum
+			}
+		}
+		if got := declaredWork(t, b, "BiasAddGrad", kernels.Attrs{}, rnd(rng, outer, inner)); got != want {
+			t.Errorf("BiasAddGrad [%d, %d]: charged %+v, walk counts %+v", outer, inner, got, want)
+		}
+	}
+	for _, shape := range [][]int{{}, {0}, {7}, {3, 3, 1, 8}} {
+		n := tensor.ShapeSize(shape)
+		slot := append([]int{2}, shape...)
+		var moments glsim.Work
+		for i := 0; i < 2*n; i++ {
+			moments.Fetches += 2 // the old moment and the gradient
+			moments.ALU++        // i < n: which moment
+			if i < n {
+				moments.ALU += 3 // m·beta1, g·(1-beta1), the add
+			} else {
+				moments.ALU += 4 // g·g, v·beta2, g²·(1-beta2), the add
+			}
+		}
+		if got := declaredWork(t, b, "AdamMoments", kernels.Attrs{}, rnd(rng, slot...), rnd(rng, shape...)); got != moments {
+			t.Errorf("AdamMoments %v: charged %+v, walk counts %+v", shape, got, moments)
+		}
+		var step glsim.Work
+		for i := 0; i < n; i++ {
+			step.Fetches += 3 // x, m and v
+			step.ALU += 2     // m/(1-beta1^t), v/(1-beta2^t)
+			step.ALU += 2     // ·lr, the square root
+			step.ALU += 3     // +eps, the divide, the subtract
+		}
+		if got := declaredWork(t, b, "ApplyAdam", kernels.Attrs{}, rnd(rng, shape...), pos(rng, slot...)); got != step {
+			t.Errorf("ApplyAdam %v: charged %+v, walk counts %+v", shape, got, step)
 		}
 	}
 }

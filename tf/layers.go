@@ -86,6 +86,10 @@ func SetLayerSeed(seed int64) { layers.SetSeed(seed) }
 // Optimizer updates variables from gradients.
 type Optimizer = train.Optimizer
 
+// VarGrad is a variable and its gradient, what Optimizer.ApplyGradients
+// takes a list of.
+type VarGrad = train.VarGrad
+
 // Loss maps (labels, predictions) to a scalar.
 type Loss = train.Loss
 
