@@ -8,12 +8,9 @@
 //	tfjs-bench recycling — §4.1.2: texture recycler ablation
 //	tfjs-bench census    — §4.1.3: device support shares (WebGLStats analogue)
 //	tfjs-bench fusion    — graph optimizer A/B: operator fusion on vs off
-//	tfjs-bench ladder    — native acceleration ladder: native ×1 →
-//	                       native ×N → measured-cost ×N, with the
-//	                       measured-vs-static bit-identity gate
-//	tfjs-bench overhead  — telemetry cost: QPS with the server's observers and
-//	                       profiling on vs nothing attached and profiling off,
-//	                       exit nonzero beyond -overhead-budget (CI gate)
+//	tfjs-bench overhead  — telemetry cost: QPS with the server's observers
+//	                       attached vs none, exit nonzero beyond
+//	                       -overhead-budget (CI gate)
 //	tfjs-bench all       — the paper tables and figures above
 //
 // Flags -alpha, -size and -runs scale the MobileNet workload; the defaults
@@ -31,21 +28,14 @@
 // dispatches, Predict latency and peak memory per arm, verifies the arms
 // agree to 1e-5, and (with -tracedir) writes a Chrome trace per arm.
 //
-// The ladder command measures three rungs in one run — native ×1 worker,
-// native ×N cores, measured ×N (the measured cost model: the continuous
-// profiler's ns/element accounts drive the parallelism grain) — and
-// enforces one gate: the measured rung must be bitwise identical to
-// native ×N (grain changes may never change results), or it exits
-// nonzero.
-//
 // The serving benchmark is bench/ (BENCHMARK.json): `bash bench/run.sh`.
 //
 // The overhead command is telemetry's cost gate: it alternates serving
-// rounds with exactly serving.NewServer's observers attached and profiling
-// enabled against rounds with an inactive hub and profiling disabled, ten
-// pairs, and exits nonzero when the median per-pair QPS loss exceeds
-// -overhead-budget (default 3%) — CI runs it blocking. For fusion, ladder
-// and overhead, -out writes the measured numbers as JSON.
+// rounds with exactly serving.NewServer's observers attached against
+// rounds with none (an inactive hub: attaching observers is telemetry's
+// only switch), ten pairs, and exits nonzero when the median per-pair QPS
+// loss exceeds -overhead-budget (default 3%) — CI runs it blocking. For
+// fusion and overhead, -out writes the measured numbers as JSON.
 package main
 
 import (
@@ -65,15 +55,10 @@ func main() {
 	alpha := flag.Float64("alpha", 0.25, "MobileNet width multiplier (paper: 1.0)")
 	size := flag.Int("size", 96, "MobileNet input resolution (paper: 224)")
 	runs := flag.Int("runs", 10, "inference runs to average (paper: 100)")
-	out := flag.String("out", "", "fusion/ladder/overhead: write measured results as JSON to this file")
-	costModel := flag.String("cost-model", "static", "overhead: parallelism cost source, static or measured")
+	out := flag.String("out", "", "fusion/overhead: write measured results as JSON to this file")
 	overheadBudget := flag.Float64("overhead-budget", 3.0, "overhead: max median telemetry QPS overhead in percent before exiting nonzero")
 	traceDir := flag.String("tracedir", "", "fusion: write trace_fusion_{on,off}.json Chrome traces to this directory")
 	flag.Parse()
-	if cm := tf.CostModel(*costModel); cm != tf.CostModelStatic && cm != tf.CostModelMeasured {
-		fmt.Fprintf(os.Stderr, "-cost-model must be static or measured, got %q\n", *costModel)
-		os.Exit(2)
-	}
 
 	cmd := "all"
 	if flag.NArg() > 0 {
@@ -98,10 +83,8 @@ func main() {
 		webgpuExperiment()
 	case "fusion":
 		fusionExperiment(*alpha, *size, *runs, *out, *traceDir)
-	case "ladder":
-		ladderExperiment(*alpha, *size, *runs, *out)
 	case "overhead":
-		overheadExperiment(*alpha, *size, 10**runs, *overheadBudget, *costModel, *out)
+		overheadExperiment(*alpha, *size, 10**runs, *overheadBudget, *out)
 	case "all":
 		table1(*alpha, *size, *runs)
 		fig23()

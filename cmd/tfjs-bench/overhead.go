@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/converter"
 	"repro/internal/serving"
-	"repro/internal/telemetry"
 	"repro/tf"
 )
 
@@ -20,18 +19,18 @@ import (
 const overheadPairs = 10
 
 // overheadExperiment measures what a served process pays for telemetry:
-// serving throughput with everything on — profiling enabled and exactly
-// the observers serving.NewServer registers, obtained from NewServer
-// itself — versus everything off — no observer on the hub, profiling
-// disabled. The arms alternate within overheadPairs pairs (on first in
-// even pairs, off first in odd ones) so drift hits both equally; each
+// serving throughput with exactly the observers serving.NewServer
+// registers, obtained from NewServer itself, versus no observer on the
+// hub. Attaching observers is telemetry's only switch, so the off arm is
+// everything off. The arms alternate within overheadPairs pairs (on first
+// in even pairs, off first in odd ones) so drift hits both equally; each
 // pair yields one relative QPS loss, and the run exits nonzero when the
 // median loss exceeds budgetPct — the CI gate behind the "always on, low
 // overhead" claim.
-func overheadExperiment(alpha float64, size, total int, budgetPct float64, costModel, outPath string) {
-	fmt.Printf("\n=== Telemetry overhead: QPS observed + profiling vs hub inactive + profiling off (budget %.1f%%) ===\n", budgetPct)
-	fmt.Printf("MobileNet v1 alpha=%.2f input=%dx%dx3, native backend, %d CPU core(s), %d requests per round, %d pairs, cost-model=%s\n\n",
-		alpha, size, size, runtime.NumCPU(), total, overheadPairs, costModel)
+func overheadExperiment(alpha float64, size, total int, budgetPct float64, outPath string) {
+	fmt.Printf("\n=== Telemetry overhead: QPS with the server's observers vs none attached (budget %.1f%%) ===\n", budgetPct)
+	fmt.Printf("MobileNet v1 alpha=%.2f input=%dx%dx3, native backend, %d CPU core(s), %d requests per round, %d pairs\n\n",
+		alpha, size, size, runtime.NumCPU(), total, overheadPairs)
 
 	store := converter.NewMemStore()
 	model, err := tf.MobileNetV1(tf.MobileNetConfig{
@@ -53,7 +52,6 @@ func overheadExperiment(alpha float64, size, total int, budgetPct float64, costM
 	defer reg.Close()
 	m, err := reg.Load("mobilenet", store, serving.ModelOptions{
 		Backend: "node",
-		Exec:    []tf.ExecOption{tf.WithCostModel(tf.CostModel(costModel))},
 		Batching: serving.Config{
 			MaxBatchSize: 16,
 			BatchTimeout: 2 * time.Millisecond,
@@ -69,10 +67,8 @@ func overheadExperiment(alpha float64, size, total int, budgetPct float64, costM
 	}
 	inst := serving.Instance{Values: make([]float32, size*size*3), Shape: []int{size, size, 3}}
 
-	defer telemetry.EnableProfiling(true) // restore the default on exit
 	var measured, samples, sampledNS int64
 	round := func(on bool) float64 {
-		telemetry.EnableProfiling(on)
 		if on {
 			api := serving.NewServer(reg)
 			defer func() {
@@ -83,7 +79,7 @@ func overheadExperiment(alpha float64, size, total int, budgetPct float64, costM
 		}
 		return serveThroughput(ctx, m, inst, total)
 	}
-	round(true) // warm-up: pool fill, cost accounts, observer maps
+	round(true) // warm-up: pool fill, observer maps
 
 	var onQPS, offQPS, lossPct []float64
 	fmt.Printf("%-6s %10s %10s %10s\n", "Pair", "QPS on", "QPS off", "loss %")

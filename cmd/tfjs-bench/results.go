@@ -7,8 +7,8 @@ import (
 )
 
 // ModeResult is one benchmark mode's measured numbers, the JSON shape of
-// the -out artifacts. The fusion A/B and ladder modes fill the
-// per-inference fields; the overhead gate fills QPS. KernelDispatches is
+// the -out artifacts. The fusion A/B fills the per-inference fields; the
+// overhead gate fills QPS. KernelDispatches is
 // the kernel launches per inference — the graph optimizer's primary
 // observable; KernelCounts breaks that down by kernel name.
 type ModeResult struct {

@@ -24,8 +24,6 @@
 // registers an inference graph from a JSON GraphSpec. Versioned models
 // roll out via POST /v1/models/{base}:promote|:canary|:shadow|:evict.
 //
-// -cost-model measured switches the parallelism grain from static flop
-// estimates to the continuous profiler's measured ns/element feedback.
 // -debug-addr localhost:6060 exposes net/http/pprof on a second,
 // typically loopback-only listener kept off the serving address.
 //
@@ -134,15 +132,8 @@ func main() {
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "server-side request deadline")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown: max wait for in-flight requests")
 	demo := flag.Bool("demo", false, "serve a synthetic in-memory MobileNet v1 α=0.25 as \"mobilenet\"")
-	costModel := flag.String("cost-model", "static", "parallelism cost source: static (plan flop estimates) or measured (continuous profiler feedback)")
 	debugAddr := flag.String("debug-addr", "", "optional second listen address exposing net/http/pprof (e.g. localhost:6060); empty disables")
 	flag.Parse()
-
-	cm := tf.CostModel(*costModel)
-	if cm != tf.CostModelStatic && cm != tf.CostModelMeasured {
-		fmt.Fprintf(os.Stderr, "bad -cost-model %q: want static or measured\n", *costModel)
-		os.Exit(2)
-	}
 
 	if len(models) == 0 && !*demo {
 		fmt.Fprintln(os.Stderr, "nothing to serve: pass -model name=dir[:backend] or -demo")
@@ -161,7 +152,6 @@ func main() {
 		Batching: cfg,
 		Replicas: *replicas,
 		Tenants:  tenants,
-		Exec:     []tf.ExecOption{tf.WithCostModel(cm)},
 	}
 	reg := serving.NewRegistry()
 	defer reg.Close()

@@ -6,6 +6,12 @@
 // TestConfigSurface for the admission rule); anything the code can work
 // out from its inputs — which GEMM core suits an operand, whether to
 // recycle buffers, whether to verify a compiled plan — is not an option.
+// CostModel breaks that rule: it has one value left and stays only
+// because bench/fixtures.go still sets it, and files under bench/ change
+// only together with the benchmark.
+//
+// The backend reads no clock for scheduling: the per-step hint a plan
+// hands the backend (HintStep) is the step's static flops estimate.
 //
 // The package is a leaf: it imports nothing from the repo, so converter,
 // graphmodel, native, serving and tf can all depend on it without cycles.
@@ -13,21 +19,16 @@ package exec
 
 import "fmt"
 
-// CostModel selects how the backend estimates per-step work when choosing
-// its parallelism grain (and how the serving batcher models execution
-// latency): from static flop counts derived at plan-compile time, or from
-// the continuous profiler's measured ns/element accounts.
+// CostModel names where the backend's per-step work estimate comes from
+// when it chooses a parallelism grain: static flop counts derived at
+// plan-compile time, the one value left. The measured cost model, which
+// fed per-chunk wall times back into the grain, was removed; Validate
+// says so to a caller that still asks for it.
 type CostModel string
 
-const (
-	// CostModelStatic derives grain from compile-time flops-per-element
-	// estimates (the default, and the only behaviour before the profiler).
-	CostModelStatic CostModel = "static"
-	// CostModelMeasured derives grain from observed ns/element fed back by
-	// the continuous profiler. Outputs are bit-identical to static — only
-	// chunk boundaries (and therefore wall time) may differ.
-	CostModelMeasured CostModel = "measured"
-)
+// CostModelStatic derives grain from compile-time flops-per-element
+// estimates, the default.
+const CostModelStatic CostModel = "static"
 
 // Config is the resolved execution configuration. The zero value means
 // "all defaults": one worker per GOMAXPROCS, static cost model, graph
@@ -46,8 +47,8 @@ type Config struct {
 	Optimize *bool
 	Verify   *bool
 
-	// CostModel selects static (flop-estimate) or measured (profiler
-	// feedback) per-step cost for grain selection. Empty means static.
+	// CostModel names the per-step cost source for grain selection: empty
+	// or CostModelStatic, the only one.
 	CostModel CostModel
 
 	// PoolPoison scribbles freed buffers with NaN sentinels so a
@@ -76,7 +77,7 @@ func WithVerify(on bool) Option {
 }
 
 // WithCostModel selects the per-step cost model driving the parallelism
-// grain (CostModelStatic or CostModelMeasured).
+// grain (CostModelStatic is the only one).
 func WithCostModel(m CostModel) Option {
 	return func(c *Config) { c.CostModel = m }
 }
@@ -120,9 +121,6 @@ func (c Config) Merge(over Config) Config {
 	return out
 }
 
-// MeasuredCost reports whether the measured cost model is selected.
-func (c Config) MeasuredCost() bool { return c.CostModel == CostModelMeasured }
-
 // OptimizeOn reports whether graph optimization is enabled (default true).
 func (c Config) OptimizeOn() bool { return c.Optimize == nil || *c.Optimize }
 
@@ -133,9 +131,11 @@ func (c Config) VerifyOn() bool { return c.Verify == nil || *c.Verify }
 // than deep inside a kernel dispatch.
 func (c Config) Validate() error {
 	switch c.CostModel {
-	case "", CostModelStatic, CostModelMeasured:
+	case "", CostModelStatic:
+	case "measured":
+		return fmt.Errorf("exec: the measured cost model was removed; use %q", CostModelStatic)
 	default:
-		return fmt.Errorf("exec: unknown cost model %q (want %q or %q)", c.CostModel, CostModelStatic, CostModelMeasured)
+		return fmt.Errorf("exec: unknown cost model %q (want %q)", c.CostModel, CostModelStatic)
 	}
 	return nil
 }
@@ -158,53 +158,18 @@ func Apply(b any, c Config) bool {
 	return false
 }
 
-// CostObserver is a rolling measured-cost account for one plan step: the
-// backend feeds it per-chunk (duration, items) observations from inside
-// its sharded loops, and reads back the smoothed ns/item when the
-// measured cost model drives grain selection. Implemented by
-// telemetry.CostAccount; defined here so this package stays a leaf.
-// Implementations must be safe for concurrent use and must not block —
-// ObserveCost runs on the kernel hot path.
-type CostObserver interface {
-	// ObserveCost folds one timed run of `items` loop iterations taking
-	// `ns` nanoseconds into the account. items <= 0 observations are
-	// ignored.
-	ObserveCost(ns int64, items int)
-	// NSPerItem returns the smoothed measured cost per loop item in
-	// nanoseconds, or 0 when nothing has been observed yet.
-	NSPerItem() float64
-}
-
-// StepHint is the per-plan-step cost hint: the compile-time flop
-// estimate plus the step's rolling measured account. Immutable after
-// construction (the executor pre-allocates one per plan step), so the
-// backend can publish it with a single atomic pointer store per step.
-type StepHint struct {
-	// Flops is the static flops-per-output-element estimate (0 = unknown;
-	// the backend falls back to its per-kernel default).
-	Flops int
-	// Cost is the step's measured-cost account. The backend feeds it
-	// whenever profiling is enabled, regardless of Measured. Nil disables
-	// collection for this step.
-	Cost CostObserver
-	// Measured selects the grain source: when true and Cost has
-	// observations, grain derives from measured ns/item; otherwise from
-	// Flops. Outputs are bit-identical either way.
-	Measured bool
-}
-
-// StepHintSetter is implemented by backends that accept per-plan-step
-// cost hints: the compiled plan knows each step's arithmetic intensity,
+// StepHintSetter is implemented by backends that accept a per-plan-step
+// cost hint: the compiled plan knows each step's flops per output element,
 // which the backend folds into its parallelism grain so cheap steps stay
-// inline and expensive ones shard. SetStepHint(nil) clears the hint back
-// to the per-kernel default.
+// inline and expensive ones shard. SetStepHint(0) clears the hint back to
+// the per-kernel default.
 type StepHintSetter interface {
-	SetStepHint(h *StepHint)
+	SetStepHint(flops int)
 }
 
-// HintStep forwards a step's hint to the backend if it listens.
-func HintStep(b any, h *StepHint) {
+// HintStep forwards a step's flops estimate to the backend if it listens.
+func HintStep(b any, flops int) {
 	if s, ok := b.(StepHintSetter); ok {
-		s.SetStepHint(h)
+		s.SetStepHint(flops)
 	}
 }

@@ -11,14 +11,12 @@ package graphmodel
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/converter"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/kernels"
 	"repro/internal/savedmodel"
-	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -40,7 +38,7 @@ func WithOptimize(enabled bool) Option {
 	return func(c *config) { c.exec.Optimize = &enabled }
 }
 
-// WithExecOptions applies execution options (worker budget, cost model,
+// WithExecOptions applies execution options (worker budget, pool poison,
 // optimize/verify gates) to the load. The backend-level knobs are applied
 // to the model's engine's backend at load time; the graph-level knobs
 // steer the optimizer and verifier.
@@ -97,12 +95,6 @@ type Model struct {
 	// eng is the engine this model executes on (WithEngine); the global
 	// engine by default.
 	eng *core.Engine
-
-	// execCost is the rolling account of whole-execution wall time (one
-	// item per Execute call), fed when profiling is on. The serving
-	// batcher reads it through MeasuredExecuteMS to replace its static
-	// retry-after fallback with an observed per-execution latency.
-	execCost *telemetry.CostAccount
 }
 
 // Load reads artifacts from a converter.Store and prepares the model.
@@ -135,7 +127,7 @@ func New(g *savedmodel.GraphDef, opts ...Option) (*Model, error) {
 	// Backend-level knobs (worker budget, pool poison) apply to the engine
 	// this model executes on; backends without the hook ignore them.
 	exec.Apply(eng.Backend(), cfg.exec)
-	m := &Model{graph: g, exec: g, eng: eng, execCost: telemetry.NewCostAccount()}
+	m := &Model{graph: g, exec: g, eng: eng}
 	m.span = spanName("graphmodel", g)
 	if cfg.exec.OptimizeOn() {
 		m.exec, m.optStats = optimize(g, eng.Telemetry(), m.span)
@@ -158,7 +150,7 @@ func New(g *savedmodel.GraphDef, opts ...Option) (*Model, error) {
 		return nil, err
 	}
 	m.order = order
-	m.plan = compilePlan(m.exec, m.order, m.nodes, cfg.exec.MeasuredCost())
+	m.plan = compilePlan(m.exec, m.order, m.nodes)
 	// Prove the compiled plan's dispose points and alias roots memory-
 	// safe before the first execution (see planexport.go); a defective
 	// plan is a compiler bug, surfaced here as a load error instead of
@@ -302,23 +294,9 @@ func (m *Model) Execute(feeds map[string]*tensor.Tensor) (map[string]*tensor.Ten
 		// whatever other engines are executing.
 		end := e.BeginSpan(m.span)
 		defer end()
-		if telemetry.ProfilingOn() {
-			t0 := time.Now()
-			results, err = m.execute(e, feeds)
-			m.execCost.ObserveCost(time.Since(t0).Nanoseconds(), 1)
-		} else {
-			results, err = m.execute(e, feeds)
-		}
+		results, err = m.execute(e, feeds)
 	})
 	return results, err
-}
-
-// MeasuredExecuteMS reports the rolling observed wall time of one Execute
-// call in milliseconds, or 0 when nothing has been measured yet (profiling
-// off, or no executions). The serving batcher folds this into its
-// retry-after hint instead of a hardcoded guess.
-func (m *Model) MeasuredExecuteMS() float64 {
-	return m.execCost.NSPerItem() / 1e6
 }
 
 // Engine returns the engine this model executes on.

@@ -5,10 +5,8 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/kernels"
 	"repro/internal/savedmodel"
-	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -40,12 +38,10 @@ type step struct {
 	inNames []string
 	out     int
 	alias   bool // out shares the input's data container
-	// hint is the pre-allocated per-step cost hint: the static flops
-	// estimate plus this step's rolling measured-cost account (fed by the
-	// backend's sharded loops whenever profiling is on). The backend
-	// publishes it with one atomic store before the step runs, so the
-	// parallelism grain reflects the step's real per-element work.
-	hint    *exec.StepHint
+	// flops is the step's static flops-per-output-element estimate. The
+	// backend takes it with one atomic store before the step runs, so the
+	// parallelism grain reflects the step's per-element work.
+	flops   int
 	run     func(x *execState, st *step) error
 	info    kernels.TensorInfo // output descriptor scratch
 	insBuf  []kernels.Input    // operand scratch
@@ -75,12 +71,8 @@ type weightSlot struct {
 	name string
 }
 
-// compilePlan builds the plan for graph g in execution order. measured
-// selects the backend's grain source for every step (exec.CostModel): the
-// static flop estimate, or the step's measured-cost account — the account
-// itself is allocated (and fed) either way, so switching the model never
-// discards history and the A/B arms profile identically.
-func compilePlan(g *savedmodel.GraphDef, order []string, nodes map[string]*savedmodel.NodeDef, measured bool) *plan {
+// compilePlan builds the plan for graph g in execution order.
+func compilePlan(g *savedmodel.GraphDef, order []string, nodes map[string]*savedmodel.NodeDef) *plan {
 	p := &plan{slots: make(map[string]int, len(order)), numSlots: len(order)}
 	for i, name := range order {
 		p.slots[name] = i
@@ -106,11 +98,7 @@ func compilePlan(g *savedmodel.GraphDef, order []string, nodes map[string]*saved
 			continue
 		}
 		st := compileStep(n, slot, p.slots)
-		st.hint = &exec.StepHint{
-			Flops:    stepCost(n, g),
-			Cost:     telemetry.NewCostAccount(),
-			Measured: measured,
-		}
+		st.flops = stepCost(n, g)
 		if st.alias {
 			p.root[slot] = p.root[st.ins[0]]
 		}

@@ -1,10 +1,6 @@
 package layers
 
 import (
-	"fmt"
-	"math/rand"
-
-	"repro/internal/core"
 	"repro/internal/jsenv"
 	"repro/internal/tensor"
 )
@@ -25,88 +21,16 @@ func (m *Sequential) FitAsync(loop *jsenv.Loop, x, y *tensor.Tensor, cfg FitConf
 		}
 		fut.Resolve(h, err)
 	}
-
-	if m.optimizer == nil || m.loss == nil {
-		finish(nil, fmt.Errorf("layers: model %q must be compiled before fit", m.name))
-		return fut
-	}
-	if err := m.Build(); err != nil {
+	r, err := m.startFit(x, y, cfg)
+	if err != nil {
 		finish(nil, err)
 		return fut
 	}
-	if x.Rank() < 1 || y.Rank() < 1 || x.Shape[0] != y.Shape[0] {
-		finish(nil, fmt.Errorf("layers: fit needs matching example counts, got x %v y %v", x.Shape, y.Shape))
-		return fut
-	}
-
-	epochs := cfg.Epochs
-	if epochs <= 0 {
-		epochs = 1
-	}
-	batchSize := cfg.BatchSize
-	if batchSize <= 0 {
-		batchSize = 32
-	}
-	shuffle := cfg.Shuffle == nil || *cfg.Shuffle
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	numExamples := x.Shape[0]
-	vars := m.TrainableWeights()
-	hist := &History{Epochs: epochs, Logs: map[string][]float64{}}
-
-	indices := make([]int, numExamples)
-	for i := range indices {
-		indices[i] = i
-	}
-
-	e := core.Global()
-	var epoch, start int
-	var epochLoss float64
-	var metricSums []float64
-	var batches int
-
 	var step func()
 	step = func() {
-		if start == 0 {
-			if shuffle {
-				rng.Shuffle(len(indices), func(i, j int) { indices[i], indices[j] = indices[j], indices[i] })
-			}
-			epochLoss = 0
-			metricSums = make([]float64, len(m.metrics))
-			batches = 0
-		}
-		end := start + batchSize
-		if end > numExamples {
-			end = numExamples
-		}
-		lossVal, metricVals := m.trainBatch(e, x, y, indices[start:end], vars)
-		epochLoss += lossVal
-		for i, v := range metricVals {
-			metricSums[i] += v
-		}
-		batches++
-		start = end
-
-		if start >= numExamples {
-			logs := map[string]float64{"loss": epochLoss / float64(batches)}
-			for i, metric := range m.metrics {
-				logs[metric.Name] = metricSums[i] / float64(batches)
-			}
-			for k, v := range logs {
-				hist.Logs[k] = append(hist.Logs[k], v)
-			}
-			if cfg.OnEpochEnd != nil {
-				cfg.OnEpochEnd(epoch, logs)
-			}
-			epoch++
-			start = 0
-			if epoch >= epochs {
-				finish(hist, nil)
-				return
-			}
+		if r.step() {
+			finish(r.hist, nil)
+			return
 		}
 		// Yield: re-post ourselves so interleaved events run between
 		// batches (the tf.nextFrame() await of browser training loops).

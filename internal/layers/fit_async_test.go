@@ -68,7 +68,8 @@ func TestFitAsyncKeepsMainThreadResponsive(t *testing.T) {
 }
 
 // TestFitAsyncMatchesSyncFit: same seed, same data, same batches — the
-// async scheduler must produce identical training results.
+// async scheduler must produce identical training results, validation
+// logs included, and reject the same configs.
 func TestFitAsyncMatchesSyncFit(t *testing.T) {
 	build := func() *layers.Sequential {
 		layers.SetSeed(99)
@@ -83,25 +84,49 @@ func TestFitAsyncMatchesSyncFit(t *testing.T) {
 	ys := ops.FromValues([]float32{2, 4, 6, 8}, 4, 1)
 	defer xs.Dispose()
 	defer ys.Dispose()
-
-	syncModel := build()
-	histSync, err := syncModel.Fit(xs, ys, layers.FitConfig{Epochs: 10, BatchSize: 2, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	asyncModel := build()
 	loop := jsenv.NewLoop()
 	defer loop.Stop()
-	histAsync, err := asyncModel.FitAsync(loop, xs, ys, layers.FitConfig{Epochs: 10, BatchSize: 2, Seed: 5}, nil).Await()
-	if err != nil {
-		t.Fatal(err)
+
+	for _, c := range []struct {
+		name string
+		cfg  layers.FitConfig
+	}{
+		{"all_rows", layers.FitConfig{Epochs: 10, BatchSize: 2, Seed: 5}},
+		{"validation_split", layers.FitConfig{Epochs: 10, BatchSize: 2, Seed: 5, ValidationSplit: 0.25}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			histSync, err := build().Fit(xs, ys, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			histAsync, err := build().FitAsync(loop, xs, ys, c.cfg, nil).Await()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(histAsync.Logs) != len(histSync.Logs) {
+				t.Fatalf("async logs %v, sync logs %v", histAsync.Logs, histSync.Logs)
+			}
+			for k, want := range histSync.Logs {
+				got := histAsync.Logs[k]
+				if len(got) != len(want) {
+					t.Fatalf("%s: async has %d epochs, sync %d", k, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("epoch %d %s diverged: sync %g vs async %g", i, k, want[i], got[i])
+					}
+				}
+			}
+		})
 	}
-	for i := range histSync.Logs["loss"] {
-		s, a := histSync.Logs["loss"][i], histAsync.Logs["loss"][i]
-		if s != a {
-			t.Fatalf("epoch %d loss diverged: sync %g vs async %g", i, s, a)
-		}
+
+	// A split that leaves no training data is refused by both.
+	noTrain := layers.FitConfig{ValidationSplit: 1.0}
+	if _, err := build().Fit(xs, ys, noTrain); err == nil {
+		t.Fatal("Fit accepted a split with no training data")
+	}
+	if _, err := build().FitAsync(loop, xs, ys, noTrain, nil).Await(); err == nil {
+		t.Fatal("FitAsync accepted a split with no training data")
 	}
 }
 

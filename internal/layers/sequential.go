@@ -271,84 +271,132 @@ type History struct {
 // tensors whose first dimension indexes examples. Each step runs one
 // forward pass: loss and metrics are both taken from it (see History.Logs).
 func (m *Sequential) Fit(x, y *tensor.Tensor, cfg FitConfig) (*History, error) {
-	if m.optimizer == nil || m.loss == nil {
-		return nil, fmt.Errorf("layers: model %q must be compiled before fit", m.name)
-	}
-	if err := m.Build(); err != nil {
+	r, err := m.startFit(x, y, cfg)
+	if err != nil {
 		return nil, err
 	}
+	for !r.step() {
+	}
+	return r.hist, nil
+}
+
+// fitRun is one Fit or FitAsync call: the checked config with its defaults
+// applied, the training rows' order and the running epoch. Fit and
+// FitAsync differ only in how they call step: in a loop, or one minibatch
+// per event-loop task.
+type fitRun struct {
+	m          *Sequential
+	e          *core.Engine
+	x, y       *tensor.Tensor
+	onEpochEnd func(epoch int, logs map[string]float64)
+	epochs     int
+	batchSize  int
+	shuffle    bool
+	// rng is held by value: Fit's run lives on its stack, and a *rand.Rand
+	// field would cost every Fit call one more allocation.
+	rng rand.Rand
+	// The first numTrain rows train, in indices' order; the rest up to
+	// numExamples are the validation split.
+	numTrain, numExamples int
+	indices               []int
+	vars                  []*core.Variable
+	hist                  *History
+
+	// The running epoch: its index, where its next minibatch starts in
+	// indices, and the sums its logs are made from.
+	epoch, start int
+	epochLoss    float64
+	metricSums   []float64
+	batches      int
+}
+
+// startFit checks the model, the data and the validation split, and
+// returns the run ready for its first step.
+func (m *Sequential) startFit(x, y *tensor.Tensor, cfg FitConfig) (fitRun, error) {
+	if m.optimizer == nil || m.loss == nil {
+		return fitRun{}, fmt.Errorf("layers: model %q must be compiled before fit", m.name)
+	}
+	if err := m.Build(); err != nil {
+		return fitRun{}, err
+	}
 	if x.Rank() < 1 || y.Rank() < 1 || x.Shape[0] != y.Shape[0] {
-		return nil, fmt.Errorf("layers: fit needs matching example counts, got x %v y %v", x.Shape, y.Shape)
+		return fitRun{}, fmt.Errorf("layers: fit needs matching example counts, got x %v y %v", x.Shape, y.Shape)
 	}
-	epochs := cfg.Epochs
-	if epochs <= 0 {
-		epochs = 1
+	r := fitRun{
+		m: m, e: core.Global(), x: x, y: y, onEpochEnd: cfg.OnEpochEnd,
+		epochs: cfg.Epochs, batchSize: cfg.BatchSize,
+		shuffle: cfg.Shuffle == nil || *cfg.Shuffle,
 	}
-	batchSize := cfg.BatchSize
-	if batchSize <= 0 {
-		batchSize = 32
+	if r.epochs <= 0 {
+		r.epochs = 1
 	}
-	shuffle := cfg.Shuffle == nil || *cfg.Shuffle
+	if r.batchSize <= 0 {
+		r.batchSize = 32
+	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	rng := rand.New(rand.NewSource(seed))
+	r.rng = *rand.New(rand.NewSource(seed))
 
-	numExamples := x.Shape[0]
-	numVal := int(float64(numExamples) * cfg.ValidationSplit)
-	numTrain := numExamples - numVal
-	if numTrain <= 0 {
-		return nil, fmt.Errorf("layers: validation split %g leaves no training data", cfg.ValidationSplit)
+	r.numExamples = x.Shape[0]
+	r.numTrain = r.numExamples - int(float64(r.numExamples)*cfg.ValidationSplit)
+	if r.numTrain <= 0 {
+		return fitRun{}, fmt.Errorf("layers: validation split %g leaves no training data", cfg.ValidationSplit)
+	}
+	r.vars = m.TrainableWeights()
+	r.hist = &History{Epochs: r.epochs, Logs: map[string][]float64{}}
+	r.indices = make([]int, r.numTrain)
+	for i := range r.indices {
+		r.indices[i] = i
+	}
+	return r, nil
+}
+
+// step trains the next minibatch and reports whether training is done. An
+// epoch's first step reshuffles the training rows; its last one closes the
+// epoch: the mean loss and metrics, a validation pass over the held-out
+// rows, the history and OnEpochEnd.
+func (r *fitRun) step() (done bool) {
+	m := r.m
+	if r.start == 0 {
+		if r.shuffle {
+			indices := r.indices
+			r.rng.Shuffle(len(indices), func(i, j int) { indices[i], indices[j] = indices[j], indices[i] })
+		}
+		r.epochLoss, r.batches = 0, 0
+		r.metricSums = make([]float64, len(m.metrics))
+	}
+	end := min(r.start+r.batchSize, r.numTrain)
+	lossVal, metricVals := m.trainBatch(r.e, r.x, r.y, r.indices[r.start:end], r.vars)
+	r.epochLoss += lossVal
+	for i, v := range metricVals {
+		r.metricSums[i] += v
+	}
+	r.batches++
+	r.start = end
+	if r.start < r.numTrain {
+		return false
 	}
 
-	e := core.Global()
-	vars := m.TrainableWeights()
-	hist := &History{Epochs: epochs, Logs: map[string][]float64{}}
-
-	indices := make([]int, numTrain)
-	for i := range indices {
-		indices[i] = i
+	logs := map[string]float64{"loss": r.epochLoss / float64(r.batches)}
+	for i, metric := range m.metrics {
+		logs[metric.Name] = r.metricSums[i] / float64(r.batches)
 	}
-
-	for epoch := 0; epoch < epochs; epoch++ {
-		if shuffle {
-			rng.Shuffle(len(indices), func(i, j int) { indices[i], indices[j] = indices[j], indices[i] })
-		}
-		var epochLoss float64
-		metricSums := make([]float64, len(m.metrics))
-		batches := 0
-		for start := 0; start < numTrain; start += batchSize {
-			end := start + batchSize
-			if end > numTrain {
-				end = numTrain
-			}
-			batchIdx := indices[start:end]
-			lossVal, metricVals := m.trainBatch(e, x, y, batchIdx, vars)
-			epochLoss += lossVal
-			for i, v := range metricVals {
-				metricSums[i] += v
-			}
-			batches++
-		}
-		logs := map[string]float64{"loss": epochLoss / float64(batches)}
-		for i, metric := range m.metrics {
-			logs[metric.Name] = metricSums[i] / float64(batches)
-		}
-		if numVal > 0 {
-			valLogs := m.evaluateRange(e, x, y, numTrain, numExamples, batchSize)
-			for k, v := range valLogs {
-				logs["val_"+k] = v
-			}
-		}
-		for k, v := range logs {
-			hist.Logs[k] = append(hist.Logs[k], v)
-		}
-		if cfg.OnEpochEnd != nil {
-			cfg.OnEpochEnd(epoch, logs)
+	if r.numTrain < r.numExamples {
+		for k, v := range m.evaluateRange(r.e, r.x, r.y, r.numTrain, r.numExamples, r.batchSize) {
+			logs["val_"+k] = v
 		}
 	}
-	return hist, nil
+	for k, v := range logs {
+		r.hist.Logs[k] = append(r.hist.Logs[k], v)
+	}
+	if r.onEpochEnd != nil {
+		r.onEpochEnd(r.epoch, logs)
+	}
+	r.epoch++
+	r.start = 0
+	return r.epoch >= r.epochs
 }
 
 // trainBatch runs one minimization step on the examples at batchIdx and

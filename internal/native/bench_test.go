@@ -2,9 +2,8 @@ package native_test
 
 // Whole-model microbenchmark for the native backend, pinned to one worker
 // so it measures kernel quality, not scheduling: single-image MobileNet
-// inference on the ladder benchmark shape (alpha=0.25 @96×96), the same
-// plan `tfjs-bench ladder` reports with wall-clock. The per-kernel
-// benchmarks live in kernel_bench_test.go.
+// inference at the serving benchmark's shape (alpha=0.25 @96×96). The
+// per-kernel benchmarks live in kernel_bench_test.go.
 //
 //	go test -run xxx -bench . ./internal/native/
 

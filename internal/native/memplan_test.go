@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/graphmodel"
 	"repro/internal/models"
 	"repro/internal/native"
@@ -19,8 +18,7 @@ import (
 // These tests are the memory planner's acceptance gates (ISSUE 9): the
 // buffer recycler plus the direct-dispatch plan must keep warmed
 // steady-state Predict near-zero in heap allocations, and the recycler must
-// do its part without perturbing a single output bit — across worker counts
-// and under both cost models.
+// do its part without perturbing a single output bit at any worker count.
 
 // nodeBackend switches the global engine onto the native backend and
 // returns it.
@@ -113,68 +111,49 @@ func TestSteadyStateAllocsGate(t *testing.T) {
 
 // TestPooledBitIdentityMatrix checks the planner's correctness invariant:
 // with the recycler on, outputs are bitwise identical to the same plan run
-// with the recycler off — not merely close — at every worker count, on the
-// static-cost and measured-cost rungs of the acceleration ladder.
-// Buffer reuse may never change which values a kernel reads or writes.
+// with the recycler off — not merely close — at every worker count, with
+// the static cost model. Buffer reuse may never change which values a
+// kernel reads or writes.
 func TestPooledBitIdentityMatrix(t *testing.T) {
 	nb := nodeBackend(t)
 	defer nb.SetWorkers(-1)
 	defer nb.EnablePooling(true)
 
-	rungs := []struct {
-		name string
-		opts []exec.Option
-	}{
-		{"static", nil},
-		{"measured", []exec.Option{exec.WithCostModel(exec.CostModelMeasured)}},
-	}
 	const inputSize = 64
 	vals := make([]float32, inputSize*inputSize*3)
 	for i := range vals {
 		vals[i] = float32(i%113)/113 - 0.4
 	}
 
-	for _, rung := range rungs {
-		t.Run(rung.name, func(t *testing.T) {
-			gm, err := graphmodel.New(mobileNetGraph(t, inputSize),
-				graphmodel.WithExecOptions(rung.opts...))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer gm.Dispose()
-			x := ops.FromValues(vals, 1, inputSize, inputSize, 3)
-			defer x.Dispose()
+	t.Run("static", func(t *testing.T) {
+		gm, err := graphmodel.New(mobileNetGraph(t, inputSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer gm.Dispose()
+		x := ops.FromValues(vals, 1, inputSize, inputSize, 3)
+		defer x.Dispose()
 
-			for _, workers := range []int{1, 2, 4, 8} {
-				nb.SetWorkers(workers)
-				// Warm both arms (the measured rung additionally needs runs
-				// for its EWMA cost accounts to take over the grain).
-				warm := 1
-				if rung.name == "measured" {
-					warm = 4
-				}
-				nb.EnablePooling(true)
-				for i := 0; i < warm; i++ {
-					predictBits(t, gm, x)
-				}
-				pooled := predictBits(t, gm, x)
-				nb.EnablePooling(false)
-				for i := 0; i < warm; i++ {
-					predictBits(t, gm, x)
-				}
-				unpooled := predictBits(t, gm, x)
-				if len(pooled) != len(unpooled) {
-					t.Fatalf("workers=%d: output sizes differ: %d vs %d", workers, len(pooled), len(unpooled))
-				}
-				for i := range pooled {
-					if math.Float32bits(pooled[i]) != math.Float32bits(unpooled[i]) {
-						t.Fatalf("workers=%d: output[%d] pooled=%x unpooled=%x (bitwise drift)",
-							workers, i, math.Float32bits(pooled[i]), math.Float32bits(unpooled[i]))
-					}
+		for _, workers := range []int{1, 2, 4, 8} {
+			nb.SetWorkers(workers)
+			// Warm each arm once before the run that is compared.
+			nb.EnablePooling(true)
+			predictBits(t, gm, x)
+			pooled := predictBits(t, gm, x)
+			nb.EnablePooling(false)
+			predictBits(t, gm, x)
+			unpooled := predictBits(t, gm, x)
+			if len(pooled) != len(unpooled) {
+				t.Fatalf("workers=%d: output sizes differ: %d vs %d", workers, len(pooled), len(unpooled))
+			}
+			for i := range pooled {
+				if math.Float32bits(pooled[i]) != math.Float32bits(unpooled[i]) {
+					t.Fatalf("workers=%d: output[%d] pooled=%x unpooled=%x (bitwise drift)",
+						workers, i, math.Float32bits(pooled[i]), math.Float32bits(unpooled[i]))
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestVectorScalarBitIdentity is the whole-model form of the vector

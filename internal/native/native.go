@@ -36,12 +36,11 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 type Backend struct {
 	*cpu.Backend
 	workers atomic.Int64
-	// stepHint is the per-plan-step hint: static flops plus the step's
-	// rolling measured-cost account. Published by the graph executor with
-	// one atomic store per step; parallelFor reads it to pick the grain
-	// source and to feed per-chunk timings back into the account.
-	stepHint atomic.Pointer[exec.StepHint]
-	table    map[string]kernels.OverrideKernel
+	// stepFlops is the running plan step's flops-per-element estimate (0:
+	// none), published by the graph executor with one atomic store per step;
+	// parallelFor sizes its grain from it.
+	stepFlops atomic.Int64
+	table     map[string]kernels.OverrideKernel
 
 	// scratchF32 recycles kernel-internal temporaries (Conv2DBackpropInput's
 	// transposed filter): a per-backend (and so per-replica)
@@ -103,14 +102,15 @@ func (b *Backend) ApplyExecConfig(c exec.Config) {
 }
 
 // SetStepHint implements exec.StepHintSetter: the graph executor
-// publishes the compiled plan step's hint before running each kernel.
-func (b *Backend) SetStepHint(h *exec.StepHint) { b.stepHint.Store(h) }
+// publishes the compiled plan step's flops estimate before running each
+// kernel.
+func (b *Backend) SetStepHint(flops int) { b.stepFlops.Store(int64(flops)) }
 
 // costPerElem returns the plan step's flops-per-element hint when one is
 // set, else the kernel's own estimate.
 func (b *Backend) costPerElem(local int) int {
-	if h := b.stepHint.Load(); h != nil && h.Flops > 0 {
-		return h.Flops
+	if flops := b.stepFlops.Load(); flops > 0 {
+		return int(flops)
 	}
 	if local < 1 {
 		return 1

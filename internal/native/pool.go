@@ -4,10 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"repro/internal/exec"
-	"repro/internal/telemetry"
 )
 
 // The shared worker pool. One process gets one pool of GOMAXPROCS
@@ -78,13 +74,6 @@ const chunkFlops = 32 * 1024
 // has a deep queue of chunks, more chunks only add scheduling overhead.
 const maxChunks = 256
 
-// chunkNS is the measured-cost sibling of chunkFlops: the wall-time cost
-// below which a chunk is not worth handing to another goroutine. The two
-// constants agree at the ~1 flop/ns a scalar core sustains, so switching
-// the cost model between static and measured moves the grain only as far
-// as the measurement diverges from the flop estimate.
-const chunkNS = 32 * 1024
-
 // chunkBounds returns chunk i of [0, n) split into c near-equal chunks. The layout is a
 // pure function of n and c — never of the worker count or of runtime
 // timing — which is half of the bit-stability story: every worker count
@@ -106,45 +95,20 @@ func chunkBounds(n, c, i int) (lo, hi int) {
 // kernel's estimate of the arithmetic per index (flops); the chunk grain
 // is derived from it so that each chunk carries at least chunkFlops of
 // work. A costPerItem <= 0 falls back to the plan step's per-element
-// cost hint (set by the graph executor), else to 1.
+// cost hint (set by the graph executor), else to 1. Nothing here reads a
+// clock: the grain is a function of the estimate alone.
 //
-// When the current plan step carries a measured-cost account
-// (exec.StepHint.Cost) and profiling is on, every chunk's wall time is
-// fed back into the account; summed chunk durations approximate the
-// step's sequential work time, so the measurement is independent of how
-// many workers ran it and never oscillates with the grain it informs.
-// Under exec.CostModelMeasured (hint.Measured) the grain itself derives
-// from the account's observed ns/item instead of the flop estimate.
-//
-// Results are bit-identical for every workers setting and either cost
-// model: chunk boundaries are a pure function of (n, chunks), kernels
-// never split one output element's accumulation across chunks, and the
-// cost model only moves the boundaries. Only wall time varies.
+// Results are bit-identical for every workers setting: chunk boundaries
+// are a pure function of (n, chunks), and kernels never split one output
+// element's accumulation across chunks. Only wall time varies.
 func (b *Backend) parallelFor(n, costPerItem int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	hint := b.stepHint.Load()
-	// acct, when set, receives each chunk's wall time. The timing is inlined
-	// at the two execution sites below rather than wrapped in a closure: the
-	// wrapper was a per-call heap allocation on the single-worker path, which
-	// must stay allocation-free in steady state.
-	var acct exec.CostObserver
-	if hint != nil && hint.Cost != nil && telemetry.ProfilingOn() {
-		acct = hint.Cost
+	if costPerItem <= 0 {
+		costPerItem = b.costPerElem(1)
 	}
-	grain := 0
-	if hint != nil && hint.Measured && hint.Cost != nil {
-		if nsPerItem := hint.Cost.NSPerItem(); nsPerItem > 0 {
-			grain = int(chunkNS / nsPerItem)
-		}
-	}
-	if grain <= 0 {
-		if costPerItem <= 0 {
-			costPerItem = b.costPerElem(1)
-		}
-		grain = chunkFlops / costPerItem
-	}
+	grain := chunkFlops / costPerItem
 	if grain < 1 {
 		grain = 1
 	}
@@ -154,12 +118,6 @@ func (b *Backend) parallelFor(n, costPerItem int, fn func(lo, hi int)) {
 	}
 	workers := b.Workers()
 	if chunks <= 1 || workers <= 1 {
-		if acct != nil {
-			t0 := time.Now()
-			fn(0, n)
-			acct.ObserveCost(time.Since(t0).Nanoseconds(), n)
-			return
-		}
 		fn(0, n)
 		return
 	}
@@ -174,14 +132,7 @@ func (b *Backend) parallelFor(n, costPerItem int, fn func(lo, hi int)) {
 			if i >= chunks {
 				return
 			}
-			lo, hi := chunkBounds(n, chunks, i)
-			if acct != nil {
-				t0 := time.Now()
-				fn(lo, hi)
-				acct.ObserveCost(time.Since(t0).Nanoseconds(), hi-lo)
-				continue
-			}
-			fn(lo, hi)
+			fn(chunkBounds(n, chunks, i))
 		}
 	}
 	var wg sync.WaitGroup

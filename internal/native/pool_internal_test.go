@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/exec"
-	"repro/internal/telemetry"
 )
 
 // coverage records which indices a parallelFor visited, and how often.
@@ -57,73 +56,33 @@ func TestChunkBoundsPartition(t *testing.T) {
 	}
 }
 
-// TestParallelForFeedsCostAccount checks the per-chunk feedback loop: with
-// a step hint carrying a cost account, every chunk's wall time lands in
-// the account and the item total equals n exactly (summed chunk sizes, so
-// the measurement is worker-count independent). With profiling disabled,
-// nothing is recorded.
-func TestParallelForFeedsCostAccount(t *testing.T) {
-	b := New()
-	acct := telemetry.NewCostAccount()
-	hint := &exec.StepHint{Flops: 4, Cost: acct}
-	b.SetStepHint(hint)
-	defer b.SetStepHint(nil)
-
-	const n = 50000
-	cov := &coverage{visits: make([]int, n)}
-	b.parallelFor(n, 1, cov.fn)
-	cov.checkExactlyOnce(t)
-	if acct.Items() != n {
-		t.Errorf("account items = %d, want %d (chunk sizes must sum to n)", acct.Items(), n)
-	}
-	if acct.Count() == 0 || acct.TotalNS() < 0 {
-		t.Errorf("account count=%d totalNS=%d", acct.Count(), acct.TotalNS())
-	}
-
-	telemetry.EnableProfiling(false)
-	defer telemetry.EnableProfiling(true)
-	before := acct.Count()
-	cov2 := &coverage{visits: make([]int, n)}
-	b.parallelFor(n, 1, cov2.fn)
-	cov2.checkExactlyOnce(t)
-	if acct.Count() != before {
-		t.Errorf("profiling off still fed the account: %d -> %d", before, acct.Count())
-	}
-}
-
-// TestParallelForMeasuredGrain checks the measured-cost path: once the
-// account has observations, hint.Measured derives the grain from observed
-// ns/item — and whatever grain results, the index space is still covered
-// exactly once.
-func TestParallelForMeasuredGrain(t *testing.T) {
+// TestParallelForStepHintSetsTheGrain checks the one input the plan hands
+// parallelFor besides the kernel's own estimate: a step's flops hint sizes
+// the chunks when the kernel passes no estimate, clearing it restores the
+// default, and whatever grain results the index space is covered exactly
+// once.
+func TestParallelForStepHintSetsTheGrain(t *testing.T) {
 	b := New()
 	// A worker budget > 1 so parallelFor actually chunks; on a single-core
 	// host the default budget is 1 and everything runs as one chunk.
 	b.ApplyExecConfig(exec.Make(exec.WithWorkers(4)))
-	acct := telemetry.NewCostAccount()
-	// Pretend each item costs 1000ns: grain should be chunkNS/1000 ≈ 32,
-	// far below the static chunkFlops/1 fallback.
-	acct.ObserveCost(1000*1000, 1000)
-	hint := &exec.StepHint{Flops: 1, Cost: acct, Measured: true}
-	b.SetStepHint(hint)
-	defer b.SetStepHint(nil)
-
 	const n = 10000
-	cov := &coverage{visits: make([]int, n)}
-	b.parallelFor(n, 1, cov.fn)
-	cov.checkExactlyOnce(t)
-	// 10000 items at grain ~32 wants ~312 chunks, capped at maxChunks; the
-	// static path (grain 32768) would have run a single chunk. Seeing many
-	// chunks proves the measured ns/item drove the grain.
-	if cov.chunks < 2 {
-		t.Errorf("measured grain produced %d chunk(s); expected the 1000ns/item account to force splitting", cov.chunks)
+	run := func() int {
+		cov := &coverage{visits: make([]int, n)}
+		b.parallelFor(n, 0, cov.fn)
+		cov.checkExactlyOnce(t)
+		return cov.chunks
 	}
-
-	// A fresh account with no observations must fall back to the static
-	// estimate instead of dividing by zero.
-	empty := telemetry.NewCostAccount()
-	b.SetStepHint(&exec.StepHint{Flops: 1, Cost: empty, Measured: true})
-	cov2 := &coverage{visits: make([]int, n)}
-	b.parallelFor(n, 1, cov2.fn)
-	cov2.checkExactlyOnce(t)
+	if got := run(); got != 1 {
+		t.Errorf("no hint: %d chunks, want 1 (1 flop/item is below chunkFlops)", got)
+	}
+	// 1024 flops/item: grain chunkFlops/1024 = 32, 313 chunks capped at 256.
+	b.SetStepHint(1024)
+	if got := run(); got != maxChunks {
+		t.Errorf("1024-flop hint: %d chunks, want %d", got, maxChunks)
+	}
+	b.SetStepHint(0)
+	if got := run(); got != 1 {
+		t.Errorf("cleared hint: %d chunks, want 1", got)
+	}
 }

@@ -188,17 +188,13 @@ func (a *admission) snapshots() []TenantSnapshot {
 // retryAfterHint estimates a client backoff from the model's recent
 // execute-stage latency and queue depth: roughly "one queue drain" —
 // p50 execution time times the batches ahead — clamped to a sane band.
-// estimateMS is the runner's measured per-execution latency (the
-// continuous profiler's EWMA), consulted before falling back to a fixed
-// guess when the stage histogram has no samples yet — a cold-but-profiled
-// model sheds with a hint matched to its actual speed.
-func retryAfterHint(m *Metrics, queueDepth, maxBatch int, estimateMS float64) time.Duration {
+// The execute stage is sampled once per completed batch execute, so it is
+// the model's measured execution time; a model that has executed nothing
+// yet is assumed to take 50 ms.
+func retryAfterHint(m *Metrics, queueDepth, maxBatch int) time.Duration {
 	p50, _, _ := m.StagePercentiles("execute")
 	if p50 <= 0 {
-		p50 = estimateMS
-	}
-	if p50 <= 0 {
-		p50 = 50 // nothing observed or measured yet: assume a 50ms model
+		p50 = 50 // nothing observed yet: assume a 50ms model
 	}
 	if maxBatch < 1 {
 		maxBatch = 1

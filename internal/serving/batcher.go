@@ -50,7 +50,6 @@ type scheduler struct {
 	cfg     Config
 	model   string
 	run     runner
-	est     costEstimator // run's measured-latency view; nil when unsupported
 	metrics *Metrics
 	hub     *telemetry.Hub
 
@@ -62,9 +61,7 @@ type scheduler struct {
 }
 
 // newScheduler starts the worker pool. The model name labels batch spans
-// and stage events. Runners that can report a measured per-execution
-// latency (graph runners, replica pools) are detected here and feed the
-// Retry-After hint before the execute-stage histogram has samples.
+// and stage events.
 func newScheduler(cfg Config, model string, run runner, metrics *Metrics) *scheduler {
 	s := &scheduler{
 		cfg:     cfg,
@@ -75,9 +72,6 @@ func newScheduler(cfg Config, model string, run runner, metrics *Metrics) *sched
 		queue:   make(chan *request, cfg.QueueSize),
 		stop:    make(chan struct{}),
 	}
-	if est, ok := run.(costEstimator); ok {
-		s.est = est
-	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -85,14 +79,10 @@ func newScheduler(cfg Config, model string, run runner, metrics *Metrics) *sched
 	return s
 }
 
-// retryAfter computes the backoff hint for a shed request, folding in the
-// runner's measured execution latency when available.
+// retryAfter computes the backoff hint for a shed request from the
+// model's execute-stage latency and the queue ahead of it.
 func (s *scheduler) retryAfter() time.Duration {
-	estMS := 0.0
-	if s.est != nil {
-		estMS = s.est.estimateExecMS()
-	}
-	return retryAfterHint(s.metrics, len(s.queue), s.cfg.MaxBatchSize, estMS)
+	return retryAfterHint(s.metrics, len(s.queue), s.cfg.MaxBatchSize)
 }
 
 // Close stops the workers and waits for in-flight batches to finish.

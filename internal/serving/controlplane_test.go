@@ -698,3 +698,34 @@ func TestShedErrorContract(t *testing.T) {
 		t.Fatalf("queue_full status = %d, want 429", statusFor(qf))
 	}
 }
+
+// TestRetryAfterHint pins the backoff a shed request is told to take: the
+// execute stage's p50 (one sample per completed batch execute) times the
+// batches queued ahead, 50 ms assumed before the first execute, clamped to
+// [100 ms, 5 s].
+func TestRetryAfterHint(t *testing.T) {
+	warm := func() *Metrics {
+		m := NewMetrics()
+		for _, ms := range []float64{10, 40, 400} { // p50 40, mean 150
+			m.ObserveStage("execute", ms)
+		}
+		return m
+	}
+	cases := []struct {
+		name              string
+		m                 *Metrics
+		queueDepth, batch int
+		want              time.Duration
+	}{
+		{"cold: the 50 ms default, lifted to the floor", NewMetrics(), 0, 16, 100 * time.Millisecond},
+		{"cold: the 50 ms default times three batches", NewMetrics(), 32, 16, 150 * time.Millisecond},
+		{"warm: p50 times the batches ahead", warm(), 40, 16, 120 * time.Millisecond},
+		{"warm: a batch size below one counts as one", warm(), 2, 0, 120 * time.Millisecond},
+		{"deep queue: clamped to the ceiling", warm(), 4096, 16, 5 * time.Second},
+	}
+	for _, c := range cases {
+		if got := retryAfterHint(c.m, c.queueDepth, c.batch); got != c.want {
+			t.Errorf("%s: retryAfterHint(depth %d, batch %d) = %v, want %v", c.name, c.queueDepth, c.batch, got, c.want)
+		}
+	}
+}

@@ -122,19 +122,6 @@ func (p *pool) acquire() *replica {
 	return best
 }
 
-// estimateExecMS implements costEstimator: replicas run identical copies
-// of one model, so the first replica's measured execution time stands in
-// for the pool's.
-func (p *pool) estimateExecMS() float64 {
-	if len(p.replicas) == 0 {
-		return 0
-	}
-	if est, ok := p.replicas[0].run.(costEstimator); ok {
-		return est.estimateExecMS()
-	}
-	return 0
-}
-
 // size returns the replica count.
 func (p *pool) size() int { return len(p.replicas) }
 

@@ -21,15 +21,6 @@ type runnerFunc func(batch []Instance) ([]Instance, error)
 
 func (f runnerFunc) run(batch []Instance) ([]Instance, error) { return f(batch) }
 
-// costEstimator is the optional runner refinement behind measured
-// retry-after hints: a runner that can report its model's observed
-// per-execution wall time (ms; 0 = nothing measured yet, e.g. profiling
-// off or no executions). The scheduler folds the estimate into its
-// backoff hint when the execute-stage histogram has no samples yet.
-type costEstimator interface {
-	estimateExecMS() float64
-}
-
 // recoverOpError converts op panics (shape mismatches, unknown kernels)
 // into errors: one malformed request must not take the server down.
 func recoverOpError(err *error) {
@@ -107,10 +98,6 @@ func newGraphRunner(m *graphmodel.Model, backend string) (*graphRunner, error) {
 	}
 	return &graphRunner{model: m, backend: backend, input: g.Inputs[0], output: g.Outputs[0]}, nil
 }
-
-// estimateExecMS implements costEstimator from the model's continuous
-// profiler account.
-func (r *graphRunner) estimateExecMS() float64 { return r.model.MeasuredExecuteMS() }
 
 func (r *graphRunner) run(batch []Instance) (out []Instance, err error) {
 	defer recoverOpError(&err)

@@ -84,8 +84,7 @@ type KernelStat struct {
 	HasKernel  bool    `json:"-"`
 	BytesAdded int64   `json:"bytes_added"`
 	// The measured-cost columns (Kernels only; zero in KernelsForSpan)
-	// cover the dispatches that reported an output element count while
-	// profiling was on (EnableProfiling):
+	// cover the dispatches that reported an output element count:
 	// elements produced, wall nanoseconds spent producing them, and the
 	// p50/p95 of per-dispatch ns/element over the recent window.
 	Elements        int64   `json:"elements,omitempty"`
@@ -183,7 +182,7 @@ func (s *Stats) Observe(ev Event) {
 	defer s.mu.Unlock()
 	switch ev.Kind {
 	case KindKernel:
-		measured := ev.Elements > 0 && ProfilingOn()
+		measured := ev.Elements > 0
 		var t0 time.Time
 		if measured {
 			s.measured++

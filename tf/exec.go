@@ -11,8 +11,10 @@ import (
 //
 //	tf.ConfigureExec(tf.WithWorkers(4))                 // process-wide
 //	tf.LoadGraphModel(store, tf.WithOptimize(false))    // per model
-//	serving.ModelOptions{Exec: []tf.ExecOption{tf.WithCostModel(tf.CostModelMeasured)}}
-//	tfjs-serve -cost-model=measured                     // CLI flag
+//	serving.ModelOptions{Exec: []tf.ExecOption{tf.WithPoolPoison(true)}}
+//
+// The cost model has one value left, CostModelStatic (the default); asking
+// for the removed "measured" one is an error.
 //
 // An option set at load time applies to that model's engine's backend; an
 // option set with ConfigureExec applies to the process's "node" backend
@@ -25,21 +27,15 @@ type ExecOption = exec.Option
 // ExecConfig is the resolved execution configuration.
 type ExecConfig = exec.Config
 
-// CostModel selects where the parallelism grain's per-element cost comes
-// from: the plan's static flop estimates, or the continuous profiler's
-// measured ns/element accounts.
+// CostModel names where the parallelism grain's per-element cost comes
+// from: the plan's static flop estimates.
 type CostModel = exec.CostModel
 
-// Cost models: static flop estimates (default) and measured ns/element
-// feedback from the continuous profiler. Results are bit-identical either
-// way; only chunking — and therefore wall time — changes.
-const (
-	CostModelStatic   = exec.CostModelStatic
-	CostModelMeasured = exec.CostModelMeasured
-)
+// CostModelStatic is the cost model: static flop estimates, the default.
+const CostModelStatic = exec.CostModelStatic
 
-// WithCostModel selects the chunk-grain cost source (CostModelStatic or
-// CostModelMeasured).
+// WithCostModel selects the chunk-grain cost source (CostModelStatic is
+// the only one).
 func WithCostModel(m CostModel) ExecOption { return exec.WithCostModel(m) }
 
 // WithWorkers sets the intra-op worker budget — how many chunks of one

@@ -27,21 +27,24 @@ func TestConfigureExecFlowsToNodeBackend(t *testing.T) {
 		t.Fatalf("NumWorkers = %d after ConfigureExec(WithWorkers(3))", got)
 	}
 	// A later call touching a different knob must not disturb workers.
-	if err := tf.ConfigureExec(tf.WithCostModel(tf.CostModelMeasured)); err != nil {
+	if err := tf.ConfigureExec(tf.WithCostModel(tf.CostModelStatic)); err != nil {
 		t.Fatal(err)
 	}
 	if got := tf.NumWorkers(); got != 3 {
 		t.Fatalf("NumWorkers = %d, want 3 preserved across unrelated ConfigureExec", got)
 	}
 	cfg := tf.ExecConfigured()
-	if cfg.Workers != 3 || cfg.CostModel != tf.CostModelMeasured {
-		t.Fatalf("accumulated config %+v, want Workers=3 CostModel=measured", cfg)
+	if cfg.Workers != 3 || cfg.CostModel != tf.CostModelStatic {
+		t.Fatalf("accumulated config %+v, want Workers=3 CostModel=static", cfg)
 	}
-	// Invalid configs are rejected at the edge and change nothing.
-	if err := tf.ConfigureExec(tf.WithCostModel("guessed")); err == nil {
-		t.Fatal("unknown cost model must be rejected")
+	// Invalid configs — an unknown cost model, or the removed measured
+	// one — are rejected at the edge and change nothing.
+	for _, bad := range []tf.CostModel{"guessed", "measured"} {
+		if err := tf.ConfigureExec(tf.WithCostModel(bad)); err == nil {
+			t.Fatalf("cost model %q must be rejected", bad)
+		}
 	}
-	if got := tf.ExecConfigured(); got.CostModel != tf.CostModelMeasured {
+	if got := tf.ExecConfigured(); got.CostModel != tf.CostModelStatic {
 		t.Fatalf("rejected config must not apply, got cost model %q", got.CostModel)
 	}
 }
