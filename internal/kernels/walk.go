@@ -87,7 +87,7 @@ func interior(info *Conv2DInfo) (oxA, oxB int) {
 	return oxA, max(oxA, oxB)
 }
 
-// runFloats bounds a run of whole pixels, in output values: a body clears
+// runFloats bounds a run of whole pixels, in output values: Conv2D clears
 // its run and then adds every tap into it, so the run stays in L1.
 const runFloats = 8192
 
@@ -167,6 +167,7 @@ func (g Walk) Conv2D(x, w []float32, ep Epilogue, lo int, dst []float32) {
 	fW, dH, dW := info.FilterWidth, info.DilationHeight, info.DilationWidth
 	pixelStride := info.StrideWidth * inC
 	narrow := vec.NarrowRow(outC)
+	ep.Bias = ep.biasFrom(0, outC)
 	var nz vec.NZList
 	walkConv(&info, lo, dst, func(p convPiece) {
 		run := 1
@@ -190,43 +191,54 @@ func (g Walk) Conv2D(x, w []float32, ep Epilogue, lo int, dst []float32) {
 				}
 			}
 		}
-		ep.applyPiece(p, outC)
+		ep.Apply(p.dst, p.cLo)
 	})
 }
 
 // Depthwise computes the output values [lo, lo+len(dst)) of the depthwise
 // convolution g describes — x NHWC, w [fh, fw, inC, mult], output channel
 // oc reading input channel oc/mult — into dst and applies ep to them. Each
-// value takes every product of its in-bounds taps, in (fy, fx) order. A
-// whole pixel with one output channel per input channel is one DwPixel.
+// value takes every product of its in-bounds taps, in (fy, fx) order. With
+// one output channel per input channel a piece is one DwRun, epilogue
+// included (a closure activation then runs over it); a multiplier above 1
+// takes the scalar loop.
 func (g Walk) Depthwise(x, w []float32, ep Epilogue, lo int, dst []float32) {
 	info := g.info()
 	inC, outC, mult := info.InChannels, info.OutChannels, info.ChannelMultiplier
 	inRow := info.InWidth * inC
 	fW, dH, dW := info.FilterWidth, info.DilationHeight, info.DilationWidth
 	pixelStride := info.StrideWidth * inC
+	ep.Bias = ep.biasFrom(0, outC)
 	walkConv(&info, lo, dst, func(p convPiece) {
+		rows, taps := p.fyHi-p.fyLo, p.fxHi-p.fxLo
+		count, n := p.span(outC)
+		// x from the first pixel's first tap, w from its weights; neither is
+		// read when the window lies wholly in the padding.
+		var xs, ws []float32
+		if rows > 0 && taps > 0 {
+			xs, ws = x[p.in:], w[(p.fyLo*fW+p.fxLo)*outC+p.cLo:]
+		}
+		if mult == 1 {
+			if xs != nil {
+				xs = xs[p.cLo:] // output channel c reads input channel c
+			}
+			vec.DwRun(p.dst, xs, ws, ep.biasFrom(p.cLo, n), count, pixelStride, dH*inRow, dW*inC, fW*outC, outC, rows, taps, ep.Kind)
+			ep.applyClosure(p.dst)
+			return
+		}
 		clear(p.dst)
-		if rows, taps := p.fyHi-p.fyLo, p.fxHi-p.fxLo; rows > 0 && taps > 0 {
-			wTap := w[(p.fyLo*fW+p.fxLo)*outC:]
-			count, n := p.span(outC)
-			for i := 0; i < count; i++ {
-				acc, xs := p.dst[i*n:(i+1)*n], x[p.in+i*pixelStride:]
-				if mult == 1 && p.pixels > 0 {
-					vec.DwPixel(acc, xs, wTap, dH*inRow, dW*inC, fW*outC, rows, taps)
-					continue
-				}
-				for fy := 0; fy < rows; fy++ {
-					for fx := 0; fx < taps; fx++ {
-						xTap := xs[fy*dH*inRow+fx*dW*inC:]
-						for j, wv := range wTap[(fy*fW+fx)*outC+p.cLo:][:n] {
-							acc[j] += float32(xTap[(p.cLo+j)/mult] * wv)
-						}
+		for i := 0; i < count && xs != nil; i++ {
+			acc, xp := p.dst[i*n:(i+1)*n], xs[i*pixelStride:]
+			for fy := 0; fy < rows; fy++ {
+				for fx := 0; fx < taps; fx++ {
+					xTap := xp[fy*dH*inRow+fx*dW*inC:]
+					for j, wv := range ws[(fy*fW+fx)*outC:][:n] {
+						acc[j] += float32(xTap[(p.cLo+j)/mult] * wv)
 					}
 				}
 			}
 		}
-		ep.applyPiece(p, outC)
+		ep.Apply(p.dst, p.cLo)
 	})
 }
 
@@ -272,27 +284,23 @@ func (g Walk) PoolGrad(x, dx []float32, lo int, dy []float32) {
 	})
 }
 
-// dyGather is how many nonzero dy elements InputGrad gathers per call to
-// vec.AxpyN: a multiple of its four-wide step.
-const dyGather = 32
-
 // InputGrad scatters a convolution's output gradient back into dx, laid
 // out as the input: dy holds the gradient of the output values
 // [lo, lo+len(dy)), wT the filter transposed to [fy][oc][fx][ic]. A pixel's
-// nonzero dy elements are gathered once — a zero's products are left out,
-// as in every product — and each filter row's run of in-bounds taps is one
-// vec.AxpyN: undilated, those taps are contiguous in dx and in wT. No two
-// taps of a pixel reach the same input pixel, so each dx element takes its
-// contributions in (oy, ox, oc) order; the pixels of an image add into the
-// same dx, so a caller splits the output only between images.
+// nonzero dy elements are listed once (vec.NZList) — a zero's products are
+// left out, as in every product — and each filter row's run of in-bounds
+// taps is one vec.AxpyN: undilated, those taps are contiguous in dx and in
+// wT, whose rows oc lie ocStride apart. No two taps of a pixel reach the
+// same input pixel, so each dx element takes its contributions in (oy, ox,
+// oc) order; the pixels of an image add into the same dx, so a caller
+// splits the output only between images.
 func (g Walk) InputGrad(wT, dx []float32, lo int, dy []float32) {
 	info := g.info()
 	inC, outC := info.InChannels, info.OutChannels
 	inRow, ocStride := info.InWidth*inC, info.FilterWidth*inC
 	dH, dW := info.DilationHeight, info.DilationWidth
 	pixelStride := info.StrideWidth * inC
-	var vals [dyGather]float32
-	var offs [dyGather]int
+	var nz vec.NZList
 	walkConv(&info, lo, dy, func(p convPiece) {
 		run := 1
 		if dW == 1 {
@@ -301,22 +309,15 @@ func (g Walk) InputGrad(wT, dx []float32, lo int, dy []float32) {
 		count, n := p.span(outC)
 		for i := 0; i < count; i++ {
 			grad := p.dst[i*n : (i+1)*n]
-			for ocLo := 0; ocLo < n; ocLo += dyGather {
-				// Branch-free, as in vec.GemmRow.
-				k := 0
-				for oc, v := range grad[ocLo:min(ocLo+dyGather, n)] {
-					vals[k], offs[k] = v, (p.cLo+ocLo+oc)*ocStride
-					if v != 0 {
-						k++
-					}
-				}
-				if k == 0 {
+			for ocLo := 0; ocLo < n; ocLo += vec.NZCap {
+				vals, idx := nz.List(grad[ocLo:min(ocLo+vec.NZCap, n)], p.cLo+ocLo)
+				if len(vals) == 0 {
 					continue
 				}
 				for fy := p.fyLo; fy < p.fyHi; fy++ {
 					for fx := p.fxLo; fx < p.fxHi; fx += run {
 						at := p.in + i*pixelStride + (fy-p.fyLo)*dH*inRow + (fx-p.fxLo)*dW*inC
-						vec.AxpyN(dx[at:at+run*inC], vals[:k], offs[:k], wT[fy*outC*ocStride+fx*inC:])
+						vec.AxpyN(dx[at:at+run*inC], vals, idx, wT[fy*outC*ocStride+fx*inC:], ocStride)
 					}
 				}
 			}
@@ -330,7 +331,9 @@ func (g Walk) InputGrad(wT, dx []float32, lo int, dy []float32) {
 // value. The zero value does nothing; the reference kernels'
 // applyEpilogue is its oracle.
 type Epilogue struct {
-	Bias []float32 // nil, or one value per output channel
+	// Bias is nil, or one value per output channel; the walk cuts a longer
+	// slice (a bias texture's host slice runs to its last texel) to that.
+	Bias []float32
 	Act  func(float32) float32
 	Kind vec.Act
 }
@@ -377,28 +380,31 @@ func FusedTail(name string, inputs []Input, attrs Attrs, outC int, bias func(Inp
 	return ep, nil
 }
 
-// Apply adds the bias to, and applies the activation to, the output
-// channels [cLo, cLo+len(dst)) of one pixel or matrix row.
+// Apply adds the bias to, and applies the activation to, output values
+// from channel cLo on: part of one pixel or matrix row, or — from channel
+// 0 — a run of whole pixels, along which the bias repeats. The bias and a
+// ReLU-family activation are one vec.BiasAct over all of dst.
 func (e Epilogue) Apply(dst []float32, cLo int) {
-	var bias []float32
-	if e.Bias != nil {
-		bias = e.Bias[cLo : cLo+len(dst)]
+	vec.BiasAct(dst, e.biasFrom(cLo, len(dst)), e.Kind)
+	e.applyClosure(dst)
+}
+
+// biasFrom is the bias of the n output values from channel cLo: nil, the
+// channels [cLo, cLo+n), or — when the values run past the last channel,
+// as whole pixels do — the whole row.
+func (e Epilogue) biasFrom(cLo, n int) []float32 {
+	if e.Bias == nil {
+		return nil
 	}
-	vec.BiasAct(dst, bias, e.Kind)
+	return e.Bias[cLo:min(len(e.Bias), cLo+n)]
+}
+
+// applyClosure applies an activation the vector cores do not have, value
+// by value.
+func (e Epilogue) applyClosure(dst []float32) {
 	if e.Kind == vec.ActNone && e.Act != nil {
 		for i, v := range dst {
 			dst[i] = e.Act(v)
 		}
-	}
-}
-
-// applyPiece applies the epilogue to each pixel of a walk piece.
-func (e Epilogue) applyPiece(p convPiece, outC int) {
-	if e.Bias == nil && e.Act == nil {
-		return
-	}
-	count, n := p.span(outC)
-	for i := 0; i < count; i++ {
-		e.Apply(p.dst[i*n:(i+1)*n], p.cLo)
 	}
 }

@@ -66,9 +66,13 @@ func sameBits(t *testing.T, label string, got, want []float32) {
 // over every cut of the output into ranges, compute the reference kernels'
 // values to the bit — the fused ones with their epilogue — on both bodies
 // of the vector cores, and its two gradients (InputGrad, PoolGrad), the
-// ranges taken in order, the reference gradient kernels'. The geometries cover the stem, narrow and wide
-// pointwise rows (flat walks, one of them past runFloats), dilation, a
-// window wholly in the padding, strides, and a depthwise multiplier of 2.
+// ranges taken in order, the reference gradient kernels'. The geometries
+// cover the stem, narrow and wide pointwise rows (flat walks, one of them
+// past runFloats), a pointwise layer of 300 channels in and out (lists and
+// rows of several NZCap), dilation, a window wholly in the padding,
+// strides, and depthwise runs: of 44 channels (five vector steps and a
+// four-lane tail) under a closure activation, dilated, flat past
+// runFloats, and with a multiplier of 2.
 func TestWalkMatchesReference(t *testing.T) {
 	type geometry struct {
 		label           string
@@ -89,6 +93,10 @@ func TestWalkMatchesReference(t *testing.T) {
 		{"depthwiseStride2", []int{1, 7, 7, 16}, []int{3, 3, 16, 1}, []int{2, 2}, []int{1, 1}, "same", "", true},
 		{"depthwiseMult2", []int{1, 5, 6, 3}, []int{3, 3, 3, 2}, []int{1, 1}, []int{2, 1}, "same", "relu", true},
 		{"depthwiseInPadding", []int{1, 2, 2, 8}, []int{2, 2, 8, 1}, []int{1, 1}, []int{3, 3}, "same", "relu6", true},
+		{"depthwise44", []int{2, 5, 6, 44}, []int{3, 3, 44, 1}, []int{1, 1}, []int{1, 1}, "same", "elu", true},
+		{"depthwiseDilated", []int{1, 7, 8, 12}, []int{3, 3, 12, 1}, []int{1, 1}, []int{2, 2}, "same", "relu", true},
+		{"depthwisePastRunFloats", []int{1, 33, 33, 8}, []int{1, 1, 8, 1}, []int{1, 1}, []int{1, 1}, "same", "relu6", true},
+		{"pointwise300", []int{1, 3, 4, 300}, []int{1, 1, 300, 300}, []int{1, 1}, []int{1, 1}, "valid", "relu", false},
 	}
 	pools := []struct {
 		label              string
@@ -125,7 +133,7 @@ func TestWalkMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ep.Bias = bias
+			ep.Bias = append(bias, 7, 7, 7) // padded past the last channel, as a texture's host slice is
 			walk, rangeBody := NewWalk(info), Walk.Conv2D
 			if g.depthwise {
 				rangeBody = Walk.Depthwise

@@ -61,9 +61,9 @@ func requireSameFloats(t testing.TB, label string, got, want []float32) {
 	}
 }
 
-// nzCap is the number of nonzero lhs elements vec.GemmRow lists per call
-// to its vector core; the sweeps below cross it.
-const nzCap = 32
+// nzCap is how many lhs elements vec.GemmRow lists per call to its vector
+// core; the sweeps below cross it.
+const nzCap = vec.NZCap
 
 // gemmRowGo is vec.GemmRow's definition: a[kk]·b[kk*bStride:] added into
 // the row in kk order, a zero a[kk] skipped. The float32 conversion forbids

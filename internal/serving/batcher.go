@@ -253,12 +253,10 @@ func (s *scheduler) runGroup(group []*request) {
 	}
 	s.stage("execute", execStart, execEnd, group...)
 
+	// A request's split sample and trace event are recorded before its
+	// result is handed over (resp is buffered, so the send never waits):
+	// once the caller has its reply, /metrics and /debug/trace hold them.
 	for i, r := range group {
-		if err != nil {
-			r.resp <- response{err: err}
-		} else {
-			r.resp <- response{inst: outs[i]}
-		}
 		end := time.Now()
 		s.stage("split", execEnd, end, r)
 		if observed {
@@ -267,6 +265,11 @@ func (s *scheduler) runGroup(group []*request) {
 				Trace: r.trace, FlowID: r.flow, Start: r.enqueued,
 				DurMS: durMS(r.enqueued, end),
 			})
+		}
+		if err != nil {
+			r.resp <- response{err: err}
+		} else {
+			r.resp <- response{inst: outs[i]}
 		}
 	}
 }

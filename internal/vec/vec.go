@@ -1,8 +1,9 @@
 // Package vec holds the vector cores: the row loops that carry a model's
 // host time on every backend that computes on the host — the row product
-// under GEMM and convolution (GemmRow for one row, AxpyRows for several
-// narrow ones, both leaving a zero lhs element out of the sum), the
-// depthwise pixel, the bias+activation epilogue, the pooling pixel (max,
+// under GEMM and convolution (GemmRow for one row, on the lhs compaction
+// NZList and AxpyN, and AxpyRows for several narrow ones, both leaving a
+// zero lhs element out of the sum), the depthwise run of pixels with its
+// epilogue, the bias+activation epilogue, the pooling pixel (max,
 // average, and the max pool's gradient), the element-wise rows — the
 // ReLU family, Step, batch norm's normalise row and the four arithmetic
 // binaries — and a training step's tail — the leading-axes sum of a bias
@@ -55,22 +56,22 @@ const (
 
 // AxpyN accumulates a run of row updates:
 //
-//	row[j] += vals[t] * b[offs[t]+j]
+//	row[j] += vals[t] * b[idx[t]*bStride+j]
 //
-// t ascending; offs ascends. It multiplies whatever it is handed — a zero
-// in vals too, so 0·Inf puts a NaN in the sum; the products leave a zero
-// lhs element out by leaving it out of vals (GemmRow). The assembly
-// consumes the entries four at a time: the row is loaded and stored once
-// per four steps, and each element still sees its adds one at a time in t
-// order.
-func AxpyN(row, vals []float32, offs []int, b []float32) {
+// t ascending; idx ascends from 0 or more, and bStride >= 0. It multiplies
+// whatever it is handed — a zero in vals too, so 0·Inf puts a NaN in the
+// sum; the products leave a zero lhs element out by leaving it out of vals
+// (NZList.List). The assembly consumes the entries four at a time: the row
+// is loaded and stored once per four steps, and each element still sees
+// its adds one at a time in t order.
+func AxpyN(row, vals []float32, idx []int32, b []float32, bStride int) {
 	if len(vals) == 0 || len(row) == 0 {
 		return
 	}
-	offs = offs[:len(vals)]
-	_ = b[offs[len(offs)-1]+len(row)-1]
+	idx = idx[:len(vals)]
+	_ = b[int(idx[len(idx)-1])*bStride+len(row)-1]
 	if useAVX2 {
-		axpyNAVX2(row, vals, offs, b)
+		axpyNAVX2(row, vals, idx, b, bStride)
 		return
 	}
 	// The float32 conversions around each product, here and below, forbid
@@ -78,7 +79,7 @@ func AxpyN(row, vals []float32, offs []int, b []float32) {
 	// round once; arm64 and GOAMD64=v3 builds do), so every platform rounds
 	// the way the AVX2 bodies do.
 	for t, av := range vals {
-		for j, bv := range b[offs[t] : offs[t]+len(row)] {
+		for j, bv := range b[int(idx[t])*bStride:][:len(row)] {
 			row[j] += float32(av * bv)
 		}
 	}
@@ -124,17 +125,57 @@ func AxpyRows(acc []float32, n int, a []float32, iStride, tStride, k int, b []fl
 	}
 }
 
-// nzCap is how many nonzero lhs elements GemmRow gathers before handing
-// them to AxpyN: a multiple of its four-wide step, and a power of two.
-const nzCap = 32
+// NZCap is how many lhs elements an NZList lists at a time: a multiple of
+// the compaction's eight-wide block, and a power of two.
+const NZCap = 64
 
-// NZList is GemmRow's scratch: the nonzero lhs elements of one output row,
-// each with the offset of the rhs row it multiplies. A caller declares one
-// per range of rows and passes it down, so it is zeroed once per range,
-// not once per row.
+// NZList is the scratch of a zero-skipping product: the nonzero lhs
+// elements of up to NZCap, each with its index, the rhs row it multiplies.
+// A caller declares one per range of rows and passes it down, so it is
+// zeroed once per range, not once per row.
 type NZList struct {
-	vals [nzCap]float32
-	offs [nzCap]int
+	vals [NZCap]float32
+	idx  [NZCap]int32
+}
+
+// List lists the nonzero elements of a, at most NZCap of them, in order:
+// vals[t] = a[i] and idx[t] = base+i for each i where a[i] is not ±0 (a
+// NaN is listed). The slices are nz's and live until its next List. The
+// assembly compacts eight elements per step without a branch — a compare
+// against zero, its sign mask, a 256-entry permutation that moves the
+// listed lanes to the front, and a population count that advances the
+// list; so does the Go body, whose test on the bits compiles to a
+// conditional move, so a random sparsity pattern costs no mispredictions.
+func (nz *NZList) List(a []float32, base int) (vals []float32, idx []int32) {
+	return nz.list(a, 1, base)
+}
+
+// list is List over the elements a[0], a[aStride], …, at most NZCap of
+// them; idx counts elements, not floats. Only a unit stride reaches the
+// assembly.
+func (nz *NZList) list(a []float32, aStride, base int) ([]float32, []int32) {
+	if len(a) == 0 {
+		return nil, nil
+	}
+	if aStride == 1 {
+		_ = nz.vals[len(a)-1] // at most NZCap elements
+		if useAVX2 {
+			p := compactAVX2(nz.vals[:], nz.idx[:], a, base)
+			return nz.vals[:p], nz.idx[:p]
+		}
+	}
+	// With at most NZCap elements (GemmRow cuts a strided lhs so), p <
+	// NZCap at every store and the index masks change nothing but spare
+	// the loop its two bounds checks.
+	p, kk := 0, int32(base)
+	for i := 0; i < len(a); i, kk = i+aStride, kk+1 {
+		av := a[i]
+		nz.vals[p&(NZCap-1)], nz.idx[p&(NZCap-1)] = av, kk
+		if math.Float32bits(av)<<1 != 0 {
+			p++
+		}
+	}
+	return nz.vals[:p], nz.idx[:p]
 }
 
 // NarrowRow reports whether an output row of n floats is one or two vector
@@ -157,57 +198,61 @@ func NarrowRow(n int) bool { return n == 8 || n == 16 }
 // moves — and after a ReLU-family activation half the lhs is zeros, whose
 // products the skip saves.
 //
-// The nonzero elements are compacted into nz and handed to AxpyN nzCap at
-// a time. The compaction is branch-free — ±0 is the one value whose bits,
-// shifted clear of the sign, are zero, and the test compiles to a
-// conditional move — so a random sparsity pattern costs no mispredictions;
-// p stays under nzCap, so the index masks change nothing but spare the
-// loop its two bounds checks.
+// The lhs is listed NZCap elements at a time (NZList), and each list handed
+// to AxpyN.
 func GemmRow(row, a []float32, aStride int, b []float32, bStride int, nz *NZList) {
-	vals, offs := &nz.vals, &nz.offs
-	p := 0
-	for ai, off := 0, 0; ai < len(a); ai, off = ai+aStride, off+bStride {
-		av := a[ai]
-		vals[p&(nzCap-1)], offs[p&(nzCap-1)] = av, off
-		if math.Float32bits(av)<<1 != 0 {
-			p++
-		}
-		if p == nzCap {
-			AxpyN(row, vals[:], offs[:], b)
-			p = 0
-		}
+	for lo, kk := 0, 0; lo < len(a); lo, kk = lo+NZCap*aStride, kk+NZCap {
+		vals, idx := nz.list(a[lo:min(lo+NZCap*aStride, len(a))], aStride, kk)
+		AxpyN(row, vals, idx, b, bStride)
 	}
-	AxpyN(row, vals[:p], offs[:p], b)
 }
 
-// DwPixel accumulates one output pixel of a depthwise convolution with
-// channel multiplier 1 over a rows×taps rectangle of filter taps (the
-// part of the filter that lies inside the input), c = len(dst) channels:
+// DwRun computes pixels output pixels of a depthwise convolution with
+// channel multiplier 1, c = len(dst)/pixels channels each — a run of whole
+// pixels, or one pixel's window of channels — with its epilogue:
 //
-//	dst[ch] += x[r*xRowStride + t*xTapStride + ch] * w[r*wRowStride + t*c + ch]
+//	dst[i*c+ch] = act(+0 + Σ x[i*xPixel + r*xRow + t*xTap + ch]·w[r*wRow + t*wTap + ch] + bias[ch])
 //
-// r then t ascending. x and w start at the rectangle's first tap. The
-// assembly keeps eight channels of dst in a register across all the taps.
-func DwPixel(dst, x, w []float32, xRowStride, xTapStride, wRowStride, rows, taps int) {
-	c := len(dst)
-	if c == 0 || rows <= 0 || taps <= 0 {
+// the sum over the rows×taps rectangle of filter taps inside the input, r
+// then t ascending, each product rounded and then added; a nil bias is not
+// added (BiasAct). x and w start at the rectangle's first tap and the run's
+// first channel, bias at that channel. The assembly starts each sum at +0
+// in a register, keeps it there across all the taps — four pixels' eight
+// channels at a time, which share each load of w — and stores it once,
+// after the bias and ReLU or ReLU6.
+func DwRun(dst, x, w, bias []float32, pixels, xPixel, xRow, xTap, wRow, wTap, rows, taps int, act Act) {
+	if pixels <= 0 || len(dst) < pixels {
 		return
 	}
-	_ = x[(rows-1)*xRowStride+(taps-1)*xTapStride+c-1]
-	_ = w[(rows-1)*wRowStride+(taps-1)*c+c-1]
+	c := len(dst) / pixels
+	dst = dst[:pixels*c]
+	if bias != nil {
+		bias = bias[:c]
+	}
+	if rows <= 0 || taps <= 0 {
+		clear(dst) // a window wholly in the padding
+		BiasAct(dst, bias, act)
+		return
+	}
+	_ = x[(pixels-1)*xPixel+(rows-1)*xRow+(taps-1)*xTap+c-1]
+	_ = w[(rows-1)*wRow+(taps-1)*wTap+c-1]
 	if useAVX2 {
-		dwPixelAVX2(dst, x, w, xRowStride, xTapStride, wRowStride, rows, taps)
+		dwRunAVX2(dst, x, w, bias, c, pixels, xPixel, xRow, xTap, wRow, wTap, rows, taps, int(act))
 		return
 	}
-	for r := 0; r < rows; r++ {
-		for t := 0; t < taps; t++ {
-			xs := x[r*xRowStride+t*xTapStride:]
-			ws := w[r*wRowStride+t*c:]
-			for ch := range dst {
-				dst[ch] += float32(xs[ch] * ws[ch])
+	clear(dst)
+	for i := 0; i < pixels; i++ {
+		acc := dst[i*c : (i+1)*c]
+		for r := 0; r < rows; r++ {
+			for t := 0; t < taps; t++ {
+				xs := x[i*xPixel+r*xRow+t*xTap:][:c]
+				for ch, wv := range w[r*wRow+t*wTap:][:c] {
+					acc[ch] += float32(xs[ch] * wv)
+				}
 			}
 		}
 	}
+	BiasAct(dst, bias, act)
 }
 
 // The pooling pixels work on one output position of an NHWC pool: the
@@ -322,18 +367,26 @@ func PoolMaxGrad(dx, x, dy []float32, rowStride, tapStride, rows, taps int) {
 	}
 }
 
-// BiasAct computes dst[i] = act(dst[i] + bias[i]); a nil bias skips the
-// add (adding a zero vector instead would turn -0 into +0), and the ReLU
-// rows below are BiasAct without one.
+// BiasAct computes dst[i] = act(dst[i] + bias[i%len(bias)]): a bias as
+// long as dst is read straight, and a shorter one is a row repeated along
+// it — a per-channel bias onto a run of whole pixels, one call per run. A
+// nil bias skips the add (adding a zero vector instead would turn -0 into
+// +0), and the ReLU rows below are BiasAct without one.
 func BiasAct(dst, bias []float32, act Act) {
+	if len(dst) == 0 {
+		return
+	}
 	if bias != nil {
-		bias = bias[:len(dst)]
+		bias = bias[:min(len(bias), len(dst))]
+		_ = bias[0] // an empty row would repeat forever
 		if useAVX2 {
 			biasActAVX2(dst, dst, bias, int(act))
 			return
 		}
-		for i := range dst {
-			dst[i] += bias[i]
+		for i := 0; i < len(dst); i += len(bias) {
+			for j, bv := range bias[:min(len(bias), len(dst)-i)] {
+				dst[i+j] += bv
+			}
 		}
 	}
 	switch act {

@@ -3,11 +3,34 @@ package vec
 // Implemented in vec_amd64.s. They check no bounds (the wrappers in
 // vec.go do) and retain no argument.
 
-// axpyNAVX2 computes row[j] += a[t]*b[off[t]+j] for t ascending;
-// len(off) == len(a), off[t]+len(row) <= len(b).
+// axpyNAVX2 computes row[j] += vals[t]*b[idx[t]*bStride+j] for t
+// ascending; len(idx) == len(vals), idx[t]*bStride+len(row) <= len(b).
 //
 //go:noescape
-func axpyNAVX2(row, a []float32, off []int, b []float32)
+func axpyNAVX2(row, vals []float32, idx []int32, b []float32, bStride int)
+
+// compactAVX2 is NZList.List's body: 1 <= len(a) <= len(vals) ==
+// len(idx), and len(vals) a multiple of 8. It stores whole eight-lane
+// blocks, so lanes past the returned count hold leftovers.
+//
+//go:noescape
+func compactAVX2(vals []float32, idx []int32, a []float32, base int) int
+
+// compactPerm[m] moves the lanes set in the mask m to the front, in order:
+// the permutation compactAVX2 applies to a block of eight whose nonzero
+// lanes are m. Lanes past the count are 0.
+var compactPerm = func() (perm [256][8]int32) {
+	for m := range perm {
+		k := 0
+		for lane := range 8 {
+			if m&(1<<lane) != 0 {
+				perm[m][k] = int32(lane)
+				k++
+			}
+		}
+	}
+	return perm
+}()
 
 // axpyRowsAVX2 is AxpyRows' body for n a multiple of 8: len(acc) a
 // positive multiple of n, k >= 1.
@@ -15,14 +38,16 @@ func axpyNAVX2(row, a []float32, off []int, b []float32)
 //go:noescape
 func axpyRowsAVX2(acc []float32, n int, a []float32, iStride, tStride, k int, b []float32)
 
-// dwPixelAVX2 is DwPixel's body; see there.
+// dwRunAVX2 is DwRun's body: c >= 1, pixels >= 1, rows >= 1, taps >= 1,
+// len(bias) is c or 0, act an Act.
 //
 //go:noescape
-func dwPixelAVX2(dst, x, w []float32, xRowStride, xTapStride, wRowStride, rows, taps int)
+func dwRunAVX2(dst, x, w, bias []float32, c, pixels, xPixel, xRow, xTap, wRow, wTap, rows, taps, act int)
 
 // biasActAVX2 is the body of BiasAct and of the ReLU rows: dst[i] =
-// act(x[i] + bias[i]), or act(x[i]) when bias is empty; len(x) == len(dst),
-// len(bias) is len(dst) or 0, kind is ActNone, ActRelu or ActRelu6.
+// act(x[i] + bias[i%len(bias)]), or act(x[i]) when bias is empty;
+// len(x) == len(dst), len(bias) <= len(dst), kind is ActNone, ActRelu or
+// ActRelu6.
 //
 //go:noescape
 func biasActAVX2(dst, x, bias []float32, kind int)
@@ -77,14 +102,15 @@ func xgetbv() (eax, edx uint32)
 
 // hasAVX2 reports whether the CPU implements AVX2 and the OS saves the
 // YMM state across context switches — both are needed before a VEX.256
-// instruction may run.
+// instruction may run — and whether it has POPCNT, which the compaction
+// counts with (every AVX2 CPU does).
 func hasAVX2() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
 		return false
 	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
+	const popcnt, osxsave, avx = 1 << 23, 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(popcnt|osxsave|avx) != popcnt|osxsave|avx {
 		return false
 	}
 	const xmmState, ymmState = 1 << 1, 1 << 2

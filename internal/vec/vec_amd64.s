@@ -6,18 +6,20 @@
 // VMULPS/VADDPS: a fused multiply-add would round once where the Go
 // bodies round twice, and bit-identity with them is the contract.
 
-// func axpyNAVX2(row, a []float32, off []int, b []float32)
-// row[j] += a[t]*b[off[t]+j], t ascending. Entries are consumed four at a
-// time — row[j] is loaded once, takes its four adds in order, and is
-// stored once — then one at a time.
-TEXT ·axpyNAVX2(SB), NOSPLIT, $0-96
+// func axpyNAVX2(row, vals []float32, idx []int32, b []float32, bStride int)
+// row[j] += vals[t]*b[idx[t]*bStride+j], t ascending. Entries are consumed
+// four at a time — row[j] is loaded once, takes its four adds in order,
+// and is stored once — then one at a time.
+TEXT ·axpyNAVX2(SB), NOSPLIT, $0-104
 	MOVQ row_base+0(FP), DI
 	MOVQ row_len+8(FP), DX
-	MOVQ a_base+24(FP), SI
-	MOVQ a_len+32(FP), CX
-	MOVQ off_base+48(FP), BX
+	MOVQ vals_base+24(FP), SI
+	MOVQ vals_len+32(FP), CX
+	MOVQ idx_base+48(FP), BX
 	MOVQ b_base+72(FP), R12
+	MOVQ bStride+96(FP), R14
 	SHLQ $2, DX              // row length in bytes
+	SHLQ $2, R14             // and b's row stride
 	MOVQ DX, R13
 	ANDQ $-32, R13           // of which whole 8-float vectors
 
@@ -28,14 +30,18 @@ axpyN4:
 	VBROADCASTSS 4(SI), Y13
 	VBROADCASTSS 8(SI), Y14
 	VBROADCASTSS 12(SI), Y15
-	MOVQ         0(BX), R8
-	MOVQ         8(BX), R9
-	MOVQ         16(BX), R10
-	MOVQ         24(BX), R11
-	LEAQ         (R12)(R8*4), R8
-	LEAQ         (R12)(R9*4), R9
-	LEAQ         (R12)(R10*4), R10
-	LEAQ         (R12)(R11*4), R11
+	MOVL         0(BX), R8
+	MOVL         4(BX), R9
+	MOVL         8(BX), R10
+	MOVL         12(BX), R11
+	IMULQ        R14, R8
+	IMULQ        R14, R9
+	IMULQ        R14, R10
+	IMULQ        R14, R11
+	ADDQ         R12, R8
+	ADDQ         R12, R9
+	ADDQ         R12, R10
+	ADDQ         R12, R11
 	XORQ         AX, AX
 	TESTQ        R13, R13
 	JE           axpyN4x1
@@ -73,7 +79,7 @@ axpyN4x1:
 
 axpyN4Next:
 	ADDQ $16, SI
-	ADDQ $32, BX
+	ADDQ $16, BX
 	SUBQ $4, CX
 	JMP  axpyN4
 
@@ -81,8 +87,9 @@ axpyN1:
 	TESTQ        CX, CX
 	JE           axpyNDone
 	VBROADCASTSS (SI), Y12
-	MOVQ         (BX), R8
-	LEAQ         (R12)(R8*4), R8
+	MOVL         (BX), R8
+	IMULQ        R14, R8
+	ADDQ         R12, R8
 	XORQ         AX, AX
 	TESTQ        R13, R13
 	JE           axpyN1x1
@@ -106,11 +113,85 @@ axpyN1x1:
 
 axpyN1Next:
 	ADDQ $4, SI
-	ADDQ $8, BX
+	ADDQ $4, BX
 	DECQ CX
 	JMP  axpyN1
 
 axpyNDone:
+	VZEROUPPER
+	RET
+
+DATA lanes<>+0(SB)/4, $0
+DATA lanes<>+4(SB)/4, $1
+DATA lanes<>+8(SB)/4, $2
+DATA lanes<>+12(SB)/4, $3
+DATA lanes<>+16(SB)/4, $4
+DATA lanes<>+20(SB)/4, $5
+DATA lanes<>+24(SB)/4, $6
+DATA lanes<>+28(SB)/4, $7
+GLOBL lanes<>(SB), RODATA|NOPTR, $32
+
+DATA eight<>+0(SB)/4, $8
+GLOBL eight<>(SB), RODATA|NOPTR, $4
+
+// One block of compactAVX2: the eight lhs values in Y0 and their indices
+// in Y4 are listed where the value is not ±0 (predicate 4, not-equal
+// unordered: a NaN is listed). The compare's sign mask picks the
+// permutation that moves those lanes to the front; all eight lanes are
+// stored at the list's end, and the list grows by the mask's population.
+#define COMPACT_BLOCK \
+	VCMPPS    $4, Y6, Y0, Y1  \
+	VMOVMSKPS Y1, AX          \
+	MOVQ      AX, BX          \
+	SHLQ      $5, BX          \
+	VMOVDQU   (R10)(BX*1), Y2 \
+	VPERMPS   Y0, Y2, Y3      \
+	VPERMD    Y4, Y2, Y8      \
+	VMOVUPS   Y3, (DI)(DX*4)  \
+	VMOVDQU   Y8, (R8)(DX*4)  \
+	POPCNTL   AX, AX          \
+	ADDQ      AX, DX          \
+	VPADDD    Y5, Y4, Y4
+
+// func compactAVX2(vals []float32, idx []int32, a []float32, base int) int
+// Lists a[i] and base+i for each i where a[i] is not ±0, in order, and
+// returns how many: eight elements per block, the last block a masked load
+// whose lanes past a's end read +0 and so are not listed. Each block's
+// store reaches eight lanes past the list's length, which never passes
+// vals' end: a block starting at element i stores below i+8.
+TEXT ·compactAVX2(SB), NOSPLIT, $0-88
+	MOVQ         vals_base+0(FP), DI
+	MOVQ         idx_base+24(FP), R8
+	MOVQ         a_base+48(FP), SI
+	MOVQ         a_len+56(FP), CX
+	LEAQ         ·compactPerm(SB), R10
+	VMOVDQU      lanes<>(SB), Y7
+	VPBROADCASTD base+72(FP), Y4
+	VPADDD       Y7, Y4, Y4          // the block's indices
+	VPBROADCASTD eight<>(SB), Y5
+	VXORPS       Y6, Y6, Y6
+	XORQ         DX, DX              // the list's length
+
+compact8:
+	CMPQ    CX, $8
+	JB      compactTail
+	VMOVUPS (SI), Y0
+	COMPACT_BLOCK
+	ADDQ    $32, SI
+	SUBQ    $8, CX
+	JMP     compact8
+
+compactTail:
+	TESTQ        CX, CX
+	JE           compactDone
+	VMOVQ        CX, X1
+	VPBROADCASTD X1, Y1
+	VPCMPGTD     Y7, Y1, Y1          // the lanes below the count
+	VMASKMOVPS   (SI), Y1, Y0
+	COMPACT_BLOCK
+
+compactDone:
+	MOVQ       DX, ret+80(FP)
 	VZEROUPPER
 	RET
 
@@ -218,97 +299,14 @@ axpyRowsDone:
 	VZEROUPPER
 	RET
 
-// func dwPixelAVX2(dst, x, w []float32, xRowStride, xTapStride, wRowStride, rows, taps int)
-// dst[ch] += x[r*xRowStride+t*xTapStride+ch] * w[r*wRowStride+t*len(dst)+ch],
-// r then t ascending, rows >= 1, taps >= 1. Eight channels of dst stay in
-// Y0 across the whole tap rectangle.
-TEXT ·dwPixelAVX2(SB), NOSPLIT, $0-112
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), DX
-	MOVQ xRowStride+72(FP), R8
-	MOVQ xTapStride+80(FP), R9
-	MOVQ wRowStride+88(FP), R10
-	SHLQ $2, DX                 // all four in bytes; DX is also w's tap stride
-	SHLQ $2, R8
-	SHLQ $2, R9
-	SHLQ $2, R10
-	XORQ AX, AX                 // channel offset
-
-dwPixel8:
-	LEAQ    32(AX), R13
-	CMPQ    R13, DX
-	JA      dwPixel1
-	VMOVUPS (DI)(AX*1), Y0
-	MOVQ    x_base+24(FP), R11
-	MOVQ    w_base+48(FP), R12
-	ADDQ    AX, R11
-	ADDQ    AX, R12
-	MOVQ    rows+96(FP), R13
-
-dwPixel8Row:
-	MOVQ R11, SI
-	MOVQ R12, BX
-	MOVQ taps+104(FP), CX
-
-dwPixel8Tap:
-	VMOVUPS (SI), Y1
-	VMULPS  (BX), Y1, Y1
-	VADDPS  Y1, Y0, Y0
-	ADDQ    R9, SI
-	ADDQ    DX, BX
-	DECQ    CX
-	JNZ     dwPixel8Tap
-	ADDQ    R8, R11
-	ADDQ    R10, R12
-	DECQ    R13
-	JNZ     dwPixel8Row
-	VMOVUPS Y0, (DI)(AX*1)
-	ADDQ    $32, AX
-	JMP     dwPixel8
-
-dwPixel1:
-	CMPQ   AX, DX
-	JAE    dwPixelDone
-	VMOVSS (DI)(AX*1), X0
-	MOVQ   x_base+24(FP), R11
-	MOVQ   w_base+48(FP), R12
-	ADDQ   AX, R11
-	ADDQ   AX, R12
-	MOVQ   rows+96(FP), R13
-
-dwPixel1Row:
-	MOVQ R11, SI
-	MOVQ R12, BX
-	MOVQ taps+104(FP), CX
-
-dwPixel1Tap:
-	VMOVSS (SI), X1
-	VMULSS (BX), X1, X1
-	VADDSS X1, X0, X0
-	ADDQ   R9, SI
-	ADDQ   DX, BX
-	DECQ   CX
-	JNZ    dwPixel1Tap
-	ADDQ   R8, R11
-	ADDQ   R10, R12
-	DECQ   R13
-	JNZ    dwPixel1Row
-	VMOVSS X0, (DI)(AX*1)
-	ADDQ   $4, AX
-	JMP    dwPixel1
-
-dwPixelDone:
-	VZEROUPPER
-	RET
-
 DATA six<>+0(SB)/4, $6.0
 GLOBL six<>(SB), RODATA|NOPTR, $4
 
-// What biasActAVX2 does to each value, as macros so that each of its loops
-// is specialised and takes one branch per eight values: the optional bias
-// add (the pointer in SI) and the activation on register R, with Y14/X14
-// holding 0 and Y15/X15 holding 6. The one-lane forms work on X registers,
-// whose upper lanes are never stored.
+// What biasActAVX2 and dwRunAVX2 do to each value, as macros so that each
+// of biasActAVX2's loops is specialised and takes one branch per eight
+// values: the optional bias add (the pointer in SI) and the activation on
+// register R, with Y14/X14 holding 0 and Y15/X15 holding 6. The one-lane
+// forms work on X registers, whose upper lanes are never stored.
 #define BIAS8 VADDPS (SI), Y0, Y0; ADDQ $32, SI
 #define BIAS1 VADDSS (SI), X0, X0; ADDQ $4, SI
 #define NO_BIAS
@@ -316,11 +314,20 @@ GLOBL six<>(SB), RODATA|NOPTR, $4
 #define ACT_RELU(R, Z, S) VMAXPS Z, R, R
 #define ACT_RELU6(R, Z, S) VMAXPS R, Z, R; VMINPS R, S, R
 
-// One of biasActAVX2's loops: dst[i] = ACT(x[i] + BIAS), eight values at a
-// time and then one.
-#define BIAS_ACT(B8, B1, ACT, v8, v1) \
+// One of biasActAVX2's loops: dst[i] = ACT(x[i] + BIAS), in runs of at
+// most R10 floats — the bias row's length — that each start the bias at its
+// first value (R9), eight values at a time and then one.
+#define BIAS_ACT(B8, B1, ACT, run, v8, v1) \
+run:                          \
+	TESTQ   CX, CX            \
+	JE      biasActDone       \
+	MOVQ    R9, SI            \
+	MOVQ    R10, BX           \
+	CMPQ    CX, BX            \
+	CMOVQLT CX, BX            \
+	SUBQ    BX, CX            \
 v8:                           \
-	CMPQ    CX, $8            \
+	CMPQ    BX, $8            \
 	JB      v1                \
 	VMOVUPS (R8), Y0          \
 	B8                        \
@@ -328,25 +335,29 @@ v8:                           \
 	VMOVUPS Y0, (DI)          \
 	ADDQ    $32, R8           \
 	ADDQ    $32, DI           \
-	SUBQ    $8, CX            \
+	SUBQ    $8, BX            \
 	JMP     v8                \
 v1:                           \
-	TESTQ   CX, CX            \
-	JE      biasActDone       \
+	TESTQ   BX, BX            \
+	JE      run               \
 	VMOVSS  (R8), X0          \
 	B1                        \
 	ACT(X0, X14, X15)         \
 	VMOVSS  X0, (DI)          \
 	ADDQ    $4, R8            \
 	ADDQ    $4, DI            \
-	DECQ    CX                \
+	DECQ    BX                \
 	JMP     v1
 
 // func biasActAVX2(dst, x, bias []float32, kind int)
-// dst[i] = act(x[i] + bias[i]), or act(x[i]) when bias is empty — the add is
-// skipped, not made with zeros, so a -0 stays -0; len(x) == len(dst), kind
-// is an Act: 0 none, 1 relu, 2 relu6. BiasAct and the ReLU rows both run
-// here, on the one copy of each activation above.
+// dst[i] = act(x[i] + bias[i mod len(bias)]), or act(x[i]) when bias is
+// empty — the add is skipped, not made with zeros, so a -0 stays -0;
+// len(x) == len(dst), kind is an Act: 0 none, 1 relu, 2 relu6. A bias
+// shorter than dst is a row repeated along it: dst is walked in runs of
+// the row's length, and the bias pointer goes back to the row's start
+// after each; nothing is copied. Without a bias the one run is all of dst.
+// BiasAct and the ReLU rows both run here, on the one copy of each
+// activation above.
 //
 // VMAXPS/VMINPS return their second source when either input is NaN or
 // both are zero, so operand order reproduces the Go branches exactly:
@@ -357,32 +368,215 @@ TEXT ·biasActAVX2(SB), NOSPLIT, $0-80
 	MOVQ         dst_base+0(FP), DI
 	MOVQ         dst_len+8(FP), CX
 	MOVQ         x_base+24(FP), R8
-	MOVQ         bias_base+48(FP), SI
-	MOVQ         bias_len+56(FP), DX
+	MOVQ         bias_base+48(FP), R9
+	MOVQ         bias_len+56(FP), R10
 	MOVQ         kind+72(FP), AX
 	VXORPS       Y14, Y14, Y14
 	VBROADCASTSS six<>(SB), Y15
-	TESTQ        DX, DX
+	TESTQ        R10, R10
 	JE           biasActNoBias
 	CMPQ         AX, $1
-	JB           biasNone8
-	JE           biasRelu8
-	JMP          biasRelu68
+	JB           biasNone
+	JE           biasRelu
+	JMP          biasRelu6
 
 biasActNoBias:
+	MOVQ CX, R10
 	CMPQ AX, $1
-	JB   none8
-	JE   relu8
-	JMP  relu68
+	JB   none
+	JE   relu
+	JMP  relu6
 
-	BIAS_ACT(BIAS8, BIAS1, ACT_NONE, biasNone8, biasNone1)
-	BIAS_ACT(BIAS8, BIAS1, ACT_RELU, biasRelu8, biasRelu1)
-	BIAS_ACT(BIAS8, BIAS1, ACT_RELU6, biasRelu68, biasRelu61)
-	BIAS_ACT(NO_BIAS, NO_BIAS, ACT_NONE, none8, none1)
-	BIAS_ACT(NO_BIAS, NO_BIAS, ACT_RELU, relu8, relu1)
-	BIAS_ACT(NO_BIAS, NO_BIAS, ACT_RELU6, relu68, relu61)
+	BIAS_ACT(BIAS8, BIAS1, ACT_NONE, biasNone, biasNone8, biasNone1)
+	BIAS_ACT(BIAS8, BIAS1, ACT_RELU, biasRelu, biasRelu8, biasRelu1)
+	BIAS_ACT(BIAS8, BIAS1, ACT_RELU6, biasRelu6, biasRelu68, biasRelu61)
+	BIAS_ACT(NO_BIAS, NO_BIAS, ACT_NONE, none, none8, none1)
+	BIAS_ACT(NO_BIAS, NO_BIAS, ACT_RELU, relu, relu8, relu1)
+	BIAS_ACT(NO_BIAS, NO_BIAS, ACT_RELU6, relu6, relu68, relu61)
 
 biasActDone:
+	VZEROUPPER
+	RET
+
+// func dwRunAVX2(dst, x, w, bias []float32, c, pixels, xPixel, xRow, xTap, wRow, wTap, rows, taps, act int)
+// dst[i*c+ch] = act(+0 + Σ x[i*xPixel+r*xRow+t*xTap+ch]*w[r*wRow+t*wTap+ch]
+// + bias[ch]), the sum over r < rows then t < taps, each product rounded
+// and then added; the bias add is skipped when bias is empty, act is an
+// Act. The pixels go four at a time, then one; each group's channels eight
+// at a time, then one. A block's sums start at +0 in registers and are
+// stored once, after the epilogue: dst is never read.
+TEXT ·dwRunAVX2(SB), NOSPLIT, $0-176
+
+// dwRunAVX2's pieces, defined in its body because they name its
+// arguments (vet's frame check reads them as its lines). A block is one
+// channel offset AX (bytes) of four
+// pixels, whose sums are A0-A3, or of one pixel, whose sum is A0; eight
+// channels, or one in the tail. R8 is the block's first pixel in x, DX
+// one pixel's stride there and R14 three; R9 and R10 are the x and w tap
+// strides. c, xRow and wRow are read from the argument frame, in bytes.
+
+// DW_SUM adds the block's rows×taps products to its sums, r then t
+// ascending: R11/R12 walk the rows of x and w, SI/BX the taps of a row,
+// R13 and CX count them, and TAP adds one tap.
+#define DW_SUM(TAP, row, tap) \
+	LEAQ (R8)(AX*1), R11    \
+	MOVQ w_base+48(FP), R12 \
+	ADDQ AX, R12            \
+	MOVQ rows+152(FP), R13  \
+row:                        \
+	MOVQ R11, SI            \
+	MOVQ R12, BX            \
+	MOVQ taps+160(FP), CX   \
+tap:                        \
+	TAP                     \
+	ADDQ R9, SI             \
+	ADDQ R10, BX            \
+	DECQ CX                 \
+	JNZ  tap                \
+	ADDQ xRow+120(FP), R11  \
+	ADDQ wRow+136(FP), R12  \
+	DECQ R13                \
+	JNZ  row
+
+// One tap of four pixels: the weights loaded once into W, each pixel's
+// product rounded in P and then added.
+#define DW_TAP4(MOV, MUL, ADD, A0, A1, A2, A3, W, P) \
+	MOV (BX), W           \
+	MUL (SI), W, P        \
+	ADD P, A0, A0         \
+	MUL (SI)(DX*1), W, P  \
+	ADD P, A1, A1         \
+	MUL (SI)(DX*2), W, P  \
+	ADD P, A2, A2         \
+	MUL (SI)(R14*1), W, P \
+	ADD P, A3, A3
+
+#define TAP4x8 DW_TAP4(VMOVUPS, VMULPS, VADDPS, Y0, Y1, Y2, Y3, Y8, Y9)
+#define TAP4x1 DW_TAP4(VMOVSS, VMULSS, VADDSS, X0, X1, X2, X3, X8, X9)
+#define TAP1x8 VMOVUPS (BX), Y8; VMULPS (SI), Y8, Y9; VADDPS Y9, Y0, Y0
+#define TAP1x1 VMOVSS (BX), X8; VMULSS (SI), X8, X9; VADDSS X9, X0, X0
+
+// The block's epilogue: BIAS adds the bias at CX+AX, when there is one,
+// then RELU or RELU6 runs as act says.
+#define DW_EPILOGUE(BIAS, RELU, RELU6, noBias, relu, done) \
+	MOVQ  bias_len+80(FP), CX  \
+	TESTQ CX, CX               \
+	JE    noBias               \
+	MOVQ  bias_base+72(FP), CX \
+	BIAS                       \
+noBias:                        \
+	MOVQ  act+168(FP), CX      \
+	CMPQ  CX, $1               \
+	JB    done                 \
+	JE    relu                 \
+	RELU6                      \
+	JMP   done                 \
+relu:                          \
+	RELU                       \
+done:
+
+#define DW_BIAS4(MOV, ADD, B, A0, A1, A2, A3) MOV (CX)(AX*1), B; ADD B, A0, A0; ADD B, A1, A1; ADD B, A2, A2; ADD B, A3, A3
+#define DW_BIAS1(MOV, ADD, B, A0) MOV (CX)(AX*1), B; ADD B, A0, A0
+#define DW_ON4(ACT, Z, S, A0, A1, A2, A3) ACT(A0, Z, S); ACT(A1, Z, S); ACT(A2, Z, S); ACT(A3, Z, S)
+
+// DW_STORE4 stores a block's four sums, one pixel (c) apart.
+#define DW_STORE4(MOV, A0, A1, A2, A3) \
+	LEAQ (DI)(AX*1), CX \
+	MOV  A0, (CX)       \
+	ADDQ c+96(FP), CX   \
+	MOV  A1, (CX)       \
+	ADDQ c+96(FP), CX   \
+	MOV  A2, (CX)       \
+	ADDQ c+96(FP), CX   \
+	MOV  A3, (CX)
+
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         x_base+24(FP), R8
+	MOVQ         xPixel+112(FP), DX
+	MOVQ         xTap+128(FP), R9
+	MOVQ         wTap+144(FP), R10
+	SHLQ         $2, DX              // the strides in bytes; c, xRow and
+	SHLQ         $2, R9              // wRow in place in the frame
+	SHLQ         $2, R10
+	SHLQ         $2, c+96(FP)
+	SHLQ         $2, xRow+120(FP)
+	SHLQ         $2, wRow+136(FP)
+	LEAQ         (DX)(DX*2), R14
+	VXORPS       Y14, Y14, Y14
+	VBROADCASTSS six<>(SB), Y15
+
+dwRun4:
+	CMPQ pixels+104(FP), $4
+	JB   dwRun1
+	XORQ AX, AX
+
+dwRun4x8:
+	LEAQ        32(AX), CX
+	CMPQ        CX, c+96(FP)
+	JA          dwRun4x1
+	VXORPS      Y0, Y0, Y0
+	VXORPS      Y1, Y1, Y1
+	VXORPS      Y2, Y2, Y2
+	VXORPS      Y3, Y3, Y3
+	DW_SUM(TAP4x8, dwRun4x8Row, dwRun4x8Tap)
+	DW_EPILOGUE(DW_BIAS4(VMOVUPS, VADDPS, Y13, Y0, Y1, Y2, Y3), DW_ON4(ACT_RELU, Y14, Y15, Y0, Y1, Y2, Y3), DW_ON4(ACT_RELU6, Y14, Y15, Y0, Y1, Y2, Y3), dwRun4x8NoBias, dwRun4x8Relu, dwRun4x8Store)
+	DW_STORE4(VMOVUPS, Y0, Y1, Y2, Y3)
+	ADDQ        $32, AX
+	JMP         dwRun4x8
+
+dwRun4x1:
+	CMPQ        AX, c+96(FP)
+	JAE         dwRun4Next
+	VXORPS      X0, X0, X0
+	VXORPS      X1, X1, X1
+	VXORPS      X2, X2, X2
+	VXORPS      X3, X3, X3
+	DW_SUM(TAP4x1, dwRun4x1Row, dwRun4x1Tap)
+	DW_EPILOGUE(DW_BIAS4(VMOVSS, VADDSS, X13, X0, X1, X2, X3), DW_ON4(ACT_RELU, X14, X15, X0, X1, X2, X3), DW_ON4(ACT_RELU6, X14, X15, X0, X1, X2, X3), dwRun4x1NoBias, dwRun4x1Relu, dwRun4x1Store)
+	DW_STORE4(VMOVSS, X0, X1, X2, X3)
+	ADDQ        $4, AX
+	JMP         dwRun4x1
+
+dwRun4Next:
+	MOVQ c+96(FP), CX
+	LEAQ (DI)(CX*4), DI
+	LEAQ (R8)(DX*4), R8
+	SUBQ $4, pixels+104(FP)
+	JMP  dwRun4
+
+dwRun1:
+	CMPQ pixels+104(FP), $0
+	JE   dwRunDone
+	XORQ AX, AX
+
+dwRun1x8:
+	LEAQ        32(AX), CX
+	CMPQ        CX, c+96(FP)
+	JA          dwRun1x1
+	VXORPS      Y0, Y0, Y0
+	DW_SUM(TAP1x8, dwRun1x8Row, dwRun1x8Tap)
+	DW_EPILOGUE(DW_BIAS1(VMOVUPS, VADDPS, Y13, Y0), ACT_RELU(Y0, Y14, Y15), ACT_RELU6(Y0, Y14, Y15), dwRun1x8NoBias, dwRun1x8Relu, dwRun1x8Store)
+	VMOVUPS     Y0, (DI)(AX*1)
+	ADDQ        $32, AX
+	JMP         dwRun1x8
+
+dwRun1x1:
+	CMPQ        AX, c+96(FP)
+	JAE         dwRun1Next
+	VXORPS      X0, X0, X0
+	DW_SUM(TAP1x1, dwRun1x1Row, dwRun1x1Tap)
+	DW_EPILOGUE(DW_BIAS1(VMOVSS, VADDSS, X13, X0), ACT_RELU(X0, X14, X15), ACT_RELU6(X0, X14, X15), dwRun1x1NoBias, dwRun1x1Relu, dwRun1x1Store)
+	VMOVSS      X0, (DI)(AX*1)
+	ADDQ        $4, AX
+	JMP         dwRun1x1
+
+dwRun1Next:
+	ADDQ c+96(FP), DI
+	ADDQ DX, R8
+	DECQ pixels+104(FP)
+	JMP  dwRun1
+
+dwRunDone:
 	VZEROUPPER
 	RET
 

@@ -7,7 +7,11 @@ package vec
 
 func hasAVX2() bool { return false }
 
-func axpyNAVX2(row, a []float32, off []int, b []float32) {
+func axpyNAVX2(row, vals []float32, idx []int32, b []float32, bStride int) {
+	panic("vec: no AVX2 core on this GOARCH")
+}
+
+func compactAVX2(vals []float32, idx []int32, a []float32, base int) int {
 	panic("vec: no AVX2 core on this GOARCH")
 }
 
@@ -15,7 +19,7 @@ func axpyRowsAVX2(acc []float32, n int, a []float32, iStride, tStride, k int, b 
 	panic("vec: no AVX2 core on this GOARCH")
 }
 
-func dwPixelAVX2(dst, x, w []float32, xRowStride, xTapStride, wRowStride, rows, taps int) {
+func dwRunAVX2(dst, x, w, bias []float32, c, pixels, xPixel, xRow, xTap, wRow, wTap, rows, taps, act int) {
 	panic("vec: no AVX2 core on this GOARCH")
 }
 

@@ -71,12 +71,39 @@ func onGoBodies(f func()) {
 // bothBodies runs a function with the assembly on and with it off.
 var bothBodies = map[string]func(func()){"avx2": func(f func()) { f() }, "go": onGoBodies}
 
-func checkAxpyN(t testing.TB, row, vals []float32, offs []int, b []float32) {
+func checkAxpyN(t testing.TB, row, vals []float32, idx []int32, b []float32, bStride int) {
 	t.Helper()
 	got, want := slices.Clone(row), slices.Clone(row)
-	AxpyN(got, vals, offs, b)
-	onGoBodies(func() { AxpyN(want, vals, offs, b) })
+	AxpyN(got, vals, idx, b, bStride)
+	onGoBodies(func() { AxpyN(want, vals, idx, b, bStride) })
 	requireSameFloats(t, "AxpyN", got, want)
+}
+
+// checkList lists a from base on both bodies and holds both to the
+// definition: every element but ±0, NaN included, in order, with its index.
+func checkList(t testing.TB, a []float32, base int) {
+	t.Helper()
+	var wantVals []float32
+	var wantIdx []int32
+	for i, v := range a {
+		if v != 0 {
+			wantVals, wantIdx = append(wantVals, v), append(wantIdx, int32(base+i))
+		}
+	}
+	for body, run := range bothBodies {
+		var nz NZList
+		var vals []float32
+		var idx []int32
+		run(func() { vals, idx = nz.List(a, base) })
+		if len(vals) != len(wantVals) || !slices.Equal(idx, wantIdx) {
+			t.Fatalf("List %s len(a)=%d base=%d: %d values at %v, want %d at %v", body, len(a), base, len(vals), idx, len(wantVals), wantIdx)
+		}
+		for i := range vals {
+			if math.Float32bits(vals[i]) != math.Float32bits(wantVals[i]) {
+				t.Fatalf("List %s len(a)=%d: value %d is bits %08x, want %08x", body, len(a), i, math.Float32bits(vals[i]), math.Float32bits(wantVals[i]))
+			}
+		}
+	}
 }
 
 func checkAxpyRows(t testing.TB, acc []float32, n int, a []float32, iStride, tStride, k int, b []float32) {
@@ -87,21 +114,45 @@ func checkAxpyRows(t testing.TB, acc []float32, n int, a []float32, iStride, tSt
 	requireSameFloats(t, "AxpyRows", got, want)
 }
 
-func checkDwPixel(t testing.TB, dst, x, w []float32, xRowStride, xTapStride, wRowStride, rows, taps int) {
+var acts = map[Act]string{ActNone: "none", ActRelu: "relu", ActRelu6: "relu6"}
+
+// checkDwRun runs DwRun into pixels pixels of len(dst)/pixels channels on
+// both bodies, with bias and without, under each activation. dst's values
+// are what was there before: the two bodies start from different ones, and
+// neither may read them.
+func checkDwRun(t testing.TB, dst, x, w, bias []float32, pixels, xPixel, xRow, xTap, wRow, wTap, rows, taps int) {
 	t.Helper()
-	got, want := slices.Clone(dst), slices.Clone(dst)
-	DwPixel(got, x, w, xRowStride, xTapStride, wRowStride, rows, taps)
-	onGoBodies(func() { DwPixel(want, x, w, xRowStride, xTapStride, wRowStride, rows, taps) })
-	requireSameFloats(t, "DwPixel", got, want)
+	for act, name := range acts {
+		for _, bias := range [][]float32{bias, nil} {
+			got, want := slices.Clone(dst), make([]float32, len(dst))
+			for i := range want {
+				want[i] = float32(i) + 0.5
+			}
+			DwRun(got, x, w, bias, pixels, xPixel, xRow, xTap, wRow, wTap, rows, taps, act)
+			onGoBodies(func() { DwRun(want, x, w, bias, pixels, xPixel, xRow, xTap, wRow, wTap, rows, taps, act) })
+			requireSameFloats(t, fmt.Sprintf("DwRun %s pixels=%d rows=%d taps=%d bias=%t", name, pixels, rows, taps, bias != nil), got, want)
+		}
+	}
 }
 
+// checkBiasAct runs BiasAct on both bodies with bias as given, and — when
+// it is longer — with its first 1, 3, 8 and 11 values as a row repeated
+// along dst.
 func checkBiasAct(t testing.TB, dst, bias []float32) {
 	t.Helper()
-	for act, name := range map[Act]string{ActNone: "none", ActRelu: "relu", ActRelu6: "relu6"} {
-		got, want := slices.Clone(dst), slices.Clone(dst)
-		BiasAct(got, bias, act)
-		onGoBodies(func() { BiasAct(want, bias, act) })
-		requireSameFloats(t, "BiasAct "+name, got, want)
+	rows := [][]float32{bias}
+	for _, n := range []int{1, 3, 8, 11} {
+		if n < len(bias) {
+			rows = append(rows, bias[:n])
+		}
+	}
+	for _, bias := range rows {
+		for act, name := range acts {
+			got, want := slices.Clone(dst), slices.Clone(dst)
+			BiasAct(got, bias, act)
+			onGoBodies(func() { BiasAct(want, bias, act) })
+			requireSameFloats(t, fmt.Sprintf("BiasAct %s len(bias)=%d", name, len(bias)), got, want)
+		}
 	}
 }
 
@@ -283,13 +334,13 @@ func checkReluFamily(t testing.TB, x []float32, alpha float32) {
 	}
 }
 
-// strideOffs is the offset table of a dense product: t*stride.
-func strideOffs(k, stride int) []int {
-	offs := make([]int, k)
-	for t := range offs {
-		offs[t] = t * stride
+// denseIdx is the index list of a dense product: 0, 1, …, k-1.
+func denseIdx(k int) []int32 {
+	idx := make([]int32, k)
+	for t := range idx {
+		idx[t] = int32(t)
 	}
-	return offs
+	return idx
 }
 
 func requireAVX2(t testing.TB) {
@@ -319,8 +370,19 @@ func TestVecCoresBitIdentity(t *testing.T) {
 			for _, stride := range []int{n, n + 5} {
 				vals := vecOperand(off+k, seed+1)[off:]
 				b := vecOperand(off+k*stride+n, seed+2)[off:]
-				checkAxpyN(t, dst, vals, strideOffs(k, stride), b)
+				checkAxpyN(t, dst, vals, denseIdx(k), b, stride)
 			}
+			// A list with gaps, as the compaction hands one on.
+			if k > 0 {
+				idx := make([]int32, k)
+				for i := range idx {
+					idx[i] = int32(i + i/2)
+				}
+				b := vecOperand(off+int(idx[k-1])*(n+1)+n, seed+2)[off:]
+				checkAxpyN(t, dst, vecOperand(off+k, seed+1)[off:], idx, b, n+1)
+			}
+			// Lists of every length up to NZCap, the tail block masked.
+			checkList(t, vecOperand(off+min(n, NZCap), seed+8)[off:], int(seed)%1000)
 
 			// One to six rows of the same product (a tile of four and every
 			// remainder), the lhs laid out as a convolution's pixels are
@@ -334,16 +396,28 @@ func TestVecCoresBitIdentity(t *testing.T) {
 				checkAxpyRows(t, acc, n, vecOperand(off+rows+k*(rows+3), seed+1)[off:], 1, rows+3, k, b)
 			}
 
-			// A 3×3 filter clipped to every rows×taps rectangle, strides as
-			// a stride-2 dilation-1 layer would pass them.
+			// A 3×3 filter clipped to rows×taps rectangles, over runs of one
+			// to six pixels of n channels (a group of four and every
+			// remainder), strides as a stride-2 layer would pass them. A
+			// pixel of the input and of the filter holds n channels, or —
+			// as for a piece that is one pixel's window of channels — three
+			// more than the run takes.
+			for pixels := 1; pixels <= 6; pixels++ {
+				rows, taps := [6]int{3, 2, 3, 1, 3, 2}[pixels-1], [6]int{3, 3, 2, 1, 3, 2}[pixels-1]
+				c := n + pixels%2*3
+				xPixel, xRow, xTap, wRow := 2*c, (2*pixels+3)*c, c, 3*c
+				x := vecOperand(off+(pixels-1)*xPixel+(rows-1)*xRow+(taps-1)*xTap+n, seed+1)[off:]
+				w := vecOperand(off+(rows-1)*wRow+(taps-1)*c+n, seed+2)[off:]
+				checkDwRun(t, vecOperand(off+pixels*n, seed)[off:], x, w, vecOperand(off+n, seed+3)[off:], pixels, xPixel, xRow, xTap, wRow, c, rows, taps)
+			}
+			// A 3×3 pooling window clipped to every rows×taps rectangle;
+			// w, cut to x's length, stands in for the gradient already in
+			// dx.
 			for rows := 1; rows <= 3; rows++ {
 				for taps := 1; taps <= 3; taps++ {
 					xRow, xTap, wRow := 5*n+1, n, 3*n
 					x := vecOperand(off+(rows-1)*xRow+(taps-1)*xTap+n, seed+1)[off:]
 					w := vecOperand(off+(rows-1)*wRow+taps*n, seed+2)[off:]
-					checkDwPixel(t, dst, x, w, xRow, xTap, wRow, rows, taps)
-					// The same rectangles as pooling windows; w, cut to x's
-					// length, stands in for the gradient already in dx.
 					checkPoolPixels(t, n, x, xRow, xTap, rows, taps)
 					checkPoolMaxGrad(t, w[:min(len(w), len(x))], x[:min(len(w), len(x))], dst, min(xRow, wRow), xTap, rows, taps)
 				}
@@ -390,7 +464,8 @@ func TestVecCoresBitIdentity(t *testing.T) {
 				for i := range y {
 					y[i] = yv
 				}
-				checkAxpyN(t, y, a, strideOffs(5, 11), b)
+				checkAxpyN(t, y, a, denseIdx(5), b, 11)
+				checkList(t, slices.Concat(a, y, a[:3]), 3)
 				for _, n := range []int{8, 16} {
 					acc := make([]float32, 5*n)
 					for i := range acc {
@@ -398,16 +473,21 @@ func TestVecCoresBitIdentity(t *testing.T) {
 					}
 					checkAxpyRows(t, acc, n, a, 1, 0, 3, b)
 				}
-				checkDwPixel(t, y, b, b[11:], 22, 11, 22, 2, 2)
+				// x holds av: a bias here, and below batch norm's x and
+				// Adam's gradient.
+				x := make([]float32, 11)
+				for i := range x {
+					x[i] = av
+				}
+				// A depthwise pixel, and four of them: the 2×2 window is
+				// every pixel's (xPixel 0).
+				checkDwRun(t, y, b, b[11:], x, 1, 0, 22, 11, 22, 11, 2, 2)
+				checkDwRun(t, slices.Concat(y, y, y, y), b, b[11:], x, 4, 0, 22, 11, 22, 11, 2, 2)
 				checkBiasAct(t, y, b[:11])
 				checkReluRows(t, y, av)
 				checkBinaryLayouts(t, y, b[:16])
 				// x = av against mean bv and variance yv, one pixel of 11
 				// channels; scale av and offset bv.
-				x := make([]float32, 11)
-				for i := range x {
-					x[i] = av
-				}
 				checkBatchNorm(t, x, slices.Concat(b[:11], y, x, b[:11]), 0)
 				// A window of nothing but bv, and one with av in each
 				// position in turn.
@@ -440,8 +520,13 @@ func TestVecCoresStayInBounds(t *testing.T) {
 			buf[i] = sentinel
 		}
 		dst := buf[8 : 8+n : 8+n]
-		AxpyN(dst, vecOperand(6, 7), strideOffs(6, n), vecOperand(6*n, 8))
-		DwPixel(dst, vecOperand(4*n, 9), vecOperand(4*n, 10), 2*n, n, 2*n, 2, 2)
+		AxpyN(dst, vecOperand(6, 7), denseIdx(6), vecOperand(6*n, 8), n)
+		DwRun(dst, vecOperand(4*n, 9), vecOperand(4*n, 10), vecOperand(n, 34), 1, 0, 2*n, n, 2*n, n, 2, 2, ActRelu6)
+		if c := n / 4; c > 0 {
+			// Four pixels of c channels: the first 4c values of dst.
+			DwRun(dst, vecOperand(4*n, 9), vecOperand(4*n, 10), vecOperand(c, 34), 4, c, 2*n, c, 2*n, c, 2, 2, ActRelu)
+		}
+		BiasAct(dst, vecOperand(3, 35), ActNone)
 		if n >= 8 {
 			AxpyRows(dst[:n/8*8], 8, vecOperand(3*n, 16), 3, 1, 3, vecOperand(3*8, 17))
 		}
@@ -463,6 +548,27 @@ func TestVecCoresStayInBounds(t *testing.T) {
 		for i, v := range buf {
 			if (i < 8 || i >= 8+n) && v != sentinel {
 				t.Fatalf("n=%d: buf[%d] = %g, outside the slice handed to the cores", n, i, v)
+			}
+		}
+		// The compaction stores whole blocks of eight: none may pass the
+		// list's end, even when every element is listed.
+		var list struct {
+			nz    NZList
+			guard [8]int32
+		}
+		for i := range list.guard {
+			list.guard[i] = sentinel
+		}
+		ones := make([]float32, min(n+24, NZCap))
+		for i := range ones {
+			ones[i] = 1
+		}
+		if vals, _ := list.nz.List(ones, 0); len(vals) != len(ones) {
+			t.Fatalf("List of %d ones listed %d", len(ones), len(vals))
+		}
+		for i, v := range list.guard {
+			if v != sentinel {
+				t.Fatalf("List of %d ones: guard[%d] = %d, past the list", len(ones), i, v)
 			}
 		}
 	}
@@ -504,7 +610,7 @@ func FuzzVecCores(f *testing.F) {
 		k := 1 + int(kSel)%40
 		if len(vals) >= k {
 			n := (len(vals) - k) / (k + 1)
-			checkAxpyN(t, vals[k:k+n], vals[:k], strideOffs(k, n), vals[k+n:k+n+k*n])
+			checkAxpyN(t, vals[k:k+n], vals[:k], denseIdx(k), vals[k+n:k+n+k*n], n)
 		}
 
 		// vals = a[rows×k] ‖ acc[rows×n] ‖ b[k×n], n 8 or 16
@@ -519,8 +625,15 @@ func FuzzVecCores(f *testing.F) {
 		c := len(vals) / (2*rows*taps + 1)
 		x := vals[c : c+rows*taps*c]
 		w := vals[c+rows*taps*c:]
-		checkDwPixel(t, vals[:c], x, w, taps*c, c, taps*c, rows, taps)
+		checkList(t, vals[:min(len(vals), NZCap)], int(kSel))
 		if c > 0 {
+			// One pixel, and p pixels of c/p channels each, the next pixel
+			// c/p floats on in x.
+			checkDwRun(t, vals[:c], x, w, x[:c], 1, 0, taps*c, c, taps*c, c, rows, taps)
+			if p := 1 + int(kSel)%6; c >= p {
+				cp := c / p
+				checkDwRun(t, vals[:p*cp], x, w, w[:cp], p, cp, taps*c, c, taps*c, c, rows, taps)
+			}
 			checkPoolPixels(t, c, x, taps*c, c, rows, taps)
 			checkPoolMaxGrad(t, w, x, vals[:c], taps*c, c, rows, taps)
 		}
@@ -610,6 +723,49 @@ func TestAxpyRowsSkipsZeros(t *testing.T) {
 	}
 }
 
+// TestListEveryZeroMask walks the compaction through every pattern of
+// zeros an eight-lane block can hold: lane l of each block is ±0 (+0 in
+// even blocks, -0 in odd ones) where bit l of the mask m is set, and
+// otherwise a NaN, a denormal of either sign or a normal value, which are
+// all listed. Every length 0…67 at every offset 0…7: whole blocks, every
+// masked tail, and lists longer than NZCap taken as GemmRow takes them.
+// GemmRow then multiplies the list against +Inf on both bodies: a zero
+// listed would put 0·Inf = NaN in the row.
+func TestListEveryZeroMask(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	listed := []float32{float32(math.NaN()), 1e-39, -math.SmallestNonzeroFloat32, 1.5, -2}
+	b := make([]float32, 3*67)
+	for i := range b {
+		b[i] = float32(math.Inf(1))
+	}
+	for m := 0; m < 256; m++ {
+		for n := 0; n <= 67; n++ {
+			for off := 0; off <= 7; off++ {
+				a := make([]float32, off+n)[off:]
+				want := make([]float32, 3)
+				for i := range a {
+					if m&(1<<(i%8)) != 0 {
+						a[i] = [2]float32{0, negZero}[i/8%2]
+						continue
+					}
+					a[i] = listed[(i+m)%len(listed)]
+					for j := range want {
+						want[j] += float32(a[i] * b[3*i+j])
+					}
+				}
+				for lo := 0; lo < n; lo += NZCap {
+					checkList(t, a[lo:min(lo+NZCap, n)], lo)
+				}
+				for body, run := range bothBodies {
+					got := make([]float32, 3)
+					run(func() { GemmRow(got, a, 1, b, 3, new(NZList)) })
+					requireSameFloats(t, fmt.Sprintf("GemmRow %s mask %08b n=%d", body, m, n), got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestAxpyNIsDense: a zero step is multiplied, not skipped, on both bodies —
 // 0·Inf and 0·NaN are NaN in every lane and in the tail. GemmRow gets its
 // skip by leaving zeros out of vals, and native's input gradient by
@@ -623,7 +779,7 @@ func TestAxpyNIsDense(t *testing.T) {
 			}
 			for _, body := range []func(func()){func(f func()) { f() }, onGoBodies} {
 				row := make([]float32, 11)
-				body(func() { AxpyN(row, []float32{zero, zero, zero, zero, zero}, strideOffs(5, 11), b) })
+				body(func() { AxpyN(row, []float32{zero, zero, zero, zero, zero}, denseIdx(5), b, 11) })
 				for j, v := range row {
 					if v == v {
 						t.Fatalf("%g·%g: row[%d] = %g, want NaN", zero, w, j, v)

@@ -30,6 +30,12 @@ func init() {
 	v1 := webgl.DefaultConfig()
 	v1.Device.WebGLVersion = 1
 	e.RegisterBackend("webgl1", func() (kernels.Backend, error) { return webgl.New(v1), nil })
+
+	// One device worker: a program runs on the device goroutine itself, so
+	// what the device allocates does not depend on the host's CPU count.
+	serial := webgl.DefaultConfig()
+	serial.Device.Workers = 1
+	e.RegisterBackend("webgl-serial", func() (kernels.Backend, error) { return webgl.New(serial), nil })
 }
 
 func setBackend(t testing.TB, name string) {

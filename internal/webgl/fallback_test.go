@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/glsim"
 	"repro/internal/kernels"
@@ -204,38 +205,75 @@ func seq(n int) []float32 {
 	return vals
 }
 
-// TestDispatchIsAsync verifies the §4.1.1 scheduling claim: enqueueing an
-// operation "typically takes sub-millisecond time, and [returns] a handle
-// to the resulting tensor despite the computation not being done". The
-// dispatch must return long before the device finishes the work.
+// TestDispatchIsAsync tests the §4.1.1 scheduling claim on its own terms:
+// enqueueing an operation "typically takes sub-millisecond time, and
+// [returns] a handle to the resulting tensor despite the computation not
+// being done". Six chained 512² matmuls are enqueued on a one-worker
+// device, and the enqueue is pinned by what it costs the host, against
+// what the device's own clock says it bought:
+//   - allocations: a whole cycle — the six enqueues, the device running
+//     them, the fence and the disposes — stays within dispatchAllocs on a
+//     warmed texture recycler (a count, so it holds on any host);
+//   - host time: an enqueue returns within enqueueBudget (the best of five
+//     cycles), and one matmul's modelled device time, which repeats to the
+//     picosecond on any host, is at least ten such budgets. A host loop
+//     over the output on the dispatching goroutine (an O(texels) pass of a
+//     512² texture) blows the budget however fast the device's own work
+//     becomes.
+//
+// Comparing the enqueue with the host's wall-clock time of the execution
+// stays only as a sanity check, when the execution is long enough to read.
 func TestDispatchIsAsync(t *testing.T) {
-	setBackend(t, "webgl")
-	e := core.Global()
-	e.Tidy("dispatch", func() []*tensor.Tensor {
-		a := ops.Fill([]int{512, 512}, 1.0/512)
-		// Let the fills complete so we time only the matmul dispatch.
-		a.DataSync()
-
-		dispatchStart := time.Now()
-		x := a
-		for i := 0; i < 6; i++ {
-			x = ops.MatMul(x, a, false, false)
+	const (
+		dispatchAllocs = 450 // 425 at the time of writing
+		enqueueBudget  = 200 * time.Microsecond
+	)
+	setBackend(t, "webgl-serial")
+	backend := core.Global().Backend()
+	a := ops.Fill([]int{512, 512}, 1.0/512)
+	defer a.Dispose()
+	a.DataSync()
+	var y [6]*tensor.Tensor
+	var enqueue, execution time.Duration
+	cycle := func() kernels.TimeInfo {
+		info := backend.Time(func() {
+			start := time.Now()
+			x := a
+			for i := range y {
+				y[i] = ops.MatMul(x, a, false, false)
+				x = y[i]
+			}
+			enqueue = time.Since(start)
+		})
+		execution = time.Duration(info.WallMS*float64(time.Millisecond)) - enqueue
+		for _, yi := range y {
+			yi.Dispose()
 		}
-		dispatch := time.Since(dispatchStart)
-
-		syncStart := time.Now()
-		x.DataSync()
-		execution := time.Since(syncStart)
-
-		if dispatch > execution {
-			t.Fatalf("dispatch (%v) should be far cheaper than execution (%v)", dispatch, execution)
+		return info
+	}
+	gpu := cycle() // also warms the recycler: later cycles reuse its textures
+	modelled := time.Duration(gpu.KernelMS / float64(len(y)) * float64(time.Millisecond))
+	if modelled < 10*enqueueBudget {
+		t.Fatalf("one 512² matmul is %v of modelled device time, under ten enqueue budgets (%v)", modelled, enqueueBudget)
+	}
+	best := time.Duration(math.MaxInt64)
+	for i := 0; i < 5; i++ {
+		cycle()
+		best = min(best, enqueue/time.Duration(len(y)))
+		if execution >= 2*time.Millisecond && enqueue > execution {
+			t.Errorf("enqueueing six matmuls took %v, longer than the %v they ran for", enqueue, execution)
 		}
-		if execution < 2*time.Millisecond {
-			t.Skipf("workload too fast to compare (%v)", execution)
-		}
-		if dispatch*5 > execution {
-			t.Fatalf("dispatch %v not clearly asynchronous vs execution %v", dispatch, execution)
-		}
-		return nil
-	})
+	}
+	t.Logf("an enqueue: %v of host time (budget %v) for %v of modelled device time", best, enqueueBudget, modelled)
+	if best > enqueueBudget {
+		t.Errorf("an enqueue took %v of host time at best, over its %v budget", best, enqueueBudget)
+	}
+	if bufpool.RaceEnabled {
+		return // sync.Pool drops entries at random under the race detector
+	}
+	allocs := testing.AllocsPerRun(10, func() { cycle() })
+	t.Logf("a cycle of six enqueues: %.0f allocations (budget %d)", allocs, dispatchAllocs)
+	if allocs > dispatchAllocs {
+		t.Errorf("a cycle of six enqueues made %.0f allocations, over its budget of %d", allocs, dispatchAllocs)
+	}
 }

@@ -121,10 +121,36 @@ func TestTimeAndProfileFacade(t *testing.T) {
 	if ti.KernelMS <= 0 || ti.WallMS <= 0 {
 		t.Fatalf("time info %+v", ti)
 	}
-	// The paper: GPU time excludes upload/download, so kernel time is
-	// below wall time.
-	if ti.KernelMS >= ti.WallMS {
-		t.Fatalf("kernel %.3fms should be < wall %.3fms", ti.KernelMS, ti.WallMS)
+	// The paper: GPU time excludes upload/download. The device clock is
+	// modelled, so that is checked on the clock itself, not against the
+	// host's wall time, which a faster host brings below any modelled
+	// figure: once the recycler holds the textures, the product reads the
+	// same kernel time with its read-back as without, and an upload read
+	// straight back reads none.
+	product := func(readBack bool) float64 {
+		return tf.Time(func() {
+			tf.Tidy(func() []*tf.Tensor {
+				a := tf.Fill([]int{128, 128}, 0.5)
+				y := tf.MatMul(a, a, false, false)
+				if readBack {
+					y.DataSync()
+				}
+				return nil
+			})
+		}).KernelMS
+	}
+	product(true)
+	if with, without := product(true), product(false); with != without || with <= 0 {
+		t.Fatalf("kernel time %.6fms with the read-back, %.6fms without: a download is not GPU time", with, without)
+	}
+	var x *tf.Tensor
+	moved := tf.Time(func() {
+		x = tf.Tensor2D(make([]float32, 128*128), 128, 128)
+		x.DataSync()
+	}).KernelMS
+	x.Dispose()
+	if moved != 0 {
+		t.Fatalf("an upload read back took %.6fms of kernel time, want 0", moved)
 	}
 
 	info := tf.Profile(func() {
