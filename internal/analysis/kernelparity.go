@@ -25,8 +25,11 @@ import (
 //     known op→kernel aliases and the structural ops the executor lowers
 //     without dispatching.
 //
-// If no RegisterRef calls are in scope (e.g. vetting a single unrelated
-// package), the analyzer is silent.
+// The reference set is the RegisterRef("Name", ...) calls plus the entries
+// of the element-wise table (a []ElementwiseOp literal, each entry's Name),
+// which the reference tier registers in one loop. If no reference kernels
+// are in scope (e.g. vetting a single unrelated package), the analyzer is
+// silent.
 var KernelParity = &Analyzer{
 	Name:   "kernelparity",
 	Doc:    "backend kernel registrations and decoder op cases must resolve to reference kernels",
@@ -70,6 +73,10 @@ func runKernelParity(pass *Pass) error {
 	for _, pkg := range pass.Prog.Pkgs {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
+				if gd, ok := decl.(*ast.GenDecl); ok {
+					collectTable(gd, refSet)
+					continue
+				}
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
 					continue
@@ -178,6 +185,42 @@ func collectRegistration(pkgPath string, call *ast.CallExpr, inRegister bool,
 			*backendRegs = append(*backendRegs, namedLiteral{name, call.Args[0].Pos(), pkgPath})
 		}
 	}
+}
+
+// collectTable harvests the element-wise table: the Name of every entry of
+// a []ElementwiseOp composite literal feeds the reference set.
+func collectTable(gd *ast.GenDecl, refSet map[string]bool) {
+	ast.Inspect(gd, func(n ast.Node) bool {
+		lit, ok := n.(*ast.CompositeLit)
+		if !ok {
+			return true
+		}
+		arr, ok := lit.Type.(*ast.ArrayType)
+		if !ok {
+			return true
+		}
+		if elt, ok := arr.Elt.(*ast.Ident); !ok || elt.Name != "ElementwiseOp" {
+			return true
+		}
+		for _, e := range lit.Elts {
+			entry, ok := e.(*ast.CompositeLit)
+			if !ok {
+				continue
+			}
+			for _, f := range entry.Elts {
+				kv, ok := f.(*ast.KeyValueExpr)
+				if !ok {
+					continue
+				}
+				if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Name" {
+					if name, ok := stringLit(kv.Value); ok {
+						refSet[name] = true
+					}
+				}
+			}
+		}
+		return false
+	})
 }
 
 // stringLit unquotes a string literal expression.

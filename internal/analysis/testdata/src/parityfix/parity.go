@@ -58,3 +58,25 @@ func compile(n node) kernelFn {
 }
 
 var _ = compile
+
+// ElementwiseOp mimics the element-wise table: every entry is a reference
+// kernel, registered in a loop.
+type ElementwiseOp struct {
+	Name string
+	fn   kernelFn
+}
+
+var elementwise = []ElementwiseOp{
+	{Name: "Neg", fn: func() {}},
+}
+
+// compileTabled is a decoder case served by a table entry: clean.
+func compileTabled(n node) kernelFn {
+	switch n.Op {
+	case "Neg":
+		return elementwise[0].fn
+	}
+	return nil
+}
+
+var _ = compileTabled

@@ -74,8 +74,20 @@ func (b *NaiveBackend) initNaiveKernels() {
 	bin("Sub", func(x, y float64) float64 { return x - y })
 	bin("Mul", func(x, y float64) float64 { return x * y })
 	bin("RealDiv", func(x, y float64) float64 { return x / y })
-	bin("Maximum", math.Max)
-	bin("Minimum", math.Min)
+	// The ReLU family, Maximum and Minimum select as the element-wise table
+	// does (math.Max and math.Min would put NaN and ±0 elsewhere).
+	bin("Maximum", func(x, y float64) float64 {
+		if x > y {
+			return x
+		}
+		return y
+	})
+	bin("Minimum", func(x, y float64) float64 {
+		if x < y {
+			return x
+		}
+		return y
+	})
 
 	un := func(name string, f func(x float64) float64) {
 		b.table[name] = func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
@@ -90,8 +102,21 @@ func (b *NaiveBackend) initNaiveKernels() {
 			return nil
 		}
 	}
-	un("Relu", func(x float64) float64 { return math.Max(x, 0) })
-	un("Relu6", func(x float64) float64 { return math.Min(math.Max(x, 0), 6) })
+	un("Relu", func(x float64) float64 {
+		if x > 0 {
+			return x
+		}
+		return 0
+	})
+	un("Relu6", func(x float64) float64 {
+		if x < 0 {
+			return 0
+		}
+		if x > 6 {
+			return 6
+		}
+		return x
+	})
 	un("Sigmoid", func(x float64) float64 { return 1 / (1 + math.Exp(-x)) })
 	un("Tanh", math.Tanh)
 	un("Exp", math.Exp)

@@ -10,8 +10,9 @@
 // because bench/fixtures.go still sets it, and files under bench/ change
 // only together with the benchmark.
 //
-// The backend reads no clock for scheduling: the per-step hint a plan
-// hands the backend (HintStep) is the step's static flops estimate.
+// Nothing flows the other way: a plan hands the backend no per-step hint,
+// and the backend reads no clock; each kernel sizes its own parallelism
+// grain from its operands.
 //
 // The package is a leaf: it imports nothing from the repo, so converter,
 // graphmodel, native, serving and tf can all depend on it without cycles.
@@ -156,20 +157,4 @@ func Apply(b any, c Config) bool {
 		return true
 	}
 	return false
-}
-
-// StepHintSetter is implemented by backends that accept a per-plan-step
-// cost hint: the compiled plan knows each step's flops per output element,
-// which the backend folds into its parallelism grain so cheap steps stay
-// inline and expensive ones shard. SetStepHint(0) clears the hint back to
-// the per-kernel default.
-type StepHintSetter interface {
-	SetStepHint(flops int)
-}
-
-// HintStep forwards a step's flops estimate to the backend if it listens.
-func HintStep(b any, flops int) {
-	if s, ok := b.(StepHintSetter); ok {
-		s.SetStepHint(flops)
-	}
 }

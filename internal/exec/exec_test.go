@@ -108,16 +108,13 @@ func TestValidateRejectsUnknownCostModel(t *testing.T) {
 
 // fakeBackend records what the interface-assertion plumbing delivers.
 type fakeBackend struct {
-	cfg   exec.Config
-	nCfg  int
-	flops int
-	nHint int
+	cfg  exec.Config
+	nCfg int
 }
 
 func (f *fakeBackend) ApplyExecConfig(c exec.Config) { f.cfg = c; f.nCfg++ }
-func (f *fakeBackend) SetStepHint(flops int)         { f.flops = flops; f.nHint++ }
 
-func TestApplyAndHintDispatchViaInterfaces(t *testing.T) {
+func TestApplyDispatchesViaInterface(t *testing.T) {
 	f := &fakeBackend{}
 	c := exec.Make(exec.WithWorkers(3))
 	if !exec.Apply(f, c) {
@@ -126,17 +123,8 @@ func TestApplyAndHintDispatchViaInterfaces(t *testing.T) {
 	if f.nCfg != 1 || f.cfg.Workers != 3 {
 		t.Fatalf("config not delivered: %+v", f)
 	}
-	exec.HintStep(f, 18)
-	if f.nHint != 1 || f.flops != 18 {
-		t.Fatalf("hint not delivered: %+v", f)
-	}
-	exec.HintStep(f, 0)
-	if f.nHint != 2 || f.flops != 0 {
-		t.Fatalf("zero hint must clear: %+v", f)
-	}
-	// Backends without the hooks are ignored, not crashed on.
+	// A backend without the hook is ignored, not crashed on.
 	if exec.Apply(struct{}{}, c) {
 		t.Fatal("Apply must report false for a plain backend")
 	}
-	exec.HintStep(struct{}{}, 18)
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/kernels"
 	"repro/internal/tensor"
 )
@@ -125,13 +124,11 @@ func (m *Model) execute(e *core.Engine, feeds map[string]*tensor.Tensor) (map[st
 			x.env[ws.slot] = kernels.Input{DataID: w.DataID, Shape: w.Shape, DType: w.DType}
 		}
 	}
-	defer exec.HintStep(bk, 0)
 	defer x.release()
 	for i := range p.steps {
 		st := &p.steps[i]
 		// A feed for any node short-circuits its step.
 		if !x.fed[st.out] {
-			exec.HintStep(bk, st.flops)
 			if err := st.run(x, st); err != nil {
 				return nil, err
 			}

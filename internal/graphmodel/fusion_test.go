@@ -184,17 +184,18 @@ func TestFusionRefusals(t *testing.T) {
 	}
 }
 
-// TestUnfusableActivationStopsChain: an activation outside the fused set
-// stops the chain at BiasAdd — conv+bias still fuse, the activation stays.
+// TestUnfusableActivationStopsChain: an activation outside the element-wise
+// table — Softmax, the one that is not element-wise — stops the chain at
+// BiasAdd: conv+bias still fuse, the activation stays.
 func TestUnfusableActivationStopsChain(t *testing.T) {
-	m, err := graphmodel.New(convGraph("BiasAdd", "Softplus", false))
+	m, err := graphmodel.New(convGraph("BiasAdd", "Softmax", false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Dispose()
 	opt := countOps(m.OptimizedGraph())
-	if opt["FusedConv2D"] != 1 || opt["Softplus"] != 1 {
-		t.Fatalf("want FusedConv2D + surviving Softplus, got %v", opt)
+	if opt["FusedConv2D"] != 1 || opt["Softmax"] != 1 {
+		t.Fatalf("want FusedConv2D + surviving Softmax, got %v", opt)
 	}
 	if m.OptimizeStats().Patterns["fuse:Conv2D+BiasAdd"] != 1 {
 		t.Fatalf("want bias-only pattern, got %v", m.OptimizeStats().Patterns)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/kernels"
 	"repro/internal/savedmodel"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
@@ -23,16 +24,6 @@ import (
 // followed by a reachability prune. Every rewrite emits a KindRewrite
 // telemetry event and increments OptimizeStats, so fusion is observable; it
 // is defeatable with WithOptimize(false).
-
-// fusableActivations maps graph activation ops to the fused-kernel
-// activation attribute (the names kernels.FusedActivation accepts).
-var fusableActivations = map[string]string{
-	"Relu":    "relu",
-	"Relu6":   "relu6",
-	"Elu":     "elu",
-	"Sigmoid": "sigmoid",
-	"Tanh":    "tanh",
-}
 
 // OptimizeStats reports what the load-time graph optimizer did.
 type OptimizeStats struct {
@@ -407,9 +398,11 @@ func (o *optimizer) fusePatterns() {
 		actLabel := ""
 		if actName := o.soleConsumer(add.Name); actName != "" {
 			actNode := o.nodes[actName]
-			if fusedAct, ok := fusableActivations[actNode.Op]; ok && len(actNode.Inputs) == 1 {
+			// Any activation of the element-wise table fuses, under its
+			// lowercase name.
+			if op, ok := kernels.LookupElementwise(actNode.Op); ok && op.Activation != "" && len(actNode.Inputs) == 1 {
 				tail = actNode
-				activation = fusedAct
+				activation = op.Activation
 				actLabel = "+" + actNode.Op
 			}
 		}

@@ -38,10 +38,6 @@ type step struct {
 	inNames []string
 	out     int
 	alias   bool // out shares the input's data container
-	// flops is the step's static flops-per-output-element estimate. The
-	// backend takes it with one atomic store before the step runs, so the
-	// parallelism grain reflects the step's per-element work.
-	flops   int
 	run     func(x *execState, st *step) error
 	info    kernels.TensorInfo // output descriptor scratch
 	insBuf  []kernels.Input    // operand scratch
@@ -98,7 +94,6 @@ func compilePlan(g *savedmodel.GraphDef, order []string, nodes map[string]*saved
 			continue
 		}
 		st := compileStep(n, slot, p.slots)
-		st.flops = stepCost(n, g)
 		if st.alias {
 			p.root[slot] = p.root[st.ins[0]]
 		}
@@ -136,42 +131,6 @@ func compilePlan(g *savedmodel.GraphDef, order []string, nodes map[string]*saved
 		owned: make([]bool, p.numSlots),
 	}
 	return p
-}
-
-// stepCost estimates a step's flops per output element from the const
-// weight shapes. Only the weight-bearing heavy ops get a compile-time
-// cost; everything else returns 0, which the backend maps to its
-// per-kernel default. The contraction ops count a multiply and an add per
-// reduced element (2·K); depthwise reduces only over the filter window.
-func stepCost(n *savedmodel.NodeDef, g *savedmodel.GraphDef) int {
-	wShape := func(i int) []int {
-		if i >= len(n.Inputs) {
-			return nil
-		}
-		if w, ok := g.Weights[n.Inputs[i]]; ok {
-			return w.Shape
-		}
-		return nil
-	}
-	switch n.Op {
-	case "MatMul", "_FusedMatMul":
-		if s := wShape(1); len(s) == 2 {
-			k := s[0]
-			if attrBool(n.Attrs, "transpose_b") {
-				k = s[1]
-			}
-			return 2 * k
-		}
-	case "Conv2D", "FusedConv2D":
-		if s := wShape(1); len(s) == 4 {
-			return 2 * s[0] * s[1] * s[2]
-		}
-	case "DepthwiseConv2dNative", "FusedDepthwiseConv2dNative":
-		if s := wShape(1); len(s) == 4 {
-			return 2 * s[0] * s[1]
-		}
-	}
-	return 0
 }
 
 // noAttrs is the shared empty attribute bag for kernels that take none.
@@ -330,8 +289,6 @@ func compileStep(n *savedmodel.NodeDef, slot int, slots map[string]int) step {
 		return simple(2, "Sub", noAttrs)
 	case "Mul":
 		return simple(2, "Mul", noAttrs)
-	case "Relu", "Relu6", "Sigmoid", "Tanh", "Elu", "Softplus":
-		return simple(1, n.Op, noAttrs)
 	case "Softmax":
 		var tmp kernels.TensorInfo
 		var flat [2]int
@@ -479,6 +436,9 @@ func compileStep(n *savedmodel.NodeDef, slot int, slots map[string]int) step {
 			return x.kernel("PadV2", st.insBuf[:1], padAttrs, &st.info)
 		})
 	default:
+		if op, ok := kernels.LookupElementwise(n.Op); ok && op.Activation != "" {
+			return simple(1, n.Op, noAttrs)
+		}
 		return fail("graphmodel: unsupported op %q (node %q)", n.Op, n.Name)
 	}
 }

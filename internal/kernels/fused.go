@@ -1,58 +1,14 @@
 package kernels
 
 import (
-	"math"
-
 	"repro/internal/tensor"
 )
 
-// FusedActivation resolves the "activation" attribute of the fused kernels
-// (FusedConv2D, FusedDepthwiseConv2dNative, _FusedMatMul) to a scalar
-// function, or nil for the identity ("" / "linear"). The formulas are the
-// same float32 expressions the standalone unary kernels use, so a fused
-// execution agrees bit-for-bit with the unfused op sequence it replaced.
-// The second result reports whether the name is known.
-func FusedActivation(name string) (func(float32) float32, bool) {
-	switch name {
-	case "", "linear":
-		return nil, true
-	case "relu":
-		return func(x float32) float32 {
-			if x > 0 {
-				return x
-			}
-			return 0
-		}, true
-	case "relu6":
-		return func(x float32) float32 {
-			if x < 0 {
-				return 0
-			}
-			if x > 6 {
-				return 6
-			}
-			return x
-		}, true
-	case "elu":
-		return func(x float32) float32 {
-			if x >= 0 {
-				return x
-			}
-			return float32(math.Expm1(float64(x)))
-		}, true
-	case "sigmoid":
-		return func(x float32) float32 {
-			return float32(1 / (1 + math.Exp(-float64(x))))
-		}, true
-	case "tanh":
-		return func(x float32) float32 { return float32(math.Tanh(float64(x))) }, true
-	}
-	return nil, false
-}
-
 // fusedEpilogue resolves the bias operand (inputs[2] when present) and the
 // activation for a fused kernel with outC output channels. bias is nil when
-// the kernel carries no bias input.
+// the kernel carries no bias input. The activation is the element-wise
+// table's function, the one its standalone kernel applies, so a fused
+// execution agrees bit-for-bit with the unfused op sequence it replaced.
 func fusedEpilogue(name string, inputs []Buffer, attrs Attrs, outC int) (bias []float32, act func(float32) float32, err error) {
 	if len(inputs) == 3 {
 		b := inputs[2]
@@ -62,9 +18,12 @@ func fusedEpilogue(name string, inputs []Buffer, attrs Attrs, outC int) (bias []
 		bias = b.Data
 	}
 	actName := attrs.String("activation", "")
-	act, ok := FusedActivation(actName)
+	op, ok := Activation(actName)
 	if !ok {
 		return nil, nil, errIn(name, "unknown activation %q", actName)
+	}
+	if op != nil {
+		act = op.Unary
 	}
 	return bias, act, nil
 }
@@ -87,8 +46,8 @@ func applyEpilogue(out []float32, outC int, bias []float32, act func(float32) fl
 
 func init() {
 	// FusedConv2D is Conv2D + optional bias + optional activation in one
-	// kernel: inputs (x, filter[, bias]), attr "activation" one of
-	// "linear", "relu", "relu6", "elu", "sigmoid", "tanh". This is the
+	// kernel: inputs (x, filter[, bias]), attr "activation" "linear" or an
+	// activation of the element-wise table (Activation). This is the
 	// reference tier — the correctness oracle the native and webgl fused
 	// kernels are tested against.
 	RegisterRef("FusedConv2D", func(inputs []Buffer, attrs Attrs) (Buffer, error) {

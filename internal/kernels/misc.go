@@ -179,8 +179,7 @@ func init() {
 		coords := make([]int, rank)
 		mi, vi, oi, si := 0, 0, 0, 0
 		for idx := 0; idx < x.Size(); idx++ {
-			norm := (x.Data[idx] - mean.Data[mi]) / float32(math.Sqrt(float64(variance.Data[vi]+eps)))
-			out.Data[idx] = float32(norm*scale.Data[si]) + offset.Data[oi]
+			out.Data[idx] = BatchNormValue(x.Data[idx], mean.Data[mi], variance.Data[vi], offset.Data[oi], scale.Data[si], eps)
 			for d := rank - 1; d >= 0; d-- {
 				coords[d]++
 				mi += ms[d]
@@ -199,4 +198,11 @@ func init() {
 		}
 		return out, nil
 	})
+}
+
+// BatchNormValue is FusedBatchNorm's value, (x − mean)/√(variance + ε) ·
+// scale + offset, each step rounded to float32: the reference kernel's and
+// webgl's broadcast program's (vec.BatchNorm is its row form).
+func BatchNormValue(x, mean, variance, offset, scale, eps float32) float32 {
+	return float32((x-mean)/float32(math.Sqrt(float64(variance+eps)))*scale) + offset
 }

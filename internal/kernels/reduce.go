@@ -147,23 +147,7 @@ func init() {
 		x := inputs[0]
 		out := NewBuffer(x.Shape, tensor.Float32)
 		for o := 0; o < outer; o++ {
-			base := o * inner
-			maxV := float32(math.Inf(-1))
-			for i := 0; i < inner; i++ {
-				if x.Data[base+i] > maxV {
-					maxV = x.Data[base+i]
-				}
-			}
-			var sum float64
-			for i := 0; i < inner; i++ {
-				e := math.Exp(float64(x.Data[base+i] - maxV))
-				out.Data[base+i] = float32(e)
-				sum += e
-			}
-			inv := float32(1 / sum)
-			for i := 0; i < inner; i++ {
-				out.Data[base+i] *= inv
-			}
+			SoftmaxRow(out.Data[o*inner:(o+1)*inner], x.Data[o*inner:(o+1)*inner])
 		}
 		return out, nil
 	})
@@ -198,4 +182,26 @@ func init() {
 		}
 		return out, nil
 	})
+}
+
+// SoftmaxRow is one row of Softmax, the reference's and native's: e^(x−max)
+// per value, summed in float64, each scaled by the float32 reciprocal of the
+// sum. len(dst) == len(x).
+func SoftmaxRow(dst, x []float32) {
+	maxV := float32(math.Inf(-1))
+	for _, v := range x {
+		if v > maxV {
+			maxV = v
+		}
+	}
+	var sum float64
+	for i, v := range x {
+		e := math.Exp(float64(v - maxV))
+		dst[i] = float32(e)
+		sum += e
+	}
+	inv := float32(1 / sum)
+	for i := range dst {
+		dst[i] *= inv
+	}
 }

@@ -326,10 +326,10 @@ func (g Walk) InputGrad(wT, dx []float32, lo int, dy []float32) {
 }
 
 // Epilogue is a fused kernel's tail on the host backends: the optional
-// per-channel bias, then the activation Act (nil: none) — ReLU and ReLU6
-// in the vector core's own loop (Kind), any other as a scalar function per
-// value. The zero value does nothing; the reference kernels'
-// applyEpilogue is its oracle.
+// per-channel bias, then the activation Act (nil: none), an element-wise
+// table entry's function — ReLU and ReLU6 in the vector core's own loop
+// (its Kind), any other per value. The zero value does nothing; the
+// reference kernels' applyEpilogue is its oracle.
 type Epilogue struct {
 	// Bias is nil, or one value per output channel; the walk cuts a longer
 	// slice (a bias texture's host slice runs to its last texel) to that.
@@ -366,16 +366,12 @@ func FusedTail(name string, inputs []Input, attrs Attrs, outC int, bias func(Inp
 		}
 	}
 	actName := attrs.String("activation", "")
-	act, ok := FusedActivation(actName)
+	op, ok := Activation(actName)
 	if !ok {
 		return ep, fmt.Errorf("%s: unknown activation %q", name, actName)
 	}
-	ep.Act = act
-	switch actName {
-	case "relu":
-		ep.Kind = vec.ActRelu
-	case "relu6":
-		ep.Kind = vec.ActRelu6
+	if op != nil {
+		ep.Act, ep.Kind = op.Unary, op.Kind
 	}
 	return ep, nil
 }

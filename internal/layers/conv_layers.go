@@ -53,7 +53,8 @@ func (c *Conv2DConfig) normalize(class string) error {
 	if c.Padding != "same" && c.Padding != "valid" {
 		return fmt.Errorf("layers: %s padding must be same or valid, got %q", class, c.Padding)
 	}
-	return validActivation(c.Activation)
+	_, err := ActivationKernel(c.Activation)
+	return err
 }
 
 func (c Conv2DConfig) useBias() bool { return c.UseBias == nil || *c.UseBias }

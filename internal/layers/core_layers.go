@@ -44,7 +44,7 @@ func NewDense(cfg DenseConfig) *Dense {
 	if cfg.Units <= 0 {
 		panic(&core.OpError{Kernel: "Dense", Err: fmt.Errorf("units must be positive, got %d", cfg.Units)})
 	}
-	if err := validActivation(cfg.Activation); err != nil {
+	if _, err := ActivationKernel(cfg.Activation); err != nil {
 		panic(&core.OpError{Kernel: "Dense", Err: err})
 	}
 	name := cfg.Name
@@ -167,7 +167,7 @@ type Activation struct {
 
 // NewActivation creates an Activation layer.
 func NewActivation(activation string) *Activation {
-	if err := validActivation(activation); err != nil {
+	if _, err := ActivationKernel(activation); err != nil {
 		panic(&core.OpError{Kernel: "Activation", Err: err})
 	}
 	return &Activation{name: autoName("activation"), activation: activation}

@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/kernels"
 	"repro/internal/ops"
 	"repro/internal/tensor"
 )
@@ -50,36 +51,36 @@ func autoName(class string) string {
 // ---------------------------------------------------------------------------
 // Activations
 
-// applyActivation resolves a Keras activation identifier.
-func applyActivation(name string, x *tensor.Tensor) *tensor.Tensor {
-	switch name {
-	case "", "linear":
-		return x
-	case "relu":
-		return ops.Relu(x)
-	case "relu6":
-		return ops.Relu6(x)
-	case "sigmoid":
-		return ops.Sigmoid(x)
-	case "tanh":
-		return ops.Tanh(x)
-	case "softmax":
-		return ops.Softmax(x)
-	case "elu":
-		return ops.Elu(x)
-	case "softplus":
-		return ops.Softplus(x)
-	default:
-		panic(&core.OpError{Kernel: "Activation", Err: fmt.Errorf("unknown activation %q", name)})
+// ActivationKernel resolves a Keras activation identifier to the kernel
+// that applies it: "Softmax" for "softmax", the one activation that is not
+// element-wise; the kernel of an element-wise table entry for the others
+// (kernels.Activation); "" for the identity ("" or "linear").
+func ActivationKernel(name string) (string, error) {
+	if name == "softmax" {
+		return "Softmax", nil
 	}
+	op, ok := kernels.Activation(name)
+	switch {
+	case !ok:
+		return "", fmt.Errorf("layers: unknown activation %q", name)
+	case op == nil:
+		return "", nil
+	}
+	return op.Name, nil
 }
 
-func validActivation(name string) error {
-	switch name {
-	case "", "linear", "relu", "relu6", "sigmoid", "tanh", "softmax", "elu", "softplus":
-		return nil
+// applyActivation applies a Keras activation identifier.
+func applyActivation(name string, x *tensor.Tensor) *tensor.Tensor {
+	kernel, err := ActivationKernel(name)
+	switch {
+	case err != nil:
+		panic(&core.OpError{Kernel: "Activation", Err: err})
+	case kernel == "":
+		return x
+	case kernel == "Softmax":
+		return ops.Softmax(x)
 	}
-	return fmt.Errorf("layers: unknown activation %q", name)
+	return core.Global().RunKernel(kernel, []*tensor.Tensor{x}, nil)
 }
 
 // ---------------------------------------------------------------------------

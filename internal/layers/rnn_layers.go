@@ -49,7 +49,7 @@ func NewSimpleRNN(cfg SimpleRNNConfig) *SimpleRNN {
 	if cfg.Activation == "" {
 		cfg.Activation = "tanh"
 	}
-	if err := validActivation(cfg.Activation); err != nil {
+	if _, err := ActivationKernel(cfg.Activation); err != nil {
 		panic(&core.OpError{Kernel: "SimpleRNN", Err: err})
 	}
 	name := cfg.Name

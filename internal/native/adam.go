@@ -21,7 +21,7 @@ func (b *Backend) registerAdam() {
 		beta1, c1, beta2, c2 := kernels.AdamMomentsAttrs(attrs)
 		out.Shape = append(out.Shape[:0], inputs[0].Shape...)
 		dst := b.outOver(out, tensor.Float32)
-		b.parallelFor(len(dst), b.costPerElem(4), func(lo, hi int) {
+		b.parallelFor(len(dst), 4, func(lo, hi int) {
 			vec.AdamMoments(dst[lo:hi], mv, g, lo, beta1, c1, beta2, c2)
 		})
 		return nil
@@ -36,7 +36,7 @@ func (b *Backend) registerAdam() {
 		out.Shape = append(out.Shape[:0], inputs[0].Shape...)
 		dst := b.outOver(out, tensor.Float32)
 		n := len(dst)
-		b.parallelFor(n, b.costPerElem(7), func(lo, hi int) {
+		b.parallelFor(n, 7, func(lo, hi int) {
 			vec.AdamStep(dst[lo:hi], x[lo:hi], mv[lo:hi], mv[n+lo:n+hi], lr, corr1, corr2, eps)
 		})
 		return nil

@@ -57,7 +57,7 @@ func (b *Backend) convolution(name string, fused, depthwise bool) kernels.Overri
 		// Each output value is len(w)/outC multiply-adds: fH·fW·inC, or
 		// fH·fW for a depthwise convolution.
 		outRow, walk := info.OutWidth*info.OutChannels, kernels.NewWalk(info)
-		b.parallelFor(info.BatchSize*info.OutHeight, outRow*b.costPerElem(2*len(wBuf)/max(info.OutChannels, 1)), func(lo, hi int) {
+		b.parallelFor(info.BatchSize*info.OutHeight, outRow*max(2*len(wBuf)/max(info.OutChannels, 1), 1), func(lo, hi int) {
 			if depthwise {
 				walk.Depthwise(xBuf, wBuf, ep, lo*outRow, dstBuf[lo*outRow:hi*outRow])
 			} else {

@@ -11,10 +11,10 @@ import (
 
 // initKernels installs the optimized kernels. Only the operations that
 // dominate model inference and training time are overridden — matmul,
-// convolutions and pooling with their gradients, the element-wise
-// workhorses (with the bias/scalar broadcast every layer and optimizer
-// step uses), reductions with the transpose that brings their axes
-// innermost, and softmax; the long tail (depthwise and average-pool
+// convolutions and pooling with their gradients, every op of the
+// element-wise table (with the bias/scalar broadcast every layer and
+// optimizer step uses), reductions with the transpose that brings their
+// axes innermost, and softmax; the long tail (depthwise and average-pool
 // gradients, general broadcasts, every other transpose) inherits the
 // reference implementations.
 //
@@ -89,7 +89,7 @@ func (b *Backend) pool(name string, pixel func(dst, x []float32, rowStride, tapS
 		out.Shape = append(out.Shape[:0], info.BatchSize, info.OutHeight, info.OutWidth, info.OutChannels)
 		dst := b.outOver(out, x.DType)
 		outRow, walk := info.OutWidth*info.OutChannels, kernels.NewWalk(info)
-		b.parallelFor(info.BatchSize*info.OutHeight, outRow*b.costPerElem(info.FilterHeight*info.FilterWidth), func(lo, hi int) {
+		b.parallelFor(info.BatchSize*info.OutHeight, outRow*info.FilterHeight*info.FilterWidth, func(lo, hi int) {
 			walk.Pool(xBuf, pixel, lo*outRow, dst[lo*outRow:hi*outRow])
 		})
 		return nil
@@ -112,14 +112,15 @@ func isSuffixShape(small, big []int) bool {
 	return len(small) <= len(big) && tensor.ShapesEqual(small, big[len(big)-len(small):])
 }
 
-// binary is Add, Sub, Mul and RealDiv: equal shapes and the suffix
-// broadcast run here on vec.Binary, bit-equal to the reference kernel (the
-// same operation on the same two operands in the same order); every other
+// binary is every two-operand op of the element-wise table: equal shapes
+// and the suffix broadcast run here on the op's row (vec.Binary for Add,
+// Sub, Mul and RealDiv), bit-equal to the reference kernel — the same
+// function of the same two operands in the same order; every other
 // broadcast falls back to it.
-func (b *Backend) binary(name string, op vec.BinOp) kernels.OverrideKernel {
+func (b *Backend) binary(op *kernels.ElementwiseOp) kernels.OverrideKernel {
 	return func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
 		if len(inputs) != 2 {
-			return fmt.Errorf("%s: got %d inputs, want 2", name, len(inputs))
+			return fmt.Errorf("%s: got %d inputs, want 2", op.Name, len(inputs))
 		}
 		a, x := inputs[0], inputs[1]
 		// big is the operand with the output's element count; the other
@@ -139,7 +140,7 @@ func (b *Backend) binary(name string, op vec.BinOp) kernels.OverrideKernel {
 			out.Shape = append(out.Shape, 1) // the row operand had the higher rank
 		}
 		out.Shape = append(out.Shape, big...)
-		dst := b.outOver(out, a.DType)
+		dst := b.outOver(out, op.DType(a.DType))
 		if len(dst) == 0 {
 			return nil
 		}
@@ -150,7 +151,7 @@ func (b *Backend) binary(name string, op vec.BinOp) kernels.OverrideKernel {
 		if row == len(dst) {
 			row = 1
 		}
-		b.parallelFor(len(dst)/row, row*b.costPerElem(1), func(lo, hi int) {
+		b.parallelFor(len(dst)/row, row, func(lo, hi int) {
 			as, xs := aBuf, xBuf
 			if len(as) == len(dst) {
 				as = as[lo*row : hi*row]
@@ -158,63 +159,41 @@ func (b *Backend) binary(name string, op vec.BinOp) kernels.OverrideKernel {
 			if len(xs) == len(dst) {
 				xs = xs[lo*row : hi*row]
 			}
-			vec.Binary(op, dst[lo*row:hi*row], as, xs)
+			op.BinaryRow(dst[lo*row:hi*row], as, xs)
 		})
 		return nil
 	}
 }
 
-// unary runs an element-wise kernel: body maps a chunk of x to the same
-// chunk of dst.
-func (b *Backend) unary(name string, inputs []kernels.Input, out *kernels.TensorInfo, body func(dst, x []float32)) error {
-	if len(inputs) != 1 {
-		return fmt.Errorf("%s: got %d inputs, want 1", name, len(inputs))
+// unary is every one-operand op of the element-wise table, on the op's row
+// (internal/vec's for the ReLU family and Step) over chunks of x.
+func (b *Backend) unary(op *kernels.ElementwiseOp) kernels.OverrideKernel {
+	return func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
+		if len(inputs) != 1 {
+			return fmt.Errorf("%s: got %d inputs, want 1", op.Name, len(inputs))
+		}
+		body, err := op.UnaryRow(attrs)
+		if err != nil {
+			return err
+		}
+		xBuf := b.in(inputs[0])
+		out.Shape = append(out.Shape[:0], inputs[0].Shape...)
+		dst := b.outOver(out, op.DType(inputs[0].DType))
+		b.parallelFor(len(dst), 1, func(lo, hi int) {
+			body(dst[lo:hi], xBuf[lo:hi])
+		})
+		return nil
 	}
-	xBuf := b.in(inputs[0])
-	out.Shape = append(out.Shape[:0], inputs[0].Shape...)
-	dst := b.outOver(out, inputs[0].DType)
-	b.parallelFor(len(dst), b.costPerElem(1), func(lo, hi int) {
-		body(dst[lo:hi], xBuf[lo:hi])
-	})
-	return nil
 }
 
 func (b *Backend) registerElementwise() {
-	b.register("Add", b.binary("Add", vec.Add))
-	b.register("Sub", b.binary("Sub", vec.Sub))
-	b.register("Mul", b.binary("Mul", vec.Mul))
-	b.register("RealDiv", b.binary("RealDiv", vec.Div))
-
-	// The activations every training step runs forward (Relu, Relu6) and
-	// backward (Step, the ReLU gradient's mask) are internal/vec's
-	// branch-free row loops. The rest of the unary kernels pay an indirect
-	// call per element for their math.
-	loop := func(name string, body func(dst, x []float32)) {
-		b.register(name, func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
-			return b.unary(name, inputs, out, body)
-		})
+	for _, op := range kernels.ElementwiseOps() {
+		if op.Binary != nil {
+			b.register(op.Name, b.binary(op))
+		} else {
+			b.register(op.Name, b.unary(op))
+		}
 	}
-	un := func(name string, f func(x float32) float32) {
-		loop(name, func(dst, x []float32) {
-			for i, v := range x {
-				dst[i] = f(v)
-			}
-		})
-	}
-	loop("Relu", vec.Relu)
-	loop("Relu6", vec.Relu6)
-	// Step(x) = x > 0 ? 1 : alpha, and a NaN passes through, as in the
-	// reference kernel.
-	b.register("Step", func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
-		alpha := float32(attrs.Float("alpha", 0))
-		return b.unary("Step", inputs, out, func(dst, x []float32) { vec.Step(dst, x, alpha) })
-	})
-	un("Sigmoid", func(x float32) float32 { return float32(1 / (1 + math.Exp(-float64(x)))) })
-	un("Tanh", func(x float32) float32 { return float32(math.Tanh(float64(x))) })
-	un("Exp", func(x float32) float32 { return float32(math.Exp(float64(x))) })
-	un("Neg", func(x float32) float32 { return -x })
-	un("Sqrt", func(x float32) float32 { return float32(math.Sqrt(float64(x))) })
-	un("Square", func(x float32) float32 { return x * x })
 
 	// FusedBatchNorm with the common layout (params of shape [C], input
 	// [..., C]) runs vec's normalise row, bit-equal to the reference kernel.
@@ -241,7 +220,7 @@ func (b *Backend) registerElementwise() {
 		mean, variance, offset, scale := b.in(inputs[1]), b.in(inputs[2]), b.in(inputs[3]), b.in(inputs[4])
 		out.Shape = append(out.Shape[:0], x.Shape...)
 		dst := b.outOver(out, tensor.Float32)
-		b.parallelFor(len(dst)/c, c*b.costPerElem(2), func(lo, hi int) {
+		b.parallelFor(len(dst)/c, 2*c, func(lo, hi int) {
 			vec.BatchNorm(dst[lo*c:hi*c], xBuf[lo*c:hi*c], mean, variance, scale, offset, eps, 0)
 		})
 		return nil
@@ -311,7 +290,7 @@ func (b *Backend) reduce(name string, op redOp) kernels.OverrideKernel {
 		// Each output element is one full row reduction; the inner
 		// accumulation never splits across chunks, so reduction order
 		// is fixed regardless of the worker count.
-		b.parallelFor(outer, inner*b.costPerElem(2), func(lo, hi int) {
+		b.parallelFor(outer, 2*inner, func(lo, hi int) {
 			for o := lo; o < hi; o++ {
 				dst[o] = reduceRow(op, xBuf[o*inner:(o+1)*inner])
 			}
@@ -343,7 +322,7 @@ func (b *Backend) registerReduce() {
 			clear(dst)
 			return nil
 		}
-		b.parallelFor((inner+7)/8, 8*outer*b.costPerElem(1), func(lo, hi int) {
+		b.parallelFor((inner+7)/8, 8*outer, func(lo, hi int) {
 			vec.SumRows(dst[lo*8:min(hi*8, inner)], xBuf[lo*8:], inner, outer)
 		})
 		return nil
@@ -361,26 +340,9 @@ func (b *Backend) registerReduce() {
 		xBuf := b.in(x)
 		out.Shape = append(out.Shape[:0], x.Shape...)
 		dst := b.outOver(out, tensor.Float32)
-		b.parallelFor(outer, inner*b.costPerElem(16), func(lo, hi int) {
+		b.parallelFor(outer, 16*inner, func(lo, hi int) {
 			for o := lo; o < hi; o++ {
-				row := xBuf[o*inner : (o+1)*inner]
-				d := dst[o*inner : (o+1)*inner]
-				maxV := float32(math.Inf(-1))
-				for _, v := range row {
-					if v > maxV {
-						maxV = v
-					}
-				}
-				var sum float64
-				for i, v := range row {
-					e := math.Exp(float64(v - maxV))
-					d[i] = float32(e)
-					sum += e
-				}
-				inv := float32(1 / sum)
-				for i := range d {
-					d[i] *= inv
-				}
+				kernels.SoftmaxRow(dst[o*inner:(o+1)*inner], xBuf[o*inner:(o+1)*inner])
 			}
 		})
 		return nil
@@ -452,7 +414,7 @@ func (b *Backend) transpose(inputs []kernels.Input, attrs kernels.Attrs, out *ke
 	}
 	// Sharded over the rows of the input: a chunk writes its own columns
 	// of every output row.
-	b.parallelFor(batch*rows, cols*b.costPerElem(1), func(lo, hi int) {
+	b.parallelFor(batch*rows, cols, func(lo, hi int) {
 		for lo < hi {
 			mat := lo / rows
 			r0 := lo % rows

@@ -36,11 +36,7 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 type Backend struct {
 	*cpu.Backend
 	workers atomic.Int64
-	// stepFlops is the running plan step's flops-per-element estimate (0:
-	// none), published by the graph executor with one atomic store per step;
-	// parallelFor sizes its grain from it.
-	stepFlops atomic.Int64
-	table     map[string]kernels.OverrideKernel
+	table   map[string]kernels.OverrideKernel
 
 	// scratchF32 recycles kernel-internal temporaries (Conv2DBackpropInput's
 	// transposed filter): a per-backend (and so per-replica)
@@ -101,23 +97,6 @@ func (b *Backend) ApplyExecConfig(c exec.Config) {
 	}
 }
 
-// SetStepHint implements exec.StepHintSetter: the graph executor
-// publishes the compiled plan step's flops estimate before running each
-// kernel.
-func (b *Backend) SetStepHint(flops int) { b.stepFlops.Store(int64(flops)) }
-
-// costPerElem returns the plan step's flops-per-element hint when one is
-// set, else the kernel's own estimate.
-func (b *Backend) costPerElem(local int) int {
-	if flops := b.stepFlops.Load(); flops > 0 {
-		return int(flops)
-	}
-	if local < 1 {
-		return 1
-	}
-	return local
-}
-
 // KernelOverride implements kernels.Overrider.
 func (b *Backend) KernelOverride(name string) (kernels.OverrideKernel, bool) {
 	k, ok := b.table[name]
@@ -141,9 +120,8 @@ func (b *Backend) Memory() kernels.MemoryInfo {
 }
 
 var (
-	_ kernels.Backend     = (*Backend)(nil)
-	_ kernels.Overrider   = (*Backend)(nil)
-	_ kernels.Recycler    = (*Backend)(nil)
-	_ exec.Configurable   = (*Backend)(nil)
-	_ exec.StepHintSetter = (*Backend)(nil)
+	_ kernels.Backend   = (*Backend)(nil)
+	_ kernels.Overrider = (*Backend)(nil)
+	_ kernels.Recycler  = (*Backend)(nil)
+	_ exec.Configurable = (*Backend)(nil)
 )

@@ -94,9 +94,8 @@ func chunkBounds(n, c, i int) (lo, hi int) {
 // parallelFor shards [0, n) across the shared pool. costPerItem is the
 // kernel's estimate of the arithmetic per index (flops); the chunk grain
 // is derived from it so that each chunk carries at least chunkFlops of
-// work. A costPerItem <= 0 falls back to the plan step's per-element
-// cost hint (set by the graph executor), else to 1. Nothing here reads a
-// clock: the grain is a function of the estimate alone.
+// work; a costPerItem below 1 counts as 1. Nothing here reads a clock, and
+// nothing but the kernel's estimate sizes the grain.
 //
 // Results are bit-identical for every workers setting: chunk boundaries
 // are a pure function of (n, chunks), and kernels never split one output
@@ -105,13 +104,7 @@ func (b *Backend) parallelFor(n, costPerItem int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if costPerItem <= 0 {
-		costPerItem = b.costPerElem(1)
-	}
-	grain := chunkFlops / costPerItem
-	if grain < 1 {
-		grain = 1
-	}
+	grain := max(chunkFlops/max(costPerItem, 1), 1)
 	chunks := (n + grain - 1) / grain
 	if chunks > maxChunks {
 		chunks = maxChunks

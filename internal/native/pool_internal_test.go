@@ -56,33 +56,26 @@ func TestChunkBoundsPartition(t *testing.T) {
 	}
 }
 
-// TestParallelForStepHintSetsTheGrain checks the one input the plan hands
-// parallelFor besides the kernel's own estimate: a step's flops hint sizes
-// the chunks when the kernel passes no estimate, clearing it restores the
-// default, and whatever grain results the index space is covered exactly
-// once.
-func TestParallelForStepHintSetsTheGrain(t *testing.T) {
+// TestParallelForCostSetsTheGrain checks the one input that sizes
+// parallelFor's chunks, the kernel's flops per item, and that whatever
+// grain results the index space is covered exactly once.
+func TestParallelForCostSetsTheGrain(t *testing.T) {
 	b := New()
 	// A worker budget > 1 so parallelFor actually chunks; on a single-core
 	// host the default budget is 1 and everything runs as one chunk.
 	b.ApplyExecConfig(exec.Make(exec.WithWorkers(4)))
 	const n = 10000
-	run := func() int {
+	run := func(costPerItem int) int {
 		cov := &coverage{visits: make([]int, n)}
-		b.parallelFor(n, 0, cov.fn)
+		b.parallelFor(n, costPerItem, cov.fn)
 		cov.checkExactlyOnce(t)
 		return cov.chunks
 	}
-	if got := run(); got != 1 {
-		t.Errorf("no hint: %d chunks, want 1 (1 flop/item is below chunkFlops)", got)
+	if got := run(1); got != 1 {
+		t.Errorf("1 flop/item: %d chunks, want 1 (below chunkFlops)", got)
 	}
 	// 1024 flops/item: grain chunkFlops/1024 = 32, 313 chunks capped at 256.
-	b.SetStepHint(1024)
-	if got := run(); got != maxChunks {
-		t.Errorf("1024-flop hint: %d chunks, want %d", got, maxChunks)
-	}
-	b.SetStepHint(0)
-	if got := run(); got != 1 {
-		t.Errorf("cleared hint: %d chunks, want 1", got)
+	if got := run(1024); got != maxChunks {
+		t.Errorf("1024 flops/item: %d chunks, want %d", got, maxChunks)
 	}
 }

@@ -12,8 +12,8 @@ import (
 // optimizer rewrites converted models onto: convolution/matmul + bias +
 // activation in one kernel dispatch. They are inference-only — no gradients
 // are registered, mirroring TensorFlow, where fusion runs on frozen
-// inference graphs. Valid activations: "" / "linear", "relu", "relu6",
-// "elu", "sigmoid", "tanh".
+// inference graphs. Valid activations: "" / "linear" and the activations
+// of the element-wise table (kernels.Activation).
 
 // fusedInputs assembles the kernel operand list; a nil bias means the
 // kernel runs without a bias term.

@@ -214,14 +214,11 @@ func exportLayer(g *GraphDef, l layers.Layer, input string) (string, error) {
 		return "", fmt.Errorf("savedmodel: cannot export layer class %q", l.ClassName())
 	}
 
-	if activation != "" && activation != "linear" {
-		opName := map[string]string{
-			"relu": "Relu", "relu6": "Relu6", "sigmoid": "Sigmoid",
-			"tanh": "Tanh", "softmax": "Softmax", "elu": "Elu", "softplus": "Softplus",
-		}[activation]
-		if opName == "" {
-			return "", fmt.Errorf("savedmodel: cannot export activation %q", activation)
-		}
+	opName, err := layers.ActivationKernel(activation)
+	if err != nil {
+		return "", fmt.Errorf("savedmodel: cannot export activation: %w", err)
+	}
+	if opName != "" {
 		g.Nodes = append(g.Nodes, NodeDef{Name: name + "/" + opName, Op: opName, Inputs: []string{out}})
 		out = name + "/" + opName
 	}

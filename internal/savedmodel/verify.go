@@ -205,13 +205,6 @@ func (v *verifier) infer(n *NodeDef, ins []valueInfo) valueInfo {
 		}
 		return ins[0]
 
-	case "Relu", "Relu6", "Sigmoid", "Tanh", "Elu", "Softplus":
-		if !v.arity(n, ins, 1) {
-			return unknown
-		}
-		v.requireFloat32(n, ins)
-		return valueInfo{shape: ins[0].shape, dtype: "float32"}
-
 	case "Softmax":
 		if !v.arity(n, ins, 1) {
 			return unknown
@@ -456,6 +449,16 @@ func (v *verifier) infer(n *NodeDef, ins []valueInfo) valueInfo {
 		return valueInfo{shape: out, dtype: "float32"}
 	}
 
+	// The element-wise table's activations, which the plan compiler lowers
+	// to their kernels.
+	if op, ok := kernels.LookupElementwise(n.Op); ok && op.Activation != "" {
+		if !v.arity(n, ins, 1) {
+			return unknown
+		}
+		v.requireFloat32(n, ins)
+		return valueInfo{shape: ins[0].shape, dtype: "float32"}
+	}
+
 	// Ops the plan compiler does not decode (it defers them to Execute,
 	// where a feed may legally short-circuit them): unknown output.
 	return unknown
@@ -478,11 +481,11 @@ func (v *verifier) checkBias(n *NodeDef, i int, bias valueInfo, outC int) {
 }
 
 // checkActivation validates the fused "activation" attribute against the
-// shared FusedActivation table — the same lookup the reference kernels use,
-// so verify-time and execute-time agreement is by construction.
+// element-wise table — the same lookup the kernels use, so verify-time and
+// execute-time agreement is by construction.
 func (v *verifier) checkActivation(n *NodeDef, attrs map[string]any) {
 	name := vAttrString(attrs, "activation", "")
-	if _, ok := kernels.FusedActivation(name); !ok {
+	if _, ok := kernels.Activation(name); !ok {
 		v.errf(n, "", "unknown fused activation %q", name)
 	}
 }

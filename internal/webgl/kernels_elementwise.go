@@ -2,7 +2,6 @@ package webgl
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/glsim"
 	"repro/internal/kernels"
@@ -10,142 +9,27 @@ import (
 	"repro/internal/vec"
 )
 
-// registerElementwise installs the element-wise binary and unary shader
-// programs. The binary programs come in two forms: a channel-suffix path
-// for operands whose shape is the output's trailing dimensions (the
-// output's own shape, a bias or batch-norm vector, a scalar), which walks
-// each operand with a wrapping counter, and a broadcast path that routes
-// through the compiler-generated samplers.
+// registerElementwise installs a program for every op of the element-wise
+// table (kernels.ElementwiseOps), whose function — or, for the ReLU family
+// and Step, internal/vec's branch-free row — is the program's body, so each
+// computes the reference kernel's function value for value. The binary
+// programs come in two forms: a channel-suffix path for operands whose
+// shape is the output's trailing dimensions (the output's own shape, a bias
+// or batch-norm vector, a scalar), which walks each operand with a wrapping
+// counter, and a broadcast path that routes through the compiler-generated
+// samplers.
 func (b *Backend) registerElementwise() {
-	type binOp struct {
-		name  string
-		f     func(a, x float32) float32
-		boolO bool
+	for _, op := range kernels.ElementwiseOps() {
+		if op.Binary != nil {
+			b.register(op.Name, func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
+				return b.binaryProgram(op, inputs, res)
+			})
+		} else {
+			b.register(op.Name, func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
+				return b.unaryProgram(op, inputs, attrs, res)
+			})
+		}
 	}
-	binOps := []binOp{
-		{"Add", func(a, x float32) float32 { return a + x }, false},
-		{"Sub", func(a, x float32) float32 { return a - x }, false},
-		{"Mul", func(a, x float32) float32 { return a * x }, false},
-		{"RealDiv", func(a, x float32) float32 { return a / x }, false},
-		{"Maximum", func(a, x float32) float32 {
-			if a > x {
-				return a
-			}
-			return x
-		}, false},
-		{"Minimum", func(a, x float32) float32 {
-			if a < x {
-				return a
-			}
-			return x
-		}, false},
-		{"Pow", func(a, x float32) float32 { return float32(math.Pow(float64(a), float64(x))) }, false},
-		{"SquaredDifference", func(a, x float32) float32 { d := a - x; return d * d }, false},
-		{"Greater", func(a, x float32) float32 { return b2f(a > x) }, true},
-		{"GreaterEqual", func(a, x float32) float32 { return b2f(a >= x) }, true},
-		{"Less", func(a, x float32) float32 { return b2f(a < x) }, true},
-		{"LessEqual", func(a, x float32) float32 { return b2f(a <= x) }, true},
-		{"Equal", func(a, x float32) float32 { return b2f(a == x) }, true},
-		{"NotEqual", func(a, x float32) float32 { return b2f(a != x) }, true},
-		{"LogicalAnd", func(a, x float32) float32 { return b2f(a != 0 && x != 0) }, true},
-		{"LogicalOr", func(a, x float32) float32 { return b2f(a != 0 || x != 0) }, true},
-		{"Prelu", func(a, x float32) float32 {
-			if a >= 0 {
-				return a
-			}
-			return x * a
-		}, false},
-	}
-	for _, op := range binOps {
-		op := op
-		b.register(op.name, func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-			return b.binaryProgram(op.name, inputs, op.f, op.boolO, res)
-		})
-	}
-
-	type unOp struct {
-		name string
-		f    func(x float32) float32
-	}
-	unOps := []unOp{
-		{"Neg", func(x float32) float32 { return -x }},
-		{"Abs", func(x float32) float32 { return float32(math.Abs(float64(x))) }},
-		{"Exp", func(x float32) float32 { return float32(math.Exp(float64(x))) }},
-		{"Expm1", func(x float32) float32 { return float32(math.Expm1(float64(x))) }},
-		{"Log", func(x float32) float32 { return float32(math.Log(float64(x))) }},
-		{"Log1p", func(x float32) float32 { return float32(math.Log1p(float64(x))) }},
-		{"Sqrt", func(x float32) float32 { return float32(math.Sqrt(float64(x))) }},
-		{"Rsqrt", func(x float32) float32 { return float32(1 / math.Sqrt(float64(x))) }},
-		{"Square", func(x float32) float32 { return x * x }},
-		{"Reciprocal", func(x float32) float32 { return 1 / x }},
-		{"Floor", func(x float32) float32 { return float32(math.Floor(float64(x))) }},
-		{"Ceil", func(x float32) float32 { return float32(math.Ceil(float64(x))) }},
-		{"Round", func(x float32) float32 { return float32(math.RoundToEven(float64(x))) }},
-		{"Sign", func(x float32) float32 {
-			switch {
-			case x > 0:
-				return 1
-			case x < 0:
-				return -1
-			default:
-				return 0
-			}
-		}},
-		{"Sin", func(x float32) float32 { return float32(math.Sin(float64(x))) }},
-		{"Cos", func(x float32) float32 { return float32(math.Cos(float64(x))) }},
-		{"Tan", func(x float32) float32 { return float32(math.Tan(float64(x))) }},
-		{"Tanh", func(x float32) float32 { return float32(math.Tanh(float64(x))) }},
-		{"Sigmoid", func(x float32) float32 { return float32(1 / (1 + math.Exp(-float64(x)))) }},
-		{"Softplus", func(x float32) float32 { return float32(math.Log1p(math.Exp(float64(x)))) }},
-		{"Elu", func(x float32) float32 {
-			if x >= 0 {
-				return x
-			}
-			return float32(math.Expm1(float64(x)))
-		}},
-	}
-	// A unary program's body is a row loop. The ReLU family has branch-free
-	// ones in internal/vec (a sign test on activations is a coin flip to the
-	// branch predictor); the rest pay an indirect call per element for
-	// their math.
-	unary := func(name string, row func(dst, x []float32)) {
-		b.register(name, func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-			return b.unaryProgram(name, inputs, row, res)
-		})
-	}
-	for _, op := range unOps {
-		unary(op.name, perElement(op.f))
-	}
-	unary("Relu", vec.Relu)
-	unary("Relu6", vec.Relu6)
-
-	// Attribute-parameterized unary programs.
-	b.register("ClipByValue", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-		lo := float32(attrs.Float("clipValueMin", math.Inf(-1)))
-		hi := float32(attrs.Float("clipValueMax", math.Inf(1)))
-		return b.unaryProgram("ClipByValue", inputs, perElement(func(x float32) float32 {
-			if x < lo {
-				return lo
-			}
-			if x > hi {
-				return hi
-			}
-			return x
-		}), res)
-	})
-	b.register("LeakyRelu", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-		alpha := float32(attrs.Float("alpha", 0.2))
-		return b.unaryProgram("LeakyRelu", inputs, perElement(func(x float32) float32 {
-			if x >= 0 {
-				return x
-			}
-			return alpha * x
-		}), res)
-	})
-	b.register("Step", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-		alpha := float32(attrs.Float("alpha", 0))
-		return b.unaryProgram("Step", inputs, func(dst, x []float32) { vec.Step(dst, x, alpha) }, res)
-	})
 
 	// Fill is a zero-input program: every texel computes the constant.
 	b.register("Fill", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
@@ -226,17 +110,11 @@ func (b *Backend) registerElementwise() {
 		}
 		maps := b.broadcastSamplers(inputs[0].Shape, shapes)
 		b.runFlat("FusedBatchNorm", out, work, func(i int) float32 {
-			return batchNorm(x.FetchFlat(i), mean.FetchFlat(maps[1](i)), variance.FetchFlat(maps[2](i)),
+			return kernels.BatchNormValue(x.FetchFlat(i), mean.FetchFlat(maps[1](i)), variance.FetchFlat(maps[2](i)),
 				offset.FetchFlat(maps[3](i)), scale.FetchFlat(maps[4](i)), eps)
 		})
 		return nil
 	})
-}
-
-// batchNorm is FusedBatchNorm's value: (x − mean)/√(variance + ε) · scale +
-// offset, each step rounded to float32.
-func batchNorm(x, mean, variance, offset, scale, eps float32) float32 {
-	return float32((x-mean)/float32(math.Sqrt(float64(variance+eps)))*scale) + offset
 }
 
 // channelPeriod reports whether every operand is a channel-suffix operand
@@ -254,13 +132,6 @@ func channelPeriod(outShape []int, inShapes ...[]int) (c int, ok bool) {
 		}
 	}
 	return periods[0], true
-}
-
-func b2f(c bool) float32 {
-	if c {
-		return 1
-	}
-	return 0
 }
 
 func errf(format string, args ...any) error { return fmt.Errorf(format, args...) }
@@ -298,7 +169,8 @@ func next(i, period int) int {
 
 // binaryProgram assembles an element-wise binary shader: out = f(a, x),
 // operands in that order whichever of them broadcasts.
-func (b *Backend) binaryProgram(name string, inputs []kernels.Input, f func(a, x float32) float32, boolOut bool, res *kernels.TensorInfo) error {
+func (b *Backend) binaryProgram(op *kernels.ElementwiseOp, inputs []kernels.Input, res *kernels.TensorInfo) error {
+	name, f := op.Name, op.Binary
 	if len(inputs) != 2 {
 		return errf("%s: got %d inputs, want 2", name, len(inputs))
 	}
@@ -308,11 +180,7 @@ func (b *Backend) binaryProgram(name string, inputs []kernels.Input, f func(a, x
 	if err != nil {
 		return err
 	}
-	dt := inputs[0].DType
-	if boolOut {
-		dt = tensor.Bool
-	}
-	out, err := b.output(outShape, dt, res)
+	out, err := b.output(outShape, op.DType(inputs[0].DType), res)
 	if err != nil {
 		return err
 	}
@@ -340,27 +208,22 @@ func (b *Backend) binaryProgram(name string, inputs []kernels.Input, f func(a, x
 	return nil
 }
 
-// perElement is the row body of a unary program that computes f per value.
-func perElement(f func(x float32) float32) func(dst, x []float32) {
-	return func(dst, x []float32) {
-		for j, v := range x {
-			dst[j] = f(v)
-		}
-	}
-}
-
-// unaryProgram assembles an element-wise unary shader: row maps a range of
-// the input's values to the same range of the output's.
-func (b *Backend) unaryProgram(name string, inputs []kernels.Input, row func(dst, x []float32), res *kernels.TensorInfo) error {
+// unaryProgram assembles an element-wise unary shader: the op's row maps a
+// range of the input's values to the same range of the output's.
+func (b *Backend) unaryProgram(op *kernels.ElementwiseOp, inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 	if len(inputs) != 1 {
-		return errf("%s: got %d inputs, want 1", name, len(inputs))
+		return errf("%s: got %d inputs, want 1", op.Name, len(inputs))
 	}
-	_, xTex := b.input(inputs[0])
-	out, err := b.output(inputs[0].Shape, inputs[0].DType, res)
+	row, err := op.UnaryRow(attrs)
 	if err != nil {
 		return err
 	}
-	b.run(name, out, perValue(out.size, 1, 1), func(lo, hi int, dst []float32) {
+	_, xTex := b.input(inputs[0])
+	out, err := b.output(inputs[0].Shape, op.DType(inputs[0].DType), res)
+	if err != nil {
+		return err
+	}
+	b.run(op.Name, out, perValue(out.size, 1, 1), func(lo, hi int, dst []float32) {
 		row(dst, xTex.Floats()[lo:hi])
 	})
 	return nil

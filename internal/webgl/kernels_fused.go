@@ -9,9 +9,9 @@ import (
 // unfused program's body plus an epilogue that samples the bias texture and
 // applies the activation inline — one shader dispatch and one output
 // texture where the unfused graph needed three of each. This is the WebGL
-// analogue of TensorFlow's Grappler fused ops: the activation formulas come
-// from kernels.FusedActivation, so the fused program agrees bit-for-bit
-// with the op sequence it replaces.
+// analogue of TensorFlow's Grappler fused ops: the activation is the
+// element-wise table's (kernels.Activation), so the fused program agrees
+// bit-for-bit with the op sequence it replaces.
 func (b *Backend) registerFused() {
 	b.register("FusedConv2D", b.convolution("FusedConv2D", true, false))
 	b.register("FusedDepthwiseConv2dNative", b.convolution("FusedDepthwiseConv2dNative", true, true))

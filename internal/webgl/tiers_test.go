@@ -316,3 +316,176 @@ func TestReluFamilyRowsMatchTheClosuresTheyReplaced(t *testing.T) {
 		}
 	}
 }
+
+// elementwiseValues are the values every op of the element-wise table runs
+// on: ±0, ±Inf, NaN, the smallest and largest denormals and the largest
+// finite value of either sign, and ordinary values either side of 0, ±1 and
+// 6.
+var elementwiseValues = []float32{
+	0, negZero, inf, -inf, nan,
+	math.Float32frombits(0x00000001), math.Float32frombits(0x80000001),
+	math.Float32frombits(0x007fffff), math.Float32frombits(0x807fffff),
+	math.MaxFloat32, -math.MaxFloat32,
+	1, -1, 0.5, -2.5, 6, 7.25, 3,
+}
+
+// paramAttrs are the attributes the attribute-taking ops of the table run
+// with; an op that takes attributes and has none here fails the test.
+var paramAttrs = map[string]kernels.Attrs{
+	"ClipByValue": {"clipValueMin": -0.5, "clipValueMax": 0.25},
+	"LeakyRelu":   {"alpha": 0.1},
+	"Step":        {"alpha": 0.5},
+}
+
+// hostAndDeviceTiers are the tiers the element-wise table is pinned on:
+// the plain cpu backend, node at three workers and webgl fp32, packed and
+// unpacked, at three device workers.
+func hostAndDeviceTiers(t *testing.T) []tier {
+	nb := native.New()
+	nb.SetWorkers(3)
+	t.Cleanup(nb.Close)
+	naive := cpu.NewNaive()
+	t.Cleanup(naive.Close)
+	tiers := []tier{{"cpu", "fp32", naive}, {"node", "fp32", nb}}
+	for _, packed := range []bool{true, false} {
+		cfg := webgl.DefaultConfig()
+		cfg.Packed, cfg.Device.Workers = packed, 3
+		b := webgl.New(cfg)
+		t.Cleanup(b.Close)
+		tiers = append(tiers, tier{fmt.Sprintf("webgl fp32 packed=%v", packed), "fp32", b})
+	}
+	return tiers
+}
+
+// TestElementwiseTableOnEveryTier runs every op of the element-wise table
+// on every host tier and on webgl fp32: a one-operand op on each special
+// value, a two-operand op on every pair of them, as equal shapes and as
+// suffix and non-suffix broadcasts. Every output is Float32bits-equal to
+// the reference kernel's, an inverted ClipByValue is the reference's error
+// on every tier, and native and webgl each register the whole table.
+func TestElementwiseTableOnEveryTier(t *testing.T) {
+	tiers := hostAndDeviceTiers(t)
+	n := len(elementwiseValues)
+	vals := func(shape ...int) kernels.Buffer {
+		buf := kernels.NewBuffer(shape, tensor.Float32)
+		for i := range buf.Data {
+			buf.Data[i] = elementwiseValues[i%n]
+		}
+		return buf
+	}
+	// rows is [n, n] with row i all elementwiseValues[i]: against vals(n, n)
+	// it pairs every value with every other.
+	rows := kernels.NewBuffer([]int{n, n}, tensor.Float32)
+	for i := range rows.Data {
+		rows.Data[i] = elementwiseValues[i/n]
+	}
+	binaryCases := []struct {
+		label  string
+		inputs []kernels.Buffer
+	}{
+		{"pairs", []kernels.Buffer{rows, vals(n, n)}},
+		{"suffix", []kernels.Buffer{rows, vals(n)}},
+		{"suffixFirst", []kernels.Buffer{vals(n), rows}},
+		{"scalar", []kernels.Buffer{vals(n, n), vals()}},
+		{"nonSuffix", []kernels.Buffer{vals(n, 1), vals(1, n)}},
+		{"column", []kernels.Buffer{rows, vals(n, 1)}},
+	}
+	for _, op := range kernels.ElementwiseOps() {
+		ref, ok := kernels.LookupRef(op.Name)
+		if !ok {
+			t.Fatalf("%s: no reference kernel", op.Name)
+		}
+		type elementwiseCase struct {
+			label  string
+			inputs []kernels.Buffer
+			attrs  kernels.Attrs
+		}
+		var cases []elementwiseCase
+		if op.Binary != nil {
+			for _, c := range binaryCases {
+				cases = append(cases, elementwiseCase{c.label, c.inputs, nil})
+			}
+		} else {
+			attrs, ok := paramAttrs[op.Name]
+			if op.Param != nil && !ok {
+				t.Fatalf("%s takes attributes: give it some in paramAttrs", op.Name)
+			}
+			// Three copies, so every lane of a vector row and of its tail
+			// sees every value.
+			cases = append(cases, elementwiseCase{"values", []kernels.Buffer{vals(3 * n)}, attrs})
+		}
+		for _, c := range cases {
+			want, err := ref(c.inputs, c.attrs)
+			if err != nil {
+				t.Fatalf("%s/%s on the reference tier: %v", op.Name, c.label, err)
+			}
+			for _, b := range tiers {
+				got := dispatch(t, b.backend, op.Name, c.inputs, c.attrs)
+				for i, w := range want.Data {
+					if math.Float32bits(got[i]) != math.Float32bits(w) {
+						t.Errorf("%s/%s on %s: output %d (inputs %v) is %g (%#08x), the reference tier has %g (%#08x)",
+							op.Name, c.label, b.name, i, operandsAt(c.inputs, want.Shape, i), got[i], math.Float32bits(got[i]), w, math.Float32bits(w))
+						break
+					}
+				}
+			}
+		}
+	}
+
+	// Inverted bounds: the reference kernel's error, word for word.
+	clip := kernels.Attrs{"clipValueMin": 2.0, "clipValueMax": 1.0}
+	in := []kernels.Buffer{vals(3)}
+	ref, _ := kernels.LookupRef("ClipByValue")
+	_, wantErr := ref(in, clip)
+	if wantErr == nil {
+		t.Fatal("ClipByValue with min > max: the reference tier returned no error")
+	}
+	for _, b := range tiers {
+		id := tensor.NewDataID()
+		b.backend.Write(id, in[0].Data, in[0].Shape, in[0].DType)
+		var out kernels.TensorInfo
+		err := kernels.Dispatch(b.backend, "ClipByValue", []kernels.Input{{DataID: id, Shape: in[0].Shape, DType: in[0].DType}}, clip, &out)
+		b.backend.DisposeData(id)
+		if err == nil {
+			b.backend.DisposeData(out.DataID)
+			t.Errorf("ClipByValue with min > max on %s: no error, the reference tier has %q", b.name, wantErr)
+		} else if err.Error() != wantErr.Error() {
+			t.Errorf("ClipByValue with min > max on %s: %q, the reference tier has %q", b.name, err, wantErr)
+		}
+	}
+
+	// Every entry is a kernel of native and of webgl.
+	for _, b := range tiers[1:] {
+		var missing []string
+		for _, op := range kernels.ElementwiseOps() {
+			if _, ok := b.backend.(kernels.Overrider).KernelOverride(op.Name); !ok {
+				missing = append(missing, op.Name)
+			}
+		}
+		if len(missing) > 0 {
+			t.Errorf("%s registers no kernel for %v of the element-wise table", b.name, missing)
+		}
+	}
+}
+
+// operandsAt returns the operand values output i of a broadcasting
+// element-wise kernel read.
+func operandsAt(inputs []kernels.Buffer, outShape []int, i int) []float32 {
+	var at []float32
+	for _, in := range inputs {
+		idx, stride := 0, 1
+		rest := i
+		for d := len(outShape) - 1; d >= 0; d-- {
+			coord := rest % outShape[d]
+			rest /= outShape[d]
+			if k := d - (len(outShape) - len(in.Shape)); k >= 0 {
+				if in.Shape[k] != 1 {
+					idx += coord * stride
+				}
+				stride *= in.Shape[k]
+			}
+		}
+		at = append(at, in.Data[idx])
+	}
+	return at
+}
