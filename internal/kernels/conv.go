@@ -2,12 +2,41 @@ package kernels
 
 import "repro/internal/tensor"
 
+// unitStrides is the [1, 1] default of the strides and dilations
+// attributes: package-level, since a literal at the call site is an
+// allocation per call.
+var unitStrides = []int{1, 1}
+
 // convAttrs extracts the shared convolution attributes.
 func convAttrs(attrs Attrs) (strides, dilations []int, pad string) {
-	strides = attrs.Ints("strides", []int{1, 1})
-	dilations = attrs.Ints("dilations", []int{1, 1})
-	pad = attrs.String("pad", "valid")
-	return strides, dilations, pad
+	return attrs.Ints("strides", unitStrides), attrs.Ints("dilations", unitStrides), attrs.String("pad", "valid")
+}
+
+// ResolveConvBackprop checks a Conv2D gradient — Conv2DBackpropFilter's
+// (x, dy) and attr filterShape, or Conv2DBackpropInput's (dy, filter) and
+// attr inputShape — and resolves the forward convolution it
+// differentiates, whose output dy must be; out is the gradient, of the
+// filter's or the input's shape.
+func ResolveConvBackprop(name string, inputs []Input, attrs Attrs, out *TensorInfo) (Conv2DInfo, error) {
+	if err := wantInputs(name, inputs, 2); err != nil {
+		return Conv2DInfo{}, err
+	}
+	x, w, dy := inputs[0].Shape, attrs.Ints("filterShape", nil), inputs[1].Shape
+	grad := w
+	if name == "Conv2DBackpropInput" {
+		x, w, dy = attrs.Ints("inputShape", nil), inputs[1].Shape, inputs[0].Shape
+		grad = x
+	}
+	strides, dilations, pad := convAttrs(attrs)
+	info, err := ComputeConv2DInfo(x, w, strides, dilations, pad, false)
+	if err != nil {
+		return info, errIn(name, "%v", err)
+	}
+	if !tensor.ShapesEqual(dy, info.OutShape()) {
+		return info, errIn(name, "dy shape %v != conv output shape %v", dy, info.OutShape())
+	}
+	out.Shape, out.DType = append(out.Shape[:0], grad...), tensor.Float32
+	return info, nil
 }
 
 func init() {
@@ -32,19 +61,12 @@ func init() {
 	// its input. Inputs are (dy, filter); attr "inputShape" gives the
 	// original input shape.
 	RegisterRef("Conv2DBackpropInput", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		if err := wantInputs("Conv2DBackpropInput", inputs, 2); err != nil {
+		var res TensorInfo
+		info, err := ResolveConvBackprop("Conv2DBackpropInput", inputsOf(inputs), attrs, &res)
+		if err != nil {
 			return Buffer{}, err
 		}
-		dy, w := inputs[0], inputs[1]
-		inShape := attrs.Ints("inputShape", nil)
-		strides, dilations, pad := convAttrs(attrs)
-		info, err := ComputeConv2DInfo(inShape, w.Shape, strides, dilations, pad, false)
-		if err != nil {
-			return Buffer{}, errIn("Conv2DBackpropInput", "%v", err)
-		}
-		if !tensor.ShapesEqual(dy.Shape, info.OutShape()) {
-			return Buffer{}, errIn("Conv2DBackpropInput", "dy shape %v != conv output shape %v", dy.Shape, info.OutShape())
-		}
+		dy, w, inShape := inputs[0], inputs[1], res.Shape
 		dx := NewBuffer(inShape, tensor.Float32)
 		inC, outC := info.InChannels, info.OutChannels
 		inRow := info.InWidth * inC
@@ -91,19 +113,12 @@ func init() {
 	// its filter. Inputs are (x, dy); attr "filterShape" gives the filter
 	// shape.
 	RegisterRef("Conv2DBackpropFilter", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		if err := wantInputs("Conv2DBackpropFilter", inputs, 2); err != nil {
+		var res TensorInfo
+		info, err := ResolveConvBackprop("Conv2DBackpropFilter", inputsOf(inputs), attrs, &res)
+		if err != nil {
 			return Buffer{}, err
 		}
-		x, dy := inputs[0], inputs[1]
-		filterShape := attrs.Ints("filterShape", nil)
-		strides, dilations, pad := convAttrs(attrs)
-		info, err := ComputeConv2DInfo(x.Shape, filterShape, strides, dilations, pad, false)
-		if err != nil {
-			return Buffer{}, errIn("Conv2DBackpropFilter", "%v", err)
-		}
-		if !tensor.ShapesEqual(dy.Shape, info.OutShape()) {
-			return Buffer{}, errIn("Conv2DBackpropFilter", "dy shape %v != conv output shape %v", dy.Shape, info.OutShape())
-		}
+		x, dy, filterShape := inputs[0], inputs[1], res.Shape
 		dw := NewBuffer(filterShape, tensor.Float32)
 		inC, outC := info.InChannels, info.OutChannels
 		inRow := info.InWidth * inC

@@ -96,33 +96,18 @@ func init() {
 	// underscore name matches the TensorFlow Grappler rewrite it mirrors).
 	// Inputs (a, b[, bias]); attrs transposeA/transposeB/activation.
 	RegisterRef("_FusedMatMul", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		if len(inputs) != 2 && len(inputs) != 3 {
-			return Buffer{}, errIn("_FusedMatMul", "got %d inputs, want 2 or 3", len(inputs))
+		var res TensorInfo
+		g, err := ResolveMatMul("_FusedMatMul", inputsOf(inputs), attrs, &res)
+		if err != nil {
+			return Buffer{}, err
 		}
-		a, b := inputs[0], inputs[1]
-		transposeA := attrs.Bool("transposeA", false)
-		transposeB := attrs.Bool("transposeB", false)
-		if a.Rank() != 2 || b.Rank() != 2 {
-			return Buffer{}, errIn("_FusedMatMul", "inputs must be rank 2, got %v and %v", a.Shape, b.Shape)
-		}
-		m, kA := a.Shape[0], a.Shape[1]
-		if transposeA {
-			m, kA = kA, m
-		}
-		kB, n := b.Shape[0], b.Shape[1]
-		if transposeB {
-			kB, n = n, kB
-		}
-		if kA != kB {
-			return Buffer{}, errIn("_FusedMatMul", "inner dims mismatch: %v x %v (transposeA=%v transposeB=%v)",
-				a.Shape, b.Shape, transposeA, transposeB)
-		}
+		m, n := int(g.m), g.N()
 		bias, act, err := fusedEpilogue("_FusedMatMul", inputs, attrs, n)
 		if err != nil {
 			return Buffer{}, err
 		}
-		out := NewBuffer([]int{m, n}, tensor.Float32)
-		matmul2D(out.Data, a.Data, b.Data, m, kA, n, transposeA, transposeB)
+		out := NewBuffer(res.Shape, res.DType)
+		matmul2D(out.Data, inputs[0].Data, inputs[1].Data, m, g.K(), n, g.transposeA, g.transposeB)
 		applyEpilogue(out.Data, n, bias, act)
 		return out, nil
 	})

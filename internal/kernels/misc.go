@@ -38,19 +38,15 @@ func init() {
 
 	// Fill creates a tensor of attr "shape" filled with attr "value".
 	RegisterRef("Fill", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		if err := wantInputs("Fill", inputs, 0); err != nil {
+		var res TensorInfo
+		value, err := ResolveFill(inputsOf(inputs), attrs, &res)
+		if err != nil {
 			return Buffer{}, err
 		}
-		shape := attrs.Ints("shape", nil)
-		value := float32(attrs.Float("value", 0))
-		dt, err := tensor.ParseDataType(attrs.String("dtype", "float32"))
-		if err != nil {
-			return Buffer{}, errIn("Fill", "%v", err)
-		}
-		out := NewBuffer(shape, dt)
+		out := NewBuffer(res.Shape, res.DType)
 		if value != 0 {
 			for i := range out.Data {
-				out.Data[i] = value
+				out.Data[i] = float32(value)
 			}
 		}
 		return out, nil
@@ -87,18 +83,13 @@ func init() {
 
 	// OneHot expands integer labels into one-hot rows.
 	RegisterRef("OneHot", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		if err := wantInputs("OneHot", inputs, 1); err != nil {
+		var res TensorInfo
+		h, err := ResolveOneHot(inputsOf(inputs), attrs, &res)
+		if err != nil {
 			return Buffer{}, err
 		}
-		indices := inputs[0]
-		depth := attrs.Int("depth", 0)
-		onValue := float32(attrs.Float("onValue", 1))
-		offValue := float32(attrs.Float("offValue", 0))
-		if depth <= 0 {
-			return Buffer{}, errIn("OneHot", "depth must be positive, got %d", depth)
-		}
-		outShape := append(tensor.CopyShape(indices.Shape), depth)
-		out := NewBuffer(outShape, tensor.Float32)
+		indices, depth, onValue, offValue := inputs[0], h.depth, h.on, h.off
+		out := NewBuffer(res.Shape, res.DType)
 		if offValue != 0 {
 			for i := range out.Data {
 				out.Data[i] = offValue
@@ -205,4 +196,60 @@ func init() {
 // webgl's broadcast program's (vec.BatchNorm is its row form).
 func BatchNormValue(x, mean, variance, offset, scale, eps float32) float32 {
 	return float32((x-mean)/float32(math.Sqrt(float64(variance+eps)))*scale) + offset
+}
+
+// A Constant is Fill's range body: every value is the one value.
+type Constant float32
+
+// ResolveFill checks a Fill — no inputs; attrs shape, value and dtype.
+func ResolveFill(inputs []Input, attrs Attrs, out *TensorInfo) (Constant, error) {
+	if err := wantInputs("Fill", inputs, 0); err != nil {
+		return 0, err
+	}
+	dt, err := tensor.ParseDataType(attrs.String("dtype", "float32"))
+	if err != nil {
+		return 0, errIn("Fill", "%v", err)
+	}
+	out.Shape, out.DType = append(out.Shape[:0], attrs.Ints("shape", nil)...), dt
+	return Constant(attrs.Float("value", 0)), nil
+}
+
+// Fill sets dst, the output values [lo, lo+len(dst)), to c.
+func (c Constant) Fill(_ []float32, lo int, dst []float32) {
+	for i := range dst {
+		dst[i] = float32(c)
+	}
+}
+
+// OneHot is a resolved OneHot: depth values per index, onValue at the
+// index's own position and offValue elsewhere (everywhere, for an index
+// outside [0, depth)).
+type OneHot struct {
+	depth   int
+	on, off float32
+}
+
+// ResolveOneHot checks a OneHot — one int32 input, a positive attr depth.
+func ResolveOneHot(inputs []Input, attrs Attrs, out *TensorInfo) (OneHot, error) {
+	if err := wantInputs("OneHot", inputs, 1); err != nil {
+		return OneHot{}, err
+	}
+	h := OneHot{attrs.Int("depth", 0), float32(attrs.Float("onValue", 1)), float32(attrs.Float("offValue", 0))}
+	if h.depth <= 0 {
+		return OneHot{}, errIn("OneHot", "depth must be positive, got %d", h.depth)
+	}
+	out.Shape, out.DType = append(append(out.Shape[:0], inputs[0].Shape...), h.depth), tensor.Float32
+	return h, nil
+}
+
+// Fill computes the output values [lo, lo+len(dst)) of the one-hot rows of
+// idx into dst.
+func (h OneHot) Fill(idx []float32, lo int, dst []float32) {
+	for i := range dst {
+		if at := lo + i; int(idx[at/h.depth]) == at%h.depth {
+			dst[i] = h.on
+		} else {
+			dst[i] = h.off
+		}
+	}
 }

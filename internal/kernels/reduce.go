@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/tensor"
+	"repro/internal/vec"
 )
 
 // Reduction kernels operate on a canonical 2-D view [outer, inner] and
@@ -13,30 +14,134 @@ import (
 // BiasAddGrad, which reduces the outer dimension: a sum over leading axes
 // needs no transpose.
 
-func reduce2D(name string, inputs []Buffer) (outer, inner int, err error) {
+// Rows checks the one [outer, inner] operand of a row kernel: a reduction,
+// BiasAddGrad, Softmax, CumSum.
+func Rows(name string, inputs []Input) (outer, inner int, err error) {
 	if err := wantInputs(name, inputs, 1); err != nil {
 		return 0, 0, err
 	}
-	x := inputs[0]
-	if x.Rank() != 2 {
-		return 0, 0, errIn(name, "input must be rank 2 [outer, inner], got %v", x.Shape)
+	if s := inputs[0].Shape; len(s) != 2 {
+		return 0, 0, errIn(name, "input must be rank 2 [outer, inner], got %v", s)
 	}
-	return x.Shape[0], x.Shape[1], nil
+	return inputs[0].Shape[0], inputs[0].Shape[1], nil
+}
+
+// ResolveReduce checks a reduction's operand — an index reduction needs a
+// non-empty row — and describes its [outer] output in out: Mean's is
+// float32, an index's int32, Any's and All's bool, the rest the input's.
+func ResolveReduce(name string, inputs []Input, out *TensorInfo) (outer, inner int, err error) {
+	if outer, inner, err = Rows(name, inputs); err != nil {
+		return 0, 0, err
+	}
+	dt := inputs[0].DType
+	switch name {
+	case "Mean":
+		dt = tensor.Float32
+	case "Any", "All":
+		dt = tensor.Bool
+	case "ArgMax", "ArgMin":
+		if inner == 0 {
+			return 0, 0, errIn(name, "cannot reduce over empty dimension")
+		}
+		dt = tensor.Int32
+	}
+	out.Shape, out.DType = append(out.Shape[:0], outer), dt
+	return outer, inner, nil
+}
+
+// A Reduction is the row of an [outer, inner] → [outer] kernel as the host
+// backends run it: it reduces one row to the reference kernel's value,
+// folding it left to right as the reference does — sums from +0, Prod from
+// 1, Max from -Inf and Min from +Inf with a NaN never taken, ArgMax and
+// ArgMin keeping the first of equal values.
+type Reduction func(row []float32) float32
+
+// Fill computes the output values [lo, lo+len(dst)) of the reduction of the
+// rows of x, inner values each, into dst: one row per value, whose
+// accumulation no range splits.
+func (r Reduction) Fill(x []float32, inner, lo int, dst []float32) {
+	for i := range dst {
+		dst[i] = r(x[(lo+i)*inner:][:inner])
+	}
+}
+
+// Reductions maps the reductions native and webgl run to their rows.
+func Reductions() map[string]Reduction {
+	sum := func(row []float32) (acc float32) {
+		for _, v := range row {
+			acc += v
+		}
+		return acc
+	}
+	arg := func(better func(v, best float32) bool) Reduction {
+		return func(row []float32) float32 {
+			best, at := row[0], 0
+			for i, v := range row {
+				if better(v, best) {
+					best, at = v, i
+				}
+			}
+			return float32(at)
+		}
+	}
+	return map[string]Reduction{
+		"Sum": sum,
+		"Mean": func(row []float32) float32 {
+			if len(row) == 0 {
+				return float32(math.NaN())
+			}
+			return sum(row) / float32(len(row))
+		},
+		"Max": func(row []float32) float32 {
+			acc := float32(math.Inf(-1))
+			for _, v := range row {
+				if v > acc {
+					acc = v
+				}
+			}
+			return acc
+		},
+		"Min": func(row []float32) float32 {
+			acc := float32(math.Inf(1))
+			for _, v := range row {
+				if v < acc {
+					acc = v
+				}
+			}
+			return acc
+		},
+		"Prod": func(row []float32) float32 {
+			acc := float32(1)
+			for _, v := range row {
+				acc *= v
+			}
+			return acc
+		},
+		"ArgMax": arg(func(v, best float32) bool { return v > best }),
+		"ArgMin": arg(func(v, best float32) bool { return v < best }),
+	}
+}
+
+// ColumnSums computes the output values [lo, lo+len(dst)) of BiasAddGrad —
+// the sums of the columns of an [outer, inner] x — into dst, on
+// vec.SumRows: each column meets its rows in order, from +0.
+func ColumnSums(x []float32, outer, inner, lo int, dst []float32) {
+	if outer > 0 {
+		x = x[lo:]
+	}
+	vec.SumRows(dst, x, inner, outer)
 }
 
 // reduceKernel builds a [outer, inner] -> [outer] reduction.
-func reduceKernel(name string, initial float32, merge func(acc, v float32) float32, finish func(acc float32, n int) float32, dtype func(in tensor.DataType) tensor.DataType) RefKernel {
+func reduceKernel(name string, initial float32, merge func(acc, v float32) float32, finish func(acc float32, n int) float32) RefKernel {
 	return func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		outer, inner, err := reduce2D(name, inputs)
+		var res TensorInfo
+		outer, inner, err := ResolveReduce(name, inputsOf(inputs), &res)
 		if err != nil {
 			return Buffer{}, err
 		}
 		x := inputs[0]
-		dt := x.DType
-		if dtype != nil {
-			dt = dtype(x.DType)
-		}
-		out := NewBuffer([]int{outer}, dt)
+		out := NewBuffer(res.Shape, res.DType)
 		for o := 0; o < outer; o++ {
 			acc := initial
 			base := o * inner
@@ -55,15 +160,13 @@ func reduceKernel(name string, initial float32, merge func(acc, v float32) float
 // argReduceKernel builds a [outer, inner] -> [outer] index reduction.
 func argReduceKernel(name string, better func(v, best float32) bool) RefKernel {
 	return func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		outer, inner, err := reduce2D(name, inputs)
+		var res TensorInfo
+		outer, inner, err := ResolveReduce(name, inputsOf(inputs), &res)
 		if err != nil {
 			return Buffer{}, err
 		}
-		if inner == 0 {
-			return Buffer{}, errIn(name, "cannot reduce over empty dimension")
-		}
 		x := inputs[0]
-		out := NewBuffer([]int{outer}, tensor.Int32)
+		out := NewBuffer(res.Shape, res.DType)
 		for o := 0; o < outer; o++ {
 			base := o * inner
 			best := x.Data[base]
@@ -82,23 +185,23 @@ func argReduceKernel(name string, better func(v, best float32) bool) RefKernel {
 
 func init() {
 	RegisterRef("Sum", reduceKernel("Sum", 0,
-		func(acc, v float32) float32 { return acc + v }, nil, nil))
+		func(acc, v float32) float32 { return acc + v }, nil))
 	RegisterRef("Prod", reduceKernel("Prod", 1,
-		func(acc, v float32) float32 { return acc * v }, nil, nil))
+		func(acc, v float32) float32 { return acc * v }, nil))
 	RegisterRef("Max", reduceKernel("Max", float32(math.Inf(-1)),
 		func(acc, v float32) float32 {
 			if v > acc {
 				return v
 			}
 			return acc
-		}, nil, nil))
+		}, nil))
 	RegisterRef("Min", reduceKernel("Min", float32(math.Inf(1)),
 		func(acc, v float32) float32 {
 			if v < acc {
 				return v
 			}
 			return acc
-		}, nil, nil))
+		}, nil))
 	RegisterRef("Mean", reduceKernel("Mean", 0,
 		func(acc, v float32) float32 { return acc + v },
 		func(acc float32, n int) float32 {
@@ -106,21 +209,18 @@ func init() {
 				return float32(math.NaN())
 			}
 			return acc / float32(n)
-		},
-		func(tensor.DataType) tensor.DataType { return tensor.Float32 }))
+		}))
 	RegisterRef("Any", reduceKernel("Any", 0,
-		func(acc, v float32) float32 { return toBool(acc != 0 || v != 0) }, nil,
-		func(tensor.DataType) tensor.DataType { return tensor.Bool }))
+		func(acc, v float32) float32 { return toBool(acc != 0 || v != 0) }, nil))
 	RegisterRef("All", reduceKernel("All", 1,
-		func(acc, v float32) float32 { return toBool(acc != 0 && v != 0) }, nil,
-		func(tensor.DataType) tensor.DataType { return tensor.Bool }))
+		func(acc, v float32) float32 { return toBool(acc != 0 && v != 0) }, nil))
 
 	// BiasAddGrad sums the outer dimension of a [outer, inner] input — the
 	// leading axes of a bias gradient, [N·H·W, C] — into [inner]: rows
 	// added in order from +0, so each column meets its values in the order
 	// Sum meets them after a transpose brings that column innermost.
 	RegisterRef("BiasAddGrad", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		outer, inner, err := reduce2D("BiasAddGrad", inputs)
+		outer, inner, err := Rows("BiasAddGrad", inputsOf(inputs))
 		if err != nil {
 			return Buffer{}, err
 		}
@@ -138,9 +238,12 @@ func init() {
 	RegisterRef("ArgMin", argReduceKernel("ArgMin", func(v, best float32) bool { return v < best }))
 
 	// Softmax computes a numerically stable softmax over the inner
-	// dimension of a [outer, inner] input.
+	// dimension of a [outer, inner] input. It keeps a second body on webgl:
+	// three chained programs (row max, exp-sum, normalize) whose float32
+	// exp-sum is a named tolerance against this row's float64 one, and
+	// three of the programs the modelled clock pins.
 	RegisterRef("Softmax", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		outer, inner, err := reduce2D("Softmax", inputs)
+		outer, inner, err := Rows("Softmax", inputsOf(inputs))
 		if err != nil {
 			return Buffer{}, err
 		}
@@ -155,7 +258,7 @@ func init() {
 	// CumSum computes an inclusive or exclusive cumulative sum over the
 	// inner dimension of a [outer, inner] input.
 	RegisterRef("CumSum", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		outer, inner, err := reduce2D("CumSum", inputs)
+		outer, inner, err := Rows("CumSum", inputsOf(inputs))
 		if err != nil {
 			return Buffer{}, err
 		}

@@ -179,9 +179,19 @@ func errIn(kernel, format string, args ...any) error {
 }
 
 // wantInputs validates the arity of a kernel invocation.
-func wantInputs(kernel string, inputs []Buffer, n int) error {
+func wantInputs[T Buffer | Input](kernel string, inputs []T, n int) error {
 	if len(inputs) != n {
 		return errIn(kernel, "got %d inputs, want %d", len(inputs), n)
 	}
 	return nil
+}
+
+// inputsOf views a reference kernel's operands as the Inputs the checks it
+// shares with the backends (Resolve*) read.
+func inputsOf(bufs []Buffer) []Input {
+	ins := make([]Input, len(bufs))
+	for i, b := range bufs {
+		ins[i] = Input{Shape: b.Shape, DType: b.DType}
+	}
+	return ins
 }

@@ -43,7 +43,8 @@ func NewWalk(info Conv2DInfo) Walk {
 		int32(info.ChannelMultiplier)}
 }
 
-// info unpacks the geometry (BatchSize left 0: no body reads it).
+// info unpacks the geometry (BatchSize left 0: a body that needs it, the
+// filter gradient's, takes it as an argument).
 func (g Walk) info() Conv2DInfo {
 	return Conv2DInfo{InHeight: int(g.inH), InWidth: int(g.inW), InChannels: int(g.inC),
 		OutHeight: int(g.outH), OutWidth: int(g.outW), OutChannels: int(g.outC),
@@ -325,6 +326,84 @@ func (g Walk) InputGrad(wT, dx []float32, lo int, dy []float32) {
 	})
 }
 
+// FilterGrad computes the filter-gradient values [lo, lo+len(dst)) of the
+// convolution g describes over batch images — dw [fh, fw, inC, outC] of x
+// NHWC and dy, the output's gradient — into dst: whole filter rows from native's worker
+// pool, or a texel range cut anywhere. Row (fy, fx, ic) accumulates
+// x[b, iy, ix, ic]·dy[b, oy, ox, :] over every output position whose tap
+// (fy, fx) lands inside the input, in (b, oy, ox) order, a zero x left
+// out: the reference kernel's contributions in its order. Along one output
+// row those x elements sit StrideWidth·inC apart and the dy rows are
+// contiguous, so a row's share of (b, oy) is one vec.GemmRow with the x
+// elements as the strided lhs (over the row's columns in range) — or, when
+// a row is one or two vector steps, one vec.AxpyRows for the whole rows of
+// the tap's input channels, which share that run of dy. (b, oy) outermost
+// keeps one dy row and the range's rows in L1 while every filter row takes
+// its share of them.
+func (g Walk) FilterGrad(x, dy []float32, batch, lo int, dst []float32) {
+	if len(dst) == 0 {
+		return
+	}
+	info := g.info()
+	inC, outC := info.InChannels, info.OutChannels
+	inRow := info.InWidth * inC
+	inImg, outRow := info.InHeight*inRow, info.OutWidth*outC
+	outImg := info.OutHeight * outRow
+	fW, dH, dW, sW := info.FilterWidth, info.DilationHeight, info.DilationWidth, info.StrideWidth
+	aStride, narrow := sW*inC, vec.NarrowRow(outC)
+	hi := lo + len(dst)
+	// The rows the range touches, [rLo, rHi), and the whole ones, [wLo, wHi).
+	rLo, rHi, wLo, wHi := lo/outC, (hi+outC-1)/outC, (lo+outC-1)/outC, hi/outC
+	clear(dst)
+	var nz vec.NZList
+	for bb := 0; bb < batch; bb++ {
+		for oy := 0; oy < info.OutHeight; oy++ {
+			yCorner := oy*info.StrideHeight - info.PadTop
+			fyLo, fyHi := TapRange(yCorner, dH, info.FilterHeight, info.InHeight)
+			for fy := fyLo; fy < fyHi; fy++ {
+				xRow := bb*inImg + (yCorner+fy*dH)*inRow
+				for fx := 0; fx < fW; fx++ {
+					tapRow := (fy*fW + fx) * inC
+					icLo, icHi := max(rLo-tapRow, 0), min(rHi-tapRow, inC)
+					xOff := fx*dW - info.PadLeft
+					oxLo, oxHi := outRange(xOff, sW, info.OutWidth, info.InWidth)
+					if icLo >= icHi || oxLo == oxHi {
+						continue
+					}
+					span := (oxHi-oxLo-1)*aStride + 1
+					xBase := xRow + (oxLo*sW+xOff)*inC
+					dyBase := bb*outImg + oy*outRow + oxLo*outC
+					dyRun := dy[dyBase : dyBase+(oxHi-oxLo)*outC]
+					wholeLo, wholeHi := max(icLo, wLo-tapRow), min(icHi, wHi-tapRow)
+					for ic := icLo; ic < icHi; ic++ {
+						r := tapRow + ic
+						if narrow && ic == wholeLo && wholeLo < wholeHi {
+							vec.AxpyRows(dst[r*outC-lo:(tapRow+wholeHi)*outC-lo], outC, x[xBase+ic:], 1, aStride, oxHi-oxLo, dyRun)
+							ic = wholeHi - 1
+							continue
+						}
+						c0, c1 := max(lo-r*outC, 0), min(hi-r*outC, outC)
+						vec.GemmRow(dst[r*outC+c0-lo:r*outC+c1-lo], x[xBase+ic:xBase+ic+span], aStride, dyRun[c0:], outC, &nz)
+					}
+				}
+			}
+		}
+	}
+}
+
+// outRange returns the output positions [lo, hi) whose input coordinate
+// o*stride + offset lies inside [0, size): the transpose of TapRange, for a
+// fixed filter tap instead of a fixed output position.
+func outRange(offset, stride, outSize, size int) (lo, hi int) {
+	if offset < 0 {
+		lo = (-offset + stride - 1) / stride
+	}
+	if size > offset {
+		hi = min(outSize, (size-offset+stride-1)/stride)
+	}
+	return lo, max(lo, hi)
+}
+
 // Epilogue is a fused kernel's tail on the host backends: the optional
 // per-channel bias, then the activation Act (nil: none), an element-wise
 // table entry's function — ReLU and ReLU6 in the vector core's own loop
@@ -348,7 +427,7 @@ func FusedInputs(name string, inputs []Input, fused bool) error {
 	if fused {
 		want = "2 or 3"
 	}
-	return fmt.Errorf("%s: got %d inputs, want %s", name, len(inputs), want)
+	return errIn(name, "got %d inputs, want %s", len(inputs), want)
 }
 
 // FusedTail resolves the epilogue of kernel name with outC output

@@ -104,8 +104,9 @@ func poisonNext(nb *Backend, n int) {
 }
 
 // TestOverwritingKernelsUnderPoolPoison: the kernels whose output buffer is
-// not zeroed (outOver) — the binaries, the unary rows, batch norm, the
-// reductions, softmax, transpose, BiasAddGrad and Adam's two — write every
+// not zeroed (outOver) — the binaries (a general broadcast too), the unary
+// rows, batch norm, the reductions, softmax, the matmuls, the shape
+// kernels, BiasAddGrad, the filter gradient and Adam's two — write every
 // value of it. Each runs on a recycled buffer the pool has scribbled with
 // NaN, on operands whose results hold no NaN, and agrees with the
 // reference kernel to the bit: a value left unwritten reads NaN.
@@ -154,6 +155,21 @@ func TestOverwritingKernelsUnderPoolPoison(t *testing.T) {
 		{"Min", nil, []operand{flat}},
 		{"Softmax", nil, []operand{flat}},
 		{"Transpose", kernels.Attrs{"perm": []int{2, 0, 1}}, []operand{x}},
+		{"Sub", nil, []operand{x, {dense(5, 10), []int{5, 1}}}},
+		{"Prod", nil, []operand{flat}},
+		{"ArgMax", nil, []operand{flat}},
+		{"ArgMin", nil, []operand{flat}},
+		{"BatchMatMul", kernels.Attrs{"transposeB": true}, []operand{{dense(2*5*8, 11), []int{2, 5, 8}}, {dense(3*8, 12), []int{1, 3, 8}}}},
+		{"_FusedMatMul", kernels.Attrs{"activation": "relu"}, []operand{flat, {dense(8*6, 13), []int{8, 6}}, {dense(6, 14), []int{6}}}},
+		{"Slice", kernels.Attrs{"begin": []int{1, 0, 2}, "size": []int{2, -1, 4}}, []operand{x}},
+		{"Tile", kernels.Attrs{"reps": []int{1, 2, 3}}, []operand{x}},
+		{"PadV2", kernels.Attrs{"paddings": []int{1, 0, 0, 2, 1, 1}, "constantValue": 0.5}, []operand{x}},
+		{"Concat", kernels.Attrs{"axis": 1}, []operand{x, y}},
+		{"GatherV2", kernels.Attrs{"axis": 0}, []operand{flat, {[]float32{3, 0, 19, 7}, []int{4}}}},
+		{"OneHot", kernels.Attrs{"depth": 6}, []operand{{[]float32{0, 5, 2, 9, 1}, []int{5}}}},
+		{"Fill", kernels.Attrs{"shape": []int{4, 5, 8}, "value": 1.5}, nil},
+		{"Conv2DBackpropFilter", kernels.Attrs{"filterShape": []int{3, 3, 2, 8}, "pad": "same"},
+			[]operand{{dense(2*4*4*2, 15), []int{2, 4, 4, 2}}, {dense(2*4*4*8, 16), []int{2, 4, 4, 8}}}},
 		{"BiasAddGrad", nil, []operand{flat}},
 		{"AdamMoments", adamAttrs[0], []operand{slot, g}},
 		{"ApplyAdam", adamAttrs[1], []operand{g, slot}},

@@ -74,12 +74,12 @@ func checkConvForward(t testing.TB, nb *Backend, g gradGeometry, f fill) {
 	checkAgainstReference(t, nb, "Conv2D/"+g.String()+"/"+f.name, "Conv2D", g.convAttrs(), x, w)
 }
 
-// checkReductions runs the four [outer, inner] reductions and BiasAddGrad,
-// which sums the outer dimension instead.
+// checkReductions runs the seven [outer, inner] reductions and
+// BiasAddGrad, which sums the outer dimension instead.
 func checkReductions(t testing.TB, nb *Backend, outer, inner int, f fill) {
 	t.Helper()
 	x := operand{f.gen(outer*inner, 6), []int{outer, inner}}
-	for _, name := range []string{"Sum", "Mean", "Max", "Min", "BiasAddGrad"} {
+	for _, name := range []string{"Sum", "Mean", "Max", "Min", "Prod", "ArgMax", "ArgMin", "BiasAddGrad"} {
 		checkAgainstReference(t, nb, fmt.Sprintf("%s/%dx%d/%s", name, outer, inner, f.name), name, nil, x)
 	}
 }
@@ -88,6 +88,66 @@ func checkTranspose(t testing.TB, nb *Backend, shape, perm []int, f fill) {
 	t.Helper()
 	x := operand{f.gen(tensor.ShapeSize(shape), 7), shape}
 	checkAgainstReference(t, nb, fmt.Sprintf("Transpose/%v/%v/%s", shape, perm, f.name), "Transpose", kernels.Attrs{"perm": perm}, x)
+}
+
+// checkMatMuls runs BatchMatMul on an m×k·k×n product — A a batch of
+// three against B's broadcast one — and _FusedMatMul with a bias and an
+// activation, for every pair of transposes.
+func checkMatMuls(t testing.TB, nb *Backend, m, k, n int, f fill) {
+	t.Helper()
+	for i, tr := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+		aShape, bShape := []int{m, k}, []int{k, n}
+		if tr[0] {
+			aShape = []int{k, m}
+		}
+		if tr[1] {
+			bShape = []int{n, k}
+		}
+		label := fmt.Sprintf("%dx%dx%d/ta=%v/tb=%v/%s", m, k, n, tr[0], tr[1], f.name)
+		a, b := f.gen(3*m*k, 8), f.gen(k*n, 9)
+		checkAgainstReference(t, nb, "BatchMatMul/"+label, "BatchMatMul", kernels.Attrs{"transposeA": tr[0], "transposeB": tr[1]},
+			operand{a, append([]int{3}, aShape...)}, operand{b, append([]int{1}, bShape...)})
+		attrs := kernels.Attrs{"transposeA": tr[0], "transposeB": tr[1], "activation": []string{"relu6", "elu", "", "relu"}[i]}
+		checkAgainstReference(t, nb, "_FusedMatMul/"+label, "_FusedMatMul", attrs,
+			operand{a[:m*k], aShape}, operand{b, bShape}, operand{f.gen(n, 10), []int{n}})
+	}
+}
+
+// checkShapeKernels runs the data-movement kernels on an input of shape: a
+// slice, a tile, a pad, concatenations with itself, a gather along the
+// first axis (and one with an index out of range, which node declines for
+// the reference kernel to reject), a one-hot of indices of that shape
+// (-1 and depth among them) and a fill of it.
+func checkShapeKernels(t testing.TB, nb *Backend, shape []int, f fill) {
+	t.Helper()
+	rank := len(shape)
+	x := operand{f.gen(tensor.ShapeSize(shape), 11), shape}
+	begin, size, reps, pads := make([]int, rank), make([]int, rank), make([]int, rank), make([]int, 2*rank)
+	for d, n := range shape {
+		begin[d], size[d] = min(d%2, n), -1
+		if d%3 == 2 {
+			size[d] = n - begin[d] - min(1, n-begin[d])
+		}
+		reps[d], pads[2*d], pads[2*d+1] = 1+d%3, d%2, (d+1)%3
+	}
+	idx := make([]float32, len(x.vals))
+	for i := range idx {
+		idx[i] = float32(i%5 - 1)
+	}
+	check := func(name string, attrs kernels.Attrs, ops ...operand) {
+		checkAgainstReference(t, nb, fmt.Sprintf("%s/%v/%s", name, shape, f.name), name, attrs, ops...)
+	}
+	check("Slice", kernels.Attrs{"begin": begin, "size": size}, x)
+	check("Tile", kernels.Attrs{"reps": reps}, x)
+	check("PadV2", kernels.Attrs{"paddings": pads, "constantValue": 0.5}, x)
+	check("Concat", kernels.Attrs{"axis": -1}, x, x)
+	check("Concat", kernels.Attrs{"axis": 0}, x, x, x)
+	check("OneHot", kernels.Attrs{"depth": 3, "onValue": 2.0}, operand{idx, shape})
+	check("Fill", kernels.Attrs{"shape": shape, "value": -1.5, "dtype": "int32"})
+	if rank > 0 {
+		check("GatherV2", kernels.Attrs{"axis": 0}, x, operand{[]float32{float32(shape[0] - 1), 0, float32(shape[0] / 2)}, []int{3}})
+		check("GatherV2", kernels.Attrs{"axis": -1}, x, operand{[]float32{0, float32(shape[rank-1])}, []int{2, 1}})
+	}
 }
 
 // permutations returns every ordering of 0…n-1.
@@ -160,6 +220,14 @@ func checkForwardMatrix(t *testing.T, nb *Backend) {
 			for _, perm := range permutations(len(shape)) {
 				checkTranspose(t, nb, shape, perm, f)
 			}
+			checkShapeKernels(t, nb, shape, f)
+		}
+		// Sized to split across chunks.
+		checkShapeKernels(t, nb, []int{8, 16, 16, 8}, f)
+		// Products: empty on each side, a GEMV, rows either side of a vector
+		// step and of an NZList, and one that splits across chunks.
+		for _, mkn := range [][3]int{{1, 1, 1}, {0, 4, 2}, {2, 0, 3}, {3, 5, 0}, {1, 70, 9}, {4, 9, 8}, {17, 33, 16}, {64, 40, 300}} {
+			checkMatMuls(t, nb, mkn[0], mkn[1], mkn[2], f)
 		}
 		// The bias gradient's transpose and a global pool's, sized to
 		// split across chunks and to leave ragged tile edges.
@@ -170,9 +238,10 @@ func checkForwardMatrix(t *testing.T, nb *Backend) {
 }
 
 // TestForwardKernelsBitIdenticalToReference: Conv2D, MaxPool, AvgPool,
-// Sum, Mean, Max, Min, BiasAddGrad and Transpose on node agree with the reference
-// kernels to the bit, at every worker count and with the AVX2 cores on or
-// off.
+// the seven reductions, BiasAddGrad, BatchMatMul, _FusedMatMul and the
+// shape kernels (Transpose, Slice, Tile, PadV2, Concat, GatherV2, OneHot,
+// Fill) on node agree with the reference kernels to the bit, at every
+// worker count and with the AVX2 cores on or off.
 func TestForwardKernelsBitIdenticalToReference(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
@@ -265,40 +334,38 @@ func TestForwardKernelErrorParity(t *testing.T) {
 		{"transpose/axis out of range", "Transpose", perm(2, 0), []operand{flat}},
 		{"transpose/negative axis", "Transpose", perm(-1, 0), []operand{flat}},
 		{"transpose/two inputs", "Transpose", perm(1, 0), []operand{flat, flat}},
+		{"argmax/empty row", "ArgMax", nil, []operand{{nil, []int{3, 0}}}},
+		{"matmul/inner dims", "BatchMatMul", nil, []operand{{make([]float32, 6), []int{1, 2, 3}}, {make([]float32, 6), []int{1, 2, 3}}}},
+		{"matmul/batch dims", "BatchMatMul", nil, []operand{{make([]float32, 12), []int{2, 2, 3}}, {make([]float32, 27), []int{3, 3, 3}}}},
+		{"fused matmul/bias", "_FusedMatMul", nil, []operand{flat, {make([]float32, 6), []int{3, 2}}, {make([]float32, 3), []int{3}}}},
+		{"pad/negative", "PadV2", kernels.Attrs{"paddings": []int{0, 1, -1, 2}}, []operand{flat}},
+		{"slice/out of bounds", "Slice", kernels.Attrs{"begin": []int{1, 0}, "size": []int{2, 3}}, []operand{flat}},
+		{"tile/zero reps", "Tile", kernels.Attrs{"reps": []int{1, 0}}, []operand{flat}},
+		{"concat/mismatch", "Concat", kernels.Attrs{"axis": 1}, []operand{flat, {make([]float32, 9), []int{3, 3}}}},
+		{"gather/axis", "GatherV2", kernels.Attrs{"axis": 2}, []operand{flat, {[]float32{0}, []int{1}}}},
+		{"one-hot/depth", "OneHot", kernels.Attrs{"depth": 0}, []operand{flat}},
+		{"fill/dtype", "Fill", kernels.Attrs{"shape": []int{2}, "dtype": "complex64"}, nil},
 	} {
 		checkAgainstReference(t, nb, c.label, c.kernel, c.attrs, c.ops...)
 	}
 }
 
-// TestTransposeRunsRotationsNatively: the permutations ops.reduce emits —
-// the reduced axes rotated innermost, behind any leading axes that stay —
-// are the native kernel's; anything else is declined for the reference
-// kernel to run.
-func TestTransposeRunsRotationsNatively(t *testing.T) {
+// TestTransposeRunsEveryPermutationNatively: every permutation of a rank-4
+// tensor runs on node's kernel — the rotations ops.reduce emits and every
+// other one — and a malformed perm is refused with the reference kernel's
+// own error. (Until node ran the shared view body, only the rotations were
+// its own, every other permutation and every malformed one declined for
+// the reference kernel.)
+func TestTransposeRunsEveryPermutationNatively(t *testing.T) {
 	nb := benchBackend()
 	in := benchInput(nb, make([]float32, 2*3*4*5), 2, 3, 4, 5)
-	for _, c := range []struct {
-		perm   []int
-		native bool
-	}{
-		{[]int{0, 1, 2, 3}, true},
-		{[]int{3, 0, 1, 2}, true}, // Sum over [0, 1, 2]: a bias gradient
-		{[]int{1, 2, 3, 0}, true},
-		{[]int{2, 3, 0, 1}, true},
-		{[]int{0, 3, 1, 2}, true}, // Mean over [1, 2]: a global average pool
-		{[]int{0, 1, 3, 2}, true},
-		{[]int{0, 2, 1, 3}, false},
-		{[]int{3, 2, 1, 0}, false},
-		{[]int{1, 0, 2, 3}, false},
-		{[]int{1, 0}, false},
-	} {
+	ref, _ := kernels.LookupRef("Transpose")
+	for _, perm := range append(permutations(4), []int{1, 0}, []int{0, 1, 1, 3}, []int{0, 1, 2, 4}, []int{-1, 0, 1, 2}) {
 		var out kernels.TensorInfo
-		err := nb.table["Transpose"]([]kernels.Input{in}, kernels.Attrs{"perm": c.perm}, &out)
-		if c.native && err != nil {
-			t.Errorf("perm %v: %v, want the native kernel to run it", c.perm, err)
-		}
-		if !c.native && err != kernels.ErrFallback {
-			t.Errorf("perm %v: err = %v, want ErrFallback", c.perm, err)
+		err := nb.table["Transpose"]([]kernels.Input{in}, kernels.Attrs{"perm": perm}, &out)
+		_, want := ref([]kernels.Buffer{{Data: make([]float32, 2*3*4*5), Shape: in.Shape}}, kernels.Attrs{"perm": perm})
+		if fmt.Sprint(err) != fmt.Sprint(want) {
+			t.Errorf("perm %v: err = %v, want %v", perm, err, want)
 		}
 		if err == nil {
 			nb.DisposeData(out.DataID)
@@ -307,10 +374,11 @@ func TestTransposeRunsRotationsNatively(t *testing.T) {
 }
 
 // FuzzForwardKernels is FuzzGradKernels' sibling for the forward suite:
-// the selector bytes pick a pooling geometry, a reduction shape (the four
-// reductions and BiasAddGrad), a transpose shape and permutation or a
-// forward convolution, and the
-// operand cycles through data read as float32 bit patterns.
+// the selector bytes pick a pooling geometry, a reduction shape (the seven
+// reductions and BiasAddGrad) with a matmul of its sizes, a transpose shape
+// and permutation with the other shape kernels on that shape, or a forward
+// convolution, and the operand cycles through data read as float32 bit
+// patterns.
 func FuzzForwardKernels(f *testing.F) {
 	var specials []byte
 	for _, v := range vecSpecials {
@@ -331,6 +399,9 @@ func FuzzForwardKernels(f *testing.F) {
 	f.Add(uint8(0x77), uint8(0x02), uint8(0x0a), uint8(0x13), specials)  // conv, outC 8
 	f.Add(uint8(0x59), uint8(0x17), uint8(0x5a), uint8(0x27), specials)  // conv, outC 16, stride 2
 	f.Add(uint8(0x95), uint8(0x28), uint8(0x4a), uint8(0x03), specials)  // conv, outC 3, dilation 2
+	f.Add(uint8(0x12), uint8(0x0a), uint8(0x08), uint8(0x01), specials)  // reductions 10×162, matmul 3×7×9
+	f.Add(uint8(0x43), uint8(0x02), uint8(0x07), uint8(0x32), specials)  // shape kernels on [3 4 2]
+	f.Add(uint8(0x21), uint8(0x30), uint8(0x0b), uint8(0x42), specials)  // shape kernels on [1 2 0 3]
 	nb := New()
 	nb.SetWorkers(3)
 	f.Fuzz(func(t *testing.T, size, chans, filt, mode uint8, data []byte) {
@@ -364,6 +435,7 @@ func FuzzForwardKernels(f *testing.F) {
 			}, cycle)
 		case 1:
 			checkReductions(t, nb, int(chans)%20, int(size)*int(1+filt%9), cycle)
+			checkMatMuls(t, nb, int(chans)%7, int(size)%11, 1+int(filt)%13, cycle)
 		default:
 			// Rank 0–4 from the mode, dims 0–4 from size and chans, and the
 			// filt-th permutation of that rank.
@@ -371,6 +443,7 @@ func FuzzForwardKernels(f *testing.F) {
 			shape := dims[:int(mode>>4)%5]
 			perms := permutations(len(shape))
 			checkTranspose(t, nb, shape, perms[int(filt)%len(perms)], cycle)
+			checkShapeKernels(t, nb, shape, cycle)
 		}
 	})
 }

@@ -1,8 +1,6 @@
 package native
 
 import (
-	"fmt"
-
 	"repro/internal/kernels"
 	"repro/internal/tensor"
 )
@@ -25,8 +23,8 @@ func (b *Backend) registerConvMatMul() {
 	b.register("FusedConv2D", b.convolution("FusedConv2D", true, false))
 	b.register("DepthwiseConv2dNative", b.convolution("DepthwiseConv2dNative", false, true))
 	b.register("FusedDepthwiseConv2dNative", b.convolution("FusedDepthwiseConv2dNative", true, true))
-	b.register("BatchMatMul", b.batchMatMul)
-	b.register("_FusedMatMul", b.fusedMatMul)
+	b.register("BatchMatMul", b.matMulKernel("BatchMatMul"))
+	b.register("_FusedMatMul", b.matMulKernel("_FusedMatMul"))
 }
 
 // convolution is Conv2D and, with depthwise set, DepthwiseConv2dNative,
@@ -68,75 +66,26 @@ func (b *Backend) convolution(name string, fused, depthwise bool) kernels.Overri
 	}
 }
 
-// matmulDims resolves op(A)[m×k]·op(B)[k×n] from the trailing two dims of
-// two rank-`rank` operands.
-func matmulDims(name string, rank int, a, x []int, transposeA, transposeB bool) (m, n, k int, err error) {
-	if len(a) != rank || len(x) != rank {
-		return 0, 0, 0, fmt.Errorf("%s: inputs must be rank %d, got %v and %v", name, rank, a, x)
+// matMulKernel is BatchMatMul and _FusedMatMul on the matmul body both host
+// backends share (kernels.MatMul): the output rows of every batch element
+// sharded across the worker pool at once. A chunk is whole rows, so each
+// value's accumulation over k is one loop in one chunk, bit-identical for
+// every worker count.
+func (b *Backend) matMulKernel(name string) kernels.OverrideKernel {
+	return func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
+		g, err := kernels.ResolveMatMul(name, inputs, attrs, out)
+		if err != nil {
+			return err
+		}
+		ep, err := kernels.FusedTail(name, inputs, attrs, g.N(), b.in)
+		if err != nil {
+			return err
+		}
+		aBuf, bBuf := b.in(inputs[0]), b.in(inputs[1])
+		dst := b.outOver(out, tensor.Float32)
+		b.parallelFor(g.Rows(), 2*g.K()*g.N(), func(lo, hi int) {
+			g.Fill(aBuf, bBuf, ep, lo*g.N(), dst[lo*g.N():hi*g.N()])
+		})
+		return nil
 	}
-	m, k = a[rank-2], a[rank-1]
-	if transposeA {
-		m, k = k, m
-	}
-	kB, n := x[rank-2], x[rank-1]
-	if transposeB {
-		kB, n = n, kB
-	}
-	if k != kB {
-		return 0, 0, 0, fmt.Errorf("%s: inner dims mismatch %v x %v", name, a, x)
-	}
-	return m, n, k, nil
-}
-
-func (b *Backend) fusedMatMul(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
-	if err := kernels.FusedInputs("_FusedMatMul", inputs, true); err != nil {
-		return err
-	}
-	a, x := inputs[0], inputs[1]
-	transposeA := attrs.Bool("transposeA", false)
-	transposeB := attrs.Bool("transposeB", false)
-	m, n, k, err := matmulDims("_FusedMatMul", 2, a.Shape, x.Shape, transposeA, transposeB)
-	if err != nil {
-		return err
-	}
-	ep, err := kernels.FusedTail("_FusedMatMul", inputs, attrs, n, b.in)
-	if err != nil {
-		return err
-	}
-	aBuf, bBuf := b.in(a), b.in(x)
-	out.Shape = append(out.Shape[:0], m, n)
-	dstBuf := b.outInto(out, tensor.Float32)
-
-	b.matmul(m, n, k, aBuf, bBuf, transposeA, transposeB, dstBuf, ep)
-	return nil
-}
-
-func (b *Backend) batchMatMul(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
-	if len(inputs) != 2 {
-		return fmt.Errorf("BatchMatMul: got %d inputs, want 2", len(inputs))
-	}
-	a, x := inputs[0], inputs[1]
-	transposeA := attrs.Bool("transposeA", false)
-	transposeB := attrs.Bool("transposeB", false)
-	m, n, k, err := matmulDims("BatchMatMul", 3, a.Shape, x.Shape, transposeA, transposeB)
-	if err != nil {
-		return err
-	}
-	batchA, batchB := a.Shape[0], x.Shape[0]
-	batch := max(batchA, batchB)
-	if batchA != batchB && batchA != 1 && batchB != 1 {
-		return fmt.Errorf("BatchMatMul: incompatible batch dims %d and %d", batchA, batchB)
-	}
-	aBuf, bBuf := b.in(a), b.in(x)
-	out.Shape = append(out.Shape[:0], batch, m, n)
-	dst := b.outInto(out, tensor.Float32)
-	aMat, bMat := m*k, k*n
-	// One matmul per batch element; a size-1 batch dim broadcasts.
-	for p := 0; p < batch; p++ {
-		aOff := (p % batchA) * aMat
-		bOff := (p % batchB) * bMat
-		b.matmul(m, n, k, aBuf[aOff:aOff+aMat], bBuf[bOff:bOff+bMat], transposeA, transposeB,
-			dst[p*m*n:(p+1)*m*n], kernels.Epilogue{})
-	}
-	return nil
 }

@@ -5,12 +5,14 @@ import (
 
 	"repro/internal/kernels"
 	"repro/internal/tensor"
-	"repro/internal/vec"
 )
 
-// The backward kernels model.fit spends its time in: the filter gradient
-// on vec.GemmRow and vec.AxpyRows, and the input gradient and MaxPoolGrad
-// on the convolution walk (kernels.Walk).
+// The backward kernels model.fit spends its time in, on the convolution
+// walk (kernels.Walk): the filter gradient on the range body webgl's
+// program runs too, and the input gradient and MaxPoolGrad, which scatter
+// over ranges of dy while webgl's programs gather per value — which of the
+// two forms both should run is open until the gather is timed on a
+// training step.
 //
 // Each is Float32bits-equal to its reference kernel in internal/kernels,
 // not merely close, because every output element receives the same
@@ -30,110 +32,18 @@ func (b *Backend) registerGrad() {
 	b.register("MaxPoolGrad", b.maxPoolGrad)
 }
 
-// backpropInfo resolves the geometry of the forward convolution a
-// Conv2DBackprop kernel differentiates and checks dy against its output.
-func backpropInfo(name string, xShape, wShape, dyShape []int, attrs kernels.Attrs) (kernels.Conv2DInfo, error) {
-	info, err := kernels.ComputeConv2DInfo(xShape, wShape,
-		attrs.Ints("strides", defaultConvStride), attrs.Ints("dilations", defaultConvStride),
-		attrs.String("pad", "valid"), false)
-	if err != nil {
-		return info, fmt.Errorf("%s: %v", name, err)
-	}
-	if !tensor.ShapesEqual(dyShape, info.OutShape()) {
-		return info, fmt.Errorf("%s: dy shape %v != conv output shape %v", name, dyShape, info.OutShape())
-	}
-	return info, nil
-}
-
-// outRange returns the output positions [lo, hi) whose input coordinate
-// o*stride + offset lies inside [0, size): the transpose of
-// kernels.TapRange, for a fixed filter tap instead of a fixed output
-// position.
-func outRange(offset, stride, outSize, size int) (lo, hi int) {
-	if offset < 0 {
-		lo = (-offset + stride - 1) / stride
-	}
-	if size > offset {
-		hi = min(outSize, (size-offset+stride-1)/stride)
-	}
-	return lo, max(lo, hi)
-}
-
-// conv2DBackpropFilter: inputs (x, dy), attr filterShape. The filter
-// gradient is fh·fw·inC rows of outC; row (fy, fx, ic) accumulates
-// x[b, iy, ix, ic]·dy[b, oy, ox, :] over every output position whose tap
-// (fy, fx) lands inside the input. Along one output row those x elements
-// sit strideW·inC apart and the dy rows are contiguous, so the row's share
-// of (b, oy) is one vec.GemmRow with the x elements as the strided lhs — or,
-// when a row is one or two vector steps, one vec.AxpyRows for all the input
-// channels of the tap, which share that run of dy. Rows are sharded across
-// workers: no two chunks touch the same accumulator.
+// conv2DBackpropFilter: inputs (x, dy), attr filterShape, on the walk's
+// filter-gradient body (kernels.Walk.FilterGrad). Chunks are filter rows:
+// no two touch the same accumulator.
 func (b *Backend) conv2DBackpropFilter(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
-	if len(inputs) != 2 {
-		return fmt.Errorf("Conv2DBackpropFilter: got %d inputs, want 2", len(inputs))
-	}
-	x, dy := inputs[0], inputs[1]
-	filterShape := attrs.Ints("filterShape", nil)
-	info, err := backpropInfo("Conv2DBackpropFilter", x.Shape, filterShape, dy.Shape, attrs)
+	info, err := kernels.ResolveConvBackprop("Conv2DBackpropFilter", inputs, attrs, out)
 	if err != nil {
 		return err
 	}
-	xBuf, dyBuf := b.in(x), b.in(dy)
-	out.Shape = append(out.Shape[:0], filterShape...)
-	dw := b.outInto(out, tensor.Float32)
-
-	inC, outC := info.InChannels, info.OutChannels
-	inRow := info.InWidth * inC
-	inImg := info.InHeight * inRow
-	outRow := info.OutWidth * outC
-	outImg := info.OutHeight * outRow
-	// Scalar geometry copies keep the Conv2DInfo struct out of the closure
-	// (see conv2D).
-	batch, inH, inW, outH, outW := info.BatchSize, info.InHeight, info.InWidth, info.OutHeight, info.OutWidth
-	fH, fW := info.FilterHeight, info.FilterWidth
-	sH, sW := info.StrideHeight, info.StrideWidth
-	dH, dW := info.DilationHeight, info.DilationWidth
-	padT, padL := info.PadTop, info.PadLeft
-	aStride := sW * inC
-	narrow := vec.NarrowRow(outC)
-	b.parallelFor(fH*fW*inC, 2*batch*outH*outW*outC, func(lo, hi int) {
-		var nz vec.NZList
-		// (b, oy) outermost keeps one dy row and the chunk's dw rows in L1
-		// while every filter row takes its share of them; each dw row
-		// still sees its contributions in (b, oy, ox) order.
-		for bb := 0; bb < batch; bb++ {
-			for oy := 0; oy < outH; oy++ {
-				yCorner := oy*sH - padT
-				fyLo, fyHi := kernels.TapRange(yCorner, dH, fH, inH)
-				for fy := fyLo; fy < fyHi; fy++ {
-					xRow := bb*inImg + (yCorner+fy*dH)*inRow
-					for fx := 0; fx < fW; fx++ {
-						tapRow := (fy*fW + fx) * inC
-						icLo, icHi := max(lo-tapRow, 0), min(hi-tapRow, inC)
-						if icLo >= icHi {
-							continue
-						}
-						xOff := fx*dW - padL
-						oxLo, oxHi := outRange(xOff, sW, outW, inW)
-						if oxLo == oxHi {
-							continue
-						}
-						span := (oxHi-oxLo-1)*aStride + 1
-						xBase := xRow + (oxLo*sW+xOff)*inC
-						dyBase := bb*outImg + oy*outRow + oxLo*outC
-						dyRun := dyBuf[dyBase : dyBase+(oxHi-oxLo)*outC]
-						if narrow {
-							vec.AxpyRows(dw[(tapRow+icLo)*outC:(tapRow+icHi)*outC], outC, xBuf[xBase+icLo:], 1, aStride, oxHi-oxLo, dyRun)
-							continue
-						}
-						for ic := icLo; ic < icHi; ic++ {
-							r := tapRow + ic
-							vec.GemmRow(dw[r*outC:(r+1)*outC], xBuf[xBase+ic:xBase+ic+span], aStride, dyRun, outC, &nz)
-						}
-					}
-				}
-			}
-		}
+	xBuf, dyBuf, outC, batch := b.in(inputs[0]), b.in(inputs[1]), info.OutChannels, info.BatchSize
+	dw, walk := b.outOver(out, tensor.Float32), kernels.NewWalk(info)
+	b.parallelFor(info.FilterHeight*info.FilterWidth*info.InChannels, 2*batch*info.OutHeight*info.OutWidth*outC, func(lo, hi int) {
+		walk.FilterGrad(xBuf, dyBuf, batch, lo*outC, dw[lo*outC:hi*outC])
 	})
 	return nil
 }
@@ -146,17 +56,11 @@ func (b *Backend) conv2DBackpropFilter(inputs []kernels.Input, attrs kernels.Att
 // ReLU and a max pool) costs a gather and nothing else. Images are sharded
 // across workers.
 func (b *Backend) conv2DBackpropInput(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
-	if len(inputs) != 2 {
-		return fmt.Errorf("Conv2DBackpropInput: got %d inputs, want 2", len(inputs))
-	}
-	dy, w := inputs[0], inputs[1]
-	inShape := attrs.Ints("inputShape", nil)
-	info, err := backpropInfo("Conv2DBackpropInput", inShape, w.Shape, dy.Shape, attrs)
+	info, err := kernels.ResolveConvBackprop("Conv2DBackpropInput", inputs, attrs, out)
 	if err != nil {
 		return err
 	}
-	dyBuf, wBuf := b.in(dy), b.in(w)
-	out.Shape = append(out.Shape[:0], inShape...)
+	dyBuf, wBuf := b.in(inputs[0]), b.in(inputs[1])
 	dx := b.outInto(out, tensor.Float32)
 
 	inC, outC := info.InChannels, info.OutChannels

@@ -42,18 +42,22 @@ func reportKernel(b *testing.B, flops, floats int) {
 	b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
-// benchGemm times the GEMM core on an m×k lhs with the given zero
-// fraction. The zeroing of out is inside the loop, as it is in a served
-// request (the output buffer comes zeroed from the allocator).
+// benchGemm times the matmul body (kernels.MatMul) on an m×k lhs with the
+// given zero fraction, its rows sharded as the kernel shards them.
 func benchGemm(b *testing.B, m, k, n int, sparsity float64) {
 	nb := benchBackend()
 	rng := rand.New(rand.NewSource(1))
 	av, bv := benchVals(rng, m*k, sparsity), benchVals(rng, k*n, 0)
 	out := make([]float32, m*n)
+	g, err := kernels.ResolveMatMul("_FusedMatMul", []kernels.Input{{Shape: []int{m, k}}, {Shape: []int{k, n}}}, kernels.Attrs{}, &kernels.TensorInfo{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clear(out)
-		nb.matmul(m, n, k, av, bv, false, false, out, kernels.Epilogue{})
+		nb.parallelFor(m, 2*k*n, func(lo, hi int) {
+			g.Fill(av, bv, kernels.Epilogue{}, lo*n, out[lo*n:hi*n])
+		})
 	}
 	reportKernel(b, 2*m*k*n, m*k+k*n+m*n)
 }
@@ -313,6 +317,16 @@ func BenchmarkBiasGradReduce(b *testing.B) {
 			})
 		})
 	}
+}
+
+// BenchmarkTransposeGlobalPool is the Transpose([0 3 1 2]) a served
+// batch's global average pool puts in front of its Mean: MobileNet
+// α=0.25 @96's last 3×3×256 map at batch 16, on the view body every
+// permutation runs (kernels.View): runs of nine values 256 apart.
+func BenchmarkTransposeGlobalPool(b *testing.B) {
+	nb := benchBackend()
+	x := benchInput(nb, benchVals(rand.New(rand.NewSource(1)), 16*3*3*256, 0.5), 16, 3, 3, 256)
+	benchPlanKernel(b, nb, "Transpose", kernels.Attrs{"perm": []int{0, 3, 1, 2}}, 0, x)
 }
 
 // BenchmarkBiasAddBroadcast adds a [C] bias to the first conv's

@@ -2,20 +2,17 @@ package native
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/kernels"
 	"repro/internal/tensor"
 	"repro/internal/vec"
 )
 
-// initKernels installs the optimized kernels. Only the operations that
-// dominate model inference and training time are overridden — matmul,
-// convolutions and pooling with their gradients, every op of the
-// element-wise table (with the bias/scalar broadcast every layer and
-// optimizer step uses), reductions with the transpose that brings their
-// axes innermost, and softmax; the long tail (depthwise and average-pool
-// gradients, general broadcasts, every other transpose) inherits the
+// initKernels installs the optimized kernels: matmul, convolutions and
+// pooling with their gradients, every op of the element-wise table under
+// any broadcast, the reductions, softmax, the shape kernels and Adam's —
+// every kernel a Fit epoch dispatches. The long tail (the depthwise and
+// average-pool gradients, Select, CumSum, Reverse, …) inherits the
 // reference implementations.
 //
 // Every kernel appends its output shape into out.Shape (caller-owned
@@ -31,6 +28,7 @@ func (b *Backend) initKernels() {
 	b.registerGrad()
 	b.registerElementwise()
 	b.registerReduce()
+	b.registerShape()
 	b.registerAdam()
 }
 
@@ -45,8 +43,8 @@ func (b *Backend) outInto(dst *kernels.TensorInfo, dtype tensor.DataType) []floa
 }
 
 // outOver is outInto for a kernel that writes every output value before it
-// reads one — the shared convolution walk, the element-wise, reduction,
-// softmax and transpose kernels, Adam's: the buffer is not zeroed.
+// reads one — every range body of internal/kernels, the element-wise and
+// softmax kernels: the buffer is not zeroed.
 func (b *Backend) outOver(dst *kernels.TensorInfo, dtype tensor.DataType) []float32 {
 	return b.own(dst, dtype, b.AllocOver(tensor.ShapeSize(dst.Shape)))
 }
@@ -114,15 +112,16 @@ func isSuffixShape(small, big []int) bool {
 
 // binary is every two-operand op of the element-wise table: equal shapes
 // and the suffix broadcast run here on the op's row (vec.Binary for Add,
-// Sub, Mul and RealDiv), bit-equal to the reference kernel — the same
-// function of the same two operands in the same order; every other
-// broadcast falls back to it.
+// Sub, Mul and RealDiv), every other broadcast on the body webgl's
+// broadcast programs run (kernels.Broadcast) — each bit-equal to the
+// reference kernel, the same function of the same two operands.
 func (b *Backend) binary(op *kernels.ElementwiseOp) kernels.OverrideKernel {
 	return func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
 		if len(inputs) != 2 {
 			return fmt.Errorf("%s: got %d inputs, want 2", op.Name, len(inputs))
 		}
 		a, x := inputs[0], inputs[1]
+		aBuf, xBuf := b.in(a), b.in(x)
 		// big is the operand with the output's element count; the other
 		// one's buffer is the row repeated against it.
 		big := a.Shape
@@ -132,9 +131,22 @@ func (b *Backend) binary(op *kernels.ElementwiseOp) kernels.OverrideKernel {
 		case isSuffixShape(a.Shape, x.Shape):
 			big = x.Shape
 		default:
-			return kernels.ErrFallback
+			// Any other broadcast: the shared body (kernels.Broadcast).
+			shape, err := tensor.BroadcastShapes(a.Shape, x.Shape)
+			if err != nil {
+				return kernels.ErrFallback // the reference kernel words the error
+			}
+			g, ok := kernels.NewBroadcast(a.Shape, x.Shape, shape)
+			if !ok {
+				return kernels.ErrFallback
+			}
+			out.Shape = append(out.Shape[:0], shape...)
+			dst := b.outOver(out, op.DType(a.DType))
+			b.parallelFor(len(dst), 1, func(lo, hi int) {
+				g.Fill(op.Binary, aBuf, xBuf, lo, dst[lo:hi])
+			})
+			return nil
 		}
-		aBuf, xBuf := b.in(a), b.in(x)
 		out.Shape = out.Shape[:0]
 		for i := len(big); i < max(len(a.Shape), len(x.Shape)); i++ {
 			out.Shape = append(out.Shape, 1) // the row operand had the higher rank
@@ -227,118 +239,53 @@ func (b *Backend) registerElementwise() {
 	})
 }
 
-// redOp selects a reduction, as binOp selects a binary kernel's arithmetic.
-type redOp int
-
-const (
-	redSum redOp = iota
-	redMean
-	redMax
-	redMin
-)
-
-// reduceRow folds one row left to right, as the reference kernel does:
-// sums from +0, Max from -Inf and Min from +Inf with a NaN never taken.
-func reduceRow(op redOp, row []float32) float32 {
-	switch op {
-	case redMax:
-		acc := float32(math.Inf(-1))
-		for _, v := range row {
-			if v > acc {
-				acc = v
-			}
-		}
-		return acc
-	case redMin:
-		acc := float32(math.Inf(1))
-		for _, v := range row {
-			if v < acc {
-				acc = v
-			}
-		}
-		return acc
-	}
-	var acc float32
-	for _, v := range row {
-		acc += v
-	}
-	if op == redMean {
-		acc /= float32(len(row))
-	}
-	return acc
-}
-
-// reduce is Sum, Mean, Max and Min over the inner dimension of an
-// [outer, inner] input.
-func (b *Backend) reduce(name string, op redOp) kernels.OverrideKernel {
+// reduction is a reduction of the shared table (kernels.Reductions) over
+// the rows of an [outer, inner] input: each output value one whole row, so
+// the reduction order is fixed whatever the worker count.
+func (b *Backend) reduction(name string, r kernels.Reduction) kernels.OverrideKernel {
 	return func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
-		if len(inputs) != 1 {
-			return fmt.Errorf("%s: got %d inputs, want 1", name, len(inputs))
+		_, inner, err := kernels.ResolveReduce(name, inputs, out)
+		if err != nil {
+			return err
 		}
-		x := inputs[0]
-		if len(x.Shape) != 2 {
-			return fmt.Errorf("%s: input must be rank 2, got %v", name, x.Shape)
-		}
-		outer, inner := x.Shape[0], x.Shape[1]
-		xBuf := b.in(x)
-		dt := x.DType
-		if op == redMean {
-			dt = tensor.Float32
-		}
-		out.Shape = append(out.Shape[:0], outer)
-		dst := b.outOver(out, dt)
-		// Each output element is one full row reduction; the inner
-		// accumulation never splits across chunks, so reduction order
-		// is fixed regardless of the worker count.
-		b.parallelFor(outer, 2*inner, func(lo, hi int) {
-			for o := lo; o < hi; o++ {
-				dst[o] = reduceRow(op, xBuf[o*inner:(o+1)*inner])
-			}
+		xBuf, dst := b.in(inputs[0]), b.outOver(out, out.DType)
+		b.parallelFor(len(dst), 2*inner, func(lo, hi int) {
+			r.Fill(xBuf, inner, lo, dst[lo:hi])
 		})
 		return nil
 	}
 }
 
 func (b *Backend) registerReduce() {
-	b.register("Sum", b.reduce("Sum", redSum))
-	b.register("Mean", b.reduce("Mean", redMean))
-	b.register("Max", b.reduce("Max", redMax))
-	b.register("Min", b.reduce("Min", redMin))
-	b.register("Transpose", b.transpose)
+	for name, r := range kernels.Reductions() {
+		b.register(name, b.reduction(name, r))
+	}
 
-	// BiasAddGrad sums the rows of [outer, inner] into [inner] on
-	// vec.SumRows, bit-equal to the reference kernel (each column meets its
-	// rows in order). Chunks are blocks of eight columns, whole vector steps.
+	// BiasAddGrad sums the rows of [outer, inner] into [inner]
+	// (kernels.ColumnSums). Chunks are blocks of eight columns, whole
+	// vector steps.
 	b.register("BiasAddGrad", func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
-		if len(inputs) != 1 || len(inputs[0].Shape) != 2 {
-			return kernels.ErrFallback // the reference kernel words the error
+		outer, inner, err := kernels.Rows("BiasAddGrad", inputs)
+		if err != nil {
+			return err
 		}
-		x := inputs[0]
-		outer, inner := x.Shape[0], x.Shape[1]
-		xBuf := b.in(x)
+		xBuf := b.in(inputs[0])
 		out.Shape = append(out.Shape[:0], inner)
-		dst := b.outOver(out, x.DType)
-		if outer == 0 {
-			clear(dst)
-			return nil
-		}
+		dst := b.outOver(out, inputs[0].DType)
 		b.parallelFor((inner+7)/8, 8*outer, func(lo, hi int) {
-			vec.SumRows(dst[lo*8:min(hi*8, inner)], xBuf[lo*8:], inner, outer)
+			kernels.ColumnSums(xBuf, outer, inner, lo*8, dst[lo*8:min(hi*8, inner)])
 		})
 		return nil
 	})
 
+	// Softmax keeps a body of its own on webgl (see the reference kernel).
 	b.register("Softmax", func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
-		if len(inputs) != 1 {
-			return fmt.Errorf("Softmax: got %d inputs, want 1", len(inputs))
+		outer, inner, err := kernels.Rows("Softmax", inputs)
+		if err != nil {
+			return err
 		}
-		x := inputs[0]
-		if len(x.Shape) != 2 {
-			return fmt.Errorf("Softmax: input must be rank 2, got %v", x.Shape)
-		}
-		outer, inner := x.Shape[0], x.Shape[1]
-		xBuf := b.in(x)
-		out.Shape = append(out.Shape[:0], x.Shape...)
+		xBuf := b.in(inputs[0])
+		out.Shape = append(out.Shape[:0], outer, inner)
 		dst := b.outOver(out, tensor.Float32)
 		b.parallelFor(outer, 16*inner, func(lo, hi int) {
 			for o := lo; o < hi; o++ {
@@ -349,106 +296,70 @@ func (b *Backend) registerReduce() {
 	})
 }
 
-// transposeTile is the side of the square tile transpose copies at a time:
-// 32×32 floats read and as many written, both inside the L1 cache whatever
-// the two strides are.
-const transposeTile = 32
-
-// transpose runs the permutations that move a tensor's trailing axes, as a
-// block, in front of the axes before them and leave any leading axes
-// where they are — what ops.reduce and the plan's Mean emit to bring the
-// reduced axes innermost: [3 0 1 2] for a bias gradient, [0 3 1 2] for a
-// global average pool. Such a permutation is a batch of 2-D transposes
-// [A, B] → [B, A], copied tile by tile. Every other permutation (and every
-// malformed one, for the reference kernel to reject) is declined.
-func (b *Backend) transpose(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
-	if len(inputs) != 1 {
-		return kernels.ErrFallback
-	}
-	x := inputs[0]
-	perm := attrs.Ints("perm", nil)
-	rank := len(x.Shape)
-	if len(perm) != rank {
-		return kernels.ErrFallback
-	}
-	// perm = 0 … lead-1, then split … rank-1, then lead … split-1.
-	lead := 0
-	for lead < rank && perm[lead] == lead {
-		lead++
-	}
-	split := rank
-	if lead < rank {
-		if split = perm[lead]; split <= lead || split >= rank {
-			return kernels.ErrFallback
+// move installs the shape kernel name, whose resolve (kernels.Resolve*)
+// checks a call and returns the body that fills its output from its one
+// input (none, for Fill), over chunks of the output.
+func move[M interface {
+	Fill(x []float32, lo int, dst []float32)
+}](name string, b *Backend, resolve func([]kernels.Input, kernels.Attrs, *kernels.TensorInfo) (M, error)) {
+	b.register(name, func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
+		body, err := resolve(inputs, attrs, out)
+		if err != nil {
+			return err // ErrFallback for a view of too many dims
 		}
-	}
-	for i := lead; i < rank; i++ {
-		want := split + i - lead
-		if want >= rank {
-			want -= rank - lead
+		var xBuf []float32
+		if len(inputs) > 0 {
+			xBuf = b.in(inputs[0])
 		}
-		if perm[i] != want {
-			return kernels.ErrFallback
-		}
-	}
-	batch, rows, cols := 1, 1, 1 // x as [batch, rows, cols] → [batch, cols, rows]
-	for i, d := range x.Shape {
-		switch {
-		case i < lead:
-			batch *= d
-		case i < split:
-			rows *= d
-		default:
-			cols *= d
-		}
-	}
-	xBuf := b.in(x)
-	out.Shape = out.Shape[:0]
-	for _, p := range perm {
-		out.Shape = append(out.Shape, x.Shape[p])
-	}
-	dst := b.outOver(out, x.DType)
-	if rows == 1 || cols == 1 {
-		copy(dst, xBuf) // transposing a vector moves nothing
+		dst := b.outOver(out, out.DType)
+		b.parallelFor(len(dst), 1, func(lo, hi int) {
+			body.Fill(xBuf, lo, dst[lo:hi])
+		})
 		return nil
-	}
-	// Sharded over the rows of the input: a chunk writes its own columns
-	// of every output row.
-	b.parallelFor(batch*rows, cols, func(lo, hi int) {
-		for lo < hi {
-			mat := lo / rows
-			r0 := lo % rows
-			r1 := min(rows, r0+hi-lo)
-			lo += r1 - r0
-			src, dstMat := xBuf[mat*rows*cols:], dst[mat*rows*cols:]
-			for rt := r0; rt < r1; rt += transposeTile {
-				rEnd := min(rt+transposeTile, r1)
-				for ct := 0; ct < cols; ct += transposeTile {
-					cEnd := min(ct+transposeTile, cols)
-					col := ct
-					// Four columns a pass: one bounds check on the source
-					// row per four floats moved.
-					for ; col+4 <= cEnd; col += 4 {
-						from := src[rt*cols+col:]
-						to0 := dstMat[col*rows+rt : col*rows+rEnd]
-						to1 := dstMat[(col+1)*rows+rt:][:len(to0)]
-						to2 := dstMat[(col+2)*rows+rt:][:len(to0)]
-						to3 := dstMat[(col+3)*rows+rt:][:len(to0)]
-						for i := range to0 {
-							q := from[i*cols : i*cols+4 : i*cols+4]
-							to0[i], to1[i], to2[i], to3[i] = q[0], q[1], q[2], q[3]
-						}
-					}
-					for ; col < cEnd; col++ {
-						from := src[rt*cols+col:]
-						to := dstMat[col*rows+rt : col*rows+rEnd]
-						for i := range to {
-							to[i] = from[i*cols]
-						}
-					}
-				}
-			}
-		}
 	})
-	return nil
+}
+
+// registerShape installs the data-movement kernels, on the bodies webgl's
+// programs run (internal/kernels/shape.go).
+func (b *Backend) registerShape() {
+	move("Transpose", b, kernels.ResolveTranspose)
+	move("Slice", b, kernels.ResolveSlice)
+	move("Tile", b, kernels.ResolveTile)
+	move("PadV2", b, kernels.ResolvePad)
+	move("OneHot", b, kernels.ResolveOneHot)
+	move("Fill", b, kernels.ResolveFill)
+
+	b.register("Concat", func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
+		c, err := kernels.ResolveConcat(inputs, attrs, out)
+		if err != nil {
+			return err
+		}
+		xs := make([][]float32, len(inputs))
+		for i, in := range inputs {
+			xs[i] = b.in(in)
+		}
+		dst := b.outOver(out, out.DType)
+		b.parallelFor(len(dst), 1, func(lo, hi int) {
+			c.Fill(xs, lo, dst[lo:hi])
+		})
+		return nil
+	})
+
+	// GatherV2 declines a call with an index out of range, for the reference
+	// kernel to reject.
+	b.register("GatherV2", func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
+		g, err := kernels.ResolveGather(inputs, attrs, out)
+		if err != nil {
+			return err
+		}
+		xBuf, idx := b.in(inputs[0]), b.in(inputs[1])
+		if !g.InRange(idx) {
+			return kernels.ErrFallback
+		}
+		dst := b.outOver(out, out.DType)
+		b.parallelFor(len(dst), 1, func(lo, hi int) {
+			g.Fill(xBuf, idx, lo, dst[lo:hi])
+		})
+		return nil
+	})
 }

@@ -30,7 +30,6 @@ func (b *Backend) initKernels() {
 	b.registerConv()
 	b.registerReduce()
 	b.registerShape()
-	b.registerGather()
 	b.registerConvGrad()
 	b.registerFused()
 	b.registerTrain()

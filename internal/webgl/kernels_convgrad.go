@@ -10,30 +10,27 @@ import (
 // registerConvGrad installs the backward convolution and pooling programs,
 // so training convolutional models stays entirely device-resident — the
 // paper's headline capability of "integrated training and inference on the
-// GPU from the browser". Each backward pass is expressed as a gather from
-// the output-gradient texture (fragment shaders cannot scatter), the same
-// formulation the real WebGL backend uses. The products leave out what the
-// reference kernels leave out: a zero dy in the input gradient, a zero x in
-// the filter gradients.
+// GPU from the browser". The filter gradient is the range body native runs;
+// every other backward pass is expressed as a gather from the
+// output-gradient texture (fragment shaders cannot scatter), the same
+// formulation the real WebGL backend uses — a second body beside native's
+// scatter over dy for Conv2DBackpropInput and MaxPoolGrad, until a
+// training step's timing decides which form both run, and beside the
+// reference alone for the depthwise and average-pool gradients, which node
+// does not run. The products leave out what the reference kernels leave
+// out: a zero dy in the input gradient, a zero x in the filter gradients.
 func (b *Backend) registerConvGrad() {
 	b.register("Conv2DBackpropInput", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-		if len(inputs) != 2 {
-			return errf("Conv2DBackpropInput: got %d inputs, want 2", len(inputs))
-		}
-		dy, w := inputs[0], inputs[1]
-		inShape := attrs.Ints("inputShape", nil)
-		info, err := kernels.ComputeConv2DInfo(inShape, w.Shape,
-			attrs.Ints("strides", []int{1, 1}), attrs.Ints("dilations", []int{1, 1}),
-			attrs.String("pad", "valid"), false)
+		info, err := kernels.ResolveConvBackprop("Conv2DBackpropInput", inputs, attrs, res)
 		if err != nil {
 			return err
 		}
 		if info.DilationHeight != 1 || info.DilationWidth != 1 {
 			return kernels.ErrFallback // dilated backprop via reference
 		}
-		_, dyTex := b.input(dy)
-		_, wTex := b.input(w)
-		out, err := b.output(inShape, tensor.Float32, res)
+		_, dyTex := b.input(inputs[0])
+		_, wTex := b.input(inputs[1])
+		out, err := b.output(res.Shape, res.DType, res)
 		if err != nil {
 			return err
 		}
@@ -84,60 +81,23 @@ func (b *Backend) registerConvGrad() {
 		return nil
 	})
 
+	// The filter gradient is the walk's body native runs over filter rows
+	// (kernels.Walk.FilterGrad), here over the texel range.
 	b.register("Conv2DBackpropFilter", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-		if len(inputs) != 2 {
-			return errf("Conv2DBackpropFilter: got %d inputs, want 2", len(inputs))
-		}
-		x, dy := inputs[0], inputs[1]
-		filterShape := attrs.Ints("filterShape", nil)
-		info, err := kernels.ComputeConv2DInfo(x.Shape, filterShape,
-			attrs.Ints("strides", []int{1, 1}), attrs.Ints("dilations", []int{1, 1}),
-			attrs.String("pad", "valid"), false)
+		info, err := kernels.ResolveConvBackprop("Conv2DBackpropFilter", inputs, attrs, res)
 		if err != nil {
 			return err
 		}
-		if info.DilationHeight != 1 || info.DilationWidth != 1 {
-			return kernels.ErrFallback
-		}
-		_, xTex := b.input(x)
-		_, dyTex := b.input(dy)
-		out, err := b.output(filterShape, tensor.Float32, res)
+		_, xTex := b.input(inputs[0])
+		_, dyTex := b.input(inputs[1])
+		out, err := b.output(res.Shape, res.DType, res)
 		if err != nil {
 			return err
 		}
-		inC, outC := info.InChannels, info.OutChannels
-		inRow := info.InWidth * inC
-		inImg := info.InHeight * inRow
-		outRow := info.OutWidth * outC
-		outImg := info.OutHeight * outRow
 		// Each filter value sums over the forward pass's in-bounds taps.
-		work := macWork(out.size, int64(convTaps(info))*int64(inC)*int64(outC), 3)
-		b.runFlat("Conv2DBackpropFilter", out, work, func(flat int) float32 {
-			oc := flat % outC
-			rest := flat / outC
-			ic := rest % inC
-			rest /= inC
-			fx := rest % info.FilterWidth
-			fy := rest / info.FilterWidth
-			var sum float32
-			for bb := 0; bb < info.BatchSize; bb++ {
-				for oy := 0; oy < info.OutHeight; oy++ {
-					iy := oy*info.StrideHeight - info.PadTop + fy
-					if iy < 0 || iy >= info.InHeight {
-						continue
-					}
-					for ox := 0; ox < info.OutWidth; ox++ {
-						ix := ox*info.StrideWidth - info.PadLeft + fx
-						if ix < 0 || ix >= info.InWidth {
-							continue
-						}
-						if xv := xTex.FetchFlat(bb*inImg + iy*inRow + ix*inC + ic); xv != 0 {
-							sum += float32(xv * dyTex.FetchFlat(bb*outImg+oy*outRow+ox*outC+oc))
-						}
-					}
-				}
-			}
-			return sum
+		work, walk, batch := macWork(out.size, int64(convTaps(info))*int64(info.InChannels)*int64(info.OutChannels), 3), kernels.NewWalk(info), info.BatchSize
+		b.run("Conv2DBackpropFilter", out, work, func(lo, hi int, dst []float32) {
+			walk.FilterGrad(xTex.Floats(), dyTex.Floats(), batch, lo, dst)
 		})
 		return nil
 	})

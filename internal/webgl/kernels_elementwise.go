@@ -16,8 +16,8 @@ import (
 // programs come in two forms: a channel-suffix path for operands whose
 // shape is the output's trailing dimensions (the output's own shape, a bias
 // or batch-norm vector, a scalar), which walks each operand with a wrapping
-// counter, and a broadcast path that routes through the compiler-generated
-// samplers.
+// counter, and a broadcast path on the body native's broadcasts run
+// (kernels.Broadcast), charged as the compiler-generated samplers' decode.
 func (b *Backend) registerElementwise() {
 	for _, op := range kernels.ElementwiseOps() {
 		if op.Binary != nil {
@@ -30,22 +30,6 @@ func (b *Backend) registerElementwise() {
 			})
 		}
 	}
-
-	// Fill is a zero-input program: every texel computes the constant.
-	b.register("Fill", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-		shape := attrs.Ints("shape", nil)
-		value := float32(attrs.Float("value", 0))
-		dt, err := tensor.ParseDataType(attrs.String("dtype", "float32"))
-		if err != nil {
-			return err
-		}
-		out, err := b.output(shape, dt, res)
-		if err != nil {
-			return err
-		}
-		b.runFlat("Fill", out, glsim.Work{}, func(int) float32 { return value })
-		return nil
-	})
 
 	// Select: three-input broadcast program.
 	b.register("Select", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
@@ -180,6 +164,10 @@ func (b *Backend) binaryProgram(op *kernels.ElementwiseOp, inputs []kernels.Inpu
 	if err != nil {
 		return err
 	}
+	g, ok := kernels.NewBroadcast(inputs[0].Shape, inputs[1].Shape, outShape)
+	if !ok {
+		return kernels.ErrFallback
+	}
 	out, err := b.output(outShape, op.DType(inputs[0].DType), res)
 	if err != nil {
 		return err
@@ -201,9 +189,8 @@ func (b *Backend) binaryProgram(op *kernels.ElementwiseOp, inputs []kernels.Inpu
 		})
 		return nil
 	}
-	maps := b.broadcastSamplers(outShape, [][]int{inputs[0].Shape, inputs[1].Shape})
-	b.runFlat(name, out, work, func(i int) float32 {
-		return f(aTex.FetchFlat(maps[0](i)), xTex.FetchFlat(maps[1](i)))
+	b.run(name, out, work, func(lo, hi int, dst []float32) {
+		g.Fill(f, aTex.Floats(), xTex.Floats(), lo, dst)
 	})
 	return nil
 }

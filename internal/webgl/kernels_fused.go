@@ -16,7 +16,7 @@ func (b *Backend) registerFused() {
 	b.register("FusedConv2D", b.convolution("FusedConv2D", true, false))
 	b.register("FusedDepthwiseConv2dNative", b.convolution("FusedDepthwiseConv2dNative", true, true))
 
-	b.register("_FusedMatMul", b.matMul("_FusedMatMul", 2, true))
+	b.register("_FusedMatMul", b.matMulProgram("_FusedMatMul"))
 }
 
 // fusedTail resolves the epilogue of a kernel with outC output channels:

@@ -3,200 +3,104 @@ package webgl
 import (
 	"repro/internal/glsim"
 	"repro/internal/kernels"
-	"repro/internal/tensor"
 )
 
-// registerShape installs data-movement programs: transpose, pad, slice and
-// concat. Each is a pure coordinate remapping executed per output texel.
+// registerShape installs the data-movement programs — transpose, slice,
+// tile, pad, one-hot, fill, concat and gather, the last three used heavily
+// by training loops (minibatch gathers, one-hot labels, broadcast-grad
+// tiles), so backpropagation stays device-resident. Each is the range body
+// native runs (internal/kernels/shape.go) over the texel range, with the
+// work of the per-value coordinate remapping it stands for.
 func (b *Backend) registerShape() {
-	b.register("Transpose", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-		if len(inputs) != 1 {
-			return errf("Transpose: got %d inputs, want 1", len(inputs))
-		}
-		x := inputs[0]
-		perm := attrs.Ints("perm", nil)
-		rank := len(x.Shape)
-		if len(perm) != rank {
-			return errf("Transpose: perm %v incompatible with rank %d", perm, rank)
-		}
-		outShape := make([]int, rank)
-		for i, p := range perm {
-			if p < 0 || p >= rank {
-				return errf("Transpose: invalid perm %v", perm)
+	// Squeezing drops size-1 output dims from the decode, as the sampler
+	// compiler does.
+	decode := func(size int, shape []int) glsim.Work {
+		terms := len(shape)
+		for _, d := range shape {
+			if b.cfg.SqueezeLogicalShapes && d == 1 {
+				terms--
 			}
-			outShape[i] = x.Shape[p]
 		}
-		_, xTex := b.input(x)
-		out, err := b.output(outShape, x.DType, res)
-		if err != nil {
-			return err
-		}
-		inStrides := tensor.ComputeStrides(x.Shape)
-		outStrides := tensor.ComputeStrides(outShape)
-		// Terms mapping output flat -> input flat; squeezing drops
-		// size-1 dims exactly as in the sampler compiler.
-		var terms []indexTerm
-		for i := 0; i < rank; i++ {
-			if b.cfg.SqueezeLogicalShapes && outShape[i] == 1 {
-				continue
-			}
-			terms = append(terms, indexTerm{div: outStrides[i], dim: outShape[i], stride: inStrides[perm[i]]})
-		}
-		b.runFlat("Transpose", out, perValue(out.size, 1, aluTerm*len(terms)), func(flat int) float32 {
-			idx := 0
-			for _, t := range terms {
-				idx += (flat / t.div % t.dim) * t.stride
-			}
-			return xTex.FetchFlat(idx)
-		})
-		return nil
-	})
-
-	b.register("PadV2", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-		if len(inputs) != 1 {
-			return errf("PadV2: got %d inputs, want 1", len(inputs))
-		}
-		x := inputs[0]
-		paddings := attrs.Ints("paddings", nil)
-		constValue := float32(attrs.Float("constantValue", 0))
-		rank := len(x.Shape)
-		if len(paddings) != 2*rank {
-			return errf("PadV2: paddings %v must have 2*rank entries", paddings)
-		}
-		outShape := make([]int, rank)
-		for d := 0; d < rank; d++ {
-			outShape[d] = x.Shape[d] + paddings[2*d] + paddings[2*d+1]
-		}
-		_, xTex := b.input(x)
-		out, err := b.output(outShape, x.DType, res)
-		if err != nil {
-			return err
-		}
-		outStrides := tensor.ComputeStrides(outShape)
-		inStrides := tensor.ComputeStrides(x.Shape)
-		inShape := tensor.CopyShape(x.Shape)
-		before := make([]int, rank)
-		for d := 0; d < rank; d++ {
-			before[d] = paddings[2*d]
-		}
-		// Every dimension decodes and bounds-checks; the fetch is charged
-		// as taken for padding values too.
-		b.runFlat("PadV2", out, perValue(out.size, 1, (aluTerm+2)*rank), func(flat int) float32 {
-			idx := 0
-			for d := 0; d < rank; d++ {
-				c := flat / outStrides[d] % outShape[d]
-				c -= before[d]
-				if c < 0 || c >= inShape[d] {
-					return constValue
-				}
-				idx += c * inStrides[d]
-			}
-			return xTex.FetchFlat(idx)
-		})
-		return nil
-	})
-
-	b.register("Slice", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-		if len(inputs) != 1 {
-			return errf("Slice: got %d inputs, want 1", len(inputs))
-		}
-		x := inputs[0]
-		begin := attrs.Ints("begin", nil)
-		size := attrs.Ints("size", nil)
-		rank := len(x.Shape)
-		if len(begin) != rank || len(size) != rank {
-			return errf("Slice: begin/size incompatible with rank %d", rank)
-		}
-		outShape := make([]int, rank)
-		for d := 0; d < rank; d++ {
-			s := size[d]
-			if s == -1 {
-				s = x.Shape[d] - begin[d]
-			}
-			if begin[d] < 0 || s < 0 || begin[d]+s > x.Shape[d] {
-				return errf("Slice: begin %v size %v out of bounds for %v", begin, size, x.Shape)
-			}
-			outShape[d] = s
-		}
-		_, xTex := b.input(x)
-		out, err := b.output(outShape, x.DType, res)
-		if err != nil {
-			return err
-		}
-		outStrides := tensor.ComputeStrides(outShape)
-		inStrides := tensor.ComputeStrides(x.Shape)
-		baseOffset := 0
-		for d := 0; d < rank; d++ {
-			baseOffset += begin[d] * inStrides[d]
-		}
-		var terms []indexTerm
-		for d := 0; d < rank; d++ {
-			if b.cfg.SqueezeLogicalShapes && outShape[d] == 1 {
-				continue
-			}
-			terms = append(terms, indexTerm{div: outStrides[d], dim: outShape[d], stride: inStrides[d]})
-		}
-		b.runFlat("Slice", out, perValue(out.size, 1, aluTerm*len(terms)), func(flat int) float32 {
-			idx := baseOffset
-			for _, t := range terms {
-				idx += (flat / t.div % t.dim) * t.stride
-			}
-			return xTex.FetchFlat(idx)
-		})
-		return nil
-	})
+		return perValue(size, 1, aluTerm*terms)
+	}
+	move("Transpose", b, kernels.ResolveTranspose, decode)
+	move("Slice", b, kernels.ResolveSlice, decode)
+	// Every dimension decodes and wraps (tile) or bounds-checks (pad); the
+	// fetch is charged as taken for padding values too.
+	move("Tile", b, kernels.ResolveTile, func(size int, shape []int) glsim.Work { return perValue(size, 1, (aluTerm+1)*len(shape)) })
+	move("PadV2", b, kernels.ResolvePad, func(size int, shape []int) glsim.Work { return perValue(size, 1, (aluTerm+2)*len(shape)) })
+	move("OneHot", b, kernels.ResolveOneHot, func(size int, _ []int) glsim.Work { return perValue(size, 1, aluDecode+1) })
+	move("Fill", b, kernels.ResolveFill, func(int, []int) glsim.Work { return glsim.Work{} }) // a constant: no work
 
 	b.register("Concat", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-		if len(inputs) == 0 {
-			return errf("Concat: needs at least one input")
-		}
-		axis := attrs.Int("axis", 0)
-		rank := len(inputs[0].Shape)
-		if axis < 0 {
-			axis += rank
-		}
-		if axis < 0 || axis >= rank {
-			return errf("Concat: axis out of range for rank %d", rank)
-		}
-		outShape := tensor.CopyShape(inputs[0].Shape)
-		outShape[axis] = 0
-		texes := make([]*glsim.Texture, len(inputs))
-		offsets := make([]int, len(inputs)) // cumulative sizes along axis
-		for i, in := range inputs {
-			if len(in.Shape) != rank {
-				return errf("Concat: rank mismatch")
-			}
-			offsets[i] = outShape[axis]
-			outShape[axis] += in.Shape[axis]
-			_, texes[i] = b.input(in)
-		}
-		out, err := b.output(outShape, inputs[0].DType, res)
+		c, err := kernels.ResolveConcat(inputs, attrs, res)
 		if err != nil {
 			return err
 		}
-		outerSize := tensor.ShapeSize(outShape[:axis])
-		innerSize := tensor.ShapeSize(outShape[axis+1:])
-		_ = outerSize
-		axisDim := outShape[axis]
-		inAxis := make([]int, len(inputs))
+		texes := make([]*glsim.Texture, len(inputs))
 		for i, in := range inputs {
-			inAxis[i] = in.Shape[axis]
+			_, texes[i] = b.input(in)
+		}
+		out, err := b.output(res.Shape, res.DType, res)
+		if err != nil {
+			return err
 		}
 		// Two div/mod pairs, then a chain of coordinate comparisons.
-		b.runFlat("Concat", out, perValue(out.size, 1, 2*aluDecode+len(inputs)), func(flat int) float32 {
-			innerIdx := flat % innerSize
-			rest := flat / innerSize
-			a := rest % axisDim
-			outer := rest / axisDim
-			// Select the segment containing coordinate a; the shader
-			// equivalent is a chain of coordinate comparisons.
-			for i := len(inputs) - 1; i >= 0; i-- {
-				if a >= offsets[i] {
-					local := a - offsets[i]
-					return texes[i].FetchFlat((outer*inAxis[i]+local)*innerSize + innerIdx)
-				}
+		b.run("Concat", out, perValue(out.size, 1, 2*aluDecode+len(inputs)), func(lo, hi int, dst []float32) {
+			xs := make([][]float32, len(texes))
+			for i, t := range texes {
+				xs[i] = t.Floats()
 			}
-			return 0
+			c.Fill(xs, lo, dst)
+		})
+		return nil
+	})
+
+	// GatherV2 writes 0 for an index out of range (kernels.Gather.Fill).
+	b.register("GatherV2", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
+		g, err := kernels.ResolveGather(inputs, attrs, res)
+		if err != nil {
+			return err
+		}
+		_, xTex := b.input(inputs[0])
+		_, idxTex := b.input(inputs[1])
+		out, err := b.output(res.Shape, res.DType, res)
+		if err != nil {
+			return err
+		}
+		b.run("GatherV2", out, perValue(out.size, 2, 2*aluDecode+2), func(lo, hi int, dst []float32) {
+			g.Fill(xTex.Floats(), idxTex.Floats(), lo, dst)
+		})
+		return nil
+	})
+}
+
+// move registers the shape program name, whose resolve (kernels.Resolve*)
+// checks a call and returns the body that fills its output from its one
+// input (none, for Fill), and whose work is the program's for an output of
+// size values of that shape.
+func move[M interface {
+	Fill(x []float32, lo int, dst []float32)
+}](name string, b *Backend, resolve func([]kernels.Input, kernels.Attrs, *kernels.TensorInfo) (M, error), work func(size int, shape []int) glsim.Work) {
+	b.register(name, func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
+		body, err := resolve(inputs, attrs, res)
+		if err != nil {
+			return err // ErrFallback for a view of too many dims
+		}
+		var x *glsim.Texture
+		if len(inputs) > 0 {
+			_, x = b.input(inputs[0])
+		}
+		out, err := b.output(res.Shape, res.DType, res)
+		if err != nil {
+			return err
+		}
+		b.run(name, out, work(out.size, res.Shape), func(lo, hi int, dst []float32) {
+			var xs []float32
+			if x != nil {
+				xs = x.Floats()
+			}
+			body.Fill(xs, lo, dst)
 		})
 		return nil
 	})

@@ -2,38 +2,28 @@ package webgl
 
 import (
 	"repro/internal/kernels"
-	"repro/internal/tensor"
-	"repro/internal/vec"
 )
 
 // registerTrain installs the programs a training step's tail dispatches:
-// the bias gradient's leading-axes sum and Adam's two fused kernels
-// (internal/kernels/adam.go). Each runs its internal/vec row over the
-// program's value range, so a webgl Fit keeps its gradients and optimizer
+// the bias gradient's leading-axes sum and Adam's two fused kernels, on
+// the range bodies native runs (kernels.ColumnSums, kernels.AdamMoments,
+// kernels.ApplyAdam), so a webgl Fit keeps its gradients and optimizer
 // state on the device and reads back only what the caller asks for (the
 // loss and the metrics; Section 4.1.1).
 func (b *Backend) registerTrain() {
 	// BiasAddGrad: [outer, inner] → [inner], one output value per column.
 	b.register("BiasAddGrad", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-		if len(inputs) != 1 {
-			return errf("BiasAddGrad: got %d inputs, want 1", len(inputs))
+		outer, inner, err := kernels.Rows("BiasAddGrad", inputs)
+		if err != nil {
+			return err
 		}
-		x := inputs[0]
-		if len(x.Shape) != 2 {
-			return errf("BiasAddGrad: input must be rank 2 [outer, inner], got %v", x.Shape)
-		}
-		outer, inner := x.Shape[0], x.Shape[1]
-		_, xTex := b.input(x)
-		out, err := b.output([]int{inner}, x.DType, res)
+		_, xTex := b.input(inputs[0])
+		out, err := b.output([]int{inner}, inputs[0].DType, res)
 		if err != nil {
 			return err
 		}
 		b.run("BiasAddGrad", out, perValue(inner, outer, outer), func(lo, hi int, dst []float32) {
-			var xs []float32
-			if outer > 0 {
-				xs = xTex.Floats()[lo:]
-			}
-			vec.SumRows(dst, xs, inner, outer)
+			kernels.ColumnSums(xTex.Floats(), outer, inner, lo, dst)
 		})
 		return nil
 	})
@@ -41,45 +31,36 @@ func (b *Backend) registerTrain() {
 	// AdamMoments: (mv [2, ...shape], g [...shape]) → mv', any value range
 	// of the slot, m and v alike.
 	b.register("AdamMoments", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-		if len(inputs) != 2 {
-			return errf("AdamMoments: got %d inputs, want 2", len(inputs))
-		}
-		if err := kernels.CheckAdamSlot("AdamMoments", inputs[0].Shape, inputs[1].Shape); err != nil {
+		a, err := kernels.ResolveAdamMoments(inputs, attrs, res)
+		if err != nil {
 			return err
 		}
 		_, mvTex := b.input(inputs[0])
 		_, gTex := b.input(inputs[1])
-		out, err := b.output(inputs[0].Shape, tensor.Float32, res)
+		out, err := b.output(res.Shape, res.DType, res)
 		if err != nil {
 			return err
 		}
-		n := tensor.ShapeSize(inputs[1].Shape)
-		beta1, c1, beta2, c2 := kernels.AdamMomentsAttrs(attrs)
-		b.run("AdamMoments", out, adamMomentsWork(n), func(lo, hi int, dst []float32) {
-			vec.AdamMoments(dst, mvTex.Floats(), gTex.Floats()[:n], lo, beta1, c1, beta2, c2)
+		b.run("AdamMoments", out, adamMomentsWork(out.size/2), func(lo, hi int, dst []float32) {
+			a.Fill(mvTex.Floats(), gTex.Floats(), lo, dst)
 		})
 		return nil
 	})
 
 	// ApplyAdam: (x [...shape], mv [2, ...shape]) → x'.
 	b.register("ApplyAdam", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-		if len(inputs) != 2 {
-			return errf("ApplyAdam: got %d inputs, want 2", len(inputs))
-		}
-		if err := kernels.CheckAdamSlot("ApplyAdam", inputs[1].Shape, inputs[0].Shape); err != nil {
+		a, err := kernels.ResolveApplyAdam(inputs, attrs, res)
+		if err != nil {
 			return err
 		}
 		_, xTex := b.input(inputs[0])
 		_, mvTex := b.input(inputs[1])
-		out, err := b.output(inputs[0].Shape, tensor.Float32, res)
+		out, err := b.output(res.Shape, res.DType, res)
 		if err != nil {
 			return err
 		}
-		n := out.size
-		lr, corr1, corr2, eps := kernels.ApplyAdamAttrs(attrs)
-		b.run("ApplyAdam", out, perValue(n, 3, aluAdamStep), func(lo, hi int, dst []float32) {
-			mv := mvTex.Floats()
-			vec.AdamStep(dst, xTex.Floats()[lo:hi], mv[lo:hi], mv[n+lo:n+hi], lr, corr1, corr2, eps)
+		b.run("ApplyAdam", out, perValue(out.size, 3, aluAdamStep), func(lo, hi int, dst []float32) {
+			a.Fill(xTex.Floats(), mvTex.Floats(), lo, dst)
 		})
 		return nil
 	})

@@ -34,6 +34,10 @@ func BenchmarkProgram(b *testing.B) {
 		{"BatchNorm_24x24x32", "FusedBatchNorm", [][]int{{1, 24, 24, 32}, {32}, {32}, {32}, {32}}, kernels.Attrs{"varianceEpsilon": 1e-3}},
 		{"Relu6_24x24x32", "Relu6", [][]int{{1, 24, 24, 32}}, kernels.Attrs{}},
 		{"Dense_256→1000", "BatchMatMul", [][]int{{1, 1, 256}, {1, 256, 1000}}, kernels.Attrs{"transposeA": false, "transposeB": false}},
+		{"DenseGradTB_32x10→256", "BatchMatMul", [][]int{{1, 32, 10}, {1, 256, 10}}, kernels.Attrs{"transposeA": false, "transposeB": true}},
+		{"TransposeGlobalPool_3x3x256", "Transpose", [][]int{{1, 3, 3, 256}}, kernels.Attrs{"perm": []int{0, 3, 1, 2}}},
+		{"MeanGlobalPool_256x9", "Mean", [][]int{{256, 9}}, kernels.Attrs{}},
+		{"Concat_2x24x24x32", "Concat", [][]int{{1, 24, 24, 32}, {1, 24, 24, 32}}, kernels.Attrs{"axis": 3}},
 	}
 	for _, p := range programs {
 		for _, layout := range []string{"packed", "unpacked"} {

@@ -184,6 +184,48 @@ func TestZeroLhsLeftOutOnEveryTier(t *testing.T) {
 	})
 }
 
+// TestMalformedShapeCallsFailOnEveryTier: three calls the reference kernel
+// rejects — a Transpose with a repeated axis, a PadV2 with a negative
+// padding, and a Concat whose non-axis dims disagree (which read past an
+// input) — fail on cpu, node and every simulated device with the
+// reference kernel's error, from the one check each op has
+// (kernels.Resolve*). The devices' programs once ran all three.
+func TestMalformedShapeCallsFailOnEveryTier(t *testing.T) {
+	nb := native.New()
+	t.Cleanup(nb.Close)
+	naive := cpu.NewNaive()
+	t.Cleanup(naive.Close)
+	x := operand([]int{2, 3}, 0, 7, 1)
+	for _, c := range []tierCase{
+		{"repeatedAxis", "Transpose", []kernels.Buffer{x}, kernels.Attrs{"perm": []int{1, 1}}},
+		{"negativePadding", "PadV2", []kernels.Buffer{x}, kernels.Attrs{"paddings": []int{0, 1, -1, 2}}},
+		{"nonAxisDims", "Concat", []kernels.Buffer{x, operand([]int{3, 3}, 0, 7, 1)}, kernels.Attrs{"axis": 1}},
+	} {
+		ref, _ := kernels.LookupRef(c.kernel)
+		_, want := ref(c.inputs, c.attrs)
+		if want == nil {
+			t.Fatalf("%s/%s: the reference kernel accepts it", c.kernel, c.label)
+		}
+		for _, b := range append([]tier{{"cpu", "fp32", naive}, {"node", "fp32", nb}}, deviceBackends(t)...) {
+			ins := make([]kernels.Input, len(c.inputs))
+			for i, in := range c.inputs {
+				ins[i] = kernels.Input{DataID: tensor.NewDataID(), Shape: in.Shape, DType: in.DType}
+				b.backend.Write(ins[i].DataID, in.Data, in.Shape, in.DType)
+			}
+			var out kernels.TensorInfo
+			if err := kernels.Dispatch(b.backend, c.kernel, ins, c.attrs, &out); fmt.Sprint(err) != want.Error() {
+				t.Errorf("%s/%s on %s: err = %v, want the reference kernel's %v", c.kernel, c.label, b.name, err, want)
+				if err == nil {
+					b.backend.DisposeData(out.DataID)
+				}
+			}
+			for _, in := range ins {
+				b.backend.DisposeData(in.DataID)
+			}
+		}
+	}
+}
+
 // TestZeroTimesInfIsNaNAsOnTheReferenceTier: the depthwise convolution is
 // the one product that stays dense — the reference kernel multiplies every
 // tap, so a ±0 opposite +Inf or NaN puts a NaN in the sum — and every tier
