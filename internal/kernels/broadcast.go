@@ -117,3 +117,110 @@ func (g Broadcast) Fill(f func(a, x float32) float32, a, x []float32, lo int, ds
 		at += len(run)
 	}
 }
+
+// Operands lays any number of operands over their output as a Broadcast
+// lays two: the output value at coordinates c reads operand k at
+// Σ c·strides[k], the stride of a dim the operand broadcasts along 0; dims
+// every operand continues are merged and size-1 dims dropped. It is
+// Select's and batch norm's broadcast, on slices where a Broadcast keeps
+// fixed arrays, which a binary op's per-dispatch closure holds without an
+// allocation.
+type Operands struct {
+	shape   []int
+	strides [][]int
+}
+
+// layOperands lays operands of shapes ins over out, their broadcast shape.
+func layOperands(out []int, ins ...[]int) Operands {
+	o := Operands{strides: make([][]int, len(ins))}
+	at := make([]int, len(ins))
+	for d, n := range out {
+		if n == 1 {
+			continue
+		}
+		last, merge := len(o.shape)-1, len(o.shape) > 0
+		for k, in := range ins {
+			at[k] = 0
+			if j := d - len(out) + len(in); j >= 0 && in[j] != 1 {
+				at[k] = tensor.ShapeSize(in[j+1:])
+			}
+			merge = merge && o.strides[k][last] == n*at[k]
+		}
+		if merge {
+			o.shape[last] *= n
+		} else {
+			o.shape = append(o.shape, n)
+		}
+		for k := range ins {
+			if merge {
+				o.strides[k][last] = at[k]
+			} else {
+				o.strides[k] = append(o.strides[k], at[k])
+			}
+		}
+	}
+	return o
+}
+
+// runs calls run on each run of the last dim among the output values
+// [lo, lo+len(dst)): its values in dst and, per operand, the index of the
+// run's first value (at) and the distance to the next (step).
+func (o Operands) runs(lo int, dst []float32, run func(dst []float32, at, step []int)) {
+	at, step := make([]int, len(o.strides)), make([]int, len(o.strides))
+	if len(o.shape) == 0 { // every dim is 1: one value
+		run(dst, at, step)
+		return
+	}
+	last := len(o.shape) - 1
+	n := o.shape[last]
+	for k := range step {
+		step[k] = o.strides[k][last]
+	}
+	for pos, hi := lo, lo+len(dst); pos < hi; {
+		j, r := pos%n, pos/n
+		for k := range at {
+			at[k] = j * step[k]
+		}
+		for d := last - 1; d >= 0; d-- {
+			c := r % o.shape[d]
+			for k := range at {
+				at[k] += c * o.strides[k][d]
+			}
+			r /= o.shape[d]
+		}
+		m := min(n-j, hi-pos)
+		run(dst[pos-lo:pos-lo+m], at, step)
+		pos += m
+	}
+}
+
+// ResolveSelect checks a Select — cond, t and f, whose shapes broadcast
+// together — and lays the three over its output.
+func ResolveSelect(inputs []Input, out *TensorInfo) (Operands, error) {
+	if err := wantInputs("Select", inputs, 3); err != nil {
+		return Operands{}, err
+	}
+	shape, err := tensor.BroadcastShapes(inputs[1].Shape, inputs[2].Shape)
+	if err == nil {
+		shape, err = tensor.BroadcastShapes(shape, inputs[0].Shape)
+	}
+	if err != nil {
+		return Operands{}, errIn("Select", "%v", err)
+	}
+	out.Shape, out.DType = append(out.Shape[:0], shape...), inputs[1].DType
+	return layOperands(shape, inputs[0].Shape, inputs[1].Shape, inputs[2].Shape), nil
+}
+
+// Select computes the output values [lo, lo+len(dst)) of a Select into
+// dst: t's value where cond's is nonzero, f's elsewhere.
+func (o Operands) Select(cond, t, f []float32, lo int, dst []float32) {
+	o.runs(lo, dst, func(run []float32, at, step []int) {
+		for i := range run {
+			if cond[at[0]+i*step[0]] != 0 {
+				run[i] = t[at[1]+i*step[1]]
+			} else {
+				run[i] = f[at[2]+i*step[2]]
+			}
+		}
+	})
+}

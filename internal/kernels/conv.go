@@ -1,6 +1,10 @@
 package kernels
 
-import "repro/internal/tensor"
+import (
+	"strings"
+
+	"repro/internal/tensor"
+)
 
 // unitStrides is the [1, 1] default of the strides and dilations
 // attributes: package-level, since a literal at the call site is an
@@ -12,10 +16,10 @@ func convAttrs(attrs Attrs) (strides, dilations []int, pad string) {
 	return attrs.Ints("strides", unitStrides), attrs.Ints("dilations", unitStrides), attrs.String("pad", "valid")
 }
 
-// ResolveConvBackprop checks a Conv2D gradient — Conv2DBackpropFilter's
-// (x, dy) and attr filterShape, or Conv2DBackpropInput's (dy, filter) and
-// attr inputShape — and resolves the forward convolution it
-// differentiates, whose output dy must be; out is the gradient, of the
+// ResolveConvBackprop checks a Conv2D or depthwise gradient — a
+// …BackpropFilter's (x, dy) and attr filterShape, or a …BackpropInput's
+// (dy, filter) and attr inputShape — and resolves the forward convolution
+// it differentiates, whose output dy must be; out is the gradient, of the
 // filter's or the input's shape.
 func ResolveConvBackprop(name string, inputs []Input, attrs Attrs, out *TensorInfo) (Conv2DInfo, error) {
 	if err := wantInputs(name, inputs, 2); err != nil {
@@ -23,12 +27,12 @@ func ResolveConvBackprop(name string, inputs []Input, attrs Attrs, out *TensorIn
 	}
 	x, w, dy := inputs[0].Shape, attrs.Ints("filterShape", nil), inputs[1].Shape
 	grad := w
-	if name == "Conv2DBackpropInput" {
+	if strings.HasSuffix(name, "BackpropInput") {
 		x, w, dy = attrs.Ints("inputShape", nil), inputs[1].Shape, inputs[0].Shape
 		grad = x
 	}
 	strides, dilations, pad := convAttrs(attrs)
-	info, err := ComputeConv2DInfo(x, w, strides, dilations, pad, false)
+	info, err := ComputeConv2DInfo(x, w, strides, dilations, pad, strings.HasPrefix(name, "Depthwise"))
 	if err != nil {
 		return info, errIn(name, "%v", err)
 	}
@@ -181,17 +185,13 @@ func init() {
 	// DepthwiseConv2dNativeBackpropInput: inputs (dy, filter), attr
 	// "inputShape".
 	RegisterRef("DepthwiseConv2dNativeBackpropInput", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		if err := wantInputs("DepthwiseConv2dNativeBackpropInput", inputs, 2); err != nil {
+		var res TensorInfo
+		info, err := ResolveConvBackprop("DepthwiseConv2dNativeBackpropInput", inputsOf(inputs), attrs, &res)
+		if err != nil {
 			return Buffer{}, err
 		}
 		dy, w := inputs[0], inputs[1]
-		inShape := attrs.Ints("inputShape", nil)
-		strides, dilations, pad := convAttrs(attrs)
-		info, err := ComputeConv2DInfo(inShape, w.Shape, strides, dilations, pad, true)
-		if err != nil {
-			return Buffer{}, errIn("DepthwiseConv2dNativeBackpropInput", "%v", err)
-		}
-		dx := NewBuffer(inShape, tensor.Float32)
+		dx := NewBuffer(res.Shape, tensor.Float32)
 		inC, mult := info.InChannels, info.ChannelMultiplier
 		outC := info.OutChannels
 		inRow := info.InWidth * inC
@@ -234,17 +234,13 @@ func init() {
 	// DepthwiseConv2dNativeBackpropFilter: inputs (x, dy), attr
 	// "filterShape".
 	RegisterRef("DepthwiseConv2dNativeBackpropFilter", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		if err := wantInputs("DepthwiseConv2dNativeBackpropFilter", inputs, 2); err != nil {
+		var res TensorInfo
+		info, err := ResolveConvBackprop("DepthwiseConv2dNativeBackpropFilter", inputsOf(inputs), attrs, &res)
+		if err != nil {
 			return Buffer{}, err
 		}
 		x, dy := inputs[0], inputs[1]
-		filterShape := attrs.Ints("filterShape", nil)
-		strides, dilations, pad := convAttrs(attrs)
-		info, err := ComputeConv2DInfo(x.Shape, filterShape, strides, dilations, pad, true)
-		if err != nil {
-			return Buffer{}, errIn("DepthwiseConv2dNativeBackpropFilter", "%v", err)
-		}
-		dw := NewBuffer(filterShape, tensor.Float32)
+		dw := NewBuffer(res.Shape, tensor.Float32)
 		inC, mult := info.InChannels, info.ChannelMultiplier
 		outC := info.OutChannels
 		inRow := info.InWidth * inC

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/tensor"
+	"repro/internal/vec"
 )
 
 func init() {
@@ -107,18 +108,11 @@ func init() {
 	// Select picks from (t, f) according to a condition tensor, with
 	// broadcasting across all three inputs.
 	RegisterRef("Select", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		if err := wantInputs("Select", inputs, 3); err != nil {
+		var res TensorInfo
+		if _, err := ResolveSelect(inputsOf(inputs), &res); err != nil {
 			return Buffer{}, err
 		}
-		cond, tVal, fVal := inputs[0], inputs[1], inputs[2]
-		shape, err := tensor.BroadcastShapes(tVal.Shape, fVal.Shape)
-		if err != nil {
-			return Buffer{}, errIn("Select", "%v", err)
-		}
-		shape, err = tensor.BroadcastShapes(shape, cond.Shape)
-		if err != nil {
-			return Buffer{}, errIn("Select", "%v", err)
-		}
+		cond, tVal, fVal, shape := inputs[0], inputs[1], inputs[2], res.Shape
 		out := NewBuffer(shape, tVal.DType)
 		cs := broadcastStrides(cond.Shape, shape)
 		ts := broadcastStrides(tVal.Shape, shape)
@@ -155,7 +149,8 @@ func init() {
 	// Inputs: x, mean, variance, offset, scale. mean/variance/offset/
 	// scale broadcast against x (typically shape [C]).
 	RegisterRef("FusedBatchNorm", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		if err := wantInputs("FusedBatchNorm", inputs, 5); err != nil {
+		var res TensorInfo
+		if _, err := ResolveBatchNorm(inputsOf(inputs), attrs, &res); err != nil {
 			return Buffer{}, err
 		}
 		x, mean, variance, offset, scale := inputs[0], inputs[1], inputs[2], inputs[3], inputs[4]
@@ -196,6 +191,92 @@ func init() {
 // webgl's broadcast program's (vec.BatchNorm is its row form).
 func BatchNormValue(x, mean, variance, offset, scale, eps float32) float32 {
 	return float32((x-mean)/float32(math.Sqrt(float64(variance+eps)))*scale) + offset
+}
+
+// A BatchNorm is a resolved FusedBatchNorm.
+type BatchNorm struct {
+	eps float32
+	// period is c when every parameter, leading 1s dropped, is x's trailing
+	// dims of c values — batch norm's [C] vectors against [..., C] — so that
+	// each repeats every c values of x: vec.BatchNorm's row form. Otherwise
+	// it is 0, and ops lays x and the parameters over the output. A pointer:
+	// a program's closure holds a BatchNorm per dispatch.
+	period int32
+	ops    *Operands
+}
+
+// ResolveBatchNorm checks a FusedBatchNorm — x and four parameters (mean,
+// variance, offset, scale) whose shapes broadcast to x's; attr
+// varianceEpsilon.
+func ResolveBatchNorm(inputs []Input, attrs Attrs, out *TensorInfo) (BatchNorm, error) {
+	if err := wantInputs("FusedBatchNorm", inputs, 5); err != nil {
+		return BatchNorm{}, err
+	}
+	x := inputs[0].Shape
+	n := BatchNorm{eps: float32(attrs.Float("varianceEpsilon", 1e-3)), period: int32(SuffixPeriod(inputs[1].Shape, x))}
+	for i, p := range inputs[1:] {
+		if !broadcastsTo(p.Shape, x) {
+			return BatchNorm{}, errIn("FusedBatchNorm", "input %d shape %v does not broadcast to x's %v", i+1, p.Shape, x)
+		}
+		if SuffixPeriod(p.Shape, x) != int(n.period) {
+			n.period = 0
+		}
+	}
+	if n.period == 0 {
+		ops := layOperands(x, x, inputs[1].Shape, inputs[2].Shape, inputs[3].Shape, inputs[4].Shape)
+		n.ops = &ops
+	}
+	out.Shape, out.DType = append(out.Shape[:0], x...), tensor.Float32
+	return n, nil
+}
+
+// SuffixPeriod is shape's number of values when, leading 1s dropped, it is
+// out's trailing dims — a bias [C] against [..., C], a scalar, out's own
+// shape: broadcast against out, it repeats with that period along out's
+// values — and 0 otherwise.
+func SuffixPeriod(shape, out []int) int {
+	for len(shape) > 0 && shape[0] == 1 {
+		shape = shape[1:]
+	}
+	if len(shape) > len(out) || !tensor.ShapesEqual(shape, out[len(out)-len(shape):]) {
+		return 0
+	}
+	return tensor.ShapeSize(shape)
+}
+
+// broadcastsTo reports whether shape broadcasts to out without changing
+// it: leading 1s past out's rank dropped, each dim, aligned at the last,
+// is 1 or out's.
+func broadcastsTo(shape, out []int) bool {
+	for len(shape) > len(out) && shape[0] == 1 {
+		shape = shape[1:]
+	}
+	if len(shape) > len(out) {
+		return false
+	}
+	for i, n := range shape {
+		if n != 1 && n != out[len(out)-len(shape)+i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Fill computes the output values [lo, lo+len(dst)) of the batch norm into
+// dst: BatchNormValue of x and the parameters where each broadcasts — the
+// row vec.BatchNorm, bit-equal to it, when every parameter is one period
+// of x.
+func (n BatchNorm) Fill(x, mean, variance, offset, scale []float32, lo int, dst []float32) {
+	if c := int(n.period); c > 0 {
+		vec.BatchNorm(dst, x[lo:lo+len(dst)], mean[:c], variance, scale, offset, n.eps, lo%c)
+		return
+	}
+	n.ops.runs(lo, dst, func(run []float32, at, step []int) {
+		for i := range run {
+			run[i] = BatchNormValue(x[at[0]+i*step[0]], mean[at[1]+i*step[1]], variance[at[2]+i*step[2]],
+				offset[at[3]+i*step[3]], scale[at[4]+i*step[4]], n.eps)
+		}
+	})
 }
 
 // A Constant is Fill's range body: every value is the one value.

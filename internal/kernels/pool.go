@@ -6,11 +6,42 @@ import (
 	"repro/internal/tensor"
 )
 
+// defaultPoolSize is the [2, 2] default of filterSize, package-level: a
+// literal at the call site is an allocation per pool-gradient dispatch.
+var defaultPoolSize = []int{2, 2}
+
 func poolAttrs(attrs Attrs) (filterSize, strides []int, pad string) {
-	filterSize = attrs.Ints("filterSize", []int{2, 2})
+	filterSize = attrs.Ints("filterSize", defaultPoolSize)
 	strides = attrs.Ints("strides", filterSize)
 	pad = attrs.String("pad", "valid")
 	return filterSize, strides, pad
+}
+
+// ResolvePoolGrad checks a pool gradient — MaxPoolGrad's (dy, x), or
+// AvgPoolGrad's dy and attr inputShape — and resolves the forward pool it
+// differentiates, whose output dy must be; out is the gradient, of the
+// input's shape.
+func ResolvePoolGrad(name string, inputs []Input, attrs Attrs, out *TensorInfo) (Conv2DInfo, error) {
+	n, x := 1, attrs.Ints("inputShape", nil)
+	if name == "MaxPoolGrad" {
+		n = 2
+	}
+	if err := wantInputs(name, inputs, n); err != nil {
+		return Conv2DInfo{}, err
+	}
+	if n == 2 {
+		x = inputs[1].Shape
+	}
+	filterSize, strides, pad := poolAttrs(attrs)
+	info, err := ComputePool2DInfo(x, filterSize, strides, pad)
+	if err != nil {
+		return info, errIn(name, "%v", err)
+	}
+	if dy := inputs[0].Shape; !tensor.ShapesEqual(dy, info.OutShape()) {
+		return info, errIn(name, "dy shape %v != pool output shape %v", dy, info.OutShape())
+	}
+	out.Shape, out.DType = append(out.Shape[:0], x...), tensor.Float32
+	return info, nil
 }
 
 func init() {
@@ -64,19 +95,13 @@ func init() {
 	// MaxPoolGrad routes dy to the max position of each window. Inputs
 	// are (dy, x).
 	RegisterRef("MaxPoolGrad", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		if err := wantInputs("MaxPoolGrad", inputs, 2); err != nil {
+		var res TensorInfo
+		info, err := ResolvePoolGrad("MaxPoolGrad", inputsOf(inputs), attrs, &res)
+		if err != nil {
 			return Buffer{}, err
 		}
 		dy, x := inputs[0], inputs[1]
-		filterSize, strides, pad := poolAttrs(attrs)
-		info, err := ComputePool2DInfo(x.Shape, filterSize, strides, pad)
-		if err != nil {
-			return Buffer{}, errIn("MaxPoolGrad", "%v", err)
-		}
-		if !tensor.ShapesEqual(dy.Shape, info.OutShape()) {
-			return Buffer{}, errIn("MaxPoolGrad", "dy shape %v != pool output shape %v", dy.Shape, info.OutShape())
-		}
-		dx := NewBuffer(x.Shape, tensor.Float32)
+		dx := NewBuffer(res.Shape, tensor.Float32)
 		poolForEach(info, func(outIdx int, w poolWindow) {
 			best := float32(math.Inf(-1))
 			bestIdx := -1
@@ -96,20 +121,13 @@ func init() {
 	// AvgPoolGrad distributes dy evenly over each window. Input is dy;
 	// attr "inputShape" gives the original input shape.
 	RegisterRef("AvgPoolGrad", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		if err := wantInputs("AvgPoolGrad", inputs, 1); err != nil {
+		var res TensorInfo
+		info, err := ResolvePoolGrad("AvgPoolGrad", inputsOf(inputs), attrs, &res)
+		if err != nil {
 			return Buffer{}, err
 		}
 		dy := inputs[0]
-		inShape := attrs.Ints("inputShape", nil)
-		filterSize, strides, pad := poolAttrs(attrs)
-		info, err := ComputePool2DInfo(inShape, filterSize, strides, pad)
-		if err != nil {
-			return Buffer{}, errIn("AvgPoolGrad", "%v", err)
-		}
-		if !tensor.ShapesEqual(dy.Shape, info.OutShape()) {
-			return Buffer{}, errIn("AvgPoolGrad", "dy shape %v != pool output shape %v", dy.Shape, info.OutShape())
-		}
-		dx := NewBuffer(inShape, tensor.Float32)
+		dx := NewBuffer(res.Shape, tensor.Float32)
 		poolForEach(info, func(outIdx int, w poolWindow) {
 			count := w.rows * w.cols
 			if count == 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/tensor"
@@ -74,6 +75,31 @@ func rangeBody(t *testing.T, kernel string, ins []Buffer, attrs Attrs) func(lo i
 	case "Conv2DBackpropFilter":
 		info, e := ResolveConvBackprop(kernel, inputs, attrs, &out)
 		body, err = func(lo int, dst []float32) { NewWalk(info).FilterGrad(x(0), x(1), info.BatchSize, lo, dst) }, e
+	case "Conv2DBackpropInput":
+		info, e := ResolveConvBackprop(kernel, inputs, attrs, &out)
+		wT := make([]float32, len(x(1)))
+		if e == nil {
+			NewWalk(info).TransposeFilter(x(1), wT)
+		}
+		body, err = func(lo int, dst []float32) { NewWalk(info).InputGrad(x(0), wT, lo, dst) }, e
+	case "DepthwiseConv2dNativeBackpropInput":
+		info, e := ResolveConvBackprop(kernel, inputs, attrs, &out)
+		body, err = func(lo int, dst []float32) { NewWalk(info).DepthwiseInputGrad(x(0), x(1), lo, dst) }, e
+	case "DepthwiseConv2dNativeBackpropFilter":
+		info, e := ResolveConvBackprop(kernel, inputs, attrs, &out)
+		body, err = func(lo int, dst []float32) { NewWalk(info).DepthwiseFilterGrad(x(0), x(1), info.BatchSize, lo, dst) }, e
+	case "MaxPoolGrad":
+		info, e := ResolvePoolGrad(kernel, inputs, attrs, &out)
+		body, err = func(lo int, dst []float32) { NewWalk(info).MaxPoolGrad(x(1), x(0), lo, dst) }, e
+	case "AvgPoolGrad":
+		info, e := ResolvePoolGrad(kernel, inputs, attrs, &out)
+		body, err = func(lo int, dst []float32) { NewWalk(info).AvgPoolGrad(x(0), lo, dst) }, e
+	case "Select":
+		o, e := ResolveSelect(inputs, &out)
+		body, err = func(lo int, dst []float32) { o.Select(x(0), x(1), x(2), lo, dst) }, e
+	case "FusedBatchNorm":
+		n, e := ResolveBatchNorm(inputs, attrs, &out)
+		body, err = func(lo int, dst []float32) { n.Fill(x(0), x(1), x(2), x(3), x(4), lo, dst) }, e
 	case "Sub":
 		shape, e := tensor.BroadcastShapes(ins[0].Shape, ins[1].Shape)
 		g, _ := NewBroadcast(ins[0].Shape, ins[1].Shape, shape)
@@ -93,7 +119,10 @@ func rangeBody(t *testing.T, kernel string, ins []Buffer, attrs Attrs) func(lo i
 // TestRangeBodiesMatchReference: every range body both host backends run
 // — matmul, the reductions, BiasAddGrad's column sums, Adam's two, the
 // views (transpose, slice, tile), pad, concat, gather, one-hot, fill, a
-// binary op's general broadcast and the filter gradient — cut in two at every split point of small shapes,
+// binary op's general broadcast, Select's and batch norm's, the filter
+// gradients and the input gradients of the convolutions and the pools (at
+// strides, dilations, same and valid padding, overlapping windows, a
+// channel multiplier of 2 and batch 0) — cut in two at every split point of small shapes,
 // on both bodies of the vector cores, writes every value (none read first)
 // Float32bits-equal to one uncut call, which is the reference kernel's
 // function to the bit — two NaNs equal whatever their payloads, as in the
@@ -117,14 +146,42 @@ func TestRangeBodiesMatchReference(t *testing.T) {
 	for i := 12; i < 24; i++ {
 		slot.Data[i] = float32(math.Abs(float64(slot.Data[i]))) // a second moment
 	}
-	filter := func(x, f, strides, dilations []int, pad string) rangeCase {
-		info, err := ComputeConv2DInfo(x, f, strides, dilations, pad, false)
+	// grad is a gradient of a convolution of x [n, h, w, c] by filter f; its
+	// inputs are (x, dy) for a filter gradient, (dy, f) for an input one.
+	grad := func(kernel string, x, f, strides, dilations []int, pad string) rangeCase {
+		info, err := ComputeConv2DInfo(x, f, strides, dilations, pad, strings.HasPrefix(kernel, "Depthwise"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rangeCase{fmt.Sprintf("%v%v", x, f), "Conv2DBackpropFilter", []Buffer{op(x...), op(info.OutShape()...)},
-			Attrs{"filterShape": f, "strides": strides, "dilations": dilations, "pad": pad}}
+		attrs := Attrs{"inputShape": x, "filterShape": f, "strides": strides, "dilations": dilations, "pad": pad}
+		ins := []Buffer{op(x...), op(info.OutShape()...)}
+		if strings.HasSuffix(kernel, "BackpropInput") {
+			ins = []Buffer{op(info.OutShape()...), op(f...)}
+		}
+		return rangeCase{fmt.Sprintf("%v%v%v%v", x, f, strides, dilations), kernel, ins, attrs}
 	}
+	filter := func(x, f, strides, dilations []int, pad string) rangeCase {
+		return grad("Conv2DBackpropFilter", x, f, strides, dilations, pad)
+	}
+	// poolGrad is a pool gradient of x by a size window; MaxPoolGrad's x is
+	// rounded to whole numbers, so that windows tie.
+	poolGrad := func(kernel string, x, size, strides []int, pad string) rangeCase {
+		info, err := ComputePool2DInfo(x, size, strides, pad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins := []Buffer{op(info.OutShape()...)}
+		if kernel == "MaxPoolGrad" {
+			xs := op(x...)
+			for i, v := range xs.Data {
+				xs.Data[i] = float32(math.Round(float64(v)))
+			}
+			ins = append(ins, xs)
+		}
+		return rangeCase{fmt.Sprintf("%v%v%v%s", x, size, strides, pad), kernel, ins,
+			Attrs{"inputShape": x, "filterSize": size, "strides": strides, "pad": pad}}
+	}
+	s1, s2 := []int{1, 1}, []int{2, 2}
 	cases := []rangeCase{
 		{"plain", "BatchMatMul", []Buffer{op(2, 3, 4), op(2, 4, 5)}, mm(false, false, "")},
 		{"ta", "BatchMatMul", []Buffer{op(2, 4, 3), op(2, 4, 5)}, mm(true, false, "")},
@@ -165,6 +222,32 @@ func TestRangeBodiesMatchReference(t *testing.T) {
 		filter([]int{2, 5, 6, 3}, []int{3, 3, 3, 8}, []int{1, 1}, []int{1, 1}, "same"),
 		filter([]int{1, 7, 6, 4}, []int{2, 3, 4, 16}, []int{2, 1}, []int{1, 2}, "same"),
 		filter([]int{2, 6, 5, 2}, []int{3, 2, 2, 9}, []int{2, 2}, []int{2, 1}, "valid"),
+		grad("Conv2DBackpropInput", []int{2, 5, 6, 3}, []int{3, 3, 3, 8}, s1, s1, "same"),
+		grad("Conv2DBackpropInput", []int{1, 7, 6, 4}, []int{2, 3, 4, 16}, []int{2, 1}, []int{1, 2}, "same"),
+		grad("Conv2DBackpropInput", []int{2, 6, 5, 2}, []int{3, 2, 2, 9}, s2, []int{2, 1}, "valid"),
+		grad("Conv2DBackpropInput", []int{1, 7, 6, 5}, []int{3, 3, 5, 12}, s1, s2, "same"),
+		grad("Conv2DBackpropInput", []int{1, 3, 3, 2}, []int{2, 2, 2, 70}, s2, s1, "same"),
+		grad("Conv2DBackpropInput", []int{0, 4, 4, 3}, []int{3, 3, 3, 2}, s1, s1, "same"),
+		grad("DepthwiseConv2dNativeBackpropInput", []int{1, 6, 5, 3}, []int{3, 3, 3, 2}, s2, s1, "same"),
+		grad("DepthwiseConv2dNativeBackpropInput", []int{2, 5, 6, 4}, []int{3, 3, 4, 1}, s1, s2, "same"),
+		grad("DepthwiseConv2dNativeBackpropInput", []int{1, 7, 6, 2}, []int{2, 3, 2, 2}, []int{2, 1}, s1, "valid"),
+		grad("DepthwiseConv2dNativeBackpropInput", []int{0, 4, 4, 3}, []int{3, 3, 3, 1}, s1, s1, "same"),
+		grad("DepthwiseConv2dNativeBackpropFilter", []int{1, 6, 5, 3}, []int{3, 3, 3, 2}, s2, s1, "same"),
+		grad("DepthwiseConv2dNativeBackpropFilter", []int{2, 5, 6, 4}, []int{3, 3, 4, 1}, s1, s2, "same"),
+		grad("DepthwiseConv2dNativeBackpropFilter", []int{1, 7, 6, 2}, []int{2, 3, 2, 2}, []int{2, 1}, s1, "valid"),
+		grad("DepthwiseConv2dNativeBackpropFilter", []int{0, 4, 4, 3}, []int{3, 3, 3, 1}, s1, s1, "same"),
+		{"nonSuffix", "Select", []Buffer{op(5, 1), op(2, 5, 3), op(3)}, nil},
+		{"scalarCond", "Select", []Buffer{op(), op(4, 3), op(4, 1)}, nil},
+		{"same", "Select", []Buffer{op(2, 3), op(2, 3), op(2, 3)}, nil},
+		{"nonSuffix", "FusedBatchNorm", []Buffer{op(2, 3, 5, 3), op(5, 1), op(5, 1), op(1, 3), op()}, Attrs{"varianceEpsilon": 1e-3}},
+		{"suffix", "FusedBatchNorm", []Buffer{op(2, 3, 5), op(5), op(5), op(1, 5), op(5)}, Attrs{"varianceEpsilon": 1e-3}},
+	}
+	for _, kernel := range []string{"MaxPoolGrad", "AvgPoolGrad"} {
+		cases = append(cases,
+			poolGrad(kernel, []int{2, 5, 7, 3}, []int{2, 2}, s2, "same"),
+			poolGrad(kernel, []int{1, 7, 5, 4}, []int{3, 3}, s2, "same"),
+			poolGrad(kernel, []int{1, 4, 6, 3}, []int{3, 2}, s1, "valid"),
+			poolGrad(kernel, []int{0, 4, 4, 2}, []int{2, 2}, s2, "valid"))
 	}
 	for _, name := range []string{"Sum", "Mean", "Max", "Min", "Prod", "ArgMax", "ArgMin"} {
 		cases = append(cases, rangeCase{"ties", name, []Buffer{rows}, nil}, rangeCase{"specials", name, []Buffer{op(4, 9)}, nil})

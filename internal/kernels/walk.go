@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/vec"
 )
@@ -22,7 +23,9 @@ import (
 // whichever piece it falls in, so what a body writes for a value does not
 // depend on where its range was cut (the device's contract,
 // TestKernelContract), and it is the reference kernel's function
-// (TestForwardKernelsBitIdenticalToReference).
+// (TestForwardKernelsBitIdenticalToReference). The gradients with respect
+// to the input get a range of dx instead, and scatter walks the output
+// positions whose windows reach it.
 
 // A Walk is the geometry of a convolution or pool as the bodies below take
 // it: a Conv2DInfo in 32-bit fields. A backend's worker-pool or program
@@ -264,61 +267,265 @@ func (g Walk) Pool(x []float32, pixel func(dst, x []float32, rowStride, tapStrid
 	})
 }
 
-// PoolGrad routes a max pool's output gradient back into dx, laid out as
-// x: dy holds the gradient of the output values [lo, lo+len(dy)), and each
-// pixel's goes through vec.PoolMaxGrad to the first maximum of its window
-// clipped to the input. Overlapping windows add into the same cell of dx
-// in output order, so a caller splits the output only between images.
-func (g Walk) PoolGrad(x, dx []float32, lo int, dy []float32) {
-	info := g.info()
-	c := info.InChannels
-	inRow := info.InWidth * c
-	pixelStride := info.StrideWidth * c
-	walkConv(&info, lo, dy, func(p convPiece) {
-		if rows, taps := p.fyHi-p.fyLo, p.fxHi-p.fxLo; rows > 0 && taps > 0 {
-			count, n := p.span(c)
-			for i := 0; i < count; i++ {
-				at := p.in + i*pixelStride + p.cLo
-				vec.PoolMaxGrad(dx[at:], x[at:], p.dst[i*n:(i+1)*n], inRow, c, rows, taps)
-			}
-		}
-	})
+// reach returns the output positions [lo, hi) of one axis whose windows —
+// taps o·stride − pad + f·dilation, f < filter — reach an input coordinate
+// in [inLo, inHi), inHi > inLo: the output rows an input gradient visits
+// for a range of its input rows.
+func reach(inLo, inHi, stride, pad, dilation, filter, outSize int) (lo, hi int) {
+	if n := inLo + pad - (filter-1)*dilation; n > 0 {
+		lo = (n + stride - 1) / stride
+	}
+	hi = min(outSize, (inHi-1+pad)/stride+1)
+	return lo, max(lo, hi)
 }
 
-// InputGrad scatters a convolution's output gradient back into dx, laid
-// out as the input: dy holds the gradient of the output values
-// [lo, lo+len(dy)), wT the filter transposed to [fy][oc][fx][ic]. A pixel's
-// nonzero dy elements are listed once (vec.NZList) — a zero's products are
-// left out, as in every product — and each filter row's run of in-bounds
-// taps is one vec.AxpyN: undilated, those taps are contiguous in dx and in
-// wT, whose rows oc lie ocStride apart. No two taps of a pixel reach the
-// same input pixel, so each dx element takes its contributions in (oy, ox,
-// oc) order; the pixels of an image add into the same dx, so a caller
-// splits the output only between images.
-func (g Walk) InputGrad(wT, dx []float32, lo int, dy []float32) {
+// scatter is the walk of an input gradient, whose range [lo, hi) is of
+// dx, laid out as the input: it hands body, in the reference kernels'
+// (b, oy, ox) order, the pieces — whole pixels (p.pixels ≥ 1) of one
+// output row, p.dst their gradient in dy, taps clipped as walkConv clips
+// them — of every output row whose windows reach the range's input rows.
+// A body adds into the values inside the range only, so each value takes
+// the reference's contributions in the reference's order wherever the
+// range is cut; over whole images it is the reference's scatter.
+func scatter(info *Conv2DInfo, dy []float32, lo, hi int, body func(convPiece)) {
+	inRow := info.InWidth * info.InChannels
+	inImg, outRow := info.InHeight*inRow, info.OutWidth*info.OutChannels
+	outImg := info.OutHeight * outRow
+	for b := lo / inImg; b*inImg < hi; b++ {
+		rowLo, rowHi := max(lo-b*inImg, 0)/inRow, (min(hi-b*inImg, inImg)+inRow-1)/inRow
+		oyLo, oyHi := reach(rowLo, rowHi, info.StrideHeight, info.PadTop, info.DilationHeight, info.FilterHeight, info.OutHeight)
+		at := b*outImg + oyLo*outRow
+		walkConv(info, at, dy[at:b*outImg+oyHi*outRow], body)
+	}
+}
+
+// TransposeFilter lays a convolution's filter w, [fh, fw, inC, outC], out
+// in wT as InputGrad reads it, [fh][outC][fw][inC]: a filter row's run of
+// taps is contiguous in wT as it is in dx.
+func (g Walk) TransposeFilter(w, wT []float32) {
+	fH, fW, inC, outC := int(g.fH), int(g.fW), int(g.inC), int(g.outC)
+	ocStride := fW * inC
+	for fy := 0; fy < fH; fy++ {
+		for fx := 0; fx < fW; fx++ {
+			for ic := 0; ic < inC; ic++ {
+				src, dst := ((fy*fW+fx)*inC+ic)*outC, fy*outC*ocStride+fx*inC+ic
+				for oc := 0; oc < outC; oc++ {
+					wT[dst+oc*ocStride] = w[src+oc]
+				}
+			}
+		}
+	}
+}
+
+// InputGrad computes the values [lo, lo+len(dst)) of a convolution's input
+// gradient, laid out as the input, into dst: dy is the output's gradient,
+// wT the filter as TransposeFilter lays it out. Each output position
+// scatter hands it lists its nonzero dy once (vec.NZList) — a zero's
+// products are left out, as in every product — and each filter row's run
+// of in-bounds taps, clipped to the range, is one vec.AxpyN: undilated,
+// those taps are contiguous in dx and in wT, whose rows oc lie ocStride
+// apart. No two taps of a position reach the same input pixel, so each
+// value takes its contributions in the reference's (oy, ox, oc) order.
+func (g Walk) InputGrad(dy, wT []float32, lo int, dst []float32) {
+	if len(dst) == 0 {
+		return
+	}
 	info := g.info()
 	inC, outC := info.InChannels, info.OutChannels
 	inRow, ocStride := info.InWidth*inC, info.FilterWidth*inC
 	dH, dW := info.DilationHeight, info.DilationWidth
-	pixelStride := info.StrideWidth * inC
+	pixelStride, hi := info.StrideWidth*inC, lo+len(dst)
+	clear(dst)
 	var nz vec.NZList
-	walkConv(&info, lo, dy, func(p convPiece) {
+	scatter(&info, dy, lo, hi, func(p convPiece) {
+		rows, taps := p.fyHi-p.fyLo, p.fxHi-p.fxLo
+		if rows == 0 || taps == 0 {
+			return // windows wholly in the padding
+		}
 		run := 1
 		if dW == 1 {
-			run = p.fxHi - p.fxLo
+			run = taps
 		}
-		count, n := p.span(outC)
-		for i := 0; i < count; i++ {
-			grad := p.dst[i*n : (i+1)*n]
-			for ocLo := 0; ocLo < n; ocLo += vec.NZCap {
-				vals, idx := nz.List(grad[ocLo:min(ocLo+vec.NZCap, n)], p.cLo+ocLo)
+		// A pixel's window covers [first, first+span) of dx.
+		span := (rows-1)*dH*inRow + ((taps-1)*dW+1)*inC
+		for i := 0; i < p.pixels; i++ {
+			first := p.in + i*pixelStride
+			if first >= hi || first+span <= lo {
+				continue
+			}
+			// A window inside the range adds whole runs, one the range cuts
+			// their part inside it.
+			cut := first < lo || first+span > hi
+			grad, dx := p.dst[i*outC:(i+1)*outC], dst[max(first-lo, 0):]
+			for ocLo := 0; ocLo < outC; ocLo += vec.NZCap {
+				vals, idx := nz.List(grad[ocLo:min(ocLo+vec.NZCap, outC)], ocLo)
 				if len(vals) == 0 {
 					continue
 				}
 				for fy := p.fyLo; fy < p.fyHi; fy++ {
 					for fx := p.fxLo; fx < p.fxHi; fx += run {
-						at := p.in + i*pixelStride + (fy-p.fyLo)*dH*inRow + (fx-p.fxLo)*dW*inC
-						vec.AxpyN(dx[at:at+run*inC], vals, idx, wT[fy*outC*ocStride+fx*inC:], ocStride)
+						at, ws := (fy-p.fyLo)*dH*inRow+(fx-p.fxLo)*dW*inC, wT[fy*outC*ocStride+fx*inC:]
+						if !cut {
+							vec.AxpyN(dx[at:at+run*inC], vals, idx, ws, ocStride)
+						} else if a, e := max(first+at, lo), min(first+at+run*inC, hi); a < e {
+							vec.AxpyN(dst[a-lo:e-lo], vals, idx, ws[a-first-at:], ocStride)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// DepthwiseInputGrad computes the values [lo, lo+len(dst)) of a depthwise
+// convolution's input gradient into dst: dy is the output's gradient, w
+// the filter [fh, fw, inC, mult]. Each output position scatter hands it
+// adds, per in-bounds tap and input channel in the range, the sum from +0
+// of the channel's mult products dy·w — every product, as the forward
+// depthwise takes every one — in the reference kernel's order.
+func (g Walk) DepthwiseInputGrad(dy, w []float32, lo int, dst []float32) {
+	if len(dst) == 0 {
+		return
+	}
+	info := g.info()
+	inC, outC, mult := info.InChannels, info.OutChannels, info.ChannelMultiplier
+	inRow, fW, dH, dW := info.InWidth*inC, info.FilterWidth, info.DilationHeight, info.DilationWidth
+	pixelStride, hi := info.StrideWidth*inC, lo+len(dst)
+	clear(dst)
+	scatter(&info, dy, lo, hi, func(p convPiece) {
+		for i := 0; i < p.pixels; i++ {
+			grad := p.dst[i*outC : (i+1)*outC]
+			for fy := p.fyLo; fy < p.fyHi; fy++ {
+				for fx := p.fxLo; fx < p.fxHi; fx++ {
+					at := p.in + i*pixelStride + (fy-p.fyLo)*dH*inRow + (fx-p.fxLo)*dW*inC
+					tap := w[(fy*fW+fx)*outC:][:outC]
+					for ic := max(lo-at, 0); ic < min(hi-at, inC); ic++ {
+						var sum float32
+						for q := ic * mult; q < (ic+1)*mult; q++ {
+							sum += float32(grad[q] * tap[q])
+						}
+						dst[at+ic-lo] += sum
+					}
+				}
+			}
+		}
+	})
+}
+
+// DepthwiseFilterGrad computes the filter-gradient values
+// [lo, lo+len(dst)) of the depthwise convolution g describes over batch
+// images — dw [fh, fw, inC, mult] of x NHWC and dy — into dst. Value
+// (fy, fx, c) accumulates x[b, iy, ix, c/mult]·dy[b, oy, ox, c] over every
+// output position whose tap (fy, fx) lands inside the input, in
+// (b, oy, ox) order, a zero x left out: the reference kernel's
+// contributions in its order.
+func (g Walk) DepthwiseFilterGrad(x, dy []float32, batch, lo int, dst []float32) {
+	if len(dst) == 0 {
+		return
+	}
+	info := g.info()
+	inC, outC, mult := info.InChannels, info.OutChannels, info.ChannelMultiplier
+	inRow, outRow := info.InWidth*inC, info.OutWidth*outC
+	fW, dH, dW, sW := info.FilterWidth, info.DilationHeight, info.DilationWidth, info.StrideWidth
+	hi := lo + len(dst)
+	clear(dst)
+	for bb := 0; bb < batch; bb++ {
+		for oy := 0; oy < info.OutHeight; oy++ {
+			yCorner := oy*info.StrideHeight - info.PadTop
+			fyLo, fyHi := TapRange(yCorner, dH, info.FilterHeight, info.InHeight)
+			dyRow := (bb*info.OutHeight + oy) * outRow
+			for fy := fyLo; fy < fyHi; fy++ {
+				xRow := (bb*info.InHeight + yCorner + fy*dH) * inRow
+				for fx := 0; fx < fW; fx++ {
+					tap := (fy*fW + fx) * outC
+					cLo, cHi := max(lo-tap, 0), min(hi-tap, outC)
+					if cLo >= cHi {
+						continue
+					}
+					xOff := fx*dW - info.PadLeft
+					oxLo, oxHi := outRange(xOff, sW, info.OutWidth, info.InWidth)
+					acc := dst[tap+cLo-lo : tap+cHi-lo]
+					for ox := oxLo; ox < oxHi; ox++ {
+						xs, dys := x[xRow+(ox*sW+xOff)*inC:], dy[dyRow+ox*outC:]
+						for j := range acc {
+							if xv := xs[(cLo+j)/mult]; xv != 0 {
+								acc[j] += float32(xv * dys[cLo+j])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// MaxPoolGrad computes the values [lo, lo+len(dst)) of a max pool's input
+// gradient, laid out as x, into dst: each output position scatter hands it
+// routes its dy, per channel, to the first maximum of its window clipped
+// to the input (to nothing when no cell exceeds -Inf) — one
+// vec.PoolMaxGrad for a window inside the range, the same rule channel by
+// channel for one the range cuts, adding only inside the range.
+func (g Walk) MaxPoolGrad(x, dy []float32, lo int, dst []float32) {
+	if len(dst) == 0 {
+		return
+	}
+	info := g.info()
+	c := info.InChannels
+	inRow, pixelStride, hi := info.InWidth*c, info.StrideWidth*c, lo+len(dst)
+	clear(dst)
+	scatter(&info, dy, lo, hi, func(p convPiece) {
+		rows, taps := p.fyHi-p.fyLo, p.fxHi-p.fxLo
+		if rows == 0 || taps == 0 {
+			return
+		}
+		span := (rows-1)*inRow + taps*c
+		for i := 0; i < p.pixels; i++ {
+			first, grad := p.in+i*pixelStride, p.dst[i*c:(i+1)*c]
+			switch {
+			case first >= hi || first+span <= lo:
+			case lo <= first && first+span <= hi:
+				vec.PoolMaxGrad(dst[first-lo:], x[first:], grad, inRow, c, rows, taps)
+			default:
+				for ch, dv := range grad {
+					best, bestAt := float32(math.Inf(-1)), -1
+					for r := 0; r < rows; r++ {
+						for t := 0; t < taps; t++ {
+							if at := first + r*inRow + t*c + ch; x[at] > best {
+								best, bestAt = x[at], at
+							}
+						}
+					}
+					if lo <= bestAt && bestAt < hi {
+						dst[bestAt-lo] += dv
+					}
+				}
+			}
+		}
+	})
+}
+
+// AvgPoolGrad computes the values [lo, lo+len(dst)) of an average pool's
+// input gradient into dst: each output position scatter hands it shares
+// its dy, per channel, among the rows·taps cells of its window inside the
+// input, dy/cells added to each cell in the range.
+func (g Walk) AvgPoolGrad(dy []float32, lo int, dst []float32) {
+	if len(dst) == 0 {
+		return
+	}
+	info := g.info()
+	c := info.InChannels
+	inRow, pixelStride, hi := info.InWidth*c, info.StrideWidth*c, lo+len(dst)
+	clear(dst)
+	scatter(&info, dy, lo, hi, func(p convPiece) {
+		rows, taps := p.fyHi-p.fyLo, p.fxHi-p.fxLo
+		cells := float32(rows * taps)
+		for i := 0; i < p.pixels; i++ {
+			grad := p.dst[i*c : (i+1)*c]
+			for r := 0; r < rows; r++ {
+				for t := 0; t < taps; t++ {
+					at := p.in + i*pixelStride + r*inRow + t*c
+					for ch := max(lo-at, 0); ch < min(hi-at, c); ch++ {
+						dst[at+ch-lo] += grad[ch] / cells
 					}
 				}
 			}

@@ -65,8 +65,9 @@ func sameBits(t *testing.T, label string, got, want []float32) {
 // TestWalkMatchesReference: a Walk's Conv2D, Depthwise and Pool bodies,
 // over every cut of the output into ranges, compute the reference kernels'
 // values to the bit — the fused ones with their epilogue — on both bodies
-// of the vector cores, and its two gradients (InputGrad, PoolGrad), the
-// ranges taken in order, the reference gradient kernels'. The geometries
+// of the vector cores, and so do its gradients (InputGrad, DepthwiseInputGrad,
+// DepthwiseFilterGrad, MaxPoolGrad, AvgPoolGrad) over every cut of theirs,
+// the reference gradient kernels' values. The geometries
 // cover the stem, narrow and wide pointwise rows (flat walks, one of them
 // past runFloats), a pointwise layer of 300 channels in and out (lists and
 // rows of several NZCap), dilation, a window wholly in the padding,
@@ -138,19 +139,10 @@ func TestWalkMatchesReference(t *testing.T) {
 			if g.depthwise {
 				rangeBody = Walk.Depthwise
 			}
-			for _, ranges := range walkCuts(len(want.Data), info.OutWidth*info.OutChannels) {
-				got := make([]float32, len(want.Data))
-				for i := range got {
-					got[i] = 12345 // every value is written, none read first
-				}
-				for _, r := range ranges {
-					rangeBody(walk, x, w, ep, r[0], got[r[0]:r[1]])
-				}
-				sameBits(t, fmt.Sprintf("%s/%s/%s/%d ranges", name, g.label, body, len(ranges)), got, want.Data)
-			}
-			if !g.depthwise {
-				checkInputGrad(t, g.label+"/"+body, walk, info, g.x, w, g.w, attrs, rng)
-			}
+			checkCuts(t, name+"/"+g.label+"/"+body, want.Data, info.OutWidth*info.OutChannels, func(lo int, dst []float32) {
+				rangeBody(walk, x, w, ep, lo, dst)
+			})
+			checkConvGrads(t, g.label+"/"+body, info, x, w, g.x, g.w, attrs, g.depthwise, rng)
 		}
 		for _, g := range pools {
 			x := walkOperand(rng, tensor.ShapeSize(g.x))
@@ -158,60 +150,68 @@ func TestWalkMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			attrs, walk := Attrs{"filterSize": g.filter, "strides": g.strides, "pad": g.pad, "inputShape": g.x}, NewWalk(info)
 			for _, p := range []struct {
 				name  string
 				pixel func(dst, x []float32, rowStride, tapStride, rows, taps int)
 			}{{"MaxPool", vec.PoolMax}, {"AvgPool", vec.PoolAvg}} {
-				want := runRef(t, p.name, []Buffer{buf(x, g.x...)}, Attrs{"filterSize": g.filter, "strides": g.strides, "pad": g.pad})
-				for _, ranges := range walkCuts(len(want.Data), info.OutWidth*info.OutChannels) {
-					got := make([]float32, len(want.Data))
-					for _, r := range ranges {
-						NewWalk(info).Pool(x, p.pixel, r[0], got[r[0]:r[1]])
-					}
-					sameBits(t, fmt.Sprintf("%s/%s/%s/%d ranges", p.name, g.label, body, len(ranges)), got, want.Data)
-				}
+				want := runRef(t, p.name, []Buffer{buf(x, g.x...)}, attrs)
+				checkCuts(t, p.name+"/"+g.label+"/"+body, want.Data, info.OutWidth*info.OutChannels, func(lo int, dst []float32) {
+					walk.Pool(x, p.pixel, lo, dst)
+				})
 			}
-			dy := walkOperand(rng, tensor.ShapeSize(info.OutShape()))
-			want := runRef(t, "MaxPoolGrad", []Buffer{buf(dy, info.OutShape()...), buf(x, g.x...)},
-				Attrs{"filterSize": g.filter, "strides": g.strides, "pad": g.pad})
-			for _, ranges := range walkCuts(len(dy), info.OutWidth*info.OutChannels) {
-				got := make([]float32, len(x))
-				for _, r := range ranges {
-					NewWalk(info).PoolGrad(x, got, r[0], dy[r[0]:r[1]])
-				}
-				sameBits(t, fmt.Sprintf("MaxPoolGrad/%s/%s/%d ranges", g.label, body, len(ranges)), got, want.Data)
-			}
+			dy, inRow := walkOperand(rng, tensor.ShapeSize(info.OutShape())), info.InWidth*info.InChannels
+			want := runRef(t, "MaxPoolGrad", []Buffer{buf(dy, info.OutShape()...), buf(x, g.x...)}, attrs)
+			checkCuts(t, "MaxPoolGrad/"+g.label+"/"+body, want.Data, inRow, func(lo int, dst []float32) {
+				walk.MaxPoolGrad(x, dy, lo, dst)
+			})
+			want = runRef(t, "AvgPoolGrad", []Buffer{buf(dy, info.OutShape()...)}, attrs)
+			checkCuts(t, "AvgPoolGrad/"+g.label+"/"+body, want.Data, inRow, func(lo int, dst []float32) {
+				walk.AvgPoolGrad(dy, lo, dst)
+			})
 		}
 	}
 }
 
-// checkInputGrad holds Walk.InputGrad to Conv2DBackpropInput over every cut
-// of the output gradient, the ranges taken in order.
-func checkInputGrad(t *testing.T, label string, walk Walk, info Conv2DInfo, xShape []int, w []float32, wShape []int, attrs Attrs, rng *rand.Rand) {
+// checkCuts runs body over every cut of its output into ranges (walkCuts)
+// and holds what it writes to want.
+func checkCuts(t *testing.T, label string, want []float32, row int, body func(lo int, dst []float32)) {
 	t.Helper()
-	dy := walkOperand(rng, tensor.ShapeSize(info.OutShape()))
-	gradAttrs := Attrs{"inputShape": xShape}
+	for _, ranges := range walkCuts(len(want), row) {
+		got := unwritten(len(want))
+		for _, r := range ranges {
+			body(r[0], got[r[0]:r[1]])
+		}
+		sameBits(t, fmt.Sprintf("%s/%d ranges", label, len(ranges)), got, want)
+	}
+}
+
+// checkConvGrads holds a convolution's gradient bodies — Walk.InputGrad, or
+// Walk.DepthwiseInputGrad and Walk.DepthwiseFilterGrad — to the reference
+// kernels over every cut of their output.
+func checkConvGrads(t *testing.T, label string, info Conv2DInfo, x, w []float32, xShape, wShape []int, attrs Attrs, depthwise bool, rng *rand.Rand) {
+	t.Helper()
+	walk, dy := NewWalk(info), buf(walkOperand(rng, tensor.ShapeSize(info.OutShape())), info.OutShape()...)
+	gradAttrs := Attrs{"inputShape": xShape, "filterShape": wShape}
 	for k, v := range attrs {
 		gradAttrs[k] = v
 	}
-	want := runRef(t, "Conv2DBackpropInput", []Buffer{buf(dy, info.OutShape()...), buf(w, wShape...)}, gradAttrs)
-	// The filter as InputGrad reads it: [fy][oc][fx][ic].
-	fH, fW, inC, outC := wShape[0], wShape[1], wShape[2], wShape[3]
-	wT := make([]float32, len(w))
-	for fy := 0; fy < fH; fy++ {
-		for fx := 0; fx < fW; fx++ {
-			for ic := 0; ic < inC; ic++ {
-				for oc := 0; oc < outC; oc++ {
-					wT[((fy*outC+oc)*fW+fx)*inC+ic] = w[((fy*fW+fx)*inC+ic)*outC+oc]
-				}
-			}
-		}
+	inRow := info.InWidth * info.InChannels
+	if !depthwise {
+		want := runRef(t, "Conv2DBackpropInput", []Buffer{dy, buf(w, wShape...)}, gradAttrs)
+		wT := make([]float32, len(w))
+		walk.TransposeFilter(w, wT)
+		checkCuts(t, "Conv2DBackpropInput/"+label, want.Data, inRow, func(lo int, dst []float32) {
+			walk.InputGrad(dy.Data, wT, lo, dst)
+		})
+		return
 	}
-	for _, ranges := range walkCuts(len(dy), info.OutWidth*info.OutChannels) {
-		got := make([]float32, len(want.Data))
-		for _, r := range ranges {
-			walk.InputGrad(wT, got, r[0], dy[r[0]:r[1]])
-		}
-		sameBits(t, fmt.Sprintf("Conv2DBackpropInput/%s/%d ranges", label, len(ranges)), got, want.Data)
-	}
+	want := runRef(t, "DepthwiseConv2dNativeBackpropInput", []Buffer{dy, buf(w, wShape...)}, gradAttrs)
+	checkCuts(t, "DepthwiseConv2dNativeBackpropInput/"+label, want.Data, inRow, func(lo int, dst []float32) {
+		walk.DepthwiseInputGrad(dy.Data, w, lo, dst)
+	})
+	want = runRef(t, "DepthwiseConv2dNativeBackpropFilter", []Buffer{buf(x, xShape...), dy}, gradAttrs)
+	checkCuts(t, "DepthwiseConv2dNativeBackpropFilter/"+label, want.Data, info.OutChannels, func(lo int, dst []float32) {
+		walk.DepthwiseFilterGrad(x, dy.Data, info.BatchSize, lo, dst)
+	})
 }

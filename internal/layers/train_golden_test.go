@@ -217,15 +217,15 @@ func TestTrainEpochDispatchesInAFixedOrder(t *testing.T) {
 	}
 }
 
-// fallbackCounter is node with every ErrFallback its kernels return
+// fallbackCounter is a backend with every ErrFallback its kernels return
 // counted by kernel name.
 type fallbackCounter struct {
-	*native.Backend
+	kernels.Backend
 	declined map[string]int
 }
 
 func (c *fallbackCounter) KernelOverride(name string) (kernels.OverrideKernel, bool) {
-	k, ok := c.Backend.KernelOverride(name)
+	k, ok := c.Backend.(kernels.Overrider).KernelOverride(name)
 	if !ok {
 		return nil, false
 	}
@@ -238,22 +238,23 @@ func (c *fallbackCounter) KernelOverride(name string) (kernels.OverrideKernel, b
 	}, true
 }
 
-// TestNodeFitEpochRunsEveryKernelOnNode: every kernel one epoch of the
-// bench convnet dispatches — ArgMax (the accuracy metric), Fill, GatherV2
-// and Tile included, which took the host fallback through the reference
-// kernel until node ran the shared shape and reduction bodies — is in
-// node's table, and none declines its call.
-func TestNodeFitEpochRunsEveryKernelOnNode(t *testing.T) {
+// requireNoFallback runs one epoch of build's model over examples
+// synthetic digits on b, registered with the global engine as name, and
+// fails for every dispatched kernel b has no kernel for or whose kernel
+// declined a call: each ran on the reference kernel through host memory.
+// It returns how many times each kernel was dispatched.
+func requireNoFallback(t *testing.T, name string, b kernels.Backend, build func(*testing.T) *layers.Sequential, examples int) map[string]int {
+	t.Helper()
 	e := core.Global()
-	counter := &fallbackCounter{Backend: native.New(), declined: map[string]int{}}
-	e.RegisterBackend("node-counted", func() (kernels.Backend, error) { return counter, nil })
-	if err := e.SetBackend("node-counted"); err != nil {
+	counter := &fallbackCounter{Backend: b, declined: map[string]int{}}
+	e.RegisterBackend(name, func() (kernels.Backend, error) { return counter, nil })
+	if err := e.SetBackend(name); err != nil {
 		t.Fatal(err)
 	}
 	defer e.SetBackend("cpu")
-	m := benchConvnet(t)
+	m := build(t)
 	defer m.Dispose()
-	d := data.SyntheticDigits(128, 0.15, 1)
+	d := data.SyntheticDigits(examples, 0.15, 1)
 	defer d.Dispose()
 	records := e.Profile(func() {
 		if _, err := m.Fit(d.Images, d.Labels, layers.FitConfig{Epochs: 1, BatchSize: 32}); err != nil {
@@ -264,18 +265,75 @@ func TestNodeFitEpochRunsEveryKernelOnNode(t *testing.T) {
 	for _, r := range records {
 		names[r.Name]++
 	}
-	for name, n := range names {
-		if _, ok := counter.Backend.KernelOverride(name); !ok {
-			t.Errorf("%s (%d dispatches) has no node kernel: each ran on the reference kernel through host memory", name, n)
+	for kernel, n := range names {
+		if _, ok := b.(kernels.Overrider).KernelOverride(kernel); !ok {
+			t.Errorf("%s (%d dispatches) has no %s kernel: each ran on the reference kernel through host memory", kernel, n, b.Name())
 		}
 	}
-	for name, n := range counter.declined {
-		t.Errorf("node's %s declined %d of its calls", name, n)
+	for kernel, n := range counter.declined {
+		t.Errorf("%s's %s declined %d of its calls", b.Name(), kernel, n)
 	}
 	if len(names) == 0 {
 		t.Fatal("the epoch dispatched nothing")
 	}
-	t.Logf("one epoch: %d dispatches of %d kernels", len(records), len(names))
+	t.Logf("one epoch on %s: %d dispatches of %d kernels", b.Name(), len(records), len(names))
+	return names
+}
+
+// TestNodeFitEpochRunsEveryKernelOnNode: every kernel one epoch of the
+// bench convnet dispatches — ArgMax (the accuracy metric), Fill, GatherV2
+// and Tile included, which took the host fallback through the reference
+// kernel until node ran the shared shape and reduction bodies — is in
+// node's table, and none declines its call.
+func TestNodeFitEpochRunsEveryKernelOnNode(t *testing.T) {
+	requireNoFallback(t, "node-counted", native.New(), benchConvnet, 128)
+}
+
+// depthwiseNet is a model of the layers the bench convnet lacks: a
+// depthwise convolution with a channel multiplier of 2, batch
+// normalization, a strided depthwise convolution (whose input gradient the
+// tape needs) and an average pool.
+func depthwiseNet(t *testing.T) *layers.Sequential {
+	t.Helper()
+	layers.SetSeed(5)
+	m := layers.NewSequential("")
+	m.Add(layers.NewDepthwiseConv2D(layers.Conv2DConfig{
+		Filters: 2, KernelSize: []int{3, 3}, Padding: "same", Activation: "relu", InputShape: []int{16, 16, 1},
+	}))
+	m.Add(layers.NewBatchNormalization(layers.BatchNormConfig{}))
+	m.Add(layers.NewDepthwiseConv2D(layers.Conv2DConfig{KernelSize: []int{3, 3}, Strides: []int{2, 2}, Padding: "same"}))
+	m.Add(layers.NewAveragePooling2D(layers.Pool2DConfig{}))
+	m.Add(layers.NewFlatten())
+	m.Add(layers.NewDense(layers.DenseConfig{Units: 10, Activation: "softmax"}))
+	if err := m.Compile(layers.CompileConfig{
+		Optimizer: "adam", Loss: "categoricalCrossentropy",
+		LearningRate: 0.01, Metrics: []string{"accuracy"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestDepthwiseFitStepTakesNoFallback: one Fit step of depthwiseNet runs
+// every kernel on node and on webgl fp32 — the depthwise and average-pool
+// gradients included, which node sent to the host fallback.
+func TestDepthwiseFitStepTakesNoFallback(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		backend func() kernels.Backend
+	}{
+		{"node-counted-depthwise", func() kernels.Backend { return native.New() }},
+		{"webgl-counted-depthwise", func() kernels.Backend { return webgl.New(webgl.DefaultConfig()) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			names := requireNoFallback(t, c.name, c.backend(), depthwiseNet, 32)
+			for _, kernel := range []string{"DepthwiseConv2dNativeBackpropInput", "DepthwiseConv2dNativeBackpropFilter", "AvgPoolGrad", "FusedBatchNorm"} {
+				if names[kernel] == 0 {
+					t.Errorf("the step dispatched no %s", kernel)
+				}
+			}
+		})
+	}
 }
 
 // TestCompileDisposesTheOptimizerItReplaces: compiling again disposes the

@@ -1,18 +1,16 @@
 package native
 
 import (
-	"fmt"
-
 	"repro/internal/kernels"
 	"repro/internal/tensor"
 )
 
-// The backward kernels model.fit spends its time in, on the convolution
-// walk (kernels.Walk): the filter gradient on the range body webgl's
-// program runs too, and the input gradient and MaxPoolGrad, which scatter
-// over ranges of dy while webgl's programs gather per value — which of the
-// two forms both should run is open until the gather is timed on a
-// training step.
+// The backward window kernels model.fit spends its time in, each on the
+// range body webgl's program runs too (internal/kernels, on kernels.Walk):
+// the filter gradients fill rows of the filter, and the input gradients —
+// the convolution's, the depthwise convolution's and the two pools' — fill
+// whole images of dx, where the reference kernel's scatter restricted to a
+// range is the scatter itself.
 //
 // Each is Float32bits-equal to its reference kernel in internal/kernels,
 // not merely close, because every output element receives the same
@@ -29,7 +27,10 @@ import (
 func (b *Backend) registerGrad() {
 	b.register("Conv2DBackpropFilter", b.conv2DBackpropFilter)
 	b.register("Conv2DBackpropInput", b.conv2DBackpropInput)
-	b.register("MaxPoolGrad", b.maxPoolGrad)
+	b.register("DepthwiseConv2dNativeBackpropFilter", b.depthwiseBackpropFilter)
+	b.register("DepthwiseConv2dNativeBackpropInput", b.depthwiseBackpropInput)
+	b.register("MaxPoolGrad", b.poolGrad("MaxPoolGrad"))
+	b.register("AvgPoolGrad", b.poolGrad("AvgPoolGrad"))
 }
 
 // conv2DBackpropFilter: inputs (x, dy), attr filterShape, on the walk's
@@ -48,68 +49,84 @@ func (b *Backend) conv2DBackpropFilter(inputs []kernels.Input, attrs kernels.Att
 	return nil
 }
 
-// conv2DBackpropInput: inputs (dy, filter), attr inputShape. Each output
-// position's dy scatters through the filter into dx on the shared walk
-// (kernels.Walk.InputGrad), the filter transposed once per call to
-// [fy][oc][fx][ic] so that a filter row's run of taps is contiguous in it
-// as it is in dx. A position whose dy is all zero (most of them, behind a
-// ReLU and a max pool) costs a gather and nothing else. Images are sharded
-// across workers.
+// conv2DBackpropInput: inputs (dy, filter), attr inputShape, on the walk's
+// input-gradient body (kernels.Walk.InputGrad) over whole images, the
+// filter transposed once per call (Walk.TransposeFilter). A position whose
+// dy is all zero (most of them, behind a ReLU and a max pool) costs a
+// gather and nothing else.
 func (b *Backend) conv2DBackpropInput(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
 	info, err := kernels.ResolveConvBackprop("Conv2DBackpropInput", inputs, attrs, out)
 	if err != nil {
 		return err
 	}
 	dyBuf, wBuf := b.in(inputs[0]), b.in(inputs[1])
-	dx := b.outInto(out, tensor.Float32)
-
-	inC, outC := info.InChannels, info.OutChannels
-	fH, fW := info.FilterHeight, info.FilterWidth
-	ocStride := fW * inC // one oc's taps of one filter row
+	dx, walk := b.outOver(out, tensor.Float32), kernels.NewWalk(info)
 	wT := b.scratchF32.Get(len(wBuf))
-	for fy := 0; fy < fH; fy++ {
-		for fx := 0; fx < fW; fx++ {
-			for ic := 0; ic < inC; ic++ {
-				src := ((fy*fW+fx)*inC + ic) * outC
-				dst := fy*outC*ocStride + fx*inC + ic
-				for oc := 0; oc < outC; oc++ {
-					wT[dst+oc*ocStride] = wBuf[src+oc]
-				}
-			}
-		}
-	}
-	outImg, walk := info.OutHeight*info.OutWidth*outC, kernels.NewWalk(info)
-	b.parallelFor(info.BatchSize, 2*outImg*fH*fW*inC, func(lo, hi int) {
-		walk.InputGrad(wT, dx, lo*outImg, dyBuf[lo*outImg:hi*outImg])
+	walk.TransposeFilter(wBuf, wT)
+	inImg, outImg := info.InHeight*info.InWidth*info.InChannels, info.OutHeight*info.OutWidth*info.OutChannels
+	b.parallelFor(info.BatchSize, 2*outImg*info.FilterHeight*info.FilterWidth*info.InChannels, func(lo, hi int) {
+		walk.InputGrad(dyBuf, wT, lo*inImg, dx[lo*inImg:hi*inImg])
 	})
 	b.scratchF32.Put(wT)
 	return nil
 }
 
-// maxPoolGrad: inputs (dy, x). Each output cell routes its dy to the
-// first maximum of its window (none when nothing in the window exceeds
-// -Inf, as in the reference): kernels.Walk.PoolGrad. Overlapping windows add
-// into the same input cell in (oy, ox) order, so images, not rows, are
-// sharded across workers.
-func (b *Backend) maxPoolGrad(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
-	if len(inputs) != 2 {
-		return fmt.Errorf("MaxPoolGrad: got %d inputs, want 2", len(inputs))
-	}
-	dy, x := inputs[0], inputs[1]
-	info, err := poolInfo(x.Shape, attrs)
+// depthwiseBackpropFilter: inputs (x, dy), attr filterShape
+// (kernels.Walk.DepthwiseFilterGrad). Chunks are one tap's input channel,
+// the channel's multipliers.
+func (b *Backend) depthwiseBackpropFilter(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
+	info, err := kernels.ResolveConvBackprop("DepthwiseConv2dNativeBackpropFilter", inputs, attrs, out)
 	if err != nil {
-		return fmt.Errorf("MaxPoolGrad: %v", err)
+		return err
 	}
-	if !tensor.ShapesEqual(dy.Shape, info.OutShape()) {
-		return fmt.Errorf("MaxPoolGrad: dy shape %v != pool output shape %v", dy.Shape, info.OutShape())
-	}
-	dyBuf, xBuf := b.in(dy), b.in(x)
-	out.Shape = append(out.Shape[:0], x.Shape...)
-	dx := b.outInto(out, tensor.Float32)
-
-	outImg, walk := info.OutHeight*info.OutWidth*info.OutChannels, kernels.NewWalk(info)
-	b.parallelFor(info.BatchSize, outImg*info.FilterHeight*info.FilterWidth, func(lo, hi int) {
-		walk.PoolGrad(xBuf, dx, lo*outImg, dyBuf[lo*outImg:hi*outImg])
+	xBuf, dyBuf, mult, batch := b.in(inputs[0]), b.in(inputs[1]), info.ChannelMultiplier, info.BatchSize
+	dw, walk := b.outOver(out, tensor.Float32), kernels.NewWalk(info)
+	b.parallelFor(info.FilterHeight*info.FilterWidth*info.InChannels, 2*batch*info.OutHeight*info.OutWidth*mult, func(lo, hi int) {
+		walk.DepthwiseFilterGrad(xBuf, dyBuf, batch, lo*mult, dw[lo*mult:hi*mult])
 	})
 	return nil
+}
+
+// depthwiseBackpropInput: inputs (dy, filter), attr inputShape
+// (kernels.Walk.DepthwiseInputGrad), over whole images.
+func (b *Backend) depthwiseBackpropInput(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
+	info, err := kernels.ResolveConvBackprop("DepthwiseConv2dNativeBackpropInput", inputs, attrs, out)
+	if err != nil {
+		return err
+	}
+	dyBuf, wBuf := b.in(inputs[0]), b.in(inputs[1])
+	dx, walk := b.outOver(out, tensor.Float32), kernels.NewWalk(info)
+	inImg, outImg := info.InHeight*info.InWidth*info.InChannels, info.OutHeight*info.OutWidth*info.OutChannels
+	b.parallelFor(info.BatchSize, 2*outImg*info.FilterHeight*info.FilterWidth, func(lo, hi int) {
+		walk.DepthwiseInputGrad(dyBuf, wBuf, lo*inImg, dx[lo*inImg:hi*inImg])
+	})
+	return nil
+}
+
+// poolGrad is MaxPoolGrad — inputs (dy, x) — and AvgPoolGrad — dy, attr
+// inputShape — over whole images of dx (kernels.Walk.MaxPoolGrad,
+// Walk.AvgPoolGrad): overlapping windows add into the same input cell in
+// (oy, ox) order, as in the reference kernels.
+func (b *Backend) poolGrad(name string) kernels.OverrideKernel {
+	return func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
+		info, err := kernels.ResolvePoolGrad(name, inputs, attrs, out)
+		if err != nil {
+			return err
+		}
+		dyBuf := b.in(inputs[0])
+		dx, walk := b.outOver(out, tensor.Float32), kernels.NewWalk(info)
+		inImg := info.InHeight * info.InWidth * info.InChannels
+		cost := info.OutHeight * info.OutWidth * info.OutChannels * info.FilterHeight * info.FilterWidth
+		if name == "AvgPoolGrad" {
+			b.parallelFor(info.BatchSize, cost, func(lo, hi int) {
+				walk.AvgPoolGrad(dyBuf, lo*inImg, dx[lo*inImg:hi*inImg])
+			})
+			return nil
+		}
+		xBuf := b.in(inputs[1])
+		b.parallelFor(info.BatchSize, cost, func(lo, hi int) {
+			walk.MaxPoolGrad(xBuf, dyBuf, lo*inImg, dx[lo*inImg:hi*inImg])
+		})
+		return nil
+	}
 }

@@ -107,7 +107,7 @@ var gradFills = []fill{
 	{"specials", vecOperand},
 }
 
-// checkConvGrads runs both Conv2D backward kernels on g.
+// checkConvGrads runs both Conv2D backward kernels on g, and both depthwise ones.
 func checkConvGrads(t testing.TB, nb *Backend, g gradGeometry, f fill) {
 	t.Helper()
 	xShape := []int{g.batch, g.h, g.w, g.inC}
@@ -126,10 +126,23 @@ func checkConvGrads(t testing.TB, nb *Backend, g gradGeometry, f fill) {
 	attrs = g.convAttrs()
 	attrs["inputShape"] = xShape
 	checkAgainstReference(t, nb, "Conv2DBackpropInput/"+g.String()+"/"+f.name, "Conv2DBackpropInput", attrs, dy, w)
+
+	// The depthwise pair on the same window, a channel multiplier of 1 or 2.
+	wShape = []int{g.fh, g.fw, g.inC, 1 + g.outC%2}
+	info, _ = kernels.ComputeConv2DInfo(xShape, wShape, []int{g.stride, g.stride}, []int{g.dilation, g.dilation}, g.pad, true)
+	w = operand{f.gen(tensor.ShapeSize(wShape), 6), wShape}
+	dy = operand{f.gen(tensor.ShapeSize(info.OutShape()), 7), info.OutShape()}
+	attrs = g.convAttrs()
+	attrs["filterShape"] = wShape
+	checkAgainstReference(t, nb, "DepthwiseConv2dNativeBackpropFilter/"+g.String()+"/"+f.name, "DepthwiseConv2dNativeBackpropFilter", attrs, x, dy)
+	attrs = g.convAttrs()
+	attrs["inputShape"] = xShape
+	checkAgainstReference(t, nb, "DepthwiseConv2dNativeBackpropInput/"+g.String()+"/"+f.name, "DepthwiseConv2dNativeBackpropInput", attrs, dy, w)
 }
 
-// checkMaxPoolGrad runs MaxPoolGrad on g (inC channels, fh×fw window).
-func checkMaxPoolGrad(t testing.TB, nb *Backend, g gradGeometry, f fill) {
+// checkPoolGrads runs MaxPoolGrad and AvgPoolGrad on g (inC channels, fh×fw
+// window).
+func checkPoolGrads(t testing.TB, nb *Backend, g gradGeometry, f fill) {
 	t.Helper()
 	xShape := []int{g.batch, g.h, g.w, g.inC}
 	info, err := kernels.ComputePool2DInfo(xShape, []int{g.fh, g.fw}, []int{g.stride, g.stride}, g.pad)
@@ -138,8 +151,9 @@ func checkMaxPoolGrad(t testing.TB, nb *Backend, g gradGeometry, f fill) {
 	}
 	x := operand{f.gen(tensor.ShapeSize(xShape), 4), xShape}
 	dy := operand{f.gen(tensor.ShapeSize(info.OutShape()), 5), info.OutShape()}
-	attrs := kernels.Attrs{"filterSize": []int{g.fh, g.fw}, "strides": []int{g.stride, g.stride}, "pad": g.pad}
+	attrs := kernels.Attrs{"filterSize": []int{g.fh, g.fw}, "strides": []int{g.stride, g.stride}, "pad": g.pad, "inputShape": xShape}
 	checkAgainstReference(t, nb, "MaxPoolGrad/"+g.String()+"/"+f.name, "MaxPoolGrad", attrs, dy, x)
+	checkAgainstReference(t, nb, "AvgPoolGrad/"+g.String()+"/"+f.name, "AvgPoolGrad", attrs, dy)
 }
 
 // gradMatrix is the shapes the bit-identity claim is tested on: every pad
@@ -190,7 +204,7 @@ func checkGradMatrix(t *testing.T, nb *Backend) {
 			checkConvGrads(t, nb, g, f)
 		}
 		for _, g := range pools {
-			checkMaxPoolGrad(t, nb, g, f)
+			checkPoolGrads(t, nb, g, f)
 		}
 	}
 }
@@ -221,6 +235,8 @@ func TestGradKernelErrorParity(t *testing.T) {
 	dy := operand{make([]float32, 2*5*5*4), []int{2, 5, 5, 4}}
 	badDy := operand{make([]float32, 2*5*4*4), []int{2, 5, 4, 4}}
 	pooled := operand{make([]float32, 2*2*2*3), []int{2, 2, 2, 3}}
+	dw := operand{make([]float32, 3*3*3*2), []int{3, 3, 3, 2}}
+	dwDy := operand{make([]float32, 2*5*5*6), []int{2, 5, 5, 6}}
 	same := func(extra kernels.Attrs) kernels.Attrs {
 		attrs := kernels.Attrs{"pad": "same"}
 		for k, v := range extra {
@@ -250,6 +266,13 @@ func TestGradKernelErrorParity(t *testing.T) {
 		{"pool/dy shape", "MaxPoolGrad", kernels.Attrs{}, []operand{dy, x}},
 		{"pool/one input", "MaxPoolGrad", kernels.Attrs{}, []operand{x}},
 		{"pool/rank", "MaxPoolGrad", kernels.Attrs{}, []operand{pooled, {make([]float32, 6), []int{2, 3}}}},
+		{"avg pool/ok", "AvgPoolGrad", kernels.Attrs{"inputShape": x.shape}, []operand{pooled}},
+		{"avg pool/dy shape", "AvgPoolGrad", kernels.Attrs{"inputShape": x.shape}, []operand{dy}},
+		{"avg pool/no inputShape", "AvgPoolGrad", kernels.Attrs{}, []operand{pooled}},
+		{"depthwise filter/ok", "DepthwiseConv2dNativeBackpropFilter", same(kernels.Attrs{"filterShape": dw.shape}), []operand{x, dwDy}},
+		{"depthwise filter/dy shape", "DepthwiseConv2dNativeBackpropFilter", same(kernels.Attrs{"filterShape": dw.shape}), []operand{x, dy}},
+		{"depthwise input/ok", "DepthwiseConv2dNativeBackpropInput", input, []operand{dwDy, dw}},
+		{"depthwise input/dy shape", "DepthwiseConv2dNativeBackpropInput", input, []operand{badDy, dw}},
 	} {
 		checkAgainstReference(t, nb, c.label, c.kernel, c.attrs, c.ops...)
 	}
@@ -293,7 +316,7 @@ func FuzzGradKernels(f *testing.F) {
 		if mode&2 == 0 {
 			checkConvGrads(t, nb, g, cycle)
 		} else {
-			checkMaxPoolGrad(t, nb, g, cycle)
+			checkPoolGrads(t, nb, g, cycle)
 		}
 	})
 }

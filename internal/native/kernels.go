@@ -9,11 +9,10 @@ import (
 )
 
 // initKernels installs the optimized kernels: matmul, convolutions and
-// pooling with their gradients, every op of the element-wise table under
-// any broadcast, the reductions, softmax, the shape kernels and Adam's —
-// every kernel a Fit epoch dispatches. The long tail (the depthwise and
-// average-pool gradients, Select, CumSum, Reverse, …) inherits the
-// reference implementations.
+// pooling with every one of their gradients, every op of the element-wise
+// table under any broadcast, Select, batch norm, the reductions, softmax,
+// the shape kernels and Adam's. The other six (All, Any, Cast, CumSum,
+// Range, Reverse) inherit the reference implementations.
 //
 // Every kernel appends its output shape into out.Shape (caller-owned
 // scratch, so the steady-state plan executor re-runs a step without
@@ -99,17 +98,6 @@ func (b *Backend) registerPool() {
 	b.register("AvgPool", b.pool("AvgPool", vec.PoolAvg))
 }
 
-// isSuffixShape reports whether small, with its leading 1s dropped, is
-// the trailing dims of big: broadcasting small against big then repeats
-// small's buffer once per row of big — a bias [C] onto [..., C], a scalar
-// onto anything.
-func isSuffixShape(small, big []int) bool {
-	for len(small) > 0 && small[0] == 1 {
-		small = small[1:]
-	}
-	return len(small) <= len(big) && tensor.ShapesEqual(small, big[len(big)-len(small):])
-}
-
 // binary is every two-operand op of the element-wise table: equal shapes
 // and the suffix broadcast run here on the op's row (vec.Binary for Add,
 // Sub, Mul and RealDiv), every other broadcast on the body webgl's
@@ -123,12 +111,12 @@ func (b *Backend) binary(op *kernels.ElementwiseOp) kernels.OverrideKernel {
 		a, x := inputs[0], inputs[1]
 		aBuf, xBuf := b.in(a), b.in(x)
 		// big is the operand with the output's element count; the other
-		// one's buffer is the row repeated against it.
+		// one's buffer is the row repeated against it (kernels.SuffixPeriod).
 		big := a.Shape
 		switch {
 		case tensor.ShapesEqual(a.Shape, x.Shape):
-		case isSuffixShape(x.Shape, a.Shape):
-		case isSuffixShape(a.Shape, x.Shape):
+		case kernels.SuffixPeriod(x.Shape, a.Shape) > 0:
+		case kernels.SuffixPeriod(a.Shape, x.Shape) > 0:
 			big = x.Shape
 		default:
 			// Any other broadcast: the shared body (kernels.Broadcast).
@@ -207,33 +195,30 @@ func (b *Backend) registerElementwise() {
 		}
 	}
 
-	// FusedBatchNorm with the common layout (params of shape [C], input
-	// [..., C]) runs vec's normalise row, bit-equal to the reference kernel.
+	// FusedBatchNorm and Select run the bodies webgl's programs run
+	// (kernels.BatchNorm: vec's normalise row when the parameters are x's
+	// channel vectors, any broadcast otherwise; kernels.Operands).
 	b.register("FusedBatchNorm", func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
-		if len(inputs) != 5 {
-			return fmt.Errorf("FusedBatchNorm: got %d inputs, want 5", len(inputs))
+		n, err := kernels.ResolveBatchNorm(inputs, attrs, out)
+		if err != nil {
+			return err
 		}
-		x := inputs[0]
-		rank := len(x.Shape)
-		c := 0
-		if rank > 0 {
-			c = x.Shape[rank-1]
-		}
-		if c == 0 {
-			return kernels.ErrFallback
-		}
-		for _, p := range inputs[1:] {
-			if !(len(p.Shape) == 1 && p.Shape[0] == c) {
-				return kernels.ErrFallback
-			}
-		}
-		eps := float32(attrs.Float("varianceEpsilon", 1e-3))
-		xBuf := b.in(x)
-		mean, variance, offset, scale := b.in(inputs[1]), b.in(inputs[2]), b.in(inputs[3]), b.in(inputs[4])
-		out.Shape = append(out.Shape[:0], x.Shape...)
+		xBuf, mean, variance, offset, scale := b.in(inputs[0]), b.in(inputs[1]), b.in(inputs[2]), b.in(inputs[3]), b.in(inputs[4])
 		dst := b.outOver(out, tensor.Float32)
-		b.parallelFor(len(dst)/c, 2*c, func(lo, hi int) {
-			vec.BatchNorm(dst[lo*c:hi*c], xBuf[lo*c:hi*c], mean, variance, scale, offset, eps, 0)
+		b.parallelFor(len(dst), 2, func(lo, hi int) {
+			n.Fill(xBuf, mean, variance, offset, scale, lo, dst[lo:hi])
+		})
+		return nil
+	})
+	b.register("Select", func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
+		o, err := kernels.ResolveSelect(inputs, out)
+		if err != nil {
+			return err
+		}
+		cond, t, f := b.in(inputs[0]), b.in(inputs[1]), b.in(inputs[2])
+		dst := b.outOver(out, out.DType)
+		b.parallelFor(len(dst), 1, func(lo, hi int) {
+			o.Select(cond, t, f, lo, dst[lo:hi])
 		})
 		return nil
 	})

@@ -626,3 +626,35 @@ func TestKernelContract(t *testing.T) {
 		saveGoldens(t, contractGoldenFile, recorded)
 	}
 }
+
+// TestBackwardWindowGoldensAreTheReferenceKernels: every fp32 golden of the
+// backward window programs is the digest of the reference kernel's output
+// on the same case, so the goldens these programs re-recorded when they
+// took the reference's summation order hold the reference's values.
+func TestBackwardWindowGoldensAreTheReferenceKernels(t *testing.T) {
+	if !goldensApply() {
+		t.Skip("goldens are recorded on amd64")
+	}
+	golden, cases := loadGoldens(t, contractGoldenFile), contractCases()
+	for _, name := range []string{"Conv2DBackpropInput", "Conv2DBackpropFilter", "DepthwiseConv2dNativeBackpropInput",
+		"DepthwiseConv2dNativeBackpropFilter", "MaxPoolGrad", "AvgPoolGrad"} {
+		ref, _ := kernels.LookupRef(name)
+		for _, c := range cases[name] {
+			inputs := make([]kernels.Buffer, len(c.inputs))
+			for i, in := range c.inputs {
+				inputs[i] = kernels.Buffer{Shape: in.shape, DType: in.dtype, Data: in.vals}
+			}
+			out, err := ref(inputs, c.attrs)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, c.label, err)
+			}
+			h := fnv.New64a()
+			fmt.Fprintf(h, "%v %v|", out.Shape, out.DType)
+			hashFloats(h, out.Data)
+			key := name + "/" + c.label + "/fp32"
+			if got := fmt.Sprintf("%016x", h.Sum64()); got != golden[key] {
+				t.Errorf("%s: the reference kernel's digest is %s, the golden %s", key, got, golden[key])
+			}
+		}
+	}
+}

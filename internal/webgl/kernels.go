@@ -11,7 +11,7 @@ import (
 // This file holds the kernel-override plumbing; the program builders for
 // each kernel family live in the kernels_*.go files. Each override plays
 // the role of a compiled GLSL fragment shader (Listing 2 of the paper): a
-// per-output-texel function assembled from compiler-provided samplers.
+// function of each output texel's index, run over ranges of texels.
 
 // register installs one kernel override.
 func (b *Backend) register(name string, k kernels.OverrideKernel) {
@@ -77,51 +77,14 @@ func (b *Backend) run(name string, out *texData, work glsim.Work, body func(lo, 
 }
 
 // runFlat executes a program whose value at flat output index i is
-// valueAt(i): the per-value form of the paper's shaders, which the long
-// tail of cold kernels keeps.
+// valueAt(i): the per-value form of the paper's shaders, which Softmax's
+// three passes keep (see registerReduce).
 func (b *Backend) runFlat(name string, out *texData, work glsim.Work, valueAt func(flat int) float32) {
 	b.run(name, out, work, func(lo, hi int, dst []float32) {
 		for i := range dst {
 			dst[i] = valueAt(lo + i)
 		}
 	})
-}
-
-// indexTerm is one dimension's contribution when mapping an output flat
-// index to an input flat index: (flat / div % dim) * stride.
-type indexTerm struct {
-	div    int
-	dim    int
-	stride int
-}
-
-// broadcastSamplers compiles, for each input shape, a mapper from output
-// flat index to input flat index. This is the Go analogue of the shader
-// compiler's generated getA(...) samplers: with SqueezeLogicalShapes
-// enabled, size-1 output dimensions produce no term at all — the "ignores a
-// and c" optimization of Section 4.1 — and stride-0 (broadcast) dimensions
-// are likewise dropped.
-func (b *Backend) broadcastSamplers(outShape []int, inShapes [][]int) []func(outFlat int) int {
-	outStrides := tensor.ComputeStrides(outShape)
-	mappers := make([]func(int) int, len(inShapes))
-	for k, inShape := range inShapes {
-		aligned := compileSampler(inShape, outShape, b.cfg.SqueezeLogicalShapes, nil).strides
-		var terms []indexTerm
-		for i, dim := range outShape {
-			if b.cfg.SqueezeLogicalShapes && (dim == 1 || aligned[i] == 0) {
-				continue
-			}
-			terms = append(terms, indexTerm{div: outStrides[i], dim: dim, stride: aligned[i]})
-		}
-		mappers[k] = func(outFlat int) int {
-			idx := 0
-			for _, t := range terms {
-				idx += (outFlat / t.div % t.dim) * t.stride
-			}
-			return idx
-		}
-	}
-	return mappers
 }
 
 // sameShape reports whether every input has exactly the output's shape, the

@@ -3,10 +3,8 @@ package webgl
 import (
 	"fmt"
 
-	"repro/internal/glsim"
 	"repro/internal/kernels"
 	"repro/internal/tensor"
-	"repro/internal/vec"
 )
 
 // registerElementwise installs a program for every op of the element-wise
@@ -31,114 +29,69 @@ func (b *Backend) registerElementwise() {
 		}
 	}
 
-	// Select: three-input broadcast program.
+	// Select and FusedBatchNorm run the bodies native runs
+	// (kernels.Operands.Select; kernels.BatchNorm, vec's normalise row when
+	// the four parameters are x's channel vectors, the range beginning and
+	// ending mid-pixel). They declare the per-value shader's work: the
+	// condition and the chosen branch fetched and one compare; five fetches
+	// and six operations (subtract, add ε, rsqrt, multiply, scale, offset),
+	// x read at the output's own index. Either reads the operands it does
+	// not have in the output's shape through compiled-sampler terms.
 	b.register("Select", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-		if len(inputs) != 3 {
-			return errf("Select: got %d inputs, want 3", len(inputs))
+		o, err := kernels.ResolveSelect(inputs, res)
+		if err != nil {
+			return err
 		}
 		_, condTex := b.input(inputs[0])
 		_, tTex := b.input(inputs[1])
 		_, fTex := b.input(inputs[2])
-		outShape, err := tensor.BroadcastShapes(inputs[1].Shape, inputs[2].Shape)
+		out, err := b.output(res.Shape, res.DType, res)
 		if err != nil {
 			return err
 		}
-		outShape, err = tensor.BroadcastShapes(outShape, inputs[0].Shape)
-		if err != nil {
-			return err
-		}
-		out, err := b.output(outShape, inputs[1].DType, res)
-		if err != nil {
-			return err
-		}
-		maps := b.broadcastSamplers(outShape, [][]int{inputs[0].Shape, inputs[1].Shape, inputs[2].Shape})
-		// The condition and the chosen branch are fetched; one compare.
-		work := perValue(out.size, 2, 1+aluTerm*b.termCount(outShape, inputs[0].Shape, inputs[1].Shape, inputs[2].Shape))
-		b.runFlat("Select", out, work, func(i int) float32 {
-			if condTex.FetchFlat(maps[0](i)) != 0 {
-				return tTex.FetchFlat(maps[1](i))
-			}
-			return fTex.FetchFlat(maps[2](i))
+		work := perValue(out.size, 2, 1+aluTerm*b.termCount(res.Shape, inputs[0].Shape, inputs[1].Shape, inputs[2].Shape))
+		b.run("Select", out, work, func(lo, hi int, dst []float32) {
+			o.Select(condTex.Floats(), tTex.Floats(), fTex.Floats(), lo, dst)
 		})
 		return nil
 	})
-
-	// FusedBatchNorm: five-input broadcast program (x, mean, variance,
-	// offset, scale).
 	b.register("FusedBatchNorm", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-		if len(inputs) != 5 {
-			return errf("FusedBatchNorm: got %d inputs, want 5", len(inputs))
-		}
-		eps := float32(attrs.Float("varianceEpsilon", 1e-3))
-		texes := make([]*glsim.Texture, 5)
-		shapes := make([][]int, 5)
-		for i := range inputs {
-			_, texes[i] = b.input(inputs[i])
-			shapes[i] = inputs[i].Shape
-		}
-		out, err := b.output(inputs[0].Shape, tensor.Float32, res)
+		n, err := kernels.ResolveBatchNorm(inputs, attrs, res)
 		if err != nil {
 			return err
 		}
-		// Five fetches; subtract, add ε, rsqrt, multiply, scale, offset;
-		// x is read at the output's own index, the four parameters
-		// through their samplers.
-		work := perValue(out.size, 5, 6+aluTerm*b.termCount(inputs[0].Shape, shapes[1:]...))
-		x, mean, variance, offset, scale := texes[0], texes[1], texes[2], texes[3], texes[4]
-		if c, ok := channelPeriod(inputs[0].Shape, shapes[1:]...); ok {
-			b.run("FusedBatchNorm", out, work, func(lo, hi int, dst []float32) {
-				// The range may begin and end mid-pixel: channel lo%c first.
-				vec.BatchNorm(dst, x.Floats()[lo:hi], mean.Floats()[:c], variance.Floats(), scale.Floats(), offset.Floats(), eps, lo%c)
-			})
-			return nil
+		_, x := b.input(inputs[0])
+		_, mean := b.input(inputs[1])
+		_, variance := b.input(inputs[2])
+		_, offset := b.input(inputs[3])
+		_, scale := b.input(inputs[4])
+		out, err := b.output(res.Shape, tensor.Float32, res)
+		if err != nil {
+			return err
 		}
-		maps := b.broadcastSamplers(inputs[0].Shape, shapes)
-		b.runFlat("FusedBatchNorm", out, work, func(i int) float32 {
-			return kernels.BatchNormValue(x.FetchFlat(i), mean.FetchFlat(maps[1](i)), variance.FetchFlat(maps[2](i)),
-				offset.FetchFlat(maps[3](i)), scale.FetchFlat(maps[4](i)), eps)
+		work := perValue(out.size, 5, 6+aluTerm*b.termCount(inputs[0].Shape, inputs[1].Shape, inputs[2].Shape, inputs[3].Shape, inputs[4].Shape))
+		b.run("FusedBatchNorm", out, work, func(lo, hi int, dst []float32) {
+			n.Fill(x.Floats(), mean.Floats(), variance.Floats(), offset.Floats(), scale.Floats(), lo, dst)
 		})
 		return nil
 	})
-}
-
-// channelPeriod reports whether every operand is a channel-suffix operand
-// (suffixPeriods) of one and the same period c — batch norm's four [C]
-// vectors against [..., C] — so that the output is rows of c values, each
-// row reading the operands at 0…c-1.
-func channelPeriod(outShape []int, inShapes ...[]int) (c int, ok bool) {
-	periods, ok := suffixPeriods(outShape, inShapes...)
-	if !ok {
-		return 0, false
-	}
-	for _, p := range periods {
-		if p != periods[0] {
-			return 0, false
-		}
-	}
-	return periods[0], true
 }
 
 func errf(format string, args ...any) error { return fmt.Errorf(format, args...) }
 
-// suffixPeriods reports whether every operand shape, leading 1s dropped, is
-// the trailing dimensions of outShape — BatchNorm's [C] vectors, a bias [C]
-// onto [..., C], a scalar, the output's own shape — and returns each
-// operand's element count. Such an operand repeats with that period along
-// the output's flat order, so a program reads it at flat%period and needs
-// no compiled sampler. An empty output has no suffix path: nothing runs.
+// suffixPeriods reports whether every operand repeats along the output's
+// flat order (kernels.SuffixPeriod), and returns each one's period: a
+// program reads it at flat%period and needs no compiled sampler. An empty
+// output has no suffix path: nothing runs.
 func suffixPeriods(outShape []int, inShapes ...[]int) ([]int, bool) {
 	if tensor.ShapeSize(outShape) == 0 {
 		return nil, false
 	}
 	periods := make([]int, len(inShapes))
 	for k, shape := range inShapes {
-		for len(shape) > 0 && shape[0] == 1 {
-			shape = shape[1:]
-		}
-		if len(shape) > len(outShape) || !tensor.ShapesEqual(shape, outShape[len(outShape)-len(shape):]) {
+		if periods[k] = kernels.SuffixPeriod(shape, outShape); periods[k] == 0 {
 			return nil, false
 		}
-		periods[k] = tensor.ShapeSize(shape)
 	}
 	return periods, true
 }

@@ -5,14 +5,15 @@
 //
 //   - tensors live in 2-D float textures; a "shader compiler" maps
 //     high-dimensional logical coordinates onto physical texture space,
-//     squeezing size-1 dimensions (the ~1.3x logical-mapping optimization);
+//     squeezing size-1 dimensions (the ~1.3x logical-mapping optimization,
+//     which the declared work of a sampled operand counts: samplerTerms);
 //   - operations compile to fragment-shader programs that compute every
-//     output value from its own index (Figure 4, Listing 2); the hot ones
-//     (convolutions, batch norm, element-wise, matmul, pools) are written
-//     over runs of values — one coordinate decode and window clip per
-//     pixel, operands read a row at a time — with each value's arithmetic
-//     and its order unchanged, and the rest keep the per-value form
-//     (runFlat);
+//     output value from its own index (Figure 4, Listing 2), written over
+//     runs of values — one coordinate decode and window clip per pixel,
+//     operands read a row at a time — with each value's arithmetic and its
+//     order the reference kernel's: the range bodies native runs
+//     (internal/kernels), and Softmax's three passes, which keep the
+//     per-value form (runFlat);
 //   - every program declares the work one dispatch costs the modelled
 //     device (work.go: fetches and ALU operations as closed forms of its
 //     shapes), which is what tf.time() and the paper's ablations read —
@@ -78,86 +79,3 @@ type texData struct {
 }
 
 func (td *texData) bytes() int64 { return int64(td.size) * 4 }
-
-// sampler is the output of the "shader compiler" for one input tensor: a
-// closure mapping logical coordinates to values. The compiler emits strides
-// only for kept (non-size-1) dimensions when squeezing is enabled — the
-// logical-shape optimization of Section 4.1 ("the compiler will generate a
-// getA(a, b, c, d) method whose implementation ignores a and c").
-type sampler struct {
-	// strides aligned to the original logical rank; squeezed-away and
-	// broadcast dimensions carry stride 0.
-	strides []int
-	fetch   func(flat int) float32
-}
-
-// compileSampler builds a sampler for an input of the given shape as seen
-// from an output of shape outShape (equal ranks; broadcasting per
-// dimension). When squeeze is true, size-1 dimensions are compiled away.
-func compileSampler(inShape, outShape []int, squeeze bool, fetch func(int) float32) sampler {
-	outRank := len(outShape)
-	inRank := len(inShape)
-	inStrides := tensor.ComputeStrides(inShape)
-	aligned := make([]int, outRank)
-	for i := 0; i < outRank; i++ {
-		j := i - (outRank - inRank)
-		if j < 0 || inShape[j] == 1 {
-			aligned[i] = 0
-			continue
-		}
-		aligned[i] = inStrides[j]
-	}
-	if squeeze {
-		// Nothing further: stride-0 dims already cost nothing in the
-		// inner product. Squeezing matters for the coordinate *decode*
-		// step, handled by coordDecoder below.
-		return sampler{strides: aligned, fetch: fetch}
-	}
-	return sampler{strides: aligned, fetch: fetch}
-}
-
-// at computes the input flat index for output coordinates coords.
-func (s sampler) at(coords []int) int {
-	idx := 0
-	for i, c := range coords {
-		idx += c * s.strides[i]
-	}
-	return idx
-}
-
-// coordDecoder converts output flat indices to logical coordinates. With
-// squeezing, only non-degenerate dimensions are decoded (fewer div/mod
-// operations per texel — the measurable part of the §4.1 mapping
-// optimization); the squeezed-away coordinates are always zero.
-type coordDecoder struct {
-	// dims are the sizes of decoded dimensions, innermost last.
-	dims []int
-	// axes[i] is the original axis of dims[i].
-	axes []int
-	rank int
-}
-
-func newCoordDecoder(shape []int, squeeze bool) coordDecoder {
-	d := coordDecoder{rank: len(shape)}
-	for i, s := range shape {
-		if squeeze && s == 1 {
-			continue
-		}
-		d.dims = append(d.dims, s)
-		d.axes = append(d.axes, i)
-	}
-	return d
-}
-
-// decode fills coords (len == rank of the original shape) from a flat
-// row-major index.
-func (d coordDecoder) decode(flat int, coords []int) {
-	for i := range coords {
-		coords[i] = 0
-	}
-	for i := len(d.dims) - 1; i >= 0; i-- {
-		dim := d.dims[i]
-		coords[d.axes[i]] = flat % dim
-		flat /= dim
-	}
-}

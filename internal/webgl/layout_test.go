@@ -48,44 +48,3 @@ func TestTexShapeRejectsOversized(t *testing.T) {
 		t.Fatal("tensor exceeding texture limits must error")
 	}
 }
-
-// TestCoordDecoderSqueeze: decoding with squeezing produces the same
-// coordinates on non-degenerate dims and zeros on size-1 dims.
-func TestCoordDecoderSqueeze(t *testing.T) {
-	shape := []int{1, 3, 1, 2}
-	naive := newCoordDecoder(shape, false)
-	squeezed := newCoordDecoder(shape, true)
-	for flat := 0; flat < 6; flat++ {
-		a := make([]int, 4)
-		b := make([]int, 4)
-		naive.decode(flat, a)
-		squeezed.decode(flat, b)
-		for d := 0; d < 4; d++ {
-			if a[d] != b[d] {
-				t.Fatalf("flat %d dim %d: naive %d vs squeezed %d", flat, d, a[d], b[d])
-			}
-		}
-		if a[0] != 0 || a[2] != 0 {
-			t.Fatalf("size-1 dims must decode to 0: %v", a)
-		}
-	}
-	if len(squeezed.dims) != 2 {
-		t.Fatalf("squeezed decoder kept %d dims, want 2", len(squeezed.dims))
-	}
-	if len(naive.dims) != 4 {
-		t.Fatalf("naive decoder kept %d dims, want 4", len(naive.dims))
-	}
-}
-
-// TestCompileSamplerBroadcastStrides: broadcast dims get stride 0.
-func TestCompileSamplerBroadcastStrides(t *testing.T) {
-	s := compileSampler([]int{3, 1}, []int{2, 3, 4}, true, nil)
-	// Input [3,1] aligned to output rank 3: dims are (-, 3, 1) ->
-	// strides (0, 1, 0).
-	want := []int{0, 1, 0}
-	for i := range want {
-		if s.strides[i] != want[i] {
-			t.Fatalf("aligned strides = %v, want %v", s.strides, want)
-		}
-	}
-}

@@ -8,7 +8,8 @@ import (
 	"repro/internal/tensor"
 )
 
-// BenchmarkProgram runs the programs that are the Table 1 network, one
+// BenchmarkProgram runs the programs that are the Table 1 network, and a
+// training step's backward window programs, one
 // dispatch per iteration straight through the override table (no engine,
 // no tidy), on a packed and an unpacked one-worker device. ns/op and
 // allocs/op are the simulator's host cost; gpu-ms/op and fetches/op are
@@ -38,6 +39,11 @@ func BenchmarkProgram(b *testing.B) {
 		{"TransposeGlobalPool_3x3x256", "Transpose", [][]int{{1, 3, 3, 256}}, kernels.Attrs{"perm": []int{0, 3, 1, 2}}},
 		{"MeanGlobalPool_256x9", "Mean", [][]int{{256, 9}}, kernels.Attrs{}},
 		{"Concat_2x24x24x32", "Concat", [][]int{{1, 24, 24, 32}, {1, 24, 24, 32}}, kernels.Attrs{"axis": 3}},
+		{"ConvBackpropInput_8x8x8x16→8", "Conv2DBackpropInput", [][]int{{8, 8, 8, 16}, {3, 3, 8, 16}}, kernels.Attrs{"pad": "same", "inputShape": []int{8, 8, 8, 8}}},
+		{"MaxPoolGrad_8x16x16x8", "MaxPoolGrad", [][]int{{8, 8, 8, 8}, {8, 16, 16, 8}}, kernels.Attrs{}},
+		{"AvgPoolGrad_8x16x16x8", "AvgPoolGrad", [][]int{{8, 8, 8, 8}}, kernels.Attrs{"inputShape": []int{8, 16, 16, 8}}},
+		{"DepthwiseBackpropInput_24x24x32", "DepthwiseConv2dNativeBackpropInput", [][]int{{1, 24, 24, 32}, {3, 3, 32, 1}}, kernels.Attrs{"pad": "same", "inputShape": []int{1, 24, 24, 32}}},
+		{"DepthwiseBackpropFilter_24x24x32", "DepthwiseConv2dNativeBackpropFilter", [][]int{{1, 24, 24, 32}, {1, 24, 24, 32}}, kernels.Attrs{"pad": "same", "filterShape": []int{3, 3, 32, 1}}},
 	}
 	for _, p := range programs {
 		for _, layout := range []string{"packed", "unpacked"} {

@@ -11,7 +11,8 @@ import (
 // TestSuffixPeriods is the decision table of the channel-suffix path: an
 // operand takes it when its shape, leading 1s dropped, is the output's
 // trailing dimensions; everything else — the squeeze ablation's
-// [1,64,1,2048]×[1,64,1,1] included — keeps the compiled samplers.
+// [1,64,1,2048]×[1,64,1,1] included — takes the general broadcast
+// (kernels.Broadcast).
 func TestSuffixPeriods(t *testing.T) {
 	for _, c := range []struct {
 		name    string

@@ -184,22 +184,31 @@ func TestZeroLhsLeftOutOnEveryTier(t *testing.T) {
 	})
 }
 
-// TestMalformedShapeCallsFailOnEveryTier: three calls the reference kernel
+// TestMalformedShapeCallsFailOnEveryTier: calls the reference kernel
 // rejects — a Transpose with a repeated axis, a PadV2 with a negative
-// padding, and a Concat whose non-axis dims disagree (which read past an
-// input) — fail on cpu, node and every simulated device with the
+// padding, a Concat whose non-axis dims disagree (which read past an
+// input), and four backward window kernels handed a dy of [1,1,1,3] for a
+// [1,4,4,3] input — fail on cpu, node and every simulated device with the
 // reference kernel's error, from the one check each op has
-// (kernels.Resolve*). The devices' programs once ran all three.
+// (kernels.Resolve*). The devices' programs once ran the first three and
+// died on the last four with an index out of range in a device worker; the
+// reference's depthwise gradients panicked on them.
 func TestMalformedShapeCallsFailOnEveryTier(t *testing.T) {
 	nb := native.New()
 	t.Cleanup(nb.Close)
 	naive := cpu.NewNaive()
 	t.Cleanup(naive.Close)
 	x := operand([]int{2, 3}, 0, 7, 1)
+	img, dy := operand([]int{1, 4, 4, 3}, 0, 7, 1), operand([]int{1, 1, 1, 3}, 0, 7, 1)
+	depthwise := kernels.Attrs{"inputShape": []int{1, 4, 4, 3}, "filterShape": []int{3, 3, 3, 1}, "pad": "same"}
 	for _, c := range []tierCase{
 		{"repeatedAxis", "Transpose", []kernels.Buffer{x}, kernels.Attrs{"perm": []int{1, 1}}},
 		{"negativePadding", "PadV2", []kernels.Buffer{x}, kernels.Attrs{"paddings": []int{0, 1, -1, 2}}},
 		{"nonAxisDims", "Concat", []kernels.Buffer{x, operand([]int{3, 3}, 0, 7, 1)}, kernels.Attrs{"axis": 1}},
+		{"dy", "MaxPoolGrad", []kernels.Buffer{dy, img}, nil},
+		{"dy", "AvgPoolGrad", []kernels.Buffer{dy}, kernels.Attrs{"inputShape": []int{1, 4, 4, 3}}},
+		{"dy", "DepthwiseConv2dNativeBackpropInput", []kernels.Buffer{dy, operand([]int{3, 3, 3, 1}, 0, 7, 1)}, depthwise},
+		{"dy", "DepthwiseConv2dNativeBackpropFilter", []kernels.Buffer{img, dy}, depthwise},
 	} {
 		ref, _ := kernels.LookupRef(c.kernel)
 		_, want := ref(c.inputs, c.attrs)
@@ -224,6 +233,114 @@ func TestMalformedShapeCallsFailOnEveryTier(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGradientsAndBroadcastsOnEveryTier: the backward window kernels — both
+// Conv2D gradients, both depthwise ones, MaxPoolGrad and AvgPoolGrad —
+// Select and a batch norm whose parameters are not x's channel vectors run
+// on node and on webgl fp32 packed and unpacked and webgpu fp32 as each
+// tier's own kernel, none declining, and are Float32bits-equal to the
+// reference kernel: at strides, dilation, overlapping windows (ties
+// included) and a channel multiplier of 2. The operands' sums round, so the
+// order of a value's contributions shows: webgl's input gradients once
+// gathered them in the reverse of the reference's order, and declined
+// dilation.
+func TestGradientsAndBroadcastsOnEveryTier(t *testing.T) {
+	nb := native.New()
+	nb.SetWorkers(3)
+	t.Cleanup(nb.Close)
+	tiers := []tier{{"node", "fp32", nb}}
+	for _, b := range deviceBackends(t) {
+		if b.precision == "fp32" {
+			tiers = append(tiers, b)
+		}
+	}
+	seed := 0
+	inexact := func(shape ...int) kernels.Buffer {
+		seed++
+		buf := kernels.NewBuffer(shape, tensor.Float32)
+		for i := range buf.Data {
+			buf.Data[i] = float32((i*37+seed*11)%91)/13 - 3
+		}
+		return buf
+	}
+	conv := func(kernel string, x, f, strides, dilations []int) tierCase {
+		info, err := kernels.ComputeConv2DInfo(x, f, strides, dilations, "same", kernel[0] == 'D')
+		if err != nil {
+			t.Fatal(err)
+		}
+		attrs := convAttrs(strides, dilations, "same")
+		attrs["inputShape"], attrs["filterShape"] = x, f
+		label := fmt.Sprintf("%v%v s%v d%v", x, f, strides, dilations)
+		if kernel[len(kernel)-5:] == "Input" {
+			return tierCase{label, kernel, []kernels.Buffer{inexact(info.OutShape()...), inexact(f...)}, attrs}
+		}
+		return tierCase{label, kernel, []kernels.Buffer{inexact(x...), inexact(info.OutShape()...)}, attrs}
+	}
+	ties := inexact(1, 7, 5, 9)
+	for i, v := range ties.Data {
+		ties.Data[i] = float32(math.Round(float64(v)))
+	}
+	pool := kernels.Attrs{"filterSize": []int{3, 3}, "strides": []int{2, 2}, "pad": "same", "inputShape": []int{1, 7, 5, 9}}
+	variance := inexact(5, 1)
+	for i, v := range variance.Data {
+		variance.Data[i] = v*v + 0.25
+	}
+	s11, s22, s21 := []int{1, 1}, []int{2, 2}, []int{2, 1}
+	var cases []tierCase
+	for _, kernel := range []string{"Conv2DBackpropInput", "Conv2DBackpropFilter"} {
+		cases = append(cases, conv(kernel, []int{2, 6, 6, 3}, []int{3, 3, 3, 8}, s22, s11), conv(kernel, []int{1, 7, 6, 5}, []int{3, 3, 5, 12}, s11, s22))
+	}
+	for _, kernel := range []string{"DepthwiseConv2dNativeBackpropInput", "DepthwiseConv2dNativeBackpropFilter"} {
+		cases = append(cases, conv(kernel, []int{1, 7, 5, 3}, []int{3, 3, 3, 2}, s22, s11), conv(kernel, []int{2, 6, 7, 4}, []int{3, 3, 4, 1}, s21, s22))
+	}
+	cases = append(cases,
+		tierCase{"overlap", "MaxPoolGrad", []kernels.Buffer{inexact(1, 4, 3, 9), ties}, pool},
+		tierCase{"overlap", "AvgPoolGrad", []kernels.Buffer{inexact(1, 4, 3, 9)}, pool},
+		tierCase{"nonSuffix", "Select", []kernels.Buffer{inexact(5, 1), inexact(2, 5, 3), inexact(3)}, nil},
+		tierCase{"nonSuffix", "FusedBatchNorm", []kernels.Buffer{inexact(2, 3, 5, 3), inexact(5, 1), variance, inexact(1, 3), inexact()},
+			kernels.Attrs{"varianceEpsilon": 1e-3}},
+	)
+	for _, c := range cases {
+		ref, _ := kernels.LookupRef(c.kernel)
+		want, err := ref(c.inputs, c.attrs)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", c.kernel, c.label, err)
+		}
+		for _, b := range tiers {
+			got := runOwnKernel(t, b.backend, c.kernel, c.inputs, c.attrs)
+			for i, w := range want.Data {
+				if math.Float32bits(got[i]) != math.Float32bits(w) {
+					t.Errorf("%s/%s on %s: output %d is %g (%#08x), the reference tier has %g (%#08x)",
+						c.kernel, c.label, b.name, i, got[i], math.Float32bits(got[i]), w, math.Float32bits(w))
+					break
+				}
+			}
+		}
+	}
+}
+
+// runOwnKernel runs b's own kernel for name — not kernels.Dispatch, which
+// would run the reference kernel for a backend that has none or declines
+// — and reads the output back.
+func runOwnKernel(t *testing.T, b kernels.Backend, name string, inputs []kernels.Buffer, attrs kernels.Attrs) []float32 {
+	t.Helper()
+	k, ok := b.(kernels.Overrider).KernelOverride(name)
+	if !ok {
+		t.Fatalf("%s has no %s kernel", b.Name(), name)
+	}
+	ins := make([]kernels.Input, len(inputs))
+	for i, in := range inputs {
+		ins[i] = kernels.Input{DataID: tensor.NewDataID(), Shape: in.Shape, DType: in.DType}
+		b.Write(ins[i].DataID, in.Data, in.Shape, in.DType)
+		defer b.DisposeData(ins[i].DataID)
+	}
+	var out kernels.TensorInfo
+	if err := k(ins, attrs, &out); err != nil {
+		t.Fatalf("%s on %s: %v", name, b.Name(), err)
+	}
+	defer b.DisposeData(out.DataID)
+	return slices.Clone(b.ReadSync(out.DataID))
 }
 
 // TestZeroTimesInfIsNaNAsOnTheReferenceTier: the depthwise convolution is

@@ -30,9 +30,10 @@ func perValue(n, fetches, alu int) glsim.Work {
 
 // samplerTerms is the number of index terms the shader compiler emits to
 // read an operand of shape inShape from a program whose output has shape
-// outShape (compileSampler's kept dimensions, without compiling anything):
-// with squeezing only the operand's own non-degenerate dimensions decode,
-// without it every output dimension does.
+// outShape: with squeezing (§4.1) only the operand's own non-degenerate
+// dimensions decode — an output dimension of size 1, or one the operand
+// broadcasts along, emits no term — without it every output dimension
+// does.
 func samplerTerms(inShape, outShape []int, squeeze bool) int {
 	if !squeeze {
 		return len(outShape)
@@ -80,21 +81,21 @@ func convTaps(info kernels.Conv2DInfo) int {
 }
 
 // gatherTaps counts, along one spatial axis of a backward window program,
-// the (in, f) pairs that name an output position — (in + pad - f) is a
-// non-negative multiple of stride below out — and, in cells, the total
-// number of in-bounds input cells of the windows those pairs name (what a
-// pooling gradient rescans per pair).
-func gatherTaps(in, out, filter, stride, pad int) (pairs, cells int) {
+// the (in, f) pairs that name an output position — (in + pad − f·dilation)
+// is a non-negative multiple of stride below out — and, in cells, the
+// total number of in-bounds input cells of the windows those pairs name
+// (what a pooling gradient rescans per pair).
+func gatherTaps(in, out, filter, stride, dilation, pad int) (pairs, cells int) {
 	for i := 0; i < in; i++ {
 		for f := 0; f < filter; f++ {
-			num := i + pad - f
+			num := i + pad - f*dilation
 			if num < 0 || num%stride != 0 || num/stride >= out {
 				continue
 			}
 			pairs++
 			corner := num - pad
 			for w := 0; w < filter; w++ {
-				if c := corner + w; c >= 0 && c < in {
+				if c := corner + w*dilation; c >= 0 && c < in {
 					cells++
 				}
 			}
@@ -173,8 +174,8 @@ func packedMatMulWork(size, n, k int) glsim.Work {
 // window program gathers from, and the number of input cells a pooling
 // gradient rescans to re-derive each window's argmax or cell count.
 func backpropTaps(info kernels.Conv2DInfo) (pairs, cells int64) {
-	pr, cr := gatherTaps(info.InHeight, info.OutHeight, info.FilterHeight, info.StrideHeight, info.PadTop)
-	pc, cc := gatherTaps(info.InWidth, info.OutWidth, info.FilterWidth, info.StrideWidth, info.PadLeft)
+	pr, cr := gatherTaps(info.InHeight, info.OutHeight, info.FilterHeight, info.StrideHeight, info.DilationHeight, info.PadTop)
+	pc, cc := gatherTaps(info.InWidth, info.OutWidth, info.FilterWidth, info.StrideWidth, info.DilationWidth, info.PadLeft)
 	return int64(info.BatchSize) * int64(pr) * int64(pc), int64(info.BatchSize) * int64(cr) * int64(cc)
 }
 

@@ -265,14 +265,21 @@ func TestSamplerTermsMatchTheCompiledSamplers(t *testing.T) {
 		{[]int{1, 3, 1, 2}, []int{1, 3, 1, 2}},
 		{[]int{2, 3, 4}, []int{2, 3, 4}},
 	} {
+		// The operand's stride along each output dim, 0 where it broadcasts.
+		strides := make([]int, len(c.out))
+		for i := range c.out {
+			if j := i - len(c.out) + len(c.in); j >= 0 && c.in[j] != 1 {
+				strides[i] = tensor.ShapeSize(c.in[j+1:])
+			}
+		}
 		for _, squeeze := range []bool{true, false} {
-			// The terms broadcastSamplers keeps, evaluated once per output
-			// value as the compiled mapper does.
-			aligned := compileSampler(c.in, c.out, squeeze, nil).strides
+			// A compiled sampler keeps one (flat / div % dim) · stride term
+			// per output dim, squeezing dropping those of size 1 or stride
+			// 0; the shader evaluates them once per output value.
 			var want int64
 			for flat := 0; flat < tensor.ShapeSize(c.out); flat++ {
 				for i, dim := range c.out {
-					if squeeze && (dim == 1 || aligned[i] == 0) {
+					if squeeze && (dim == 1 || strides[i] == 0) {
 						continue
 					}
 					want++
