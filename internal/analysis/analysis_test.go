@@ -115,7 +115,7 @@ func TestOpErrFixture(t *testing.T) {
 func TestKernelParityFixture(t *testing.T) {
 	got := runFixture(t, "parityfix")
 	checkGolden(t, "parityfix", got)
-	for _, fragment := range []string{`"Sofmax"`, `"Gelu"`, `"Conv3D"`} {
+	for _, fragment := range []string{`"Sofmax"`, `"Gelu"`, `"Conv3D"`, `"Reluu"`} {
 		if !strings.Contains(got, fragment) {
 			t.Errorf("expected a finding about %s, got:\n%s", fragment, got)
 		}

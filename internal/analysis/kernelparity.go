@@ -27,9 +27,11 @@ import (
 //
 // The reference set is the RegisterRef("Name", ...) calls plus the entries
 // of the element-wise table (a []ElementwiseOp literal, each entry's Name),
-// which the reference tier registers in one loop. If no reference kernels
-// are in scope (e.g. vetting a single unrelated package), the analyzer is
-// silent.
+// which the reference tier registers in one loop. The entries of the range
+// table (a []RangeKernel literal) are backend kernels: the device tiers
+// install every one in a loop, and each needs a reference kernel of its
+// name. If no reference kernels are in scope (e.g. vetting a single
+// unrelated package), the analyzer is silent.
 var KernelParity = &Analyzer{
 	Name:   "kernelparity",
 	Doc:    "backend kernel registrations and decoder op cases must resolve to reference kernels",
@@ -74,7 +76,7 @@ func runKernelParity(pass *Pass) error {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				if gd, ok := decl.(*ast.GenDecl); ok {
-					collectTable(gd, refSet)
+					collectTables(gd, pkg.Path, refSet, &backendRegs)
 					continue
 				}
 				fd, ok := decl.(*ast.FuncDecl)
@@ -187,9 +189,10 @@ func collectRegistration(pkgPath string, call *ast.CallExpr, inRegister bool,
 	}
 }
 
-// collectTable harvests the element-wise table: the Name of every entry of
-// a []ElementwiseOp composite literal feeds the reference set.
-func collectTable(gd *ast.GenDecl, refSet map[string]bool) {
+// collectTables harvests the two kernel tables: the Name of every entry
+// of a []ElementwiseOp composite literal feeds the reference set, that of
+// a []RangeKernel literal the backend set.
+func collectTables(gd *ast.GenDecl, pkgPath string, refSet map[string]bool, backendRegs *[]namedLiteral) {
 	ast.Inspect(gd, func(n ast.Node) bool {
 		lit, ok := n.(*ast.CompositeLit)
 		if !ok {
@@ -199,7 +202,8 @@ func collectTable(gd *ast.GenDecl, refSet map[string]bool) {
 		if !ok {
 			return true
 		}
-		if elt, ok := arr.Elt.(*ast.Ident); !ok || elt.Name != "ElementwiseOp" {
+		elt, ok := arr.Elt.(*ast.Ident)
+		if !ok || (elt.Name != "ElementwiseOp" && elt.Name != "RangeKernel") {
 			return true
 		}
 		for _, e := range lit.Elts {
@@ -212,9 +216,15 @@ func collectTable(gd *ast.GenDecl, refSet map[string]bool) {
 				if !ok {
 					continue
 				}
-				if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Name" {
-					if name, ok := stringLit(kv.Value); ok {
+				key, ok := kv.Key.(*ast.Ident)
+				if !ok || key.Name != "Name" {
+					continue
+				}
+				if name, ok := stringLit(kv.Value); ok {
+					if elt.Name == "ElementwiseOp" {
 						refSet[name] = true
+					} else {
+						*backendRegs = append(*backendRegs, namedLiteral{name, kv.Value.Pos(), pkgPath})
 					}
 				}
 			}

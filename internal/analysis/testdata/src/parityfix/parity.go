@@ -80,3 +80,17 @@ func compileTabled(n node) kernelFn {
 }
 
 var _ = compileTabled
+
+// RangeKernel mimics the range table: every entry is a backend kernel the
+// tiers install in one loop, which needs a reference kernel of its name.
+type RangeKernel struct {
+	Name string
+	fn   kernelFn
+}
+
+var rangeKernels = []RangeKernel{
+	{Name: "Add", fn: func() {}},
+	{Name: "Reluu", fn: func() {}}, // want: orphaned range kernel (typo of Relu)
+}
+
+var _ = rangeKernels

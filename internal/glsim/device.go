@@ -70,6 +70,19 @@ func DefaultConfig() Config {
 // command is one entry in the GPU command queue.
 type command struct {
 	run func()
+	// A program's dispatch is the program itself, not a closure over it:
+	// one allocation fewer per enqueue.
+	prog *Program
+	out  *Texture
+}
+
+// do executes cmd on the GPU goroutine.
+func (d *Device) do(cmd command) {
+	if cmd.prog != nil {
+		d.execute(cmd.prog, cmd.out)
+		return
+	}
+	cmd.run()
 }
 
 // Stats counts device activity for tests and ablation benchmarks. Fetches,
@@ -159,12 +172,12 @@ func (d *Device) run() {
 	for {
 		select {
 		case cmd := <-d.queue:
-			cmd.run()
+			d.do(cmd)
 		case <-d.done:
 			for {
 				select {
 				case cmd := <-d.queue:
-					cmd.run()
+					d.do(cmd)
 				default:
 					return
 				}
@@ -173,15 +186,17 @@ func (d *Device) run() {
 	}
 }
 
-// submit enqueues a command, blocking if the queue is full (as the real
-// driver does when the command buffer fills).
-func (d *Device) submit(run func()) {
+// submit enqueues a command to run, blocking if the queue is full (as the
+// real driver does when the command buffer fills).
+func (d *Device) submit(run func()) { d.enqueue(command{run: run}) }
+
+func (d *Device) enqueue(cmd command) {
 	select {
 	case <-d.done:
 		// Device closed: execute inline so callers don't hang.
-		run()
+		d.do(cmd)
 	default:
-		d.queue <- command{run: run}
+		d.queue <- cmd
 	}
 }
 
@@ -359,44 +374,52 @@ type Program struct {
 	Name string
 	Work Work
 	Main func(lo, hi int, dst []float32)
+	// Setup, when set, runs once per dispatch, before any of Main's
+	// ranges: what every range reads that the program computes from its
+	// inputs (a transposed operand) is computed there, once, whatever the
+	// worker count.
+	Setup func()
 }
 
 // Execute binds output to the framebuffer and runs the program over every
 // output texel, parallelized across the device's workers. The call only
 // enqueues; it returns immediately, which is what makes op dispatch
 // sub-millisecond while the GPU works in the background (Section 4.1.1).
-func (d *Device) Execute(p *Program, out *Texture) {
-	d.submit(func() {
-		texels := out.Texels()
-		workers := d.workers
-		if workers > texels {
-			workers = texels
-		}
-		if workers <= 1 {
-			out.render(p, 0, texels)
-		} else {
-			var wg sync.WaitGroup
-			chunk := (texels + workers - 1) / workers
-			for w := 0; w < workers; w++ {
-				lo := w * chunk
-				hi := lo + chunk
-				if hi > texels {
-					hi = texels
-				}
-				if lo >= hi {
-					break
-				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					out.render(p, lo, hi)
-				}(lo, hi)
+func (d *Device) Execute(p *Program, out *Texture) { d.enqueue(command{prog: p, out: out}) }
+
+func (d *Device) execute(p *Program, out *Texture) {
+	if p.Setup != nil {
+		p.Setup()
+	}
+	texels := out.Texels()
+	workers := d.workers
+	if workers > texels {
+		workers = texels
+	}
+	if workers <= 1 {
+		out.render(p, 0, texels)
+	} else {
+		var wg sync.WaitGroup
+		chunk := (texels + workers - 1) / workers
+		for w := 0; w < workers; w++ {
+			lo := w * chunk
+			hi := lo + chunk
+			if hi > texels {
+				hi = texels
 			}
-			wg.Wait()
+			if lo >= hi {
+				break
+			}
+			wg.Add(1)
+			go func(lo, hi int) {
+				defer wg.Done()
+				out.render(p, lo, hi)
+			}(lo, hi)
 		}
-		d.stats.texels.Add(int64(texels))
-		d.charge(p.Work, texels)
-	})
+		wg.Wait()
+	}
+	d.stats.texels.Add(int64(texels))
+	d.charge(p.Work, texels)
 }
 
 // charge advances the clock by one dispatch: the launch cost plus the

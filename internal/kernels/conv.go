@@ -16,6 +16,23 @@ func convAttrs(attrs Attrs) (strides, dilations []int, pad string) {
 	return attrs.Ints("strides", unitStrides), attrs.Ints("dilations", unitStrides), attrs.String("pad", "valid")
 }
 
+// ResolveConv checks a forward convolution — Conv2D's or
+// DepthwiseConv2dNative's (x, filter), or their fused kernels' (x, filter
+// [, bias]) — and describes its float32 NHWC output in out. (The bias and
+// the activation are FusedTail's to check.)
+func ResolveConv(name string, inputs []Input, attrs Attrs, out *TensorInfo) (Conv2DInfo, error) {
+	if err := FusedInputs(name, inputs, strings.HasPrefix(name, "Fused")); err != nil {
+		return Conv2DInfo{}, err
+	}
+	strides, dilations, pad := convAttrs(attrs)
+	info, err := ComputeConv2DInfo(inputs[0].Shape, inputs[1].Shape, strides, dilations, pad, strings.Contains(name, "Depthwise"))
+	if err != nil {
+		return info, errIn(name, "%v", err)
+	}
+	out.Shape, out.DType = append(out.Shape[:0], info.BatchSize, info.OutHeight, info.OutWidth, info.OutChannels), tensor.Float32
+	return info, nil
+}
+
 // ResolveConvBackprop checks a Conv2D or depthwise gradient — a
 // …BackpropFilter's (x, dy) and attr filterShape, or a …BackpropInput's
 // (dy, filter) and attr inputShape — and resolves the forward convolution
@@ -47,17 +64,13 @@ func init() {
 	// Conv2D computes a 2-D convolution over NHWC input with filter
 	// [fh, fw, inC, outC].
 	RegisterRef("Conv2D", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		if err := wantInputs("Conv2D", inputs, 2); err != nil {
+		var res TensorInfo
+		info, err := ResolveConv("Conv2D", inputsOf(inputs), attrs, &res)
+		if err != nil {
 			return Buffer{}, err
 		}
-		x, w := inputs[0], inputs[1]
-		strides, dilations, pad := convAttrs(attrs)
-		info, err := ComputeConv2DInfo(x.Shape, w.Shape, strides, dilations, pad, false)
-		if err != nil {
-			return Buffer{}, errIn("Conv2D", "%v", err)
-		}
-		out := NewBuffer(info.OutShape(), tensor.Float32)
-		convolve2D(out.Data, x.Data, w.Data, info)
+		out := NewBuffer(res.Shape, res.DType)
+		convolve2D(out.Data, inputs[0].Data, inputs[1].Data, info)
 		return out, nil
 	})
 
@@ -168,17 +181,13 @@ func init() {
 	// DepthwiseConv2dNative applies one filter per input channel with a
 	// channel multiplier: filter [fh, fw, inC, mult].
 	RegisterRef("DepthwiseConv2dNative", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		if err := wantInputs("DepthwiseConv2dNative", inputs, 2); err != nil {
+		var res TensorInfo
+		info, err := ResolveConv("DepthwiseConv2dNative", inputsOf(inputs), attrs, &res)
+		if err != nil {
 			return Buffer{}, err
 		}
-		x, w := inputs[0], inputs[1]
-		strides, dilations, pad := convAttrs(attrs)
-		info, err := ComputeConv2DInfo(x.Shape, w.Shape, strides, dilations, pad, true)
-		if err != nil {
-			return Buffer{}, errIn("DepthwiseConv2dNative", "%v", err)
-		}
-		out := NewBuffer(info.OutShape(), tensor.Float32)
-		depthwiseConvolve2D(out.Data, x.Data, w.Data, info)
+		out := NewBuffer(res.Shape, res.DType)
+		depthwiseConvolve2D(out.Data, inputs[0].Data, inputs[1].Data, info)
 		return out, nil
 	})
 

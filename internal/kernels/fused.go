@@ -1,9 +1,5 @@
 package kernels
 
-import (
-	"repro/internal/tensor"
-)
-
 // fusedEpilogue resolves the bias operand (inputs[2] when present) and the
 // activation for a fused kernel with outC output channels. bias is nil when
 // the kernel carries no bias input. The activation is the element-wise
@@ -51,21 +47,17 @@ func init() {
 	// reference tier — the correctness oracle the native and webgl fused
 	// kernels are tested against.
 	RegisterRef("FusedConv2D", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		if len(inputs) != 2 && len(inputs) != 3 {
-			return Buffer{}, errIn("FusedConv2D", "got %d inputs, want 2 or 3", len(inputs))
-		}
-		x, w := inputs[0], inputs[1]
-		strides, dilations, pad := convAttrs(attrs)
-		info, err := ComputeConv2DInfo(x.Shape, w.Shape, strides, dilations, pad, false)
+		var res TensorInfo
+		info, err := ResolveConv("FusedConv2D", inputsOf(inputs), attrs, &res)
 		if err != nil {
-			return Buffer{}, errIn("FusedConv2D", "%v", err)
+			return Buffer{}, err
 		}
 		bias, act, err := fusedEpilogue("FusedConv2D", inputs, attrs, info.OutChannels)
 		if err != nil {
 			return Buffer{}, err
 		}
-		out := NewBuffer(info.OutShape(), tensor.Float32)
-		convolve2D(out.Data, x.Data, w.Data, info)
+		out := NewBuffer(res.Shape, res.DType)
+		convolve2D(out.Data, inputs[0].Data, inputs[1].Data, info)
 		applyEpilogue(out.Data, info.OutChannels, bias, act)
 		return out, nil
 	})
@@ -73,21 +65,17 @@ func init() {
 	// FusedDepthwiseConv2dNative is DepthwiseConv2dNative + bias +
 	// activation.
 	RegisterRef("FusedDepthwiseConv2dNative", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		if len(inputs) != 2 && len(inputs) != 3 {
-			return Buffer{}, errIn("FusedDepthwiseConv2dNative", "got %d inputs, want 2 or 3", len(inputs))
-		}
-		x, w := inputs[0], inputs[1]
-		strides, dilations, pad := convAttrs(attrs)
-		info, err := ComputeConv2DInfo(x.Shape, w.Shape, strides, dilations, pad, true)
+		var res TensorInfo
+		info, err := ResolveConv("FusedDepthwiseConv2dNative", inputsOf(inputs), attrs, &res)
 		if err != nil {
-			return Buffer{}, errIn("FusedDepthwiseConv2dNative", "%v", err)
+			return Buffer{}, err
 		}
 		bias, act, err := fusedEpilogue("FusedDepthwiseConv2dNative", inputs, attrs, info.OutChannels)
 		if err != nil {
 			return Buffer{}, err
 		}
-		out := NewBuffer(info.OutShape(), tensor.Float32)
-		depthwiseConvolve2D(out.Data, x.Data, w.Data, info)
+		out := NewBuffer(res.Shape, res.DType)
+		depthwiseConvolve2D(out.Data, inputs[0].Data, inputs[1].Data, info)
 		applyEpilogue(out.Data, info.OutChannels, bias, act)
 		return out, nil
 	})

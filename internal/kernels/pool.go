@@ -17,6 +17,25 @@ func poolAttrs(attrs Attrs) (filterSize, strides []int, pad string) {
 	return filterSize, strides, pad
 }
 
+// ResolvePool checks a MaxPool or AvgPool — one NHWC input x — and
+// describes its output in out: x's dtype for MaxPool, float32 for the
+// average.
+func ResolvePool(name string, inputs []Input, attrs Attrs, out *TensorInfo) (Conv2DInfo, error) {
+	if err := wantInputs(name, inputs, 1); err != nil {
+		return Conv2DInfo{}, err
+	}
+	filterSize, strides, pad := poolAttrs(attrs)
+	info, err := ComputePool2DInfo(inputs[0].Shape, filterSize, strides, pad)
+	if err != nil {
+		return info, errIn(name, "%v", err)
+	}
+	out.Shape, out.DType = append(out.Shape[:0], info.BatchSize, info.OutHeight, info.OutWidth, info.OutChannels), inputs[0].DType
+	if name == "AvgPool" {
+		out.DType = tensor.Float32
+	}
+	return info, nil
+}
+
 // ResolvePoolGrad checks a pool gradient — MaxPoolGrad's (dy, x), or
 // AvgPoolGrad's dy and attr inputShape — and resolves the forward pool it
 // differentiates, whose output dy must be; out is the gradient, of the
@@ -47,16 +66,12 @@ func ResolvePoolGrad(name string, inputs []Input, attrs Attrs, out *TensorInfo) 
 func init() {
 	// MaxPool computes 2-D max pooling over NHWC input.
 	RegisterRef("MaxPool", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		if err := wantInputs("MaxPool", inputs, 1); err != nil {
+		var res TensorInfo
+		info, err := ResolvePool("MaxPool", inputsOf(inputs), attrs, &res)
+		if err != nil {
 			return Buffer{}, err
 		}
-		x := inputs[0]
-		filterSize, strides, pad := poolAttrs(attrs)
-		info, err := ComputePool2DInfo(x.Shape, filterSize, strides, pad)
-		if err != nil {
-			return Buffer{}, errIn("MaxPool", "%v", err)
-		}
-		out := NewBuffer(info.OutShape(), x.DType)
+		x, out := inputs[0], NewBuffer(res.Shape, res.DType)
 		poolForEach(info, func(outIdx int, w poolWindow) {
 			best := float32(math.Inf(-1))
 			w.each(func(inIdx int) {
@@ -72,16 +87,12 @@ func init() {
 	// AvgPool computes 2-D average pooling; padding cells are excluded
 	// from the average, matching TensorFlow semantics.
 	RegisterRef("AvgPool", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		if err := wantInputs("AvgPool", inputs, 1); err != nil {
+		var res TensorInfo
+		info, err := ResolvePool("AvgPool", inputsOf(inputs), attrs, &res)
+		if err != nil {
 			return Buffer{}, err
 		}
-		x := inputs[0]
-		filterSize, strides, pad := poolAttrs(attrs)
-		info, err := ComputePool2DInfo(x.Shape, filterSize, strides, pad)
-		if err != nil {
-			return Buffer{}, errIn("AvgPool", "%v", err)
-		}
-		out := NewBuffer(info.OutShape(), tensor.Float32)
+		x, out := inputs[0], NewBuffer(res.Shape, res.DType)
 		poolForEach(info, func(outIdx int, w poolWindow) {
 			var sum float32
 			w.each(func(inIdx int) { sum += x.Data[inIdx] })

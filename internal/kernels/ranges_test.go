@@ -11,123 +11,62 @@ import (
 	"repro/internal/vec"
 )
 
-// rangeBody resolves one call of kernel as the backends do and returns its
-// range body over the call's operands: what native hands its output
-// chunks and webgl its texel ranges.
+// rangeBody resolves one call of kernel as the tiers do — a range
+// kernel through the table, its staged buffer computed once; GatherV2 and
+// a binary op's general broadcast, which are no range kernels, on their
+// bodies — and returns its range body over the call's operands: what
+// native hands its output chunks and webgl its texel ranges.
 func rangeBody(t *testing.T, kernel string, ins []Buffer, attrs Attrs) func(lo int, dst []float32) {
 	t.Helper()
-	inputs, x := inputsOf(ins), func(i int) []float32 { return ins[i].Data }
-	var out TensorInfo
-	var body func(lo int, dst []float32)
-	var err error
-	mover := func(m interface {
-		Fill(x []float32, lo int, dst []float32)
-	}, e error) {
-		var xs []float32
-		if len(ins) > 0 {
-			xs = x(0)
-		}
-		body, err = func(lo int, dst []float32) { m.Fill(xs, lo, dst) }, e
+	in := make([][]float32, len(ins))
+	for i := range ins {
+		in[i] = ins[i].Data
 	}
 	switch kernel {
-	case "BatchMatMul", "_FusedMatMul":
-		var g MatMul
-		if g, err = ResolveMatMul(kernel, inputs, attrs, &out); err == nil {
-			var ep Epilogue
-			ep, err = FusedTail(kernel, inputs, attrs, g.N(), func(Input) []float32 { return x(2) })
-			body = func(lo int, dst []float32) { g.Fill(x(0), x(1), ep, lo, dst) }
-		}
-	case "Transpose":
-		mover(ResolveTranspose(inputs, attrs, &out))
-	case "Slice":
-		mover(ResolveSlice(inputs, attrs, &out))
-	case "Tile":
-		mover(ResolveTile(inputs, attrs, &out))
-	case "PadV2":
-		mover(ResolvePad(inputs, attrs, &out))
-	case "OneHot":
-		mover(ResolveOneHot(inputs, attrs, &out))
-	case "Fill":
-		mover(ResolveFill(inputs, attrs, &out))
-	case "Concat":
-		var c Concat
-		c, err = ResolveConcat(inputs, attrs, &out)
-		xs := make([][]float32, len(ins))
-		for i := range ins {
-			xs[i] = x(i)
-		}
-		body = func(lo int, dst []float32) { c.Fill(xs, lo, dst) }
 	case "GatherV2":
-		var g Gather
-		g, err = ResolveGather(inputs, attrs, &out)
-		body = func(lo int, dst []float32) { g.Fill(x(0), x(1), lo, dst) }
-	case "AdamMoments":
-		var a AdamMoments
-		a, err = ResolveAdamMoments(inputs, attrs, &out)
-		body = func(lo int, dst []float32) { a.Fill(x(0), x(1), lo, dst) }
-	case "ApplyAdam":
-		var a ApplyAdam
-		a, err = ResolveApplyAdam(inputs, attrs, &out)
-		body = func(lo int, dst []float32) { a.Fill(x(0), x(1), lo, dst) }
-	case "BiasAddGrad":
-		outer, inner, e := Rows(kernel, inputs)
-		body, err = func(lo int, dst []float32) { ColumnSums(x(0), outer, inner, lo, dst) }, e
-	case "Conv2DBackpropFilter":
-		info, e := ResolveConvBackprop(kernel, inputs, attrs, &out)
-		body, err = func(lo int, dst []float32) { NewWalk(info).FilterGrad(x(0), x(1), info.BatchSize, lo, dst) }, e
-	case "Conv2DBackpropInput":
-		info, e := ResolveConvBackprop(kernel, inputs, attrs, &out)
-		wT := make([]float32, len(x(1)))
-		if e == nil {
-			NewWalk(info).TransposeFilter(x(1), wT)
+		g, err := ResolveGather(inputsOf(ins), attrs, &TensorInfo{})
+		if err != nil {
+			t.Fatalf("%s: %v", kernel, err)
 		}
-		body, err = func(lo int, dst []float32) { NewWalk(info).InputGrad(x(0), wT, lo, dst) }, e
-	case "DepthwiseConv2dNativeBackpropInput":
-		info, e := ResolveConvBackprop(kernel, inputs, attrs, &out)
-		body, err = func(lo int, dst []float32) { NewWalk(info).DepthwiseInputGrad(x(0), x(1), lo, dst) }, e
-	case "DepthwiseConv2dNativeBackpropFilter":
-		info, e := ResolveConvBackprop(kernel, inputs, attrs, &out)
-		body, err = func(lo int, dst []float32) { NewWalk(info).DepthwiseFilterGrad(x(0), x(1), info.BatchSize, lo, dst) }, e
-	case "MaxPoolGrad":
-		info, e := ResolvePoolGrad(kernel, inputs, attrs, &out)
-		body, err = func(lo int, dst []float32) { NewWalk(info).MaxPoolGrad(x(1), x(0), lo, dst) }, e
-	case "AvgPoolGrad":
-		info, e := ResolvePoolGrad(kernel, inputs, attrs, &out)
-		body, err = func(lo int, dst []float32) { NewWalk(info).AvgPoolGrad(x(0), lo, dst) }, e
-	case "Select":
-		o, e := ResolveSelect(inputs, &out)
-		body, err = func(lo int, dst []float32) { o.Select(x(0), x(1), x(2), lo, dst) }, e
-	case "FusedBatchNorm":
-		n, e := ResolveBatchNorm(inputs, attrs, &out)
-		body, err = func(lo int, dst []float32) { n.Fill(x(0), x(1), x(2), x(3), x(4), lo, dst) }, e
+		return func(lo int, dst []float32) { g.Fill(in[0], in[1], lo, dst) }
 	case "Sub":
-		shape, e := tensor.BroadcastShapes(ins[0].Shape, ins[1].Shape)
-		g, _ := NewBroadcast(ins[0].Shape, ins[1].Shape, shape)
-		body, err = func(lo int, dst []float32) { g.Fill(byName["Sub"].Binary, x(0), x(1), lo, dst) }, e
-	default:
-		if r, ok := Reductions()[kernel]; ok {
-			_, inner, e := ResolveReduce(kernel, inputs, &out)
-			body, err = func(lo int, dst []float32) { r.Fill(x(0), inner, lo, dst) }, e
+		shape, err := tensor.BroadcastShapes(ins[0].Shape, ins[1].Shape)
+		g, ok := NewBroadcast(ins[0].Shape, ins[1].Shape, shape)
+		if err != nil || !ok {
+			t.Fatalf("%s: no broadcast (%v)", kernel, err)
 		}
+		return func(lo int, dst []float32) { g.Fill(byName["Sub"].Binary, in[0], in[1], lo, dst) }
 	}
-	if body == nil || err != nil {
-		t.Fatalf("%s: no range body (%v)", kernel, err)
+	for _, k := range RangeKernels() {
+		if k.Name != kernel {
+			continue
+		}
+		r, err := k.Resolve(kernel, inputsOf(ins), attrs, &TensorInfo{})
+		if err != nil {
+			t.Fatalf("%s: %v", kernel, err)
+		}
+		if n := r.Stage.Len(); n > 0 {
+			staged := make([]float32, n)
+			r.Stage.Run(in, staged)
+			in = append(in, staged)
+		}
+		return func(lo int, dst []float32) { r.Fill(in, lo, dst) }
 	}
-	return body
+	t.Fatalf("%s: no range body", kernel)
+	return nil
 }
 
-// TestRangeBodiesMatchReference: every range body both host backends run
-// — matmul, the reductions, BiasAddGrad's column sums, Adam's two, the
-// views (transpose, slice, tile), pad, concat, gather, one-hot, fill, a
-// binary op's general broadcast, Select's and batch norm's, the filter
-// gradients and the input gradients of the convolutions and the pools (at
-// strides, dilations, same and valid padding, overlapping windows, a
-// channel multiplier of 2 and batch 0) — cut in two at every split point of small shapes,
-// on both bodies of the vector cores, writes every value (none read first)
-// Float32bits-equal to one uncut call, which is the reference kernel's
-// function to the bit — two NaNs equal whatever their payloads, as in the
-// walk's test: a narrow filter row cut mid-row is a GemmRow instead of an
-// AxpyRows, which meet two NaNs in the other operand order.
+// TestRangeBodiesMatchReference: the body of every kernel of the range
+// table — each fails the test without a case here — and the two bodies
+// outside it (GatherV2's and a binary op's general broadcast), resolved as
+// the tiers resolve them, at strides, dilations, same and valid padding,
+// overlapping windows, a channel multiplier of 2 and batch 0, cut in two
+// at every split point of small shapes, on both bodies of the vector
+// cores, write every value (none read first) Float32bits-equal to one
+// uncut call, which is the reference kernel's function to the bit — two
+// NaNs equal whatever their payloads, as in the walk's test: a narrow
+// filter row cut mid-row is a GemmRow instead of an AxpyRows, which meet
+// two NaNs in the other operand order.
 func TestRangeBodiesMatchReference(t *testing.T) {
 	type rangeCase struct {
 		label, kernel string
@@ -252,6 +191,46 @@ func TestRangeBodiesMatchReference(t *testing.T) {
 	for _, name := range []string{"Sum", "Mean", "Max", "Min", "Prod", "ArgMax", "ArgMin"} {
 		cases = append(cases, rangeCase{"ties", name, []Buffer{rows}, nil}, rangeCase{"specials", name, []Buffer{op(4, 9)}, nil})
 	}
+	// The forward window kernels, fused with a bias and an activation or
+	// not, at a stride, a dilation and both paddings.
+	conv := func(kernel string, x, f, strides, dilations []int, pad, act string) rangeCase {
+		info, err := ComputeConv2DInfo(x, f, strides, dilations, pad, strings.Contains(kernel, "Depthwise"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins := []Buffer{op(x...), op(f...)}
+		if strings.HasPrefix(kernel, "Fused") {
+			ins = append(ins, op(info.OutChannels))
+		}
+		return rangeCase{fmt.Sprintf("%v%v%v%v%s%s", x, f, strides, dilations, pad, act), kernel, ins,
+			Attrs{"strides": strides, "dilations": dilations, "pad": pad, "activation": act}}
+	}
+	for _, kernel := range []string{"Conv2D", "FusedConv2D"} {
+		act := map[string]string{"FusedConv2D": "relu6"}[kernel]
+		cases = append(cases,
+			conv(kernel, []int{2, 5, 6, 3}, []int{3, 3, 3, 8}, s1, s1, "same", act),
+			conv(kernel, []int{1, 7, 6, 4}, []int{2, 3, 4, 5}, []int{2, 1}, []int{1, 2}, "valid", act))
+	}
+	for _, kernel := range []string{"DepthwiseConv2dNative", "FusedDepthwiseConv2dNative"} {
+		act := map[string]string{"FusedDepthwiseConv2dNative": "elu"}[kernel]
+		cases = append(cases,
+			conv(kernel, []int{2, 5, 6, 3}, []int{3, 3, 3, 2}, s2, s1, "same", act),
+			conv(kernel, []int{1, 6, 7, 4}, []int{2, 3, 4, 1}, s1, s2, "valid", act))
+	}
+	for _, kernel := range []string{"MaxPool", "AvgPool"} {
+		cases = append(cases,
+			rangeCase{"2x2same", kernel, []Buffer{op(2, 5, 7, 3)}, Attrs{"filterSize": []int{2, 2}, "pad": "same"}},
+			rangeCase{"3x2valid", kernel, []Buffer{op(1, 4, 6, 3)}, Attrs{"filterSize": []int{3, 2}, "strides": s1, "pad": "valid"}})
+	}
+	// Every kernel of the table has cases; so do the two bodies outside it.
+	byKernel := map[string][]rangeCase{}
+	for _, c := range cases {
+		byKernel[c.kernel] = append(byKernel[c.kernel], c)
+	}
+	kernelNames := []string{"GatherV2", "Sub"}
+	for _, k := range RangeKernels() {
+		kernelNames = append(kernelNames, k.Name)
+	}
 	for _, cores := range []string{"default", "scalar"} {
 		if cores == "scalar" {
 			restore, forced := vec.ForceScalar()
@@ -260,18 +239,29 @@ func TestRangeBodiesMatchReference(t *testing.T) {
 			}
 			defer restore()
 		}
-		for _, c := range cases {
-			label := c.kernel + "/" + c.label + "/" + cores
-			want, body := runRef(t, c.kernel, c.ins, c.attrs), rangeBody(t, c.kernel, c.ins, c.attrs)
-			uncut := unwritten(len(want.Data))
-			body(0, uncut)
-			sameBits(t, label, uncut, want.Data)
-			for split := 0; split <= len(uncut); split++ {
-				got := unwritten(len(uncut))
-				body(0, got[:split])
-				body(split, got[split:])
-				sameBits(t, fmt.Sprintf("%s cut at %d", label, split), got, uncut)
+		for _, kernel := range kernelNames {
+			if len(byKernel[kernel]) == 0 {
+				t.Errorf("%s: no case", kernel)
+			}
+			for _, c := range byKernel[kernel] {
+				checkRangeCase(t, c.kernel+"/"+c.label+"/"+cores, c.kernel, c.ins, c.attrs)
 			}
 		}
+	}
+}
+
+// checkRangeCase holds one call's range body, uncut and cut in two at
+// every split point, to the reference kernel.
+func checkRangeCase(t *testing.T, label, kernel string, ins []Buffer, attrs Attrs) {
+	t.Helper()
+	want, body := runRef(t, kernel, ins, attrs), rangeBody(t, kernel, ins, attrs)
+	uncut := unwritten(len(want.Data))
+	body(0, uncut)
+	sameBits(t, label, uncut, want.Data)
+	for split := 0; split <= len(uncut); split++ {
+		got := unwritten(len(uncut))
+		body(0, got[:split])
+		body(split, got[split:])
+		sameBits(t, fmt.Sprintf("%s cut at %d", label, split), got, uncut)
 	}
 }

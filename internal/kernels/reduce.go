@@ -65,8 +65,8 @@ func (r Reduction) Fill(x []float32, inner, lo int, dst []float32) {
 	}
 }
 
-// Reductions maps the reductions native and webgl run to their rows.
-func Reductions() map[string]Reduction {
+// reductions maps the reductions the range table holds to their rows.
+var reductions = func() map[string]Reduction {
 	sum := func(row []float32) (acc float32) {
 		for _, v := range row {
 			acc += v
@@ -120,7 +120,7 @@ func Reductions() map[string]Reduction {
 		"ArgMax": arg(func(v, best float32) bool { return v > best }),
 		"ArgMin": arg(func(v, best float32) bool { return v < best }),
 	}
-}
+}()
 
 // ColumnSums computes the output values [lo, lo+len(dst)) of BiasAddGrad —
 // the sums of the columns of an [outer, inner] x — into dst, on

@@ -638,17 +638,14 @@ func FusedInputs(name string, inputs []Input, fused bool) error {
 }
 
 // FusedTail resolves the epilogue of kernel name with outC output
-// channels: the activation attribute (none on an unfused kernel), and the
-// optional bias operand inputs[2], whose values bias reads — or, when bias
-// is nil, the caller sets as Bias itself.
-func FusedTail(name string, inputs []Input, attrs Attrs, outC int, bias func(Input) []float32) (Epilogue, error) {
+// channels: the activation attribute (none on an unfused kernel), after
+// checking the optional bias operand inputs[2], whose values a range body
+// takes from its input buffers (Epilogue.Biased).
+func FusedTail(name string, inputs []Input, attrs Attrs, outC int) (Epilogue, error) {
 	var ep Epilogue
 	if len(inputs) == 3 {
 		if s := inputs[2].Shape; len(s) != 1 || s[0] != outC {
 			return ep, fmt.Errorf("%s: bias must have shape [%d], got %v", name, outC, s)
-		}
-		if bias != nil {
-			ep.Bias = bias(inputs[2])
 		}
 	}
 	actName := attrs.String("activation", "")
@@ -660,6 +657,15 @@ func FusedTail(name string, inputs []Input, attrs Attrs, outC int, bias func(Inp
 		ep.Act, ep.Kind = op.Unary, op.Kind
 	}
 	return ep, nil
+}
+
+// Biased is e with a fused kernel's bias, its third input buffer, if the
+// call has one.
+func (e Epilogue) Biased(in [][]float32) Epilogue {
+	if len(in) > 2 {
+		e.Bias = in[2]
+	}
+	return e
 }
 
 // Apply adds the bias to, and applies the activation to, output values

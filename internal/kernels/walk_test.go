@@ -130,7 +130,7 @@ func TestWalkMatchesReference(t *testing.T) {
 			}
 			bias := walkOperand(rng, info.OutChannels)
 			want := runRef(t, name, []Buffer{buf(x, g.x...), buf(w, g.w...), buf(bias, info.OutChannels)}, attrs)
-			ep, err := FusedTail(name, []Input{{Shape: g.x}, {Shape: g.w}, {Shape: []int{info.OutChannels}}}, attrs, info.OutChannels, nil)
+			ep, err := FusedTail(name, []Input{{Shape: g.x}, {Shape: g.w}, {Shape: []int{info.OutChannels}}}, attrs, info.OutChannels)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -72,6 +72,16 @@ func checkConvForward(t testing.TB, nb *Backend, g gradGeometry, f fill) {
 	x := operand{f.gen(tensor.ShapeSize(xShape), 1), xShape}
 	w := operand{f.gen(tensor.ShapeSize(wShape), 2), wShape}
 	checkAgainstReference(t, nb, "Conv2D/"+g.String()+"/"+f.name, "Conv2D", g.convAttrs(), x, w)
+	attrs := g.convAttrs()
+	attrs["activation"] = "relu6"
+	bias := operand{f.gen(g.outC, 3), []int{g.outC}}
+	checkAgainstReference(t, nb, "FusedConv2D/"+g.String()+"/"+f.name, "FusedConv2D", attrs, x, w, bias)
+	// The depthwise pair on the same window, a channel multiplier of 1 or 2.
+	wShape = []int{g.fh, g.fw, g.inC, 1 + g.outC%2}
+	w = operand{f.gen(tensor.ShapeSize(wShape), 6), wShape}
+	checkAgainstReference(t, nb, "DepthwiseConv2dNative/"+g.String()+"/"+f.name, "DepthwiseConv2dNative", g.convAttrs(), x, w)
+	bias = operand{f.gen(g.inC*wShape[3], 7), []int{g.inC * wShape[3]}}
+	checkAgainstReference(t, nb, "FusedDepthwiseConv2dNative/"+g.String()+"/"+f.name, "FusedDepthwiseConv2dNative", attrs, x, w, bias)
 }
 
 // checkReductions runs the seven [outer, inner] reductions and
@@ -188,10 +198,24 @@ func forwardPools() []gradGeometry {
 	)
 }
 
+// checkForwardMatrix runs the matrix on nb. It fails on a kernel of the
+// range table it has no case for, so that a new kernel cannot skip it.
 func checkForwardMatrix(t *testing.T, nb *Backend) {
 	t.Helper()
-	convs, _ := gradMatrix()
+	checked = map[string]bool{}
+	defer func() { checked = nil }()
+	convs, pools := gradMatrix()
 	for _, f := range forwardFills {
+		// Every other kernel of the table: a gradient of each window, Adam's
+		// two, Select under a broadcast, batch norm on channel vectors.
+		checkConvGrads(t, nb, convs[4], f)
+		checkPoolGrads(t, nb, pools[0], f)
+		checkAdam(t, nb, []int{3, 17}, f)
+		checkAgainstReference(t, nb, "Select/"+f.name, "Select", nil,
+			operand{f.gen(5, 12), []int{5, 1}}, operand{f.gen(30, 13), []int{2, 5, 3}}, operand{f.gen(3, 14), []int{3}})
+		p := operand{f.gen(9, 15), []int{9}}
+		checkAgainstReference(t, nb, "FusedBatchNorm/"+f.name, "FusedBatchNorm", kernels.Attrs{"varianceEpsilon": 1e-3},
+			operand{f.gen(2*3*9, 16), []int{2, 3, 9}}, p, operand{f.gen(9, 17), []int{9}}, p, p)
 		for _, g := range forwardPools() {
 			checkPools(t, nb, g, f)
 		}
@@ -235,13 +259,20 @@ func checkForwardMatrix(t *testing.T, nb *Backend) {
 		checkTranspose(t, nb, []int{3, 7, 7, 65}, []int{0, 3, 1, 2}, f)
 		checkTranspose(t, nb, []int{2, 3, 37, 41, 2}, []int{0, 1, 3, 4, 2}, f)
 	}
+	for _, k := range kernels.RangeKernels() {
+		if !checked[k.Name] {
+			t.Errorf("%s: a range kernel with no case in the matrix", k.Name)
+		}
+	}
 }
 
-// TestForwardKernelsBitIdenticalToReference: Conv2D, MaxPool, AvgPool,
-// the seven reductions, BiasAddGrad, BatchMatMul, _FusedMatMul and the
-// shape kernels (Transpose, Slice, Tile, PadV2, Concat, GatherV2, OneHot,
-// Fill) on node agree with the reference kernels to the bit, at every
-// worker count and with the AVX2 cores on or off.
+// TestForwardKernelsBitIdenticalToReference: every kernel of the range
+// table on node — the convolutions, pools and matmuls over the matrix's
+// geometries, the seven reductions, BiasAddGrad and the shape kernels over
+// its shapes, the rest on a case each (TestGradKernelsBitIdenticalToReference
+// holds the gradients to their own matrix) — and GatherV2 agree with the
+// reference kernels to the bit, at every worker count and with the AVX2
+// cores on or off.
 func TestForwardKernelsBitIdenticalToReference(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {

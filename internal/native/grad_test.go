@@ -26,9 +26,16 @@ type operand struct {
 
 // checkAgainstReference runs kernel `name` on the reference tier and on
 // nb and requires equal shapes and bit-equal values — or an error from
+
+// checked, while a matrix runs, records the kernels it checked.
+var checked map[string]bool
+
 // both, with nothing left registered on nb.
 func checkAgainstReference(t testing.TB, nb *Backend, label, name string, attrs kernels.Attrs, ops ...operand) {
 	t.Helper()
+	if checked != nil {
+		checked[name] = true
+	}
 	ref, ok := kernels.LookupRef(name)
 	if !ok {
 		t.Fatalf("%s: no reference kernel", name)

@@ -55,9 +55,9 @@ func benchGemm(b *testing.B, m, k, n int, sparsity float64) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nb.parallelFor(m, 2*k*n, func(lo, hi int) {
-			g.Fill(av, bv, kernels.Epilogue{}, lo*n, out[lo*n:hi*n])
-		})
+		nb.parallelFor(func(_ [][]float32, lo int, dst []float32) {
+			g.Fill(av, bv, kernels.Epilogue{}, lo, dst)
+		}, nil, out, n, 2*int64(m)*int64(k)*int64(n))
 	}
 	reportKernel(b, 2*m*k*n, m*k+k*n+m*n)
 }
@@ -184,7 +184,7 @@ func BenchmarkEpilogueRelu6(b *testing.B) {
 		src[i] *= 4
 	}
 	dst := make([]float32, len(src))
-	ep, _ := kernels.FusedTail("FusedConv2D", nil, kernels.Attrs{"activation": "relu6"}, c, nil)
+	ep, _ := kernels.FusedTail("FusedConv2D", nil, kernels.Attrs{"activation": "relu6"}, c)
 	ep.Bias = benchVals(rng, c, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

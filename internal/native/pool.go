@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/kernels"
 )
 
 // The shared worker pool. One process gets one pool of GOMAXPROCS
@@ -65,9 +67,7 @@ func (p *workerPool) tryDispatch(fn func()) bool {
 // chunkFlops is the arithmetic cost below which a chunk is not worth
 // handing to another goroutine: fork/join and cache-transfer overhead
 // would exceed the compute. Grain sizes everywhere derive from this one
-// constant and the kernel's per-item cost estimate, replacing the old
-// hand-picked grains (2, 8, 16, 16384) that under-split large kernels
-// and over-split small ones.
+// constant and the kernel's declared work.
 const chunkFlops = 32 * 1024
 
 // maxChunks caps the chunk count: beyond the point where every worker
@@ -91,27 +91,30 @@ func chunkBounds(n, c, i int) (lo, hi int) {
 	return lo, hi
 }
 
-// parallelFor shards [0, n) across the shared pool. costPerItem is the
-// kernel's estimate of the arithmetic per index (flops); the chunk grain
-// is derived from it so that each chunk carries at least chunkFlops of
-// work; a costPerItem below 1 counts as 1. Nothing here reads a clock, and
-// nothing but the kernel's estimate sizes the grain.
+// parallelFor fills dst, the output of a call whose input buffers are in,
+// with fill, sharding it across the shared pool in whole units of unit
+// values (0 is 1; the last unit may be short), which no chunk splits. work
+// is the call's declared cost — the operand values it fetches
+// (kernels.Work), about one multiply-add each in a product — and the chunk
+// grain is derived from its share per unit so that each chunk carries at
+// least chunkFlops of it. Nothing here reads a clock, and nothing but the
+// kernel's declared work sizes the grain. A call of one chunk — every call
+// on one worker — runs fill on the caller and allocates nothing.
 //
 // Results are bit-identical for every workers setting: chunk boundaries
-// are a pure function of (n, chunks), and kernels never split one output
-// element's accumulation across chunks. Only wall time varies.
-func (b *Backend) parallelFor(n, costPerItem int, fn func(lo, hi int)) {
-	if n <= 0 {
+// are a pure function of (units, chunks), and every body computes a value
+// the same wherever its range is cut. Only wall time varies.
+func (b *Backend) parallelFor(fill kernels.Fill, in [][]float32, dst []float32, unit int, work int64) {
+	unit = max(unit, 1)
+	n := (len(dst) + unit - 1) / unit
+	if n == 0 {
 		return
 	}
-	grain := max(chunkFlops/max(costPerItem, 1), 1)
-	chunks := (n + grain - 1) / grain
-	if chunks > maxChunks {
-		chunks = maxChunks
-	}
+	grain := max(chunkFlops/max(int(work/int64(n)), 1), 1)
+	chunks := min((n+grain-1)/grain, maxChunks)
 	workers := b.Workers()
 	if chunks <= 1 || workers <= 1 {
-		fn(0, n)
+		fill(in, 0, dst)
 		return
 	}
 
@@ -125,7 +128,8 @@ func (b *Backend) parallelFor(n, costPerItem int, fn func(lo, hi int)) {
 			if i >= chunks {
 				return
 			}
-			fn(chunkBounds(n, chunks, i))
+			lo, hi := chunkBounds(n, chunks, i)
+			fill(in, lo*unit, dst[lo*unit:min(hi*unit, len(dst))])
 		}
 	}
 	var wg sync.WaitGroup

@@ -7,17 +7,18 @@ import (
 	"repro/internal/exec"
 )
 
-// coverage records which indices a parallelFor visited, and how often.
+// coverage records which output values a parallelFor's fills visited, and
+// how often.
 type coverage struct {
 	mu     sync.Mutex
 	visits []int
 	chunks int
 }
 
-func (c *coverage) fn(lo, hi int) {
+func (c *coverage) fill(_ [][]float32, lo int, dst []float32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i := lo; i < hi; i++ {
+	for i := lo; i < lo+len(dst); i++ {
 		c.visits[i]++
 	}
 	c.chunks++
@@ -57,25 +58,31 @@ func TestChunkBoundsPartition(t *testing.T) {
 }
 
 // TestParallelForCostSetsTheGrain checks the one input that sizes
-// parallelFor's chunks, the kernel's flops per item, and that whatever
-// grain results the index space is covered exactly once.
+// parallelFor's chunks, the call's declared work per unit, and that
+// whatever grain results every value is covered exactly once, whole units
+// together, the last one short.
 func TestParallelForCostSetsTheGrain(t *testing.T) {
 	b := New()
 	// A worker budget > 1 so parallelFor actually chunks; on a single-core
 	// host the default budget is 1 and everything runs as one chunk.
 	b.ApplyExecConfig(exec.Make(exec.WithWorkers(4)))
 	const n = 10000
-	run := func(costPerItem int) int {
+	run := func(unit, workPerUnit int) int {
 		cov := &coverage{visits: make([]int, n)}
-		b.parallelFor(n, costPerItem, cov.fn)
+		units := (n + unit - 1) / unit
+		b.parallelFor(cov.fill, nil, make([]float32, n), unit, int64(workPerUnit)*int64(units))
 		cov.checkExactlyOnce(t)
 		return cov.chunks
 	}
-	if got := run(1); got != 1 {
-		t.Errorf("1 flop/item: %d chunks, want 1 (below chunkFlops)", got)
+	if got := run(1, 1); got != 1 {
+		t.Errorf("1 op/value: %d chunks, want 1 (below chunkFlops)", got)
 	}
-	// 1024 flops/item: grain chunkFlops/1024 = 32, 313 chunks capped at 256.
-	if got := run(1024); got != maxChunks {
-		t.Errorf("1024 flops/item: %d chunks, want %d", got, maxChunks)
+	// 1024 ops/value: grain chunkFlops/1024 = 32, 313 chunks capped at 256.
+	if got := run(1, 1024); got != maxChunks {
+		t.Errorf("1024 ops/value: %d chunks, want %d", got, maxChunks)
+	}
+	// Units of 7 values, 8192 ops each: grain 4, 1429 units in 256 chunks.
+	if got := run(7, 8192); got != maxChunks {
+		t.Errorf("8192 ops/unit of 7: %d chunks, want %d", got, maxChunks)
 	}
 }

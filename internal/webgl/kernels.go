@@ -2,15 +2,15 @@ package webgl
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/glsim"
 	"repro/internal/kernels"
 	"repro/internal/tensor"
 )
 
-// This file holds the kernel-override plumbing; the program builders for
-// each kernel family live in the kernels_*.go files. Each override plays
-// the role of a compiled GLSL fragment shader (Listing 2 of the paper): a
+// This file holds the kernel-override plumbing. Each override plays the
+// role of a compiled GLSL fragment shader (Listing 2 of the paper): a
 // function of each output texel's index, run over ranges of texels.
 
 // register installs one kernel override.
@@ -22,17 +22,64 @@ func (b *Backend) register(name string, k kernels.OverrideKernel) {
 	b.kernelsTable[name] = k
 }
 
-// initKernels builds the override table.
+// initKernels builds the override table: every kernel of the range table
+// (kernels.RangeKernels) in one loop, every op of the element-wise table
+// in another (kernels_elementwise.go), and the two kernels of neither,
+// Softmax and GatherV2.
 func (b *Backend) initKernels() {
 	b.kernelsTable = map[string]kernels.OverrideKernel{}
+	for _, k := range kernels.RangeKernels() {
+		b.register(k.Name, b.rangeKernel(k))
+	}
 	b.registerElementwise()
-	b.registerMatMul()
-	b.registerConv()
-	b.registerReduce()
-	b.registerShape()
-	b.registerConvGrad()
-	b.registerFused()
-	b.registerTrain()
+	// Softmax keeps its three passes (see the reference kernel).
+	b.register("Softmax", b.softmax)
+	// GatherV2 is no range kernel: node declines an index out of range,
+	// which this backend cannot see without a readback; it writes 0.
+	b.register("GatherV2", b.gather)
+}
+
+// rangeKernel is k's shader program: k's body over the texel range the
+// device hands it, its inputs read from their textures inside the program
+// (a texture's host slice exists once the device queue reaches it). It
+// declares k's work plus what only this backend's shaders cost: the
+// compiled samplers' terms, which squeezing cuts, and a packed matmul's
+// shared A samples.
+func (b *Backend) rangeKernel(k kernels.RangeKernel) kernels.OverrideKernel {
+	return func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
+		r, err := k.Resolve(k.Name, inputs, attrs, res)
+		if err != nil {
+			return err
+		}
+		tex := b.textures(inputs)
+		out, err := b.output(res.Shape, res.DType, res)
+		if err != nil {
+			return err
+		}
+		terms, squeeze := 0, b.cfg.SqueezeLogicalShapes
+		switch k.Sampled {
+		case kernels.SamplesOutput:
+			terms = samplerTerms(res.Shape, res.Shape, squeeze)
+		case kernels.SamplesInputs, kernels.SamplesParameters:
+			sampled := inputs
+			if k.Sampled == kernels.SamplesParameters {
+				sampled = inputs[1:]
+			}
+			for _, in := range sampled {
+				terms += samplerTerms(in.Shape, res.Shape, squeeze)
+			}
+		}
+		r.Work.ALU += int64(out.size) * int64(kernels.ALUTerm*terms)
+		name := k.Name
+		if name == "BatchMatMul" && out.tex.Format == glsim.RGBA32F && !attrs.Bool("transposeA", false) && !attrs.Bool("transposeB", false) {
+			// Packed matmul: a texel's four consecutive output columns share
+			// their A row samples — the vec4 dot-product trick of the paper's
+			// packed shaders, which the device's clock sees as fewer fetches.
+			name, r.Work = name+"(packed)", packedMatMulWork(r.Work, out.size, res.Shape[2], inputs[0].Shape[2])
+		}
+		b.run(name, out, r, tex)
+		return nil
+	}
 }
 
 // input resolves a kernel input to its live texture (paging it back in when
@@ -41,6 +88,15 @@ func (b *Backend) input(in kernels.Input) (*texData, *glsim.Texture) {
 	td := b.lookup(in.DataID)
 	tex := b.touch(td)
 	return td, tex
+}
+
+// textures resolves a kernel's inputs to their live textures, in order.
+func (b *Backend) textures(inputs []kernels.Input) []*glsim.Texture {
+	tex := make([]*glsim.Texture, len(inputs))
+	for i, in := range inputs {
+		_, tex[i] = b.input(in)
+	}
+	return tex
 }
 
 // output allocates a data container for a kernel result, describes it in
@@ -56,35 +112,84 @@ func (b *Backend) output(shape []int, dtype tensor.DataType, res *kernels.Tensor
 	return td, nil
 }
 
-// run executes a program whose body computes the output's logical values
-// [lo, hi), in flat row-major order, into dst (len hi-lo). It is the one
-// place the two texel layouts differ: the device hands out texel ranges —
-// a quarter as many invocations when packed (§3.9) — and run turns them
-// into value ranges, clips them to the logical size and zeroes the padding
-// values of the last texels. The body inherits the fragment-shader
-// contract from glsim.Program.Main: what it writes for a value depends
-// only on that value's index (TestKernelContract).
-func (b *Backend) run(name string, out *texData, work glsim.Work, body func(lo, hi int, dst []float32)) {
-	size, channels := out.size, out.tex.Format.Channels()
-	b.device.Execute(&glsim.Program{Name: name, Work: work, Main: func(lo, hi int, dst []float32) {
-		lo, hi = lo*channels, min(hi*channels, size)
-		n := max(hi-lo, 0)
-		if n > 0 {
-			body(lo, hi, dst[:n])
+// run executes a program that computes out's logical values with r's
+// body from the host slices of the textures tex, read in each range. It is
+// the one place the two texel layouts differ: the device hands out texel
+// ranges — a quarter as many invocations when packed (§3.9) — and run
+// turns them into value ranges, clips them to the logical size and zeroes
+// the padding values of the last texels. The body inherits the
+// fragment-shader contract from glsim.Program.Main: what it writes for a
+// value depends only on that value's index (TestKernelContract). A staged
+// buffer (kernels.Stage) is computed on the device once, before the
+// ranges, and read by every range after the inputs.
+func (b *Backend) run(name string, out *texData, r kernels.Range, tex []*glsim.Texture) {
+	size, channels, fill := out.size, out.tex.Format.Channels(), r.Fill
+	p := &glsim.Program{Name: name, Work: device(r.Work)}
+	if n := r.Stage.Len(); n == 0 {
+		p.Main = func(lo, hi int, dst []float32) { values(lo, hi, size, channels, dst, fill, tex, nil) }
+	} else {
+		staged, stage := make([]float32, n), r.Stage
+		p.Setup = func() {
+			in := floats(tex)
+			stage.Run(*in, staged)
+			release(in)
 		}
-		clear(dst[n:])
-	}}, out.tex)
+		p.Main = func(lo, hi int, dst []float32) { values(lo, hi, size, channels, dst, fill, tex, staged) }
+	}
+	b.device.Execute(p, out.tex)
 }
 
-// runFlat executes a program whose value at flat output index i is
-// valueAt(i): the per-value form of the paper's shaders, which Softmax's
-// three passes keep (see registerReduce).
-func (b *Backend) runFlat(name string, out *texData, work glsim.Work, valueAt func(flat int) float32) {
-	b.run(name, out, work, func(lo, hi int, dst []float32) {
-		for i := range dst {
-			dst[i] = valueAt(lo + i)
+// values is a program's Main: it runs fill over the values of the texels
+// [lo, hi) of an output of size values, channels to a texel, into dst.
+func values(lo, hi, size, channels int, dst []float32, fill kernels.Fill, tex []*glsim.Texture, staged []float32) {
+	lo, hi = lo*channels, min(hi*channels, size)
+	n := max(hi-lo, 0)
+	if n > 0 {
+		in := floats(tex)
+		if staged != nil {
+			*in = append(*in, staged)
 		}
-	})
+		fill(*in, lo, dst[:n])
+		release(in)
+	}
+	clear(dst[n:])
+}
+
+// inLists recycles the input lists program ranges hand their bodies.
+var inLists = sync.Pool{New: func() any { return new([][]float32) }}
+
+// floats returns the host slices of tex, in order, in a recycled list.
+func floats(tex []*glsim.Texture) *[][]float32 {
+	in := inLists.Get().(*[][]float32)
+	for _, t := range tex {
+		*in = append(*in, t.Floats())
+	}
+	return in
+}
+
+// release returns an input list to the recycler.
+func release(in *[][]float32) {
+	clear(*in)
+	*in = (*in)[:0]
+	inLists.Put(in)
+}
+
+// gather is the GatherV2 program, on its range body (kernels.Gather): two
+// fetches per value behind two div/mod pairs and the index's bounds check.
+func (b *Backend) gather(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
+	g, err := kernels.ResolveGather(inputs, attrs, res)
+	if err != nil {
+		return err
+	}
+	tex := b.textures(inputs)
+	out, err := b.output(res.Shape, res.DType, res)
+	if err != nil {
+		return err
+	}
+	b.run("GatherV2", out, kernels.Range{Fill: func(in [][]float32, lo int, dst []float32) {
+		g.Fill(in[0], in[1], lo, dst)
+	}, Work: kernels.PerValue(out.size, 2, 2*kernels.ALUDecode+2)}, tex)
+	return nil
 }
 
 // sameShape reports whether every input has exactly the output's shape, the

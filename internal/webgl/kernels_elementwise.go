@@ -16,6 +16,8 @@ import (
 // or batch-norm vector, a scalar), which walks each operand with a wrapping
 // counter, and a broadcast path on the body native's broadcasts run
 // (kernels.Broadcast), charged as the compiler-generated samplers' decode.
+// Select and batch norm, which read any number of broadcast operands, are
+// range kernels (kernels.RangeKernels).
 func (b *Backend) registerElementwise() {
 	for _, op := range kernels.ElementwiseOps() {
 		if op.Binary != nil {
@@ -28,53 +30,6 @@ func (b *Backend) registerElementwise() {
 			})
 		}
 	}
-
-	// Select and FusedBatchNorm run the bodies native runs
-	// (kernels.Operands.Select; kernels.BatchNorm, vec's normalise row when
-	// the four parameters are x's channel vectors, the range beginning and
-	// ending mid-pixel). They declare the per-value shader's work: the
-	// condition and the chosen branch fetched and one compare; five fetches
-	// and six operations (subtract, add ε, rsqrt, multiply, scale, offset),
-	// x read at the output's own index. Either reads the operands it does
-	// not have in the output's shape through compiled-sampler terms.
-	b.register("Select", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-		o, err := kernels.ResolveSelect(inputs, res)
-		if err != nil {
-			return err
-		}
-		_, condTex := b.input(inputs[0])
-		_, tTex := b.input(inputs[1])
-		_, fTex := b.input(inputs[2])
-		out, err := b.output(res.Shape, res.DType, res)
-		if err != nil {
-			return err
-		}
-		work := perValue(out.size, 2, 1+aluTerm*b.termCount(res.Shape, inputs[0].Shape, inputs[1].Shape, inputs[2].Shape))
-		b.run("Select", out, work, func(lo, hi int, dst []float32) {
-			o.Select(condTex.Floats(), tTex.Floats(), fTex.Floats(), lo, dst)
-		})
-		return nil
-	})
-	b.register("FusedBatchNorm", func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-		n, err := kernels.ResolveBatchNorm(inputs, attrs, res)
-		if err != nil {
-			return err
-		}
-		_, x := b.input(inputs[0])
-		_, mean := b.input(inputs[1])
-		_, variance := b.input(inputs[2])
-		_, offset := b.input(inputs[3])
-		_, scale := b.input(inputs[4])
-		out, err := b.output(res.Shape, tensor.Float32, res)
-		if err != nil {
-			return err
-		}
-		work := perValue(out.size, 5, 6+aluTerm*b.termCount(inputs[0].Shape, inputs[1].Shape, inputs[2].Shape, inputs[3].Shape, inputs[4].Shape))
-		b.run("FusedBatchNorm", out, work, func(lo, hi int, dst []float32) {
-			n.Fill(x.Floats(), mean.Floats(), variance.Floats(), offset.Floats(), scale.Floats(), lo, dst)
-		})
-		return nil
-	})
 }
 
 func errf(format string, args ...any) error { return fmt.Errorf(format, args...) }
@@ -111,8 +66,6 @@ func (b *Backend) binaryProgram(op *kernels.ElementwiseOp, inputs []kernels.Inpu
 	if len(inputs) != 2 {
 		return errf("%s: got %d inputs, want 2", name, len(inputs))
 	}
-	_, aTex := b.input(inputs[0])
-	_, xTex := b.input(inputs[1])
 	outShape, err := tensor.BroadcastShapes(inputs[0].Shape, inputs[1].Shape)
 	if err != nil {
 		return err
@@ -121,30 +74,31 @@ func (b *Backend) binaryProgram(op *kernels.ElementwiseOp, inputs []kernels.Inpu
 	if !ok {
 		return kernels.ErrFallback
 	}
+	tex := b.textures(inputs)
 	out, err := b.output(outShape, op.DType(inputs[0].DType), res)
 	if err != nil {
 		return err
 	}
 	// Two fetches and the operation; operands of the output's own shape
 	// are read at its flat index, anything else through sampler terms.
-	work := perValue(out.size, 2, 1)
+	r := kernels.Range{Work: kernels.PerValue(out.size, 2, 1)}
 	if !sameShape(outShape, [][]int{inputs[0].Shape, inputs[1].Shape}) {
-		work.ALU += int64(out.size) * int64(aluTerm*b.termCount(outShape, inputs[0].Shape, inputs[1].Shape))
+		r.Work.ALU += int64(out.size) * int64(kernels.ALUTerm*b.termCount(outShape, inputs[0].Shape, inputs[1].Shape))
 	}
 	if periods, ok := suffixPeriods(outShape, inputs[0].Shape, inputs[1].Shape); ok {
-		b.run(name, out, work, func(lo, hi int, dst []float32) {
-			as, xs := aTex.Floats(), xTex.Floats()
-			ia, ix := lo%periods[0], lo%periods[1]
+		pa, px := periods[0], periods[1]
+		r.Fill = func(in [][]float32, lo int, dst []float32) {
+			as, xs := in[0], in[1]
+			ia, ix := lo%pa, lo%px
 			for j := range dst {
 				dst[j] = f(as[ia], xs[ix])
-				ia, ix = next(ia, periods[0]), next(ix, periods[1])
+				ia, ix = next(ia, pa), next(ix, px)
 			}
-		})
-		return nil
+		}
+	} else {
+		r.Fill = func(in [][]float32, lo int, dst []float32) { g.Fill(f, in[0], in[1], lo, dst) }
 	}
-	b.run(name, out, work, func(lo, hi int, dst []float32) {
-		g.Fill(f, aTex.Floats(), xTex.Floats(), lo, dst)
-	})
+	b.run(name, out, r, tex)
 	return nil
 }
 
@@ -158,13 +112,13 @@ func (b *Backend) unaryProgram(op *kernels.ElementwiseOp, inputs []kernels.Input
 	if err != nil {
 		return err
 	}
-	_, xTex := b.input(inputs[0])
+	tex := b.textures(inputs)
 	out, err := b.output(inputs[0].Shape, op.DType(inputs[0].DType), res)
 	if err != nil {
 		return err
 	}
-	b.run(op.Name, out, perValue(out.size, 1, 1), func(lo, hi int, dst []float32) {
-		row(dst, xTex.Floats()[lo:hi])
-	})
+	b.run(op.Name, out, kernels.Range{Fill: func(in [][]float32, lo int, dst []float32) {
+		row(dst, in[0][lo:lo+len(dst)])
+	}, Work: kernels.PerValue(out.size, 1, 1)}, tex)
 	return nil
 }

@@ -235,16 +235,17 @@ func TestMalformedShapeCallsFailOnEveryTier(t *testing.T) {
 	}
 }
 
-// TestGradientsAndBroadcastsOnEveryTier: the backward window kernels — both
-// Conv2D gradients, both depthwise ones, MaxPoolGrad and AvgPoolGrad —
-// Select and a batch norm whose parameters are not x's channel vectors run
-// on node and on webgl fp32 packed and unpacked and webgpu fp32 as each
-// tier's own kernel, none declining, and are Float32bits-equal to the
-// reference kernel: at strides, dilation, overlapping windows (ties
-// included) and a channel multiplier of 2. The operands' sums round, so the
-// order of a value's contributions shows: webgl's input gradients once
-// gathered them in the reverse of the reference's order, and declined
-// dilation.
+// TestGradientsAndBroadcastsOnEveryTier: every kernel of the range table —
+// each fails the test without a case here — runs on node and on webgl fp32
+// packed and unpacked and webgpu fp32 as each tier's own kernel, none
+// declining, and is Float32bits-equal to the reference kernel: the
+// backward window kernels at strides, dilation, overlapping windows (ties
+// included) and a channel multiplier of 2, Select and a batch norm whose
+// parameters are not x's channel vectors, and the forward kernels, the
+// reductions, the training tail and the shape kernels on a case each. The
+// operands' sums round, so the order of a value's contributions shows:
+// webgl's input gradients once gathered them in the reverse of the
+// reference's order, and declined dilation.
 func TestGradientsAndBroadcastsOnEveryTier(t *testing.T) {
 	nb := native.New()
 	nb.SetWorkers(3)
@@ -287,37 +288,84 @@ func TestGradientsAndBroadcastsOnEveryTier(t *testing.T) {
 		variance.Data[i] = v*v + 0.25
 	}
 	s11, s22, s21 := []int{1, 1}, []int{2, 2}, []int{2, 1}
-	var cases []tierCase
+	fused := func(act string) kernels.Attrs {
+		a := convAttrs(s21, s11, "same")
+		a["activation"] = act
+		return a
+	}
+	// cases holds every kernel of the range table: one without a case
+	// fails the test.
+	cases := map[string][]tierCase{
+		"Conv2D":                     {{"s22 d22", "Conv2D", []kernels.Buffer{inexact(2, 6, 7, 3), inexact(3, 3, 3, 8)}, convAttrs(s22, s22, "same")}},
+		"FusedConv2D":                {{"relu6", "FusedConv2D", []kernels.Buffer{inexact(1, 6, 7, 5), inexact(3, 2, 5, 9), inexact(9)}, fused("relu6")}},
+		"DepthwiseConv2dNative":      {{"mult2", "DepthwiseConv2dNative", []kernels.Buffer{inexact(1, 7, 5, 3), inexact(3, 3, 3, 2)}, convAttrs(s22, s11, "valid")}},
+		"FusedDepthwiseConv2dNative": {{"elu", "FusedDepthwiseConv2dNative", []kernels.Buffer{inexact(2, 5, 6, 4), inexact(3, 3, 4, 1), inexact(4)}, fused("elu")}},
+		"MaxPool":                    {{"overlap", "MaxPool", []kernels.Buffer{ties}, pool}},
+		"AvgPool":                    {{"overlap", "AvgPool", []kernels.Buffer{inexact(1, 7, 5, 9)}, pool}},
+		"BatchMatMul": {{"bcast tb", "BatchMatMul", []kernels.Buffer{inexact(3, 4, 9), inexact(1, 5, 9)},
+			kernels.Attrs{"transposeB": true}}},
+		"_FusedMatMul": {{"ta relu", "_FusedMatMul", []kernels.Buffer{inexact(9, 4), inexact(9, 6), inexact(6)},
+			kernels.Attrs{"transposeA": true, "activation": "relu"}}},
+		"MaxPoolGrad": {{"overlap", "MaxPoolGrad", []kernels.Buffer{inexact(1, 4, 3, 9), ties}, pool}},
+		"AvgPoolGrad": {{"overlap", "AvgPoolGrad", []kernels.Buffer{inexact(1, 4, 3, 9)}, pool}},
+		"BiasAddGrad": {{"rows", "BiasAddGrad", []kernels.Buffer{inexact(37, 11)}, nil}},
+		"AdamMoments": {{"slot", "AdamMoments", []kernels.Buffer{variance2(inexact(2, 3, 7)), inexact(3, 7)},
+			kernels.Attrs{"beta1": 0.9, "beta2": 0.999}}},
+		"ApplyAdam": {{"slot", "ApplyAdam", []kernels.Buffer{inexact(3, 7), variance2(inexact(2, 3, 7))},
+			kernels.Attrs{"learningRate": 0.01, "beta1Power": 0.729, "beta2Power": 0.997, "epsilon": 1e-8}}},
+		"Transpose": {{"blocks", "Transpose", []kernels.Buffer{inexact(2, 3, 4, 5)}, kernels.Attrs{"perm": []int{0, 3, 1, 2}}}},
+		"Slice": {{"rows", "Slice", []kernels.Buffer{inexact(3, 4, 5)},
+			kernels.Attrs{"begin": []int{1, 0, 2}, "size": []int{2, -1, 2}}}},
+		"Tile":  {{"rep", "Tile", []kernels.Buffer{inexact(2, 3)}, kernels.Attrs{"reps": []int{2, 3}}}},
+		"PadV2": {{"rank3", "PadV2", []kernels.Buffer{inexact(2, 1, 3)}, kernels.Attrs{"paddings": []int{0, 1, 2, 0, 1, 1}, "constantValue": 0.5}}},
+		"OneHot": {{"labels", "OneHot", []kernels.Buffer{{Data: []float32{1, 4, -1, 0, 7, 2}, Shape: []int{6}, DType: tensor.Int32}},
+			kernels.Attrs{"depth": 5, "onValue": 2.0, "offValue": -1.0}}},
+		"Fill":   {{"int32", "Fill", nil, kernels.Attrs{"shape": []int{3, 4}, "value": 2.5, "dtype": "int32"}}},
+		"Concat": {{"axis1", "Concat", []kernels.Buffer{inexact(2, 3), inexact(2, 0), inexact(2, 2)}, kernels.Attrs{"axis": 1}}},
+		"Select": {{"nonSuffix", "Select", []kernels.Buffer{inexact(5, 1), inexact(2, 5, 3), inexact(3)}, nil}},
+		"FusedBatchNorm": {{"nonSuffix", "FusedBatchNorm", []kernels.Buffer{inexact(2, 3, 5, 3), inexact(5, 1), variance, inexact(1, 3), inexact()},
+			kernels.Attrs{"varianceEpsilon": 1e-3}}},
+	}
 	for _, kernel := range []string{"Conv2DBackpropInput", "Conv2DBackpropFilter"} {
-		cases = append(cases, conv(kernel, []int{2, 6, 6, 3}, []int{3, 3, 3, 8}, s22, s11), conv(kernel, []int{1, 7, 6, 5}, []int{3, 3, 5, 12}, s11, s22))
+		cases[kernel] = append(cases[kernel], conv(kernel, []int{2, 6, 6, 3}, []int{3, 3, 3, 8}, s22, s11), conv(kernel, []int{1, 7, 6, 5}, []int{3, 3, 5, 12}, s11, s22))
 	}
 	for _, kernel := range []string{"DepthwiseConv2dNativeBackpropInput", "DepthwiseConv2dNativeBackpropFilter"} {
-		cases = append(cases, conv(kernel, []int{1, 7, 5, 3}, []int{3, 3, 3, 2}, s22, s11), conv(kernel, []int{2, 6, 7, 4}, []int{3, 3, 4, 1}, s21, s22))
+		cases[kernel] = append(cases[kernel], conv(kernel, []int{1, 7, 5, 3}, []int{3, 3, 3, 2}, s22, s11), conv(kernel, []int{2, 6, 7, 4}, []int{3, 3, 4, 1}, s21, s22))
 	}
-	cases = append(cases,
-		tierCase{"overlap", "MaxPoolGrad", []kernels.Buffer{inexact(1, 4, 3, 9), ties}, pool},
-		tierCase{"overlap", "AvgPoolGrad", []kernels.Buffer{inexact(1, 4, 3, 9)}, pool},
-		tierCase{"nonSuffix", "Select", []kernels.Buffer{inexact(5, 1), inexact(2, 5, 3), inexact(3)}, nil},
-		tierCase{"nonSuffix", "FusedBatchNorm", []kernels.Buffer{inexact(2, 3, 5, 3), inexact(5, 1), variance, inexact(1, 3), inexact()},
-			kernels.Attrs{"varianceEpsilon": 1e-3}},
-	)
-	for _, c := range cases {
-		ref, _ := kernels.LookupRef(c.kernel)
-		want, err := ref(c.inputs, c.attrs)
-		if err != nil {
-			t.Fatalf("%s/%s: %v", c.kernel, c.label, err)
+	for _, kernel := range []string{"Sum", "Mean", "Max", "Min", "Prod", "ArgMax", "ArgMin"} {
+		cases[kernel] = []tierCase{{"rows", kernel, []kernels.Buffer{inexact(6, 13)}, nil}}
+	}
+	for _, k := range kernels.RangeKernels() {
+		if len(cases[k.Name]) == 0 {
+			t.Errorf("%s: a range kernel with no case", k.Name)
 		}
-		for _, b := range tiers {
-			got := runOwnKernel(t, b.backend, c.kernel, c.inputs, c.attrs)
-			for i, w := range want.Data {
-				if math.Float32bits(got[i]) != math.Float32bits(w) {
-					t.Errorf("%s/%s on %s: output %d is %g (%#08x), the reference tier has %g (%#08x)",
-						c.kernel, c.label, b.name, i, got[i], math.Float32bits(got[i]), w, math.Float32bits(w))
-					break
+		for _, c := range cases[k.Name] {
+			ref, _ := kernels.LookupRef(c.kernel)
+			want, err := ref(c.inputs, c.attrs)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", c.kernel, c.label, err)
+			}
+			for _, b := range tiers {
+				got := runOwnKernel(t, b.backend, c.kernel, c.inputs, c.attrs)
+				for i, w := range want.Data {
+					if math.Float32bits(got[i]) != math.Float32bits(w) {
+						t.Errorf("%s/%s on %s: output %d is %g (%#08x), the reference tier has %g (%#08x)",
+							c.kernel, c.label, b.name, i, got[i], math.Float32bits(got[i]), w, math.Float32bits(w))
+						break
+					}
 				}
 			}
 		}
 	}
+}
+
+// variance2 is a moments slot [2, ...]: its second half, the second
+// moments, made non-negative.
+func variance2(mv kernels.Buffer) kernels.Buffer {
+	for i := len(mv.Data) / 2; i < len(mv.Data); i++ {
+		mv.Data[i] = float32(math.Abs(float64(mv.Data[i])))
+	}
+	return mv
 }
 
 // runOwnKernel runs b's own kernel for name — not kernels.Dispatch, which

@@ -4,14 +4,21 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bufpool"
 	"repro/internal/glsim"
 	"repro/internal/kernels"
 	"repro/internal/tensor"
 )
 
-// The closed forms in work.go against a brute-force walk of the index
-// space each one summarises: the walk visits every output value and every
+// What the device is charged for a dispatch — each kernel's cost
+// (kernels/work.go, closed forms of its shapes) plus this backend's own
+// terms (work.go) — against a brute-force walk of the index space each
+// closed form summarises: the walk visits every output value and every
 // filter tap or sampler term the per-value shader would, and counts.
+
+// aluDecode and aluMAC are what the walks count for a decoded coordinate
+// (a div and a mod) and a multiply-add.
+const aluDecode, aluMAC = 2, 2
 
 func mustConvInfo(t *testing.T, in, filter, strides, dilations []int, pad string, depthwise bool) kernels.Conv2DInfo {
 	t.Helper()
@@ -64,7 +71,19 @@ func walkWindowProgram(info kernels.Conv2DInfo, visit func()) (values int) {
 	return values
 }
 
+// convOperands is a convolution's operands on geometry g (filter f) and,
+// when bias, a bias of the output's channels.
+func convOperands(rng *rand.Rand, info kernels.Conv2DInfo, x, f []int, bias bool) []cin {
+	ops := []cin{rnd(rng, x...), rnd(rng, f...)}
+	if bias {
+		ops = append(ops, rnd(rng, info.OutChannels))
+	}
+	return ops
+}
+
 func TestConvWorkMatchesAWalk(t *testing.T) {
+	b := newContractBackend(t, contractConfig{packed: true, squeeze: true}, 1)
+	rng := rand.New(rand.NewSource(1))
 	for _, g := range workGeometries {
 		info := mustConvInfo(t, g.in, g.filter, g.strides, g.dilations, g.pad, false)
 		var want glsim.Work
@@ -75,19 +94,22 @@ func TestConvWorkMatchesAWalk(t *testing.T) {
 			}
 		})
 		want.ALU += int64(values) * 3 * aluDecode
-		if got := convWork(info, values, false, false); got != want {
-			t.Errorf("%s: convWork = %+v, walk counts %+v", g.name, got, want)
+		attrs := kernels.Attrs{"strides": g.strides, "dilations": g.dilations, "pad": g.pad}
+		if got := declaredWork(t, b, "Conv2D", attrs, convOperands(rng, info, g.in, g.filter, false)...); got != want {
+			t.Errorf("%s: Conv2D charged %+v, walk counts %+v", g.name, got, want)
 		}
 		want.Fetches += int64(values)
 		want.ALU += 2 * int64(values)
-		if got := convWork(info, values, true, true); got != want {
-			t.Errorf("%s fused: convWork = %+v, walk counts %+v", g.name, got, want)
+		attrs["activation"] = "relu"
+		if got := declaredWork(t, b, "FusedConv2D", attrs, convOperands(rng, info, g.in, g.filter, true)...); got != want {
+			t.Errorf("%s: FusedConv2D charged %+v, walk counts %+v", g.name, got, want)
 		}
-
 	}
 }
 
 func TestDepthwiseWorkMatchesAWalk(t *testing.T) {
+	b := newContractBackend(t, contractConfig{packed: true, squeeze: true}, 1)
+	rng := rand.New(rand.NewSource(2))
 	for _, g := range workGeometries {
 		info := mustConvInfo(t, g.in, g.depthwiseFilter, g.strides, g.dilations, g.pad, true)
 		var want glsim.Work
@@ -96,13 +118,19 @@ func TestDepthwiseWorkMatchesAWalk(t *testing.T) {
 			want.ALU += aluMAC
 		})
 		want.ALU += int64(values) * 4 * aluDecode
-		if got := depthwiseWork(info, values, false, false); got != want {
-			t.Errorf("%s (multiplier %d): depthwiseWork = %+v, walk counts %+v", g.name, info.ChannelMultiplier, got, want)
+		attrs := kernels.Attrs{"strides": g.strides, "dilations": g.dilations, "pad": g.pad}
+		if got := declaredWork(t, b, "DepthwiseConv2dNative", attrs, convOperands(rng, info, g.in, g.depthwiseFilter, false)...); got != want {
+			t.Errorf("%s (multiplier %d): charged %+v, walk counts %+v", g.name, info.ChannelMultiplier, got, want)
 		}
 	}
 }
 
+// TestBackpropTapsMatchAWalk: the pool gradients are charged per covering
+// window (pairs) and per cell a window rescans (cells), as a walk counts
+// them.
 func TestBackpropTapsMatchAWalk(t *testing.T) {
+	b := newContractBackend(t, contractConfig{packed: true, squeeze: true}, 1)
+	rng := rand.New(rand.NewSource(3))
 	for _, g := range workGeometries {
 		info, err := kernels.ComputePool2DInfo(g.in, g.poolFilter, g.poolSt, g.pad)
 		if err != nil {
@@ -141,14 +169,23 @@ func TestBackpropTapsMatchAWalk(t *testing.T) {
 				}
 			}
 		}
-		gotPairs, gotCells := backpropTaps(info)
-		if gotPairs != pairs || gotCells != cells {
-			t.Errorf("%s: backpropTaps = (%d, %d), walk counts (%d, %d)", g.name, gotPairs, gotCells, pairs, cells)
+		size, c := int64(tensor.ShapeSize(g.in)), int64(info.OutChannels)
+		attrs := kernels.Attrs{"filterSize": g.poolFilter, "strides": g.poolSt, "pad": g.pad, "inputShape": g.in}
+		want := glsim.Work{Fetches: size + c*(cells+pairs), ALU: size*3*aluDecode + c*(cells+2*pairs)}
+		if got := declaredWork(t, b, "MaxPoolGrad", attrs, rnd(rng, info.OutShape()...), rnd(rng, g.in...)); got != want {
+			t.Errorf("%s: MaxPoolGrad charged %+v, walk counts %+v", g.name, got, want)
+		}
+		want.Fetches -= size + c*cells
+		if got := declaredWork(t, b, "AvgPoolGrad", attrs, rnd(rng, info.OutShape()...)); got != want {
+			t.Errorf("%s: AvgPoolGrad charged %+v, walk counts %+v", g.name, got, want)
 		}
 	}
 }
 
 func TestMatMulWorkMatchesAWalk(t *testing.T) {
+	unpackedB := newContractBackend(t, contractConfig{squeeze: true}, 1)
+	packedB := newContractBackend(t, contractConfig{packed: true, squeeze: true}, 1)
+	rng := rand.New(rand.NewSource(4))
 	for _, c := range []struct{ rows, n, k int }{
 		{5, 8, 7}, {5, 6, 7}, {9, 1, 3}, {4, 2, 5}, {3, 3, 4}, {7, 5, 1}, {1, 1000, 256}, {0, 4, 3}, {3, 5, 0},
 	} {
@@ -159,8 +196,9 @@ func TestMatMulWorkMatchesAWalk(t *testing.T) {
 			unpacked.Fetches += 2 * int64(c.k)
 			unpacked.ALU += aluMAC*int64(c.k) + 2*aluDecode
 		}
-		if got := macWork(size, int64(size)*int64(c.k), 2); got != unpacked {
-			t.Errorf("%dx%d·k%d: macWork = %+v, walk counts %+v", c.rows, c.n, c.k, got, unpacked)
+		a, bm := rnd(rng, 1, c.rows, c.k), rnd(rng, 1, c.k, c.n)
+		if got := declaredWork(t, unpackedB, "BatchMatMul", kernels.Attrs{}, a, bm); got != unpacked {
+			t.Errorf("%dx%d·k%d unpacked: charged %+v, walk counts %+v", c.rows, c.n, c.k, got, unpacked)
 		}
 		// Packed: the texel shader of the paper's vec4 trick, texel by texel.
 		packed := glsim.Work{ALU: unpacked.ALU}
@@ -173,8 +211,8 @@ func TestMatMulWorkMatchesAWalk(t *testing.T) {
 				packed.Fetches += int64(c.k) * int64(2*limit) // straddles a row end: per-value shader
 			}
 		}
-		if got := packedMatMulWork(size, c.n, c.k); got != packed {
-			t.Errorf("%dx%d·k%d: packedMatMulWork = %+v, walk counts %+v", c.rows, c.n, c.k, got, packed)
+		if got := declaredWork(t, packedB, "BatchMatMul", kernels.Attrs{}, a, bm); got != packed {
+			t.Errorf("%dx%d·k%d packed: charged %+v, walk counts %+v", c.rows, c.n, c.k, got, packed)
 		}
 		if size > 0 && c.k > 0 && c.n >= 4 && packed.Fetches >= unpacked.Fetches {
 			t.Errorf("%dx%d·k%d: packing must save A fetches (%d vs %d)", c.rows, c.n, c.k, packed.Fetches, unpacked.Fetches)
@@ -289,6 +327,52 @@ func TestSamplerTermsMatchTheCompiledSamplers(t *testing.T) {
 			if got != want {
 				t.Errorf("operand %v in output %v, squeeze=%v: %d terms, the compiled sampler evaluates %d", c.in, c.out, squeeze, got, want)
 			}
+		}
+	}
+}
+
+// TestInputGradTransposesItsFilterOncePerDispatch: Conv2DBackpropInput
+// lays its filter out once per dispatch (kernels.Stage, on the device
+// before any range), not once per texel range, so what its dispatch
+// allocates beyond a same-sized Conv2DBackpropFilter's — whose program
+// stages nothing — is the same at every device worker count.
+func TestInputGradTransposesItsFilterOncePerDispatch(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	x, f := []int{2, 8, 8, 4}, []int{3, 3, 4, 6}
+	attrs := kernels.Attrs{"pad": "same", "inputShape": x, "filterShape": f}
+	rng := rand.New(rand.NewSource(5))
+	xs, fs, dy := rnd(rng, x...), rnd(rng, f...), rnd(rng, 2, 8, 8, 6)
+	allocs := func(b *Backend, kernel string, inputs ...cin) float64 {
+		ins := make([]kernels.Input, len(inputs))
+		for i, in := range inputs {
+			ins[i] = kernels.Input{DataID: tensor.NewDataID(), Shape: in.shape, DType: in.dtype}
+			b.Write(ins[i].DataID, in.vals, in.shape, in.dtype)
+			defer b.DisposeData(ins[i].DataID)
+		}
+		run := func() {
+			var out kernels.TensorInfo
+			if err := b.kernelsTable[kernel](ins, attrs, &out); err != nil {
+				t.Fatal(err)
+			}
+			<-b.device.FenceSync()
+			b.DisposeData(out.DataID)
+		}
+		for i := 0; i < 3; i++ { // warmup: texture free list, input lists
+			run()
+		}
+		return testing.AllocsPerRun(50, run)
+	}
+	var first float64
+	for _, workers := range []int{1, 2, 4, 8} {
+		b := newContractBackend(t, contractConfig{packed: true, squeeze: true}, workers)
+		extra := allocs(b, "Conv2DBackpropInput", dy, fs) - allocs(b, "Conv2DBackpropFilter", xs, dy)
+		t.Logf("%d workers: Conv2DBackpropInput allocates %.0f more than Conv2DBackpropFilter", workers, extra)
+		if workers == 1 {
+			first = extra
+		} else if extra != first {
+			t.Errorf("%d workers: Conv2DBackpropInput allocates %.0f more than Conv2DBackpropFilter, %.0f at 1 worker", workers, extra, first)
 		}
 	}
 }

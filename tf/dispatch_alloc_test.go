@@ -56,8 +56,11 @@ func TestEagerDispatchAllocBudget(t *testing.T) {
 // allocated per call shows. On webgl each dispatch is followed by a fence
 // (seven allocations of its own), so that the device has run the program
 // and recycled its texture before the next: unfenced, the reading depends
-// on how far the device lags. A budget is the reading when it was set; a
-// change may lower one and may not raise any.
+// on how far the device lags. A budget is the reading when it was set,
+// lowered since where a change lowered the reading (webgl's convolutions
+// and pool no longer allocate their attribute defaults, a webgl program is
+// enqueued without a closure, a Concat builds no operand list); a change
+// may lower one and may not raise any.
 func TestEagerDispatchAllocBudgetPerClass(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
@@ -82,9 +85,9 @@ func TestEagerDispatchAllocBudgetPerClass(t *testing.T) {
 	}
 	budgets := map[string]map[string]float64{
 		"node": {"Conv2D": 10, "FusedConv2D": 10, "DepthwiseConv2dNative": 10, "MaxPool": 12, "BatchMatMul": 10, "Sum": 10,
-			"Transpose": 12, "Concat": 12, "Conv2DBackpropFilter": 10, "Conv2DBackpropInput": 10, "AdamMoments": 10},
-		"webgl": {"Conv2D": 25, "FusedConv2D": 25, "DepthwiseConv2dNative": 25, "MaxPool": 26, "BatchMatMul": 23, "Sum": 22,
-			"Transpose": 24, "Concat": 26, "Conv2DBackpropFilter": 22, "Conv2DBackpropInput": 24, "AdamMoments": 22},
+			"Transpose": 12, "Concat": 11, "Conv2DBackpropFilter": 10, "Conv2DBackpropInput": 10, "AdamMoments": 10},
+		"webgl": {"Conv2D": 22, "FusedConv2D": 22, "DepthwiseConv2dNative": 22, "MaxPool": 24, "BatchMatMul": 23, "Sum": 22,
+			"Transpose": 24, "Concat": 23, "Conv2DBackpropFilter": 22, "Conv2DBackpropInput": 24, "AdamMoments": 22},
 	}
 	for _, backend := range []string{"node", "webgl"} {
 		if err := tf.SetBackend(backend); err != nil {
