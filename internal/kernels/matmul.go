@@ -15,9 +15,6 @@ type MatMul struct {
 	transposeA, transposeB         bool
 }
 
-// Rows is the output's rows of n values, batch·m.
-func (g MatMul) Rows() int { return int(g.batch) * int(g.m) }
-
 // N is an output row's length, the bias's.
 func (g MatMul) N() int { return int(g.n) }
 

@@ -2,7 +2,6 @@ package native
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/kernels"
 	"repro/internal/tensor"
@@ -54,38 +53,29 @@ func (b *Backend) rangeKernel(k kernels.RangeKernel) kernels.OverrideKernel {
 			return err
 		}
 		in := b.inputs(inputs)
-		defer release(in)
-		var staged []float32
+		defer inLists.Put(in)
 		if n := r.Stage.Len(); n > 0 {
-			staged = b.scratchF32.Get(n)
+			staged := b.scratchF32.Get(n)
+			defer b.scratchF32.Put(staged)
 			r.Stage.Run(*in, staged)
 			*in = append(*in, staged)
 		}
 		b.parallelFor(r.Fill, *in, b.outOver(out, out.DType), r.Unit, r.Work.Fetches)
-		if staged != nil {
-			b.scratchF32.Put(staged)
-		}
 		return nil
 	}
 }
 
 // inLists recycles the input lists the kernels hand their bodies.
-var inLists = sync.Pool{New: func() any { return new([][]float32) }}
+var inLists kernels.InputLists
 
-// inputs returns the raw buffers of inputs, in order, in a recycled list.
+// inputs returns the raw buffers of inputs, in order, in a recycled list
+// (inLists.Put returns it).
 func (b *Backend) inputs(inputs []kernels.Input) *[][]float32 {
-	in := inLists.Get().(*[][]float32)
+	in := inLists.Get()
 	for _, x := range inputs {
 		*in = append(*in, b.Raw(x.DataID))
 	}
 	return in
-}
-
-// release returns an input list to the recycler.
-func release(in *[][]float32) {
-	clear(*in)
-	*in = (*in)[:0]
-	inLists.Put(in)
 }
 
 // outOver allocates (from the recycler when pooling is on) and registers
@@ -131,7 +121,7 @@ func (b *Backend) binary(op *kernels.ElementwiseOp) kernels.OverrideKernel {
 			}
 			out.Shape = append(out.Shape[:0], shape...)
 			in := b.inputs(inputs)
-			defer release(in)
+			defer inLists.Put(in)
 			dst := b.outOver(out, op.DType(a.DType))
 			b.parallelFor(func(in [][]float32, lo int, dst []float32) {
 				g.Fill(op.Binary, in[0], in[1], lo, dst)
@@ -144,7 +134,7 @@ func (b *Backend) binary(op *kernels.ElementwiseOp) kernels.OverrideKernel {
 		}
 		out.Shape = append(out.Shape, big...)
 		in := b.inputs(inputs)
-		defer release(in)
+		defer inLists.Put(in)
 		dst := b.outOver(out, op.DType(a.DType))
 		// The shorter operand repeats every row values of the output (a
 		// bias, a scalar); a chunk is whole rows, so it starts the row at
@@ -180,7 +170,7 @@ func (b *Backend) unary(op *kernels.ElementwiseOp) kernels.OverrideKernel {
 		}
 		out.Shape = append(out.Shape[:0], inputs[0].Shape...)
 		in := b.inputs(inputs)
-		defer release(in)
+		defer inLists.Put(in)
 		dst := b.outOver(out, op.DType(inputs[0].DType))
 		b.parallelFor(func(in [][]float32, lo int, dst []float32) {
 			row(dst, in[0][lo:lo+len(dst)])
@@ -197,7 +187,7 @@ func (b *Backend) softmax(inputs []kernels.Input, attrs kernels.Attrs, out *kern
 	}
 	out.Shape = append(out.Shape[:0], outer, inner)
 	in := b.inputs(inputs)
-	defer release(in)
+	defer inLists.Put(in)
 	dst := b.outOver(out, tensor.Float32)
 	b.parallelFor(func(in [][]float32, lo int, dst []float32) {
 		for o := 0; o < len(dst); o += inner {
@@ -214,7 +204,7 @@ func (b *Backend) gather(inputs []kernels.Input, attrs kernels.Attrs, out *kerne
 		return err
 	}
 	in := b.inputs(inputs)
-	defer release(in)
+	defer inLists.Put(in)
 	if !g.InRange((*in)[1]) {
 		return kernels.ErrFallback
 	}

@@ -11,10 +11,15 @@
 // AVX2) and loops sharded across a persistent worker pool, standing in for
 // the vendored BLAS/Eigen kernels. That covers training as well as
 // inference: the Node backend exists so that model.fit runs on native
-// kernels, and the convolution, depthwise and pool gradients (grad.go) run
-// on the same walk, bit-equal to the reference kernels. Everything not overridden falls back
-// to the reference kernels through kernels.Dispatch, exactly like the real
-// Node backend falls back for ops the C API does not expose.
+// kernels. Every kernel of the range table (kernels.RangeKernels: the
+// convolutions, pools and matmuls, every one of their gradients, the
+// reductions, the training tail, the shape kernels, Select and batch norm)
+// is installed in one loop (kernels.go): its inputs read up front, its
+// body over whole units of its output sharded across the worker pool,
+// bit-equal to the reference kernel at every worker count. Everything not
+// overridden falls back to the reference kernels through kernels.Dispatch,
+// exactly like the real Node backend falls back for ops the C API does not
+// expose.
 package native
 
 import (

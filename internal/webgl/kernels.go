@@ -2,7 +2,6 @@ package webgl
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/glsim"
 	"repro/internal/kernels"
@@ -132,7 +131,7 @@ func (b *Backend) run(name string, out *texData, r kernels.Range, tex []*glsim.T
 		p.Setup = func() {
 			in := floats(tex)
 			stage.Run(*in, staged)
-			release(in)
+			inLists.Put(in)
 		}
 		p.Main = func(lo, hi int, dst []float32) { values(lo, hi, size, channels, dst, fill, tex, staged) }
 	}
@@ -150,28 +149,22 @@ func values(lo, hi, size, channels int, dst []float32, fill kernels.Fill, tex []
 			*in = append(*in, staged)
 		}
 		fill(*in, lo, dst[:n])
-		release(in)
+		inLists.Put(in)
 	}
 	clear(dst[n:])
 }
 
 // inLists recycles the input lists program ranges hand their bodies.
-var inLists = sync.Pool{New: func() any { return new([][]float32) }}
+var inLists kernels.InputLists
 
-// floats returns the host slices of tex, in order, in a recycled list.
+// floats returns the host slices of tex, in order, in a recycled list
+// (inLists.Put returns it).
 func floats(tex []*glsim.Texture) *[][]float32 {
-	in := inLists.Get().(*[][]float32)
+	in := inLists.Get()
 	for _, t := range tex {
 		*in = append(*in, t.Floats())
 	}
 	return in
-}
-
-// release returns an input list to the recycler.
-func release(in *[][]float32) {
-	clear(*in)
-	*in = (*in)[:0]
-	inLists.Put(in)
 }
 
 // gather is the GatherV2 program, on its range body (kernels.Gather): two

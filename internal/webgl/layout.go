@@ -11,13 +11,15 @@
 //     output value from its own index (Figure 4, Listing 2), written over
 //     runs of values — one coordinate decode and window clip per pixel,
 //     operands read a row at a time — with each value's arithmetic and its
-//     order the reference kernel's: the range bodies native runs
-//     (internal/kernels), and Softmax's three passes, which keep the
-//     per-value form (runFlat);
+//     order the reference kernel's: every kernel of the range table
+//     (kernels.RangeKernels), installed in one loop on the body native
+//     runs, the element-wise table's ops in another, and Softmax's three
+//     passes, which keep the per-value form (runFlat);
 //   - every program declares the work one dispatch costs the modelled
-//     device (work.go: fetches and ALU operations as closed forms of its
-//     shapes), which is what tf.time() and the paper's ablations read —
-//     never the host's clock;
+//     device — its kernel's cost (kernels.Work: fetches and ALU operations
+//     as closed forms of its shapes) plus the compiled samplers' terms and
+//     the packed matmul's shared samples (work.go) — which is what
+//     tf.time() and the paper's ablations read, never the host's clock;
 //   - data can be stored packed, four values per RGBA texel, instead of one
 //     value in the red channel (the 1.3-1.4x packing optimization, §3.9);
 //   - dispatch is asynchronous: ops enqueue programs and return immediately;
