@@ -110,6 +110,10 @@ type Device struct {
 	wg      sync.WaitGroup
 	workers int
 
+	// bound holds the host slices of the executing program's inputs.
+	bindMu sync.Mutex
+	bound  [][]float32
+
 	mu           sync.Mutex
 	textureBytes int64
 	numTextures  int
@@ -357,28 +361,32 @@ type Work struct {
 }
 
 // Program is a compiled fragment-shader program: a name (for profiling),
-// the work one dispatch costs the modelled device, and the main function.
+// the work one dispatch costs the modelled device, the textures it
+// samples, and the main function.
 //
-// Main computes the output texels [lo, hi). dst is the output texture's own
-// storage for exactly those texels — (hi-lo)*channels floats, texel-major —
-// and Main must write every element of it, may read any input texture, and
-// must write nothing else. The device calls Main concurrently on disjoint
-// ranges whose boundaries it chooses, so the value Main writes for a texel
-// may depend only on that texel's index and the inputs: Figure 4's model,
-// "main() runs in the context of each output value and in parallel, with
-// no shared memory", stated over a range so that a program can decode
-// coordinates and clip its window once per run of values instead of once
-// per value. On half-float textures the device rounds dst through fp16
-// after Main returns.
+// Main computes the output texels [lo, hi). in holds the host slices of
+// Inputs, in order — bound once per dispatch, the way a GL program binds
+// its sampler uniforms — and, when Setup is set, what Setup returned. dst
+// is the output texture's own storage for exactly those texels —
+// (hi-lo)*channels floats, texel-major — and Main must write every element
+// of it, may read in, and must write nothing else. The device calls Main
+// concurrently on disjoint ranges whose boundaries it chooses, so the value
+// Main writes for a texel may depend only on that texel's index and the
+// inputs: Figure 4's model, "main() runs in the context of each output
+// value and in parallel, with no shared memory", stated over a range so
+// that a program can decode coordinates and clip its window once per run
+// of values instead of once per value. On half-float textures the device
+// rounds dst through fp16 after Main returns.
 type Program struct {
-	Name string
-	Work Work
-	Main func(lo, hi int, dst []float32)
-	// Setup, when set, runs once per dispatch, before any of Main's
-	// ranges: what every range reads that the program computes from its
-	// inputs (a transposed operand) is computed there, once, whatever the
-	// worker count.
-	Setup func()
+	Name   string
+	Work   Work
+	Inputs []*Texture
+	// Setup, when set, runs once per dispatch before any of Main's ranges,
+	// on the inputs' host slices; what it returns every range reads after
+	// them: a buffer the program computes from its inputs once, whatever
+	// the worker count (a transposed operand).
+	Setup func(in [][]float32) []float32
+	Main  func(in [][]float32, lo, hi int, dst []float32)
 }
 
 // Execute binds output to the framebuffer and runs the program over every
@@ -388,18 +396,36 @@ type Program struct {
 func (d *Device) Execute(p *Program, out *Texture) { d.enqueue(command{prog: p, out: out}) }
 
 func (d *Device) execute(p *Program, out *Texture) {
-	if p.Setup != nil {
-		p.Setup()
+	// The GPU goroutine runs one program at a time, so one list of bound
+	// inputs serves them all; the lock is for a closed device, which runs
+	// programs on their callers.
+	d.bindMu.Lock()
+	defer d.bindMu.Unlock()
+	in := d.bound[:0]
+	for _, t := range p.Inputs {
+		in = append(in, t.data)
 	}
+	if p.Setup != nil {
+		in = append(in, p.Setup(in))
+	}
+	d.bound = in
+	defer clear(d.bound)
 	texels := out.Texels()
 	workers := d.workers
 	if workers > texels {
 		workers = texels
 	}
 	if workers <= 1 {
-		out.render(p, 0, texels)
+		out.render(p, in, 0, texels)
 	} else {
-		var wg sync.WaitGroup
+		// What every range's goroutine reads, in one allocation: each
+		// goroutine's closure then holds one pointer.
+		job := &struct {
+			wg  sync.WaitGroup
+			p   *Program
+			out *Texture
+			in  [][]float32
+		}{p: p, out: out, in: in}
 		chunk := (texels + workers - 1) / workers
 		for w := 0; w < workers; w++ {
 			lo := w * chunk
@@ -410,13 +436,13 @@ func (d *Device) execute(p *Program, out *Texture) {
 			if lo >= hi {
 				break
 			}
-			wg.Add(1)
+			job.wg.Add(1)
 			go func(lo, hi int) {
-				defer wg.Done()
-				out.render(p, lo, hi)
+				defer job.wg.Done()
+				job.out.render(job.p, job.in, lo, hi)
 			}(lo, hi)
 		}
-		wg.Wait()
+		job.wg.Wait()
 	}
 	d.stats.texels.Add(int64(texels))
 	d.charge(p.Work, texels)

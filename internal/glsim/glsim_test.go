@@ -19,8 +19,8 @@ func newTestDevice(t *testing.T, cfg Config) *Device {
 
 // perTexel adapts a one-value-per-texel function (R32F outputs) to the
 // range form.
-func perTexel(f func(i int) float32) func(lo, hi int, dst []float32) {
-	return func(lo, hi int, dst []float32) {
+func perTexel(f func(i int) float32) func(in [][]float32, lo, hi int, dst []float32) {
+	return func(_ [][]float32, lo, hi int, dst []float32) {
 		for i := range dst {
 			dst[i] = f(lo + i)
 		}
@@ -242,7 +242,7 @@ func TestSimulatedTimingModel(t *testing.T) {
 // returns at once or burns 5 ms of host time.
 func TestClockIsAFunctionOfTheProgramsDispatched(t *testing.T) {
 	work := Work{Fetches: 123456, ALU: 654321}
-	measure := func(workers, procs int, body func(lo, hi int, dst []float32)) int64 {
+	measure := func(workers, procs int, body func(in [][]float32, lo, hi int, dst []float32)) int64 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		cfg := DefaultConfig()
 		cfg.Workers = workers
@@ -257,9 +257,9 @@ func TestClockIsAFunctionOfTheProgramsDispatched(t *testing.T) {
 		}
 		return first
 	}
-	empty := func(lo, hi int, dst []float32) { clear(dst) }
+	empty := func(_ [][]float32, lo, hi int, dst []float32) { clear(dst) }
 	var burned atomic.Bool
-	slow := func(lo, hi int, dst []float32) {
+	slow := func(_ [][]float32, lo, hi int, dst []float32) {
 		if lo == 0 {
 			for start := time.Now(); time.Since(start) < 5*time.Millisecond; {
 			}
@@ -271,7 +271,7 @@ func TestClockIsAFunctionOfTheProgramsDispatched(t *testing.T) {
 	for _, c := range []struct {
 		name           string
 		workers, procs int
-		body           func(lo, hi int, dst []float32)
+		body           func(in [][]float32, lo, hi int, dst []float32)
 	}{
 		{"4 workers", 4, 1, empty},
 		{"GOMAXPROCS 2", 1, 2, empty},
@@ -334,7 +334,7 @@ func TestProgramsRunOverRangesOfTheOutputTexture(t *testing.T) {
 		d := newTestDevice(t, cfg)
 		tex, _ := d.CreateTexture(5, 5, RGBA32F)
 		var calls, covered atomic.Int64
-		d.Execute(&Program{Name: "ranges", Main: func(lo, hi int, dst []float32) {
+		d.Execute(&Program{Name: "ranges", Main: func(_ [][]float32, lo, hi int, dst []float32) {
 			calls.Add(1)
 			covered.Add(int64(hi - lo))
 			if len(dst) != (hi-lo)*4 || cap(dst) != len(dst) {
@@ -390,5 +390,46 @@ func TestCloseDrainsQueue(t *testing.T) {
 	d.Close()
 	if ran.Load() != 10 {
 		t.Fatalf("Close dropped commands: ran %d of 10", ran.Load())
+	}
+}
+
+// TestProgramInputsAndSetupAreBoundOncePerDispatch: every range of a
+// program gets its input textures' host slices, in order, and after them
+// what Setup returned — Setup running once per dispatch whatever the
+// worker count.
+func TestProgramInputsAndSetupAreBoundOncePerDispatch(t *testing.T) {
+	for _, workers := range []int{1, 3, 7} {
+		cfg := DefaultConfig()
+		cfg.Workers = workers
+		d := newTestDevice(t, cfg)
+		a, _ := d.CreateTexture(4, 4, R32F)
+		b, _ := d.CreateTexture(2, 2, R32F)
+		out, _ := d.CreateTexture(4, 4, R32F)
+		vals := make([]float32, 16)
+		for i := range vals {
+			vals[i] = float32(i)
+		}
+		d.Upload(a, vals)
+		d.Upload(b, []float32{100, 200, 300, 400})
+		var setups atomic.Int64
+		d.Execute(&Program{Name: "bound", Inputs: []*Texture{a, b},
+			Setup: func(in [][]float32) []float32 {
+				setups.Add(1)
+				return []float32{in[1][0] + in[1][3]}
+			},
+			Main: func(in [][]float32, lo, hi int, dst []float32) {
+				for i := range dst {
+					dst[i] = in[0][lo+i] + in[2][0]
+				}
+			}}, out)
+		got := d.ReadPixels(out)
+		for i, v := range got {
+			if v != float32(i)+500 {
+				t.Fatalf("%d workers: texel %d = %g, want %g", workers, i, v, float32(i)+500)
+			}
+		}
+		if n := setups.Load(); n != 1 {
+			t.Errorf("%d workers: Setup ran %d times, want once", workers, n)
+		}
 	}
 }

@@ -79,13 +79,13 @@ func (t *Texture) FetchFlat(i int) float32 { return t.data[i] }
 // while a program that takes the texture as input executes.
 func (t *Texture) Floats() []float32 { return t.data }
 
-// render runs p over the texels [lo, hi) of t, writing straight into the
-// texture's storage, then applies the half-float rounding store would have
-// applied per value.
-func (t *Texture) render(p *Program, lo, hi int) {
+// render runs p over the texels [lo, hi) of t, its inputs' host slices in,
+// writing straight into the texture's storage, then applies the half-float
+// rounding store would have applied per value.
+func (t *Texture) render(p *Program, in [][]float32, lo, hi int) {
 	ch := t.Format.Channels()
 	dst := t.data[lo*ch : hi*ch : hi*ch]
-	p.Main(lo, hi, dst)
+	p.Main(in, lo, hi, dst)
 	if t.HalfFloat {
 		for i, v := range dst {
 			dst[i] = RoundToFloat16(v)

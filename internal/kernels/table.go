@@ -2,7 +2,6 @@ package kernels
 
 import (
 	"strings"
-	"sync"
 
 	"repro/internal/tensor"
 	"repro/internal/vec"
@@ -23,36 +22,6 @@ import (
 // and end anywhere: what it writes for a value depends only on the value's
 // index.
 type Fill func(in [][]float32, lo int, dst []float32)
-
-// InputLists recycles the input lists a tier hands a Fill — one a call on
-// native, one a program range on webgl — so that building one allocates
-// nothing. Unlike a sync.Pool it keeps its lists under the race detector
-// too, where the allocation gates run as well.
-type InputLists struct {
-	mu   sync.Mutex
-	free []*[][]float32
-}
-
-// Get returns an empty list.
-func (l *InputLists) Get() *[][]float32 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n := len(l.free); n > 0 {
-		in := l.free[n-1]
-		l.free = l.free[:n-1]
-		return in
-	}
-	return new([][]float32)
-}
-
-// Put empties in and takes it back.
-func (l *InputLists) Put(in *[][]float32) {
-	clear(*in)
-	*in = (*in)[:0]
-	l.mu.Lock()
-	l.free = append(l.free, in)
-	l.mu.Unlock()
-}
 
 // A Range is one resolved call of a range kernel.
 type Range struct {

@@ -2,6 +2,7 @@ package native
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/kernels"
 	"repro/internal/tensor"
@@ -65,8 +66,37 @@ func (b *Backend) rangeKernel(k kernels.RangeKernel) kernels.OverrideKernel {
 	}
 }
 
-// inLists recycles the input lists the kernels hand their bodies.
-var inLists kernels.InputLists
+// inputLists recycles the input lists the kernels hand their bodies, so
+// that building one allocates nothing. Unlike a sync.Pool it keeps its
+// lists under the race detector too, where the allocation gates run as
+// well.
+type inputLists struct {
+	mu   sync.Mutex
+	free []*[][]float32
+}
+
+var inLists inputLists
+
+// Get returns an empty list.
+func (l *inputLists) Get() *[][]float32 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		in := l.free[n-1]
+		l.free = l.free[:n-1]
+		return in
+	}
+	return new([][]float32)
+}
+
+// Put empties in and takes it back.
+func (l *inputLists) Put(in *[][]float32) {
+	clear(*in)
+	*in = (*in)[:0]
+	l.mu.Lock()
+	l.free = append(l.free, in)
+	l.mu.Unlock()
+}
 
 // inputs returns the raw buffers of inputs, in order, in a recycled list
 // (inLists.Put returns it).

@@ -112,59 +112,34 @@ func (b *Backend) output(shape []int, dtype tensor.DataType, res *kernels.Tensor
 }
 
 // run executes a program that computes out's logical values with r's
-// body from the host slices of the textures tex, read in each range. It is
-// the one place the two texel layouts differ: the device hands out texel
-// ranges — a quarter as many invocations when packed (§3.9) — and run
-// turns them into value ranges, clips them to the logical size and zeroes
-// the padding values of the last texels. The body inherits the
+// body from the textures tex, which the device binds: the body reads their
+// host slices, which exist once the device queue reaches the program. It
+// is the one place the two texel layouts differ: the device hands out
+// texel ranges — a quarter as many invocations when packed (§3.9) — and
+// run turns them into value ranges, clips them to the logical size and
+// zeroes the padding values of the last texels. The body inherits the
 // fragment-shader contract from glsim.Program.Main: what it writes for a
 // value depends only on that value's index (TestKernelContract). A staged
-// buffer (kernels.Stage) is computed on the device once, before the
-// ranges, and read by every range after the inputs.
+// buffer (kernels.Stage) is the program's Setup, computed on the device
+// once, before the ranges.
 func (b *Backend) run(name string, out *texData, r kernels.Range, tex []*glsim.Texture) {
 	size, channels, fill := out.size, out.tex.Format.Channels(), r.Fill
-	p := &glsim.Program{Name: name, Work: device(r.Work)}
-	if n := r.Stage.Len(); n == 0 {
-		p.Main = func(lo, hi int, dst []float32) { values(lo, hi, size, channels, dst, fill, tex, nil) }
-	} else {
-		staged, stage := make([]float32, n), r.Stage
-		p.Setup = func() {
-			in := floats(tex)
-			stage.Run(*in, staged)
-			inLists.Put(in)
+	p := &glsim.Program{Name: name, Work: device(r.Work), Inputs: tex, Main: func(in [][]float32, lo, hi int, dst []float32) {
+		lo, hi = lo*channels, min(hi*channels, size)
+		n := max(hi-lo, 0)
+		if n > 0 {
+			fill(in, lo, dst[:n])
 		}
-		p.Main = func(lo, hi int, dst []float32) { values(lo, hi, size, channels, dst, fill, tex, staged) }
+		clear(dst[n:])
+	}}
+	if n, stage := r.Stage.Len(), r.Stage; n > 0 {
+		p.Setup = func(in [][]float32) []float32 {
+			staged := make([]float32, n)
+			stage.Run(in, staged)
+			return staged
+		}
 	}
 	b.device.Execute(p, out.tex)
-}
-
-// values is a program's Main: it runs fill over the values of the texels
-// [lo, hi) of an output of size values, channels to a texel, into dst.
-func values(lo, hi, size, channels int, dst []float32, fill kernels.Fill, tex []*glsim.Texture, staged []float32) {
-	lo, hi = lo*channels, min(hi*channels, size)
-	n := max(hi-lo, 0)
-	if n > 0 {
-		in := floats(tex)
-		if staged != nil {
-			*in = append(*in, staged)
-		}
-		fill(*in, lo, dst[:n])
-		inLists.Put(in)
-	}
-	clear(dst[n:])
-}
-
-// inLists recycles the input lists program ranges hand their bodies.
-var inLists kernels.InputLists
-
-// floats returns the host slices of tex, in order, in a recycled list
-// (inLists.Put returns it).
-func floats(tex []*glsim.Texture) *[][]float32 {
-	in := inLists.Get()
-	for _, t := range tex {
-		*in = append(*in, t.Floats())
-	}
-	return in
 }
 
 // gather is the GatherV2 program, on its range body (kernels.Gather): two

@@ -56,11 +56,8 @@ func TestEagerDispatchAllocBudget(t *testing.T) {
 // allocated per call shows. On webgl each dispatch is followed by a fence
 // (seven allocations of its own), so that the device has run the program
 // and recycled its texture before the next: unfenced, the reading depends
-// on how far the device lags. A budget is the reading when it was set,
-// lowered since where a change lowered the reading (webgl's convolutions
-// and pool no longer allocate their attribute defaults, a webgl program is
-// enqueued without a closure, a Concat builds no operand list); a change
-// may lower one and may not raise any.
+// on how far the device lags. A budget is the lowest reading yet; a
+// change may lower one and may not raise any.
 func TestEagerDispatchAllocBudgetPerClass(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
