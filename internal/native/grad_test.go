@@ -12,9 +12,9 @@ import (
 	"repro/internal/vec"
 )
 
-// Differential tests for the backward kernels (grad.go) and the other
-// training-path kernels that claim bit-identity with internal/kernels:
-// the native kernel and the reference kernel run on the same operands and
+// Differential tests for the backward kernels and the other training-path
+// kernels that claim bit-identity with internal/kernels: the native kernel
+// and the reference kernel run on the same operands and
 // the outputs are compared by bit pattern, under requireSameFloats' one
 // allowance (two NaNs are equal whatever their payloads).
 
