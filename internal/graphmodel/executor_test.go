@@ -493,3 +493,46 @@ func TestFedAliasOutputFreesTheRootBehindIt(t *testing.T) {
 		t.Errorf("backend holds %d bytes after the execute, %d before: the computed root leaked", got, bytes)
 	}
 }
+
+// TestEmptyAxisAnswersAsEagerDoes: a one-node graph Mean over an empty axis
+// and a Softmax over an empty last axis give the eager op's answer on cpu,
+// node and webgl — a NaN mean per row, and an empty [2, 0] softmax — since
+// both run the one kernel on the op's own shape.
+func TestEmptyAxisAnswersAsEagerDoes(t *testing.T) {
+	for _, backend := range []string{"cpu", "node", "webgl"} {
+		t.Run(backend, func(t *testing.T) {
+			onBackend(t, backend)
+			x := ops.FromValues(nil, 2, 0)
+			defer x.Dispose()
+			for _, c := range []struct {
+				op    string
+				attrs map[string]any
+				eager func() *tensor.Tensor
+				shape []int
+			}{
+				{"Mean", map[string]any{"axes": []int{1}}, func() *tensor.Tensor { return ops.Mean(x, []int{1}, false) }, []int{2}},
+				{"Softmax", nil, func() *tensor.Tensor { return ops.Softmax(x) }, []int{2, 0}},
+			} {
+				m, err := graphmodel.New(&savedmodel.GraphDef{
+					Nodes: []savedmodel.NodeDef{
+						{Name: "x", Op: "Placeholder", Attrs: map[string]any{"dtype": "float32", "shape": []int{2, 0}}},
+						{Name: "y", Op: c.op, Inputs: []string{"x"}, Attrs: c.attrs},
+					},
+					Inputs: []string{"x"}, Outputs: []string{"y"},
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", c.op, err)
+				}
+				got, want := predictBits(t, m, x), c.eager()
+				m.Dispose()
+				if !reflect.DeepEqual(want.Shape, c.shape) || !sameBits(got, want.DataSync()) {
+					t.Errorf("%s: graph %v, eager %v of shape %v, want shape %v", c.op, got, want.DataSync(), want.Shape, c.shape)
+				}
+				if c.op == "Mean" && !math.IsNaN(float64(got[0])) {
+					t.Errorf("Mean over an empty axis is %v, want NaN", got)
+				}
+				want.Dispose()
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package graphmodel_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -110,5 +111,44 @@ func TestConvertRefusesInconsistentGraph(t *testing.T) {
 	// The explicit bypass still converts (for debugging malformed models).
 	if _, err := converter.Convert(badMatMul(), store, converter.Options{SkipVerify: true}); err != nil {
 		t.Fatalf("SkipVerify must bypass the verifier: %v", err)
+	}
+}
+
+// TestNewRejectsWindowsThatDoNotStep: a pool or a convolution whose strides
+// are zero or negative, or whose valid window is larger than its input, is
+// a load-time *savedmodel.VerifyError, with the batch dim unknown (the
+// verifier's partial shapes) and known (the kernels' own geometry). A zero
+// stride once divided by zero inside the verifier, and serving loads
+// models in a goroutine.
+func TestNewRejectsWindowsThatDoNotStep(t *testing.T) {
+	for _, c := range []struct {
+		label, op string
+		attrs     map[string]any
+	}{
+		{"zeroStrides", "MaxPool", map[string]any{"ksize": []int{2, 2}, "strides": []int{0, 0}, "padding": "valid"}},
+		{"negativeStride", "AvgPool", map[string]any{"ksize": []int{2, 2}, "strides": []int{-1, 1}, "padding": "same"}},
+		{"validWindowTooLarge", "MaxPool", map[string]any{"ksize": []int{4, 4}, "strides": []int{3, 3}, "padding": "valid"}},
+		{"zeroStrides", "Conv2D", map[string]any{"strides": []int{0, 0}, "padding": "same"}},
+		{"negativeStride", "Conv2D", map[string]any{"strides": []int{1, -1}, "padding": "same"}},
+		{"validWindowTooLarge", "Conv2D", map[string]any{"strides": []int{3, 3}, "padding": "valid"}},
+	} {
+		for _, batch := range []int{-1, 1} {
+			g := &savedmodel.GraphDef{
+				Nodes: []savedmodel.NodeDef{
+					{Name: "x", Op: "Placeholder", Attrs: map[string]any{"dtype": "float32", "shape": []int{batch, 2, 2, 1}}},
+					{Name: "y", Op: c.op, Inputs: []string{"x"}, Attrs: c.attrs},
+				},
+				Inputs: []string{"x"}, Outputs: []string{"y"},
+			}
+			if c.op == "Conv2D" {
+				g.Nodes = append(g.Nodes, savedmodel.NodeDef{Name: "W", Op: "Const"})
+				g.Nodes[1].Inputs = append(g.Nodes[1].Inputs, "W")
+				g.Weights = map[string]*savedmodel.Weight{"W": {Name: "W", Shape: []int{4, 4, 1, 1}, DType: "float32", Values: make([]float32, 16)}}
+			}
+			var ve *savedmodel.VerifyError
+			if _, err := graphmodel.New(g); !errors.As(err, &ve) {
+				t.Errorf("%s %s, batch %d: New returned %v, want a *savedmodel.VerifyError", c.op, c.label, batch, err)
+			}
+		}
 	}
 }

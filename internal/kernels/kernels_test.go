@@ -566,3 +566,44 @@ func TestRefKernelNamesIncludesCore(t *testing.T) {
 		t.Errorf("expected >=60 reference kernels, got %d", len(names))
 	}
 }
+
+// TestReductionsFoldAsTheTransposeDid: a reduction over any axes of a
+// rank-4 input is, bit for bit, the [outer, inner] reduction of the input
+// transposed to bring its reduced axes innermost — the lowering every
+// caller once built — special values and ties included.
+func TestReductionsFoldAsTheTransposeDid(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	shape := []int{2, 3, 4, 5}
+	x := buf(walkOperand(rng, tensor.ShapeSize(shape)), shape...)
+	for i := 0; i < len(x.Data); i += 7 {
+		x.Data[i] = 1 // ties, for the index reductions
+	}
+	for set := 1; set < 16; set++ {
+		var axes, perm []int
+		outer, inner := 1, 1
+		for a := 0; a < 4; a++ {
+			if set>>a&1 == 0 {
+				perm, outer = append(perm, a), outer*shape[a]
+			}
+		}
+		for a := 0; a < 4; a++ {
+			if set>>a&1 != 0 {
+				axes, perm, inner = append(axes, a), append(perm, a), inner*shape[a]
+			}
+		}
+		moved := runRef(t, "Transpose", []Buffer{x}, Attrs{"perm": perm})
+		rows := buf(moved.Data, outer, inner)
+		for _, name := range []string{"Sum", "Mean", "Max", "Min", "Prod", "ArgMax", "ArgMin", "Any", "All"} {
+			want := runRef(t, name, []Buffer{rows}, nil)
+			got := runRef(t, name, []Buffer{x}, Attrs{"axes": axes, "keepDims": true})
+			for i := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("%s over %v: output %d is %g, the transposed rows give %g", name, axes, i, got.Data[i], want.Data[i])
+				}
+			}
+			if len(got.Data) != outer || len(got.Shape) != 4 {
+				t.Fatalf("%s over %v keeping dims: shape %v", name, axes, got.Shape)
+			}
+		}
+	}
+}

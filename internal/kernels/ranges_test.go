@@ -128,6 +128,10 @@ func TestRangeBodiesMatchReference(t *testing.T) {
 		{"tatb", "BatchMatMul", []Buffer{op(1, 4, 3), op(2, 5, 4)}, mm(true, true, "")},
 		{"bcastB", "BatchMatMul", []Buffer{op(3, 2, 70), op(1, 70, 3)}, mm(false, false, "")},
 		{"k0", "BatchMatMul", []Buffer{op(1, 0, 2), op(1, 0, 3)}, mm(true, false, "")},
+		{"rank2", "BatchMatMul", []Buffer{op(3, 4), op(4, 5)}, mm(false, false, "")},
+		{"rank2ta", "BatchMatMul", []Buffer{op(4, 3), op(4, 5)}, mm(true, false, "")},
+		{"rank2tb", "BatchMatMul", []Buffer{op(3, 4), op(5, 4)}, mm(false, true, "")},
+		{"rank2tatb", "BatchMatMul", []Buffer{op(4, 3), op(5, 4)}, mm(true, true, "")},
 		{"bias", "_FusedMatMul", []Buffer{op(3, 4), op(4, 5), op(5)}, mm(false, false, "relu6")},
 		{"tatbElu", "_FusedMatMul", []Buffer{op(4, 3), op(5, 4), op(5)}, mm(true, true, "elu")},
 		{"noBias", "_FusedMatMul", []Buffer{op(3, 4), op(4, 5)}, mm(false, false, "relu")},
@@ -188,8 +192,34 @@ func TestRangeBodiesMatchReference(t *testing.T) {
 			poolGrad(kernel, []int{1, 4, 6, 3}, []int{3, 2}, s1, "valid"),
 			poolGrad(kernel, []int{0, 4, 4, 2}, []int{2, 2}, s2, "valid"))
 	}
-	for _, name := range []string{"Sum", "Mean", "Max", "Min", "Prod", "ArgMax", "ArgMin"} {
-		cases = append(cases, rangeCase{"ties", name, []Buffer{rows}, nil}, rangeCase{"specials", name, []Buffer{op(4, 9)}, nil})
+	reductions := []string{"Sum", "Mean", "Max", "Min", "Prod", "ArgMax", "ArgMin"}
+	for _, name := range reductions {
+		cases = append(cases, rangeCase{"ties", name, []Buffer{rows}, nil}, rangeCase{"specials", name, []Buffer{op(4, 9)}, nil},
+			rangeCase{"repeatedAxes", name, []Buffer{op(2, 3, 4, 5)}, Attrs{"axes": []int{2, 0, -2}}},
+			rangeCase{"allAxes", name, []Buffer{op(3, 1, 4)}, Attrs{"axes": []int{}, "keepDims": true}})
+	}
+	// Every non-empty axis subset of a rank-4 input, the odd axes counted
+	// from the end, kept as 1s or dropped; the second input has a zero-size
+	// dim, so a fold is empty or there is no output at all (an index
+	// reduction rejects an empty fold).
+	for _, shape := range [][]int{{2, 3, 4, 5}, {3, 0, 2, 4}} {
+		for set := 1; set < 16; set++ {
+			var axes []int
+			inner := 1
+			for a := 0; a < 4; a++ {
+				if set>>a&1 != 0 {
+					axes, inner = append(axes, a-4*(a%2)), inner*shape[a]
+				}
+			}
+			for _, keep := range []bool{false, true} {
+				for _, name := range reductions {
+					if inner > 0 || !strings.HasPrefix(name, "Arg") {
+						cases = append(cases, rangeCase{fmt.Sprintf("%v%v keep=%v", shape, axes, keep), name,
+							[]Buffer{op(shape...)}, Attrs{"axes": axes, "keepDims": keep}})
+					}
+				}
+			}
+		}
 	}
 	// The forward window kernels, fused with a bias and an activation or
 	// not, at a stride, a dilation and both paddings.

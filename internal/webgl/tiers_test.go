@@ -187,12 +187,17 @@ func TestZeroLhsLeftOutOnEveryTier(t *testing.T) {
 // TestMalformedShapeCallsFailOnEveryTier: calls the reference kernel
 // rejects — a Transpose with a repeated axis, a PadV2 with a negative
 // padding, a Concat whose non-axis dims disagree (which read past an
-// input), and four backward window kernels handed a dy of [1,1,1,3] for a
-// [1,4,4,3] input — fail on cpu, node and every simulated device with the
-// reference kernel's error, from the one check each op has
+// input), four backward window kernels handed a dy of [1,1,1,3] for a
+// [1,4,4,3] input, reductions over axes out of range, a scalar's last axis
+// or an empty index fold, a scalar Softmax, a matmul of mixed ranks, and
+// windows with a zero or negative stride or dilation or a valid window
+// larger than the input — fail on cpu, node and every simulated device
+// with the reference kernel's error, from the one check each op has
 // (kernels.Resolve*). The devices' programs once ran the first three and
-// died on the last four with an index out of range in a device worker; the
-// reference's depthwise gradients panicked on them.
+// died on the next four with an index out of range in a device worker; the
+// reference's depthwise gradients panicked on them. A zero dilation once
+// gave all 9s on cpu, a runtime error on node and a divide by zero in a
+// webgl device worker.
 func TestMalformedShapeCallsFailOnEveryTier(t *testing.T) {
 	nb := native.New()
 	t.Cleanup(nb.Close)
@@ -209,6 +214,20 @@ func TestMalformedShapeCallsFailOnEveryTier(t *testing.T) {
 		{"dy", "AvgPoolGrad", []kernels.Buffer{dy}, kernels.Attrs{"inputShape": []int{1, 4, 4, 3}}},
 		{"dy", "DepthwiseConv2dNativeBackpropInput", []kernels.Buffer{dy, operand([]int{3, 3, 3, 1}, 0, 7, 1)}, depthwise},
 		{"dy", "DepthwiseConv2dNativeBackpropFilter", []kernels.Buffer{img, dy}, depthwise},
+		{"axisOutOfRange", "Sum", []kernels.Buffer{x}, kernels.Attrs{"axes": []int{0, 2}}},
+		{"negativeAxisOutOfRange", "Mean", []kernels.Buffer{x}, kernels.Attrs{"axes": []int{-3}, "keepDims": true}},
+		{"scalarHasNoLastAxis", "Max", []kernels.Buffer{operand(nil, 0, 7, 1)}, nil},
+		{"emptyFold", "ArgMax", []kernels.Buffer{operand([]int{2, 0}, 0, 7, 1)}, kernels.Attrs{"axes": []int{1}}},
+		{"scalar", "Softmax", []kernels.Buffer{operand(nil, 0, 7, 1)}, nil},
+		{"mixedRanks", "BatchMatMul", []kernels.Buffer{x, operand([]int{1, 3, 4}, 0, 7, 1)}, nil},
+		{"zeroStrides", "MaxPool", []kernels.Buffer{img}, kernels.Attrs{"filterSize": []int{2, 2}, "strides": []int{0, 0}, "pad": "valid"}},
+		{"negativeStride", "AvgPool", []kernels.Buffer{img}, kernels.Attrs{"filterSize": []int{2, 2}, "strides": []int{-1, 1}, "pad": "same"}},
+		{"validWindowTooLarge", "MaxPool", []kernels.Buffer{operand([]int{1, 2, 2, 3}, 0, 7, 1)},
+			kernels.Attrs{"filterSize": []int{4, 4}, "strides": []int{3, 3}, "pad": "valid"}},
+		{"zeroDilations", "Conv2D", []kernels.Buffer{img, operand([]int{3, 3, 3, 2}, 0, 7, 1)}, convAttrs([]int{1, 1}, []int{0, 0}, "same")},
+		{"negativeDilation", "DepthwiseConv2dNative", []kernels.Buffer{img, operand([]int{3, 3, 3, 1}, 0, 7, 1)}, convAttrs([]int{1, 1}, []int{1, -1}, "same")},
+		{"validWindowTooLarge", "Conv2D", []kernels.Buffer{operand([]int{1, 2, 2, 3}, 0, 7, 1), operand([]int{4, 4, 3, 2}, 0, 7, 1)},
+			convAttrs([]int{3, 3}, []int{1, 1}, "valid")},
 	} {
 		ref, _ := kernels.LookupRef(c.kernel)
 		_, want := ref(c.inputs, c.attrs)
@@ -333,7 +352,18 @@ func TestGradientsAndBroadcastsOnEveryTier(t *testing.T) {
 		cases[kernel] = append(cases[kernel], conv(kernel, []int{1, 7, 5, 3}, []int{3, 3, 3, 2}, s22, s11), conv(kernel, []int{2, 6, 7, 4}, []int{3, 3, 4, 1}, s21, s22))
 	}
 	for _, kernel := range []string{"Sum", "Mean", "Max", "Min", "Prod", "ArgMax", "ArgMin"} {
-		cases[kernel] = []tierCase{{"rows", kernel, []kernels.Buffer{inexact(6, 13)}, nil}}
+		cases[kernel] = append(axisSubsets(kernel, inexact), tierCase{"rows", kernel, []kernels.Buffer{inexact(6, 13)}, nil})
+	}
+	for _, tr := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+		a, b := []int{5, 9}, []int{9, 6}
+		if tr[0] {
+			a = []int{9, 5}
+		}
+		if tr[1] {
+			b = []int{6, 9}
+		}
+		cases["BatchMatMul"] = append(cases["BatchMatMul"], tierCase{fmt.Sprintf("rank2 ta=%v tb=%v", tr[0], tr[1]), "BatchMatMul",
+			[]kernels.Buffer{inexact(a...), inexact(b...)}, kernels.Attrs{"transposeA": tr[0], "transposeB": tr[1]}})
 	}
 	for _, k := range kernels.RangeKernels() {
 		if len(cases[k.Name]) == 0 {
@@ -357,6 +387,34 @@ func TestGradientsAndBroadcastsOnEveryTier(t *testing.T) {
 			}
 		}
 	}
+}
+
+// axisSubsets are a reduction over every non-empty axis subset of a rank-4
+// input of values from gen, the odd axes counted from the end, its dims
+// kept as 1s or dropped; the second input has a zero-size dim, so a fold
+// is empty or there is no output at all (an index reduction rejects an
+// empty fold, and has no such case).
+func axisSubsets(kernel string, gen func(shape ...int) kernels.Buffer) []tierCase {
+	var cases []tierCase
+	for _, shape := range [][]int{{2, 3, 4, 5}, {3, 0, 2, 4}} {
+		x := gen(shape...)
+		for set := 1; set < 16; set++ {
+			var axes []int
+			inner := 1
+			for a := 0; a < 4; a++ {
+				if set>>a&1 != 0 {
+					axes, inner = append(axes, a-4*(a%2)), inner*shape[a]
+				}
+			}
+			for _, keep := range []bool{false, true} {
+				if inner > 0 || kernel[:3] != "Arg" {
+					cases = append(cases, tierCase{fmt.Sprintf("%v%v keep=%v", shape, axes, keep), kernel, []kernels.Buffer{x},
+						kernels.Attrs{"axes": axes, "keepDims": keep}})
+				}
+			}
+		}
+	}
+	return cases
 }
 
 // variance2 is a moments slot [2, ...]: its second half, the second
@@ -695,4 +753,76 @@ func operandsAt(inputs []kernels.Buffer, outShape []int, i int) []float32 {
 		at = append(at, in.Data[idx])
 	}
 	return at
+}
+
+// TestKernelsTakeTheOpsShapeOnEveryTier: the kernels that take the op's own
+// shape — the reductions over any axes, Softmax over the last axis of any
+// rank, BatchMatMul of two matrices — run on cpu, node and webgl fp32
+// packed and unpacked. The operands are small integers and halves, so the
+// cpu tier's float64 sums are exact too: every reduction and product is
+// Float32bits-equal to the reference kernel. Softmax keeps its own body on
+// cpu (a float64 divide) and webgl (a float32 exp-sum): on every tier the
+// rank-N call is Float32bits-equal to the same tier's [outer, inner] call,
+// and node's to the reference; an empty last axis is an empty output.
+func TestKernelsTakeTheOpsShapeOnEveryTier(t *testing.T) {
+	tiers := hostAndDeviceTiers(t)
+	// operand's values, none of them special: a stride past the end plants
+	// nothing.
+	exact := func(shape ...int) kernels.Buffer { return operand(shape, 1<<30, 1, 0) }
+	same := func(where string, got, want []float32) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Errorf("%s: %d values, want %d", where, len(got), len(want))
+			return
+		}
+		for i, w := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(w) {
+				t.Errorf("%s: output %d is %g (%#08x), want %g (%#08x)", where, i, got[i], math.Float32bits(got[i]), w, math.Float32bits(w))
+				return
+			}
+		}
+	}
+	var cases []tierCase
+	for _, kernel := range []string{"Sum", "Mean", "Max", "Min", "Prod", "ArgMax", "ArgMin"} {
+		cases = append(cases, axisSubsets(kernel, exact)...)
+	}
+	for _, tr := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+		a, b := []int{5, 9}, []int{9, 6}
+		if tr[0] {
+			a = []int{9, 5}
+		}
+		if tr[1] {
+			b = []int{6, 9}
+		}
+		cases = append(cases, tierCase{fmt.Sprintf("rank2 ta=%v tb=%v", tr[0], tr[1]), "BatchMatMul",
+			[]kernels.Buffer{exact(a...), exact(b...)}, kernels.Attrs{"transposeA": tr[0], "transposeB": tr[1]}})
+	}
+	for _, c := range cases {
+		ref, _ := kernels.LookupRef(c.kernel)
+		want, err := ref(c.inputs, c.attrs)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", c.kernel, c.label, err)
+		}
+		for _, b := range tiers {
+			same(fmt.Sprintf("%s/%s on %s", c.kernel, c.label, b.name), dispatch(t, b.backend, c.kernel, c.inputs, c.attrs), want.Data)
+		}
+	}
+	for _, shape := range [][]int{{7}, {3, 7}, {2, 3, 7}, {2, 1, 3, 7}, {2, 0}, {2, 3, 0}} {
+		x := exact(shape...)
+		inner := shape[len(shape)-1]
+		rows := kernels.Buffer{Data: x.Data, Shape: []int{len(x.Data) / max(inner, 1), inner}, DType: x.DType}
+		ref, _ := kernels.LookupRef("Softmax")
+		want, err := ref([]kernels.Buffer{x}, nil)
+		if err != nil {
+			t.Fatalf("Softmax%v: %v", shape, err)
+		}
+		for _, b := range tiers {
+			where := fmt.Sprintf("Softmax%v on %s", shape, b.name)
+			got := dispatch(t, b.backend, "Softmax", []kernels.Buffer{x}, nil)
+			same(where+" against its [outer, inner] call", got, dispatch(t, b.backend, "Softmax", []kernels.Buffer{rows}, nil))
+			if b.name == "node" {
+				same(where, got, want.Data)
+			}
+		}
+	}
 }

@@ -270,3 +270,49 @@ func TestDebugModeFacade(t *testing.T) {
 		return nil
 	})
 }
+
+// TestEagerReductionsSoftmaxAndMatMulAreOneKernel: a Mean over inner axes
+// of a rank-4 tensor, a Softmax of a rank-3 one and a MatMul of two
+// matrices each dispatch exactly one kernel, on the op's own shape, and
+// leave one tensor handle, their output: no Transpose bringing the axes
+// innermost, and no Reshape handle for a 2-D view.
+func TestEagerReductionsSoftmaxAndMatMulAreOneKernel(t *testing.T) {
+	defer tf.SetBackend("cpu")
+	ramp := func(shape ...int) *tf.Tensor {
+		vals := make([]float32, 1)
+		for _, d := range shape {
+			vals = make([]float32, len(vals)*d)
+		}
+		for i := range vals {
+			vals[i] = float32(i%11) - 5
+		}
+		return tf.TensorOf(vals, shape...)
+	}
+	for _, backend := range []string{"cpu", "node", "webgl"} {
+		if err := tf.SetBackend(backend); err != nil {
+			t.Fatal(err)
+		}
+		x4, x3, a, b := ramp(2, 3, 4, 5), ramp(2, 3, 4), ramp(3, 4), ramp(4, 5)
+		for _, c := range []struct {
+			kernel string
+			op     func() *tf.Tensor
+		}{
+			{"Mean", func() *tf.Tensor { return tf.Mean(x4, []int{1, 2}, false) }},
+			{"Softmax", func() *tf.Tensor { return tf.Softmax(x3) }},
+			{"BatchMatMul", func() *tf.Tensor { return tf.MatMul(a, b, false, false) }},
+		} {
+			var y *tf.Tensor
+			info := tf.Profile(func() { y = c.op() })
+			if got := info.KernelNames(); len(info.Kernels) != 1 || got[0] != c.kernel {
+				t.Errorf("%s on %s: dispatched %v, want one %s", c.kernel, backend, got, c.kernel)
+			}
+			if info.NewTensors != 1 {
+				t.Errorf("%s on %s: left %d tensor handles, want 1 (the output)", c.kernel, backend, info.NewTensors)
+			}
+			y.Dispose()
+		}
+		for _, x := range []*tf.Tensor{x4, x3, a, b} {
+			x.Dispose()
+		}
+	}
+}
