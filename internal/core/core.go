@@ -588,16 +588,9 @@ func (e *Engine) RunKernel(name string, inputs []*tensor.Tensor, attrs kernels.A
 		e.EnsureOnBackend(in, b)
 	}
 
-	// Exactly one atomic load: debug mode registers a (no-op) hub observer
-	// when enabled, so hub.Active() alone gates both instrumentation and
-	// the NaN check, and the unobserved dispatch path pays one predictable
-	// branch per kernel.
 	var info kernels.TensorInfo
-	ins := kernelInputs(inputs)
-	if e.hub.Active() {
-		e.instrumentedRun(name, b, ins, attrs, &info)
-	} else if err := kernels.Dispatch(b, name, ins, attrs, &info); err != nil {
-		opPanic(name, err)
+	if err := e.Dispatch(name, b, kernelInputs(inputs), attrs, &info, 0); err != nil {
+		panic(err)
 	}
 	out := tensor.New(info.DataID, info.Shape, info.DType)
 	e.registerTensor(out, b)
@@ -864,37 +857,47 @@ func recordFromEvent(ev telemetry.Event) KernelRecord {
 	}
 }
 
-// instrumentedRun is RunKernel's dispatch under an observer: the same
-// kernels.Dispatch, timed by the backend, with its memory effect accounted
-// and the kernel reported through EmitKernel.
-func (e *Engine) instrumentedRun(name string, b kernels.Backend, ins []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) {
-	before := e.Memory().NumBytes
+// Dispatch runs one kernel on b through kernels.Dispatch and returns its
+// failure as *OpError: the one dispatch of RunKernel and of graphmodel's
+// plan executor. Exactly one atomic load when unobserved: debug mode
+// registers a (no-op) hub observer when enabled, so hub.Active() alone
+// gates both instrumentation and the NaN check. Observed, the dispatch
+// runs under b's timer and is reported through emitKernel, the output's
+// bytes added to the engine's live bytes plus live, the bytes a caller
+// holds outside the engine (a plan's intermediates); a debug-mode NaN
+// frees the output and panics.
+func (e *Engine) Dispatch(name string, b kernels.Backend, ins []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo, live int64) error {
+	if !e.hub.Active() {
+		if err := kernels.Dispatch(b, name, ins, attrs, out); err != nil {
+			return &OpError{Kernel: name, Err: err}
+		}
+		return nil
+	}
 	start := time.Now()
 	var err error
 	ti := b.Time(func() { err = kernels.Dispatch(b, name, ins, attrs, out) })
 	if err != nil {
-		opPanic(name, err)
+		return &OpError{Kernel: name, Err: err}
 	}
-	// The output is not a registered handle yet: its bytes are what the
-	// kernel added.
 	added := int64(tensor.ShapeSize(out.Shape) * out.DType.BytesPerElement())
-	if nan := e.EmitKernel(name, b, start, ti, ins, *out, added, before+added); nan != nil {
+	if nan := e.emitKernel(name, b, start, ti, ins, *out, added, e.Memory().NumBytes+live+added); nan != nil {
 		b.DisposeData(out.DataID)
 		panic(nan)
 	}
+	return nil
 }
 
-// EmitKernel reports one executed kernel to the telemetry hub and, in debug
+// emitKernel reports one executed kernel to the telemetry hub and, in debug
 // mode, records it and scans its outputs for NaNs (Section 3.8). It is the
-// only builder of KindKernel events: RunKernel's observed path and the
-// graphmodel plan executor both end here, so profiles, traces and /metrics
-// describe whichever path ran in the same vocabulary. The caller timed the
+// only builder of KindKernel events: Dispatch, which RunKernel and the
+// graphmodel plan executor both call, ends here, so profiles, traces and
+// /metrics describe whichever path ran in the same vocabulary. The caller timed the
 // kernel under b.Time; added and total are the bytes the kernel allocated
 // and the bytes live after it. Shapes are copied — observers retain events,
 // callers reuse their shape storage. The returned *OpError is non-nil when
 // debug mode found a NaN: the caller panics with it once it has let go of
 // what the kernel produced.
-func (e *Engine) EmitKernel(name string, b kernels.Backend, start time.Time, ti kernels.TimeInfo,
+func (e *Engine) emitKernel(name string, b kernels.Backend, start time.Time, ti kernels.TimeInfo,
 	ins []kernels.Input, out kernels.TensorInfo, added, total int64) *OpError {
 	ev := telemetry.Event{
 		Kind:        telemetry.KindKernel,

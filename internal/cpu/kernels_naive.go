@@ -138,31 +138,16 @@ func (b *NaiveBackend) initNaiveKernels() {
 }
 
 func (b *NaiveBackend) naiveBatchMatMul(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-	if len(inputs) != 2 {
-		return fmt.Errorf("BatchMatMul: got %d inputs, want 2", len(inputs))
+	g, err := kernels.ResolveMatMul("BatchMatMul", inputs, attrs, res)
+	if err != nil {
+		return err
 	}
 	if attrs.Bool("transposeA", false) || attrs.Bool("transposeB", false) {
 		return kernels.ErrFallback
 	}
-	a, x := inputs[0], inputs[1]
-	if len(a.Shape) != 3 || len(x.Shape) != 3 {
-		return fmt.Errorf("BatchMatMul: inputs must be rank 3")
-	}
-	batchA, batchB := a.Shape[0], x.Shape[0]
-	batch := batchA
-	if batchB > batch {
-		batch = batchB
-	}
-	if batchA != batchB && batchA != 1 && batchB != 1 {
-		return fmt.Errorf("BatchMatMul: incompatible batch dims")
-	}
-	m, k := a.Shape[1], a.Shape[2]
-	if x.Shape[1] != k {
-		return fmt.Errorf("BatchMatMul: inner dims mismatch %v x %v", a.Shape, x.Shape)
-	}
-	n := x.Shape[2]
-	aBuf, bBuf := b.Raw(a.DataID), b.Raw(x.DataID)
-	out := b.out([]int{batch, m, n}, tensor.Float32, res)
+	batch, m, k, n, batchA, batchB := g.Dims()
+	aBuf, bBuf := b.Raw(inputs[0].DataID), b.Raw(inputs[1].DataID)
+	out := b.out(res.Shape, tensor.Float32, res)
 	// Naive ijk loop with per-access index arithmetic and float64 math.
 	for p := 0; p < batch; p++ {
 		for i := 0; i < m; i++ {
@@ -181,18 +166,13 @@ func (b *NaiveBackend) naiveBatchMatMul(inputs []kernels.Input, attrs kernels.At
 }
 
 func (b *NaiveBackend) naiveConv2D(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-	if len(inputs) != 2 {
-		return fmt.Errorf("Conv2D: got %d inputs, want 2", len(inputs))
-	}
-	x, w := inputs[0], inputs[1]
-	info, err := kernels.ComputeConv2DInfo(x.Shape, w.Shape,
-		attrs.Ints("strides", []int{1, 1}), attrs.Ints("dilations", []int{1, 1}),
-		attrs.String("pad", "valid"), false)
+	info, err := kernels.ResolveConv("Conv2D", inputs, attrs, res)
 	if err != nil {
 		return err
 	}
+	x, w := inputs[0], inputs[1]
 	xBuf, wBuf := b.Raw(x.DataID), b.Raw(w.DataID)
-	out := b.out(info.OutShape(), tensor.Float32, res)
+	out := b.out(res.Shape, tensor.Float32, res)
 	inC, outC := info.InChannels, info.OutChannels
 	// One loop per output element, innermost over the receptive field,
 	// recomputing flat indices from coordinates at every access.
@@ -227,18 +207,13 @@ func (b *NaiveBackend) naiveConv2D(inputs []kernels.Input, attrs kernels.Attrs, 
 }
 
 func (b *NaiveBackend) naiveDepthwise(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-	if len(inputs) != 2 {
-		return fmt.Errorf("DepthwiseConv2dNative: got %d inputs, want 2", len(inputs))
-	}
-	x, w := inputs[0], inputs[1]
-	info, err := kernels.ComputeConv2DInfo(x.Shape, w.Shape,
-		attrs.Ints("strides", []int{1, 1}), attrs.Ints("dilations", []int{1, 1}),
-		attrs.String("pad", "valid"), true)
+	info, err := kernels.ResolveConv("DepthwiseConv2dNative", inputs, attrs, res)
 	if err != nil {
 		return err
 	}
+	x, w := inputs[0], inputs[1]
 	xBuf, wBuf := b.Raw(x.DataID), b.Raw(w.DataID)
-	out := b.out(info.OutShape(), tensor.Float32, res)
+	out := b.out(res.Shape, tensor.Float32, res)
 	inC, mult, outC := info.InChannels, info.ChannelMultiplier, info.OutChannels
 	for bb := 0; bb < info.BatchSize; bb++ {
 		for oy := 0; oy < info.OutHeight; oy++ {
@@ -270,19 +245,18 @@ func (b *NaiveBackend) naiveDepthwise(inputs []kernels.Input, attrs kernels.Attr
 }
 
 func (b *NaiveBackend) naivePool(isMax bool) kernels.OverrideKernel {
+	name := "AvgPool"
+	if isMax {
+		name = "MaxPool"
+	}
 	return func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-		if len(inputs) != 1 {
-			return fmt.Errorf("pool: got %d inputs, want 1", len(inputs))
-		}
-		x := inputs[0]
-		filterSize := attrs.Ints("filterSize", []int{2, 2})
-		strides := attrs.Ints("strides", filterSize)
-		info, err := kernels.ComputePool2DInfo(x.Shape, filterSize, strides, attrs.String("pad", "valid"))
+		info, err := kernels.ResolvePool(name, inputs, attrs, res)
 		if err != nil {
 			return err
 		}
+		x := inputs[0]
 		xBuf := b.Raw(x.DataID)
-		out := b.out(info.OutShape(), x.DType, res)
+		out := b.out(res.Shape, res.DType, res)
 		c := info.OutChannels
 		for bb := 0; bb < info.BatchSize; bb++ {
 			for oy := 0; oy < info.OutHeight; oy++ {
@@ -353,13 +327,13 @@ func (b *NaiveBackend) naiveBatchNorm(inputs []kernels.Input, attrs kernels.Attr
 }
 
 func (b *NaiveBackend) naiveSoftmax(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-	if len(inputs) != 1 || len(inputs[0].Shape) != 2 {
-		return kernels.ErrFallback
+	outer, inner, err := kernels.ResolveSoftmax(inputs, res)
+	if err != nil {
+		return err
 	}
-	outer, inner := inputs[0].Shape[0], inputs[0].Shape[1]
 	xBuf := b.Raw(inputs[0].DataID)
-	out := b.out(inputs[0].Shape, tensor.Float32, res)
-	for o := 0; o < outer; o++ {
+	out := b.out(res.Shape, tensor.Float32, res)
+	for o := 0; o < outer && inner > 0; o++ {
 		maxV := math.Inf(-1)
 		for i := 0; i < inner; i++ {
 			maxV = math.Max(maxV, float64(xBuf[o*inner+i]))
@@ -377,19 +351,36 @@ func (b *NaiveBackend) naiveSoftmax(inputs []kernels.Input, attrs kernels.Attrs,
 	return nil
 }
 
+// naiveReduce folds, for every output element, its reduced coordinates in
+// row-major order, decoding each output index into the input's kept
+// coordinates and each fold index into its reduced ones on every access.
 func (b *NaiveBackend) naiveReduce(name string) kernels.OverrideKernel {
 	return func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-		if len(inputs) != 1 || len(inputs[0].Shape) != 2 {
-			return kernels.ErrFallback
+		// ErrFallback is the range body's limit, not this loop's.
+		if _, err := kernels.ResolveReduce(name, inputs, attrs, res); err != nil && err != kernels.ErrFallback {
+			return err
 		}
-		outer, inner := inputs[0].Shape[0], inputs[0].Shape[1]
+		shape := inputs[0].Shape
+		set, err := kernels.ReduceAxes(name, attrs, len(shape))
+		if err != nil {
+			return err
+		}
 		xBuf := b.Raw(inputs[0].DataID)
-		dt := inputs[0].DType
-		if name == "Mean" {
-			dt = tensor.Float32
+		out := b.out(res.Shape, res.DType, res)
+		inner := 1
+		for d, n := range shape {
+			if set.Has(d) {
+				inner *= n
+			}
 		}
-		out := b.out([]int{outer}, dt, res)
-		for o := 0; o < outer; o++ {
+		coord := make([]int, len(shape))
+		for o := range out {
+			// The kept coordinates of output o.
+			for d, rest := len(shape)-1, o; d >= 0; d-- {
+				if !set.Has(d) {
+					coord[d], rest = rest%shape[d], rest/shape[d]
+				}
+			}
 			var acc float64
 			switch name {
 			case "Max":
@@ -398,7 +389,16 @@ func (b *NaiveBackend) naiveReduce(name string) kernels.OverrideKernel {
 				acc = math.Inf(1)
 			}
 			for i := 0; i < inner; i++ {
-				v := float64(xBuf[o*inner+i])
+				flat := 0
+				for d, rest := len(shape)-1, i; d >= 0; d-- {
+					if set.Has(d) {
+						coord[d], rest = rest%shape[d], rest/shape[d]
+					}
+				}
+				for d := range shape {
+					flat = flat*shape[d] + coord[d]
+				}
+				v := float64(xBuf[flat])
 				switch name {
 				case "Sum", "Mean":
 					acc += v
@@ -408,7 +408,11 @@ func (b *NaiveBackend) naiveReduce(name string) kernels.OverrideKernel {
 					acc = math.Min(acc, v)
 				}
 			}
-			if name == "Mean" {
+			switch {
+			case name != "Mean":
+			case inner == 0:
+				acc = math.NaN() // the reference's NaN, not 0/0's
+			default:
 				acc /= float64(inner)
 			}
 			out[o] = float32(acc)

@@ -2,7 +2,6 @@ package graphmodel
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/kernels"
@@ -59,34 +58,15 @@ func (x *execState) release() {
 	}
 }
 
-// kernel runs one kernel through kernels.Dispatch — the engine's own
-// dispatch, minus the handle bookkeeping — and accounts for its output.
-// dst's Shape is caller-owned scratch; kernels append into it by value.
-// Unobserved it costs one atomic load over the dispatch; with an observer on
-// the engine's hub (or debug mode on) the same dispatch runs under the
-// backend's timer and is reported through the engine, as an eagerly-run
-// kernel would be. Kernel failures come back as *core.OpError.
+// kernel runs one kernel through the engine's dispatch (core.Engine.Dispatch,
+// minus the handle bookkeeping) and accounts for its output. dst's Shape is
+// caller-owned scratch; kernels append into it by value. Kernel failures
+// come back as *core.OpError.
 func (x *execState) kernel(name string, ins []kernels.Input, attrs kernels.Attrs, dst *kernels.TensorInfo) error {
-	if !x.eng.Telemetry().Active() {
-		if err := kernels.Dispatch(x.bk, name, ins, attrs, dst); err != nil {
-			return &core.OpError{Kernel: name, Err: err}
-		}
-		x.liveBytes += inputBytes(kernels.Input(*dst))
-		return nil
+	if err := x.eng.Dispatch(name, x.bk, ins, attrs, dst, x.liveBytes); err != nil {
+		return err
 	}
-	var err error
-	start := time.Now()
-	ti := x.bk.Time(func() { err = kernels.Dispatch(x.bk, name, ins, attrs, dst) })
-	if err != nil {
-		return &core.OpError{Kernel: name, Err: err}
-	}
-	added := inputBytes(kernels.Input(*dst))
-	x.liveBytes += added
-	if nan := x.eng.EmitKernel(name, x.bk, start, ti, ins, *dst, added, x.eng.Memory().NumBytes+x.liveBytes); nan != nil {
-		// Debug mode throws at the first kernel that introduces a NaN.
-		x.free(kernels.Input(*dst))
-		panic(nan)
-	}
+	x.liveBytes += inputBytes(kernels.Input(*dst))
 	return nil
 }
 

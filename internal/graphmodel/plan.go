@@ -2,7 +2,6 @@ package graphmodel
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/kernels"
@@ -221,34 +220,11 @@ func compileStep(n *savedmodel.NodeDef, slot int, slots map[string]int) step {
 			if len(in.Shape) == 0 {
 				return opErr("Reshape", st.name, "Reshape of rank-0 input")
 			}
-			// [batch, target...] with one -1 inferred, as tensor.InferShape.
-			st.info.Shape = append(st.info.Shape[:0], in.Shape[0])
-			st.info.Shape = append(st.info.Shape, target...)
-			size := tensor.ShapeSize(in.Shape)
-			wild, known := -1, 1
-			for i, d := range st.info.Shape {
-				switch {
-				case d == -1:
-					if wild != -1 {
-						return opErr("Reshape", st.name, "shape %v has more than one -1 dimension", st.info.Shape)
-					}
-					wild = i
-				case d < 0:
-					return opErr("Reshape", st.name, "shape %v has negative dimension %d", st.info.Shape, d)
-				default:
-					known *= d
-				}
+			// [batch, target...] with one -1 inferred.
+			st.info.Shape = append(append(st.info.Shape[:0], in.Shape[0]), target...)
+			if err := tensor.InferInto(st.info.Shape, tensor.ShapeSize(in.Shape)); err != nil {
+				return opErr("Reshape", st.name, "%v", err)
 			}
-			if wild == -1 {
-				if known != size {
-					return opErr("Reshape", st.name, "shape %v incompatible with %d elements", st.info.Shape, size)
-				}
-				return nil
-			}
-			if known == 0 || size%known != 0 {
-				return opErr("Reshape", st.name, "cannot infer -1 in shape %v for %d elements", st.info.Shape, size)
-			}
-			st.info.Shape[wild] = size / known
 			return nil
 		})
 	case "Flatten":
@@ -260,28 +236,9 @@ func compileStep(n *savedmodel.NodeDef, slot int, slots map[string]int) step {
 			return nil
 		})
 	case "MatMul":
-		mmAttrs := kernels.Attrs{
+		return simple(2, "BatchMatMul", kernels.Attrs{
 			"transposeA": attrBool(attrs, "transpose_a"),
 			"transposeB": attrBool(attrs, "transpose_b"),
-		}
-		var tmp kernels.TensorInfo
-		var av, bv [3]int
-		return with(2, func(x *execState, st *step) error {
-			a, b := st.insBuf[0], st.insBuf[1]
-			if len(a.Shape) != 2 || len(b.Shape) != 2 {
-				return opErr("MatMul", st.name, "inputs must be rank 2, got %v and %v", a.Shape, b.Shape)
-			}
-			// BatchMatMul over rank-3 views in, rank-2 view out.
-			av = [3]int{1, a.Shape[0], a.Shape[1]}
-			bv = [3]int{1, b.Shape[0], b.Shape[1]}
-			st.insBuf[0].Shape = av[:]
-			st.insBuf[1].Shape = bv[:]
-			if err := x.kernel("BatchMatMul", st.insBuf[:2], mmAttrs, &tmp); err != nil {
-				return err
-			}
-			st.info.DataID, st.info.DType = tmp.DataID, tmp.DType
-			st.info.Shape = append(st.info.Shape[:0], tmp.Shape[1], tmp.Shape[2])
-			return nil
 		})
 	case "Add", "BiasAdd":
 		return simple(2, "Add", noAttrs)
@@ -290,27 +247,7 @@ func compileStep(n *savedmodel.NodeDef, slot int, slots map[string]int) step {
 	case "Mul":
 		return simple(2, "Mul", noAttrs)
 	case "Softmax":
-		var tmp kernels.TensorInfo
-		var flat [2]int
-		return with(1, func(x *execState, st *step) error {
-			in := st.insBuf[0]
-			rank := len(in.Shape)
-			if rank == 0 {
-				return opErr("Softmax", st.name, "softmax requires rank >= 1")
-			}
-			inner := in.Shape[rank-1]
-			if inner == 0 {
-				return opErr("Softmax", st.name, "softmax over empty axis of shape %v", in.Shape)
-			}
-			flat = [2]int{tensor.ShapeSize(in.Shape) / inner, inner}
-			st.insBuf[0].Shape = flat[:]
-			if err := x.kernel("Softmax", st.insBuf[:1], noAttrs, &tmp); err != nil {
-				return err
-			}
-			st.info.DataID, st.info.DType = tmp.DataID, tmp.DType
-			st.info.Shape = append(st.info.Shape[:0], in.Shape...)
-			return nil
-		})
+		return simple(1, "Softmax", noAttrs)
 	case "Conv2D", "DepthwiseConv2dNative":
 		return simple(2, n.Op, convKernelAttrs(attrs))
 	case "FusedConv2D", "FusedDepthwiseConv2dNative":
@@ -335,87 +272,8 @@ func compileStep(n *savedmodel.NodeDef, slot int, slots map[string]int) step {
 			"pad":        attrString(attrs, "padding", "valid"),
 		})
 	case "Mean":
-		axesAttr := attrInts(attrs, "axes", nil)
-		keep := attrBool(attrs, "keep_dims")
-		// Reduction scratch, memoized on the input rank (stable in steady
-		// state): normalized axes and, when the reduced axes are not already
-		// innermost, the transpose permutation that makes them so.
-		var tmp, red kernels.TensorInfo
-		var normAxes []int
-		var permAttrs kernels.Attrs
-		var flat [2]int
-		memoRank := -1
-		return with(1, func(x *execState, st *step) error {
-			in := st.insBuf[0]
-			rank := len(in.Shape)
-			if rank != memoRank {
-				normAxes = normAxes[:0]
-				if len(axesAttr) == 0 {
-					for i := 0; i < rank; i++ {
-						normAxes = append(normAxes, i)
-					}
-				} else {
-					for _, a := range axesAttr {
-						if a < 0 {
-							a += rank
-						}
-						if a < 0 || a >= rank {
-							return opErr("Mean", st.name, "axis %v out of range for rank %d", axesAttr, rank)
-						}
-						if !containsInt(normAxes, a) {
-							normAxes = append(normAxes, a)
-						}
-					}
-					sort.Ints(normAxes)
-				}
-				permAttrs = nil
-				if !axesInner(normAxes, rank) {
-					perm := make([]int, 0, rank)
-					for i := 0; i < rank; i++ {
-						if !containsInt(normAxes, i) {
-							perm = append(perm, i)
-						}
-					}
-					perm = append(perm, normAxes...)
-					permAttrs = kernels.Attrs{"perm": perm}
-				}
-				memoRank = rank
-			}
-			inner := 1
-			for _, a := range normAxes {
-				inner *= in.Shape[a]
-			}
-			if inner == 0 {
-				return opErr("Mean", st.name, "Mean over empty axis of shape %v", in.Shape)
-			}
-			outer := tensor.ShapeSize(in.Shape) / inner
-			work := in
-			if permAttrs != nil {
-				if err := x.kernel("Transpose", st.insBuf[:1], permAttrs, &tmp); err != nil {
-					return err
-				}
-				work = kernels.Input(tmp)
-				// The transposed copy is step-internal: back to the pool once
-				// Mean has read it, however Mean ends.
-				defer x.free(work)
-			}
-			flat = [2]int{outer, inner}
-			st.insBuf[0] = kernels.Input{DataID: work.DataID, Shape: flat[:], DType: work.DType}
-			if err := x.kernel("Mean", st.insBuf[:1], noAttrs, &red); err != nil {
-				return err
-			}
-			st.info.DataID, st.info.DType = red.DataID, red.DType
-			st.info.Shape = st.info.Shape[:0]
-			for i := 0; i < rank; i++ {
-				switch {
-				case !containsInt(normAxes, i):
-					st.info.Shape = append(st.info.Shape, in.Shape[i])
-				case keep:
-					st.info.Shape = append(st.info.Shape, 1)
-				}
-			}
-			return nil
-		})
+		// No axes is every axis, as in kernels.ReduceAxes.
+		return simple(1, "Mean", kernels.Attrs{"axes": attrInts(attrs, "axes", nil), "keepDims": attrBool(attrs, "keep_dims")})
 	case "FusedBatchNorm":
 		return simple(5, "FusedBatchNorm", kernels.Attrs{
 			"varianceEpsilon": attrFloat(attrs, "epsilon", 1e-3),
@@ -451,23 +309,4 @@ func convKernelAttrs(attrs map[string]any) kernels.Attrs {
 		"dilations": []int{1, 1},
 		"pad":       attrString(attrs, "padding", "valid"),
 	}
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-// axesInner reports whether axes are exactly the trailing dimensions.
-func axesInner(axes []int, rank int) bool {
-	for i, a := range axes {
-		if a != rank-len(axes)+i {
-			return false
-		}
-	}
-	return true
 }

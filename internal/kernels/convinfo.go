@@ -55,6 +55,14 @@ func ComputeConv2DInfo(inShape, filterShape []int, strides, dilations []int, pad
 	if len(strides) != 2 || len(dilations) != 2 {
 		return info, fmt.Errorf("conv2d: strides and dilations must have 2 entries, got %v and %v", strides, dilations)
 	}
+	for _, s := range [...]int{strides[0], strides[1], dilations[0], dilations[1]} {
+		if s < 1 {
+			return info, fmt.Errorf("conv2d: strides and dilations must be at least 1, got %v and %v", strides, dilations)
+		}
+	}
+	if pad != "same" && pad != "valid" {
+		return info, fmt.Errorf("conv2d: padding must be \"same\" or \"valid\", got %q", pad)
+	}
 	info.BatchSize, info.InHeight, info.InWidth, info.InChannels = inShape[0], inShape[1], inShape[2], inShape[3]
 	info.FilterHeight, info.FilterWidth = filterShape[0], filterShape[1]
 	info.StrideHeight, info.StrideWidth = strides[0], strides[1]
@@ -71,27 +79,37 @@ func ComputeConv2DInfo(inShape, filterShape []int, strides, dilations []int, pad
 
 	effH := effectiveFilterSize(info.FilterHeight, info.DilationHeight)
 	effW := effectiveFilterSize(info.FilterWidth, info.DilationWidth)
-	switch pad {
-	case "valid":
-		info.OutHeight = (info.InHeight-effH)/info.StrideHeight + 1
-		info.OutWidth = (info.InWidth-effW)/info.StrideWidth + 1
-	case "same":
-		info.OutHeight = ceilDiv(info.InHeight, info.StrideHeight)
-		info.OutWidth = ceilDiv(info.InWidth, info.StrideWidth)
+	info.OutHeight = OutExtent(info.InHeight, effH, info.StrideHeight, pad)
+	info.OutWidth = OutExtent(info.InWidth, effW, info.StrideWidth, pad)
+	if info.OutHeight <= 0 || info.OutWidth <= 0 {
+		return info, fmt.Errorf("conv2d: filter %dx%d larger than input %dx%d with %s padding",
+			info.FilterHeight, info.FilterWidth, info.InHeight, info.InWidth, pad)
+	}
+	if pad == "same" {
 		padH := max0((info.OutHeight-1)*info.StrideHeight + effH - info.InHeight)
 		padW := max0((info.OutWidth-1)*info.StrideWidth + effW - info.InWidth)
 		info.PadTop = padH / 2
 		info.PadBottom = padH - info.PadTop
 		info.PadLeft = padW / 2
 		info.PadRight = padW - info.PadLeft
-	default:
-		return info, fmt.Errorf("conv2d: padding must be \"same\" or \"valid\", got %q", pad)
-	}
-	if info.OutHeight <= 0 || info.OutWidth <= 0 {
-		return info, fmt.Errorf("conv2d: filter %dx%d larger than input %dx%d with valid padding",
-			info.FilterHeight, info.FilterWidth, info.InHeight, info.InWidth)
 	}
 	return info, nil
+}
+
+// OutExtent is one spatial axis's output extent for a window of eff input
+// values (its dilation included) moved stride ≥ 1 values at a time over in
+// values: ceil(in/stride) positions with "same" padding, with "valid" the
+// positions where the whole window lies inside the input — none, 0, when
+// the window is larger than the input. The kernels' geometry and the
+// verifier's partial shapes both compute extents here.
+func OutExtent(in, eff, stride int, pad string) int {
+	switch {
+	case pad == "same":
+		return ceilDiv(in, stride)
+	case in < eff:
+		return 0
+	}
+	return (in-eff)/stride + 1
 }
 
 // ComputePool2DInfo resolves a pooling configuration; filterSize is [h, w].

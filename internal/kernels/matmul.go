@@ -6,10 +6,10 @@ import (
 )
 
 // MatMul is a resolved BatchMatMul or _FusedMatMul: op(A)[m×k]·op(B)[k×n]
-// for each of batch batch elements (a rank-2 _FusedMatMul is one), a
-// batch dim of 1 broadcasting. op transposes its operand when the flag is
-// set: A is then stored k×m and B n×k. Its fields are 32-bit for Walk's
-// reason: a closure holds one per dispatch.
+// for each of batch batch elements (a rank-2 product is one), a batch dim
+// of 1 broadcasting. op transposes its operand when the flag is set: A is
+// then stored k×m and B n×k. Its fields are 32-bit for Walk's reason: a
+// closure holds one per dispatch.
 type MatMul struct {
 	batch, m, n, k, batchA, batchB int32
 	transposeA, transposeB         bool
@@ -21,21 +21,27 @@ func (g MatMul) N() int { return int(g.n) }
 // K is the length of each value's sum.
 func (g MatMul) K() int { return int(g.k) }
 
+// Dims are the product's batch, m, k and n, and A's and B's batch dims.
+func (g MatMul) Dims() (batch, m, k, n, batchA, batchB int) {
+	return int(g.batch), int(g.m), int(g.k), int(g.n), int(g.batchA), int(g.batchB)
+}
+
 // ResolveMatMul checks a matrix product — BatchMatMul's two rank-3
-// operands, whose batch dims agree or one of them is 1, or _FusedMatMul's
-// two rank-2 operands and optional bias — and describes its output in out.
+// operands, whose batch dims agree or one of them is 1, or its two rank-2
+// ones; _FusedMatMul's two rank-2 operands and optional bias — and
+// describes its output, of the operands' rank, in out.
 func ResolveMatMul(name string, inputs []Input, attrs Attrs, out *TensorInfo) (MatMul, error) {
 	fused := name == "_FusedMatMul"
-	rank := 3
-	if fused {
-		rank = 2
-	}
 	if err := FusedInputs(name, inputs, fused); err != nil {
 		return MatMul{}, err
 	}
 	a, b := inputs[0].Shape, inputs[1].Shape
-	if len(a) != rank || len(b) != rank {
-		return MatMul{}, errIn(name, "inputs must be rank %d, got %v and %v", rank, a, b)
+	rank := len(a)
+	switch {
+	case fused && (rank != 2 || len(b) != 2):
+		return MatMul{}, errIn(name, "inputs must be rank 2, got %v and %v", a, b)
+	case len(b) != rank || rank != 2 && rank != 3:
+		return MatMul{}, errIn(name, "inputs must both be rank 2 or both rank 3, got %v and %v", a, b)
 	}
 	batchA, batchB := 1, 1
 	if rank == 3 {
@@ -123,10 +129,9 @@ func (g MatMul) Fill(a, b []float32, ep Epilogue, lo int, dst []float32) {
 }
 
 func init() {
-	// BatchMatMul multiplies two 3-D tensors [batch, m, k] x [batch, k, n]
-	// with optional transposition of the inner matrices and batch
-	// broadcasting (batch of 1 broadcasts). The ops layer reshapes 2-D
-	// matmuls into batch 1.
+	// BatchMatMul multiplies [batch, m, k] by [batch, k, n] — or one m×k
+	// matrix by one k×n — with optional transposition of the inner matrices
+	// and batch broadcasting (batch of 1 broadcasts).
 	RegisterRef("BatchMatMul", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		var res TensorInfo
 		g, err := ResolveMatMul("BatchMatMul", inputsOf(inputs), attrs, &res)
@@ -134,15 +139,14 @@ func init() {
 			return Buffer{}, err
 		}
 		a, b := inputs[0], inputs[1]
-		batchA, batchB, m, k, n := a.Shape[0], b.Shape[0], int(g.m), g.K(), g.N()
+		batch, m, k, n, batchA, batchB := g.Dims()
 		out := NewBuffer(res.Shape, res.DType)
-		aMat := a.Shape[1] * a.Shape[2]
-		bMat := b.Shape[1] * b.Shape[2]
+		aMat, bMat := m*k, k*n
 		// The transpose flags are resolved once per batch into one of four
 		// specialized loop nests (matmul2D) instead of branching on them
 		// per element — this kernel is the fallback for every backend and
 		// was branch-bound in its innermost loop.
-		for p := 0; p < int(g.batch); p++ {
+		for p := 0; p < batch; p++ {
 			aOff := (p % batchA) * aMat
 			bOff := (p % batchB) * bMat
 			oOff := p * m * n

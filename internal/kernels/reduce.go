@@ -7,15 +7,16 @@ import (
 	"repro/internal/vec"
 )
 
-// Reduction kernels operate on a canonical 2-D view [outer, inner] and
-// reduce the inner dimension. The ops layer is responsible for transposing
-// the reduced axes innermost and reshaping, exactly as the TensorFlow.js
-// op layer does before invoking its reduction kernels. The one exception is
-// BiasAddGrad, which reduces the outer dimension: a sum over leading axes
-// needs no transpose.
+// Reduction kernels take the op's own shape: an N-D input, the "axes"
+// attribute (ReduceAxes) and "keepDims". A value folds its reduced
+// coordinates where they lie, in row-major order of the sorted reduced
+// axes — the order a transpose bringing them innermost would give them, so
+// no caller transposes or reshapes. Two kernels keep a 2-D view:
+// BiasAddGrad reduces the outer dimension of [outer, inner] (a sum over
+// leading axes) and CumSum scans its inner one. Softmax normalises the last
+// axis of any rank.
 
-// Rows checks the one [outer, inner] operand of a row kernel: a reduction,
-// BiasAddGrad, Softmax, CumSum.
+// Rows checks the one [outer, inner] operand of BiasAddGrad or CumSum.
 func Rows(name string, inputs []Input) (outer, inner int, err error) {
 	if err := wantInputs(name, inputs, 1); err != nil {
 		return 0, 0, err
@@ -26,12 +27,115 @@ func Rows(name string, inputs []Input) (outer, inner int, err error) {
 	return inputs[0].Shape[0], inputs[0].Shape[1], nil
 }
 
-// ResolveReduce checks a reduction's operand — an index reduction needs a
-// non-empty row — and describes its [outer] output in out: Mean's is
-// float32, an index's int32, Any's and All's bool, the rest the input's.
-func ResolveReduce(name string, inputs []Input, out *TensorInfo) (outer, inner int, err error) {
-	if outer, inner, err = Rows(name, inputs); err != nil {
-		return 0, 0, err
+// Axes is the set of axes a reduction folds, a bit per axis: ReduceAxes
+// rejects a rank it cannot hold.
+type Axes uint64
+
+// Has reports whether axis is reduced.
+func (s Axes) Has(axis int) bool { return s>>uint(axis)&1 != 0 }
+
+// ReduceAxes resolves a reduction's "axes" attribute against an input of
+// rank dims: absent, the last axis (so every [outer, inner] caller keeps
+// its meaning); empty, every axis; otherwise each axis listed, once, a
+// negative one counting from the end.
+func ReduceAxes(name string, attrs Attrs, rank int) (Axes, error) {
+	if rank > 64 {
+		return 0, errIn(name, "rank %d is beyond the 64 axes a reduction handles", rank)
+	}
+	if _, given := attrs["axes"]; !given {
+		if rank == 0 {
+			return 0, errIn(name, "a scalar has no last axis to reduce")
+		}
+		return 1 << uint(rank-1), nil
+	}
+	axes := attrs.Ints("axes", nil)
+	if len(axes) == 0 {
+		return 1<<uint(rank) - 1, nil
+	}
+	var s Axes
+	for _, a := range axes {
+		if a < 0 {
+			a += rank
+		}
+		if a < 0 || a >= rank {
+			return 0, errIn(name, "axis %v out of range for rank %d", axes, rank)
+		}
+		s |= 1 << uint(a)
+	}
+	return s, nil
+}
+
+// Shape appends to dst the output shape of a reduction over s of an input
+// of shape x: each kept dim, and each reduced one as 1 with keepDims. It
+// only copies dims, so a partial shape's unknown (-1) dims pass through.
+func (s Axes) Shape(dst, x []int, keepDims bool) []int {
+	for i, d := range x {
+		switch {
+		case !s.Has(i):
+			dst = append(dst, d)
+		case keepDims:
+			dst = append(dst, 1)
+		}
+	}
+	return dst
+}
+
+// Reduce is a resolved reduction of a row-major input whose dims, size-1
+// ones dropped and neighbours of one kind merged, are runs that alternate
+// between kept and reduced: an output value's kept coordinates pick a base
+// offset, and it folds the values at that base plus every reduced
+// coordinate's offset. Its fields are 32-bit for Walk's reason: a closure
+// holds one per dispatch.
+type Reduce struct {
+	op                reduction
+	runs              int8
+	firstReduced      bool // run 0 is reduced, run 1 kept, and so on
+	size              [maxViewRank]int32
+	outerSize, nInner int32
+}
+
+// Outer is the number of output values.
+func (g Reduce) Outer() int { return int(g.outerSize) }
+
+// Inner is the number of values each output value folds.
+func (g Reduce) Inner() int { return int(g.nInner) }
+
+// ResolveReduce checks a reduction — one operand, its axes (ReduceAxes)
+// and keepDims; an index reduction needs a non-empty fold — describes its
+// output in out (Mean's dtype float32, an index's int32, Any's and All's
+// bool, the rest the input's) and returns its geometry. ErrFallback means
+// every check passed but the runs do not fit in a Reduce.
+func ResolveReduce(name string, inputs []Input, attrs Attrs, out *TensorInfo) (Reduce, error) {
+	if err := wantInputs(name, inputs, 1); err != nil {
+		return Reduce{}, err
+	}
+	x := inputs[0].Shape
+	set, err := ReduceAxes(name, attrs, len(x))
+	if err != nil {
+		return Reduce{}, err
+	}
+	g := Reduce{op: reductionOps[name], outerSize: 1, nInner: 1}
+	fits := true
+	for i, d := range x {
+		reduced := set.Has(i)
+		if reduced {
+			g.nInner *= int32(d)
+		} else {
+			g.outerSize *= int32(d)
+		}
+		switch {
+		case d == 1:
+		case g.runs > 0 && reduced == g.reduced(int(g.runs)-1):
+			g.size[g.runs-1] *= int32(d)
+		case g.runs == maxViewRank:
+			fits = false
+		default:
+			if g.runs == 0 {
+				g.firstReduced = reduced
+			}
+			g.size[g.runs] = int32(d)
+			g.runs++
+		}
 	}
 	dt := inputs[0].DType
 	switch name {
@@ -40,87 +144,168 @@ func ResolveReduce(name string, inputs []Input, out *TensorInfo) (outer, inner i
 	case "Any", "All":
 		dt = tensor.Bool
 	case "ArgMax", "ArgMin":
-		if inner == 0 {
-			return 0, 0, errIn(name, "cannot reduce over empty dimension")
+		if g.nInner == 0 {
+			return Reduce{}, errIn(name, "cannot reduce over empty dimension")
 		}
 		dt = tensor.Int32
 	}
-	out.Shape, out.DType = append(out.Shape[:0], outer), dt
-	return outer, inner, nil
+	out.Shape, out.DType = set.Shape(out.Shape[:0], x, attrs.Bool("keepDims", false)), dt
+	if !fits {
+		return Reduce{}, ErrFallback
+	}
+	return g, nil
 }
 
-// A Reduction is the row of an [outer, inner] → [outer] kernel as the host
-// backends run it: it reduces one row to the reference kernel's value,
-// folding it left to right as the reference does — sums from +0, Prod from
-// 1, Max from -Inf and Min from +Inf with a NaN never taken, ArgMax and
-// ArgMin keeping the first of equal values.
-type Reduction func(row []float32) float32
+// reduced reports whether run j is reduced.
+func (g Reduce) reduced(j int) bool { return g.firstReduced == (j%2 == 0) }
 
-// Fill computes the output values [lo, lo+len(dst)) of the reduction of the
-// rows of x, inner values each, into dst: one row per value, whose
-// accumulation no range splits.
-func (r Reduction) Fill(x []float32, inner, lo int, dst []float32) {
+// Fill computes the output values [lo, lo+len(dst)) of the reduction of x
+// into dst, each folded left to right over its reduced coordinates in
+// row-major order, as the reference kernel folds them: sums from +0, Prod
+// from 1, Max from -Inf and Min from +Inf with a NaN never taken, ArgMax
+// and ArgMin keeping the first of equal values. No range splits a fold.
+func (g Reduce) Fill(x []float32, lo int, dst []float32) {
+	if g.nInner == 0 {
+		for i := range dst {
+			dst[i] = g.op.finish(g.op.start(0), 0, 0)
+		}
+		return
+	}
+	// The runs' strides, split by kind; the last reduced run is the one a
+	// fold walks in its innermost loop.
+	var kept, red [maxViewRank][2]int // (size, stride)
+	nk, nr := 0, 0
+	for j, stride := int(g.runs)-1, 1; j >= 0; j-- {
+		n := int(g.size[j])
+		if g.reduced(j) {
+			red[nr] = [2]int{n, stride}
+			nr++
+		} else {
+			kept[nk] = [2]int{n, stride}
+			nk++
+		}
+		stride *= n
+	}
+	// red and kept run innermost first; a fold walks red[0] per call.
+	n, s := 1, 1
+	if nr > 0 {
+		n, s = red[0][0], red[0][1]
+	}
 	for i := range dst {
-		dst[i] = r(x[(lo+i)*inner:][:inner])
+		base := 0
+		for d, o := 0, lo+i; d < nk; d++ {
+			base, o = base+o%kept[d][0]*kept[d][1], o/kept[d][0]
+		}
+		acc, at := g.op.start(x[base]), 0
+		var pos [maxViewRank]int
+		for off, k := base, 0; ; {
+			acc, at = g.op.run(acc, at, x[off:off+(n-1)*s+1], s, k)
+			k += n
+			d := 1
+			for ; d < nr; d++ {
+				if pos[d]++; pos[d] < red[d][0] {
+					off += red[d][1]
+					break
+				}
+				off -= (red[d][0] - 1) * red[d][1]
+				pos[d] = 0
+			}
+			if d >= nr {
+				break
+			}
+		}
+		dst[i] = g.op.finish(acc, at, int(g.nInner))
 	}
 }
 
-// reductions maps the reductions the range table holds to their rows.
-var reductions = func() map[string]Reduction {
-	sum := func(row []float32) (acc float32) {
-		for _, v := range row {
-			acc += v
+// A reduction is the fold of one of the range table's reductions.
+type reduction uint8
+
+const (
+	sumOp reduction = iota
+	meanOp
+	maxOp
+	minOp
+	prodOp
+	argMaxOp
+	argMinOp
+)
+
+// reductionOps maps the reductions the range table holds to their folds.
+var reductionOps = map[string]reduction{
+	"Sum": sumOp, "Mean": meanOp, "Max": maxOp, "Min": minOp, "Prod": prodOp, "ArgMax": argMaxOp, "ArgMin": argMinOp,
+}
+
+// start is a fold's accumulator before its first value; an index
+// reduction's is its first value.
+func (r reduction) start(first float32) float32 {
+	switch r {
+	case prodOp:
+		return 1
+	case maxOp:
+		return float32(math.Inf(-1))
+	case minOp:
+		return float32(math.Inf(1))
+	case argMaxOp, argMinOp:
+		return first
+	}
+	return 0
+}
+
+// run folds row[0], row[s], … — the fold's values k, k+1, … — into acc,
+// and an index reduction's index of its best value into at.
+func (r reduction) run(acc float32, at int, row []float32, s, k int) (float32, int) {
+	switch r {
+	case sumOp, meanOp:
+		for i := 0; i < len(row); i += s {
+			acc += row[i]
 		}
-		return acc
-	}
-	arg := func(better func(v, best float32) bool) Reduction {
-		return func(row []float32) float32 {
-			best, at := row[0], 0
-			for i, v := range row {
-				if better(v, best) {
-					best, at = v, i
-				}
+	case maxOp:
+		for i := 0; i < len(row); i += s {
+			if v := row[i]; v > acc {
+				acc = v
 			}
-			return float32(at)
+		}
+	case minOp:
+		for i := 0; i < len(row); i += s {
+			if v := row[i]; v < acc {
+				acc = v
+			}
+		}
+	case prodOp:
+		for i := 0; i < len(row); i += s {
+			acc *= row[i]
+		}
+	case argMaxOp:
+		for i := 0; i < len(row); i += s {
+			if v := row[i]; v > acc {
+				acc, at = v, k+i/s
+			}
+		}
+	case argMinOp:
+		for i := 0; i < len(row); i += s {
+			if v := row[i]; v < acc {
+				acc, at = v, k+i/s
+			}
 		}
 	}
-	return map[string]Reduction{
-		"Sum": sum,
-		"Mean": func(row []float32) float32 {
-			if len(row) == 0 {
-				return float32(math.NaN())
-			}
-			return sum(row) / float32(len(row))
-		},
-		"Max": func(row []float32) float32 {
-			acc := float32(math.Inf(-1))
-			for _, v := range row {
-				if v > acc {
-					acc = v
-				}
-			}
-			return acc
-		},
-		"Min": func(row []float32) float32 {
-			acc := float32(math.Inf(1))
-			for _, v := range row {
-				if v < acc {
-					acc = v
-				}
-			}
-			return acc
-		},
-		"Prod": func(row []float32) float32 {
-			acc := float32(1)
-			for _, v := range row {
-				acc *= v
-			}
-			return acc
-		},
-		"ArgMax": arg(func(v, best float32) bool { return v > best }),
-		"ArgMin": arg(func(v, best float32) bool { return v < best }),
+	return acc, at
+}
+
+// finish is a fold's value from its accumulator over n values: Mean
+// divides (an empty mean is NaN), an index reduction is its index.
+func (r reduction) finish(acc float32, at, n int) float32 {
+	switch r {
+	case meanOp:
+		if n == 0 {
+			return float32(math.NaN())
+		}
+		return acc / float32(n)
+	case argMaxOp, argMinOp:
+		return float32(at)
 	}
-}()
+	return acc
+}
 
 // ColumnSums computes the output values [lo, lo+len(dst)) of BiasAddGrad —
 // the sums of the columns of an [outer, inner] x — into dst, on
@@ -132,55 +317,91 @@ func ColumnSums(x []float32, outer, inner, lo int, dst []float32) {
 	vec.SumRows(dst, x, inner, outer)
 }
 
-// reduceKernel builds a [outer, inner] -> [outer] reduction.
+// keptIndex is the index of the output value that value p of x, of shape
+// shape, folds into: its kept coordinates, row-major.
+func keptIndex(shape []int, set Axes, p int) (o int) {
+	for d, stride := len(shape)-1, 1; d >= 0; d-- {
+		if !set.Has(d) {
+			o, stride = o+p%shape[d]*stride, stride*shape[d]
+		}
+		p /= shape[d]
+	}
+	return o
+}
+
+// reduceKernel builds a reduction's reference kernel: one pass over x in
+// row-major order merges each value into its output value's accumulator,
+// from initial — so an accumulator meets its values in row-major order of
+// the reduced axes — which finish then turns into the value with their
+// count.
 func reduceKernel(name string, initial float32, merge func(acc, v float32) float32, finish func(acc float32, n int) float32) RefKernel {
 	return func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		var res TensorInfo
-		outer, inner, err := ResolveReduce(name, inputsOf(inputs), &res)
-		if err != nil {
+		if _, err := ResolveReduce(name, inputsOf(inputs), attrs, &res); err != nil && err != ErrFallback {
 			return Buffer{}, err
 		}
 		x := inputs[0]
-		out := NewBuffer(res.Shape, res.DType)
-		for o := 0; o < outer; o++ {
-			acc := initial
-			base := o * inner
-			for i := 0; i < inner; i++ {
-				acc = merge(acc, x.Data[base+i])
-			}
+		set, err := ReduceAxes(name, attrs, len(x.Shape))
+		if err != nil {
+			return Buffer{}, err
+		}
+		out, n := NewBuffer(res.Shape, res.DType), make([]int, tensor.ShapeSize(res.Shape))
+		for o := range out.Data {
+			out.Data[o] = initial
+		}
+		for p, v := range x.Data {
+			o := keptIndex(x.Shape, set, p)
+			out.Data[o], n[o] = merge(out.Data[o], v), n[o]+1
+		}
+		for o, acc := range out.Data {
 			if finish != nil {
-				acc = finish(acc, inner)
+				out.Data[o] = finish(acc, n[o]) // an empty fold's n is 0
 			}
-			out.Data[o] = acc
 		}
 		return out, nil
 	}
 }
 
-// argReduceKernel builds a [outer, inner] -> [outer] index reduction.
+// argReduceKernel builds an index reduction's reference kernel: the
+// position, in fold order, of the first best value each output meets in
+// one pass over x.
 func argReduceKernel(name string, better func(v, best float32) bool) RefKernel {
 	return func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		var res TensorInfo
-		outer, inner, err := ResolveReduce(name, inputsOf(inputs), &res)
-		if err != nil {
+		if _, err := ResolveReduce(name, inputsOf(inputs), attrs, &res); err != nil && err != ErrFallback {
 			return Buffer{}, err
 		}
 		x := inputs[0]
+		set, err := ReduceAxes(name, attrs, len(x.Shape))
+		if err != nil {
+			return Buffer{}, err
+		}
 		out := NewBuffer(res.Shape, res.DType)
-		for o := 0; o < outer; o++ {
-			base := o * inner
-			best := x.Data[base]
-			bestIdx := 0
-			for i := 1; i < inner; i++ {
-				if better(x.Data[base+i], best) {
-					best = x.Data[base+i]
-					bestIdx = i
-				}
+		best, n := make([]float32, len(out.Data)), make([]int, len(out.Data))
+		for p, v := range x.Data {
+			o := keptIndex(x.Shape, set, p)
+			if n[o] == 0 || better(v, best[o]) {
+				best[o], out.Data[o] = v, float32(n[o])
 			}
-			out.Data[o] = float32(bestIdx)
+			n[o]++
 		}
 		return out, nil
 	}
+}
+
+// ResolveSoftmax checks Softmax's one operand, of any rank ≥ 1, whose
+// last axis it normalises: outer rows of inner values. The output is the
+// input's shape in float32.
+func ResolveSoftmax(inputs []Input, out *TensorInfo) (outer, inner int, err error) {
+	if err := wantInputs("Softmax", inputs, 1); err != nil {
+		return 0, 0, err
+	}
+	x := inputs[0].Shape
+	if len(x) == 0 {
+		return 0, 0, errIn("Softmax", "input must have rank >= 1, got a scalar")
+	}
+	out.Shape, out.DType = append(out.Shape[:0], x...), tensor.Float32
+	return tensor.ShapeSize(x[:len(x)-1]), x[len(x)-1], nil
 }
 
 func init() {
@@ -218,7 +439,7 @@ func init() {
 	// BiasAddGrad sums the outer dimension of a [outer, inner] input — the
 	// leading axes of a bias gradient, [N·H·W, C] — into [inner]: rows
 	// added in order from +0, so each column meets its values in the order
-	// Sum meets them after a transpose brings that column innermost.
+	// Sum over the leading axes meets them.
 	RegisterRef("BiasAddGrad", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		outer, inner, err := Rows("BiasAddGrad", inputsOf(inputs))
 		if err != nil {
@@ -237,19 +458,20 @@ func init() {
 	RegisterRef("ArgMax", argReduceKernel("ArgMax", func(v, best float32) bool { return v > best }))
 	RegisterRef("ArgMin", argReduceKernel("ArgMin", func(v, best float32) bool { return v < best }))
 
-	// Softmax computes a numerically stable softmax over the inner
-	// dimension of a [outer, inner] input. It keeps a second body on webgl:
-	// three chained programs (row max, exp-sum, normalize) whose float32
-	// exp-sum is a named tolerance against this row's float64 one, and
-	// three of the programs the modelled clock pins.
+	// Softmax computes a numerically stable softmax over the last axis. It
+	// keeps a second body on webgl: three chained programs (row max,
+	// exp-sum, normalize) whose float32 exp-sum is a named tolerance
+	// against this row's float64 one, and three of the programs the
+	// modelled clock pins.
 	RegisterRef("Softmax", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		outer, inner, err := Rows("Softmax", inputsOf(inputs))
+		var res TensorInfo
+		outer, inner, err := ResolveSoftmax(inputsOf(inputs), &res)
 		if err != nil {
 			return Buffer{}, err
 		}
 		x := inputs[0]
-		out := NewBuffer(x.Shape, tensor.Float32)
-		for o := 0; o < outer; o++ {
+		out := NewBuffer(res.Shape, res.DType)
+		for o := 0; o < outer && inner > 0; o++ {
 			SoftmaxRow(out.Data[o*inner:(o+1)*inner], x.Data[o*inner:(o+1)*inner])
 		}
 		return out, nil

@@ -168,7 +168,9 @@ func pool(name string, inputs []Input, attrs Attrs, out *TensorInfo) (Range, err
 }
 
 // matMul is BatchMatMul's and _FusedMatMul's range (MatMul.Fill): every
-// value decodes its row and column and sums k products.
+// value decodes its row and column and sums k products. BatchMatMul's one
+// shader decodes a batch coordinate too, a rank-2 product's as well (batch
+// 1); _FusedMatMul's, always rank 2, does not.
 func matMul(name string, inputs []Input, attrs Attrs, out *TensorInfo) (Range, error) {
 	g, err := ResolveMatMul(name, inputs, attrs, out)
 	if err != nil {
@@ -178,8 +180,11 @@ func matMul(name string, inputs []Input, attrs Attrs, out *TensorInfo) (Range, e
 	if err != nil {
 		return Range{}, err
 	}
-	size := tensor.ShapeSize(out.Shape)
-	work := addEpilogue(macWork(size, int64(size)*int64(g.K()), len(out.Shape)-1), size, len(inputs) == 3, ep.Act != nil)
+	size, decode := tensor.ShapeSize(out.Shape), 2
+	if name == "_FusedMatMul" {
+		decode = 1
+	}
+	work := addEpilogue(macWork(size, int64(size)*int64(g.K()), decode), size, len(inputs) == 3, ep.Act != nil)
 	return Range{Fill: func(in [][]float32, lo int, dst []float32) { g.Fill(in[0], in[1], ep.Biased(in), lo, dst) },
 		Work: work, Unit: g.N()}, nil
 }
@@ -244,19 +249,19 @@ func poolGrad(name string, inputs []Input, attrs Attrs, out *TensorInfo) (Range,
 	return r, nil
 }
 
-// reduce is a reduction's range: one output value per [outer, inner] row
-// (Reduction.Fill), each fetching and folding its inner values; Mean
-// divides once.
+// reduce is a reduction's range: one output value per fold (Reduce.Fill),
+// each fetching and folding its inner values where they lie; Mean divides
+// once.
 func reduce(name string, inputs []Input, attrs Attrs, out *TensorInfo) (Range, error) {
-	outer, inner, err := ResolveReduce(name, inputs, out)
+	g, err := ResolveReduce(name, inputs, attrs, out)
 	if err != nil {
 		return Range{}, err
 	}
-	work, r := PerValue(outer, inner, inner), reductions[name]
+	work := PerValue(g.Outer(), g.Inner(), g.Inner())
 	if name == "Mean" {
-		work.ALU += int64(outer)
+		work.ALU += int64(g.Outer())
 	}
-	return Range{Fill: func(in [][]float32, lo int, dst []float32) { r.Fill(in[0], inner, lo, dst) }, Work: work}, nil
+	return Range{Fill: func(in [][]float32, lo int, dst []float32) { g.Fill(in[0], lo, dst) }, Work: work}, nil
 }
 
 // biasAddGrad is BiasAddGrad's range: [outer, inner] → [inner], one output

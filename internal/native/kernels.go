@@ -209,13 +209,12 @@ func (b *Backend) unary(op *kernels.ElementwiseOp) kernels.OverrideKernel {
 	}
 }
 
-// softmax is Softmax over the rows of [outer, inner] (kernels.SoftmaxRow).
+// softmax is Softmax over the rows of its last axis (kernels.SoftmaxRow).
 func (b *Backend) softmax(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
-	outer, inner, err := kernels.Rows("Softmax", inputs)
+	_, inner, err := kernels.ResolveSoftmax(inputs, out)
 	if err != nil {
 		return err
 	}
-	out.Shape = append(out.Shape[:0], outer, inner)
 	in := b.inputs(inputs)
 	defer inLists.Put(in)
 	dst := b.outOver(out, tensor.Float32)

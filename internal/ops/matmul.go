@@ -15,14 +15,11 @@ func MatMul(a, b *tensor.Tensor, transposeA, transposeB bool) *tensor.Tensor {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic(&core.OpError{Kernel: "MatMul", Err: fmt.Errorf("inputs must be rank 2, got %v and %v", a.Shape, b.Shape)})
 	}
-	a3 := Reshape(a, 1, a.Shape[0], a.Shape[1])
-	b3 := Reshape(b, 1, b.Shape[0], b.Shape[1])
-	out := BatchMatMul(a3, b3, transposeA, transposeB)
-	return Reshape(out, out.Shape[1], out.Shape[2])
+	return BatchMatMul(a, b, transposeA, transposeB)
 }
 
 // BatchMatMul multiplies two rank-3 tensors batch-wise with broadcasting of
-// a batch dimension of 1.
+// a batch dimension of 1, or two rank-2 matrices.
 func BatchMatMul(a, b *tensor.Tensor, transposeA, transposeB bool) *tensor.Tensor {
 	return run1("BatchMatMul", []*tensor.Tensor{a, b},
 		kernels.Attrs{"transposeA": transposeA, "transposeB": transposeB})

@@ -1,124 +1,39 @@
 package ops
 
 import (
-	"fmt"
-	"sort"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/kernels"
 	"repro/internal/tensor"
 )
 
-// axisSet is a set of axes as a bit mask; normalizeAxes rejects a rank it
-// cannot hold.
-type axisSet uint64
-
-func (s axisSet) has(axis int) bool { return s>>uint(axis)&1 != 0 }
-func (s *axisSet) add(axis int)     { *s |= 1 << uint(axis) }
-
-// normalizeAxes resolves negative axes and defaults to all axes when none
-// are given. The result is sorted and de-duplicated.
-func normalizeAxes(name string, axes []int, rank int) []int {
-	if rank > 64 {
-		panic(&core.OpError{Kernel: name, Err: fmt.Errorf("rank %d is beyond the 64 axes a reduction handles", rank)})
-	}
-	if len(axes) == 0 {
-		out := make([]int, rank)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	var seen axisSet
-	out := make([]int, 0, len(axes))
-	for _, a := range axes {
-		if a < 0 {
-			a += rank
-		}
-		if a < 0 || a >= rank {
-			panic(&core.OpError{Kernel: name, Err: fmt.Errorf("axis %v out of range for rank %d", axes, rank)})
-		}
-		if !seen.has(a) {
-			seen.add(a)
-			out = append(out, a)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// axesAreInner reports whether axes are exactly the trailing dimensions.
-func axesAreInner(axes []int, rank int) bool {
-	for i, a := range axes {
-		if a != rank-len(axes)+i {
-			return false
-		}
-	}
-	return true
-}
-
-// axesAreLeading reports whether axes are exactly the leading dimensions.
-func axesAreLeading(axes []int) bool {
-	for i, a := range axes {
-		if a != i {
-			return false
-		}
-	}
-	return true
-}
-
-// reduce lowers an axis reduction onto the canonical [outer, inner] kernel:
-// reduced axes are transposed innermost (when not already), the tensor is
-// reshaped to 2-D, the kernel reduces the inner dimension, and the result
-// is reshaped to the output shape. A sum over exactly the leading axes —
-// every bias gradient sumToShape takes — is BiasAddGrad on the
-// [reduced, kept] view instead: the same sums in the same order, without
-// the transpose.
+// reduce dispatches an axis reduction as one kernel over t's own shape:
+// the kernel resolves the axes (kernels.ReduceAxes), an empty list being
+// every axis. A sum over exactly the leading axes of a higher-rank t —
+// every bias gradient sumToShape takes — is BiasAddGrad on the [reduced,
+// kept] view instead: the bias-gradient kernel, the same sums in the same
+// order.
 func reduce(name string, t *tensor.Tensor, axes []int, keepDims bool) *tensor.Tensor {
-	rank := t.Rank()
-	axes = normalizeAxes(name, axes, rank)
-	if len(axes) == 0 {
-		return t.Clone()
-	}
-	var reduced axisSet
-	for _, a := range axes {
-		reduced.add(a)
-	}
-	inner, outer := 1, 1 // the reduced and the kept elements
-	for i, d := range t.Shape {
-		if reduced.has(i) {
-			inner *= d
-		} else {
-			outer *= d
+	attrs := kernels.Attrs{"axes": axes, "keepDims": keepDims}
+	if name == "Sum" {
+		set := reduceAxes(name, attrs, t)
+		if lead := bits.TrailingZeros64(^uint64(set)); lead > 0 && lead < t.Rank() && set == 1<<lead-1 {
+			view := Reshape(t, tensor.ShapeSize(t.Shape[:lead]), tensor.ShapeSize(t.Shape[lead:]))
+			res := run1("BiasAddGrad", []*tensor.Tensor{view}, nil)
+			return Reshape(res, set.Shape(nil, t.Shape, keepDims)...)
 		}
 	}
-	var res *tensor.Tensor
-	switch {
-	case axesAreInner(axes, rank):
-		res = run1(name, []*tensor.Tensor{Reshape(t, outer, inner)}, nil)
-	case name == "Sum" && axesAreLeading(axes):
-		res = run1("BiasAddGrad", []*tensor.Tensor{Reshape(t, inner, outer)}, nil)
-	default:
-		perm := make([]int, 0, rank)
-		for i := 0; i < rank; i++ {
-			if !reduced.has(i) {
-				perm = append(perm, i)
-			}
-		}
-		perm = append(perm, axes...)
-		res = run1(name, []*tensor.Tensor{Reshape(Transpose(t, perm...), outer, inner)}, nil)
+	return run1(name, []*tensor.Tensor{t}, attrs)
+}
+
+// reduceAxes is the set of t's axes attrs reduce.
+func reduceAxes(name string, attrs kernels.Attrs, t *tensor.Tensor) kernels.Axes {
+	set, err := kernels.ReduceAxes(name, attrs, t.Rank())
+	if err != nil {
+		panic(&core.OpError{Kernel: name, Err: err})
 	}
-	// Build the final shape.
-	outShape := make([]int, 0, rank)
-	for i := 0; i < rank; i++ {
-		switch {
-		case !reduced.has(i):
-			outShape = append(outShape, t.Shape[i])
-		case keepDims:
-			outShape = append(outShape, 1)
-		}
-	}
-	return Reshape(res, outShape...)
+	return set
 }
 
 // Sum reduces by summation over axes (all axes when empty).
@@ -158,36 +73,17 @@ func All(t *tensor.Tensor, axes []int, keepDims bool) *tensor.Tensor {
 
 // ArgMax returns the index of the maximum along axis as an int32 tensor.
 func ArgMax(t *tensor.Tensor, axis int) *tensor.Tensor {
-	return argReduce("ArgMax", t, axis)
+	return run1("ArgMax", []*tensor.Tensor{t}, kernels.Attrs{"axes": []int{axis}})
 }
 
 // ArgMin returns the index of the minimum along axis as an int32 tensor.
 func ArgMin(t *tensor.Tensor, axis int) *tensor.Tensor {
-	return argReduce("ArgMin", t, axis)
-}
-
-func argReduce(name string, t *tensor.Tensor, axis int) *tensor.Tensor {
-	rank := t.Rank()
-	if axis < 0 {
-		axis += rank
-	}
-	if axis < 0 || axis >= rank {
-		panic(&core.OpError{Kernel: name, Err: fmt.Errorf("axis out of range for rank %d", rank)})
-	}
-	return reduce(name, t, []int{axis}, false)
+	return run1("ArgMin", []*tensor.Tensor{t}, kernels.Attrs{"axes": []int{axis}})
 }
 
 // Softmax computes softmax over the last axis.
 func Softmax(t *tensor.Tensor) *tensor.Tensor {
-	rank := t.Rank()
-	if rank == 0 {
-		panic(&core.OpError{Kernel: "Softmax", Err: fmt.Errorf("softmax requires rank >= 1")})
-	}
-	inner := t.Shape[rank-1]
-	outer := t.Size() / inner
-	flat := Reshape(t, outer, inner)
-	res := run1("Softmax", []*tensor.Tensor{flat}, nil)
-	return Reshape(res, t.Shape...)
+	return run1("Softmax", []*tensor.Tensor{t}, nil)
 }
 
 // LogSoftmax computes log(softmax) over the last axis with the max-shift
@@ -209,9 +105,7 @@ func LogSumExp(t *tensor.Tensor, axes []int, keepDims bool) *tensor.Tensor {
 	if keepDims {
 		return res
 	}
-	rank := t.Rank()
-	naxes := normalizeAxes("LogSumExp", axes, rank)
-	return Squeeze(res, naxes...)
+	return Reshape(res, reduceAxes("LogSumExp", kernels.Attrs{"axes": axes}, t).Shape(nil, t.Shape, false)...)
 }
 
 // Moments returns the mean and variance of t over axes.
@@ -220,51 +114,59 @@ func Moments(t *tensor.Tensor, axes []int, keepDims bool) (mean, variance *tenso
 	diff := Sub(t, mean)
 	variance = Mean(Mul(diff, diff), axes, true)
 	if !keepDims {
-		rank := t.Rank()
-		naxes := normalizeAxes("Moments", axes, rank)
-		mean = Squeeze(mean, naxes...)
-		variance = Squeeze(variance, naxes...)
+		shape := reduceAxes("Moments", kernels.Attrs{"axes": axes}, t).Shape(nil, t.Shape, false)
+		mean, variance = Reshape(mean, shape...), Reshape(variance, shape...)
 	}
 	return mean, variance
 }
 
 func init() {
-	// Gradients of the canonical [outer, inner] reduction kernels. The
-	// surrounding transposes and reshapes carry their own gradients.
-	expand := func(dy *tensor.Tensor, inner int) *tensor.Tensor {
-		outer := dy.Size()
-		return Tile(Reshape(dy, outer, 1), []int{1, inner})
+	// The reductions' gradients: dy, reshaped to the output's keepDims
+	// shape, is tiled back over x, then each element of x gets what the
+	// fold owes it.
+	back := func(name string, dy, x *tensor.Tensor, attrs kernels.Attrs) (kept []int, tiled *tensor.Tensor, inner int) {
+		set := reduceAxes(name, attrs, x)
+		kept = set.Shape(nil, x.Shape, true)
+		reps, inner := make([]int, x.Rank()), 1
+		for d, n := range x.Shape {
+			reps[d] = 1
+			if set.Has(d) {
+				reps[d], inner = n, inner*n
+			}
+		}
+		return kept, Tile(Reshape(dy, kept...), reps), inner
 	}
 	core.RegisterGradient("Sum", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
-		return []*tensor.Tensor{expand(dys[0], inputs[0].Shape[1])}
+		_, tiled, _ := back("Sum", dys[0], inputs[0], attrs)
+		return []*tensor.Tensor{tiled}
 	})
 	core.RegisterGradient("BiasAddGrad", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
 		outer, inner := inputs[0].Shape[0], inputs[0].Shape[1]
 		return []*tensor.Tensor{Tile(Reshape(dys[0], 1, inner), []int{outer, 1})}
 	})
 	core.RegisterGradient("Mean", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
-		inner := inputs[0].Shape[1]
-		return []*tensor.Tensor{DivScalar(expand(dys[0], inner), float32(inner))}
+		_, tiled, inner := back("Mean", dys[0], inputs[0], attrs)
+		return []*tensor.Tensor{DivScalar(tiled, float32(inner))}
 	})
-	maxMinGrad := func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
-		x := inputs[0]
-		inner := x.Shape[1]
-		y2d := Reshape(outputs[0], x.Shape[0], 1)
-		mask := Cast(Equal(x, y2d), tensor.Float32)
-		return []*tensor.Tensor{Mul(expand(dys[0], inner), mask)}
+	maxMinGrad := func(name string) core.GradFunc {
+		return func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
+			x := inputs[0]
+			kept, tiled, _ := back(name, dys[0], x, attrs)
+			mask := Cast(Equal(x, Reshape(outputs[0], kept...)), tensor.Float32)
+			return []*tensor.Tensor{Mul(tiled, mask)}
+		}
 	}
-	core.RegisterGradient("Max", maxMinGrad)
-	core.RegisterGradient("Min", maxMinGrad)
+	core.RegisterGradient("Max", maxMinGrad("Max"))
+	core.RegisterGradient("Min", maxMinGrad("Min"))
 	core.RegisterGradient("Prod", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
 		x := inputs[0]
-		inner := x.Shape[1]
-		y2d := Reshape(outputs[0], x.Shape[0], 1)
+		kept, tiled, _ := back("Prod", dys[0], x, attrs)
 		// d prod / d x_i = prod / x_i (undefined at zeros, as in TF).
-		return []*tensor.Tensor{Mul(expand(dys[0], inner), Div(y2d, x))}
+		return []*tensor.Tensor{Mul(tiled, Div(Reshape(outputs[0], kept...), x))}
 	})
 	core.RegisterGradient("Softmax", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
 		dy, y := dys[0], outputs[0]
-		sumDyY := Sum(Mul(dy, y), []int{1}, true)
+		sumDyY := Sum(Mul(dy, y), []int{-1}, true)
 		return []*tensor.Tensor{Mul(Sub(dy, sumDyY), y)}
 	})
 }

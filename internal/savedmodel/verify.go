@@ -305,6 +305,10 @@ func (v *verifier) infer(n *NodeDef, ins []valueInfo) valueInfo {
 			v.errf(n, "", "padding must be \"same\" or \"valid\", got %q", pad)
 			return unknown
 		}
+		if !positive(strides) {
+			v.errf(n, "", "strides must be at least 1, got %v", strides)
+			return unknown
+		}
 		x := ins[0].shape
 		if x == nil {
 			return unknown
@@ -327,35 +331,18 @@ func (v *verifier) infer(n *NodeDef, ins []valueInfo) valueInfo {
 		}
 		v.requireFloat32(n, ins)
 		axes, _ := vAttrInts(attrs, "axes")
-		keep := vAttrBool(attrs, "keep_dims")
 		x := ins[0].shape
 		if x == nil {
 			return unknown
 		}
-		reduced := make([]bool, len(x))
-		for _, a := range axes {
-			if a < 0 {
-				a += len(x)
-			}
-			if a < 0 || a >= len(x) {
-				v.errf(n, inputName(n, 0), "axis %d out of range for rank %d (%s)", a, len(x), shapeString(x))
-				return unknown
-			}
-			reduced[a] = true
+		// The kernel's own axes and output shape, on a partial shape: no
+		// axes is every axis, and an unknown dim passes through.
+		set, err := kernels.ReduceAxes("Mean", kernels.Attrs{"axes": axes}, len(x))
+		if err != nil {
+			v.errf(n, inputName(n, 0), "%v (%s)", err, shapeString(x))
+			return unknown
 		}
-		var out []int
-		for i, d := range x {
-			switch {
-			case !reduced[i]:
-				out = append(out, d)
-			case keep:
-				out = append(out, 1)
-			}
-		}
-		if out == nil {
-			out = []int{}
-		}
-		return valueInfo{shape: out, dtype: "float32"}
+		return valueInfo{shape: set.Shape([]int{}, x, vAttrBool(attrs, "keep_dims")), dtype: "float32"}
 
 	case "FusedBatchNorm":
 		if !v.arity(n, ins, 5) {
@@ -508,6 +495,10 @@ func (v *verifier) convShape(n *NodeDef, x, filter []int, attrs map[string]any, 
 		v.errf(n, "", "padding must be \"same\" or \"valid\", got %q", pad)
 		return nil, DimUnknown, false
 	}
+	if !positive(strides) {
+		v.errf(n, "", "strides must be at least 1, got %v", strides)
+		return nil, DimUnknown, false
+	}
 	if x != nil && len(x) != 4 {
 		v.errf(n, inputName(n, 0), "rank mismatch: conv input must be rank 4 NHWC, got rank %d (%s)", len(x), shapeString(x))
 		return nil, DimUnknown, false
@@ -566,16 +557,24 @@ func (v *verifier) convShape(n *NodeDef, x, filter []int, attrs map[string]any, 
 // ---------------------------------------------------------------------------
 // Partial-shape arithmetic
 
-// spatialOut computes one convolution/pooling output extent. A non-positive
-// result means the filter does not fit.
+// spatialOut computes one convolution/pooling output extent, the kernels'
+// (kernels.OutExtent), for a stride of at least 1. A non-positive result
+// means the filter does not fit.
 func spatialOut(in, filter, stride int, pad string) int {
 	if in == DimUnknown {
 		return DimUnknown
 	}
-	if pad == "same" {
-		return (in + stride - 1) / stride
+	return kernels.OutExtent(in, filter, stride, pad)
+}
+
+// positive reports whether every stride is at least 1.
+func positive(strides []int) bool {
+	for _, s := range strides {
+		if s < 1 {
+			return false
+		}
 	}
-	return (in-filter)/stride + 1
+	return true
 }
 
 func addDim(d, delta int) int {

@@ -69,7 +69,7 @@ func TestServedExecuteAllocBudget(t *testing.T) {
 	// per-kernel series for the model, under the same names.
 	_, metrics := get(t, srv.URL+"/metrics", nil)
 	for kernel, count := range map[string]int{
-		"FusedConv2D": 14, "FusedDepthwiseConv2dNative": 13, "Transpose": 1, "Mean": 1, "_FusedMatMul": 1, "Softmax": 1,
+		"FusedConv2D": 14, "FusedDepthwiseConv2dNative": 13, "Mean": 1, "_FusedMatMul": 1, "Softmax": 1,
 	} {
 		line := fmt.Sprintf("serving_kernel_invocations_total{model=%q,kernel=%q} %d\n", "mobilenet", kernel, count)
 		if !strings.Contains(metrics, line) {

@@ -48,36 +48,47 @@ func CopyShape(shape []int) []int {
 }
 
 // InferShape resolves a shape specification that may contain a single -1
-// wildcard dimension, given the total element count. It returns an error
-// if the size is not divisible or the shape contains multiple wildcards.
+// wildcard dimension, given the total element count, into a copy
+// (InferInto).
 func InferShape(shape []int, size int) ([]int, error) {
 	out := CopyShape(shape)
+	if err := InferInto(out, size); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// InferInto resolves, in place and without allocating, a shape that may
+// contain a single -1 wildcard dimension against the total element count.
+// It returns an error if the size is not divisible or the shape contains
+// multiple wildcards or a negative dimension, leaving shape as it was.
+func InferInto(shape []int, size int) error {
 	wild := -1
 	known := 1
-	for i, d := range out {
+	for i, d := range shape {
 		switch {
 		case d == -1:
 			if wild != -1 {
-				return nil, fmt.Errorf("tensor: shape %v has more than one -1 dimension", shape)
+				return fmt.Errorf("tensor: shape %v has more than one -1 dimension", shape)
 			}
 			wild = i
 		case d < 0:
-			return nil, fmt.Errorf("tensor: shape %v has negative dimension %d", shape, d)
+			return fmt.Errorf("tensor: shape %v has negative dimension %d", shape, d)
 		default:
 			known *= d
 		}
 	}
 	if wild == -1 {
 		if known != size {
-			return nil, fmt.Errorf("tensor: shape %v (size %d) incompatible with %d elements", shape, known, size)
+			return fmt.Errorf("tensor: shape %v (size %d) incompatible with %d elements", shape, known, size)
 		}
-		return out, nil
+		return nil
 	}
 	if known == 0 || size%known != 0 {
-		return nil, fmt.Errorf("tensor: cannot infer -1 in shape %v for %d elements", shape, size)
+		return fmt.Errorf("tensor: cannot infer -1 in shape %v for %d elements", shape, size)
 	}
-	out[wild] = size / known
-	return out, nil
+	shape[wild] = size / known
+	return nil
 }
 
 // BroadcastShapes computes the NumPy-style broadcast shape of a and b,

@@ -74,7 +74,8 @@ func (b *Backend) rangeKernel(k kernels.RangeKernel) kernels.OverrideKernel {
 			// Packed matmul: a texel's four consecutive output columns share
 			// their A row samples — the vec4 dot-product trick of the paper's
 			// packed shaders, which the device's clock sees as fewer fetches.
-			name, r.Work = name+"(packed)", packedMatMulWork(r.Work, out.size, res.Shape[2], inputs[0].Shape[2])
+			rank := len(res.Shape)
+			name, r.Work = name+"(packed)", packedMatMulWork(r.Work, out.size, res.Shape[rank-1], inputs[0].Shape[rank-1])
 		}
 		b.run(name, out, r, tex)
 		return nil

@@ -13,8 +13,12 @@ import (
 // native's row (see the reference kernel), and the last of the per-value
 // form (runFlat).
 func (b *Backend) softmax(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-	outer, inner, err := kernels.Rows("Softmax", inputs)
+	outer, inner, err := kernels.ResolveSoftmax(inputs, res)
 	if err != nil {
+		return err
+	}
+	if inner == 0 { // an empty last axis: nothing to normalise
+		_, err := b.output(res.Shape, tensor.Float32, res)
 		return err
 	}
 	x := inputs[0]
@@ -54,7 +58,7 @@ func (b *Backend) softmax(inputs []kernels.Input, attrs kernels.Attrs, res *kern
 	sumTex := rowSum.tex
 
 	// Pass 3: normalized output.
-	out, err := b.output(x.Shape, tensor.Float32, res)
+	out, err := b.output(res.Shape, tensor.Float32, res)
 	if err != nil {
 		return err
 	}

@@ -69,24 +69,14 @@ func (b *Backend) initKernels() {
 // kernel.
 func (b *Backend) matmulCompute(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 	fragment, _ := b.Backend.KernelOverride("BatchMatMul")
-	if len(inputs) != 2 || attrs.Bool("transposeA", false) || attrs.Bool("transposeB", false) {
+	g, err := kernels.ResolveMatMul("BatchMatMul", inputs, attrs, res)
+	if err != nil || attrs.Bool("transposeA", false) || attrs.Bool("transposeB", false) {
 		return fragment(inputs, attrs, res)
 	}
-	a, x := inputs[0], inputs[1]
-	if len(a.Shape) != 3 || len(x.Shape) != 3 {
-		return fragment(inputs, attrs, res)
-	}
-	batchA, batchB := a.Shape[0], x.Shape[0]
-	batch := max(batchA, batchB)
-	m, k := a.Shape[1], a.Shape[2]
-	if (batchA != batchB && batchA != 1 && batchB != 1) || x.Shape[1] != k {
-		return fragment(inputs, attrs, res)
-	}
-	n := x.Shape[2]
-
-	aTex := b.InputTexture(a)
-	bTex := b.InputTexture(x)
-	out, err := b.Output([]int{batch, m, n}, tensor.Float32, res)
+	batch, m, k, n, batchA, batchB := g.Dims()
+	aTex := b.InputTexture(inputs[0])
+	bTex := b.InputTexture(inputs[1])
+	out, err := b.Output(res.Shape, tensor.Float32, res)
 	if err != nil {
 		return err
 	}

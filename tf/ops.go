@@ -218,7 +218,7 @@ func MatMul(a, b *Tensor, transposeA, transposeB bool) *Tensor {
 	return ops.MatMul(a, b, transposeA, transposeB)
 }
 
-// BatchMatMul multiplies rank-3 tensors batch-wise.
+// BatchMatMul multiplies rank-3 tensors batch-wise, or two matrices.
 func BatchMatMul(a, b *Tensor, transposeA, transposeB bool) *Tensor {
 	return ops.BatchMatMul(a, b, transposeA, transposeB)
 }
