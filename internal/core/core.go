@@ -874,8 +874,12 @@ func (e *Engine) Dispatch(name string, b kernels.Backend, ins []kernels.Input, a
 		return nil
 	}
 	start := time.Now()
-	var err error
-	ti := b.Time(func() { err = kernels.Dispatch(b, name, ins, attrs, out) })
+	c := timedDispatches.Get().(*timedDispatch)
+	c.b, c.name, c.ins, c.attrs, c.out = b, name, ins, attrs, out
+	ti := b.Time(c.run)
+	err := c.err
+	*c = timedDispatch{run: c.run} // let go of the call's operands
+	timedDispatches.Put(c)
 	if err != nil {
 		return &OpError{Kernel: name, Err: err}
 	}
@@ -886,6 +890,25 @@ func (e *Engine) Dispatch(name string, b kernels.Backend, ins []kernels.Input, a
 	}
 	return nil
 }
+
+// A timedDispatch is one observed dispatch's call, the func b.Time runs
+// bound to it once: recycled, it times a dispatch without allocating a
+// closure and its error each time.
+type timedDispatch struct {
+	b     kernels.Backend
+	name  string
+	ins   []kernels.Input
+	attrs kernels.Attrs
+	out   *kernels.TensorInfo
+	err   error
+	run   func()
+}
+
+var timedDispatches = sync.Pool{New: func() any {
+	c := new(timedDispatch)
+	c.run = func() { c.err = kernels.Dispatch(c.b, c.name, c.ins, c.attrs, c.out) }
+	return c
+}}
 
 // emitKernel reports one executed kernel to the telemetry hub and, in debug
 // mode, records it and scans its outputs for NaNs (Section 3.8). It is the

@@ -87,18 +87,12 @@ func (s Axes) Shape(dst, x []int, keepDims bool) []int {
 // coordinate's offset. Its fields are 32-bit for Walk's reason: a closure
 // holds one per dispatch.
 type Reduce struct {
-	op                reduction
-	runs              int8
-	firstReduced      bool // run 0 is reduced, run 1 kept, and so on
-	size              [maxViewRank]int32
-	outerSize, nInner int32
+	op           reduction
+	runs         int8
+	firstReduced bool // run 0 is reduced, run 1 kept, and so on
+	size         [maxViewRank]int32
+	outer, inner int32 // output values, and the values each folds
 }
-
-// Outer is the number of output values.
-func (g Reduce) Outer() int { return int(g.outerSize) }
-
-// Inner is the number of values each output value folds.
-func (g Reduce) Inner() int { return int(g.nInner) }
 
 // ResolveReduce checks a reduction — one operand, its axes (ReduceAxes)
 // and keepDims; an index reduction needs a non-empty fold — describes its
@@ -114,14 +108,14 @@ func ResolveReduce(name string, inputs []Input, attrs Attrs, out *TensorInfo) (R
 	if err != nil {
 		return Reduce{}, err
 	}
-	g := Reduce{op: reductionOps[name], outerSize: 1, nInner: 1}
+	g := Reduce{op: reductionOps[name], outer: 1, inner: 1}
 	fits := true
 	for i, d := range x {
 		reduced := set.Has(i)
 		if reduced {
-			g.nInner *= int32(d)
+			g.inner *= int32(d)
 		} else {
-			g.outerSize *= int32(d)
+			g.outer *= int32(d)
 		}
 		switch {
 		case d == 1:
@@ -144,7 +138,7 @@ func ResolveReduce(name string, inputs []Input, attrs Attrs, out *TensorInfo) (R
 	case "Any", "All":
 		dt = tensor.Bool
 	case "ArgMax", "ArgMin":
-		if g.nInner == 0 {
+		if g.inner == 0 {
 			return Reduce{}, errIn(name, "cannot reduce over empty dimension")
 		}
 		dt = tensor.Int32
@@ -165,7 +159,7 @@ func (g Reduce) reduced(j int) bool { return g.firstReduced == (j%2 == 0) }
 // from 1, Max from -Inf and Min from +Inf with a NaN never taken, ArgMax
 // and ArgMin keeping the first of equal values. No range splits a fold.
 func (g Reduce) Fill(x []float32, lo int, dst []float32) {
-	if g.nInner == 0 {
+	if g.inner == 0 {
 		for i := range dst {
 			dst[i] = g.op.finish(g.op.start(0), 0, 0)
 		}
@@ -214,7 +208,7 @@ func (g Reduce) Fill(x []float32, lo int, dst []float32) {
 				break
 			}
 		}
-		dst[i] = g.op.finish(acc, at, int(g.nInner))
+		dst[i] = g.op.finish(acc, at, int(g.inner))
 	}
 }
 

@@ -257,9 +257,9 @@ func reduce(name string, inputs []Input, attrs Attrs, out *TensorInfo) (Range, e
 	if err != nil {
 		return Range{}, err
 	}
-	work := PerValue(g.Outer(), g.Inner(), g.Inner())
+	work := PerValue(int(g.outer), int(g.inner), int(g.inner))
 	if name == "Mean" {
-		work.ALU += int64(g.Outer())
+		work.ALU += int64(g.outer)
 	}
 	return Range{Fill: func(in [][]float32, lo int, dst []float32) { g.Fill(in[0], lo, dst) }, Work: work}, nil
 }
