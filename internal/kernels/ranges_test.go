@@ -196,7 +196,9 @@ func TestRangeBodiesMatchReference(t *testing.T) {
 	for _, name := range reductions {
 		cases = append(cases, rangeCase{"ties", name, []Buffer{rows}, nil}, rangeCase{"specials", name, []Buffer{op(4, 9)}, nil},
 			rangeCase{"repeatedAxes", name, []Buffer{op(2, 3, 4, 5)}, Attrs{"axes": []int{2, 0, -2}}},
-			rangeCase{"allAxes", name, []Buffer{op(3, 1, 4)}, Attrs{"axes": []int{}, "keepDims": true}})
+			rangeCase{"allAxes", name, []Buffer{op(3, 1, 4)}, Attrs{"axes": []int{}, "keepDims": true}},
+			rangeCase{"threeReducedRuns", name, []Buffer{op(2, 3, 2, 3, 2)}, Attrs{"axes": []int{0, 2, 4}}},
+			rangeCase{"threeKeptRuns", name, []Buffer{op(2, 3, 2, 3, 2)}, Attrs{"axes": []int{1, 3}, "keepDims": true}})
 	}
 	// Every non-empty axis subset of a rank-4 input, the odd axes counted
 	// from the end, kept as 1s or dropped; the second input has a zero-size

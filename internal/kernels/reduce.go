@@ -159,28 +159,19 @@ func (g Reduce) reduced(j int) bool { return g.firstReduced == (j%2 == 0) }
 // from 1, Max from -Inf and Min from +Inf with a NaN never taken, ArgMax
 // and ArgMin keeping the first of equal values. No range splits a fold.
 func (g Reduce) Fill(x []float32, lo int, dst []float32) {
-	if g.inner == 0 {
-		for i := range dst {
-			dst[i] = g.op.finish(g.op.start(0), 0, 0)
-		}
-		return
-	}
-	// The runs' strides, split by kind; the last reduced run is the one a
-	// fold walks in its innermost loop.
-	var kept, red [maxViewRank][2]int // (size, stride)
+	// The runs' sizes and strides by kind, innermost first: a fold walks
+	// red[0] per call, at each coordinate of the reduced runs outside it.
+	var kept, red [maxViewRank][2]int
 	nk, nr := 0, 0
 	for j, stride := int(g.runs)-1, 1; j >= 0; j-- {
 		n := int(g.size[j])
 		if g.reduced(j) {
-			red[nr] = [2]int{n, stride}
-			nr++
+			red[nr], nr = [2]int{n, stride}, nr+1
 		} else {
-			kept[nk] = [2]int{n, stride}
-			nk++
+			kept[nk], nk = [2]int{n, stride}, nk+1
 		}
 		stride *= n
 	}
-	// red and kept run innermost first; a fold walks red[0] per call.
 	n, s := 1, 1
 	if nr > 0 {
 		n, s = red[0][0], red[0][1]
@@ -190,23 +181,13 @@ func (g Reduce) Fill(x []float32, lo int, dst []float32) {
 		for d, o := 0, lo+i; d < nk; d++ {
 			base, o = base+o%kept[d][0]*kept[d][1], o/kept[d][0]
 		}
-		acc, at := g.op.start(x[base]), 0
-		var pos [maxViewRank]int
-		for off, k := base, 0; ; {
+		acc, at := g.op.start(x, base), 0
+		for k := 0; k < int(g.inner); k += n {
+			off := base
+			for d, q := 1, k/n; d < nr; d++ {
+				off, q = off+q%red[d][0]*red[d][1], q/red[d][0]
+			}
 			acc, at = g.op.run(acc, at, x[off:off+(n-1)*s+1], s, k)
-			k += n
-			d := 1
-			for ; d < nr; d++ {
-				if pos[d]++; pos[d] < red[d][0] {
-					off += red[d][1]
-					break
-				}
-				off -= (red[d][0] - 1) * red[d][1]
-				pos[d] = 0
-			}
-			if d >= nr {
-				break
-			}
 		}
 		dst[i] = g.op.finish(acc, at, int(g.inner))
 	}
@@ -230,9 +211,9 @@ var reductionOps = map[string]reduction{
 	"Sum": sumOp, "Mean": meanOp, "Max": maxOp, "Min": minOp, "Prod": prodOp, "ArgMax": argMaxOp, "ArgMin": argMinOp,
 }
 
-// start is a fold's accumulator before its first value; an index
-// reduction's is its first value.
-func (r reduction) start(first float32) float32 {
+// start is a fold's accumulator before its first value, x[at]; an index
+// reduction's, whose fold is never empty, is that value.
+func (r reduction) start(x []float32, at int) float32 {
 	switch r {
 	case prodOp:
 		return 1
@@ -241,7 +222,7 @@ func (r reduction) start(first float32) float32 {
 	case minOp:
 		return float32(math.Inf(1))
 	case argMaxOp, argMinOp:
-		return first
+		return x[at]
 	}
 	return 0
 }
