@@ -355,17 +355,7 @@ func TestGradientsAndBroadcastsOnEveryTier(t *testing.T) {
 		cases[kernel] = append(axisSubsets(kernel, inexact), tierCase{"rows", kernel, []kernels.Buffer{inexact(6, 13)}, nil},
 			tierCase{"threeReducedRuns", kernel, []kernels.Buffer{inexact(2, 3, 2, 3, 2)}, kernels.Attrs{"axes": []int{0, 2, 4}}})
 	}
-	for _, tr := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
-		a, b := []int{5, 9}, []int{9, 6}
-		if tr[0] {
-			a = []int{9, 5}
-		}
-		if tr[1] {
-			b = []int{6, 9}
-		}
-		cases["BatchMatMul"] = append(cases["BatchMatMul"], tierCase{fmt.Sprintf("rank2 ta=%v tb=%v", tr[0], tr[1]), "BatchMatMul",
-			[]kernels.Buffer{inexact(a...), inexact(b...)}, kernels.Attrs{"transposeA": tr[0], "transposeB": tr[1]}})
-	}
+	cases["BatchMatMul"] = append(cases["BatchMatMul"], rank2MatMuls(inexact)...)
 	for _, k := range kernels.RangeKernels() {
 		if len(cases[k.Name]) == 0 {
 			t.Errorf("%s: a range kernel with no case", k.Name)
@@ -414,6 +404,24 @@ func axisSubsets(kernel string, gen func(shape ...int) kernels.Buffer) []tierCas
 				}
 			}
 		}
+	}
+	return cases
+}
+
+// rank2MatMuls are BatchMatMul of two matrices of values from gen, under
+// each of the four transposes.
+func rank2MatMuls(gen func(shape ...int) kernels.Buffer) []tierCase {
+	var cases []tierCase
+	for _, tr := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+		a, b := []int{5, 9}, []int{9, 6}
+		if tr[0] {
+			a = []int{9, 5}
+		}
+		if tr[1] {
+			b = []int{6, 9}
+		}
+		cases = append(cases, tierCase{fmt.Sprintf("rank2 ta=%v tb=%v", tr[0], tr[1]), "BatchMatMul",
+			[]kernels.Buffer{gen(a...), gen(b...)}, kernels.Attrs{"transposeA": tr[0], "transposeB": tr[1]}})
 	}
 	return cases
 }
@@ -762,10 +770,11 @@ func operandsAt(inputs []kernels.Buffer, outShape []int, i int) []float32 {
 // packed and unpacked. The operands are small integers and halves, so the
 // cpu tier's float64 sums are exact too: every reduction and product is
 // Float32bits-equal to the reference kernel, a reduction of seven
-// alternating runs too, which node and webgl decline. Softmax keeps its own body on
-// cpu (a float64 divide) and webgl (a float32 exp-sum): on every tier the
-// rank-N call is Float32bits-equal to the same tier's [outer, inner] call,
-// and node's to the reference; an empty last axis is an empty output.
+// alternating runs too, which node and webgl decline. Softmax keeps its own
+// body on cpu (a float64 divide) and webgl (a float32 exp-sum): on every
+// tier the rank-N call is Float32bits-equal to the same tier's
+// [outer, inner] call, and node's to the reference; an empty last axis is
+// an empty output.
 func TestKernelsTakeTheOpsShapeOnEveryTier(t *testing.T) {
 	tiers := hostAndDeviceTiers(t)
 	// operand's values, none of them special: a stride past the end plants
@@ -791,17 +800,7 @@ func TestKernelsTakeTheOpsShapeOnEveryTier(t *testing.T) {
 		cases = append(append(cases, axisSubsets(kernel, exact)...),
 			tierCase{"sevenRuns", kernel, []kernels.Buffer{exact(2, 2, 2, 2, 2, 2, 2)}, kernels.Attrs{"axes": []int{0, 2, 4, 6}}})
 	}
-	for _, tr := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
-		a, b := []int{5, 9}, []int{9, 6}
-		if tr[0] {
-			a = []int{9, 5}
-		}
-		if tr[1] {
-			b = []int{6, 9}
-		}
-		cases = append(cases, tierCase{fmt.Sprintf("rank2 ta=%v tb=%v", tr[0], tr[1]), "BatchMatMul",
-			[]kernels.Buffer{exact(a...), exact(b...)}, kernels.Attrs{"transposeA": tr[0], "transposeB": tr[1]}})
-	}
+	cases = append(cases, rank2MatMuls(exact)...)
 	for _, c := range cases {
 		ref, _ := kernels.LookupRef(c.kernel)
 		want, err := ref(c.inputs, c.attrs)
