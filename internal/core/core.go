@@ -914,9 +914,9 @@ var timedDispatches = sync.Pool{New: func() any {
 // mode, records it and scans its outputs for NaNs (Section 3.8). It is the
 // only builder of KindKernel events: Dispatch, which RunKernel and the
 // graphmodel plan executor both call, ends here, so profiles, traces and
-// /metrics describe whichever path ran in the same vocabulary. The caller timed the
-// kernel under b.Time; added and total are the bytes the kernel allocated
-// and the bytes live after it. Shapes are copied — observers retain events,
+// /metrics describe whichever path ran in the same vocabulary. The caller
+// timed the kernel under b.Time; added and total are the bytes the kernel
+// allocated and the bytes live after it. Shapes are copied — observers retain events,
 // callers reuse their shape storage. The returned *OpError is non-nil when
 // debug mode found a NaN: the caller panics with it once it has let go of
 // what the kernel produced.

@@ -333,7 +333,7 @@ func (b *NaiveBackend) naiveSoftmax(inputs []kernels.Input, attrs kernels.Attrs,
 	}
 	xBuf := b.Raw(inputs[0].DataID)
 	out := b.out(res.Shape, tensor.Float32, res)
-	for o := 0; o < outer && inner > 0; o++ {
+	for o := 0; o < outer; o++ {
 		maxV := math.Inf(-1)
 		for i := 0; i < inner; i++ {
 			maxV = math.Max(maxV, float64(xBuf[o*inner+i]))

@@ -446,7 +446,7 @@ func init() {
 		}
 		x := inputs[0]
 		out := NewBuffer(res.Shape, res.DType)
-		for o := 0; o < outer && inner > 0; o++ {
+		for o := 0; o < outer; o++ {
 			SoftmaxRow(out.Data[o*inner:(o+1)*inner], x.Data[o*inner:(o+1)*inner])
 		}
 		return out, nil
