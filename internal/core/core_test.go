@@ -529,3 +529,63 @@ func TestBackpropSkipsUnwatchedInputs(t *testing.T) {
 		}
 	}
 }
+
+// TestTapeRecordsOnlyWhereAnInputIsWatched: an op is a node of exactly the
+// tapes that watch one of its inputs. Ops run with no tape active leave
+// nothing behind for a later tape, an op of unwatched inputs is on no
+// tape, an op whose input only the outer of two nested tapes watches is on
+// the outer tape only, and a CustomGrad call is one node however many ops
+// its forward pass runs.
+func TestTapeRecordsOnlyWhereAnInputIsWatched(t *testing.T) {
+	e := core.Global()
+	a, b, c := ops.FromValues([]float32{1, 2}, 2), ops.FromValues([]float32{3, 4}, 2), ops.FromValues([]float32{5, 6}, 2)
+	defer a.Dispose()
+	defer b.Dispose()
+	defer c.Dispose()
+	expect := func(step string, want ...int) {
+		t.Helper()
+		got := e.TapeSizes()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d tapes active, want %d", step, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: tape sizes %v, want %v", step, got, want)
+			}
+		}
+	}
+
+	e.Tidy("untaped", func() []*tensor.Tensor {
+		ops.Mul(ops.Add(a, b), c)
+		expect("no tape active")
+		return nil
+	})
+	outer := e.Gradients(func() *tensor.Tensor {
+		expect("outer tape opened", 0)
+		inner := e.Gradients(func() *tensor.Tensor {
+			expect("inner tape opened", 0, 0)
+			ops.Add(c, c)
+			expect("unwatched inputs", 0, 0)
+			aa := ops.Mul(a, a)
+			expect("input watched by the outer tape only", 1, 0)
+			bb := ops.Mul(b, b)
+			expect("input watched by the inner tape only", 1, 1)
+			s := ops.Add(aa, bb)
+			expect("inputs watched by both tapes", 2, 2)
+			return ops.Sum(s, nil, false)
+		}, []*tensor.Tensor{b}, nil)
+		before := e.TapeSizes()[0]
+		outs := e.CustomGrad("composed", []*tensor.Tensor{a}, func() ([]*tensor.Tensor, core.GradFunc) {
+			y := ops.Mul(ops.Add(a, a), ops.Exp(a))
+			expect("custom gradient's forward pass", before)
+			return []*tensor.Tensor{y}, func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
+				return []*tensor.Tensor{ops.Mul(dys[0], inputs[0])}
+			}
+		})
+		expect("custom gradient", before+1)
+		return ops.Sum(ops.Mul(ops.Mul(inner.Grads[0], a), outs[0]), nil, false)
+	}, []*tensor.Tensor{a}, nil)
+	expect("every tape closed")
+	outer.Value.Dispose()
+	outer.Grads[0].Dispose()
+}

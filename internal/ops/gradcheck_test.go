@@ -337,6 +337,13 @@ func TestGradShapeOps(t *testing.T) {
 	gradCheck(t, "Reshape", [][]int{{2, 6}}, func(xs []*tensor.Tensor) *tensor.Tensor {
 		return Sum(Square(Reshape(xs[0], 3, 4)), nil, false)
 	}, nil)
+	// A -1 dimension and a change of rank: the gradient reshapes dy back to
+	// the input's own shape, and weighting the values shows a reshape to
+	// any other shape of the same size.
+	gradCheck(t, "Reshape-1", [][]int{{2, 6}}, func(xs []*tensor.Tensor) *tensor.Tensor {
+		w := RandNormal([]int{3, 2, 2}, 0, 1, rand.New(rand.NewSource(5)))
+		return Sum(Reshape(Mul(Reshape(xs[0], 3, -1, 2), w), -1), nil, false)
+	}, nil)
 	gradCheck(t, "StackUnstack", [][]int{{2, 3}, {2, 3}}, func(xs []*tensor.Tensor) *tensor.Tensor {
 		s := Stack(xs, 0)
 		parts := Unstack(s, 0)

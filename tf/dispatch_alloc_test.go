@@ -1,6 +1,7 @@
 package tf_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/bufpool"
@@ -116,6 +117,72 @@ func TestEagerDispatchAllocBudgetPerClass(t *testing.T) {
 			}
 			for _, in := range ins {
 				in.Dispose()
+			}
+		}
+	}
+}
+
+// TestEagerKernelsKeepNoDispatchFrame: a kernel may not keep its inputs or
+// its output descriptor after it returns (kernels.OverrideKernel). Webgl
+// runs a program on the device after the kernel has returned, so one that
+// read its operands through the dispatch's own storage would read the next
+// dispatch's. Sixty-four eager kernels of four classes, each on shapes of
+// its own, are dispatched with no fence between them, then every output is
+// read and held bit for bit to the same calls on cpu.
+func TestEagerKernelsKeepNoDispatchFrame(t *testing.T) {
+	defer tf.SetBackend("cpu")
+	type call struct {
+		kernel string
+		shapes [][]int
+		attrs  kernels.Attrs
+	}
+	var calls []call
+	for i := 0; i < 16; i++ {
+		calls = append(calls,
+			call{"Add", [][]int{{i + 1, 3}, {i + 1, 3}}, nil},
+			call{"Conv2D", [][]int{{1, 4 + i%4, 3 + i%3, 2}, {3, 3, 2, 1 + i%4}}, kernels.Attrs{"pad": "same"}},
+			call{"Sum", [][]int{{i + 2, 5}}, kernels.Attrs{"axes": []int{i % 2}}},
+			call{"Transpose", [][]int{{2, i + 1, 3}}, kernels.Attrs{"perm": []int{2, 0, 1}}})
+	}
+	run := func(backend string) [][]float32 {
+		if err := tf.SetBackend(backend); err != nil {
+			t.Fatal(err)
+		}
+		e := tf.EngineOf()
+		var ins [][]*tf.Tensor
+		for i, c := range calls {
+			ts := make([]*tf.Tensor, len(c.shapes))
+			for k, shape := range c.shapes {
+				vals := make([]float32, tensor.ShapeSize(shape))
+				for j := range vals {
+					vals[j] = float32((j*7+i*3+k)%11-5) / 4
+				}
+				ts[k] = tf.TensorOf(vals, shape...)
+			}
+			ins = append(ins, ts)
+		}
+		outs := make([]*tf.Tensor, len(calls))
+		for i, c := range calls {
+			outs[i] = e.RunKernel(c.kernel, ins[i], c.attrs)
+		}
+		got := make([][]float32, len(calls))
+		for i, out := range outs {
+			got[i] = append([]float32(nil), out.DataSync()...)
+			out.Dispose()
+			for _, in := range ins[i] {
+				in.Dispose()
+			}
+		}
+		return got
+	}
+	want, got := run("cpu"), run("webgl")
+	for i, c := range calls {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("call %d (%s): %d values on webgl, %d on cpu", i, c.kernel, len(got[i]), len(want[i]))
+		}
+		for j := range want[i] {
+			if math.Float32bits(got[i][j]) != math.Float32bits(want[i][j]) {
+				t.Fatalf("call %d (%s) value %d: %g on webgl, %g on cpu", i, c.kernel, j, got[i][j], want[i][j])
 			}
 		}
 	}
