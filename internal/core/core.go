@@ -48,12 +48,12 @@ func opPanic(kernel string, err error) {
 	panic(&OpError{Kernel: kernel, Err: err})
 }
 
-// dataEntry tracks one backend data container.
+// dataEntry tracks one backend data container. The registry holds it by
+// value: registering a container costs no heap object of its own.
 type dataEntry struct {
 	backend  kernels.Backend
 	refCount int
 	bytes    int64
-	dtype    tensor.DataType
 }
 
 // Engine is the eager execution engine. A process normally uses the single
@@ -66,7 +66,7 @@ type Engine struct {
 	backends         map[string]kernels.Backend
 	active           kernels.Backend
 
-	data       map[tensor.DataID]*dataEntry
+	data       map[tensor.DataID]dataEntry
 	numTensors int
 	numBytes   int64
 	peakBytes  int64
@@ -136,7 +136,7 @@ func NewEngine() *Engine {
 	return &Engine{
 		backendFactories: map[string]func() (kernels.Backend, error){},
 		backends:         map[string]kernels.Backend{},
-		data:             map[tensor.DataID]*dataEntry{},
+		data:             map[tensor.DataID]dataEntry{},
 		hub:              telemetry.Default(),
 	}
 }
@@ -346,14 +346,14 @@ func (e *Engine) registerTensor(t *tensor.Tensor, b kernels.Backend) {
 	e.mu.Lock()
 	entry, ok := e.data[t.DataID]
 	if !ok {
-		entry = &dataEntry{backend: b, bytes: int64(t.Bytes()), dtype: t.DType}
-		e.data[t.DataID] = entry
+		entry = dataEntry{backend: b, bytes: int64(t.Bytes())}
 		e.numBytes += entry.bytes
 		if e.numBytes > e.peakBytes {
 			e.peakBytes = e.numBytes
 		}
 	}
 	entry.refCount++
+	e.data[t.DataID] = entry
 	e.numTensors++
 	var scopeName string
 	if n := len(e.scopes); n > 0 {
@@ -411,6 +411,8 @@ func (e *Engine) Dispose(t *tensor.Tensor) {
 		delete(e.data, t.DataID)
 		e.numBytes -= entry.bytes
 		freeBackend = entry.backend
+	} else {
+		e.data[t.DataID] = entry
 	}
 	e.mu.Unlock()
 	if freeBackend != nil {
@@ -513,9 +515,9 @@ func (e *Engine) Clone(t *tensor.Tensor) *tensor.Tensor {
 }
 
 // AdoptData wraps a data container the backend already holds (registered
-// via WriteOwned or a kernel) into a tracked tensor handle. Shape is
-// retained, not copied. Used by the graphmodel plan executor to hand kernel
-// outputs back to the engine without a host round-trip.
+// via WriteOwned or a kernel) into a tracked tensor handle, copying shape.
+// Used by the graphmodel plan executor to hand kernel outputs back to the
+// engine without a host round-trip.
 func (e *Engine) AdoptData(b kernels.Backend, id tensor.DataID, shape []int, dtype tensor.DataType) *tensor.Tensor {
 	t := tensor.New(id, shape, dtype)
 	e.registerTensor(t, b)
@@ -572,11 +574,9 @@ func (e *Engine) Memory() MemoryInfo {
 // first. Kernel errors panic with *OpError. Which kernel runs — the
 // backend's own, or the reference kernel through host memory — is
 // kernels.Dispatch's decision; the engine adds the tensor handle, the
-// telemetry and the tape around it.
+// telemetry and the tape around it, and lends the kernel a pooled
+// dispatchFrame.
 func (e *Engine) RunKernel(name string, inputs []*tensor.Tensor, attrs kernels.Attrs) *tensor.Tensor {
-	if attrs == nil {
-		attrs = kernels.Attrs{}
-	}
 	b := e.Backend()
 
 	// Free ops: reshape-family kernels only re-view the data container.
@@ -588,19 +588,44 @@ func (e *Engine) RunKernel(name string, inputs []*tensor.Tensor, attrs kernels.A
 		e.EnsureOnBackend(in, b)
 	}
 
-	var info kernels.TensorInfo
-	if err := e.Dispatch(name, b, kernelInputs(inputs), attrs, &info, 0); err != nil {
+	f := dispatchFrames.Get().(*dispatchFrame)
+	defer f.release()
+	for _, t := range inputs {
+		f.ins = append(f.ins, kernels.Input{DataID: t.DataID, Shape: t.Shape, DType: t.DType})
+	}
+	if err := e.Dispatch(name, b, f.ins, attrs, &f.out, 0); err != nil {
 		panic(err)
 	}
-	out := tensor.New(info.DataID, info.Shape, info.DType)
+	out := tensor.New(f.out.DataID, f.out.Shape, f.out.DType)
 	e.registerTensor(out, b)
 	e.recordOnTape(name, inputs, out, attrs)
 	return out
 }
 
+// A dispatchFrame holds one RunKernel dispatch's operands and output
+// descriptor, whose shape buffer the next dispatch reuses. A kernel keeps
+// neither after it returns (kernels.OverrideKernel).
+type dispatchFrame struct {
+	ins []kernels.Input
+	out kernels.TensorInfo
+}
+
+var dispatchFrames = sync.Pool{New: func() any { return new(dispatchFrame) }}
+
+// release clears the frame and returns it to the pool. The clearing is
+// also a poison: a kernel that kept its operands reads DataID 0, which no
+// backend holds.
+func (f *dispatchFrame) release() {
+	clear(f.ins)
+	f.ins = f.ins[:0]
+	f.out = kernels.TensorInfo{Shape: f.out.Shape[:0]}
+	dispatchFrames.Put(f)
+}
+
 // tryFreeKernel handles the kernels that are free because tensors are
 // decoupled from their data (Section 3.4): Reshape, Identity and
-// dtype-preserving Cast share the input's container.
+// dtype-preserving Cast share the input's container. Reshape records no
+// attributes: its gradient reads the input's own shape.
 func (e *Engine) tryFreeKernel(name string, inputs []*tensor.Tensor, attrs kernels.Attrs) (*tensor.Tensor, bool) {
 	switch name {
 	case "Reshape":
@@ -613,7 +638,7 @@ func (e *Engine) tryFreeKernel(name string, inputs []*tensor.Tensor, attrs kerne
 			opPanic(name, err)
 		}
 		out := e.shareData(in, shape, in.DType)
-		e.recordOnTape(name, inputs, out, kernels.Attrs{"shape": shape, "inputShape": tensor.CopyShape(in.Shape)})
+		e.recordOnTape(name, inputs, out, nil)
 		return out, true
 	case "Identity":
 		if len(inputs) != 1 {
@@ -679,17 +704,11 @@ func (e *Engine) EnsureOnBackend(t *tensor.Tensor, b kernels.Backend) {
 	b.Write(t.DataID, values, t.Shape, t.DType)
 	entry.backend.DisposeData(t.DataID)
 	e.mu.Lock()
-	entry.backend = b
-	e.mu.Unlock()
-}
-
-// kernelInputs views tensors as kernel operands.
-func kernelInputs(ts []*tensor.Tensor) []kernels.Input {
-	ins := make([]kernels.Input, len(ts))
-	for i, t := range ts {
-		ins[i] = kernels.Input{DataID: t.DataID, Shape: t.Shape, DType: t.DType}
+	if entry, ok := e.data[t.DataID]; ok {
+		entry.backend = b
+		e.data[t.DataID] = entry
 	}
-	return ins
+	e.mu.Unlock()
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/kernels"
@@ -69,6 +70,10 @@ type tapeNode struct {
 	outputs []*tensor.Tensor
 	attrs   kernels.Attrs
 	gradFn  GradFunc // non-nil for custom gradients
+	// out and in back outputs and inputs for a kernel's one output and up
+	// to three inputs: recording a dispatch is one allocation.
+	out [1]*tensor.Tensor
+	in  [3]*tensor.Tensor
 }
 
 // tape is one active gradient recording.
@@ -77,33 +82,37 @@ type tape struct {
 	watched map[int64]bool
 }
 
-// recordOnTape appends a node for a kernel's one output to the innermost
-// active tape when any input is watched (reachable from the tensors being
-// differentiated against).
+// recordOnTape records a kernel's one output on every tape that watches
+// one of its inputs (record). The node copies the inputs: the caller's
+// slice is not kept.
 func (e *Engine) recordOnTape(kernel string, inputs []*tensor.Tensor, out *tensor.Tensor, attrs kernels.Attrs) {
-	e.recordNode(&tapeNode{kernel: kernel, inputs: inputs, outputs: []*tensor.Tensor{out}, attrs: attrs})
+	e.record(inputs, func() *tapeNode {
+		node := &tapeNode{kernel: kernel, attrs: attrs}
+		node.inputs, node.out[0] = append(node.in[:0], inputs...), out
+		node.outputs = node.out[:]
+		return node
+	})
 }
 
-func (e *Engine) recordNode(node *tapeNode) {
+// record adds the node build returns to every active tape that watches one
+// of inputs, calling build only once a tape keeps it: with no tape
+// recording, or none watching, an op allocates nothing here. Nested tapes
+// (higher-order gradients) each need their own view of the forward pass:
+// an op executed inside an inner gradient scope may still be a function
+// of an outer tape's watched tensors.
+func (e *Engine) record(inputs []*tensor.Tensor, build func() *tapeNode) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.tapes) == 0 || e.tapePaused {
+	if e.tapePaused {
 		return
 	}
-	// Record on every active tape that watches any input. Nested tapes
-	// (higher-order gradients) each need their own view of the forward
-	// pass: an op executed inside an inner gradient scope may still be a
-	// function of an outer tape's watched tensors.
+	var node *tapeNode
 	for _, t := range e.tapes {
-		relevant := false
-		for _, in := range node.inputs {
-			if t.watched[in.ID] {
-				relevant = true
-				break
-			}
-		}
-		if !relevant {
+		if !slices.ContainsFunc(inputs, func(in *tensor.Tensor) bool { return t.watched[in.ID] }) {
 			continue
+		}
+		if node == nil {
+			node = build()
 		}
 		t.nodes = append(t.nodes, node)
 		for _, out := range node.outputs {
@@ -272,7 +281,7 @@ func (e *Engine) CustomGrad(name string, inputs []*tensor.Tensor, fwd func() ([]
 	if gradFn == nil {
 		opPanic(name, fmt.Errorf("custom gradient function is nil"))
 	}
-	e.recordNode(&tapeNode{kernel: name, inputs: inputs, outputs: outs, gradFn: gradFn})
+	e.record(inputs, func() *tapeNode { return &tapeNode{kernel: name, inputs: inputs, outputs: outs, gradFn: gradFn} })
 	return outs
 }
 
@@ -291,8 +300,7 @@ func init() {
 		return []*tensor.Tensor{dys[0]}
 	})
 	RegisterGradient("Reshape", func(e *Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
-		inShape := attrs.Ints("inputShape", tensor.CopyShape(inputs[0].Shape))
-		g := e.RunKernel("Reshape", []*tensor.Tensor{dys[0]}, kernels.Attrs{"shape": inShape})
+		g := e.RunKernel("Reshape", []*tensor.Tensor{dys[0]}, kernels.Attrs{"shape": inputs[0].Shape})
 		return []*tensor.Tensor{g}
 	})
 	RegisterGradient("Cast", func(e *Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {

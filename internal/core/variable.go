@@ -50,6 +50,7 @@ func (e *Engine) detachedClone(t *tensor.Tensor) *tensor.Tensor {
 		out.SetOwner(e)
 	}
 	entry.refCount++
+	e.data[t.DataID] = entry
 	e.numTensors++
 	e.mu.Unlock()
 	return out

@@ -31,7 +31,8 @@ type Backend interface {
 	// the caller allocates with tensor.NewDataID. The backend owns the
 	// container until DisposeData is called. Keeping id allocation with
 	// the engine lets a container migrate between backends without
-	// invalidating the tensor handles that share it.
+	// invalidating the tensor handles that share it. Write copies values:
+	// the caller may reuse the slice once it returns.
 	Write(d tensor.DataID, values []float32, shape []int, dtype tensor.DataType)
 
 	// ReadSync downloads the container's values, blocking until any
@@ -76,9 +77,12 @@ type Overrider interface {
 // round-tripping values through host memory. The output shape is appended
 // into out.Shape[:0] by value — never aliased from an input — so a caller
 // that reuses out (the plan executor's per-step scratch) re-runs a kernel
-// without allocating, and an output can outlive its inputs. Returning
-// ErrFallback declines the invocation; Dispatch then runs the reference
-// kernel.
+// without allocating, and an output can outlive its inputs. A kernel keeps
+// neither inputs nor out after it returns — a program it leaves running on
+// a device holds what it read from them, not the slices: the engine
+// reuses their storage for its next dispatch, and clears it first, so an
+// input kept past return reads DataID 0. Returning ErrFallback declines
+// the invocation; Dispatch then runs the reference kernel.
 type OverrideKernel func(inputs []Input, attrs Attrs, out *TensorInfo) error
 
 // Recycler is implemented by backends whose DisposeData returns buffers to

@@ -123,7 +123,7 @@ func ComputePool2DInfo(inShape, filterSize, strides []int, pad string) (Conv2DIn
 	// Pooling is a depthwise window op: model it as a conv whose filter
 	// preserves channels.
 	filterShape := []int{filterSize[0], filterSize[1], inShape[3], 1}
-	info, err := ComputeConv2DInfo(inShape, filterShape, strides, []int{1, 1}, pad, true)
+	info, err := ComputeConv2DInfo(inShape, filterShape, strides, unitStrides, pad, true)
 	if err != nil {
 		return Conv2DInfo{}, err
 	}

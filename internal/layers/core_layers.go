@@ -209,6 +209,9 @@ type Dropout struct {
 	name string
 	rate float64
 	rng  *rand.Rand
+	// mask is the scratch a training call draws its mask into: a backend's
+	// Write copies it, so one slice serves every step.
+	mask []float32
 }
 
 // NewDropout creates a Dropout layer with the given drop rate in [0, 1).
@@ -239,8 +242,12 @@ func (l *Dropout) Call(x *tensor.Tensor, training bool) *tensor.Tensor {
 		return x
 	}
 	keep := 1 - l.rate
-	mask := make([]float32, x.Size())
+	if cap(l.mask) < x.Size() {
+		l.mask = make([]float32, x.Size())
+	}
+	mask := l.mask[:x.Size()]
 	for i := range mask {
+		mask[i] = 0
 		if l.rng.Float64() < keep {
 			mask[i] = float32(1 / keep)
 		}

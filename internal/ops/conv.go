@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/core"
@@ -18,20 +19,17 @@ type ConvOpts struct {
 	Dilations []int
 }
 
+// attrs sets only the fields given: an absent key is the kernels' own
+// default, and a default built here would be an allocation per call.
 func (o ConvOpts) attrs() kernels.Attrs {
-	strides := o.Strides
-	if strides == nil {
-		strides = []int{1, 1}
+	a := kernels.Attrs{"pad": cmp.Or(o.Pad, "valid")}
+	if o.Strides != nil {
+		a["strides"] = o.Strides
 	}
-	dilations := o.Dilations
-	if dilations == nil {
-		dilations = []int{1, 1}
+	if o.Dilations != nil {
+		a["dilations"] = o.Dilations
 	}
-	pad := o.Pad
-	if pad == "" {
-		pad = "valid"
-	}
-	return kernels.Attrs{"strides": strides, "dilations": dilations, "pad": pad}
+	return a
 }
 
 // Conv2D convolves NHWC input x with filter [fh, fw, inC, outC].
@@ -62,20 +60,16 @@ type PoolOpts struct {
 	Pad string
 }
 
+// attrs sets only the fields given, as ConvOpts.attrs does.
 func (o PoolOpts) attrs() kernels.Attrs {
-	filterSize := o.FilterSize
-	if filterSize == nil {
-		filterSize = []int{2, 2}
+	a := kernels.Attrs{"pad": cmp.Or(o.Pad, "valid")}
+	if o.FilterSize != nil {
+		a["filterSize"] = o.FilterSize
 	}
-	strides := o.Strides
-	if strides == nil {
-		strides = filterSize
+	if o.Strides != nil {
+		a["strides"] = o.Strides
 	}
-	pad := o.Pad
-	if pad == "" {
-		pad = "valid"
-	}
-	return kernels.Attrs{"filterSize": filterSize, "strides": strides, "pad": pad}
+	return a
 }
 
 // MaxPool computes 2-D max pooling over NHWC input.
@@ -120,11 +114,11 @@ func convGrad(inputKernel, filterKernel string) core.WatchedGradFunc {
 		dy := dys[0]
 		x, filter := inputs[0], inputs[1]
 		backAttrs := func(shapeKey string, shape []int) kernels.Attrs {
-			return kernels.Attrs{
-				shapeKey:  tensor.CopyShape(shape),
-				"strides": attrs.Ints("strides", []int{1, 1}), "dilations": attrs.Ints("dilations", []int{1, 1}),
-				"pad": attrs.String("pad", "valid"),
+			back := kernels.Attrs{shapeKey: shape}
+			for k, v := range attrs {
+				back[k] = v
 			}
+			return back
 		}
 		grads := make([]*tensor.Tensor, 2)
 		if watched[0] {

@@ -121,46 +121,3 @@ func BroadcastShapes(a, b []int) ([]int, error) {
 	}
 	return out, nil
 }
-
-// SqueezeShape removes all size-1 dimensions from shape and returns the
-// squeezed shape plus the kept axes (indices into the original shape).
-// This is the logical-shape optimization described in Section 4.1 of the
-// paper: the shader compiler maps only non-degenerate dimensions into
-// texture space.
-func SqueezeShape(shape []int) (newShape, keptAxes []int) {
-	for i, d := range shape {
-		if d != 1 {
-			newShape = append(newShape, d)
-			keptAxes = append(keptAxes, i)
-		}
-	}
-	return newShape, keptAxes
-}
-
-// IndexToLoc converts a flat row-major index into a multi-dimensional
-// location for the given strides.
-func IndexToLoc(index int, rank int, strides []int) []int {
-	loc := make([]int, rank)
-	if rank == 0 {
-		return loc
-	}
-	for i := 0; i < rank-1; i++ {
-		loc[i] = index / strides[i]
-		index -= loc[i] * strides[i]
-	}
-	loc[rank-1] = index
-	return loc
-}
-
-// LocToIndex converts a multi-dimensional location to a flat row-major
-// index for the given strides.
-func LocToIndex(loc []int, rank int, strides []int) int {
-	if rank == 0 {
-		return 0
-	}
-	idx := loc[rank-1]
-	for i := 0; i < rank-1; i++ {
-		idx += loc[i] * strides[i]
-	}
-	return idx
-}

@@ -75,7 +75,6 @@ type Tensor struct {
 	DType DataType
 
 	size     int
-	strides  []int
 	disposed atomic.Bool
 	// owner is the engine that registered this tensor, when that engine is
 	// not the process-global one. With several engines alive (replica
@@ -90,12 +89,11 @@ type Tensor struct {
 func New(dataID DataID, shape []int, dtype DataType) *Tensor {
 	s := CopyShape(shape)
 	return &Tensor{
-		ID:      NewTensorID(),
-		DataID:  dataID,
-		Shape:   s,
-		DType:   dtype,
-		size:    ShapeSize(s),
-		strides: ComputeStrides(s),
+		ID:     NewTensorID(),
+		DataID: dataID,
+		Shape:  s,
+		DType:  dtype,
+		size:   ShapeSize(s),
 	}
 }
 
@@ -121,9 +119,6 @@ func (t *Tensor) Size() int { return t.size }
 
 // Rank returns the number of dimensions.
 func (t *Tensor) Rank() int { return len(t.Shape) }
-
-// Strides returns the row-major strides of the tensor's logical shape.
-func (t *Tensor) Strides() []int { return t.strides }
 
 // Bytes returns the logical memory footprint of the tensor.
 func (t *Tensor) Bytes() int { return t.size * t.DType.BytesPerElement() }

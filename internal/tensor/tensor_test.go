@@ -112,44 +112,6 @@ func TestBroadcastCommutes(t *testing.T) {
 	}
 }
 
-// TestIndexLocRoundTrip is a property test: IndexToLoc and LocToIndex are
-// inverses for any valid shape.
-func TestIndexLocRoundTrip(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 200, Values: func(vals []reflect.Value, r *rand.Rand) {
-		rank := 1 + r.Intn(4)
-		s := make([]int, rank)
-		for i := range s {
-			s[i] = 1 + r.Intn(5)
-		}
-		vals[0] = reflect.ValueOf(s)
-		vals[1] = reflect.ValueOf(r.Intn(ShapeSize(s)))
-	}}
-	prop := func(shape []int, idx int) bool {
-		strides := ComputeStrides(shape)
-		loc := IndexToLoc(idx, len(shape), strides)
-		for i, c := range loc {
-			if c < 0 || c >= shape[i] {
-				return false
-			}
-		}
-		return LocToIndex(loc, len(shape), strides) == idx
-	}
-	if err := quick.Check(prop, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSqueezeShape(t *testing.T) {
-	shape, axes := SqueezeShape([]int{1, 3, 1, 2})
-	if !reflect.DeepEqual(shape, []int{3, 2}) || !reflect.DeepEqual(axes, []int{1, 3}) {
-		t.Errorf("SqueezeShape(1,3,1,2) = %v, %v", shape, axes)
-	}
-	shape, axes = SqueezeShape([]int{1, 1})
-	if len(shape) != 0 || len(axes) != 0 {
-		t.Errorf("SqueezeShape(1,1) = %v, %v", shape, axes)
-	}
-}
-
 func TestDataTypeStrings(t *testing.T) {
 	for _, c := range []struct {
 		dt   DataType

@@ -13,11 +13,14 @@ import (
 
 // TestEagerDispatchAllocBudget pins what one warmed eager op costs the
 // allocator: op → Engine.RunKernel → kernels.Dispatch → the backend's kernel
-// → one tracked tensor, and the dispose. The budgets are the readings with a
-// kernel writing its one output into the engine's descriptor (ISSUE 22);
-// returning a slice of outputs through a per-kernel wrapper cost two more
-// on every backend (14 on cpu and node, 21 and 19 on webgl). Counts, not
-// timings: they hold on any runner.
+// → one tracked tensor, and the dispose. The budgets are the readings with
+// one pooled dispatch frame per call, a tape node built only when a tape
+// keeps it and no per-tensor strides (3 on cpu and node: the handle, its
+// shape and the kernel's one; 10 and 8 on webgl). They were 12, 12, 19 and
+// 17 with a kernel writing its one output into the engine's descriptor
+// (ISSUE 22); returning a slice of outputs through a per-kernel wrapper cost
+// two more on every backend (14 on cpu and node, 21 and 19 on webgl).
+// Counts, not timings: they hold on any runner.
 func TestEagerDispatchAllocBudget(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
@@ -26,7 +29,7 @@ func TestEagerDispatchAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		backend   string
 		add, relu float64
-	}{{"cpu", 12, 12}, {"node", 12, 12}, {"webgl", 19, 17}} {
+	}{{"cpu", 3, 3}, {"node", 3, 3}, {"webgl", 10, 8}} {
 		if err := tf.SetBackend(c.backend); err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +61,9 @@ func TestEagerDispatchAllocBudget(t *testing.T) {
 // (seven allocations of its own), so that the device has run the program
 // and recycled its texture before the next: unfenced, the reading depends
 // on how far the device lags. A budget is the lowest reading yet; a
-// change may lower one and may not raise any.
+// change may lower one and may not raise any. Node read 10 a dispatch (12
+// for MaxPool and Transpose, 11 for Concat) and webgl 22–24 before the
+// engine's share of a dispatch went 7 → 2: the output handle and its shape.
 func TestEagerDispatchAllocBudgetPerClass(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
@@ -82,10 +87,10 @@ func TestEagerDispatchAllocBudgetPerClass(t *testing.T) {
 		{"AdamMoments", [][]int{{2, 3, 4}, {3, 4}}, kernels.Attrs{"beta1": 0.9, "beta2": 0.999}},
 	}
 	budgets := map[string]map[string]float64{
-		"node": {"Conv2D": 10, "FusedConv2D": 10, "DepthwiseConv2dNative": 10, "MaxPool": 12, "BatchMatMul": 10, "Sum": 10,
-			"Transpose": 12, "Concat": 11, "Conv2DBackpropFilter": 10, "Conv2DBackpropInput": 10, "AdamMoments": 10},
-		"webgl": {"Conv2D": 22, "FusedConv2D": 22, "DepthwiseConv2dNative": 22, "MaxPool": 24, "BatchMatMul": 23, "Sum": 22,
-			"Transpose": 24, "Concat": 23, "Conv2DBackpropFilter": 22, "Conv2DBackpropInput": 24, "AdamMoments": 22},
+		"node": {"Conv2D": 3, "FusedConv2D": 3, "DepthwiseConv2dNative": 3, "MaxPool": 4, "BatchMatMul": 3, "Sum": 3,
+			"Transpose": 3, "Concat": 4, "Conv2DBackpropFilter": 3, "Conv2DBackpropInput": 3, "AdamMoments": 3},
+		"webgl": {"Conv2D": 15, "FusedConv2D": 15, "DepthwiseConv2dNative": 15, "MaxPool": 16, "BatchMatMul": 16, "Sum": 15,
+			"Transpose": 15, "Concat": 16, "Conv2DBackpropFilter": 15, "Conv2DBackpropInput": 17, "AdamMoments": 15},
 	}
 	for _, backend := range []string{"node", "webgl"} {
 		if err := tf.SetBackend(backend); err != nil {
