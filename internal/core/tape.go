@@ -82,9 +82,9 @@ type tape struct {
 	watched map[int64]bool
 }
 
-// recordOnTape records a kernel's one output on every tape that watches
-// one of its inputs (record). The node copies the inputs: the caller's
-// slice is not kept.
+// recordOnTape records a kernel's one output through record. The node
+// copies the inputs, so the caller's slice is not kept and need not
+// escape.
 func (e *Engine) recordOnTape(kernel string, inputs []*tensor.Tensor, out *tensor.Tensor, attrs kernels.Attrs) {
 	e.record(inputs, func() *tapeNode {
 		node := &tapeNode{kernel: kernel, attrs: attrs}

@@ -113,22 +113,25 @@ func convGrad(inputKernel, filterKernel string) core.WatchedGradFunc {
 	return func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs, watched []bool) []*tensor.Tensor {
 		dy := dys[0]
 		x, filter := inputs[0], inputs[1]
-		backAttrs := func(shapeKey string, shape []int) kernels.Attrs {
-			back := kernels.Attrs{shapeKey: shape}
-			for k, v := range attrs {
-				back[k] = v
-			}
-			return back
-		}
 		grads := make([]*tensor.Tensor, 2)
 		if watched[0] {
-			grads[0] = run1(inputKernel, []*tensor.Tensor{dy, filter}, backAttrs("inputShape", x.Shape))
+			grads[0] = run1(inputKernel, []*tensor.Tensor{dy, filter}, backAttrs(attrs, "inputShape", x.Shape))
 		}
 		if watched[1] {
-			grads[1] = run1(filterKernel, []*tensor.Tensor{x, dy}, backAttrs("filterShape", filter.Shape))
+			grads[1] = run1(filterKernel, []*tensor.Tensor{x, dy}, backAttrs(attrs, "filterShape", filter.Shape))
 		}
 		return grads
 	}
+}
+
+// backAttrs is a backward window kernel's attributes: its forward kernel's,
+// and under key the shape of the operand it differentiates.
+func backAttrs(forward kernels.Attrs, key string, shape []int) kernels.Attrs {
+	back := kernels.Attrs{key: shape}
+	for k, v := range forward {
+		back[k] = v
+	}
+	return back
 }
 
 func init() {
@@ -140,11 +143,7 @@ func init() {
 		return []*tensor.Tensor{dx}
 	})
 	core.RegisterGradient("AvgPool", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
-		gattrs := kernels.Attrs{"inputShape": tensor.CopyShape(inputs[0].Shape)}
-		for k, v := range attrs {
-			gattrs[k] = v
-		}
-		dx := run1("AvgPoolGrad", []*tensor.Tensor{dys[0]}, gattrs)
+		dx := run1("AvgPoolGrad", []*tensor.Tensor{dys[0]}, backAttrs(attrs, "inputShape", inputs[0].Shape))
 		return []*tensor.Tensor{dx}
 	})
 	core.RegisterGradient("FusedBatchNorm", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {

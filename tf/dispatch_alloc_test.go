@@ -17,9 +17,9 @@ import (
 // one pooled dispatch frame per call, a tape node built only when a tape
 // keeps it and no per-tensor strides (3 on cpu and node: the handle, its
 // shape and the kernel's one; 10 and 8 on webgl). They were 12, 12, 19 and
-// 17 with a kernel writing its one output into the engine's descriptor
-// (ISSUE 22); returning a slice of outputs through a per-kernel wrapper cost
-// two more on every backend (14 on cpu and node, 21 and 19 on webgl).
+// 17 with a kernel writing its one output into the engine's descriptor;
+// returning a slice of outputs through a per-kernel wrapper cost two more
+// on every backend (14 on cpu and node, 21 and 19 on webgl).
 // Counts, not timings: they hold on any runner.
 func TestEagerDispatchAllocBudget(t *testing.T) {
 	if bufpool.RaceEnabled {
