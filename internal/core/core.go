@@ -510,7 +510,7 @@ func (e *Engine) Clone(t *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(t.DataID, t.Shape, t.DType)
 	e.registerTensor(out, entry.backend)
 	// A clone is differentiable: record it like an identity kernel.
-	e.recordOnTape("Identity", []*tensor.Tensor{t}, out, nil)
+	e.recordOnTape("Identity", []*tensor.Tensor{t}, out, kernels.Attrs{})
 	return out
 }
 
@@ -633,12 +633,12 @@ func (e *Engine) tryFreeKernel(name string, inputs []*tensor.Tensor, attrs kerne
 			opPanic(name, fmt.Errorf("got %d inputs, want 1", len(inputs)))
 		}
 		in := inputs[0]
-		shape, err := tensor.InferShape(attrs.Ints("shape", nil), in.Size())
+		shape, err := tensor.InferShape(attrs.Shape, in.Size())
 		if err != nil {
 			opPanic(name, err)
 		}
 		out := e.shareData(in, shape, in.DType)
-		e.recordOnTape(name, inputs, out, nil)
+		e.recordOnTape(name, inputs, out, kernels.Attrs{})
 		return out, true
 	case "Identity":
 		if len(inputs) != 1 {
@@ -646,17 +646,13 @@ func (e *Engine) tryFreeKernel(name string, inputs []*tensor.Tensor, attrs kerne
 		}
 		in := inputs[0]
 		out := e.shareData(in, in.Shape, in.DType)
-		e.recordOnTape(name, inputs, out, nil)
+		e.recordOnTape(name, inputs, out, kernels.Attrs{})
 		return out, true
 	case "Cast":
 		if len(inputs) != 1 {
 			opPanic(name, fmt.Errorf("got %d inputs, want 1", len(inputs)))
 		}
-		in := inputs[0]
-		dt, err := tensor.ParseDataType(attrs.String("dtype", "float32"))
-		if err != nil {
-			opPanic(name, err)
-		}
+		in, dt := inputs[0], attrs.DType
 		if dt == in.DType || (in.DType == tensor.Bool && dt != tensor.Bool) || (in.DType == tensor.Int32 && dt == tensor.Float32) {
 			// Bool (0/1) and Int32 values are already valid float32
 			// payloads; only float->int/bool needs value conversion.

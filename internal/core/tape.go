@@ -192,7 +192,7 @@ func (e *Engine) Gradients(f func() *tensor.Tensor, xs []*tensor.Tensor, dy *ten
 		if y.Size() != 1 {
 			opPanic("Gradients", fmt.Errorf("function must return a scalar when dy is nil; got shape %v", y.Shape))
 		}
-		seed = e.RunKernel("Fill", nil, kernels.Attrs{"shape": tensor.CopyShape(y.Shape), "value": 1.0})
+		seed = e.RunKernel("Fill", nil, kernels.Attrs{Shape: tensor.CopyShape(y.Shape), Value: 1.0})
 	} else if !tensor.ShapesEqual(seed.Shape, y.Shape) {
 		opPanic("Gradients", fmt.Errorf("dy shape %v does not match value shape %v", seed.Shape, y.Shape))
 	}
@@ -203,7 +203,7 @@ func (e *Engine) Gradients(f func() *tensor.Tensor, xs []*tensor.Tensor, dy *ten
 		if g, ok := accum[x.ID]; ok {
 			res.Grads[i] = g
 		} else {
-			res.Grads[i] = e.RunKernel("Fill", nil, kernels.Attrs{"shape": tensor.CopyShape(x.Shape), "value": 0.0})
+			res.Grads[i] = e.RunKernel("Fill", nil, kernels.Attrs{Shape: tensor.CopyShape(x.Shape), Value: 0.0})
 		}
 	}
 	return res
@@ -229,7 +229,7 @@ func (e *Engine) backprop(t *tape, y, seed *tensor.Tensor) map[int64]*tensor.Ten
 		// assume every dy is present.
 		for j, out := range node.outputs {
 			if dys[j] == nil {
-				dys[j] = e.RunKernel("Fill", nil, kernels.Attrs{"shape": tensor.CopyShape(out.Shape), "value": 0.0})
+				dys[j] = e.RunKernel("Fill", nil, kernels.Attrs{Shape: tensor.CopyShape(out.Shape), Value: 0.0})
 			}
 		}
 		var inGrads []*tensor.Tensor
@@ -260,7 +260,7 @@ func (e *Engine) backprop(t *tape, y, seed *tensor.Tensor) map[int64]*tensor.Ten
 				opPanic(node.kernel, fmt.Errorf("gradient %d has shape %v, input has shape %v", j, g.Shape, in.Shape))
 			}
 			if prev, ok := accum[in.ID]; ok {
-				accum[in.ID] = e.RunKernel("Add", []*tensor.Tensor{prev, g}, nil)
+				accum[in.ID] = e.RunKernel("Add", []*tensor.Tensor{prev, g}, kernels.Attrs{})
 			} else {
 				accum[in.ID] = g
 			}
@@ -300,7 +300,7 @@ func init() {
 		return []*tensor.Tensor{dys[0]}
 	})
 	RegisterGradient("Reshape", func(e *Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
-		g := e.RunKernel("Reshape", []*tensor.Tensor{dys[0]}, kernels.Attrs{"shape": inputs[0].Shape})
+		g := e.RunKernel("Reshape", []*tensor.Tensor{dys[0]}, kernels.Attrs{Shape: inputs[0].Shape})
 		return []*tensor.Tensor{g}
 	})
 	RegisterGradient("Cast", func(e *Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {

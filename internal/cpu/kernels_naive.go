@@ -142,7 +142,7 @@ func (b *NaiveBackend) naiveBatchMatMul(inputs []kernels.Input, attrs kernels.At
 	if err != nil {
 		return err
 	}
-	if attrs.Bool("transposeA", false) || attrs.Bool("transposeB", false) {
+	if attrs.TransposeA || attrs.TransposeB {
 		return kernels.ErrFallback
 	}
 	batch, m, k, n, batchA, batchB := g.Dims()
@@ -313,7 +313,7 @@ func (b *NaiveBackend) naiveBatchNorm(inputs []kernels.Input, attrs kernels.Attr
 			return kernels.ErrFallback
 		}
 	}
-	eps := attrs.Float("varianceEpsilon", 1e-3)
+	eps := attrs.Epsilon
 	xBuf := b.Raw(x.DataID)
 	mean, variance := b.Raw(inputs[1].DataID), b.Raw(inputs[2].DataID)
 	offset, scale := b.Raw(inputs[3].DataID), b.Raw(inputs[4].DataID)
@@ -361,7 +361,7 @@ func (b *NaiveBackend) naiveReduce(name string) kernels.OverrideKernel {
 			return err
 		}
 		shape := inputs[0].Shape
-		set, err := kernels.ReduceAxes(name, attrs, len(shape))
+		set, err := kernels.ReduceAxes(name, attrs.Axes, len(shape))
 		if err != nil {
 			return err
 		}

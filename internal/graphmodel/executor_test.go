@@ -341,7 +341,7 @@ func TestBrokenNodeFailsOnlyWhenReached(t *testing.T) {
 		{"unsupported op", savedmodel.NodeDef{Op: "FFT"},
 			`graphmodel: unsupported op "FFT" (node "bad")`},
 		{"pad with two paddings", savedmodel.NodeDef{Op: "Pad", Attrs: map[string]any{"padding": []int{1, 1}}},
-			`graphmodel: Pad node "bad" needs [top bottom left right], got [1 1]`},
+			`graphmodel: node "bad" (Pad): attr "padding" needs [top bottom left right], got [1 1]`},
 		// The int8 compute tier is gone: no plan lowers its ops.
 		{"quantized op is unsupported", savedmodel.NodeDef{Op: "QuantizedFusedConv2D", Inputs: []string{"r", "w"}},
 			`graphmodel: unsupported op "QuantizedFusedConv2D" (node "bad")`},

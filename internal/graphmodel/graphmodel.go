@@ -306,46 +306,3 @@ func (m *Model) Engine() *core.Engine {
 	}
 	return core.Global()
 }
-
-func attrBool(attrs map[string]any, key string) bool {
-	v, _ := attrs[key].(bool)
-	return v
-}
-
-func attrString(attrs map[string]any, key, def string) string {
-	if v, ok := attrs[key].(string); ok {
-		return v
-	}
-	return def
-}
-
-func attrFloat(attrs map[string]any, key string, def float64) float64 {
-	switch v := attrs[key].(type) {
-	case float64:
-		return v
-	case int:
-		return float64(v)
-	}
-	return def
-}
-
-func attrInts(attrs map[string]any, key string, def []int) []int {
-	switch v := attrs[key].(type) {
-	case []int:
-		return v
-	case []any:
-		out := make([]int, len(v))
-		for i, e := range v {
-			switch n := e.(type) {
-			case int:
-				out[i] = n
-			case float64:
-				out[i] = int(n)
-			default:
-				return def
-			}
-		}
-		return out
-	}
-	return def
-}

@@ -209,8 +209,9 @@ func (o *optimizer) foldConstants() {
 		case "Reshape":
 			// Mirrors the executor's Reshape lowering: the leading (batch)
 			// dimension is preserved, the attr gives the rest.
-			target := attrInts(n.Attrs, "shape", nil)
-			if len(w.Shape) == 0 || tensor.ShapeSize(append([]int{w.Shape[0]}, target...)) != tensor.ShapeSize(w.Shape) {
+			a, err := savedmodel.DecodeAttrs(n)
+			target := a.Shape
+			if err != nil || len(w.Shape) == 0 || tensor.ShapeSize(append([]int{w.Shape[0]}, target...)) != tensor.ShapeSize(w.Shape) {
 				continue
 			}
 			shape = append([]int{w.Shape[0]}, target...)
@@ -279,7 +280,11 @@ func (o *optimizer) foldBatchNorms() {
 			len(beta.Values) != outC || len(gamma.Values) != outC {
 			continue
 		}
-		eps := attrFloat(bn.Attrs, "epsilon", 1e-3)
+		a, err := savedmodel.DecodeAttrs(bn)
+		if err != nil {
+			continue
+		}
+		eps := a.Epsilon
 		scale := make([]float32, outC)
 		bias := make([]float32, outC)
 		for c := 0; c < outC; c++ {
@@ -344,6 +349,11 @@ func (o *optimizer) fusePatterns() {
 		if o.removed[root.Name] {
 			continue
 		}
+		// A malformed root is left to the verifier.
+		a, err := savedmodel.DecodeAttrs(root)
+		if err != nil {
+			continue
+		}
 		var fusedOp string
 		var outC int
 		switch root.Op {
@@ -372,7 +382,7 @@ func (o *optimizer) fusePatterns() {
 			}
 			fusedOp = "_FusedMatMul"
 			outC = w.Shape[1]
-			if attrBool(root.Attrs, "transpose_b") {
+			if a.TransposeB {
 				outC = w.Shape[0]
 			}
 		default:
@@ -413,11 +423,9 @@ func (o *optimizer) fusePatterns() {
 		attrs := map[string]any{"activation": activation}
 		switch fusedOp {
 		case "_FusedMatMul":
-			attrs["transpose_a"] = attrBool(root.Attrs, "transpose_a")
-			attrs["transpose_b"] = attrBool(root.Attrs, "transpose_b")
+			attrs["transpose_a"], attrs["transpose_b"] = a.TransposeA, a.TransposeB
 		default:
-			attrs["strides"] = attrInts(root.Attrs, "strides", []int{1, 1})
-			attrs["padding"] = attrString(root.Attrs, "padding", "valid")
+			attrs["strides"], attrs["padding"] = a.Strides, a.Pad
 		}
 		pattern := "fuse:" + root.Op + "+" + add.Op + actLabel
 		removedCount := 1

@@ -132,9 +132,6 @@ func compilePlan(g *savedmodel.GraphDef, order []string, nodes map[string]*saved
 	return p
 }
 
-// noAttrs is the shared empty attribute bag for kernels that take none.
-var noAttrs = kernels.Attrs{}
-
 // opErr is an input-dependent lowering failure (a feed of the wrong rank, a
 // reshape that does not fit): typed like the kernel errors, so callers such
 // as the serving tier can tell a bad request from a broken model.
@@ -142,12 +139,14 @@ func opErr(kernel, node, format string, args ...any) error {
 	return &core.OpError{Kernel: kernel, Err: fmt.Errorf("node %q: %s", node, fmt.Sprintf(format, args...))}
 }
 
-// compileStep lowers one node onto the kernels it dispatches: attributes are
-// decoded and validated here, once, into closure state; the returned run
-// does only container work. A node with no lowering, too few inputs or a
-// malformed attribute compiles to a step that returns the problem when
-// reached: a broken node only fails the Execute that reaches it, and a feed
-// for that node still short-circuits it entirely.
+// compileStep lowers one node onto the kernels it dispatches: its
+// attributes are decoded once (savedmodel.DecodeAttrs) into the
+// kernels.Attrs its steps pass; the returned run does only container work.
+// A node with no lowering or too few inputs compiles to a step that returns
+// the problem when reached: such a node only fails the Execute that reaches
+// it, and a feed for that node still short-circuits it entirely. So does a
+// malformed attribute when the model loads without verification; with it,
+// the verifier rejects the model at load.
 func compileStep(n *savedmodel.NodeDef, slot int, slots map[string]int) step {
 	ins := make([]int, len(n.Inputs))
 	for i, in := range n.Inputs {
@@ -204,7 +203,10 @@ func compileStep(n *savedmodel.NodeDef, slot int, slots map[string]int) step {
 		s.alias = len(ins) > 0
 		return s
 	}
-	attrs := n.Attrs
+	a, err := savedmodel.DecodeAttrs(n)
+	if err != nil {
+		return fail("graphmodel: %v", err)
+	}
 
 	switch n.Op {
 	case "Placeholder":
@@ -215,13 +217,12 @@ func compileStep(n *savedmodel.NodeDef, slot int, slots map[string]int) step {
 			return nil
 		})
 	case "Reshape":
-		target := attrInts(attrs, "shape", nil)
 		return alias(func(in kernels.Input, st *step) error {
 			if len(in.Shape) == 0 {
 				return opErr("Reshape", st.name, "Reshape of rank-0 input")
 			}
 			// [batch, target...] with one -1 inferred.
-			st.info.Shape = append(append(st.info.Shape[:0], in.Shape[0]), target...)
+			st.info.Shape = append(append(st.info.Shape[:0], in.Shape[0]), a.Shape...)
 			if err := tensor.InferInto(st.info.Shape, tensor.ShapeSize(in.Shape)); err != nil {
 				return opErr("Reshape", st.name, "%v", err)
 			}
@@ -236,77 +237,28 @@ func compileStep(n *savedmodel.NodeDef, slot int, slots map[string]int) step {
 			return nil
 		})
 	case "MatMul":
-		return simple(2, "BatchMatMul", kernels.Attrs{
-			"transposeA": attrBool(attrs, "transpose_a"),
-			"transposeB": attrBool(attrs, "transpose_b"),
-		})
+		return simple(2, "BatchMatMul", a)
 	case "Add", "BiasAdd":
-		return simple(2, "Add", noAttrs)
-	case "Sub":
-		return simple(2, "Sub", noAttrs)
-	case "Mul":
-		return simple(2, "Mul", noAttrs)
-	case "Softmax":
-		return simple(1, "Softmax", noAttrs)
-	case "Conv2D", "DepthwiseConv2dNative":
-		return simple(2, n.Op, convKernelAttrs(attrs))
-	case "FusedConv2D", "FusedDepthwiseConv2dNative":
-		a := convKernelAttrs(attrs)
-		a["activation"] = attrString(attrs, "activation", "")
+		return simple(2, "Add", a)
+	case "Sub", "Mul", "Conv2D", "DepthwiseConv2dNative":
+		return simple(2, n.Op, a)
+	case "Softmax", "MaxPool", "AvgPool", "Mean":
+		return simple(1, n.Op, a)
+	case "FusedConv2D", "FusedDepthwiseConv2dNative", "_FusedMatMul":
 		return fused(n.Op, a)
-	case "_FusedMatMul":
-		return fused("_FusedMatMul", kernels.Attrs{
-			"transposeA": attrBool(attrs, "transpose_a"),
-			"transposeB": attrBool(attrs, "transpose_b"),
-			"activation": attrString(attrs, "activation", ""),
-		})
-	case "MaxPool", "AvgPool":
-		filterSize := attrInts(attrs, "ksize", []int{2, 2})
-		strides := attrInts(attrs, "strides", nil)
-		if strides == nil {
-			strides = filterSize
-		}
-		return simple(1, n.Op, kernels.Attrs{
-			"filterSize": filterSize,
-			"strides":    strides,
-			"pad":        attrString(attrs, "padding", "valid"),
-		})
-	case "Mean":
-		// No axes is every axis, as in kernels.ReduceAxes.
-		return simple(1, "Mean", kernels.Attrs{"axes": attrInts(attrs, "axes", nil), "keepDims": attrBool(attrs, "keep_dims")})
 	case "FusedBatchNorm":
-		return simple(5, "FusedBatchNorm", kernels.Attrs{
-			"varianceEpsilon": attrFloat(attrs, "epsilon", 1e-3),
-		})
+		return simple(5, "FusedBatchNorm", a)
 	case "Pad":
-		p := attrInts(attrs, "padding", nil)
-		if len(p) != 4 {
-			return fail("graphmodel: Pad node %q needs [top bottom left right], got %v", n.Name, p)
-		}
-		padAttrs := kernels.Attrs{
-			"paddings":      []int{0, 0, p[0], p[1], p[2], p[3], 0, 0},
-			"constantValue": float64(0),
-		}
 		return with(1, func(x *execState, st *step) error {
 			if len(st.insBuf[0].Shape) != 4 {
 				return opErr("PadV2", st.name, "Pad input must be rank 4, got %v", st.insBuf[0].Shape)
 			}
-			return x.kernel("PadV2", st.insBuf[:1], padAttrs, &st.info)
+			return x.kernel("PadV2", st.insBuf[:1], a, &st.info)
 		})
 	default:
 		if op, ok := kernels.LookupElementwise(n.Op); ok && op.Activation != "" {
-			return simple(1, n.Op, noAttrs)
+			return simple(1, n.Op, a)
 		}
 		return fail("graphmodel: unsupported op %q (node %q)", n.Op, n.Name)
-	}
-}
-
-// convKernelAttrs decodes the graph conv attributes shared by the plain
-// and fused convs into the kernel attribute bag.
-func convKernelAttrs(attrs map[string]any) kernels.Attrs {
-	return kernels.Attrs{
-		"strides":   attrInts(attrs, "strides", []int{1, 1}),
-		"dilations": []int{1, 1},
-		"pad":       attrString(attrs, "padding", "valid"),
 	}
 }

@@ -13,8 +13,8 @@ import (
 // optimizer keeps a variable's first and second moments in one slot of
 // shape [2, ...shape], m then v, and a step is
 //
-//	mv' = AdamMoments(mv, g)   attrs beta1, beta2
-//	x'  = ApplyAdam(x, mv')    attrs learningRate, beta1Power, beta2Power, epsilon
+//	mv' = AdamMoments(mv, g)   attrs Beta1, Beta2
+//	x'  = ApplyAdam(x, mv')    attrs LearningRate, Beta1Power, Beta2Power, Epsilon
 //
 // Each value goes through the float32 operations the eager op chain did —
 // Mul, Square, Add for the moments; RealDiv, RealDiv, Mul, Sqrt, Add,
@@ -31,12 +31,12 @@ type AdamMoments struct {
 }
 
 // ResolveAdamMoments checks an AdamMoments — inputs mv [2, ...shape] and g
-// [...shape]; attrs beta1 and beta2.
+// [...shape]; attrs Beta1 and Beta2.
 func ResolveAdamMoments(inputs []Input, attrs Attrs, out *TensorInfo) (AdamMoments, error) {
 	if err := adamSlot("AdamMoments", inputs, 0, out); err != nil {
 		return AdamMoments{}, err
 	}
-	b1, b2 := attrs.Float("beta1", 0.9), attrs.Float("beta2", 0.999)
+	b1, b2 := attrs.Beta1, attrs.Beta2
 	return AdamMoments{tensor.ShapeSize(inputs[1].Shape), float32(b1), float32(1 - b1), float32(b2), float32(1 - b2)}, nil
 }
 
@@ -55,14 +55,13 @@ type ApplyAdam struct {
 }
 
 // ResolveApplyAdam checks an ApplyAdam — inputs x [...shape] and mv [2,
-// ...shape]; attrs learningRate, beta1Power, beta2Power and epsilon.
+// ...shape]; attrs LearningRate, Beta1Power, Beta2Power and Epsilon.
 func ResolveApplyAdam(inputs []Input, attrs Attrs, out *TensorInfo) (ApplyAdam, error) {
 	if err := adamSlot("ApplyAdam", inputs, 1, out); err != nil {
 		return ApplyAdam{}, err
 	}
-	return ApplyAdam{tensor.ShapeSize(inputs[0].Shape), float32(attrs.Float("learningRate", 0.001)),
-		float32(1 - attrs.Float("beta1Power", 0.9)), float32(1 - attrs.Float("beta2Power", 0.999)),
-		float32(attrs.Float("epsilon", 1e-8))}, nil
+	return ApplyAdam{tensor.ShapeSize(inputs[0].Shape), float32(attrs.LearningRate),
+		float32(1 - attrs.Beta1Power), float32(1 - attrs.Beta2Power), float32(attrs.Epsilon)}, nil
 }
 
 // Fill computes the variable values [lo, lo+len(dst)) of x' into dst

@@ -6,14 +6,24 @@ import (
 	"repro/internal/tensor"
 )
 
-// unitStrides is the [1, 1] default of the strides and dilations
-// attributes: package-level, since a literal at the call site is an
-// allocation per call.
+// unitStrides is what nil strides and dilations mean: package-level, since
+// a literal at the call site is an allocation per call.
 var unitStrides = []int{1, 1}
 
-// convAttrs extracts the shared convolution attributes.
-func convAttrs(attrs Attrs) (strides, dilations []int, pad string) {
-	return attrs.Ints("strides", unitStrides), attrs.Ints("dilations", unitStrides), attrs.String("pad", "valid")
+// window is a window kernel's strides, dilations and padding, each zero
+// field its natural value: unit steps, "valid".
+func window(attrs Attrs) (strides, dilations []int, pad string) {
+	strides, dilations, pad = attrs.Strides, attrs.Dilations, attrs.Pad
+	if strides == nil {
+		strides = unitStrides
+	}
+	if dilations == nil {
+		dilations = unitStrides
+	}
+	if pad == "" {
+		pad = "valid"
+	}
+	return strides, dilations, pad
 }
 
 // ResolveConv checks a forward convolution — Conv2D's or
@@ -24,7 +34,7 @@ func ResolveConv(name string, inputs []Input, attrs Attrs, out *TensorInfo) (Con
 	if err := FusedInputs(name, inputs, strings.HasPrefix(name, "Fused")); err != nil {
 		return Conv2DInfo{}, err
 	}
-	strides, dilations, pad := convAttrs(attrs)
+	strides, dilations, pad := window(attrs)
 	info, err := ComputeConv2DInfo(inputs[0].Shape, inputs[1].Shape, strides, dilations, pad, strings.Contains(name, "Depthwise"))
 	if err != nil {
 		return info, errIn(name, "%v", err)
@@ -34,21 +44,21 @@ func ResolveConv(name string, inputs []Input, attrs Attrs, out *TensorInfo) (Con
 }
 
 // ResolveConvBackprop checks a Conv2D or depthwise gradient — a
-// …BackpropFilter's (x, dy) and attr filterShape, or a …BackpropInput's
-// (dy, filter) and attr inputShape — and resolves the forward convolution
-// it differentiates, whose output dy must be; out is the gradient, of the
-// filter's or the input's shape.
+// …BackpropFilter's (x, dy) and the filter's shape in attr Shape, or a
+// …BackpropInput's (dy, filter) and the input's — and resolves the
+// forward convolution it differentiates, whose output dy must be; out is
+// the gradient, of the filter's or the input's shape.
 func ResolveConvBackprop(name string, inputs []Input, attrs Attrs, out *TensorInfo) (Conv2DInfo, error) {
 	if err := wantInputs(name, inputs, 2); err != nil {
 		return Conv2DInfo{}, err
 	}
-	x, w, dy := inputs[0].Shape, attrs.Ints("filterShape", nil), inputs[1].Shape
+	x, w, dy := inputs[0].Shape, attrs.Shape, inputs[1].Shape
 	grad := w
 	if strings.HasSuffix(name, "BackpropInput") {
-		x, w, dy = attrs.Ints("inputShape", nil), inputs[1].Shape, inputs[0].Shape
+		x, w, dy = attrs.Shape, inputs[1].Shape, inputs[0].Shape
 		grad = x
 	}
-	strides, dilations, pad := convAttrs(attrs)
+	strides, dilations, pad := window(attrs)
 	info, err := ComputeConv2DInfo(x, w, strides, dilations, pad, strings.HasPrefix(name, "Depthwise"))
 	if err != nil {
 		return info, errIn(name, "%v", err)
@@ -75,7 +85,7 @@ func init() {
 	})
 
 	// Conv2DBackpropInput computes the gradient of Conv2D with respect to
-	// its input. Inputs are (dy, filter); attr "inputShape" gives the
+	// its input. Inputs are (dy, filter); attr Shape is the
 	// original input shape.
 	RegisterRef("Conv2DBackpropInput", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		var res TensorInfo
@@ -127,7 +137,7 @@ func init() {
 	})
 
 	// Conv2DBackpropFilter computes the gradient of Conv2D with respect to
-	// its filter. Inputs are (x, dy); attr "filterShape" gives the filter
+	// its filter. Inputs are (x, dy); attr Shape is the filter
 	// shape.
 	RegisterRef("Conv2DBackpropFilter", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		var res TensorInfo
@@ -192,7 +202,7 @@ func init() {
 	})
 
 	// DepthwiseConv2dNativeBackpropInput: inputs (dy, filter), attr
-	// "inputShape".
+	// Shape the input's.
 	RegisterRef("DepthwiseConv2dNativeBackpropInput", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		var res TensorInfo
 		info, err := ResolveConvBackprop("DepthwiseConv2dNativeBackpropInput", inputsOf(inputs), attrs, &res)
@@ -241,7 +251,7 @@ func init() {
 	})
 
 	// DepthwiseConv2dNativeBackpropFilter: inputs (x, dy), attr
-	// "filterShape".
+	// Shape the filter's.
 	RegisterRef("DepthwiseConv2dNativeBackpropFilter", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		var res TensorInfo
 		info, err := ResolveConvBackprop("DepthwiseConv2dNativeBackpropFilter", inputsOf(inputs), attrs, &res)

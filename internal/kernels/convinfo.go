@@ -1,6 +1,9 @@
 package kernels
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Conv2DInfo describes a resolved 2-D convolution or pooling: input and
 // output spatial geometry plus padding amounts. It is shared by the
@@ -50,7 +53,9 @@ func ComputeConv2DInfo(inShape, filterShape []int, strides, dilations []int, pad
 		return info, fmt.Errorf("conv2d: input must be rank 4 NHWC, got %v", inShape)
 	}
 	if len(filterShape) != 4 {
-		return info, fmt.Errorf("conv2d: filter must be rank 4, got %v", filterShape)
+		// A copy, so that filterShape does not escape: a pool's is a
+		// literal on its caller's stack.
+		return info, fmt.Errorf("conv2d: filter must be rank 4, got %v", slices.Clone(filterShape))
 	}
 	if len(strides) != 2 || len(dilations) != 2 {
 		return info, fmt.Errorf("conv2d: strides and dilations must have 2 entries, got %v and %v", strides, dilations)

@@ -141,8 +141,7 @@ var elementwise = []ElementwiseOp{
 	}},
 
 	{Name: "ClipByValue", Param: func(attrs Attrs) (func(float32) float32, error) {
-		lo := float32(attrs.Float("clipValueMin", math.Inf(-1)))
-		hi := float32(attrs.Float("clipValueMax", math.Inf(1)))
+		lo, hi := float32(attrs.ClipMin), float32(attrs.ClipMax)
 		// Inverted bounds are an error on every tier, not a clamp that
 		// depends on which bound a kernel tests first.
 		if lo > hi {
@@ -159,7 +158,7 @@ var elementwise = []ElementwiseOp{
 		}, nil
 	}},
 	{Name: "LeakyRelu", Param: func(attrs Attrs) (func(float32) float32, error) {
-		alpha := float32(attrs.Float("alpha", 0.2))
+		alpha := float32(attrs.Alpha)
 		return func(x float32) float32 {
 			if x >= 0 {
 				return x
@@ -170,7 +169,7 @@ var elementwise = []ElementwiseOp{
 	// Step(x) = x > 0 ? 1 : alpha, a NaN passing through: the mask of the
 	// ReLU family's gradients, on vec.Step's row in the kernels.
 	{Name: "Step", Param: func(attrs Attrs) (func(float32) float32, error) {
-		alpha := float32(attrs.Float("alpha", 0))
+		alpha := float32(attrs.Alpha)
 		return func(x float32) float32 {
 			switch {
 			case x != x:
@@ -181,7 +180,7 @@ var elementwise = []ElementwiseOp{
 			return alpha
 		}, nil
 	}, row: func(attrs Attrs) (func(dst, x []float32), error) {
-		alpha := float32(attrs.Float("alpha", 0))
+		alpha := float32(attrs.Alpha)
 		return func(dst, x []float32) { vec.Step(dst, x, alpha) }, nil
 	}},
 

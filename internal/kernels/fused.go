@@ -13,7 +13,7 @@ func fusedEpilogue(name string, inputs []Buffer, attrs Attrs, outC int) (bias []
 		}
 		bias = b.Data
 	}
-	actName := attrs.String("activation", "")
+	actName := attrs.Activation
 	op, ok := Activation(actName)
 	if !ok {
 		return nil, nil, errIn(name, "unknown activation %q", actName)

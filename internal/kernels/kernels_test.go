@@ -49,7 +49,7 @@ func TestAddBroadcast(t *testing.T) {
 	out := runRef(t, "Add", []Buffer{
 		buf([]float32{1, 2, 3, 4, 5, 6}, 2, 3),
 		buf([]float32{10, 20, 30}, 3),
-	}, nil)
+	}, Attrs{})
 	wantVals(t, out, []float32{11, 22, 33, 14, 25, 36}, 0)
 	if !tensor.ShapesEqual(out.Shape, []int{2, 3}) {
 		t.Fatalf("shape %v", out.Shape)
@@ -60,8 +60,8 @@ func TestBroadcastScalarBothWays(t *testing.T) {
 	a := buf([]float32{1, 2, 3, 4}, 2, 2)
 	s := buf([]float32{10})
 	s.Shape = nil // scalar
-	out1 := runRef(t, "Add", []Buffer{a, s}, nil)
-	out2 := runRef(t, "Add", []Buffer{s, a}, nil)
+	out1 := runRef(t, "Add", []Buffer{a, s}, Attrs{})
+	out2 := runRef(t, "Add", []Buffer{s, a}, Attrs{})
 	wantVals(t, out1, []float32{11, 12, 13, 14}, 0)
 	wantVals(t, out2, []float32{11, 12, 13, 14}, 0)
 }
@@ -69,7 +69,7 @@ func TestBroadcastScalarBothWays(t *testing.T) {
 func TestComparisonDTypes(t *testing.T) {
 	out := runRef(t, "Greater", []Buffer{
 		buf([]float32{1, 5}, 2), buf([]float32{3, 3}, 2),
-	}, nil)
+	}, Attrs{})
 	if out.DType != tensor.Bool {
 		t.Fatalf("Greater dtype = %v", out.DType)
 	}
@@ -84,11 +84,11 @@ func TestBatchMatMulTransposes(t *testing.T) {
 
 	// (A^T)^T x B == A x B expressed through the transpose flags.
 	aT := buf([]float32{1, 4, 2, 5, 3, 6}, 1, 3, 2)
-	outT := runRef(t, "BatchMatMul", []Buffer{aT, b}, Attrs{"transposeA": true})
+	outT := runRef(t, "BatchMatMul", []Buffer{aT, b}, Attrs{TransposeA: true})
 	wantVals(t, outT, []float32{58, 64, 139, 154}, 1e-5)
 
 	bT := buf([]float32{7, 9, 11, 8, 10, 12}, 1, 2, 3)
-	outBT := runRef(t, "BatchMatMul", []Buffer{a, bT}, Attrs{"transposeB": true})
+	outBT := runRef(t, "BatchMatMul", []Buffer{a, bT}, Attrs{TransposeB: true})
 	wantVals(t, outBT, []float32{58, 64, 139, 154}, 1e-5)
 }
 
@@ -103,11 +103,11 @@ func TestConv2DKnownValues(t *testing.T) {
 	// 1x3x3x1 input counting 1..9, 2x2 ones filter, valid.
 	x := buf([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9}, 1, 3, 3, 1)
 	w := buf([]float32{1, 1, 1, 1}, 2, 2, 1, 1)
-	out := runRef(t, "Conv2D", []Buffer{x, w}, Attrs{"strides": []int{1, 1}, "pad": "valid"})
+	out := runRef(t, "Conv2D", []Buffer{x, w}, Attrs{Strides: []int{1, 1}, Pad: "valid"})
 	wantVals(t, out, []float32{12, 16, 24, 28}, 0)
 
 	// Same padding preserves spatial dims at stride 1.
-	outSame := runRef(t, "Conv2D", []Buffer{x, w}, Attrs{"strides": []int{1, 1}, "pad": "same"})
+	outSame := runRef(t, "Conv2D", []Buffer{x, w}, Attrs{Strides: []int{1, 1}, Pad: "same"})
 	if !tensor.ShapesEqual(outSame.Shape, []int{1, 3, 3, 1}) {
 		t.Fatalf("same-pad shape %v", outSame.Shape)
 	}
@@ -121,7 +121,7 @@ func TestConv2DDilation(t *testing.T) {
 	}
 	x := buf(vals, 1, 5, 5, 1)
 	w := buf([]float32{1, 1, 1, 1}, 2, 2, 1, 1)
-	out := runRef(t, "Conv2D", []Buffer{x, w}, Attrs{"strides": []int{1, 1}, "dilations": []int{2, 2}, "pad": "valid"})
+	out := runRef(t, "Conv2D", []Buffer{x, w}, Attrs{Strides: []int{1, 1}, Dilations: []int{2, 2}, Pad: "valid"})
 	if !tensor.ShapesEqual(out.Shape, []int{1, 3, 3, 1}) {
 		t.Fatalf("dilated shape %v", out.Shape)
 	}
@@ -137,7 +137,7 @@ func TestConvGradientsNumerically(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	inShape := []int{1, 4, 4, 2}
 	wShape := []int{3, 3, 2, 3}
-	attrs := Attrs{"strides": []int{1, 1}, "pad": "same"}
+	attrs := Attrs{Strides: []int{1, 1}, Pad: "same"}
 	xv := make([]float32, tensor.ShapeSize(inShape))
 	wv := make([]float32, tensor.ShapeSize(wShape))
 	for i := range xv {
@@ -162,8 +162,8 @@ func TestConvGradientsNumerically(t *testing.T) {
 	for i := range dy {
 		dy[i] = 1
 	}
-	dxAttrs := Attrs{"strides": []int{1, 1}, "pad": "same", "inputShape": inShape}
-	dwAttrs := Attrs{"strides": []int{1, 1}, "pad": "same", "filterShape": wShape}
+	dxAttrs := Attrs{Strides: []int{1, 1}, Pad: "same", Shape: inShape}
+	dwAttrs := Attrs{Strides: []int{1, 1}, Pad: "same", Shape: wShape}
 	dx := runRef(t, "Conv2DBackpropInput", []Buffer{buf(dy, base.Shape...), buf(wv, wShape...)}, dxAttrs)
 	dw := runRef(t, "Conv2DBackpropFilter", []Buffer{buf(xv, inShape...), buf(dy, base.Shape...)}, dwAttrs)
 
@@ -193,7 +193,7 @@ func TestDepthwiseGradientsNumerically(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	inShape := []int{1, 4, 4, 2}
 	wShape := []int{3, 3, 2, 2}
-	attrs := Attrs{"strides": []int{1, 1}, "pad": "same"}
+	attrs := Attrs{Strides: []int{1, 1}, Pad: "same"}
 	xv := make([]float32, tensor.ShapeSize(inShape))
 	wv := make([]float32, tensor.ShapeSize(wShape))
 	for i := range xv {
@@ -217,10 +217,10 @@ func TestDepthwiseGradientsNumerically(t *testing.T) {
 	}
 	dx := runRef(t, "DepthwiseConv2dNativeBackpropInput",
 		[]Buffer{buf(dy, base.Shape...), buf(wv, wShape...)},
-		Attrs{"strides": []int{1, 1}, "pad": "same", "inputShape": inShape})
+		Attrs{Strides: []int{1, 1}, Pad: "same", Shape: inShape})
 	dw := runRef(t, "DepthwiseConv2dNativeBackpropFilter",
 		[]Buffer{buf(xv, inShape...), buf(dy, base.Shape...)},
-		Attrs{"strides": []int{1, 1}, "pad": "same", "filterShape": wShape})
+		Attrs{Strides: []int{1, 1}, Pad: "same", Shape: wShape})
 	const eps = 1e-2
 	for i := 0; i < len(xv); i += 5 {
 		orig := xv[i]
@@ -250,7 +250,7 @@ func TestDepthwiseGradientsNumerically(t *testing.T) {
 
 func TestMaxPoolAndGrad(t *testing.T) {
 	x := buf([]float32{1, 3, 2, 4, 6, 5, 9, 7, 8}, 1, 3, 3, 1)
-	attrs := Attrs{"filterSize": []int{2, 2}, "strides": []int{1, 1}, "pad": "valid"}
+	attrs := Attrs{FilterSize: []int{2, 2}, Strides: []int{1, 1}, Pad: "valid"}
 	out := runRef(t, "MaxPool", []Buffer{x}, attrs)
 	// x = [[1,3,2],[4,6,5],[9,7,8]]; windows: {1,3,4,6}=6, {3,2,6,5}=6,
 	// {4,6,9,7}=9, {6,5,7,8}=8.
@@ -295,7 +295,7 @@ func TestPoolKernelsGolden(t *testing.T) {
 				for i := range dy.Data {
 					dy.Data[i] = float32(rng.NormFloat64())
 				}
-				attrs := Attrs{"filterSize": g[:2], "strides": []int{g[2], g[2]}, "pad": pad, "inputShape": shape}
+				attrs := Attrs{FilterSize: g[:2], Strides: []int{g[2], g[2]}, Pad: pad, Shape: shape}
 				add(runRef(t, "MaxPool", []Buffer{x}, attrs))
 				add(runRef(t, "AvgPool", []Buffer{x}, attrs))
 				add(runRef(t, "MaxPoolGrad", []Buffer{dy, x}, attrs))
@@ -317,7 +317,7 @@ func TestPoolKernelsDoNotAllocatePerCell(t *testing.T) {
 		x.Data[i] = float32(i % 7)
 	}
 	dy := buf(make([]float32, 2*12*12*4), 2, 12, 12, 4)
-	attrs := Attrs{"inputShape": x.Shape}
+	attrs := Attrs{FilterSize: []int{2, 2}, Strides: []int{2, 2}, Shape: x.Shape}
 	for _, c := range []struct {
 		name   string
 		inputs []Buffer
@@ -339,7 +339,7 @@ func TestPoolKernelsDoNotAllocatePerCell(t *testing.T) {
 
 func TestAvgPoolExcludesPadding(t *testing.T) {
 	x := buf([]float32{1, 2, 3, 4}, 1, 2, 2, 1)
-	attrs := Attrs{"filterSize": []int{2, 2}, "strides": []int{1, 1}, "pad": "same"}
+	attrs := Attrs{FilterSize: []int{2, 2}, Strides: []int{1, 1}, Pad: "same"}
 	out := runRef(t, "AvgPool", []Buffer{x}, attrs)
 	// Bottom-right cell's window only covers {4}.
 	if out.Data[3] != 4 {
@@ -349,13 +349,13 @@ func TestAvgPoolExcludesPadding(t *testing.T) {
 
 func TestReductions2D(t *testing.T) {
 	x := buf([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	wantVals(t, runRef(t, "Sum", []Buffer{x}, nil), []float32{6, 15}, 0)
-	wantVals(t, runRef(t, "Mean", []Buffer{x}, nil), []float32{2, 5}, 1e-6)
-	wantVals(t, runRef(t, "Max", []Buffer{x}, nil), []float32{3, 6}, 0)
-	wantVals(t, runRef(t, "Min", []Buffer{x}, nil), []float32{1, 4}, 0)
-	wantVals(t, runRef(t, "Prod", []Buffer{x}, nil), []float32{6, 120}, 0)
-	wantVals(t, runRef(t, "ArgMax", []Buffer{x}, nil), []float32{2, 2}, 0)
-	wantVals(t, runRef(t, "ArgMin", []Buffer{x}, nil), []float32{0, 0}, 0)
+	wantVals(t, runRef(t, "Sum", []Buffer{x}, Attrs{Axes: []int{-1}}), []float32{6, 15}, 0)
+	wantVals(t, runRef(t, "Mean", []Buffer{x}, Attrs{Axes: []int{-1}}), []float32{2, 5}, 1e-6)
+	wantVals(t, runRef(t, "Max", []Buffer{x}, Attrs{Axes: []int{-1}}), []float32{3, 6}, 0)
+	wantVals(t, runRef(t, "Min", []Buffer{x}, Attrs{Axes: []int{-1}}), []float32{1, 4}, 0)
+	wantVals(t, runRef(t, "Prod", []Buffer{x}, Attrs{Axes: []int{-1}}), []float32{6, 120}, 0)
+	wantVals(t, runRef(t, "ArgMax", []Buffer{x}, Attrs{Axes: []int{-1}}), []float32{2, 2}, 0)
+	wantVals(t, runRef(t, "ArgMin", []Buffer{x}, Attrs{Axes: []int{-1}}), []float32{0, 0}, 0)
 }
 
 func TestSoftmaxRowsSumToOne(t *testing.T) {
@@ -366,7 +366,7 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 		for i := range vals {
 			vals[i] = float32(rng.NormFloat64() * 10)
 		}
-		out := runRef(t, "Softmax", []Buffer{buf(vals, outer, inner)}, nil)
+		out := runRef(t, "Softmax", []Buffer{buf(vals, outer, inner)}, Attrs{})
 		for o := 0; o < outer; o++ {
 			var sum float64
 			for i := 0; i < inner; i++ {
@@ -389,7 +389,7 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 
 func TestSoftmaxStability(t *testing.T) {
 	// Large logits must not overflow.
-	out := runRef(t, "Softmax", []Buffer{buf([]float32{1000, 1001}, 1, 2)}, nil)
+	out := runRef(t, "Softmax", []Buffer{buf([]float32{1000, 1001}, 1, 2)}, Attrs{})
 	if math.IsNaN(float64(out.Data[0])) || math.IsNaN(float64(out.Data[1])) {
 		t.Fatal("softmax overflowed")
 	}
@@ -417,8 +417,8 @@ func TestTransposeInvolution(t *testing.T) {
 		for i, p := range perm {
 			inverse[p] = i
 		}
-		once := runRef(t, "Transpose", []Buffer{buf(vals, shape...)}, Attrs{"perm": perm})
-		twice := runRef(t, "Transpose", []Buffer{once}, Attrs{"perm": inverse})
+		once := runRef(t, "Transpose", []Buffer{buf(vals, shape...)}, Attrs{Perm: perm})
+		twice := runRef(t, "Transpose", []Buffer{once}, Attrs{Perm: inverse})
 		return reflect.DeepEqual(twice.Data, vals) && tensor.ShapesEqual(twice.Shape, shape)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
@@ -447,8 +447,8 @@ func TestPadSliceInverse(t *testing.T) {
 		for i := range vals {
 			vals[i] = float32(rng.NormFloat64())
 		}
-		padded := runRef(t, "PadV2", []Buffer{buf(vals, shape...)}, Attrs{"paddings": paddings, "constantValue": 9.0})
-		sliced := runRef(t, "Slice", []Buffer{padded}, Attrs{"begin": begin, "size": size})
+		padded := runRef(t, "PadV2", []Buffer{buf(vals, shape...)}, Attrs{Paddings: paddings, Value: 9.0})
+		sliced := runRef(t, "Slice", []Buffer{padded}, Attrs{Begin: begin, Shape: size})
 		return reflect.DeepEqual(sliced.Data, vals)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
@@ -461,55 +461,55 @@ func TestPadSliceInverse(t *testing.T) {
 func TestConcatSplitInverse(t *testing.T) {
 	x := buf([]float32{1, 2, 3, 4, 5, 6, 7, 8}, 2, 4)
 	// Split into two [2,2] halves via Slice, then Concat back.
-	left := runRef(t, "Slice", []Buffer{x}, Attrs{"begin": []int{0, 0}, "size": []int{2, 2}})
-	right := runRef(t, "Slice", []Buffer{x}, Attrs{"begin": []int{0, 2}, "size": []int{2, 2}})
-	back := runRef(t, "Concat", []Buffer{left, right}, Attrs{"axis": 1})
+	left := runRef(t, "Slice", []Buffer{x}, Attrs{Begin: []int{0, 0}, Shape: []int{2, 2}})
+	right := runRef(t, "Slice", []Buffer{x}, Attrs{Begin: []int{0, 2}, Shape: []int{2, 2}})
+	back := runRef(t, "Concat", []Buffer{left, right}, Attrs{Axis: 1})
 	wantVals(t, back, x.Data, 0)
 }
 
 func TestGather(t *testing.T) {
 	x := buf([]float32{10, 11, 20, 21, 30, 31}, 3, 2)
 	idx := Buffer{Data: []float32{2, 0, 2}, Shape: []int{3}, DType: tensor.Int32}
-	out := runRef(t, "GatherV2", []Buffer{x, idx}, Attrs{"axis": 0})
+	out := runRef(t, "GatherV2", []Buffer{x, idx}, Attrs{Axis: 0})
 	wantVals(t, out, []float32{30, 31, 10, 11, 30, 31}, 0)
 	// Out-of-range index errors.
 	bad := Buffer{Data: []float32{5}, Shape: []int{1}, DType: tensor.Int32}
 	k, _ := LookupRef("GatherV2")
-	if _, err := k([]Buffer{x, bad}, Attrs{"axis": 0}); err == nil {
+	if _, err := k([]Buffer{x, bad}, Attrs{Axis: 0}); err == nil {
 		t.Fatal("out-of-range gather should error")
 	}
 }
 
 func TestTileAndReverse(t *testing.T) {
 	x := buf([]float32{1, 2, 3, 4}, 2, 2)
-	tiled := runRef(t, "Tile", []Buffer{x}, Attrs{"reps": []int{2, 1}})
+	tiled := runRef(t, "Tile", []Buffer{x}, Attrs{Reps: []int{2, 1}})
 	wantVals(t, tiled, []float32{1, 2, 3, 4, 1, 2, 3, 4}, 0)
-	rev := runRef(t, "Reverse", []Buffer{x}, Attrs{"axes": []int{1}})
+	rev := runRef(t, "Reverse", []Buffer{x}, Attrs{Axes: []int{1}})
 	wantVals(t, rev, []float32{2, 1, 4, 3}, 0)
 }
 
 func TestOneHot(t *testing.T) {
 	idx := Buffer{Data: []float32{1, 0, 3}, Shape: []int{3}, DType: tensor.Int32}
-	out := runRef(t, "OneHot", []Buffer{idx}, Attrs{"depth": 4})
+	out := runRef(t, "OneHot", []Buffer{idx}, Attrs{Depth: 4, OnValue: 1})
 	wantVals(t, out, []float32{0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1}, 0)
 }
 
 func TestCastTruncates(t *testing.T) {
 	x := buf([]float32{1.9, -1.9, 2.5}, 3)
-	out := runRef(t, "Cast", []Buffer{x}, Attrs{"dtype": "int32"})
+	out := runRef(t, "Cast", []Buffer{x}, Attrs{DType: tensor.Int32})
 	wantVals(t, out, []float32{1, -1, 2}, 0)
 	if out.DType != tensor.Int32 {
 		t.Fatalf("dtype = %v", out.DType)
 	}
-	asBool := runRef(t, "Cast", []Buffer{x}, Attrs{"dtype": "bool"})
+	asBool := runRef(t, "Cast", []Buffer{x}, Attrs{DType: tensor.Bool})
 	wantVals(t, asBool, []float32{1, 1, 1}, 0)
 }
 
 func TestCumSum(t *testing.T) {
 	x := buf([]float32{1, 2, 3, 4}, 1, 4)
 	wantVals(t, runRef(t, "CumSum", []Buffer{x}, Attrs{}), []float32{1, 3, 6, 10}, 0)
-	wantVals(t, runRef(t, "CumSum", []Buffer{x}, Attrs{"exclusive": true}), []float32{0, 1, 3, 6}, 0)
-	wantVals(t, runRef(t, "CumSum", []Buffer{x}, Attrs{"reverse": true}), []float32{10, 9, 7, 4}, 0)
+	wantVals(t, runRef(t, "CumSum", []Buffer{x}, Attrs{Exclusive: true}), []float32{0, 1, 3, 6}, 0)
+	wantVals(t, runRef(t, "CumSum", []Buffer{x}, Attrs{Reverse: true}), []float32{10, 9, 7, 4}, 0)
 }
 
 func TestFusedBatchNorm(t *testing.T) {
@@ -518,7 +518,7 @@ func TestFusedBatchNorm(t *testing.T) {
 	variance := buf([]float32{1, 4}, 2)
 	offset := buf([]float32{0, 1}, 2)
 	scale := buf([]float32{1, 2}, 2)
-	out := runRef(t, "FusedBatchNorm", []Buffer{x, mean, variance, offset, scale}, Attrs{"varianceEpsilon": 0.0})
+	out := runRef(t, "FusedBatchNorm", []Buffer{x, mean, variance, offset, scale}, Attrs{Epsilon: 0.0})
 	// row0: (1-1)/1*1+0=0, (2-2)/2*2+1=1 ; row1: (3-1)/1=2, (4-2)/2*2+1=3.
 	wantVals(t, out, []float32{0, 1, 2, 3}, 1e-5)
 }
@@ -536,19 +536,6 @@ func TestConvInfoErrors(t *testing.T) {
 	if _, err := ComputeConv2DInfo([]int{1, 2, 2, 1}, []int{3, 3, 1, 1}, []int{1, 1}, []int{1, 1}, "valid", false); err == nil {
 		t.Error("filter larger than input should error for valid padding")
 	}
-}
-
-func TestAttrsTypeSafety(t *testing.T) {
-	a := Attrs{"n": 3, "s": "x"}
-	if a.Int("n", 0) != 3 || a.String("s", "") != "x" || a.Int("missing", 7) != 7 {
-		t.Fatal("attr getters broken")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("type mismatch must panic")
-		}
-	}()
-	a.Int("s", 0)
 }
 
 func TestRefKernelNamesIncludesCore(t *testing.T) {
@@ -591,11 +578,11 @@ func TestReductionsFoldAsTheTransposeDid(t *testing.T) {
 				axes, perm, inner = append(axes, a), append(perm, a), inner*shape[a]
 			}
 		}
-		moved := runRef(t, "Transpose", []Buffer{x}, Attrs{"perm": perm})
+		moved := runRef(t, "Transpose", []Buffer{x}, Attrs{Perm: perm})
 		rows := buf(moved.Data, outer, inner)
 		for _, name := range []string{"Sum", "Mean", "Max", "Min", "Prod", "ArgMax", "ArgMin", "Any", "All"} {
-			want := runRef(t, name, []Buffer{rows}, nil)
-			got := runRef(t, name, []Buffer{x}, Attrs{"axes": axes, "keepDims": true})
+			want := runRef(t, name, []Buffer{rows}, Attrs{Axes: []int{-1}})
+			got := runRef(t, name, []Buffer{x}, Attrs{Axes: axes, KeepDims: true})
 			for i := range want.Data {
 				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
 					t.Fatalf("%s over %v: output %d is %g, the transposed rows give %g", name, axes, i, got.Data[i], want.Data[i])

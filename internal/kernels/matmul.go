@@ -50,7 +50,7 @@ func ResolveMatMul(name string, inputs []Input, attrs Attrs, out *TensorInfo) (M
 			return MatMul{}, errIn(name, "incompatible batch dims %d and %d", batchA, batchB)
 		}
 	}
-	transposeA, transposeB := attrs.Bool("transposeA", false), attrs.Bool("transposeB", false)
+	transposeA, transposeB := attrs.TransposeA, attrs.TransposeB
 	m, k := a[rank-2], a[rank-1]
 	if transposeA {
 		m, k = k, m

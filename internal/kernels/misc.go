@@ -15,11 +15,9 @@ func init() {
 		if err := wantInputs("Cast", inputs, 1); err != nil {
 			return Buffer{}, err
 		}
-		x := inputs[0]
-		dtypeName := attrs.String("dtype", "float32")
-		dt, err := tensor.ParseDataType(dtypeName)
-		if err != nil {
-			return Buffer{}, errIn("Cast", "%v", err)
+		x, dt := inputs[0], attrs.DType
+		if err := knownDType("Cast", dt); err != nil {
+			return Buffer{}, err
 		}
 		out := NewBuffer(x.Shape, dt)
 		switch dt {
@@ -37,7 +35,7 @@ func init() {
 		return out, nil
 	})
 
-	// Fill creates a tensor of attr "shape" filled with attr "value".
+	// Fill creates a tensor of attr Shape filled with attr Value.
 	RegisterRef("Fill", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		var res TensorInfo
 		value, err := ResolveFill(inputsOf(inputs), attrs, &res)
@@ -58,9 +56,7 @@ func init() {
 		if err := wantInputs("Range", inputs, 0); err != nil {
 			return Buffer{}, err
 		}
-		start := attrs.Float("start", 0)
-		stop := attrs.Float("stop", 0)
-		step := attrs.Float("step", 1)
+		start, stop, step, dt := attrs.Start, attrs.Stop, attrs.Step, attrs.DType
 		if step == 0 {
 			return Buffer{}, errIn("Range", "step must be non-zero")
 		}
@@ -71,9 +67,8 @@ func init() {
 		if n < 0 {
 			n = 0
 		}
-		dt, err := tensor.ParseDataType(attrs.String("dtype", "float32"))
-		if err != nil {
-			return Buffer{}, errIn("Range", "%v", err)
+		if err := knownDType("Range", dt); err != nil {
+			return Buffer{}, err
 		}
 		out := NewBuffer([]int{n}, dt)
 		for i := 0; i < n; i++ {
@@ -154,7 +149,7 @@ func init() {
 			return Buffer{}, err
 		}
 		x, mean, variance, offset, scale := inputs[0], inputs[1], inputs[2], inputs[3], inputs[4]
-		eps := float32(attrs.Float("varianceEpsilon", 1e-3))
+		eps := float32(attrs.Epsilon)
 		out := NewBuffer(x.Shape, tensor.Float32)
 		shape := x.Shape
 		ms := broadcastStrides(mean.Shape, shape)
@@ -207,13 +202,13 @@ type BatchNorm struct {
 
 // ResolveBatchNorm checks a FusedBatchNorm — x and four parameters (mean,
 // variance, offset, scale) whose shapes broadcast to x's; attr
-// varianceEpsilon.
+// Epsilon.
 func ResolveBatchNorm(inputs []Input, attrs Attrs, out *TensorInfo) (BatchNorm, error) {
 	if err := wantInputs("FusedBatchNorm", inputs, 5); err != nil {
 		return BatchNorm{}, err
 	}
 	x := inputs[0].Shape
-	n := BatchNorm{eps: float32(attrs.Float("varianceEpsilon", 1e-3)), period: int32(SuffixPeriod(inputs[1].Shape, x))}
+	n := BatchNorm{eps: float32(attrs.Epsilon), period: int32(SuffixPeriod(inputs[1].Shape, x))}
 	for i, p := range inputs[1:] {
 		if !broadcastsTo(p.Shape, x) {
 			return BatchNorm{}, errIn("FusedBatchNorm", "input %d shape %v does not broadcast to x's %v", i+1, p.Shape, x)
@@ -279,20 +274,27 @@ func (n BatchNorm) Fill(x, mean, variance, offset, scale []float32, lo int, dst 
 	})
 }
 
+// knownDType rejects an output dtype outside the three the tensors hold.
+func knownDType(kernel string, dt tensor.DataType) error {
+	if dt < tensor.Float32 || dt > tensor.Bool {
+		return errIn(kernel, "unknown dtype %v", dt)
+	}
+	return nil
+}
+
 // A Constant is Fill's range body: every value is the one value.
 type Constant float32
 
-// ResolveFill checks a Fill — no inputs; attrs shape, value and dtype.
+// ResolveFill checks a Fill — no inputs; attrs Shape, Value and DType.
 func ResolveFill(inputs []Input, attrs Attrs, out *TensorInfo) (Constant, error) {
 	if err := wantInputs("Fill", inputs, 0); err != nil {
 		return 0, err
 	}
-	dt, err := tensor.ParseDataType(attrs.String("dtype", "float32"))
-	if err != nil {
-		return 0, errIn("Fill", "%v", err)
+	if err := knownDType("Fill", attrs.DType); err != nil {
+		return 0, err
 	}
-	out.Shape, out.DType = append(out.Shape[:0], attrs.Ints("shape", nil)...), dt
-	return Constant(attrs.Float("value", 0)), nil
+	out.Shape, out.DType = append(out.Shape[:0], attrs.Shape...), attrs.DType
+	return Constant(attrs.Value), nil
 }
 
 // Fill sets dst, the output values [lo, lo+len(dst)), to c.
@@ -310,12 +312,12 @@ type OneHot struct {
 	on, off float32
 }
 
-// ResolveOneHot checks a OneHot — one int32 input, a positive attr depth.
+// ResolveOneHot checks a OneHot — one int32 input, a positive attr Depth.
 func ResolveOneHot(inputs []Input, attrs Attrs, out *TensorInfo) (OneHot, error) {
 	if err := wantInputs("OneHot", inputs, 1); err != nil {
 		return OneHot{}, err
 	}
-	h := OneHot{attrs.Int("depth", 0), float32(attrs.Float("onValue", 1)), float32(attrs.Float("offValue", 0))}
+	h := OneHot{attrs.Depth, float32(attrs.OnValue), float32(attrs.OffValue)}
 	if h.depth <= 0 {
 		return OneHot{}, errIn("OneHot", "depth must be positive, got %d", h.depth)
 	}

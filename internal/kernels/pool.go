@@ -6,17 +6,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// defaultPoolSize is the [2, 2] default of filterSize, package-level: a
-// literal at the call site is an allocation per pool-gradient dispatch.
-var defaultPoolSize = []int{2, 2}
-
-func poolAttrs(attrs Attrs) (filterSize, strides []int, pad string) {
-	filterSize = attrs.Ints("filterSize", defaultPoolSize)
-	strides = attrs.Ints("strides", filterSize)
-	pad = attrs.String("pad", "valid")
-	return filterSize, strides, pad
-}
-
 // ResolvePool checks a MaxPool or AvgPool — one NHWC input x — and
 // describes its output in out: x's dtype for MaxPool, float32 for the
 // average.
@@ -24,8 +13,8 @@ func ResolvePool(name string, inputs []Input, attrs Attrs, out *TensorInfo) (Con
 	if err := wantInputs(name, inputs, 1); err != nil {
 		return Conv2DInfo{}, err
 	}
-	filterSize, strides, pad := poolAttrs(attrs)
-	info, err := ComputePool2DInfo(inputs[0].Shape, filterSize, strides, pad)
+	strides, _, pad := window(attrs)
+	info, err := ComputePool2DInfo(inputs[0].Shape, attrs.FilterSize, strides, pad)
 	if err != nil {
 		return info, errIn(name, "%v", err)
 	}
@@ -37,11 +26,11 @@ func ResolvePool(name string, inputs []Input, attrs Attrs, out *TensorInfo) (Con
 }
 
 // ResolvePoolGrad checks a pool gradient — MaxPoolGrad's (dy, x), or
-// AvgPoolGrad's dy and attr inputShape — and resolves the forward pool it
+// AvgPoolGrad's dy and the input's shape in attr Shape — and resolves the forward pool it
 // differentiates, whose output dy must be; out is the gradient, of the
 // input's shape.
 func ResolvePoolGrad(name string, inputs []Input, attrs Attrs, out *TensorInfo) (Conv2DInfo, error) {
-	n, x := 1, attrs.Ints("inputShape", nil)
+	n, x := 1, attrs.Shape
 	if name == "MaxPoolGrad" {
 		n = 2
 	}
@@ -51,8 +40,8 @@ func ResolvePoolGrad(name string, inputs []Input, attrs Attrs, out *TensorInfo) 
 	if n == 2 {
 		x = inputs[1].Shape
 	}
-	filterSize, strides, pad := poolAttrs(attrs)
-	info, err := ComputePool2DInfo(x, filterSize, strides, pad)
+	strides, _, pad := window(attrs)
+	info, err := ComputePool2DInfo(x, attrs.FilterSize, strides, pad)
 	if err != nil {
 		return info, errIn(name, "%v", err)
 	}
@@ -130,7 +119,7 @@ func init() {
 	})
 
 	// AvgPoolGrad distributes dy evenly over each window. Input is dy;
-	// attr "inputShape" gives the original input shape.
+	// attr Shape is the original input shape.
 	RegisterRef("AvgPoolGrad", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		var res TensorInfo
 		info, err := ResolvePoolGrad("AvgPoolGrad", inputsOf(inputs), attrs, &res)

@@ -77,7 +77,7 @@ func TestRangeBodiesMatchReference(t *testing.T) {
 	op := func(shape ...int) Buffer { return buf(walkOperand(rng, tensor.ShapeSize(shape)), shape...) }
 	ints := func(vals ...float32) Buffer { return Buffer{Data: vals, Shape: []int{len(vals)}, DType: tensor.Int32} }
 	mm := func(ta, tb bool, act string) Attrs {
-		return Attrs{"transposeA": ta, "transposeB": tb, "activation": act}
+		return Attrs{TransposeA: ta, TransposeB: tb, Activation: act}
 	}
 	// Ties and a NaN in each row, for the comparisons.
 	rows := buf([]float32{2, 2, -1, 5, 5, 0, float32(math.Copysign(0, -1)), 0, -3, 1, float32(math.NaN()), 4, 4, -2, 1}, 3, 5)
@@ -92,10 +92,10 @@ func TestRangeBodiesMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		attrs := Attrs{"inputShape": x, "filterShape": f, "strides": strides, "dilations": dilations, "pad": pad}
+		attrs := Attrs{Shape: f, Strides: strides, Dilations: dilations, Pad: pad}
 		ins := []Buffer{op(x...), op(info.OutShape()...)}
 		if strings.HasSuffix(kernel, "BackpropInput") {
-			ins = []Buffer{op(info.OutShape()...), op(f...)}
+			attrs.Shape, ins = x, []Buffer{op(info.OutShape()...), op(f...)}
 		}
 		return rangeCase{fmt.Sprintf("%v%v%v%v", x, f, strides, dilations), kernel, ins, attrs}
 	}
@@ -118,7 +118,7 @@ func TestRangeBodiesMatchReference(t *testing.T) {
 			ins = append(ins, xs)
 		}
 		return rangeCase{fmt.Sprintf("%v%v%v%s", x, size, strides, pad), kernel, ins,
-			Attrs{"inputShape": x, "filterSize": size, "strides": strides, "pad": pad}}
+			Attrs{Shape: x, FilterSize: size, Strides: strides, Pad: pad}}
 	}
 	s1, s2 := []int{1, 1}, []int{2, 2}
 	cases := []rangeCase{
@@ -135,33 +135,33 @@ func TestRangeBodiesMatchReference(t *testing.T) {
 		{"bias", "_FusedMatMul", []Buffer{op(3, 4), op(4, 5), op(5)}, mm(false, false, "relu6")},
 		{"tatbElu", "_FusedMatMul", []Buffer{op(4, 3), op(5, 4), op(5)}, mm(true, true, "elu")},
 		{"noBias", "_FusedMatMul", []Buffer{op(3, 4), op(4, 5)}, mm(false, false, "relu")},
-		{"rows", "BiasAddGrad", []Buffer{op(9, 11)}, nil},
-		{"zeroRows", "BiasAddGrad", []Buffer{op(0, 5)}, nil},
-		{"moments", "AdamMoments", []Buffer{slot, op(3, 4)}, Attrs{"beta1": 0.9, "beta2": 0.999}},
-		{"step", "ApplyAdam", []Buffer{op(3, 4), slot}, Attrs{"learningRate": 0.01, "beta1Power": 0.729, "beta2Power": 0.997, "epsilon": 1e-8}},
-		{"rotate", "Transpose", []Buffer{op(2, 3, 4)}, Attrs{"perm": []int{2, 0, 1}}},
-		{"blocks", "Transpose", []Buffer{op(2, 3, 4, 5)}, Attrs{"perm": []int{0, 3, 1, 2}}},
-		{"squeezy", "Transpose", []Buffer{op(1, 5, 1, 3)}, Attrs{"perm": []int{3, 1, 2, 0}}},
-		{"reverse", "Transpose", []Buffer{op(2, 3, 2, 3)}, Attrs{"perm": []int{3, 2, 1, 0}}},
-		{"scalar", "Transpose", []Buffer{op()}, Attrs{"perm": []int{}}},
-		{"rows", "Slice", []Buffer{op(3, 4, 5)}, Attrs{"begin": []int{1, 0, 2}, "size": []int{2, -1, 2}}},
-		{"wholeRows", "Slice", []Buffer{op(4, 3, 5)}, Attrs{"begin": []int{1, 0, 0}, "size": []int{2, 3, 5}}},
-		{"rep", "Tile", []Buffer{op(2, 3)}, Attrs{"reps": []int{2, 3}}},
-		{"unit", "Tile", []Buffer{op(1, 3, 1)}, Attrs{"reps": []int{3, 1, 2}}},
-		{"rep", "PadV2", []Buffer{op(3, 4)}, Attrs{"paddings": []int{1, 2, 0, 3}, "constantValue": 0.5}},
-		{"rank3", "PadV2", []Buffer{op(2, 1, 3)}, Attrs{"paddings": []int{0, 1, 2, 0, 1, 1}}},
-		{"emptyInput", "PadV2", []Buffer{op(2, 0, 3)}, Attrs{"paddings": []int{0, 0, 1, 1, 0, 0}, "constantValue": -1.0}},
-		{"scalar", "PadV2", []Buffer{op()}, Attrs{"paddings": []int{}}},
-		{"axis1", "Concat", []Buffer{op(2, 3), op(2, 0), op(2, 2)}, Attrs{"axis": 1}},
-		{"axis0", "Concat", []Buffer{op(2, 3, 2), op(1, 3, 2), op(3, 3, 2)}, Attrs{"axis": 0}},
-		{"negAxis", "Concat", []Buffer{op(2, 3, 1), op(2, 3, 4)}, Attrs{"axis": -1}},
-		{"axis0", "GatherV2", []Buffer{op(5, 3), ints(4, 0, 0, 2)}, Attrs{"axis": 0}},
-		{"axis1", "GatherV2", []Buffer{op(3, 4, 2), ints(3, 1, 1, 0)}, Attrs{"axis": 1}},
-		{"labels", "OneHot", []Buffer{ints(1, 4, -1, 0, 7, 2)}, Attrs{"depth": 5, "onValue": 2.0, "offValue": -1.0}},
-		{"nonSuffix", "Sub", []Buffer{op(2, 5, 3), op(5, 1)}, nil},
-		{"bothBroadcast", "Sub", []Buffer{op(5, 1), op(1, 7)}, nil},
-		{"units", "Sub", []Buffer{op(1, 1), op(1)}, nil},
-		{"int32", "Fill", nil, Attrs{"shape": []int{3, 4}, "value": 2.5, "dtype": "int32"}},
+		{"rows", "BiasAddGrad", []Buffer{op(9, 11)}, Attrs{}},
+		{"zeroRows", "BiasAddGrad", []Buffer{op(0, 5)}, Attrs{}},
+		{"moments", "AdamMoments", []Buffer{slot, op(3, 4)}, Attrs{Beta1: 0.9, Beta2: 0.999}},
+		{"step", "ApplyAdam", []Buffer{op(3, 4), slot}, Attrs{LearningRate: 0.01, Beta1Power: 0.729, Beta2Power: 0.997, Epsilon: 1e-8}},
+		{"rotate", "Transpose", []Buffer{op(2, 3, 4)}, Attrs{Perm: []int{2, 0, 1}}},
+		{"blocks", "Transpose", []Buffer{op(2, 3, 4, 5)}, Attrs{Perm: []int{0, 3, 1, 2}}},
+		{"squeezy", "Transpose", []Buffer{op(1, 5, 1, 3)}, Attrs{Perm: []int{3, 1, 2, 0}}},
+		{"reverse", "Transpose", []Buffer{op(2, 3, 2, 3)}, Attrs{Perm: []int{3, 2, 1, 0}}},
+		{"scalar", "Transpose", []Buffer{op()}, Attrs{Perm: []int{}}},
+		{"rows", "Slice", []Buffer{op(3, 4, 5)}, Attrs{Begin: []int{1, 0, 2}, Shape: []int{2, -1, 2}}},
+		{"wholeRows", "Slice", []Buffer{op(4, 3, 5)}, Attrs{Begin: []int{1, 0, 0}, Shape: []int{2, 3, 5}}},
+		{"rep", "Tile", []Buffer{op(2, 3)}, Attrs{Reps: []int{2, 3}}},
+		{"unit", "Tile", []Buffer{op(1, 3, 1)}, Attrs{Reps: []int{3, 1, 2}}},
+		{"rep", "PadV2", []Buffer{op(3, 4)}, Attrs{Paddings: []int{1, 2, 0, 3}, Value: 0.5}},
+		{"rank3", "PadV2", []Buffer{op(2, 1, 3)}, Attrs{Paddings: []int{0, 1, 2, 0, 1, 1}}},
+		{"emptyInput", "PadV2", []Buffer{op(2, 0, 3)}, Attrs{Paddings: []int{0, 0, 1, 1, 0, 0}, Value: -1.0}},
+		{"scalar", "PadV2", []Buffer{op()}, Attrs{Paddings: []int{}}},
+		{"axis1", "Concat", []Buffer{op(2, 3), op(2, 0), op(2, 2)}, Attrs{Axis: 1}},
+		{"axis0", "Concat", []Buffer{op(2, 3, 2), op(1, 3, 2), op(3, 3, 2)}, Attrs{Axis: 0}},
+		{"negAxis", "Concat", []Buffer{op(2, 3, 1), op(2, 3, 4)}, Attrs{Axis: -1}},
+		{"axis0", "GatherV2", []Buffer{op(5, 3), ints(4, 0, 0, 2)}, Attrs{Axis: 0}},
+		{"axis1", "GatherV2", []Buffer{op(3, 4, 2), ints(3, 1, 1, 0)}, Attrs{Axis: 1}},
+		{"labels", "OneHot", []Buffer{ints(1, 4, -1, 0, 7, 2)}, Attrs{Depth: 5, OnValue: 2.0, OffValue: -1.0}},
+		{"nonSuffix", "Sub", []Buffer{op(2, 5, 3), op(5, 1)}, Attrs{}},
+		{"bothBroadcast", "Sub", []Buffer{op(5, 1), op(1, 7)}, Attrs{}},
+		{"units", "Sub", []Buffer{op(1, 1), op(1)}, Attrs{}},
+		{"int32", "Fill", nil, Attrs{Shape: []int{3, 4}, Value: 2.5, DType: tensor.Int32}},
 		filter([]int{2, 5, 6, 3}, []int{3, 3, 3, 8}, []int{1, 1}, []int{1, 1}, "same"),
 		filter([]int{1, 7, 6, 4}, []int{2, 3, 4, 16}, []int{2, 1}, []int{1, 2}, "same"),
 		filter([]int{2, 6, 5, 2}, []int{3, 2, 2, 9}, []int{2, 2}, []int{2, 1}, "valid"),
@@ -179,11 +179,11 @@ func TestRangeBodiesMatchReference(t *testing.T) {
 		grad("DepthwiseConv2dNativeBackpropFilter", []int{2, 5, 6, 4}, []int{3, 3, 4, 1}, s1, s2, "same"),
 		grad("DepthwiseConv2dNativeBackpropFilter", []int{1, 7, 6, 2}, []int{2, 3, 2, 2}, []int{2, 1}, s1, "valid"),
 		grad("DepthwiseConv2dNativeBackpropFilter", []int{0, 4, 4, 3}, []int{3, 3, 3, 1}, s1, s1, "same"),
-		{"nonSuffix", "Select", []Buffer{op(5, 1), op(2, 5, 3), op(3)}, nil},
-		{"scalarCond", "Select", []Buffer{op(), op(4, 3), op(4, 1)}, nil},
-		{"same", "Select", []Buffer{op(2, 3), op(2, 3), op(2, 3)}, nil},
-		{"nonSuffix", "FusedBatchNorm", []Buffer{op(2, 3, 5, 3), op(5, 1), op(5, 1), op(1, 3), op()}, Attrs{"varianceEpsilon": 1e-3}},
-		{"suffix", "FusedBatchNorm", []Buffer{op(2, 3, 5), op(5), op(5), op(1, 5), op(5)}, Attrs{"varianceEpsilon": 1e-3}},
+		{"nonSuffix", "Select", []Buffer{op(5, 1), op(2, 5, 3), op(3)}, Attrs{}},
+		{"scalarCond", "Select", []Buffer{op(), op(4, 3), op(4, 1)}, Attrs{}},
+		{"same", "Select", []Buffer{op(2, 3), op(2, 3), op(2, 3)}, Attrs{}},
+		{"nonSuffix", "FusedBatchNorm", []Buffer{op(2, 3, 5, 3), op(5, 1), op(5, 1), op(1, 3), op()}, Attrs{Epsilon: 1e-3}},
+		{"suffix", "FusedBatchNorm", []Buffer{op(2, 3, 5), op(5), op(5), op(1, 5), op(5)}, Attrs{Epsilon: 1e-3}},
 	}
 	for _, kernel := range []string{"MaxPoolGrad", "AvgPoolGrad"} {
 		cases = append(cases,
@@ -194,11 +194,11 @@ func TestRangeBodiesMatchReference(t *testing.T) {
 	}
 	reductions := []string{"Sum", "Mean", "Max", "Min", "Prod", "ArgMax", "ArgMin"}
 	for _, name := range reductions {
-		cases = append(cases, rangeCase{"ties", name, []Buffer{rows}, nil}, rangeCase{"specials", name, []Buffer{op(4, 9)}, nil},
-			rangeCase{"repeatedAxes", name, []Buffer{op(2, 3, 4, 5)}, Attrs{"axes": []int{2, 0, -2}}},
-			rangeCase{"allAxes", name, []Buffer{op(3, 1, 4)}, Attrs{"axes": []int{}, "keepDims": true}},
-			rangeCase{"threeReducedRuns", name, []Buffer{op(2, 3, 2, 3, 2)}, Attrs{"axes": []int{0, 2, 4}}},
-			rangeCase{"threeKeptRuns", name, []Buffer{op(2, 3, 2, 3, 2)}, Attrs{"axes": []int{1, 3}, "keepDims": true}})
+		cases = append(cases, rangeCase{"ties", name, []Buffer{rows}, Attrs{Axes: []int{-1}}}, rangeCase{"specials", name, []Buffer{op(4, 9)}, Attrs{Axes: []int{-1}}},
+			rangeCase{"repeatedAxes", name, []Buffer{op(2, 3, 4, 5)}, Attrs{Axes: []int{2, 0, -2}}},
+			rangeCase{"allAxes", name, []Buffer{op(3, 1, 4)}, Attrs{Axes: []int{}, KeepDims: true}},
+			rangeCase{"threeReducedRuns", name, []Buffer{op(2, 3, 2, 3, 2)}, Attrs{Axes: []int{0, 2, 4}}},
+			rangeCase{"threeKeptRuns", name, []Buffer{op(2, 3, 2, 3, 2)}, Attrs{Axes: []int{1, 3}, KeepDims: true}})
 	}
 	// Every non-empty axis subset of a rank-4 input, the odd axes counted
 	// from the end, kept as 1s or dropped; the second input has a zero-size
@@ -217,7 +217,7 @@ func TestRangeBodiesMatchReference(t *testing.T) {
 				for _, name := range reductions {
 					if inner > 0 || !strings.HasPrefix(name, "Arg") {
 						cases = append(cases, rangeCase{fmt.Sprintf("%v%v keep=%v", shape, axes, keep), name,
-							[]Buffer{op(shape...)}, Attrs{"axes": axes, "keepDims": keep}})
+							[]Buffer{op(shape...)}, Attrs{Axes: axes, KeepDims: keep}})
 					}
 				}
 			}
@@ -235,7 +235,7 @@ func TestRangeBodiesMatchReference(t *testing.T) {
 			ins = append(ins, op(info.OutChannels))
 		}
 		return rangeCase{fmt.Sprintf("%v%v%v%v%s%s", x, f, strides, dilations, pad, act), kernel, ins,
-			Attrs{"strides": strides, "dilations": dilations, "pad": pad, "activation": act}}
+			Attrs{Strides: strides, Dilations: dilations, Pad: pad, Activation: act}}
 	}
 	for _, kernel := range []string{"Conv2D", "FusedConv2D"} {
 		act := map[string]string{"FusedConv2D": "relu6"}[kernel]
@@ -251,8 +251,8 @@ func TestRangeBodiesMatchReference(t *testing.T) {
 	}
 	for _, kernel := range []string{"MaxPool", "AvgPool"} {
 		cases = append(cases,
-			rangeCase{"2x2same", kernel, []Buffer{op(2, 5, 7, 3)}, Attrs{"filterSize": []int{2, 2}, "pad": "same"}},
-			rangeCase{"3x2valid", kernel, []Buffer{op(1, 4, 6, 3)}, Attrs{"filterSize": []int{3, 2}, "strides": s1, "pad": "valid"}})
+			rangeCase{"2x2same", kernel, []Buffer{op(2, 5, 7, 3)}, Attrs{FilterSize: []int{2, 2}, Strides: s2, Pad: "same"}},
+			rangeCase{"3x2valid", kernel, []Buffer{op(1, 4, 6, 3)}, Attrs{FilterSize: []int{3, 2}, Strides: s1, Pad: "valid"}})
 	}
 	// Every kernel of the table has cases; so do the two bodies outside it.
 	byKernel := map[string][]rangeCase{}

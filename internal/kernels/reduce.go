@@ -7,8 +7,8 @@ import (
 	"repro/internal/vec"
 )
 
-// Reduction kernels take the op's own shape: an N-D input, the "axes"
-// attribute (ReduceAxes) and "keepDims". A value folds its reduced
+// Reduction kernels take the op's own shape: an N-D input, its Axes
+// (ReduceAxes) and KeepDims. A value folds its reduced
 // coordinates where they lie, in row-major order of the sorted reduced
 // axes — the order a transpose bringing them innermost would give them, so
 // no caller transposes or reshapes. Two kernels keep a 2-D view:
@@ -27,28 +27,20 @@ func Rows(name string, inputs []Input) (outer, inner int, err error) {
 	return inputs[0].Shape[0], inputs[0].Shape[1], nil
 }
 
-// Axes is the set of axes a reduction folds, a bit per axis: ReduceAxes
-// rejects a rank it cannot hold.
+// Axes is the set of axes a reduction folds (or Reverse flips), a bit per
+// axis: ReduceAxes rejects a rank it cannot hold.
 type Axes uint64
 
 // Has reports whether axis is reduced.
 func (s Axes) Has(axis int) bool { return s>>uint(axis)&1 != 0 }
 
-// ReduceAxes resolves a reduction's "axes" attribute against an input of
-// rank dims: absent, the last axis (so every [outer, inner] caller keeps
-// its meaning); empty, every axis; otherwise each axis listed, once, a
-// negative one counting from the end.
-func ReduceAxes(name string, attrs Attrs, rank int) (Axes, error) {
+// ReduceAxes resolves a reduction's or Reverse's axes against an input of
+// rank dims: none, every axis; otherwise each axis listed, once, a negative
+// one counting from the end.
+func ReduceAxes(name string, axes []int, rank int) (Axes, error) {
 	if rank > 64 {
 		return 0, errIn(name, "rank %d is beyond the 64 axes a reduction handles", rank)
 	}
-	if _, given := attrs["axes"]; !given {
-		if rank == 0 {
-			return 0, errIn(name, "a scalar has no last axis to reduce")
-		}
-		return 1 << uint(rank-1), nil
-	}
-	axes := attrs.Ints("axes", nil)
 	if len(axes) == 0 {
 		return 1<<uint(rank) - 1, nil
 	}
@@ -104,7 +96,7 @@ func ResolveReduce(name string, inputs []Input, attrs Attrs, out *TensorInfo) (R
 		return Reduce{}, err
 	}
 	x := inputs[0].Shape
-	set, err := ReduceAxes(name, attrs, len(x))
+	set, err := ReduceAxes(name, attrs.Axes, len(x))
 	if err != nil {
 		return Reduce{}, err
 	}
@@ -143,7 +135,7 @@ func ResolveReduce(name string, inputs []Input, attrs Attrs, out *TensorInfo) (R
 		}
 		dt = tensor.Int32
 	}
-	out.Shape, out.DType = set.Shape(out.Shape[:0], x, attrs.Bool("keepDims", false)), dt
+	out.Shape, out.DType = set.Shape(out.Shape[:0], x, attrs.KeepDims), dt
 	if !fits {
 		return Reduce{}, ErrFallback
 	}
@@ -316,7 +308,7 @@ func reduceKernel(name string, initial float32, merge func(acc, v float32) float
 			return Buffer{}, err
 		}
 		x := inputs[0]
-		set, err := ReduceAxes(name, attrs, len(x.Shape))
+		set, err := ReduceAxes(name, attrs.Axes, len(x.Shape))
 		if err != nil {
 			return Buffer{}, err
 		}
@@ -347,7 +339,7 @@ func argReduceKernel(name string, better func(v, best float32) bool) RefKernel {
 			return Buffer{}, err
 		}
 		x := inputs[0]
-		set, err := ReduceAxes(name, attrs, len(x.Shape))
+		set, err := ReduceAxes(name, attrs.Axes, len(x.Shape))
 		if err != nil {
 			return Buffer{}, err
 		}
@@ -459,8 +451,8 @@ func init() {
 		if err != nil {
 			return Buffer{}, err
 		}
-		exclusive := attrs.Bool("exclusive", false)
-		reverse := attrs.Bool("reverse", false)
+		exclusive := attrs.Exclusive
+		reverse := attrs.Reverse
 		x := inputs[0]
 		out := NewBuffer(x.Shape, x.DType)
 		for o := 0; o < outer; o++ {

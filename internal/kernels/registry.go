@@ -14,94 +14,45 @@ import (
 // Dispatch then executes the reference kernel through host memory instead.
 var ErrFallback = errors.New("kernels: fall back to reference implementation")
 
-// Attrs carries the attribute bag of a kernel invocation (strides, padding,
-// axis lists, ...). Values are read through the typed getters, which panic
-// on type mismatch: a wrong attribute type is a programming error in an op
-// definition, not a runtime condition.
-type Attrs map[string]any
-
-// Int returns the int attribute key, or def when absent.
-func (a Attrs) Int(key string, def int) int {
-	v, ok := a[key]
-	if !ok {
-		return def
-	}
-	i, ok := v.(int)
-	if !ok {
-		//lint:ignore operr kernels is imported by core and cannot name *core.OpError; the dispatching op attributes this attr-decode invariant
-		panic(fmt.Sprintf("kernels: attr %q is %T, want int", key, v))
-	}
-	return i
-}
-
-// Ints returns the []int attribute key, or def when absent.
-func (a Attrs) Ints(key string, def []int) []int {
-	v, ok := a[key]
-	if !ok {
-		return def
-	}
-	i, ok := v.([]int)
-	if !ok {
-		//lint:ignore operr kernels is imported by core and cannot name *core.OpError; the dispatching op attributes this attr-decode invariant
-		panic(fmt.Sprintf("kernels: attr %q is %T, want []int", key, v))
-	}
-	return i
-}
-
-// Float returns the float64 attribute key, or def when absent.
-func (a Attrs) Float(key string, def float64) float64 {
-	v, ok := a[key]
-	if !ok {
-		return def
-	}
-	f, ok := v.(float64)
-	if !ok {
-		//lint:ignore operr kernels is imported by core and cannot name *core.OpError; the dispatching op attributes this attr-decode invariant
-		panic(fmt.Sprintf("kernels: attr %q is %T, want float64", key, v))
-	}
-	return f
-}
-
-// String returns the string attribute key, or def when absent.
-func (a Attrs) String(key, def string) string {
-	v, ok := a[key]
-	if !ok {
-		return def
-	}
-	s, ok := v.(string)
-	if !ok {
-		//lint:ignore operr kernels is imported by core and cannot name *core.OpError; the dispatching op attributes this attr-decode invariant
-		panic(fmt.Sprintf("kernels: attr %q is %T, want string", key, v))
-	}
-	return s
-}
-
-// Floats returns the []float32 attribute key, or def when absent.
-func (a Attrs) Floats(key string, def []float32) []float32 {
-	v, ok := a[key]
-	if !ok {
-		return def
-	}
-	f, ok := v.([]float32)
-	if !ok {
-		//lint:ignore operr kernels is imported by core and cannot name *core.OpError; the dispatching op attributes this attr-decode invariant
-		panic(fmt.Sprintf("kernels: attr %q is %T, want []float32", key, v))
-	}
-	return f
-}
-
-// Bool returns the bool attribute key, or def when absent.
-func (a Attrs) Bool(key string, def bool) bool {
-	v, ok := a[key]
-	if !ok {
-		return def
-	}
-	b, ok := v.(bool)
-	if !ok {
-		//lint:ignore operr kernels is imported by core and cannot name *core.OpError; the dispatching op attributes this attr-decode invariant
-		panic(fmt.Sprintf("kernels: attr %q is %T, want bool", key, v))
-	}
-	return b
+// Attrs is the attributes of one kernel invocation: one typed field per
+// meaning a kernel reads, passed by value. Its writers — the ops, the plan
+// compile (through savedmodel.DecodeAttrs), the optimizers and the tape —
+// give every value a kernel needs; a field left zero means its natural
+// empty value and nothing else: unit strides and dilations, "valid"
+// padding, float32, no activation, and for Axes every axis. No kernel
+// applies a default of its own.
+type Attrs struct {
+	// Shape is the shape a kernel's output takes: Reshape's and Fill's
+	// target (one Reshape dim may be -1), Slice's size (a -1 runs to the
+	// end of its dim), and a gradient kernel's input or filter shape.
+	Shape []int
+	// FilterSize is a pool's window [h, w]; Strides and Dilations are a
+	// window kernel's steps [h, w].
+	FilterSize, Strides, Dilations []int
+	// Axes are a reduction's or Reverse's axes, negative ones counting from
+	// the end; Perm is Transpose's permutation, Begin Slice's start,
+	// Paddings PadV2's [before, after] pair per dim and Reps Tile's
+	// multiples.
+	Axes, Perm, Begin, Paddings, Reps []int
+	// Pad is a window kernel's padding, "same" or "valid"; Activation a
+	// fused kernel's epilogue, an element-wise table activation name.
+	Pad, Activation string
+	// Axis is Concat's and GatherV2's axis, Depth OneHot's.
+	Axis, Depth int
+	// DType is Cast's, Fill's and Range's output dtype.
+	DType tensor.DataType
+	// Alpha is LeakyRelu's slope and Step's value at x ≤ 0; ClipMin and
+	// ClipMax are ClipByValue's bounds; Value is Fill's value and PadV2's
+	// padding; OnValue and OffValue are OneHot's; Start, Stop and Step are
+	// Range's; Epsilon is FusedBatchNorm's variance epsilon and ApplyAdam's.
+	Alpha, ClipMin, ClipMax, Value, OnValue, OffValue, Start, Stop, Step, Epsilon float64
+	// Beta1 and Beta2 are AdamMoments' decay rates; LearningRate,
+	// Beta1Power (beta1^t) and Beta2Power ApplyAdam's.
+	LearningRate, Beta1, Beta2, Beta1Power, Beta2Power float64
+	// TransposeA and TransposeB transpose a matmul's operands; KeepDims
+	// keeps a reduction's reduced dims as 1; Exclusive and Reverse are
+	// CumSum's.
+	TransposeA, TransposeB, KeepDims, Exclusive, Reverse bool
 }
 
 // Buffer is a host-memory tensor view consumed and produced by reference

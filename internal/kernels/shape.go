@@ -7,13 +7,13 @@ import (
 )
 
 func init() {
-	// Transpose permutes dimensions according to the "perm" attribute.
+	// Transpose permutes dimensions according to attr Perm.
 	RegisterRef("Transpose", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		var res TensorInfo
 		if _, err := ResolveTranspose(inputsOf(inputs), attrs, &res); err != nil && err != ErrFallback {
 			return Buffer{}, err
 		}
-		x, perm, rank, outShape := inputs[0], attrs.Ints("perm", nil), inputs[0].Rank(), res.Shape
+		x, perm, rank, outShape := inputs[0], attrs.Perm, inputs[0].Rank(), res.Shape
 		out := NewBuffer(outShape, x.DType)
 		inStrides := tensor.ComputeStrides(x.Shape)
 		size := x.Size()
@@ -45,13 +45,13 @@ func init() {
 		return out, nil
 	})
 
-	// Concat concatenates any number of inputs along the "axis" attribute.
+	// Concat concatenates any number of inputs along attr Axis.
 	RegisterRef("Concat", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		var res TensorInfo
 		if _, err := ResolveConcat(inputsOf(inputs), attrs, &res); err != nil {
 			return Buffer{}, err
 		}
-		axis, outShape := attrs.Int("axis", 0), res.Shape
+		axis, outShape := attrs.Axis, res.Shape
 		if axis < 0 {
 			axis += len(outShape)
 		}
@@ -81,7 +81,7 @@ func init() {
 		if _, err := ResolveSlice(inputsOf(inputs), attrs, &res); err != nil && err != ErrFallback {
 			return Buffer{}, err
 		}
-		x, begin, rank, outShape := inputs[0], attrs.Ints("begin", nil), inputs[0].Rank(), res.Shape
+		x, begin, rank, outShape := inputs[0], attrs.Begin, inputs[0].Rank(), res.Shape
 		out := NewBuffer(outShape, x.DType)
 		if out.Size() == 0 {
 			return out, nil
@@ -119,8 +119,8 @@ func init() {
 		if _, err := ResolvePad(inputsOf(inputs), attrs, &res); err != nil {
 			return Buffer{}, err
 		}
-		x, paddings, rank, outShape := inputs[0], attrs.Ints("paddings", nil), inputs[0].Rank(), res.Shape
-		constValue := float32(attrs.Float("constantValue", 0))
+		x, paddings, rank, outShape := inputs[0], attrs.Paddings, inputs[0].Rank(), res.Shape
+		constValue := float32(attrs.Value)
 		out := NewBuffer(outShape, x.DType)
 		if constValue != 0 {
 			for i := range out.Data {
@@ -156,13 +156,13 @@ func init() {
 		return out, nil
 	})
 
-	// GatherV2 gathers slices along "axis" using integer indices (input 1).
+	// GatherV2 gathers slices along attr Axis using integer indices (input 1).
 	RegisterRef("GatherV2", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		var res TensorInfo
 		if _, err := ResolveGather(inputsOf(inputs), attrs, &res); err != nil {
 			return Buffer{}, err
 		}
-		x, indices, axis := inputs[0], inputs[1], attrs.Int("axis", 0)
+		x, indices, axis := inputs[0], inputs[1], attrs.Axis
 		if axis < 0 {
 			axis += x.Rank()
 		}
@@ -213,23 +213,16 @@ func init() {
 		return out, nil
 	})
 
-	// Reverse flips the listed axes.
+	// Reverse flips its axes, every axis when none is listed.
 	RegisterRef("Reverse", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		if err := wantInputs("Reverse", inputs, 1); err != nil {
 			return Buffer{}, err
 		}
 		x := inputs[0]
-		axes := attrs.Ints("axes", nil)
 		rank := x.Rank()
-		flip := make([]bool, rank)
-		for _, a := range axes {
-			if a < 0 {
-				a += rank
-			}
-			if a < 0 || a >= rank {
-				return Buffer{}, errIn("Reverse", "axis out of range in %v for rank %d", axes, rank)
-			}
-			flip[a] = true
+		flip, err := ReduceAxes("Reverse", attrs.Axes, rank)
+		if err != nil {
+			return Buffer{}, err
 		}
 		out := NewBuffer(x.Shape, x.DType)
 		inStrides := tensor.ComputeStrides(x.Shape)
@@ -239,7 +232,7 @@ func init() {
 			inIdx := 0
 			for d := 0; d < rank; d++ {
 				c := coords[d]
-				if flip[d] {
+				if flip.Has(d) {
 					c = x.Shape[d] - 1 - c
 				}
 				inIdx += c * inStrides[d]
@@ -361,13 +354,13 @@ func (v View) Fill(x []float32, lo int, dst []float32) {
 	}
 }
 
-// ResolveTranspose checks a Transpose — attr perm, a permutation of the
+// ResolveTranspose checks a Transpose — attr Perm, a permutation of the
 // input's axes — and returns its view.
 func ResolveTranspose(inputs []Input, attrs Attrs, out *TensorInfo) (View, error) {
 	if err := wantInputs("Transpose", inputs, 1); err != nil {
 		return View{}, err
 	}
-	x, perm := inputs[0].Shape, attrs.Ints("perm", nil)
+	x, perm := inputs[0].Shape, attrs.Perm
 	if len(perm) != len(x) {
 		return View{}, errIn("Transpose", "perm %v incompatible with rank %d", perm, len(x))
 	}
@@ -384,13 +377,13 @@ func ResolveTranspose(inputs []Input, attrs Attrs, out *TensorInfo) (View, error
 	return v, fits(ok)
 }
 
-// ResolveSlice checks a Slice — attrs begin and size, a size of -1 running
+// ResolveSlice checks a Slice — attrs Begin and Shape (its size), a size of -1 running
 // to the end of its dim — and returns its view.
 func ResolveSlice(inputs []Input, attrs Attrs, out *TensorInfo) (View, error) {
 	if err := wantInputs("Slice", inputs, 1); err != nil {
 		return View{}, err
 	}
-	x, begin, size := inputs[0].Shape, attrs.Ints("begin", nil), attrs.Ints("size", nil)
+	x, begin, size := inputs[0].Shape, attrs.Begin, attrs.Shape
 	if len(begin) != len(x) || len(size) != len(x) {
 		return View{}, errIn("Slice", "begin %v / size %v incompatible with rank %d", begin, size, len(x))
 	}
@@ -412,13 +405,13 @@ func ResolveSlice(inputs []Input, attrs Attrs, out *TensorInfo) (View, error) {
 	return v, fits(ok)
 }
 
-// ResolveTile checks a Tile — attr reps, one positive count per dim — and
+// ResolveTile checks a Tile — attr Reps, one positive count per dim — and
 // returns its view.
 func ResolveTile(inputs []Input, attrs Attrs, out *TensorInfo) (View, error) {
 	if err := wantInputs("Tile", inputs, 1); err != nil {
 		return View{}, err
 	}
-	x, reps := inputs[0].Shape, attrs.Ints("reps", nil)
+	x, reps := inputs[0].Shape, attrs.Reps
 	if len(reps) != len(x) {
 		return View{}, errIn("Tile", "reps %v incompatible with rank %d", reps, len(x))
 	}
@@ -442,17 +435,17 @@ type Pad struct {
 	value           float32
 }
 
-// ResolvePad checks a PadV2 — attr paddings, [before0, after0, …], none
-// negative; attr constantValue.
+// ResolvePad checks a PadV2 — attr Paddings, [before0, after0, …], none
+// negative; attr Value, the padding's value.
 func ResolvePad(inputs []Input, attrs Attrs, out *TensorInfo) (Pad, error) {
 	if err := wantInputs("PadV2", inputs, 1); err != nil {
 		return Pad{}, err
 	}
-	x, paddings := inputs[0].Shape, attrs.Ints("paddings", nil)
+	x, paddings := inputs[0].Shape, attrs.Paddings
 	if len(paddings) != 2*len(x) {
 		return Pad{}, errIn("PadV2", "paddings %v must have 2*rank=%d entries", paddings, 2*len(x))
 	}
-	p := Pad{in: append([]int{1}, x...), out: []int{1}, before: []int{0}, value: float32(attrs.Float("constantValue", 0))}
+	p := Pad{in: append([]int{1}, x...), out: []int{1}, before: []int{0}, value: float32(attrs.Value)}
 	out.Shape, out.DType = out.Shape[:0], inputs[0].DType
 	for d, n := range x {
 		if paddings[2*d] < 0 || paddings[2*d+1] < 0 {
@@ -506,12 +499,12 @@ func ResolveConcat(inputs []Input, attrs Attrs, out *TensorInfo) (Concat, error)
 		return Concat{}, errIn("Concat", "needs at least one input")
 	}
 	first := inputs[0].Shape
-	axis, rank := attrs.Int("axis", 0), len(first)
+	axis, rank := attrs.Axis, len(first)
 	if axis < 0 {
 		axis += rank
 	}
 	if axis < 0 || axis >= rank {
-		return Concat{}, errIn("Concat", "axis %d out of range for rank %d", attrs.Int("axis", 0), rank)
+		return Concat{}, errIn("Concat", "axis %d out of range for rank %d", attrs.Axis, rank)
 	}
 	out.Shape, out.DType = append(out.Shape[:0], first...), inputs[0].DType
 	out.Shape[axis] = 0
@@ -557,12 +550,12 @@ func ResolveGather(inputs []Input, attrs Attrs, out *TensorInfo) (Gather, error)
 		return Gather{}, err
 	}
 	x, indices := inputs[0].Shape, inputs[1].Shape
-	axis := attrs.Int("axis", 0)
+	axis := attrs.Axis
 	if axis < 0 {
 		axis += len(x)
 	}
 	if axis < 0 || axis >= len(x) {
-		return Gather{}, errIn("GatherV2", "axis %d out of range for rank %d", attrs.Int("axis", 0), len(x))
+		return Gather{}, errIn("GatherV2", "axis %d out of range for rank %d", attrs.Axis, len(x))
 	}
 	out.Shape = append(append(append(out.Shape[:0], x[:axis]...), indices...), x[axis+1:]...)
 	out.DType = inputs[0].DType

@@ -648,7 +648,7 @@ func FusedTail(name string, inputs []Input, attrs Attrs, outC int) (Epilogue, er
 			return ep, fmt.Errorf("%s: bias must have shape [%d], got %v", name, outC, s)
 		}
 	}
-	actName := attrs.String("activation", "")
+	actName := attrs.Activation
 	op, ok := Activation(actName)
 	if !ok {
 		return ep, fmt.Errorf("%s: unknown activation %q", name, actName)

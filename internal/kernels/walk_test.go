@@ -123,7 +123,7 @@ func TestWalkMatchesReference(t *testing.T) {
 				name = "FusedDepthwiseConv2dNative"
 			}
 			x, w := walkOperand(rng, tensor.ShapeSize(g.x)), walkOperand(rng, tensor.ShapeSize(g.w))
-			attrs := Attrs{"strides": g.strides, "dilations": g.dilate, "pad": g.pad, "activation": g.act}
+			attrs := Attrs{Strides: g.strides, Dilations: g.dilate, Pad: g.pad, Activation: g.act}
 			info, err := ComputeConv2DInfo(g.x, g.w, g.strides, g.dilate, g.pad, g.depthwise)
 			if err != nil {
 				t.Fatal(err)
@@ -150,7 +150,7 @@ func TestWalkMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			attrs, walk := Attrs{"filterSize": g.filter, "strides": g.strides, "pad": g.pad, "inputShape": g.x}, NewWalk(info)
+			attrs, walk := Attrs{FilterSize: g.filter, Strides: g.strides, Pad: g.pad, Shape: g.x}, NewWalk(info)
 			for _, p := range []struct {
 				name  string
 				pixel func(dst, x []float32, rowStride, tapStride, rows, taps int)
@@ -192,13 +192,11 @@ func checkCuts(t *testing.T, label string, want []float32, row int, body func(lo
 func checkConvGrads(t *testing.T, label string, info Conv2DInfo, x, w []float32, xShape, wShape []int, attrs Attrs, depthwise bool, rng *rand.Rand) {
 	t.Helper()
 	walk, dy := NewWalk(info), buf(walkOperand(rng, tensor.ShapeSize(info.OutShape())), info.OutShape()...)
-	gradAttrs := Attrs{"inputShape": xShape, "filterShape": wShape}
-	for k, v := range attrs {
-		gradAttrs[k] = v
-	}
+	inputAttrs, filterAttrs := attrs, attrs
+	inputAttrs.Shape, filterAttrs.Shape = xShape, wShape
 	inRow := info.InWidth * info.InChannels
 	if !depthwise {
-		want := runRef(t, "Conv2DBackpropInput", []Buffer{dy, buf(w, wShape...)}, gradAttrs)
+		want := runRef(t, "Conv2DBackpropInput", []Buffer{dy, buf(w, wShape...)}, inputAttrs)
 		wT := make([]float32, len(w))
 		walk.TransposeFilter(w, wT)
 		checkCuts(t, "Conv2DBackpropInput/"+label, want.Data, inRow, func(lo int, dst []float32) {
@@ -206,11 +204,11 @@ func checkConvGrads(t *testing.T, label string, info Conv2DInfo, x, w []float32,
 		})
 		return
 	}
-	want := runRef(t, "DepthwiseConv2dNativeBackpropInput", []Buffer{dy, buf(w, wShape...)}, gradAttrs)
+	want := runRef(t, "DepthwiseConv2dNativeBackpropInput", []Buffer{dy, buf(w, wShape...)}, inputAttrs)
 	checkCuts(t, "DepthwiseConv2dNativeBackpropInput/"+label, want.Data, inRow, func(lo int, dst []float32) {
 		walk.DepthwiseInputGrad(dy.Data, w, lo, dst)
 	})
-	want = runRef(t, "DepthwiseConv2dNativeBackpropFilter", []Buffer{buf(x, xShape...), dy}, gradAttrs)
+	want = runRef(t, "DepthwiseConv2dNativeBackpropFilter", []Buffer{buf(x, xShape...), dy}, filterAttrs)
 	checkCuts(t, "DepthwiseConv2dNativeBackpropFilter/"+label, want.Data, info.OutChannels, func(lo int, dst []float32) {
 		walk.DepthwiseFilterGrad(x, dy.Data, info.BatchSize, lo, dst)
 	})

@@ -80,7 +80,7 @@ func applyActivation(name string, x *tensor.Tensor) *tensor.Tensor {
 	case kernel == "Softmax":
 		return ops.Softmax(x)
 	}
-	return core.Global().RunKernel(kernel, []*tensor.Tensor{x}, nil)
+	return core.Global().RunKernel(kernel, []*tensor.Tensor{x}, kernels.Attrs{})
 }
 
 // ---------------------------------------------------------------------------

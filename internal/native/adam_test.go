@@ -13,8 +13,8 @@ import (
 // adamAttrs are AdamMoments' and ApplyAdam's attributes at Adam's third
 // step with the default betas.
 var adamAttrs = [2]kernels.Attrs{
-	{"beta1": 0.9, "beta2": 0.999},
-	{"learningRate": 0.01, "beta1Power": 0.9 * 0.9 * 0.9, "beta2Power": 0.999 * 0.999 * 0.999, "epsilon": 1e-8},
+	{Beta1: 0.9, Beta2: 0.999},
+	{LearningRate: 0.01, Beta1Power: 0.9 * 0.9 * 0.9, Beta2Power: 0.999 * 0.999 * 0.999, Epsilon: 1e-8},
 }
 
 // checkAdam runs AdamMoments and ApplyAdam on a variable of the given shape

@@ -50,8 +50,8 @@ func TestBinaryBroadcastBitIdenticalToReference(t *testing.T) {
 				for _, f := range gradFills {
 					a := operand{f.gen(tensor.ShapeSize(c.a), 6), c.a}
 					x := operand{f.gen(tensor.ShapeSize(c.x), 7), c.x}
-					checkAgainstReference(t, nb, fmt.Sprintf("%s/%v,%v/%s", name, c.a, c.x, f.name), name, nil, a, x)
-					checkAgainstReference(t, nb, fmt.Sprintf("%s/%v,%v/%s", name, c.x, c.a, f.name), name, nil, x, a)
+					checkAgainstReference(t, nb, fmt.Sprintf("%s/%v,%v/%s", name, c.a, c.x, f.name), name, kernels.Attrs{}, a, x)
+					checkAgainstReference(t, nb, fmt.Sprintf("%s/%v,%v/%s", name, c.x, c.a, f.name), name, kernels.Attrs{}, x, a)
 				}
 			}
 		}
@@ -60,8 +60,8 @@ func TestBinaryBroadcastBitIdenticalToReference(t *testing.T) {
 	nb := backends[1]
 	big := operand{vecOperand(64*1024*3, 8), []int{64, 1024, 3}}
 	for _, row := range []operand{{vecOperand(3, 9), []int{3}}, {[]float32{-0.5}, nil}, {vecOperand(1024*3, 10), []int{1024, 3}}} {
-		checkAgainstReference(t, nb, "Sub/big,row", "Sub", nil, big, row)
-		checkAgainstReference(t, nb, "RealDiv/row,big", "RealDiv", nil, row, big)
+		checkAgainstReference(t, nb, "Sub/big,row", "Sub", kernels.Attrs{}, big, row)
+		checkAgainstReference(t, nb, "RealDiv/row,big", "RealDiv", kernels.Attrs{}, row, big)
 	}
 }
 
@@ -74,19 +74,19 @@ func TestActivationLoopsBitIdenticalToReference(t *testing.T) {
 	nb.SetWorkers(4)
 	x := operand{append(vecOperand(50_000, 11), vecSpecials...), nil}
 	x.shape = []int{len(x.vals)}
-	checkAgainstReference(t, nb, "Relu", "Relu", nil, x)
-	checkAgainstReference(t, nb, "Relu6", "Relu6", nil, x)
-	checkAgainstReference(t, nb, "Step", "Step", nil, x)
-	checkAgainstReference(t, nb, "Step/alpha", "Step", kernels.Attrs{"alpha": 0.2}, x)
-	checkAgainstReference(t, nb, "Step/empty", "Step", nil, operand{nil, []int{0, 3}})
-	checkAgainstReference(t, nb, "Step/no input", "Step", nil)
+	checkAgainstReference(t, nb, "Relu", "Relu", kernels.Attrs{}, x)
+	checkAgainstReference(t, nb, "Relu6", "Relu6", kernels.Attrs{}, x)
+	checkAgainstReference(t, nb, "Step", "Step", kernels.Attrs{}, x)
+	checkAgainstReference(t, nb, "Step/alpha", "Step", kernels.Attrs{Alpha: 0.2}, x)
+	checkAgainstReference(t, nb, "Step/empty", "Step", kernels.Attrs{}, operand{nil, []int{0, 3}})
+	checkAgainstReference(t, nb, "Step/no input", "Step", kernels.Attrs{})
 
 	// requireSameFloats lets any NaN match any NaN; Step's contract is
 	// that the very same NaN comes out.
 	nan := math.Float32frombits(0x7fc12345)
 	in := benchInput(nb, []float32{nan, -1, 2}, 3)
 	var out kernels.TensorInfo
-	if err := nb.table["Step"]([]kernels.Input{in}, kernels.Attrs{"alpha": -3.0}, &out); err != nil {
+	if err := nb.table["Step"]([]kernels.Input{in}, kernels.Attrs{Alpha: -3.0}, &out); err != nil {
 		t.Fatal(err)
 	}
 	got := nb.Raw(out.DataID)
@@ -136,52 +136,52 @@ func TestOverwritingKernelsUnderPoolPoison(t *testing.T) {
 		attrs kernels.Attrs
 		ops   []operand
 	}{
-		{"Add", nil, []operand{x, y}},
-		{"Sub", nil, []operand{x, row}},
-		{"Mul", nil, []operand{row, x}},
-		{"RealDiv", nil, []operand{x, p}},
-		{"Relu", nil, []operand{x}},
-		{"Relu6", nil, []operand{x}},
-		{"Step", nil, []operand{x}},
-		{"Sigmoid", nil, []operand{x}},
-		{"Tanh", nil, []operand{x}},
-		{"Exp", nil, []operand{x}},
-		{"Neg", nil, []operand{x}},
-		{"Sqrt", nil, []operand{p}},
-		{"Square", nil, []operand{x}},
-		{"FusedBatchNorm", kernels.Attrs{"varianceEpsilon": 1e-3}, []operand{x, row, posRow, row, posRow}},
-		{"Sum", nil, []operand{flat}},
-		{"Mean", nil, []operand{flat}},
-		{"Max", nil, []operand{flat}},
-		{"Min", nil, []operand{flat}},
-		{"Softmax", nil, []operand{flat}},
-		{"Transpose", kernels.Attrs{"perm": []int{2, 0, 1}}, []operand{x}},
-		{"Sub", nil, []operand{x, {dense(5, 10), []int{5, 1}}}},
-		{"Prod", nil, []operand{flat}},
-		{"ArgMax", nil, []operand{flat}},
-		{"ArgMin", nil, []operand{flat}},
-		{"BatchMatMul", kernels.Attrs{"transposeB": true}, []operand{{dense(2*5*8, 11), []int{2, 5, 8}}, {dense(3*8, 12), []int{1, 3, 8}}}},
-		{"_FusedMatMul", kernels.Attrs{"activation": "relu"}, []operand{flat, {dense(8*6, 13), []int{8, 6}}, {dense(6, 14), []int{6}}}},
-		{"Slice", kernels.Attrs{"begin": []int{1, 0, 2}, "size": []int{2, -1, 4}}, []operand{x}},
-		{"Tile", kernels.Attrs{"reps": []int{1, 2, 3}}, []operand{x}},
-		{"PadV2", kernels.Attrs{"paddings": []int{1, 0, 0, 2, 1, 1}, "constantValue": 0.5}, []operand{x}},
-		{"Concat", kernels.Attrs{"axis": 1}, []operand{x, y}},
-		{"GatherV2", kernels.Attrs{"axis": 0}, []operand{flat, {[]float32{3, 0, 19, 7}, []int{4}}}},
-		{"OneHot", kernels.Attrs{"depth": 6}, []operand{{[]float32{0, 5, 2, 9, 1}, []int{5}}}},
-		{"Fill", kernels.Attrs{"shape": []int{4, 5, 8}, "value": 1.5}, nil},
-		{"Conv2DBackpropFilter", kernels.Attrs{"filterShape": []int{3, 3, 2, 8}, "pad": "same"},
+		{"Add", kernels.Attrs{}, []operand{x, y}},
+		{"Sub", kernels.Attrs{}, []operand{x, row}},
+		{"Mul", kernels.Attrs{}, []operand{row, x}},
+		{"RealDiv", kernels.Attrs{}, []operand{x, p}},
+		{"Relu", kernels.Attrs{}, []operand{x}},
+		{"Relu6", kernels.Attrs{}, []operand{x}},
+		{"Step", kernels.Attrs{}, []operand{x}},
+		{"Sigmoid", kernels.Attrs{}, []operand{x}},
+		{"Tanh", kernels.Attrs{}, []operand{x}},
+		{"Exp", kernels.Attrs{}, []operand{x}},
+		{"Neg", kernels.Attrs{}, []operand{x}},
+		{"Sqrt", kernels.Attrs{}, []operand{p}},
+		{"Square", kernels.Attrs{}, []operand{x}},
+		{"FusedBatchNorm", kernels.Attrs{Epsilon: 1e-3}, []operand{x, row, posRow, row, posRow}},
+		{"Sum", kernels.Attrs{Axes: []int{-1}}, []operand{flat}},
+		{"Mean", kernels.Attrs{Axes: []int{-1}}, []operand{flat}},
+		{"Max", kernels.Attrs{Axes: []int{-1}}, []operand{flat}},
+		{"Min", kernels.Attrs{Axes: []int{-1}}, []operand{flat}},
+		{"Softmax", kernels.Attrs{}, []operand{flat}},
+		{"Transpose", kernels.Attrs{Perm: []int{2, 0, 1}}, []operand{x}},
+		{"Sub", kernels.Attrs{}, []operand{x, {dense(5, 10), []int{5, 1}}}},
+		{"Prod", kernels.Attrs{Axes: []int{-1}}, []operand{flat}},
+		{"ArgMax", kernels.Attrs{Axes: []int{-1}}, []operand{flat}},
+		{"ArgMin", kernels.Attrs{Axes: []int{-1}}, []operand{flat}},
+		{"BatchMatMul", kernels.Attrs{TransposeB: true}, []operand{{dense(2*5*8, 11), []int{2, 5, 8}}, {dense(3*8, 12), []int{1, 3, 8}}}},
+		{"_FusedMatMul", kernels.Attrs{Activation: "relu"}, []operand{flat, {dense(8*6, 13), []int{8, 6}}, {dense(6, 14), []int{6}}}},
+		{"Slice", kernels.Attrs{Begin: []int{1, 0, 2}, Shape: []int{2, -1, 4}}, []operand{x}},
+		{"Tile", kernels.Attrs{Reps: []int{1, 2, 3}}, []operand{x}},
+		{"PadV2", kernels.Attrs{Paddings: []int{1, 0, 0, 2, 1, 1}, Value: 0.5}, []operand{x}},
+		{"Concat", kernels.Attrs{Axis: 1}, []operand{x, y}},
+		{"GatherV2", kernels.Attrs{Axis: 0}, []operand{flat, {[]float32{3, 0, 19, 7}, []int{4}}}},
+		{"OneHot", kernels.Attrs{Depth: 6, OnValue: 1}, []operand{{[]float32{0, 5, 2, 9, 1}, []int{5}}}},
+		{"Fill", kernels.Attrs{Shape: []int{4, 5, 8}, Value: 1.5}, nil},
+		{"Conv2DBackpropFilter", kernels.Attrs{Shape: []int{3, 3, 2, 8}, Pad: "same"},
 			[]operand{{dense(2*4*4*2, 15), []int{2, 4, 4, 2}}, {dense(2*4*4*8, 16), []int{2, 4, 4, 8}}}},
-		{"BiasAddGrad", nil, []operand{flat}},
-		{"Conv2DBackpropInput", kernels.Attrs{"inputShape": []int{2, 4, 4, 2}, "pad": "same"},
+		{"BiasAddGrad", kernels.Attrs{}, []operand{flat}},
+		{"Conv2DBackpropInput", kernels.Attrs{Shape: []int{2, 4, 4, 2}, Pad: "same"},
 			[]operand{{dense(2*4*4*8, 17), []int{2, 4, 4, 8}}, {dense(3*3*2*8, 18), []int{3, 3, 2, 8}}}},
-		{"DepthwiseConv2dNativeBackpropInput", kernels.Attrs{"inputShape": []int{2, 4, 4, 2}, "pad": "same"},
+		{"DepthwiseConv2dNativeBackpropInput", kernels.Attrs{Shape: []int{2, 4, 4, 2}, Pad: "same"},
 			[]operand{{dense(2*4*4*4, 19), []int{2, 4, 4, 4}}, {dense(3*3*2*2, 20), []int{3, 3, 2, 2}}}},
-		{"DepthwiseConv2dNativeBackpropFilter", kernels.Attrs{"filterShape": []int{3, 3, 2, 2}, "pad": "same"},
+		{"DepthwiseConv2dNativeBackpropFilter", kernels.Attrs{Shape: []int{3, 3, 2, 2}, Pad: "same"},
 			[]operand{{dense(2*4*4*2, 21), []int{2, 4, 4, 2}}, {dense(2*4*4*4, 22), []int{2, 4, 4, 4}}}},
-		{"MaxPoolGrad", nil, []operand{{dense(2*2*2*2, 23), []int{2, 2, 2, 2}}, {dense(2*4*4*2, 24), []int{2, 4, 4, 2}}}},
-		{"AvgPoolGrad", kernels.Attrs{"inputShape": []int{2, 4, 4, 2}}, []operand{{dense(2*2*2*2, 25), []int{2, 2, 2, 2}}}},
-		{"Select", nil, []operand{{dense(5, 26), []int{5, 1}}, x, row}},
-		{"FusedBatchNorm", kernels.Attrs{"varianceEpsilon": 1e-3}, []operand{x, {dense(5, 27), []int{5, 1}}, {positive(5, 28), []int{5, 1}}, row, posRow}},
+		{"MaxPoolGrad", kernels.Attrs{FilterSize: []int{2, 2}, Strides: []int{2, 2}}, []operand{{dense(2*2*2*2, 23), []int{2, 2, 2, 2}}, {dense(2*4*4*2, 24), []int{2, 4, 4, 2}}}},
+		{"AvgPoolGrad", kernels.Attrs{FilterSize: []int{2, 2}, Strides: []int{2, 2}, Shape: []int{2, 4, 4, 2}}, []operand{{dense(2*2*2*2, 25), []int{2, 2, 2, 2}}}},
+		{"Select", kernels.Attrs{}, []operand{{dense(5, 26), []int{5, 1}}, x, row}},
+		{"FusedBatchNorm", kernels.Attrs{Epsilon: 1e-3}, []operand{x, {dense(5, 27), []int{5, 1}}, {positive(5, 28), []int{5, 1}}, row, posRow}},
 		{"AdamMoments", adamAttrs[0], []operand{slot, g}},
 		{"ApplyAdam", adamAttrs[1], []operand{g, slot}},
 	} {
@@ -215,7 +215,7 @@ func TestOverwritingKernelsUnderPoolPoison(t *testing.T) {
 // reference kernel (it divided by zero).
 func TestBatchNormBitIdenticalToReference(t *testing.T) {
 	check := func(t *testing.T, nb *Backend) {
-		attrs := kernels.Attrs{"varianceEpsilon": 1e-3}
+		attrs := kernels.Attrs{Epsilon: 1e-3}
 		for _, f := range forwardFills {
 			for _, c := range []int{1, 7, 8, 9, 32, 300} {
 				for _, shape := range [][]int{{2, 3, 5, c}, {c}} {

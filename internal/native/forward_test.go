@@ -51,7 +51,7 @@ var forwardFills = append(gradFills[:len(gradFills):len(gradFills)],
 )
 
 func (g gradGeometry) poolAttrs() kernels.Attrs {
-	return kernels.Attrs{"filterSize": []int{g.fh, g.fw}, "strides": []int{g.stride, g.stride}, "pad": g.pad}
+	return kernels.Attrs{FilterSize: []int{g.fh, g.fw}, Strides: []int{g.stride, g.stride}, Pad: g.pad}
 }
 
 // checkPools runs MaxPool and AvgPool on g (inC channels, fh×fw window).
@@ -73,7 +73,7 @@ func checkConvForward(t testing.TB, nb *Backend, g gradGeometry, f fill) {
 	w := operand{f.gen(tensor.ShapeSize(wShape), 2), wShape}
 	checkAgainstReference(t, nb, "Conv2D/"+g.String()+"/"+f.name, "Conv2D", g.convAttrs(), x, w)
 	attrs := g.convAttrs()
-	attrs["activation"] = "relu6"
+	attrs.Activation = "relu6"
 	bias := operand{f.gen(g.outC, 3), []int{g.outC}}
 	checkAgainstReference(t, nb, "FusedConv2D/"+g.String()+"/"+f.name, "FusedConv2D", attrs, x, w, bias)
 	// The depthwise pair on the same window, a channel multiplier of 1 or 2.
@@ -90,14 +90,14 @@ func checkReductions(t testing.TB, nb *Backend, outer, inner int, f fill) {
 	t.Helper()
 	x := operand{f.gen(outer*inner, 6), []int{outer, inner}}
 	for _, name := range []string{"Sum", "Mean", "Max", "Min", "Prod", "ArgMax", "ArgMin", "BiasAddGrad"} {
-		checkAgainstReference(t, nb, fmt.Sprintf("%s/%dx%d/%s", name, outer, inner, f.name), name, nil, x)
+		checkAgainstReference(t, nb, fmt.Sprintf("%s/%dx%d/%s", name, outer, inner, f.name), name, kernels.Attrs{Axes: []int{-1}}, x)
 	}
 }
 
 func checkTranspose(t testing.TB, nb *Backend, shape, perm []int, f fill) {
 	t.Helper()
 	x := operand{f.gen(tensor.ShapeSize(shape), 7), shape}
-	checkAgainstReference(t, nb, fmt.Sprintf("Transpose/%v/%v/%s", shape, perm, f.name), "Transpose", kernels.Attrs{"perm": perm}, x)
+	checkAgainstReference(t, nb, fmt.Sprintf("Transpose/%v/%v/%s", shape, perm, f.name), "Transpose", kernels.Attrs{Perm: perm}, x)
 }
 
 // checkMatMuls runs BatchMatMul on an m×k·k×n product — A a batch of
@@ -115,9 +115,9 @@ func checkMatMuls(t testing.TB, nb *Backend, m, k, n int, f fill) {
 		}
 		label := fmt.Sprintf("%dx%dx%d/ta=%v/tb=%v/%s", m, k, n, tr[0], tr[1], f.name)
 		a, b := f.gen(3*m*k, 8), f.gen(k*n, 9)
-		checkAgainstReference(t, nb, "BatchMatMul/"+label, "BatchMatMul", kernels.Attrs{"transposeA": tr[0], "transposeB": tr[1]},
+		checkAgainstReference(t, nb, "BatchMatMul/"+label, "BatchMatMul", kernels.Attrs{TransposeA: tr[0], TransposeB: tr[1]},
 			operand{a, append([]int{3}, aShape...)}, operand{b, append([]int{1}, bShape...)})
-		attrs := kernels.Attrs{"transposeA": tr[0], "transposeB": tr[1], "activation": []string{"relu6", "elu", "", "relu"}[i]}
+		attrs := kernels.Attrs{TransposeA: tr[0], TransposeB: tr[1], Activation: []string{"relu6", "elu", "", "relu"}[i]}
 		checkAgainstReference(t, nb, "_FusedMatMul/"+label, "_FusedMatMul", attrs,
 			operand{a[:m*k], aShape}, operand{b, bShape}, operand{f.gen(n, 10), []int{n}})
 	}
@@ -147,16 +147,16 @@ func checkShapeKernels(t testing.TB, nb *Backend, shape []int, f fill) {
 	check := func(name string, attrs kernels.Attrs, ops ...operand) {
 		checkAgainstReference(t, nb, fmt.Sprintf("%s/%v/%s", name, shape, f.name), name, attrs, ops...)
 	}
-	check("Slice", kernels.Attrs{"begin": begin, "size": size}, x)
-	check("Tile", kernels.Attrs{"reps": reps}, x)
-	check("PadV2", kernels.Attrs{"paddings": pads, "constantValue": 0.5}, x)
-	check("Concat", kernels.Attrs{"axis": -1}, x, x)
-	check("Concat", kernels.Attrs{"axis": 0}, x, x, x)
-	check("OneHot", kernels.Attrs{"depth": 3, "onValue": 2.0}, operand{idx, shape})
-	check("Fill", kernels.Attrs{"shape": shape, "value": -1.5, "dtype": "int32"})
+	check("Slice", kernels.Attrs{Begin: begin, Shape: size}, x)
+	check("Tile", kernels.Attrs{Reps: reps}, x)
+	check("PadV2", kernels.Attrs{Paddings: pads, Value: 0.5}, x)
+	check("Concat", kernels.Attrs{Axis: -1}, x, x)
+	check("Concat", kernels.Attrs{Axis: 0}, x, x, x)
+	check("OneHot", kernels.Attrs{Depth: 3, OnValue: 2.0}, operand{idx, shape})
+	check("Fill", kernels.Attrs{Shape: shape, Value: -1.5, DType: tensor.Int32})
 	if rank > 0 {
-		check("GatherV2", kernels.Attrs{"axis": 0}, x, operand{[]float32{float32(shape[0] - 1), 0, float32(shape[0] / 2)}, []int{3}})
-		check("GatherV2", kernels.Attrs{"axis": -1}, x, operand{[]float32{0, float32(shape[rank-1])}, []int{2, 1}})
+		check("GatherV2", kernels.Attrs{Axis: 0}, x, operand{[]float32{float32(shape[0] - 1), 0, float32(shape[0] / 2)}, []int{3}})
+		check("GatherV2", kernels.Attrs{Axis: -1}, x, operand{[]float32{0, float32(shape[rank-1])}, []int{2, 1}})
 	}
 }
 
@@ -211,10 +211,10 @@ func checkForwardMatrix(t *testing.T, nb *Backend) {
 		checkConvGrads(t, nb, convs[4], f)
 		checkPoolGrads(t, nb, pools[0], f)
 		checkAdam(t, nb, []int{3, 17}, f)
-		checkAgainstReference(t, nb, "Select/"+f.name, "Select", nil,
+		checkAgainstReference(t, nb, "Select/"+f.name, "Select", kernels.Attrs{},
 			operand{f.gen(5, 12), []int{5, 1}}, operand{f.gen(30, 13), []int{2, 5, 3}}, operand{f.gen(3, 14), []int{3}})
 		p := operand{f.gen(9, 15), []int{9}}
-		checkAgainstReference(t, nb, "FusedBatchNorm/"+f.name, "FusedBatchNorm", kernels.Attrs{"varianceEpsilon": 1e-3},
+		checkAgainstReference(t, nb, "FusedBatchNorm/"+f.name, "FusedBatchNorm", kernels.Attrs{Epsilon: 1e-3},
 			operand{f.gen(2*3*9, 16), []int{2, 3, 9}}, p, operand{f.gen(9, 17), []int{9}}, p, p)
 		for _, g := range forwardPools() {
 			checkPools(t, nb, g, f)
@@ -343,39 +343,40 @@ func TestForwardKernelErrorParity(t *testing.T) {
 	nb := benchBackend()
 	x := operand{make([]float32, 2*5*5*3), []int{2, 5, 5, 3}}
 	flat := operand{make([]float32, 6), []int{2, 3}}
-	perm := func(p ...int) kernels.Attrs { return kernels.Attrs{"perm": p} }
+	perm := func(p ...int) kernels.Attrs { return kernels.Attrs{Perm: p} }
+	pool2 := kernels.Attrs{FilterSize: []int{2, 2}, Strides: []int{2, 2}}
 	for _, c := range []struct {
 		label, kernel string
 		attrs         kernels.Attrs
 		ops           []operand
 	}{
-		{"pool/ok", "MaxPool", kernels.Attrs{}, []operand{x}},
-		{"pool/rank", "MaxPool", kernels.Attrs{}, []operand{flat}},
-		{"pool/two inputs", "AvgPool", kernels.Attrs{}, []operand{x, x}},
-		{"pool/bad pad", "AvgPool", kernels.Attrs{"pad": "full"}, []operand{x}},
-		{"pool/window larger than input", "MaxPool", kernels.Attrs{"filterSize": []int{6, 6}}, []operand{x}},
-		{"reduce/rank", "Sum", nil, []operand{x}},
-		{"reduce/no input", "Max", nil, nil},
-		{"bias grad/rank", "BiasAddGrad", nil, []operand{x}},
-		{"bias grad/two inputs", "BiasAddGrad", nil, []operand{flat, flat}},
+		{"pool/ok", "MaxPool", pool2, []operand{x}},
+		{"pool/rank", "MaxPool", pool2, []operand{flat}},
+		{"pool/two inputs", "AvgPool", pool2, []operand{x, x}},
+		{"pool/bad pad", "AvgPool", kernels.Attrs{FilterSize: []int{2, 2}, Strides: []int{2, 2}, Pad: "full"}, []operand{x}},
+		{"pool/window larger than input", "MaxPool", kernels.Attrs{FilterSize: []int{6, 6}, Strides: []int{6, 6}}, []operand{x}},
+		{"reduce/rank", "Sum", kernels.Attrs{Axes: []int{-1}}, []operand{x}},
+		{"reduce/no input", "Max", kernels.Attrs{Axes: []int{-1}}, nil},
+		{"bias grad/rank", "BiasAddGrad", kernels.Attrs{}, []operand{x}},
+		{"bias grad/two inputs", "BiasAddGrad", kernels.Attrs{}, []operand{flat, flat}},
 		{"transpose/ok", "Transpose", perm(1, 0), []operand{flat}},
 		{"transpose/short perm", "Transpose", perm(0), []operand{flat}},
-		{"transpose/no perm", "Transpose", nil, []operand{flat}},
+		{"transpose/no perm", "Transpose", kernels.Attrs{}, []operand{flat}},
 		{"transpose/repeated axis", "Transpose", perm(1, 1), []operand{flat}},
 		{"transpose/axis out of range", "Transpose", perm(2, 0), []operand{flat}},
 		{"transpose/negative axis", "Transpose", perm(-1, 0), []operand{flat}},
 		{"transpose/two inputs", "Transpose", perm(1, 0), []operand{flat, flat}},
-		{"argmax/empty row", "ArgMax", nil, []operand{{nil, []int{3, 0}}}},
-		{"matmul/inner dims", "BatchMatMul", nil, []operand{{make([]float32, 6), []int{1, 2, 3}}, {make([]float32, 6), []int{1, 2, 3}}}},
-		{"matmul/batch dims", "BatchMatMul", nil, []operand{{make([]float32, 12), []int{2, 2, 3}}, {make([]float32, 27), []int{3, 3, 3}}}},
-		{"fused matmul/bias", "_FusedMatMul", nil, []operand{flat, {make([]float32, 6), []int{3, 2}}, {make([]float32, 3), []int{3}}}},
-		{"pad/negative", "PadV2", kernels.Attrs{"paddings": []int{0, 1, -1, 2}}, []operand{flat}},
-		{"slice/out of bounds", "Slice", kernels.Attrs{"begin": []int{1, 0}, "size": []int{2, 3}}, []operand{flat}},
-		{"tile/zero reps", "Tile", kernels.Attrs{"reps": []int{1, 0}}, []operand{flat}},
-		{"concat/mismatch", "Concat", kernels.Attrs{"axis": 1}, []operand{flat, {make([]float32, 9), []int{3, 3}}}},
-		{"gather/axis", "GatherV2", kernels.Attrs{"axis": 2}, []operand{flat, {[]float32{0}, []int{1}}}},
-		{"one-hot/depth", "OneHot", kernels.Attrs{"depth": 0}, []operand{flat}},
-		{"fill/dtype", "Fill", kernels.Attrs{"shape": []int{2}, "dtype": "complex64"}, nil},
+		{"argmax/empty row", "ArgMax", kernels.Attrs{}, []operand{{nil, []int{3, 0}}}},
+		{"matmul/inner dims", "BatchMatMul", kernels.Attrs{}, []operand{{make([]float32, 6), []int{1, 2, 3}}, {make([]float32, 6), []int{1, 2, 3}}}},
+		{"matmul/batch dims", "BatchMatMul", kernels.Attrs{}, []operand{{make([]float32, 12), []int{2, 2, 3}}, {make([]float32, 27), []int{3, 3, 3}}}},
+		{"fused matmul/bias", "_FusedMatMul", kernels.Attrs{}, []operand{flat, {make([]float32, 6), []int{3, 2}}, {make([]float32, 3), []int{3}}}},
+		{"pad/negative", "PadV2", kernels.Attrs{Paddings: []int{0, 1, -1, 2}}, []operand{flat}},
+		{"slice/out of bounds", "Slice", kernels.Attrs{Begin: []int{1, 0}, Shape: []int{2, 3}}, []operand{flat}},
+		{"tile/zero reps", "Tile", kernels.Attrs{Reps: []int{1, 0}}, []operand{flat}},
+		{"concat/mismatch", "Concat", kernels.Attrs{Axis: 1}, []operand{flat, {make([]float32, 9), []int{3, 3}}}},
+		{"gather/axis", "GatherV2", kernels.Attrs{Axis: 2}, []operand{flat, {[]float32{0}, []int{1}}}},
+		{"one-hot/depth", "OneHot", kernels.Attrs{Depth: 0}, []operand{flat}},
+		{"fill/dtype", "Fill", kernels.Attrs{Shape: []int{2}, DType: tensor.DataType(99)}, nil},
 	} {
 		checkAgainstReference(t, nb, c.label, c.kernel, c.attrs, c.ops...)
 	}
@@ -393,8 +394,8 @@ func TestTransposeRunsEveryPermutationNatively(t *testing.T) {
 	ref, _ := kernels.LookupRef("Transpose")
 	for _, perm := range append(permutations(4), []int{1, 0}, []int{0, 1, 1, 3}, []int{0, 1, 2, 4}, []int{-1, 0, 1, 2}) {
 		var out kernels.TensorInfo
-		err := nb.table["Transpose"]([]kernels.Input{in}, kernels.Attrs{"perm": perm}, &out)
-		_, want := ref([]kernels.Buffer{{Data: make([]float32, 2*3*4*5), Shape: in.Shape}}, kernels.Attrs{"perm": perm})
+		err := nb.table["Transpose"]([]kernels.Input{in}, kernels.Attrs{Perm: perm}, &out)
+		_, want := ref([]kernels.Buffer{{Data: make([]float32, 2*3*4*5), Shape: in.Shape}}, kernels.Attrs{Perm: perm})
 		if fmt.Sprint(err) != fmt.Sprint(want) {
 			t.Errorf("perm %v: err = %v, want %v", perm, err, want)
 		}

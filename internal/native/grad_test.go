@@ -93,7 +93,7 @@ func (g gradGeometry) String() string {
 }
 
 func (g gradGeometry) convAttrs() kernels.Attrs {
-	return kernels.Attrs{"strides": []int{g.stride, g.stride}, "dilations": []int{g.dilation, g.dilation}, "pad": g.pad}
+	return kernels.Attrs{Strides: []int{g.stride, g.stride}, Dilations: []int{g.dilation, g.dilation}, Pad: g.pad}
 }
 
 // fill is an operand generator: n values from a seed.
@@ -128,10 +128,10 @@ func checkConvGrads(t testing.TB, nb *Backend, g gradGeometry, f fill) {
 	dy := operand{f.gen(tensor.ShapeSize(info.OutShape()), 3), info.OutShape()}
 
 	attrs := g.convAttrs()
-	attrs["filterShape"] = wShape
+	attrs.Shape = wShape
 	checkAgainstReference(t, nb, "Conv2DBackpropFilter/"+g.String()+"/"+f.name, "Conv2DBackpropFilter", attrs, x, dy)
 	attrs = g.convAttrs()
-	attrs["inputShape"] = xShape
+	attrs.Shape = xShape
 	checkAgainstReference(t, nb, "Conv2DBackpropInput/"+g.String()+"/"+f.name, "Conv2DBackpropInput", attrs, dy, w)
 
 	// The depthwise pair on the same window, a channel multiplier of 1 or 2.
@@ -140,10 +140,10 @@ func checkConvGrads(t testing.TB, nb *Backend, g gradGeometry, f fill) {
 	w = operand{f.gen(tensor.ShapeSize(wShape), 6), wShape}
 	dy = operand{f.gen(tensor.ShapeSize(info.OutShape()), 7), info.OutShape()}
 	attrs = g.convAttrs()
-	attrs["filterShape"] = wShape
+	attrs.Shape = wShape
 	checkAgainstReference(t, nb, "DepthwiseConv2dNativeBackpropFilter/"+g.String()+"/"+f.name, "DepthwiseConv2dNativeBackpropFilter", attrs, x, dy)
 	attrs = g.convAttrs()
-	attrs["inputShape"] = xShape
+	attrs.Shape = xShape
 	checkAgainstReference(t, nb, "DepthwiseConv2dNativeBackpropInput/"+g.String()+"/"+f.name, "DepthwiseConv2dNativeBackpropInput", attrs, dy, w)
 }
 
@@ -158,7 +158,7 @@ func checkPoolGrads(t testing.TB, nb *Backend, g gradGeometry, f fill) {
 	}
 	x := operand{f.gen(tensor.ShapeSize(xShape), 4), xShape}
 	dy := operand{f.gen(tensor.ShapeSize(info.OutShape()), 5), info.OutShape()}
-	attrs := kernels.Attrs{"filterSize": []int{g.fh, g.fw}, "strides": []int{g.stride, g.stride}, "pad": g.pad, "inputShape": xShape}
+	attrs := kernels.Attrs{FilterSize: []int{g.fh, g.fw}, Strides: []int{g.stride, g.stride}, Pad: g.pad, Shape: xShape}
 	checkAgainstReference(t, nb, "MaxPoolGrad/"+g.String()+"/"+f.name, "MaxPoolGrad", attrs, dy, x)
 	checkAgainstReference(t, nb, "AvgPoolGrad/"+g.String()+"/"+f.name, "AvgPoolGrad", attrs, dy)
 }
@@ -245,14 +245,12 @@ func TestGradKernelErrorParity(t *testing.T) {
 	dw := operand{make([]float32, 3*3*3*2), []int{3, 3, 3, 2}}
 	dwDy := operand{make([]float32, 2*5*5*6), []int{2, 5, 5, 6}}
 	same := func(extra kernels.Attrs) kernels.Attrs {
-		attrs := kernels.Attrs{"pad": "same"}
-		for k, v := range extra {
-			attrs[k] = v
-		}
-		return attrs
+		extra.Pad = "same"
+		return extra
 	}
-	filter := same(kernels.Attrs{"filterShape": w.shape})
-	input := same(kernels.Attrs{"inputShape": x.shape})
+	pool2 := kernels.Attrs{FilterSize: []int{2, 2}, Strides: []int{2, 2}}
+	filter := same(kernels.Attrs{Shape: w.shape})
+	input := same(kernels.Attrs{Shape: x.shape})
 	for _, c := range []struct {
 		label, kernel string
 		attrs         kernels.Attrs
@@ -262,22 +260,22 @@ func TestGradKernelErrorParity(t *testing.T) {
 		{"filter/dy shape", "Conv2DBackpropFilter", filter, []operand{x, badDy}},
 		{"filter/one input", "Conv2DBackpropFilter", filter, []operand{x}},
 		{"filter/three inputs", "Conv2DBackpropFilter", filter, []operand{x, dy, dy}},
-		{"filter/no filterShape", "Conv2DBackpropFilter", same(nil), []operand{x, dy}},
-		{"filter/channel mismatch", "Conv2DBackpropFilter", same(kernels.Attrs{"filterShape": []int{3, 3, 2, 4}}), []operand{x, dy}},
+		{"filter/no filterShape", "Conv2DBackpropFilter", same(kernels.Attrs{}), []operand{x, dy}},
+		{"filter/channel mismatch", "Conv2DBackpropFilter", same(kernels.Attrs{Shape: []int{3, 3, 2, 4}}), []operand{x, dy}},
 		{"input/ok", "Conv2DBackpropInput", input, []operand{dy, w}},
 		{"input/dy shape", "Conv2DBackpropInput", input, []operand{badDy, w}},
 		{"input/one input", "Conv2DBackpropInput", input, []operand{dy}},
-		{"input/no inputShape", "Conv2DBackpropInput", same(nil), []operand{dy, w}},
-		{"input/bad pad", "Conv2DBackpropInput", kernels.Attrs{"pad": "full", "inputShape": x.shape}, []operand{dy, w}},
-		{"pool/ok", "MaxPoolGrad", kernels.Attrs{}, []operand{pooled, x}},
-		{"pool/dy shape", "MaxPoolGrad", kernels.Attrs{}, []operand{dy, x}},
-		{"pool/one input", "MaxPoolGrad", kernels.Attrs{}, []operand{x}},
-		{"pool/rank", "MaxPoolGrad", kernels.Attrs{}, []operand{pooled, {make([]float32, 6), []int{2, 3}}}},
-		{"avg pool/ok", "AvgPoolGrad", kernels.Attrs{"inputShape": x.shape}, []operand{pooled}},
-		{"avg pool/dy shape", "AvgPoolGrad", kernels.Attrs{"inputShape": x.shape}, []operand{dy}},
-		{"avg pool/no inputShape", "AvgPoolGrad", kernels.Attrs{}, []operand{pooled}},
-		{"depthwise filter/ok", "DepthwiseConv2dNativeBackpropFilter", same(kernels.Attrs{"filterShape": dw.shape}), []operand{x, dwDy}},
-		{"depthwise filter/dy shape", "DepthwiseConv2dNativeBackpropFilter", same(kernels.Attrs{"filterShape": dw.shape}), []operand{x, dy}},
+		{"input/no inputShape", "Conv2DBackpropInput", same(kernels.Attrs{}), []operand{dy, w}},
+		{"input/bad pad", "Conv2DBackpropInput", kernels.Attrs{Pad: "full", Shape: x.shape}, []operand{dy, w}},
+		{"pool/ok", "MaxPoolGrad", pool2, []operand{pooled, x}},
+		{"pool/dy shape", "MaxPoolGrad", pool2, []operand{dy, x}},
+		{"pool/one input", "MaxPoolGrad", pool2, []operand{x}},
+		{"pool/rank", "MaxPoolGrad", pool2, []operand{pooled, {make([]float32, 6), []int{2, 3}}}},
+		{"avg pool/ok", "AvgPoolGrad", kernels.Attrs{FilterSize: []int{2, 2}, Strides: []int{2, 2}, Shape: x.shape}, []operand{pooled}},
+		{"avg pool/dy shape", "AvgPoolGrad", kernels.Attrs{FilterSize: []int{2, 2}, Strides: []int{2, 2}, Shape: x.shape}, []operand{dy}},
+		{"avg pool/no inputShape", "AvgPoolGrad", pool2, []operand{pooled}},
+		{"depthwise filter/ok", "DepthwiseConv2dNativeBackpropFilter", same(kernels.Attrs{Shape: dw.shape}), []operand{x, dwDy}},
+		{"depthwise filter/dy shape", "DepthwiseConv2dNativeBackpropFilter", same(kernels.Attrs{Shape: dw.shape}), []operand{x, dy}},
 		{"depthwise input/ok", "DepthwiseConv2dNativeBackpropInput", input, []operand{dwDy, dw}},
 		{"depthwise input/dy shape", "DepthwiseConv2dNativeBackpropInput", input, []operand{badDy, dw}},
 	} {

@@ -113,7 +113,7 @@ func BenchmarkPointwise(b *testing.B) {
 			x := benchInput(nb, benchVals(rng, side*side*inC, 0.5), 1, side, side, inC)
 			w := benchInput(nb, benchVals(rng, inC*outC, 0), 1, 1, inC, outC)
 			bias := benchInput(nb, benchVals(rng, outC, 0), outC)
-			benchPlanKernel(b, nb, "FusedConv2D", kernels.Attrs{"activation": "relu6"},
+			benchPlanKernel(b, nb, "FusedConv2D", kernels.Attrs{Activation: "relu6"},
 				2*side*side*inC*outC, x, w, bias)
 		})
 	}
@@ -130,7 +130,7 @@ func benchDepthwise(b *testing.B, stride int) {
 	bias := benchInput(nb, benchVals(rng, c, 0), c)
 	outSide := side / stride
 	benchPlanKernel(b, nb, "FusedDepthwiseConv2dNative",
-		kernels.Attrs{"activation": "relu6", "pad": "same", "strides": []int{stride, stride}},
+		kernels.Attrs{Activation: "relu6", Pad: "same", Strides: []int{stride, stride}},
 		2*outSide*outSide*c*9, x, w, bias)
 }
 
@@ -146,7 +146,7 @@ func BenchmarkConvStem3x3S2(b *testing.B) {
 	w := benchInput(nb, benchVals(rng, 3*3*3*8, 0), 3, 3, 3, 8)
 	bias := benchInput(nb, benchVals(rng, 8, 0), 8)
 	benchPlanKernel(b, nb, "FusedConv2D",
-		kernels.Attrs{"activation": "relu6", "pad": "same", "strides": []int{2, 2}},
+		kernels.Attrs{Activation: "relu6", Pad: "same", Strides: []int{2, 2}},
 		2*48*48*8*27, x, w, bias)
 }
 
@@ -166,7 +166,7 @@ func BenchmarkConvNarrow(b *testing.B) {
 			}
 			x := operand{benchVals(rng, batch*s.side*s.side*s.inC, sparsity), []int{batch, s.side, s.side, s.inC}}
 			w := operand{benchVals(rng, 3*3*s.inC*s.outC, 0), []int{3, 3, s.inC, s.outC}}
-			benchVsReference(b, "Conv2D", kernels.Attrs{"pad": "same"}, 2*batch*s.side*s.side*9*s.inC*s.outC, x, w)
+			benchVsReference(b, "Conv2D", kernels.Attrs{Pad: "same"}, 2*batch*s.side*s.side*9*s.inC*s.outC, x, w)
 		})
 	}
 }
@@ -184,7 +184,7 @@ func BenchmarkEpilogueRelu6(b *testing.B) {
 		src[i] *= 4
 	}
 	dst := make([]float32, len(src))
-	ep, _ := kernels.FusedTail("FusedConv2D", nil, kernels.Attrs{"activation": "relu6"}, c)
+	ep, _ := kernels.FusedTail("FusedConv2D", nil, kernels.Attrs{Activation: "relu6"}, c)
 	ep.Bias = benchVals(rng, c, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -251,9 +251,9 @@ func benchConvGrad(b *testing.B, name string) {
 			dy := operand{benchVals(rng, tensor.ShapeSize(dyShape), 0.8), dyShape}
 			flops := 2 * batch * s.side * s.side * 9 * s.inC * s.outC
 			if name == "Conv2DBackpropFilter" {
-				benchVsReference(b, name, kernels.Attrs{"pad": "same", "filterShape": wShape}, flops, x, dy)
+				benchVsReference(b, name, kernels.Attrs{Pad: "same", Shape: wShape}, flops, x, dy)
 			} else {
-				benchVsReference(b, name, kernels.Attrs{"pad": "same", "inputShape": xShape}, flops, dy, w)
+				benchVsReference(b, name, kernels.Attrs{Pad: "same", Shape: xShape}, flops, dy, w)
 			}
 		})
 	}
@@ -295,11 +295,11 @@ func BenchmarkBiasGradReduce(b *testing.B) {
 		b.Run(fmt.Sprintf("%d@%d", s.outC, s.side), func(b *testing.B) {
 			rows := 32 * s.side * s.side
 			dy := benchVals(rand.New(rand.NewSource(1)), rows*s.outC, 0.8)
-			benchVsReference(b, "BiasAddGrad", nil, rows*s.outC, operand{dy, []int{rows, s.outC}})
+			benchVsReference(b, "BiasAddGrad", kernels.Attrs{}, rows*s.outC, operand{dy, []int{rows, s.outC}})
 			b.Run("transpose+sum", func(b *testing.B) {
 				nb := benchBackend()
 				in := benchInput(nb, dy, 32, s.side, s.side, s.outC)
-				perm := kernels.Attrs{"perm": []int{3, 0, 1, 2}}
+				perm := kernels.Attrs{Perm: []int{3, 0, 1, 2}}
 				var t, sum kernels.TensorInfo
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -307,7 +307,7 @@ func BenchmarkBiasGradReduce(b *testing.B) {
 						b.Fatal(err)
 					}
 					flat := kernels.Input{DataID: t.DataID, Shape: []int{s.outC, rows}, DType: t.DType}
-					if err := nb.table["Sum"]([]kernels.Input{flat}, nil, &sum); err != nil {
+					if err := nb.table["Sum"]([]kernels.Input{flat}, kernels.Attrs{}, &sum); err != nil {
 						b.Fatal(err)
 					}
 					nb.DisposeData(t.DataID)
@@ -326,7 +326,7 @@ func BenchmarkBiasGradReduce(b *testing.B) {
 func BenchmarkTransposeGlobalPool(b *testing.B) {
 	nb := benchBackend()
 	x := benchInput(nb, benchVals(rand.New(rand.NewSource(1)), 16*3*3*256, 0.5), 16, 3, 3, 256)
-	benchPlanKernel(b, nb, "Transpose", kernels.Attrs{"perm": []int{0, 3, 1, 2}}, 0, x)
+	benchPlanKernel(b, nb, "Transpose", kernels.Attrs{Perm: []int{0, 3, 1, 2}}, 0, x)
 }
 
 // BenchmarkBiasAddBroadcast adds a [C] bias to the first conv's
@@ -335,7 +335,7 @@ func BenchmarkBiasAddBroadcast(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	y := operand{benchVals(rng, 32*16*16*8, 0), []int{32, 16, 16, 8}}
 	bias := operand{benchVals(rng, 8, 0), []int{8}}
-	benchVsReference(b, "Add", nil, 32*16*16*8, y, bias)
+	benchVsReference(b, "Add", kernels.Attrs{}, 32*16*16*8, y, bias)
 }
 
 // BenchmarkActivationLoops runs Relu, Relu6 and Step (the ReLU gradient's
@@ -345,7 +345,7 @@ func BenchmarkActivationLoops(b *testing.B) {
 	for _, name := range []string{"Relu", "Relu6", "Step"} {
 		b.Run(name, func(b *testing.B) {
 			x := operand{benchVals(rand.New(rand.NewSource(1)), 32*16*16*8, 0), []int{32, 16, 16, 8}}
-			benchVsReference(b, name, nil, 32*16*16*8, x)
+			benchVsReference(b, name, kernels.Attrs{}, 32*16*16*8, x)
 		})
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func binary(name string, a, b *tensor.Tensor) *tensor.Tensor {
-	return run1(name, []*tensor.Tensor{a, b}, nil)
+	return run1(name, []*tensor.Tensor{a, b}, kernels.Attrs{})
 }
 
 // Add returns a + b with broadcasting.
@@ -77,7 +77,7 @@ func LogicalOr(a, b *tensor.Tensor) *tensor.Tensor { return binary("LogicalOr", 
 
 // Where selects t where cond is true and f elsewhere, with broadcasting.
 func Where(cond, t, f *tensor.Tensor) *tensor.Tensor {
-	return run1("Select", []*tensor.Tensor{cond, t, f}, nil)
+	return run1("Select", []*tensor.Tensor{cond, t, f}, kernels.Attrs{})
 }
 
 func init() {

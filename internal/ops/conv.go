@@ -1,7 +1,6 @@
 package ops
 
 import (
-	"cmp"
 	"fmt"
 
 	"repro/internal/core"
@@ -19,17 +18,8 @@ type ConvOpts struct {
 	Dilations []int
 }
 
-// attrs sets only the fields given: an absent key is the kernels' own
-// default, and a default built here would be an allocation per call.
 func (o ConvOpts) attrs() kernels.Attrs {
-	a := kernels.Attrs{"pad": cmp.Or(o.Pad, "valid")}
-	if o.Strides != nil {
-		a["strides"] = o.Strides
-	}
-	if o.Dilations != nil {
-		a["dilations"] = o.Dilations
-	}
-	return a
+	return kernels.Attrs{Strides: o.Strides, Dilations: o.Dilations, Pad: o.Pad}
 }
 
 // Conv2D convolves NHWC input x with filter [fh, fw, inC, outC].
@@ -60,14 +50,17 @@ type PoolOpts struct {
 	Pad string
 }
 
-// attrs sets only the fields given, as ConvOpts.attrs does.
+// defaultPoolSize is PoolOpts' nil FilterSize: package-level, since a
+// literal here is an allocation per call.
+var defaultPoolSize = []int{2, 2}
+
 func (o PoolOpts) attrs() kernels.Attrs {
-	a := kernels.Attrs{"pad": cmp.Or(o.Pad, "valid")}
-	if o.FilterSize != nil {
-		a["filterSize"] = o.FilterSize
+	a := kernels.Attrs{FilterSize: o.FilterSize, Strides: o.Strides, Pad: o.Pad}
+	if a.FilterSize == nil {
+		a.FilterSize = defaultPoolSize
 	}
-	if o.Strides != nil {
-		a["strides"] = o.Strides
+	if a.Strides == nil {
+		a.Strides = a.FilterSize
 	}
 	return a
 }
@@ -103,7 +96,7 @@ func BatchNorm(x, mean, variance, offset, scale *tensor.Tensor, epsilon float64)
 		scale = Ones(mean.Shape...)
 	}
 	return run1("FusedBatchNorm", []*tensor.Tensor{x, mean, variance, offset, scale},
-		kernels.Attrs{"varianceEpsilon": epsilon})
+		kernels.Attrs{Epsilon: epsilon})
 }
 
 // convGrad is the gradient of a Conv2D-family kernel: one backward kernel
@@ -115,23 +108,20 @@ func convGrad(inputKernel, filterKernel string) core.WatchedGradFunc {
 		x, filter := inputs[0], inputs[1]
 		grads := make([]*tensor.Tensor, 2)
 		if watched[0] {
-			grads[0] = run1(inputKernel, []*tensor.Tensor{dy, filter}, backAttrs(attrs, "inputShape", x.Shape))
+			grads[0] = run1(inputKernel, []*tensor.Tensor{dy, filter}, backAttrs(attrs, x.Shape))
 		}
 		if watched[1] {
-			grads[1] = run1(filterKernel, []*tensor.Tensor{x, dy}, backAttrs(attrs, "filterShape", filter.Shape))
+			grads[1] = run1(filterKernel, []*tensor.Tensor{x, dy}, backAttrs(attrs, filter.Shape))
 		}
 		return grads
 	}
 }
 
 // backAttrs is a backward window kernel's attributes: its forward kernel's,
-// and under key the shape of the operand it differentiates.
-func backAttrs(forward kernels.Attrs, key string, shape []int) kernels.Attrs {
-	back := kernels.Attrs{key: shape}
-	for k, v := range forward {
-		back[k] = v
-	}
-	return back
+// with the shape of the operand it differentiates.
+func backAttrs(forward kernels.Attrs, shape []int) kernels.Attrs {
+	forward.Shape = shape
+	return forward
 }
 
 func init() {
@@ -143,13 +133,13 @@ func init() {
 		return []*tensor.Tensor{dx}
 	})
 	core.RegisterGradient("AvgPool", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
-		dx := run1("AvgPoolGrad", []*tensor.Tensor{dys[0]}, backAttrs(attrs, "inputShape", inputs[0].Shape))
+		dx := run1("AvgPoolGrad", []*tensor.Tensor{dys[0]}, backAttrs(attrs, inputs[0].Shape))
 		return []*tensor.Tensor{dx}
 	})
 	core.RegisterGradient("FusedBatchNorm", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
 		dy := dys[0]
 		x, mean, variance, _, scale := inputs[0], inputs[1], inputs[2], inputs[3], inputs[4]
-		eps := attrs.Float("varianceEpsilon", 1e-3)
+		eps := attrs.Epsilon
 		invStd := Rsqrt(AddScalar(variance, float32(eps)))
 		xCentered := Sub(x, mean)
 		// d/dx = dy * scale * invStd

@@ -30,7 +30,7 @@ func fusedInputs(x, filter, bias *tensor.Tensor) []*tensor.Tensor {
 // kernel dispatch.
 func FusedConv2D(x, filter, bias *tensor.Tensor, opts ConvOpts, activation string) *tensor.Tensor {
 	a := opts.attrs()
-	a["activation"] = activation
+	a.Activation = activation
 	return run1("FusedConv2D", fusedInputs(x, filter, bias), a)
 }
 
@@ -38,7 +38,7 @@ func FusedConv2D(x, filter, bias *tensor.Tensor, opts ConvOpts, activation strin
 // [fh, fw, inC, mult], bias shape [inC*mult].
 func FusedDepthwiseConv2D(x, filter, bias *tensor.Tensor, opts ConvOpts, activation string) *tensor.Tensor {
 	a := opts.attrs()
-	a["activation"] = activation
+	a.Activation = activation
 	return run1("FusedDepthwiseConv2dNative", fusedInputs(x, filter, bias), a)
 }
 
@@ -49,6 +49,5 @@ func FusedMatMul(a, b, bias *tensor.Tensor, transposeA, transposeB bool, activat
 		panic(&core.OpError{Kernel: "_FusedMatMul", Err: fmt.Errorf("inputs must be rank 2, got %v and %v", a.Shape, b.Shape)})
 	}
 	return run1("_FusedMatMul", fusedInputs(a, b, bias), kernels.Attrs{
-		"transposeA": transposeA, "transposeB": transposeB, "activation": activation,
-	})
+		TransposeA: transposeA, TransposeB: transposeB, Activation: activation})
 }

@@ -22,7 +22,7 @@ func MatMul(a, b *tensor.Tensor, transposeA, transposeB bool) *tensor.Tensor {
 // a batch dimension of 1, or two rank-2 matrices.
 func BatchMatMul(a, b *tensor.Tensor, transposeA, transposeB bool) *tensor.Tensor {
 	return run1("BatchMatMul", []*tensor.Tensor{a, b},
-		kernels.Attrs{"transposeA": transposeA, "transposeB": transposeB})
+		kernels.Attrs{TransposeA: transposeA, TransposeB: transposeB})
 }
 
 // Dot computes the vector dot product of two rank-1 tensors.
@@ -38,8 +38,8 @@ func init() {
 	core.RegisterWatchedGradient("BatchMatMul", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs, watched []bool) []*tensor.Tensor {
 		dy := dys[0]
 		a, b := inputs[0], inputs[1]
-		tA := attrs.Bool("transposeA", false)
-		tB := attrs.Bool("transposeB", false)
+		tA := attrs.TransposeA
+		tB := attrs.TransposeB
 		// One product per operand, skipped when the tape does not watch it
 		// (the first dense layer's input is the data batch). sumToShape
 		// reverses batch broadcasting if the operand had batch 1.

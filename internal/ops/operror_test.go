@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/kernels"
 	"repro/internal/tensor"
 )
 
@@ -45,7 +46,7 @@ func TestOpErrorTyping(t *testing.T) {
 		{
 			name: "unknown kernel",
 			fn: func() {
-				core.Global().RunKernel("NoSuchKernel", []*tensor.Tensor{Ones(1)}, nil)
+				core.Global().RunKernel("NoSuchKernel", []*tensor.Tensor{Ones(1)}, kernels.Attrs{})
 			},
 			wantKernel: "NoSuchKernel",
 			wantCause:  "not registered",

@@ -44,7 +44,7 @@ func Scalar(v float32) *tensor.Tensor { return FromValues([]float32{v}) }
 
 // Fill creates a tensor of the given shape filled with value.
 func Fill(shape []int, value float32) *tensor.Tensor {
-	return run1("Fill", nil, kernels.Attrs{"shape": tensor.CopyShape(shape), "value": float64(value)})
+	return run1("Fill", nil, kernels.Attrs{Shape: tensor.CopyShape(shape), Value: float64(value)})
 }
 
 // Zeros creates a zero-filled tensor.
@@ -61,7 +61,7 @@ func OnesLike(t *tensor.Tensor) *tensor.Tensor { return Fill(t.Shape, 1) }
 
 // Range creates a 1-D tensor of values in [start, stop) stepping by step.
 func Range(start, stop, step float64) *tensor.Tensor {
-	return run1("Range", nil, kernels.Attrs{"start": start, "stop": stop, "step": step})
+	return run1("Range", nil, kernels.Attrs{Start: start, Stop: stop, Step: step})
 }
 
 // Linspace creates num evenly spaced values in [start, stop].
@@ -108,7 +108,7 @@ func RandUniform(shape []int, lo, hi float64, rng *rand.Rand) *tensor.Tensor {
 
 // OneHot expands integer labels to one-hot vectors of the given depth.
 func OneHot(indices *tensor.Tensor, depth int) *tensor.Tensor {
-	return run1("OneHot", []*tensor.Tensor{indices}, kernels.Attrs{"depth": depth})
+	return run1("OneHot", []*tensor.Tensor{indices}, kernels.Attrs{Depth: depth, OnValue: 1})
 }
 
 // Eye creates an n×n identity matrix.
@@ -122,7 +122,7 @@ func Eye(n int) *tensor.Tensor {
 
 // Cast converts t to the given dtype.
 func Cast(t *tensor.Tensor, dtype tensor.DataType) *tensor.Tensor {
-	return run1("Cast", []*tensor.Tensor{t}, kernels.Attrs{"dtype": dtype.String()})
+	return run1("Cast", []*tensor.Tensor{t}, kernels.Attrs{DType: dtype})
 }
 
 // Clone returns a tensor sharing t's data container (free, Section 3.4).

@@ -15,21 +15,21 @@ import (
 // kept] view instead: the bias-gradient kernel, the same sums in the same
 // order.
 func reduce(name string, t *tensor.Tensor, axes []int, keepDims bool) *tensor.Tensor {
-	attrs := kernels.Attrs{"axes": axes, "keepDims": keepDims}
+	attrs := kernels.Attrs{Axes: axes, KeepDims: keepDims}
 	if name == "Sum" {
-		set := reduceAxes(name, attrs, t)
+		set := reduceAxes(name, axes, t)
 		if lead := bits.TrailingZeros64(^uint64(set)); lead > 0 && lead < t.Rank() && set == 1<<lead-1 {
 			view := Reshape(t, tensor.ShapeSize(t.Shape[:lead]), tensor.ShapeSize(t.Shape[lead:]))
-			res := run1("BiasAddGrad", []*tensor.Tensor{view}, nil)
+			res := run1("BiasAddGrad", []*tensor.Tensor{view}, kernels.Attrs{})
 			return Reshape(res, set.Shape(nil, t.Shape, keepDims)...)
 		}
 	}
 	return run1(name, []*tensor.Tensor{t}, attrs)
 }
 
-// reduceAxes is the set of t's axes attrs reduce.
-func reduceAxes(name string, attrs kernels.Attrs, t *tensor.Tensor) kernels.Axes {
-	set, err := kernels.ReduceAxes(name, attrs, t.Rank())
+// reduceAxes is the set of t's axes a reduction over axes folds.
+func reduceAxes(name string, axes []int, t *tensor.Tensor) kernels.Axes {
+	set, err := kernels.ReduceAxes(name, axes, t.Rank())
 	if err != nil {
 		panic(&core.OpError{Kernel: name, Err: err})
 	}
@@ -73,17 +73,17 @@ func All(t *tensor.Tensor, axes []int, keepDims bool) *tensor.Tensor {
 
 // ArgMax returns the index of the maximum along axis as an int32 tensor.
 func ArgMax(t *tensor.Tensor, axis int) *tensor.Tensor {
-	return run1("ArgMax", []*tensor.Tensor{t}, kernels.Attrs{"axes": []int{axis}})
+	return run1("ArgMax", []*tensor.Tensor{t}, kernels.Attrs{Axes: []int{axis}})
 }
 
 // ArgMin returns the index of the minimum along axis as an int32 tensor.
 func ArgMin(t *tensor.Tensor, axis int) *tensor.Tensor {
-	return run1("ArgMin", []*tensor.Tensor{t}, kernels.Attrs{"axes": []int{axis}})
+	return run1("ArgMin", []*tensor.Tensor{t}, kernels.Attrs{Axes: []int{axis}})
 }
 
 // Softmax computes softmax over the last axis.
 func Softmax(t *tensor.Tensor) *tensor.Tensor {
-	return run1("Softmax", []*tensor.Tensor{t}, nil)
+	return run1("Softmax", []*tensor.Tensor{t}, kernels.Attrs{})
 }
 
 // LogSoftmax computes log(softmax) over the last axis with the max-shift
@@ -105,7 +105,7 @@ func LogSumExp(t *tensor.Tensor, axes []int, keepDims bool) *tensor.Tensor {
 	if keepDims {
 		return res
 	}
-	return Reshape(res, reduceAxes("LogSumExp", kernels.Attrs{"axes": axes}, t).Shape(nil, t.Shape, false)...)
+	return Reshape(res, reduceAxes("LogSumExp", axes, t).Shape(nil, t.Shape, false)...)
 }
 
 // Moments returns the mean and variance of t over axes.
@@ -114,7 +114,7 @@ func Moments(t *tensor.Tensor, axes []int, keepDims bool) (mean, variance *tenso
 	diff := Sub(t, mean)
 	variance = Mean(Mul(diff, diff), axes, true)
 	if !keepDims {
-		shape := reduceAxes("Moments", kernels.Attrs{"axes": axes}, t).Shape(nil, t.Shape, false)
+		shape := reduceAxes("Moments", axes, t).Shape(nil, t.Shape, false)
 		mean, variance = Reshape(mean, shape...), Reshape(variance, shape...)
 	}
 	return mean, variance
@@ -125,7 +125,7 @@ func init() {
 	// shape, is tiled back over x, then each element of x gets what the
 	// fold owes it.
 	back := func(name string, dy, x *tensor.Tensor, attrs kernels.Attrs) (kept []int, tiled *tensor.Tensor, inner int) {
-		set := reduceAxes(name, attrs, x)
+		set := reduceAxes(name, attrs.Axes, x)
 		kept = set.Shape(nil, x.Shape, true)
 		reps, inner := make([]int, x.Rank()), 1
 		for d, n := range x.Shape {

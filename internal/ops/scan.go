@@ -35,7 +35,7 @@ func CumSum(t *tensor.Tensor, axis int, exclusive, reverse bool) *tensor.Tensor 
 	inner := work.Shape[work.Rank()-1]
 	outer := work.Size() / inner
 	flat := Reshape(work, outer, inner)
-	scanned := run1("CumSum", []*tensor.Tensor{flat}, kernels.Attrs{"exclusive": exclusive, "reverse": reverse})
+	scanned := run1("CumSum", []*tensor.Tensor{flat}, kernels.Attrs{Exclusive: exclusive, Reverse: reverse})
 	res := Reshape(scanned, work.Shape...)
 	if perm == nil {
 		return res
@@ -61,10 +61,10 @@ func init() {
 	// or after it (or strictly after, if exclusive), so the gradient is
 	// the cumulative sum of dy in the opposite direction.
 	core.RegisterGradient("CumSum", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
-		exclusive := attrs.Bool("exclusive", false)
-		reverse := attrs.Bool("reverse", false)
+		exclusive := attrs.Exclusive
+		reverse := attrs.Reverse
 		g := e.RunKernel("CumSum", []*tensor.Tensor{dys[0]},
-			kernels.Attrs{"exclusive": exclusive, "reverse": !reverse})
+			kernels.Attrs{Exclusive: exclusive, Reverse: !reverse})
 		return []*tensor.Tensor{g}
 	})
 	core.RegisterGradient("Expm1", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {

@@ -12,7 +12,7 @@ import (
 // dimension may be -1 to be inferred. Reshape is free: it shares the data
 // container (Section 3.4).
 func Reshape(t *tensor.Tensor, shape ...int) *tensor.Tensor {
-	return run1("Reshape", []*tensor.Tensor{t}, kernels.Attrs{"shape": shape})
+	return run1("Reshape", []*tensor.Tensor{t}, kernels.Attrs{Shape: shape})
 }
 
 // Flatten reshapes to rank 1.
@@ -72,7 +72,7 @@ func Transpose(t *tensor.Tensor, perm ...int) *tensor.Tensor {
 			perm[i] = t.Rank() - 1 - i
 		}
 	}
-	return run1("Transpose", []*tensor.Tensor{t}, kernels.Attrs{"perm": perm})
+	return run1("Transpose", []*tensor.Tensor{t}, kernels.Attrs{Perm: perm})
 }
 
 // Concat concatenates tensors along axis.
@@ -83,7 +83,7 @@ func Concat(ts []*tensor.Tensor, axis int) *tensor.Tensor {
 	if len(ts) == 1 {
 		return ts[0].Clone()
 	}
-	return run1("Concat", ts, kernels.Attrs{"axis": axis})
+	return run1("Concat", ts, kernels.Attrs{Axis: axis})
 }
 
 // Stack stacks tensors of identical shape along a new axis.
@@ -120,7 +120,7 @@ func Unstack(t *tensor.Tensor, axis int) []*tensor.Tensor {
 // size extends to the end of the dimension.
 func Slice(t *tensor.Tensor, begin, size []int) *tensor.Tensor {
 	return run1("Slice", []*tensor.Tensor{t}, kernels.Attrs{
-		"begin": tensor.CopyShape(begin), "size": tensor.CopyShape(size)})
+		Begin: tensor.CopyShape(begin), Shape: tensor.CopyShape(size)})
 }
 
 // Split divides t into numSplits equal parts along axis.
@@ -154,27 +154,27 @@ func Pad(t *tensor.Tensor, paddings [][2]int, constantValue float64) *tensor.Ten
 	for _, p := range paddings {
 		flat = append(flat, p[0], p[1])
 	}
-	return run1("PadV2", []*tensor.Tensor{t}, kernels.Attrs{"paddings": flat, "constantValue": constantValue})
+	return run1("PadV2", []*tensor.Tensor{t}, kernels.Attrs{Paddings: flat, Value: constantValue})
 }
 
 // Gather selects slices of t along axis using integer indices.
 func Gather(t, indices *tensor.Tensor, axis int) *tensor.Tensor {
-	return run1("GatherV2", []*tensor.Tensor{t, indices}, kernels.Attrs{"axis": axis})
+	return run1("GatherV2", []*tensor.Tensor{t, indices}, kernels.Attrs{Axis: axis})
 }
 
 // Tile repeats t reps[d] times along each dimension d.
 func Tile(t *tensor.Tensor, reps []int) *tensor.Tensor {
-	return run1("Tile", []*tensor.Tensor{t}, kernels.Attrs{"reps": tensor.CopyShape(reps)})
+	return run1("Tile", []*tensor.Tensor{t}, kernels.Attrs{Reps: tensor.CopyShape(reps)})
 }
 
 // Reverse flips t along the given axes.
 func Reverse(t *tensor.Tensor, axes ...int) *tensor.Tensor {
-	return run1("Reverse", []*tensor.Tensor{t}, kernels.Attrs{"axes": axes})
+	return run1("Reverse", []*tensor.Tensor{t}, kernels.Attrs{Axes: axes})
 }
 
 func init() {
 	core.RegisterGradient("Transpose", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
-		perm := attrs.Ints("perm", nil)
+		perm := attrs.Perm
 		inverse := make([]int, len(perm))
 		for i, p := range perm {
 			inverse[p] = i
@@ -182,7 +182,7 @@ func init() {
 		return []*tensor.Tensor{Transpose(dys[0], inverse...)}
 	})
 	core.RegisterGradient("Concat", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
-		axis := attrs.Int("axis", 0)
+		axis := attrs.Axis
 		rank := inputs[0].Rank()
 		if axis < 0 {
 			axis += rank
@@ -201,7 +201,7 @@ func init() {
 		return grads
 	})
 	core.RegisterGradient("Slice", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
-		begin := attrs.Ints("begin", nil)
+		begin := attrs.Begin
 		in := inputs[0]
 		dy := dys[0]
 		paddings := make([][2]int, in.Rank())
@@ -211,7 +211,7 @@ func init() {
 		return []*tensor.Tensor{Pad(dy, paddings, 0)}
 	})
 	core.RegisterGradient("PadV2", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
-		paddings := attrs.Ints("paddings", nil)
+		paddings := attrs.Paddings
 		in := inputs[0]
 		begin := make([]int, in.Rank())
 		size := tensor.CopyShape(in.Shape)
@@ -221,11 +221,11 @@ func init() {
 		return []*tensor.Tensor{Slice(dys[0], begin, size)}
 	})
 	core.RegisterGradient("Reverse", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
-		axes := attrs.Ints("axes", nil)
+		axes := attrs.Axes
 		return []*tensor.Tensor{Reverse(dys[0], axes...)}
 	})
 	core.RegisterGradient("Tile", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
-		reps := attrs.Ints("reps", nil)
+		reps := attrs.Reps
 		in := inputs[0]
 		// View dy as [r0, s0, r1, s1, ...] and sum over the repeat axes:
 		// the tile of an element is the set of positions whose
@@ -241,7 +241,7 @@ func init() {
 		return []*tensor.Tensor{Reshape(summed, in.Shape...)}
 	})
 	core.RegisterGradient("GatherV2", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
-		axis := attrs.Int("axis", 0)
+		axis := attrs.Axis
 		in, indices := inputs[0], inputs[1]
 		rank := in.Rank()
 		if axis < 0 {

@@ -7,7 +7,7 @@ import (
 )
 
 func unary(name string, t *tensor.Tensor) *tensor.Tensor {
-	return run1(name, []*tensor.Tensor{t}, nil)
+	return run1(name, []*tensor.Tensor{t}, kernels.Attrs{})
 }
 
 // Neg returns -t.
@@ -76,17 +76,17 @@ func Elu(t *tensor.Tensor) *tensor.Tensor { return unary("Elu", t) }
 
 // LeakyRelu returns x for x>=0 and alpha*x otherwise.
 func LeakyRelu(t *tensor.Tensor, alpha float64) *tensor.Tensor {
-	return run1("LeakyRelu", []*tensor.Tensor{t}, kernels.Attrs{"alpha": alpha})
+	return run1("LeakyRelu", []*tensor.Tensor{t}, kernels.Attrs{Alpha: alpha})
 }
 
 // ClipByValue clamps t into [lo, hi].
 func ClipByValue(t *tensor.Tensor, lo, hi float64) *tensor.Tensor {
-	return run1("ClipByValue", []*tensor.Tensor{t}, kernels.Attrs{"clipValueMin": lo, "clipValueMax": hi})
+	return run1("ClipByValue", []*tensor.Tensor{t}, kernels.Attrs{ClipMin: lo, ClipMax: hi})
 }
 
 // Step returns 1 where t > 0, alpha elsewhere.
 func Step(t *tensor.Tensor, alpha float64) *tensor.Tensor {
-	return run1("Step", []*tensor.Tensor{t}, kernels.Attrs{"alpha": alpha})
+	return run1("Step", []*tensor.Tensor{t}, kernels.Attrs{Alpha: alpha})
 }
 
 // IsNaN returns a bool tensor marking NaN elements.
@@ -157,13 +157,10 @@ func init() {
 		return Mul(dy, Add(pos, neg))
 	}))
 	core.RegisterGradient("LeakyRelu", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
-		alpha := attrs.Float("alpha", 0.2)
-		return []*tensor.Tensor{Mul(dys[0], Step(inputs[0], alpha))}
+		return []*tensor.Tensor{Mul(dys[0], Step(inputs[0], attrs.Alpha))}
 	})
 	core.RegisterGradient("ClipByValue", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
-		lo := attrs.Float("clipValueMin", 0)
-		hi := attrs.Float("clipValueMax", 0)
-		x := inputs[0]
+		lo, hi, x := attrs.ClipMin, attrs.ClipMax, inputs[0]
 		inRange := LogicalAnd(GreaterEqual(x, Fill(x.Shape, float32(lo))), LessEqual(x, Fill(x.Shape, float32(hi))))
 		return []*tensor.Tensor{Mul(dys[0], Cast(inRange, tensor.Float32))}
 	})

@@ -12,6 +12,7 @@ package savedmodel
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 
 	"repro/internal/tensor"
 )
@@ -115,12 +116,7 @@ func (g *GraphDef) Clone() *GraphDef {
 	for i, n := range g.Nodes {
 		cn := n
 		cn.Inputs = append([]string(nil), n.Inputs...)
-		if n.Attrs != nil {
-			cn.Attrs = make(map[string]any, len(n.Attrs))
-			for k, v := range n.Attrs {
-				cn.Attrs[k] = v
-			}
-		}
+		cn.Attrs = maps.Clone(n.Attrs)
 		c.Nodes[i] = cn
 	}
 	for name, w := range g.Weights {

@@ -177,7 +177,11 @@ func (v *verifier) arity(n *NodeDef, ins []valueInfo, want ...int) bool {
 // their presence is not a load-time error.
 func (v *verifier) infer(n *NodeDef, ins []valueInfo) valueInfo {
 	unknown := valueInfo{dtype: "float32"}
-	attrs := n.Attrs
+	a, err := DecodeAttrs(n)
+	if err != nil {
+		v.errf(n, "", "%s", err.(*attrError).msg)
+		return unknown
+	}
 
 	switch n.Op {
 	case "Const":
@@ -193,11 +197,7 @@ func (v *verifier) infer(n *NodeDef, ins []valueInfo) valueInfo {
 		return valueInfo{shape: append([]int(nil), w.Shape...), dtype: dt}
 
 	case "Placeholder":
-		dt := vAttrString(attrs, "dtype", "float32")
-		if shape, ok := vAttrInts(attrs, "shape"); ok {
-			return valueInfo{shape: shape, dtype: dt}
-		}
-		return valueInfo{dtype: dt}
+		return valueInfo{shape: a.Shape, dtype: a.DType.String()}
 
 	case "Identity":
 		if !v.arity(n, ins, 1) {
@@ -237,9 +237,8 @@ func (v *verifier) infer(n *NodeDef, ins []valueInfo) valueInfo {
 			return unknown
 		}
 		v.requireFloat32(n, ins)
-		ta, tb := vAttrBool(attrs, "transpose_a"), vAttrBool(attrs, "transpose_b")
-		m, ka := matDims(ins[0].shape, ta)
-		kb, nn := matDims(ins[1].shape, tb)
+		m, ka := matDims(ins[0].shape, a.TransposeA)
+		kb, nn := matDims(ins[1].shape, a.TransposeB)
 		for i := 0; i < 2; i++ {
 			if ins[i].shape != nil && len(ins[i].shape) != 2 {
 				v.errf(n, inputName(n, i), "rank mismatch: matmul operand must be rank 2, got rank %d (%s)",
@@ -252,11 +251,8 @@ func (v *verifier) infer(n *NodeDef, ins []valueInfo) valueInfo {
 				ka, kb, shapeString(ins[0].shape), shapeString(ins[1].shape))
 			return unknown
 		}
-		if n.Op != "MatMul" {
-			if len(ins) == 3 {
-				v.checkBias(n, 2, ins[2], nn)
-			}
-			v.checkActivation(n, attrs)
+		if len(ins) == 3 {
+			v.checkBias(n, 2, ins[2], nn)
 		}
 		return valueInfo{shape: []int{m, nn}, dtype: "float32"}
 
@@ -271,15 +267,12 @@ func (v *verifier) infer(n *NodeDef, ins []valueInfo) valueInfo {
 			return unknown
 		}
 		v.requireFloat32(n, ins)
-		out, outC, ok := v.convShape(n, ins[0].shape, ins[1].shape, attrs, depthwise)
+		out, outC, ok := v.convShape(n, ins[0].shape, ins[1].shape, a, depthwise)
 		if !ok {
 			return unknown
 		}
-		if fused {
-			if len(ins) == 3 {
-				v.checkBias(n, 2, ins[2], outC)
-			}
-			v.checkActivation(n, attrs)
+		if len(ins) == 3 {
+			v.checkBias(n, 2, ins[2], outC)
 		}
 		return valueInfo{shape: out, dtype: "float32"}
 
@@ -288,27 +281,7 @@ func (v *verifier) infer(n *NodeDef, ins []valueInfo) valueInfo {
 			return unknown
 		}
 		v.requireFloat32(n, ins)
-		ksize, _ := vAttrInts(attrs, "ksize")
-		if ksize == nil {
-			ksize = []int{2, 2}
-		}
-		strides, _ := vAttrInts(attrs, "strides")
-		if strides == nil {
-			strides = ksize
-		}
-		pad := vAttrString(attrs, "padding", "valid")
-		if len(ksize) != 2 || len(strides) != 2 {
-			v.errf(n, "", "ksize and strides must have 2 entries, got %v and %v", ksize, strides)
-			return unknown
-		}
-		if pad != "same" && pad != "valid" {
-			v.errf(n, "", "padding must be \"same\" or \"valid\", got %q", pad)
-			return unknown
-		}
-		if !positive(strides) {
-			v.errf(n, "", "strides must be at least 1, got %v", strides)
-			return unknown
-		}
+		ksize, strides, pad := a.FilterSize, a.Strides, a.Pad
 		x := ins[0].shape
 		if x == nil {
 			return unknown
@@ -330,19 +303,18 @@ func (v *verifier) infer(n *NodeDef, ins []valueInfo) valueInfo {
 			return unknown
 		}
 		v.requireFloat32(n, ins)
-		axes, _ := vAttrInts(attrs, "axes")
 		x := ins[0].shape
 		if x == nil {
 			return unknown
 		}
 		// The kernel's own axes and output shape, on a partial shape: no
 		// axes is every axis, and an unknown dim passes through.
-		set, err := kernels.ReduceAxes("Mean", kernels.Attrs{"axes": axes}, len(x))
+		set, err := kernels.ReduceAxes("Mean", a.Axes, len(x))
 		if err != nil {
 			v.errf(n, inputName(n, 0), "%v (%s)", err, shapeString(x))
 			return unknown
 		}
-		return valueInfo{shape: set.Shape([]int{}, x, vAttrBool(attrs, "keep_dims")), dtype: "float32"}
+		return valueInfo{shape: set.Shape([]int{}, x, a.KeepDims), dtype: "float32"}
 
 	case "FusedBatchNorm":
 		if !v.arity(n, ins, 5) {
@@ -379,9 +351,8 @@ func (v *verifier) infer(n *NodeDef, ins []valueInfo) valueInfo {
 			return unknown
 		}
 		v.requireFloat32(n, ins)
-		target, ok := vAttrInts(attrs, "shape")
-		x := ins[0].shape
-		if !ok || x == nil || len(x) == 0 {
+		target, x := a.Shape, ins[0].shape
+		if target == nil || x == nil || len(x) == 0 {
 			return unknown
 		}
 		// The executor prepends the batch dim: out = [x[0], target...].
@@ -419,12 +390,7 @@ func (v *verifier) infer(n *NodeDef, ins []valueInfo) valueInfo {
 			return unknown
 		}
 		v.requireFloat32(n, ins)
-		p, _ := vAttrInts(attrs, "padding")
-		if len(p) != 4 {
-			v.errf(n, "", "Pad needs a [top bottom left right] padding attr, got %v", p)
-			return unknown
-		}
-		x := ins[0].shape
+		p, x := a.Paddings, ins[0].shape
 		if x == nil {
 			return unknown
 		}
@@ -432,7 +398,7 @@ func (v *verifier) infer(n *NodeDef, ins []valueInfo) valueInfo {
 			v.errf(n, inputName(n, 0), "rank mismatch: Pad input must be rank 4 NHWC, got rank %d (%s)", len(x), shapeString(x))
 			return unknown
 		}
-		out := []int{x[0], addDim(x[1], p[0]+p[1]), addDim(x[2], p[2]+p[3]), x[3]}
+		out := []int{x[0], addDim(x[1], p[2]+p[3]), addDim(x[2], p[4]+p[5]), x[3]}
 		return valueInfo{shape: out, dtype: "float32"}
 	}
 
@@ -467,38 +433,12 @@ func (v *verifier) checkBias(n *NodeDef, i int, bias valueInfo, outC int) {
 	}
 }
 
-// checkActivation validates the fused "activation" attribute against the
-// element-wise table — the same lookup the kernels use, so verify-time and
-// execute-time agreement is by construction.
-func (v *verifier) checkActivation(n *NodeDef, attrs map[string]any) {
-	name := vAttrString(attrs, "activation", "")
-	if _, ok := kernels.Activation(name); !ok {
-		v.errf(n, "", "unknown fused activation %q", name)
-	}
-}
-
 // convShape infers a convolution output shape, mirroring
 // kernels.ComputeConv2DInfo but tolerating unknown dims. When every dim is
 // known it delegates to ComputeConv2DInfo itself, so the verifier and the
 // runtime kernels agree by construction.
-func (v *verifier) convShape(n *NodeDef, x, filter []int, attrs map[string]any, depthwise bool) (out []int, outC int, ok bool) {
-	strides, _ := vAttrInts(attrs, "strides")
-	if strides == nil {
-		strides = []int{1, 1}
-	}
-	pad := vAttrString(attrs, "padding", "valid")
-	if len(strides) != 2 {
-		v.errf(n, "", "strides must have 2 entries, got %v", strides)
-		return nil, DimUnknown, false
-	}
-	if pad != "same" && pad != "valid" {
-		v.errf(n, "", "padding must be \"same\" or \"valid\", got %q", pad)
-		return nil, DimUnknown, false
-	}
-	if !positive(strides) {
-		v.errf(n, "", "strides must be at least 1, got %v", strides)
-		return nil, DimUnknown, false
-	}
+func (v *verifier) convShape(n *NodeDef, x, filter []int, a kernels.Attrs, depthwise bool) (out []int, outC int, ok bool) {
+	strides, pad := a.Strides, a.Pad
 	if x != nil && len(x) != 4 {
 		v.errf(n, inputName(n, 0), "rank mismatch: conv input must be rank 4 NHWC, got rank %d (%s)", len(x), shapeString(x))
 		return nil, DimUnknown, false
@@ -565,16 +505,6 @@ func spatialOut(in, filter, stride int, pad string) int {
 		return DimUnknown
 	}
 	return kernels.OutExtent(in, filter, stride, pad)
-}
-
-// positive reports whether every stride is at least 1.
-func positive(strides []int) bool {
-	for _, s := range strides {
-		if s < 1 {
-			return false
-		}
-	}
-	return true
 }
 
 func addDim(d, delta int) int {
@@ -679,41 +609,4 @@ func shapeString(s []int) string {
 		}
 	}
 	return "[" + strings.Join(parts, " ") + "]"
-}
-
-// ---------------------------------------------------------------------------
-// Attribute decoding (JSON round-trips turn []int into []any of float64,
-// exactly as the graph executor's own attr helpers tolerate)
-
-func vAttrBool(attrs map[string]any, key string) bool {
-	v, _ := attrs[key].(bool)
-	return v
-}
-
-func vAttrString(attrs map[string]any, key, def string) string {
-	if v, ok := attrs[key].(string); ok {
-		return v
-	}
-	return def
-}
-
-func vAttrInts(attrs map[string]any, key string) ([]int, bool) {
-	switch v := attrs[key].(type) {
-	case []int:
-		return append([]int(nil), v...), true
-	case []any:
-		out := make([]int, len(v))
-		for i, e := range v {
-			switch n := e.(type) {
-			case int:
-				out[i] = n
-			case float64:
-				out[i] = int(n)
-			default:
-				return nil, false
-			}
-		}
-		return out, true
-	}
-	return nil, false
 }

@@ -1,8 +1,11 @@
-package savedmodel
+package savedmodel_test
 
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/graphmodel"
+	"repro/internal/savedmodel"
 )
 
 // ramp fills n ascending values.
@@ -15,16 +18,16 @@ func ramp(n int) []float32 {
 }
 
 // chainGraph builds placeholder(shape) → MatMul(W[wr, wc]) → Softmax.
-func chainGraph(inShape []int, wr, wc int) *GraphDef {
-	return &GraphDef{
-		Nodes: []NodeDef{
+func chainGraph(inShape []int, wr, wc int) *savedmodel.GraphDef {
+	return &savedmodel.GraphDef{
+		Nodes: []savedmodel.NodeDef{
 			{Name: "x", Op: "Placeholder",
 				Attrs: map[string]any{"dtype": "float32", "shape": inShape}},
 			{Name: "W", Op: "Const"},
 			{Name: "mm", Op: "MatMul", Inputs: []string{"x", "W"}},
 			{Name: "probs", Op: "Softmax", Inputs: []string{"mm"}},
 		},
-		Weights: map[string]*Weight{
+		Weights: map[string]*savedmodel.Weight{
 			"W": {Name: "W", Shape: []int{wr, wc}, DType: "float32", Values: ramp(wr * wc)},
 		},
 		Inputs:  []string{"x"},
@@ -33,9 +36,9 @@ func chainGraph(inShape []int, wr, wc int) *GraphDef {
 }
 
 func TestVerifyGraphAccepts(t *testing.T) {
-	cases := map[string]*GraphDef{
+	cases := map[string]*savedmodel.GraphDef{
 		"static-shapes":   chainGraph([]int{-1, 8}, 8, 4),
-		"unknown-batch":   chainGraph([]int{DimUnknown, 8}, 8, 4),
+		"unknown-batch":   chainGraph([]int{savedmodel.DimUnknown, 8}, 8, 4),
 		"shapeless-input": chainGraph(nil, 8, 4),
 	}
 	// A placeholder with no shape attr at all must also pass: unknown rank
@@ -45,22 +48,22 @@ func TestVerifyGraphAccepts(t *testing.T) {
 	cases["no-shape-attr"] = noShape
 
 	for name, g := range cases {
-		if err := VerifyGraph(g); err != nil {
+		if err := savedmodel.VerifyGraph(g); err != nil {
 			t.Errorf("%s: unexpected rejection: %v", name, err)
 		}
 	}
 }
 
-// wantIssue runs VerifyGraph and asserts one issue mentions node and text.
-func wantIssue(t *testing.T, g *GraphDef, node, text string) {
+// wantIssue runs savedmodel.VerifyGraph and asserts one issue mentions node and text.
+func wantIssue(t *testing.T, g *savedmodel.GraphDef, node, text string) {
 	t.Helper()
-	err := VerifyGraph(g)
+	err := savedmodel.VerifyGraph(g)
 	if err == nil {
 		t.Fatalf("want rejection mentioning node %q / %q, got nil", node, text)
 	}
-	ve, ok := err.(*VerifyError)
+	ve, ok := err.(*savedmodel.VerifyError)
 	if !ok {
-		t.Fatalf("want *VerifyError, got %T: %v", err, err)
+		t.Fatalf("want *savedmodel.VerifyError, got %T: %v", err, err)
 	}
 	for _, issue := range ve.Issues {
 		if issue.Node == node && strings.Contains(issue.String(), text) {
@@ -93,30 +96,30 @@ func TestVerifyGraphDanglingInput(t *testing.T) {
 }
 
 func TestVerifyGraphCycle(t *testing.T) {
-	g := &GraphDef{
-		Nodes: []NodeDef{
+	g := &savedmodel.GraphDef{
+		Nodes: []savedmodel.NodeDef{
 			{Name: "a", Op: "Relu", Inputs: []string{"b"}},
 			{Name: "b", Op: "Relu", Inputs: []string{"a"}},
 		},
-		Weights: map[string]*Weight{},
+		Weights: map[string]*savedmodel.Weight{},
 		Inputs:  []string{"a"},
 		Outputs: []string{"b"},
 	}
-	err := VerifyGraph(g)
+	err := savedmodel.VerifyGraph(g)
 	if err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Fatalf("want cycle issue, got %v", err)
 	}
 }
 
 func TestVerifyGraphBroadcastConflict(t *testing.T) {
-	g := &GraphDef{
-		Nodes: []NodeDef{
+	g := &savedmodel.GraphDef{
+		Nodes: []savedmodel.NodeDef{
 			{Name: "x", Op: "Placeholder",
 				Attrs: map[string]any{"shape": []int{-1, 4}}},
 			{Name: "b", Op: "Const"},
 			{Name: "sum", Op: "Add", Inputs: []string{"x", "b"}},
 		},
-		Weights: map[string]*Weight{
+		Weights: map[string]*savedmodel.Weight{
 			"b": {Name: "b", Shape: []int{3}, DType: "float32", Values: ramp(3)},
 		},
 		Inputs:  []string{"x"},
@@ -126,16 +129,16 @@ func TestVerifyGraphBroadcastConflict(t *testing.T) {
 }
 
 func TestVerifyGraphConvShapes(t *testing.T) {
-	conv := func(filterShape []int) *GraphDef {
-		return &GraphDef{
-			Nodes: []NodeDef{
+	conv := func(filterShape []int) *savedmodel.GraphDef {
+		return &savedmodel.GraphDef{
+			Nodes: []savedmodel.NodeDef{
 				{Name: "x", Op: "Placeholder",
 					Attrs: map[string]any{"shape": []int{-1, 8, 8, 3}}},
 				{Name: "W", Op: "Const"},
 				{Name: "conv", Op: "Conv2D", Inputs: []string{"x", "W"},
 					Attrs: map[string]any{"strides": []int{1, 1}, "padding": "same"}},
 			},
-			Weights: map[string]*Weight{
+			Weights: map[string]*savedmodel.Weight{
 				"W": {Name: "W", Shape: filterShape, DType: "float32",
 					Values: ramp(shapeSizeFor(filterShape))},
 			},
@@ -143,7 +146,7 @@ func TestVerifyGraphConvShapes(t *testing.T) {
 			Outputs: []string{"conv"},
 		}
 	}
-	if err := VerifyGraph(conv([]int{3, 3, 3, 8})); err != nil {
+	if err := savedmodel.VerifyGraph(conv([]int{3, 3, 3, 8})); err != nil {
 		t.Fatalf("consistent conv rejected: %v", err)
 	}
 	// Filter expects 4 input channels, image has 3.
@@ -163,17 +166,17 @@ func shapeSizeFor(shape []int) int {
 // unknown-shape producers, not errors — graphmodel.New must keep accepting
 // graphs with exotic ops, failing only at Execute.
 func TestVerifyGraphUnknownOpIsSilent(t *testing.T) {
-	g := &GraphDef{
-		Nodes: []NodeDef{
+	g := &savedmodel.GraphDef{
+		Nodes: []savedmodel.NodeDef{
 			{Name: "x", Op: "Placeholder"},
 			{Name: "fft", Op: "FFT", Inputs: []string{"x"}},
 			{Name: "out", Op: "Relu", Inputs: []string{"fft"}},
 		},
-		Weights: map[string]*Weight{},
+		Weights: map[string]*savedmodel.Weight{},
 		Inputs:  []string{"x"},
 		Outputs: []string{"out"},
 	}
-	if err := VerifyGraph(g); err != nil {
+	if err := savedmodel.VerifyGraph(g); err != nil {
 		t.Fatalf("unknown op must verify silently, got %v", err)
 	}
 }
@@ -183,12 +186,60 @@ func TestVerifyGraphUnknownOpIsSilent(t *testing.T) {
 func TestVerifyGraphMultipleIssues(t *testing.T) {
 	g := chainGraph([]int{-1, 8}, 16, 4) // inner-dim mismatch
 	g.Nodes[3].Inputs[0] = "missing"     // plus a dangling edge
-	err := VerifyGraph(g)
-	ve, ok := err.(*VerifyError)
+	err := savedmodel.VerifyGraph(g)
+	ve, ok := err.(*savedmodel.VerifyError)
 	if !ok || len(ve.Issues) < 2 {
 		t.Fatalf("want >= 2 issues, got %v", err)
 	}
 	if !strings.Contains(err.Error(), "more)") {
 		t.Fatalf("aggregate error should count extra issues: %v", err)
+	}
+}
+
+// TestHostileAttributesFailAtLoad: a node attribute that decodes to no
+// kernel attribute — a wrong JSON type, a non-integral number, a window of
+// the wrong length, a stride below 1, an unknown padding, a Pad padding
+// that is not [top bottom left right], a bool spelled as a string — is a
+// load-time error naming the node and the key, not a default or a
+// truncation at Execute. The graphs go through the artifact JSON, so the
+// attributes are what encoding/json decodes.
+func TestHostileAttributesFailAtLoad(t *testing.T) {
+	for _, c := range []struct {
+		name, op, inputs, attrs, key string
+	}{
+		{"string strides", "Conv2D", `"img", "filter"`, `{"strides": "2", "padding": "same"}`, "strides"},
+		{"non-integral strides", "Conv2D", `"img", "filter"`, `{"strides": [2.7, 2.7]}`, "strides"},
+		{"string stride entry", "Conv2D", `"img", "filter"`, `{"strides": [2.0, "a"]}`, "strides"},
+		{"three strides", "FusedConv2D", `"img", "filter"`, `{"strides": [1, 1, 1]}`, "strides"},
+		{"one-entry ksize", "MaxPool", `"img"`, `{"ksize": [2]}`, "ksize"},
+		{"zero stride", "DepthwiseConv2dNative", `"img", "filter"`, `{"strides": [0, 1]}`, "strides"},
+		{"negative pool stride", "AvgPool", `"img"`, `{"ksize": [2, 2], "strides": [-1, 1]}`, "strides"},
+		{"unknown padding", "Conv2D", `"img", "filter"`, `{"padding": "full"}`, "padding"},
+		{"numeric padding", "Conv2D", `"img", "filter"`, `{"strides": [1, 1], "padding": 5}`, "padding"},
+		{"two-entry Pad padding", "Pad", `"img"`, `{"padding": [1, 1]}`, "padding"},
+		{"string transpose_b", "MatMul", `"vec", "weights"`, `{"transpose_b": "true"}`, "transpose_b"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g, err := savedmodel.UnmarshalTopology([]byte(`{"nodes": [
+				{"name": "img", "op": "Placeholder", "attrs": {"shape": [-1, 8, 8, 3]}},
+				{"name": "vec", "op": "Placeholder", "attrs": {"shape": [-1, 8]}},
+				{"name": "filter", "op": "Const"},
+				{"name": "weights", "op": "Const"},
+				{"name": "hostile", "op": "` + c.op + `", "inputs": [` + c.inputs + `], "attrs": ` + c.attrs + `}],
+				"inputs": ["img", "vec"], "outputs": ["hostile"]}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.Weights["filter"] = &savedmodel.Weight{Name: "filter", Shape: []int{3, 3, 3, 1}, DType: "float32", Values: ramp(27)}
+			g.Weights["weights"] = &savedmodel.Weight{Name: "weights", Shape: []int{8, 4}, DType: "float32", Values: ramp(32)}
+			m, err := graphmodel.New(g)
+			if err == nil {
+				m.Dispose()
+				t.Fatalf("%s with attrs %s loads", c.op, c.attrs)
+			}
+			if msg := err.Error(); !strings.Contains(msg, `node "hostile"`) || !strings.Contains(msg, `attr "`+c.key+`"`) {
+				t.Fatalf("load error %q names neither the node nor attr %q", msg, c.key)
+			}
+		})
 	}
 }

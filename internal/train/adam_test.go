@@ -209,11 +209,10 @@ func TestAdamKernelsMatchTheOpChain(t *testing.T) {
 				x, mv := ops.FromValues(x0, shape...), ops.Zeros(append([]int{2}, shape...)...)
 				for step := range steps {
 					g := ops.FromValues(grads[step], shape...)
-					mv = e.RunKernel("AdamMoments", []*tensor.Tensor{mv, g}, kernels.Attrs{"beta1": beta1, "beta2": beta2})
+					mv = e.RunKernel("AdamMoments", []*tensor.Tensor{mv, g}, kernels.Attrs{Beta1: beta1, Beta2: beta2})
 					x = e.RunKernel("ApplyAdam", []*tensor.Tensor{x, mv}, kernels.Attrs{
-						"learningRate": lr, "beta1Power": math.Pow(beta1, float64(step+1)),
-						"beta2Power": math.Pow(beta2, float64(step+1)), "epsilon": eps,
-					})
+						LearningRate: lr, Beta1Power: math.Pow(beta1, float64(step+1)),
+						Beta2Power: math.Pow(beta2, float64(step+1)), Epsilon: eps})
 					opt.ApplyGradients([]train.VarGrad{{Var: w, Grad: g}})
 					moments := mv.DataSync()
 					for i, got := range [][]float32{x.DataSync(), moments[:n], moments[n:], w.Value().DataSync()} {

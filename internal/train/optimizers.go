@@ -260,16 +260,15 @@ func NewAdam(lr, beta1, beta2, epsilon float64) *Adam {
 func (o *Adam) Name() string { return "adam" }
 
 // ApplyGradients implements Optimizer. The attributes are the step's, one
-// pair of maps shared by every variable's two dispatches.
+// pair of values shared by every variable's two dispatches.
 func (o *Adam) ApplyGradients(grads []VarGrad) {
 	o.step++
-	moments := kernels.Attrs{"beta1": o.Beta1, "beta2": o.Beta2}
+	moments := kernels.Attrs{Beta1: o.Beta1, Beta2: o.Beta2}
 	update := kernels.Attrs{
-		"learningRate": o.LearningRate,
-		"beta1Power":   math.Pow(o.Beta1, float64(o.step)),
-		"beta2Power":   math.Pow(o.Beta2, float64(o.step)),
-		"epsilon":      o.Epsilon,
-	}
+		LearningRate: o.LearningRate,
+		Beta1Power:   math.Pow(o.Beta1, float64(o.step)),
+		Beta2Power:   math.Pow(o.Beta2, float64(o.step)),
+		Epsilon:      o.Epsilon}
 	e := core.Global()
 	e.Tidy("adam", func() []*tensor.Tensor {
 		for _, vg := range grads {

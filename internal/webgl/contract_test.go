@@ -99,11 +99,18 @@ func special(c cin) cin {
 }
 
 func convAttrs(strides, dilations []int, pad string) kernels.Attrs {
-	return kernels.Attrs{"strides": strides, "dilations": dilations, "pad": pad}
+	return kernels.Attrs{Strides: strides, Dilations: dilations, Pad: pad}
 }
 
 func withAct(a kernels.Attrs, act string) kernels.Attrs {
-	a["activation"] = act
+	a.Activation = act
+	return a
+}
+
+// withShape is a backward kernel's attributes: a's, with the shape of the
+// operand the kernel differentiates.
+func withShape(a kernels.Attrs, shape []int) kernels.Attrs {
+	a.Shape = shape
 	return a
 }
 
@@ -142,38 +149,38 @@ func contractCases() map[string][]contractCase {
 			gen = pos
 		}
 		add(op.Name,
-			contractCase{"same", []cin{gen(rng, 2, 3, 8), gen(rng, 2, 3, 8)}, nil},
-			contractCase{"sameOdd", []cin{gen(rng, 3, 5, 7), gen(rng, 3, 5, 7)}, nil},
-			contractCase{"suffixC", []cin{gen(rng, 2, 3, 3, 9), gen(rng, 9)}, nil},
-			contractCase{"suffixSwapped", []cin{gen(rng, 17), gen(rng, 3, 5, 17)}, nil},
-			contractCase{"suffix1C", []cin{gen(rng, 4, 3), gen(rng, 1, 3)}, nil},
-			contractCase{"suffix111C", []cin{gen(rng, 2, 2, 3, 5), gen(rng, 1, 1, 1, 5)}, nil},
-			contractCase{"suffixHWC", []cin{gen(rng, 2, 3, 5), gen(rng, 3, 5)}, nil},
-			contractCase{"scalar", []cin{gen(rng, 3, 7), gen(rng)}, nil},
-			contractCase{"scalarFirst", []cin{gen(rng), gen(rng, 3, 7)}, nil},
-			contractCase{"one", []cin{gen(rng, 3, 7), gen(rng, 1)}, nil},
-			contractCase{"nonSuffix", []cin{gen(rng, 2, 5, 3), gen(rng, 5, 1)}, nil},
-			contractCase{"bothBroadcast", []cin{gen(rng, 5, 1), gen(rng, 1, 7)}, nil},
-			contractCase{"squeezy", []cin{gen(rng, 1, 6, 1, 5), gen(rng, 1, 6, 1, 1)}, nil},
-			contractCase{"zero", []cin{gen(rng, 0, 4), gen(rng, 4)}, nil},
+			contractCase{"same", []cin{gen(rng, 2, 3, 8), gen(rng, 2, 3, 8)}, kernels.Attrs{}},
+			contractCase{"sameOdd", []cin{gen(rng, 3, 5, 7), gen(rng, 3, 5, 7)}, kernels.Attrs{}},
+			contractCase{"suffixC", []cin{gen(rng, 2, 3, 3, 9), gen(rng, 9)}, kernels.Attrs{}},
+			contractCase{"suffixSwapped", []cin{gen(rng, 17), gen(rng, 3, 5, 17)}, kernels.Attrs{}},
+			contractCase{"suffix1C", []cin{gen(rng, 4, 3), gen(rng, 1, 3)}, kernels.Attrs{}},
+			contractCase{"suffix111C", []cin{gen(rng, 2, 2, 3, 5), gen(rng, 1, 1, 1, 5)}, kernels.Attrs{}},
+			contractCase{"suffixHWC", []cin{gen(rng, 2, 3, 5), gen(rng, 3, 5)}, kernels.Attrs{}},
+			contractCase{"scalar", []cin{gen(rng, 3, 7), gen(rng)}, kernels.Attrs{}},
+			contractCase{"scalarFirst", []cin{gen(rng), gen(rng, 3, 7)}, kernels.Attrs{}},
+			contractCase{"one", []cin{gen(rng, 3, 7), gen(rng, 1)}, kernels.Attrs{}},
+			contractCase{"nonSuffix", []cin{gen(rng, 2, 5, 3), gen(rng, 5, 1)}, kernels.Attrs{}},
+			contractCase{"bothBroadcast", []cin{gen(rng, 5, 1), gen(rng, 1, 7)}, kernels.Attrs{}},
+			contractCase{"squeezy", []cin{gen(rng, 1, 6, 1, 5), gen(rng, 1, 6, 1, 1)}, kernels.Attrs{}},
+			contractCase{"zero", []cin{gen(rng, 0, 4), gen(rng, 4)}, kernels.Attrs{}},
 		)
 	}
 	for i, op := range unary {
 		rng := draws(i, 23, op.Name)
 		add(op.Name,
-			contractCase{"rep", []cin{rnd(rng, 2, 3, 8)}, nil},
-			contractCase{"odd", []cin{rnd(rng, 3, 5, 7)}, nil},
-			contractCase{"zero", []cin{rnd(rng, 0, 7)}, nil},
+			contractCase{"rep", []cin{rnd(rng, 2, 3, 8)}, kernels.Attrs{}},
+			contractCase{"odd", []cin{rnd(rng, 3, 5, 7)}, kernels.Attrs{}},
+			contractCase{"zero", []cin{rnd(rng, 0, 7)}, kernels.Attrs{}},
 		)
 	}
-	add("Relu6", contractCase{"special", []cin{special(rnd(rng, 5, 9))}, nil})
+	add("Relu6", contractCase{"special", []cin{special(rnd(rng, 5, 9))}, kernels.Attrs{}})
 	for _, c := range []struct {
 		name  string
 		attrs kernels.Attrs
 	}{
-		{"ClipByValue", kernels.Attrs{"clipValueMin": -0.5, "clipValueMax": 0.25}},
-		{"LeakyRelu", kernels.Attrs{"alpha": 0.1}},
-		{"Step", kernels.Attrs{"alpha": 0.5}},
+		{"ClipByValue", kernels.Attrs{ClipMin: -0.5, ClipMax: 0.25}},
+		{"LeakyRelu", kernels.Attrs{Alpha: 0.1}},
+		{"Step", kernels.Attrs{Alpha: 0.5}},
 	} {
 		add(c.name,
 			contractCase{"rep", []cin{rnd(rng, 2, 3, 8)}, c.attrs},
@@ -183,19 +190,19 @@ func contractCases() map[string][]contractCase {
 	}
 
 	add("Fill",
-		contractCase{"rep", nil, kernels.Attrs{"shape": []int{3, 5}, "value": 2.5, "dtype": "float32"}},
-		contractCase{"odd", nil, kernels.Attrs{"shape": []int{1, 7, 1, 3}, "value": -1.0, "dtype": "int32"}},
-		contractCase{"zero", nil, kernels.Attrs{"shape": []int{0, 3}, "value": 1.0, "dtype": "float32"}},
+		contractCase{"rep", nil, kernels.Attrs{Shape: []int{3, 5}, Value: 2.5, DType: tensor.Float32}},
+		contractCase{"odd", nil, kernels.Attrs{Shape: []int{1, 7, 1, 3}, Value: -1.0, DType: tensor.Int32}},
+		contractCase{"zero", nil, kernels.Attrs{Shape: []int{0, 3}, Value: 1.0, DType: tensor.Float32}},
 	)
 	add("Select",
-		contractCase{"same", []cin{flags(rng, 3, 5, 7), rnd(rng, 3, 5, 7), rnd(rng, 3, 5, 7)}, nil},
-		contractCase{"bcast", []cin{flags(rng, 5, 1), rnd(rng, 3, 5, 7), rnd(rng, 7)}, nil},
-		contractCase{"zero", []cin{flags(rng, 0, 3), rnd(rng, 0, 3), rnd(rng, 3)}, nil},
+		contractCase{"same", []cin{flags(rng, 3, 5, 7), rnd(rng, 3, 5, 7), rnd(rng, 3, 5, 7)}, kernels.Attrs{}},
+		contractCase{"bcast", []cin{flags(rng, 5, 1), rnd(rng, 3, 5, 7), rnd(rng, 7)}, kernels.Attrs{}},
+		contractCase{"zero", []cin{flags(rng, 0, 3), rnd(rng, 0, 3), rnd(rng, 3)}, kernels.Attrs{}},
 	)
 
 	bn := func(label string, x cin, p ...int) contractCase {
 		return contractCase{label, []cin{x, rnd(rng, p...), pos(rng, p...), rnd(rng, p...), rnd(rng, p...)},
-			kernels.Attrs{"varianceEpsilon": 1e-3}}
+			kernels.Attrs{Epsilon: 1e-3}}
 	}
 	add("FusedBatchNorm",
 		bn("rep", rnd(rng, 2, 5, 5, 8), 8),
@@ -210,11 +217,11 @@ func contractCases() map[string][]contractCase {
 	// A scalar batch norm and one with mixed operand shapes: suffix and
 	// non-suffix operands in one program.
 	add("FusedBatchNorm",
-		contractCase{"scalars", []cin{rnd(rng, 3, 7), rnd(rng), pos(rng), rnd(rng), rnd(rng)}, kernels.Attrs{"varianceEpsilon": 1e-3}},
-		contractCase{"mixed", []cin{rnd(rng, 2, 5, 3), rnd(rng, 3), pos(rng, 5, 1), rnd(rng, 1, 3), rnd(rng)}, kernels.Attrs{"varianceEpsilon": 1e-5}},
+		contractCase{"scalars", []cin{rnd(rng, 3, 7), rnd(rng), pos(rng), rnd(rng), rnd(rng)}, kernels.Attrs{Epsilon: 1e-3}},
+		contractCase{"mixed", []cin{rnd(rng, 2, 5, 3), rnd(rng, 3), pos(rng, 5, 1), rnd(rng, 1, 3), rnd(rng)}, kernels.Attrs{Epsilon: 1e-5}},
 	)
 
-	mm := func(ta, tb bool) kernels.Attrs { return kernels.Attrs{"transposeA": ta, "transposeB": tb} }
+	mm := func(ta, tb bool) kernels.Attrs { return kernels.Attrs{TransposeA: ta, TransposeB: tb} }
 	add("BatchMatMul",
 		contractCase{"rep", []cin{rnd(rng, 2, 5, 7), rnd(rng, 2, 7, 8)}, mm(false, false)},
 		contractCase{"oddN", []cin{rnd(rng, 2, 5, 7), rnd(rng, 2, 7, 6)}, mm(false, false)},
@@ -253,7 +260,7 @@ func contractCases() map[string][]contractCase {
 	for i, c := range convs {
 		outC := c.inputs[1].shape[3]
 		fc := contractCase{c.label, append(append([]cin{}, c.inputs...), rnd(rng, outC)),
-			withAct(convAttrs(c.attrs.Ints("strides", nil), c.attrs.Ints("dilations", nil), c.attrs.String("pad", "")),
+			withAct(c.attrs,
 				[]string{"relu6", "relu", "", "elu"}[i%4])}
 		add("FusedConv2D", fc)
 	}
@@ -272,13 +279,13 @@ func contractCases() map[string][]contractCase {
 	for i, c := range dws {
 		outC := c.inputs[1].shape[2] * c.inputs[1].shape[3]
 		add("FusedDepthwiseConv2dNative", contractCase{c.label, append(append([]cin{}, c.inputs...), rnd(rng, outC)),
-			withAct(convAttrs(c.attrs.Ints("strides", nil), c.attrs.Ints("dilations", nil), c.attrs.String("pad", "")),
+			withAct(c.attrs,
 				[]string{"relu6", "", "relu", "sigmoid"}[i%4])})
 	}
 	add("FusedDepthwiseConv2dNative", contractCase{"noBias", []cin{rnd(rng, 1, 6, 6, 4), rnd(rng, 3, 3, 4, 1)}, withAct(convAttrs(s11, d11, "same"), "relu6")})
 
 	poolAttrs := func(f, s []int, pad string) kernels.Attrs {
-		return kernels.Attrs{"filterSize": f, "strides": s, "pad": pad}
+		return kernels.Attrs{FilterSize: f, Strides: s, Pad: pad}
 	}
 	for _, name := range []string{"MaxPool", "AvgPool"} {
 		add(name,
@@ -293,60 +300,60 @@ func contractCases() map[string][]contractCase {
 
 	for _, name := range []string{"Sum", "Mean", "Max", "Min", "Prod"} {
 		add(name,
-			contractCase{"rep", []cin{rnd(rng, 5, 8)}, nil},
-			contractCase{"odd", []cin{rnd(rng, 3, 17)}, nil},
-			contractCase{"inner1", []cin{rnd(rng, 9, 1)}, nil},
-			contractCase{"zero", []cin{rnd(rng, 0, 4)}, nil},
+			contractCase{"rep", []cin{rnd(rng, 5, 8)}, kernels.Attrs{Axes: []int{-1}}},
+			contractCase{"odd", []cin{rnd(rng, 3, 17)}, kernels.Attrs{Axes: []int{-1}}},
+			contractCase{"inner1", []cin{rnd(rng, 9, 1)}, kernels.Attrs{Axes: []int{-1}}},
+			contractCase{"zero", []cin{rnd(rng, 0, 4)}, kernels.Attrs{Axes: []int{-1}}},
 		)
 	}
 	for _, name := range []string{"ArgMax", "ArgMin"} {
 		add(name,
-			contractCase{"rep", []cin{rnd(rng, 5, 8)}, nil},
-			contractCase{"odd", []cin{rnd(rng, 3, 17)}, nil},
-			contractCase{"zero", []cin{rnd(rng, 0, 4)}, nil},
+			contractCase{"rep", []cin{rnd(rng, 5, 8)}, kernels.Attrs{Axes: []int{-1}}},
+			contractCase{"odd", []cin{rnd(rng, 3, 17)}, kernels.Attrs{Axes: []int{-1}}},
+			contractCase{"zero", []cin{rnd(rng, 0, 4)}, kernels.Attrs{Axes: []int{-1}}},
 		)
 	}
 	add("Softmax",
-		contractCase{"rep", []cin{rnd(rng, 5, 8)}, nil},
-		contractCase{"odd", []cin{rnd(rng, 3, 17)}, nil},
-		contractCase{"zero", []cin{rnd(rng, 0, 4)}, nil},
+		contractCase{"rep", []cin{rnd(rng, 5, 8)}, kernels.Attrs{}},
+		contractCase{"odd", []cin{rnd(rng, 3, 17)}, kernels.Attrs{}},
+		contractCase{"zero", []cin{rnd(rng, 0, 4)}, kernels.Attrs{}},
 	)
 
 	add("Transpose",
-		contractCase{"rep", []cin{rnd(rng, 2, 3, 4)}, kernels.Attrs{"perm": []int{2, 0, 1}}},
-		contractCase{"squeezy", []cin{rnd(rng, 1, 5, 1, 3)}, kernels.Attrs{"perm": []int{3, 1, 2, 0}}},
-		contractCase{"zero", []cin{rnd(rng, 0, 3)}, kernels.Attrs{"perm": []int{1, 0}}},
+		contractCase{"rep", []cin{rnd(rng, 2, 3, 4)}, kernels.Attrs{Perm: []int{2, 0, 1}}},
+		contractCase{"squeezy", []cin{rnd(rng, 1, 5, 1, 3)}, kernels.Attrs{Perm: []int{3, 1, 2, 0}}},
+		contractCase{"zero", []cin{rnd(rng, 0, 3)}, kernels.Attrs{Perm: []int{1, 0}}},
 	)
 	add("PadV2",
-		contractCase{"rep", []cin{rnd(rng, 5, 7)}, kernels.Attrs{"paddings": []int{1, 2, 0, 3}, "constantValue": 0.5}},
-		contractCase{"rank4", []cin{rnd(rng, 1, 3, 3, 5)}, kernels.Attrs{"paddings": []int{0, 0, 1, 1, 2, 0, 0, 0}, "constantValue": 0.0}},
-		contractCase{"zero", []cin{rnd(rng, 0, 3)}, kernels.Attrs{"paddings": []int{0, 0, 1, 1}, "constantValue": 1.0}},
+		contractCase{"rep", []cin{rnd(rng, 5, 7)}, kernels.Attrs{Paddings: []int{1, 2, 0, 3}, Value: 0.5}},
+		contractCase{"rank4", []cin{rnd(rng, 1, 3, 3, 5)}, kernels.Attrs{Paddings: []int{0, 0, 1, 1, 2, 0, 0, 0}, Value: 0.0}},
+		contractCase{"zero", []cin{rnd(rng, 0, 3)}, kernels.Attrs{Paddings: []int{0, 0, 1, 1}, Value: 1.0}},
 	)
 	add("Slice",
-		contractCase{"rep", []cin{rnd(rng, 2, 3, 4)}, kernels.Attrs{"begin": []int{0, 1, 1}, "size": []int{2, 2, -1}}},
-		contractCase{"squeezy", []cin{rnd(rng, 3, 5, 1, 7)}, kernels.Attrs{"begin": []int{1, 0, 0, 2}, "size": []int{1, 5, 1, 3}}},
-		contractCase{"zero", []cin{rnd(rng, 4, 3)}, kernels.Attrs{"begin": []int{1, 0}, "size": []int{0, 3}}},
+		contractCase{"rep", []cin{rnd(rng, 2, 3, 4)}, kernels.Attrs{Begin: []int{0, 1, 1}, Shape: []int{2, 2, -1}}},
+		contractCase{"squeezy", []cin{rnd(rng, 3, 5, 1, 7)}, kernels.Attrs{Begin: []int{1, 0, 0, 2}, Shape: []int{1, 5, 1, 3}}},
+		contractCase{"zero", []cin{rnd(rng, 4, 3)}, kernels.Attrs{Begin: []int{1, 0}, Shape: []int{0, 3}}},
 	)
 	add("Concat",
-		contractCase{"rep", []cin{rnd(rng, 5, 7), rnd(rng, 5, 2)}, kernels.Attrs{"axis": 1}},
-		contractCase{"three", []cin{rnd(rng, 2, 3, 3), rnd(rng, 1, 3, 3), rnd(rng, 4, 3, 3)}, kernels.Attrs{"axis": 0}},
-		contractCase{"negAxis", []cin{rnd(rng, 2, 3, 1), rnd(rng, 2, 3, 4)}, kernels.Attrs{"axis": -1}},
-		contractCase{"zero", []cin{rnd(rng, 0, 3), rnd(rng, 0, 2)}, kernels.Attrs{"axis": 1}},
+		contractCase{"rep", []cin{rnd(rng, 5, 7), rnd(rng, 5, 2)}, kernels.Attrs{Axis: 1}},
+		contractCase{"three", []cin{rnd(rng, 2, 3, 3), rnd(rng, 1, 3, 3), rnd(rng, 4, 3, 3)}, kernels.Attrs{Axis: 0}},
+		contractCase{"negAxis", []cin{rnd(rng, 2, 3, 1), rnd(rng, 2, 3, 4)}, kernels.Attrs{Axis: -1}},
+		contractCase{"zero", []cin{rnd(rng, 0, 3), rnd(rng, 0, 2)}, kernels.Attrs{Axis: 1}},
 	)
 	add("GatherV2",
-		contractCase{"rep", []cin{rnd(rng, 5, 7), idx(rng, 5, 4)}, kernels.Attrs{"axis": 0}},
-		contractCase{"axis1", []cin{rnd(rng, 3, 9, 5), idx(rng, 9, 2, 3)}, kernels.Attrs{"axis": 1}},
-		contractCase{"zero", []cin{rnd(rng, 5, 7), idx(rng, 5, 0)}, kernels.Attrs{"axis": 0}},
+		contractCase{"rep", []cin{rnd(rng, 5, 7), idx(rng, 5, 4)}, kernels.Attrs{Axis: 0}},
+		contractCase{"axis1", []cin{rnd(rng, 3, 9, 5), idx(rng, 9, 2, 3)}, kernels.Attrs{Axis: 1}},
+		contractCase{"zero", []cin{rnd(rng, 5, 7), idx(rng, 5, 0)}, kernels.Attrs{Axis: 0}},
 	)
 	add("OneHot",
-		contractCase{"rep", []cin{idx(rng, 5, 3)}, kernels.Attrs{"depth": 5}},
-		contractCase{"odd", []cin{idx(rng, 7, 3, 3)}, kernels.Attrs{"depth": 7, "onValue": 2.0, "offValue": -1.0}},
-		contractCase{"zero", []cin{idx(rng, 5, 0)}, kernels.Attrs{"depth": 5}},
+		contractCase{"rep", []cin{idx(rng, 5, 3)}, kernels.Attrs{Depth: 5, OnValue: 1}},
+		contractCase{"odd", []cin{idx(rng, 7, 3, 3)}, kernels.Attrs{Depth: 7, OnValue: 2.0, OffValue: -1.0}},
+		contractCase{"zero", []cin{idx(rng, 5, 0)}, kernels.Attrs{Depth: 5, OnValue: 1}},
 	)
 	add("Tile",
-		contractCase{"rep", []cin{rnd(rng, 2, 3)}, kernels.Attrs{"reps": []int{2, 3}}},
-		contractCase{"odd", []cin{rnd(rng, 1, 3, 5)}, kernels.Attrs{"reps": []int{3, 1, 2}}},
-		contractCase{"zero", []cin{rnd(rng, 0, 3)}, kernels.Attrs{"reps": []int{2, 2}}},
+		contractCase{"rep", []cin{rnd(rng, 2, 3)}, kernels.Attrs{Reps: []int{2, 3}}},
+		contractCase{"odd", []cin{rnd(rng, 1, 3, 5)}, kernels.Attrs{Reps: []int{3, 1, 2}}},
+		contractCase{"zero", []cin{rnd(rng, 0, 3)}, kernels.Attrs{Reps: []int{2, 2}}},
 	)
 
 	// Backward programs. dy's shape is the forward output shape.
@@ -355,7 +362,7 @@ func contractCases() map[string][]contractCase {
 		if err != nil {
 			panic(err)
 		}
-		return info.OutShape(), kernels.Attrs{"strides": strides, "dilations": d11, "pad": pad, "inputShape": inShape, "filterShape": filter}
+		return info.OutShape(), kernels.Attrs{Strides: strides, Dilations: d11, Pad: pad}
 	}
 	for _, g := range []struct {
 		label          string
@@ -368,8 +375,8 @@ func contractCases() map[string][]contractCase {
 		{"zero", shapeOf(0, 4, 4, 3), shapeOf(3, 3, 3, 2), s11, "same"},
 	} {
 		dy, attrs := grad(g.in, g.f, g.strides, g.pad, false)
-		add("Conv2DBackpropInput", contractCase{g.label, []cin{rnd(rng, dy...), rnd(rng, g.f...)}, attrs})
-		add("Conv2DBackpropFilter", contractCase{g.label, []cin{rnd(rng, g.in...), rnd(rng, dy...)}, attrs})
+		add("Conv2DBackpropInput", contractCase{g.label, []cin{rnd(rng, dy...), rnd(rng, g.f...)}, withShape(attrs, g.in)})
+		add("Conv2DBackpropFilter", contractCase{g.label, []cin{rnd(rng, g.in...), rnd(rng, dy...)}, withShape(attrs, g.f)})
 	}
 	for _, g := range []struct {
 		label          string
@@ -382,8 +389,8 @@ func contractCases() map[string][]contractCase {
 		{"zero", shapeOf(0, 4, 4, 3), shapeOf(3, 3, 3, 2), s11, "same"},
 	} {
 		dy, attrs := grad(g.in, g.f, g.strides, g.pad, true)
-		add("DepthwiseConv2dNativeBackpropInput", contractCase{g.label, []cin{rnd(rng, dy...), rnd(rng, g.f...)}, attrs})
-		add("DepthwiseConv2dNativeBackpropFilter", contractCase{g.label, []cin{rnd(rng, g.in...), rnd(rng, dy...)}, attrs})
+		add("DepthwiseConv2dNativeBackpropInput", contractCase{g.label, []cin{rnd(rng, dy...), rnd(rng, g.f...)}, withShape(attrs, g.in)})
+		add("DepthwiseConv2dNativeBackpropFilter", contractCase{g.label, []cin{rnd(rng, g.in...), rnd(rng, dy...)}, withShape(attrs, g.f)})
 	}
 	for _, g := range []struct {
 		label         string
@@ -399,7 +406,7 @@ func contractCases() map[string][]contractCase {
 		if err != nil {
 			panic(err)
 		}
-		attrs := kernels.Attrs{"filterSize": g.f, "strides": g.stride, "pad": g.pad, "inputShape": g.in}
+		attrs := kernels.Attrs{FilterSize: g.f, Strides: g.stride, Pad: g.pad, Shape: g.in}
 		// Ties make MaxPoolGrad's first-argmax rule matter: quantise x.
 		x := rnd(rng, g.in...)
 		for i := range x.vals {
@@ -414,14 +421,14 @@ func contractCases() map[string][]contractCase {
 	// kept positive, as a second moment is. These come last so that no
 	// earlier case's random draws move.
 	add("BiasAddGrad",
-		contractCase{"rep", []cin{rnd(rng, 64, 8)}, nil},
-		contractCase{"wide", []cin{rnd(rng, 9, 45)}, nil},
-		contractCase{"odd", []cin{special(rnd(rng, 7, 3))}, nil},
-		contractCase{"zeroRows", []cin{rnd(rng, 0, 5)}, nil},
-		contractCase{"zeroCols", []cin{rnd(rng, 4, 0)}, nil},
+		contractCase{"rep", []cin{rnd(rng, 64, 8)}, kernels.Attrs{}},
+		contractCase{"wide", []cin{rnd(rng, 9, 45)}, kernels.Attrs{}},
+		contractCase{"odd", []cin{special(rnd(rng, 7, 3))}, kernels.Attrs{}},
+		contractCase{"zeroRows", []cin{rnd(rng, 0, 5)}, kernels.Attrs{}},
+		contractCase{"zeroCols", []cin{rnd(rng, 4, 0)}, kernels.Attrs{}},
 	)
-	moments := kernels.Attrs{"beta1": 0.9, "beta2": 0.999}
-	step := kernels.Attrs{"learningRate": 0.01, "beta1Power": 0.729, "beta2Power": 0.997002999, "epsilon": 1e-8}
+	moments := kernels.Attrs{Beta1: 0.9, Beta2: 0.999}
+	step := kernels.Attrs{LearningRate: 0.01, Beta1Power: 0.729, Beta2Power: 0.997002999, Epsilon: 1e-8}
 	slot := func(shape ...int) cin {
 		m, v := rnd(rng, shape...), pos(rng, shape...)
 		return cin{shape: append([]int{2}, shape...), dtype: tensor.Float32, vals: append(m.vals, v.vals...)}
@@ -500,12 +507,8 @@ func runContractCase(b *Backend, name string, c contractCase) (string, error) {
 		inputs[i] = kernels.Input{DataID: id, Shape: in.shape, DType: in.dtype}
 		defer b.DisposeData(id)
 	}
-	attrs := c.attrs
-	if attrs == nil {
-		attrs = kernels.Attrs{}
-	}
 	var out kernels.TensorInfo
-	err := b.kernelsTable[name](inputs, attrs, &out)
+	err := b.kernelsTable[name](inputs, c.attrs, &out)
 	if err != nil {
 		return "", err
 	}

@@ -70,7 +70,7 @@ func (b *Backend) rangeKernel(k kernels.RangeKernel) kernels.OverrideKernel {
 		}
 		r.Work.ALU += int64(out.size) * int64(kernels.ALUTerm*terms)
 		name := k.Name
-		if name == "BatchMatMul" && out.tex.Format == glsim.RGBA32F && !attrs.Bool("transposeA", false) && !attrs.Bool("transposeB", false) {
+		if name == "BatchMatMul" && out.tex.Format == glsim.RGBA32F && !attrs.TransposeA && !attrs.TransposeB {
 			// Packed matmul: a texel's four consecutive output columns share
 			// their A row samples — the vec4 dot-product trick of the paper's
 			// packed shaders, which the device's clock sees as fewer fetches.

@@ -32,18 +32,18 @@ func BenchmarkProgram(b *testing.B) {
 		{"Conv1x1_6x6x128→128", "Conv2D", [][]int{{1, 6, 6, 128}, {1, 1, 128, 128}}, convAttrs([]int{1, 1}, []int{1, 1}, "same")},
 		{"Depthwise3x3_24x24x32", "DepthwiseConv2dNative", [][]int{{1, 24, 24, 32}, {3, 3, 32, 1}}, convAttrs([]int{1, 1}, []int{1, 1}, "same")},
 		{"Depthwise3x3s2_24x24x32→12x12", "DepthwiseConv2dNative", [][]int{{1, 24, 24, 32}, {3, 3, 32, 1}}, convAttrs([]int{2, 2}, []int{1, 1}, "same")},
-		{"BatchNorm_24x24x32", "FusedBatchNorm", [][]int{{1, 24, 24, 32}, {32}, {32}, {32}, {32}}, kernels.Attrs{"varianceEpsilon": 1e-3}},
+		{"BatchNorm_24x24x32", "FusedBatchNorm", [][]int{{1, 24, 24, 32}, {32}, {32}, {32}, {32}}, kernels.Attrs{Epsilon: 1e-3}},
 		{"Relu6_24x24x32", "Relu6", [][]int{{1, 24, 24, 32}}, kernels.Attrs{}},
-		{"Dense_256→1000", "BatchMatMul", [][]int{{1, 1, 256}, {1, 256, 1000}}, kernels.Attrs{"transposeA": false, "transposeB": false}},
-		{"DenseGradTB_32x10→256", "BatchMatMul", [][]int{{1, 32, 10}, {1, 256, 10}}, kernels.Attrs{"transposeA": false, "transposeB": true}},
-		{"TransposeGlobalPool_3x3x256", "Transpose", [][]int{{1, 3, 3, 256}}, kernels.Attrs{"perm": []int{0, 3, 1, 2}}},
+		{"Dense_256→1000", "BatchMatMul", [][]int{{1, 1, 256}, {1, 256, 1000}}, kernels.Attrs{TransposeA: false, TransposeB: false}},
+		{"DenseGradTB_32x10→256", "BatchMatMul", [][]int{{1, 32, 10}, {1, 256, 10}}, kernels.Attrs{TransposeA: false, TransposeB: true}},
+		{"TransposeGlobalPool_3x3x256", "Transpose", [][]int{{1, 3, 3, 256}}, kernels.Attrs{Perm: []int{0, 3, 1, 2}}},
 		{"MeanGlobalPool_256x9", "Mean", [][]int{{256, 9}}, kernels.Attrs{}},
-		{"Concat_2x24x24x32", "Concat", [][]int{{1, 24, 24, 32}, {1, 24, 24, 32}}, kernels.Attrs{"axis": 3}},
-		{"ConvBackpropInput_8x8x8x16→8", "Conv2DBackpropInput", [][]int{{8, 8, 8, 16}, {3, 3, 8, 16}}, kernels.Attrs{"pad": "same", "inputShape": []int{8, 8, 8, 8}}},
+		{"Concat_2x24x24x32", "Concat", [][]int{{1, 24, 24, 32}, {1, 24, 24, 32}}, kernels.Attrs{Axis: 3}},
+		{"ConvBackpropInput_8x8x8x16→8", "Conv2DBackpropInput", [][]int{{8, 8, 8, 16}, {3, 3, 8, 16}}, kernels.Attrs{Pad: "same", Shape: []int{8, 8, 8, 8}}},
 		{"MaxPoolGrad_8x16x16x8", "MaxPoolGrad", [][]int{{8, 8, 8, 8}, {8, 16, 16, 8}}, kernels.Attrs{}},
-		{"AvgPoolGrad_8x16x16x8", "AvgPoolGrad", [][]int{{8, 8, 8, 8}}, kernels.Attrs{"inputShape": []int{8, 16, 16, 8}}},
-		{"DepthwiseBackpropInput_24x24x32", "DepthwiseConv2dNativeBackpropInput", [][]int{{1, 24, 24, 32}, {3, 3, 32, 1}}, kernels.Attrs{"pad": "same", "inputShape": []int{1, 24, 24, 32}}},
-		{"DepthwiseBackpropFilter_24x24x32", "DepthwiseConv2dNativeBackpropFilter", [][]int{{1, 24, 24, 32}, {1, 24, 24, 32}}, kernels.Attrs{"pad": "same", "filterShape": []int{3, 3, 32, 1}}},
+		{"AvgPoolGrad_8x16x16x8", "AvgPoolGrad", [][]int{{8, 8, 8, 8}}, kernels.Attrs{Shape: []int{8, 16, 16, 8}}},
+		{"DepthwiseBackpropInput_24x24x32", "DepthwiseConv2dNativeBackpropInput", [][]int{{1, 24, 24, 32}, {3, 3, 32, 1}}, kernels.Attrs{Pad: "same", Shape: []int{1, 24, 24, 32}}},
+		{"DepthwiseBackpropFilter_24x24x32", "DepthwiseConv2dNativeBackpropFilter", [][]int{{1, 24, 24, 32}, {1, 24, 24, 32}}, kernels.Attrs{Pad: "same", Shape: []int{3, 3, 32, 1}}},
 	}
 	for _, p := range programs {
 		for _, layout := range []string{"packed", "unpacked"} {

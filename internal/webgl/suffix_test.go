@@ -63,7 +63,7 @@ func TestBatchNormDispatchCompilesNothing(t *testing.T) {
 		b.Write(id, vals, shape, tensor.Float32)
 		inputs[i] = kernels.Input{DataID: id, Shape: shape, DType: tensor.Float32}
 	}
-	attrs := kernels.Attrs{"varianceEpsilon": 1e-3}
+	attrs := kernels.Attrs{Epsilon: 1e-3}
 	dispatch := func() {
 		var out kernels.TensorInfo
 		if err := b.kernelsTable["FusedBatchNorm"](inputs, attrs, &out); err != nil {

@@ -115,7 +115,7 @@ func specials(shape []int, first, stride int) kernels.Buffer {
 }
 
 func convAttrs(strides, dilations []int, pad string) kernels.Attrs {
-	return kernels.Attrs{"strides": strides, "dilations": dilations, "pad": pad}
+	return kernels.Attrs{Strides: strides, Dilations: dilations, Pad: pad}
 }
 
 // pinNaNsToReference runs every case on cpu, node (three workers: its
@@ -165,8 +165,8 @@ func pinNaNsToReference(t *testing.T, cases []tierCase) {
 // 0·NaN are left out.
 func TestZeroLhsLeftOutOnEveryTier(t *testing.T) {
 	s11, s22, d11 := []int{1, 1}, []int{2, 2}, []int{1, 1}
-	grad := func(attrs kernels.Attrs, key string, shape []int) kernels.Attrs {
-		attrs[key] = shape
+	grad := func(attrs kernels.Attrs, shape []int) kernels.Attrs {
+		attrs.Shape = shape
 		return attrs
 	}
 	pinNaNsToReference(t, []tierCase{
@@ -175,12 +175,12 @@ func TestZeroLhsLeftOutOnEveryTier(t *testing.T) {
 		{"widePointwise", "Conv2D", []kernels.Buffer{zeros([]int{1, 3, 3, 40}, 7, 53), specials([]int{1, 1, 40, 9}, 2, 61)}, convAttrs(s11, d11, "valid")},
 		{"dilation2", "Conv2D", []kernels.Buffer{zeros([]int{1, 7, 6, 5}, 1, 9), specials([]int{3, 3, 5, 12}, 6, 47)}, convAttrs(s11, s22, "same")},
 		{"inPadding", "Conv2D", []kernels.Buffer{zeros([]int{1, 2, 2, 3}, 1, 4), specials([]int{2, 2, 3, 16}, 2, 13)}, convAttrs(s11, []int{3, 3}, "same")},
-		{"matmul", "BatchMatMul", []kernels.Buffer{zeros([]int{1, 4, 40}, 6, 17), specials([]int{1, 40, 12}, 8, 43)}, kernels.Attrs{"transposeA": false, "transposeB": false}},
-		{"matmulBcast", "BatchMatMul", []kernels.Buffer{zeros([]int{1, 3, 5}, 2, 4), specials([]int{2, 5, 9}, 3, 11)}, kernels.Attrs{"transposeA": false, "transposeB": false}},
+		{"matmul", "BatchMatMul", []kernels.Buffer{zeros([]int{1, 4, 40}, 6, 17), specials([]int{1, 40, 12}, 8, 43)}, kernels.Attrs{TransposeA: false, TransposeB: false}},
+		{"matmulBcast", "BatchMatMul", []kernels.Buffer{zeros([]int{1, 3, 5}, 2, 4), specials([]int{2, 5, 9}, 3, 11)}, kernels.Attrs{TransposeA: false, TransposeB: false}},
 		{"filterGrad", "Conv2DBackpropFilter", []kernels.Buffer{zeros([]int{2, 6, 6, 3}, 2, 7), specials([]int{2, 6, 6, 8}, 5, 31)},
-			grad(convAttrs(s11, d11, "same"), "filterShape", []int{3, 3, 3, 8})},
+			grad(convAttrs(s11, d11, "same"), []int{3, 3, 3, 8})},
 		{"inputGrad", "Conv2DBackpropInput", []kernels.Buffer{zeros([]int{2, 3, 3, 8}, 1, 5), specials([]int{3, 3, 3, 8}, 4, 41)},
-			grad(convAttrs(s22, d11, "same"), "inputShape", []int{2, 6, 6, 3})},
+			grad(convAttrs(s22, d11, "same"), []int{2, 6, 6, 3})},
 	})
 }
 
@@ -205,25 +205,26 @@ func TestMalformedShapeCallsFailOnEveryTier(t *testing.T) {
 	t.Cleanup(naive.Close)
 	x := operand([]int{2, 3}, 0, 7, 1)
 	img, dy := operand([]int{1, 4, 4, 3}, 0, 7, 1), operand([]int{1, 1, 1, 3}, 0, 7, 1)
-	depthwise := kernels.Attrs{"inputShape": []int{1, 4, 4, 3}, "filterShape": []int{3, 3, 3, 1}, "pad": "same"}
+	depthwiseInput := kernels.Attrs{Shape: []int{1, 4, 4, 3}, Pad: "same"}
+	depthwiseFilter := kernels.Attrs{Shape: []int{3, 3, 3, 1}, Pad: "same"}
 	for _, c := range []tierCase{
-		{"repeatedAxis", "Transpose", []kernels.Buffer{x}, kernels.Attrs{"perm": []int{1, 1}}},
-		{"negativePadding", "PadV2", []kernels.Buffer{x}, kernels.Attrs{"paddings": []int{0, 1, -1, 2}}},
-		{"nonAxisDims", "Concat", []kernels.Buffer{x, operand([]int{3, 3}, 0, 7, 1)}, kernels.Attrs{"axis": 1}},
-		{"dy", "MaxPoolGrad", []kernels.Buffer{dy, img}, nil},
-		{"dy", "AvgPoolGrad", []kernels.Buffer{dy}, kernels.Attrs{"inputShape": []int{1, 4, 4, 3}}},
-		{"dy", "DepthwiseConv2dNativeBackpropInput", []kernels.Buffer{dy, operand([]int{3, 3, 3, 1}, 0, 7, 1)}, depthwise},
-		{"dy", "DepthwiseConv2dNativeBackpropFilter", []kernels.Buffer{img, dy}, depthwise},
-		{"axisOutOfRange", "Sum", []kernels.Buffer{x}, kernels.Attrs{"axes": []int{0, 2}}},
-		{"negativeAxisOutOfRange", "Mean", []kernels.Buffer{x}, kernels.Attrs{"axes": []int{-3}, "keepDims": true}},
-		{"scalarHasNoLastAxis", "Max", []kernels.Buffer{operand(nil, 0, 7, 1)}, nil},
-		{"emptyFold", "ArgMax", []kernels.Buffer{operand([]int{2, 0}, 0, 7, 1)}, kernels.Attrs{"axes": []int{1}}},
-		{"scalar", "Softmax", []kernels.Buffer{operand(nil, 0, 7, 1)}, nil},
-		{"mixedRanks", "BatchMatMul", []kernels.Buffer{x, operand([]int{1, 3, 4}, 0, 7, 1)}, nil},
-		{"zeroStrides", "MaxPool", []kernels.Buffer{img}, kernels.Attrs{"filterSize": []int{2, 2}, "strides": []int{0, 0}, "pad": "valid"}},
-		{"negativeStride", "AvgPool", []kernels.Buffer{img}, kernels.Attrs{"filterSize": []int{2, 2}, "strides": []int{-1, 1}, "pad": "same"}},
+		{"repeatedAxis", "Transpose", []kernels.Buffer{x}, kernels.Attrs{Perm: []int{1, 1}}},
+		{"negativePadding", "PadV2", []kernels.Buffer{x}, kernels.Attrs{Paddings: []int{0, 1, -1, 2}}},
+		{"nonAxisDims", "Concat", []kernels.Buffer{x, operand([]int{3, 3}, 0, 7, 1)}, kernels.Attrs{Axis: 1}},
+		{"dy", "MaxPoolGrad", []kernels.Buffer{dy, img}, kernels.Attrs{FilterSize: []int{2, 2}, Strides: []int{2, 2}}},
+		{"dy", "AvgPoolGrad", []kernels.Buffer{dy}, kernels.Attrs{FilterSize: []int{2, 2}, Strides: []int{2, 2}, Shape: []int{1, 4, 4, 3}}},
+		{"dy", "DepthwiseConv2dNativeBackpropInput", []kernels.Buffer{dy, operand([]int{3, 3, 3, 1}, 0, 7, 1)}, depthwiseInput},
+		{"dy", "DepthwiseConv2dNativeBackpropFilter", []kernels.Buffer{img, dy}, depthwiseFilter},
+		{"axisOutOfRange", "Sum", []kernels.Buffer{x}, kernels.Attrs{Axes: []int{0, 2}}},
+		{"negativeAxisOutOfRange", "Mean", []kernels.Buffer{x}, kernels.Attrs{Axes: []int{-3}, KeepDims: true}},
+		{"scalarHasNoLastAxis", "Max", []kernels.Buffer{operand(nil, 0, 7, 1)}, kernels.Attrs{Axes: []int{-1}}},
+		{"emptyFold", "ArgMax", []kernels.Buffer{operand([]int{2, 0}, 0, 7, 1)}, kernels.Attrs{Axes: []int{1}}},
+		{"scalar", "Softmax", []kernels.Buffer{operand(nil, 0, 7, 1)}, kernels.Attrs{}},
+		{"mixedRanks", "BatchMatMul", []kernels.Buffer{x, operand([]int{1, 3, 4}, 0, 7, 1)}, kernels.Attrs{}},
+		{"zeroStrides", "MaxPool", []kernels.Buffer{img}, kernels.Attrs{FilterSize: []int{2, 2}, Strides: []int{0, 0}, Pad: "valid"}},
+		{"negativeStride", "AvgPool", []kernels.Buffer{img}, kernels.Attrs{FilterSize: []int{2, 2}, Strides: []int{-1, 1}, Pad: "same"}},
 		{"validWindowTooLarge", "MaxPool", []kernels.Buffer{operand([]int{1, 2, 2, 3}, 0, 7, 1)},
-			kernels.Attrs{"filterSize": []int{4, 4}, "strides": []int{3, 3}, "pad": "valid"}},
+			kernels.Attrs{FilterSize: []int{4, 4}, Strides: []int{3, 3}, Pad: "valid"}},
 		{"zeroDilations", "Conv2D", []kernels.Buffer{img, operand([]int{3, 3, 3, 2}, 0, 7, 1)}, convAttrs([]int{1, 1}, []int{0, 0}, "same")},
 		{"negativeDilation", "DepthwiseConv2dNative", []kernels.Buffer{img, operand([]int{3, 3, 3, 1}, 0, 7, 1)}, convAttrs([]int{1, 1}, []int{1, -1}, "same")},
 		{"validWindowTooLarge", "Conv2D", []kernels.Buffer{operand([]int{1, 2, 2, 3}, 0, 7, 1), operand([]int{4, 4, 3, 2}, 0, 7, 1)},
@@ -290,18 +291,19 @@ func TestGradientsAndBroadcastsOnEveryTier(t *testing.T) {
 			t.Fatal(err)
 		}
 		attrs := convAttrs(strides, dilations, "same")
-		attrs["inputShape"], attrs["filterShape"] = x, f
 		label := fmt.Sprintf("%v%v s%v d%v", x, f, strides, dilations)
 		if kernel[len(kernel)-5:] == "Input" {
+			attrs.Shape = x
 			return tierCase{label, kernel, []kernels.Buffer{inexact(info.OutShape()...), inexact(f...)}, attrs}
 		}
+		attrs.Shape = f
 		return tierCase{label, kernel, []kernels.Buffer{inexact(x...), inexact(info.OutShape()...)}, attrs}
 	}
 	ties := inexact(1, 7, 5, 9)
 	for i, v := range ties.Data {
 		ties.Data[i] = float32(math.Round(float64(v)))
 	}
-	pool := kernels.Attrs{"filterSize": []int{3, 3}, "strides": []int{2, 2}, "pad": "same", "inputShape": []int{1, 7, 5, 9}}
+	pool := kernels.Attrs{FilterSize: []int{3, 3}, Strides: []int{2, 2}, Pad: "same", Shape: []int{1, 7, 5, 9}}
 	variance := inexact(5, 1)
 	for i, v := range variance.Data {
 		variance.Data[i] = v*v + 0.25
@@ -309,7 +311,7 @@ func TestGradientsAndBroadcastsOnEveryTier(t *testing.T) {
 	s11, s22, s21 := []int{1, 1}, []int{2, 2}, []int{2, 1}
 	fused := func(act string) kernels.Attrs {
 		a := convAttrs(s21, s11, "same")
-		a["activation"] = act
+		a.Activation = act
 		return a
 	}
 	// cases holds every kernel of the range table: one without a case
@@ -322,28 +324,28 @@ func TestGradientsAndBroadcastsOnEveryTier(t *testing.T) {
 		"MaxPool":                    {{"overlap", "MaxPool", []kernels.Buffer{ties}, pool}},
 		"AvgPool":                    {{"overlap", "AvgPool", []kernels.Buffer{inexact(1, 7, 5, 9)}, pool}},
 		"BatchMatMul": {{"bcast tb", "BatchMatMul", []kernels.Buffer{inexact(3, 4, 9), inexact(1, 5, 9)},
-			kernels.Attrs{"transposeB": true}}},
+			kernels.Attrs{TransposeB: true}}},
 		"_FusedMatMul": {{"ta relu", "_FusedMatMul", []kernels.Buffer{inexact(9, 4), inexact(9, 6), inexact(6)},
-			kernels.Attrs{"transposeA": true, "activation": "relu"}}},
+			kernels.Attrs{TransposeA: true, Activation: "relu"}}},
 		"MaxPoolGrad": {{"overlap", "MaxPoolGrad", []kernels.Buffer{inexact(1, 4, 3, 9), ties}, pool}},
 		"AvgPoolGrad": {{"overlap", "AvgPoolGrad", []kernels.Buffer{inexact(1, 4, 3, 9)}, pool}},
-		"BiasAddGrad": {{"rows", "BiasAddGrad", []kernels.Buffer{inexact(37, 11)}, nil}},
+		"BiasAddGrad": {{"rows", "BiasAddGrad", []kernels.Buffer{inexact(37, 11)}, kernels.Attrs{}}},
 		"AdamMoments": {{"slot", "AdamMoments", []kernels.Buffer{variance2(inexact(2, 3, 7)), inexact(3, 7)},
-			kernels.Attrs{"beta1": 0.9, "beta2": 0.999}}},
+			kernels.Attrs{Beta1: 0.9, Beta2: 0.999}}},
 		"ApplyAdam": {{"slot", "ApplyAdam", []kernels.Buffer{inexact(3, 7), variance2(inexact(2, 3, 7))},
-			kernels.Attrs{"learningRate": 0.01, "beta1Power": 0.729, "beta2Power": 0.997, "epsilon": 1e-8}}},
-		"Transpose": {{"blocks", "Transpose", []kernels.Buffer{inexact(2, 3, 4, 5)}, kernels.Attrs{"perm": []int{0, 3, 1, 2}}}},
+			kernels.Attrs{LearningRate: 0.01, Beta1Power: 0.729, Beta2Power: 0.997, Epsilon: 1e-8}}},
+		"Transpose": {{"blocks", "Transpose", []kernels.Buffer{inexact(2, 3, 4, 5)}, kernels.Attrs{Perm: []int{0, 3, 1, 2}}}},
 		"Slice": {{"rows", "Slice", []kernels.Buffer{inexact(3, 4, 5)},
-			kernels.Attrs{"begin": []int{1, 0, 2}, "size": []int{2, -1, 2}}}},
-		"Tile":  {{"rep", "Tile", []kernels.Buffer{inexact(2, 3)}, kernels.Attrs{"reps": []int{2, 3}}}},
-		"PadV2": {{"rank3", "PadV2", []kernels.Buffer{inexact(2, 1, 3)}, kernels.Attrs{"paddings": []int{0, 1, 2, 0, 1, 1}, "constantValue": 0.5}}},
+			kernels.Attrs{Begin: []int{1, 0, 2}, Shape: []int{2, -1, 2}}}},
+		"Tile":  {{"rep", "Tile", []kernels.Buffer{inexact(2, 3)}, kernels.Attrs{Reps: []int{2, 3}}}},
+		"PadV2": {{"rank3", "PadV2", []kernels.Buffer{inexact(2, 1, 3)}, kernels.Attrs{Paddings: []int{0, 1, 2, 0, 1, 1}, Value: 0.5}}},
 		"OneHot": {{"labels", "OneHot", []kernels.Buffer{{Data: []float32{1, 4, -1, 0, 7, 2}, Shape: []int{6}, DType: tensor.Int32}},
-			kernels.Attrs{"depth": 5, "onValue": 2.0, "offValue": -1.0}}},
-		"Fill":   {{"int32", "Fill", nil, kernels.Attrs{"shape": []int{3, 4}, "value": 2.5, "dtype": "int32"}}},
-		"Concat": {{"axis1", "Concat", []kernels.Buffer{inexact(2, 3), inexact(2, 0), inexact(2, 2)}, kernels.Attrs{"axis": 1}}},
-		"Select": {{"nonSuffix", "Select", []kernels.Buffer{inexact(5, 1), inexact(2, 5, 3), inexact(3)}, nil}},
+			kernels.Attrs{Depth: 5, OnValue: 2.0, OffValue: -1.0}}},
+		"Fill":   {{"int32", "Fill", nil, kernels.Attrs{Shape: []int{3, 4}, Value: 2.5, DType: tensor.Int32}}},
+		"Concat": {{"axis1", "Concat", []kernels.Buffer{inexact(2, 3), inexact(2, 0), inexact(2, 2)}, kernels.Attrs{Axis: 1}}},
+		"Select": {{"nonSuffix", "Select", []kernels.Buffer{inexact(5, 1), inexact(2, 5, 3), inexact(3)}, kernels.Attrs{}}},
 		"FusedBatchNorm": {{"nonSuffix", "FusedBatchNorm", []kernels.Buffer{inexact(2, 3, 5, 3), inexact(5, 1), variance, inexact(1, 3), inexact()},
-			kernels.Attrs{"varianceEpsilon": 1e-3}}},
+			kernels.Attrs{Epsilon: 1e-3}}},
 	}
 	for _, kernel := range []string{"Conv2DBackpropInput", "Conv2DBackpropFilter"} {
 		cases[kernel] = append(cases[kernel], conv(kernel, []int{2, 6, 6, 3}, []int{3, 3, 3, 8}, s22, s11), conv(kernel, []int{1, 7, 6, 5}, []int{3, 3, 5, 12}, s11, s22))
@@ -352,8 +354,8 @@ func TestGradientsAndBroadcastsOnEveryTier(t *testing.T) {
 		cases[kernel] = append(cases[kernel], conv(kernel, []int{1, 7, 5, 3}, []int{3, 3, 3, 2}, s22, s11), conv(kernel, []int{2, 6, 7, 4}, []int{3, 3, 4, 1}, s21, s22))
 	}
 	for _, kernel := range []string{"Sum", "Mean", "Max", "Min", "Prod", "ArgMax", "ArgMin"} {
-		cases[kernel] = append(axisSubsets(kernel, inexact), tierCase{"rows", kernel, []kernels.Buffer{inexact(6, 13)}, nil},
-			tierCase{"threeReducedRuns", kernel, []kernels.Buffer{inexact(2, 3, 2, 3, 2)}, kernels.Attrs{"axes": []int{0, 2, 4}}})
+		cases[kernel] = append(axisSubsets(kernel, inexact), tierCase{"rows", kernel, []kernels.Buffer{inexact(6, 13)}, kernels.Attrs{Axes: []int{-1}}},
+			tierCase{"threeReducedRuns", kernel, []kernels.Buffer{inexact(2, 3, 2, 3, 2)}, kernels.Attrs{Axes: []int{0, 2, 4}}})
 	}
 	cases["BatchMatMul"] = append(cases["BatchMatMul"], rank2MatMuls(inexact)...)
 	for _, k := range kernels.RangeKernels() {
@@ -400,7 +402,7 @@ func axisSubsets(kernel string, gen func(shape ...int) kernels.Buffer) []tierCas
 			for _, keep := range []bool{false, true} {
 				if inner > 0 || kernel[:3] != "Arg" {
 					cases = append(cases, tierCase{fmt.Sprintf("%v%v keep=%v", shape, axes, keep), kernel, []kernels.Buffer{x},
-						kernels.Attrs{"axes": axes, "keepDims": keep}})
+						kernels.Attrs{Axes: axes, KeepDims: keep}})
 				}
 			}
 		}
@@ -421,7 +423,7 @@ func rank2MatMuls(gen func(shape ...int) kernels.Buffer) []tierCase {
 			b = []int{6, 9}
 		}
 		cases = append(cases, tierCase{fmt.Sprintf("rank2 ta=%v tb=%v", tr[0], tr[1]), "BatchMatMul",
-			[]kernels.Buffer{gen(a...), gen(b...)}, kernels.Attrs{"transposeA": tr[0], "transposeB": tr[1]}})
+			[]kernels.Buffer{gen(a...), gen(b...)}, kernels.Attrs{TransposeA: tr[0], TransposeB: tr[1]}})
 	}
 	return cases
 }
@@ -491,7 +493,7 @@ func TestBatchNormWiderThanOneTile(t *testing.T) {
 	}
 	inputs := []kernels.Buffer{fill([]int{1, 2, 3, c}, false), fill([]int{c}, false), fill([]int{c}, true),
 		fill([]int{1, c}, false), fill([]int{1, 1, c}, false)}
-	attrs := kernels.Attrs{"varianceEpsilon": 1e-3}
+	attrs := kernels.Attrs{Epsilon: 1e-3}
 	ref, _ := kernels.LookupRef("FusedBatchNorm")
 	want, err := ref(inputs, attrs)
 	if err != nil {
@@ -578,7 +580,7 @@ func TestReluFamilyRowsMatchTheClosuresTheyReplaced(t *testing.T) {
 		for _, k := range []struct {
 			kernel string
 			attrs  kernels.Attrs
-		}{{"Relu", nil}, {"Relu6", nil}, {"Step", kernels.Attrs{"alpha": 0.5}}} {
+		}{{"Relu", kernels.Attrs{}}, {"Relu6", kernels.Attrs{}}, {"Step", kernels.Attrs{Alpha: 0.5}}} {
 			got := dispatch(t, b.backend, k.kernel, []kernels.Buffer{in}, k.attrs)
 			want := reluFamilyGolden[k.kernel+"/"+b.precision]
 			for i, v := range got {
@@ -606,9 +608,9 @@ var elementwiseValues = []float32{
 // paramAttrs are the attributes the attribute-taking ops of the table run
 // with; an op that takes attributes and has none here fails the test.
 var paramAttrs = map[string]kernels.Attrs{
-	"ClipByValue": {"clipValueMin": -0.5, "clipValueMax": 0.25},
-	"LeakyRelu":   {"alpha": 0.1},
-	"Step":        {"alpha": 0.5},
+	"ClipByValue": {ClipMin: -0.5, ClipMax: 0.25},
+	"LeakyRelu":   {Alpha: 0.1},
+	"Step":        {Alpha: 0.5},
 }
 
 // hostAndDeviceTiers are the tiers the element-wise table is pinned on:
@@ -677,7 +679,7 @@ func TestElementwiseTableOnEveryTier(t *testing.T) {
 		var cases []elementwiseCase
 		if op.Binary != nil {
 			for _, c := range binaryCases {
-				cases = append(cases, elementwiseCase{c.label, c.inputs, nil})
+				cases = append(cases, elementwiseCase{c.label, c.inputs, kernels.Attrs{}})
 			}
 		} else {
 			attrs, ok := paramAttrs[op.Name]
@@ -707,7 +709,7 @@ func TestElementwiseTableOnEveryTier(t *testing.T) {
 	}
 
 	// Inverted bounds: the reference kernel's error, word for word.
-	clip := kernels.Attrs{"clipValueMin": 2.0, "clipValueMax": 1.0}
+	clip := kernels.Attrs{ClipMin: 2.0, ClipMax: 1.0}
 	in := []kernels.Buffer{vals(3)}
 	ref, _ := kernels.LookupRef("ClipByValue")
 	_, wantErr := ref(in, clip)
@@ -798,7 +800,7 @@ func TestKernelsTakeTheOpsShapeOnEveryTier(t *testing.T) {
 		// Seven alternating runs are more than a range body holds: node
 		// and webgl decline them for the reference kernel.
 		cases = append(append(cases, axisSubsets(kernel, exact)...),
-			tierCase{"sevenRuns", kernel, []kernels.Buffer{exact(2, 2, 2, 2, 2, 2, 2)}, kernels.Attrs{"axes": []int{0, 2, 4, 6}}})
+			tierCase{"sevenRuns", kernel, []kernels.Buffer{exact(2, 2, 2, 2, 2, 2, 2)}, kernels.Attrs{Axes: []int{0, 2, 4, 6}}})
 	}
 	cases = append(cases, rank2MatMuls(exact)...)
 	for _, c := range cases {
@@ -816,14 +818,14 @@ func TestKernelsTakeTheOpsShapeOnEveryTier(t *testing.T) {
 		inner := shape[len(shape)-1]
 		rows := kernels.Buffer{Data: x.Data, Shape: []int{len(x.Data) / max(inner, 1), inner}, DType: x.DType}
 		ref, _ := kernels.LookupRef("Softmax")
-		want, err := ref([]kernels.Buffer{x}, nil)
+		want, err := ref([]kernels.Buffer{x}, kernels.Attrs{})
 		if err != nil {
 			t.Fatalf("Softmax%v: %v", shape, err)
 		}
 		for _, b := range tiers {
 			where := fmt.Sprintf("Softmax%v on %s", shape, b.name)
-			got := dispatch(t, b.backend, "Softmax", []kernels.Buffer{x}, nil)
-			same(where+" against its [outer, inner] call", got, dispatch(t, b.backend, "Softmax", []kernels.Buffer{rows}, nil))
+			got := dispatch(t, b.backend, "Softmax", []kernels.Buffer{x}, kernels.Attrs{})
+			same(where+" against its [outer, inner] call", got, dispatch(t, b.backend, "Softmax", []kernels.Buffer{rows}, kernels.Attrs{}))
 			if b.name == "node" {
 				same(where, got, want.Data)
 			}

@@ -94,13 +94,13 @@ func TestConvWorkMatchesAWalk(t *testing.T) {
 			}
 		})
 		want.ALU += int64(values) * 3 * aluDecode
-		attrs := kernels.Attrs{"strides": g.strides, "dilations": g.dilations, "pad": g.pad}
+		attrs := kernels.Attrs{Strides: g.strides, Dilations: g.dilations, Pad: g.pad}
 		if got := declaredWork(t, b, "Conv2D", attrs, convOperands(rng, info, g.in, g.filter, false)...); got != want {
 			t.Errorf("%s: Conv2D charged %+v, walk counts %+v", g.name, got, want)
 		}
 		want.Fetches += int64(values)
 		want.ALU += 2 * int64(values)
-		attrs["activation"] = "relu"
+		attrs.Activation = "relu"
 		if got := declaredWork(t, b, "FusedConv2D", attrs, convOperands(rng, info, g.in, g.filter, true)...); got != want {
 			t.Errorf("%s: FusedConv2D charged %+v, walk counts %+v", g.name, got, want)
 		}
@@ -118,7 +118,7 @@ func TestDepthwiseWorkMatchesAWalk(t *testing.T) {
 			want.ALU += aluMAC
 		})
 		want.ALU += int64(values) * 4 * aluDecode
-		attrs := kernels.Attrs{"strides": g.strides, "dilations": g.dilations, "pad": g.pad}
+		attrs := kernels.Attrs{Strides: g.strides, Dilations: g.dilations, Pad: g.pad}
 		if got := declaredWork(t, b, "DepthwiseConv2dNative", attrs, convOperands(rng, info, g.in, g.depthwiseFilter, false)...); got != want {
 			t.Errorf("%s (multiplier %d): charged %+v, walk counts %+v", g.name, info.ChannelMultiplier, got, want)
 		}
@@ -170,7 +170,7 @@ func TestBackpropTapsMatchAWalk(t *testing.T) {
 			}
 		}
 		size, c := int64(tensor.ShapeSize(g.in)), int64(info.OutChannels)
-		attrs := kernels.Attrs{"filterSize": g.poolFilter, "strides": g.poolSt, "pad": g.pad, "inputShape": g.in}
+		attrs := kernels.Attrs{FilterSize: g.poolFilter, Strides: g.poolSt, Pad: g.pad, Shape: g.in}
 		want := glsim.Work{Fetches: size + c*(cells+pairs), ALU: size*3*aluDecode + c*(cells+2*pairs)}
 		if got := declaredWork(t, b, "MaxPoolGrad", attrs, rnd(rng, info.OutShape()...), rnd(rng, g.in...)); got != want {
 			t.Errorf("%s: MaxPoolGrad charged %+v, walk counts %+v", g.name, got, want)
@@ -275,7 +275,7 @@ func TestTrainingWorkMatchesAWalk(t *testing.T) {
 				moments.ALU += 4 // g·g, v·beta2, g²·(1-beta2), the add
 			}
 		}
-		if got := declaredWork(t, b, "AdamMoments", kernels.Attrs{}, rnd(rng, slot...), rnd(rng, shape...)); got != moments {
+		if got := declaredWork(t, b, "AdamMoments", kernels.Attrs{Beta1: 0.9, Beta2: 0.999}, rnd(rng, slot...), rnd(rng, shape...)); got != moments {
 			t.Errorf("AdamMoments %v: charged %+v, walk counts %+v", shape, got, moments)
 		}
 		var step glsim.Work
@@ -285,7 +285,7 @@ func TestTrainingWorkMatchesAWalk(t *testing.T) {
 			step.ALU += 2     // ·lr, the square root
 			step.ALU += 3     // +eps, the divide, the subtract
 		}
-		if got := declaredWork(t, b, "ApplyAdam", kernels.Attrs{}, rnd(rng, shape...), pos(rng, slot...)); got != step {
+		if got := declaredWork(t, b, "ApplyAdam", kernels.Attrs{LearningRate: 0.001, Beta1Power: 0.9, Beta2Power: 0.999, Epsilon: 1e-8}, rnd(rng, shape...), pos(rng, slot...)); got != step {
 			t.Errorf("ApplyAdam %v: charged %+v, walk counts %+v", shape, got, step)
 		}
 	}
@@ -341,10 +341,12 @@ func TestInputGradTransposesItsFilterOncePerDispatch(t *testing.T) {
 		t.Skip("sync.Pool drops entries at random under the race detector")
 	}
 	x, f := []int{2, 8, 8, 4}, []int{3, 3, 4, 6}
-	attrs := kernels.Attrs{"pad": "same", "inputShape": x, "filterShape": f}
+	attrs := kernels.Attrs{Pad: "same"}
 	rng := rand.New(rand.NewSource(5))
 	xs, fs, dy := rnd(rng, x...), rnd(rng, f...), rnd(rng, 2, 8, 8, 6)
-	allocs := func(b *Backend, kernel string, inputs ...cin) float64 {
+	allocs := func(b *Backend, kernel string, shape []int, inputs ...cin) float64 {
+		attrs := attrs
+		attrs.Shape = shape
 		ins := make([]kernels.Input, len(inputs))
 		for i, in := range inputs {
 			ins[i] = kernels.Input{DataID: tensor.NewDataID(), Shape: in.shape, DType: in.dtype}
@@ -367,7 +369,7 @@ func TestInputGradTransposesItsFilterOncePerDispatch(t *testing.T) {
 	var first float64
 	for _, workers := range []int{1, 2, 4, 8} {
 		b := newContractBackend(t, contractConfig{packed: true, squeeze: true}, workers)
-		extra := allocs(b, "Conv2DBackpropInput", dy, fs) - allocs(b, "Conv2DBackpropFilter", xs, dy)
+		extra := allocs(b, "Conv2DBackpropInput", x, dy, fs) - allocs(b, "Conv2DBackpropFilter", f, xs, dy)
 		t.Logf("%d workers: Conv2DBackpropInput allocates %.0f more than Conv2DBackpropFilter", workers, extra)
 		if workers == 1 {
 			first = extra

@@ -70,7 +70,7 @@ func (b *Backend) initKernels() {
 func (b *Backend) matmulCompute(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 	fragment, _ := b.Backend.KernelOverride("BatchMatMul")
 	g, err := kernels.ResolveMatMul("BatchMatMul", inputs, attrs, res)
-	if err != nil || attrs.Bool("transposeA", false) || attrs.Bool("transposeB", false) {
+	if err != nil || attrs.TransposeA || attrs.TransposeB {
 		return fragment(inputs, attrs, res)
 	}
 	batch, m, k, n, batchA, batchB := g.Dims()

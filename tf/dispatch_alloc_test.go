@@ -56,14 +56,16 @@ func TestEagerDispatchAllocBudget(t *testing.T) {
 // range body: the convolutions (plain, fused and depthwise), a pool, a
 // matmul, a reduction, two shape kernels, both convolution gradients and
 // Adam's moments, on node and webgl. Conv2D and MaxPool are dispatched
-// without strides, dilations or a filter size, so an attribute default
-// allocated per call shows. On webgl each dispatch is followed by a fence
+// without strides or dilations, so a zero field's meaning allocated per
+// call shows. On webgl each dispatch is followed by a fence
 // (seven allocations of its own), so that the device has run the program
 // and recycled its texture before the next: unfenced, the reading depends
 // on how far the device lags. A budget is the lowest reading yet; a
 // change may lower one and may not raise any. Node read 10 a dispatch (12
 // for MaxPool and Transpose, 11 for Concat) and webgl 22–24 before the
 // engine's share of a dispatch went 7 → 2: the output handle and its shape.
+// MaxPool read 4 on node and 16 on webgl while its filter shape escaped
+// through ComputeConv2DInfo's error messages.
 func TestEagerDispatchAllocBudgetPerClass(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
@@ -74,22 +76,22 @@ func TestEagerDispatchAllocBudgetPerClass(t *testing.T) {
 		shapes [][]int
 		attrs  kernels.Attrs
 	}{
-		{"Conv2D", [][]int{{1, 6, 6, 2}, {3, 3, 2, 4}}, kernels.Attrs{"pad": "same"}},
-		{"FusedConv2D", [][]int{{1, 6, 6, 2}, {3, 3, 2, 4}, {4}}, kernels.Attrs{"pad": "same", "activation": "relu"}},
-		{"DepthwiseConv2dNative", [][]int{{1, 6, 6, 2}, {3, 3, 2, 1}}, kernels.Attrs{"pad": "same"}},
-		{"MaxPool", [][]int{{1, 6, 6, 2}}, kernels.Attrs{}},
+		{"Conv2D", [][]int{{1, 6, 6, 2}, {3, 3, 2, 4}}, kernels.Attrs{Pad: "same"}},
+		{"FusedConv2D", [][]int{{1, 6, 6, 2}, {3, 3, 2, 4}, {4}}, kernels.Attrs{Pad: "same", Activation: "relu"}},
+		{"DepthwiseConv2dNative", [][]int{{1, 6, 6, 2}, {3, 3, 2, 1}}, kernels.Attrs{Pad: "same"}},
+		{"MaxPool", [][]int{{1, 6, 6, 2}}, kernels.Attrs{FilterSize: []int{2, 2}}},
 		{"BatchMatMul", [][]int{{2, 3, 4}, {2, 4, 5}}, kernels.Attrs{}},
-		{"Sum", [][]int{{6, 8}}, kernels.Attrs{"axes": []int{1}}},
-		{"Transpose", [][]int{{2, 3, 4}}, kernels.Attrs{"perm": []int{2, 0, 1}}},
-		{"Concat", [][]int{{2, 3}, {2, 5}}, kernels.Attrs{"axis": 1}},
-		{"Conv2DBackpropFilter", [][]int{{1, 6, 6, 2}, {1, 6, 6, 4}}, kernels.Attrs{"pad": "same", "filterShape": []int{3, 3, 2, 4}}},
-		{"Conv2DBackpropInput", [][]int{{1, 6, 6, 4}, {3, 3, 2, 4}}, kernels.Attrs{"pad": "same", "inputShape": []int{1, 6, 6, 2}}},
-		{"AdamMoments", [][]int{{2, 3, 4}, {3, 4}}, kernels.Attrs{"beta1": 0.9, "beta2": 0.999}},
+		{"Sum", [][]int{{6, 8}}, kernels.Attrs{Axes: []int{1}}},
+		{"Transpose", [][]int{{2, 3, 4}}, kernels.Attrs{Perm: []int{2, 0, 1}}},
+		{"Concat", [][]int{{2, 3}, {2, 5}}, kernels.Attrs{Axis: 1}},
+		{"Conv2DBackpropFilter", [][]int{{1, 6, 6, 2}, {1, 6, 6, 4}}, kernels.Attrs{Pad: "same", Shape: []int{3, 3, 2, 4}}},
+		{"Conv2DBackpropInput", [][]int{{1, 6, 6, 4}, {3, 3, 2, 4}}, kernels.Attrs{Pad: "same", Shape: []int{1, 6, 6, 2}}},
+		{"AdamMoments", [][]int{{2, 3, 4}, {3, 4}}, kernels.Attrs{Beta1: 0.9, Beta2: 0.999}},
 	}
 	budgets := map[string]map[string]float64{
-		"node": {"Conv2D": 3, "FusedConv2D": 3, "DepthwiseConv2dNative": 3, "MaxPool": 4, "BatchMatMul": 3, "Sum": 3,
+		"node": {"Conv2D": 3, "FusedConv2D": 3, "DepthwiseConv2dNative": 3, "MaxPool": 3, "BatchMatMul": 3, "Sum": 3,
 			"Transpose": 3, "Concat": 4, "Conv2DBackpropFilter": 3, "Conv2DBackpropInput": 3, "AdamMoments": 3},
-		"webgl": {"Conv2D": 15, "FusedConv2D": 15, "DepthwiseConv2dNative": 15, "MaxPool": 16, "BatchMatMul": 16, "Sum": 15,
+		"webgl": {"Conv2D": 15, "FusedConv2D": 15, "DepthwiseConv2dNative": 15, "MaxPool": 15, "BatchMatMul": 16, "Sum": 15,
 			"Transpose": 15, "Concat": 16, "Conv2DBackpropFilter": 15, "Conv2DBackpropInput": 17, "AdamMoments": 15},
 	}
 	for _, backend := range []string{"node", "webgl"} {
@@ -144,10 +146,10 @@ func TestEagerKernelsKeepNoDispatchFrame(t *testing.T) {
 	var calls []call
 	for i := 0; i < 16; i++ {
 		calls = append(calls,
-			call{"Add", [][]int{{i + 1, 3}, {i + 1, 3}}, nil},
-			call{"Conv2D", [][]int{{1, 4 + i%4, 3 + i%3, 2}, {3, 3, 2, 1 + i%4}}, kernels.Attrs{"pad": "same"}},
-			call{"Sum", [][]int{{i + 2, 5}}, kernels.Attrs{"axes": []int{i % 2}}},
-			call{"Transpose", [][]int{{2, i + 1, 3}}, kernels.Attrs{"perm": []int{2, 0, 1}}})
+			call{"Add", [][]int{{i + 1, 3}, {i + 1, 3}}, kernels.Attrs{}},
+			call{"Conv2D", [][]int{{1, 4 + i%4, 3 + i%3, 2}, {3, 3, 2, 1 + i%4}}, kernels.Attrs{Pad: "same"}},
+			call{"Sum", [][]int{{i + 2, 5}}, kernels.Attrs{Axes: []int{i % 2}}},
+			call{"Transpose", [][]int{{2, i + 1, 3}}, kernels.Attrs{Perm: []int{2, 0, 1}}})
 	}
 	run := func(backend string) [][]float32 {
 		if err := tf.SetBackend(backend); err != nil {
