@@ -268,7 +268,7 @@ func BenchmarkMaxPoolGrad2x2(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := operand{benchVals(rng, 32*16*16*8, 0.5), []int{32, 16, 16, 8}}
 	dy := operand{benchVals(rng, 32*8*8*8, 0.5), []int{32, 8, 8, 8}}
-	benchVsReference(b, "MaxPoolGrad", kernels.Attrs{}, 32*16*16*8, dy, x)
+	benchVsReference(b, "MaxPoolGrad", kernels.Attrs{FilterSize: []int{2, 2}, Strides: []int{2, 2}}, 32*16*16*8, dy, x)
 }
 
 // benchPool runs a 2×2 pool over the bench convnet's two pooled maps
@@ -278,7 +278,7 @@ func benchPool(b *testing.B, name string) {
 		c, side := s[0], s[1]
 		b.Run(fmt.Sprintf("%d@%d", c, side), func(b *testing.B) {
 			x := operand{benchVals(rand.New(rand.NewSource(1)), 32*side*side*c, 0.5), []int{32, side, side, c}}
-			benchVsReference(b, name, kernels.Attrs{}, 32*side*side*c, x)
+			benchVsReference(b, name, kernels.Attrs{FilterSize: []int{2, 2}, Strides: []int{2, 2}}, 32*side*side*c, x)
 		})
 	}
 }
@@ -307,7 +307,7 @@ func BenchmarkBiasGradReduce(b *testing.B) {
 						b.Fatal(err)
 					}
 					flat := kernels.Input{DataID: t.DataID, Shape: []int{s.outC, rows}, DType: t.DType}
-					if err := nb.table["Sum"]([]kernels.Input{flat}, kernels.Attrs{}, &sum); err != nil {
+					if err := nb.table["Sum"]([]kernels.Input{flat}, kernels.Attrs{Axes: []int{-1}}, &sum); err != nil {
 						b.Fatal(err)
 					}
 					nb.DisposeData(t.DataID)

@@ -238,7 +238,7 @@ func TestHostileAttributesFailAtLoad(t *testing.T) {
 				t.Fatalf("%s with attrs %s loads", c.op, c.attrs)
 			}
 			if msg := err.Error(); !strings.Contains(msg, `node "hostile"`) || !strings.Contains(msg, `attr "`+c.key+`"`) {
-				t.Fatalf("load error %q names neither the node nor attr %q", msg, c.key)
+				t.Fatalf("load error %q does not name node \"hostile\" and attr %q", msg, c.key)
 			}
 		})
 	}

@@ -37,11 +37,11 @@ func BenchmarkProgram(b *testing.B) {
 		{"Dense_256→1000", "BatchMatMul", [][]int{{1, 1, 256}, {1, 256, 1000}}, kernels.Attrs{TransposeA: false, TransposeB: false}},
 		{"DenseGradTB_32x10→256", "BatchMatMul", [][]int{{1, 32, 10}, {1, 256, 10}}, kernels.Attrs{TransposeA: false, TransposeB: true}},
 		{"TransposeGlobalPool_3x3x256", "Transpose", [][]int{{1, 3, 3, 256}}, kernels.Attrs{Perm: []int{0, 3, 1, 2}}},
-		{"MeanGlobalPool_256x9", "Mean", [][]int{{256, 9}}, kernels.Attrs{}},
+		{"MeanGlobalPool_256x9", "Mean", [][]int{{256, 9}}, kernels.Attrs{Axes: []int{-1}}},
 		{"Concat_2x24x24x32", "Concat", [][]int{{1, 24, 24, 32}, {1, 24, 24, 32}}, kernels.Attrs{Axis: 3}},
 		{"ConvBackpropInput_8x8x8x16→8", "Conv2DBackpropInput", [][]int{{8, 8, 8, 16}, {3, 3, 8, 16}}, kernels.Attrs{Pad: "same", Shape: []int{8, 8, 8, 8}}},
-		{"MaxPoolGrad_8x16x16x8", "MaxPoolGrad", [][]int{{8, 8, 8, 8}, {8, 16, 16, 8}}, kernels.Attrs{}},
-		{"AvgPoolGrad_8x16x16x8", "AvgPoolGrad", [][]int{{8, 8, 8, 8}}, kernels.Attrs{Shape: []int{8, 16, 16, 8}}},
+		{"MaxPoolGrad_8x16x16x8", "MaxPoolGrad", [][]int{{8, 8, 8, 8}, {8, 16, 16, 8}}, kernels.Attrs{FilterSize: []int{2, 2}, Strides: []int{2, 2}}},
+		{"AvgPoolGrad_8x16x16x8", "AvgPoolGrad", [][]int{{8, 8, 8, 8}}, kernels.Attrs{FilterSize: []int{2, 2}, Strides: []int{2, 2}, Shape: []int{8, 16, 16, 8}}},
 		{"DepthwiseBackpropInput_24x24x32", "DepthwiseConv2dNativeBackpropInput", [][]int{{1, 24, 24, 32}, {3, 3, 32, 1}}, kernels.Attrs{Pad: "same", Shape: []int{1, 24, 24, 32}}},
 		{"DepthwiseBackpropFilter_24x24x32", "DepthwiseConv2dNativeBackpropFilter", [][]int{{1, 24, 24, 32}, {1, 24, 24, 32}}, kernels.Attrs{Pad: "same", Shape: []int{3, 3, 32, 1}}},
 	}
