@@ -486,6 +486,8 @@ func TestTileAndReverse(t *testing.T) {
 	wantVals(t, tiled, []float32{1, 2, 3, 4, 1, 2, 3, 4}, 0)
 	rev := runRef(t, "Reverse", []Buffer{x}, Attrs{Axes: []int{1}})
 	wantVals(t, rev, []float32{2, 1, 4, 3}, 0)
+	// No axes is every axis, as for a reduction.
+	wantVals(t, runRef(t, "Reverse", []Buffer{x}, Attrs{}), []float32{4, 3, 2, 1}, 0)
 }
 
 func TestOneHot(t *testing.T) {

@@ -167,7 +167,7 @@ func Tile(t *tensor.Tensor, reps []int) *tensor.Tensor {
 	return run1("Tile", []*tensor.Tensor{t}, kernels.Attrs{Reps: tensor.CopyShape(reps)})
 }
 
-// Reverse flips t along the given axes.
+// Reverse flips t along the given axes, every axis when none is given.
 func Reverse(t *tensor.Tensor, axes ...int) *tensor.Tensor {
 	return run1("Reverse", []*tensor.Tensor{t}, kernels.Attrs{Axes: axes})
 }

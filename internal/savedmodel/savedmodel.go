@@ -25,7 +25,8 @@ type NodeDef struct {
 	Op string `json:"op"`
 	// Inputs are the names of the nodes feeding this one.
 	Inputs []string `json:"inputs,omitempty"`
-	// Attrs carries op attributes (strides, padding, ...).
+	// Attrs carries op attributes (strides, padding, ...) as JSON decodes
+	// them; DecodeAttrs is their one reader.
 	Attrs map[string]any `json:"attrs,omitempty"`
 	// TrainingOnly marks nodes that exist only for training (optimizer
 	// updates, gradient accumulators, savers); the converter prunes any

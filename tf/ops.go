@@ -343,7 +343,7 @@ func Gather(t, indices *Tensor, axis int) *Tensor { return ops.Gather(t, indices
 // Tile repeats t reps[d] times along each dimension d.
 func Tile(t *Tensor, reps []int) *Tensor { return ops.Tile(t, reps) }
 
-// Reverse flips t along the given axes.
+// Reverse flips t along the given axes, every axis when none is given.
 func Reverse(t *Tensor, axes ...int) *Tensor { return ops.Reverse(t, axes...) }
 
 // ---------------------------------------------------------------------------
