@@ -53,17 +53,20 @@ func loc4(s1, s2, s3 int, a, b, c, d int) int {
 func (b *NaiveBackend) initNaiveKernels() {
 	b.table = map[string]kernels.OverrideKernel{}
 
+	// The element-wise kernels run their op's one check
+	// (kernels.ElementwiseOp.Check) before their float64 loop.
 	bin := func(name string, f func(x, y float64) float64) {
+		op, _ := kernels.LookupElementwise(name)
 		b.table[name] = func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-			if len(inputs) != 2 {
-				return fmt.Errorf("%s: got %d inputs, want 2", name, len(inputs))
+			if err := op.Check(inputs, res); err != nil {
+				return err
 			}
 			a, x := inputs[0], inputs[1]
 			if !tensor.ShapesEqual(a.Shape, x.Shape) {
 				return kernels.ErrFallback // broadcasting goes through the reference kernel
 			}
 			aBuf, xBuf := b.Raw(a.DataID), b.Raw(x.DataID)
-			out := b.out(a.Shape, a.DType, res)
+			out := b.out(res.Shape, res.DType, res)
 			for i := range out {
 				out[i] = float32(f(float64(aBuf[i]), float64(xBuf[i])))
 			}
@@ -90,12 +93,13 @@ func (b *NaiveBackend) initNaiveKernels() {
 	})
 
 	un := func(name string, f func(x float64) float64) {
+		op, _ := kernels.LookupElementwise(name)
 		b.table[name] = func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-			if len(inputs) != 1 {
-				return fmt.Errorf("%s: got %d inputs, want 1", name, len(inputs))
+			if err := op.Check(inputs, res); err != nil {
+				return err
 			}
 			xBuf := b.Raw(inputs[0].DataID)
-			out := b.out(inputs[0].Shape, inputs[0].DType, res)
+			out := b.out(res.Shape, res.DType, res)
 			for i := range out {
 				out[i] = float32(f(float64(xBuf[i])))
 			}

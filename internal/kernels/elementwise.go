@@ -8,11 +8,12 @@ import (
 )
 
 // ElementwiseOp is one element-wise operation, written once. The reference
-// kernel is registered from it; native's kernels and webgl's programs run
-// its function, or its internal/vec row where one exists; the fused
-// kernels' epilogue is it; and Layers, the graph optimizer, the plan
-// compiler, the load-time verifier and the exporter read its activation
-// name from it. Exactly one of Unary, Param and Binary is set.
+// kernel is registered from it, and so is its entry of the range table,
+// which runs its function, or its internal/vec row where one exists, on
+// native and webgl; the fused kernels' epilogue is it; and Layers, the
+// graph optimizer, the plan compiler, the load-time verifier and the
+// exporter read its activation name from it. Exactly one of Unary, Param
+// and Binary is set.
 type ElementwiseOp struct {
 	Name string
 	// Unary is a one-operand op's value. Param builds it from the kernel's
@@ -40,9 +41,9 @@ type ElementwiseOp struct {
 	bin func(dst, a, x []float32)
 }
 
-// The table. Its order is the order the kernels register in, and the order
-// webgl's contract test draws its cases in: an op is appended, never
-// inserted.
+// The table. Its order is the order the kernels register in — after the
+// range kernels, in the range table too — and the order webgl's contract
+// test draws its cases in: an op is appended, never inserted.
 var elementwise = []ElementwiseOp{
 	{Name: "Add", Binary: func(a, x float32) float32 { return a + x }, bin: vecBinary(vec.Add)},
 	{Name: "Sub", Binary: func(a, x float32) float32 { return a - x }, bin: vecBinary(vec.Sub)},
@@ -213,17 +214,20 @@ func init() {
 		if op.Activation != "" {
 			byActivation[op.Activation] = op
 		}
+		entry := RangeKernel{Name: op.Name, Resolve: op.resolve}
 		if op.Binary != nil {
 			if op.bin == nil {
 				op.bin = scalarBinary(op.Binary)
 			}
 			RegisterRef(op.Name, binaryRef(op))
-			continue
+			entry.Sampled = SamplesBroadcasts
+		} else {
+			if op.row == nil {
+				op.row = scalarRow(op)
+			}
+			RegisterRef(op.Name, unaryRef(op))
 		}
-		if op.row == nil {
-			op.row = scalarRow(op)
-		}
-		RegisterRef(op.Name, unaryRef(op))
+		rangeKernels = append(rangeKernels, entry)
 	}
 }
 
@@ -253,17 +257,101 @@ func (op *ElementwiseOp) DType(in tensor.DataType) tensor.DataType {
 	return in
 }
 
-// UnaryRow returns a one-operand op's row body under attrs, dst[i] =
-// f(x[i]) with len(dst) == len(x), or the error its attributes earn.
-func (op *ElementwiseOp) UnaryRow(attrs Attrs) (func(dst, x []float32), error) {
-	return op.row(attrs)
+// Check is the one check of a call of op, which its reference kernel, its
+// range-table entry and the cpu tier's kernel all run: the call's arity
+// and its operands' broadcast shape, worded as the reference words them.
+// It describes the output's shape and dtype (DType) in out.
+func (op *ElementwiseOp) Check(inputs []Input, out *TensorInfo) error {
+	if op.Binary == nil {
+		if err := wantInputs(op.Name, inputs, 1); err != nil {
+			return err
+		}
+		out.Shape = append(out.Shape[:0], inputs[0].Shape...)
+	} else {
+		if err := wantInputs(op.Name, inputs, 2); err != nil {
+			return err
+		}
+		shape, err := tensor.AppendBroadcast(out.Shape[:0], inputs[0].Shape, inputs[1].Shape)
+		if err != nil {
+			return errIn(op.Name, "%v", err)
+		}
+		out.Shape = shape
+	}
+	out.DType = op.DType(inputs[0].DType)
+	return nil
 }
 
-// BinaryRow computes a two-operand op over a row, each operand as long as
-// dst or a shorter row repeated along it:
+// resolve is op's entry of the range table. A one-operand op's body is its
+// row over the range; a two-operand op's is its row too when each operand
+// is a suffix period of the output (SuffixPeriod) — the shorter one, the
+// repeated row, is native's chunk unit — and the general broadcast
+// (Broadcast) otherwise. Per value it fetches each operand and performs
+// the operation.
+func (op *ElementwiseOp) resolve(_ string, inputs []Input, attrs Attrs, out *TensorInfo) (Range, error) {
+	if err := op.Check(inputs, out); err != nil {
+		return Range{}, err
+	}
+	size := tensor.ShapeSize(out.Shape)
+	if op.Binary == nil {
+		row, err := op.row(attrs)
+		if err != nil {
+			return Range{}, err
+		}
+		return Range{Fill: func(in [][]float32, lo int, dst []float32) { row(dst, in[0][lo:lo+len(dst)]) },
+			Work: PerValue(size, 1, 1)}, nil
+	}
+	r := Range{Work: PerValue(size, 2, 1)}
+	a, x := inputs[0].Shape, inputs[1].Shape
+	if row := suffixRow(out.Shape, a, x); row > 0 {
+		if row < size {
+			r.Unit = row
+		}
+		r.Fill = suffixRows(op.bin, SuffixPeriod(a, out.Shape), SuffixPeriod(x, out.Shape))
+		return r, nil
+	}
+	g, ok := NewBroadcast(a, x, out.Shape)
+	if !ok {
+		return Range{}, ErrFallback
+	}
+	f := op.Binary
+	r.Fill = func(in [][]float32, lo int, dst []float32) { g.Fill(f, in[0], in[1], lo, dst) }
+	return r, nil
+}
+
+// suffixRows is the body of a two-operand op whose operands repeat along
+// its output every pa and px values (SuffixPeriod): the longer one is as
+// long as the output, the shorter a row repeated along it. bin is the op's
+// row, each operand as long as dst or a row repeated along it:
 //
 //	dst[i] = f(a[i%len(a)], x[i%len(x)])
-func (op *ElementwiseOp) BinaryRow(dst, a, x []float32) { op.bin(dst, a, x) }
+//
+// A range that begins inside a row runs the rest of that row first. An
+// operand's buffer may be longer than its values (a texture's padding).
+// The body captures the periods as int32s, which keeps it, allocated per
+// dispatch, in the allocator's 24-byte class.
+func suffixRows(bin func(dst, a, x []float32), pa, px int) Fill {
+	p, q := int32(pa), int32(px)
+	return func(in [][]float32, lo int, dst []float32) {
+		pa, px := int(p), int(q)
+		size, row := max(pa, px), min(pa, px)
+		a, x := in[0][:pa], in[1][:px]
+		if head := min((row-lo%row)%row, len(dst)); head > 0 {
+			bin(dst[:head], valuesFrom(a, size, lo, head), valuesFrom(x, size, lo, head))
+			lo, dst = lo+head, dst[head:]
+		}
+		bin(dst, valuesFrom(a, size, lo, len(dst)), valuesFrom(x, size, lo, len(dst)))
+	}
+}
+
+// valuesFrom is an operand's values for the n output values from lo on: n of
+// them from an operand as long as the output, the rest of its row from
+// lo's place in it from a repeated row.
+func valuesFrom(operand []float32, size, lo, n int) []float32 {
+	if len(operand) == size {
+		return operand[lo : lo+n]
+	}
+	return operand[lo%len(operand):]
+}
 
 func vecBinary(o vec.BinOp) func(dst, a, x []float32) {
 	return func(dst, a, x []float32) { vec.Binary(o, dst, a, x) }
@@ -314,7 +402,8 @@ func scalarBinary(f func(a, x float32) float32) func(dst, a, x []float32) {
 // unaryRef is the reference kernel of a one-operand op.
 func unaryRef(op *ElementwiseOp) RefKernel {
 	return func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		if err := wantInputs(op.Name, inputs, 1); err != nil {
+		var res TensorInfo
+		if err := op.Check(inputsOf(inputs), &res); err != nil {
 			return Buffer{}, err
 		}
 		f := op.Unary
@@ -324,9 +413,8 @@ func unaryRef(op *ElementwiseOp) RefKernel {
 				return Buffer{}, err
 			}
 		}
-		in := inputs[0]
-		out := NewBuffer(in.Shape, op.DType(in.DType))
-		for i, v := range in.Data {
+		out := NewBuffer(res.Shape, res.DType)
+		for i, v := range inputs[0].Data {
 			out.Data[i] = f(v)
 		}
 		return out, nil
@@ -337,15 +425,12 @@ func unaryRef(op *ElementwiseOp) RefKernel {
 func binaryRef(op *ElementwiseOp) RefKernel {
 	f := op.Binary
 	return func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		if err := wantInputs(op.Name, inputs, 2); err != nil {
+		var res TensorInfo
+		if err := op.Check(inputsOf(inputs), &res); err != nil {
 			return Buffer{}, err
 		}
-		a, b := inputs[0], inputs[1]
-		outShape, err := tensor.BroadcastShapes(a.Shape, b.Shape)
-		if err != nil {
-			return Buffer{}, errIn(op.Name, "%v", err)
-		}
-		out := NewBuffer(outShape, op.DType(a.DType))
+		a, b, outShape := inputs[0], inputs[1], res.Shape
+		out := NewBuffer(outShape, res.DType)
 		if tensor.ShapesEqual(a.Shape, b.Shape) {
 			for i := range out.Data {
 				out.Data[i] = f(a.Data[i], b.Data[i])

@@ -239,6 +239,22 @@ func SuffixPeriod(shape, out []int) int {
 	return tensor.ShapeSize(shape)
 }
 
+// suffixRow is the row operands of shapes ins repeat along their output
+// out when each is a suffix period of it (SuffixPeriod): the shortest
+// period, which divides every other. It is 0 when one is not, or out is
+// empty.
+func suffixRow(out []int, ins ...[]int) int {
+	row := tensor.ShapeSize(out)
+	for _, in := range ins {
+		p := SuffixPeriod(in, out)
+		if p == 0 {
+			return 0
+		}
+		row = min(row, p)
+	}
+	return row
+}
+
 // broadcastsTo reports whether shape broadcasts to out without changing
 // it: leading 1s past out's rank dropped, each dim, aligned at the last,
 // is 1 or out's.

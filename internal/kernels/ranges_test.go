@@ -12,10 +12,10 @@ import (
 )
 
 // rangeBody resolves one call of kernel as the tiers do — a range
-// kernel through the table, its staged buffer computed once; GatherV2 and
-// a binary op's general broadcast, which are no range kernels, on their
-// bodies — and returns its range body over the call's operands: what
-// native hands its output chunks and webgl its texel ranges.
+// kernel through the table, its staged buffer computed once; GatherV2,
+// which is no range kernel, on its body — and returns its range body over
+// the call's operands: what native hands its output chunks and webgl its
+// texel ranges.
 func rangeBody(t *testing.T, kernel string, ins []Buffer, attrs Attrs) func(lo int, dst []float32) {
 	t.Helper()
 	in := make([][]float32, len(ins))
@@ -29,13 +29,6 @@ func rangeBody(t *testing.T, kernel string, ins []Buffer, attrs Attrs) func(lo i
 			t.Fatalf("%s: %v", kernel, err)
 		}
 		return func(lo int, dst []float32) { g.Fill(in[0], in[1], lo, dst) }
-	case "Sub":
-		shape, err := tensor.BroadcastShapes(ins[0].Shape, ins[1].Shape)
-		g, ok := NewBroadcast(ins[0].Shape, ins[1].Shape, shape)
-		if err != nil || !ok {
-			t.Fatalf("%s: no broadcast (%v)", kernel, err)
-		}
-		return func(lo int, dst []float32) { g.Fill(byName["Sub"].Binary, in[0], in[1], lo, dst) }
 	}
 	for _, k := range RangeKernels() {
 		if k.Name != kernel {
@@ -57,16 +50,19 @@ func rangeBody(t *testing.T, kernel string, ins []Buffer, attrs Attrs) func(lo i
 }
 
 // TestRangeBodiesMatchReference: the body of every kernel of the range
-// table — each fails the test without a case here — and the two bodies
-// outside it (GatherV2's and a binary op's general broadcast), resolved as
-// the tiers resolve them, at strides, dilations, same and valid padding,
-// overlapping windows, a channel multiplier of 2 and batch 0, cut in two
-// at every split point of small shapes, on both bodies of the vector
-// cores, write every value (none read first) Float32bits-equal to one
-// uncut call, which is the reference kernel's function to the bit — two
-// NaNs equal whatever their payloads, as in the walk's test: a narrow
-// filter row cut mid-row is a GemmRow instead of an AxpyRows, which meet
-// two NaNs in the other operand order.
+// table — each fails the test without a case here — and GatherV2's, the
+// one body outside it, resolved as the tiers resolve them, at strides,
+// dilations, same and valid padding, overlapping windows, a channel
+// multiplier of 2 and batch 0, and every element-wise op on every shape
+// case of the element-wise tier test (equal shapes, a suffix row on either
+// side, a scalar, a non-suffix broadcast, a column), cut in two at every
+// split point of small shapes — a cut inside a repeated row is the range
+// webgl's device hands out mid-row — on both bodies of the vector cores,
+// write every value (none read first) Float32bits-equal to one uncut call,
+// which is the reference kernel's function to the bit — two NaNs equal
+// whatever their payloads, as in the walk's test: a narrow filter row cut
+// mid-row is a GemmRow instead of an AxpyRows, which meet two NaNs in the
+// other operand order.
 func TestRangeBodiesMatchReference(t *testing.T) {
 	type rangeCase struct {
 		label, kernel string
@@ -254,12 +250,38 @@ func TestRangeBodiesMatchReference(t *testing.T) {
 			rangeCase{"2x2same", kernel, []Buffer{op(2, 5, 7, 3)}, Attrs{FilterSize: []int{2, 2}, Strides: s2, Pad: "same"}},
 			rangeCase{"3x2valid", kernel, []Buffer{op(1, 4, 6, 3)}, Attrs{FilterSize: []int{3, 2}, Strides: s1, Pad: "valid"}})
 	}
-	// Every kernel of the table has cases; so do the two bodies outside it.
+	// Every op of the element-wise table: a two-operand op on the shapes of
+	// the element-wise tier test, a one-operand op on a vector with a
+	// tail, under the attributes that tier test gives it.
+	n := 5
+	rowsOf := op(n, n)
+	for i := range rowsOf.Data {
+		rowsOf.Data[i] = rowsOf.Data[i-i%n]
+	}
+	paramAttrs := map[string]Attrs{
+		"ClipByValue": {ClipMin: -0.5, ClipMax: 0.25},
+		"LeakyRelu":   {Alpha: 0.1},
+		"Step":        {Alpha: 0.5},
+	}
+	for _, e := range ElementwiseOps() {
+		if e.Binary == nil {
+			cases = append(cases, rangeCase{"values", e.Name, []Buffer{op(3, 7)}, paramAttrs[e.Name]})
+			continue
+		}
+		cases = append(cases,
+			rangeCase{"pairs", e.Name, []Buffer{rowsOf, op(n, n)}, Attrs{}},
+			rangeCase{"suffix", e.Name, []Buffer{rowsOf, op(n)}, Attrs{}},
+			rangeCase{"suffixFirst", e.Name, []Buffer{op(n), rowsOf}, Attrs{}},
+			rangeCase{"scalar", e.Name, []Buffer{op(n, n), op()}, Attrs{}},
+			rangeCase{"nonSuffix", e.Name, []Buffer{op(n, 1), op(1, n)}, Attrs{}},
+			rangeCase{"column", e.Name, []Buffer{rowsOf, op(n, 1)}, Attrs{}})
+	}
+	// Every kernel of the table has cases; so does the body outside it.
 	byKernel := map[string][]rangeCase{}
 	for _, c := range cases {
 		byKernel[c.kernel] = append(byKernel[c.kernel], c)
 	}
-	kernelNames := []string{"GatherV2", "Sub"}
+	kernelNames := []string{"GatherV2"}
 	for _, k := range RangeKernels() {
 		kernelNames = append(kernelNames, k.Name)
 	}
@@ -295,5 +317,41 @@ func checkRangeCase(t *testing.T, label, kernel string, ins []Buffer, attrs Attr
 		body(0, got[:split])
 		body(split, got[split:])
 		sameBits(t, fmt.Sprintf("%s cut at %d", label, split), got, uncut)
+	}
+}
+
+// TestSuffixPeriods is the decision table of an element-wise op's row body
+// (suffixRow): its operands take it when each one's shape, leading 1s
+// dropped, is the output's trailing dimensions, and repeat along the
+// output every row values, the shortest one's period; everything else —
+// the squeeze ablation's [1,64,1,2048]×[1,64,1,1] included — takes the
+// general broadcast (Broadcast).
+func TestSuffixPeriods(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		out  []int
+		ins  [][]int
+		row  int // 0: the general broadcast
+	}{
+		{"[C]", []int{2, 3, 3, 9}, [][]int{{9}}, 9},
+		{"[1,C]", []int{4, 3}, [][]int{{1, 3}}, 3},
+		{"[1,1,1,C]", []int{2, 2, 3, 5}, [][]int{{1, 1, 1, 5}}, 5},
+		{"scalar []", []int{3, 7}, [][]int{{}}, 1},
+		{"scalar [1]", []int{3, 7}, [][]int{{1}}, 1},
+		{"[W,C]", []int{2, 3, 5}, [][]int{{3, 5}}, 15},
+		{"the output's own shape", []int{2, 3, 5}, [][]int{{2, 3, 5}}, 30},
+		{"primary and [C], either order", []int{3, 5, 17}, [][]int{{17}, {3, 5, 17}}, 17},
+		{"batch norm", []int{1, 48, 48, 8}, [][]int{{8}, {8}, {8}, {8}}, 8},
+		{"mixed periods", []int{5, 3}, [][]int{{3}, {}, {1, 3}, {1}}, 1},
+		{"non-suffix [N,1]", []int{2, 5, 3}, [][]int{{5, 1}}, 0},
+		{"one non-suffix operand spoils the program", []int{2, 5, 3}, [][]int{{3}, {5, 1}}, 0},
+		{"squeeze ablation", []int{1, 64, 1, 2048}, [][]int{{1, 64, 1, 2048}, {1, 64, 1, 1}}, 0},
+		{"[C] against the wrong C", []int{2, 4}, [][]int{{2}}, 0},
+		{"longer than the output", []int{3}, [][]int{{2, 3}}, 0},
+		{"zero-size output", []int{0, 4}, [][]int{{4}}, 0},
+	} {
+		if got := suffixRow(c.out, c.ins...); got != c.row {
+			t.Errorf("%s: suffixRow(%v, %v) = %d; want %d", c.name, c.out, c.ins, got, c.row)
+		}
 	}
 }

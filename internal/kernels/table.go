@@ -8,7 +8,8 @@ import (
 )
 
 // The range kernels: every kernel the device tiers compute on one range
-// body, each declared once, below — its name, its check (the one the
+// body, each declared once — below, and every op of the element-wise table
+// appended after them (elementwise.go) — its name, its check (the one the
 // reference kernel runs too), its body and its one cost. Native installs
 // the table in one loop, reading a call's inputs up front and sharding
 // whole units of its output across the worker pool; webgl in another,
@@ -67,7 +68,29 @@ const (
 	// SamplesParameters: every input but the first, which the shader
 	// reads at the output's own index (batch norm's x).
 	SamplesParameters
+	// SamplesBroadcasts: every input, as SamplesInputs, unless every input
+	// has the output's shape: then each is read at the output's own index
+	// (a two-operand element-wise op).
+	SamplesBroadcasts
 )
+
+// Inputs returns the inputs of a call whose output has shape out that its
+// shader reads through samplers of their own shapes.
+func (s Sampled) Inputs(inputs []Input, out []int) []Input {
+	switch s {
+	case SamplesInputs:
+		return inputs
+	case SamplesParameters:
+		return inputs[1:]
+	case SamplesBroadcasts:
+		for _, in := range inputs {
+			if !tensor.ShapesEqual(in.Shape, out) {
+				return inputs
+			}
+		}
+	}
+	return nil
+}
 
 // A RangeKernel is one kernel of the table.
 type RangeKernel struct {
@@ -80,7 +103,8 @@ type RangeKernel struct {
 	Sampled Sampled
 }
 
-// RangeKernels is the table, in a fixed order.
+// RangeKernels is the table, in a fixed order: the kernels below, then the
+// element-wise table's ops.
 func RangeKernels() []RangeKernel { return rangeKernels }
 
 var rangeKernels = []RangeKernel{

@@ -198,6 +198,14 @@ func forwardPools() []gradGeometry {
 	)
 }
 
+// elementwiseAttrs are the attributes the attribute-taking ops of the
+// element-wise table run with in the matrix.
+var elementwiseAttrs = map[string]kernels.Attrs{
+	"ClipByValue": {ClipMin: -0.5, ClipMax: 0.25},
+	"LeakyRelu":   {Alpha: 0.1},
+	"Step":        {Alpha: 0.5},
+}
+
 // checkForwardMatrix runs the matrix on nb. It fails on a kernel of the
 // range table it has no case for, so that a new kernel cannot skip it.
 func checkForwardMatrix(t *testing.T, nb *Backend) {
@@ -216,6 +224,21 @@ func checkForwardMatrix(t *testing.T, nb *Backend) {
 		p := operand{f.gen(9, 15), []int{9}}
 		checkAgainstReference(t, nb, "FusedBatchNorm/"+f.name, "FusedBatchNorm", kernels.Attrs{Epsilon: 1e-3},
 			operand{f.gen(2*3*9, 16), []int{2, 3, 9}}, p, operand{f.gen(9, 17), []int{9}}, p, p)
+		// Every op of the element-wise table: a two-operand op on equal
+		// shapes, a suffix row on either side — one large enough that
+		// parallelFor cuts it into rows — and a non-suffix broadcast, a
+		// one-operand op on a vector with a tail.
+		for _, op := range kernels.ElementwiseOps() {
+			label := op.Name + "/" + f.name
+			if op.Binary == nil {
+				checkAgainstReference(t, nb, label, op.Name, elementwiseAttrs[op.Name], operand{f.gen(3*7, 18), []int{3, 7}})
+				continue
+			}
+			checkAgainstReference(t, nb, label+"/equal", op.Name, kernels.Attrs{}, operand{f.gen(3*7, 19), []int{3, 7}}, operand{f.gen(3*7, 20), []int{3, 7}})
+			checkAgainstReference(t, nb, label+"/suffix", op.Name, kernels.Attrs{}, operand{f.gen(64*512, 21), []int{64, 512}}, operand{f.gen(512, 22), []int{512}})
+			checkAgainstReference(t, nb, label+"/suffixFirst", op.Name, kernels.Attrs{}, operand{f.gen(7, 23), []int{7}}, operand{f.gen(3*7, 24), []int{3, 7}})
+			checkAgainstReference(t, nb, label+"/nonSuffix", op.Name, kernels.Attrs{}, operand{f.gen(3, 25), []int{3, 1}}, operand{f.gen(7, 26), []int{1, 7}})
+		}
 		for _, g := range forwardPools() {
 			checkPools(t, nb, g, f)
 		}
@@ -269,7 +292,8 @@ func checkForwardMatrix(t *testing.T, nb *Backend) {
 // TestForwardKernelsBitIdenticalToReference: every kernel of the range
 // table on node — the convolutions, pools and matmuls over the matrix's
 // geometries, the seven reductions, BiasAddGrad and the shape kernels over
-// its shapes, the rest on a case each (TestGradKernelsBitIdenticalToReference
+// its shapes, every element-wise op under each broadcast form, the rest on
+// a case each (TestGradKernelsBitIdenticalToReference
 // holds the gradients to their own matrix) — and GatherV2 agree with the
 // reference kernels to the bit, at every worker count and with the AVX2
 // cores on or off.

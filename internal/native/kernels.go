@@ -1,7 +1,6 @@
 package native
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/kernels"
@@ -11,10 +10,10 @@ import (
 // initKernels installs the optimized kernels: every kernel of the range
 // table (kernels.RangeKernels — the convolutions, pools and matmuls, every
 // one of their gradients, the reductions, the training tail, the shape
-// kernels, Select and batch norm) in one loop, every op of the element-wise
-// table under any broadcast in another, and the two kernels of neither,
-// Softmax and GatherV2. The other six (All, Any, Cast, CumSum, Range,
-// Reverse) inherit the reference implementations.
+// kernels, Select, batch norm and every op of the element-wise table) in
+// one loop, and the two kernels outside it, Softmax and GatherV2. The
+// other six (All, Any, Cast, CumSum, Range, Reverse) inherit the reference
+// implementations.
 //
 // Every kernel appends its output shape into out.Shape (caller-owned
 // scratch, so the steady-state plan executor re-runs a step without
@@ -26,13 +25,6 @@ func (b *Backend) initKernels() {
 	b.table = map[string]kernels.OverrideKernel{}
 	for _, k := range kernels.RangeKernels() {
 		b.register(k.Name, b.rangeKernel(k))
-	}
-	for _, op := range kernels.ElementwiseOps() {
-		if op.Binary != nil {
-			b.register(op.Name, b.binary(op))
-		} else {
-			b.register(op.Name, b.unary(op))
-		}
 	}
 	// Softmax keeps a body of its own on webgl (see the reference kernel).
 	b.register("Softmax", b.softmax)
@@ -118,95 +110,6 @@ func (b *Backend) outOver(dst *kernels.TensorInfo, dtype tensor.DataType) []floa
 	dst.DataID = id
 	dst.DType = dtype
 	return buf
-}
-
-// binary is every two-operand op of the element-wise table: equal shapes
-// and the suffix broadcast run here on the op's row (vec.Binary for Add,
-// Sub, Mul and RealDiv), every other broadcast on the body webgl's
-// broadcast programs run (kernels.Broadcast) — each bit-equal to the
-// reference kernel, the same function of the same two operands.
-func (b *Backend) binary(op *kernels.ElementwiseOp) kernels.OverrideKernel {
-	return func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
-		if len(inputs) != 2 {
-			return fmt.Errorf("%s: got %d inputs, want 2", op.Name, len(inputs))
-		}
-		a, x := inputs[0], inputs[1]
-		// big is the operand with the output's element count; the other
-		// one's buffer is the row repeated against it (kernels.SuffixPeriod).
-		big := a.Shape
-		switch {
-		case tensor.ShapesEqual(a.Shape, x.Shape):
-		case kernels.SuffixPeriod(x.Shape, a.Shape) > 0:
-		case kernels.SuffixPeriod(a.Shape, x.Shape) > 0:
-			big = x.Shape
-		default:
-			// Any other broadcast: the shared body (kernels.Broadcast).
-			shape, err := tensor.BroadcastShapes(a.Shape, x.Shape)
-			if err != nil {
-				return kernels.ErrFallback // the reference kernel words the error
-			}
-			g, ok := kernels.NewBroadcast(a.Shape, x.Shape, shape)
-			if !ok {
-				return kernels.ErrFallback
-			}
-			out.Shape = append(out.Shape[:0], shape...)
-			in := b.inputs(inputs)
-			defer inLists.Put(in)
-			dst := b.outOver(out, op.DType(a.DType))
-			b.parallelFor(func(in [][]float32, lo int, dst []float32) {
-				g.Fill(op.Binary, in[0], in[1], lo, dst)
-			}, *in, dst, 1, int64(len(dst)))
-			return nil
-		}
-		out.Shape = out.Shape[:0]
-		for i := len(big); i < max(len(a.Shape), len(x.Shape)); i++ {
-			out.Shape = append(out.Shape, 1) // the row operand had the higher rank
-		}
-		out.Shape = append(out.Shape, big...)
-		in := b.inputs(inputs)
-		defer inLists.Put(in)
-		dst := b.outOver(out, op.DType(a.DType))
-		// The shorter operand repeats every row values of the output (a
-		// bias, a scalar); a chunk is whole rows, so it starts the row at
-		// its first value. Two operands of the output's size chunk anywhere.
-		size, row := len(dst), min(len((*in)[0]), len((*in)[1]))
-		if row == size {
-			row = 1
-		}
-		b.parallelFor(func(in [][]float32, lo int, dst []float32) {
-			as, xs := in[0], in[1]
-			if len(as) == size {
-				as = as[lo : lo+len(dst)]
-			}
-			if len(xs) == size {
-				xs = xs[lo : lo+len(dst)]
-			}
-			op.BinaryRow(dst, as, xs)
-		}, *in, dst, row, int64(size))
-		return nil
-	}
-}
-
-// unary is every one-operand op of the element-wise table, on the op's row
-// (internal/vec's for the ReLU family and Step) over chunks of x.
-func (b *Backend) unary(op *kernels.ElementwiseOp) kernels.OverrideKernel {
-	return func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
-		if len(inputs) != 1 {
-			return fmt.Errorf("%s: got %d inputs, want 1", op.Name, len(inputs))
-		}
-		row, err := op.UnaryRow(attrs)
-		if err != nil {
-			return err
-		}
-		out.Shape = append(out.Shape[:0], inputs[0].Shape...)
-		in := b.inputs(inputs)
-		defer inLists.Put(in)
-		dst := b.outOver(out, op.DType(inputs[0].DType))
-		b.parallelFor(func(in [][]float32, lo int, dst []float32) {
-			row(dst, in[0][lo:lo+len(dst)])
-		}, *in, dst, 1, int64(len(dst)))
-		return nil
-	}
 }
 
 // softmax is Softmax over the rows of its last axis (kernels.SoftmaxRow).

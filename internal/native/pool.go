@@ -22,9 +22,10 @@ import (
 // degrades to sequential per-kernel execution instead of queueing —
 // a caller is never blocked behind another replica's kernel.
 
-// workerPool is a fixed set of goroutines receiving closures.
+// workerPool is a fixed set of goroutines receiving the jobs of
+// parallelFor calls.
 type workerPool struct {
-	tasks chan func()
+	tasks chan *job
 	idle  atomic.Int64
 }
 
@@ -34,7 +35,7 @@ func newWorkerPool(n int) *workerPool {
 	if n < 1 {
 		n = 1
 	}
-	p := &workerPool{tasks: make(chan func())}
+	p := &workerPool{tasks: make(chan *job)}
 	p.idle.Store(int64(n))
 	for i := 0; i < n; i++ {
 		go p.work()
@@ -43,24 +44,50 @@ func newWorkerPool(n int) *workerPool {
 }
 
 func (p *workerPool) work() {
-	for fn := range p.tasks {
-		fn()
+	for j := range p.tasks {
+		j.run()
+		j.helpers.Done()
 		p.idle.Add(1)
 	}
 }
 
-// tryDispatch runs fn on an idle worker, reserving it first; it reports
-// false (and runs nothing) when every worker is busy.
-func (p *workerPool) tryDispatch(fn func()) bool {
+// tryDispatch has an idle worker help with j, reserving it first; it
+// reports false (and hands nothing over) when every worker is busy.
+func (p *workerPool) tryDispatch(j *job) bool {
 	for {
 		n := p.idle.Load()
 		if n <= 0 {
 			return false
 		}
 		if p.idle.CompareAndSwap(n, n-1) {
-			p.tasks <- fn
+			p.tasks <- j
 			return true
 		}
+	}
+}
+
+// A job is one parallelFor call split into chunks, which the caller and
+// the workers it reserved claim by index from next — work-stealing, so an
+// uneven chunk mix still balances. It is the call's one allocation, and
+// what the workers it reserved receive.
+type job struct {
+	fill            kernels.Fill
+	in              [][]float32
+	dst             []float32
+	unit, n, chunks int
+	next            atomic.Int64
+	helpers         sync.WaitGroup
+}
+
+// run fills chunks until none is left to claim.
+func (j *job) run() {
+	for {
+		i := int(j.next.Add(1)) - 1
+		if i >= j.chunks {
+			return
+		}
+		lo, hi := chunkBounds(j.n, j.chunks, i)
+		j.fill(j.in, lo*j.unit, j.dst[lo*j.unit:min(hi*j.unit, len(j.dst))])
 	}
 }
 
@@ -99,7 +126,8 @@ func chunkBounds(n, c, i int) (lo, hi int) {
 // grain is derived from its share per unit so that each chunk carries at
 // least chunkFlops of it. Nothing here reads a clock, and nothing but the
 // kernel's declared work sizes the grain. A call of one chunk — every call
-// on one worker — runs fill on the caller and allocates nothing.
+// on one worker — runs fill on the caller and allocates nothing; a call
+// of more allocates its job.
 //
 // Results are bit-identical for every workers setting: chunk boundaries
 // are a pure function of (units, chunks), and every body computes a value
@@ -118,32 +146,16 @@ func (b *Backend) parallelFor(fill kernels.Fill, in [][]float32, dst []float32, 
 		return
 	}
 
-	// Claim chunks from a shared counter: the caller participates, and up
-	// to workers-1 idle pool goroutines help. Work-stealing by index, so
-	// an uneven chunk mix still balances.
-	var next atomic.Int64
-	run := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= chunks {
-				return
-			}
-			lo, hi := chunkBounds(n, chunks, i)
-			fill(in, lo*unit, dst[lo*unit:min(hi*unit, len(dst))])
-		}
-	}
-	var wg sync.WaitGroup
-	helpers := min(workers-1, chunks-1)
-	for h := 0; h < helpers; h++ {
-		wg.Add(1)
-		if !sharedPool.tryDispatch(func() {
-			defer wg.Done()
-			run()
-		}) {
-			wg.Done()
+	// The caller participates, and up to workers-1 idle pool goroutines
+	// help.
+	j := &job{fill: fill, in: in, dst: dst, unit: unit, n: n, chunks: chunks}
+	for h := 0; h < min(workers-1, chunks-1); h++ {
+		j.helpers.Add(1)
+		if !sharedPool.tryDispatch(j) {
+			j.helpers.Done()
 			break // pool saturated by other engines; caller absorbs the rest
 		}
 	}
-	run()
-	wg.Wait()
+	j.run()
+	j.helpers.Wait()
 }

@@ -94,30 +94,30 @@ func InferInto(shape []int, size int) error {
 // BroadcastShapes computes the NumPy-style broadcast shape of a and b,
 // or an error if the shapes are incompatible.
 func BroadcastShapes(a, b []int) ([]int, error) {
-	ra, rb := len(a), len(b)
-	rank := ra
-	if rb > rank {
-		rank = rb
-	}
-	out := make([]int, rank)
+	return AppendBroadcast(make([]int, 0, max(len(a), len(b))), a, b)
+}
+
+// AppendBroadcast appends the broadcast shape of a and b to dst, as
+// BroadcastShapes computes it, and returns the extended slice: a caller
+// that hands it a buffer with room allocates nothing.
+func AppendBroadcast(dst, a, b []int) ([]int, error) {
+	rank := max(len(a), len(b))
 	for i := 0; i < rank; i++ {
 		da, db := 1, 1
-		if i >= rank-ra {
-			da = a[i-(rank-ra)]
+		if j := i - rank + len(a); j >= 0 {
+			da = a[j]
 		}
-		if i >= rank-rb {
-			db = b[i-(rank-rb)]
+		if j := i - rank + len(b); j >= 0 {
+			db = b[j]
 		}
 		switch {
-		case da == db:
-			out[i] = da
+		case da == db, db == 1:
+			dst = append(dst, da)
 		case da == 1:
-			out[i] = db
-		case db == 1:
-			out[i] = da
+			dst = append(dst, db)
 		default:
 			return nil, fmt.Errorf("tensor: cannot broadcast shapes %v and %v", a, b)
 		}
 	}
-	return out, nil
+	return dst, nil
 }

@@ -22,15 +22,13 @@ func (b *Backend) register(name string, k kernels.OverrideKernel) {
 }
 
 // initKernels builds the override table: every kernel of the range table
-// (kernels.RangeKernels) in one loop, every op of the element-wise table
-// in another (kernels_elementwise.go), and the two kernels of neither,
-// Softmax and GatherV2.
+// (kernels.RangeKernels, the element-wise table's ops among them) in one
+// loop, and the two kernels outside it, Softmax and GatherV2.
 func (b *Backend) initKernels() {
 	b.kernelsTable = map[string]kernels.OverrideKernel{}
 	for _, k := range kernels.RangeKernels() {
 		b.register(k.Name, b.rangeKernel(k))
 	}
-	b.registerElementwise()
 	// Softmax keeps its three passes (see the reference kernel).
 	b.register("Softmax", b.softmax)
 	// GatherV2 is no range kernel: node declines an index out of range,
@@ -56,17 +54,11 @@ func (b *Backend) rangeKernel(k kernels.RangeKernel) kernels.OverrideKernel {
 			return err
 		}
 		terms, squeeze := 0, b.cfg.SqueezeLogicalShapes
-		switch k.Sampled {
-		case kernels.SamplesOutput:
+		if k.Sampled == kernels.SamplesOutput {
 			terms = samplerTerms(res.Shape, res.Shape, squeeze)
-		case kernels.SamplesInputs, kernels.SamplesParameters:
-			sampled := inputs
-			if k.Sampled == kernels.SamplesParameters {
-				sampled = inputs[1:]
-			}
-			for _, in := range sampled {
-				terms += samplerTerms(in.Shape, res.Shape, squeeze)
-			}
+		}
+		for _, in := range k.Sampled.Inputs(inputs, res.Shape) {
+			terms += samplerTerms(in.Shape, res.Shape, squeeze)
 		}
 		r.Work.ALU += int64(out.size) * int64(kernels.ALUTerm*terms)
 		name := k.Name
@@ -159,17 +151,6 @@ func (b *Backend) gather(inputs []kernels.Input, attrs kernels.Attrs, res *kerne
 		g.Fill(in[0], in[1], lo, dst)
 	}, Work: kernels.PerValue(out.size, 2, 2*kernels.ALUDecode+2)}, tex)
 	return nil
-}
-
-// sameShape reports whether every input has exactly the output's shape, the
-// condition for the no-decode fast path.
-func sameShape(outShape []int, inShapes [][]int) bool {
-	for _, s := range inShapes {
-		if !tensor.ShapesEqual(s, outShape) {
-			return false
-		}
-	}
-	return true
 }
 
 // InputTexture resolves a kernel input to its live device texture, paging

@@ -12,8 +12,8 @@
 //     runs of values — one coordinate decode and window clip per pixel,
 //     operands read a row at a time — with each value's arithmetic and its
 //     order the reference kernel's: every kernel of the range table
-//     (kernels.RangeKernels), installed in one loop on the body native
-//     runs, the element-wise table's ops in another, and Softmax's three
+//     (kernels.RangeKernels, the element-wise table's ops among them),
+//     installed in one loop on the body native runs, and Softmax's three
 //     passes, which keep the per-value form (runFlat);
 //   - every program declares the work one dispatch costs the modelled
 //     device — its kernel's cost (kernels.Work: fetches and ALU operations

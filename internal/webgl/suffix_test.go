@@ -8,42 +8,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestSuffixPeriods is the decision table of the channel-suffix path: an
-// operand takes it when its shape, leading 1s dropped, is the output's
-// trailing dimensions; everything else — the squeeze ablation's
-// [1,64,1,2048]×[1,64,1,1] included — takes the general broadcast
-// (kernels.Broadcast).
-func TestSuffixPeriods(t *testing.T) {
-	for _, c := range []struct {
-		name    string
-		out     []int
-		ins     [][]int
-		periods []int // nil: sampler path
-	}{
-		{"[C]", []int{2, 3, 3, 9}, [][]int{{9}}, []int{9}},
-		{"[1,C]", []int{4, 3}, [][]int{{1, 3}}, []int{3}},
-		{"[1,1,1,C]", []int{2, 2, 3, 5}, [][]int{{1, 1, 1, 5}}, []int{5}},
-		{"scalar []", []int{3, 7}, [][]int{{}}, []int{1}},
-		{"scalar [1]", []int{3, 7}, [][]int{{1}}, []int{1}},
-		{"[W,C]", []int{2, 3, 5}, [][]int{{3, 5}}, []int{15}},
-		{"the output's own shape", []int{2, 3, 5}, [][]int{{2, 3, 5}}, []int{30}},
-		{"primary and [C], either order", []int{3, 5, 17}, [][]int{{17}, {3, 5, 17}}, []int{17, 255}},
-		{"batch norm", []int{1, 48, 48, 8}, [][]int{{8}, {8}, {8}, {8}}, []int{8, 8, 8, 8}},
-		{"mixed periods", []int{5, 3}, [][]int{{3}, {}, {1, 3}, {1}}, []int{3, 1, 3, 1}},
-		{"non-suffix [N,1]", []int{2, 5, 3}, [][]int{{5, 1}}, nil},
-		{"one non-suffix operand spoils the program", []int{2, 5, 3}, [][]int{{3}, {5, 1}}, nil},
-		{"squeeze ablation", []int{1, 64, 1, 2048}, [][]int{{1, 64, 1, 2048}, {1, 64, 1, 1}}, nil},
-		{"[C] against the wrong C", []int{2, 4}, [][]int{{2}}, nil},
-		{"longer than the output", []int{3}, [][]int{{2, 3}}, nil},
-		{"zero-size output", []int{0, 4}, [][]int{{4}}, nil},
-	} {
-		got, ok := suffixPeriods(c.out, c.ins...)
-		if ok != (c.periods != nil) || !tensor.ShapesEqual(got, c.periods) {
-			t.Errorf("%s: suffixPeriods(%v, %v) = %v, %v; want %v", c.name, c.out, c.ins, got, ok, c.periods)
-		}
-	}
-}
-
 // TestBatchNormDispatchCompilesNothing bounds the allocations of one warmed
 // FusedBatchNorm dispatch (output container, program, queue entry — and no
 // samplers, strides or index terms; the compiled path allocated about 42).

@@ -191,13 +191,15 @@ func TestZeroLhsLeftOutOnEveryTier(t *testing.T) {
 // [1,4,4,3] input, reductions over axes out of range, a scalar's last axis
 // or an empty index fold, a scalar Softmax, a matmul of mixed ranks, and
 // windows with a zero or negative stride or dilation or a valid window
-// larger than the input — fail on cpu, node and every simulated device
-// with the reference kernel's error, from the one check each op has
-// (kernels.Resolve*). The devices' programs once ran the first three and
+// larger than the input, and element-wise calls of the wrong arity or of
+// operands that do not broadcast — fail on cpu, node and every simulated
+// device with the reference kernel's error, from the one check each op has
+// (kernels.Resolve*, kernels.ElementwiseOp.Check). The devices' programs once ran the first three and
 // died on the next four with an index out of range in a device worker; the
 // reference's depthwise gradients panicked on them. A zero dilation once
 // gave all 9s on cpu, a runtime error on node and a divide by zero in a
-// webgl device worker.
+// webgl device worker. Each tier once worded the element-wise errors its
+// own way, without the reference's "kernel" prefix.
 func TestMalformedShapeCallsFailOnEveryTier(t *testing.T) {
 	nb := native.New()
 	t.Cleanup(nb.Close)
@@ -229,6 +231,10 @@ func TestMalformedShapeCallsFailOnEveryTier(t *testing.T) {
 		{"negativeDilation", "DepthwiseConv2dNative", []kernels.Buffer{img, operand([]int{3, 3, 3, 1}, 0, 7, 1)}, convAttrs([]int{1, 1}, []int{1, -1}, "same")},
 		{"validWindowTooLarge", "Conv2D", []kernels.Buffer{operand([]int{1, 2, 2, 3}, 0, 7, 1), operand([]int{4, 4, 3, 2}, 0, 7, 1)},
 			convAttrs([]int{3, 3}, []int{1, 1}, "valid")},
+		{"notBroadcastable", "Add", []kernels.Buffer{x, operand([]int{4}, 0, 7, 1)}, kernels.Attrs{}},
+		{"threeInputs", "Mul", []kernels.Buffer{x, x, x}, kernels.Attrs{}},
+		{"oneInput", "Sub", []kernels.Buffer{x}, kernels.Attrs{}},
+		{"twoInputs", "Relu", []kernels.Buffer{x, x}, kernels.Attrs{}},
 	} {
 		ref, _ := kernels.LookupRef(c.kernel)
 		_, want := ref(c.inputs, c.attrs)
@@ -261,8 +267,10 @@ func TestMalformedShapeCallsFailOnEveryTier(t *testing.T) {
 // declining, and is Float32bits-equal to the reference kernel: the
 // backward window kernels at strides, dilation, overlapping windows (ties
 // included) and a channel multiplier of 2, Select and a batch norm whose
-// parameters are not x's channel vectors, and the forward kernels, the
-// reductions, the training tail and the shape kernels on a case each. The
+// parameters are not x's channel vectors, every element-wise op on equal
+// shapes and under a suffix and a non-suffix broadcast, and the forward
+// kernels, the reductions, the training tail and the shape kernels on a
+// case each. The
 // operands' sums round, so the order of a value's contributions shows:
 // webgl's input gradients once gathered them in the reverse of the
 // reference's order, and declined dilation.
@@ -358,6 +366,20 @@ func TestGradientsAndBroadcastsOnEveryTier(t *testing.T) {
 			tierCase{"threeReducedRuns", kernel, []kernels.Buffer{inexact(2, 3, 2, 3, 2)}, kernels.Attrs{Axes: []int{0, 2, 4}}})
 	}
 	cases["BatchMatMul"] = append(cases["BatchMatMul"], rank2MatMuls(inexact)...)
+	// Every op of the element-wise table: a two-operand op on equal shapes,
+	// a suffix row first and a non-suffix broadcast, a one-operand op on a
+	// vector with a tail under the attributes of paramAttrs.
+	for _, op := range kernels.ElementwiseOps() {
+		if op.Binary == nil {
+			cases[op.Name] = []tierCase{{"values", op.Name, []kernels.Buffer{inexact(3, 7)}, paramAttrs[op.Name]}}
+			continue
+		}
+		cases[op.Name] = []tierCase{
+			{"equal", op.Name, []kernels.Buffer{inexact(4, 9), inexact(4, 9)}, kernels.Attrs{}},
+			{"suffixFirst", op.Name, []kernels.Buffer{inexact(9), inexact(4, 9)}, kernels.Attrs{}},
+			{"nonSuffix", op.Name, []kernels.Buffer{inexact(4, 1), inexact(1, 9)}, kernels.Attrs{}},
+		}
+	}
 	for _, k := range kernels.RangeKernels() {
 		if len(cases[k.Name]) == 0 {
 			t.Errorf("%s: a range kernel with no case", k.Name)

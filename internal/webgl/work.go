@@ -33,15 +33,6 @@ func samplerTerms(inShape, outShape []int, squeeze bool) int {
 	return terms
 }
 
-// termCount totals samplerTerms over a program's sampled operands.
-func (b *Backend) termCount(outShape []int, inShapes ...[]int) int {
-	terms := 0
-	for _, in := range inShapes {
-		terms += samplerTerms(in, outShape, b.cfg.SqueezeLogicalShapes)
-	}
-	return terms
-}
-
 // packedMatMulWork is the work of the packed matmul shader, whose texel
 // computes four consecutive outputs, from w, the per-value shader's: a
 // texel that lies inside one output row fetches A once per k for all its

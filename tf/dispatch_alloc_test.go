@@ -16,10 +16,12 @@ import (
 // → one tracked tensor, and the dispose. The budgets are the readings with
 // one pooled dispatch frame per call, a tape node built only when a tape
 // keeps it and no per-tensor strides (3 on cpu and node: the handle, its
-// shape and the kernel's one; 10 and 8 on webgl). They were 12, 12, 19 and
-// 17 with a kernel writing its one output into the engine's descriptor;
-// returning a slice of outputs through a per-kernel wrapper cost two more
-// on every backend (14 on cpu and node, 21 and 19 on webgl).
+// shape and the kernel's one; 8 and 8 on webgl, where Add read 10 while
+// its program broadcast the shapes and listed the operands' periods into
+// slices of their own). They were 12, 12, 19 and 17 with a kernel writing
+// its one output into the engine's descriptor; returning a slice of
+// outputs through a per-kernel wrapper cost two more on every backend (14
+// on cpu and node, 21 and 19 on webgl).
 // Counts, not timings: they hold on any runner.
 func TestEagerDispatchAllocBudget(t *testing.T) {
 	if bufpool.RaceEnabled {
@@ -29,7 +31,7 @@ func TestEagerDispatchAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		backend   string
 		add, relu float64
-	}{{"cpu", 3, 3}, {"node", 3, 3}, {"webgl", 10, 8}} {
+	}{{"cpu", 3, 3}, {"node", 3, 3}, {"webgl", 8, 8}} {
 		if err := tf.SetBackend(c.backend); err != nil {
 			t.Fatal(err)
 		}
@@ -54,8 +56,10 @@ func TestEagerDispatchAllocBudget(t *testing.T) {
 // TestEagerDispatchAllocBudgetPerClass extends the budget above to one
 // warmed eager dispatch of each kernel class the device tiers run as a
 // range body: the convolutions (plain, fused and depthwise), a pool, a
-// matmul, a reduction, two shape kernels, both convolution gradients and
-// Adam's moments, on node and webgl. Conv2D and MaxPool are dispatched
+// matmul, a reduction, two shape kernels, both convolution gradients,
+// Adam's moments and element-wise ops (equal shapes, a suffix row, a
+// non-suffix broadcast, a vec row, an attribute-taking row and a
+// predicate), on node and webgl. Conv2D and MaxPool are dispatched
 // without strides or dilations, so a zero field's meaning allocated per
 // call shows. On webgl each dispatch is followed by a fence
 // (seven allocations of its own), so that the device has run the program
@@ -65,7 +69,10 @@ func TestEagerDispatchAllocBudget(t *testing.T) {
 // for MaxPool and Transpose, 11 for Concat) and webgl 22–24 before the
 // engine's share of a dispatch went 7 → 2: the output handle and its shape.
 // MaxPool read 4 on node and 16 on webgl while its filter shape escaped
-// through ComputeConv2DInfo's error messages.
+// through ComputeConv2DInfo's error messages. The element-wise ops read
+// 17 on webgl (Relu6 15, Step 16) and Sub 4 on node while each tier
+// wrapped them in kernels of its own, which broadcast the shapes into a
+// fresh slice.
 func TestEagerDispatchAllocBudgetPerClass(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
@@ -87,12 +94,20 @@ func TestEagerDispatchAllocBudgetPerClass(t *testing.T) {
 		{"Conv2DBackpropFilter", [][]int{{1, 6, 6, 2}, {1, 6, 6, 4}}, kernels.Attrs{Pad: "same", Shape: []int{3, 3, 2, 4}}},
 		{"Conv2DBackpropInput", [][]int{{1, 6, 6, 4}, {3, 3, 2, 4}}, kernels.Attrs{Pad: "same", Shape: []int{1, 6, 6, 2}}},
 		{"AdamMoments", [][]int{{2, 3, 4}, {3, 4}}, kernels.Attrs{Beta1: 0.9, Beta2: 0.999}},
+		{"Mul", [][]int{{6, 8}, {6, 8}}, kernels.Attrs{}},
+		{"Add", [][]int{{6, 8}, {8}}, kernels.Attrs{}},
+		{"Sub", [][]int{{6, 8}, {6, 1}}, kernels.Attrs{}},
+		{"Relu6", [][]int{{6, 8}}, kernels.Attrs{}},
+		{"Step", [][]int{{6, 8}}, kernels.Attrs{Alpha: 0.5}},
+		{"GreaterEqual", [][]int{{6, 8}, {6, 8}}, kernels.Attrs{}},
 	}
 	budgets := map[string]map[string]float64{
 		"node": {"Conv2D": 3, "FusedConv2D": 3, "DepthwiseConv2dNative": 3, "MaxPool": 3, "BatchMatMul": 3, "Sum": 3,
-			"Transpose": 3, "Concat": 4, "Conv2DBackpropFilter": 3, "Conv2DBackpropInput": 3, "AdamMoments": 3},
+			"Transpose": 3, "Concat": 4, "Conv2DBackpropFilter": 3, "Conv2DBackpropInput": 3, "AdamMoments": 3,
+			"Mul": 3, "Add": 3, "Sub": 3, "Relu6": 3, "Step": 4, "GreaterEqual": 3},
 		"webgl": {"Conv2D": 15, "FusedConv2D": 15, "DepthwiseConv2dNative": 15, "MaxPool": 15, "BatchMatMul": 16, "Sum": 15,
-			"Transpose": 15, "Concat": 16, "Conv2DBackpropFilter": 15, "Conv2DBackpropInput": 17, "AdamMoments": 15},
+			"Transpose": 15, "Concat": 16, "Conv2DBackpropFilter": 15, "Conv2DBackpropInput": 17, "AdamMoments": 15,
+			"Mul": 15, "Add": 15, "Sub": 15, "Relu6": 15, "Step": 16, "GreaterEqual": 15},
 	}
 	for _, backend := range []string{"node", "webgl"} {
 		if err := tf.SetBackend(backend); err != nil {
