@@ -1,83 +1,15 @@
 // Package environment models the execution-environment detection layer of
-// the library: feature flags describing device capabilities (Section 4.1.3)
-// and a synthetic device census standing in for WebGLStats.com, the source
-// the paper cites for its device-support numbers ("TensorFlow.js can run on
-// 99% of desktop devices, 98% of iOS and Windows mobile devices, and 52% of
-// Android devices").
+// the library: the device capabilities the WebGL backend needs (Section
+// 4.1.3) and a synthetic device census standing in for WebGLStats.com, the
+// source the paper cites for its device-support numbers ("TensorFlow.js can
+// run on 99% of desktop devices, 98% of iOS and Windows mobile devices, and
+// 52% of Android devices").
 package environment
 
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 )
-
-// Flags is a typed feature-flag set, the analogue of tf.ENV in
-// TensorFlow.js. Backends consult it to adapt kernels to the device.
-type Flags struct {
-	mu    sync.RWMutex
-	flags map[string]any
-}
-
-// NewFlags returns a flag set with library defaults.
-func NewFlags() *Flags {
-	return &Flags{flags: map[string]any{
-		"WEBGL_VERSION":                2,
-		"HAS_WEBGL":                    true,
-		"WEBGL_RENDER_FLOAT32":         true,
-		"WEBGL_PACKED":                 true,
-		"WEBGL_LAZILY_UNPACK":          true,
-		"EPSILON":                      1e-7,
-		"DEBUG":                        false,
-		"CHECK_COMPUTATION_FOR_ERRORS": false,
-	}}
-}
-
-// Set stores a flag value.
-func (f *Flags) Set(name string, value any) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.flags[name] = value
-}
-
-// Bool reads a boolean flag.
-func (f *Flags) Bool(name string) bool {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	v, _ := f.flags[name].(bool)
-	return v
-}
-
-// Int reads an integer flag.
-func (f *Flags) Int(name string) int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	switch v := f.flags[name].(type) {
-	case int:
-		return v
-	case float64:
-		return int(v)
-	}
-	return 0
-}
-
-// Float reads a float flag.
-func (f *Flags) Float(name string) float64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	switch v := f.flags[name].(type) {
-	case float64:
-		return v
-	case int:
-		return float64(v)
-	}
-	return 0
-}
-
-var globalFlags = NewFlags()
-
-// Global returns the process-wide flag set.
-func Global() *Flags { return globalFlags }
 
 // ---------------------------------------------------------------------------
 // Device census (§4.1.3)

@@ -58,29 +58,6 @@ func TestAdjustEpsilon(t *testing.T) {
 	}
 }
 
-func TestFlags(t *testing.T) {
-	f := NewFlags()
-	if f.Int("WEBGL_VERSION") != 2 {
-		t.Fatalf("default WEBGL_VERSION = %d", f.Int("WEBGL_VERSION"))
-	}
-	if !f.Bool("HAS_WEBGL") {
-		t.Fatal("default HAS_WEBGL should be true")
-	}
-	if f.Float("EPSILON") != 1e-7 {
-		t.Fatalf("default EPSILON = %g", f.Float("EPSILON"))
-	}
-	f.Set("EPSILON", 1e-4)
-	if f.Float("EPSILON") != 1e-4 {
-		t.Fatal("Set did not update flag")
-	}
-	if f.Int("MISSING") != 0 || f.Bool("MISSING") || f.Float("MISSING") != 0 {
-		t.Fatal("missing flags must zero-value")
-	}
-	if Global() == nil {
-		t.Fatal("global flags must exist")
-	}
-}
-
 func TestDeviceClassString(t *testing.T) {
 	for class, want := range map[DeviceClass]string{
 		Desktop: "desktop", IOSMobile: "iOS", WindowsMobile: "Windows mobile", AndroidMobile: "Android",

@@ -149,8 +149,9 @@ type Configurable interface {
 }
 
 // Apply passes c to b if the backend supports it, reporting whether it
-// did. Backends without the hook (cpu, webgl) ignore execution config —
-// their kernels are single-threaded reference code.
+// did. Backends without the hook ignore execution config: cpu's kernels
+// are single-threaded, and webgl runs every program over its simulated
+// device's own Workers (glsim.Config), fixed when the backend is built.
 func Apply(b any, c Config) bool {
 	if t, ok := b.(Configurable); ok {
 		t.ApplyExecConfig(c)

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -507,11 +508,61 @@ func TestCastTruncates(t *testing.T) {
 	wantVals(t, asBool, []float32{1, 1, 1}, 0)
 }
 
+// TestCumSum: CumSum scans its Axis of an input of any rank in place —
+// here each axis of a [2 3 4] input of 1…24, and the last counted from the
+// end — inclusive or exclusive, forwards or reversed; an axis outside the
+// rank is an error.
 func TestCumSum(t *testing.T) {
 	x := buf([]float32{1, 2, 3, 4}, 1, 4)
-	wantVals(t, runRef(t, "CumSum", []Buffer{x}, Attrs{}), []float32{1, 3, 6, 10}, 0)
-	wantVals(t, runRef(t, "CumSum", []Buffer{x}, Attrs{Exclusive: true}), []float32{0, 1, 3, 6}, 0)
-	wantVals(t, runRef(t, "CumSum", []Buffer{x}, Attrs{Reverse: true}), []float32{10, 9, 7, 4}, 0)
+	wantVals(t, runRef(t, "CumSum", []Buffer{x}, Attrs{Axis: 1}), []float32{1, 3, 6, 10}, 0)
+	wantVals(t, runRef(t, "CumSum", []Buffer{x}, Attrs{Axis: 1, Exclusive: true}), []float32{0, 1, 3, 6}, 0)
+	wantVals(t, runRef(t, "CumSum", []Buffer{x}, Attrs{Axis: 1, Reverse: true}), []float32{10, 9, 7, 4}, 0)
+
+	vals := make([]float32, 24)
+	for i := range vals {
+		vals[i] = float32(i + 1)
+	}
+	cube := buf(vals, 2, 3, 4)
+	lastAxis := map[[2]bool][]float32{
+		{false, false}: {1, 3, 6, 10, 5, 11, 18, 26, 9, 19, 30, 42, 13, 27, 42, 58, 17, 35, 54, 74, 21, 43, 66, 90},
+		{true, false}:  {0, 1, 3, 6, 0, 5, 11, 18, 0, 9, 19, 30, 0, 13, 27, 42, 0, 17, 35, 54, 0, 21, 43, 66},
+		{false, true}:  {10, 9, 7, 4, 26, 21, 15, 8, 42, 33, 23, 12, 58, 45, 31, 16, 74, 57, 39, 20, 90, 69, 47, 24},
+		{true, true}:   {9, 7, 4, 0, 21, 15, 8, 0, 33, 23, 12, 0, 45, 31, 16, 0, 57, 39, 20, 0, 69, 47, 24, 0},
+	}
+	// want[axis][{exclusive, reverse}]
+	want := map[int]map[[2]bool][]float32{
+		0: {
+			{false, false}: {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, 32, 34, 36},
+			{true, false}:  {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
+			{false, true}:  {14, 16, 18, 20, 22, 24, 26, 28, 30, 32, 34, 36, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24},
+			{true, true}:   {13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		},
+		1: {
+			{false, false}: {1, 2, 3, 4, 6, 8, 10, 12, 15, 18, 21, 24, 13, 14, 15, 16, 30, 32, 34, 36, 51, 54, 57, 60},
+			{true, false}:  {0, 0, 0, 0, 1, 2, 3, 4, 6, 8, 10, 12, 0, 0, 0, 0, 13, 14, 15, 16, 30, 32, 34, 36},
+			{false, true}:  {15, 18, 21, 24, 14, 16, 18, 20, 9, 10, 11, 12, 51, 54, 57, 60, 38, 40, 42, 44, 21, 22, 23, 24},
+			{true, true}:   {14, 16, 18, 20, 9, 10, 11, 12, 0, 0, 0, 0, 38, 40, 42, 44, 21, 22, 23, 24, 0, 0, 0, 0},
+		},
+		2:  lastAxis,
+		-1: lastAxis,
+	}
+	for _, axis := range []int{0, 1, 2, -1} {
+		for mode, w := range want[axis] {
+			t.Run(fmt.Sprintf("axis=%d/exclusive=%v/reverse=%v", axis, mode[0], mode[1]), func(t *testing.T) {
+				got := runRef(t, "CumSum", []Buffer{cube}, Attrs{Axis: axis, Exclusive: mode[0], Reverse: mode[1]})
+				if !tensor.ShapesEqual(got.Shape, cube.Shape) {
+					t.Fatalf("shape %v, want %v", got.Shape, cube.Shape)
+				}
+				wantVals(t, got, w, 0)
+			})
+		}
+	}
+	ref, _ := LookupRef("CumSum")
+	for _, axis := range []int{3, -4} {
+		if _, err := ref([]Buffer{cube}, Attrs{Axis: axis}); err == nil {
+			t.Errorf("axis %d of a rank-3 input: no error", axis)
+		}
+	}
 }
 
 func TestFusedBatchNorm(t *testing.T) {

@@ -131,8 +131,8 @@ func TestRangeBodiesMatchReference(t *testing.T) {
 		{"bias", "_FusedMatMul", []Buffer{op(3, 4), op(4, 5), op(5)}, mm(false, false, "relu6")},
 		{"tatbElu", "_FusedMatMul", []Buffer{op(4, 3), op(5, 4), op(5)}, mm(true, true, "elu")},
 		{"noBias", "_FusedMatMul", []Buffer{op(3, 4), op(4, 5)}, mm(false, false, "relu")},
-		{"rows", "BiasAddGrad", []Buffer{op(9, 11)}, Attrs{}},
-		{"zeroRows", "BiasAddGrad", []Buffer{op(0, 5)}, Attrs{}},
+		{"rows", "Sum", []Buffer{op(9, 11)}, Attrs{Axes: []int{0}}},
+		{"zeroRows", "Sum", []Buffer{op(0, 5)}, Attrs{Axes: []int{0}}},
 		{"moments", "AdamMoments", []Buffer{slot, op(3, 4)}, Attrs{Beta1: 0.9, Beta2: 0.999}},
 		{"step", "ApplyAdam", []Buffer{op(3, 4), slot}, Attrs{LearningRate: 0.01, Beta1Power: 0.729, Beta2Power: 0.997, Epsilon: 1e-8}},
 		{"rotate", "Transpose", []Buffer{op(2, 3, 4)}, Attrs{Perm: []int{2, 0, 1}}},

@@ -11,21 +11,8 @@ import (
 // (ReduceAxes) and KeepDims. A value folds its reduced
 // coordinates where they lie, in row-major order of the sorted reduced
 // axes — the order a transpose bringing them innermost would give them, so
-// no caller transposes or reshapes. Two kernels keep a 2-D view:
-// BiasAddGrad reduces the outer dimension of [outer, inner] (a sum over
-// leading axes) and CumSum scans its inner one. Softmax normalises the last
-// axis of any rank.
-
-// Rows checks the one [outer, inner] operand of BiasAddGrad or CumSum.
-func Rows(name string, inputs []Input) (outer, inner int, err error) {
-	if err := wantInputs(name, inputs, 1); err != nil {
-		return 0, 0, err
-	}
-	if s := inputs[0].Shape; len(s) != 2 {
-		return 0, 0, errIn(name, "input must be rank 2 [outer, inner], got %v", s)
-	}
-	return inputs[0].Shape[0], inputs[0].Shape[1], nil
-}
+// no caller transposes or reshapes. CumSum scans its Axis of any rank in
+// place, and Softmax normalises the last axis of any rank.
 
 // Axes is the set of axes a reduction folds (or Reverse flips), a bit per
 // axis: ReduceAxes rejects a rank it cannot hold.
@@ -274,14 +261,15 @@ func (r reduction) finish(acc float32, at, n int) float32 {
 	return acc
 }
 
-// ColumnSums computes the output values [lo, lo+len(dst)) of BiasAddGrad —
-// the sums of the columns of an [outer, inner] x — into dst, on
-// vec.SumRows: each column meets its rows in order, from +0.
-func ColumnSums(x []float32, outer, inner, lo int, dst []float32) {
-	if outer > 0 {
+// ColumnSums computes the output values [lo, lo+len(dst)) of a Sum over
+// leading axes — the sums of the columns of x viewed as [rows, columns] —
+// into dst, on vec.SumRows: each column meets its rows in order, from +0,
+// as Reduce.Fill folds them.
+func ColumnSums(x []float32, rows, columns, lo int, dst []float32) {
+	if rows > 0 {
 		x = x[lo:]
 	}
-	vec.SumRows(dst, x, inner, outer)
+	vec.SumRows(dst, x, columns, rows)
 }
 
 // keptIndex is the index of the output value that value p of x, of shape
@@ -403,25 +391,6 @@ func init() {
 	RegisterRef("All", reduceKernel("All", 1,
 		func(acc, v float32) float32 { return toBool(acc != 0 && v != 0) }, nil))
 
-	// BiasAddGrad sums the outer dimension of a [outer, inner] input — the
-	// leading axes of a bias gradient, [N·H·W, C] — into [inner]: rows
-	// added in order from +0, so each column meets its values in the order
-	// Sum over the leading axes meets them.
-	RegisterRef("BiasAddGrad", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		outer, inner, err := Rows("BiasAddGrad", inputsOf(inputs))
-		if err != nil {
-			return Buffer{}, err
-		}
-		x := inputs[0]
-		out := NewBuffer([]int{inner}, x.DType)
-		for o := 0; o < outer; o++ {
-			for i, v := range x.Data[o*inner : (o+1)*inner] {
-				out.Data[i] += v
-			}
-		}
-		return out, nil
-	})
-
 	RegisterRef("ArgMax", argReduceKernel("ArgMax", func(v, best float32) bool { return v > best }))
 	RegisterRef("ArgMin", argReduceKernel("ArgMin", func(v, best float32) bool { return v < best }))
 
@@ -444,31 +413,38 @@ func init() {
 		return out, nil
 	})
 
-	// CumSum computes an inclusive or exclusive cumulative sum over the
-	// inner dimension of a [outer, inner] input.
+	// CumSum computes an inclusive or exclusive cumulative sum along Axis
+	// (negative counting from the end) of an input of any rank ≥ 1: each
+	// line along the axis scanned in place, at the axis's stride.
 	RegisterRef("CumSum", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		outer, inner, err := Rows("CumSum", inputsOf(inputs))
-		if err != nil {
+		if err := wantInputs("CumSum", inputs, 1); err != nil {
 			return Buffer{}, err
 		}
-		exclusive := attrs.Exclusive
-		reverse := attrs.Reverse
 		x := inputs[0]
+		rank, axis := len(x.Shape), attrs.Axis
+		if axis < 0 {
+			axis += rank
+		}
+		if axis < 0 || axis >= rank {
+			return Buffer{}, errIn("CumSum", "axis %d out of range for rank %d", attrs.Axis, rank)
+		}
+		n, stride := x.Shape[axis], tensor.ShapeSize(x.Shape[axis+1:])
 		out := NewBuffer(x.Shape, x.DType)
-		for o := 0; o < outer; o++ {
-			base := o * inner
+		for line := 0; line < len(x.Data)/max(n, 1); line++ {
+			base := line/stride*n*stride + line%stride
 			var acc float32
-			for step := 0; step < inner; step++ {
+			for step := 0; step < n; step++ {
 				i := step
-				if reverse {
-					i = inner - 1 - step
+				if attrs.Reverse {
+					i = n - 1 - step
 				}
-				if exclusive {
-					out.Data[base+i] = acc
-					acc += x.Data[base+i]
+				at := base + i*stride
+				if attrs.Exclusive {
+					out.Data[at] = acc
+					acc += x.Data[at]
 				} else {
-					acc += x.Data[base+i]
-					out.Data[base+i] = acc
+					acc += x.Data[at]
+					out.Data[at] = acc
 				}
 			}
 		}

@@ -37,7 +37,8 @@ type Attrs struct {
 	// Pad is a window kernel's padding, "same" or "valid"; Activation a
 	// fused kernel's epilogue, an element-wise table activation name.
 	Pad, Activation string
-	// Axis is Concat's and GatherV2's axis, Depth OneHot's.
+	// Axis is Concat's, GatherV2's and CumSum's axis (CumSum's negative
+	// one counting from the end), Depth OneHot's.
 	Axis, Depth int
 	// DType is Cast's, Fill's and Range's output dtype.
 	DType tensor.DataType

@@ -129,7 +129,6 @@ var rangeKernels = []RangeKernel{
 	{Name: "Prod", Resolve: reduce},
 	{Name: "ArgMax", Resolve: reduce},
 	{Name: "ArgMin", Resolve: reduce},
-	{Name: "BiasAddGrad", Resolve: biasAddGrad},
 	{Name: "AdamMoments", Resolve: adamMoments},
 	{Name: "ApplyAdam", Resolve: applyAdam},
 	// Every shape kernel's value is one fetch, behind a decode and remap
@@ -275,7 +274,10 @@ func poolGrad(name string, inputs []Input, attrs Attrs, out *TensorInfo) (Range,
 
 // reduce is a reduction's range: one output value per fold (Reduce.Fill),
 // each fetching and folding its inner values where they lie; Mean divides
-// once.
+// once. A Sum whose merged runs are one reduced run followed by one kept
+// run — a sum over leading axes, every bias gradient — is the columns of
+// [rows, columns] summed (ColumnSums), the same sums in the same order, a
+// native chunk a block of eight columns, whole vector steps.
 func reduce(name string, inputs []Input, attrs Attrs, out *TensorInfo) (Range, error) {
 	g, err := ResolveReduce(name, inputs, attrs, out)
 	if err != nil {
@@ -285,20 +287,12 @@ func reduce(name string, inputs []Input, attrs Attrs, out *TensorInfo) (Range, e
 	if name == "Mean" {
 		work.ALU += int64(g.outer)
 	}
-	return Range{Fill: func(in [][]float32, lo int, dst []float32) { g.Fill(in[0], lo, dst) }, Work: work}, nil
-}
-
-// biasAddGrad is BiasAddGrad's range: [outer, inner] → [inner], one output
-// value per column (ColumnSums), a native chunk a block of eight columns,
-// whole vector steps.
-func biasAddGrad(name string, inputs []Input, attrs Attrs, out *TensorInfo) (Range, error) {
-	outer, inner, err := Rows(name, inputs)
-	if err != nil {
-		return Range{}, err
+	if name == "Sum" && g.runs == 2 && g.firstReduced {
+		rows, columns := int(g.inner), int(g.outer)
+		return Range{Fill: func(in [][]float32, lo int, dst []float32) { ColumnSums(in[0], rows, columns, lo, dst) },
+			Work: work, Unit: 8}, nil
 	}
-	out.Shape, out.DType = append(out.Shape[:0], inner), inputs[0].DType
-	return Range{Fill: func(in [][]float32, lo int, dst []float32) { ColumnSums(in[0], outer, inner, lo, dst) },
-		Work: PerValue(inner, outer, outer), Unit: 8}, nil
+	return Range{Fill: func(in [][]float32, lo int, dst []float32) { g.Fill(in[0], lo, dst) }, Work: work}, nil
 }
 
 // adamMoments is AdamMoments' range: (mv [2, ...shape], g [...shape]) →

@@ -106,7 +106,7 @@ func poisonNext(nb *Backend, n int) {
 // TestOverwritingKernelsUnderPoolPoison: the kernels whose output buffer is
 // not zeroed (outOver) — the binaries (a general broadcast too), the unary
 // rows, batch norm (a general broadcast too), Select, the reductions,
-// softmax, the matmuls, the shape kernels, BiasAddGrad, every backward
+// softmax, the matmuls, the shape kernels, every backward
 // window kernel and Adam's two — write every
 // value of it. Each runs on a recycled buffer the pool has scribbled with
 // NaN, on operands whose results hold no NaN, and agrees with the
@@ -171,7 +171,7 @@ func TestOverwritingKernelsUnderPoolPoison(t *testing.T) {
 		{"Fill", kernels.Attrs{Shape: []int{4, 5, 8}, Value: 1.5}, nil},
 		{"Conv2DBackpropFilter", kernels.Attrs{Shape: []int{3, 3, 2, 8}, Pad: "same"},
 			[]operand{{dense(2*4*4*2, 15), []int{2, 4, 4, 2}}, {dense(2*4*4*8, 16), []int{2, 4, 4, 8}}}},
-		{"BiasAddGrad", kernels.Attrs{}, []operand{flat}},
+		{"Sum", kernels.Attrs{Axes: []int{0}}, []operand{flat}},
 		{"Conv2DBackpropInput", kernels.Attrs{Shape: []int{2, 4, 4, 2}, Pad: "same"},
 			[]operand{{dense(2*4*4*8, 17), []int{2, 4, 4, 8}}, {dense(3*3*2*8, 18), []int{3, 3, 2, 8}}}},
 		{"DepthwiseConv2dNativeBackpropInput", kernels.Attrs{Shape: []int{2, 4, 4, 2}, Pad: "same"},

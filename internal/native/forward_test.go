@@ -84,14 +84,15 @@ func checkConvForward(t testing.TB, nb *Backend, g gradGeometry, f fill) {
 	checkAgainstReference(t, nb, "FusedDepthwiseConv2dNative/"+g.String()+"/"+f.name, "FusedDepthwiseConv2dNative", attrs, x, w, bias)
 }
 
-// checkReductions runs the seven [outer, inner] reductions and
-// BiasAddGrad, which sums the outer dimension instead.
+// checkReductions runs the seven reductions over the inner dimension of
+// [outer, inner], and Sum over the outer one (a bias gradient's columns).
 func checkReductions(t testing.TB, nb *Backend, outer, inner int, f fill) {
 	t.Helper()
 	x := operand{f.gen(outer*inner, 6), []int{outer, inner}}
-	for _, name := range []string{"Sum", "Mean", "Max", "Min", "Prod", "ArgMax", "ArgMin", "BiasAddGrad"} {
+	for _, name := range []string{"Sum", "Mean", "Max", "Min", "Prod", "ArgMax", "ArgMin"} {
 		checkAgainstReference(t, nb, fmt.Sprintf("%s/%dx%d/%s", name, outer, inner, f.name), name, kernels.Attrs{Axes: []int{-1}}, x)
 	}
+	checkAgainstReference(t, nb, fmt.Sprintf("Sum/leading/%dx%d/%s", outer, inner, f.name), "Sum", kernels.Attrs{Axes: []int{0}}, x)
 }
 
 func checkTranspose(t testing.TB, nb *Backend, shape, perm []int, f fill) {
@@ -248,7 +249,7 @@ func checkForwardMatrix(t *testing.T, nb *Backend) {
 			checkConvForward(t, nb, g, f)
 		}
 		// Empty on either side, one element, short and long rows, and
-		// 64×2048: eight chunks. BiasAddGrad's columns: a vector step and
+		// 64×2048: eight chunks. A leading Sum's columns: a vector step and
 		// either side of one, four steps and either side of them.
 		for _, outer := range []int{0, 1, 3, 17} {
 			for _, inner := range []int{0, 1, 7, 8, 9, 31, 32, 33, 64, 1000} {
@@ -291,9 +292,9 @@ func checkForwardMatrix(t *testing.T, nb *Backend) {
 
 // TestForwardKernelsBitIdenticalToReference: every kernel of the range
 // table on node — the convolutions, pools and matmuls over the matrix's
-// geometries, the seven reductions, BiasAddGrad and the shape kernels over
-// its shapes, every element-wise op under each broadcast form, the rest on
-// a case each (TestGradKernelsBitIdenticalToReference
+// geometries, the seven reductions (Sum over leading axes too) and the
+// shape kernels over its shapes, every element-wise op under each broadcast
+// form, the rest on a case each (TestGradKernelsBitIdenticalToReference
 // holds the gradients to their own matrix) — and GatherV2 agree with the
 // reference kernels to the bit, at every worker count and with the AVX2
 // cores on or off.
@@ -381,8 +382,8 @@ func TestForwardKernelErrorParity(t *testing.T) {
 		{"pool/window larger than input", "MaxPool", kernels.Attrs{FilterSize: []int{6, 6}, Strides: []int{6, 6}}, []operand{x}},
 		{"reduce/rank", "Sum", kernels.Attrs{Axes: []int{-1}}, []operand{x}},
 		{"reduce/no input", "Max", kernels.Attrs{Axes: []int{-1}}, nil},
-		{"bias grad/rank", "BiasAddGrad", kernels.Attrs{}, []operand{x}},
-		{"bias grad/two inputs", "BiasAddGrad", kernels.Attrs{}, []operand{flat, flat}},
+		{"leading sum/rank", "Sum", kernels.Attrs{Axes: []int{0}}, []operand{x}},
+		{"leading sum/two inputs", "Sum", kernels.Attrs{Axes: []int{0}}, []operand{flat, flat}},
 		{"transpose/ok", "Transpose", perm(1, 0), []operand{flat}},
 		{"transpose/short perm", "Transpose", perm(0), []operand{flat}},
 		{"transpose/no perm", "Transpose", kernels.Attrs{}, []operand{flat}},
@@ -429,12 +430,12 @@ func TestTransposeRunsEveryPermutationNatively(t *testing.T) {
 	}
 }
 
-// FuzzForwardKernels is FuzzGradKernels' sibling for the forward suite:
-// the selector bytes pick a pooling geometry, a reduction shape (the seven
-// reductions and BiasAddGrad) with a matmul of its sizes, a transpose shape
-// and permutation with the other shape kernels on that shape, or a forward
-// convolution, and the operand cycles through data read as float32 bit
-// patterns.
+// FuzzForwardKernels is FuzzGradKernels' sibling for the forward suite: the
+// selector bytes pick a pooling geometry, a reduction shape (the seven
+// reductions and Sum over leading axes) with a matmul of its sizes, a
+// transpose shape and permutation with the other shape kernels on that
+// shape, or a forward convolution, and the operand cycles through data read
+// as float32 bit patterns.
 func FuzzForwardKernels(f *testing.F) {
 	var specials []byte
 	for _, v := range vecSpecials {

@@ -287,15 +287,16 @@ func BenchmarkMaxPool2x2(b *testing.B) { benchPool(b, "MaxPool") }
 func BenchmarkAvgPool(b *testing.B)    { benchPool(b, "AvgPool") }
 
 // BenchmarkBiasGradReduce is the bias gradient of the bench convnet's two
-// convolutions, ops.Sum(dy, [0, 1, 2]): BiasAddGrad on the [N·H·W, C] view,
-// against the reference kernel and against the lowering it replaced —
-// Transpose([3 0 1 2]) then Sum over [C, N·H·W], native kernels both.
+// convolutions, ops.Sum(dy, [0, 1, 2]): Sum's column sums over [N·H·W, C]
+// (the same merged runs), against the reference kernel and against the
+// lowering it replaced — Transpose([3 0 1 2]) then Sum over [C, N·H·W],
+// native kernels both.
 func BenchmarkBiasGradReduce(b *testing.B) {
 	for _, s := range convGradShapes[:2] {
 		b.Run(fmt.Sprintf("%d@%d", s.outC, s.side), func(b *testing.B) {
 			rows := 32 * s.side * s.side
 			dy := benchVals(rand.New(rand.NewSource(1)), rows*s.outC, 0.8)
-			benchVsReference(b, "BiasAddGrad", kernels.Attrs{}, rows*s.outC, operand{dy, []int{rows, s.outC}})
+			benchVsReference(b, "Sum", kernels.Attrs{Axes: []int{0}}, rows*s.outC, operand{dy, []int{rows, s.outC}})
 			b.Run("transpose+sum", func(b *testing.B) {
 				nb := benchBackend()
 				in := benchInput(nb, dy, 32, s.side, s.side, s.outC)

@@ -257,9 +257,9 @@ func TestGradReductions(t *testing.T) {
 	}, positive)
 }
 
-// TestGradBiasAddGrad: a sum over the leading axes is BiasAddGrad, whose
-// gradient tiles dy over the summed rows.
-func TestGradBiasAddGrad(t *testing.T) {
+// TestGradSumOverLeadingAxes: a sum over the leading axes — a bias
+// gradient — tiles dy back over the summed rows.
+func TestGradSumOverLeadingAxes(t *testing.T) {
 	onCPUAndNode(t, func(t *testing.T) {
 		gradCheck(t, "Sum(leading axes)", [][]int{{2, 3, 4}}, func(xs []*tensor.Tensor) *tensor.Tensor {
 			return Sum(Square(Sum(xs[0], []int{0, 1}, false)), nil, false)
@@ -271,32 +271,43 @@ func TestGradBiasAddGrad(t *testing.T) {
 	})
 }
 
-// TestSumOverLeadingAxesIsOneBiasAddGrad: ops.Sum over exactly the leading
-// axes — every bias gradient — dispatches one BiasAddGrad and no
-// Transpose, and its sums are Float32bits-equal to the Sum of the
-// transposed tensor, which meets each column's values in the same order.
-func TestSumOverLeadingAxesIsOneBiasAddGrad(t *testing.T) {
-	onCPUAndNode(t, func(t *testing.T) {
-		e := core.Global()
-		e.Tidy("leading", func() []*tensor.Tensor {
-			x := RandNormal([]int{4, 5, 6, 9}, 0, 1, rand.New(rand.NewSource(5)))
-			var got *tensor.Tensor
-			info := e.Profile(func() { got = Sum(x, []int{0, 1, 2}, false) })
-			if len(info.Kernels) != 1 || info.Kernels[0].Name != "BiasAddGrad" {
-				t.Errorf("Sum over [0 1 2] dispatched %v, want one BiasAddGrad", info.KernelNames())
+// TestSumOverLeadingAxesIsOneSum: ops.Sum over exactly the leading axes —
+// every bias gradient — is one Sum over the input's own shape on cpu, node
+// and webgl, which makes one tensor handle (no view around it) and whose
+// sums are Float32bits-equal to the Sum of the transposed tensor, which
+// meets each column's values in the same order.
+func TestSumOverLeadingAxesIsOneSum(t *testing.T) {
+	e := core.Global()
+	for _, backend := range []string{"cpu", "node", "webgl"} {
+		t.Run(backend, func(t *testing.T) {
+			if err := e.SetBackend(backend); err != nil {
+				t.Fatal(err)
 			}
-			want := Sum(Transpose(x, 3, 0, 1, 2), []int{1, 2, 3}, false).DataSync()
-			for i, v := range got.DataSync() {
-				if math.Float32bits(v) != math.Float32bits(want[i]) {
-					t.Errorf("column %d: %g, the transposed Sum gives %g", i, v, want[i])
+			defer e.SetBackend("cpu")
+			e.Tidy("leading", func() []*tensor.Tensor {
+				x := RandNormal([]int{4, 5, 6, 9}, 0, 1, rand.New(rand.NewSource(5)))
+				var got *tensor.Tensor
+				before := e.NumTensors()
+				info := e.Profile(func() { got = Sum(x, []int{0, 1, 2}, false) })
+				if len(info.Kernels) != 1 || info.Kernels[0].Name != "Sum" {
+					t.Errorf("Sum over [0 1 2] dispatched %v, want one Sum", info.KernelNames())
 				}
-			}
-			if kept := Sum(x, []int{0, 1}, true); !tensor.ShapesEqual(kept.Shape, []int{1, 1, 6, 9}) {
-				t.Errorf("keepDims shape %v, want [1 1 6 9]", kept.Shape)
-			}
-			return nil
+				if n := e.NumTensors() - before; n != 1 {
+					t.Errorf("Sum over [0 1 2] made %d tensor handles, want 1", n)
+				}
+				want := Sum(Transpose(x, 3, 0, 1, 2), []int{1, 2, 3}, false).DataSync()
+				for i, v := range got.DataSync() {
+					if math.Float32bits(v) != math.Float32bits(want[i]) {
+						t.Errorf("column %d: %g, the transposed Sum gives %g", i, v, want[i])
+					}
+				}
+				if kept := Sum(x, []int{0, 1}, true); !tensor.ShapesEqual(kept.Shape, []int{1, 1, 6, 9}) {
+					t.Errorf("keepDims shape %v, want [1 1 6 9]", kept.Shape)
+				}
+				return nil
+			})
 		})
-	})
+	}
 }
 
 func TestGradSoftmaxAndLogSoftmax(t *testing.T) {

@@ -9,11 +9,13 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/native"
 	"repro/internal/tensor"
+	"repro/internal/webgl"
 )
 
 func init() {
 	core.Global().RegisterBackend("cpu", func() (kernels.Backend, error) { return cpu.New(), nil })
 	core.Global().RegisterBackend("node", func() (kernels.Backend, error) { return native.New(), nil })
+	core.Global().RegisterBackend("webgl", func() (kernels.Backend, error) { return webgl.New(webgl.DefaultConfig()), nil })
 }
 
 func almostEqual(t *testing.T, got []float32, want []float32, tol float64) {

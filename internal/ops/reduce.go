@@ -1,8 +1,6 @@
 package ops
 
 import (
-	"math/bits"
-
 	"repro/internal/core"
 	"repro/internal/kernels"
 	"repro/internal/tensor"
@@ -10,21 +8,9 @@ import (
 
 // reduce dispatches an axis reduction as one kernel over t's own shape:
 // the kernel resolves the axes (kernels.ReduceAxes), an empty list being
-// every axis. A sum over exactly the leading axes of a higher-rank t —
-// every bias gradient sumToShape takes — is BiasAddGrad on the [reduced,
-// kept] view instead: the bias-gradient kernel, the same sums in the same
-// order.
+// every axis.
 func reduce(name string, t *tensor.Tensor, axes []int, keepDims bool) *tensor.Tensor {
-	attrs := kernels.Attrs{Axes: axes, KeepDims: keepDims}
-	if name == "Sum" {
-		set := reduceAxes(name, axes, t)
-		if lead := bits.TrailingZeros64(^uint64(set)); lead > 0 && lead < t.Rank() && set == 1<<lead-1 {
-			view := Reshape(t, tensor.ShapeSize(t.Shape[:lead]), tensor.ShapeSize(t.Shape[lead:]))
-			res := run1("BiasAddGrad", []*tensor.Tensor{view}, kernels.Attrs{})
-			return Reshape(res, set.Shape(nil, t.Shape, keepDims)...)
-		}
-	}
-	return run1(name, []*tensor.Tensor{t}, attrs)
+	return run1(name, []*tensor.Tensor{t}, kernels.Attrs{Axes: axes, KeepDims: keepDims})
 }
 
 // reduceAxes is the set of t's axes a reduction over axes folds.
@@ -139,10 +125,6 @@ func init() {
 	core.RegisterGradient("Sum", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
 		_, tiled, _ := back("Sum", dys[0], inputs[0], attrs)
 		return []*tensor.Tensor{tiled}
-	})
-	core.RegisterGradient("BiasAddGrad", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
-		outer, inner := inputs[0].Shape[0], inputs[0].Shape[1]
-		return []*tensor.Tensor{Tile(Reshape(dys[0], 1, inner), []int{outer, 1})}
 	})
 	core.RegisterGradient("Mean", func(e *core.Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor {
 		_, tiled, inner := back("Mean", dys[0], inputs[0], attrs)

@@ -609,11 +609,11 @@ func repeatRow(buf, row []float32, n int) []float32 {
 //
 //	dst[j] = +0 + x[j] + x[stride+j] + … + x[(rows-1)*stride+j]
 //
-// left to right, each add rounded — the order in which a sum over the
-// leading axes of [rows, stride] meets each column's values (BiasAddGrad),
-// which is the order the reference Sum meets them in after transposing the
-// column innermost. Columns are independent add chains; the assembly keeps
-// four vectors of them in registers across all the rows.
+// left to right, each add rounded — the order in which Sum over the
+// leading axes of [rows, stride] meets each column's values (a bias
+// gradient), the row-major order of its reduced axes. Columns are
+// independent add chains; the assembly keeps four vectors of them in
+// registers across all the rows.
 func SumRows(dst, x []float32, stride, rows int) {
 	if len(dst) == 0 {
 		return

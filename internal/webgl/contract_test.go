@@ -420,12 +420,13 @@ func contractCases() map[string][]contractCase {
 	// Adam's moments and update. The moments' slot is m ‖ v; its v half is
 	// kept positive, as a second moment is. These come last so that no
 	// earlier case's random draws move.
-	add("BiasAddGrad",
-		contractCase{"rep", []cin{rnd(rng, 64, 8)}, kernels.Attrs{}},
-		contractCase{"wide", []cin{rnd(rng, 9, 45)}, kernels.Attrs{}},
-		contractCase{"odd", []cin{special(rnd(rng, 7, 3))}, kernels.Attrs{}},
-		contractCase{"zeroRows", []cin{rnd(rng, 0, 5)}, kernels.Attrs{}},
-		contractCase{"zeroCols", []cin{rnd(rng, 4, 0)}, kernels.Attrs{}},
+	leading := kernels.Attrs{Axes: []int{0}}
+	add("Sum",
+		contractCase{"leadingRep", []cin{rnd(rng, 64, 8)}, leading},
+		contractCase{"leadingWide", []cin{rnd(rng, 9, 45)}, leading},
+		contractCase{"leadingOdd", []cin{special(rnd(rng, 7, 3))}, leading},
+		contractCase{"leadingZeroRows", []cin{rnd(rng, 0, 5)}, leading},
+		contractCase{"leadingZeroCols", []cin{rnd(rng, 4, 0)}, leading},
 	)
 	moments := kernels.Attrs{Beta1: 0.9, Beta2: 0.999}
 	step := kernels.Attrs{LearningRate: 0.01, Beta1Power: 0.729, Beta2Power: 0.997002999, Epsilon: 1e-8}

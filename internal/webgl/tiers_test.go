@@ -337,7 +337,7 @@ func TestGradientsAndBroadcastsOnEveryTier(t *testing.T) {
 			kernels.Attrs{TransposeA: true, Activation: "relu"}}},
 		"MaxPoolGrad": {{"overlap", "MaxPoolGrad", []kernels.Buffer{inexact(1, 4, 3, 9), ties}, pool}},
 		"AvgPoolGrad": {{"overlap", "AvgPoolGrad", []kernels.Buffer{inexact(1, 4, 3, 9)}, pool}},
-		"BiasAddGrad": {{"rows", "BiasAddGrad", []kernels.Buffer{inexact(37, 11)}, kernels.Attrs{}}},
+		"Sum":         {{"leadingRows", "Sum", []kernels.Buffer{inexact(37, 11)}, kernels.Attrs{Axes: []int{0}}}},
 		"AdamMoments": {{"slot", "AdamMoments", []kernels.Buffer{variance2(inexact(2, 3, 7)), inexact(3, 7)},
 			kernels.Attrs{Beta1: 0.9, Beta2: 0.999}}},
 		"ApplyAdam": {{"slot", "ApplyAdam", []kernels.Buffer{inexact(3, 7), variance2(inexact(2, 3, 7))},
@@ -362,7 +362,7 @@ func TestGradientsAndBroadcastsOnEveryTier(t *testing.T) {
 		cases[kernel] = append(cases[kernel], conv(kernel, []int{1, 7, 5, 3}, []int{3, 3, 3, 2}, s22, s11), conv(kernel, []int{2, 6, 7, 4}, []int{3, 3, 4, 1}, s21, s22))
 	}
 	for _, kernel := range []string{"Sum", "Mean", "Max", "Min", "Prod", "ArgMax", "ArgMin"} {
-		cases[kernel] = append(axisSubsets(kernel, inexact), tierCase{"rows", kernel, []kernels.Buffer{inexact(6, 13)}, kernels.Attrs{Axes: []int{-1}}},
+		cases[kernel] = append(append(cases[kernel], axisSubsets(kernel, inexact)...), tierCase{"rows", kernel, []kernels.Buffer{inexact(6, 13)}, kernels.Attrs{Axes: []int{-1}}},
 			tierCase{"threeReducedRuns", kernel, []kernels.Buffer{inexact(2, 3, 2, 3, 2)}, kernels.Attrs{Axes: []int{0, 2, 4}}})
 	}
 	cases["BatchMatMul"] = append(cases["BatchMatMul"], rank2MatMuls(inexact)...)

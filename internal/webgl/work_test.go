@@ -258,8 +258,8 @@ func TestTrainingWorkMatchesAWalk(t *testing.T) {
 				want.ALU++     // added to the column's sum
 			}
 		}
-		if got := declaredWork(t, b, "BiasAddGrad", kernels.Attrs{}, rnd(rng, outer, inner)); got != want {
-			t.Errorf("BiasAddGrad [%d, %d]: charged %+v, walk counts %+v", outer, inner, got, want)
+		if got := declaredWork(t, b, "Sum", kernels.Attrs{Axes: []int{0}}, rnd(rng, outer, inner)); got != want {
+			t.Errorf("Sum over axis 0 of [%d, %d]: charged %+v, walk counts %+v", outer, inner, got, want)
 		}
 	}
 	for _, shape := range [][]int{{}, {0}, {7}, {3, 3, 1, 8}} {
