@@ -382,7 +382,7 @@ func TestModelledGPUTimeIsPinned(t *testing.T) {
 		setup         func(testing.TB) (op func(), done func())
 		wantPS        int64
 	}{
-		{"table1", "webgl", mobileNetOp, 429_489_997},
+		{"table1", "webgl", mobileNetOp, 426_279_887},
 		{"packing/packed", "webgl", plain(packingOp), 703_116_000},
 		{"packing/unpacked", "webgl-unpacked", plain(packingOp), 1_480_332_000},
 		{"squeeze/squeezed", "webgl", plain(squeezeOp), 443_122_625},

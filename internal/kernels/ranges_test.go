@@ -53,7 +53,8 @@ func rangeBody(t *testing.T, kernel string, ins []Buffer, attrs Attrs) func(lo i
 // table — each fails the test without a case here — and GatherV2's, the
 // one body outside it, resolved as the tiers resolve them, at strides,
 // dilations, same and valid padding, overlapping windows, a channel
-// multiplier of 2 and batch 0, and every element-wise op on every shape
+// multiplier of 2 and batch 0, Softmax's rows of specials cut mid-row,
+// and every element-wise op on every shape
 // case of the element-wise tier test (equal shapes, a suffix row on either
 // side, a scalar, a non-suffix broadcast, a column), cut in two at every
 // split point of small shapes — a cut inside a repeated row is the range
@@ -196,6 +197,25 @@ func TestRangeBodiesMatchReference(t *testing.T) {
 			rangeCase{"threeReducedRuns", name, []Buffer{op(2, 3, 2, 3, 2)}, Attrs{Axes: []int{0, 2, 4}}},
 			rangeCase{"threeKeptRuns", name, []Buffer{op(2, 3, 2, 3, 2)}, Attrs{Axes: []int{1, 3}, KeepDims: true}})
 	}
+	// Softmax: rows of one value, an inner of 7 and of 5 — a range cut
+	// mid-row, as a packed texel straddling two rows is — and rows of
+	// ±Inf, NaN, ±1000 and denormals, and an empty last axis.
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	specialRows := buf([]float32{
+		1000, -1000, 0, 1, -1,
+		inf, 1, 2, 3, 4,
+		-inf, 1, -inf, 2, 0,
+		nan, 1, 2, 3, 4,
+		1e-45, -1e-45, 1e-39, -1e-39, 0,
+		-inf, -inf, -inf, -inf, -inf,
+		1000, 1000, 999, -1e-39, 1e-45,
+	}, 7, 5)
+	cases = append(cases,
+		rangeCase{"one", "Softmax", []Buffer{op(4, 1)}, Attrs{}},
+		rangeCase{"odd", "Softmax", []Buffer{op(3, 7)}, Attrs{}},
+		rangeCase{"rank3", "Softmax", []Buffer{op(2, 3, 5)}, Attrs{}},
+		rangeCase{"specials", "Softmax", []Buffer{specialRows}, Attrs{}},
+		rangeCase{"empty", "Softmax", []Buffer{op(3, 0)}, Attrs{}})
 	// Every non-empty axis subset of a rank-4 input, the odd axes counted
 	// from the end, kept as 1s or dropped; the second input has a zero-size
 	// dim, so a fold is empty or there is no output at all (an index

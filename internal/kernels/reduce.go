@@ -394,11 +394,10 @@ func init() {
 	RegisterRef("ArgMax", argReduceKernel("ArgMax", func(v, best float32) bool { return v > best }))
 	RegisterRef("ArgMin", argReduceKernel("ArgMin", func(v, best float32) bool { return v < best }))
 
-	// Softmax computes a numerically stable softmax over the last axis. It
-	// keeps a second body on webgl: three chained programs (row max,
-	// exp-sum, normalize) whose float32 exp-sum is a named tolerance
-	// against this row's float64 one, and three of the programs the
-	// modelled clock pins.
+	// Softmax computes a numerically stable softmax over the last axis, a
+	// row at a time. Its range body (SoftmaxRows) is the device tiers'
+	// one body: every value bit for bit this kernel's, on node and on
+	// webgl, wherever a range is cut.
 	RegisterRef("Softmax", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		var res TensorInfo
 		outer, inner, err := ResolveSoftmax(inputsOf(inputs), &res)
@@ -452,9 +451,8 @@ func init() {
 	})
 }
 
-// SoftmaxRow is one row of Softmax, the reference's and native's: e^(x−max)
-// per value, summed in float64, each scaled by the float32 reciprocal of the
-// sum. len(dst) == len(x).
+// SoftmaxRow is one row of Softmax: e^(x−max) per value, summed in float64,
+// each scaled by the float32 reciprocal of the sum. len(dst) == len(x).
 func SoftmaxRow(dst, x []float32) {
 	maxV := float32(math.Inf(-1))
 	for _, v := range x {
@@ -471,5 +469,38 @@ func SoftmaxRow(dst, x []float32) {
 	inv := float32(1 / sum)
 	for i := range dst {
 		dst[i] *= inv
+	}
+}
+
+// SoftmaxRows fills dst with the values [lo, lo+len(dst)) of Softmax over
+// the rows of inner values of x. A whole row is SoftmaxRow, one exp per
+// value. A range that begins or ends mid-row — a texel range on webgl —
+// takes its row's max and sum over the whole row, in SoftmaxRow's order,
+// then writes its own values, each e^(x−max) recomputed and scaled by the
+// same reciprocal: SoftmaxRow's bits.
+func SoftmaxRows(x []float32, inner, lo int, dst []float32) {
+	for len(dst) > 0 {
+		start := lo - lo%inner
+		row, off := x[start:start+inner], lo-start
+		n := min(inner-off, len(dst))
+		if n == inner {
+			SoftmaxRow(dst[:n], row)
+		} else {
+			maxV := float32(math.Inf(-1))
+			for _, v := range row {
+				if v > maxV {
+					maxV = v
+				}
+			}
+			var sum float64
+			for _, v := range row {
+				sum += math.Exp(float64(v - maxV))
+			}
+			inv := float32(1 / sum)
+			for i := range dst[:n] {
+				dst[i] = float32(math.Exp(float64(row[off+i]-maxV))) * inv
+			}
+		}
+		lo, dst = lo+n, dst[n:]
 	}
 }

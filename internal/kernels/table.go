@@ -129,6 +129,7 @@ var rangeKernels = []RangeKernel{
 	{Name: "Prod", Resolve: reduce},
 	{Name: "ArgMax", Resolve: reduce},
 	{Name: "ArgMin", Resolve: reduce},
+	{Name: "Softmax", Resolve: softmax},
 	{Name: "AdamMoments", Resolve: adamMoments},
 	{Name: "ApplyAdam", Resolve: applyAdam},
 	// Every shape kernel's value is one fetch, behind a decode and remap
@@ -293,6 +294,16 @@ func reduce(name string, inputs []Input, attrs Attrs, out *TensorInfo) (Range, e
 			Work: work, Unit: 8}, nil
 	}
 	return Range{Fill: func(in [][]float32, lo int, dst []float32) { g.Fill(in[0], lo, dst) }, Work: work}, nil
+}
+
+// softmax is Softmax's range (SoftmaxRows), a native chunk a whole row.
+func softmax(_ string, inputs []Input, _ Attrs, out *TensorInfo) (Range, error) {
+	outer, inner, err := ResolveSoftmax(inputs, out)
+	if err != nil {
+		return Range{}, err
+	}
+	return Range{Fill: func(in [][]float32, lo int, dst []float32) { SoftmaxRows(in[0], inner, lo, dst) },
+		Work: softmaxWork(outer, inner), Unit: inner}, nil
 }
 
 // adamMoments is AdamMoments' range: (mv [2, ...shape], g [...shape]) →

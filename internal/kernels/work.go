@@ -124,6 +124,17 @@ func adamMomentsWork(n int) Work {
 	return Work{Fetches: 4 * int64(n), ALU: int64(n)*(1+3) + int64(n)*(1+4)}
 }
 
+// softmaxWork is the work of Softmax over outer rows of inner values: the
+// three passes of the real backend's shaders, summed. Per row, the max
+// fetches and compares each value, and the exp-sum fetches the max and
+// each value, subtracting, exponentiating and adding; per value, the
+// normalize decodes its row, fetches the value, the max and the sum,
+// subtracts, exponentiates and divides.
+func softmaxWork(outer, inner int) Work {
+	rows, values := PerValue(outer, 2*inner+1, 4*inner), PerValue(outer*inner, 3, ALUDecode+3)
+	return Work{Fetches: rows.Fetches + values.Fetches, ALU: rows.ALU + values.ALU}
+}
+
 // macWork is the work of size output values that together perform macs
 // multiply-adds (two fetches each) behind a decode of decodeDims div/mods.
 func macWork(size int, macs int64, decodeDims int) Work {

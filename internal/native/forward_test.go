@@ -84,14 +84,16 @@ func checkConvForward(t testing.TB, nb *Backend, g gradGeometry, f fill) {
 	checkAgainstReference(t, nb, "FusedDepthwiseConv2dNative/"+g.String()+"/"+f.name, "FusedDepthwiseConv2dNative", attrs, x, w, bias)
 }
 
-// checkReductions runs the seven reductions over the inner dimension of
-// [outer, inner], and Sum over the outer one (a bias gradient's columns).
+// checkReductions runs the seven reductions and Softmax over the inner
+// dimension of [outer, inner], and Sum over the outer one (a bias
+// gradient's columns).
 func checkReductions(t testing.TB, nb *Backend, outer, inner int, f fill) {
 	t.Helper()
 	x := operand{f.gen(outer*inner, 6), []int{outer, inner}}
 	for _, name := range []string{"Sum", "Mean", "Max", "Min", "Prod", "ArgMax", "ArgMin"} {
 		checkAgainstReference(t, nb, fmt.Sprintf("%s/%dx%d/%s", name, outer, inner, f.name), name, kernels.Attrs{Axes: []int{-1}}, x)
 	}
+	checkAgainstReference(t, nb, fmt.Sprintf("Softmax/%dx%d/%s", outer, inner, f.name), "Softmax", kernels.Attrs{}, x)
 	checkAgainstReference(t, nb, fmt.Sprintf("Sum/leading/%dx%d/%s", outer, inner, f.name), "Sum", kernels.Attrs{Axes: []int{0}}, x)
 }
 
@@ -257,6 +259,9 @@ func checkForwardMatrix(t *testing.T, nb *Backend) {
 			}
 		}
 		checkReductions(t, nb, 64, 2048, f)
+		// Softmax's rows of ±1000: an exp that overflows without the max.
+		checkAgainstReference(t, nb, "Softmax/thousands/"+f.name, "Softmax", kernels.Attrs{},
+			operand{[]float32{1000, -1000, 0, 1, -1, 1000, 1000, 999, -1e-39, 1e-45}, []int{2, 5}})
 		// The bench convnet's three bias gradients: [N·H·W, C].
 		checkReductions(t, nb, 32*16*16, 8, f)
 		checkReductions(t, nb, 32*8*8, 16, f)
@@ -292,12 +297,13 @@ func checkForwardMatrix(t *testing.T, nb *Backend) {
 
 // TestForwardKernelsBitIdenticalToReference: every kernel of the range
 // table on node — the convolutions, pools and matmuls over the matrix's
-// geometries, the seven reductions (Sum over leading axes too) and the
-// shape kernels over its shapes, every element-wise op under each broadcast
-// form, the rest on a case each (TestGradKernelsBitIdenticalToReference
-// holds the gradients to their own matrix) — and GatherV2 agree with the
-// reference kernels to the bit, at every worker count and with the AVX2
-// cores on or off.
+// geometries, the seven reductions (Sum over leading axes too) and
+// Softmax over the same rows (one value, none, ±1000, the fills'
+// specials), the shape kernels over its shapes, every element-wise op
+// under each broadcast form, the rest on a case each
+// (TestGradKernelsBitIdenticalToReference holds the gradients to their own
+// matrix) — and GatherV2 agree with the reference kernels to the bit, at
+// every worker count and with the AVX2 cores on or off.
 func TestForwardKernelsBitIdenticalToReference(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {

@@ -9,9 +9,9 @@ import (
 
 // initKernels installs the optimized kernels: every kernel of the range
 // table (kernels.RangeKernels — the convolutions, pools and matmuls, every
-// one of their gradients, the reductions, the training tail, the shape
-// kernels, Select, batch norm and every op of the element-wise table) in
-// one loop, and the two kernels outside it, Softmax and GatherV2. The
+// one of their gradients, the reductions, Softmax, the training tail, the
+// shape kernels, Select, batch norm and every op of the element-wise
+// table) in one loop, and the one kernel outside it, GatherV2. The
 // other six (All, Any, Cast, CumSum, Range, Reverse) inherit the reference
 // implementations.
 //
@@ -26,8 +26,6 @@ func (b *Backend) initKernels() {
 	for _, k := range kernels.RangeKernels() {
 		b.register(k.Name, b.rangeKernel(k))
 	}
-	// Softmax keeps a body of its own on webgl (see the reference kernel).
-	b.register("Softmax", b.softmax)
 	// GatherV2 is no range kernel: node declines an index out of range, for
 	// the reference kernel to reject, where webgl, which cannot read its
 	// indices without a readback, writes 0.
@@ -110,23 +108,6 @@ func (b *Backend) outOver(dst *kernels.TensorInfo, dtype tensor.DataType) []floa
 	dst.DataID = id
 	dst.DType = dtype
 	return buf
-}
-
-// softmax is Softmax over the rows of its last axis (kernels.SoftmaxRow).
-func (b *Backend) softmax(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
-	_, inner, err := kernels.ResolveSoftmax(inputs, out)
-	if err != nil {
-		return err
-	}
-	in := b.inputs(inputs)
-	defer inLists.Put(in)
-	dst := b.outOver(out, tensor.Float32)
-	b.parallelFor(func(in [][]float32, lo int, dst []float32) {
-		for o := 0; o < len(dst); o += inner {
-			kernels.SoftmaxRow(dst[o:o+inner], in[0][lo+o:lo+o+inner])
-		}
-	}, *in, dst, inner, 16*int64(len(dst)))
-	return nil
 }
 
 // gather is GatherV2 on its range body (kernels.Gather).

@@ -22,15 +22,13 @@ func (b *Backend) register(name string, k kernels.OverrideKernel) {
 }
 
 // initKernels builds the override table: every kernel of the range table
-// (kernels.RangeKernels, the element-wise table's ops among them) in one
-// loop, and the two kernels outside it, Softmax and GatherV2.
+// (kernels.RangeKernels, Softmax and the element-wise table's ops among
+// them) in one loop, and the one kernel outside it, GatherV2.
 func (b *Backend) initKernels() {
 	b.kernelsTable = map[string]kernels.OverrideKernel{}
 	for _, k := range kernels.RangeKernels() {
 		b.register(k.Name, b.rangeKernel(k))
 	}
-	// Softmax keeps its three passes (see the reference kernel).
-	b.register("Softmax", b.softmax)
 	// GatherV2 is no range kernel: node declines an index out of range,
 	// which this backend cannot see without a readback; it writes 0.
 	b.register("GatherV2", b.gather)

@@ -12,9 +12,8 @@
 //     runs of values — one coordinate decode and window clip per pixel,
 //     operands read a row at a time — with each value's arithmetic and its
 //     order the reference kernel's: every kernel of the range table
-//     (kernels.RangeKernels, the element-wise table's ops among them),
-//     installed in one loop on the body native runs, and Softmax's three
-//     passes, which keep the per-value form (runFlat);
+//     (kernels.RangeKernels, Softmax and the element-wise table's ops
+//     among them), installed in one loop on the body native runs;
 //   - every program declares the work one dispatch costs the modelled
 //     device — its kernel's cost (kernels.Work: fetches and ALU operations
 //     as closed forms of its shapes) plus the compiled samplers' terms and

@@ -12,6 +12,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/kernels"
 	"repro/internal/models"
+	"repro/internal/native"
 	"repro/internal/vec"
 )
 
@@ -39,20 +40,34 @@ func mobilenetConfigs() map[string]Config {
 	return cfgs
 }
 
+// halfFloatLogitsBound is the largest relative difference, per value,
+// between the Table 1 network's logits on half-float textures and on node:
+// fp16 storage rounds every activation to 11 bits. The two images read
+// 1.28e-3 and 1.33e-3 on amd64; the bound is over twice that, a margin for
+// a change that moves the fp16 rounding of one layer.
+const halfFloatLogitsBound = 3e-3
+
 // TestMobileNetLogitsGolden runs the Table 1 network (MobileNet v1 α=0.25
 // @96, eager Layers model: Conv → BatchNorm → ReLU6 as three programs per
 // block) on two images and four device configurations and compares the
-// output bits with those recorded at the commit before programs ran over
-// texel ranges.
+// output bits with the recorded goldens (testdata/mobilenet_golden.json).
+// The fp32 configurations are Float32bits-equal to node's logits, and
+// half-float is within halfFloatLogitsBound of them.
 func TestMobileNetLogitsGolden(t *testing.T) {
 	e := core.Global()
 	e.RegisterBackend("cpu", func() (kernels.Backend, error) { return cpu.New(), nil })
+	nb := native.New()
+	t.Cleanup(nb.Close)
+	e.RegisterBackend("golden-node", func() (kernels.Backend, error) { return nb, nil })
 	golden := loadGoldens(t, mobilenetGoldenFile)
 	recorded := map[string]string{}
-	for name, cfg := range mobilenetConfigs() {
-		cfg := cfg
+	logits := map[string][]float32{}
+	configs := mobilenetConfigs()
+	for _, name := range []string{"default", "unpacked", "nosqueeze", "halffloat", "node"} {
 		backend := "golden-" + name
-		e.RegisterBackend(backend, func() (kernels.Backend, error) { return New(cfg), nil })
+		if cfg, ok := configs[name]; ok {
+			e.RegisterBackend(backend, func() (kernels.Backend, error) { return New(cfg), nil })
+		}
 		if err := e.SetBackend(backend); err != nil {
 			t.Fatal(err)
 		}
@@ -65,11 +80,15 @@ func TestMobileNetLogitsGolden(t *testing.T) {
 		for _, seed := range []int64{42, 7} {
 			x := data.FromPixelsBatch(data.SyntheticPhoto(96, seed))
 			out := model.Predict(x)
-			h := fnv.New64a()
-			hashFloats(h, out.DataSync())
+			key := fmt.Sprintf("%s/photo%d", name, seed)
+			logits[key] = out.DataSync()
 			out.Dispose()
 			x.Dispose()
-			key := fmt.Sprintf("%s/photo%d", name, seed)
+			if name == "node" {
+				continue
+			}
+			h := fnv.New64a()
+			hashFloats(h, logits[key])
 			recorded[key] = fmt.Sprintf("%016x", h.Sum64())
 			if !*updateGoldens && goldensApply() && recorded[key] != golden[key] {
 				t.Errorf("%s: logits digest %s, golden %q", key, recorded[key], golden[key])
@@ -82,6 +101,33 @@ func TestMobileNetLogitsGolden(t *testing.T) {
 	}
 	if recorded["default/photo42"] != recorded["unpacked/photo42"] || recorded["default/photo42"] != recorded["nosqueeze/photo42"] {
 		t.Errorf("logits differ between layouts of one precision: %v", recorded)
+	}
+	for _, seed := range []int64{42, 7} {
+		node := logits[fmt.Sprintf("node/photo%d", seed)]
+		for _, name := range []string{"default", "unpacked", "nosqueeze"} {
+			key := fmt.Sprintf("%s/photo%d", name, seed)
+			if len(logits[key]) != len(node) {
+				t.Fatalf("%s: %d logits, node has %d", key, len(logits[key]), len(node))
+			}
+			differ := 0
+			for i, v := range logits[key] {
+				if math.Float32bits(v) != math.Float32bits(node[i]) {
+					differ++
+				}
+			}
+			if differ > 0 {
+				t.Errorf("%s: %d of %d logits differ from node's bits", key, differ, len(node))
+			}
+		}
+		key := fmt.Sprintf("halffloat/photo%d", seed)
+		worst := 0.0
+		for i, v := range logits[key] {
+			worst = max(worst, math.Abs(float64(v)-float64(node[i]))/math.Abs(float64(node[i])))
+		}
+		t.Logf("%s: largest relative difference from node %.3g", key, worst)
+		if !(worst <= halfFloatLogitsBound) {
+			t.Errorf("%s: a logit %.3g away from node's, relative; bound %g", key, worst, halfFloatLogitsBound)
+		}
 	}
 	if *updateGoldens {
 		saveGoldens(t, mobilenetGoldenFile, recorded)

@@ -268,7 +268,8 @@ func TestMalformedShapeCallsFailOnEveryTier(t *testing.T) {
 // backward window kernels at strides, dilation, overlapping windows (ties
 // included) and a channel multiplier of 2, Select and a batch norm whose
 // parameters are not x's channel vectors, every element-wise op on equal
-// shapes and under a suffix and a non-suffix broadcast, and the forward
+// shapes and under a suffix and a non-suffix broadcast, Softmax over rows
+// that packed texels straddle and rows of specials, and the forward
 // kernels, the reductions, the training tail and the shape kernels on a
 // case each. The
 // operands' sums round, so the order of a value's contributions shows:
@@ -366,6 +367,26 @@ func TestGradientsAndBroadcastsOnEveryTier(t *testing.T) {
 			tierCase{"threeReducedRuns", kernel, []kernels.Buffer{inexact(2, 3, 2, 3, 2)}, kernels.Attrs{Axes: []int{0, 2, 4}}})
 	}
 	cases["BatchMatMul"] = append(cases["BatchMatMul"], rank2MatMuls(inexact)...)
+	// Softmax: rows of one value, rows of 7 and of 13 — a packed texel
+	// straddles two rows — rows of 5 holding ±Inf, NaN, ±1000 and
+	// denormals, and an empty last axis.
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	specialRows := kernels.Buffer{Data: []float32{
+		1000, -1000, 0, 1, -1,
+		inf, 1, 2, 3, 4,
+		-inf, 1, -inf, 2, 0,
+		nan, 1, 2, 3, 4,
+		1e-45, -1e-45, 1e-39, -1e-39, 0,
+		-inf, -inf, -inf, -inf, -inf,
+		1000, 1000, 999, -1e-39, 1e-45,
+	}, Shape: []int{7, 5}, DType: tensor.Float32}
+	cases["Softmax"] = []tierCase{
+		{"one", "Softmax", []kernels.Buffer{inexact(6, 1)}, kernels.Attrs{}},
+		{"odd", "Softmax", []kernels.Buffer{inexact(5, 7)}, kernels.Attrs{}},
+		{"rank3", "Softmax", []kernels.Buffer{inexact(2, 3, 13)}, kernels.Attrs{}},
+		{"specials", "Softmax", []kernels.Buffer{specialRows}, kernels.Attrs{}},
+		{"empty", "Softmax", []kernels.Buffer{inexact(3, 0)}, kernels.Attrs{}},
+	}
 	// Every op of the element-wise table: a two-operand op on equal shapes,
 	// a suffix row first and a non-suffix broadcast, a one-operand op on a
 	// vector with a tail under the attributes of paramAttrs.
@@ -795,10 +816,10 @@ func operandsAt(inputs []kernels.Buffer, outShape []int, i int) []float32 {
 // cpu tier's float64 sums are exact too: every reduction and product is
 // Float32bits-equal to the reference kernel, a reduction of seven
 // alternating runs too, which node and webgl decline. Softmax keeps its own
-// body on cpu (a float64 divide) and webgl (a float32 exp-sum): on every
-// tier the rank-N call is Float32bits-equal to the same tier's
-// [outer, inner] call, and node's to the reference; an empty last axis is
-// an empty output.
+// body on cpu (a float64 divide): on every tier the rank-N call is
+// Float32bits-equal to the same tier's [outer, inner] call, and node's and
+// webgl's, packed and unpacked, to the reference — Softmax's tolerance row
+// is 0 ulp; an empty last axis is an empty output.
 func TestKernelsTakeTheOpsShapeOnEveryTier(t *testing.T) {
 	tiers := hostAndDeviceTiers(t)
 	// operand's values, none of them special: a stride past the end plants
@@ -848,7 +869,7 @@ func TestKernelsTakeTheOpsShapeOnEveryTier(t *testing.T) {
 			where := fmt.Sprintf("Softmax%v on %s", shape, b.name)
 			got := dispatch(t, b.backend, "Softmax", []kernels.Buffer{x}, kernels.Attrs{})
 			same(where+" against its [outer, inner] call", got, dispatch(t, b.backend, "Softmax", []kernels.Buffer{rows}, kernels.Attrs{}))
-			if b.name == "node" {
+			if b.name != "cpu" {
 				same(where, got, want.Data)
 			}
 		}

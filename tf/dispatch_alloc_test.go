@@ -56,7 +56,7 @@ func TestEagerDispatchAllocBudget(t *testing.T) {
 // TestEagerDispatchAllocBudgetPerClass extends the budget above to one
 // warmed eager dispatch of each kernel class the device tiers run as a
 // range body: the convolutions (plain, fused and depthwise), a pool, a
-// matmul, a reduction, two shape kernels, both convolution gradients,
+// matmul, a reduction, Softmax, two shape kernels, both convolution gradients,
 // Adam's moments and element-wise ops (equal shapes, a suffix row, a
 // non-suffix broadcast, a vec row, an attribute-taking row and a
 // predicate), on node and webgl. Conv2D and MaxPool are dispatched
@@ -72,7 +72,8 @@ func TestEagerDispatchAllocBudget(t *testing.T) {
 // through ComputeConv2DInfo's error messages. The element-wise ops read
 // 17 on webgl (Relu6 15, Step 16) and Sub 4 on node while each tier
 // wrapped them in kernels of its own, which broadcast the shapes into a
-// fresh slice.
+// fresh slice. Softmax read 37 on webgl as three programs through two
+// intermediate textures.
 func TestEagerDispatchAllocBudgetPerClass(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
@@ -89,6 +90,7 @@ func TestEagerDispatchAllocBudgetPerClass(t *testing.T) {
 		{"MaxPool", [][]int{{1, 6, 6, 2}}, kernels.Attrs{FilterSize: []int{2, 2}}},
 		{"BatchMatMul", [][]int{{2, 3, 4}, {2, 4, 5}}, kernels.Attrs{}},
 		{"Sum", [][]int{{6, 8}}, kernels.Attrs{Axes: []int{1}}},
+		{"Softmax", [][]int{{6, 8}}, kernels.Attrs{}},
 		{"Transpose", [][]int{{2, 3, 4}}, kernels.Attrs{Perm: []int{2, 0, 1}}},
 		{"Concat", [][]int{{2, 3}, {2, 5}}, kernels.Attrs{Axis: 1}},
 		{"Conv2DBackpropFilter", [][]int{{1, 6, 6, 2}, {1, 6, 6, 4}}, kernels.Attrs{Pad: "same", Shape: []int{3, 3, 2, 4}}},
@@ -102,10 +104,10 @@ func TestEagerDispatchAllocBudgetPerClass(t *testing.T) {
 		{"GreaterEqual", [][]int{{6, 8}, {6, 8}}, kernels.Attrs{}},
 	}
 	budgets := map[string]map[string]float64{
-		"node": {"Conv2D": 3, "FusedConv2D": 3, "DepthwiseConv2dNative": 3, "MaxPool": 3, "BatchMatMul": 3, "Sum": 3,
+		"node": {"Conv2D": 3, "FusedConv2D": 3, "DepthwiseConv2dNative": 3, "MaxPool": 3, "BatchMatMul": 3, "Sum": 3, "Softmax": 3,
 			"Transpose": 3, "Concat": 4, "Conv2DBackpropFilter": 3, "Conv2DBackpropInput": 3, "AdamMoments": 3,
 			"Mul": 3, "Add": 3, "Sub": 3, "Relu6": 3, "Step": 4, "GreaterEqual": 3},
-		"webgl": {"Conv2D": 15, "FusedConv2D": 15, "DepthwiseConv2dNative": 15, "MaxPool": 15, "BatchMatMul": 16, "Sum": 15,
+		"webgl": {"Conv2D": 15, "FusedConv2D": 15, "DepthwiseConv2dNative": 15, "MaxPool": 15, "BatchMatMul": 16, "Sum": 15, "Softmax": 15,
 			"Transpose": 15, "Concat": 16, "Conv2DBackpropFilter": 15, "Conv2DBackpropInput": 17, "AdamMoments": 15,
 			"Mul": 15, "Add": 15, "Sub": 15, "Relu6": 15, "Step": 16, "GreaterEqual": 15},
 	}
