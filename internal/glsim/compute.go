@@ -1,7 +1,5 @@
 package glsim
 
-import "sync"
-
 // This file simulates the compute-shader execution model of WebGPU — the
 // future web standard the paper identifies as "a promising avenue for
 // bridging the gap in performance" (§3.9, §4.3). Unlike fragment shaders
@@ -32,51 +30,18 @@ type ComputeProgram struct {
 }
 
 // ExecuteCompute dispatches a compute program writing into out. Workgroups
-// run in parallel across the device's workers; each worker reuses one
-// shared-memory buffer, as hardware reuses workgroup storage. Timing uses
-// the same counted-work model as fragment programs, with NumGroups ×
-// ThreadsPerGroup invocations.
+// run in parallel across the device's cores; each core reuses one
+// shared-memory buffer, cleared at the start of its range, as hardware
+// reuses workgroup storage. Timing uses the same counted-work model as
+// fragment programs, with NumGroups × ThreadsPerGroup invocations.
 func (d *Device) ExecuteCompute(p *ComputeProgram, out *Texture) {
-	d.submit(func() {
-		groups := p.NumGroups
-		workers := d.workers
-		if workers > groups {
-			workers = groups
-		}
-		store := func(i int, v float32) { out.store(i, v) }
-		if workers <= 1 {
-			shared := make([]float32, p.SharedSize)
-			for g := 0; g < groups; g++ {
-				p.Main(g, shared, store)
-			}
-		} else {
-			var wg sync.WaitGroup
-			chunk := (groups + workers - 1) / workers
-			for w := 0; w < workers; w++ {
-				lo := w * chunk
-				hi := lo + chunk
-				if hi > groups {
-					hi = groups
-				}
-				if lo >= hi {
-					break
-				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					shared := make([]float32, p.SharedSize)
-					for g := lo; g < hi; g++ {
-						p.Main(g, shared, store)
-					}
-				}(lo, hi)
-			}
-			wg.Wait()
-		}
-		d.stats.texels.Add(int64(out.Texels()))
-		threads := p.ThreadsPerGroup
-		if threads < 1 {
-			threads = 1
-		}
-		d.charge(p.Work, groups*threads)
-	})
+	d.enqueue(command{cprog: p, out: out})
+}
+
+func (d *Device) executeCompute(p *ComputeProgram, out *Texture) {
+	d.bindMu.Lock()
+	defer d.bindMu.Unlock()
+	d.spread(job{cprog: p, out: out, store: out.store}, p.NumGroups)
+	d.stats.texels.Add(int64(out.Texels()))
+	d.charge(p.Work, p.NumGroups*max(p.ThreadsPerGroup, 1))
 }

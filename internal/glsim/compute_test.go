@@ -73,7 +73,7 @@ func TestComputeOrderedWithFragmentPrograms(t *testing.T) {
 	d.Upload(a, []float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	// Fragment program doubles into out; compute program then adds 1
 	// in place; strict queue ordering must make both visible.
-	d.Execute(&Program{Name: "double", Main: perTexel(func(i int) float32 { return a.FetchFlat(i) * 2 })}, out)
+	d.Execute(&Program{Name: "double", Main: perTexel(func(i int) float32 { return a.FetchFlat(i) * 2 })}, nil, out)
 	d.ExecuteCompute(&ComputeProgram{
 		Name:      "inc",
 		NumGroups: 1,

@@ -67,22 +67,44 @@ func DefaultConfig() Config {
 	}
 }
 
+// InlineInputs is how many input textures a queued command binds without a
+// slice of its own: FusedBatchNorm's five. A call with more (a Concat of
+// many operands) copies its list once per dispatch.
+const InlineInputs = 5
+
 // command is one entry in the GPU command queue.
 type command struct {
 	run func()
 	// A program's dispatch is the program itself, not a closure over it:
-	// one allocation fewer per enqueue.
-	prog *Program
-	out  *Texture
+	// one allocation fewer per enqueue. A fragment program's inputs are
+	// bound to the command, not to the program, so that one compiled
+	// program serves every dispatch of its shapes.
+	prog  *Program
+	cprog *ComputeProgram
+	out   *Texture
+	nin   int
+	in    [InlineInputs]*Texture
+	more  []*Texture
+}
+
+// inputs returns the textures the command's program samples, in order.
+func (c *command) inputs() []*Texture {
+	if c.more != nil {
+		return c.more
+	}
+	return c.in[:c.nin]
 }
 
 // do executes cmd on the GPU goroutine.
 func (d *Device) do(cmd command) {
-	if cmd.prog != nil {
-		d.execute(cmd.prog, cmd.out)
-		return
+	switch {
+	case cmd.prog != nil:
+		d.execute(cmd.prog, cmd.inputs(), cmd.out)
+	case cmd.cprog != nil:
+		d.executeCompute(cmd.cprog, cmd.out)
+	default:
+		cmd.run()
 	}
-	cmd.run()
 }
 
 // Stats counts device activity for tests and ablation benchmarks. Fetches,
@@ -102,7 +124,7 @@ type Stats struct {
 // Device is the simulated GPU. Commands execute strictly in submission
 // order on a dedicated goroutine (the "GPU thread" of Section 4.1.1);
 // within one program execution, texels run in parallel across Workers
-// goroutines, matching the fragment-shader model of Figure 4.
+// cores, matching the fragment-shader model of Figure 4.
 type Device struct {
 	cfg     Config
 	queue   chan command
@@ -110,9 +132,16 @@ type Device struct {
 	wg      sync.WaitGroup
 	workers int
 
-	// bound holds the host slices of the executing program's inputs.
+	// bindMu serialises dispatches — the GPU goroutine's, and a closed
+	// device's callers', who run their commands inline — and guards what
+	// a dispatch reuses: bound holds the host slices of the executing
+	// program's inputs, shared the first core's workgroup memory, cores
+	// the device's other cores.
 	bindMu sync.Mutex
 	bound  [][]float32
+	shared []float32
+	cores  *cores
+	closed bool
 
 	mu           sync.Mutex
 	textureBytes int64
@@ -204,7 +233,9 @@ func (d *Device) enqueue(cmd command) {
 	}
 }
 
-// Close drains the queue and stops the GPU goroutine.
+// Close drains the queue, stops the GPU goroutine and then the device's
+// cores. Commands submitted afterwards run inline on their callers, one
+// core each.
 func (d *Device) Close() {
 	select {
 	case <-d.done:
@@ -213,6 +244,14 @@ func (d *Device) Close() {
 	}
 	close(d.done)
 	d.wg.Wait()
+	d.bindMu.Lock()
+	defer d.bindMu.Unlock()
+	d.closed = true
+	if c := d.cores; c != nil {
+		d.cores = nil
+		close(c.ranges)
+		c.exited.Wait()
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -361,26 +400,27 @@ type Work struct {
 }
 
 // Program is a compiled fragment-shader program: a name (for profiling),
-// the work one dispatch costs the modelled device, the textures it
-// samples, and the main function.
+// the work one dispatch costs the modelled device, and the main function.
+// The textures it samples are bound per dispatch (Execute), the way a GL
+// program's sampler uniforms are, so one compiled program serves every
+// dispatch of its shapes.
 //
 // Main computes the output texels [lo, hi). in holds the host slices of
-// Inputs, in order — bound once per dispatch, the way a GL program binds
-// its sampler uniforms — and, when Setup is set, what Setup returned. dst
-// is the output texture's own storage for exactly those texels —
-// (hi-lo)*channels floats, texel-major — and Main must write every element
-// of it, may read in, and must write nothing else. The device calls Main
-// concurrently on disjoint ranges whose boundaries it chooses, so the value
-// Main writes for a texel may depend only on that texel's index and the
-// inputs: Figure 4's model, "main() runs in the context of each output
-// value and in parallel, with no shared memory", stated over a range so
-// that a program can decode coordinates and clip its window once per run
-// of values instead of once per value. On half-float textures the device
-// rounds dst through fp16 after Main returns.
+// the dispatch's input textures, in order — bound once per dispatch — and,
+// when Setup is set, what Setup returned. dst is the output texture's own
+// storage for exactly those texels — (hi-lo)*channels floats, texel-major —
+// and Main must write every element of it, may read in, and must write
+// nothing else. The device calls Main concurrently on disjoint ranges whose
+// boundaries it chooses, so the value Main writes for a texel may depend
+// only on that texel's index and the inputs: Figure 4's model, "main() runs
+// in the context of each output value and in parallel, with no shared
+// memory", stated over a range so that a program can decode coordinates
+// and clip its window once per run of values instead of once per value. On
+// half-float textures the device rounds dst through fp16 after Main
+// returns.
 type Program struct {
-	Name   string
-	Work   Work
-	Inputs []*Texture
+	Name string
+	Work Work
 	// Setup, when set, runs once per dispatch before any of Main's ranges,
 	// on the inputs' host slices; what it returns every range reads after
 	// them: a buffer the program computes from its inputs once, whatever
@@ -389,20 +429,27 @@ type Program struct {
 	Main  func(in [][]float32, lo, hi int, dst []float32)
 }
 
-// Execute binds output to the framebuffer and runs the program over every
-// output texel, parallelized across the device's workers. The call only
-// enqueues; it returns immediately, which is what makes op dispatch
-// sub-millisecond while the GPU works in the background (Section 4.1.1).
-func (d *Device) Execute(p *Program, out *Texture) { d.enqueue(command{prog: p, out: out}) }
+// Execute binds inputs, the textures p samples, and output to the
+// framebuffer, and runs the program over every output texel, parallelized
+// across the device's cores. The call only enqueues; it returns
+// immediately, which is what makes op dispatch sub-millisecond while the
+// GPU works in the background (Section 4.1.1). It keeps neither p's
+// inputs slice nor anything but the textures in it.
+func (d *Device) Execute(p *Program, inputs []*Texture, out *Texture) {
+	cmd := command{prog: p, out: out, nin: len(inputs)}
+	if len(inputs) > InlineInputs {
+		cmd.more = append([]*Texture(nil), inputs...)
+	} else {
+		copy(cmd.in[:], inputs)
+	}
+	d.enqueue(cmd)
+}
 
-func (d *Device) execute(p *Program, out *Texture) {
-	// The GPU goroutine runs one program at a time, so one list of bound
-	// inputs serves them all; the lock is for a closed device, which runs
-	// programs on their callers.
+func (d *Device) execute(p *Program, inputs []*Texture, out *Texture) {
 	d.bindMu.Lock()
 	defer d.bindMu.Unlock()
 	in := d.bound[:0]
-	for _, t := range p.Inputs {
+	for _, t := range inputs {
 		in = append(in, t.data)
 	}
 	if p.Setup != nil {
@@ -411,41 +458,88 @@ func (d *Device) execute(p *Program, out *Texture) {
 	d.bound = in
 	defer clear(d.bound)
 	texels := out.Texels()
-	workers := d.workers
-	if workers > texels {
-		workers = texels
-	}
-	if workers <= 1 {
-		out.render(p, in, 0, texels)
-	} else {
-		// What every range's goroutine reads, in one allocation: each
-		// goroutine's closure then holds one pointer.
-		job := &struct {
-			wg  sync.WaitGroup
-			p   *Program
-			out *Texture
-			in  [][]float32
-		}{p: p, out: out, in: in}
-		chunk := (texels + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > texels {
-				hi = texels
-			}
-			if lo >= hi {
-				break
-			}
-			job.wg.Add(1)
-			go func(lo, hi int) {
-				defer job.wg.Done()
-				job.out.render(job.p, job.in, lo, hi)
-			}(lo, hi)
-		}
-		job.wg.Wait()
-	}
+	d.spread(job{prog: p, out: out, in: in}, texels)
 	d.stats.texels.Add(int64(texels))
 	d.charge(p.Work, texels)
+}
+
+// cores are a device's cores past the first, which is the goroutine
+// dispatching. They start at the first dispatch spread over more than one
+// core and live until Close, each taking ranges of the dispatch in job.
+type cores struct {
+	// ranges carries a dispatch's ranges past the first, at most one per
+	// core; its buffer holds one for each core, so handing them out never
+	// waits.
+	ranges  chan [2]int
+	job     job
+	pending sync.WaitGroup
+	exited  sync.WaitGroup
+}
+
+// A job is one dispatch as the cores see it: a fragment program's texel
+// ranges or a compute program's workgroup ranges.
+type job struct {
+	prog  *Program
+	in    [][]float32
+	cprog *ComputeProgram
+	store func(i int, v float32)
+	out   *Texture
+}
+
+// run computes the range [lo, hi) of j; shared is the calling core's
+// workgroup memory, kept between dispatches.
+func (j *job) run(lo, hi int, shared *[]float32) {
+	if j.prog != nil {
+		j.out.render(j.prog, j.in, lo, hi)
+		return
+	}
+	n := j.cprog.SharedSize
+	if cap(*shared) < n {
+		*shared = make([]float32, n)
+	}
+	s := (*shared)[:n]
+	clear(s)
+	for g := lo; g < hi; g++ {
+		j.cprog.Main(g, s, j.store)
+	}
+}
+
+// spread runs j over [0, n) in one range per core, at most n of them, and
+// returns when every range is done. The caller holds bindMu.
+func (d *Device) spread(j job, n int) {
+	workers := min(d.workers, n)
+	if workers <= 1 || d.closed {
+		j.run(0, n, &d.shared)
+		return
+	}
+	c := d.cores
+	if c == nil {
+		c = &cores{ranges: make(chan [2]int, d.workers-1)}
+		c.exited.Add(d.workers - 1)
+		for w := 1; w < d.workers; w++ {
+			go c.work()
+		}
+		d.cores = c
+	}
+	c.job = j
+	chunk := (n + workers - 1) / workers
+	for lo := chunk; lo < n; lo += chunk {
+		c.pending.Add(1)
+		c.ranges <- [2]int{lo, min(lo+chunk, n)}
+	}
+	c.job.run(0, chunk, &d.shared)
+	c.pending.Wait()
+	c.job = job{}
+}
+
+// work is one core: it runs the ranges handed to it until Close.
+func (c *cores) work() {
+	defer c.exited.Done()
+	var shared []float32
+	for r := range c.ranges {
+		c.job.run(r[0], r[1], &shared)
+		c.pending.Done()
+	}
 }
 
 // charge advances the clock by one dispatch: the launch cost plus the

@@ -3,10 +3,13 @@ package glsim
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/bufpool"
 )
 
 func newTestDevice(t *testing.T, cfg Config) *Device {
@@ -100,7 +103,7 @@ func TestCommandQueueOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Execute(&Program{Name: "double", Main: perTexel(func(i int) float32 { return tex.FetchFlat(i) * 2 })}, out)
+	d.Execute(&Program{Name: "double", Main: perTexel(func(i int) float32 { return tex.FetchFlat(i) * 2 })}, nil, out)
 	got := d.ReadPixels(out)
 	for i := range vals {
 		if got[i] != vals[i]*2 {
@@ -119,7 +122,7 @@ func TestFenceSyncFiresAfterPriorCommands(t *testing.T) {
 			ran.Store(true)
 		}
 		return 0
-	})}, tex)
+	})}, nil, tex)
 	<-d.FenceSync()
 	if !ran.Load() {
 		t.Fatal("fence fired before prior program completed")
@@ -129,12 +132,12 @@ func TestFenceSyncFiresAfterPriorCommands(t *testing.T) {
 func TestDisjointTimerQuery(t *testing.T) {
 	d := newTestDevice(t, DefaultConfig())
 	tex, _ := d.CreateTexture(32, 32, R32F)
-	d.Execute(&Program{Name: "before", Work: Work{ALU: 1 << 20}, Main: perTexel(func(i int) float32 { return 0 })}, tex)
+	d.Execute(&Program{Name: "before", Work: Work{ALU: 1 << 20}, Main: perTexel(func(i int) float32 { return 0 })}, nil, tex)
 	q := d.BeginQuery()
 	work := Work{Fetches: 2048, ALU: 4096}
-	d.Execute(&Program{Name: "work", Work: work, Main: perTexel(func(i int) float32 { return float32(i) })}, tex)
+	d.Execute(&Program{Name: "work", Work: work, Main: perTexel(func(i int) float32 { return float32(i) })}, nil, tex)
 	d.EndQuery(q)
-	d.Execute(&Program{Name: "after", Work: Work{ALU: 1 << 20}, Main: perTexel(func(i int) float32 { return 0 })}, tex)
+	d.Execute(&Program{Name: "after", Work: Work{ALU: 1 << 20}, Main: perTexel(func(i int) float32 { return 0 })}, nil, tex)
 	deadline := time.Now().Add(2 * time.Second)
 	for !q.Done() {
 		if time.Now().After(deadline) {
@@ -228,7 +231,7 @@ func TestSimulatedTimingModel(t *testing.T) {
 		{tiny, Work{Fetches: 7, ALU: 5}, launchPS + (3*invokePS+7*fetchPS+5*aluPS)/3},
 	} {
 		before := clockAfter(d)
-		d.Execute(&Program{Name: "model", Work: c.work, Main: noop}, c.tex)
+		d.Execute(&Program{Name: "model", Work: c.work, Main: noop}, nil, c.tex)
 		if got := clockAfter(d) - before; got != c.wantPS {
 			t.Errorf("%v texels, work %+v: clock advanced %d ps, want %d", c.tex.Texels(), c.work, got, c.wantPS)
 		}
@@ -249,9 +252,9 @@ func TestClockIsAFunctionOfTheProgramsDispatched(t *testing.T) {
 		d := newTestDevice(t, cfg)
 		tex, _ := d.CreateTexture(64, 33, RGBA32F)
 		before := clockAfter(d)
-		d.Execute(&Program{Name: "p", Work: work, Main: body}, tex)
+		d.Execute(&Program{Name: "p", Work: work, Main: body}, nil, tex)
 		first := clockAfter(d) - before
-		d.Execute(&Program{Name: "p", Work: work, Main: body}, tex)
+		d.Execute(&Program{Name: "p", Work: work, Main: body}, nil, tex)
 		if second := clockAfter(d) - before - first; second != first {
 			t.Errorf("workers=%d GOMAXPROCS=%d: same program modelled %d ps then %d ps", workers, procs, first, second)
 		}
@@ -343,7 +346,7 @@ func TestProgramsRunOverRangesOfTheOutputTexture(t *testing.T) {
 			for i := range dst {
 				dst[i] = float32(lo*4+i) + 1e-8
 			}
-		}}, tex)
+		}}, nil, tex)
 		got := d.ReadPixels(tex)
 		if int(calls.Load()) > workers || covered.Load() != 25 {
 			t.Fatalf("workers=%d: %d calls covered %d texels, want <= %d calls covering 25", workers, calls.Load(), covered.Load(), workers)
@@ -360,7 +363,7 @@ func TestStatsCounters(t *testing.T) {
 	d := newTestDevice(t, DefaultConfig())
 	tex, _ := d.CreateTexture(4, 4, R32F)
 	d.Upload(tex, make([]float32, 16))
-	d.Execute(&Program{Name: "id", Work: Work{Fetches: 16, Shared: 3, ALU: 32}, Main: perTexel(func(int) float32 { return 0 })}, tex)
+	d.Execute(&Program{Name: "id", Work: Work{Fetches: 16, Shared: 3, ALU: 32}, Main: perTexel(func(int) float32 { return 0 })}, nil, tex)
 	d.ReadPixels(tex)
 	s := d.Stats()
 	if s.TexturesCreated != 1 || s.Uploads != 1 || s.ProgramsExecuted != 1 || s.Readbacks != 1 {
@@ -385,7 +388,7 @@ func TestCloseDrainsQueue(t *testing.T) {
 				ran.Add(1)
 			}
 			return 0
-		})}, tex)
+		})}, nil, tex)
 	}
 	d.Close()
 	if ran.Load() != 10 {
@@ -394,42 +397,96 @@ func TestCloseDrainsQueue(t *testing.T) {
 }
 
 // TestProgramInputsAndSetupAreBoundOncePerDispatch: every range of a
-// program gets its input textures' host slices, in order, and after them
-// what Setup returned — Setup running once per dispatch whatever the
-// worker count.
+// program gets its dispatch's input textures' host slices, in order, and
+// after them what Setup returned — Setup running once per dispatch whatever
+// the worker count. The inputs belong to the dispatch, not to the program:
+// one program dispatched on two input lists reads each in turn, and a list
+// longer than a command holds inline binds like a short one.
 func TestProgramInputsAndSetupAreBoundOncePerDispatch(t *testing.T) {
 	for _, workers := range []int{1, 3, 7} {
 		cfg := DefaultConfig()
 		cfg.Workers = workers
 		d := newTestDevice(t, cfg)
-		a, _ := d.CreateTexture(4, 4, R32F)
-		b, _ := d.CreateTexture(2, 2, R32F)
-		out, _ := d.CreateTexture(4, 4, R32F)
-		vals := make([]float32, 16)
-		for i := range vals {
-			vals[i] = float32(i)
+		texs := make([]*Texture, InlineInputs+2)
+		for k := range texs {
+			texs[k], _ = d.CreateTexture(4, 4, R32F)
+			vals := make([]float32, 16)
+			for i := range vals {
+				vals[i] = float32(100*k + i)
+			}
+			d.Upload(texs[k], vals)
 		}
-		d.Upload(a, vals)
-		d.Upload(b, []float32{100, 200, 300, 400})
 		var setups atomic.Int64
-		d.Execute(&Program{Name: "bound", Inputs: []*Texture{a, b},
+		p := &Program{Name: "bound",
 			Setup: func(in [][]float32) []float32 {
 				setups.Add(1)
 				return []float32{in[1][0] + in[1][3]}
 			},
 			Main: func(in [][]float32, lo, hi int, dst []float32) {
+				staged := in[len(in)-1][0]
 				for i := range dst {
-					dst[i] = in[0][lo+i] + in[2][0]
+					dst[i] = in[0][lo+i] + staged
 				}
-			}}, out)
-		got := d.ReadPixels(out)
-		for i, v := range got {
-			if v != float32(i)+500 {
-				t.Fatalf("%d workers: texel %d = %g, want %g", workers, i, v, float32(i)+500)
+			}}
+		for _, inputs := range [][]*Texture{texs[:2], {texs[3], texs[1]}, texs} {
+			out, _ := d.CreateTexture(4, 4, R32F)
+			d.Execute(p, inputs, out)
+			first := float32(100 * slices.Index(texs, inputs[0]))
+			for i, v := range d.ReadPixels(out) {
+				if want := first + float32(i) + 100 + 103; v != want {
+					t.Fatalf("%d workers, %d inputs: texel %d = %g, want %g", workers, len(inputs), i, v, want)
+				}
 			}
 		}
-		if n := setups.Load(); n != 1 {
-			t.Errorf("%d workers: Setup ran %d times, want once", workers, n)
+		if n := setups.Load(); n != 3 {
+			t.Errorf("%d workers: Setup ran %d times over three dispatches, want three", workers, n)
+		}
+	}
+}
+
+// TestDeviceKeepsItsCoresUntilClose: a device spreads a dispatch over
+// cores it starts once and keeps, so a warmed dispatch starts no goroutine
+// and allocates nothing of its own; Close stops them, and a closed device
+// still runs what it is handed, on the caller.
+func TestDeviceKeepsItsCoresUntilClose(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cfg := DefaultConfig()
+	cfg.Workers = 4
+	d := NewDevice(cfg)
+	out, _ := d.CreateTexture(16, 16, R32F)
+	p := &Program{Name: "fill", Main: perTexel(func(i int) float32 { return float32(i) })}
+	c := &ComputeProgram{Name: "fill", NumGroups: 256, SharedSize: 8,
+		Main: func(g int, shared []float32, store func(int, float32)) { store(g, float32(g)) }}
+	dispatch := func() {
+		d.Execute(p, nil, out)
+		d.ExecuteCompute(c, out)
+		<-d.FenceSync()
+	}
+	dispatch()
+	warmed := runtime.NumGoroutine()
+	if bufpool.RaceEnabled {
+		t.Log("allocation count skipped under the race detector")
+	} else if n := testing.AllocsPerRun(20, dispatch); n > 3 {
+		t.Errorf("a warmed fragment and compute dispatch cost %.0f allocations, want ≤ 3 (the fence's channel and command, the compute store)", n)
+	}
+	if got := runtime.NumGoroutine(); got > warmed {
+		t.Errorf("%d goroutines after 20 dispatches, %d after the first", got, warmed)
+	}
+	d.Close()
+	if d.cores != nil {
+		t.Error("Close left the device's cores running")
+	}
+	// A core that has signalled its exit may not have returned yet.
+	for i := 0; runtime.NumGoroutine() > before && i < 1000; i++ {
+		runtime.Gosched()
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("%d goroutines after Close, %d before NewDevice", got, before)
+	}
+	d.Execute(&Program{Name: "closed", Main: perTexel(func(i int) float32 { return 2 * float32(i) })}, nil, out)
+	for i, v := range d.ReadPixels(out) {
+		if v != 2*float32(i) {
+			t.Fatalf("closed device: texel %d = %g, want %g", i, v, 2*float32(i))
 		}
 	}
 }

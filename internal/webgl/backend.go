@@ -48,6 +48,10 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxFreeRecords bounds the free list of container records: a MobileNet
+// predict disposes 85 containers, which the next predict takes again.
+const maxFreeRecords = 256
+
 // Backend is the WebGL backend (Section 4.1). It has the highest complexity
 // of the three backends, justified in the paper by its two-orders-of-
 // magnitude speedup over plain JS.
@@ -59,6 +63,8 @@ type Backend struct {
 	mu    sync.Mutex
 	data  map[tensor.DataID]*texData
 	bytes int64
+	// records are disposed containers' records, for newTexData to reuse.
+	records []*texData
 
 	useTick atomic.Int64
 
@@ -66,6 +72,7 @@ type Backend struct {
 	pageOuts     atomic.Int64
 	pageIns      atomic.Int64
 	kernelsTable map[string]kernels.OverrideKernel
+	programs     programCache
 }
 
 // New creates a WebGL backend with the given configuration.
@@ -78,6 +85,7 @@ func New(cfg Config) *Backend {
 		device: glsim.NewDevice(cfg.Device),
 		data:   map[tensor.DataID]*texData{},
 	}
+	b.programs.m = map[string]compiled{}
 	b.manager = newTextureManager(b.device, cfg.Recycling)
 	b.initKernels()
 	return b
@@ -111,7 +119,8 @@ func (b *Backend) format() glsim.TextureFormat {
 }
 
 // newTexData allocates the texture for a container of the given logical
-// shape and registers it. It may trigger paging of colder containers.
+// shape and registers it, in a record recycled from a disposed container
+// when there is one. It may trigger paging of colder containers.
 func (b *Backend) newTexData(id tensor.DataID, shape []int, dtype tensor.DataType) (*texData, error) {
 	size := tensor.ShapeSize(shape)
 	w, h, err := texShape(size, b.cfg.Packed, b.cfg.Device.MaxTextureSize)
@@ -122,20 +131,26 @@ func (b *Backend) newTexData(id tensor.DataID, shape []int, dtype tensor.DataTyp
 	if err != nil {
 		return nil, err
 	}
-	td := &texData{
-		id:      id,
-		shape:   tensor.CopyShape(shape),
-		dtype:   dtype,
-		size:    size,
-		tex:     tex,
-		packed:  b.cfg.Packed,
-		lastUse: b.useTick.Add(1),
-	}
 	b.mu.Lock()
 	if _, dup := b.data[id]; dup {
 		b.mu.Unlock()
 		b.manager.release(tex)
 		return nil, fmt.Errorf("webgl: duplicate write for data id %d", id)
+	}
+	var td *texData
+	if n := len(b.records); n > 0 {
+		td, b.records = b.records[n-1], b.records[:n-1]
+	} else {
+		td = new(texData)
+	}
+	*td = texData{
+		id:      id,
+		shape:   append(td.shape[:0], shape...),
+		dtype:   dtype,
+		size:    size,
+		tex:     tex,
+		packed:  b.cfg.Packed,
+		lastUse: b.useTick.Add(1),
 	}
 	b.data[id] = td
 	b.bytes += td.bytes()
@@ -275,11 +290,11 @@ func (b *Backend) ReadSync(d tensor.DataID) []float32 {
 		b.mu.Unlock()
 		return out
 	}
-	tex := td.tex
+	tex, size := td.tex, td.size
 	td.lastUse = b.useTick.Add(1)
 	b.mu.Unlock()
 	vals := b.device.ReadPixels(tex)
-	return vals[:td.size]
+	return vals[:size]
 }
 
 // Read implements kernels.Backend: the asynchronous download of Section
@@ -298,7 +313,9 @@ func (b *Backend) Read(d tensor.DataID) *jsenv.Future[[]float32] {
 		go fut.Resolve(out, nil)
 		return fut
 	}
-	tex := td.tex
+	// The size is read now: once the container is disposed its record may
+	// describe another by the time the fence fires.
+	tex, size := td.tex, td.size
 	td.lastUse = b.useTick.Add(1)
 	b.mu.Unlock()
 
@@ -309,7 +326,7 @@ func (b *Backend) Read(d tensor.DataID) *jsenv.Future[[]float32] {
 			}
 		}()
 		vals := b.device.ReadPixels(tex)
-		fut.Resolve(vals[:td.size], nil)
+		fut.Resolve(vals[:size], nil)
 	}
 
 	if b.cfg.Device.WebGLVersion >= 2 {
@@ -343,7 +360,8 @@ func (b *Backend) Read(d tensor.DataID) *jsenv.Future[[]float32] {
 }
 
 // DisposeData implements kernels.Backend. The texture goes back to the
-// recycler rather than being deleted (Section 4.1.2).
+// recycler rather than being deleted (Section 4.1.2), and the record to a
+// free list of its own for the next container.
 func (b *Backend) DisposeData(d tensor.DataID) {
 	b.mu.Lock()
 	td, ok := b.data[d]
@@ -363,6 +381,11 @@ func (b *Backend) DisposeData(d tensor.DataID) {
 		b.pagedBytes.Add(-td.bytes())
 		td.paged = nil
 	}
+	b.mu.Lock()
+	if len(b.records) < maxFreeRecords {
+		b.records = append(b.records, td)
+	}
+	b.mu.Unlock()
 }
 
 // Memory implements kernels.Backend.

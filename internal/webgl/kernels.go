@@ -34,59 +34,16 @@ func (b *Backend) initKernels() {
 	b.register("GatherV2", b.gather)
 }
 
-// rangeKernel is k's shader program: k's body over the texel range the
-// device hands it, its inputs read from their textures inside the program
-// (a texture's host slice exists once the device queue reaches it). It
-// declares k's work plus what only this backend's shaders cost: the
-// compiled samplers' terms, which squeezing cuts, and a packed matmul's
-// shared A samples.
+// rangeKernel is k's shader program (programs.go), compiled on a call's
+// first dispatch and looked up on every later one.
 func (b *Backend) rangeKernel(k kernels.RangeKernel) kernels.OverrideKernel {
 	return func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-		r, err := k.Resolve(k.Name, inputs, attrs, res)
+		c, err := b.program(k, inputs, &attrs)
 		if err != nil {
 			return err
 		}
-		tex := b.textures(inputs)
-		out, err := b.output(res.Shape, res.DType, res)
-		if err != nil {
-			return err
-		}
-		terms, squeeze := 0, b.cfg.SqueezeLogicalShapes
-		if k.Sampled == kernels.SamplesOutput {
-			terms = samplerTerms(res.Shape, res.Shape, squeeze)
-		}
-		for _, in := range k.Sampled.Inputs(inputs, res.Shape) {
-			terms += samplerTerms(in.Shape, res.Shape, squeeze)
-		}
-		r.Work.ALU += int64(out.size) * int64(kernels.ALUTerm*terms)
-		name := k.Name
-		if name == "BatchMatMul" && out.tex.Format == glsim.RGBA32F && !attrs.TransposeA && !attrs.TransposeB {
-			// Packed matmul: a texel's four consecutive output columns share
-			// their A row samples — the vec4 dot-product trick of the paper's
-			// packed shaders, which the device's clock sees as fewer fetches.
-			rank := len(res.Shape)
-			name, r.Work = name+"(packed)", packedMatMulWork(r.Work, out.size, res.Shape[rank-1], inputs[0].Shape[rank-1])
-		}
-		b.run(name, out, r, tex)
-		return nil
+		return b.dispatch(c.prog, inputs, c.shape, c.dtype, res)
 	}
-}
-
-// input resolves a kernel input to its live texture (paging it back in when
-// needed) and refreshes its LRU tick.
-func (b *Backend) input(in kernels.Input) (*texData, *glsim.Texture) {
-	td := b.lookup(in.DataID)
-	tex := b.touch(td)
-	return td, tex
-}
-
-// textures resolves a kernel's inputs to their live textures, in order.
-func (b *Backend) textures(inputs []kernels.Input) []*glsim.Texture {
-	tex := make([]*glsim.Texture, len(inputs))
-	for i, in := range inputs {
-		_, tex[i] = b.input(in)
-	}
-	return tex
 }
 
 // output allocates a data container for a kernel result, describes it in
@@ -102,20 +59,36 @@ func (b *Backend) output(shape []int, dtype tensor.DataType, res *kernels.Tensor
 	return td, nil
 }
 
-// run executes a program that computes out's logical values with r's
-// body from the textures tex, which the device binds: the body reads their
-// host slices, which exist once the device queue reaches the program. It
-// is the one place the two texel layouts differ: the device hands out
-// texel ranges — a quarter as many invocations when packed (§3.9) — and
-// run turns them into value ranges, clips them to the logical size and
-// zeroes the padding values of the last texels. The body inherits the
-// fragment-shader contract from glsim.Program.Main: what it writes for a
-// value depends only on that value's index (TestKernelContract). A staged
-// buffer (kernels.Stage) is the program's Setup, computed on the device
-// once, before the ranges.
-func (b *Backend) run(name string, out *texData, r kernels.Range, tex []*glsim.Texture) {
-	size, channels, fill := out.size, out.tex.Format.Channels(), r.Fill
-	p := &glsim.Program{Name: name, Work: device(r.Work), Inputs: tex, Main: func(in [][]float32, lo, hi int, dst []float32) {
+// dispatch runs p on a call's inputs into a new output of the given shape
+// and dtype, described in res: it binds the inputs' live textures to the
+// command, in order, allocates the output and enqueues.
+func (b *Backend) dispatch(p *glsim.Program, inputs []kernels.Input, shape []int, dtype tensor.DataType, res *kernels.TensorInfo) error {
+	var bound [glsim.InlineInputs]*glsim.Texture
+	tex := bound[:0]
+	for _, in := range inputs {
+		tex = append(tex, b.InputTexture(in))
+	}
+	out, err := b.output(shape, dtype, res)
+	if err != nil {
+		return err
+	}
+	b.device.Execute(p, tex, out.tex)
+	return nil
+}
+
+// shader is the program that computes an output of size logical values
+// with r's body from its inputs' host slices, which the device binds per
+// dispatch. It is the one place the two texel layouts differ: the device
+// hands out texel ranges — a quarter as many invocations when packed
+// (§3.9) — and the program turns them into value ranges, clips them to the
+// logical size and zeroes the padding values of the last texels. The body
+// inherits the fragment-shader contract from glsim.Program.Main: what it
+// writes for a value depends only on that value's index
+// (TestKernelContract). A staged buffer (kernels.Stage) is the program's
+// Setup, computed on the device once per dispatch, before the ranges.
+func (b *Backend) shader(name string, size int, r kernels.Range) *glsim.Program {
+	channels, fill := b.format().Channels(), r.Fill
+	p := &glsim.Program{Name: name, Work: device(r.Work), Main: func(in [][]float32, lo, hi int, dst []float32) {
 		lo, hi = lo*channels, min(hi*channels, size)
 		n := max(hi-lo, 0)
 		if n > 0 {
@@ -130,33 +103,30 @@ func (b *Backend) run(name string, out *texData, r kernels.Range, tex []*glsim.T
 			return staged
 		}
 	}
-	b.device.Execute(p, out.tex)
+	return p
 }
 
 // gather is the GatherV2 program, on its range body (kernels.Gather): two
 // fetches per value behind two div/mod pairs and the index's bounds check.
+// It is compiled per dispatch: GatherV2 is no entry of the range table.
 func (b *Backend) gather(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 	g, err := kernels.ResolveGather(inputs, attrs, res)
 	if err != nil {
 		return err
 	}
-	tex := b.textures(inputs)
-	out, err := b.output(res.Shape, res.DType, res)
-	if err != nil {
-		return err
-	}
-	b.run("GatherV2", out, kernels.Range{Fill: func(in [][]float32, lo int, dst []float32) {
+	size := tensor.ShapeSize(res.Shape)
+	p := b.shader("GatherV2", size, kernels.Range{Fill: func(in [][]float32, lo int, dst []float32) {
 		g.Fill(in[0], in[1], lo, dst)
-	}, Work: kernels.PerValue(out.size, 2, 2*kernels.ALUDecode+2)}, tex)
-	return nil
+	}, Work: kernels.PerValue(size, 2, 2*kernels.ALUDecode+2)})
+	return b.dispatch(p, inputs, res.Shape, res.DType, res)
 }
 
 // InputTexture resolves a kernel input to its live device texture, paging
-// it back in when needed. Exported for backends layered on this one (the
-// experimental WebGPU backend reuses the WebGL data plane).
+// it back in when needed, and refreshes its LRU tick. Exported for
+// backends layered on this one (the experimental WebGPU backend reuses the
+// WebGL data plane).
 func (b *Backend) InputTexture(in kernels.Input) *glsim.Texture {
-	_, tex := b.input(in)
-	return tex
+	return b.touch(b.lookup(in.DataID))
 }
 
 // Output allocates a device container for a kernel result, describes it in

@@ -9,8 +9,12 @@ import (
 )
 
 // TestBatchNormDispatchCompilesNothing bounds the allocations of one warmed
-// FusedBatchNorm dispatch (output container, program, queue entry — and no
-// samplers, strides or index terms; the compiled path allocated about 42).
+// FusedBatchNorm dispatch: its program comes from the program cache, its
+// five inputs ride in the queue entry and its output's record is recycled,
+// so what is left is the caller's descriptor and its shape. It read 12
+// while each dispatch built its program, its closure, a texture list and a
+// record, and about 42 while the program compiled samplers, strides and
+// index terms.
 func TestBatchNormDispatchCompilesNothing(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -37,7 +41,7 @@ func TestBatchNormDispatchCompilesNothing(t *testing.T) {
 	}
 	dispatch() // fills the recycler
 	<-b.device.FenceSync()
-	const budget = 12
+	const budget = 2
 	if allocs := testing.AllocsPerRun(50, dispatch); allocs > budget {
 		t.Fatalf("one FusedBatchNorm dispatch allocates %.0f times, budget %d: is the channel-suffix path compiling samplers?", allocs, budget)
 	} else {

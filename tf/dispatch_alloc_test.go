@@ -16,9 +16,13 @@ import (
 // → one tracked tensor, and the dispose. The budgets are the readings with
 // one pooled dispatch frame per call, a tape node built only when a tape
 // keeps it and no per-tensor strides (3 on cpu and node: the handle, its
-// shape and the kernel's one; 8 and 8 on webgl, where Add read 10 while
-// its program broadcast the shapes and listed the operands' periods into
-// slices of their own). They were 12, 12, 19 and 17 with a kernel writing
+// shape and the kernel's one; 2 and 2 on webgl, the handle and its shape:
+// a warmed program is looked up, not built, its inputs are bound to the
+// device command and its output's record is recycled). Webgl read 8 and 8
+// while each dispatch resolved its call and built a program, a closure, a
+// texture list and a record, and Add 10 while its program broadcast the
+// shapes and listed the operands' periods into slices of their own. They
+// were 12, 12, 19 and 17 with a kernel writing
 // its one output into the engine's descriptor; returning a slice of
 // outputs through a per-kernel wrapper cost two more on every backend (14
 // on cpu and node, 21 and 19 on webgl).
@@ -31,7 +35,7 @@ func TestEagerDispatchAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		backend   string
 		add, relu float64
-	}{{"cpu", 3, 3}, {"node", 3, 3}, {"webgl", 8, 8}} {
+	}{{"cpu", 3, 3}, {"node", 3, 3}, {"webgl", 2, 2}} {
 		if err := tf.SetBackend(c.backend); err != nil {
 			t.Fatal(err)
 		}
@@ -61,11 +65,17 @@ func TestEagerDispatchAllocBudget(t *testing.T) {
 // non-suffix broadcast, a vec row, an attribute-taking row and a
 // predicate), on node and webgl. Conv2D and MaxPool are dispatched
 // without strides or dilations, so a zero field's meaning allocated per
-// call shows. On webgl each dispatch is followed by a fence
-// (seven allocations of its own), so that the device has run the program
-// and recycled its texture before the next: unfenced, the reading depends
-// on how far the device lags. A budget is the lowest reading yet; a
-// change may lower one and may not raise any. Node read 10 a dispatch (12
+// call shows. On webgl each dispatch is followed by a fence (two
+// allocations of its own: its channel and its command), so that the device
+// has run the program and recycled its texture before the next: unfenced,
+// the reading depends on how far the device lags. The device's cores are
+// started once, so the webgl readings are the same on one CPU and on
+// several. A budget is the lowest reading yet; a change may lower one and
+// may not raise any. Webgl reads 4 (the handle, its shape and the fence;
+// 5 for Conv2DBackpropInput, whose program stages its transposed filter
+// per dispatch); it read 10–12 on one CPU while each dispatch resolved its
+// call and built its program, and 15–17 on two, where each dispatch also
+// started a goroutine per device core. Node read 10 a dispatch (12
 // for MaxPool and Transpose, 11 for Concat) and webgl 22–24 before the
 // engine's share of a dispatch went 7 → 2: the output handle and its shape.
 // MaxPool read 4 on node and 16 on webgl while its filter shape escaped
@@ -107,9 +117,9 @@ func TestEagerDispatchAllocBudgetPerClass(t *testing.T) {
 		"node": {"Conv2D": 3, "FusedConv2D": 3, "DepthwiseConv2dNative": 3, "MaxPool": 3, "BatchMatMul": 3, "Sum": 3, "Softmax": 3,
 			"Transpose": 3, "Concat": 4, "Conv2DBackpropFilter": 3, "Conv2DBackpropInput": 3, "AdamMoments": 3,
 			"Mul": 3, "Add": 3, "Sub": 3, "Relu6": 3, "Step": 4, "GreaterEqual": 3},
-		"webgl": {"Conv2D": 15, "FusedConv2D": 15, "DepthwiseConv2dNative": 15, "MaxPool": 15, "BatchMatMul": 16, "Sum": 15, "Softmax": 15,
-			"Transpose": 15, "Concat": 16, "Conv2DBackpropFilter": 15, "Conv2DBackpropInput": 17, "AdamMoments": 15,
-			"Mul": 15, "Add": 15, "Sub": 15, "Relu6": 15, "Step": 16, "GreaterEqual": 15},
+		"webgl": {"Conv2D": 4, "FusedConv2D": 4, "DepthwiseConv2dNative": 4, "MaxPool": 4, "BatchMatMul": 4, "Sum": 4, "Softmax": 4,
+			"Transpose": 4, "Concat": 4, "Conv2DBackpropFilter": 4, "Conv2DBackpropInput": 5, "AdamMoments": 4,
+			"Mul": 4, "Add": 4, "Sub": 4, "Relu6": 4, "Step": 4, "GreaterEqual": 4},
 	}
 	for _, backend := range []string{"node", "webgl"} {
 		if err := tf.SetBackend(backend); err != nil {
