@@ -24,7 +24,6 @@ func main() {
 	quantize := flag.Int("quantize", 0, "quantization bytes: 0 (none), 1 (uint8, 4x) or 2 (uint16, 2x)")
 	out := flag.String("out", "./artifacts", "output directory")
 	verify := flag.Bool("verify", true, "reload the converted model and compare predictions")
-	staticVerify := flag.Bool("static-verify", true, "statically verify graph shapes/dtypes before writing artifacts (tfjs-vet tier 2)")
 	flag.Parse()
 
 	if err := tf.SetBackend("node"); err != nil {
@@ -66,18 +65,13 @@ func main() {
 	}
 
 	store := tf.NewFSStore(*out)
-	res, err := tf.Convert(graph, store, tf.ConvertOptions{
-		QuantizationBytes: *quantize, SkipVerify: !*staticVerify,
-	})
+	res, err := tf.Convert(graph, store, tf.ConvertOptions{QuantizationBytes: *quantize})
 	if err != nil {
-		// With static verification on, a rank- or dtype-inconsistent graph
-		// dies here with a node-and-edge diagnostic — at conversion time,
-		// not at the client's first predict.
+		// A graph the plan cannot run dies here with a node diagnostic — at
+		// conversion time, not at the client's first predict.
 		log.Fatal(err)
 	}
-	if *staticVerify {
-		fmt.Printf("static verify: OK — %d nodes shape/dtype-checked before writing\n", res.NodesAfter)
-	}
+	fmt.Printf("graph verify: OK — %d nodes checked by their kernels before writing\n", res.NodesAfter)
 	fmt.Printf("pruned %d -> %d nodes (dropped %d training-only/unreachable nodes)\n",
 		res.NodesBefore, res.NodesAfter, len(res.PrunedNodes))
 	fmt.Printf("weights: %.2f MiB across %d shard(s) (quantization: %d bytes)\n",

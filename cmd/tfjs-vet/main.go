@@ -5,7 +5,6 @@
 //	tensorleak    constructor results must be disposed/kept/returned/escape
 //	syncread      no blocking reads reachable from event-loop callbacks
 //	operr         typed *core.OpError panics; no discarded internal errors
-//	kernelparity  backend/decoder kernel-name literals must agree
 //	poolretain    no Raw/ReadSync buffer view may escape the recycler's reach
 //	lockorder     exec lock is outermost; never acquire it under a mutex
 //

@@ -1,6 +1,6 @@
 // Package analysis is the source-level tier of the tfjs-vet static-analysis
 // suite: a small analyzer framework (stdlib go/parser + go/types only, no
-// external driver) plus six repo-specific analyzers encoding the paper's
+// external driver) plus five repo-specific analyzers encoding the paper's
 // discipline for a GC-free tensor library:
 //
 //   - tensorleak: every ops.*/tf.* constructor result must be disposed,
@@ -12,8 +12,6 @@
 //     path exists to avoid.
 //   - operr: kernel and op code panics with typed *core.OpError values
 //     naming the kernel, and module-internal errors may not be discarded.
-//   - kernelparity: kernel registration strings stay consistent across the
-//     reference/native/webgl backends and the graph decoder.
 //   - poolretain: no backend Raw/ReadSync buffer view escaping into
 //     fields, channels, package vars or exported results, nor read after
 //     DisposeData — stale views the buffer recycler turns into silent
@@ -82,7 +80,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzer is one check. Per-package analyzers run once per loaded
 // package; module-level analyzers run once over the whole Program (used
-// when the property spans packages, like backend kernel parity).
+// when the property spans packages, like the lock order).
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -92,7 +90,7 @@ type Analyzer struct {
 }
 
 // All lists every registered analyzer in reporting order.
-var All = []*Analyzer{TensorLeak, SyncRead, OpErr, KernelParity, PoolRetain, LockOrder}
+var All = []*Analyzer{TensorLeak, SyncRead, OpErr, PoolRetain, LockOrder}
 
 // ByName resolves a comma-separated analyzer list; nil selects All.
 func ByName(names string) ([]*Analyzer, error) {

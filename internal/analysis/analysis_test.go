@@ -112,21 +112,6 @@ func TestOpErrFixture(t *testing.T) {
 	}
 }
 
-func TestKernelParityFixture(t *testing.T) {
-	got := runFixture(t, "parityfix")
-	checkGolden(t, "parityfix", got)
-	for _, fragment := range []string{`"Sofmax"`, `"Gelu"`, `"Conv3D"`, `"Reluu"`} {
-		if !strings.Contains(got, fragment) {
-			t.Errorf("expected a finding about %s, got:\n%s", fragment, got)
-		}
-	}
-	for _, clean := range []string{`"Add"`, `"Identity"`, `"BiasAdd"`, `"Relu"`, `"Neg"`} {
-		if strings.Contains(got, clean) {
-			t.Errorf("false positive about %s:\n%s", clean, got)
-		}
-	}
-}
-
 func TestSuppressions(t *testing.T) {
 	got := runFixture(t, "suppressfix")
 	checkGolden(t, "suppressfix", got)
@@ -215,11 +200,11 @@ func TestRepoIsClean(t *testing.T) {
 }
 
 func TestAnalyzerSelection(t *testing.T) {
-	sel, err := analysis.ByName("tensorleak,kernelparity")
+	sel, err := analysis.ByName("tensorleak,operr")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sel) != 2 || sel[0].Name != "tensorleak" || sel[1].Name != "kernelparity" {
+	if len(sel) != 2 || sel[0].Name != "tensorleak" || sel[1].Name != "operr" {
 		t.Fatalf("unexpected selection: %v", sel)
 	}
 	if _, err := analysis.ByName("nope"); err == nil {

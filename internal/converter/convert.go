@@ -21,14 +21,6 @@ type Options struct {
 	QuantizationBytes int
 	// ShardBytes overrides the shard size; 0 means DefaultShardBytes.
 	ShardBytes int
-	// SkipPruning disables the training-op pruning pass (for tests).
-	SkipPruning bool
-	// SkipVerify disables the static shape/dtype verification pass run on
-	// the pruned graph before artifacts are written (the convert-time tier
-	// of the tfjs-vet suite). With verification on — the default — a rank-
-	// or dtype-inconsistent model is rejected at conversion time with a
-	// node-and-edge diagnostic instead of at the client's first predict.
-	SkipVerify bool
 }
 
 // WeightQuant records the affine dequantization parameters of one
@@ -90,21 +82,12 @@ func Convert(g *savedmodel.GraphDef, store Store, opts Options) (*Result, error)
 		return nil, fmt.Errorf("converter: quantization must be 0, 1 or 2 bytes, got %d", opts.QuantizationBytes)
 	}
 
-	res := &Result{NodesBefore: len(g.Nodes)}
-	pruned := g
-	if !opts.SkipPruning {
-		var prunedNames []string
-		pruned, prunedNames = Prune(g)
-		res.PrunedNodes = prunedNames
-	}
-	res.NodesAfter = len(pruned.Nodes)
-
-	if !opts.SkipVerify {
-		// Static shape/dtype verification over the graph being shipped:
-		// malformed artifacts are rejected here, not at first predict.
-		if err := savedmodel.VerifyGraph(pruned); err != nil {
-			return nil, fmt.Errorf("converter: refusing to write artifacts: %w", err)
-		}
+	pruned, prunedNames := Prune(g)
+	res := &Result{NodesBefore: len(g.Nodes), NodesAfter: len(pruned.Nodes), PrunedNodes: prunedNames}
+	// The graph being shipped is verified (savedmodel.VerifyGraph): a model
+	// the plan cannot run is rejected here, not at the first predict.
+	if err := savedmodel.VerifyGraph(pruned); err != nil {
+		return nil, fmt.Errorf("converter: refusing to write artifacts: %w", err)
 	}
 
 	// Pack weights in deterministic (node) order.
@@ -252,52 +235,90 @@ func encodeWeight(values []float32, quantBytes int) ([]byte, *WeightQuant) {
 	}
 }
 
-// decodeWeight is the inverse of encodeWeight.
-func decodeWeight(data []byte, n int, quant *WeightQuant) ([]float32, error) {
-	out := make([]float32, n)
+// decodeWeight decodes spec's values from the front of payload, the
+// inverse of encodeWeight, and returns them with the bytes they take. A
+// spec whose dtype is unknown, whose shape has a negative dim, or whose
+// values need more bytes than payload holds is an error: its size would
+// wrap, or mis-slice every weight packed after it.
+func decodeWeight(spec WeightSpec, payload []byte) ([]float32, int, error) {
+	if _, err := tensor.ParseDataType(spec.DType); err != nil {
+		return nil, 0, err
+	}
+	n := 1
+	for _, d := range spec.Shape {
+		if d < 0 {
+			return nil, 0, fmt.Errorf("negative dim in shape %v", spec.Shape)
+		}
+		// Every value takes at least one byte, so the product stays below
+		// the payload's length and cannot overflow.
+		if d > 0 && n > len(payload)/d {
+			return nil, 0, fmt.Errorf("shape %v exceeds payload", spec.Shape)
+		}
+		n *= d
+	}
+	quant, width := spec.Quantization, 4
 	switch {
 	case quant == nil:
-		if len(data) < 4*n {
-			return nil, fmt.Errorf("converter: weight payload truncated: have %d bytes want %d", len(data), 4*n)
-		}
-		for i := 0; i < n; i++ {
-			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
-		}
 	case quant.DType == "uint8":
-		if len(data) < n {
-			return nil, fmt.Errorf("converter: quantized payload truncated")
-		}
-		for i := 0; i < n; i++ {
-			out[i] = float32(quant.Min + float64(data[i])*quant.Scale)
-		}
+		width = 1
 	case quant.DType == "uint16":
-		if len(data) < 2*n {
-			return nil, fmt.Errorf("converter: quantized payload truncated")
+		width = 2
+	default:
+		return nil, 0, fmt.Errorf("unknown quantization dtype %q", quant.DType)
+	}
+	if width*n > len(payload) {
+		return nil, 0, fmt.Errorf("shape %v exceeds payload", spec.Shape)
+	}
+	out := make([]float32, n)
+	switch width {
+	case 4:
+		for i := range out {
+			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
 		}
-		for i := 0; i < n; i++ {
-			q := binary.LittleEndian.Uint16(data[2*i:])
-			out[i] = float32(quant.Min + float64(q)*quant.Scale)
+	case 1:
+		for i := range out {
+			out[i] = float32(quant.Min + float64(payload[i])*quant.Scale)
 		}
 	default:
-		return nil, fmt.Errorf("converter: unknown quantization dtype %q", quant.DType)
+		for i := range out {
+			out[i] = float32(quant.Min + float64(binary.LittleEndian.Uint16(payload[2*i:]))*quant.Scale)
+		}
 	}
-	return out, nil
+	return out, width * n, nil
 }
 
-// weightByteLen returns the encoded byte length of a weight, or an error
-// for a quantization dtype this loader does not decode — guessing a width
-// would mis-slice every weight packed after it.
-func weightByteLen(n int, quant *WeightQuant) (int, error) {
-	switch {
-	case quant == nil:
-		return 4 * n, nil
-	case quant.DType == "uint8":
-		return n, nil
-	case quant.DType == "uint16":
-		return 2 * n, nil
-	default:
-		return 0, fmt.Errorf("converter: unknown quantization dtype %q", quant.DType)
+// loadWeights reads the weights of every group of a manifest, in order. A
+// group's shards hold its weights' bytes end to end and nothing else: a
+// byte past its last weight is an error too.
+func loadWeights(store Store, groups []WeightsGroup) ([]savedmodel.Weight, error) {
+	var weights []savedmodel.Weight
+	for _, group := range groups {
+		var payload []byte
+		for _, path := range group.Paths {
+			shard, err := store.Read(path)
+			if err != nil {
+				return nil, fmt.Errorf("converter: reading shard %q: %w", path, err)
+			}
+			payload = append(payload, shard...)
+		}
+		offset := 0
+		for _, spec := range group.Weights {
+			values, n, err := decodeWeight(spec, payload[offset:])
+			if err != nil {
+				return nil, fmt.Errorf("converter: weight %q: %w", spec.Name, err)
+			}
+			offset += n
+			weights = append(weights, savedmodel.Weight{Name: spec.Name, Shape: spec.Shape, DType: spec.DType, Values: values})
+		}
+		if rest := len(payload) - offset; rest != 0 {
+			last := ""
+			if len(group.Weights) > 0 {
+				last = group.Weights[len(group.Weights)-1].Name
+			}
+			return nil, fmt.Errorf("converter: %d bytes follow weight %q, the last of shards %v", rest, last, group.Paths)
+		}
 	}
+	return weights, nil
 }
 
 // LoadArtifacts reads model.json plus shards from store and reconstructs
@@ -315,35 +336,12 @@ func LoadArtifacts(store Store) (*savedmodel.GraphDef, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, group := range model.WeightsManifest {
-		// Re-assemble the contiguous payload from its shards.
-		var payload []byte
-		for _, path := range group.Paths {
-			shard, err := store.Read(path)
-			if err != nil {
-				return nil, fmt.Errorf("converter: reading shard %q: %w", path, err)
-			}
-			payload = append(payload, shard...)
-		}
-		offset := 0
-		for _, spec := range group.Weights {
-			n := tensor.ShapeSize(spec.Shape)
-			byteLen, err := weightByteLen(n, spec.Quantization)
-			if err != nil {
-				return nil, fmt.Errorf("converter: weight %q: %w", spec.Name, err)
-			}
-			if offset+byteLen > len(payload) {
-				return nil, fmt.Errorf("converter: weight %q exceeds payload", spec.Name)
-			}
-			values, err := decodeWeight(payload[offset:offset+byteLen], n, spec.Quantization)
-			if err != nil {
-				return nil, fmt.Errorf("converter: weight %q: %w", spec.Name, err)
-			}
-			offset += byteLen
-			g.Weights[spec.Name] = &savedmodel.Weight{
-				Name: spec.Name, Shape: spec.Shape, DType: spec.DType, Values: values,
-			}
-		}
+	weights, err := loadWeights(store, model.WeightsManifest)
+	if err != nil {
+		return nil, err
+	}
+	for i := range weights {
+		g.Weights[weights[i].Name] = &weights[i]
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err

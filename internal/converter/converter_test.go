@@ -1,6 +1,7 @@
 package converter_test
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"strings"
@@ -253,4 +254,65 @@ func TestLoadMissingArtifact(t *testing.T) {
 		t.Fatal("expected error loading from empty store")
 	}
 	_ = tensor.ShapeSize // keep import
+}
+
+// TestHostileWeightSpecsFailAtLoad: a weight spec the loader cannot honour
+// — a negative dim, a shape whose size overflows, an unknown dtype, a
+// shard holding bytes past the last weight — is a load-time error naming
+// the weight, not a panic, a weight of zero values or a silent truncation.
+// A group's payload is exactly its weights' bytes.
+func TestHostileWeightSpecsFailAtLoad(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		edit  func(spec *converter.WeightSpec)
+		extra int // bytes appended to the shard
+	}{
+		{"negative dim", func(s *converter.WeightSpec) { s.Shape = []int{-1, 4} }, 0},
+		{"overflowing size", func(s *converter.WeightSpec) { s.Shape = []int{4611686018427387904, 4} }, 0},
+		{"unknown dtype", func(s *converter.WeightSpec) { s.DType = "complex128" }, 0},
+		{"bytes past the last weight", func(*converter.WeightSpec) {}, 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := &savedmodel.GraphDef{
+				Nodes: []savedmodel.NodeDef{
+					{Name: "x", Op: "Placeholder", Attrs: map[string]any{"shape": []int{-1, 2}}},
+					{Name: "W", Op: "Const"},
+					{Name: "y", Op: "MatMul", Inputs: []string{"x", "W"}},
+				},
+				Weights: map[string]*savedmodel.Weight{"W": {Name: "W", Shape: []int{2, 4}, DType: "float32", Values: make([]float32, 8)}},
+				Inputs:  []string{"x"}, Outputs: []string{"y"},
+			}
+			store := converter.NewMemStore()
+			if _, err := converter.Convert(g, store, converter.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := store.Read("model.json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var model converter.ModelJSON
+			if err := json.Unmarshal(raw, &model); err != nil {
+				t.Fatal(err)
+			}
+			group := model.WeightsManifest[0]
+			c.edit(&group.Weights[0])
+			if raw, err = json.Marshal(model); err != nil {
+				t.Fatal(err)
+			}
+			shard, err := store.Read(group.Paths[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Write("model.json", raw); err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Write(group.Paths[0], append(shard, make([]byte, c.extra)...)); err != nil {
+				t.Fatal(err)
+			}
+			_, err = converter.LoadArtifacts(store)
+			if err == nil || !strings.Contains(err.Error(), `weight "W"`) {
+				t.Fatalf("load error %v does not name weight \"W\"", err)
+			}
+		})
+	}
 }

@@ -100,33 +100,13 @@ func LoadLayersModel(store Store) (*layers.Sequential, error) {
 		return nil, err
 	}
 
-	var weights []layers.NamedWeight
-	for _, group := range model.WeightsManifest {
-		var payload []byte
-		for _, path := range group.Paths {
-			shard, err := store.Read(path)
-			if err != nil {
-				return nil, fmt.Errorf("converter: reading shard %q: %w", path, err)
-			}
-			payload = append(payload, shard...)
-		}
-		offset := 0
-		for _, spec := range group.Weights {
-			n := tensor.ShapeSize(spec.Shape)
-			byteLen, err := weightByteLen(n, spec.Quantization)
-			if err != nil {
-				return nil, fmt.Errorf("converter: weight %q: %w", spec.Name, err)
-			}
-			if offset+byteLen > len(payload) {
-				return nil, fmt.Errorf("converter: weight %q exceeds payload", spec.Name)
-			}
-			values, err := decodeWeight(payload[offset:offset+byteLen], n, spec.Quantization)
-			if err != nil {
-				return nil, fmt.Errorf("converter: weight %q: %w", spec.Name, err)
-			}
-			offset += byteLen
-			weights = append(weights, layers.NamedWeight{Name: spec.Name, Shape: spec.Shape, Values: values})
-		}
+	loaded, err := loadWeights(store, model.WeightsManifest)
+	if err != nil {
+		return nil, err
+	}
+	weights := make([]layers.NamedWeight, len(loaded))
+	for i, w := range loaded {
+		weights[i] = layers.NamedWeight{Name: w.Name, Shape: w.Shape, Values: w.Values}
 	}
 	if err := m.SetWeights(weights); err != nil {
 		return nil, err

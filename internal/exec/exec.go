@@ -5,10 +5,12 @@
 // to the backend. Config holds only decisions some caller makes (see
 // TestConfigSurface for the admission rule); anything the code can work
 // out from its inputs — which GEMM core suits an operand, whether to
-// recycle buffers, whether to verify a compiled plan — is not an option.
+// recycle buffers, whether to verify a graph or a compiled plan — is not
+// an option.
 // CostModel breaks that rule: it has one value left and stays only
 // because bench/fixtures.go still sets it, and files under bench/ change
-// only together with the benchmark.
+// only together with the benchmark. There is no verification option: a
+// graph the plan cannot run is a load-time error, always.
 //
 // Nothing flows the other way: a plan hands the backend no per-step hint,
 // and the backend reads no clock; each kernel sizes its own parallelism
@@ -33,7 +35,7 @@ const CostModelStatic CostModel = "static"
 
 // Config is the resolved execution configuration. The zero value means
 // "all defaults": one worker per GOMAXPROCS, static cost model, graph
-// optimization and verification on.
+// optimization on.
 type Config struct {
 	// Workers is the intra-op parallelism budget: how many chunks of one
 	// kernel's index space may execute concurrently. 0 means "unset":
@@ -42,11 +44,10 @@ type Config struct {
 	// Results are bit-identical across any value — only wall time changes.
 	Workers int
 
-	// Optimize and Verify gate the load-time graph rewriter and the
-	// static shape/dtype verifier. nil means on (the default); the
-	// pointer form distinguishes "unset" from "explicitly disabled".
+	// Optimize gates the load-time graph rewriter. nil means on (the
+	// default); the pointer form distinguishes "unset" from "explicitly
+	// disabled". The graph verifier has no gate: every load runs it.
 	Optimize *bool
-	Verify   *bool
 
 	// CostModel names the per-step cost source for grain selection: empty
 	// or CostModelStatic, the only one.
@@ -70,11 +71,6 @@ func WithWorkers(n int) Option {
 // WithOptimize toggles load-time graph optimization.
 func WithOptimize(on bool) Option {
 	return func(c *Config) { c.Optimize = &on }
-}
-
-// WithVerify toggles load-time graph verification.
-func WithVerify(on bool) Option {
-	return func(c *Config) { c.Verify = &on }
 }
 
 // WithCostModel selects the per-step cost model driving the parallelism
@@ -110,9 +106,6 @@ func (c Config) Merge(over Config) Config {
 	if over.Optimize != nil {
 		out.Optimize = over.Optimize
 	}
-	if over.Verify != nil {
-		out.Verify = over.Verify
-	}
 	if over.CostModel != "" {
 		out.CostModel = over.CostModel
 	}
@@ -124,9 +117,6 @@ func (c Config) Merge(over Config) Config {
 
 // OptimizeOn reports whether graph optimization is enabled (default true).
 func (c Config) OptimizeOn() bool { return c.Optimize == nil || *c.Optimize }
-
-// VerifyOn reports whether graph verification is enabled (default true).
-func (c Config) VerifyOn() bool { return c.Verify == nil || *c.Verify }
 
 // Validate rejects an unknown cost model early, at the API edge, rather
 // than deep inside a kernel dispatch.

@@ -16,9 +16,10 @@ import (
 // the experiment that needs it, not here. CostModel fails the rule — it
 // has one value, CostModelStatic — and stays only because bench/fixtures.go
 // sets it and files under bench/ change only with the benchmark; the next
-// benchmark change drops that line and this field (5 → 4).
+// benchmark change drops that line and this field (4 → 3). Verify failed
+// the rule — no non-test caller set it — and went: every load verifies.
 func TestConfigSurface(t *testing.T) {
-	want := []string{"Workers", "Optimize", "Verify", "CostModel", "PoolPoison"}
+	want := []string{"Workers", "Optimize", "CostModel", "PoolPoison"}
 	typ := reflect.TypeOf(exec.Config{})
 	var got []string
 	for i := 0; i < typ.NumField(); i++ {
@@ -31,8 +32,8 @@ func TestConfigSurface(t *testing.T) {
 
 func TestZeroConfigMeansDefaults(t *testing.T) {
 	var c exec.Config
-	if !c.OptimizeOn() || !c.VerifyOn() {
-		t.Fatalf("zero config: OptimizeOn=%v VerifyOn=%v, want both true", c.OptimizeOn(), c.VerifyOn())
+	if !c.OptimizeOn() {
+		t.Fatal("zero config: OptimizeOn=false, want true")
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatalf("zero config must validate: %v", err)
@@ -44,14 +45,13 @@ func TestMakeResolvesOptions(t *testing.T) {
 		exec.WithWorkers(4),
 		exec.WithCostModel(exec.CostModelStatic),
 		exec.WithOptimize(false),
-		exec.WithVerify(false),
 		nil, // nil options are tolerated
 	)
 	if c.Workers != 4 || c.CostModel != exec.CostModelStatic {
 		t.Fatalf("unexpected config: %+v", c)
 	}
-	if c.OptimizeOn() || c.VerifyOn() {
-		t.Fatalf("explicit disables ignored: OptimizeOn=%v VerifyOn=%v", c.OptimizeOn(), c.VerifyOn())
+	if c.OptimizeOn() {
+		t.Fatal("explicit disable ignored: OptimizeOn=true")
 	}
 }
 
@@ -59,7 +59,7 @@ func TestMakeResolvesOptions(t *testing.T) {
 // inherits the rest — the precedence rule ConfigureExec, LoadGraphModel
 // and serving.ModelOptions all rely on.
 func TestMergePrecedence(t *testing.T) {
-	base := exec.Make(exec.WithWorkers(8), exec.WithCostModel(exec.CostModelStatic), exec.WithVerify(false))
+	base := exec.Make(exec.WithWorkers(8), exec.WithCostModel(exec.CostModelStatic), exec.WithOptimize(false))
 
 	over := exec.Make(exec.WithWorkers(2), exec.WithPoolPoison(true))
 	got := base.Merge(over)
@@ -72,18 +72,18 @@ func TestMergePrecedence(t *testing.T) {
 	if got.PoolPoison == nil || !*got.PoolPoison {
 		t.Fatal("override PoolPoison must win")
 	}
-	if got.VerifyOn() {
-		t.Fatal("inherited Verify=false lost in merge")
+	if got.OptimizeOn() {
+		t.Fatal("inherited Optimize=false lost in merge")
 	}
 
 	// An explicit re-enable in the override beats the base's disable.
-	got = base.Merge(exec.Make(exec.WithVerify(true)))
-	if !got.VerifyOn() {
-		t.Fatal("override Verify=true must win over base Verify=false")
+	got = base.Merge(exec.Make(exec.WithOptimize(true)))
+	if !got.OptimizeOn() {
+		t.Fatal("override Optimize=true must win over base Optimize=false")
 	}
 
 	// Merging a zero config changes nothing.
-	if got := base.Merge(exec.Config{}); got.Workers != 8 || got.CostModel != exec.CostModelStatic || got.VerifyOn() {
+	if got := base.Merge(exec.Config{}); got.Workers != 8 || got.CostModel != exec.CostModelStatic || got.OptimizeOn() {
 		t.Fatalf("zero-config merge must be identity: %+v", got)
 	}
 }

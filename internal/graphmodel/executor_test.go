@@ -326,32 +326,42 @@ func brokenNodeGraph(bad savedmodel.NodeDef) *savedmodel.GraphDef {
 	}
 }
 
-// TestBrokenNodeFailsOnlyWhenReached: a node with no lowering, a malformed
-// attribute or the wrong arity does not disqualify the model or its plan.
-// Loading succeeds, the plan exports and verifies, reaching the node fails
-// with the interpreter's message and hands every container back, and
-// feeding the node steps over it.
+// TestBrokenNodeFailsOnlyWhenReached: a node with no lowering does not
+// disqualify the model or its plan — the verifier is silent on it. Loading
+// succeeds, the plan exports and verifies, reaching the node fails with the
+// interpreter's message and hands every container back, and feeding the
+// node steps over it. A lowered node with a malformed attribute or the
+// wrong arity is no such node: the load rejects it, naming it.
 func TestBrokenNodeFailsOnlyWhenReached(t *testing.T) {
 	bk := onBackend(t, "node")
 	for _, tc := range []struct {
 		name string
 		node savedmodel.NodeDef
 		want string
+		// atLoad: the load rejects the node with issue want.
+		atLoad bool
 	}{
 		{"unsupported op", savedmodel.NodeDef{Op: "FFT"},
-			`graphmodel: unsupported op "FFT" (node "bad")`},
+			`graphmodel: unsupported op "FFT" (node "bad")`, false},
 		{"pad with two paddings", savedmodel.NodeDef{Op: "Pad", Attrs: map[string]any{"padding": []int{1, 1}}},
-			`graphmodel: node "bad" (Pad): attr "padding" needs [top bottom left right], got [1 1]`},
+			`node "bad" (Pad): attr "padding" needs [top bottom left right], got [1 1]`, true},
 		// The int8 compute tier is gone: no plan lowers its ops.
 		{"quantized op is unsupported", savedmodel.NodeDef{Op: "QuantizedFusedConv2D", Inputs: []string{"r", "w"}},
-			`graphmodel: unsupported op "QuantizedFusedConv2D" (node "bad")`},
+			`graphmodel: unsupported op "QuantizedFusedConv2D" (node "bad")`, false},
 		{"fused op with one input", savedmodel.NodeDef{Op: "FusedConv2D"},
-			`graphmodel: node "bad" (FusedConv2D) needs 2 or 3 inputs, got 1`},
+			`node "bad" (FusedConv2D): needs 2 or 3 inputs, got 1`, true},
 		{"binary op with one input", savedmodel.NodeDef{Op: "Add"},
-			`graphmodel: node "bad" (Add) missing input 1`},
+			`node "bad" (Add): needs 2 inputs, got 1`, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := graphmodel.New(brokenNodeGraph(tc.node), graphmodel.WithVerify(false))
+			m, err := graphmodel.New(brokenNodeGraph(tc.node))
+			if tc.atLoad {
+				var ve *savedmodel.VerifyError
+				if !errors.As(err, &ve) || len(ve.Issues) != 1 || ve.Issues[0].String() != tc.want {
+					t.Fatalf("New returned %v, want a *savedmodel.VerifyError with the one issue %q", err, tc.want)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatalf("New must defer the broken node to Execute: %v", err)
 			}

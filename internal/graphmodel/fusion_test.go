@@ -1,6 +1,7 @@
 package graphmodel_test
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/graphmodel"
@@ -149,26 +150,23 @@ func TestFusionRefusals(t *testing.T) {
 	delete(fedBias.Weights, "b")
 	fedBias.Inputs = append(fedBias.Inputs, "b")
 
-	// Bias with the wrong shape (rank 1 but not outC).
+	// A bias that broadcasts ([1] against 4 channels: the graph runs) but
+	// is not the fused kernel's per-channel bias (rank 1, outC).
 	badBias := convGraph("BiasAdd", "Relu", false)
-	badBias.Weights["b"] = &savedmodel.Weight{Name: "b", Shape: []int{2}, DType: "float32", Values: []float32{1, 2}}
+	badBias.Weights["b"] = &savedmodel.Weight{Name: "b", Shape: []int{1}, DType: "float32", Values: []float32{1}}
 
 	cases := []struct {
-		name     string
-		graph    *savedmodel.GraphDef
-		noVerify bool
+		name  string
+		graph *savedmodel.GraphDef
 	}{
-		{"second-consumer", second, false},
-		{"intermediate-is-output", interOut, false},
-		{"bias-not-const", fedBias, false},
-		// The wrong-shape bias is a genuinely inconsistent graph, so the
-		// load-time verifier rejects it before the fusion question arises;
-		// disable verification to exercise the optimizer's own refusal.
-		{"bias-wrong-shape", badBias, true},
+		{"second-consumer", second},
+		{"intermediate-is-output", interOut},
+		{"bias-not-const", fedBias},
+		{"bias-wrong-shape", badBias},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := graphmodel.New(tc.graph, graphmodel.WithVerify(!tc.noVerify))
+			m, err := graphmodel.New(tc.graph)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,6 +179,17 @@ func TestFusionRefusals(t *testing.T) {
 				t.Fatalf("Conv2D should survive, got ops %v", opt)
 			}
 		})
+	}
+
+	// A bias that does not broadcast ([2] against 4 channels) is no fusion
+	// question: the graph cannot run, and once the input's shape is known
+	// the load rejects it at the node.
+	noRun := convGraph("BiasAdd", "Relu", false)
+	noRun.Weights["b"] = &savedmodel.Weight{Name: "b", Shape: []int{2}, DType: "float32", Values: []float32{1, 2}}
+	noRun.Nodes[0].Attrs = map[string]any{"shape": []int{-1, 5, 5, 2}}
+	var ve *savedmodel.VerifyError
+	if _, err := graphmodel.New(noRun); !errors.As(err, &ve) || ve.Issues[0].Node != "bias" {
+		t.Fatalf("a [2] bias on 4 channels: New returned %v, want a *savedmodel.VerifyError at node \"bias\"", err)
 	}
 }
 

@@ -39,9 +39,9 @@ func WithOptimize(enabled bool) Option {
 }
 
 // WithExecOptions applies execution options (worker budget, pool poison,
-// optimize/verify gates) to the load. The backend-level knobs are applied
-// to the model's engine's backend at load time; the graph-level knobs
-// steer the optimizer and verifier.
+// the optimize gate) to the load. The backend-level knobs are applied to
+// the model's engine's backend at load time; the optimize gate steers the
+// optimizer.
 func WithExecOptions(opts ...exec.Option) Option {
 	return func(c *config) {
 		for _, o := range opts {
@@ -132,14 +132,11 @@ func New(g *savedmodel.GraphDef, opts ...Option) (*Model, error) {
 	if cfg.exec.OptimizeOn() {
 		m.exec, m.optStats = optimize(g, eng.Telemetry(), m.span)
 	}
-	if cfg.exec.VerifyOn() {
-		// Verify the execution graph — the one the plan compiles — so the
-		// optimizer's fused nodes are checked too, and a rank- or
-		// dtype-inconsistent model is rejected here rather than at the
-		// first Execute (see verify.go).
-		if err := verifyGraph(m.exec, eng.Telemetry(), m.span); err != nil {
-			return nil, err
-		}
+	// Verify the execution graph — the one the plan compiles — so the
+	// optimizer's fused nodes are checked too, and a model the plan cannot
+	// run is rejected here rather than at the first Execute (verify.go).
+	if err := verifyGraph(m.exec, eng.Telemetry(), m.span); err != nil {
+		return nil, err
 	}
 	m.nodes = map[string]*savedmodel.NodeDef{}
 	for i := range m.exec.Nodes {

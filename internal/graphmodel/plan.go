@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernels"
 	"repro/internal/savedmodel"
-	"repro/internal/tensor"
 )
 
 // This file compiles the (optimized) graph into the execution plan: a flat
@@ -139,14 +138,14 @@ func opErr(kernel, node, format string, args ...any) error {
 	return &core.OpError{Kernel: kernel, Err: fmt.Errorf("node %q: %s", node, fmt.Sprintf(format, args...))}
 }
 
-// compileStep lowers one node onto the kernels it dispatches: its
-// attributes are decoded once (savedmodel.DecodeAttrs) into the
-// kernels.Attrs its steps pass; the returned run does only container work.
-// A node with no lowering or too few inputs compiles to a step that returns
-// the problem when reached: such a node only fails the Execute that reaches
-// it, and a feed for that node still short-circuits it entirely. So does a
-// malformed attribute when the model loads without verification; with it,
-// the verifier rejects the model at load.
+// compileStep builds one node's step from its lowering
+// (savedmodel.Lower): a kernel step over the node's operands, or an alias
+// step. Its attributes are decoded once (savedmodel.DecodeAttrs) into the
+// kernels.Attrs the step passes; the returned run does only container
+// work. The verifier has rejected at load every node whose lowering or
+// kernel check fails; a node with no lowering compiles to a step that
+// returns the problem when reached, so it only fails the Execute that
+// reaches it, and a feed for that node short-circuits it entirely.
 func compileStep(n *savedmodel.NodeDef, slot int, slots map[string]int) step {
 	ins := make([]int, len(n.Inputs))
 	for i, in := range n.Inputs {
@@ -156,109 +155,54 @@ func compileStep(n *savedmodel.NodeDef, slot int, slots map[string]int) step {
 		insBuf: make([]kernels.Input, len(ins))}
 	// fail builds the error step. It keeps the node's inputs, so liveness
 	// (and planvet) see an ordinary step in its place.
-	fail := func(format string, args ...any) step {
-		err := fmt.Errorf(format, args...)
+	fail := func(err error) step {
 		st.run = func(*execState, *step) error { return err }
 		return st
 	}
-	// with builds a step that resolves its operands into st.insBuf and then
-	// calls run; fewer than arity inputs is a deferred error.
-	with := func(arity int, run func(x *execState, st *step) error) step {
-		if len(ins) < arity {
-			return fail("graphmodel: node %q (%s) missing input %d", n.Name, n.Op, arity-1)
-		}
+	if n.Op == "Placeholder" {
+		return fail(fmt.Errorf("graphmodel: node %q (%s) must be fed", n.Name, n.Op))
+	}
+	l, ok := savedmodel.Lower(n.Op)
+	if !ok {
+		return fail(fmt.Errorf("graphmodel: unsupported op %q (node %q)", n.Op, n.Name))
+	}
+	a, err := savedmodel.DecodeAttrs(n)
+	if err != nil {
+		return fail(fmt.Errorf("graphmodel: %v", err))
+	}
+	if err := l.CheckArity(len(ins)); err != nil {
+		return fail(fmt.Errorf("graphmodel: node %q (%s) %v", n.Name, n.Op, err))
+	}
+	if l.Alias != nil {
+		// Zero-copy: out shares the input container, only the shape differs.
+		st.alias = true
 		st.run = func(x *execState, st *step) error {
 			if err := x.operands(st); err != nil {
 				return err
 			}
-			return run(x, st)
+			in := st.insBuf[0]
+			shape, err := l.Alias(st.info.Shape, in.Shape, a)
+			if err != nil {
+				return opErr("Reshape", st.name, "%v", err)
+			}
+			st.info.Shape, st.info.DataID, st.info.DType = shape, in.DataID, in.DType
+			return nil
 		}
 		return st
 	}
-	// simple is a one-kernel step over its first arity operands.
-	simple := func(arity int, kernel string, attrs kernels.Attrs) step {
-		return with(arity, func(x *execState, st *step) error {
-			return x.kernel(kernel, st.insBuf[:arity], attrs, &st.info)
-		})
-	}
-	// fused is simple with the 2-or-3-input arity of the fused kernels
-	// (the bias operand is optional).
-	fused := func(kernel string, attrs kernels.Attrs) step {
-		if len(ins) != 2 && len(ins) != 3 {
-			return fail("graphmodel: node %q (%s) needs 2 or 3 inputs, got %d", n.Name, n.Op, len(ins))
+	kernel := l.Kernel
+	st.run = func(x *execState, st *step) error {
+		if err := x.operands(st); err != nil {
+			return err
 		}
-		return simple(len(ins), kernel, attrs)
-	}
-	// alias builds a zero-copy step: out shares the input container, only
-	// the shape differs. shape appends the output dims into st.info.Shape.
-	alias := func(shape func(in kernels.Input, st *step) error) step {
-		s := with(1, func(x *execState, st *step) error {
-			in := st.insBuf[0]
-			if err := shape(in, st); err != nil {
-				return err
+		if l.Rank != 0 {
+			for _, in := range st.insBuf {
+				if err := l.CheckRank(st.op, in.Shape); err != nil {
+					return opErr(kernel, st.name, "%v", err)
+				}
 			}
-			st.info.DataID, st.info.DType = in.DataID, in.DType
-			return nil
-		})
-		s.alias = len(ins) > 0
-		return s
-	}
-	a, err := savedmodel.DecodeAttrs(n)
-	if err != nil {
-		return fail("graphmodel: %v", err)
-	}
-
-	switch n.Op {
-	case "Placeholder":
-		return fail("graphmodel: node %q (%s) must be fed", n.Name, n.Op)
-	case "Identity":
-		return alias(func(in kernels.Input, st *step) error {
-			st.info.Shape = append(st.info.Shape[:0], in.Shape...)
-			return nil
-		})
-	case "Reshape":
-		return alias(func(in kernels.Input, st *step) error {
-			if len(in.Shape) == 0 {
-				return opErr("Reshape", st.name, "Reshape of rank-0 input")
-			}
-			// [batch, target...] with one -1 inferred.
-			st.info.Shape = append(append(st.info.Shape[:0], in.Shape[0]), a.Shape...)
-			if err := tensor.InferInto(st.info.Shape, tensor.ShapeSize(in.Shape)); err != nil {
-				return opErr("Reshape", st.name, "%v", err)
-			}
-			return nil
-		})
-	case "Flatten":
-		return alias(func(in kernels.Input, st *step) error {
-			if len(in.Shape) == 0 || in.Shape[0] == 0 {
-				return opErr("Reshape", st.name, "cannot flatten shape %v", in.Shape)
-			}
-			st.info.Shape = append(st.info.Shape[:0], in.Shape[0], tensor.ShapeSize(in.Shape)/in.Shape[0])
-			return nil
-		})
-	case "MatMul":
-		return simple(2, "BatchMatMul", a)
-	case "Add", "BiasAdd":
-		return simple(2, "Add", a)
-	case "Sub", "Mul", "Conv2D", "DepthwiseConv2dNative":
-		return simple(2, n.Op, a)
-	case "Softmax", "MaxPool", "AvgPool", "Mean":
-		return simple(1, n.Op, a)
-	case "FusedConv2D", "FusedDepthwiseConv2dNative", "_FusedMatMul":
-		return fused(n.Op, a)
-	case "FusedBatchNorm":
-		return simple(5, "FusedBatchNorm", a)
-	case "Pad":
-		return with(1, func(x *execState, st *step) error {
-			if len(st.insBuf[0].Shape) != 4 {
-				return opErr("PadV2", st.name, "Pad input must be rank 4, got %v", st.insBuf[0].Shape)
-			}
-			return x.kernel("PadV2", st.insBuf[:1], a, &st.info)
-		})
-	default:
-		if op, ok := kernels.LookupElementwise(n.Op); ok && op.Activation != "" {
-			return simple(1, n.Op, a)
 		}
-		return fail("graphmodel: unsupported op %q (node %q)", n.Op, n.Name)
+		return x.kernel(kernel, st.insBuf, a, &st.info)
 	}
+	return st
 }

@@ -7,30 +7,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file wires the static shape/dtype verifier (savedmodel.VerifyGraph)
-// into model loading — the load-time tier of the tfjs-vet suite. New runs
-// the verifier over the execution graph (after optimization, so the checked
-// graph is exactly the one the compiled plan executes) and rejects rank- or
-// dtype-inconsistent models with a node-and-edge diagnostic before the
-// first Execute. The pass is recorded on the engine's telemetry hub as a
+// This file wires the graph verifier (savedmodel.VerifyGraph: each node
+// checked by its lowered kernel's own Resolve) into model loading. New
+// always runs it over the execution graph (after optimization, so the
+// checked graph is exactly the one the compiled plan executes) and rejects
+// a model the plan cannot run with a node diagnostic before the first
+// Execute. The pass is recorded on the engine's telemetry hub as a
 // telemetry.KindVerify event carrying the node count and outcome.
-
-// WithVerify enables or disables the load-time static shape/dtype
-// verification pass (enabled by default), mirroring WithOptimize. Disabling
-// it restores the pre-verifier behaviour: inconsistencies surface as
-// *core.OpError panics (wrapped into errors) at the first Execute instead
-// of as load-time diagnostics.
-func WithVerify(enabled bool) Option {
-	return func(c *config) { c.exec.Verify = &enabled }
-}
-
-// Verify statically checks shape and dtype consistency of every node in g,
-// returning a *savedmodel.VerifyError listing every provable inconsistency.
-// Load/New run it automatically (see WithVerify); converters run it before
-// writing artifacts so malformed models are rejected at conversion time.
-func Verify(g *savedmodel.GraphDef) error {
-	return savedmodel.VerifyGraph(g)
-}
 
 // verifyGraph runs the verifier over the execution graph and emits the
 // KindVerify telemetry event: Name is the outcome ("ok" or "reject"),

@@ -8,6 +8,7 @@ import (
 	"repro/internal/converter"
 	"repro/internal/core"
 	"repro/internal/graphmodel"
+	"repro/internal/ops"
 	"repro/internal/savedmodel"
 	"repro/internal/telemetry"
 )
@@ -32,9 +33,9 @@ func badMatMul() *savedmodel.GraphDef {
 	}
 }
 
-// TestNewRejectsInconsistentGraph: the verifier runs by default at load
-// time and turns a would-be first-predict failure into a load-time error
-// naming the node and edge.
+// TestNewRejectsInconsistentGraph: the verifier runs at every load and
+// turns a would-be first-predict failure into a load-time error naming the
+// node.
 func TestNewRejectsInconsistentGraph(t *testing.T) {
 	_, err := graphmodel.New(badMatMul())
 	if err == nil {
@@ -47,15 +48,37 @@ func TestNewRejectsInconsistentGraph(t *testing.T) {
 	}
 }
 
-// TestWithVerifyOffRestoresLazyFailure: the escape hatch loads the model
-// anyway; the inconsistency then surfaces at Execute, as before the
-// verifier existed.
-func TestWithVerifyOffRestoresLazyFailure(t *testing.T) {
-	m, err := graphmodel.New(badMatMul(), graphmodel.WithVerify(false))
-	if err != nil {
-		t.Fatalf("WithVerify(false) must bypass the verifier: %v", err)
+// TestLoadAndExecuteRejectWithOneCheck: the verifier has no shape rule of
+// its own. The inconsistency the load rejects is the one the kernel rejects
+// at Execute: a consistent MatMul fed the wrong width fails its first
+// predict with BatchMatMul's own words, the words badMatMul's load error
+// carries.
+func TestLoadAndExecuteRejectWithOneCheck(t *testing.T) {
+	_, loadErr := graphmodel.New(badMatMul())
+	var ve *savedmodel.VerifyError
+	if !errors.As(loadErr, &ve) {
+		t.Fatalf("New(badMatMul) = %v, want a *savedmodel.VerifyError", loadErr)
 	}
-	m.Dispose()
+	g := badMatMul()
+	g.Weights["W"].Shape = []int{8, 4}
+	g.Weights["W"].Values = make([]float32, 8*4)
+	m, err := graphmodel.New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Dispose()
+	x := ops.FromValues(make([]float32, 16), 1, 16)
+	defer x.Dispose()
+	_, execErr := m.Predict(x)
+	var opErr *core.OpError
+	if !errors.As(execErr, &opErr) || opErr.Kernel != "BatchMatMul" {
+		t.Fatalf("Predict on a [1 16] feed: %v, want an OpError from BatchMatMul", execErr)
+	}
+	for _, err := range []error{loadErr, execErr} {
+		if !strings.Contains(err.Error(), "kernel BatchMatMul: inner dims mismatch") {
+			t.Errorf("%v does not carry BatchMatMul's own check", err)
+		}
+	}
 }
 
 // TestVerifyTelemetry: each load emits one KindVerify event with the
@@ -97,7 +120,7 @@ func TestVerifyTelemetry(t *testing.T) {
 
 // TestConvertRefusesInconsistentGraph: the converter runs the same
 // verifier before writing artifacts, so a malformed model is rejected at
-// conversion time and nothing reaches the store.
+// conversion time and nothing reaches the store. There is no bypass.
 func TestConvertRefusesInconsistentGraph(t *testing.T) {
 	store := converter.NewMemStore()
 	_, err := converter.Convert(badMatMul(), store, converter.Options{})
@@ -108,18 +131,19 @@ func TestConvertRefusesInconsistentGraph(t *testing.T) {
 		t.Fatalf("refused conversion must write nothing, wrote %v", paths)
 	}
 
-	// The explicit bypass still converts (for debugging malformed models).
-	if _, err := converter.Convert(badMatMul(), store, converter.Options{SkipVerify: true}); err != nil {
-		t.Fatalf("SkipVerify must bypass the verifier: %v", err)
+	// The refusal is the load's: a *savedmodel.VerifyError naming the node.
+	var ve *savedmodel.VerifyError
+	if !errors.As(err, &ve) || ve.Issues[0].Node != "mm" {
+		t.Fatalf("conversion refusal %v is not a *savedmodel.VerifyError at node \"mm\"", err)
 	}
 }
 
 // TestNewRejectsWindowsThatDoNotStep: a pool or a convolution whose strides
 // are zero or negative, or whose valid window is larger than its input, is
-// a load-time *savedmodel.VerifyError, with the batch dim unknown (the
-// verifier's partial shapes) and known (the kernels' own geometry). A zero
-// stride once divided by zero inside the verifier, and serving loads
-// models in a goroutine.
+// a load-time *savedmodel.VerifyError, with the batch dim unknown (probed
+// as 1) and known. A zero stride once divided by zero inside a verifier
+// that had shape rules of its own, and serving loads models in a
+// goroutine.
 func TestNewRejectsWindowsThatDoNotStep(t *testing.T) {
 	for _, c := range []struct {
 		label, op string

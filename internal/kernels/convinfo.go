@@ -84,8 +84,8 @@ func ComputeConv2DInfo(inShape, filterShape []int, strides, dilations []int, pad
 
 	effH := effectiveFilterSize(info.FilterHeight, info.DilationHeight)
 	effW := effectiveFilterSize(info.FilterWidth, info.DilationWidth)
-	info.OutHeight = OutExtent(info.InHeight, effH, info.StrideHeight, pad)
-	info.OutWidth = OutExtent(info.InWidth, effW, info.StrideWidth, pad)
+	info.OutHeight = outExtent(info.InHeight, effH, info.StrideHeight, pad)
+	info.OutWidth = outExtent(info.InWidth, effW, info.StrideWidth, pad)
 	if info.OutHeight <= 0 || info.OutWidth <= 0 {
 		return info, fmt.Errorf("conv2d: filter %dx%d larger than input %dx%d with %s padding",
 			info.FilterHeight, info.FilterWidth, info.InHeight, info.InWidth, pad)
@@ -101,13 +101,12 @@ func ComputeConv2DInfo(inShape, filterShape []int, strides, dilations []int, pad
 	return info, nil
 }
 
-// OutExtent is one spatial axis's output extent for a window of eff input
+// outExtent is one spatial axis's output extent for a window of eff input
 // values (its dilation included) moved stride ≥ 1 values at a time over in
 // values: ceil(in/stride) positions with "same" padding, with "valid" the
 // positions where the whole window lies inside the input — none, 0, when
-// the window is larger than the input. The kernels' geometry and the
-// verifier's partial shapes both compute extents here.
-func OutExtent(in, eff, stride int, pad string) int {
+// the window is larger than the input.
+func outExtent(in, eff, stride int, pad string) int {
 	switch {
 	case pad == "same":
 		return ceilDiv(in, stride)

@@ -45,8 +45,7 @@ func ReduceAxes(name string, axes []int, rank int) (Axes, error) {
 }
 
 // Shape appends to dst the output shape of a reduction over s of an input
-// of shape x: each kept dim, and each reduced one as 1 with keepDims. It
-// only copies dims, so a partial shape's unknown (-1) dims pass through.
+// of shape x: each kept dim, and each reduced one as 1 with keepDims.
 func (s Axes) Shape(dst, x []int, keepDims bool) []int {
 	for i, d := range x {
 		switch {

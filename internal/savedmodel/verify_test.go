@@ -37,8 +37,8 @@ func chainGraph(inShape []int, wr, wc int) *savedmodel.GraphDef {
 
 func TestVerifyGraphAccepts(t *testing.T) {
 	cases := map[string]*savedmodel.GraphDef{
-		"static-shapes":   chainGraph([]int{-1, 8}, 8, 4),
-		"unknown-batch":   chainGraph([]int{savedmodel.DimUnknown, 8}, 8, 4),
+		"static-shapes":   chainGraph([]int{2, 8}, 8, 4),
+		"unknown-batch":   chainGraph([]int{-1, 8}, 8, 4),
 		"shapeless-input": chainGraph(nil, 8, 4),
 	}
 	// A placeholder with no shape attr at all must also pass: unknown rank

@@ -17,15 +17,15 @@ import (
 // execution config — later options win, unset ones keep their defaults.
 func TestExecOptionsPrecedence(t *testing.T) {
 	m := newModel("m", ModelOptions{})
-	if !m.exec.OptimizeOn() || !m.exec.VerifyOn() {
-		t.Fatal("unset optimize/verify must stay on")
+	if !m.exec.OptimizeOn() {
+		t.Fatal("unset optimize must stay on")
 	}
 
 	m = newModel("m", ModelOptions{Exec: []exec.Option{
-		exec.WithOptimize(false), exec.WithVerify(false), exec.WithOptimize(true),
+		exec.WithOptimize(true), exec.WithWorkers(3), exec.WithOptimize(false),
 	}})
-	if !m.exec.OptimizeOn() || m.exec.VerifyOn() {
-		t.Fatalf("later option must win: OptimizeOn=%v VerifyOn=%v", m.exec.OptimizeOn(), m.exec.VerifyOn())
+	if m.exec.OptimizeOn() || m.exec.Workers != 3 {
+		t.Fatalf("later option must win: OptimizeOn=%v Workers=%d", m.exec.OptimizeOn(), m.exec.Workers)
 	}
 
 	m = newModel("m", ModelOptions{Exec: []exec.Option{

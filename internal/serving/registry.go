@@ -71,7 +71,7 @@ type ModelOptions struct {
 	Tenants map[string]int
 	// Exec carries the execution configuration applied to this model's
 	// load and to each replica's backend: worker budget, pool poison and
-	// the optimize/verify gates. One option list, the same surface as
+	// the optimize gate. One option list, the same surface as
 	// tf.LoadGraphModel and tf.ConfigureExec.
 	Exec []exec.Option
 }

@@ -54,10 +54,9 @@ type pool struct {
 }
 
 // newPool loads size replicas of a graph model. Replica 0 runs on the
-// base engine; the rest on engines spawned from it. The graph is
-// verified once (it is the same graph N times); each replica optimizes
-// and compiles its own plan and uploads its own weight copy, so replicas
-// share no mutable state at all.
+// base engine; the rest on engines spawned from it. Each replica
+// optimizes, verifies and compiles its own plan and uploads its own weight
+// copy, so replicas share no mutable state at all.
 func newPool(name string, store converter.Store, backend string, size int, ec exec.Config) (*pool, error) {
 	g, err := converter.LoadArtifacts(store)
 	if err != nil {
@@ -70,10 +69,7 @@ func newPool(name string, store converter.Store, backend string, size int, ec ex
 		if i > 0 {
 			eng = base.SpawnReplica()
 		}
-		gm, err := graphmodel.New(g,
-			graphmodel.WithEngine(eng),
-			graphmodel.WithExecConfig(ec),
-			graphmodel.WithVerify(ec.VerifyOn() && i == 0))
+		gm, err := graphmodel.New(g, graphmodel.WithEngine(eng), graphmodel.WithExecConfig(ec))
 		if err != nil {
 			p.Close()
 			return nil, fmt.Errorf("serving: loading replica %d: %w", i, err)

@@ -62,8 +62,8 @@ const (
 	// ("fuse:Conv2D+BiasAdd+Relu6"), Trace the rewritten node, Span the
 	// model, Count the nodes removed.
 	KindRewrite
-	// KindVerify is one load-time static shape/dtype verification pass over
-	// a model graph (graphmodel's verifier). Name is the outcome ("ok" or
+	// KindVerify is one load-time verification pass over a model graph
+	// (savedmodel.VerifyGraph, run by graphmodel.New). Name is the outcome ("ok" or
 	// "reject"), Count the number of nodes checked, Span the model.
 	KindVerify
 )

@@ -20,8 +20,8 @@ import (
 // parallel, with no shared state) used to be structural: a program was a
 // function of one texel index. Programs are now functions of a texel
 // *range*, so the contract is tested instead. Every kernel in
-// Backend.kernelsTable — the registry kernelparity reads, so a newly
-// registered kernel fails TestKernelContract until it has a case here —
+// Backend.kernelsTable — so a newly registered kernel fails
+// TestKernelContract until it has a case here —
 // runs on a representative and an awkward shape on devices with 1, 3 and 7
 // workers × packed/unpacked × fp32/fp16 × squeeze on/off. The output
 // texture must be Float32bits-equal across worker counts (chunk boundaries

@@ -6,7 +6,7 @@ import (
 )
 
 // This file is the execution-configuration surface: one functional-options
-// API, five options (workers, optimize, verify, cost model, pool poison).
+// API, four options (workers, optimize, cost model, pool poison).
 // The same ExecOption values work everywhere execution is configured:
 //
 //	tf.ConfigureExec(tf.WithWorkers(4))                 // process-wide
@@ -47,10 +47,6 @@ func WithWorkers(n int) ExecOption { return exec.WithWorkers(n) }
 // WithOptimize toggles the load-time graph optimizer (fusion, folding,
 // pruning; on by default).
 func WithOptimize(on bool) ExecOption { return exec.WithOptimize(on) }
-
-// WithVerify toggles load-time static shape/dtype verification of the
-// execution graph (on by default).
-func WithVerify(on bool) ExecOption { return exec.WithVerify(on) }
 
 // WithPoolPoison toggles poison mode: recycled buffers are scribbled with
 // NaN (float32) or sentinel values on free, so use-after-dispose reads
