@@ -7,6 +7,7 @@
 //	tfjs-bench squeeze   — §4.1: logical-shape squeezing ablation
 //	tfjs-bench recycling — §4.1.2: texture recycler ablation
 //	tfjs-bench census    — §4.1.3: device support shares (WebGLStats analogue)
+//	                       and the fp16 epsilon adjustment
 //	tfjs-bench fusion    — graph optimizer A/B: operator fusion on vs off
 //	tfjs-bench overhead  — telemetry cost: QPS with the server's observers
 //	                       attached vs none, exit nonzero beyond
@@ -401,4 +402,19 @@ func census() {
 		fmt.Printf("%-16s %10d %10d %11.1f%% %9.0f%%\n",
 			r.Class, r.Total, r.Supported, r.SupportRate*100, r.PaperRate*100)
 	}
+
+	// The epsilon adjustment (the log(x+eps) fp16 bug).
+	fp16, supported := 0, 0
+	for _, d := range devices {
+		if d.CanRunTFJS() {
+			supported++
+			if environment.AdjustEpsilon(d) == 1e-4 {
+				fp16++
+			}
+		}
+	}
+	fmt.Printf("\nOf %d supported devices, %d (%.1f%%) expose only 16-bit float textures;\n",
+		supported, fp16, 100*float64(fp16)/float64(supported))
+	fmt.Printf("on those the global epsilon is raised from 1e-7 to 1e-4 so that\n")
+	fmt.Printf("log(x + eps) does not underflow to log(x + 0) (Section 4.1.3).\n")
 }

@@ -17,12 +17,6 @@
 // (tfjs-vet) reports the same bug class at vet time with the same
 // "func (file:line)" site naming, so the two reports cross-reference.
 //
-// With -plan-report it instead loads the converted MobileNet (running the
-// planvet dataflow verifier every load performs) and prints the
-// compiled plan's per-root lifetime table: when each container is
-// produced, last read, and returned to the recycler. `tfjs-vet -plan`
-// gates CI on the same verification.
-//
 // -workers sets the node backend's worker budget through the same
 // tf.ConfigureExec options API the library exposes, so a profile of
 // "-workers 1" measures exactly what that configuration runs.
@@ -58,8 +52,6 @@ func main() {
 	injectNaN := flag.Bool("inject-nan", false, "inject a NaN to demonstrate debug mode")
 	leaks := flag.Bool("leaks", false, "run under the tensor-lifetime tracker and print the leak report")
 	injectLeak := flag.Bool("inject-leak", false, "deliberately leak one tensor to demonstrate -leaks attribution")
-	planRep := flag.Bool("plan-report", false, "verify the compiled plan and print its per-root lifetime table")
-	planOpt := flag.Bool("plan-optimize", true, "with -plan-report: run the graph optimizer before compiling the plan")
 	workers := flag.Int("workers", 0, "intra-op worker budget on the node backend (0 = leave default, <0 = reset)")
 	liveURL := flag.String("url", "", "live top mode: poll this /metrics URL (e.g. http://localhost:8500/metrics) instead of profiling locally")
 	interval := flag.Duration("interval", 2*time.Second, "live top mode: poll interval")
@@ -84,11 +76,6 @@ func main() {
 	// profiling exactly what that configuration runs.
 	if err := tf.ConfigureExec(tf.WithWorkers(*workers)); err != nil {
 		log.Fatal(err)
-	}
-
-	if *planRep {
-		planReport(*alpha, *size, *planOpt)
-		return
 	}
 
 	if *debug {

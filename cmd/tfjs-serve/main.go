@@ -127,7 +127,7 @@ func main() {
 	maxBatch := flag.Int("max-batch", 16, "micro-batcher: max examples per batch")
 	batchTimeout := flag.Duration("batch-timeout", 2*time.Millisecond, "micro-batcher: max wait after first request")
 	queueSize := flag.Int("queue-size", 128, "scheduler: bounded queue size (overflow → 429)")
-	workers := flag.Int("workers", 1, "scheduler: workers per model (raised to -replicas when lower)")
+	workers := flag.Int("workers", 1, "scheduler: workers per model (raised to the model's replica count when lower)")
 	replicas := flag.Int("replicas", 1, "engine replicas per graph model (parallel batch execution)")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "server-side request deadline")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown: max wait for in-flight requests")

@@ -2,6 +2,7 @@ package converter_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -253,24 +254,46 @@ func TestLoadMissingArtifact(t *testing.T) {
 	if _, err := converter.LoadArtifacts(store); err == nil {
 		t.Fatal("expected error loading from empty store")
 	}
-	_ = tensor.ShapeSize // keep import
 }
 
-// TestHostileWeightSpecsFailAtLoad: a weight spec the loader cannot honour
+// TestHostileWeightSpecsFailAtLoad: a manifest the loader cannot honour
 // — a negative dim, a shape whose size overflows, an unknown dtype, a
-// shard holding bytes past the last weight — is a load-time error naming
-// the weight, not a panic, a weight of zero values or a silent truncation.
-// A group's payload is exactly its weights' bytes.
+// shard holding bytes past the last weight or fewer than its weights
+// need, a shard that is not there, a weight no Const node uses, a weight
+// listed twice — is a load-time error naming the weight (or the missing
+// shard), not a panic, a weight of zero values, a silent truncation or a
+// silently dropped copy. A group's payload is exactly its weights' bytes.
 func TestHostileWeightSpecsFailAtLoad(t *testing.T) {
 	for _, c := range []struct {
-		name  string
-		edit  func(spec *converter.WeightSpec)
-		extra int // bytes appended to the shard
+		name, want string // want is what the error must name
+		edit       func(model *converter.ModelJSON, shard *[]byte)
 	}{
-		{"negative dim", func(s *converter.WeightSpec) { s.Shape = []int{-1, 4} }, 0},
-		{"overflowing size", func(s *converter.WeightSpec) { s.Shape = []int{4611686018427387904, 4} }, 0},
-		{"unknown dtype", func(s *converter.WeightSpec) { s.DType = "complex128" }, 0},
-		{"bytes past the last weight", func(*converter.WeightSpec) {}, 4},
+		{"negative dim", `weight "W"`, func(m *converter.ModelJSON, _ *[]byte) {
+			m.WeightsManifest[0].Weights[0].Shape = []int{-1, 4}
+		}},
+		{"overflowing size", `weight "W"`, func(m *converter.ModelJSON, _ *[]byte) {
+			m.WeightsManifest[0].Weights[0].Shape = []int{4611686018427387904, 4}
+		}},
+		{"unknown dtype", `weight "W"`, func(m *converter.ModelJSON, _ *[]byte) {
+			m.WeightsManifest[0].Weights[0].DType = "complex128"
+		}},
+		{"bytes past the last weight", `weight "W"`, func(_ *converter.ModelJSON, shard *[]byte) {
+			*shard = append(*shard, 0, 0, 0, 0)
+		}},
+		{"truncated shard", `weight "W"`, func(_ *converter.ModelJSON, shard *[]byte) {
+			*shard = (*shard)[:len(*shard)-4]
+		}},
+		{"missing shard", `"missing.bin"`, func(m *converter.ModelJSON, _ *[]byte) {
+			m.WeightsManifest[0].Paths = []string{"missing.bin"}
+		}},
+		{"weight no Const uses", `weight "V"`, func(m *converter.ModelJSON, shard *[]byte) {
+			group := &m.WeightsManifest[0]
+			group.Weights = append(group.Weights, converter.WeightSpec{Name: "V", Shape: []int{1}, DType: "float32"})
+			*shard = append(*shard, 0, 0, 0, 0)
+		}},
+		{"weight listed twice", `weight "W"`, func(m *converter.ModelJSON, _ *[]byte) {
+			m.WeightsManifest = append(m.WeightsManifest, m.WeightsManifest[0])
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			g := &savedmodel.GraphDef{
@@ -294,25 +317,103 @@ func TestHostileWeightSpecsFailAtLoad(t *testing.T) {
 			if err := json.Unmarshal(raw, &model); err != nil {
 				t.Fatal(err)
 			}
-			group := model.WeightsManifest[0]
-			c.edit(&group.Weights[0])
-			if raw, err = json.Marshal(model); err != nil {
+			path := model.WeightsManifest[0].Paths[0]
+			shard, err := store.Read(path)
+			if err != nil {
 				t.Fatal(err)
 			}
-			shard, err := store.Read(group.Paths[0])
-			if err != nil {
+			c.edit(&model, &shard)
+			if raw, err = json.Marshal(model); err != nil {
 				t.Fatal(err)
 			}
 			if err := store.Write("model.json", raw); err != nil {
 				t.Fatal(err)
 			}
-			if err := store.Write(group.Paths[0], append(shard, make([]byte, c.extra)...)); err != nil {
+			if err := store.Write(path, shard); err != nil {
 				t.Fatal(err)
 			}
 			_, err = converter.LoadArtifacts(store)
-			if err == nil || !strings.Contains(err.Error(), `weight "W"`) {
-				t.Fatalf("load error %v does not name weight \"W\"", err)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("load error %v does not name %s", err, c.want)
 			}
 		})
+	}
+}
+
+// TestLoadersRejectTheOtherFormat: each loader reads the one format it
+// returns, and says which format it found. A layers-model read as a graph
+// was once an empty graph, and tf.LoadGraphModel an empty model.
+func TestLoadersRejectTheOtherFormat(t *testing.T) {
+	m, g := buildModel(t)
+	graphStore, layersStore := converter.NewMemStore(), converter.NewMemStore()
+	if _, err := converter.Convert(g, graphStore, converter.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := converter.SaveLayersModel(m, layersStore, converter.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, found string
+		load        func() error
+	}{
+		{"LoadArtifacts", "layers-model", func() error { _, err := converter.LoadArtifacts(layersStore); return err }},
+		{"graphmodel.Load", "layers-model", func() error { _, err := graphmodel.Load(layersStore); return err }},
+		{"LoadLayersModel", "graph-model", func() error { _, err := converter.LoadLayersModel(graphStore); return err }},
+	} {
+		err := c.load()
+		if err == nil || !strings.Contains(err.Error(), `"`+c.found+`"`) {
+			t.Errorf("%s on a %s: error %v does not name the format found", c.name, c.found, err)
+		}
+	}
+	for _, store := range []converter.Store{graphStore, layersStore} {
+		a, err := converter.Load(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (a.Format == converter.GraphModel) != (a.Graph != nil) || (a.Format == converter.LayersModel) != (a.Layers != nil) {
+			t.Fatalf("Load of a %s set Graph %v, Layers %v", a.Format, a.Graph != nil, a.Layers != nil)
+		}
+		if a.Layers != nil {
+			a.Layers.Dispose()
+		}
+	}
+}
+
+// TestLayersManifestListsEveryWeight: a layers-model manifest that leaves
+// out one of the model's weights, with its bytes, is a load-time error
+// naming the weight. It used to load, the weight left at its initializer.
+func TestLayersManifestListsEveryWeight(t *testing.T) {
+	m, _ := buildModel(t)
+	store := converter.NewMemStore()
+	if _, err := converter.SaveLayersModel(m, store, converter.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := store.Read("model.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var model converter.ModelJSON
+	if err := json.Unmarshal(raw, &model); err != nil {
+		t.Fatal(err)
+	}
+	group := &model.WeightsManifest[0]
+	last := group.Weights[len(group.Weights)-1]
+	group.Weights = group.Weights[:len(group.Weights)-1]
+	shard, err := store.Read(group.Paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Write(group.Paths[0], shard[:len(shard)-4*tensor.ShapeSize(last.Shape)]); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err = json.Marshal(model); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Write("model.json", raw); err != nil {
+		t.Fatal(err)
+	}
+	_, err = converter.LoadLayersModel(store)
+	if want := fmt.Sprintf("weight %q", last.Name); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("load error %v does not name %s", err, want)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/layers"
-	"repro/internal/tensor"
+	"repro/internal/savedmodel"
 )
 
 // SaveLayersModel writes a Layers-API model to a store in the web format:
@@ -16,99 +16,66 @@ func SaveLayersModel(m *layers.Sequential, store Store, opts Options) (*Result, 
 	if err := m.Build(); err != nil {
 		return nil, err
 	}
-	shardBytes := opts.ShardBytes
-	if shardBytes <= 0 {
-		shardBytes = DefaultShardBytes
-	}
-	if opts.QuantizationBytes != 0 && opts.QuantizationBytes != 1 && opts.QuantizationBytes != 2 {
-		return nil, fmt.Errorf("converter: quantization must be 0, 1 or 2 bytes, got %d", opts.QuantizationBytes)
-	}
-
 	topo, err := m.ToJSON()
 	if err != nil {
 		return nil, err
 	}
-
-	var specs []WeightSpec
-	var payload []byte
+	var weights []savedmodel.Weight
 	for _, w := range m.GetWeights() {
-		spec := WeightSpec{Name: w.Name, Shape: tensor.CopyShape(w.Shape), DType: "float32"}
-		data, quant := encodeWeight(w.Values, opts.QuantizationBytes)
-		spec.Quantization = quant
-		specs = append(specs, spec)
-		payload = append(payload, data...)
+		weights = append(weights, savedmodel.Weight{Name: w.Name, Shape: w.Shape, Values: w.Values})
 	}
-
-	var paths []string
-	numShards := (len(payload) + shardBytes - 1) / shardBytes
-	if numShards == 0 {
-		numShards = 1
-	}
-	for i := 0; i < numShards; i++ {
-		lo := i * shardBytes
-		hi := lo + shardBytes
-		if hi > len(payload) {
-			hi = len(payload)
-		}
-		path := fmt.Sprintf("group1-shard%dof%d.bin", i+1, numShards)
-		if err := store.Write(path, payload[lo:hi]); err != nil {
-			return nil, err
-		}
-		paths = append(paths, path)
-	}
-
-	model := ModelJSON{
-		Format:          "layers-model",
-		GeneratedBy:     "tfjs-go layers",
-		ConvertedBy:     "tfjs-go",
-		ModelTopology:   json.RawMessage(topo),
-		WeightsManifest: []WeightsGroup{{Paths: paths, Weights: specs}},
-	}
-	blob, err := json.MarshalIndent(model, "", "  ")
+	res, err := writeArtifact(store, ModelJSON{
+		Format:        LayersModel,
+		GeneratedBy:   "tfjs-go layers",
+		ConvertedBy:   "tfjs-go",
+		ModelTopology: json.RawMessage(topo),
+	}, weights, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := store.Write("model.json", blob); err != nil {
-		return nil, err
-	}
-	return &Result{
-		NodesBefore: len(m.Layers()), NodesAfter: len(m.Layers()),
-		WeightBytes: int64(len(payload)), NumShards: numShards,
-	}, nil
+	res.NodesBefore, res.NodesAfter = len(m.Layers()), len(m.Layers())
+	return res, nil
 }
 
 // LoadLayersModel reads a layers-model artifact back into a built model
 // with its weights restored — tf.loadModel(url) for Keras-format models
 // (Section 5.1).
 func LoadLayersModel(store Store) (*layers.Sequential, error) {
-	modelData, err := store.Read("model.json")
-	if err != nil {
-		return nil, fmt.Errorf("converter: reading model.json: %w", err)
-	}
-	var model ModelJSON
-	if err := json.Unmarshal(modelData, &model); err != nil {
-		return nil, fmt.Errorf("converter: parsing model.json: %w", err)
-	}
-	if model.Format != "layers-model" {
-		return nil, fmt.Errorf("converter: model.json format %q is not a layers-model", model.Format)
-	}
-	m, err := layers.FromJSON(model.ModelTopology)
+	a, err := readArtifact(store, LayersModel)
 	if err != nil {
 		return nil, err
 	}
-	if err := m.Build(); err != nil {
-		return nil, err
-	}
+	return a.Layers, nil
+}
 
-	loaded, err := loadWeights(store, model.WeightsManifest)
+// layersFrom builds a Layers model from its topology and restores its
+// weights. Every weight of the model must be in the manifest (one left out
+// would keep its initializer) and every manifest weight in the model
+// (SetWeights checks). A model that fails to take its weights is disposed.
+func layersFrom(topo json.RawMessage, weights []savedmodel.Weight) (*layers.Sequential, error) {
+	m, err := layers.FromJSON(topo)
 	if err != nil {
 		return nil, err
 	}
-	weights := make([]layers.NamedWeight, len(loaded))
-	for i, w := range loaded {
-		weights[i] = layers.NamedWeight{Name: w.Name, Shape: w.Shape, Values: w.Values}
+	named := make([]layers.NamedWeight, len(weights))
+	listed := map[string]bool{}
+	for i, w := range weights {
+		named[i] = layers.NamedWeight{Name: w.Name, Shape: w.Shape, Values: w.Values}
+		listed[w.Name] = true
 	}
-	if err := m.SetWeights(weights); err != nil {
+	if err = m.Build(); err == nil {
+		for _, v := range m.Weights() {
+			if !listed[v.Name] {
+				err = fmt.Errorf("converter: weight %q of the model is not in the manifest", v.Name)
+				break
+			}
+		}
+	}
+	if err == nil {
+		err = m.SetWeights(named)
+	}
+	if err != nil {
+		m.Dispose()
 		return nil, err
 	}
 	return m, nil

@@ -1,7 +1,7 @@
 package graphmodel
 
 // This file exports the compiled plan as a planvet.Plan — the inspectable
-// IR behind `tfjs-vet -plan` and `tfjs-profile -plan-report` — and runs the
+// IR behind `tfjs-vet -plan` — and runs the
 // planvet dataflow verifier over it at every load. The verifier proves the
 // memory-safety invariants the plan's liveness compilation is trusted
 // with: no slot read before definition, no root read after its dispose

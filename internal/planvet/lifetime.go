@@ -86,7 +86,7 @@ func Lifetimes(p *Plan) []Lifetime {
 }
 
 // FormatTable renders the lifetime table as aligned text — the output of
-// `tfjs-vet -plan` and `tfjs-profile -plan-report`. One row per physical
+// `tfjs-vet -plan`. One row per physical
 // container: its class, when it is defined, last read and freed, and the
 // alias slots riding on it.
 func FormatTable(p *Plan) string {

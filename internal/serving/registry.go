@@ -2,7 +2,6 @@ package serving
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -13,9 +12,7 @@ import (
 	"time"
 
 	"repro/internal/converter"
-	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/graphmodel"
 )
 
 // State is a model's lifecycle phase.
@@ -58,9 +55,9 @@ type ModelOptions struct {
 	// Replicas is the number of independent engine replicas serving this
 	// model. Each replica is a full copy — its own engine, backend
 	// instance and weight upload — so N replicas execute up to N batches
-	// concurrently. 0 or 1 means a single engine (the global one), the
-	// pre-replica behaviour. Only graph-format models replicate; layers
-	// models are pinned to 1.
+	// concurrently. 0 or 1 means one replica, on the global engine. Only
+	// graph-format models replicate; a layers model is one replica
+	// whatever this asks.
 	Replicas int
 	// Tenants enables per-tenant weighted-fair admission control: a map
 	// of tenant ID → weight. Requests carry their tenant in the
@@ -82,7 +79,7 @@ type Model struct {
 	name     string // display name, "base" or "base@version"
 	backend  string
 	exec     exec.Config
-	replicas int
+	replicas int // ModelOptions.Replicas: what the load asks for
 	cfg      Config
 	metrics  *Metrics
 	adm      *admission // nil when ModelOptions.Tenants is nil
@@ -92,8 +89,7 @@ type Model struct {
 	loadErr error
 	format  string
 	sched   *scheduler
-	disp    func()
-	pool    *pool // non-nil when replicated
+	pool    *pool // the loaded replicas; nil until ready
 
 	ready chan struct{} // closed when loading finishes either way
 }
@@ -108,12 +104,19 @@ func (m *Model) Backend() string { return m.backend }
 // Metrics returns the model's metrics collector.
 func (m *Model) Metrics() *Metrics { return m.metrics }
 
-// Replicas returns the configured replica count (1 when unreplicated).
+// Replicas returns the loaded pool's replica count, 1 before the model is
+// ready.
 func (m *Model) Replicas() int {
-	if m.replicas > 1 {
-		return m.replicas
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.replicasLocked()
+}
+
+func (m *Model) replicasLocked() int {
+	if m.pool == nil {
+		return 1
 	}
-	return 1
+	return m.pool.size()
 }
 
 // State returns the current lifecycle state.
@@ -156,8 +159,8 @@ func (m *Model) QueueDepth() int {
 	return sched.QueueDepth()
 }
 
-// replicaSnapshots samples per-replica utilization (nil when
-// unreplicated).
+// replicaSnapshots samples per-replica utilization (nil before the model
+// is ready).
 func (m *Model) replicaSnapshots() []ReplicaSnapshot {
 	m.mu.Lock()
 	p := m.pool
@@ -191,8 +194,8 @@ func (m *Model) Status() Status {
 		Backend: m.backend,
 		Format:  m.format,
 	}
-	if m.replicas > 1 {
-		s.Replicas = m.replicas
+	if n := m.replicasLocked(); n > 1 {
+		s.Replicas = n
 	}
 	if m.loadErr != nil {
 		s.Error = m.loadErr.Error()
@@ -249,15 +252,15 @@ func outcomeLabel(err error) string {
 	}
 }
 
-// load resolves the artifact format, builds the runner and flips state.
+// load builds the model's replica pool and scheduler and flips state.
 func (m *Model) load(store converter.Store) {
-	run, format, dispose, err := loadRunner(m.name, store, m.backend, m.Replicas(), m.exec)
+	p, format, err := loadPool(m.name, store, m.backend, m.replicas, m.exec)
 	m.mu.Lock()
 	if m.state == StateUnloaded {
 		// Unloaded while loading: discard.
 		m.mu.Unlock()
-		if dispose != nil {
-			dispose()
+		if p != nil {
+			p.Close()
 		}
 		close(m.ready)
 		return
@@ -266,64 +269,18 @@ func (m *Model) load(store converter.Store) {
 		m.state = StateFailed
 		m.loadErr = err
 	} else {
+		cfg := m.cfg
+		// One worker per replica, or the pool can never run them all
+		// concurrently: workers pull from the queue and each occupies one
+		// replica for the duration of a batch.
+		cfg.Workers = max(cfg.Workers, p.size())
 		m.format = format
-		m.sched = newScheduler(m.cfg, m.name, run, m.metrics)
-		m.disp = dispose
-		if p, ok := run.(*pool); ok {
-			m.pool = p
-		}
+		m.sched = newScheduler(cfg, m.name, p, m.metrics)
+		m.pool = p
 		m.state = StateReady
 	}
 	m.mu.Unlock()
 	close(m.ready)
-}
-
-// loadRunner reads model.json to pick the loader: graph models execute
-// through graphmodel (a replica pool when replicas > 1), layers models
-// through the restored Sequential. The registry name becomes the model's
-// telemetry span prefix, so traces and kernel breakdowns attribute per
-// model.
-func loadRunner(name string, store converter.Store, backend string, replicas int, ec exec.Config) (runner, string, func(), error) {
-	data, err := store.Read("model.json")
-	if err != nil {
-		return nil, "", nil, fmt.Errorf("serving: reading model.json: %w", err)
-	}
-	var meta struct {
-		Format string `json:"format"`
-	}
-	if err := json.Unmarshal(data, &meta); err != nil {
-		return nil, "", nil, fmt.Errorf("serving: parsing model.json: %w", err)
-	}
-	switch meta.Format {
-	case "graph-model":
-		if replicas > 1 {
-			p, err := newPool(name, store, backend, replicas, ec)
-			if err != nil {
-				return nil, "", nil, err
-			}
-			return p, meta.Format, p.Close, nil
-		}
-		gm, err := graphmodel.Load(store, graphmodel.WithExecConfig(ec))
-		if err != nil {
-			return nil, "", nil, err
-		}
-		gm.SetName(name)
-		run, err := newGraphRunner(gm, backend)
-		if err != nil {
-			return nil, "", nil, err
-		}
-		dispose := func() { gm.Engine().RunExclusive(gm.Dispose) }
-		return run, meta.Format, dispose, nil
-	case "layers-model":
-		lm, err := converter.LoadLayersModel(store)
-		if err != nil {
-			return nil, "", nil, err
-		}
-		dispose := func() { core.Global().RunExclusive(lm.Dispose) }
-		return &layersRunner{model: lm, backend: backend, name: name}, meta.Format, dispose, nil
-	default:
-		return nil, "", nil, fmt.Errorf("serving: model.json format %q is neither graph-model nor layers-model", meta.Format)
-	}
 }
 
 // unload stops the scheduler and frees the model's weights.
@@ -332,9 +289,8 @@ func (m *Model) unload() {
 	prev := m.state
 	m.state = StateUnloaded
 	sched := m.sched
-	disp := m.disp
+	p := m.pool
 	m.sched = nil
-	m.disp = nil
 	m.pool = nil
 	m.mu.Unlock()
 	if prev == StateUnloaded {
@@ -343,8 +299,8 @@ func (m *Model) unload() {
 	if sched != nil {
 		sched.Close()
 	}
-	if disp != nil {
-		disp()
+	if p != nil {
+		p.Close()
 	}
 }
 
@@ -440,12 +396,6 @@ func newModel(name string, opts ModelOptions) *Model {
 		backend = "node"
 	}
 	cfg := opts.Batching.withDefaults()
-	if opts.Replicas > 1 && cfg.Workers < opts.Replicas {
-		// One worker per replica, or the pool can never run them all
-		// concurrently: workers pull from the queue and each occupies one
-		// replica for the duration of a batch.
-		cfg.Workers = opts.Replicas
-	}
 	m := &Model{
 		name:     name,
 		backend:  backend,

@@ -10,16 +10,19 @@ import (
 	"repro/internal/exec"
 	"repro/internal/graphmodel"
 	"repro/internal/kernels"
+	"repro/internal/layers"
+	"repro/internal/savedmodel"
 )
 
 // replica is one independently executing copy of a model: its own engine
 // (own backend instance, data plane, tidy-scope stack, execution lock)
-// holding its own upload of the weights. Utilization counters feed the
-// per-replica gauges in /metrics.
+// holding its own upload of the weights, which dispose frees. Utilization
+// counters feed the per-replica gauges in /metrics.
 type replica struct {
-	id  int
-	eng *core.Engine
-	run runner
+	id      int
+	eng     *core.Engine
+	run     runner
+	dispose func()
 
 	inflight atomic.Int64 // batches executing right now
 	batches  atomic.Int64 // total batches executed
@@ -47,24 +50,35 @@ type ReplicaSnapshot struct {
 // scheduler is oblivious to replication: each worker's run() call lands
 // on the least-loaded replica, and two workers' calls on different
 // replicas execute concurrently — this is where the per-replica-engine
-// refactor cashes out as throughput.
+// refactor cashes out as throughput. Every served model is a pool, of one
+// replica when it does not replicate.
 type pool struct {
 	replicas []*replica
 	rr       atomic.Uint64
 }
 
-// newPool loads size replicas of a graph model. Replica 0 runs on the
-// base engine; the rest on engines spawned from it. Each replica
+// loadPool reads the artifact in store and builds its pool with the
+// format's one constructor. It returns the format too, for Status.
+func loadPool(name string, store converter.Store, backend string, replicas int, ec exec.Config) (*pool, string, error) {
+	a, err := converter.Load(store)
+	if err != nil {
+		return nil, "", err
+	}
+	if a.Layers != nil {
+		return layersPool(name, a.Layers, backend), a.Format, nil
+	}
+	p, err := graphPool(name, a.Graph, backend, replicas, ec)
+	return p, a.Format, err
+}
+
+// graphPool loads max(size, 1) replicas of a graph model. Replica 0 runs on
+// the global engine; the rest on engines spawned from it. Each replica
 // optimizes, verifies and compiles its own plan and uploads its own weight
 // copy, so replicas share no mutable state at all.
-func newPool(name string, store converter.Store, backend string, size int, ec exec.Config) (*pool, error) {
-	g, err := converter.LoadArtifacts(store)
-	if err != nil {
-		return nil, err
-	}
+func graphPool(name string, g *savedmodel.GraphDef, backend string, size int, ec exec.Config) (*pool, error) {
 	base := core.Global()
 	p := &pool{}
-	for i := 0; i < size; i++ {
+	for i := 0; i < max(size, 1); i++ {
 		eng := base
 		if i > 0 {
 			eng = base.SpawnReplica()
@@ -75,14 +89,28 @@ func newPool(name string, store converter.Store, backend string, size int, ec ex
 			return nil, fmt.Errorf("serving: loading replica %d: %w", i, err)
 		}
 		gm.SetName(name)
+		dispose := func() { eng.RunExclusive(gm.Dispose) }
 		run, err := newGraphRunner(gm, backend)
 		if err != nil {
+			dispose()
 			p.Close()
 			return nil, err
 		}
-		p.replicas = append(p.replicas, &replica{id: i, eng: eng, run: run})
+		p.replicas = append(p.replicas, &replica{id: i, eng: eng, run: run, dispose: dispose})
 	}
 	return p, nil
+}
+
+// layersPool serves a restored Layers model as one replica on the global
+// engine, the one its weights live on: a Layers model predicts eagerly and
+// does not replicate.
+func layersPool(name string, lm *layers.Sequential, backend string) *pool {
+	eng := core.Global()
+	return &pool{replicas: []*replica{{
+		eng:     eng,
+		run:     &layersRunner{model: lm, backend: backend, name: name},
+		dispose: func() { eng.RunExclusive(lm.Dispose) },
+	}}}
 }
 
 // run implements runner: execute the batch on the least-loaded replica.
@@ -148,10 +176,7 @@ func (p *pool) snapshots() []ReplicaSnapshot {
 // pools on the load error path).
 func (p *pool) Close() {
 	for _, r := range p.replicas {
-		if gr, ok := r.run.(*graphRunner); ok {
-			gm := gr.model
-			gm.Engine().RunExclusive(gm.Dispose)
-		}
+		r.dispose()
 	}
 	p.replicas = nil
 }

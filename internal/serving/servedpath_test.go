@@ -80,7 +80,7 @@ func TestServedExecuteAllocBudget(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("allocation budget: sync.Pool drops entries at random under -race")
 	}
-	gm := m.sched.run.(*graphRunner).model
+	gm := m.pool.replicas[0].run.(*graphRunner).model
 	e := gm.Engine()
 	var x *tensor.Tensor
 	e.RunExclusive(func() { x = e.MakeTensor(img.Values, []int{1, 96, 96, 3}, tensor.Float32) })
@@ -540,6 +540,46 @@ func TestBatchedEqualsSingleEverywhere(t *testing.T) {
 				sameBits(t, fmt.Sprintf("batch of %d, round %d", n, round), outs, want)
 			}
 			sameMemory(t, "after serving", before)
+		})
+	}
+}
+
+// TestReplicasReportTheLoadedPool: every served model is a replica pool,
+// and Model.Replicas, Status and the per-replica snapshots read that pool.
+// A layers model asked for four replicas serves one (it does not
+// replicate) and says so; a graph model of one replica keeps its Status
+// JSON free of a replica count and now reports its replica's gauges.
+// Unloading frees every replica's weights.
+func TestReplicasReportTheLoadedPool(t *testing.T) {
+	stores := smallStores(t, 32)
+	for _, tc := range []struct {
+		format         string
+		asked, serving int
+	}{
+		{"layers", 4, 1}, {"graph", 0, 1}, {"graph", 2, 2},
+	} {
+		t.Run(fmt.Sprintf("%s/replicas%d", tc.format, tc.asked), func(t *testing.T) {
+			before := core.Global().Memory()
+			reg := NewRegistry()
+			m := loadReady(t, reg, "m", stores[tc.format], ModelOptions{Backend: "node", Replicas: tc.asked})
+			if got := m.Replicas(); got != tc.serving {
+				t.Errorf("Replicas() = %d, want %d", got, tc.serving)
+			}
+			status, err := json.Marshal(m.Status())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hasCount := strings.Contains(string(status), `"replicas"`); hasCount != (tc.serving > 1) {
+				t.Errorf("Status JSON %s: replica count present %v, want %v", status, hasCount, tc.serving > 1)
+			}
+			if st := m.Status(); tc.serving > 1 && st.Replicas != tc.serving {
+				t.Errorf("Status.Replicas = %d, want %d", st.Replicas, tc.serving)
+			}
+			if snaps := reg.Snapshots()["m"].Replicas; len(snaps) != tc.serving {
+				t.Errorf("%d replica snapshots, want %d", len(snaps), tc.serving)
+			}
+			reg.Close()
+			sameMemory(t, "after unload", before)
 		})
 	}
 }
