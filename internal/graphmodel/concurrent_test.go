@@ -2,6 +2,7 @@ package graphmodel_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -68,9 +69,10 @@ func TestConcurrentExecute(t *testing.T) {
 	}
 }
 
-// TestPredictEmptySignature covers the satellite fix: a graph with no
-// declared serving inputs/outputs must return a descriptive error rather
-// than panic with an index out of range.
+// TestPredictEmptySignature: a graph with no declared serving outputs does
+// not load (GraphDef.Validate), and Predict on one with no declared serving
+// input returns a descriptive error rather than panic with an index out of
+// range.
 func TestPredictEmptySignature(t *testing.T) {
 	g := &savedmodel.GraphDef{
 		Nodes: []savedmodel.NodeDef{
@@ -78,6 +80,10 @@ func TestPredictEmptySignature(t *testing.T) {
 			{Name: "y", Op: "Relu", Inputs: []string{"x"}},
 		},
 	}
+	if _, err := graphmodel.New(g); err == nil || !strings.Contains(err.Error(), "no output") {
+		t.Fatalf("a graph with no outputs: New error %v, want one naming the missing output", err)
+	}
+	g.Outputs = []string{"y"}
 	m, err := graphmodel.New(g)
 	if err != nil {
 		t.Fatal(err)

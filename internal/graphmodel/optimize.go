@@ -3,6 +3,7 @@ package graphmodel
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/kernels"
 	"repro/internal/savedmodel"
@@ -57,7 +58,10 @@ type optimizer struct {
 	hub   *telemetry.Hub
 	span  string
 
-	nodes     map[string]*savedmodel.NodeDef
+	// The indexes, built once and kept up to date by every rewrite: a
+	// node's position in g.Nodes, the consumers of each node (one entry per
+	// edge, removed nodes' edges included) and the graph outputs.
+	nodes     map[string]int
 	consumers map[string][]string
 	outputs   map[string]bool
 	removed   map[string]bool
@@ -72,7 +76,7 @@ func optimize(g *savedmodel.GraphDef, hub *telemetry.Hub, span string) (*savedmo
 		hub:   hub,
 		span:  span,
 	}
-	o.reindex()
+	o.index()
 	o.elideIdentities()
 	o.foldConstants()
 	o.foldBatchNorms()
@@ -83,19 +87,42 @@ func optimize(g *savedmodel.GraphDef, hub *telemetry.Hub, span string) (*savedmo
 	return o.g, *o.stats
 }
 
-// reindex rebuilds the name→node and consumer indexes.
-func (o *optimizer) reindex() {
-	o.nodes = make(map[string]*savedmodel.NodeDef, len(o.g.Nodes))
+// index builds the name→node, consumer and output indexes.
+func (o *optimizer) index() {
+	o.nodes = make(map[string]int, len(o.g.Nodes))
 	for i := range o.g.Nodes {
-		o.nodes[o.g.Nodes[i].Name] = &o.g.Nodes[i]
+		o.nodes[o.g.Nodes[i].Name] = i
 	}
 	o.consumers = o.g.Consumers()
 	o.outputs = make(map[string]bool, len(o.g.Outputs))
 	for _, out := range o.g.Outputs {
 		o.outputs[out] = true
 	}
-	if o.removed == nil {
-		o.removed = map[string]bool{}
+	o.removed = map[string]bool{}
+}
+
+// node returns the node named name, or nil. The pointer is good until the
+// next addConst, which may grow g.Nodes.
+func (o *optimizer) node(name string) *savedmodel.NodeDef {
+	i, ok := o.nodes[name]
+	if !ok {
+		return nil
+	}
+	return &o.g.Nodes[i]
+}
+
+// setInputs replaces n's input edges with inputs, in the consumer index
+// too.
+func (o *optimizer) setInputs(n *savedmodel.NodeDef, inputs []string) {
+	for _, in := range n.Inputs {
+		cs := o.consumers[in]
+		if i := slices.Index(cs, n.Name); i >= 0 {
+			o.consumers[in] = slices.Delete(cs, i, i+1)
+		}
+	}
+	n.Inputs = inputs
+	for _, in := range inputs {
+		o.consumers[in] = append(o.consumers[in], n.Name)
 	}
 }
 
@@ -128,8 +155,8 @@ func (o *optimizer) soleConsumer(name string) string {
 
 // constWeight returns the weight behind name when it is a live Const node.
 func (o *optimizer) constWeight(name string) (*savedmodel.Weight, bool) {
-	n, ok := o.nodes[name]
-	if !ok || o.removed[n.Name] || n.Op != "Const" {
+	n := o.node(name)
+	if n == nil || o.removed[n.Name] || n.Op != "Const" {
 		return nil, false
 	}
 	w, ok := o.g.Weights[name]
@@ -140,7 +167,7 @@ func (o *optimizer) constWeight(name string) (*savedmodel.Weight, bool) {
 // from with to.
 func (o *optimizer) rewire(from, to string) {
 	for _, cname := range o.consumers[from] {
-		c := o.nodes[cname]
+		c := o.node(cname)
 		for i, in := range c.Inputs {
 			if in == from {
 				c.Inputs[i] = to
@@ -151,6 +178,8 @@ func (o *optimizer) rewire(from, to string) {
 	for i, out := range o.g.Outputs {
 		if out == from {
 			o.g.Outputs[i] = to
+			delete(o.outputs, from)
+			o.outputs[to] = true
 		}
 	}
 	o.consumers[from] = nil
@@ -167,11 +196,11 @@ func (o *optimizer) addConst(base string, shape []int, values []float32) string 
 		}
 		name = fmt.Sprintf("%s/opt%d", base, i)
 	}
+	o.nodes[name] = len(o.g.Nodes)
 	o.g.Nodes = append(o.g.Nodes, savedmodel.NodeDef{Name: name, Op: "Const"})
 	o.g.Weights[name] = &savedmodel.Weight{
 		Name: name, Shape: tensor.CopyShape(shape), DType: "float32", Values: values,
 	}
-	o.reindex()
 	return name
 }
 
@@ -249,8 +278,8 @@ func (o *optimizer) foldBatchNorms() {
 		if bn.Op != "FusedBatchNorm" || o.removed[bn.Name] || len(bn.Inputs) != 5 {
 			continue
 		}
-		conv, ok := o.nodes[bn.Inputs[0]]
-		if !ok || o.removed[conv.Name] || (conv.Op != "Conv2D" && conv.Op != "DepthwiseConv2dNative") {
+		conv := o.node(bn.Inputs[0])
+		if conv == nil || o.removed[conv.Name] || (conv.Op != "Conv2D" && conv.Op != "DepthwiseConv2dNative") {
 			continue
 		}
 		// Refuse when the conv output feeds anything besides this BN: the
@@ -300,15 +329,14 @@ func (o *optimizer) foldBatchNorms() {
 		}
 		wName := o.addConst(conv.Name+"/bn_folded_filter", filter.Shape, foldedW)
 		bName := o.addConst(bn.Name+"/bn_folded_bias", []int{outC}, bias)
-		conv = o.nodes[conv.Name] // re-take after reindex
-		bn = o.nodes[bn.Name]
-		conv.Inputs[1] = wName
+		conv = o.node(conv.Name) // re-take: addConst may grow g.Nodes
+		bn = o.node(bn.Name)
+		o.setInputs(conv, []string{conv.Inputs[0], wName})
 		// The BN node becomes the BiasAdd, keeping its name so downstream
 		// edges (and graph outputs) stay valid.
 		bn.Op = "BiasAdd"
-		bn.Inputs = []string{conv.Name, bName}
+		o.setInputs(bn, []string{conv.Name, bName})
 		bn.Attrs = nil
-		o.reindex()
 		o.stats.FoldedBatchNorms++
 		o.record("fold:"+conv.Op+"+FusedBatchNorm", bn.Name, 0)
 	}
@@ -393,7 +421,7 @@ func (o *optimizer) fusePatterns() {
 		if addName == "" {
 			continue
 		}
-		add := o.nodes[addName]
+		add := o.node(addName)
 		if add.Op != "BiasAdd" && add.Op != "Add" {
 			continue
 		}
@@ -407,7 +435,7 @@ func (o *optimizer) fusePatterns() {
 		activation := ""
 		actLabel := ""
 		if actName := o.soleConsumer(add.Name); actName != "" {
-			actNode := o.nodes[actName]
+			actNode := o.node(actName)
 			// Any activation of the element-wise table fuses, under its
 			// lowercase name.
 			if op, ok := kernels.LookupElementwise(actNode.Op); ok && op.Activation != "" && len(actNode.Inputs) == 1 {
@@ -430,14 +458,13 @@ func (o *optimizer) fusePatterns() {
 		pattern := "fuse:" + root.Op + "+" + add.Op + actLabel
 		removedCount := 1
 		tail.Op = fusedOp
-		tail.Inputs = []string{root.Inputs[0], root.Inputs[1], biasName}
+		o.setInputs(tail, []string{root.Inputs[0], root.Inputs[1], biasName})
 		tail.Attrs = attrs
 		o.removed[root.Name] = true
 		if tail != add {
 			o.removed[add.Name] = true
 			removedCount = 2
 		}
-		o.reindex()
 		switch fusedOp {
 		case "FusedConv2D":
 			o.stats.FusedConv2D++
@@ -461,7 +488,7 @@ func (o *optimizer) prune() {
 			return
 		}
 		live[name] = true
-		if n, ok := o.nodes[name]; ok {
+		if n := o.node(name); n != nil {
 			for _, in := range n.Inputs {
 				visit(in)
 			}
@@ -486,7 +513,8 @@ func (o *optimizer) prune() {
 	}
 }
 
-// compact materializes the removals accumulated by the passes.
+// compact materializes the removals accumulated by the passes. It is the
+// last pass: the indexes do not follow it.
 func (o *optimizer) compact() {
 	kept := o.g.Nodes[:0]
 	for _, n := range o.g.Nodes {
@@ -500,5 +528,4 @@ func (o *optimizer) compact() {
 			delete(o.g.Weights, name)
 		}
 	}
-	o.reindex()
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bufpool"
 	"repro/internal/graphmodel"
 	"repro/internal/models"
 	"repro/internal/planvet"
@@ -167,5 +168,32 @@ func TestPlanLifetimeTable(t *testing.T) {
 		if !strings.Contains(table, frag) {
 			t.Fatalf("lifetime table missing %q", frag)
 		}
+	}
+}
+
+// TestLoadAllocBudget: loading the benchmark's MobileNet (α=0.25 at 96,
+// 1000 classes) — validate, optimize, verify, compile the plan, upload the
+// weights — makes 2,677 allocations; the budget is 5% over that. It made
+// 23,198 while the graph optimizer rebuilt its node, consumer and output
+// indexes after every rewrite: twice per batch-norm fold, once per
+// constant fold and once per fusion.
+func TestLoadAllocBudget(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("allocation budget: sync.Pool drops entries at random under -race")
+	}
+	g := mobileNetGraph(t, 0.25, 96)
+	load := func() {
+		m, err := graphmodel.New(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Dispose()
+	}
+	load()
+	const budget = 2810
+	allocs := testing.AllocsPerRun(3, load)
+	t.Logf("graphmodel.New: %.0f allocs (budget %d)", allocs, budget)
+	if allocs > budget {
+		t.Fatalf("graphmodel.New allocates %.0f, budget %d", allocs, budget)
 	}
 }

@@ -13,14 +13,18 @@ import (
 // optimizer keeps a variable's first and second moments in one slot of
 // shape [2, ...shape], m then v, and a step is
 //
-//	mv' = AdamMoments(mv, g)   attrs Beta1, Beta2
-//	x'  = ApplyAdam(x, mv')    attrs LearningRate, Beta1Power, Beta2Power, Epsilon
+//	mv' = AdamMoments(mv, g)          attrs Beta1, Beta2
+//	x'  = ApplyAdam(x, mv', corr)     attrs LearningRate, Epsilon
 //
+// corr is the step's [2] operand of bias corrections, 1-beta1^t and
+// 1-beta2^t: a value that changes every step is an operand, not an
+// attribute, so a step's calls keep the keys of the last step's (Memo).
 // Each value goes through the float32 operations the eager op chain did —
 // Mul, Square, Add for the moments; RealDiv, RealDiv, Mul, Sqrt, Add,
 // RealDiv, Sub for the update — in the chain's order, each rounded, with
 // the scalar operands rounded from float64 as the chain's uploaded scalars
-// were. So a fused step is Float32bits-equal to the chain's.
+// were (AdamCorrections). So a fused step is Float32bits-equal to the
+// chain's.
 
 // AdamMoments is a resolved AdamMoments call: the variable's size n and
 // the coefficients every tier computes with, beta1, 1-beta1, beta2 and
@@ -46,29 +50,41 @@ func (a AdamMoments) Fill(mv, g []float32, lo int, dst []float32) {
 	vec.AdamMoments(dst, mv, g[:a.n], lo, a.beta1, a.c1, a.beta2, a.c2)
 }
 
-// ApplyAdam is a resolved ApplyAdam call: the variable's size n, the
-// learning rate, the two bias corrections 1-beta1^t and 1-beta2^t (from
-// beta1Power = beta1^t and beta2Power = beta2^t) and epsilon.
-type ApplyAdam struct {
-	n                     int
-	lr, corr1, corr2, eps float32
+// AdamCorrections is the operand of step t of an Adam optimizer with
+// decay rates beta1 and beta2: its two bias corrections, 1-beta1^t and
+// 1-beta2^t, each taken in float64 and rounded once.
+func AdamCorrections(beta1, beta2 float64, t int) []float32 {
+	return []float32{float32(1 - math.Pow(beta1, float64(t))), float32(1 - math.Pow(beta2, float64(t)))}
 }
 
-// ResolveApplyAdam checks an ApplyAdam — inputs x [...shape] and mv [2,
-// ...shape]; attrs LearningRate, Beta1Power, Beta2Power and Epsilon.
+// ApplyAdam is a resolved ApplyAdam call: the variable's size n, the
+// learning rate and epsilon.
+type ApplyAdam struct {
+	n       int
+	lr, eps float32
+}
+
+// ResolveApplyAdam checks an ApplyAdam — inputs x [...shape], mv [2,
+// ...shape] and the step's bias corrections corr [2] (AdamCorrections);
+// attrs LearningRate and Epsilon.
 func ResolveApplyAdam(inputs []Input, attrs Attrs, out *TensorInfo) (ApplyAdam, error) {
-	if err := adamSlot("ApplyAdam", inputs, 1, out); err != nil {
+	if err := wantInputs("ApplyAdam", inputs, 3); err != nil {
 		return ApplyAdam{}, err
 	}
-	return ApplyAdam{tensor.ShapeSize(inputs[0].Shape), float32(attrs.LearningRate),
-		float32(1 - attrs.Beta1Power), float32(1 - attrs.Beta2Power), float32(attrs.Epsilon)}, nil
+	if c := inputs[2]; len(c.Shape) != 1 || c.Shape[0] != 2 || c.DType != tensor.Float32 {
+		return ApplyAdam{}, fmt.Errorf("kernel ApplyAdam: bias corrections %v %v are not float32 [2]", c.Shape, c.DType)
+	}
+	if err := adamSlot("ApplyAdam", inputs[:2], 1, out); err != nil {
+		return ApplyAdam{}, err
+	}
+	return ApplyAdam{tensor.ShapeSize(inputs[0].Shape), float32(attrs.LearningRate), float32(attrs.Epsilon)}, nil
 }
 
 // Fill computes the variable values [lo, lo+len(dst)) of x' into dst
 // (vec.AdamStep).
-func (a ApplyAdam) Fill(x, mv []float32, lo int, dst []float32) {
+func (a ApplyAdam) Fill(x, mv, corr []float32, lo int, dst []float32) {
 	hi := lo + len(dst)
-	vec.AdamStep(dst, x[lo:hi], mv[lo:hi], mv[a.n+lo:a.n+hi], a.lr, a.corr1, a.corr2, a.eps)
+	vec.AdamStep(dst, x[lo:hi], mv[lo:hi], mv[a.n+lo:a.n+hi], a.lr, corr[0], corr[1], a.eps)
 }
 
 // adamSlot checks an Adam kernel's two inputs, the moments slot
@@ -111,7 +127,7 @@ func init() {
 		if err != nil {
 			return Buffer{}, err
 		}
-		x, mv, lr, corr1, corr2, eps := inputs[0], inputs[1], a.lr, a.corr1, a.corr2, a.eps
+		x, mv, lr, corr1, corr2, eps := inputs[0], inputs[1], a.lr, inputs[2].Data[0], inputs[2].Data[1], a.eps
 		n := len(x.Data)
 		out := NewBuffer(res.Shape, res.DType)
 		for i, xv := range x.Data {

@@ -135,7 +135,7 @@ func TestRangeBodiesMatchReference(t *testing.T) {
 		{"rows", "Sum", []Buffer{op(9, 11)}, Attrs{Axes: []int{0}}},
 		{"zeroRows", "Sum", []Buffer{op(0, 5)}, Attrs{Axes: []int{0}}},
 		{"moments", "AdamMoments", []Buffer{slot, op(3, 4)}, Attrs{Beta1: 0.9, Beta2: 0.999}},
-		{"step", "ApplyAdam", []Buffer{op(3, 4), slot}, Attrs{LearningRate: 0.01, Beta1Power: 0.729, Beta2Power: 0.997, Epsilon: 1e-8}},
+		{"step", "ApplyAdam", []Buffer{op(3, 4), slot, {Data: AdamCorrections(0.9, 0.999, 3), Shape: []int{2}}}, Attrs{LearningRate: 0.01, Epsilon: 1e-8}},
 		{"rotate", "Transpose", []Buffer{op(2, 3, 4)}, Attrs{Perm: []int{2, 0, 1}}},
 		{"blocks", "Transpose", []Buffer{op(2, 3, 4, 5)}, Attrs{Perm: []int{0, 3, 1, 2}}},
 		{"squeezy", "Transpose", []Buffer{op(1, 5, 1, 3)}, Attrs{Perm: []int{3, 1, 2, 0}}},

@@ -47,9 +47,11 @@ type Attrs struct {
 	// padding; OnValue and OffValue are OneHot's; Start, Stop and Step are
 	// Range's; Epsilon is FusedBatchNorm's variance epsilon and ApplyAdam's.
 	Alpha, ClipMin, ClipMax, Value, OnValue, OffValue, Start, Stop, Step, Epsilon float64
-	// Beta1 and Beta2 are AdamMoments' decay rates; LearningRate,
-	// Beta1Power (beta1^t) and Beta2Power ApplyAdam's.
-	LearningRate, Beta1, Beta2, Beta1Power, Beta2Power float64
+	// Beta1 and Beta2 are AdamMoments' decay rates, LearningRate
+	// ApplyAdam's. A value that changes every step (Adam's bias
+	// corrections) is an operand, not an attribute: an attribute is part
+	// of a call's key (Memo), and a new key every step resolves every step.
+	LearningRate, Beta1, Beta2 float64
 	// TransposeA and TransposeB transpose a matmul's operands; KeepDims
 	// keeps a reduction's reduced dims as 1; Exclusive and Reverse are
 	// CumSum's.

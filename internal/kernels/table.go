@@ -317,13 +317,14 @@ func adamMoments(_ string, inputs []Input, attrs Attrs, out *TensorInfo) (Range,
 		Work: adamMomentsWork(a.n)}, nil
 }
 
-// applyAdam is ApplyAdam's range: (x [...shape], mv [2, ...shape]) → x'.
+// applyAdam is ApplyAdam's range: (x [...shape], mv [2, ...shape], corr
+// [2]) → x'.
 func applyAdam(_ string, inputs []Input, attrs Attrs, out *TensorInfo) (Range, error) {
 	a, err := ResolveApplyAdam(inputs, attrs, out)
 	if err != nil {
 		return Range{}, err
 	}
-	return Range{Fill: func(in [][]float32, lo int, dst []float32) { a.Fill(in[0], in[1], lo, dst) },
+	return Range{Fill: func(in [][]float32, lo int, dst []float32) { a.Fill(in[0], in[1], in[2], lo, dst) },
 		Work: PerValue(a.n, 3, aluAdamStep)}, nil
 }
 

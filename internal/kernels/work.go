@@ -112,7 +112,8 @@ func backpropTaps(info Conv2DInfo) (pairs, cells int64) {
 
 // aluAdamStep is ApplyAdam's arithmetic per value: the two bias-correction
 // divides, the learning-rate multiply, the square root, the epsilon add,
-// the update's divide and the subtract (three fetches: x, m and v).
+// the update's divide and the subtract (three fetches: x, m and v; the
+// step's two bias corrections are the program's uniforms, read once).
 const aluAdamStep = 7
 
 // adamMomentsWork is the work of AdamMoments over the 2n-value slot of an

@@ -10,12 +10,15 @@ import (
 	"repro/internal/vec"
 )
 
-// adamAttrs are AdamMoments' and ApplyAdam's attributes at Adam's third
-// step with the default betas.
-var adamAttrs = [2]kernels.Attrs{
-	{Beta1: 0.9, Beta2: 0.999},
-	{LearningRate: 0.01, Beta1Power: 0.9 * 0.9 * 0.9, Beta2Power: 0.999 * 0.999 * 0.999, Epsilon: 1e-8},
-}
+// adamAttrs are AdamMoments' and ApplyAdam's attributes with the default
+// betas, and adamCorr ApplyAdam's bias corrections at Adam's third step.
+var (
+	adamAttrs = [2]kernels.Attrs{
+		{Beta1: 0.9, Beta2: 0.999},
+		{LearningRate: 0.01, Epsilon: 1e-8},
+	}
+	adamCorr = operand{kernels.AdamCorrections(0.9, 0.999, 3), []int{2}}
+)
 
 // checkAdam runs AdamMoments and ApplyAdam on a variable of the given shape
 // against the reference kernels, every operand from f; the second moments
@@ -36,7 +39,7 @@ func checkAdam(t *testing.T, nb *Backend, shape []int, f fill) {
 		}
 		label := fmt.Sprintf("%v/%s/nonNegative=%v", shape, f.name, nonNegative)
 		checkAgainstReference(t, nb, "AdamMoments/"+label, "AdamMoments", adamAttrs[0], mv, g)
-		checkAgainstReference(t, nb, "ApplyAdam/"+label, "ApplyAdam", adamAttrs[1], x, mv)
+		checkAgainstReference(t, nb, "ApplyAdam/"+label, "ApplyAdam", adamAttrs[1], x, mv, adamCorr)
 	}
 }
 
@@ -56,7 +59,7 @@ func TestAdamKernelsBitIdenticalToReference(t *testing.T) {
 		x := operand{make([]float32, 6), []int{2, 3}}
 		for _, bad := range []operand{{make([]float32, 6), []int{6}}, {make([]float32, 12), []int{3, 2, 2}}, {make([]float32, 18), []int{3, 2, 3}}} {
 			checkAgainstReference(t, nb, fmt.Sprintf("AdamMoments/slot %v", bad.shape), "AdamMoments", adamAttrs[0], bad, x)
-			checkAgainstReference(t, nb, fmt.Sprintf("ApplyAdam/slot %v", bad.shape), "ApplyAdam", adamAttrs[1], x, bad)
+			checkAgainstReference(t, nb, fmt.Sprintf("ApplyAdam/slot %v", bad.shape), "ApplyAdam", adamAttrs[1], x, bad, adamCorr)
 		}
 		checkAgainstReference(t, nb, "AdamMoments/one input", "AdamMoments", adamAttrs[0], x)
 	}

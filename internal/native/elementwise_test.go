@@ -183,7 +183,7 @@ func TestOverwritingKernelsUnderPoolPoison(t *testing.T) {
 		{"Select", kernels.Attrs{}, []operand{{dense(5, 26), []int{5, 1}}, x, row}},
 		{"FusedBatchNorm", kernels.Attrs{Epsilon: 1e-3}, []operand{x, {dense(5, 27), []int{5, 1}}, {positive(5, 28), []int{5, 1}}, row, posRow}},
 		{"AdamMoments", adamAttrs[0], []operand{slot, g}},
-		{"ApplyAdam", adamAttrs[1], []operand{g, slot}},
+		{"ApplyAdam", adamAttrs[1], []operand{g, slot, adamCorr}},
 	} {
 		bufs := make([]kernels.Buffer, len(c.ops))
 		for i, o := range c.ops {

@@ -22,6 +22,9 @@ import (
 // its inputs. A kernel that does not specialize a shape or layout returns
 // kernels.ErrFallback and kernels.Dispatch runs the reference kernel.
 func (b *Backend) initKernels() {
+	b.resolved = kernels.NewMemo(func(_ kernels.RangeKernel, r kernels.Resolved, _ []kernels.Input, _ kernels.Attrs) kernels.Resolved {
+		return r
+	})
 	b.table = map[string]kernels.OverrideKernel{}
 	for _, k := range kernels.RangeKernels() {
 		b.register(k.Name, b.rangeKernel(k))
@@ -32,17 +35,20 @@ func (b *Backend) initKernels() {
 	b.register("GatherV2", b.gather)
 }
 
-// rangeKernel is k on node: the call's inputs read up front, its output
-// filled by k's body over whole units sharded across the worker pool —
-// bit-equal to the reference kernel for every worker count, since a body
-// computes each value the same wherever its range is cut. A staged buffer
-// (kernels.Stage) comes from the scratch recycler, filled once.
+// rangeKernel is k on node: the call resolved once per signature (the
+// backend's memo keeps the Range with the output's shape and dtype), its
+// inputs read up front, its output filled by k's body over whole units
+// sharded across the worker pool — bit-equal to the reference kernel for
+// every worker count, since a body computes each value the same wherever
+// its range is cut. A staged buffer (kernels.Stage) comes from the scratch
+// recycler, filled once.
 func (b *Backend) rangeKernel(k kernels.RangeKernel) kernels.OverrideKernel {
 	return func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
-		r, err := k.Resolve(k.Name, inputs, attrs, out)
+		r, err := b.resolved.Get(k, inputs, &attrs)
 		if err != nil {
 			return err
 		}
+		out.Shape = append(out.Shape[:0], r.Shape...)
 		in := b.inputs(inputs)
 		defer inLists.Put(in)
 		if n := r.Stage.Len(); n > 0 {
@@ -51,7 +57,7 @@ func (b *Backend) rangeKernel(k kernels.RangeKernel) kernels.OverrideKernel {
 			r.Stage.Run(*in, staged)
 			*in = append(*in, staged)
 		}
-		b.parallelFor(r.Fill, *in, b.outOver(out, out.DType), r.Unit, r.Work.Fetches)
+		b.parallelFor(r.Fill, *in, b.outOver(out, r.DType), r.Unit, r.Work.Fetches)
 		return nil
 	}
 }

@@ -42,6 +42,8 @@ type Backend struct {
 	*cpu.Backend
 	workers atomic.Int64
 	table   map[string]kernels.OverrideKernel
+	// resolved is the range kernels' memo: one Resolve per call signature.
+	resolved *kernels.Memo[kernels.Resolved]
 
 	// scratchF32 recycles kernel-internal temporaries (Conv2DBackpropInput's
 	// transposed filter): a per-backend (and so per-replica)
@@ -101,6 +103,10 @@ func (b *Backend) ApplyExecConfig(c exec.Config) {
 		b.SetPoolPoison(*c.PoolPoison)
 	}
 }
+
+// Resolves is the number of range-kernel calls the backend has resolved:
+// its memo's misses, one per call signature while the memo holds it.
+func (b *Backend) Resolves() int64 { return b.resolved.Misses() }
 
 // KernelOverride implements kernels.Overrider.
 func (b *Backend) KernelOverride(name string) (kernels.OverrideKernel, bool) {

@@ -54,9 +54,14 @@ type GraphDef struct {
 	Outputs []string `json:"outputs"`
 }
 
-// Validate checks structural invariants: unique names, known inputs,
-// weights for every Const.
+// Validate checks structural invariants: at least one output, unique
+// names, known inputs, weights for every Const. A graph that declares no
+// output computes nothing anyone can fetch: an artifact whose topology is
+// empty is one.
 func (g *GraphDef) Validate() error {
+	if len(g.Outputs) == 0 {
+		return fmt.Errorf("savedmodel: graph declares no output (%d nodes, %d inputs)", len(g.Nodes), len(g.Inputs))
+	}
 	seen := map[string]bool{}
 	for _, n := range g.Nodes {
 		if n.Name == "" {

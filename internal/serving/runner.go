@@ -91,10 +91,11 @@ type graphRunner struct {
 }
 
 func newGraphRunner(m *graphmodel.Model, backend string) (*graphRunner, error) {
+	// A graph always declares an output (GraphDef.Validate); an input it
+	// may not.
 	g := m.Graph()
-	if len(g.Inputs) == 0 || len(g.Outputs) == 0 {
-		return nil, fmt.Errorf("serving: graph model declares no serving signature (%d inputs, %d outputs)",
-			len(g.Inputs), len(g.Outputs))
+	if len(g.Inputs) == 0 {
+		return nil, fmt.Errorf("serving: graph model declares no serving input")
 	}
 	return &graphRunner{model: m, backend: backend, input: g.Inputs[0], output: g.Outputs[0]}, nil
 }

@@ -210,9 +210,8 @@ func TestAdamKernelsMatchTheOpChain(t *testing.T) {
 				for step := range steps {
 					g := ops.FromValues(grads[step], shape...)
 					mv = e.RunKernel("AdamMoments", []*tensor.Tensor{mv, g}, kernels.Attrs{Beta1: beta1, Beta2: beta2})
-					x = e.RunKernel("ApplyAdam", []*tensor.Tensor{x, mv}, kernels.Attrs{
-						LearningRate: lr, Beta1Power: math.Pow(beta1, float64(step+1)),
-						Beta2Power: math.Pow(beta2, float64(step+1)), Epsilon: eps})
+					corr := ops.FromValues(kernels.AdamCorrections(beta1, beta2, step+1), 2)
+					x = e.RunKernel("ApplyAdam", []*tensor.Tensor{x, mv, corr}, kernels.Attrs{LearningRate: lr, Epsilon: eps})
 					opt.ApplyGradients([]train.VarGrad{{Var: w, Grad: g}})
 					moments := mv.DataSync()
 					for i, got := range [][]float32{x.DataSync(), moments[:n], moments[n:], w.Value().DataSync()} {

@@ -5,7 +5,6 @@ package train
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/kernels"
@@ -259,23 +258,21 @@ func NewAdam(lr, beta1, beta2, epsilon float64) *Adam {
 // Name implements Optimizer.
 func (o *Adam) Name() string { return "adam" }
 
-// ApplyGradients implements Optimizer. The attributes are the step's, one
-// pair of values shared by every variable's two dispatches.
+// ApplyGradients implements Optimizer. The attributes are the same every
+// step; what changes, the two bias corrections, is one [2] operand per step
+// that every variable's ApplyAdam reads (kernels.AdamCorrections).
 func (o *Adam) ApplyGradients(grads []VarGrad) {
 	o.step++
 	moments := kernels.Attrs{Beta1: o.Beta1, Beta2: o.Beta2}
-	update := kernels.Attrs{
-		LearningRate: o.LearningRate,
-		Beta1Power:   math.Pow(o.Beta1, float64(o.step)),
-		Beta2Power:   math.Pow(o.Beta2, float64(o.step)),
-		Epsilon:      o.Epsilon}
+	update := kernels.Attrs{LearningRate: o.LearningRate, Epsilon: o.Epsilon}
 	e := core.Global()
 	e.Tidy("adam", func() []*tensor.Tensor {
+		corr := e.MakeTensor(kernels.AdamCorrections(o.Beta1, o.Beta2, o.step), []int{2}, tensor.Float32)
 		for _, vg := range grads {
 			slot := o.moments.get(vg.Var, "moments", 2)
 			mv := e.RunKernel("AdamMoments", []*tensor.Tensor{slot.Value(), vg.Grad}, moments)
 			slot.Assign(mv)
-			vg.Var.Assign(e.RunKernel("ApplyAdam", []*tensor.Tensor{vg.Var.Value(), mv}, update))
+			vg.Var.Assign(e.RunKernel("ApplyAdam", []*tensor.Tensor{vg.Var.Value(), mv, corr}, update))
 		}
 		return nil
 	})

@@ -72,7 +72,7 @@ type Backend struct {
 	pageOuts     atomic.Int64
 	pageIns      atomic.Int64
 	kernelsTable map[string]kernels.OverrideKernel
-	programs     programCache
+	programs     *kernels.Memo[compiled]
 }
 
 // New creates a WebGL backend with the given configuration.
@@ -85,7 +85,7 @@ func New(cfg Config) *Backend {
 		device: glsim.NewDevice(cfg.Device),
 		data:   map[tensor.DataID]*texData{},
 	}
-	b.programs.m = map[string]compiled{}
+	b.programs = kernels.NewMemo(b.compile)
 	b.manager = newTextureManager(b.device, cfg.Recycling)
 	b.initKernels()
 	return b

@@ -429,7 +429,9 @@ func contractCases() map[string][]contractCase {
 		contractCase{"leadingZeroCols", []cin{rnd(rng, 4, 0)}, leading},
 	)
 	moments := kernels.Attrs{Beta1: 0.9, Beta2: 0.999}
-	step := kernels.Attrs{LearningRate: 0.01, Beta1Power: 0.729, Beta2Power: 0.997002999, Epsilon: 1e-8}
+	step := kernels.Attrs{LearningRate: 0.01, Epsilon: 1e-8}
+	beta1Power, beta2Power := 0.729, 0.997002999
+	corr := cin{shape: []int{2}, dtype: tensor.Float32, vals: []float32{float32(1 - beta1Power), float32(1 - beta2Power)}}
 	slot := func(shape ...int) cin {
 		m, v := rnd(rng, shape...), pos(rng, shape...)
 		return cin{shape: append([]int{2}, shape...), dtype: tensor.Float32, vals: append(m.vals, v.vals...)}
@@ -441,10 +443,10 @@ func contractCases() map[string][]contractCase {
 		contractCase{"zero", []cin{slot(0, 3), rnd(rng, 0, 3)}, moments},
 	)
 	add("ApplyAdam",
-		contractCase{"rep", []cin{rnd(rng, 3, 3, 1, 8), slot(3, 3, 1, 8)}, step},
-		contractCase{"odd", []cin{special(rnd(rng, 5, 7)), slot(5, 7)}, step},
-		contractCase{"scalar", []cin{rnd(rng), slot()}, step},
-		contractCase{"zero", []cin{rnd(rng, 0, 3), slot(0, 3)}, step},
+		contractCase{"rep", []cin{rnd(rng, 3, 3, 1, 8), slot(3, 3, 1, 8), corr}, step},
+		contractCase{"odd", []cin{special(rnd(rng, 5, 7)), slot(5, 7), corr}, step},
+		contractCase{"scalar", []cin{rnd(rng), slot(), corr}, step},
+		contractCase{"zero", []cin{rnd(rng, 0, 3), slot(0, 3), corr}, step},
 	)
 	return cases
 }

@@ -1,11 +1,4 @@
 package webgl
 
-// CompiledPrograms is the number of programs in b's program cache.
-func (b *Backend) CompiledPrograms() int {
-	b.programs.mu.Lock()
-	defer b.programs.mu.Unlock()
-	return len(b.programs.m)
-}
-
-// ProgramCacheCap is the cache's bound.
-const ProgramCacheCap = programCacheCap
+// CompiledPrograms is the number of programs in b's memo.
+func (b *Backend) CompiledPrograms() int { return b.programs.Len() }

@@ -35,10 +35,10 @@ func (b *Backend) initKernels() {
 }
 
 // rangeKernel is k's shader program (programs.go), compiled on a call's
-// first dispatch and looked up on every later one.
+// first dispatch and looked up in the backend's memo on every later one.
 func (b *Backend) rangeKernel(k kernels.RangeKernel) kernels.OverrideKernel {
 	return func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-		c, err := b.program(k, inputs, &attrs)
+		c, err := b.programs.Get(k, inputs, &attrs)
 		if err != nil {
 			return err
 		}

@@ -5,24 +5,24 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/glsim"
 	"repro/internal/kernels"
+	"repro/internal/native"
 	"repro/internal/tensor"
 )
 
 // TestCachedProgramIsTheCompiledOne: every entry of the range table, on
 // every contract case, on packed, unpacked and half-float webgl, dispatched
-// twice with no fence between. The first dispatch compiles the program and
-// the second reuses it, and both outputs are Float32bits-equal to the
-// reference kernel (on half floats: the reference on the fp16-rounded
-// inputs, rounded). A case the reference rejects fails both dispatches
-// with its words and compiles nothing; a call the body declines
-// (ErrFallback) compiles nothing either. Then the next case of the kernel,
-// another shape or attribute, compiles its own program.
+// twice with no fence between. The first dispatch misses the memo and
+// compiles the program, the second hits it, and both outputs are
+// Float32bits-equal to the reference kernel (on half floats: the reference
+// on the fp16-rounded inputs, rounded). A case the reference rejects fails
+// both dispatches with its words and compiles nothing; a call the body
+// declines (ErrFallback) compiles nothing either. Then the next case of the
+// kernel, another shape or attribute, compiles its own program.
 func TestCachedProgramIsTheCompiledOne(t *testing.T) {
 	cases := contractCases()
 	for _, cfg := range []contractConfig{{packed: true, squeeze: true}, {squeeze: true}, {packed: true, half: true, squeeze: true}} {
@@ -31,11 +31,10 @@ func TestCachedProgramIsTheCompiledOne(t *testing.T) {
 			if len(cases[k.Name]) == 0 {
 				t.Errorf("%s: no contract case", k.Name)
 			}
-			clear(b.programs.m)
 			for _, c := range cases[k.Name] {
 				where := fmt.Sprintf("%s/%s on %s", k.Name, c.label, cfg)
 				want, wantErr := referenceOutput(k.Name, c, cfg.half)
-				before := len(b.programs.m)
+				before, missesBefore := b.programs.Len(), b.programs.Misses()
 				inputs := make([]kernels.Input, len(c.inputs))
 				for i, in := range c.inputs {
 					inputs[i] = kernels.Input{DataID: tensor.NewDataID(), Shape: in.shape, DType: in.dtype}
@@ -43,8 +42,7 @@ func TestCachedProgramIsTheCompiledOne(t *testing.T) {
 				}
 				var miss, hit kernels.TensorInfo
 				missErr := b.kernelsTable[k.Name](inputs, c.attrs, &miss)
-				key := string(appendKey(nil, k.Name, inputs, &c.attrs))
-				compiled := b.programs.m[key].prog
+				compiled, missed := b.programs.Len(), b.programs.Misses()
 				hitErr := b.kernelsTable[k.Name](inputs, c.attrs, &hit)
 				switch {
 				case wantErr != nil || missErr != nil:
@@ -53,15 +51,15 @@ func TestCachedProgramIsTheCompiledOne(t *testing.T) {
 					if !rejected && !declined {
 						t.Errorf("%s: errors %v then %v, want the reference's %v", where, missErr, hitErr, wantErr)
 					}
-					if n := len(b.programs.m); n != before {
+					if n := b.programs.Len(); n != before {
 						t.Errorf("%s: a failed call left %d compiled programs, %d before", where, n, before)
 					}
 				case hitErr != nil:
 					t.Errorf("%s: the first dispatch ran, the second failed: %v", where, hitErr)
 				default:
-					if compiled == nil || len(b.programs.m) != before+1 {
-						t.Errorf("%s: the first dispatch compiled no program of its own (%d programs, %d before)", where, len(b.programs.m), before)
-					} else if b.programs.m[key].prog != compiled {
+					if compiled != before+1 || missed != missesBefore+1 {
+						t.Errorf("%s: the first dispatch compiled no program of its own (%d programs, %d before)", where, compiled, before)
+					} else if b.programs.Len() != compiled || b.programs.Misses() != missed {
 						t.Errorf("%s: the second dispatch compiled its program again", where)
 					}
 					checkOutput(t, b, where+", compiled", miss, want)
@@ -73,6 +71,78 @@ func TestCachedProgramIsTheCompiledOne(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNodeResolvesOncePerCallSignature is the twin of the test above on
+// node: every entry of the range table on every contract case, at 1 and 3
+// workers, dispatched twice. The first dispatch misses the backend's memo
+// and resolves the call, the second hits it and resolves nothing, and both
+// outputs are Float32bits-equal to the reference kernel. A case the
+// reference rejects fails both with its words, and a call node declines
+// (ErrFallback) declines both times.
+func TestNodeResolvesOncePerCallSignature(t *testing.T) {
+	cases := contractCases()
+	for _, workers := range []int{1, 3} {
+		nb := native.New()
+		nb.SetWorkers(workers)
+		for _, k := range kernels.RangeKernels() {
+			run, _ := nb.KernelOverride(k.Name)
+			for _, c := range cases[k.Name] {
+				where := fmt.Sprintf("%s/%s at %d workers", k.Name, c.label, workers)
+				want, wantErr := referenceOutput(k.Name, c, false)
+				inputs := make([]kernels.Input, len(c.inputs))
+				for i, in := range c.inputs {
+					inputs[i] = kernels.Input{DataID: tensor.NewDataID(), Shape: in.shape, DType: in.dtype}
+					nb.Write(inputs[i].DataID, in.vals, in.shape, in.dtype)
+				}
+				before := nb.Resolves()
+				var miss, hit kernels.TensorInfo
+				missErr := run(inputs, c.attrs, &miss)
+				resolved := nb.Resolves()
+				hitErr := run(inputs, c.attrs, &hit)
+				switch {
+				case wantErr != nil || missErr != nil:
+					rejected := fmt.Sprint(missErr) == fmt.Sprint(wantErr) && fmt.Sprint(hitErr) == fmt.Sprint(wantErr)
+					declined := wantErr == nil && errors.Is(missErr, kernels.ErrFallback) && errors.Is(hitErr, kernels.ErrFallback)
+					if !rejected && !declined {
+						t.Errorf("%s: errors %v then %v, want the reference's %v", where, missErr, hitErr, wantErr)
+					}
+				case hitErr != nil:
+					t.Errorf("%s: the first dispatch ran, the second failed: %v", where, hitErr)
+				default:
+					if resolved != before+1 || nb.Resolves() != resolved {
+						t.Errorf("%s: %d resolves on the first dispatch and %d on the second, want 1 and 0", where, resolved-before, nb.Resolves()-resolved)
+					}
+					for _, out := range []struct {
+						label string
+						info  kernels.TensorInfo
+					}{{"resolved", miss}, {"memoised", hit}} {
+						if err := sameOutput(out.info, nb.ReadSync(out.info.DataID), want); err != nil {
+							t.Errorf("%s, %s: %v", where, out.label, err)
+						}
+						nb.DisposeData(out.info.DataID)
+					}
+				}
+				for _, in := range inputs {
+					nb.DisposeData(in.DataID)
+				}
+			}
+		}
+	}
+}
+
+// sameOutput holds a kernel's output, described by out with values got, to
+// the reference's, bit for bit.
+func sameOutput(out kernels.TensorInfo, got []float32, want kernels.Buffer) error {
+	if fmt.Sprint(out.Shape) != fmt.Sprint(want.Shape) || out.DType != want.DType || len(got) != len(want.Data) {
+		return fmt.Errorf("output %v %v, want %v %v", out.Shape, out.DType, want.Shape, want.DType)
+	}
+	for i, v := range got {
+		if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
+			return fmt.Errorf("value %d = %g, reference %g", i, v, want.Data[i])
+		}
+	}
+	return nil
 }
 
 // checkOutput holds a dispatch's output to the reference's, bit for bit,
@@ -156,113 +226,63 @@ func TestMalformedCallAfterAGoodOneFails(t *testing.T) {
 	}
 }
 
-// TestProgramKeyHoldsEveryAttribute: setting any one field of
-// kernels.Attrs — every slice field nil, empty or not, a float to a NaN —
-// gives a key of its own, so a field added to Attrs and left out of the key
-// fails here rather than aliasing two programs. Shapes, dtypes, the input
-// count and the name each separate keys too, and ownAttrs copies every
-// slice field.
-func TestProgramKeyHoldsEveryAttribute(t *testing.T) {
-	in := func(shape []int, dtype tensor.DataType) []kernels.Input {
-		return []kernels.Input{{Shape: shape, DType: dtype}}
-	}
-	seen := map[string]string{}
-	add := func(label, key string) {
-		if prev, dup := seen[key]; dup {
-			t.Errorf("%s has the key of %s", label, prev)
-		}
-		seen[key] = label
-	}
-	add("zero attrs", string(appendKey(nil, "K", nil, &kernels.Attrs{})))
-	add("name", string(appendKey(nil, "L", nil, &kernels.Attrs{})))
-	add("one input", string(appendKey(nil, "K", in([]int{2, 3}, tensor.Float32), &kernels.Attrs{})))
-	add("input shape", string(appendKey(nil, "K", in([]int{3, 2}, tensor.Float32), &kernels.Attrs{})))
-	add("input dtype", string(appendKey(nil, "K", in([]int{2, 3}, tensor.Int32), &kernels.Attrs{})))
-	add("scalar input", string(appendKey(nil, "K", in([]int{}, tensor.Float32), &kernels.Attrs{})))
-	add("two inputs", string(appendKey(nil, "K", append(in(nil, tensor.Float32), in(nil, tensor.Float32)...), &kernels.Attrs{})))
-
-	typ := reflect.TypeOf(kernels.Attrs{})
-	for i := 0; i < typ.NumField(); i++ {
-		f := typ.Field(i)
-		var values []any
-		switch f.Type.Kind() {
-		case reflect.Slice:
-			values = []any{[]int{}, []int{1}, []int{-1, 2}}
-		case reflect.String:
-			values = []any{"same"}
-		case reflect.Int:
-			values = []any{1, -1}
-		case reflect.Float64:
-			values = []any{0.5, math.Copysign(0, -1), math.NaN()}
-		case reflect.Bool:
-			values = []any{true}
-		default:
-			t.Errorf("Attrs.%s is a %s, which the program key has no encoding for", f.Name, f.Type)
-		}
-		for _, v := range values {
-			var a kernels.Attrs
-			field := reflect.ValueOf(&a).Elem().Field(i)
-			field.Set(reflect.ValueOf(v).Convert(f.Type))
-			key := appendKey(nil, "K", nil, &a)
-			add(fmt.Sprintf("Attrs.%s = %v", f.Name, v), string(key))
-			if again := appendKey(nil, "K", nil, &a); string(again) != string(key) {
-				t.Errorf("Attrs.%s = %v: two keys for one call", f.Name, v)
-			}
-			if f.Type.Kind() == reflect.Slice && field.Len() > 0 {
-				own := reflect.ValueOf(ownAttrs(a)).Field(i)
-				if own.Pointer() == field.Pointer() {
-					t.Errorf("ownAttrs shares Attrs.%s with its caller", f.Name)
-				}
-			}
-		}
-	}
-}
-
 // TestProgramCacheServesConcurrentDispatches: goroutines dispatching on one
-// backend share its compiled programs and its recycled records — calls of
-// the same keys and of their own, no fence between — and every output is
-// the reference kernel's.
+// backend share its memo — calls of the same keys and of their own, no
+// fence between — and every output is the reference kernel's: on webgl,
+// whose memo holds compiled programs and which recycles its records too,
+// and on node, whose memo holds the resolved calls.
 func TestProgramCacheServesConcurrentDispatches(t *testing.T) {
-	b := newContractBackend(t, contractConfig{packed: true, squeeze: true}, 3)
-	rng := rand.New(rand.NewSource(5))
-	calls := []struct {
-		kernel string
-		c      contractCase
-	}{
-		{"Add", contractCase{"rows", []cin{rnd(rng, 4, 6), rnd(rng, 6)}, kernels.Attrs{}}},
-		{"Conv2D", contractCase{"same", []cin{rnd(rng, 1, 5, 5, 2), rnd(rng, 3, 3, 2, 3)}, convAttrs(nil, nil, "same")}},
-		{"Sum", contractCase{"rows", []cin{rnd(rng, 3, 7)}, kernels.Attrs{Axes: []int{1}}}},
+	type backend interface {
+		kernels.Backend
+		KernelOverride(name string) (kernels.OverrideKernel, bool)
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 30; i++ {
-				call := calls[(g+i)%len(calls)]
-				want, _ := referenceOutput(call.kernel, call.c, false)
-				inputs := make([]kernels.Input, len(call.c.inputs))
-				for k, in := range call.c.inputs {
-					inputs[k] = kernels.Input{DataID: tensor.NewDataID(), Shape: in.shape, DType: in.dtype}
-					b.Write(inputs[k].DataID, in.vals, in.shape, in.dtype)
-				}
-				var out kernels.TensorInfo
-				if err := b.kernelsTable[call.kernel](inputs, call.c.attrs, &out); err != nil {
-					t.Errorf("%s: %v", call.kernel, err)
-					return
-				}
-				for k, v := range b.ReadSync(out.DataID) {
-					if math.Float32bits(v) != math.Float32bits(want.Data[k]) {
-						t.Errorf("goroutine %d, %s: value %d = %g, reference %g", g, call.kernel, k, v, want.Data[k])
-						break
+	nb := native.New()
+	nb.SetWorkers(3)
+	for _, b := range []backend{newContractBackend(t, contractConfig{packed: true, squeeze: true}, 3), nb} {
+		rng := rand.New(rand.NewSource(5))
+		calls := []struct {
+			kernel string
+			c      contractCase
+		}{
+			{"Add", contractCase{"rows", []cin{rnd(rng, 4, 6), rnd(rng, 6)}, kernels.Attrs{}}},
+			{"Conv2D", contractCase{"same", []cin{rnd(rng, 1, 5, 5, 2), rnd(rng, 3, 3, 2, 3)}, convAttrs(nil, nil, "same")}},
+			{"Sum", contractCase{"rows", []cin{rnd(rng, 3, 7)}, kernels.Attrs{Axes: []int{1}}}},
+			{"Sum", contractCase{"cols", []cin{rnd(rng, 3, 7)}, kernels.Attrs{Axes: []int{0}}}},
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 30; i++ {
+					call := calls[(g+i)%len(calls)]
+					want, _ := referenceOutput(call.kernel, call.c, false)
+					inputs := make([]kernels.Input, len(call.c.inputs))
+					for k, in := range call.c.inputs {
+						inputs[k] = kernels.Input{DataID: tensor.NewDataID(), Shape: in.shape, DType: in.dtype}
+						b.Write(inputs[k].DataID, in.vals, in.shape, in.dtype)
+					}
+					run, _ := b.KernelOverride(call.kernel)
+					var out kernels.TensorInfo
+					if err := run(inputs, call.c.attrs, &out); err != nil {
+						t.Errorf("%s %s: %v", b.Name(), call.kernel, err)
+						return
+					}
+					if err := sameOutput(out, b.ReadSync(out.DataID), want); err != nil {
+						t.Errorf("%s, goroutine %d, %s/%s: %v", b.Name(), g, call.kernel, call.c.label, err)
+					}
+					b.DisposeData(out.DataID)
+					for _, in := range inputs {
+						b.DisposeData(in.DataID)
 					}
 				}
-				b.DisposeData(out.DataID)
-				for _, in := range inputs {
-					b.DisposeData(in.DataID)
-				}
-			}
-		}(g)
+			}(g)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	// Goroutines missing one key at once each resolve it; none resolves a
+	// key twice.
+	if n := nb.Resolves(); n < 4 || n > 4*4 {
+		t.Errorf("node resolved %d calls of 4 signatures on 4 goroutines", n)
+	}
 }

@@ -341,8 +341,9 @@ func TestGradientsAndBroadcastsOnEveryTier(t *testing.T) {
 		"Sum":         {{"leadingRows", "Sum", []kernels.Buffer{inexact(37, 11)}, kernels.Attrs{Axes: []int{0}}}},
 		"AdamMoments": {{"slot", "AdamMoments", []kernels.Buffer{variance2(inexact(2, 3, 7)), inexact(3, 7)},
 			kernels.Attrs{Beta1: 0.9, Beta2: 0.999}}},
-		"ApplyAdam": {{"slot", "ApplyAdam", []kernels.Buffer{inexact(3, 7), variance2(inexact(2, 3, 7))},
-			kernels.Attrs{LearningRate: 0.01, Beta1Power: 0.729, Beta2Power: 0.997, Epsilon: 1e-8}}},
+		"ApplyAdam": {{"slot", "ApplyAdam", []kernels.Buffer{inexact(3, 7), variance2(inexact(2, 3, 7)),
+			{Data: []float32{float32(1 - 0.729), float32(1 - 0.997)}, Shape: []int{2}}},
+			kernels.Attrs{LearningRate: 0.01, Epsilon: 1e-8}}},
 		"Transpose": {{"blocks", "Transpose", []kernels.Buffer{inexact(2, 3, 4, 5)}, kernels.Attrs{Perm: []int{0, 3, 1, 2}}}},
 		"Slice": {{"rows", "Slice", []kernels.Buffer{inexact(3, 4, 5)},
 			kernels.Attrs{Begin: []int{1, 0, 2}, Shape: []int{2, -1, 2}}}},

@@ -285,7 +285,8 @@ func TestTrainingWorkMatchesAWalk(t *testing.T) {
 			step.ALU += 2     // ·lr, the square root
 			step.ALU += 3     // +eps, the divide, the subtract
 		}
-		if got := declaredWork(t, b, "ApplyAdam", kernels.Attrs{LearningRate: 0.001, Beta1Power: 0.9, Beta2Power: 0.999, Epsilon: 1e-8}, rnd(rng, shape...), pos(rng, slot...)); got != step {
+		corr := cin{shape: []int{2}, dtype: tensor.Float32, vals: kernels.AdamCorrections(0.9, 0.999, 1)}
+		if got := declaredWork(t, b, "ApplyAdam", kernels.Attrs{LearningRate: 0.001, Epsilon: 1e-8}, rnd(rng, shape...), pos(rng, slot...), corr); got != step {
 			t.Errorf("ApplyAdam %v: charged %+v, walk counts %+v", shape, got, step)
 		}
 	}

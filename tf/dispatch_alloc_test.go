@@ -15,10 +15,13 @@ import (
 // allocator: op → Engine.RunKernel → kernels.Dispatch → the backend's kernel
 // → one tracked tensor, and the dispose. The budgets are the readings with
 // one pooled dispatch frame per call, a tape node built only when a tape
-// keeps it and no per-tensor strides (3 on cpu and node: the handle, its
-// shape and the kernel's one; 2 and 2 on webgl, the handle and its shape:
-// a warmed program is looked up, not built, its inputs are bound to the
-// device command and its output's record is recycled). Webgl read 8 and 8
+// keeps it and no per-tensor strides (3 on cpu: the handle, its shape and
+// the reference kernel's result; 2 on node, the handle and its shape: a
+// warmed call's resolution is looked up in the backend's memo, not built;
+// 2 and 2 on webgl, the handle and its shape: a warmed program is looked
+// up, not built, its inputs are bound to the device command and its
+// output's record is recycled). Node read 3 and 3 while every dispatch
+// resolved its call and built its body's closure. Webgl read 8 and 8
 // while each dispatch resolved its call and built a program, a closure, a
 // texture list and a record, and Add 10 while its program broadcast the
 // shapes and listed the operands' periods into slices of their own. They
@@ -35,7 +38,7 @@ func TestEagerDispatchAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		backend   string
 		add, relu float64
-	}{{"cpu", 3, 3}, {"node", 3, 3}, {"webgl", 2, 2}} {
+	}{{"cpu", 3, 3}, {"node", 2, 2}, {"webgl", 2, 2}} {
 		if err := tf.SetBackend(c.backend); err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +74,10 @@ func TestEagerDispatchAllocBudget(t *testing.T) {
 // the reading depends on how far the device lags. The device's cores are
 // started once, so the webgl readings are the same on one CPU and on
 // several. A budget is the lowest reading yet; a change may lower one and
-// may not raise any. Webgl reads 4 (the handle, its shape and the fence;
+// may not raise any. Node reads 2 (the handle and its shape: a warmed call
+// is resolved once, in the backend's memo); it read 3 (4 for Concat and
+// Step) while every dispatch resolved its call and built its body's
+// closure. Webgl reads 4 (the handle, its shape and the fence;
 // 5 for Conv2DBackpropInput, whose program stages its transposed filter
 // per dispatch); it read 10–12 on one CPU while each dispatch resolved its
 // call and built its program, and 15–17 on two, where each dispatch also
@@ -114,9 +120,9 @@ func TestEagerDispatchAllocBudgetPerClass(t *testing.T) {
 		{"GreaterEqual", [][]int{{6, 8}, {6, 8}}, kernels.Attrs{}},
 	}
 	budgets := map[string]map[string]float64{
-		"node": {"Conv2D": 3, "FusedConv2D": 3, "DepthwiseConv2dNative": 3, "MaxPool": 3, "BatchMatMul": 3, "Sum": 3, "Softmax": 3,
-			"Transpose": 3, "Concat": 4, "Conv2DBackpropFilter": 3, "Conv2DBackpropInput": 3, "AdamMoments": 3,
-			"Mul": 3, "Add": 3, "Sub": 3, "Relu6": 3, "Step": 4, "GreaterEqual": 3},
+		"node": {"Conv2D": 2, "FusedConv2D": 2, "DepthwiseConv2dNative": 2, "MaxPool": 2, "BatchMatMul": 2, "Sum": 2, "Softmax": 2,
+			"Transpose": 2, "Concat": 2, "Conv2DBackpropFilter": 2, "Conv2DBackpropInput": 2, "AdamMoments": 2,
+			"Mul": 2, "Add": 2, "Sub": 2, "Relu6": 2, "Step": 2, "GreaterEqual": 2},
 		"webgl": {"Conv2D": 4, "FusedConv2D": 4, "DepthwiseConv2dNative": 4, "MaxPool": 4, "BatchMatMul": 4, "Sum": 4, "Softmax": 4,
 			"Transpose": 4, "Concat": 4, "Conv2DBackpropFilter": 4, "Conv2DBackpropInput": 5, "AdamMoments": 4,
 			"Mul": 4, "Add": 4, "Sub": 4, "Relu6": 4, "Step": 4, "GreaterEqual": 4},

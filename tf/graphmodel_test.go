@@ -136,3 +136,21 @@ func TestLeakCheckAroundGraphModelPredict(t *testing.T) {
 		}
 	}
 }
+
+// TestEmptyGraphArtifactDoesNotLoad: a graph-model artifact whose topology
+// is empty — no nodes, no inputs, no outputs — is a load-time error naming
+// the missing output. It used to load as a model that computes nothing.
+func TestEmptyGraphArtifactDoesNotLoad(t *testing.T) {
+	store := tf.NewMemStore()
+	if err := store.Write("model.json", []byte(`{"format": "graph-model", "modelTopology": {}, "weightsManifest": []}`)); err != nil {
+		t.Fatal(err)
+	}
+	gm, err := tf.LoadGraphModel(store)
+	if err == nil {
+		gm.Dispose()
+		t.Fatal("an empty graph-model artifact loaded")
+	}
+	if !strings.Contains(err.Error(), "no output") {
+		t.Errorf("load error %q does not name the missing output", err)
+	}
+}
