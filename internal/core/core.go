@@ -7,8 +7,8 @@
 //   - the backend registry and the active backend (Section 3.4);
 //   - the tensor/data-container registry with reference counting, which is
 //     what makes reshape and clone free (Section 3.4);
-//   - kernel dispatch: device-specific kernel overrides with a reference-
-//     kernel fallback (Section 3.3);
+//   - kernel dispatch: the active backend's own kernel for every operation
+//     (Section 3.3);
 //   - tidy scopes for deterministic memory management (Section 3.7);
 //   - the eager gradient tape for automatic differentiation (Section 3.5);
 //   - profiling, timing and the NaN-checking debug mode (Section 3.8).
@@ -571,9 +571,8 @@ func (e *Engine) Memory() MemoryInfo {
 
 // RunKernel executes the named kernel on the active backend and returns its
 // output as a tracked tensor. Inputs living on another backend are migrated
-// first. Kernel errors panic with *OpError. Which kernel runs — the
-// backend's own, or the reference kernel through host memory — is
-// kernels.Dispatch's decision; the engine adds the tensor handle, the
+// first. Kernel errors panic with *OpError. The backend's own kernel runs
+// (kernels.Dispatch); the engine adds the tensor handle, the
 // telemetry and the tape around it, and lends the kernel a pooled
 // dispatchFrame.
 func (e *Engine) RunKernel(name string, inputs []*tensor.Tensor, attrs kernels.Attrs) *tensor.Tensor {
@@ -604,7 +603,7 @@ func (e *Engine) RunKernel(name string, inputs []*tensor.Tensor, attrs kernels.A
 
 // A dispatchFrame holds one RunKernel dispatch's operands and output
 // descriptor, whose shape buffer the next dispatch reuses. A kernel keeps
-// neither after it returns (kernels.OverrideKernel).
+// neither after it returns (kernels.Kernel).
 type dispatchFrame struct {
 	ins []kernels.Input
 	out kernels.TensorInfo

@@ -3,11 +3,11 @@
 // single-threaded implementation that runs anywhere and serves as the
 // baseline of Table 1.
 //
-// The backend stores data containers as host slices and provides no kernel
-// overrides: every operation executes on kernels.Dispatch's reference-kernel
-// leg, scalar and single-threaded, just as the plain JS backend executes
-// interpreted loops. The optimized backends (webgl, native) embed this
-// package's storage plane and override the kernels that matter.
+// The backend stores data containers as host slices, and its kernels are
+// the reference kernels run on them (Backend.Kernel), scalar and
+// single-threaded, just as the plain JS backend executes interpreted
+// loops. The native backend embeds this package's storage plane and runs
+// kernels of its own.
 package cpu
 
 import (
@@ -36,6 +36,9 @@ type Backend struct {
 	// atomic pointer so config-time toggles don't race in-flight kernels.
 	pool   atomic.Pointer[bufpool.Pool]
 	poison atomic.Bool
+
+	refsOnce sync.Once
+	refs     map[string]kernels.Kernel
 }
 
 // New returns the plain CPU backend.
@@ -83,7 +86,7 @@ func (b *Backend) SetPoolPoison(on bool) {
 func (b *Backend) PoolPoison() bool { return b.poison.Load() }
 
 // Alloc returns a zeroed buffer of n elements, drawn from the recycler
-// when pooling is on. Kernel overrides allocate outputs through it (they
+// when pooling is on. Kernels allocate outputs through it (they
 // accumulate with +=, so outputs must start zeroed; zeroing also clears any
 // poison sentinel) and hand the buffer back via WriteOwned.
 func (b *Backend) Alloc(n int) []float32 {
@@ -127,7 +130,7 @@ func (b *Backend) Write(d tensor.DataID, values []float32, shape []int, dtype te
 }
 
 // WriteOwned registers a buffer the backend takes ownership of, avoiding a
-// copy. Used by kernel overrides that allocate their own outputs.
+// copy. Used by kernels that allocate their own outputs.
 func (b *Backend) WriteOwned(d tensor.DataID, buf []float32) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -141,7 +144,7 @@ func (b *Backend) WriteOwned(d tensor.DataID, buf []float32) {
 
 // Raw returns the backing buffer without copying. The buffer must be
 // treated as immutable; it is shared by every tensor handle onto the
-// container. Intended for embedding backends' kernel overrides.
+// container. Intended for kernels, this backend's and an embedding one's.
 func (b *Backend) Raw(d tensor.DataID) []float32 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -230,6 +233,38 @@ func (b *Backend) Time(f func()) kernels.TimeInfo {
 	start := time.Now()
 	f()
 	return kernels.TimeInfo{WallMS: float64(time.Since(start)) / float64(time.Millisecond)}
+}
+
+// Kernel implements kernels.Backend: the backend's kernel of every
+// reference kernel's name is the reference kernel, run on its host
+// buffers, its result written as a new container.
+func (b *Backend) Kernel(name string) (kernels.Kernel, bool) {
+	b.refsOnce.Do(func() {
+		b.refs = map[string]kernels.Kernel{}
+		for _, name := range kernels.RefKernelNames() {
+			ref, _ := kernels.LookupRef(name)
+			b.refs[name] = b.reference(ref)
+		}
+	})
+	k, ok := b.refs[name]
+	return k, ok
+}
+
+// reference is ref on the backend's host buffers.
+func (b *Backend) reference(ref kernels.RefKernel) kernels.Kernel {
+	return func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
+		bufs := make([]kernels.Buffer, len(inputs))
+		for i, in := range inputs {
+			bufs[i] = kernels.Buffer{Data: b.Raw(in.DataID), Shape: in.Shape, DType: in.DType}
+		}
+		res, err := ref(bufs, attrs)
+		if err != nil {
+			return err
+		}
+		out.Set(tensor.NewDataID(), res.Shape, res.DType)
+		b.Write(out.DataID, res.Data, res.Shape, res.DType)
+		return nil
+	}
 }
 
 // Close implements kernels.Backend.

@@ -13,13 +13,14 @@ import (
 // coordinates decoded and re-encoded with full index arithmetic on every
 // access, and all arithmetic in float64 — JavaScript's number type. No
 // loop blocking, no parallelism, no vectorizable inner loops. This is the
-// Table 1 baseline; the optimized backends override the same kernels with
-// device-specific implementations.
+// Table 1 baseline. Every other kernel, and every call these loops do not
+// take (a broadcast, a transposed matmul), is the embedded backend's: the
+// reference kernel on the host buffers.
 
 // NaiveBackend is the plain backend with JS-style naive kernels.
 type NaiveBackend struct {
 	*Backend
-	table map[string]kernels.OverrideKernel
+	table map[string]kernels.Kernel
 }
 
 // NewNaive returns the plain CPU backend with naive kernels installed.
@@ -29,10 +30,19 @@ func NewNaive() *NaiveBackend {
 	return b
 }
 
-// KernelOverride implements kernels.Overrider.
-func (b *NaiveBackend) KernelOverride(name string) (kernels.OverrideKernel, bool) {
-	k, ok := b.table[name]
-	return k, ok
+// Kernel implements kernels.Backend: the naive kernel of name, else the
+// reference kernel.
+func (b *NaiveBackend) Kernel(name string) (kernels.Kernel, bool) {
+	if k, ok := b.table[name]; ok {
+		return k, true
+	}
+	return b.Backend.Kernel(name)
+}
+
+// reference is the reference kernel of name on the host buffers.
+func (b *NaiveBackend) reference(name string) kernels.Kernel {
+	k, _ := b.Backend.Kernel(name)
+	return k
 }
 
 // out allocates and registers a kernel's output buffer and describes it in
@@ -51,19 +61,20 @@ func loc4(s1, s2, s3 int, a, b, c, d int) int {
 }
 
 func (b *NaiveBackend) initNaiveKernels() {
-	b.table = map[string]kernels.OverrideKernel{}
+	b.table = map[string]kernels.Kernel{}
 
 	// The element-wise kernels run their op's one check
 	// (kernels.ElementwiseOp.Check) before their float64 loop.
 	bin := func(name string, f func(x, y float64) float64) {
 		op, _ := kernels.LookupElementwise(name)
+		broadcast := b.reference(name)
 		b.table[name] = func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 			if err := op.Check(inputs, res); err != nil {
 				return err
 			}
 			a, x := inputs[0], inputs[1]
 			if !tensor.ShapesEqual(a.Shape, x.Shape) {
-				return kernels.ErrFallback // broadcasting goes through the reference kernel
+				return broadcast(inputs, attrs, res)
 			}
 			aBuf, xBuf := b.Raw(a.DataID), b.Raw(x.DataID)
 			out := b.out(res.Shape, res.DType, res)
@@ -147,7 +158,7 @@ func (b *NaiveBackend) naiveBatchMatMul(inputs []kernels.Input, attrs kernels.At
 		return err
 	}
 	if attrs.TransposeA || attrs.TransposeB {
-		return kernels.ErrFallback
+		return b.reference("BatchMatMul")(inputs, attrs, res)
 	}
 	batch, m, k, n, batchA, batchB := g.Dims()
 	aBuf, bBuf := b.Raw(inputs[0].DataID), b.Raw(inputs[1].DataID)
@@ -248,7 +259,7 @@ func (b *NaiveBackend) naiveDepthwise(inputs []kernels.Input, attrs kernels.Attr
 	return nil
 }
 
-func (b *NaiveBackend) naivePool(isMax bool) kernels.OverrideKernel {
+func (b *NaiveBackend) naivePool(isMax bool) kernels.Kernel {
 	name := "AvgPool"
 	if isMax {
 		name = "MaxPool"
@@ -314,7 +325,7 @@ func (b *NaiveBackend) naiveBatchNorm(inputs []kernels.Input, attrs kernels.Attr
 	}
 	for _, p := range inputs[1:] {
 		if !(len(p.Shape) == 1 && p.Shape[0] == c) {
-			return kernels.ErrFallback
+			return b.reference("FusedBatchNorm")(inputs, attrs, res)
 		}
 	}
 	eps := attrs.Epsilon
@@ -358,10 +369,9 @@ func (b *NaiveBackend) naiveSoftmax(inputs []kernels.Input, attrs kernels.Attrs,
 // naiveReduce folds, for every output element, its reduced coordinates in
 // row-major order, decoding each output index into the input's kept
 // coordinates and each fold index into its reduced ones on every access.
-func (b *NaiveBackend) naiveReduce(name string) kernels.OverrideKernel {
+func (b *NaiveBackend) naiveReduce(name string) kernels.Kernel {
 	return func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-		// ErrFallback is the range body's limit, not this loop's.
-		if _, err := kernels.ResolveReduce(name, inputs, attrs, res); err != nil && err != kernels.ErrFallback {
+		if _, err := kernels.ResolveReduce(name, inputs, attrs, res); err != nil {
 			return err
 		}
 		shape := inputs[0].Shape
@@ -425,7 +435,4 @@ func (b *NaiveBackend) naiveReduce(name string) kernels.OverrideKernel {
 	}
 }
 
-var (
-	_ kernels.Backend   = (*NaiveBackend)(nil)
-	_ kernels.Overrider = (*NaiveBackend)(nil)
-)
+var _ kernels.Backend = (*NaiveBackend)(nil)

@@ -135,10 +135,11 @@ type Device struct {
 	// bindMu serialises dispatches — the GPU goroutine's, and a closed
 	// device's callers', who run their commands inline — and guards what
 	// a dispatch reuses: bound holds the host slices of the executing
-	// program's inputs, shared the first core's workgroup memory, cores
-	// the device's other cores.
+	// program's inputs, staged the buffer its Setup fills, shared the first
+	// core's workgroup memory, cores the device's other cores.
 	bindMu sync.Mutex
 	bound  [][]float32
+	staged []float32
 	shared []float32
 	cores  *cores
 	closed bool
@@ -407,7 +408,7 @@ type Work struct {
 //
 // Main computes the output texels [lo, hi). in holds the host slices of
 // the dispatch's input textures, in order — bound once per dispatch — and,
-// when Setup is set, what Setup returned. dst is the output texture's own
+// when Setup is set, the buffer it filled. dst is the output texture's own
 // storage for exactly those texels — (hi-lo)*channels floats, texel-major —
 // and Main must write every element of it, may read in, and must write
 // nothing else. The device calls Main concurrently on disjoint ranges whose
@@ -422,11 +423,13 @@ type Program struct {
 	Name string
 	Work Work
 	// Setup, when set, runs once per dispatch before any of Main's ranges,
-	// on the inputs' host slices; what it returns every range reads after
-	// them: a buffer the program computes from its inputs once, whatever
-	// the worker count (a transposed operand).
-	Setup func(in [][]float32) []float32
-	Main  func(in [][]float32, lo, hi int, dst []float32)
+	// on the inputs' host slices, and fills staged, Staged values that
+	// every range reads after them: a buffer the program computes from its
+	// inputs once, whatever the worker count (a transposed operand). The
+	// buffer is the device's, reused by every dispatch, one at a time.
+	Setup  func(in [][]float32, staged []float32)
+	Staged int
+	Main   func(in [][]float32, lo, hi int, dst []float32)
 }
 
 // Execute binds inputs, the textures p samples, and output to the
@@ -453,7 +456,12 @@ func (d *Device) execute(p *Program, inputs []*Texture, out *Texture) {
 		in = append(in, t.data)
 	}
 	if p.Setup != nil {
-		in = append(in, p.Setup(in))
+		if cap(d.staged) < p.Staged {
+			d.staged = make([]float32, p.Staged)
+		}
+		staged := d.staged[:p.Staged]
+		p.Setup(in, staged)
+		in = append(in, staged)
 	}
 	d.bound = in
 	defer clear(d.bound)

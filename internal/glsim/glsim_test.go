@@ -398,8 +398,8 @@ func TestCloseDrainsQueue(t *testing.T) {
 
 // TestProgramInputsAndSetupAreBoundOncePerDispatch: every range of a
 // program gets its dispatch's input textures' host slices, in order, and
-// after them what Setup returned — Setup running once per dispatch whatever
-// the worker count. The inputs belong to the dispatch, not to the program:
+// after them the buffer Setup filled — Setup running once per dispatch
+// whatever the worker count, into one buffer the device keeps. The inputs belong to the dispatch, not to the program:
 // one program dispatched on two input lists reads each in turn, and a list
 // longer than a command holds inline binds like a short one.
 func TestProgramInputsAndSetupAreBoundOncePerDispatch(t *testing.T) {
@@ -417,10 +417,12 @@ func TestProgramInputsAndSetupAreBoundOncePerDispatch(t *testing.T) {
 			d.Upload(texs[k], vals)
 		}
 		var setups atomic.Int64
-		p := &Program{Name: "bound",
-			Setup: func(in [][]float32) []float32 {
+		buffers := map[*float32]bool{} // written on the device, read after its fence
+		p := &Program{Name: "bound", Staged: 1,
+			Setup: func(in [][]float32, staged []float32) {
 				setups.Add(1)
-				return []float32{in[1][0] + in[1][3]}
+				buffers[&staged[0]] = true
+				staged[0] = in[1][0] + in[1][3]
 			},
 			Main: func(in [][]float32, lo, hi int, dst []float32) {
 				staged := in[len(in)-1][0]
@@ -440,6 +442,9 @@ func TestProgramInputsAndSetupAreBoundOncePerDispatch(t *testing.T) {
 		}
 		if n := setups.Load(); n != 3 {
 			t.Errorf("%d workers: Setup ran %d times over three dispatches, want three", workers, n)
+		}
+		if n := len(buffers); n != 1 {
+			t.Errorf("%d workers: Setup filled %d buffers over three dispatches, want the device's one", workers, n)
 		}
 	}
 }

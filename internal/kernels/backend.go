@@ -9,9 +9,10 @@
 //     async reads, memory accounting, device-specific timing);
 //   - a registry of reference kernels: straightforward, single-threaded,
 //     scalar implementations of every operation. The plain CPU backend (the
-//     analogue of the paper's "plain JS" backend) executes these directly;
-//     faster backends override the kernels that matter and inherit the rest;
-//   - Dispatch, the one function that picks between the two: the eager
+//     analogue of the paper's "plain JS" backend) runs these as its own
+//     kernels; the device tiers run the range table (table.go), whose
+//     every body is held to them;
+//   - Dispatch, the one function that runs a backend's kernel: the eager
 //     engine and the graph plan executor both run kernels through it.
 package kernels
 
@@ -61,18 +62,14 @@ type Backend interface {
 
 	// Close releases all backend resources.
 	Close()
+
+	// Kernel returns the backend's kernel for name, if it has one. Every
+	// tier has one for every reference kernel's name (RefKernelNames).
+	Kernel(name string) (Kernel, bool)
 }
 
-// Overrider is implemented by backends that provide device-specific kernels
-// overriding the reference implementations (the WebGL backend's shader
-// programs; the native backend's parallel blocked kernels).
-type Overrider interface {
-	// KernelOverride returns the backend-specific kernel for name, if any.
-	KernelOverride(name string) (OverrideKernel, bool)
-}
-
-// OverrideKernel is a device-resident kernel, and the one kernel contract
-// every backend implements: it consumes input containers already living on
+// Kernel is a device-resident kernel, and the one kernel contract every
+// backend implements: it consumes input containers already living on
 // the backend and describes its single output container in *out, without
 // round-tripping values through host memory. The output shape is appended
 // into out.Shape[:0] by value — never aliased from an input — so a caller
@@ -81,9 +78,8 @@ type Overrider interface {
 // neither inputs nor out after it returns — a program it leaves running on
 // a device holds what it read from them, not the slices: the engine
 // reuses their storage for its next dispatch, and clears it first, so an
-// input kept past return reads DataID 0. Returning ErrFallback declines
-// the invocation; Dispatch then runs the reference kernel.
-type OverrideKernel func(inputs []Input, attrs Attrs, out *TensorInfo) error
+// input kept past return reads DataID 0.
+type Kernel func(inputs []Input, attrs Attrs, out *TensorInfo) error
 
 // Recycler is implemented by backends whose DisposeData returns buffers to
 // a free list for reuse — the generalization of the WebGL texture recycler

@@ -58,16 +58,14 @@ func odometer(outShape []int, aStrides, bStrides []int, visit func(outIdx, aIdx,
 // A Broadcast lays a binary op's two operands over its output, as a View
 // lays one: the output value at coordinates c is f(a[Σ c·sa], x[Σ c·sx]),
 // the stride of a dim an operand broadcasts along 0. Dims both operands
-// continue are merged and size-1 dims dropped; a call that needs more than
-// maxViewRank dims has no Broadcast.
+// continue are merged and size-1 dims dropped, any number of them.
 type Broadcast struct {
-	rank        int32
-	shape, a, x [maxViewRank]int32
+	shape, a, x []int32
 }
 
 // NewBroadcast lays operands of shapes aShape and xShape over out, their
-// broadcast shape, and reports whether they fit.
-func NewBroadcast(aShape, xShape, out []int) (g Broadcast, ok bool) {
+// broadcast shape.
+func NewBroadcast(aShape, xShape, out []int) (g Broadcast) {
 	stride := func(in []int, d int) int {
 		if j := d - len(out) + len(in); j >= 0 && in[j] != 1 {
 			return tensor.ShapeSize(in[j+1:])
@@ -76,32 +74,29 @@ func NewBroadcast(aShape, xShape, out []int) (g Broadcast, ok bool) {
 	}
 	for d, n := range out {
 		sa, sx := stride(aShape, d), stride(xShape, d)
-		switch last := g.rank - 1; {
+		switch last := len(g.shape) - 1; {
 		case n == 1:
 		case last >= 0 && int(g.a[last]) == n*sa && int(g.x[last]) == n*sx:
 			g.shape[last] *= int32(n)
 			g.a[last], g.x[last] = int32(sa), int32(sx)
-		case g.rank == maxViewRank:
-			return g, false
 		default:
-			g.shape[g.rank], g.a[g.rank], g.x[g.rank] = int32(n), int32(sa), int32(sx)
-			g.rank++
+			g.shape, g.a, g.x = append(g.shape, int32(n)), append(g.a, int32(sa)), append(g.x, int32(sx))
 		}
 	}
-	return g, true
+	return g
 }
 
 // Fill computes the output values [lo, lo+len(dst)) of f over a and x into
 // dst, a run of the last dim at a time — the broadcasting reference
 // kernel's function of the same two operands.
 func (g Broadcast) Fill(f func(a, x float32) float32, a, x []float32, lo int, dst []float32) {
-	if g.rank == 0 { // every dim is 1: one value
+	if len(g.shape) == 0 { // every dim is 1: one value
 		for i := range dst {
 			dst[i] = f(a[0], x[0])
 		}
 		return
 	}
-	last := g.rank - 1
+	last := len(g.shape) - 1
 	n, sa, sx := int(g.shape[last]), int(g.a[last]), int(g.x[last])
 	for at, hi := lo, lo+len(dst); at < hi; {
 		j, r := at%n, at/n
@@ -122,9 +117,7 @@ func (g Broadcast) Fill(f func(a, x float32) float32, a, x []float32, lo int, ds
 // lays two: the output value at coordinates c reads operand k at
 // Σ c·strides[k], the stride of a dim the operand broadcasts along 0; dims
 // every operand continues are merged and size-1 dims dropped. It is
-// Select's and batch norm's broadcast, on slices where a Broadcast keeps
-// fixed arrays, which a binary op's per-dispatch closure holds without an
-// allocation.
+// Select's and batch norm's broadcast.
 type Operands struct {
 	shape   []int
 	strides [][]int

@@ -309,11 +309,7 @@ func (op *ElementwiseOp) resolve(_ string, inputs []Input, attrs Attrs, out *Ten
 		r.Fill = suffixRows(op.bin, SuffixPeriod(a, out.Shape), SuffixPeriod(x, out.Shape))
 		return r, nil
 	}
-	g, ok := NewBroadcast(a, x, out.Shape)
-	if !ok {
-		return Range{}, ErrFallback
-	}
-	f := op.Binary
+	g, f := NewBroadcast(a, x, out.Shape), op.Binary
 	r.Fill = func(in [][]float32, lo int, dst []float32) { g.Fill(f, in[0], in[1], lo, dst) }
 	return r, nil
 }

@@ -144,8 +144,8 @@ func init() {
 		aMat, bMat := m*k, k*n
 		// The transpose flags are resolved once per batch into one of four
 		// specialized loop nests (matmul2D) instead of branching on them
-		// per element — this kernel is the fallback for every backend and
-		// was branch-bound in its innermost loop.
+		// per element — this kernel is the cpu tier's, and was branch-bound
+		// in its innermost loop.
 		for p := 0; p < batch; p++ {
 			aOff := (p % batchA) * aMat
 			bOff := (p % batchB) * bMat

@@ -35,7 +35,10 @@ type Resolved struct {
 }
 
 // A Memo maps the call signatures of the range table to what a backend
-// builds from each resolved call. It is safe for concurrent use.
+// builds from each resolved call. What a resolve sizes to the call — the
+// slices of a view, a broadcast or a reduction of any rank — is built once,
+// on the miss, and kept with the value, so a hit allocates nothing. It is
+// safe for concurrent use.
 type Memo[V any] struct {
 	build func(k RangeKernel, r Resolved, inputs []Input, attrs Attrs) V
 
@@ -54,9 +57,8 @@ func NewMemo[V any](build func(k RangeKernel, r Resolved, inputs []Input, attrs 
 }
 
 // Get returns the value of a call of k, resolving the call and building its
-// value on a miss. Only a success is kept: a call that fails its checks, or
-// that the body declines with ErrFallback, resolves again on every
-// dispatch. A miss resolves copies of the call's slices, since a caller may
+// value on a miss. Only a success is kept: a call that fails its checks
+// resolves again on every dispatch. A miss resolves copies of the call's slices, since a caller may
 // reuse its storage (a plan's per-step shape scratch) and the value
 // outlives the call.
 func (c *Memo[V]) Get(k RangeKernel, inputs []Input, attrs *Attrs) (V, error) {

@@ -74,14 +74,15 @@ func TestProgramKeyHoldsEveryAttribute(t *testing.T) {
 
 // TestMemoResolvesOncePerKeyAndStaysBounded: a Memo resolves a call once
 // per key and serves every later call of the key from what it built; a
-// failed resolve, ErrFallback among them, is never kept; and distinct keys
+// failed resolve is never kept; and distinct keys
 // past MemoCap clear it rather than grow it.
 func TestMemoResolvesOncePerKeyAndStaysBounded(t *testing.T) {
 	resolves := 0
+	errRejected := errors.New("rejected")
 	k := RangeKernel{Name: "K", Resolve: func(_ string, inputs []Input, attrs Attrs, out *TensorInfo) (Range, error) {
 		resolves++
 		if attrs.Axis < 0 {
-			return Range{}, ErrFallback
+			return Range{}, errRejected
 		}
 		out.Shape, out.DType = append(out.Shape[:0], inputs[0].Shape...), tensor.Float32
 		return Range{Unit: attrs.Axis}, nil
@@ -101,12 +102,12 @@ func TestMemoResolvesOncePerKeyAndStaysBounded(t *testing.T) {
 		t.Errorf("three calls of one key: %d resolves, %d built, %d misses, shape %v; want one each and [2 3]", resolves, built, m.Misses(), r.Shape)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := m.Get(k, inputs, &Attrs{Axis: -1}); !errors.Is(err, ErrFallback) {
-			t.Fatalf("declined call: err = %v", err)
+		if _, err := m.Get(k, inputs, &Attrs{Axis: -1}); !errors.Is(err, errRejected) {
+			t.Fatalf("rejected call: err = %v", err)
 		}
 	}
 	if resolves != 3 || m.Len() != 1 {
-		t.Errorf("a declined call twice: %d resolves, %d kept; want it resolved each time and kept never", resolves, m.Len())
+		t.Errorf("a rejected call twice: %d resolves, %d kept; want it resolved each time and kept never", resolves, m.Len())
 	}
 	for i := 0; i <= MemoCap; i++ {
 		if _, err := m.Get(k, inputs, &Attrs{Axis: i}); err != nil {

@@ -8,30 +8,27 @@ import (
 )
 
 func init() {
-	// Cast converts between logical dtypes. Because all storage is
-	// float32, float->int truncates values and ->bool collapses non-zero
-	// to 1.
+	// Cast converts between logical dtypes, and Range produces [start,
+	// stop) by step: closed forms, each its range body over the whole
+	// output.
 	RegisterRef("Cast", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		if err := wantInputs("Cast", inputs, 1); err != nil {
+		var res TensorInfo
+		c, err := ResolveCast(inputsOf(inputs), attrs, &res)
+		if err != nil {
 			return Buffer{}, err
 		}
-		x, dt := inputs[0], attrs.DType
-		if err := knownDType("Cast", dt); err != nil {
+		out := NewBuffer(res.Shape, res.DType)
+		c.Fill(inputs[0].Data, 0, out.Data)
+		return out, nil
+	})
+	RegisterRef("Range", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
+		var res TensorInfo
+		q, err := ResolveRange(inputsOf(inputs), attrs, &res)
+		if err != nil {
 			return Buffer{}, err
 		}
-		out := NewBuffer(x.Shape, dt)
-		switch dt {
-		case tensor.Int32:
-			for i, v := range x.Data {
-				out.Data[i] = float32(math.Trunc(float64(v)))
-			}
-		case tensor.Bool:
-			for i, v := range x.Data {
-				out.Data[i] = toBool(v != 0)
-			}
-		default:
-			copy(out.Data, x.Data)
-		}
+		out := NewBuffer(res.Shape, res.DType)
+		q.Fill(nil, 0, out.Data)
 		return out, nil
 	})
 
@@ -47,32 +44,6 @@ func init() {
 			for i := range out.Data {
 				out.Data[i] = float32(value)
 			}
-		}
-		return out, nil
-	})
-
-	// Range produces [start, stop) with the given step.
-	RegisterRef("Range", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		if err := wantInputs("Range", inputs, 0); err != nil {
-			return Buffer{}, err
-		}
-		start, stop, step, dt := attrs.Start, attrs.Stop, attrs.Step, attrs.DType
-		if step == 0 {
-			return Buffer{}, errIn("Range", "step must be non-zero")
-		}
-		if (stop-start)/step < 0 {
-			return Buffer{}, errIn("Range", "step %g has wrong sign for start %g stop %g", step, start, stop)
-		}
-		n := int(math.Ceil((stop - start) / step))
-		if n < 0 {
-			n = 0
-		}
-		if err := knownDType("Range", dt); err != nil {
-			return Buffer{}, err
-		}
-		out := NewBuffer([]int{n}, dt)
-		for i := 0; i < n; i++ {
-			out.Data[i] = float32(start + float64(float64(i)*step))
 		}
 		return out, nil
 	})
@@ -317,6 +288,74 @@ func ResolveFill(inputs []Input, attrs Attrs, out *TensorInfo) (Constant, error)
 func (c Constant) Fill(_ []float32, lo int, dst []float32) {
 	for i := range dst {
 		dst[i] = float32(c)
+	}
+}
+
+// A Cast is Cast's range body: its output dtype. All storage is float32,
+// so a cast to int32 truncates and one to bool collapses a nonzero value
+// to 1; a cast to float32 copies.
+type Cast tensor.DataType
+
+// ResolveCast checks a Cast — one input; attr DType, the output's.
+func ResolveCast(inputs []Input, attrs Attrs, out *TensorInfo) (Cast, error) {
+	if err := wantInputs("Cast", inputs, 1); err != nil {
+		return 0, err
+	}
+	if err := knownDType("Cast", attrs.DType); err != nil {
+		return 0, err
+	}
+	out.Shape, out.DType = append(out.Shape[:0], inputs[0].Shape...), attrs.DType
+	return Cast(attrs.DType), nil
+}
+
+// Fill computes the output values [lo, lo+len(dst)) of the cast of x into
+// dst.
+func (c Cast) Fill(x []float32, lo int, dst []float32) {
+	x = x[lo : lo+len(dst)]
+	switch tensor.DataType(c) {
+	case tensor.Int32:
+		for i, v := range x {
+			dst[i] = float32(math.Trunc(float64(v)))
+		}
+	case tensor.Bool:
+		for i, v := range x {
+			dst[i] = toBool(v != 0)
+		}
+	default:
+		copy(dst, x)
+	}
+}
+
+// A Sequence is Range's range body: value i is start + i·step, computed
+// in float64 and rounded once.
+type Sequence struct{ start, step float64 }
+
+// ResolveRange checks a Range — no inputs; attrs Start, Stop, a nonzero
+// Step whose sign leads from Start to Stop, and DType — and describes its
+// output, the ⌈(Stop−Start)/Step⌉ values of [Start, Stop).
+func ResolveRange(inputs []Input, attrs Attrs, out *TensorInfo) (Sequence, error) {
+	if err := wantInputs("Range", inputs, 0); err != nil {
+		return Sequence{}, err
+	}
+	start, stop, step := attrs.Start, attrs.Stop, attrs.Step
+	if step == 0 {
+		return Sequence{}, errIn("Range", "step must be non-zero")
+	}
+	if (stop-start)/step < 0 {
+		return Sequence{}, errIn("Range", "step %g has wrong sign for start %g stop %g", step, start, stop)
+	}
+	if err := knownDType("Range", attrs.DType); err != nil {
+		return Sequence{}, err
+	}
+	n := max(int(math.Ceil((stop-start)/step)), 0)
+	out.Shape, out.DType = append(out.Shape[:0], n), attrs.DType
+	return Sequence{start, step}, nil
+}
+
+// Fill computes the values [lo, lo+len(dst)) of the sequence into dst.
+func (q Sequence) Fill(_ []float32, lo int, dst []float32) {
+	for i := range dst {
+		dst[i] = float32(q.start + float64(float64(lo+i)*q.step))
 	}
 }
 

@@ -189,7 +189,80 @@ func TestRangeBodiesMatchReference(t *testing.T) {
 			poolGrad(kernel, []int{1, 4, 6, 3}, []int{3, 2}, s1, "valid"),
 			poolGrad(kernel, []int{0, 4, 4, 2}, []int{2, 2}, s2, "valid"))
 	}
-	reductions := []string{"Sum", "Mean", "Max", "Min", "Prod", "ArgMax", "ArgMin"}
+	// The kernels that ran on the reference kernel through host memory
+	// until they joined the table: two reductions, a view, two closed forms
+	// and a scan.
+	neg := float32(math.Copysign(0, -1))
+	specials := buf([]float32{1.5, -2.7, 0, neg, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 1e-40, 2.5e9, -0.5, 7, 1}, 3, 4)
+	cases = append(cases,
+		rangeCase{"zeros", "Any", []Buffer{buf([]float32{0, 0, 0, 1, 0, 0, neg, 0, float32(math.NaN())}, 3, 3)}, Attrs{Axes: []int{1}}},
+		rangeCase{"zeros", "All", []Buffer{buf([]float32{1, 2, 3, 1, 0, 5, neg, 4, float32(math.NaN())}, 3, 3)}, Attrs{Axes: []int{1}}},
+		rangeCase{"middle", "Reverse", []Buffer{op(3, 4, 5)}, Attrs{Axes: []int{1}}},
+		rangeCase{"every", "Reverse", []Buffer{op(2, 3, 4)}, Attrs{}},
+		rangeCase{"outerAndLast", "Reverse", []Buffer{op(2, 3, 4)}, Attrs{Axes: []int{-1, 0}}},
+		rangeCase{"adjacent", "Reverse", []Buffer{op(2, 3, 4, 2)}, Attrs{Axes: []int{1, 2}}},
+		rangeCase{"scalar", "Reverse", []Buffer{op()}, Attrs{}},
+		rangeCase{"zero", "Reverse", []Buffer{op(0, 3)}, Attrs{Axes: []int{1}}},
+		rangeCase{"int32", "Cast", []Buffer{specials}, Attrs{DType: tensor.Int32}},
+		rangeCase{"bool", "Cast", []Buffer{specials}, Attrs{DType: tensor.Bool}},
+		rangeCase{"float32", "Cast", []Buffer{specials}, Attrs{DType: tensor.Float32}},
+		rangeCase{"up", "Range", nil, Attrs{Start: 2, Stop: 11, Step: 1.5, DType: tensor.Float32}},
+		rangeCase{"down", "Range", nil, Attrs{Start: 5, Stop: -3, Step: -0.7, DType: tensor.Int32}},
+		rangeCase{"empty", "Range", nil, Attrs{Start: 1, Stop: 1, Step: 1}},
+		rangeCase{"vector", "CumSum", []Buffer{op(9)}, Attrs{}},
+		rangeCase{"specials", "CumSum", []Buffer{specials}, Attrs{Axis: -1, Exclusive: true}},
+		rangeCase{"zero", "CumSum", []Buffer{op(2, 0, 3)}, Attrs{Axis: 2}})
+	for axis := -1; axis < 3; axis++ {
+		for _, flags := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+			cases = append(cases, rangeCase{fmt.Sprintf("axis%d/exclusive=%v/reverse=%v", axis, flags[0], flags[1]), "CumSum",
+				[]Buffer{op(3, 4, 5)}, Attrs{Axis: axis, Exclusive: flags[0], Reverse: flags[1]}})
+		}
+	}
+	// Rank 7 and rank 8 views, broadcasts and reductions, none of whose
+	// dims merge (checked below): a body takes any number of dims.
+	dims := func(rank, n int) []int {
+		shape := make([]int, rank)
+		for d := range shape {
+			shape[d] = n
+		}
+		return shape
+	}
+	two := func(rank int) []int { return dims(rank, 2) }
+	alternate := func(rank, first int) []int {
+		shape := two(rank)
+		for d := first; d < rank; d += 2 {
+			shape[d] = 1
+		}
+		return shape
+	}
+	every := func(rank, first int) []int {
+		var axes []int
+		for d := first; d < rank; d += 2 {
+			axes = append(axes, d)
+		}
+		return axes
+	}
+	ranked := []rangeCase{
+		{"rank7", "Transpose", []Buffer{op(2, 3, 2, 3, 2, 3, 2)}, Attrs{Perm: []int{6, 5, 4, 3, 2, 1, 0}}},
+		{"rank8", "Transpose", []Buffer{op(two(8)...)}, Attrs{Perm: []int{7, 6, 5, 4, 3, 2, 1, 0}}},
+		{"rank7", "Slice", []Buffer{op(dims(7, 3)...)}, Attrs{Begin: dims(7, 1), Shape: two(7)}},
+		{"rank8", "Slice", []Buffer{op(dims(8, 3)...)}, Attrs{Begin: dims(8, 1), Shape: two(8)}},
+		{"rank7", "Tile", []Buffer{op(two(4)...)}, Attrs{Reps: []int{1, 2, 2, 2}}},
+		{"rank8", "Tile", []Buffer{op(two(4)...)}, Attrs{Reps: []int{2, 2, 2, 2}}},
+		{"rank7", "Add", []Buffer{op(alternate(7, 1)...), op(alternate(7, 0)...)}, Attrs{}},
+		{"rank8", "Add", []Buffer{op(alternate(8, 1)...), op(alternate(8, 0)...)}, Attrs{}},
+		{"rank7", "Sum", []Buffer{op(two(7)...)}, Attrs{Axes: every(7, 1)}},
+		{"rank8", "Sum", []Buffer{op(two(8)...)}, Attrs{Axes: every(8, 0)}},
+		{"rank7", "Reverse", []Buffer{op(two(7)...)}, Attrs{Axes: every(7, 0)}},
+		{"rank8", "Reverse", []Buffer{op(two(8)...)}, Attrs{Axes: every(8, 1)}},
+	}
+	for _, c := range ranked {
+		if got := mergedDims(t, c.kernel, c.ins, c.attrs); got < 7 {
+			t.Errorf("%s/%s: %d merged dims, want 7 or more", c.kernel, c.label, got)
+		}
+	}
+	cases = append(cases, ranked...)
+	reductions := []string{"Sum", "Mean", "Max", "Min", "Prod", "ArgMax", "ArgMin", "Any", "All"}
 	for _, name := range reductions {
 		cases = append(cases, rangeCase{"ties", name, []Buffer{rows}, Attrs{Axes: []int{-1}}}, rangeCase{"specials", name, []Buffer{op(4, 9)}, Attrs{Axes: []int{-1}}},
 			rangeCase{"repeatedAxes", name, []Buffer{op(2, 3, 4, 5)}, Attrs{Axes: []int{2, 0, -2}}},
@@ -322,6 +395,43 @@ func TestRangeBodiesMatchReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mergedDims is the number of dims a call's body walks once its dims are
+// merged: a view's, a broadcast's or a reduction's runs.
+func mergedDims(t *testing.T, kernel string, ins []Buffer, attrs Attrs) int {
+	t.Helper()
+	var (
+		v   View
+		err error
+		out TensorInfo
+	)
+	switch kernel {
+	case "Transpose":
+		v, err = ResolveTranspose(inputsOf(ins), attrs, &out)
+	case "Slice":
+		v, err = ResolveSlice(inputsOf(ins), attrs, &out)
+	case "Tile":
+		v, err = ResolveTile(inputsOf(ins), attrs, &out)
+	case "Reverse":
+		v, err = ResolveReverse(inputsOf(ins), attrs, &out)
+	case "Sum":
+		g, err := ResolveReduce(kernel, inputsOf(ins), attrs, &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(g.kept) + len(g.red)
+	default:
+		shape, err := tensor.BroadcastShapes(ins[0].Shape, ins[1].Shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(NewBroadcast(ins[0].Shape, ins[1].Shape, shape).shape)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(v.shape)
 }
 
 // checkRangeCase holds one call's range body, uncut and cut in two at

@@ -62,21 +62,21 @@ func (s Axes) Shape(dst, x []int, keepDims bool) []int {
 // ones dropped and neighbours of one kind merged, are runs that alternate
 // between kept and reduced: an output value's kept coordinates pick a base
 // offset, and it folds the values at that base plus every reduced
-// coordinate's offset. Its fields are 32-bit for Walk's reason: a closure
-// holds one per dispatch.
+// coordinate's offset. It takes any number of runs: its slices are sized
+// when the call is resolved, once per call signature (Memo).
 type Reduce struct {
-	op           reduction
-	runs         int8
-	firstReduced bool // run 0 is reduced, run 1 kept, and so on
-	size         [maxViewRank]int32
-	outer, inner int32 // output values, and the values each folds
+	op reduction
+	// kept and red are the kept and the reduced runs, innermost first:
+	// each run's size and its stride in x.
+	kept, red    [][2]int
+	outerReduced bool // the outermost run is reduced
+	outer, inner int  // output values, and the values each folds
 }
 
 // ResolveReduce checks a reduction — one operand, its axes (ReduceAxes)
 // and keepDims; an index reduction needs a non-empty fold — describes its
 // output in out (Mean's dtype float32, an index's int32, Any's and All's
-// bool, the rest the input's) and returns its geometry. ErrFallback means
-// every check passed but the runs do not fit in a Reduce.
+// bool, the rest the input's) and returns its geometry.
 func ResolveReduce(name string, inputs []Input, attrs Attrs, out *TensorInfo) (Reduce, error) {
 	if err := wantInputs(name, inputs, 1); err != nil {
 		return Reduce{}, err
@@ -87,27 +87,26 @@ func ResolveReduce(name string, inputs []Input, attrs Attrs, out *TensorInfo) (R
 		return Reduce{}, err
 	}
 	g := Reduce{op: reductionOps[name], outer: 1, inner: 1}
-	fits := true
-	for i, d := range x {
-		reduced := set.Has(i)
+	for i, stride := len(x)-1, 1; i >= 0; stride, i = stride*x[i], i-1 {
+		d, reduced := x[i], set.Has(i)
 		if reduced {
-			g.inner *= int32(d)
+			g.inner *= d
 		} else {
-			g.outer *= int32(d)
+			g.outer *= d
 		}
-		switch {
-		case d == 1:
-		case g.runs > 0 && reduced == g.reduced(int(g.runs)-1):
-			g.size[g.runs-1] *= int32(d)
-		case g.runs == maxViewRank:
-			fits = false
-		default:
-			if g.runs == 0 {
-				g.firstReduced = reduced
-			}
-			g.size[g.runs] = int32(d)
-			g.runs++
+		if d == 1 {
+			continue
 		}
+		runs := &g.kept
+		if reduced {
+			runs = &g.red
+		}
+		if len(g.kept)+len(g.red) > 0 && g.outerReduced == reduced {
+			(*runs)[len(*runs)-1][0] *= d
+		} else {
+			*runs = append(*runs, [2]int{d, stride})
+		}
+		g.outerReduced = reduced
 	}
 	dt := inputs[0].DType
 	switch name {
@@ -122,52 +121,42 @@ func ResolveReduce(name string, inputs []Input, attrs Attrs, out *TensorInfo) (R
 		dt = tensor.Int32
 	}
 	out.Shape, out.DType = set.Shape(out.Shape[:0], x, attrs.KeepDims), dt
-	if !fits {
-		return Reduce{}, ErrFallback
-	}
 	return g, nil
 }
 
-// reduced reports whether run j is reduced.
-func (g Reduce) reduced(j int) bool { return g.firstReduced == (j%2 == 0) }
+// leading reports whether the reduction sums over leading axes: one reduced
+// run outside one kept run.
+func (g Reduce) leading() bool {
+	return len(g.kept) == 1 && len(g.red) == 1 && g.outerReduced
+}
 
 // Fill computes the output values [lo, lo+len(dst)) of the reduction of x
 // into dst, each folded left to right over its reduced coordinates in
 // row-major order, as the reference kernel folds them: sums from +0, Prod
 // from 1, Max from -Inf and Min from +Inf with a NaN never taken, ArgMax
-// and ArgMin keeping the first of equal values. No range splits a fold.
+// and ArgMin keeping the first of equal values, Any and All as bools. No
+// range splits a fold.
 func (g Reduce) Fill(x []float32, lo int, dst []float32) {
-	// The runs' sizes and strides by kind, innermost first: a fold walks
-	// red[0] per call, at each coordinate of the reduced runs outside it.
-	var kept, red [maxViewRank][2]int
-	nk, nr := 0, 0
-	for j, stride := int(g.runs)-1, 1; j >= 0; j-- {
-		n := int(g.size[j])
-		if g.reduced(j) {
-			red[nr], nr = [2]int{n, stride}, nr+1
-		} else {
-			kept[nk], nk = [2]int{n, stride}, nk+1
-		}
-		stride *= n
-	}
+	// A fold walks red[0] per call, at each coordinate of the reduced runs
+	// outside it.
 	n, s := 1, 1
-	if nr > 0 {
-		n, s = red[0][0], red[0][1]
+	if len(g.red) > 0 {
+		n, s = g.red[0][0], g.red[0][1]
 	}
 	for i := range dst {
 		base := 0
-		for d, o := 0, lo+i; d < nk; d++ {
-			base, o = base+o%kept[d][0]*kept[d][1], o/kept[d][0]
+		for d, o := 0, lo+i; d < len(g.kept); d++ {
+			base, o = base+o%g.kept[d][0]*g.kept[d][1], o/g.kept[d][0]
 		}
 		acc, at := g.op.start(x, base), 0
-		for k := 0; k < int(g.inner); k += n {
+		for k := 0; k < g.inner; k += n {
 			off := base
-			for d, q := 1, k/n; d < nr; d++ {
-				off, q = off+q%red[d][0]*red[d][1], q/red[d][0]
+			for d, q := 1, k/n; d < len(g.red); d++ {
+				off, q = off+q%g.red[d][0]*g.red[d][1], q/g.red[d][0]
 			}
 			acc, at = g.op.run(acc, at, x[off:off+(n-1)*s+1], s, k)
 		}
-		dst[i] = g.op.finish(acc, at, int(g.inner))
+		dst[i] = g.op.finish(acc, at, g.inner)
 	}
 }
 
@@ -182,18 +171,21 @@ const (
 	prodOp
 	argMaxOp
 	argMinOp
+	anyOp
+	allOp
 )
 
 // reductionOps maps the reductions the range table holds to their folds.
 var reductionOps = map[string]reduction{
 	"Sum": sumOp, "Mean": meanOp, "Max": maxOp, "Min": minOp, "Prod": prodOp, "ArgMax": argMaxOp, "ArgMin": argMinOp,
+	"Any": anyOp, "All": allOp,
 }
 
 // start is a fold's accumulator before its first value, x[at]; an index
 // reduction's, whose fold is never empty, is that value.
 func (r reduction) start(x []float32, at int) float32 {
 	switch r {
-	case prodOp:
+	case prodOp, allOp:
 		return 1
 	case maxOp:
 		return float32(math.Inf(-1))
@@ -240,6 +232,14 @@ func (r reduction) run(acc float32, at int, row []float32, s, k int) (float32, i
 			if v := row[i]; v < acc {
 				acc, at = v, k+i/s
 			}
+		}
+	case anyOp:
+		for i := 0; i < len(row); i += s {
+			acc = toBool(acc != 0 || row[i] != 0)
+		}
+	case allOp:
+		for i := 0; i < len(row); i += s {
+			acc = toBool(acc != 0 && row[i] != 0)
 		}
 	}
 	return acc, at
@@ -291,7 +291,7 @@ func keptIndex(shape []int, set Axes, p int) (o int) {
 func reduceKernel(name string, initial float32, merge func(acc, v float32) float32, finish func(acc float32, n int) float32) RefKernel {
 	return func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		var res TensorInfo
-		if _, err := ResolveReduce(name, inputsOf(inputs), attrs, &res); err != nil && err != ErrFallback {
+		if _, err := ResolveReduce(name, inputsOf(inputs), attrs, &res); err != nil {
 			return Buffer{}, err
 		}
 		x := inputs[0]
@@ -322,7 +322,7 @@ func reduceKernel(name string, initial float32, merge func(acc, v float32) float
 func argReduceKernel(name string, better func(v, best float32) bool) RefKernel {
 	return func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		var res TensorInfo
-		if _, err := ResolveReduce(name, inputsOf(inputs), attrs, &res); err != nil && err != ErrFallback {
+		if _, err := ResolveReduce(name, inputsOf(inputs), attrs, &res); err != nil {
 			return Buffer{}, err
 		}
 		x := inputs[0]
@@ -415,19 +415,13 @@ func init() {
 	// (negative counting from the end) of an input of any rank ≥ 1: each
 	// line along the axis scanned in place, at the axis's stride.
 	RegisterRef("CumSum", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		if err := wantInputs("CumSum", inputs, 1); err != nil {
+		var res TensorInfo
+		c, err := ResolveCumSum(inputsOf(inputs), attrs, &res)
+		if err != nil {
 			return Buffer{}, err
 		}
-		x := inputs[0]
-		rank, axis := len(x.Shape), attrs.Axis
-		if axis < 0 {
-			axis += rank
-		}
-		if axis < 0 || axis >= rank {
-			return Buffer{}, errIn("CumSum", "axis %d out of range for rank %d", attrs.Axis, rank)
-		}
-		n, stride := x.Shape[axis], tensor.ShapeSize(x.Shape[axis+1:])
-		out := NewBuffer(x.Shape, x.DType)
+		x, n, stride := inputs[0], c.n, c.stride
+		out := NewBuffer(res.Shape, res.DType)
 		for line := 0; line < len(x.Data)/max(n, 1); line++ {
 			base := line/stride*n*stride + line%stride
 			var acc float32
@@ -448,6 +442,84 @@ func init() {
 		}
 		return out, nil
 	})
+}
+
+// A Scan is a resolved CumSum: x as [outer, n, stride], each of its
+// stride lines of n values along the axis summed in order — from the
+// line's end when reversed — each value its sum up to itself, or, when
+// exclusive, up to the one before.
+type Scan struct {
+	n, stride          int
+	exclusive, reverse bool
+}
+
+// ResolveCumSum checks a CumSum — one operand of rank ≥ 1, attr Axis
+// (negative counts from the end), Exclusive and Reverse — and returns its
+// scan. The output is the input's shape and dtype.
+func ResolveCumSum(inputs []Input, attrs Attrs, out *TensorInfo) (Scan, error) {
+	if err := wantInputs("CumSum", inputs, 1); err != nil {
+		return Scan{}, err
+	}
+	x := inputs[0].Shape
+	rank, axis := len(x), attrs.Axis
+	if axis < 0 {
+		axis += rank
+	}
+	if axis < 0 || axis >= rank {
+		return Scan{}, errIn("CumSum", "axis %d out of range for rank %d", attrs.Axis, rank)
+	}
+	out.Shape, out.DType = append(out.Shape[:0], x...), inputs[0].DType
+	return Scan{x[axis], tensor.ShapeSize(x[axis+1:]), attrs.Exclusive, attrs.Reverse}, nil
+}
+
+// Fill computes the output values [lo, lo+len(dst)) of the scan of x into
+// dst. Each line the range meets is scanned from its start, as the
+// reference kernel scans it, to the last of its values in the range, the
+// values before the range summed but not written: a range cut mid-line
+// sums its line's head again. A block of n·stride values — native's chunk
+// — scans each of its lines once.
+func (c Scan) Fill(x []float32, lo int, dst []float32) {
+	n, s := c.n, c.stride
+	block := n * s
+	for at, hi := lo, lo+len(dst); at < hi; {
+		o := at / block
+		end := min(hi, (o+1)*block)
+		// The range's first and last positions in the block, as (i, j): the
+		// value i along line j.
+		first, last := at-o*block, end-1-o*block
+		for k := 0; k < min(s, end-at); k++ {
+			j := (first + k) % s
+			iLo, iHi := first/s, last/s
+			if j < first%s {
+				iLo++
+			}
+			if j > last%s {
+				iHi--
+			}
+			var acc float32
+			for step := 0; step < n; step++ {
+				i := step
+				if c.reverse {
+					i = n - 1 - step
+				}
+				if i < iLo && c.reverse || i > iHi && !c.reverse {
+					break
+				}
+				p := o*block + i*s + j
+				switch {
+				case i < iLo || i > iHi:
+					acc += x[p]
+				case c.exclusive:
+					dst[p-lo] = acc
+					acc += x[p]
+				default:
+					acc += x[p]
+					dst[p-lo] = acc
+				}
+			}
+		}
+		at = end
+	}
 }
 
 // SoftmaxRow is one row of Softmax: e^(x−max) per value, summed in float64,

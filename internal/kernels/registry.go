@@ -1,18 +1,12 @@
 package kernels
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
 	"repro/internal/tensor"
 )
-
-// ErrFallback is returned by a kernel override to decline an invocation it
-// does not specialize (for example, a broadcasting shape combination);
-// Dispatch then executes the reference kernel through host memory instead.
-var ErrFallback = errors.New("kernels: fall back to reference implementation")
 
 // Attrs is the attributes of one kernel invocation: one typed field per
 // meaning a kernel reads, passed by value. Its writers — the ops, the plan
@@ -83,9 +77,9 @@ func (b Buffer) Rank() int { return len(b.Shape) }
 
 // RefKernel is a reference kernel: a pure host-memory implementation of an
 // operation. Reference kernels are the single source of truth for kernel
-// semantics; every backend either overrides them with a device-specific
-// version or inherits them through Dispatch. Like every kernel, a reference
-// kernel has one output.
+// semantics: the cpu tier runs them as its own kernels, and every device
+// tier's kernel of the same name is held to them. Like every kernel, a
+// reference kernel has one output.
 type RefKernel func(inputs []Buffer, attrs Attrs) (Buffer, error)
 
 var (

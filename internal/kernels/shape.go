@@ -10,7 +10,7 @@ func init() {
 	// Transpose permutes dimensions according to attr Perm.
 	RegisterRef("Transpose", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		var res TensorInfo
-		if _, err := ResolveTranspose(inputsOf(inputs), attrs, &res); err != nil && err != ErrFallback {
+		if _, err := ResolveTranspose(inputsOf(inputs), attrs, &res); err != nil {
 			return Buffer{}, err
 		}
 		x, perm, rank, outShape := inputs[0], attrs.Perm, inputs[0].Rank(), res.Shape
@@ -78,7 +78,7 @@ func init() {
 	// attributes; a size entry of -1 extends to the end of that dim.
 	RegisterRef("Slice", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		var res TensorInfo
-		if _, err := ResolveSlice(inputsOf(inputs), attrs, &res); err != nil && err != ErrFallback {
+		if _, err := ResolveSlice(inputsOf(inputs), attrs, &res); err != nil {
 			return Buffer{}, err
 		}
 		x, begin, rank, outShape := inputs[0], attrs.Begin, inputs[0].Rank(), res.Shape
@@ -159,10 +159,14 @@ func init() {
 	// GatherV2 gathers slices along attr Axis using integer indices (input 1).
 	RegisterRef("GatherV2", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		var res TensorInfo
-		if _, err := ResolveGather(inputsOf(inputs), attrs, &res); err != nil {
+		g, err := ResolveGather(inputsOf(inputs), attrs, &res)
+		if err != nil {
 			return Buffer{}, err
 		}
 		x, indices, axis := inputs[0], inputs[1], attrs.Axis
+		if err := g.Check(indices.Data); err != nil {
+			return Buffer{}, err
+		}
 		if axis < 0 {
 			axis += x.Rank()
 		}
@@ -174,9 +178,6 @@ func init() {
 		for o := 0; o < outerSize; o++ {
 			for ii := 0; ii < numIdx; ii++ {
 				idx := int(indices.Data[ii])
-				if idx < 0 || idx >= axisSize {
-					return Buffer{}, errIn("GatherV2", "index %d out of range [0, %d)", idx, axisSize)
-				}
 				src := x.Data[(o*axisSize+idx)*innerSize:]
 				dst := out.Data[(o*numIdx+ii)*innerSize:]
 				copy(dst[:innerSize], src[:innerSize])
@@ -188,7 +189,7 @@ func init() {
 	// Tile repeats the input along each dimension per the "reps" attribute.
 	RegisterRef("Tile", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
 		var res TensorInfo
-		if _, err := ResolveTile(inputsOf(inputs), attrs, &res); err != nil && err != ErrFallback {
+		if _, err := ResolveTile(inputsOf(inputs), attrs, &res); err != nil {
 			return Buffer{}, err
 		}
 		x, rank, outShape := inputs[0], inputs[0].Rank(), res.Shape
@@ -215,7 +216,8 @@ func init() {
 
 	// Reverse flips its axes, every axis when none is listed.
 	RegisterRef("Reverse", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		if err := wantInputs("Reverse", inputs, 1); err != nil {
+		var res TensorInfo
+		if _, err := ResolveReverse(inputsOf(inputs), attrs, &res); err != nil {
 			return Buffer{}, err
 		}
 		x := inputs[0]
@@ -224,7 +226,7 @@ func init() {
 		if err != nil {
 			return Buffer{}, err
 		}
-		out := NewBuffer(x.Shape, x.DType)
+		out := NewBuffer(res.Shape, res.DType)
 		inStrides := tensor.ComputeStrides(x.Shape)
 		size := x.Size()
 		coords := make([]int, rank)
@@ -256,64 +258,58 @@ func init() {
 // check of its operands and attributes, which the reference kernel runs
 // too, and describes the output in out.
 
-// maxViewRank bounds a View's dims once merged: a transpose of up to six
-// dims, a tile of three.
-const maxViewRank = 6
-
 // A View is an output each of whose values is one input value at an
 // affine offset, out[c0, …, cr] = x[off + Σ cd·stride[d]]: a transpose
-// (the input's strides permuted), a slice (an offset) or a tile (each dim
-// split into its repeat, of stride 0, and the input's dim). Dims that
+// (the input's strides permuted), a slice (an offset), a tile (each dim
+// split into its repeat, of stride 0, and the input's dim) or a reverse (a
+// flipped dim's stride negated, its last value the offset). Dims that
 // continue each other in x are merged and size-1 dims dropped, so a
 // permutation of blocks of axes is a batch of 2-D transposes, and the runs
-// of the last dim are what a body moves at a time. Its fields are 32-bit
-// for Walk's reason: a closure holds one per dispatch.
+// of the last dim are what a body moves at a time. It takes any number of
+// dims: its slices are sized when the call is resolved, once per call
+// signature (Memo).
 type View struct {
-	rank, off     int32
-	shape, stride [maxViewRank]int32
+	off           int
+	shape, stride []int32
 }
 
-// add appends an output dim of n values stride apart in x, and reports
-// whether the view still fits in maxViewRank dims.
-func (v *View) add(n, stride int) bool {
-	switch {
+// add appends an output dim of n values stride apart in x.
+func (v *View) add(n, stride int) {
+	switch last := len(v.shape) - 1; {
 	case n == 1:
-	case v.rank > 0 && int(v.stride[v.rank-1]) == n*stride:
-		v.shape[v.rank-1] *= int32(n)
-		v.stride[v.rank-1] = int32(stride)
-	case v.rank == maxViewRank:
-		return false
+	case last >= 0 && int(v.stride[last]) == n*stride:
+		v.shape[last] *= int32(n)
+		v.stride[last] = int32(stride)
 	default:
-		v.shape[v.rank], v.stride[v.rank] = int32(n), int32(stride)
-		v.rank++
+		v.shape, v.stride = append(v.shape, int32(n)), append(v.stride, int32(stride))
 	}
-	return true
 }
 
-// fits is the error of a resolved view: ErrFallback — every check passed,
-// but the view needs more than maxViewRank dims, so a backend declines the
-// call for the reference kernel to run it.
-func fits(ok bool) error {
-	if !ok {
-		return ErrFallback
-	}
-	return nil
-}
+// stackDims is how many merged dims a view's range body counts on the
+// stack; a view of more counts them in a slice of its own per range.
+const stackDims = 16
 
 // Fill computes the output values [lo, lo+len(dst)) of the view of x into
 // dst, a run of the last dim at a time — a copy when it is contiguous in
 // x — the runs' coordinates counted up from lo's, not divided out per run.
 func (v View) Fill(x []float32, lo int, dst []float32) {
-	if v.rank == 0 { // every dim is 1: one value
+	switch {
+	case len(dst) == 0: // a dim may be 0
+		return
+	case len(v.shape) == 0: // every dim is 1: one value
 		copy(dst, x[v.off:])
 		return
 	}
-	last := v.rank - 1
+	last := len(v.shape) - 1
 	n, s := int(v.shape[last]), int(v.stride[last])
 	// lo is value j of a run whose other coordinates are pos, which starts
 	// at x[in].
-	var pos [maxViewRank]int32
-	j, r, in := lo%n, lo/n, int(v.off)
+	var stack [stackDims]int32
+	pos := stack[:]
+	if len(v.shape) > stackDims {
+		pos = make([]int32, last)
+	}
+	j, r, in := lo%n, lo/n, v.off
 	for d := last - 1; d >= 0; d-- {
 		dim := int(v.shape[d])
 		pos[d], in, r = int32(r%dim), in+r%dim*int(v.stride[d]), r/dim
@@ -365,16 +361,15 @@ func ResolveTranspose(inputs []Input, attrs Attrs, out *TensorInfo) (View, error
 		return View{}, errIn("Transpose", "perm %v incompatible with rank %d", perm, len(x))
 	}
 	var v View
-	ok := true
 	out.Shape, out.DType = out.Shape[:0], inputs[0].DType
 	for i, p := range perm {
 		if p < 0 || p >= len(x) || slices.Contains(perm[:i], p) {
 			return View{}, errIn("Transpose", "invalid perm %v", perm)
 		}
 		out.Shape = append(out.Shape, x[p])
-		ok = v.add(x[p], tensor.ShapeSize(x[p+1:])) && ok
+		v.add(x[p], tensor.ShapeSize(x[p+1:]))
 	}
-	return v, fits(ok)
+	return v, nil
 }
 
 // ResolveSlice checks a Slice — attrs Begin and Shape (its size), a size of -1 running
@@ -388,7 +383,6 @@ func ResolveSlice(inputs []Input, attrs Attrs, out *TensorInfo) (View, error) {
 		return View{}, errIn("Slice", "begin %v / size %v incompatible with rank %d", begin, size, len(x))
 	}
 	var v View
-	ok, off := true, 0
 	out.Shape, out.DType = out.Shape[:0], inputs[0].DType
 	for d, s := range size {
 		if s == -1 {
@@ -398,11 +392,10 @@ func ResolveSlice(inputs []Input, attrs Attrs, out *TensorInfo) (View, error) {
 			return View{}, errIn("Slice", "begin %v size %v out of bounds for shape %v", begin, size, x)
 		}
 		stride := tensor.ShapeSize(x[d+1:])
-		out.Shape, off = append(out.Shape, s), off+begin[d]*stride
-		ok = v.add(s, stride) && ok
+		out.Shape, v.off = append(out.Shape, s), v.off+begin[d]*stride
+		v.add(s, stride)
 	}
-	v.off = int32(off)
-	return v, fits(ok)
+	return v, nil
 }
 
 // ResolveTile checks a Tile — attr Reps, one positive count per dim — and
@@ -416,16 +409,40 @@ func ResolveTile(inputs []Input, attrs Attrs, out *TensorInfo) (View, error) {
 		return View{}, errIn("Tile", "reps %v incompatible with rank %d", reps, len(x))
 	}
 	var v View
-	ok := true
 	out.Shape, out.DType = out.Shape[:0], inputs[0].DType
 	for d, r := range reps {
 		if r <= 0 {
 			return View{}, errIn("Tile", "reps must be positive, got %v", reps)
 		}
 		out.Shape = append(out.Shape, x[d]*r)
-		ok = v.add(r, 0) && v.add(x[d], tensor.ShapeSize(x[d+1:])) && ok
+		v.add(r, 0)
+		v.add(x[d], tensor.ShapeSize(x[d+1:]))
 	}
-	return v, fits(ok)
+	return v, nil
+}
+
+// ResolveReverse checks a Reverse — its axes, every axis when none is
+// listed (ReduceAxes) — and returns its view: a flipped dim read from its
+// last value back.
+func ResolveReverse(inputs []Input, attrs Attrs, out *TensorInfo) (View, error) {
+	if err := wantInputs("Reverse", inputs, 1); err != nil {
+		return View{}, err
+	}
+	x := inputs[0].Shape
+	flip, err := ReduceAxes("Reverse", attrs.Axes, len(x))
+	if err != nil {
+		return View{}, err
+	}
+	var v View
+	out.Shape, out.DType = append(out.Shape[:0], x...), inputs[0].DType
+	for d, n := range x {
+		stride := tensor.ShapeSize(x[d+1:])
+		if flip.Has(d) && n > 0 {
+			v.off, stride = v.off+(n-1)*stride, -stride
+		}
+		v.add(n, stride)
+	}
+	return v, nil
 }
 
 // Pad is a resolved PadV2: the input's dims, the output's and the padding
@@ -562,22 +579,24 @@ func ResolveGather(inputs []Input, attrs Attrs, out *TensorInfo) (Gather, error)
 	return Gather{x[axis], tensor.ShapeSize(indices), tensor.ShapeSize(x[axis+1:])}, nil
 }
 
-// InRange reports whether every index names a slice of x; the reference
-// kernel rejects a call where one does not.
-func (g Gather) InRange(idx []float32) bool {
+// Check is the error of a call whose indices idx name no slice of x, the
+// first such index's: the reference kernel and node reject the call with
+// it. A webgl program cannot read its indices without a readback, and does
+// not check them.
+func (g Gather) Check(idx []float32) error {
 	for _, v := range idx[:g.indices] {
 		if k := int(v); k < 0 || k >= g.axis {
-			return false
+			return errIn("GatherV2", "index %d out of range [0, %d)", k, g.axis)
 		}
 	}
-	return true
+	return nil
 }
 
 // Fill computes the output values [lo, lo+len(dst)) of the gather into dst,
-// a copy per slice. An index out of range reads zeros — a difference from
-// the reference kernel, which rejects the call: native checks the indices
-// first (InRange) and declines, while a webgl program cannot fail, and
-// reads 0 where a shader would read whatever lies past its texture.
+// a copy per slice. An index out of range reads zeros: the reference
+// kernel and node reject such a call first (Check), while a webgl program
+// cannot fail, and reads 0 where a shader would read whatever lies past
+// its texture.
 func (g Gather) Fill(x, idx []float32, lo int, dst []float32) {
 	for at, hi := lo, lo+len(dst); at < hi; {
 		j, r := at%g.inner, at/g.inner

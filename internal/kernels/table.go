@@ -96,9 +96,8 @@ func (s Sampled) Inputs(inputs []Input, out []int) []Input {
 type RangeKernel struct {
 	Name string
 	// Resolve checks a call of kernel name, describes its output's shape
-	// and dtype in out and returns the call's body and cost. ErrFallback
-	// means every check passed but the body cannot take the call (a view
-	// of too many dims).
+	// and dtype in out and returns the call's body and cost. A call every
+	// check passes has a body, whatever its rank.
 	Resolve func(name string, inputs []Input, attrs Attrs, out *TensorInfo) (Range, error)
 	Sampled Sampled
 }
@@ -145,6 +144,12 @@ var rangeKernels = []RangeKernel{
 	{Name: "Concat", Resolve: concat},
 	{Name: "Select", Resolve: selectOperands, Sampled: SamplesInputs},
 	{Name: "FusedBatchNorm", Resolve: batchNorm, Sampled: SamplesParameters},
+	{Name: "Any", Resolve: reduce},
+	{Name: "All", Resolve: reduce},
+	{Name: "Reverse", Resolve: move(ResolveReverse, perDim(1)), Sampled: SamplesOutput}, // a flip per dim
+	{Name: "Cast", Resolve: move(ResolveCast, func(size, _ int) Work { return PerValue(size, 1, 1) })},
+	{Name: "Range", Resolve: move(ResolveRange, func(size, _ int) Work { return PerValue(size, 0, aluMAC) })},
+	{Name: "CumSum", Resolve: cumSum},
 }
 
 // convolution is Conv2D's and DepthwiseConv2dNative's range, fused or not:
@@ -284,12 +289,12 @@ func reduce(name string, inputs []Input, attrs Attrs, out *TensorInfo) (Range, e
 	if err != nil {
 		return Range{}, err
 	}
-	work := PerValue(int(g.outer), int(g.inner), int(g.inner))
+	work := PerValue(g.outer, g.inner, g.inner)
 	if name == "Mean" {
 		work.ALU += int64(g.outer)
 	}
-	if name == "Sum" && g.runs == 2 && g.firstReduced {
-		rows, columns := int(g.inner), int(g.outer)
+	if name == "Sum" && g.leading() {
+		rows, columns := g.inner, g.outer
 		return Range{Fill: func(in [][]float32, lo int, dst []float32) { ColumnSums(in[0], rows, columns, lo, dst) },
 			Work: work, Unit: 8}, nil
 	}
@@ -304,6 +309,21 @@ func softmax(_ string, inputs []Input, _ Attrs, out *TensorInfo) (Range, error) 
 	}
 	return Range{Fill: func(in [][]float32, lo int, dst []float32) { SoftmaxRows(in[0], inner, lo, dst) },
 		Work: softmaxWork(outer, inner), Unit: inner}, nil
+}
+
+// cumSum is CumSum's range (Scan.Fill), a native chunk a block of whole
+// lines. Its shader sums each value's line up to the value: a line of n
+// values fetches and adds n(n+1)/2 values, and each value decodes its
+// coordinates.
+func cumSum(_ string, inputs []Input, attrs Attrs, out *TensorInfo) (Range, error) {
+	c, err := ResolveCumSum(inputs, attrs, out)
+	if err != nil {
+		return Range{}, err
+	}
+	size := tensor.ShapeSize(out.Shape)
+	lines, prefix := int64(size/max(c.n, 1)), int64(c.n)*int64(c.n+1)/2
+	return Range{Fill: func(in [][]float32, lo int, dst []float32) { c.Fill(in[0], lo, dst) },
+		Work: Work{Fetches: lines * prefix, ALU: lines*prefix + int64(size)*3*ALUDecode}, Unit: c.n * c.stride}, nil
 }
 
 // adamMoments is AdamMoments' range: (mv [2, ...shape], g [...shape]) →

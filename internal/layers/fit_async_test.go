@@ -1,6 +1,7 @@
 package layers_test
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,10 +12,13 @@ import (
 )
 
 // TestFitAsyncKeepsMainThreadResponsive trains on the event loop while
-// posting simulated user events; training must complete AND the events
-// must interleave between batches, so no single task spans the whole
-// training run (the §3.6 responsiveness property).
+// posting simulated user events; training must complete AND no single
+// task may span the training run (the §3.6 responsiveness property). It
+// counts rather than times: 4 epochs of 8 batches run as at least 32 loop
+// tasks — the loop's tasks less the posted events and onDone — and the
+// event each epoch's end posts runs before the next epoch's first batch.
 func TestFitAsyncKeepsMainThreadResponsive(t *testing.T) {
+	const epochs, batches = 4, 8
 	layers.SetSeed(11)
 	model := layers.NewSequential("")
 	model.Add(layers.NewDense(layers.DenseConfig{Units: 8, Activation: "relu", InputShape: []int{4}}))
@@ -34,36 +38,56 @@ func TestFitAsyncKeepsMainThreadResponsive(t *testing.T) {
 	loop := jsenv.NewLoop()
 	defer loop.Stop()
 
-	var eventsDuringTraining atomic.Int64
+	// Every event task counts itself; the one posted at the end of epoch e
+	// records how many epochs had ended when it ran: e+1, if no batch of
+	// the next epoch ran first.
+	var events, epochsEnded atomic.Int64
+	var ranAfter [epochs]atomic.Int64
+	cfg := layers.FitConfig{Epochs: epochs, BatchSize: 64 / batches, OnEpochEnd: func(epoch int, _ map[string]float64) {
+		epochsEnded.Add(1)
+		loop.Post(func() {
+			events.Add(1)
+			ranAfter[epoch].Store(epochsEnded.Load())
+		})
+	}}
+	fut := model.FitAsync(loop, xs, ys, cfg, func(*layers.History, error) {})
 	trainingDone := make(chan struct{})
-	fut := model.FitAsync(loop, xs, ys, layers.FitConfig{Epochs: 4, BatchSize: 8}, nil)
+	var poster sync.WaitGroup
+	poster.Add(1)
 	go func() {
+		defer poster.Done()
 		// Post "user events" continuously while training runs.
 		for {
 			select {
 			case <-trainingDone:
 				return
 			default:
-				loop.Post(func() { eventsDuringTraining.Add(1) })
+				loop.Post(func() { events.Add(1) })
 				time.Sleep(time.Millisecond)
 			}
 		}
 	}()
 	hist, err := fut.Await()
 	close(trainingDone)
+	poster.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hist.Epochs != 4 || len(hist.Logs["loss"]) != 4 {
+	if hist.Epochs != epochs || len(hist.Logs["loss"]) != epochs {
 		t.Fatalf("history incomplete: %+v", hist)
 	}
-	if eventsDuringTraining.Load() == 0 {
-		t.Fatal("no events interleaved with training batches — the loop was blocked")
+	// Every task posted so far has run once this one runs, and none after
+	// it has: the loop's count is the training's tasks, the events and
+	// onDone.
+	var stats jsenv.Stats
+	loop.PostAndWait(func() { stats = loop.Stats() })
+	if steps := stats.TasksRun - events.Load() - 1; steps < epochs*batches {
+		t.Errorf("training ran as %d loop tasks (%d tasks, %d events), want one per batch, %d", steps, stats.TasksRun, events.Load(), epochs*batches)
 	}
-	// Worst stall must be a single batch, far below total training time.
-	stats := loop.Stats()
-	if stats.LongestTask > stats.Busy/2 {
-		t.Fatalf("one task dominated the loop: longest %v of %v busy", stats.LongestTask, stats.Busy)
+	for e := range ranAfter {
+		if got := ranAfter[e].Load(); got != int64(e+1) {
+			t.Errorf("the event posted at the end of epoch %d ran after %d epochs had ended, want %d: a batch ran before it", e, got, e+1)
+		}
 	}
 }
 

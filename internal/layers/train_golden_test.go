@@ -2,7 +2,6 @@ package layers_test
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -231,37 +230,15 @@ func TestTrainEpochDispatchesInAFixedOrder(t *testing.T) {
 	}
 }
 
-// fallbackCounter is a backend with every ErrFallback its kernels return
-// counted by kernel name.
-type fallbackCounter struct {
-	kernels.Backend
-	declined map[string]int
-}
-
-func (c *fallbackCounter) KernelOverride(name string) (kernels.OverrideKernel, bool) {
-	k, ok := c.Backend.(kernels.Overrider).KernelOverride(name)
-	if !ok {
-		return nil, false
-	}
-	return func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
-		err := k(inputs, attrs, out)
-		if errors.Is(err, kernels.ErrFallback) {
-			c.declined[name]++
-		}
-		return err
-	}, true
-}
-
-// requireNoFallback runs one epoch of build's model over examples
-// synthetic digits on b, registered with the global engine as name, and
-// fails for every dispatched kernel b has no kernel for or whose kernel
-// declined a call: each ran on the reference kernel through host memory.
-// It returns how many times each kernel was dispatched.
-func requireNoFallback(t *testing.T, name string, b kernels.Backend, build func(*testing.T) *layers.Sequential, examples int) map[string]int {
+// epochKernels runs one epoch of build's model over examples synthetic
+// digits on b, registered with the global engine as name, and returns how
+// many times each kernel was dispatched. Each ran as b's own kernel: a
+// kernel b lacked would have failed the epoch (kernels.Dispatch has no
+// other way to run one).
+func epochKernels(t *testing.T, name string, b kernels.Backend, build func(*testing.T) *layers.Sequential, examples int) map[string]int {
 	t.Helper()
 	e := core.Global()
-	counter := &fallbackCounter{Backend: b, declined: map[string]int{}}
-	e.RegisterBackend(name, func() (kernels.Backend, error) { return counter, nil })
+	e.RegisterBackend(name, func() (kernels.Backend, error) { return b, nil })
 	if err := e.SetBackend(name); err != nil {
 		t.Fatal(err)
 	}
@@ -280,12 +257,9 @@ func requireNoFallback(t *testing.T, name string, b kernels.Backend, build func(
 		names[r.Name]++
 	}
 	for kernel, n := range names {
-		if _, ok := b.(kernels.Overrider).KernelOverride(kernel); !ok {
-			t.Errorf("%s (%d dispatches) has no %s kernel: each ran on the reference kernel through host memory", kernel, n, b.Name())
+		if _, ok := b.Kernel(kernel); !ok {
+			t.Errorf("%s (%d dispatches) has no %s kernel", kernel, n, b.Name())
 		}
-	}
-	for kernel, n := range counter.declined {
-		t.Errorf("%s's %s declined %d of its calls", b.Name(), kernel, n)
 	}
 	if len(names) == 0 {
 		t.Fatal("the epoch dispatched nothing")
@@ -296,11 +270,9 @@ func requireNoFallback(t *testing.T, name string, b kernels.Backend, build func(
 
 // TestNodeFitEpochRunsEveryKernelOnNode: every kernel one epoch of the
 // bench convnet dispatches — ArgMax (the accuracy metric), Fill, GatherV2
-// and Tile included, which took the host fallback through the reference
-// kernel until node ran the shared shape and reduction bodies — is in
-// node's table, and none declines its call.
+// and Tile included — runs as node's own kernel.
 func TestNodeFitEpochRunsEveryKernelOnNode(t *testing.T) {
-	requireNoFallback(t, "node-counted", native.New(), benchConvnet, 128)
+	epochKernels(t, "node-counted", native.New(), benchConvnet, 128)
 }
 
 // depthwiseNet is a model of the layers the bench convnet lacks: a
@@ -330,7 +302,7 @@ func depthwiseNet(t *testing.T) *layers.Sequential {
 
 // TestDepthwiseFitStepTakesNoFallback: one Fit step of depthwiseNet runs
 // every kernel on node and on webgl fp32 — the depthwise and average-pool
-// gradients included, which node sent to the host fallback.
+// gradients and batch norm among them.
 func TestDepthwiseFitStepTakesNoFallback(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -340,7 +312,7 @@ func TestDepthwiseFitStepTakesNoFallback(t *testing.T) {
 		{"webgl-counted-depthwise", func() kernels.Backend { return webgl.New(webgl.DefaultConfig()) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			names := requireNoFallback(t, c.name, c.backend(), depthwiseNet, 32)
+			names := epochKernels(t, c.name, c.backend(), depthwiseNet, 32)
 			for _, kernel := range []string{"DepthwiseConv2dNativeBackpropInput", "DepthwiseConv2dNativeBackpropFilter", "AvgPoolGrad", "FusedBatchNorm"} {
 				if names[kernel] == 0 {
 					t.Errorf("the step dispatched no %s", kernel)

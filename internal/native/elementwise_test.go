@@ -14,7 +14,7 @@ import (
 // with the reference kernel to the bit on equal shapes, on the suffix
 // broadcast the native row loop takes (either operand the row, so operand
 // order is seen to be preserved: Sub and RealDiv do not commute) and on
-// the broadcasts that still fall back.
+// the general broadcast.
 func TestBinaryBroadcastBitIdenticalToReference(t *testing.T) {
 	backends := []*Backend{New(), New()}
 	backends[0].SetWorkers(1)
@@ -211,8 +211,7 @@ func TestOverwritingKernelsUnderPoolPoison(t *testing.T) {
 // the row's √(variance+ε) tile, on every forward-kernel fill (NaN, ±Inf, ±0
 // and denormals among them) with the variances as filled (negative ones
 // normalise to NaN) and made non-negative, at every worker count and with
-// the AVX2 cores on or off. An empty channel axis falls back to the
-// reference kernel (it divided by zero).
+// the AVX2 cores on or off, and on an empty channel axis.
 func TestBatchNormBitIdenticalToReference(t *testing.T) {
 	check := func(t *testing.T, nb *Backend) {
 		attrs := kernels.Attrs{Epsilon: 1e-3}

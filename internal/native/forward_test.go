@@ -90,7 +90,7 @@ func checkConvForward(t testing.TB, nb *Backend, g gradGeometry, f fill) {
 func checkReductions(t testing.TB, nb *Backend, outer, inner int, f fill) {
 	t.Helper()
 	x := operand{f.gen(outer*inner, 6), []int{outer, inner}}
-	for _, name := range []string{"Sum", "Mean", "Max", "Min", "Prod", "ArgMax", "ArgMin"} {
+	for _, name := range []string{"Sum", "Mean", "Max", "Min", "Prod", "ArgMax", "ArgMin", "Any", "All"} {
 		checkAgainstReference(t, nb, fmt.Sprintf("%s/%dx%d/%s", name, outer, inner, f.name), name, kernels.Attrs{Axes: []int{-1}}, x)
 	}
 	checkAgainstReference(t, nb, fmt.Sprintf("Softmax/%dx%d/%s", outer, inner, f.name), "Softmax", kernels.Attrs{}, x)
@@ -127,10 +127,12 @@ func checkMatMuls(t testing.TB, nb *Backend, m, k, n int, f fill) {
 }
 
 // checkShapeKernels runs the data-movement kernels on an input of shape: a
-// slice, a tile, a pad, concatenations with itself, a gather along the
-// first axis (and one with an index out of range, which node declines for
-// the reference kernel to reject), a one-hot of indices of that shape
-// (-1 and depth among them) and a fill of it.
+// slice, a tile, a pad, reverses of every axis and of the odd ones,
+// concatenations with itself, casts to int32 and bool, scans along the
+// first and the last axis, a gather along the first axis (and one with an
+// index out of range, which node rejects as the reference kernel does), a
+// one-hot of indices of that shape (-1 and depth among them) and a fill of
+// it.
 func checkShapeKernels(t testing.TB, nb *Backend, shape []int, f fill) {
 	t.Helper()
 	rank := len(shape)
@@ -157,7 +159,17 @@ func checkShapeKernels(t testing.TB, nb *Backend, shape []int, f fill) {
 	check("Concat", kernels.Attrs{Axis: 0}, x, x, x)
 	check("OneHot", kernels.Attrs{Depth: 3, OnValue: 2.0}, operand{idx, shape})
 	check("Fill", kernels.Attrs{Shape: shape, Value: -1.5, DType: tensor.Int32})
+	var odd []int
+	for d := 1; d < rank; d += 2 {
+		odd = append(odd, d)
+	}
+	check("Reverse", kernels.Attrs{}, x)
+	check("Reverse", kernels.Attrs{Axes: odd}, x)
+	check("Cast", kernels.Attrs{DType: tensor.Int32}, x)
+	check("Cast", kernels.Attrs{DType: tensor.Bool}, x)
 	if rank > 0 {
+		check("CumSum", kernels.Attrs{Axis: 0, Reverse: true}, x)
+		check("CumSum", kernels.Attrs{Axis: -1, Exclusive: true}, x)
 		check("GatherV2", kernels.Attrs{Axis: 0}, x, operand{[]float32{float32(shape[0] - 1), 0, float32(shape[0] / 2)}, []int{3}})
 		check("GatherV2", kernels.Attrs{Axis: -1}, x, operand{[]float32{0, float32(shape[rank-1])}, []int{2, 1}})
 	}
@@ -259,6 +271,10 @@ func checkForwardMatrix(t *testing.T, nb *Backend) {
 			}
 		}
 		checkReductions(t, nb, 64, 2048, f)
+		// Sequences up and down, empty and split across chunks.
+		for _, r := range [][3]float64{{0, 10, 1}, {3.5, -2, -0.25}, {1, 1, 1}, {-4096, 4096, 0.125}} {
+			checkAgainstReference(t, nb, fmt.Sprintf("Range/%v", r), "Range", kernels.Attrs{Start: r[0], Stop: r[1], Step: r[2]})
+		}
 		// Softmax's rows of ±1000: an exp that overflows without the max.
 		checkAgainstReference(t, nb, "Softmax/thousands/"+f.name, "Softmax", kernels.Attrs{},
 			operand{[]float32{1000, -1000, 0, 1, -1, 1000, 1000, 999, -1e-39, 1e-45}, []int{2, 5}})

@@ -10,28 +10,27 @@ import (
 // initKernels installs the optimized kernels: every kernel of the range
 // table (kernels.RangeKernels — the convolutions, pools and matmuls, every
 // one of their gradients, the reductions, Softmax, the training tail, the
-// shape kernels, Select, batch norm and every op of the element-wise
-// table) in one loop, and the one kernel outside it, GatherV2. The
-// other six (All, Any, Cast, CumSum, Range, Reverse) inherit the reference
-// implementations.
+// shape kernels, casts, scans, Select, batch norm and every op of the
+// element-wise table) in one loop, and the one kernel outside it,
+// GatherV2: a kernel for every reference kernel's name, so no call leaves
+// the backend.
 //
 // Every kernel appends its output shape into out.Shape (caller-owned
 // scratch, so the steady-state plan executor re-runs a step without
 // allocating) and registers its buffer via outOver. Shapes are always
 // appended by value, never aliased from an input, so an output can outlive
-// its inputs. A kernel that does not specialize a shape or layout returns
-// kernels.ErrFallback and kernels.Dispatch runs the reference kernel.
+// its inputs.
 func (b *Backend) initKernels() {
 	b.resolved = kernels.NewMemo(func(_ kernels.RangeKernel, r kernels.Resolved, _ []kernels.Input, _ kernels.Attrs) kernels.Resolved {
 		return r
 	})
-	b.table = map[string]kernels.OverrideKernel{}
+	b.table = map[string]kernels.Kernel{}
 	for _, k := range kernels.RangeKernels() {
 		b.register(k.Name, b.rangeKernel(k))
 	}
-	// GatherV2 is no range kernel: node declines an index out of range, for
-	// the reference kernel to reject, where webgl, which cannot read its
-	// indices without a readback, writes 0.
+	// GatherV2 is no range kernel: node rejects an index out of range, as
+	// the reference kernel does, where webgl, which cannot read its indices
+	// without a readback, writes 0.
 	b.register("GatherV2", b.gather)
 }
 
@@ -42,7 +41,7 @@ func (b *Backend) initKernels() {
 // every worker count, since a body computes each value the same wherever
 // its range is cut. A staged buffer (kernels.Stage) comes from the scratch
 // recycler, filled once.
-func (b *Backend) rangeKernel(k kernels.RangeKernel) kernels.OverrideKernel {
+func (b *Backend) rangeKernel(k kernels.RangeKernel) kernels.Kernel {
 	return func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
 		r, err := b.resolved.Get(k, inputs, &attrs)
 		if err != nil {
@@ -124,8 +123,8 @@ func (b *Backend) gather(inputs []kernels.Input, attrs kernels.Attrs, out *kerne
 	}
 	in := b.inputs(inputs)
 	defer inLists.Put(in)
-	if !g.InRange((*in)[1]) {
-		return kernels.ErrFallback
+	if err := g.Check((*in)[1]); err != nil {
+		return err
 	}
 	dst := b.outOver(out, out.DType)
 	b.parallelFor(func(in [][]float32, lo int, dst []float32) {

@@ -16,10 +16,10 @@
 // reductions, the training tail, the shape kernels, Select and batch norm)
 // is installed in one loop (kernels.go): its inputs read up front, its
 // body over whole units of its output sharded across the worker pool,
-// bit-equal to the reference kernel at every worker count. Everything not
-// overridden falls back to the reference kernels through kernels.Dispatch,
-// exactly like the real Node backend falls back for ops the C API does not
-// expose.
+// bit-equal to the reference kernel at every worker count, and so is the
+// one kernel outside the table, GatherV2: the backend has a kernel for
+// every reference kernel's name, and no call reads its operands back to
+// run a reference kernel on the host.
 package native
 
 import (
@@ -41,7 +41,7 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 type Backend struct {
 	*cpu.Backend
 	workers atomic.Int64
-	table   map[string]kernels.OverrideKernel
+	table   map[string]kernels.Kernel
 	// resolved is the range kernels' memo: one Resolve per call signature.
 	resolved *kernels.Memo[kernels.Resolved]
 
@@ -108,14 +108,14 @@ func (b *Backend) ApplyExecConfig(c exec.Config) {
 // its memo's misses, one per call signature while the memo holds it.
 func (b *Backend) Resolves() int64 { return b.resolved.Misses() }
 
-// KernelOverride implements kernels.Overrider.
-func (b *Backend) KernelOverride(name string) (kernels.OverrideKernel, bool) {
+// Kernel implements kernels.Backend.
+func (b *Backend) Kernel(name string) (kernels.Kernel, bool) {
 	k, ok := b.table[name]
 	return k, ok
 }
 
 // register installs a kernel.
-func (b *Backend) register(name string, k kernels.OverrideKernel) { b.table[name] = k }
+func (b *Backend) register(name string, k kernels.Kernel) { b.table[name] = k }
 
 // Memory folds the scratch recycler into the embedded storage plane's
 // snapshot so /metrics sees the full pooled footprint.
@@ -132,7 +132,6 @@ func (b *Backend) Memory() kernels.MemoryInfo {
 
 var (
 	_ kernels.Backend   = (*Backend)(nil)
-	_ kernels.Overrider = (*Backend)(nil)
 	_ kernels.Recycler  = (*Backend)(nil)
 	_ exec.Configurable = (*Backend)(nil)
 )

@@ -117,7 +117,7 @@ func TestNativeKernelParity(t *testing.T) {
 				ops.FromValues([]float32{1, 0.5, 2}, 3), 1e-3)
 		},
 		"batchnormFallback": func() *tensor.Tensor {
-			// Full-shape parameters exercise the reference fallback path.
+			// Full-shape parameters: the body's general broadcast.
 			x := ops.FromValues(av, 2, 3, 4)
 			m := ops.FromValues(bv, 2, 3, 4)
 			v := ops.AddScalar(ops.Abs(ops.FromValues(bv, 2, 3, 4)), 1)

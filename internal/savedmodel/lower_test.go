@@ -9,8 +9,8 @@ import (
 // TestLoweringResolvesToKernels: every kernel the lowering table
 // dispatches is an entry of the range table, whose Resolve the verifier
 // checks the node with, and has a reference kernel; so has every entry of
-// the range table, which the device tiers install in one loop and which
-// falls back to its reference kernel. A kernel name is a string: a
+// the range table, which the device tiers install in one loop and the cpu
+// tier runs as its reference kernel. A kernel name is a string: a
 // misspelled one compiles and fails only at its first dispatch, or, in the
 // verifier, rejects every graph that uses the op. This test fails on it
 // instead.

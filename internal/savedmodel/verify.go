@@ -1,7 +1,6 @@
 package savedmodel
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -233,14 +232,11 @@ func (v *verifier) check(n *NodeDef, ins []value) value {
 
 // resolve runs kernel's own check, its range-table entry's Resolve, on a
 // call with inputs: it describes the output in out and touches no data.
-// ErrFallback is a call every check accepted.
 func resolve(kernel string, inputs []kernels.Input, a kernels.Attrs, out *kernels.TensorInfo) error {
 	for _, k := range kernels.RangeKernels() {
 		if k.Name == kernel {
-			if _, err := k.Resolve(kernel, inputs, a, out); err != nil && !errors.Is(err, kernels.ErrFallback) {
-				return err
-			}
-			return nil
+			_, err := k.Resolve(kernel, inputs, a, out)
+			return err
 		}
 	}
 	return fmt.Errorf("kernel %s has no range-table entry", kernel)

@@ -71,7 +71,7 @@ type Backend struct {
 	pagedBytes   atomic.Int64
 	pageOuts     atomic.Int64
 	pageIns      atomic.Int64
-	kernelsTable map[string]kernels.OverrideKernel
+	kernelsTable map[string]kernels.Kernel
 	programs     *kernels.Memo[compiled]
 }
 
@@ -461,13 +461,10 @@ func (b *Backend) Close() {
 	b.device.Close()
 }
 
-// KernelOverride implements kernels.Overrider.
-func (b *Backend) KernelOverride(name string) (kernels.OverrideKernel, bool) {
+// Kernel implements kernels.Backend.
+func (b *Backend) Kernel(name string) (kernels.Kernel, bool) {
 	k, ok := b.kernelsTable[name]
 	return k, ok
 }
 
-var (
-	_ kernels.Backend   = (*Backend)(nil)
-	_ kernels.Overrider = (*Backend)(nil)
-)
+var _ kernels.Backend = (*Backend)(nil)

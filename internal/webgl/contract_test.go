@@ -448,7 +448,83 @@ func contractCases() map[string][]contractCase {
 		contractCase{"scalar", []cin{rnd(rng), slot(), corr}, step},
 		contractCase{"zero", []cin{rnd(rng, 0, 3), slot(0, 3), corr}, step},
 	)
+	joinedTheTable(cases)
 	return cases
+}
+
+// joinedTheTable adds the cases of the kernels that joined the range table
+// after the goldens were first recorded — All, Any, Cast, CumSum, Range
+// and Reverse — and views, broadcasts and reductions of rank 7 and 8, none
+// of whose dims merge, on a generator of their own, so that no recorded
+// case's inputs move.
+func joinedTheTable(cases map[string][]contractCase) {
+	rng := rand.New(rand.NewSource(44))
+	add := func(name string, cs ...contractCase) { cases[name] = append(cases[name], cs...) }
+	for _, name := range []string{"Any", "All"} {
+		add(name,
+			contractCase{"rows", []cin{flags(rng, 5, 8)}, kernels.Attrs{Axes: []int{-1}}},
+			contractCase{"special", []cin{special(rnd(rng, 3, 4, 5))}, kernels.Attrs{Axes: []int{0, 2}, KeepDims: true}},
+			contractCase{"zero", []cin{flags(rng, 3, 0)}, kernels.Attrs{Axes: []int{1}}},
+		)
+	}
+	add("Cast",
+		contractCase{"int32", []cin{special(rnd(rng, 3, 5, 7))}, kernels.Attrs{DType: tensor.Int32}},
+		contractCase{"bool", []cin{special(rnd(rng, 2, 9))}, kernels.Attrs{DType: tensor.Bool}},
+		contractCase{"float32", []cin{idx(rng, 9, 4, 5)}, kernels.Attrs{DType: tensor.Float32}},
+	)
+	add("Range",
+		contractCase{"up", nil, kernels.Attrs{Start: -3, Stop: 30, Step: 0.75, DType: tensor.Float32}},
+		contractCase{"down", nil, kernels.Attrs{Start: 9, Stop: -8, Step: -1, DType: tensor.Int32}},
+		contractCase{"empty", nil, kernels.Attrs{Start: 2, Stop: 2, Step: 1, DType: tensor.Float32}},
+	)
+	add("CumSum",
+		contractCase{"last", []cin{rnd(rng, 5, 9)}, kernels.Attrs{Axis: -1}},
+		contractCase{"middleExclusiveReverse", []cin{rnd(rng, 3, 7, 5)}, kernels.Attrs{Axis: 1, Exclusive: true, Reverse: true}},
+		contractCase{"first", []cin{special(rnd(rng, 6, 2, 3))}, kernels.Attrs{Axis: 0, Reverse: true}},
+		contractCase{"zero", []cin{rnd(rng, 0, 3)}, kernels.Attrs{Axis: 1}},
+	)
+	add("Reverse",
+		contractCase{"every", []cin{rnd(rng, 2, 3, 4)}, kernels.Attrs{}},
+		contractCase{"middle", []cin{rnd(rng, 3, 5, 7)}, kernels.Attrs{Axes: []int{1}}},
+		contractCase{"squeezy", []cin{rnd(rng, 1, 6, 1, 5)}, kernels.Attrs{Axes: []int{-1, 0}}},
+		contractCase{"zero", []cin{rnd(rng, 0, 3)}, kernels.Attrs{Axes: []int{1}}},
+	)
+	// Rank 7 and 8: 2s everywhere, or 1s alternating with them.
+	dims := func(rank, n, one int) []int {
+		shape := make([]int, rank)
+		for d := range shape {
+			shape[d] = n
+			if one >= 0 && d%2 == one {
+				shape[d] = 1
+			}
+		}
+		return shape
+	}
+	every := func(rank, first int) []int {
+		var axes []int
+		for d := first; d < rank; d += 2 {
+			axes = append(axes, d)
+		}
+		return axes
+	}
+	add("Transpose",
+		contractCase{"rank7", []cin{rnd(rng, 2, 3, 2, 3, 2, 3, 2)}, kernels.Attrs{Perm: []int{6, 5, 4, 3, 2, 1, 0}}},
+		contractCase{"rank8", []cin{rnd(rng, dims(8, 2, -1)...)}, kernels.Attrs{Perm: []int{7, 6, 5, 4, 3, 2, 1, 0}}})
+	add("Slice",
+		contractCase{"rank7", []cin{rnd(rng, dims(7, 3, -1)...)}, kernels.Attrs{Begin: dims(7, 1, -1), Shape: dims(7, 2, -1)}},
+		contractCase{"rank8", []cin{rnd(rng, dims(8, 3, -1)...)}, kernels.Attrs{Begin: dims(8, 1, -1), Shape: dims(8, 2, -1)}})
+	add("Tile",
+		contractCase{"rank7", []cin{rnd(rng, 2, 2, 2, 2)}, kernels.Attrs{Reps: []int{1, 2, 2, 2}}},
+		contractCase{"rank8", []cin{rnd(rng, 2, 2, 2, 2)}, kernels.Attrs{Reps: []int{2, 2, 2, 2}}})
+	add("Add",
+		contractCase{"rank7", []cin{rnd(rng, dims(7, 2, 1)...), rnd(rng, dims(7, 2, 0)...)}, kernels.Attrs{}},
+		contractCase{"rank8", []cin{rnd(rng, dims(8, 2, 1)...), rnd(rng, dims(8, 2, 0)...)}, kernels.Attrs{}})
+	add("Sum",
+		contractCase{"rank7", []cin{rnd(rng, dims(7, 2, -1)...)}, kernels.Attrs{Axes: every(7, 1)}},
+		contractCase{"rank8", []cin{rnd(rng, dims(8, 2, -1)...)}, kernels.Attrs{Axes: every(8, 0)}})
+	add("Reverse",
+		contractCase{"rank7", []cin{rnd(rng, dims(7, 2, -1)...)}, kernels.Attrs{Axes: every(7, 0)}},
+		contractCase{"rank8", []cin{rnd(rng, dims(8, 2, -1)...)}, kernels.Attrs{Axes: every(8, 1)}})
 }
 
 // contractConfig is one device configuration of the matrix.

@@ -14,16 +14,15 @@ import (
 	"repro/internal/webgl"
 )
 
-// TestFallbackKernelsOnWebGL exercises ops with no shader program: the
-// engine must read the inputs back from the device, run the reference
-// kernel, and upload the result — transparently.
+// TestFallbackKernelsOnWebGL: the kernels that once had no shader program
+// here and ran on the reference kernel through host memory — CumSum and
+// Reverse — and the ones outside the range table, Gather and Tile's view,
+// run as device programs in one eager pipeline, each output feeding the
+// next program.
 func TestFallbackKernelsOnWebGL(t *testing.T) {
 	setBackend(t, "webgl")
 	e := core.Global()
-	e.Tidy("fallback", func() []*tensor.Tensor {
-		// CumSum and Reverse have no webgl overrides and run through the
-		// reference path; Gather/Tile have device programs — both paths
-		// must agree on a mixed pipeline.
+	e.Tidy("programs", func() []*tensor.Tensor {
 		x := ops.FromValues([]float32{10, 11, 20, 21, 30, 31}, 3, 2)
 		idx := ops.FromValuesTyped([]float32{2, 0}, []int{2}, tensor.Int32)
 		g := ops.Gather(x, idx, 0)
@@ -33,21 +32,20 @@ func TestFallbackKernelsOnWebGL(t *testing.T) {
 		almostEqual(t, tiled.DataSync(), []float32{1, 2, 1, 2, 1, 2}, 0, "tile program")
 
 		cum := ops.CumSum(ops.FromValues([]float32{1, 2, 3, 4}, 1, 4), 1, false, false)
-		almostEqual(t, cum.DataSync(), []float32{1, 3, 6, 10}, 0, "cumsum fallback")
+		almostEqual(t, cum.DataSync(), []float32{1, 3, 6, 10}, 0, "cumsum program")
 
 		rev := ops.Reverse(ops.FromValues([]float32{1, 2, 3}, 3), 0)
-		almostEqual(t, rev.DataSync(), []float32{3, 2, 1}, 0, "reverse fallback")
+		almostEqual(t, rev.DataSync(), []float32{3, 2, 1}, 0, "reverse program")
 
-		// A mixed pipeline: fallback output feeds a shader program.
-		y := ops.Relu(ops.SubScalar(g, 15))
-		almostEqual(t, y.DataSync(), []float32{15, 16, 0, 0}, 0, "fallback into program")
+		y := ops.Relu(ops.SubScalar(ops.Reverse(g, 0), 15))
+		almostEqual(t, y.DataSync(), []float32{0, 0, 15, 16}, 0, "reverse into program")
 		return nil
 	})
 }
 
 // TestTrainingOnWebGL runs a full optimizer step on the webgl backend:
-// gradients flow through shader programs and fallback kernels alike —
-// the in-browser training the paper calls its major differentiator.
+// gradients flow through shader programs — the in-browser training the
+// paper calls its major differentiator.
 func TestTrainingOnWebGL(t *testing.T) {
 	setBackend(t, "webgl")
 	e := core.Global()

@@ -8,35 +8,35 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file holds the kernel-override plumbing. Each override plays the
+// This file holds the kernel plumbing. Each kernel plays the
 // role of a compiled GLSL fragment shader (Listing 2 of the paper): a
 // function of each output texel's index, run over ranges of texels.
 
-// register installs one kernel override.
-func (b *Backend) register(name string, k kernels.OverrideKernel) {
+// register installs one kernel.
+func (b *Backend) register(name string, k kernels.Kernel) {
 	if _, dup := b.kernelsTable[name]; dup {
-		//lint:ignore operr init-time registration invariant (duplicate override); no dispatch in flight to attribute
+		//lint:ignore operr init-time registration invariant (duplicate kernel); no dispatch in flight to attribute
 		panic(fmt.Sprintf("webgl: duplicate kernel %q", name))
 	}
 	b.kernelsTable[name] = k
 }
 
-// initKernels builds the override table: every kernel of the range table
+// initKernels builds the kernel table: every kernel of the range table
 // (kernels.RangeKernels, Softmax and the element-wise table's ops among
 // them) in one loop, and the one kernel outside it, GatherV2.
 func (b *Backend) initKernels() {
-	b.kernelsTable = map[string]kernels.OverrideKernel{}
+	b.kernelsTable = map[string]kernels.Kernel{}
 	for _, k := range kernels.RangeKernels() {
 		b.register(k.Name, b.rangeKernel(k))
 	}
-	// GatherV2 is no range kernel: node declines an index out of range,
+	// GatherV2 is no range kernel: node rejects an index out of range,
 	// which this backend cannot see without a readback; it writes 0.
 	b.register("GatherV2", b.gather)
 }
 
 // rangeKernel is k's shader program (programs.go), compiled on a call's
 // first dispatch and looked up in the backend's memo on every later one.
-func (b *Backend) rangeKernel(k kernels.RangeKernel) kernels.OverrideKernel {
+func (b *Backend) rangeKernel(k kernels.RangeKernel) kernels.Kernel {
 	return func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		c, err := b.programs.Get(k, inputs, &attrs)
 		if err != nil {
@@ -85,7 +85,8 @@ func (b *Backend) dispatch(p *glsim.Program, inputs []kernels.Input, shape []int
 // inherits the fragment-shader contract from glsim.Program.Main: what it
 // writes for a value depends only on that value's index
 // (TestKernelContract). A staged buffer (kernels.Stage) is the program's
-// Setup, computed on the device once per dispatch, before the ranges.
+// Setup, computed on the device once per dispatch, before the ranges, into
+// the device's own staging buffer.
 func (b *Backend) shader(name string, size int, r kernels.Range) *glsim.Program {
 	channels, fill := b.format().Channels(), r.Fill
 	p := &glsim.Program{Name: name, Work: device(r.Work), Main: func(in [][]float32, lo, hi int, dst []float32) {
@@ -96,12 +97,8 @@ func (b *Backend) shader(name string, size int, r kernels.Range) *glsim.Program 
 		}
 		clear(dst[n:])
 	}}
-	if n, stage := r.Stage.Len(), r.Stage; n > 0 {
-		p.Setup = func(in [][]float32) []float32 {
-			staged := make([]float32, n)
-			stage.Run(in, staged)
-			return staged
-		}
+	if n := r.Stage.Len(); n > 0 {
+		p.Setup, p.Staged = r.Stage.Run, n
 	}
 	return p
 }

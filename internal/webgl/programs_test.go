@@ -1,7 +1,6 @@
 package webgl
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -20,9 +19,8 @@ import (
 // compiles the program, the second hits it, and both outputs are
 // Float32bits-equal to the reference kernel (on half floats: the reference
 // on the fp16-rounded inputs, rounded). A case the reference rejects fails
-// both dispatches with its words and compiles nothing; a call the body
-// declines (ErrFallback) compiles nothing either. Then the next case of the
-// kernel, another shape or attribute, compiles its own program.
+// both dispatches with its words and compiles nothing. Then the next case
+// of the kernel, another shape or attribute, compiles its own program.
 func TestCachedProgramIsTheCompiledOne(t *testing.T) {
 	cases := contractCases()
 	for _, cfg := range []contractConfig{{packed: true, squeeze: true}, {squeeze: true}, {packed: true, half: true, squeeze: true}} {
@@ -46,9 +44,7 @@ func TestCachedProgramIsTheCompiledOne(t *testing.T) {
 				hitErr := b.kernelsTable[k.Name](inputs, c.attrs, &hit)
 				switch {
 				case wantErr != nil || missErr != nil:
-					rejected := fmt.Sprint(missErr) == fmt.Sprint(wantErr) && fmt.Sprint(hitErr) == fmt.Sprint(wantErr)
-					declined := wantErr == nil && errors.Is(missErr, kernels.ErrFallback) && errors.Is(hitErr, kernels.ErrFallback)
-					if !rejected && !declined {
+					if fmt.Sprint(missErr) != fmt.Sprint(wantErr) || fmt.Sprint(hitErr) != fmt.Sprint(wantErr) {
 						t.Errorf("%s: errors %v then %v, want the reference's %v", where, missErr, hitErr, wantErr)
 					}
 					if n := b.programs.Len(); n != before {
@@ -78,15 +74,14 @@ func TestCachedProgramIsTheCompiledOne(t *testing.T) {
 // workers, dispatched twice. The first dispatch misses the backend's memo
 // and resolves the call, the second hits it and resolves nothing, and both
 // outputs are Float32bits-equal to the reference kernel. A case the
-// reference rejects fails both with its words, and a call node declines
-// (ErrFallback) declines both times.
+// reference rejects fails both with its words.
 func TestNodeResolvesOncePerCallSignature(t *testing.T) {
 	cases := contractCases()
 	for _, workers := range []int{1, 3} {
 		nb := native.New()
 		nb.SetWorkers(workers)
 		for _, k := range kernels.RangeKernels() {
-			run, _ := nb.KernelOverride(k.Name)
+			run, _ := nb.Kernel(k.Name)
 			for _, c := range cases[k.Name] {
 				where := fmt.Sprintf("%s/%s at %d workers", k.Name, c.label, workers)
 				want, wantErr := referenceOutput(k.Name, c, false)
@@ -102,9 +97,7 @@ func TestNodeResolvesOncePerCallSignature(t *testing.T) {
 				hitErr := run(inputs, c.attrs, &hit)
 				switch {
 				case wantErr != nil || missErr != nil:
-					rejected := fmt.Sprint(missErr) == fmt.Sprint(wantErr) && fmt.Sprint(hitErr) == fmt.Sprint(wantErr)
-					declined := wantErr == nil && errors.Is(missErr, kernels.ErrFallback) && errors.Is(hitErr, kernels.ErrFallback)
-					if !rejected && !declined {
+					if fmt.Sprint(missErr) != fmt.Sprint(wantErr) || fmt.Sprint(hitErr) != fmt.Sprint(wantErr) {
 						t.Errorf("%s: errors %v then %v, want the reference's %v", where, missErr, hitErr, wantErr)
 					}
 				case hitErr != nil:
@@ -232,13 +225,9 @@ func TestMalformedCallAfterAGoodOneFails(t *testing.T) {
 // whose memo holds compiled programs and which recycles its records too,
 // and on node, whose memo holds the resolved calls.
 func TestProgramCacheServesConcurrentDispatches(t *testing.T) {
-	type backend interface {
-		kernels.Backend
-		KernelOverride(name string) (kernels.OverrideKernel, bool)
-	}
 	nb := native.New()
 	nb.SetWorkers(3)
-	for _, b := range []backend{newContractBackend(t, contractConfig{packed: true, squeeze: true}, 3), nb} {
+	for _, b := range []kernels.Backend{newContractBackend(t, contractConfig{packed: true, squeeze: true}, 3), nb} {
 		rng := rand.New(rand.NewSource(5))
 		calls := []struct {
 			kernel string
@@ -262,7 +251,7 @@ func TestProgramCacheServesConcurrentDispatches(t *testing.T) {
 						inputs[k] = kernels.Input{DataID: tensor.NewDataID(), Shape: in.shape, DType: in.dtype}
 						b.Write(inputs[k].DataID, in.vals, in.shape, in.dtype)
 					}
-					run, _ := b.KernelOverride(call.kernel)
+					run, _ := b.Kernel(call.kernel)
 					var out kernels.TensorInfo
 					if err := run(inputs, call.c.attrs, &out); err != nil {
 						t.Errorf("%s %s: %v", b.Name(), call.kernel, err)

@@ -46,9 +46,29 @@ func deviceBackends(t *testing.T) []tier {
 	return backends
 }
 
-// (The backend is a named field, not embedded: an embedded kernels.Backend
-// would hide the device's KernelOverride method from kernels.Dispatch, and
-// every case would quietly run on the reference kernel.)
+// TestEveryTierOwnsEveryKernel: every reference kernel's name is a kernel
+// of every tier — the cpu tier (plain and naive), node, webgl packed and
+// unpacked at fp32 and fp16, and webgpu — so kernels.Dispatch, which runs
+// the backend's own kernel or fails, runs every operation on every tier.
+func TestEveryTierOwnsEveryKernel(t *testing.T) {
+	nb := native.New()
+	t.Cleanup(nb.Close)
+	tiers := append([]tier{{"cpu", "fp64", cpu.New()}, {"cpu naive", "fp64", cpu.NewNaive()}, {"node", "fp32", nb}}, deviceBackends(t)...)
+	names := kernels.RefKernelNames()
+	for _, b := range tiers {
+		var missing []string
+		for _, name := range names {
+			if _, ok := b.backend.Kernel(name); !ok {
+				missing = append(missing, name)
+			}
+		}
+		if len(missing) > 0 {
+			t.Errorf("%s has no kernel for %d of %d names: %v", b.name, len(missing), len(names), missing)
+		}
+	}
+	t.Logf("%d tiers × %d kernels", len(tiers), len(names))
+}
+
 type tier struct {
 	name, precision string
 	backend         kernels.Backend
@@ -263,8 +283,8 @@ func TestMalformedShapeCallsFailOnEveryTier(t *testing.T) {
 
 // TestGradientsAndBroadcastsOnEveryTier: every kernel of the range table —
 // each fails the test without a case here — runs on node and on webgl fp32
-// packed and unpacked and webgpu fp32 as each tier's own kernel, none
-// declining, and is Float32bits-equal to the reference kernel: the
+// packed and unpacked and webgpu fp32 as each tier's own kernel, and is
+// Float32bits-equal to the reference kernel: the
 // backward window kernels at strides, dilation, overlapping windows (ties
 // included) and a channel multiplier of 2, Select and a batch norm whose
 // parameters are not x's channel vectors, every element-wise op on equal
@@ -274,7 +294,7 @@ func TestMalformedShapeCallsFailOnEveryTier(t *testing.T) {
 // case each. The
 // operands' sums round, so the order of a value's contributions shows:
 // webgl's input gradients once gathered them in the reverse of the
-// reference's order, and declined dilation.
+// reference's order, and had no dilation.
 func TestGradientsAndBroadcastsOnEveryTier(t *testing.T) {
 	nb := native.New()
 	nb.SetWorkers(3)
@@ -356,6 +376,11 @@ func TestGradientsAndBroadcastsOnEveryTier(t *testing.T) {
 		"Select": {{"nonSuffix", "Select", []kernels.Buffer{inexact(5, 1), inexact(2, 5, 3), inexact(3)}, kernels.Attrs{}}},
 		"FusedBatchNorm": {{"nonSuffix", "FusedBatchNorm", []kernels.Buffer{inexact(2, 3, 5, 3), inexact(5, 1), variance, inexact(1, 3), inexact()},
 			kernels.Attrs{Epsilon: 1e-3}}},
+		"Reverse": {{"outerAndLast", "Reverse", []kernels.Buffer{inexact(2, 3, 4)}, kernels.Attrs{Axes: []int{-1, 0}}}},
+		"Cast":    {{"int32", "Cast", []kernels.Buffer{inexact(3, 7)}, kernels.Attrs{DType: tensor.Int32}}},
+		"Range":   {{"down", "Range", nil, kernels.Attrs{Start: 5, Stop: -3, Step: -0.7}}},
+		"CumSum": {{"middleReverse", "CumSum", []kernels.Buffer{inexact(3, 5, 4)}, kernels.Attrs{Axis: 1, Reverse: true}},
+			{"lastExclusive", "CumSum", []kernels.Buffer{inexact(3, 9)}, kernels.Attrs{Axis: -1, Exclusive: true}}},
 	}
 	for _, kernel := range []string{"Conv2DBackpropInput", "Conv2DBackpropFilter"} {
 		cases[kernel] = append(cases[kernel], conv(kernel, []int{2, 6, 6, 3}, []int{3, 3, 3, 8}, s22, s11), conv(kernel, []int{1, 7, 6, 5}, []int{3, 3, 5, 12}, s11, s22))
@@ -363,7 +388,7 @@ func TestGradientsAndBroadcastsOnEveryTier(t *testing.T) {
 	for _, kernel := range []string{"DepthwiseConv2dNativeBackpropInput", "DepthwiseConv2dNativeBackpropFilter"} {
 		cases[kernel] = append(cases[kernel], conv(kernel, []int{1, 7, 5, 3}, []int{3, 3, 3, 2}, s22, s11), conv(kernel, []int{2, 6, 7, 4}, []int{3, 3, 4, 1}, s21, s22))
 	}
-	for _, kernel := range []string{"Sum", "Mean", "Max", "Min", "Prod", "ArgMax", "ArgMin"} {
+	for _, kernel := range []string{"Sum", "Mean", "Max", "Min", "Prod", "ArgMax", "ArgMin", "Any", "All"} {
 		cases[kernel] = append(append(cases[kernel], axisSubsets(kernel, inexact)...), tierCase{"rows", kernel, []kernels.Buffer{inexact(6, 13)}, kernels.Attrs{Axes: []int{-1}}},
 			tierCase{"threeReducedRuns", kernel, []kernels.Buffer{inexact(2, 3, 2, 3, 2)}, kernels.Attrs{Axes: []int{0, 2, 4}}})
 	}
@@ -481,12 +506,10 @@ func variance2(mv kernels.Buffer) kernels.Buffer {
 	return mv
 }
 
-// runOwnKernel runs b's own kernel for name — not kernels.Dispatch, which
-// would run the reference kernel for a backend that has none or declines
-// — and reads the output back.
+// runOwnKernel runs b's own kernel for name and reads the output back.
 func runOwnKernel(t *testing.T, b kernels.Backend, name string, inputs []kernels.Buffer, attrs kernels.Attrs) []float32 {
 	t.Helper()
-	k, ok := b.(kernels.Overrider).KernelOverride(name)
+	k, ok := b.Kernel(name)
 	if !ok {
 		t.Fatalf("%s has no %s kernel", b.Name(), name)
 	}
@@ -778,7 +801,7 @@ func TestElementwiseTableOnEveryTier(t *testing.T) {
 	for _, b := range tiers[1:] {
 		var missing []string
 		for _, op := range kernels.ElementwiseOps() {
-			if _, ok := b.backend.(kernels.Overrider).KernelOverride(op.Name); !ok {
+			if _, ok := b.backend.Kernel(op.Name); !ok {
 				missing = append(missing, op.Name)
 			}
 		}
@@ -816,7 +839,7 @@ func operandsAt(inputs []kernels.Buffer, outShape []int, i int) []float32 {
 // packed and unpacked. The operands are small integers and halves, so the
 // cpu tier's float64 sums are exact too: every reduction and product is
 // Float32bits-equal to the reference kernel, a reduction of seven
-// alternating runs too, which node and webgl decline. Softmax keeps its own
+// alternating runs too. Softmax keeps its own
 // body on cpu (a float64 divide): on every tier the rank-N call is
 // Float32bits-equal to the same tier's [outer, inner] call, and node's and
 // webgl's, packed and unpacked, to the reference — Softmax's tolerance row
@@ -841,8 +864,6 @@ func TestKernelsTakeTheOpsShapeOnEveryTier(t *testing.T) {
 	}
 	var cases []tierCase
 	for _, kernel := range []string{"Sum", "Mean", "Max", "Min", "Prod", "ArgMax", "ArgMin"} {
-		// Seven alternating runs are more than a range body holds: node
-		// and webgl decline them for the reference kernel.
 		cases = append(append(cases, axisSubsets(kernel, exact)...),
 			tierCase{"sevenRuns", kernel, []kernels.Buffer{exact(2, 2, 2, 2, 2, 2, 2)}, kernels.Attrs{Axes: []int{0, 2, 4, 6}}})
 	}

@@ -30,7 +30,7 @@ const TileSize = 16
 // kernel pipelines.
 type Backend struct {
 	*webgl.Backend
-	table map[string]kernels.OverrideKernel
+	table map[string]kernels.Kernel
 }
 
 // New creates a WebGPU backend.
@@ -43,17 +43,17 @@ func New(cfg webgl.Config) *Backend {
 // Name implements kernels.Backend.
 func (b *Backend) Name() string { return "webgpu" }
 
-// KernelOverride prefers the compute pipelines and falls back to the
-// fragment-shader kernels for everything else.
-func (b *Backend) KernelOverride(name string) (kernels.OverrideKernel, bool) {
+// Kernel implements kernels.Backend: a compute pipeline where there is
+// one, else the fragment-shader kernel.
+func (b *Backend) Kernel(name string) (kernels.Kernel, bool) {
 	if k, ok := b.table[name]; ok {
 		return k, true
 	}
-	return b.Backend.KernelOverride(name)
+	return b.Backend.Kernel(name)
 }
 
 func (b *Backend) initKernels() {
-	b.table = map[string]kernels.OverrideKernel{
+	b.table = map[string]kernels.Kernel{
 		"BatchMatMul": b.matmulCompute,
 	}
 }
@@ -64,11 +64,9 @@ func (b *Backend) initKernels() {
 // memory once and reusing each staged value TileSize times. What the
 // pipeline does not specialize — transposed operands, and every malformed
 // call, whose error the fragment kernel words — runs on the inherited
-// fragment-shader program, on the device: declining with ErrFallback
-// instead would read both operands back to the host for the reference
-// kernel.
+// fragment-shader program, on the device.
 func (b *Backend) matmulCompute(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-	fragment, _ := b.Backend.KernelOverride("BatchMatMul")
+	fragment, _ := b.Backend.Kernel("BatchMatMul")
 	g, err := kernels.ResolveMatMul("BatchMatMul", inputs, attrs, res)
 	if err != nil || attrs.TransposeA || attrs.TransposeB {
 		return fragment(inputs, attrs, res)
@@ -201,7 +199,4 @@ func tiledMatMulWork(batch, m, k, n int) glsim.Work {
 	}
 }
 
-var (
-	_ kernels.Backend   = (*Backend)(nil)
-	_ kernels.Overrider = (*Backend)(nil)
-)
+var _ kernels.Backend = (*Backend)(nil)

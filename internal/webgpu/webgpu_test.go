@@ -92,10 +92,9 @@ func TestComputeMatMulBatchBroadcast(t *testing.T) {
 // TestTransposedMatMulFallsBackToFragmentPath: what the compute pipeline
 // declines runs on the inherited fragment-shader kernel — one device
 // program, nothing read back to the host and nothing uploaded before the
-// caller reads the result — and never on the reference kernel, which
-// ErrFallback would mean: two operand readbacks, host arithmetic and an
-// upload. A malformed call is declined the same way and fails on the
-// device side, with the fragment kernel's error and no readback.
+// caller reads the result. A malformed call is declined the same way and
+// fails on the device side, with the fragment kernel's error and no
+// readback.
 func TestTransposedMatMulFallsBackToFragmentPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	vals := func(n int) []float32 {
@@ -132,8 +131,8 @@ func TestTransposedMatMulFallsBackToFragmentPath(t *testing.T) {
 			e := core.Global()
 			got := onBackend(t, "webgpu", func() []float32 {
 				dev := e.Backend().(*webgpu.Backend).Device()
-				// The run uploads its two operands (FromValues); the
-				// reference leg would upload its result as a third.
+				// The run uploads its two operands (FromValues), and
+				// nothing else.
 				<-dev.FenceSync()
 				before := dev.Stats()
 				var out *tensor.Tensor
@@ -153,7 +152,7 @@ func TestTransposedMatMulFallsBackToFragmentPath(t *testing.T) {
 				programs := after.ProgramsExecuted - before.ProgramsExecuted
 				if c.wantErr {
 					var opErr *core.OpError
-					if err, _ := failed.(error); !errors.As(err, &opErr) || errors.Is(err, kernels.ErrFallback) {
+					if err, _ := failed.(error); !errors.As(err, &opErr) {
 						t.Errorf("panic value %v, want the fragment kernel's *core.OpError", failed)
 					}
 					if programs != 0 {

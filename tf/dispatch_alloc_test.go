@@ -64,9 +64,12 @@ func TestEagerDispatchAllocBudget(t *testing.T) {
 // warmed eager dispatch of each kernel class the device tiers run as a
 // range body: the convolutions (plain, fused and depthwise), a pool, a
 // matmul, a reduction, Softmax, two shape kernels, both convolution gradients,
-// Adam's moments and element-wise ops (equal shapes, a suffix row, a
+// Adam's moments, element-wise ops (equal shapes, a suffix row, a
 // non-suffix broadcast, a vec row, an attribute-taking row and a
-// predicate), on node and webgl. Conv2D and MaxPool are dispatched
+// predicate) and the six kernels that ran on the reference kernel through
+// host memory until they joined the table (All, Any, Cast, CumSum, Range,
+// Reverse), and a view, a reduction and a broadcast of rank 8, on node and
+// webgl. Conv2D and MaxPool are dispatched
 // without strides or dilations, so a zero field's meaning allocated per
 // call shows. On webgl each dispatch is followed by a fence (two
 // allocations of its own: its channel and its command), so that the device
@@ -77,9 +80,10 @@ func TestEagerDispatchAllocBudget(t *testing.T) {
 // may not raise any. Node reads 2 (the handle and its shape: a warmed call
 // is resolved once, in the backend's memo); it read 3 (4 for Concat and
 // Step) while every dispatch resolved its call and built its body's
-// closure. Webgl reads 4 (the handle, its shape and the fence;
-// 5 for Conv2DBackpropInput, whose program stages its transposed filter
-// per dispatch); it read 10–12 on one CPU while each dispatch resolved its
+// closure. Webgl reads 4 (the handle, its shape and the fence);
+// Conv2DBackpropInput read 5 while its program staged its transposed
+// filter into a buffer made per dispatch, not the device's own, and every
+// kernel read 10–12 on one CPU while each dispatch resolved its
 // call and built its program, and 15–17 on two, where each dispatch also
 // started a goroutine per device core. Node read 10 a dispatch (12
 // for MaxPool and Transpose, 11 for Concat) and webgl 22–24 before the
@@ -118,14 +122,27 @@ func TestEagerDispatchAllocBudgetPerClass(t *testing.T) {
 		{"Relu6", [][]int{{6, 8}}, kernels.Attrs{}},
 		{"Step", [][]int{{6, 8}}, kernels.Attrs{Alpha: 0.5}},
 		{"GreaterEqual", [][]int{{6, 8}, {6, 8}}, kernels.Attrs{}},
+		{"Any", [][]int{{6, 8}}, kernels.Attrs{Axes: []int{1}}},
+		{"All", [][]int{{6, 8}}, kernels.Attrs{Axes: []int{0}}},
+		{"Reverse", [][]int{{2, 3, 4}}, kernels.Attrs{Axes: []int{1}}},
+		{"Cast", [][]int{{6, 8}}, kernels.Attrs{DType: tensor.Int32}},
+		{"Range", nil, kernels.Attrs{Start: 0, Stop: 48, Step: 1}},
+		{"CumSum", [][]int{{6, 8}}, kernels.Attrs{Axis: 1}},
+		// Rank 8, no dims merging: a view, a reduction and a broadcast of
+		// any rank keep their geometry in the memo.
+		{"Transpose", [][]int{{2, 2, 2, 2, 2, 2, 2, 2}}, kernels.Attrs{Perm: []int{7, 6, 5, 4, 3, 2, 1, 0}}},
+		{"Sum", [][]int{{2, 2, 2, 2, 2, 2, 2, 2}}, kernels.Attrs{Axes: []int{0, 2, 4, 6}}},
+		{"Add", [][]int{{2, 1, 2, 1, 2, 1, 2, 1}, {1, 2, 1, 2, 1, 2, 1, 2}}, kernels.Attrs{}},
 	}
 	budgets := map[string]map[string]float64{
 		"node": {"Conv2D": 2, "FusedConv2D": 2, "DepthwiseConv2dNative": 2, "MaxPool": 2, "BatchMatMul": 2, "Sum": 2, "Softmax": 2,
 			"Transpose": 2, "Concat": 2, "Conv2DBackpropFilter": 2, "Conv2DBackpropInput": 2, "AdamMoments": 2,
-			"Mul": 2, "Add": 2, "Sub": 2, "Relu6": 2, "Step": 2, "GreaterEqual": 2},
+			"Mul": 2, "Add": 2, "Sub": 2, "Relu6": 2, "Step": 2, "GreaterEqual": 2,
+			"Any": 2, "All": 2, "Reverse": 2, "Cast": 2, "Range": 2, "CumSum": 2},
 		"webgl": {"Conv2D": 4, "FusedConv2D": 4, "DepthwiseConv2dNative": 4, "MaxPool": 4, "BatchMatMul": 4, "Sum": 4, "Softmax": 4,
-			"Transpose": 4, "Concat": 4, "Conv2DBackpropFilter": 4, "Conv2DBackpropInput": 5, "AdamMoments": 4,
-			"Mul": 4, "Add": 4, "Sub": 4, "Relu6": 4, "Step": 4, "GreaterEqual": 4},
+			"Transpose": 4, "Concat": 4, "Conv2DBackpropFilter": 4, "Conv2DBackpropInput": 4, "AdamMoments": 4,
+			"Mul": 4, "Add": 4, "Sub": 4, "Relu6": 4, "Step": 4, "GreaterEqual": 4,
+			"Any": 4, "All": 4, "Reverse": 4, "Cast": 4, "Range": 4, "CumSum": 4},
 	}
 	for _, backend := range []string{"node", "webgl"} {
 		if err := tf.SetBackend(backend); err != nil {
@@ -163,7 +180,7 @@ func TestEagerDispatchAllocBudgetPerClass(t *testing.T) {
 }
 
 // TestEagerKernelsKeepNoDispatchFrame: a kernel may not keep its inputs or
-// its output descriptor after it returns (kernels.OverrideKernel). Webgl
+// its output descriptor after it returns (kernels.Kernel). Webgl
 // runs a program on the device after the kernel has returned, so one that
 // read its operands through the dispatch's own storage would read the next
 // dispatch's. Sixty-four eager kernels of four classes, each on shapes of
