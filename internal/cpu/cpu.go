@@ -235,15 +235,15 @@ func (b *Backend) Time(f func()) kernels.TimeInfo {
 	return kernels.TimeInfo{WallMS: float64(time.Since(start)) / float64(time.Millisecond)}
 }
 
-// Kernel implements kernels.Backend: the backend's kernel of every
-// reference kernel's name is the reference kernel, run on its host
-// buffers, its result written as a new container.
+// Kernel implements kernels.Backend: the backend's kernel of every entry
+// of the range table is the entry's reference kernel, run on its host
+// buffers, its result written as a new container. The table is installed
+// in one loop, on the first lookup.
 func (b *Backend) Kernel(name string) (kernels.Kernel, bool) {
 	b.refsOnce.Do(func() {
 		b.refs = map[string]kernels.Kernel{}
-		for _, name := range kernels.RefKernelNames() {
-			ref, _ := kernels.LookupRef(name)
-			b.refs[name] = b.reference(ref)
+		for _, k := range kernels.RangeKernels() {
+			b.refs[k.Name] = b.reference(k.Ref)
 		}
 	})
 	k, ok := b.refs[name]

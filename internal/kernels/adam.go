@@ -103,39 +103,39 @@ func adamSlot(kernel string, inputs []Input, slot int, out *TensorInfo) error {
 	return nil
 }
 
-func init() {
-	RegisterRef("AdamMoments", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		a, err := ResolveAdamMoments(inputsOf(inputs), attrs, &res)
-		if err != nil {
-			return Buffer{}, err
-		}
-		mv, g, beta1, c1, beta2, c2 := inputs[0], inputs[1], a.beta1, a.c1, a.beta2, a.c2
-		n := len(g.Data)
-		out := NewBuffer(res.Shape, res.DType)
-		m, v := out.Data[:n], out.Data[n:]
-		for i, gv := range g.Data {
-			m[i] = float32(mv.Data[i]*beta1) + float32(gv*c1)
-			v[i] = float32(mv.Data[n+i]*beta2) + float32(float32(gv*gv)*c2)
-		}
-		return out, nil
-	})
+// adamMomentsRef is AdamMoments' reference kernel.
+func adamMomentsRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	a, err := ResolveAdamMoments(inputsOf(inputs), attrs, &res)
+	if err != nil {
+		return Buffer{}, err
+	}
+	mv, g, beta1, c1, beta2, c2 := inputs[0], inputs[1], a.beta1, a.c1, a.beta2, a.c2
+	n := len(g.Data)
+	out := NewBuffer(res.Shape, res.DType)
+	m, v := out.Data[:n], out.Data[n:]
+	for i, gv := range g.Data {
+		m[i] = float32(mv.Data[i]*beta1) + float32(gv*c1)
+		v[i] = float32(mv.Data[n+i]*beta2) + float32(float32(gv*gv)*c2)
+	}
+	return out, nil
+}
 
-	RegisterRef("ApplyAdam", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		a, err := ResolveApplyAdam(inputsOf(inputs), attrs, &res)
-		if err != nil {
-			return Buffer{}, err
-		}
-		x, mv, lr, corr1, corr2, eps := inputs[0], inputs[1], a.lr, inputs[2].Data[0], inputs[2].Data[1], a.eps
-		n := len(x.Data)
-		out := NewBuffer(res.Shape, res.DType)
-		for i, xv := range x.Data {
-			mHat := mv.Data[i] / corr1
-			num := mHat * lr
-			den := float32(math.Sqrt(float64(mv.Data[n+i]/corr2))) + eps
-			out.Data[i] = xv - num/den
-		}
-		return out, nil
-	})
+// applyAdamRef is ApplyAdam's reference kernel.
+func applyAdamRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	a, err := ResolveApplyAdam(inputsOf(inputs), attrs, &res)
+	if err != nil {
+		return Buffer{}, err
+	}
+	x, mv, lr, corr1, corr2, eps := inputs[0], inputs[1], a.lr, inputs[2].Data[0], inputs[2].Data[1], a.eps
+	n := len(x.Data)
+	out := NewBuffer(res.Shape, res.DType)
+	for i, xv := range x.Data {
+		mHat := mv.Data[i] / corr1
+		num := mHat * lr
+		den := float32(math.Sqrt(float64(mv.Data[n+i]/corr2))) + eps
+		out.Data[i] = xv - num/den
+	}
+	return out, nil
 }

@@ -64,7 +64,7 @@ type Backend interface {
 	Close()
 
 	// Kernel returns the backend's kernel for name, if it has one. Every
-	// tier has one for every reference kernel's name (RefKernelNames).
+	// tier has one for every entry of the range table (RangeKernels).
 	Kernel(name string) (Kernel, bool)
 }
 

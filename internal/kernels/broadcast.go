@@ -155,28 +155,35 @@ func layOperands(out []int, ins ...[]int) Operands {
 	return o
 }
 
+// maxOperands is the most operands an Operands lays: batch norm's five.
+const maxOperands = 5
+
+// operandIndex holds a value per operand, counted on the stack: passed by
+// value, it does not escape to the heap as a slice handed to run would.
+type operandIndex [maxOperands]int
+
 // runs calls run on each run of the last dim among the output values
 // [lo, lo+len(dst)): its values in dst and, per operand, the index of the
 // run's first value (at) and the distance to the next (step).
-func (o Operands) runs(lo int, dst []float32, run func(dst []float32, at, step []int)) {
-	at, step := make([]int, len(o.strides)), make([]int, len(o.strides))
+func (o Operands) runs(lo int, dst []float32, run func(dst []float32, at, step operandIndex)) {
+	var at, step operandIndex
 	if len(o.shape) == 0 { // every dim is 1: one value
 		run(dst, at, step)
 		return
 	}
-	last := len(o.shape) - 1
+	last, ops := len(o.shape)-1, len(o.strides)
 	n := o.shape[last]
-	for k := range step {
+	for k := range ops {
 		step[k] = o.strides[k][last]
 	}
 	for pos, hi := lo, lo+len(dst); pos < hi; {
 		j, r := pos%n, pos/n
-		for k := range at {
+		for k := range ops {
 			at[k] = j * step[k]
 		}
 		for d := last - 1; d >= 0; d-- {
 			c := r % o.shape[d]
-			for k := range at {
+			for k := range ops {
 				at[k] += c * o.strides[k][d]
 			}
 			r /= o.shape[d]
@@ -207,7 +214,7 @@ func ResolveSelect(inputs []Input, out *TensorInfo) (Operands, error) {
 // Select computes the output values [lo, lo+len(dst)) of a Select into
 // dst: t's value where cond's is nonzero, f's elsewhere.
 func (o Operands) Select(cond, t, f []float32, lo int, dst []float32) {
-	o.runs(lo, dst, func(run []float32, at, step []int) {
+	o.runs(lo, dst, func(run []float32, at, step operandIndex) {
 		for i := range run {
 			if cond[at[0]+i*step[0]] != 0 {
 				run[i] = t[at[1]+i*step[1]]

@@ -70,234 +70,232 @@ func ResolveConvBackprop(name string, inputs []Input, attrs Attrs, out *TensorIn
 	return info, nil
 }
 
-func init() {
-	// Conv2D computes a 2-D convolution over NHWC input with filter
-	// [fh, fw, inC, outC].
-	RegisterRef("Conv2D", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		info, err := ResolveConv("Conv2D", inputsOf(inputs), attrs, &res)
-		if err != nil {
-			return Buffer{}, err
-		}
-		out := NewBuffer(res.Shape, res.DType)
-		convolve2D(out.Data, inputs[0].Data, inputs[1].Data, info)
-		return out, nil
-	})
+// Conv2D computes a 2-D convolution over NHWC input with filter
+// [fh, fw, inC, outC].
+func conv2DRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	info, err := ResolveConv("Conv2D", inputsOf(inputs), attrs, &res)
+	if err != nil {
+		return Buffer{}, err
+	}
+	out := NewBuffer(res.Shape, res.DType)
+	convolve2D(out.Data, inputs[0].Data, inputs[1].Data, info)
+	return out, nil
+}
 
-	// Conv2DBackpropInput computes the gradient of Conv2D with respect to
-	// its input. Inputs are (dy, filter); attr Shape is the
-	// original input shape.
-	RegisterRef("Conv2DBackpropInput", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		info, err := ResolveConvBackprop("Conv2DBackpropInput", inputsOf(inputs), attrs, &res)
-		if err != nil {
-			return Buffer{}, err
-		}
-		dy, w, inShape := inputs[0], inputs[1], res.Shape
-		dx := NewBuffer(inShape, tensor.Float32)
-		inC, outC := info.InChannels, info.OutChannels
-		inRow := info.InWidth * inC
-		inImg := info.InHeight * inRow
-		outRow := info.OutWidth * outC
-		outImg := info.OutHeight * outRow
-		// Scatter each dy element back through the filter taps.
-		for b := 0; b < info.BatchSize; b++ {
-			for oy := 0; oy < info.OutHeight; oy++ {
-				yCorner := oy*info.StrideHeight - info.PadTop
-				for ox := 0; ox < info.OutWidth; ox++ {
-					xCorner := ox*info.StrideWidth - info.PadLeft
-					dyBase := b*outImg + oy*outRow + ox*outC
-					for fy := 0; fy < info.FilterHeight; fy++ {
-						iy := yCorner + fy*info.DilationHeight
-						if iy < 0 || iy >= info.InHeight {
+// Conv2DBackpropInput computes the gradient of Conv2D with respect to
+// its input. Inputs are (dy, filter); attr Shape is the
+// original input shape.
+func conv2DBackpropInputRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	info, err := ResolveConvBackprop("Conv2DBackpropInput", inputsOf(inputs), attrs, &res)
+	if err != nil {
+		return Buffer{}, err
+	}
+	dy, w, inShape := inputs[0], inputs[1], res.Shape
+	dx := NewBuffer(inShape, tensor.Float32)
+	inC, outC := info.InChannels, info.OutChannels
+	inRow := info.InWidth * inC
+	inImg := info.InHeight * inRow
+	outRow := info.OutWidth * outC
+	outImg := info.OutHeight * outRow
+	// Scatter each dy element back through the filter taps.
+	for b := 0; b < info.BatchSize; b++ {
+		for oy := 0; oy < info.OutHeight; oy++ {
+			yCorner := oy*info.StrideHeight - info.PadTop
+			for ox := 0; ox < info.OutWidth; ox++ {
+				xCorner := ox*info.StrideWidth - info.PadLeft
+				dyBase := b*outImg + oy*outRow + ox*outC
+				for fy := 0; fy < info.FilterHeight; fy++ {
+					iy := yCorner + fy*info.DilationHeight
+					if iy < 0 || iy >= info.InHeight {
+						continue
+					}
+					for fx := 0; fx < info.FilterWidth; fx++ {
+						ix := xCorner + fx*info.DilationWidth
+						if ix < 0 || ix >= info.InWidth {
 							continue
 						}
-						for fx := 0; fx < info.FilterWidth; fx++ {
-							ix := xCorner + fx*info.DilationWidth
-							if ix < 0 || ix >= info.InWidth {
+						dxBase := b*inImg + iy*inRow + ix*inC
+						wBase := (fy*info.FilterWidth + fx) * inC * outC
+						for oc := 0; oc < outC; oc++ {
+							g := dy.Data[dyBase+oc]
+							if g == 0 {
 								continue
 							}
-							dxBase := b*inImg + iy*inRow + ix*inC
-							wBase := (fy*info.FilterWidth + fx) * inC * outC
+							for ic := 0; ic < inC; ic++ {
+								dx.Data[dxBase+ic] += float32(g * w.Data[wBase+ic*outC+oc])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return dx, nil
+}
+
+// Conv2DBackpropFilter computes the gradient of Conv2D with respect to
+// its filter. Inputs are (x, dy); attr Shape is the filter
+// shape.
+func conv2DBackpropFilterRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	info, err := ResolveConvBackprop("Conv2DBackpropFilter", inputsOf(inputs), attrs, &res)
+	if err != nil {
+		return Buffer{}, err
+	}
+	x, dy, filterShape := inputs[0], inputs[1], res.Shape
+	dw := NewBuffer(filterShape, tensor.Float32)
+	inC, outC := info.InChannels, info.OutChannels
+	inRow := info.InWidth * inC
+	inImg := info.InHeight * inRow
+	outRow := info.OutWidth * outC
+	outImg := info.OutHeight * outRow
+	for b := 0; b < info.BatchSize; b++ {
+		for oy := 0; oy < info.OutHeight; oy++ {
+			yCorner := oy*info.StrideHeight - info.PadTop
+			for ox := 0; ox < info.OutWidth; ox++ {
+				xCorner := ox*info.StrideWidth - info.PadLeft
+				dyBase := b*outImg + oy*outRow + ox*outC
+				for fy := 0; fy < info.FilterHeight; fy++ {
+					iy := yCorner + fy*info.DilationHeight
+					if iy < 0 || iy >= info.InHeight {
+						continue
+					}
+					for fx := 0; fx < info.FilterWidth; fx++ {
+						ix := xCorner + fx*info.DilationWidth
+						if ix < 0 || ix >= info.InWidth {
+							continue
+						}
+						xBase := b*inImg + iy*inRow + ix*inC
+						wBase := (fy*info.FilterWidth + fx) * inC * outC
+						for ic := 0; ic < inC; ic++ {
+							xv := x.Data[xBase+ic]
+							if xv == 0 {
+								continue
+							}
+							wOff := wBase + ic*outC
 							for oc := 0; oc < outC; oc++ {
-								g := dy.Data[dyBase+oc]
-								if g == 0 {
-									continue
-								}
-								for ic := 0; ic < inC; ic++ {
-									dx.Data[dxBase+ic] += float32(g * w.Data[wBase+ic*outC+oc])
-								}
+								dw.Data[wOff+oc] += float32(xv * dy.Data[dyBase+oc])
 							}
 						}
 					}
 				}
 			}
 		}
-		return dx, nil
-	})
+	}
+	return dw, nil
+}
 
-	// Conv2DBackpropFilter computes the gradient of Conv2D with respect to
-	// its filter. Inputs are (x, dy); attr Shape is the filter
-	// shape.
-	RegisterRef("Conv2DBackpropFilter", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		info, err := ResolveConvBackprop("Conv2DBackpropFilter", inputsOf(inputs), attrs, &res)
-		if err != nil {
-			return Buffer{}, err
-		}
-		x, dy, filterShape := inputs[0], inputs[1], res.Shape
-		dw := NewBuffer(filterShape, tensor.Float32)
-		inC, outC := info.InChannels, info.OutChannels
-		inRow := info.InWidth * inC
-		inImg := info.InHeight * inRow
-		outRow := info.OutWidth * outC
-		outImg := info.OutHeight * outRow
-		for b := 0; b < info.BatchSize; b++ {
-			for oy := 0; oy < info.OutHeight; oy++ {
-				yCorner := oy*info.StrideHeight - info.PadTop
-				for ox := 0; ox < info.OutWidth; ox++ {
-					xCorner := ox*info.StrideWidth - info.PadLeft
-					dyBase := b*outImg + oy*outRow + ox*outC
-					for fy := 0; fy < info.FilterHeight; fy++ {
-						iy := yCorner + fy*info.DilationHeight
-						if iy < 0 || iy >= info.InHeight {
+// DepthwiseConv2dNative applies one filter per input channel with a
+// channel multiplier: filter [fh, fw, inC, mult].
+func depthwiseConv2dNativeRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	info, err := ResolveConv("DepthwiseConv2dNative", inputsOf(inputs), attrs, &res)
+	if err != nil {
+		return Buffer{}, err
+	}
+	out := NewBuffer(res.Shape, res.DType)
+	depthwiseConvolve2D(out.Data, inputs[0].Data, inputs[1].Data, info)
+	return out, nil
+}
+
+// DepthwiseConv2dNativeBackpropInput: inputs (dy, filter), attr
+// Shape the input's.
+func depthwiseConv2dNativeBackpropInputRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	info, err := ResolveConvBackprop("DepthwiseConv2dNativeBackpropInput", inputsOf(inputs), attrs, &res)
+	if err != nil {
+		return Buffer{}, err
+	}
+	dy, w := inputs[0], inputs[1]
+	dx := NewBuffer(res.Shape, tensor.Float32)
+	inC, mult := info.InChannels, info.ChannelMultiplier
+	outC := info.OutChannels
+	inRow := info.InWidth * inC
+	inImg := info.InHeight * inRow
+	outRow := info.OutWidth * outC
+	outImg := info.OutHeight * outRow
+	for b := 0; b < info.BatchSize; b++ {
+		for oy := 0; oy < info.OutHeight; oy++ {
+			yCorner := oy*info.StrideHeight - info.PadTop
+			for ox := 0; ox < info.OutWidth; ox++ {
+				xCorner := ox*info.StrideWidth - info.PadLeft
+				dyBase := b*outImg + oy*outRow + ox*outC
+				for fy := 0; fy < info.FilterHeight; fy++ {
+					iy := yCorner + fy*info.DilationHeight
+					if iy < 0 || iy >= info.InHeight {
+						continue
+					}
+					for fx := 0; fx < info.FilterWidth; fx++ {
+						ix := xCorner + fx*info.DilationWidth
+						if ix < 0 || ix >= info.InWidth {
 							continue
 						}
-						for fx := 0; fx < info.FilterWidth; fx++ {
-							ix := xCorner + fx*info.DilationWidth
-							if ix < 0 || ix >= info.InWidth {
-								continue
+						dxBase := b*inImg + iy*inRow + ix*inC
+						wBase := (fy*info.FilterWidth + fx) * inC * mult
+						for ic := 0; ic < inC; ic++ {
+							var sum float32
+							for q := 0; q < mult; q++ {
+								sum += float32(dy.Data[dyBase+ic*mult+q] * w.Data[wBase+ic*mult+q])
 							}
-							xBase := b*inImg + iy*inRow + ix*inC
-							wBase := (fy*info.FilterWidth + fx) * inC * outC
-							for ic := 0; ic < inC; ic++ {
-								xv := x.Data[xBase+ic]
-								if xv == 0 {
-									continue
-								}
-								wOff := wBase + ic*outC
-								for oc := 0; oc < outC; oc++ {
-									dw.Data[wOff+oc] += float32(xv * dy.Data[dyBase+oc])
-								}
-							}
+							dx.Data[dxBase+ic] += sum
 						}
 					}
 				}
 			}
 		}
-		return dw, nil
-	})
+	}
+	return dx, nil
+}
 
-	// DepthwiseConv2dNative applies one filter per input channel with a
-	// channel multiplier: filter [fh, fw, inC, mult].
-	RegisterRef("DepthwiseConv2dNative", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		info, err := ResolveConv("DepthwiseConv2dNative", inputsOf(inputs), attrs, &res)
-		if err != nil {
-			return Buffer{}, err
-		}
-		out := NewBuffer(res.Shape, res.DType)
-		depthwiseConvolve2D(out.Data, inputs[0].Data, inputs[1].Data, info)
-		return out, nil
-	})
-
-	// DepthwiseConv2dNativeBackpropInput: inputs (dy, filter), attr
-	// Shape the input's.
-	RegisterRef("DepthwiseConv2dNativeBackpropInput", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		info, err := ResolveConvBackprop("DepthwiseConv2dNativeBackpropInput", inputsOf(inputs), attrs, &res)
-		if err != nil {
-			return Buffer{}, err
-		}
-		dy, w := inputs[0], inputs[1]
-		dx := NewBuffer(res.Shape, tensor.Float32)
-		inC, mult := info.InChannels, info.ChannelMultiplier
-		outC := info.OutChannels
-		inRow := info.InWidth * inC
-		inImg := info.InHeight * inRow
-		outRow := info.OutWidth * outC
-		outImg := info.OutHeight * outRow
-		for b := 0; b < info.BatchSize; b++ {
-			for oy := 0; oy < info.OutHeight; oy++ {
-				yCorner := oy*info.StrideHeight - info.PadTop
-				for ox := 0; ox < info.OutWidth; ox++ {
-					xCorner := ox*info.StrideWidth - info.PadLeft
-					dyBase := b*outImg + oy*outRow + ox*outC
-					for fy := 0; fy < info.FilterHeight; fy++ {
-						iy := yCorner + fy*info.DilationHeight
-						if iy < 0 || iy >= info.InHeight {
+// DepthwiseConv2dNativeBackpropFilter: inputs (x, dy), attr
+// Shape the filter's.
+func depthwiseConv2dNativeBackpropFilterRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	info, err := ResolveConvBackprop("DepthwiseConv2dNativeBackpropFilter", inputsOf(inputs), attrs, &res)
+	if err != nil {
+		return Buffer{}, err
+	}
+	x, dy := inputs[0], inputs[1]
+	dw := NewBuffer(res.Shape, tensor.Float32)
+	inC, mult := info.InChannels, info.ChannelMultiplier
+	outC := info.OutChannels
+	inRow := info.InWidth * inC
+	inImg := info.InHeight * inRow
+	outRow := info.OutWidth * outC
+	outImg := info.OutHeight * outRow
+	for b := 0; b < info.BatchSize; b++ {
+		for oy := 0; oy < info.OutHeight; oy++ {
+			yCorner := oy*info.StrideHeight - info.PadTop
+			for ox := 0; ox < info.OutWidth; ox++ {
+				xCorner := ox*info.StrideWidth - info.PadLeft
+				dyBase := b*outImg + oy*outRow + ox*outC
+				for fy := 0; fy < info.FilterHeight; fy++ {
+					iy := yCorner + fy*info.DilationHeight
+					if iy < 0 || iy >= info.InHeight {
+						continue
+					}
+					for fx := 0; fx < info.FilterWidth; fx++ {
+						ix := xCorner + fx*info.DilationWidth
+						if ix < 0 || ix >= info.InWidth {
 							continue
 						}
-						for fx := 0; fx < info.FilterWidth; fx++ {
-							ix := xCorner + fx*info.DilationWidth
-							if ix < 0 || ix >= info.InWidth {
+						xBase := b*inImg + iy*inRow + ix*inC
+						wBase := (fy*info.FilterWidth + fx) * inC * mult
+						for ic := 0; ic < inC; ic++ {
+							xv := x.Data[xBase+ic]
+							if xv == 0 {
 								continue
 							}
-							dxBase := b*inImg + iy*inRow + ix*inC
-							wBase := (fy*info.FilterWidth + fx) * inC * mult
-							for ic := 0; ic < inC; ic++ {
-								var sum float32
-								for q := 0; q < mult; q++ {
-									sum += float32(dy.Data[dyBase+ic*mult+q] * w.Data[wBase+ic*mult+q])
-								}
-								dx.Data[dxBase+ic] += sum
+							for q := 0; q < mult; q++ {
+								dw.Data[wBase+ic*mult+q] += float32(xv * dy.Data[dyBase+ic*mult+q])
 							}
 						}
 					}
 				}
 			}
 		}
-		return dx, nil
-	})
-
-	// DepthwiseConv2dNativeBackpropFilter: inputs (x, dy), attr
-	// Shape the filter's.
-	RegisterRef("DepthwiseConv2dNativeBackpropFilter", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		info, err := ResolveConvBackprop("DepthwiseConv2dNativeBackpropFilter", inputsOf(inputs), attrs, &res)
-		if err != nil {
-			return Buffer{}, err
-		}
-		x, dy := inputs[0], inputs[1]
-		dw := NewBuffer(res.Shape, tensor.Float32)
-		inC, mult := info.InChannels, info.ChannelMultiplier
-		outC := info.OutChannels
-		inRow := info.InWidth * inC
-		inImg := info.InHeight * inRow
-		outRow := info.OutWidth * outC
-		outImg := info.OutHeight * outRow
-		for b := 0; b < info.BatchSize; b++ {
-			for oy := 0; oy < info.OutHeight; oy++ {
-				yCorner := oy*info.StrideHeight - info.PadTop
-				for ox := 0; ox < info.OutWidth; ox++ {
-					xCorner := ox*info.StrideWidth - info.PadLeft
-					dyBase := b*outImg + oy*outRow + ox*outC
-					for fy := 0; fy < info.FilterHeight; fy++ {
-						iy := yCorner + fy*info.DilationHeight
-						if iy < 0 || iy >= info.InHeight {
-							continue
-						}
-						for fx := 0; fx < info.FilterWidth; fx++ {
-							ix := xCorner + fx*info.DilationWidth
-							if ix < 0 || ix >= info.InWidth {
-								continue
-							}
-							xBase := b*inImg + iy*inRow + ix*inC
-							wBase := (fy*info.FilterWidth + fx) * inC * mult
-							for ic := 0; ic < inC; ic++ {
-								xv := x.Data[xBase+ic]
-								if xv == 0 {
-									continue
-								}
-								for q := 0; q < mult; q++ {
-									dw.Data[wBase+ic*mult+q] += float32(xv * dy.Data[dyBase+ic*mult+q])
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-		return dw, nil
-	})
+	}
+	return dw, nil
 }

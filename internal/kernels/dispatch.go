@@ -5,10 +5,10 @@ import "fmt"
 // Dispatch runs the named kernel on b and describes its one output in *out.
 // It is the whole dispatch policy of Section 3.3, and the only place it is
 // written: the backend's own kernel, and nothing else. Every tier owns
-// every kernel — node and webgl the range table's and GatherV2, the cpu
-// tier the reference kernels on its host buffers — so no call crosses to
-// the host behind a device's back, and a name the backend has no kernel
-// for is an error naming both. A kernel's error is returned as it is. The
+// every kernel — each installs the range table, node and webgl its
+// bodies, the cpu tier its reference kernels on its host buffers — so no
+// call crosses to the host behind a device's back, and a name the backend
+// has no kernel for is an error naming both. A kernel's error is returned as it is. The
 // eager engine wraps tensor handles and the tape around this call, the
 // graph plan executor slots and liveness; neither picks kernels itself.
 // out.Shape is overwritten in place (append into out.Shape[:0]) and shares

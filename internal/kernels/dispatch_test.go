@@ -50,8 +50,7 @@ func (s *stubBackend) reference(inputs []Input, attrs Attrs, out *TensorInfo) er
 	for i, in := range inputs {
 		bufs[i] = Buffer{Data: s.data[in.DataID], Shape: in.Shape, DType: in.DType}
 	}
-	ref, _ := LookupRef("Probe")
-	res, err := ref(bufs, attrs)
+	res, err := probeRef(bufs, attrs)
 	if err != nil {
 		return err
 	}
@@ -65,10 +64,10 @@ func (s *stubBackend) reference(inputs []Input, attrs Attrs, out *TensorInfo) er
 // the next caller.
 var probeRefShape = []int{2}
 
-func init() {
-	// Probe doubles its operand; ProbeAlias returns its operand's own shape
-	// slice, as Identity-like reference kernels do.
-	RegisterRef("Probe", func(inputs []Buffer, _ Attrs) (Buffer, error) {
+// probeRef doubles its operand; probeAliasRef returns its operand's own
+// shape slice, as Identity-like reference kernels do.
+var (
+	probeRef RefKernel = func(inputs []Buffer, _ Attrs) (Buffer, error) {
 		if len(inputs) != 1 {
 			return Buffer{}, errIn("Probe", "got %d inputs, want 1", len(inputs))
 		}
@@ -77,11 +76,11 @@ func init() {
 			out.Data[i] = 2 * v
 		}
 		return out, nil
-	})
-	RegisterRef("ProbeAlias", func(inputs []Buffer, _ Attrs) (Buffer, error) {
+	}
+	probeAliasRef RefKernel = func(inputs []Buffer, _ Attrs) (Buffer, error) {
 		return Buffer{Data: inputs[0].Data, Shape: inputs[0].Shape, DType: tensor.Float32}, nil
-	})
-}
+	}
+)
 
 // TestDispatchPolicy is the whole dispatch policy, one row per branch: the
 // engine's eager path and the graph plan executor both reach kernels through
@@ -188,8 +187,7 @@ func TestDispatchPolicy(t *testing.T) {
 func TestDispatchCopiesAnAliasedReferenceShape(t *testing.T) {
 	s := &stubBackend{data: map[tensor.DataID][]float32{}}
 	s.override = func(inputs []Input, attrs Attrs, out *TensorInfo) error {
-		ref, _ := LookupRef("ProbeAlias")
-		res, err := ref([]Buffer{{Data: s.data[inputs[0].DataID], Shape: inputs[0].Shape}}, attrs)
+		res, err := probeAliasRef([]Buffer{{Data: s.data[inputs[0].DataID], Shape: inputs[0].Shape}}, attrs)
 		if err != nil {
 			return err
 		}

@@ -7,10 +7,10 @@ import (
 	"repro/internal/vec"
 )
 
-// ElementwiseOp is one element-wise operation, written once. The reference
-// kernel is registered from it, and so is its entry of the range table,
-// which runs its function, or its internal/vec row where one exists, on
-// native and webgl; the fused kernels' epilogue is it; and Layers, the
+// ElementwiseOp is one element-wise operation, written once. Its entry of
+// the range table is generated from it — the reference kernel, and the
+// body that runs its function, or its internal/vec row where one exists,
+// on native and webgl; the fused kernels' epilogue is it; and Layers, the
 // graph optimizer, the plan compiler, the load-time verifier and the
 // exporter read its activation name from it. Exactly one of Unary, Param
 // and Binary is set.
@@ -214,21 +214,29 @@ func init() {
 		if op.Activation != "" {
 			byActivation[op.Activation] = op
 		}
-		entry := RangeKernel{Name: op.Name, Resolve: op.resolve}
-		if op.Binary != nil {
-			if op.bin == nil {
-				op.bin = scalarBinary(op.Binary)
-			}
-			RegisterRef(op.Name, binaryRef(op))
-			entry.Sampled = SamplesBroadcasts
-		} else {
-			if op.row == nil {
-				op.row = scalarRow(op)
-			}
-			RegisterRef(op.Name, unaryRef(op))
+		switch {
+		case op.Binary != nil && op.bin == nil:
+			op.bin = scalarBinary(op.Binary)
+		case op.Binary == nil && op.row == nil:
+			op.row = scalarRow(op)
 		}
-		rangeKernels = append(rangeKernels, entry)
 	}
+}
+
+// elementwiseKernels are the table's ops as entries of the range table, in
+// table order, each with its reference kernel.
+func elementwiseKernels() []RangeKernel {
+	entries := make([]RangeKernel, len(elementwise))
+	for i := range elementwise {
+		op := &elementwise[i]
+		entries[i] = RangeKernel{Name: op.Name, Resolve: op.resolve}
+		if op.Binary != nil {
+			entries[i].Sampled, entries[i].Ref = SamplesBroadcasts, binaryRef(op)
+		} else {
+			entries[i].Ref = unaryRef(op)
+		}
+	}
+	return entries
 }
 
 // ElementwiseOps returns the table, in table order.

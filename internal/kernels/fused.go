@@ -40,65 +40,63 @@ func applyEpilogue(out []float32, outC int, bias []float32, act func(float32) fl
 	}
 }
 
-func init() {
-	// FusedConv2D is Conv2D + optional bias + optional activation in one
-	// kernel: inputs (x, filter[, bias]), attr "activation" "linear" or an
-	// activation of the element-wise table (Activation). This is the
-	// reference tier — the correctness oracle the native and webgl fused
-	// kernels are tested against.
-	RegisterRef("FusedConv2D", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		info, err := ResolveConv("FusedConv2D", inputsOf(inputs), attrs, &res)
-		if err != nil {
-			return Buffer{}, err
-		}
-		bias, act, err := fusedEpilogue("FusedConv2D", inputs, attrs, info.OutChannels)
-		if err != nil {
-			return Buffer{}, err
-		}
-		out := NewBuffer(res.Shape, res.DType)
-		convolve2D(out.Data, inputs[0].Data, inputs[1].Data, info)
-		applyEpilogue(out.Data, info.OutChannels, bias, act)
-		return out, nil
-	})
+// FusedConv2D is Conv2D + optional bias + optional activation in one
+// kernel: inputs (x, filter[, bias]), attr "activation" "linear" or an
+// activation of the element-wise table (Activation). This is the
+// reference tier — the correctness oracle the native and webgl fused
+// kernels are tested against.
+func fusedConv2DRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	info, err := ResolveConv("FusedConv2D", inputsOf(inputs), attrs, &res)
+	if err != nil {
+		return Buffer{}, err
+	}
+	bias, act, err := fusedEpilogue("FusedConv2D", inputs, attrs, info.OutChannels)
+	if err != nil {
+		return Buffer{}, err
+	}
+	out := NewBuffer(res.Shape, res.DType)
+	convolve2D(out.Data, inputs[0].Data, inputs[1].Data, info)
+	applyEpilogue(out.Data, info.OutChannels, bias, act)
+	return out, nil
+}
 
-	// FusedDepthwiseConv2dNative is DepthwiseConv2dNative + bias +
-	// activation.
-	RegisterRef("FusedDepthwiseConv2dNative", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		info, err := ResolveConv("FusedDepthwiseConv2dNative", inputsOf(inputs), attrs, &res)
-		if err != nil {
-			return Buffer{}, err
-		}
-		bias, act, err := fusedEpilogue("FusedDepthwiseConv2dNative", inputs, attrs, info.OutChannels)
-		if err != nil {
-			return Buffer{}, err
-		}
-		out := NewBuffer(res.Shape, res.DType)
-		depthwiseConvolve2D(out.Data, inputs[0].Data, inputs[1].Data, info)
-		applyEpilogue(out.Data, info.OutChannels, bias, act)
-		return out, nil
-	})
+// FusedDepthwiseConv2dNative is DepthwiseConv2dNative + bias +
+// activation.
+func fusedDepthwiseConv2dNativeRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	info, err := ResolveConv("FusedDepthwiseConv2dNative", inputsOf(inputs), attrs, &res)
+	if err != nil {
+		return Buffer{}, err
+	}
+	bias, act, err := fusedEpilogue("FusedDepthwiseConv2dNative", inputs, attrs, info.OutChannels)
+	if err != nil {
+		return Buffer{}, err
+	}
+	out := NewBuffer(res.Shape, res.DType)
+	depthwiseConvolve2D(out.Data, inputs[0].Data, inputs[1].Data, info)
+	applyEpilogue(out.Data, info.OutChannels, bias, act)
+	return out, nil
+}
 
-	// _FusedMatMul is the rank-2 MatMul + bias + activation fusion (the
-	// underscore name matches the TensorFlow Grappler rewrite it mirrors).
-	// Inputs (a, b[, bias]); attrs transposeA/transposeB/activation.
-	RegisterRef("_FusedMatMul", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		g, err := ResolveMatMul("_FusedMatMul", inputsOf(inputs), attrs, &res)
-		if err != nil {
-			return Buffer{}, err
-		}
-		m, n := int(g.m), g.N()
-		bias, act, err := fusedEpilogue("_FusedMatMul", inputs, attrs, n)
-		if err != nil {
-			return Buffer{}, err
-		}
-		out := NewBuffer(res.Shape, res.DType)
-		matmul2D(out.Data, inputs[0].Data, inputs[1].Data, m, g.K(), n, g.transposeA, g.transposeB)
-		applyEpilogue(out.Data, n, bias, act)
-		return out, nil
-	})
+// _FusedMatMul is the rank-2 MatMul + bias + activation fusion (the
+// underscore name matches the TensorFlow Grappler rewrite it mirrors).
+// Inputs (a, b[, bias]); attrs transposeA/transposeB/activation.
+func fusedMatMulRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	g, err := ResolveMatMul("_FusedMatMul", inputsOf(inputs), attrs, &res)
+	if err != nil {
+		return Buffer{}, err
+	}
+	m, n := int(g.m), g.N()
+	bias, act, err := fusedEpilogue("_FusedMatMul", inputs, attrs, n)
+	if err != nil {
+		return Buffer{}, err
+	}
+	out := NewBuffer(res.Shape, res.DType)
+	matmul2D(out.Data, inputs[0].Data, inputs[1].Data, m, g.K(), n, g.transposeA, g.transposeB)
+	applyEpilogue(out.Data, n, bias, act)
+	return out, nil
 }
 
 // The products of Conv2D, FusedConv2D, BatchMatMul and _FusedMatMul, like

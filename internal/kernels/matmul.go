@@ -128,31 +128,29 @@ func (g MatMul) Fill(a, b []float32, ep Epilogue, lo int, dst []float32) {
 	}
 }
 
-func init() {
-	// BatchMatMul multiplies [batch, m, k] by [batch, k, n] — or one m×k
-	// matrix by one k×n — with optional transposition of the inner matrices
-	// and batch broadcasting (batch of 1 broadcasts).
-	RegisterRef("BatchMatMul", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		g, err := ResolveMatMul("BatchMatMul", inputsOf(inputs), attrs, &res)
-		if err != nil {
-			return Buffer{}, err
-		}
-		a, b := inputs[0], inputs[1]
-		batch, m, k, n, batchA, batchB := g.Dims()
-		out := NewBuffer(res.Shape, res.DType)
-		aMat, bMat := m*k, k*n
-		// The transpose flags are resolved once per batch into one of four
-		// specialized loop nests (matmul2D) instead of branching on them
-		// per element — this kernel is the cpu tier's, and was branch-bound
-		// in its innermost loop.
-		for p := 0; p < batch; p++ {
-			aOff := (p % batchA) * aMat
-			bOff := (p % batchB) * bMat
-			oOff := p * m * n
-			matmul2D(out.Data[oOff:oOff+m*n], a.Data[aOff:aOff+aMat], b.Data[bOff:bOff+bMat],
-				m, k, n, g.transposeA, g.transposeB)
-		}
-		return out, nil
-	})
+// BatchMatMul multiplies [batch, m, k] by [batch, k, n] — or one m×k
+// matrix by one k×n — with optional transposition of the inner matrices
+// and batch broadcasting (batch of 1 broadcasts).
+func batchMatMulRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	g, err := ResolveMatMul("BatchMatMul", inputsOf(inputs), attrs, &res)
+	if err != nil {
+		return Buffer{}, err
+	}
+	a, b := inputs[0], inputs[1]
+	batch, m, k, n, batchA, batchB := g.Dims()
+	out := NewBuffer(res.Shape, res.DType)
+	aMat, bMat := m*k, k*n
+	// The transpose flags are resolved once per batch into one of four
+	// specialized loop nests (matmul2D) instead of branching on them
+	// per element — this kernel is the cpu tier's, and was branch-bound
+	// in its innermost loop.
+	for p := 0; p < batch; p++ {
+		aOff := (p % batchA) * aMat
+		bOff := (p % batchB) * bMat
+		oOff := p * m * n
+		matmul2D(out.Data[oOff:oOff+m*n], a.Data[aOff:aOff+aMat], b.Data[bOff:bOff+bMat],
+			m, k, n, g.transposeA, g.transposeB)
+	}
+	return out, nil
 }

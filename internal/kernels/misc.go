@@ -7,149 +7,149 @@ import (
 	"repro/internal/vec"
 )
 
-func init() {
-	// Cast converts between logical dtypes, and Range produces [start,
-	// stop) by step: closed forms, each its range body over the whole
-	// output.
-	RegisterRef("Cast", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		c, err := ResolveCast(inputsOf(inputs), attrs, &res)
-		if err != nil {
-			return Buffer{}, err
-		}
-		out := NewBuffer(res.Shape, res.DType)
-		c.Fill(inputs[0].Data, 0, out.Data)
-		return out, nil
-	})
-	RegisterRef("Range", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		q, err := ResolveRange(inputsOf(inputs), attrs, &res)
-		if err != nil {
-			return Buffer{}, err
-		}
-		out := NewBuffer(res.Shape, res.DType)
-		q.Fill(nil, 0, out.Data)
-		return out, nil
-	})
+// castRef is Cast's reference kernel, which converts between logical
+// dtypes: a closed form, its range body over the whole output.
+func castRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	c, err := ResolveCast(inputsOf(inputs), attrs, &res)
+	if err != nil {
+		return Buffer{}, err
+	}
+	out := NewBuffer(res.Shape, res.DType)
+	c.Fill(inputs[0].Data, 0, out.Data)
+	return out, nil
+}
 
-	// Fill creates a tensor of attr Shape filled with attr Value.
-	RegisterRef("Fill", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		value, err := ResolveFill(inputsOf(inputs), attrs, &res)
-		if err != nil {
-			return Buffer{}, err
-		}
-		out := NewBuffer(res.Shape, res.DType)
-		if value != 0 {
-			for i := range out.Data {
-				out.Data[i] = float32(value)
-			}
-		}
-		return out, nil
-	})
+// rangeRef is Range's reference kernel, which produces [start, stop) by
+// step: a closed form, its range body over the whole output.
+func rangeRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	q, err := ResolveRange(inputsOf(inputs), attrs, &res)
+	if err != nil {
+		return Buffer{}, err
+	}
+	out := NewBuffer(res.Shape, res.DType)
+	q.Fill(nil, 0, out.Data)
+	return out, nil
+}
 
-	// OneHot expands integer labels into one-hot rows.
-	RegisterRef("OneHot", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		h, err := ResolveOneHot(inputsOf(inputs), attrs, &res)
-		if err != nil {
-			return Buffer{}, err
+// Fill creates a tensor of attr Shape filled with attr Value.
+func fillRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	value, err := ResolveFill(inputsOf(inputs), attrs, &res)
+	if err != nil {
+		return Buffer{}, err
+	}
+	out := NewBuffer(res.Shape, res.DType)
+	if value != 0 {
+		for i := range out.Data {
+			out.Data[i] = float32(value)
 		}
-		indices, depth, onValue, offValue := inputs[0], h.depth, h.on, h.off
-		out := NewBuffer(res.Shape, res.DType)
-		if offValue != 0 {
-			for i := range out.Data {
-				out.Data[i] = offValue
-			}
-		}
-		for i, v := range indices.Data {
-			idx := int(v)
-			if idx >= 0 && idx < depth {
-				out.Data[i*depth+idx] = onValue
-			}
-		}
-		return out, nil
-	})
+	}
+	return out, nil
+}
 
-	// Select picks from (t, f) according to a condition tensor, with
-	// broadcasting across all three inputs.
-	RegisterRef("Select", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		if _, err := ResolveSelect(inputsOf(inputs), &res); err != nil {
-			return Buffer{}, err
+// OneHot expands integer labels into one-hot rows.
+func oneHotRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	h, err := ResolveOneHot(inputsOf(inputs), attrs, &res)
+	if err != nil {
+		return Buffer{}, err
+	}
+	indices, depth, onValue, offValue := inputs[0], h.depth, h.on, h.off
+	out := NewBuffer(res.Shape, res.DType)
+	if offValue != 0 {
+		for i := range out.Data {
+			out.Data[i] = offValue
 		}
-		cond, tVal, fVal, shape := inputs[0], inputs[1], inputs[2], res.Shape
-		out := NewBuffer(shape, tVal.DType)
-		cs := broadcastStrides(cond.Shape, shape)
-		ts := broadcastStrides(tVal.Shape, shape)
-		fs := broadcastStrides(fVal.Shape, shape)
-		size := out.Size()
-		rank := len(shape)
-		coords := make([]int, rank)
-		ci, ti, fi := 0, 0, 0
-		for outIdx := 0; outIdx < size; outIdx++ {
-			if cond.Data[ci] != 0 {
-				out.Data[outIdx] = tVal.Data[ti]
-			} else {
-				out.Data[outIdx] = fVal.Data[fi]
-			}
-			for d := rank - 1; d >= 0; d-- {
-				coords[d]++
-				ci += cs[d]
-				ti += ts[d]
-				fi += fs[d]
-				if coords[d] < shape[d] {
-					break
-				}
-				coords[d] = 0
-				ci -= shape[d] * cs[d]
-				ti -= shape[d] * ts[d]
-				fi -= shape[d] * fs[d]
-			}
+	}
+	for i, v := range indices.Data {
+		idx := int(v)
+		if idx >= 0 && idx < depth {
+			out.Data[i*depth+idx] = onValue
 		}
-		return out, nil
-	})
+	}
+	return out, nil
+}
 
-	// FusedBatchNorm normalizes x with running statistics:
-	// out = (x - mean) / sqrt(variance + eps) * scale + offset.
-	// Inputs: x, mean, variance, offset, scale. mean/variance/offset/
-	// scale broadcast against x (typically shape [C]).
-	RegisterRef("FusedBatchNorm", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		if _, err := ResolveBatchNorm(inputsOf(inputs), attrs, &res); err != nil {
-			return Buffer{}, err
+// Select picks from (t, f) according to a condition tensor, with
+// broadcasting across all three inputs.
+func selectRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	if _, err := ResolveSelect(inputsOf(inputs), &res); err != nil {
+		return Buffer{}, err
+	}
+	cond, tVal, fVal, shape := inputs[0], inputs[1], inputs[2], res.Shape
+	out := NewBuffer(shape, tVal.DType)
+	cs := broadcastStrides(cond.Shape, shape)
+	ts := broadcastStrides(tVal.Shape, shape)
+	fs := broadcastStrides(fVal.Shape, shape)
+	size := out.Size()
+	rank := len(shape)
+	coords := make([]int, rank)
+	ci, ti, fi := 0, 0, 0
+	for outIdx := 0; outIdx < size; outIdx++ {
+		if cond.Data[ci] != 0 {
+			out.Data[outIdx] = tVal.Data[ti]
+		} else {
+			out.Data[outIdx] = fVal.Data[fi]
 		}
-		x, mean, variance, offset, scale := inputs[0], inputs[1], inputs[2], inputs[3], inputs[4]
-		eps := float32(attrs.Epsilon)
-		out := NewBuffer(x.Shape, tensor.Float32)
-		shape := x.Shape
-		ms := broadcastStrides(mean.Shape, shape)
-		vs := broadcastStrides(variance.Shape, shape)
-		os := broadcastStrides(offset.Shape, shape)
-		ss := broadcastStrides(scale.Shape, shape)
-		rank := len(shape)
-		coords := make([]int, rank)
-		mi, vi, oi, si := 0, 0, 0, 0
-		for idx := 0; idx < x.Size(); idx++ {
-			out.Data[idx] = BatchNormValue(x.Data[idx], mean.Data[mi], variance.Data[vi], offset.Data[oi], scale.Data[si], eps)
-			for d := rank - 1; d >= 0; d-- {
-				coords[d]++
-				mi += ms[d]
-				vi += vs[d]
-				oi += os[d]
-				si += ss[d]
-				if coords[d] < shape[d] {
-					break
-				}
-				coords[d] = 0
-				mi -= shape[d] * ms[d]
-				vi -= shape[d] * vs[d]
-				oi -= shape[d] * os[d]
-				si -= shape[d] * ss[d]
+		for d := rank - 1; d >= 0; d-- {
+			coords[d]++
+			ci += cs[d]
+			ti += ts[d]
+			fi += fs[d]
+			if coords[d] < shape[d] {
+				break
 			}
+			coords[d] = 0
+			ci -= shape[d] * cs[d]
+			ti -= shape[d] * ts[d]
+			fi -= shape[d] * fs[d]
 		}
-		return out, nil
-	})
+	}
+	return out, nil
+}
+
+// FusedBatchNorm normalizes x with running statistics:
+// out = (x - mean) / sqrt(variance + eps) * scale + offset.
+// Inputs: x, mean, variance, offset, scale. mean/variance/offset/
+// scale broadcast against x (typically shape [C]).
+func fusedBatchNormRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	if _, err := ResolveBatchNorm(inputsOf(inputs), attrs, &res); err != nil {
+		return Buffer{}, err
+	}
+	x, mean, variance, offset, scale := inputs[0], inputs[1], inputs[2], inputs[3], inputs[4]
+	eps := float32(attrs.Epsilon)
+	out := NewBuffer(x.Shape, tensor.Float32)
+	shape := x.Shape
+	ms := broadcastStrides(mean.Shape, shape)
+	vs := broadcastStrides(variance.Shape, shape)
+	os := broadcastStrides(offset.Shape, shape)
+	ss := broadcastStrides(scale.Shape, shape)
+	rank := len(shape)
+	coords := make([]int, rank)
+	mi, vi, oi, si := 0, 0, 0, 0
+	for idx := 0; idx < x.Size(); idx++ {
+		out.Data[idx] = BatchNormValue(x.Data[idx], mean.Data[mi], variance.Data[vi], offset.Data[oi], scale.Data[si], eps)
+		for d := rank - 1; d >= 0; d-- {
+			coords[d]++
+			mi += ms[d]
+			vi += vs[d]
+			oi += os[d]
+			si += ss[d]
+			if coords[d] < shape[d] {
+				break
+			}
+			coords[d] = 0
+			mi -= shape[d] * ms[d]
+			vi -= shape[d] * vs[d]
+			oi -= shape[d] * os[d]
+			si -= shape[d] * ss[d]
+		}
+	}
+	return out, nil
 }
 
 // BatchNormValue is FusedBatchNorm's value, (x − mean)/√(variance + ε) ·
@@ -253,7 +253,7 @@ func (n BatchNorm) Fill(x, mean, variance, offset, scale []float32, lo int, dst 
 		vec.BatchNorm(dst, x[lo:lo+len(dst)], mean[:c], variance, scale, offset, n.eps, lo%c)
 		return
 	}
-	n.ops.runs(lo, dst, func(run []float32, at, step []int) {
+	n.ops.runs(lo, dst, func(run []float32, at, step operandIndex) {
 		for i := range run {
 			run[i] = BatchNormValue(x[at[0]+i*step[0]], mean[at[1]+i*step[1]], variance[at[2]+i*step[2]],
 				offset[at[3]+i*step[3]], scale[at[4]+i*step[4]], n.eps)

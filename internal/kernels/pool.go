@@ -52,92 +52,90 @@ func ResolvePoolGrad(name string, inputs []Input, attrs Attrs, out *TensorInfo) 
 	return info, nil
 }
 
-func init() {
-	// MaxPool computes 2-D max pooling over NHWC input.
-	RegisterRef("MaxPool", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		info, err := ResolvePool("MaxPool", inputsOf(inputs), attrs, &res)
-		if err != nil {
-			return Buffer{}, err
-		}
-		x, out := inputs[0], NewBuffer(res.Shape, res.DType)
-		poolForEach(info, func(outIdx int, w poolWindow) {
-			best := float32(math.Inf(-1))
-			w.each(func(inIdx int) {
-				if v := x.Data[inIdx]; v > best {
-					best = v
-				}
-			})
-			out.Data[outIdx] = best
-		})
-		return out, nil
-	})
-
-	// AvgPool computes 2-D average pooling; padding cells are excluded
-	// from the average, matching TensorFlow semantics.
-	RegisterRef("AvgPool", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		info, err := ResolvePool("AvgPool", inputsOf(inputs), attrs, &res)
-		if err != nil {
-			return Buffer{}, err
-		}
-		x, out := inputs[0], NewBuffer(res.Shape, res.DType)
-		poolForEach(info, func(outIdx int, w poolWindow) {
-			var sum float32
-			w.each(func(inIdx int) { sum += x.Data[inIdx] })
-			if count := w.rows * w.cols; count > 0 {
-				out.Data[outIdx] = sum / float32(count)
+// MaxPool computes 2-D max pooling over NHWC input.
+func maxPoolRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	info, err := ResolvePool("MaxPool", inputsOf(inputs), attrs, &res)
+	if err != nil {
+		return Buffer{}, err
+	}
+	x, out := inputs[0], NewBuffer(res.Shape, res.DType)
+	poolForEach(info, func(outIdx int, w poolWindow) {
+		best := float32(math.Inf(-1))
+		w.each(func(inIdx int) {
+			if v := x.Data[inIdx]; v > best {
+				best = v
 			}
 		})
-		return out, nil
+		out.Data[outIdx] = best
 	})
+	return out, nil
+}
 
-	// MaxPoolGrad routes dy to the max position of each window. Inputs
-	// are (dy, x).
-	RegisterRef("MaxPoolGrad", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		info, err := ResolvePoolGrad("MaxPoolGrad", inputsOf(inputs), attrs, &res)
-		if err != nil {
-			return Buffer{}, err
+// AvgPool computes 2-D average pooling; padding cells are excluded
+// from the average, matching TensorFlow semantics.
+func avgPoolRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	info, err := ResolvePool("AvgPool", inputsOf(inputs), attrs, &res)
+	if err != nil {
+		return Buffer{}, err
+	}
+	x, out := inputs[0], NewBuffer(res.Shape, res.DType)
+	poolForEach(info, func(outIdx int, w poolWindow) {
+		var sum float32
+		w.each(func(inIdx int) { sum += x.Data[inIdx] })
+		if count := w.rows * w.cols; count > 0 {
+			out.Data[outIdx] = sum / float32(count)
 		}
-		dy, x := inputs[0], inputs[1]
-		dx := NewBuffer(res.Shape, tensor.Float32)
-		poolForEach(info, func(outIdx int, w poolWindow) {
-			best := float32(math.Inf(-1))
-			bestIdx := -1
-			w.each(func(inIdx int) {
-				if v := x.Data[inIdx]; v > best {
-					best = v
-					bestIdx = inIdx
-				}
-			})
-			if bestIdx >= 0 {
-				dx.Data[bestIdx] += dy.Data[outIdx]
+	})
+	return out, nil
+}
+
+// MaxPoolGrad routes dy to the max position of each window. Inputs
+// are (dy, x).
+func maxPoolGradRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	info, err := ResolvePoolGrad("MaxPoolGrad", inputsOf(inputs), attrs, &res)
+	if err != nil {
+		return Buffer{}, err
+	}
+	dy, x := inputs[0], inputs[1]
+	dx := NewBuffer(res.Shape, tensor.Float32)
+	poolForEach(info, func(outIdx int, w poolWindow) {
+		best := float32(math.Inf(-1))
+		bestIdx := -1
+		w.each(func(inIdx int) {
+			if v := x.Data[inIdx]; v > best {
+				best = v
+				bestIdx = inIdx
 			}
 		})
-		return dx, nil
-	})
-
-	// AvgPoolGrad distributes dy evenly over each window. Input is dy;
-	// attr Shape is the original input shape.
-	RegisterRef("AvgPoolGrad", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		info, err := ResolvePoolGrad("AvgPoolGrad", inputsOf(inputs), attrs, &res)
-		if err != nil {
-			return Buffer{}, err
+		if bestIdx >= 0 {
+			dx.Data[bestIdx] += dy.Data[outIdx]
 		}
-		dy := inputs[0]
-		dx := NewBuffer(res.Shape, tensor.Float32)
-		poolForEach(info, func(outIdx int, w poolWindow) {
-			count := w.rows * w.cols
-			if count == 0 {
-				return
-			}
-			share := dy.Data[outIdx] / float32(count)
-			w.each(func(inIdx int) { dx.Data[inIdx] += share })
-		})
-		return dx, nil
 	})
+	return dx, nil
+}
+
+// AvgPoolGrad distributes dy evenly over each window. Input is dy;
+// attr Shape is the original input shape.
+func avgPoolGradRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	info, err := ResolvePoolGrad("AvgPoolGrad", inputsOf(inputs), attrs, &res)
+	if err != nil {
+		return Buffer{}, err
+	}
+	dy := inputs[0]
+	dx := NewBuffer(res.Shape, tensor.Float32)
+	poolForEach(info, func(outIdx int, w poolWindow) {
+		count := w.rows * w.cols
+		if count == 0 {
+			return
+		}
+		share := dy.Data[outIdx] / float32(count)
+		w.each(func(inIdx int) { dx.Data[inIdx] += share })
+	})
+	return dx, nil
 }
 
 // poolWindow is the part of one output cell's receptive field that lies

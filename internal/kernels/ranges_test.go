@@ -11,9 +11,8 @@ import (
 	"repro/internal/vec"
 )
 
-// rangeBody resolves one call of kernel as the tiers do — a range
-// kernel through the table, its staged buffer computed once; GatherV2,
-// which is no range kernel, on its body — and returns its range body over
+// rangeBody resolves one call of kernel through the table as the tiers
+// do, its staged buffer computed once, and returns its range body over
 // the call's operands: what native hands its output chunks and webgl its
 // texel ranges.
 func rangeBody(t *testing.T, kernel string, ins []Buffer, attrs Attrs) func(lo int, dst []float32) {
@@ -22,36 +21,25 @@ func rangeBody(t *testing.T, kernel string, ins []Buffer, attrs Attrs) func(lo i
 	for i := range ins {
 		in[i] = ins[i].Data
 	}
-	switch kernel {
-	case "GatherV2":
-		g, err := ResolveGather(inputsOf(ins), attrs, &TensorInfo{})
-		if err != nil {
-			t.Fatalf("%s: %v", kernel, err)
-		}
-		return func(lo int, dst []float32) { g.Fill(in[0], in[1], lo, dst) }
+	k, ok := LookupKernel(kernel)
+	if !ok {
+		t.Fatalf("%s: no range body", kernel)
 	}
-	for _, k := range RangeKernels() {
-		if k.Name != kernel {
-			continue
-		}
-		r, err := k.Resolve(kernel, inputsOf(ins), attrs, &TensorInfo{})
-		if err != nil {
-			t.Fatalf("%s: %v", kernel, err)
-		}
-		if n := r.Stage.Len(); n > 0 {
-			staged := make([]float32, n)
-			r.Stage.Run(in, staged)
-			in = append(in, staged)
-		}
-		return func(lo int, dst []float32) { r.Fill(in, lo, dst) }
+	r, err := k.Resolve(kernel, inputsOf(ins), attrs, &TensorInfo{})
+	if err != nil {
+		t.Fatalf("%s: %v", kernel, err)
 	}
-	t.Fatalf("%s: no range body", kernel)
-	return nil
+	if n := r.Stage.Len(); n > 0 {
+		staged := make([]float32, n)
+		r.Stage.Run(in, staged)
+		in = append(in, staged)
+	}
+	return func(lo int, dst []float32) { r.Fill(in, lo, dst) }
 }
 
 // TestRangeBodiesMatchReference: the body of every kernel of the range
-// table — each fails the test without a case here — and GatherV2's, the
-// one body outside it, resolved as the tiers resolve them, at strides,
+// table — each fails the test without a case here — resolved as the tiers
+// resolve them, at strides,
 // dilations, same and valid padding, overlapping windows, a channel
 // multiplier of 2 and batch 0, Softmax's rows of specials cut mid-row,
 // and every element-wise op on every shape
@@ -369,12 +357,12 @@ func TestRangeBodiesMatchReference(t *testing.T) {
 			rangeCase{"nonSuffix", e.Name, []Buffer{op(n, 1), op(1, n)}, Attrs{}},
 			rangeCase{"column", e.Name, []Buffer{rowsOf, op(n, 1)}, Attrs{}})
 	}
-	// Every kernel of the table has cases; so does the body outside it.
+	// Every kernel of the table has cases.
 	byKernel := map[string][]rangeCase{}
 	for _, c := range cases {
 		byKernel[c.kernel] = append(byKernel[c.kernel], c)
 	}
-	kernelNames := []string{"GatherV2"}
+	var kernelNames []string
 	for _, k := range RangeKernels() {
 		kernelNames = append(kernelNames, k.Name)
 	}

@@ -358,90 +358,92 @@ func ResolveSoftmax(inputs []Input, out *TensorInfo) (outer, inner int, err erro
 	return tensor.ShapeSize(x[:len(x)-1]), x[len(x)-1], nil
 }
 
-func init() {
-	RegisterRef("Sum", reduceKernel("Sum", 0,
-		func(acc, v float32) float32 { return acc + v }, nil))
-	RegisterRef("Prod", reduceKernel("Prod", 1,
-		func(acc, v float32) float32 { return acc * v }, nil))
-	RegisterRef("Max", reduceKernel("Max", float32(math.Inf(-1)),
+// The reductions' reference kernels, each folding its reduced values in
+// row-major order of the sorted reduced axes.
+var (
+	sumRef = reduceKernel("Sum", 0,
+		func(acc, v float32) float32 { return acc + v }, nil)
+	prodRef = reduceKernel("Prod", 1,
+		func(acc, v float32) float32 { return acc * v }, nil)
+	maxRef = reduceKernel("Max", float32(math.Inf(-1)),
 		func(acc, v float32) float32 {
 			if v > acc {
 				return v
 			}
 			return acc
-		}, nil))
-	RegisterRef("Min", reduceKernel("Min", float32(math.Inf(1)),
+		}, nil)
+	minRef = reduceKernel("Min", float32(math.Inf(1)),
 		func(acc, v float32) float32 {
 			if v < acc {
 				return v
 			}
 			return acc
-		}, nil))
-	RegisterRef("Mean", reduceKernel("Mean", 0,
+		}, nil)
+	meanRef = reduceKernel("Mean", 0,
 		func(acc, v float32) float32 { return acc + v },
 		func(acc float32, n int) float32 {
 			if n == 0 {
 				return float32(math.NaN())
 			}
 			return acc / float32(n)
-		}))
-	RegisterRef("Any", reduceKernel("Any", 0,
-		func(acc, v float32) float32 { return toBool(acc != 0 || v != 0) }, nil))
-	RegisterRef("All", reduceKernel("All", 1,
-		func(acc, v float32) float32 { return toBool(acc != 0 && v != 0) }, nil))
+		})
+	anyRef = reduceKernel("Any", 0,
+		func(acc, v float32) float32 { return toBool(acc != 0 || v != 0) }, nil)
+	allRef = reduceKernel("All", 1,
+		func(acc, v float32) float32 { return toBool(acc != 0 && v != 0) }, nil)
 
-	RegisterRef("ArgMax", argReduceKernel("ArgMax", func(v, best float32) bool { return v > best }))
-	RegisterRef("ArgMin", argReduceKernel("ArgMin", func(v, best float32) bool { return v < best }))
+	argMaxRef = argReduceKernel("ArgMax", func(v, best float32) bool { return v > best })
+	argMinRef = argReduceKernel("ArgMin", func(v, best float32) bool { return v < best })
+)
 
-	// Softmax computes a numerically stable softmax over the last axis, a
-	// row at a time. Its range body (SoftmaxRows) is the device tiers'
-	// one body: every value bit for bit this kernel's, on node and on
-	// webgl, wherever a range is cut.
-	RegisterRef("Softmax", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		outer, inner, err := ResolveSoftmax(inputsOf(inputs), &res)
-		if err != nil {
-			return Buffer{}, err
-		}
-		x := inputs[0]
-		out := NewBuffer(res.Shape, res.DType)
-		for o := 0; o < outer; o++ {
-			SoftmaxRow(out.Data[o*inner:(o+1)*inner], x.Data[o*inner:(o+1)*inner])
-		}
-		return out, nil
-	})
+// Softmax computes a numerically stable softmax over the last axis, a
+// row at a time. Its range body (SoftmaxRows) is the device tiers'
+// one body: every value bit for bit this kernel's, on node and on
+// webgl, wherever a range is cut.
+func softmaxRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	outer, inner, err := ResolveSoftmax(inputsOf(inputs), &res)
+	if err != nil {
+		return Buffer{}, err
+	}
+	x := inputs[0]
+	out := NewBuffer(res.Shape, res.DType)
+	for o := 0; o < outer; o++ {
+		SoftmaxRow(out.Data[o*inner:(o+1)*inner], x.Data[o*inner:(o+1)*inner])
+	}
+	return out, nil
+}
 
-	// CumSum computes an inclusive or exclusive cumulative sum along Axis
-	// (negative counting from the end) of an input of any rank ≥ 1: each
-	// line along the axis scanned in place, at the axis's stride.
-	RegisterRef("CumSum", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		c, err := ResolveCumSum(inputsOf(inputs), attrs, &res)
-		if err != nil {
-			return Buffer{}, err
-		}
-		x, n, stride := inputs[0], c.n, c.stride
-		out := NewBuffer(res.Shape, res.DType)
-		for line := 0; line < len(x.Data)/max(n, 1); line++ {
-			base := line/stride*n*stride + line%stride
-			var acc float32
-			for step := 0; step < n; step++ {
-				i := step
-				if attrs.Reverse {
-					i = n - 1 - step
-				}
-				at := base + i*stride
-				if attrs.Exclusive {
-					out.Data[at] = acc
-					acc += x.Data[at]
-				} else {
-					acc += x.Data[at]
-					out.Data[at] = acc
-				}
+// CumSum computes an inclusive or exclusive cumulative sum along Axis
+// (negative counting from the end) of an input of any rank ≥ 1: each
+// line along the axis scanned in place, at the axis's stride.
+func cumSumRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	c, err := ResolveCumSum(inputsOf(inputs), attrs, &res)
+	if err != nil {
+		return Buffer{}, err
+	}
+	x, n, stride := inputs[0], c.n, c.stride
+	out := NewBuffer(res.Shape, res.DType)
+	for line := 0; line < len(x.Data)/max(n, 1); line++ {
+		base := line/stride*n*stride + line%stride
+		var acc float32
+		for step := 0; step < n; step++ {
+			i := step
+			if attrs.Reverse {
+				i = n - 1 - step
+			}
+			at := base + i*stride
+			if attrs.Exclusive {
+				out.Data[at] = acc
+				acc += x.Data[at]
+			} else {
+				acc += x.Data[at]
+				out.Data[at] = acc
 			}
 		}
-		return out, nil
-	})
+	}
+	return out, nil
 }
 
 // A Scan is a resolved CumSum: x as [outer, n, stride], each of its

@@ -2,8 +2,6 @@ package kernels
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/tensor"
 )
@@ -76,50 +74,11 @@ func (b Buffer) Size() int { return tensor.ShapeSize(b.Shape) }
 func (b Buffer) Rank() int { return len(b.Shape) }
 
 // RefKernel is a reference kernel: a pure host-memory implementation of an
-// operation. Reference kernels are the single source of truth for kernel
-// semantics: the cpu tier runs them as its own kernels, and every device
-// tier's kernel of the same name is held to them. Like every kernel, a
-// reference kernel has one output.
+// operation, the Ref of its entry of the range table. Reference kernels are
+// the single source of truth for kernel semantics: the cpu tier runs them
+// as its own kernels, and every device tier's kernel of the same name is
+// held to them. Like every kernel, a reference kernel has one output.
 type RefKernel func(inputs []Buffer, attrs Attrs) (Buffer, error)
-
-var (
-	refMu       sync.RWMutex
-	refRegistry = map[string]RefKernel{}
-)
-
-// RegisterRef installs the reference implementation of a kernel. It panics
-// on duplicate registration, which would indicate two files claiming the
-// same kernel name.
-func RegisterRef(name string, k RefKernel) {
-	refMu.Lock()
-	defer refMu.Unlock()
-	if _, dup := refRegistry[name]; dup {
-		//lint:ignore operr init-time registration invariant: two files claiming one kernel name, no dispatch in flight to attribute
-		panic(fmt.Sprintf("kernels: duplicate reference kernel %q", name))
-	}
-	refRegistry[name] = k
-}
-
-// LookupRef returns the reference implementation of a kernel.
-func LookupRef(name string) (RefKernel, bool) {
-	refMu.RLock()
-	defer refMu.RUnlock()
-	k, ok := refRegistry[name]
-	return k, ok
-}
-
-// RefKernelNames returns the sorted names of all registered reference
-// kernels, for introspection and tests.
-func RefKernelNames() []string {
-	refMu.RLock()
-	defer refMu.RUnlock()
-	names := make([]string, 0, len(refRegistry))
-	for name := range refRegistry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // errIn builds a consistent kernel input validation error.
 func errIn(kernel, format string, args ...any) error {

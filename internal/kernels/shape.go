@@ -6,250 +6,248 @@ import (
 	"repro/internal/tensor"
 )
 
-func init() {
-	// Transpose permutes dimensions according to attr Perm.
-	RegisterRef("Transpose", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		if _, err := ResolveTranspose(inputsOf(inputs), attrs, &res); err != nil {
-			return Buffer{}, err
-		}
-		x, perm, rank, outShape := inputs[0], attrs.Perm, inputs[0].Rank(), res.Shape
-		out := NewBuffer(outShape, x.DType)
-		inStrides := tensor.ComputeStrides(x.Shape)
-		size := x.Size()
-		if rank == 0 || size == 0 {
-			copy(out.Data, x.Data)
-			return out, nil
-		}
-		// Walk output coordinates; map each back to the input index.
-		coords := make([]int, rank)
-		inIdx := 0
-		// permStrides[i] is how much the input index moves when output
-		// coordinate i increments.
-		permStrides := make([]int, rank)
-		for i, p := range perm {
-			permStrides[i] = inStrides[p]
-		}
-		for outIdx := 0; outIdx < size; outIdx++ {
-			out.Data[outIdx] = x.Data[inIdx]
-			for d := rank - 1; d >= 0; d-- {
-				coords[d]++
-				inIdx += permStrides[d]
-				if coords[d] < outShape[d] {
-					break
-				}
-				coords[d] = 0
-				inIdx -= outShape[d] * permStrides[d]
-			}
-		}
+// Transpose permutes dimensions according to attr Perm.
+func transposeRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	if _, err := ResolveTranspose(inputsOf(inputs), attrs, &res); err != nil {
+		return Buffer{}, err
+	}
+	x, perm, rank, outShape := inputs[0], attrs.Perm, inputs[0].Rank(), res.Shape
+	out := NewBuffer(outShape, x.DType)
+	inStrides := tensor.ComputeStrides(x.Shape)
+	size := x.Size()
+	if rank == 0 || size == 0 {
+		copy(out.Data, x.Data)
 		return out, nil
-	})
+	}
+	// Walk output coordinates; map each back to the input index.
+	coords := make([]int, rank)
+	inIdx := 0
+	// permStrides[i] is how much the input index moves when output
+	// coordinate i increments.
+	permStrides := make([]int, rank)
+	for i, p := range perm {
+		permStrides[i] = inStrides[p]
+	}
+	for outIdx := 0; outIdx < size; outIdx++ {
+		out.Data[outIdx] = x.Data[inIdx]
+		for d := rank - 1; d >= 0; d-- {
+			coords[d]++
+			inIdx += permStrides[d]
+			if coords[d] < outShape[d] {
+				break
+			}
+			coords[d] = 0
+			inIdx -= outShape[d] * permStrides[d]
+		}
+	}
+	return out, nil
+}
 
-	// Concat concatenates any number of inputs along attr Axis.
-	RegisterRef("Concat", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		if _, err := ResolveConcat(inputsOf(inputs), attrs, &res); err != nil {
-			return Buffer{}, err
-		}
-		axis, outShape := attrs.Axis, res.Shape
-		if axis < 0 {
-			axis += len(outShape)
-		}
-		out := NewBuffer(outShape, inputs[0].DType)
-		// Copy block-wise: outer = product of dims before axis; each
-		// input contributes a contiguous run of (axisDim * innerSize).
-		outerSize := tensor.ShapeSize(outShape[:axis])
-		innerSize := tensor.ShapeSize(outShape[axis+1:])
-		outRow := outShape[axis] * innerSize
-		colOffset := 0
-		for _, in := range inputs {
-			run := in.Shape[axis] * innerSize
-			for o := 0; o < outerSize; o++ {
-				src := in.Data[o*run : (o+1)*run]
-				dst := out.Data[o*outRow+colOffset:]
-				copy(dst[:run], src)
-			}
-			colOffset += run
-		}
-		return out, nil
-	})
-
-	// Slice extracts a contiguous region given "begin" and "size"
-	// attributes; a size entry of -1 extends to the end of that dim.
-	RegisterRef("Slice", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		if _, err := ResolveSlice(inputsOf(inputs), attrs, &res); err != nil {
-			return Buffer{}, err
-		}
-		x, begin, rank, outShape := inputs[0], attrs.Begin, inputs[0].Rank(), res.Shape
-		out := NewBuffer(outShape, x.DType)
-		if out.Size() == 0 {
-			return out, nil
-		}
-		inStrides := tensor.ComputeStrides(x.Shape)
-		// Copy row-by-row along the innermost dimension.
-		if rank == 0 {
-			out.Data[0] = x.Data[0]
-			return out, nil
-		}
-		rowLen := outShape[rank-1]
-		numRows := out.Size() / rowLen
-		coords := make([]int, rank)
-		for r := 0; r < numRows; r++ {
-			inIdx := begin[rank-1]
-			for d := 0; d < rank-1; d++ {
-				inIdx += (coords[d] + begin[d]) * inStrides[d]
-			}
-			copy(out.Data[r*rowLen:(r+1)*rowLen], x.Data[inIdx:inIdx+rowLen])
-			for d := rank - 2; d >= 0; d-- {
-				coords[d]++
-				if coords[d] < outShape[d] {
-					break
-				}
-				coords[d] = 0
-			}
-		}
-		return out, nil
-	})
-
-	// Pad pads with a constant value; the "paddings" attribute holds
-	// [before0, after0, before1, after1, ...].
-	RegisterRef("PadV2", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		if _, err := ResolvePad(inputsOf(inputs), attrs, &res); err != nil {
-			return Buffer{}, err
-		}
-		x, paddings, rank, outShape := inputs[0], attrs.Paddings, inputs[0].Rank(), res.Shape
-		constValue := float32(attrs.Value)
-		out := NewBuffer(outShape, x.DType)
-		if constValue != 0 {
-			for i := range out.Data {
-				out.Data[i] = constValue
-			}
-		}
-		if x.Size() == 0 {
-			return out, nil
-		}
-		outStrides := tensor.ComputeStrides(outShape)
-		if rank == 0 {
-			out.Data[0] = x.Data[0]
-			return out, nil
-		}
-		// Copy input rows into their shifted positions.
-		rowLen := x.Shape[rank-1]
-		numRows := x.Size() / rowLen
-		coords := make([]int, rank)
-		for r := 0; r < numRows; r++ {
-			outIdx := paddings[2*(rank-1)]
-			for d := 0; d < rank-1; d++ {
-				outIdx += (coords[d] + paddings[2*d]) * outStrides[d]
-			}
-			copy(out.Data[outIdx:outIdx+rowLen], x.Data[r*rowLen:(r+1)*rowLen])
-			for d := rank - 2; d >= 0; d-- {
-				coords[d]++
-				if coords[d] < x.Shape[d] {
-					break
-				}
-				coords[d] = 0
-			}
-		}
-		return out, nil
-	})
-
-	// GatherV2 gathers slices along attr Axis using integer indices (input 1).
-	RegisterRef("GatherV2", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		g, err := ResolveGather(inputsOf(inputs), attrs, &res)
-		if err != nil {
-			return Buffer{}, err
-		}
-		x, indices, axis := inputs[0], inputs[1], attrs.Axis
-		if err := g.Check(indices.Data); err != nil {
-			return Buffer{}, err
-		}
-		if axis < 0 {
-			axis += x.Rank()
-		}
-		out := NewBuffer(res.Shape, res.DType)
-		outerSize := tensor.ShapeSize(x.Shape[:axis])
-		axisSize := x.Shape[axis]
-		innerSize := tensor.ShapeSize(x.Shape[axis+1:])
-		numIdx := indices.Size()
+// Concat concatenates any number of inputs along attr Axis.
+func concatRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	if _, err := ResolveConcat(inputsOf(inputs), attrs, &res); err != nil {
+		return Buffer{}, err
+	}
+	axis, outShape := attrs.Axis, res.Shape
+	if axis < 0 {
+		axis += len(outShape)
+	}
+	out := NewBuffer(outShape, inputs[0].DType)
+	// Copy block-wise: outer = product of dims before axis; each
+	// input contributes a contiguous run of (axisDim * innerSize).
+	outerSize := tensor.ShapeSize(outShape[:axis])
+	innerSize := tensor.ShapeSize(outShape[axis+1:])
+	outRow := outShape[axis] * innerSize
+	colOffset := 0
+	for _, in := range inputs {
+		run := in.Shape[axis] * innerSize
 		for o := 0; o < outerSize; o++ {
-			for ii := 0; ii < numIdx; ii++ {
-				idx := int(indices.Data[ii])
-				src := x.Data[(o*axisSize+idx)*innerSize:]
-				dst := out.Data[(o*numIdx+ii)*innerSize:]
-				copy(dst[:innerSize], src[:innerSize])
-			}
+			src := in.Data[o*run : (o+1)*run]
+			dst := out.Data[o*outRow+colOffset:]
+			copy(dst[:run], src)
 		}
-		return out, nil
-	})
+		colOffset += run
+	}
+	return out, nil
+}
 
-	// Tile repeats the input along each dimension per the "reps" attribute.
-	RegisterRef("Tile", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		if _, err := ResolveTile(inputsOf(inputs), attrs, &res); err != nil {
-			return Buffer{}, err
-		}
-		x, rank, outShape := inputs[0], inputs[0].Rank(), res.Shape
-		out := NewBuffer(outShape, x.DType)
-		inStrides := tensor.ComputeStrides(x.Shape)
-		size := out.Size()
-		coords := make([]int, rank)
-		for outIdx := 0; outIdx < size; outIdx++ {
-			inIdx := 0
-			for d := 0; d < rank; d++ {
-				inIdx += (coords[d] % x.Shape[d]) * inStrides[d]
-			}
-			out.Data[outIdx] = x.Data[inIdx]
-			for d := rank - 1; d >= 0; d-- {
-				coords[d]++
-				if coords[d] < outShape[d] {
-					break
-				}
-				coords[d] = 0
-			}
-		}
+// Slice extracts a contiguous region given "begin" and "size"
+// attributes; a size entry of -1 extends to the end of that dim.
+func sliceRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	if _, err := ResolveSlice(inputsOf(inputs), attrs, &res); err != nil {
+		return Buffer{}, err
+	}
+	x, begin, rank, outShape := inputs[0], attrs.Begin, inputs[0].Rank(), res.Shape
+	out := NewBuffer(outShape, x.DType)
+	if out.Size() == 0 {
 		return out, nil
-	})
+	}
+	inStrides := tensor.ComputeStrides(x.Shape)
+	// Copy row-by-row along the innermost dimension.
+	if rank == 0 {
+		out.Data[0] = x.Data[0]
+		return out, nil
+	}
+	rowLen := outShape[rank-1]
+	numRows := out.Size() / rowLen
+	coords := make([]int, rank)
+	for r := 0; r < numRows; r++ {
+		inIdx := begin[rank-1]
+		for d := 0; d < rank-1; d++ {
+			inIdx += (coords[d] + begin[d]) * inStrides[d]
+		}
+		copy(out.Data[r*rowLen:(r+1)*rowLen], x.Data[inIdx:inIdx+rowLen])
+		for d := rank - 2; d >= 0; d-- {
+			coords[d]++
+			if coords[d] < outShape[d] {
+				break
+			}
+			coords[d] = 0
+		}
+	}
+	return out, nil
+}
 
-	// Reverse flips its axes, every axis when none is listed.
-	RegisterRef("Reverse", func(inputs []Buffer, attrs Attrs) (Buffer, error) {
-		var res TensorInfo
-		if _, err := ResolveReverse(inputsOf(inputs), attrs, &res); err != nil {
-			return Buffer{}, err
+// Pad pads with a constant value; the "paddings" attribute holds
+// [before0, after0, before1, after1, ...].
+func padV2Ref(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	if _, err := ResolvePad(inputsOf(inputs), attrs, &res); err != nil {
+		return Buffer{}, err
+	}
+	x, paddings, rank, outShape := inputs[0], attrs.Paddings, inputs[0].Rank(), res.Shape
+	constValue := float32(attrs.Value)
+	out := NewBuffer(outShape, x.DType)
+	if constValue != 0 {
+		for i := range out.Data {
+			out.Data[i] = constValue
 		}
-		x := inputs[0]
-		rank := x.Rank()
-		flip, err := ReduceAxes("Reverse", attrs.Axes, rank)
-		if err != nil {
-			return Buffer{}, err
-		}
-		out := NewBuffer(res.Shape, res.DType)
-		inStrides := tensor.ComputeStrides(x.Shape)
-		size := x.Size()
-		coords := make([]int, rank)
-		for outIdx := 0; outIdx < size; outIdx++ {
-			inIdx := 0
-			for d := 0; d < rank; d++ {
-				c := coords[d]
-				if flip.Has(d) {
-					c = x.Shape[d] - 1 - c
-				}
-				inIdx += c * inStrides[d]
-			}
-			out.Data[outIdx] = x.Data[inIdx]
-			for d := rank - 1; d >= 0; d-- {
-				coords[d]++
-				if coords[d] < x.Shape[d] {
-					break
-				}
-				coords[d] = 0
-			}
-		}
+	}
+	if x.Size() == 0 {
 		return out, nil
-	})
+	}
+	outStrides := tensor.ComputeStrides(outShape)
+	if rank == 0 {
+		out.Data[0] = x.Data[0]
+		return out, nil
+	}
+	// Copy input rows into their shifted positions.
+	rowLen := x.Shape[rank-1]
+	numRows := x.Size() / rowLen
+	coords := make([]int, rank)
+	for r := 0; r < numRows; r++ {
+		outIdx := paddings[2*(rank-1)]
+		for d := 0; d < rank-1; d++ {
+			outIdx += (coords[d] + paddings[2*d]) * outStrides[d]
+		}
+		copy(out.Data[outIdx:outIdx+rowLen], x.Data[r*rowLen:(r+1)*rowLen])
+		for d := rank - 2; d >= 0; d-- {
+			coords[d]++
+			if coords[d] < x.Shape[d] {
+				break
+			}
+			coords[d] = 0
+		}
+	}
+	return out, nil
+}
+
+// GatherV2 gathers slices along attr Axis using integer indices (input 1).
+func gatherV2Ref(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	g, err := ResolveGather(inputsOf(inputs), attrs, &res)
+	if err != nil {
+		return Buffer{}, err
+	}
+	x, indices, axis := inputs[0], inputs[1], attrs.Axis
+	if err := g.Check(indices.Data); err != nil {
+		return Buffer{}, err
+	}
+	if axis < 0 {
+		axis += x.Rank()
+	}
+	out := NewBuffer(res.Shape, res.DType)
+	outerSize := tensor.ShapeSize(x.Shape[:axis])
+	axisSize := x.Shape[axis]
+	innerSize := tensor.ShapeSize(x.Shape[axis+1:])
+	numIdx := indices.Size()
+	for o := 0; o < outerSize; o++ {
+		for ii := 0; ii < numIdx; ii++ {
+			idx := int(indices.Data[ii])
+			src := x.Data[(o*axisSize+idx)*innerSize:]
+			dst := out.Data[(o*numIdx+ii)*innerSize:]
+			copy(dst[:innerSize], src[:innerSize])
+		}
+	}
+	return out, nil
+}
+
+// Tile repeats the input along each dimension per the "reps" attribute.
+func tileRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	if _, err := ResolveTile(inputsOf(inputs), attrs, &res); err != nil {
+		return Buffer{}, err
+	}
+	x, rank, outShape := inputs[0], inputs[0].Rank(), res.Shape
+	out := NewBuffer(outShape, x.DType)
+	inStrides := tensor.ComputeStrides(x.Shape)
+	size := out.Size()
+	coords := make([]int, rank)
+	for outIdx := 0; outIdx < size; outIdx++ {
+		inIdx := 0
+		for d := 0; d < rank; d++ {
+			inIdx += (coords[d] % x.Shape[d]) * inStrides[d]
+		}
+		out.Data[outIdx] = x.Data[inIdx]
+		for d := rank - 1; d >= 0; d-- {
+			coords[d]++
+			if coords[d] < outShape[d] {
+				break
+			}
+			coords[d] = 0
+		}
+	}
+	return out, nil
+}
+
+// Reverse flips its axes, every axis when none is listed.
+func reverseRef(inputs []Buffer, attrs Attrs) (Buffer, error) {
+	var res TensorInfo
+	if _, err := ResolveReverse(inputsOf(inputs), attrs, &res); err != nil {
+		return Buffer{}, err
+	}
+	x := inputs[0]
+	rank := x.Rank()
+	flip, err := ReduceAxes("Reverse", attrs.Axes, rank)
+	if err != nil {
+		return Buffer{}, err
+	}
+	out := NewBuffer(res.Shape, res.DType)
+	inStrides := tensor.ComputeStrides(x.Shape)
+	size := x.Size()
+	coords := make([]int, rank)
+	for outIdx := 0; outIdx < size; outIdx++ {
+		inIdx := 0
+		for d := 0; d < rank; d++ {
+			c := coords[d]
+			if flip.Has(d) {
+				c = x.Shape[d] - 1 - c
+			}
+			inIdx += c * inStrides[d]
+		}
+		out.Data[outIdx] = x.Data[inIdx]
+		for d := rank - 1; d >= 0; d-- {
+			coords[d]++
+			if coords[d] < x.Shape[d] {
+				break
+			}
+			coords[d] = 0
+		}
+	}
+	return out, nil
 }
 
 // The shape kernels' range bodies, native's and webgl's: each fills the

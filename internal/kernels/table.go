@@ -1,20 +1,22 @@
 package kernels
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/tensor"
 	"repro/internal/vec"
 )
 
-// The range kernels: every kernel the device tiers compute on one range
-// body, each declared once — below, and every op of the element-wise table
-// appended after them (elementwise.go) — its name, its check (the one the
-// reference kernel runs too), its body and its one cost. Native installs
-// the table in one loop, reading a call's inputs up front and sharding
-// whole units of its output across the worker pool; webgl in another,
-// reading them inside the program, over the texel ranges the device hands
-// out. Neither has a kernel of its own for any of them.
+// The range kernels: every kernel, each declared once — below, and every
+// op of the element-wise table appended after them (elementwise.go) — as
+// one entry: its name, its check (the one the reference kernel runs too),
+// its body, its one cost and its reference kernel. The cpu tier runs the
+// reference kernels; native installs the table in one loop, reading a
+// call's inputs up front and sharding whole units of its output across the
+// worker pool; webgl in another, reading them inside the program, over the
+// texel ranges the device hands out. No tier registers a kernel by hand.
 
 // A Fill computes the output values [lo, lo+len(dst)) of a resolved call
 // into dst from its input buffers in: the call's inputs in order (a fused
@@ -37,6 +39,13 @@ type Range struct {
 	// Stage is what the call computes from its inputs once, before any
 	// range runs.
 	Stage Stage
+	// Check, if set, checks the call's input values, which only a tier
+	// holding them on the host can read: GatherV2's indices (Gather.Check).
+	// Node runs it on every dispatch, before it allocates the output, and
+	// fails the call with the reference kernel's error; webgl, which cannot
+	// read its inputs without a readback, does not, and writes what Fill
+	// writes for a value the check rejects.
+	Check func(in [][]float32) error
 }
 
 // A Stage is a buffer a call computes from its inputs once per dispatch,
@@ -100,57 +109,100 @@ type RangeKernel struct {
 	// check passes has a body, whatever its rank.
 	Resolve func(name string, inputs []Input, attrs Attrs, out *TensorInfo) (Range, error)
 	Sampled Sampled
+	// Ref is the kernel's reference kernel.
+	Ref RefKernel
 }
 
 // RangeKernels is the table, in a fixed order: the kernels below, then the
 // element-wise table's ops.
 func RangeKernels() []RangeKernel { return rangeKernels }
 
-var rangeKernels = []RangeKernel{
-	{Name: "Conv2D", Resolve: convolution},
-	{Name: "FusedConv2D", Resolve: convolution},
-	{Name: "DepthwiseConv2dNative", Resolve: convolution},
-	{Name: "FusedDepthwiseConv2dNative", Resolve: convolution},
-	{Name: "MaxPool", Resolve: pool},
-	{Name: "AvgPool", Resolve: pool},
-	{Name: "BatchMatMul", Resolve: matMul},
-	{Name: "_FusedMatMul", Resolve: matMul},
-	{Name: "Conv2DBackpropFilter", Resolve: convGrad},
-	{Name: "Conv2DBackpropInput", Resolve: convGrad},
-	{Name: "DepthwiseConv2dNativeBackpropFilter", Resolve: convGrad},
-	{Name: "DepthwiseConv2dNativeBackpropInput", Resolve: convGrad},
-	{Name: "MaxPoolGrad", Resolve: poolGrad},
-	{Name: "AvgPoolGrad", Resolve: poolGrad},
-	{Name: "Sum", Resolve: reduce},
-	{Name: "Mean", Resolve: reduce},
-	{Name: "Max", Resolve: reduce},
-	{Name: "Min", Resolve: reduce},
-	{Name: "Prod", Resolve: reduce},
-	{Name: "ArgMax", Resolve: reduce},
-	{Name: "ArgMin", Resolve: reduce},
-	{Name: "Softmax", Resolve: softmax},
-	{Name: "AdamMoments", Resolve: adamMoments},
-	{Name: "ApplyAdam", Resolve: applyAdam},
+// LookupKernel returns the table's entry of kernel name: the one lookup of
+// a kernel by its name.
+func LookupKernel(name string) (RangeKernel, bool) {
+	i, ok := kernelIndex[name]
+	if !ok {
+		return RangeKernel{}, false
+	}
+	return rangeKernels[i], true
+}
+
+// LookupRef returns the reference kernel of kernel name.
+func LookupRef(name string) (RefKernel, bool) {
+	k, ok := LookupKernel(name)
+	return k.Ref, ok
+}
+
+// RefKernelNames returns the sorted names of the table's kernels, every
+// one a reference kernel's.
+func RefKernelNames() []string {
+	names := make([]string, 0, len(kernelIndex))
+	for name := range kernelIndex {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
+}
+
+var rangeKernels = append([]RangeKernel{
+	{Name: "Conv2D", Resolve: convolution, Ref: conv2DRef},
+	{Name: "FusedConv2D", Resolve: convolution, Ref: fusedConv2DRef},
+	{Name: "DepthwiseConv2dNative", Resolve: convolution, Ref: depthwiseConv2dNativeRef},
+	{Name: "FusedDepthwiseConv2dNative", Resolve: convolution, Ref: fusedDepthwiseConv2dNativeRef},
+	{Name: "MaxPool", Resolve: pool, Ref: maxPoolRef},
+	{Name: "AvgPool", Resolve: pool, Ref: avgPoolRef},
+	{Name: "BatchMatMul", Resolve: matMul, Ref: batchMatMulRef},
+	{Name: "_FusedMatMul", Resolve: matMul, Ref: fusedMatMulRef},
+	{Name: "Conv2DBackpropFilter", Resolve: convGrad, Ref: conv2DBackpropFilterRef},
+	{Name: "Conv2DBackpropInput", Resolve: convGrad, Ref: conv2DBackpropInputRef},
+	{Name: "DepthwiseConv2dNativeBackpropFilter", Resolve: convGrad, Ref: depthwiseConv2dNativeBackpropFilterRef},
+	{Name: "DepthwiseConv2dNativeBackpropInput", Resolve: convGrad, Ref: depthwiseConv2dNativeBackpropInputRef},
+	{Name: "MaxPoolGrad", Resolve: poolGrad, Ref: maxPoolGradRef},
+	{Name: "AvgPoolGrad", Resolve: poolGrad, Ref: avgPoolGradRef},
+	{Name: "Sum", Resolve: reduce, Ref: sumRef},
+	{Name: "Mean", Resolve: reduce, Ref: meanRef},
+	{Name: "Max", Resolve: reduce, Ref: maxRef},
+	{Name: "Min", Resolve: reduce, Ref: minRef},
+	{Name: "Prod", Resolve: reduce, Ref: prodRef},
+	{Name: "ArgMax", Resolve: reduce, Ref: argMaxRef},
+	{Name: "ArgMin", Resolve: reduce, Ref: argMinRef},
+	{Name: "Softmax", Resolve: softmax, Ref: softmaxRef},
+	{Name: "AdamMoments", Resolve: adamMoments, Ref: adamMomentsRef},
+	{Name: "ApplyAdam", Resolve: applyAdam, Ref: applyAdamRef},
 	// Every shape kernel's value is one fetch, behind a decode and remap
 	// of its coordinates: the output's (squeezed, on webgl) for a view;
 	// each dim decoded and wrapped (tile) or bounds-checked (pad, the fetch
 	// charged as taken for a padding value too).
-	{Name: "Transpose", Resolve: move(ResolveTranspose, perDim(0)), Sampled: SamplesOutput},
-	{Name: "Slice", Resolve: move(ResolveSlice, perDim(0)), Sampled: SamplesOutput},
-	{Name: "Tile", Resolve: move(ResolveTile, perDim(ALUTerm+1))},
-	{Name: "PadV2", Resolve: move(ResolvePad, perDim(ALUTerm+2))},
-	{Name: "OneHot", Resolve: move(ResolveOneHot, func(size, _ int) Work { return PerValue(size, 1, ALUDecode+1) })},
-	{Name: "Fill", Resolve: move(ResolveFill, func(int, int) Work { return Work{} })}, // a constant: no work
-	{Name: "Concat", Resolve: concat},
-	{Name: "Select", Resolve: selectOperands, Sampled: SamplesInputs},
-	{Name: "FusedBatchNorm", Resolve: batchNorm, Sampled: SamplesParameters},
-	{Name: "Any", Resolve: reduce},
-	{Name: "All", Resolve: reduce},
-	{Name: "Reverse", Resolve: move(ResolveReverse, perDim(1)), Sampled: SamplesOutput}, // a flip per dim
-	{Name: "Cast", Resolve: move(ResolveCast, func(size, _ int) Work { return PerValue(size, 1, 1) })},
-	{Name: "Range", Resolve: move(ResolveRange, func(size, _ int) Work { return PerValue(size, 0, aluMAC) })},
-	{Name: "CumSum", Resolve: cumSum},
-}
+	{Name: "Transpose", Resolve: move(ResolveTranspose, perDim(0)), Sampled: SamplesOutput, Ref: transposeRef},
+	{Name: "Slice", Resolve: move(ResolveSlice, perDim(0)), Sampled: SamplesOutput, Ref: sliceRef},
+	{Name: "Tile", Resolve: move(ResolveTile, perDim(ALUTerm+1)), Ref: tileRef},
+	{Name: "PadV2", Resolve: move(ResolvePad, perDim(ALUTerm+2)), Ref: padV2Ref},
+	{Name: "OneHot", Resolve: move(ResolveOneHot, func(size, _ int) Work { return PerValue(size, 1, ALUDecode+1) }), Ref: oneHotRef},
+	{Name: "Fill", Resolve: move(ResolveFill, func(int, int) Work { return Work{} }), Ref: fillRef}, // a constant: no work
+	{Name: "Concat", Resolve: concat, Ref: concatRef},
+	{Name: "GatherV2", Resolve: gather, Ref: gatherV2Ref},
+	{Name: "Select", Resolve: selectOperands, Sampled: SamplesInputs, Ref: selectRef},
+	{Name: "FusedBatchNorm", Resolve: batchNorm, Sampled: SamplesParameters, Ref: fusedBatchNormRef},
+	{Name: "Any", Resolve: reduce, Ref: anyRef},
+	{Name: "All", Resolve: reduce, Ref: allRef},
+	{Name: "Reverse", Resolve: move(ResolveReverse, perDim(1)), Sampled: SamplesOutput, Ref: reverseRef}, // a flip per dim
+	{Name: "Cast", Resolve: move(ResolveCast, func(size, _ int) Work { return PerValue(size, 1, 1) }), Ref: castRef},
+	{Name: "Range", Resolve: move(ResolveRange, func(size, _ int) Work { return PerValue(size, 0, aluMAC) }), Ref: rangeRef},
+	{Name: "CumSum", Resolve: cumSum, Ref: cumSumRef},
+}, elementwiseKernels()...)
+
+// kernelIndex is each kernel's position in the table, by name.
+var kernelIndex = func() map[string]int {
+	index := make(map[string]int, len(rangeKernels))
+	for i, k := range rangeKernels {
+		if _, dup := index[k.Name]; dup {
+			//lint:ignore operr init-time table invariant: two entries claiming one kernel name, no dispatch in flight to attribute
+			panic(fmt.Sprintf("kernels: duplicate kernel %q", k.Name))
+		}
+		index[k.Name] = i
+	}
+	return index
+}()
 
 // convolution is Conv2D's and DepthwiseConv2dNative's range, fused or not:
 // the walk over output rows (Walk.Conv2D, Walk.Depthwise), each value the
@@ -373,6 +425,22 @@ func move[M interface {
 // operations per output dim.
 func perDim(alu int) func(size, rank int) Work {
 	return func(size, rank int) Work { return PerValue(size, 1, alu*rank) }
+}
+
+// gather is GatherV2's range (Gather.Fill): two fetches per value behind
+// two div/mod pairs and the index's bounds check. Its indices are values,
+// which only a host tier reads (Range.Check): node rejects an index out of
+// range with the reference kernel's error, and webgl writes 0 for its
+// slice, as TensorFlow.js reads 0 there on WebGL and throws on the CPU.
+func gather(_ string, inputs []Input, attrs Attrs, out *TensorInfo) (Range, error) {
+	g, err := ResolveGather(inputs, attrs, out)
+	if err != nil {
+		return Range{}, err
+	}
+	size := tensor.ShapeSize(out.Shape)
+	return Range{Fill: func(in [][]float32, lo int, dst []float32) { g.Fill(in[0], in[1], lo, dst) },
+		Check: func(in [][]float32) error { return g.Check(in[1]) },
+		Work:  PerValue(size, 2, 2*ALUDecode+2)}, nil
 }
 
 // concat is Concat's range: two div/mod pairs per value, then a chain of

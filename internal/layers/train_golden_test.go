@@ -111,9 +111,12 @@ func TestBenchConvnetLossHistoryBitIdenticalToReferenceTier(t *testing.T) {
 }
 
 // TestTrainStepAllocBudget: one warmed 32-example step of the bench convnet
-// on node makes 428 allocations at GOMAXPROCS 2 (411 at 1, 428 at 4 and at
+// on node makes 426 allocations at GOMAXPROCS 2 (409 at 1, 426 at 4 and at
 // 8) — eager dispatch, the tape and the tidy scopes, a couple of small
-// objects per kernel; the budget is 5% over that. It made 496 (480 at 1)
+// objects per kernel; the budget is 5% over that. It made 428 (411 at 1)
+// while its two GatherV2 calls, the batch's images and labels, were
+// resolved and built their body's closure on every dispatch, outside the
+// range table's memo; 496 (480 at 1)
 // while every kernel resolved its call, and built its body's closure, on
 // every dispatch, and ApplyAdam's bias corrections were attributes that
 // made new calls every step; 526 (509 at 1)
@@ -127,10 +130,10 @@ func TestBenchConvnetLossHistoryBitIdenticalToReferenceTier(t *testing.T) {
 // tensor a strides slice, every data container a heap record and every
 // Dropout step a fresh mask; 1,874 before reductions took the op's own
 // shape and their reshapes and transposes went. It made 1,896 while ArgMax,
-// Fill, GatherV2 and Tile had no node kernel and went through the host
-// fallback, as did LogSoftmax's broadcast Sub; 1,910 while six of the
-// step's element-wise kernels did too; 3,005 while Adam ran as fourteen
-// eager ops and five scalar uploads per variable and every bias gradient
+// Fill, GatherV2 and Tile had no node kernel and went through a host
+// fallback, since deleted, as did LogSoftmax's broadcast Sub; 1,910 while
+// six of the step's element-wise kernels did too; 3,005 while Adam ran as
+// fourteen eager ops and five scalar uploads per variable and every bias gradient
 // was a Transpose and a Sum, 3,032 while that Transpose went through the
 // reference kernel's host copies and every pool dispatch built its default
 // window, and 3,340 while every eager kernel handed its one output back as

@@ -10,10 +10,9 @@ import (
 // initKernels installs the optimized kernels: every kernel of the range
 // table (kernels.RangeKernels — the convolutions, pools and matmuls, every
 // one of their gradients, the reductions, Softmax, the training tail, the
-// shape kernels, casts, scans, Select, batch norm and every op of the
-// element-wise table) in one loop, and the one kernel outside it,
-// GatherV2: a kernel for every reference kernel's name, so no call leaves
-// the backend.
+// shape kernels, GatherV2, casts, scans, Select, batch norm and every op of
+// the element-wise table) in one loop: a kernel for every reference
+// kernel's name, so no call leaves the backend.
 //
 // Every kernel appends its output shape into out.Shape (caller-owned
 // scratch, so the steady-state plan executor re-runs a step without
@@ -26,21 +25,18 @@ func (b *Backend) initKernels() {
 	})
 	b.table = map[string]kernels.Kernel{}
 	for _, k := range kernels.RangeKernels() {
-		b.register(k.Name, b.rangeKernel(k))
+		b.table[k.Name] = b.rangeKernel(k)
 	}
-	// GatherV2 is no range kernel: node rejects an index out of range, as
-	// the reference kernel does, where webgl, which cannot read its indices
-	// without a readback, writes 0.
-	b.register("GatherV2", b.gather)
 }
 
 // rangeKernel is k on node: the call resolved once per signature (the
 // backend's memo keeps the Range with the output's shape and dtype), its
-// inputs read up front, its output filled by k's body over whole units
-// sharded across the worker pool — bit-equal to the reference kernel for
-// every worker count, since a body computes each value the same wherever
-// its range is cut. A staged buffer (kernels.Stage) comes from the scratch
-// recycler, filled once.
+// inputs read up front and checked (Range.Check: GatherV2 rejects an index
+// out of range with the reference kernel's error, on every dispatch), its
+// output filled by k's body over whole units sharded across the worker
+// pool — bit-equal to the reference kernel for every worker count, since a
+// body computes each value the same wherever its range is cut. A staged
+// buffer (kernels.Stage) comes from the scratch recycler, filled once.
 func (b *Backend) rangeKernel(k kernels.RangeKernel) kernels.Kernel {
 	return func(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
 		r, err := b.resolved.Get(k, inputs, &attrs)
@@ -50,6 +46,11 @@ func (b *Backend) rangeKernel(k kernels.RangeKernel) kernels.Kernel {
 		out.Shape = append(out.Shape[:0], r.Shape...)
 		in := b.inputs(inputs)
 		defer inLists.Put(in)
+		if r.Check != nil {
+			if err := r.Check(*in); err != nil {
+				return err
+			}
+		}
 		if n := r.Stage.Len(); n > 0 {
 			staged := b.scratchF32.Get(n)
 			defer b.scratchF32.Put(staged)
@@ -113,22 +114,4 @@ func (b *Backend) outOver(dst *kernels.TensorInfo, dtype tensor.DataType) []floa
 	dst.DataID = id
 	dst.DType = dtype
 	return buf
-}
-
-// gather is GatherV2 on its range body (kernels.Gather).
-func (b *Backend) gather(inputs []kernels.Input, attrs kernels.Attrs, out *kernels.TensorInfo) error {
-	g, err := kernels.ResolveGather(inputs, attrs, out)
-	if err != nil {
-		return err
-	}
-	in := b.inputs(inputs)
-	defer inLists.Put(in)
-	if err := g.Check((*in)[1]); err != nil {
-		return err
-	}
-	dst := b.outOver(out, out.DType)
-	b.parallelFor(func(in [][]float32, lo int, dst []float32) {
-		g.Fill(in[0], in[1], lo, dst)
-	}, *in, dst, 1, int64(len(dst)))
-	return nil
 }

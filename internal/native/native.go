@@ -13,13 +13,13 @@
 // inference: the Node backend exists so that model.fit runs on native
 // kernels. Every kernel of the range table (kernels.RangeKernels: the
 // convolutions, pools and matmuls, every one of their gradients, the
-// reductions, the training tail, the shape kernels, Select and batch norm)
-// is installed in one loop (kernels.go): its inputs read up front, its
-// body over whole units of its output sharded across the worker pool,
-// bit-equal to the reference kernel at every worker count, and so is the
-// one kernel outside the table, GatherV2: the backend has a kernel for
-// every reference kernel's name, and no call reads its operands back to
-// run a reference kernel on the host.
+// reductions, the training tail, the shape kernels, GatherV2, Select and
+// batch norm) is installed in one loop (kernels.go): its inputs read up
+// front, its body over whole units of its output sharded across the worker
+// pool, bit-equal to the reference kernel at every worker count. The table
+// holds every reference kernel, so the backend has a kernel for every
+// name, and no call reads its operands back to run a reference kernel on
+// the host.
 package native
 
 import (
@@ -113,9 +113,6 @@ func (b *Backend) Kernel(name string) (kernels.Kernel, bool) {
 	k, ok := b.table[name]
 	return k, ok
 }
-
-// register installs a kernel.
-func (b *Backend) register(name string, k kernels.Kernel) { b.table[name] = k }
 
 // Memory folds the scratch recycler into the embedded storage plane's
 // snapshot so /metrics sees the full pooled footprint.

@@ -18,7 +18,7 @@ func TestLoweringResolvesToKernels(t *testing.T) {
 	inTable := map[string]bool{}
 	for _, k := range kernels.RangeKernels() {
 		inTable[k.Name] = true
-		if _, ok := kernels.LookupRef(k.Name); !ok {
+		if k.Ref == nil {
 			t.Errorf("range kernel %q has no reference kernel", k.Name)
 		}
 	}

@@ -233,11 +233,10 @@ func (v *verifier) check(n *NodeDef, ins []value) value {
 // resolve runs kernel's own check, its range-table entry's Resolve, on a
 // call with inputs: it describes the output in out and touches no data.
 func resolve(kernel string, inputs []kernels.Input, a kernels.Attrs, out *kernels.TensorInfo) error {
-	for _, k := range kernels.RangeKernels() {
-		if k.Name == kernel {
-			_, err := k.Resolve(kernel, inputs, a, out)
-			return err
-		}
+	k, ok := kernels.LookupKernel(kernel)
+	if !ok {
+		return fmt.Errorf("kernel %s has no range-table entry", kernel)
 	}
-	return fmt.Errorf("kernel %s has no range-table entry", kernel)
+	_, err := k.Resolve(kernel, inputs, a, out)
+	return err
 }

@@ -525,6 +525,13 @@ func joinedTheTable(cases map[string][]contractCase) {
 	add("Reverse",
 		contractCase{"rank7", []cin{rnd(rng, dims(7, 2, -1)...)}, kernels.Attrs{Axes: every(7, 0)}},
 		contractCase{"rank8", []cin{rnd(rng, dims(8, 2, -1)...)}, kernels.Attrs{Axes: every(8, 1)}})
+	// Indices out of range, -1 and 5 along an axis of 5, among good ones:
+	// the reference kernel and node reject the call, and a device, which
+	// cannot read its indices without a readback, writes 0 for their
+	// slices. The reference has no output to record, so deviceOutput is
+	// the case's oracle, not a golden.
+	add("GatherV2", contractCase{"outOfRange", []cin{rnd(rng, 3, 5, 4),
+		{shape: []int{2, 3}, dtype: tensor.Int32, vals: []float32{4, -1, 0, 5, 2, 5}}}, kernels.Attrs{Axis: 1}})
 }
 
 // contractConfig is one device configuration of the matrix.
@@ -591,18 +598,23 @@ func runContractCase(b *Backend, name string, c contractCase) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	h := fnv.New64a()
 	td := b.lookup(out.DataID)
 	texture := b.device.ReadPixels(td.tex)
-	fmt.Fprintf(h, "%v %v|", out.Shape, out.DType)
-	hashFloats(h, texture[:td.size])
 	for i, v := range texture[td.size:] {
 		if math.Float32bits(v) != 0 {
 			err = fmt.Errorf("padding value %d of the output texture is %g, want +0", td.size+i, v)
 		}
 	}
 	b.DisposeData(out.DataID)
-	return fmt.Sprintf("%016x", h.Sum64()), err
+	return digest(out.Shape, out.DType, texture[:td.size]), err
+}
+
+// digest is the golden digest of an output: its shape, dtype and values.
+func digest(shape []int, dtype tensor.DataType, vals []float32) string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%v %v|", shape, dtype)
+	hashFloats(h, vals)
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 func hashFloats(h interface{ Write([]byte) (int, error) }, vals []float32) {
@@ -666,6 +678,16 @@ func TestKernelContract(t *testing.T) {
 		}
 	}
 
+	// A case the reference kernel rejects for its values has no golden: its
+	// oracle is what a device writes (deviceOutput).
+	rejected := map[string]error{}
+	for _, name := range names {
+		for _, c := range cases[name] {
+			if _, err := referenceOutput(name, c, false); err != nil {
+				rejected[name+"/"+c.label] = err
+			}
+		}
+	}
 	golden := loadGoldens(t, contractGoldenFile)
 	recorded := map[string]string{}
 	for _, cfg := range contractConfigs() {
@@ -692,6 +714,12 @@ func TestKernelContract(t *testing.T) {
 				}
 				if prev, ok := recorded[key]; ok && prev != first {
 					t.Errorf("%s: digest %s, but %s on another layout/squeeze setting of the same precision", where, first, prev)
+				}
+				if refErr, ok := rejected[name+"/"+c.label]; ok {
+					if want, err := deviceOutput(name, c, cfg.half); err != nil || digest(want.Shape, want.DType, want.Data) != first {
+						t.Errorf("%s: digest %s, not what a device writes for a call the reference rejects (%v)", where, first, refErr)
+					}
+					continue
 				}
 				recorded[key] = first
 				if !*updateGoldens && goldensApply() {
@@ -730,11 +758,8 @@ func TestBackwardWindowGoldensAreTheReferenceKernels(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, c.label, err)
 			}
-			h := fnv.New64a()
-			fmt.Fprintf(h, "%v %v|", out.Shape, out.DType)
-			hashFloats(h, out.Data)
 			key := name + "/" + c.label + "/fp32"
-			if got := fmt.Sprintf("%016x", h.Sum64()); got != golden[key] {
+			if got := digest(out.Shape, out.DType, out.Data); got != golden[key] {
 				t.Errorf("%s: the reference kernel's digest is %s, the golden %s", key, got, golden[key])
 			}
 		}

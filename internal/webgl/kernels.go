@@ -1,8 +1,6 @@
 package webgl
 
 import (
-	"fmt"
-
 	"repro/internal/glsim"
 	"repro/internal/kernels"
 	"repro/internal/tensor"
@@ -12,37 +10,40 @@ import (
 // role of a compiled GLSL fragment shader (Listing 2 of the paper): a
 // function of each output texel's index, run over ranges of texels.
 
-// register installs one kernel.
-func (b *Backend) register(name string, k kernels.Kernel) {
-	if _, dup := b.kernelsTable[name]; dup {
-		//lint:ignore operr init-time registration invariant (duplicate kernel); no dispatch in flight to attribute
-		panic(fmt.Sprintf("webgl: duplicate kernel %q", name))
-	}
-	b.kernelsTable[name] = k
-}
-
 // initKernels builds the kernel table: every kernel of the range table
-// (kernels.RangeKernels, Softmax and the element-wise table's ops among
-// them) in one loop, and the one kernel outside it, GatherV2.
+// (kernels.RangeKernels, Softmax, GatherV2 and the element-wise table's ops
+// among them) in one loop. A call's Range.Check (GatherV2's indices) is not
+// run: this backend cannot read its inputs without a readback, and writes
+// what the body writes for a value the check rejects (0, for an index out
+// of range).
 func (b *Backend) initKernels() {
 	b.kernelsTable = map[string]kernels.Kernel{}
 	for _, k := range kernels.RangeKernels() {
-		b.register(k.Name, b.rangeKernel(k))
+		b.kernelsTable[k.Name] = b.rangeKernel(k)
 	}
-	// GatherV2 is no range kernel: node rejects an index out of range,
-	// which this backend cannot see without a readback; it writes 0.
-	b.register("GatherV2", b.gather)
 }
 
 // rangeKernel is k's shader program (programs.go), compiled on a call's
-// first dispatch and looked up in the backend's memo on every later one.
+// first dispatch and looked up in the backend's memo on every later one:
+// it binds the inputs' live textures to the command, in order, allocates
+// the output, described in res, and enqueues.
 func (b *Backend) rangeKernel(k kernels.RangeKernel) kernels.Kernel {
 	return func(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
 		c, err := b.programs.Get(k, inputs, &attrs)
 		if err != nil {
 			return err
 		}
-		return b.dispatch(c.prog, inputs, c.shape, c.dtype, res)
+		var bound [glsim.InlineInputs]*glsim.Texture
+		tex := bound[:0]
+		for _, in := range inputs {
+			tex = append(tex, b.InputTexture(in))
+		}
+		out, err := b.output(c.shape, c.dtype, res)
+		if err != nil {
+			return err
+		}
+		b.device.Execute(c.prog, tex, out.tex)
+		return nil
 	}
 }
 
@@ -57,23 +58,6 @@ func (b *Backend) output(shape []int, dtype tensor.DataType, res *kernels.Tensor
 	}
 	res.Set(id, shape, dtype)
 	return td, nil
-}
-
-// dispatch runs p on a call's inputs into a new output of the given shape
-// and dtype, described in res: it binds the inputs' live textures to the
-// command, in order, allocates the output and enqueues.
-func (b *Backend) dispatch(p *glsim.Program, inputs []kernels.Input, shape []int, dtype tensor.DataType, res *kernels.TensorInfo) error {
-	var bound [glsim.InlineInputs]*glsim.Texture
-	tex := bound[:0]
-	for _, in := range inputs {
-		tex = append(tex, b.InputTexture(in))
-	}
-	out, err := b.output(shape, dtype, res)
-	if err != nil {
-		return err
-	}
-	b.device.Execute(p, tex, out.tex)
-	return nil
 }
 
 // shader is the program that computes an output of size logical values
@@ -101,21 +85,6 @@ func (b *Backend) shader(name string, size int, r kernels.Range) *glsim.Program 
 		p.Setup, p.Staged = r.Stage.Run, n
 	}
 	return p
-}
-
-// gather is the GatherV2 program, on its range body (kernels.Gather): two
-// fetches per value behind two div/mod pairs and the index's bounds check.
-// It is compiled per dispatch: GatherV2 is no entry of the range table.
-func (b *Backend) gather(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-	g, err := kernels.ResolveGather(inputs, attrs, res)
-	if err != nil {
-		return err
-	}
-	size := tensor.ShapeSize(res.Shape)
-	p := b.shader("GatherV2", size, kernels.Range{Fill: func(in [][]float32, lo int, dst []float32) {
-		g.Fill(in[0], in[1], lo, dst)
-	}, Work: kernels.PerValue(size, 2, 2*kernels.ALUDecode+2)})
-	return b.dispatch(p, inputs, res.Shape, res.DType, res)
 }
 
 // InputTexture resolves a kernel input to its live device texture, paging

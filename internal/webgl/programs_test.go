@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -18,9 +19,11 @@ import (
 // twice with no fence between. The first dispatch misses the memo and
 // compiles the program, the second hits it, and both outputs are
 // Float32bits-equal to the reference kernel (on half floats: the reference
-// on the fp16-rounded inputs, rounded). A case the reference rejects fails
-// both dispatches with its words and compiles nothing. Then the next case
-// of the kernel, another shape or attribute, compiles its own program.
+// on the fp16-rounded inputs, rounded) — a GatherV2 index out of range,
+// which the reference rejects, 0 in its slice (deviceOutput). A case the
+// reference rejects for its shapes fails both dispatches with its words
+// and compiles nothing. Then the next case of the kernel, another shape or
+// attribute, compiles its own program.
 func TestCachedProgramIsTheCompiledOne(t *testing.T) {
 	cases := contractCases()
 	for _, cfg := range []contractConfig{{packed: true, squeeze: true}, {squeeze: true}, {packed: true, half: true, squeeze: true}} {
@@ -31,7 +34,7 @@ func TestCachedProgramIsTheCompiledOne(t *testing.T) {
 			}
 			for _, c := range cases[k.Name] {
 				where := fmt.Sprintf("%s/%s on %s", k.Name, c.label, cfg)
-				want, wantErr := referenceOutput(k.Name, c, cfg.half)
+				want, wantErr := deviceOutput(k.Name, c, cfg.half)
 				before, missesBefore := b.programs.Len(), b.programs.Misses()
 				inputs := make([]kernels.Input, len(c.inputs))
 				for i, in := range c.inputs {
@@ -74,7 +77,9 @@ func TestCachedProgramIsTheCompiledOne(t *testing.T) {
 // workers, dispatched twice. The first dispatch misses the backend's memo
 // and resolves the call, the second hits it and resolves nothing, and both
 // outputs are Float32bits-equal to the reference kernel. A case the
-// reference rejects fails both with its words.
+// reference rejects fails both with its words; one it rejects for its
+// values (a GatherV2 index out of range: Range.Check, run on every
+// dispatch) is resolved on the first dispatch only, as a good call is.
 func TestNodeResolvesOncePerCallSignature(t *testing.T) {
 	cases := contractCases()
 	for _, workers := range []int{1, 3} {
@@ -99,6 +104,9 @@ func TestNodeResolvesOncePerCallSignature(t *testing.T) {
 				case wantErr != nil || missErr != nil:
 					if fmt.Sprint(missErr) != fmt.Sprint(wantErr) || fmt.Sprint(hitErr) != fmt.Sprint(wantErr) {
 						t.Errorf("%s: errors %v then %v, want the reference's %v", where, missErr, hitErr, wantErr)
+					}
+					if _, err := deviceOutput(k.Name, c, false); err == nil && (resolved != before+1 || nb.Resolves() != resolved) {
+						t.Errorf("%s: rejected for its values, %d resolves on the first dispatch and %d on the second, want 1 and 0", where, resolved-before, nb.Resolves()-resolved)
 					}
 				case hitErr != nil:
 					t.Errorf("%s: the first dispatch ran, the second failed: %v", where, hitErr)
@@ -182,6 +190,40 @@ func referenceOutput(name string, c contractCase, half bool) (kernels.Buffer, er
 	out, err := ref(bufs, c.attrs)
 	out.Data = round(out.Data)
 	return out, err
+}
+
+// deviceOutput is what a device tier writes for case c of kernel name: the
+// reference kernel's output (referenceOutput), but for a GatherV2 whose
+// indices are out of range, which the reference rejects and a device
+// cannot read without a readback, 0 in each such index's slice and the
+// reference's bits elsewhere.
+func deviceOutput(name string, c contractCase, half bool) (kernels.Buffer, error) {
+	want, err := referenceOutput(name, c, half)
+	if err == nil || name != "GatherV2" {
+		return want, err
+	}
+	x, indices := c.inputs[0], c.inputs[1]
+	axis := c.attrs.Axis
+	if axis < 0 {
+		axis += len(x.shape)
+	}
+	good := cin{shape: indices.shape, dtype: indices.dtype, vals: slices.Clone(indices.vals)}
+	var bad []int
+	for i, v := range indices.vals {
+		if v < 0 || int(v) >= x.shape[axis] {
+			good.vals[i], bad = 0, append(bad, i)
+		}
+	}
+	if want, err = referenceOutput(name, contractCase{c.label, []cin{x, good}, c.attrs}, half); err != nil {
+		return want, err
+	}
+	inner, n := tensor.ShapeSize(x.shape[axis+1:]), len(indices.vals)
+	for o := range tensor.ShapeSize(x.shape[:axis]) {
+		for _, i := range bad {
+			clear(want.Data[(o*n+i)*inner:][:inner])
+		}
+	}
+	return want, nil
 }
 
 // TestMalformedCallAfterAGoodOneFails: a call the reference rejects fails

@@ -281,6 +281,93 @@ func TestMalformedShapeCallsFailOnEveryTier(t *testing.T) {
 	}
 }
 
+// TestGatherV2IndexOutOfRangeOnEveryTier: GatherV2 is an entry of the
+// range table whose indices only a host tier reads (Range.Check). A call
+// with an index out of range fails with the reference kernel's error on
+// cpu, naive cpu and node at 1 and 3 workers; webgl packed and unpacked at
+// fp32 and fp16 and webgpu, which cannot read the indices without a
+// readback, write 0 in the index's slice and the reference's bits
+// elsewhere. Both hold on the call's first dispatch, which resolves it,
+// and on its second, which resolves nothing.
+func TestGatherV2IndexOutOfRangeOnEveryTier(t *testing.T) {
+	x := operand([]int{3, 5, 4}, 0, 7, 1)
+	indices := kernels.Buffer{Data: []float32{4, -1, 0, 5, 2, 5}, Shape: []int{2, 3}, DType: tensor.Int32}
+	attrs := kernels.Attrs{Axis: 1}
+	ref, _ := kernels.LookupRef("GatherV2")
+	_, wantErr := ref([]kernels.Buffer{x, indices}, attrs)
+	if got, want := fmt.Sprint(wantErr), "kernel GatherV2: index -1 out of range [0, 5)"; got != want {
+		t.Fatalf("the reference kernel's error is %q, want %q", got, want)
+	}
+	// A device's output: the reference's on in-range indices, 0 in the
+	// slices of the indices out of range.
+	good := kernels.Buffer{Data: []float32{4, 0, 0, 0, 2, 0}, Shape: indices.Shape, DType: tensor.Int32}
+	want, err := ref([]kernels.Buffer{x, good}, attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for o := range 3 {
+		for _, i := range []int{1, 3, 5} {
+			clear(want.Data[(o*6+i)*4:][:4])
+		}
+	}
+	node1, node3 := native.New(), native.New()
+	node1.SetWorkers(1)
+	node3.SetWorkers(3)
+	t.Cleanup(node1.Close)
+	t.Cleanup(node3.Close)
+	tiers := append([]tier{{"cpu", "fp64", cpu.New()}, {"cpu naive", "fp64", cpu.NewNaive()},
+		{"node 1 worker", "fp32", node1}, {"node 3 workers", "fp32", node3}}, deviceBackends(t)...)
+	for _, b := range tiers {
+		// The call's resolves: node's memo misses, a device's compiles; the
+		// cpu tier runs the reference kernel and has none to count.
+		var resolves func() int64
+		device := false
+		switch r := b.backend.(type) {
+		case interface{ Resolves() int64 }:
+			resolves = r.Resolves
+		case interface{ ProgramMisses() int64 }:
+			resolves, device = r.ProgramMisses, true
+		}
+		for n, dispatch := range []string{"first", "second"} {
+			where := fmt.Sprintf("%s, %s dispatch", b.name, dispatch)
+			var before int64
+			if resolves != nil {
+				before = resolves()
+			}
+			ins := make([]kernels.Input, 2)
+			for i, in := range []kernels.Buffer{x, indices} {
+				ins[i] = kernels.Input{DataID: tensor.NewDataID(), Shape: in.Shape, DType: in.DType}
+				b.backend.Write(ins[i].DataID, in.Data, in.Shape, in.DType)
+			}
+			var out kernels.TensorInfo
+			err := kernels.Dispatch(b.backend, "GatherV2", ins, attrs, &out)
+			switch {
+			case !device && fmt.Sprint(err) != wantErr.Error():
+				t.Errorf("%s: err = %v, want the reference kernel's %v", where, err, wantErr)
+			case device && err != nil:
+				t.Errorf("%s: %v", where, err)
+			case device:
+				got := slices.Clone(b.backend.ReadSync(out.DataID))
+				for i, w := range want.Data {
+					if math.Float32bits(got[i]) != math.Float32bits(w) {
+						t.Errorf("%s: output %d is %g, want %g", where, i, got[i], w)
+						break
+					}
+				}
+			}
+			if err == nil {
+				b.backend.DisposeData(out.DataID)
+			}
+			for _, in := range ins {
+				b.backend.DisposeData(in.DataID)
+			}
+			if resolves != nil && resolves()-before != int64(1-n) {
+				t.Errorf("%s: %d resolves, want %d", where, resolves()-before, 1-n)
+			}
+		}
+	}
+}
+
 // TestGradientsAndBroadcastsOnEveryTier: every kernel of the range table —
 // each fails the test without a case here — runs on node and on webgl fp32
 // packed and unpacked and webgpu fp32 as each tier's own kernel, and is
@@ -373,6 +460,8 @@ func TestGradientsAndBroadcastsOnEveryTier(t *testing.T) {
 			kernels.Attrs{Depth: 5, OnValue: 2.0, OffValue: -1.0}}},
 		"Fill":   {{"int32", "Fill", nil, kernels.Attrs{Shape: []int{3, 4}, Value: 2.5, DType: tensor.Int32}}},
 		"Concat": {{"axis1", "Concat", []kernels.Buffer{inexact(2, 3), inexact(2, 0), inexact(2, 2)}, kernels.Attrs{Axis: 1}}},
+		"GatherV2": {{"axis1", "GatherV2", []kernels.Buffer{inexact(3, 5, 4), {Data: []float32{4, 0, 2, 2, 1, 3}, Shape: []int{2, 3}, DType: tensor.Int32}},
+			kernels.Attrs{Axis: 1}}},
 		"Select": {{"nonSuffix", "Select", []kernels.Buffer{inexact(5, 1), inexact(2, 5, 3), inexact(3)}, kernels.Attrs{}}},
 		"FusedBatchNorm": {{"nonSuffix", "FusedBatchNorm", []kernels.Buffer{inexact(2, 3, 5, 3), inexact(5, 1), variance, inexact(1, 3), inexact()},
 			kernels.Attrs{Epsilon: 1e-3}}},

@@ -66,10 +66,10 @@ func TestEagerDispatchAllocBudget(t *testing.T) {
 // matmul, a reduction, Softmax, two shape kernels, both convolution gradients,
 // Adam's moments, element-wise ops (equal shapes, a suffix row, a
 // non-suffix broadcast, a vec row, an attribute-taking row and a
-// predicate) and the six kernels that ran on the reference kernel through
+// predicate), the six kernels that ran on the reference kernel through
 // host memory until they joined the table (All, Any, Cast, CumSum, Range,
-// Reverse), and a view, a reduction and a broadcast of rank 8, on node and
-// webgl. Conv2D and MaxPool are dispatched
+// Reverse), a view, a reduction and a broadcast of rank 8, Select and a
+// batch norm on operands that broadcast, and GatherV2, on node and webgl. Conv2D and MaxPool are dispatched
 // without strides or dilations, so a zero field's meaning allocated per
 // call shows. On webgl each dispatch is followed by a fence (two
 // allocations of its own: its channel and its command), so that the device
@@ -93,7 +93,11 @@ func TestEagerDispatchAllocBudget(t *testing.T) {
 // 17 on webgl (Relu6 15, Step 16) and Sub 4 on node while each tier
 // wrapped them in kernels of its own, which broadcast the shapes into a
 // fresh slice. Softmax read 37 on webgl as three programs through two
-// intermediate textures.
+// intermediate textures. Select and that batch norm read 4 on node and 8
+// on webgl while each range they filled made its operands' indices in
+// slices of its own, and GatherV2 3 and 7 while it was no entry of the
+// table: node resolved it and built its body's closure on every dispatch,
+// webgl its program.
 func TestEagerDispatchAllocBudgetPerClass(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
@@ -133,16 +137,23 @@ func TestEagerDispatchAllocBudgetPerClass(t *testing.T) {
 		{"Transpose", [][]int{{2, 2, 2, 2, 2, 2, 2, 2}}, kernels.Attrs{Perm: []int{7, 6, 5, 4, 3, 2, 1, 0}}},
 		{"Sum", [][]int{{2, 2, 2, 2, 2, 2, 2, 2}}, kernels.Attrs{Axes: []int{0, 2, 4, 6}}},
 		{"Add", [][]int{{2, 1, 2, 1, 2, 1, 2, 1}, {1, 2, 1, 2, 1, 2, 1, 2}}, kernels.Attrs{}},
+		// Operands laid over their output (Operands): Select's three and a
+		// batch norm's five, its parameters not x's channel vectors.
+		{"Select", [][]int{{6, 1}, {6, 8}, {8}}, kernels.Attrs{}},
+		{"FusedBatchNorm", [][]int{{2, 3, 8}, {3, 1}, {3, 1}, {3, 1}, {3, 1}}, kernels.Attrs{Epsilon: 1e-3}},
+		{"GatherV2", [][]int{{6, 8}, {4}}, kernels.Attrs{}},
 	}
 	budgets := map[string]map[string]float64{
 		"node": {"Conv2D": 2, "FusedConv2D": 2, "DepthwiseConv2dNative": 2, "MaxPool": 2, "BatchMatMul": 2, "Sum": 2, "Softmax": 2,
 			"Transpose": 2, "Concat": 2, "Conv2DBackpropFilter": 2, "Conv2DBackpropInput": 2, "AdamMoments": 2,
 			"Mul": 2, "Add": 2, "Sub": 2, "Relu6": 2, "Step": 2, "GreaterEqual": 2,
-			"Any": 2, "All": 2, "Reverse": 2, "Cast": 2, "Range": 2, "CumSum": 2},
+			"Any": 2, "All": 2, "Reverse": 2, "Cast": 2, "Range": 2, "CumSum": 2,
+			"Select": 2, "FusedBatchNorm": 2, "GatherV2": 2},
 		"webgl": {"Conv2D": 4, "FusedConv2D": 4, "DepthwiseConv2dNative": 4, "MaxPool": 4, "BatchMatMul": 4, "Sum": 4, "Softmax": 4,
 			"Transpose": 4, "Concat": 4, "Conv2DBackpropFilter": 4, "Conv2DBackpropInput": 4, "AdamMoments": 4,
 			"Mul": 4, "Add": 4, "Sub": 4, "Relu6": 4, "Step": 4, "GreaterEqual": 4,
-			"Any": 4, "All": 4, "Reverse": 4, "Cast": 4, "Range": 4, "CumSum": 4},
+			"Any": 4, "All": 4, "Reverse": 4, "Cast": 4, "Range": 4, "CumSum": 4,
+			"Select": 4, "FusedBatchNorm": 4, "GatherV2": 4},
 	}
 	for _, backend := range []string{"node", "webgl"} {
 		if err := tf.SetBackend(backend); err != nil {
@@ -155,6 +166,9 @@ func TestEagerDispatchAllocBudgetPerClass(t *testing.T) {
 				vals := make([]float32, tensor.ShapeSize(shape))
 				for j := range vals {
 					vals[j] = float32(j%7) - 3
+					if c.kernel == "GatherV2" && i == 1 { // indices in range
+						vals[j] = float32(j % c.shapes[0][0])
+					}
 				}
 				ins[i] = tf.TensorOf(vals, shape...)
 			}
