@@ -17,7 +17,7 @@
 //	curl -d '{"instances": [[...]]}' localhost:8500/v1/models/mobilenet:predict
 //	curl localhost:8500/metrics
 //
-// -replicas N loads N independent engine replicas per graph model, so
+// -replicas N loads N independent engine replicas per model, so
 // concurrent batches execute in parallel (set GOMAXPROCS ≥ N to realize
 // the speedup). -tenant id=weight (repeatable) enables weighted-fair
 // admission control keyed on the X-Tenant-ID header. -graph name=file
@@ -128,7 +128,7 @@ func main() {
 	batchTimeout := flag.Duration("batch-timeout", 2*time.Millisecond, "micro-batcher: max wait after first request")
 	queueSize := flag.Int("queue-size", 128, "scheduler: bounded queue size (overflow → 429)")
 	workers := flag.Int("workers", 1, "scheduler: workers per model (raised to the model's replica count when lower)")
-	replicas := flag.Int("replicas", 1, "engine replicas per graph model (parallel batch execution)")
+	replicas := flag.Int("replicas", 1, "engine replicas per model (parallel batch execution)")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "server-side request deadline")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown: max wait for in-flight requests")
 	demo := flag.Bool("demo", false, "serve a synthetic in-memory MobileNet v1 α=0.25 as \"mobilenet\"")

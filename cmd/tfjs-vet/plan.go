@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/exec"
 	"repro/internal/graphmodel"
 	"repro/internal/models"
 	"repro/internal/planvet"
@@ -108,7 +109,7 @@ func verifyPlanSpec(spec planSpec, w io.Writer) error {
 	}
 	// Loading runs the dataflow verifier (default-on); a defective plan
 	// never comes back as a usable model.
-	m, err := graphmodel.New(g, graphmodel.WithOptimize(spec.optimize))
+	m, err := graphmodel.New(g, graphmodel.WithExecOptions(exec.WithOptimize(spec.optimize)))
 	if err != nil {
 		return err
 	}

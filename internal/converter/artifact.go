@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/layers"
 	"repro/internal/savedmodel"
 	"repro/internal/tensor"
@@ -100,51 +101,57 @@ func writeArtifact(store Store, model ModelJSON, weights []savedmodel.Weight, op
 	return &Result{WeightBytes: int64(len(payload)), NumShards: numShards}, nil
 }
 
-// Artifact is a model read back from store: Format says which of Graph and
-// Layers is set.
-type Artifact struct {
-	Format string
-	// Graph is a graph model's GraphDef with its weights.
-	Graph *savedmodel.GraphDef
-	// Layers is a Layers model, built, its weights restored.
-	Layers *layers.Sequential
+// Load reads the model in store, whichever format its model.json declares,
+// and returns it as a graph with its format. A Layers model is built, its
+// weights restored, lowered to its graph (savedmodel.FromSequential) and
+// disposed: every loaded model runs as a graph. The Layers model lives on
+// the global engine, so it is built, read and disposed under that engine's
+// execution lock: a load may race with a model executing there (the
+// serving registry loads while it serves).
+func Load(store Store) (*savedmodel.GraphDef, string, error) {
+	model, weights, err := readArtifact(store, "")
+	if err != nil {
+		return nil, "", err
+	}
+	var g *savedmodel.GraphDef
+	if model.Format == GraphModel {
+		g, err = graphFrom(model.ModelTopology, weights)
+		return g, model.Format, err
+	}
+	core.Global().RunExclusive(func() {
+		var m *layers.Sequential
+		if m, err = layersFrom(model.ModelTopology, weights); err != nil {
+			return
+		}
+		defer m.Dispose()
+		g, err = savedmodel.FromSequential(m, false)
+	})
+	return g, model.Format, err
 }
 
-// Load reads the model in store, whichever format its model.json declares.
-func Load(store Store) (*Artifact, error) { return readArtifact(store, "") }
-
 // readArtifact reads model.json, checks that its format is want (either
-// known format when want is empty), decodes the manifest's weights
-// (loadWeights) and builds the model the format names.
-func readArtifact(store Store, want string) (*Artifact, error) {
+// known format when want is empty) and decodes the manifest's weights
+// (loadWeights). The caller builds the model the format names.
+func readArtifact(store Store, want string) (*ModelJSON, []savedmodel.Weight, error) {
 	data, err := store.Read(modelFile)
 	if err != nil {
-		return nil, fmt.Errorf("converter: reading %s: %w", modelFile, err)
+		return nil, nil, fmt.Errorf("converter: reading %s: %w", modelFile, err)
 	}
 	var model ModelJSON
 	if err := json.Unmarshal(data, &model); err != nil {
-		return nil, fmt.Errorf("converter: parsing %s: %w", modelFile, err)
+		return nil, nil, fmt.Errorf("converter: parsing %s: %w", modelFile, err)
 	}
 	switch {
 	case want != "" && model.Format != want:
-		return nil, fmt.Errorf("converter: %s declares format %q, not %s", modelFile, model.Format, want)
+		return nil, nil, fmt.Errorf("converter: %s declares format %q, not %s", modelFile, model.Format, want)
 	case model.Format != GraphModel && model.Format != LayersModel:
-		return nil, fmt.Errorf("converter: %s declares format %q, neither %s nor %s", modelFile, model.Format, GraphModel, LayersModel)
+		return nil, nil, fmt.Errorf("converter: %s declares format %q, neither %s nor %s", modelFile, model.Format, GraphModel, LayersModel)
 	}
 	weights, err := loadWeights(store, model.WeightsManifest)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	a := &Artifact{Format: model.Format}
-	if model.Format == GraphModel {
-		a.Graph, err = graphFrom(model.ModelTopology, weights)
-	} else {
-		a.Layers, err = layersFrom(model.ModelTopology, weights)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return a, nil
+	return &model, weights, nil
 }
 
 // encodeWeight serializes values as float32 LE, or quantized uint8/uint16

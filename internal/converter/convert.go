@@ -111,11 +111,11 @@ func Prune(g *savedmodel.GraphDef) (*savedmodel.GraphDef, []string) {
 // LoadArtifacts reads a graph-model artifact from store and reconstructs
 // the graph with its weights — the loader behind tf.loadModel(url).
 func LoadArtifacts(store Store) (*savedmodel.GraphDef, error) {
-	a, err := readArtifact(store, GraphModel)
+	model, weights, err := readArtifact(store, GraphModel)
 	if err != nil {
 		return nil, err
 	}
-	return a.Graph, nil
+	return graphFrom(model.ModelTopology, weights)
 }
 
 // graphFrom decodes a graph model's topology and gives each Const node its

@@ -342,7 +342,8 @@ func TestHostileWeightSpecsFailAtLoad(t *testing.T) {
 
 // TestLoadersRejectTheOtherFormat: each loader reads the one format it
 // returns, and says which format it found. A layers-model read as a graph
-// was once an empty graph, and tf.LoadGraphModel an empty model.
+// was once an empty graph, and tf.LoadGraphModel an empty model. Load, the
+// serving loader, reads both, and returns either as a graph.
 func TestLoadersRejectTheOtherFormat(t *testing.T) {
 	m, g := buildModel(t)
 	graphStore, layersStore := converter.NewMemStore(), converter.NewMemStore()
@@ -365,16 +366,19 @@ func TestLoadersRejectTheOtherFormat(t *testing.T) {
 			t.Errorf("%s on a %s: error %v does not name the format found", c.name, c.found, err)
 		}
 	}
-	for _, store := range []converter.Store{graphStore, layersStore} {
-		a, err := converter.Load(store)
+	// Load reads either format, and returns each as its graph; the Layers
+	// model it builds to lower is disposed.
+	for want, store := range map[string]converter.Store{converter.GraphModel: graphStore, converter.LayersModel: layersStore} {
+		before := core.Global().Memory().NumTensors
+		g, format, err := converter.Load(store)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if (a.Format == converter.GraphModel) != (a.Graph != nil) || (a.Format == converter.LayersModel) != (a.Layers != nil) {
-			t.Fatalf("Load of a %s set Graph %v, Layers %v", a.Format, a.Graph != nil, a.Layers != nil)
+		if format != want || g == nil || len(g.Inputs) != 1 || len(g.Outputs) != 1 {
+			t.Fatalf("Load of a %s: format %q, graph %v", want, format, g)
 		}
-		if a.Layers != nil {
-			a.Layers.Dispose()
+		if after := core.Global().Memory().NumTensors; after != before {
+			t.Errorf("Load of a %s left %d tensors, %d before", want, after, before)
 		}
 	}
 }

@@ -41,11 +41,11 @@ func SaveLayersModel(m *layers.Sequential, store Store, opts Options) (*Result, 
 // with its weights restored — tf.loadModel(url) for Keras-format models
 // (Section 5.1).
 func LoadLayersModel(store Store) (*layers.Sequential, error) {
-	a, err := readArtifact(store, LayersModel)
+	model, weights, err := readArtifact(store, LayersModel)
 	if err != nil {
 		return nil, err
 	}
-	return a.Layers, nil
+	return layersFrom(model.ModelTopology, weights)
 }
 
 // layersFrom builds a Layers model from its topology and restores its

@@ -8,11 +8,16 @@ package glsim
 // memory, the two capabilities ("work groups and shared memory access")
 // whose absence in WebGL the paper blames for the 3-10x WebGL↔CUDA gap.
 
-// WorkgroupFunc computes one workgroup. group is the workgroup index in
+// WorkgroupFunc computes one workgroup. in holds the host slices of the
+// dispatch's input textures, in order, bound once per dispatch as a
+// fragment program's are (Program.Main), so one compiled pipeline serves
+// every dispatch of its shapes. group is the workgroup index in
 // [0, numGroups); shared is a scratch buffer private to the workgroup (the
 // analogue of `var<workgroup>` memory), reused across invocations on the
-// same lane. The function writes its outputs through store(flatIndex, v).
-type WorkgroupFunc func(group int, shared []float32, store func(i int, v float32))
+// same lane. out is the output texture's storage, texel-major: a workgroup
+// writes its own values of it and no other group's. On half-float textures
+// the device rounds out through fp16 after the dispatch.
+type WorkgroupFunc func(in [][]float32, group int, shared, out []float32)
 
 // ComputeProgram is a compiled compute pipeline.
 type ComputeProgram struct {
@@ -29,19 +34,28 @@ type ComputeProgram struct {
 	Main WorkgroupFunc
 }
 
-// ExecuteCompute dispatches a compute program writing into out. Workgroups
-// run in parallel across the device's cores; each core reuses one
-// shared-memory buffer, cleared at the start of its range, as hardware
-// reuses workgroup storage. Timing uses the same counted-work model as
-// fragment programs, with NumGroups × ThreadsPerGroup invocations.
-func (d *Device) ExecuteCompute(p *ComputeProgram, out *Texture) {
-	d.enqueue(command{cprog: p, out: out})
+// ExecuteCompute binds inputs, the textures p reads, and dispatches p
+// writing into out. Workgroups run in parallel across the device's cores;
+// each core reuses one shared-memory buffer, cleared at the start of its
+// range, as hardware reuses workgroup storage. Timing uses the same
+// counted-work model as fragment programs, with NumGroups × ThreadsPerGroup
+// invocations. Like Execute it only enqueues, and keeps nothing of inputs
+// but the textures in it.
+func (d *Device) ExecuteCompute(p *ComputeProgram, inputs []*Texture, out *Texture) {
+	d.enqueue(command{cprog: p, out: out}.bind(inputs))
 }
 
-func (d *Device) executeCompute(p *ComputeProgram, out *Texture) {
+func (d *Device) executeCompute(p *ComputeProgram, inputs []*Texture, out *Texture) {
 	d.bindMu.Lock()
 	defer d.bindMu.Unlock()
-	d.spread(job{cprog: p, out: out, store: out.store}, p.NumGroups)
+	d.bound = d.bindInputs(inputs)
+	defer clear(d.bound)
+	d.spread(job{cprog: p, out: out, in: d.bound}, p.NumGroups)
+	if out.HalfFloat {
+		for i, v := range out.data {
+			out.data[i] = RoundToFloat16(v)
+		}
+	}
 	d.stats.texels.Add(int64(out.Texels()))
 	d.charge(p.Work, p.NumGroups*max(p.ThreadsPerGroup, 1))
 }

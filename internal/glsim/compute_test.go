@@ -16,12 +16,12 @@ func TestComputeProgramWritesTiles(t *testing.T) {
 	d.ExecuteCompute(&ComputeProgram{
 		Name:      "stripes",
 		NumGroups: groups,
-		Main: func(group int, shared []float32, store func(int, float32)) {
+		Main: func(_ [][]float32, group int, _, dst []float32) {
 			for i := 0; i < 16; i++ {
-				store(group*16+i, float32(group))
+				dst[group*16+i] = float32(group)
 			}
 		},
-	}, out)
+	}, nil, out)
 	vals := d.ReadPixels(out)
 	for g := 0; g < groups; g++ {
 		for i := 0; i < 16; i++ {
@@ -42,7 +42,7 @@ func TestComputeSharedMemoryIsPerWorkgroup(t *testing.T) {
 		Name:       "shared-check",
 		NumGroups:  64,
 		SharedSize: 8,
-		Main: func(group int, shared []float32, store func(int, float32)) {
+		Main: func(_ [][]float32, group int, shared, dst []float32) {
 			// Write our group id into shared memory, do some work, then
 			// verify nothing else scribbled on it.
 			for i := range shared {
@@ -57,9 +57,9 @@ func TestComputeSharedMemoryIsPerWorkgroup(t *testing.T) {
 					raceDetected.Store(true)
 				}
 			}
-			store(group, s)
+			dst[group] = s
 		},
-	}, out)
+	}, nil, out)
 	<-d.FenceSync()
 	if raceDetected.Load() {
 		t.Fatal("shared memory leaked between concurrently running workgroups")
@@ -71,21 +71,22 @@ func TestComputeOrderedWithFragmentPrograms(t *testing.T) {
 	a, _ := d.CreateTexture(4, 4, R32F)
 	out, _ := d.CreateTexture(4, 4, R32F)
 	d.Upload(a, []float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
-	// Fragment program doubles into out; compute program then adds 1
-	// in place; strict queue ordering must make both visible.
+	// Fragment program doubles into out; compute program then adds its
+	// bound input a in place; strict queue ordering must make both
+	// visible.
 	d.Execute(&Program{Name: "double", Main: perTexel(func(i int) float32 { return a.FetchFlat(i) * 2 })}, nil, out)
 	d.ExecuteCompute(&ComputeProgram{
-		Name:      "inc",
+		Name:      "add",
 		NumGroups: 1,
-		Main: func(group int, shared []float32, store func(int, float32)) {
+		Main: func(in [][]float32, _ int, _, dst []float32) {
 			for i := 0; i < 16; i++ {
-				store(i, out.FetchFlat(i)+1)
+				dst[i] += in[0][i]
 			}
 		},
-	}, out)
+	}, []*Texture{a}, out)
 	vals := d.ReadPixels(out)
 	for i := 0; i < 16; i++ {
-		want := float32(i+1)*2 + 1
+		want := float32(i+1) * 3
 		if vals[i] != want {
 			t.Fatalf("element %d = %g, want %g", i, vals[i], want)
 		}
@@ -106,8 +107,8 @@ func TestComputeTimingUsesThreadModel(t *testing.T) {
 		before := clockAfter(d)
 		d.ExecuteCompute(&ComputeProgram{
 			Name: "model", NumGroups: groups, ThreadsPerGroup: threads, Work: work,
-			Main: func(group int, shared []float32, store func(int, float32)) { store(group, 1) },
-		}, out)
+			Main: func(_ [][]float32, group int, _, dst []float32) { dst[group] = 1 },
+		}, nil, out)
 		return clockAfter(d) - before
 	}
 	priced := int64(6400*fetchPS + (12800+25600)*aluPS)

@@ -76,9 +76,9 @@ const InlineInputs = 5
 type command struct {
 	run func()
 	// A program's dispatch is the program itself, not a closure over it:
-	// one allocation fewer per enqueue. A fragment program's inputs are
-	// bound to the command, not to the program, so that one compiled
-	// program serves every dispatch of its shapes.
+	// one allocation fewer per enqueue. A program's inputs are bound to the
+	// command, not to the program, so that one compiled program serves
+	// every dispatch of its shapes.
 	prog  *Program
 	cprog *ComputeProgram
 	out   *Texture
@@ -101,7 +101,7 @@ func (d *Device) do(cmd command) {
 	case cmd.prog != nil:
 		d.execute(cmd.prog, cmd.inputs(), cmd.out)
 	case cmd.cprog != nil:
-		d.executeCompute(cmd.cprog, cmd.out)
+		d.executeCompute(cmd.cprog, cmd.inputs(), cmd.out)
 	default:
 		cmd.run()
 	}
@@ -439,22 +439,35 @@ type Program struct {
 // GPU works in the background (Section 4.1.1). It keeps neither p's
 // inputs slice nor anything but the textures in it.
 func (d *Device) Execute(p *Program, inputs []*Texture, out *Texture) {
-	cmd := command{prog: p, out: out, nin: len(inputs)}
+	d.enqueue(command{prog: p, out: out}.bind(inputs))
+}
+
+// bind returns c with inputs bound: inline, or a copy of the list when it
+// has more than InlineInputs.
+func (c command) bind(inputs []*Texture) command {
+	c.nin = len(inputs)
 	if len(inputs) > InlineInputs {
-		cmd.more = append([]*Texture(nil), inputs...)
+		c.more = append([]*Texture(nil), inputs...)
 	} else {
-		copy(cmd.in[:], inputs)
+		copy(c.in[:], inputs)
 	}
-	d.enqueue(cmd)
+	return c
+}
+
+// bindInputs returns the host slices of inputs in the device's bound list,
+// which the caller, holding bindMu, clears when its dispatch is done.
+func (d *Device) bindInputs(inputs []*Texture) [][]float32 {
+	in := d.bound[:0]
+	for _, t := range inputs {
+		in = append(in, t.data)
+	}
+	return in
 }
 
 func (d *Device) execute(p *Program, inputs []*Texture, out *Texture) {
 	d.bindMu.Lock()
 	defer d.bindMu.Unlock()
-	in := d.bound[:0]
-	for _, t := range inputs {
-		in = append(in, t.data)
-	}
+	in := d.bindInputs(inputs)
 	if p.Setup != nil {
 		if cap(d.staged) < p.Staged {
 			d.staged = make([]float32, p.Staged)
@@ -490,7 +503,6 @@ type job struct {
 	prog  *Program
 	in    [][]float32
 	cprog *ComputeProgram
-	store func(i int, v float32)
 	out   *Texture
 }
 
@@ -508,7 +520,7 @@ func (j *job) run(lo, hi int, shared *[]float32) {
 	s := (*shared)[:n]
 	clear(s)
 	for g := lo; g < hi; g++ {
-		j.cprog.Main(g, s, j.store)
+		j.cprog.Main(j.in, g, s, j.out.data)
 	}
 }
 

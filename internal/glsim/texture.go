@@ -94,8 +94,8 @@ func (t *Texture) render(p *Program, in [][]float32, lo, hi int) {
 }
 
 // store writes value into flat position i, applying half-float rounding
-// when the texture is 16-bit: the write path of uploads and compute
-// programs. Only the device's GPU goroutine calls store.
+// when the texture is 16-bit: the write path of uploads. Only the device's
+// GPU goroutine calls store.
 func (t *Texture) store(i int, v float32) {
 	if t.HalfFloat {
 		v = RoundToFloat16(v)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/graphmodel"
 	"repro/internal/kernels"
 	"repro/internal/ops"
@@ -434,7 +435,7 @@ func TestDebugModeThrowsInsideGraphModel(t *testing.T) {
 	e := core.Global()
 	// Unoptimized, so the first kernel is the plain BatchMatMul: a fused
 	// relu epilogue would swallow the NaN.
-	m, err := graphmodel.New(tinyGraph(), graphmodel.WithOptimize(false))
+	m, err := graphmodel.New(tinyGraph(), graphmodel.WithExecOptions(exec.WithOptimize(false)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +482,7 @@ func TestFedAliasOutputFreesTheRootBehindIt(t *testing.T) {
 		Inputs:  []string{"x"},
 		Outputs: []string{"y"},
 	}
-	m, err := graphmodel.New(g, graphmodel.WithOptimize(false))
+	m, err := graphmodel.New(g, graphmodel.WithExecOptions(exec.WithOptimize(false)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/graphmodel"
 	"repro/internal/ops"
 	"repro/internal/savedmodel"
@@ -250,7 +251,7 @@ func TestIdentityElision(t *testing.T) {
 // exactly as converted and reports zero stats.
 func TestOptimizeOffLeavesGraphAlone(t *testing.T) {
 	g := tinyGraph()
-	m, err := graphmodel.New(g, graphmodel.WithOptimize(false))
+	m, err := graphmodel.New(g, graphmodel.WithExecOptions(exec.WithOptimize(false)))
 	if err != nil {
 		t.Fatal(err)
 	}

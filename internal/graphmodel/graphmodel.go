@@ -31,13 +31,6 @@ type config struct {
 // Option configures Load/New.
 type Option func(*config)
 
-// WithOptimize enables or disables the load-time graph optimizer
-// (enabled by default). Disabling it executes the graph exactly as
-// converted — the reference arm of the fusion parity tests.
-func WithOptimize(enabled bool) Option {
-	return func(c *config) { c.exec.Optimize = &enabled }
-}
-
 // WithExecOptions applies execution options (worker budget, pool poison,
 // the optimize gate) to the load. The backend-level knobs are applied to
 // the model's engine's backend at load time; the optimize gate steers the
@@ -182,7 +175,7 @@ func (m *Model) Graph() *savedmodel.GraphDef { return m.graph }
 func (m *Model) OptimizedGraph() *savedmodel.GraphDef { return m.exec }
 
 // OptimizeStats reports what the load-time optimizer did (zero-valued with
-// Enabled=false when loaded via WithOptimize(false)).
+// Enabled=false when loaded with exec.WithOptimize(false)).
 func (m *Model) OptimizeStats() OptimizeStats { return m.optStats }
 
 // spanName builds the model-scoped telemetry span label: the model name

@@ -24,11 +24,12 @@ import (
 //
 // followed by a reachability prune. Every rewrite emits a KindRewrite
 // telemetry event and increments OptimizeStats, so fusion is observable; it
-// is defeatable with WithOptimize(false).
+// is defeatable with exec.WithOptimize(false), which executes the graph
+// exactly as converted — the reference arm of the fusion parity tests.
 
 // OptimizeStats reports what the load-time graph optimizer did.
 type OptimizeStats struct {
-	// Enabled is false when the model was loaded with WithOptimize(false);
+	// Enabled is false when the model was loaded with exec.WithOptimize(false);
 	// all other fields are then zero.
 	Enabled bool `json:"enabled"`
 	// NodesBefore/NodesAfter count graph nodes around the whole pipeline.

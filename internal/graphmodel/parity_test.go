@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/graphmodel"
 	"repro/internal/kernels"
 	"repro/internal/native"
@@ -159,7 +160,7 @@ func TestFusionParityRandomGraphs(t *testing.T) {
 				if err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
-				off, err := graphmodel.New(g, graphmodel.WithOptimize(false))
+				off, err := graphmodel.New(g, graphmodel.WithExecOptions(exec.WithOptimize(false)))
 				if err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/graphmodel"
 	"repro/internal/ops"
 	"repro/internal/savedmodel"
@@ -52,7 +53,7 @@ func TestAttrsDecodedAtLoad(t *testing.T) {
 	g := tinyGraph()
 	// Optimization off so the execution graph IS g: any live attr read
 	// during Execute would see the sabotage below.
-	m, err := graphmodel.New(g, graphmodel.WithOptimize(false))
+	m, err := graphmodel.New(g, graphmodel.WithExecOptions(exec.WithOptimize(false)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestConcurrentExecuteSharesPlan(t *testing.T) {
 // step, as the lazy executor's env pre-population did — and the fed tensor
 // is never disposed by the liveness pass.
 func TestFeedOverridesInteriorNode(t *testing.T) {
-	m, err := graphmodel.New(tinyGraph(), graphmodel.WithOptimize(false))
+	m, err := graphmodel.New(tinyGraph(), graphmodel.WithExecOptions(exec.WithOptimize(false)))
 	if err != nil {
 		t.Fatal(err)
 	}

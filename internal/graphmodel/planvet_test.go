@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bufpool"
+	"repro/internal/exec"
 	"repro/internal/graphmodel"
 	"repro/internal/models"
 	"repro/internal/planvet"
@@ -52,7 +53,7 @@ func TestPlanVerifyZeroFalsePositives(t *testing.T) {
 		{"mobilenet-0.25-96", mobileNetGraph(t, 0.25, 96), nil, ""},
 		{"mobilenet-0.5-64", mobileNetGraph(t, 0.5, 64), nil, ""},
 		{"mobilenet-unoptimized", mobileNetGraph(t, 0.25, 64),
-			[]graphmodel.Option{graphmodel.WithOptimize(false)}, ""},
+			[]graphmodel.Option{graphmodel.WithExecOptions(exec.WithOptimize(false))}, ""},
 		{"error-step", brokenNodeGraph(savedmodel.NodeDef{Op: "FFT"}), nil, ""},
 		{"mobilenet-on-webgl", mobileNetGraph(t, 0.25, 32), nil, "webgl"},
 	}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/graphmodel"
 	"repro/internal/layers"
 	"repro/internal/ops"
@@ -28,7 +29,7 @@ func TestVerifierDescribesThePlanThatRuns(t *testing.T) {
 	}
 	for name, g := range graphs {
 		for _, optimize := range []bool{true, false} {
-			m, err := graphmodel.New(g, graphmodel.WithOptimize(optimize))
+			m, err := graphmodel.New(g, graphmodel.WithExecOptions(exec.WithOptimize(optimize)))
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -167,6 +168,19 @@ func RegisterLayerClass(className string, d Deserializer) {
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	registry[className] = d
+}
+
+// LayerClasses returns the class names installed with RegisterLayerClass,
+// sorted.
+func LayerClasses() []string {
+	registryMu.RLock()
+	defer registryMu.RUnlock()
+	names := make([]string, 0, len(registry))
+	for name := range registry {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }
 
 // FromConfig rebuilds a layer from (className, config).

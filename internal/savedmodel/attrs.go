@@ -11,12 +11,13 @@ import (
 // DecodeAttrs maps node n's GraphDef attributes onto the kernel attributes
 // its plan step dispatches, giving each absent one its GraphDef default:
 // strides [1, 1], a pool's ksize [2, 2] and strides its ksize, padding
-// "valid", a batch norm's epsilon 1e-3, a Placeholder's dtype float32. It
-// is the one reader of NodeDef.Attrs — the verifier, the optimizer and the
-// plan compile all call it — so a malformed attribute is the same error
-// wherever it is read. Values are what encoding/json decodes (float64,
-// string, bool, []any) or an in-memory graph's Go forms ([]int, int); a
-// nil value is absent. The error names the node and the attribute key.
+// "valid", a batch norm's epsilon 1e-3, a Placeholder's dtype float32, a
+// Concat's and a GatherV2's axis 0. It is the one reader of NodeDef.Attrs
+// — the verifier, the optimizer and the plan compile all call it — so a
+// malformed attribute is the same error wherever it is read. Values are
+// what encoding/json decodes (float64, string, bool, []any) or an
+// in-memory graph's Go forms ([]int, int); a nil value is absent. The
+// error names the node and the attribute key.
 func DecodeAttrs(n *NodeDef) (kernels.Attrs, error) {
 	d := attrDecoder{n: n}
 	var a kernels.Attrs
@@ -44,6 +45,11 @@ func DecodeAttrs(n *NodeDef) (kernels.Attrs, error) {
 		a.KeepDims = d.bool("keep_dims")
 	case "FusedBatchNorm":
 		a.Epsilon = d.float("epsilon", 1e-3)
+	case "Slice":
+		// A size of -1 runs to the end of its dim, a graph's batch.
+		a.Begin, a.Shape = d.ints("begin"), d.ints("size")
+	case "Concat", "GatherV2":
+		a.Axis = d.int("axis")
 	case "Pad":
 		// [top bottom left right] of an NHWC input, as PadV2's pairs.
 		if p := d.ints("padding"); len(p) == 4 {
@@ -124,6 +130,15 @@ func (d *attrDecoder) float(key string, def float64) float64 {
 		d.fail(key, "is %s, want a number", jsonType(v))
 		return def
 	}
+}
+
+// int reads an integer, 0 when absent.
+func (d *attrDecoder) int(key string) int {
+	f := d.float(key, 0)
+	if f != float64(int(f)) {
+		d.fail(key, "is %v, want an integer", f)
+	}
+	return int(f)
 }
 
 func (d *attrDecoder) dtype(key string) tensor.DataType {

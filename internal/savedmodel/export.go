@@ -32,11 +32,12 @@ func FromSequential(m *layers.Sequential, addTrainingOps bool) (*GraphDef, error
 	})
 	g.Inputs = []string{input}
 
-	prev := input
+	prev, shape := input, inShape
 	for _, l := range m.Layers() {
-		var err error
-		prev, err = exportLayer(g, l, prev)
-		if err != nil {
+		if prev, err = exportLayer(g, l, prev, shape); err != nil {
+			return nil, err
+		}
+		if shape, err = l.OutputShape(shape); err != nil {
 			return nil, err
 		}
 	}
@@ -79,9 +80,9 @@ func addConst(g *GraphDef, name string, shape []int, values []float32) string {
 	return n
 }
 
-// exportLayer lowers one layer into graph nodes, returning the layer's
-// output node name.
-func exportLayer(g *GraphDef, l layers.Layer, input string) (string, error) {
+// exportLayer lowers one layer, whose per-example input shape is inShape,
+// into graph nodes, returning the layer's output node name.
+func exportLayer(g *GraphDef, l layers.Layer, input string, inShape []int) (string, error) {
 	cfg := l.Config()
 	name := l.Name()
 	weights := l.Weights()
@@ -89,9 +90,10 @@ func exportLayer(g *GraphDef, l layers.Layer, input string) (string, error) {
 		v := weights[i]
 		return v.Shape(), v.Value().DataSync()
 	}
-	activation := ""
-	if a, ok := cfg["activation"].(string); ok {
-		activation = a
+	activation, _ := cfg["activation"].(string)
+	opName, err := layers.ActivationKernel(activation)
+	if err != nil {
+		return "", fmt.Errorf("savedmodel: cannot export activation: %w", err)
 	}
 
 	out := input
@@ -203,6 +205,18 @@ func exportLayer(g *GraphDef, l layers.Layer, input string) (string, error) {
 			Attrs: map[string]any{"padding": cfg["padding"]},
 		})
 		out = name + "/Pad"
+	case "Embedding":
+		// One gather of the ids' rows: [batch, seq] ids → [batch, seq, dim].
+		tShape, tVals := weightVals(0)
+		table := addConst(g, name+"/embeddings", tShape, tVals)
+		g.Nodes = append(g.Nodes, NodeDef{
+			Name: name + "/GatherV2", Op: "GatherV2", Inputs: []string{table, out},
+			Attrs: map[string]any{"axis": 0},
+		})
+		out = name + "/GatherV2"
+	case "SimpleRNN":
+		out = exportSimpleRNN(g, l, cfg, opName, out, inShape)
+		opName = "" // applied at every step
 	case "Activation":
 		// handled by the shared activation lowering below
 	case "Dropout":
@@ -214,13 +228,60 @@ func exportLayer(g *GraphDef, l layers.Layer, input string) (string, error) {
 		return "", fmt.Errorf("savedmodel: cannot export layer class %q", l.ClassName())
 	}
 
-	opName, err := layers.ActivationKernel(activation)
-	if err != nil {
-		return "", fmt.Errorf("savedmodel: cannot export activation: %w", err)
-	}
 	if opName != "" {
 		g.Nodes = append(g.Nodes, NodeDef{Name: name + "/" + opName, Op: opName, Inputs: []string{out}})
 		out = name + "/" + opName
 	}
 	return out, nil
+}
+
+// exportSimpleRNN unrolls a built SimpleRNN over its inShape [steps,
+// features], as its eager Call does: step t slices x_t out of the input,
+// then h_t = act(x_t·Wx + h_{t-1}·Wh + b), act the activation's kernel
+// ("" for linear). h_{-1} is zero, so step 0 has no recurrent MatMul. With
+// return_sequences one Concat on axis 1 joins the steps' [batch, units]
+// states and a Reshape makes them [batch, steps, units]; without, the last
+// state is the output.
+func exportSimpleRNN(g *GraphDef, l layers.Layer, cfg map[string]any, act, input string, inShape []int) string {
+	name, weights := l.Name(), l.Weights()
+	consts := make([]string, len(weights))
+	for i, suffix := range []string{"/kernel", "/recurrent_kernel", "/bias"} {
+		consts[i] = addConst(g, name+suffix, weights[i].Shape(), weights[i].Value().DataSync())
+	}
+	steps, features := inShape[0], inShape[1]
+	var h string
+	states := make([]string, steps)
+	for t := range states {
+		// node appends step t's node called op, or the op's name when
+		// called is "", and returns its name.
+		node := func(called, op string, attrs map[string]any, inputs ...string) string {
+			if called == "" {
+				called = op
+			}
+			n := fmt.Sprintf("%s/step%d/%s", name, t, called)
+			g.Nodes = append(g.Nodes, NodeDef{Name: n, Op: op, Inputs: inputs, Attrs: attrs})
+			return n
+		}
+		xt := node("", "Slice", map[string]any{"begin": []int{0, t, 0}, "size": []int{-1, 1, features}}, input)
+		xt = node("", "Reshape", map[string]any{"shape": []int{features}}, xt)
+		z := node("", "MatMul", nil, xt, consts[0])
+		if t > 0 {
+			z = node("", "Add", nil, z, node("MatMul_1", "MatMul", nil, h, consts[1]))
+		}
+		h = node("", "BiasAdd", nil, z, consts[2])
+		if act != "" {
+			h = node("", act, nil, h)
+		}
+		states[t] = h
+	}
+	if rs, _ := cfg["return_sequences"].(bool); !rs {
+		return h
+	}
+	g.Nodes = append(g.Nodes, NodeDef{Name: name + "/Concat", Op: "Concat", Inputs: states, Attrs: map[string]any{"axis": 1}})
+	units := weights[1].Shape()[0]
+	g.Nodes = append(g.Nodes, NodeDef{
+		Name: name + "/Reshape", Op: "Reshape", Inputs: []string{name + "/Concat"},
+		Attrs: map[string]any{"shape": []int{steps, units}},
+	})
+	return name + "/Reshape"
 }

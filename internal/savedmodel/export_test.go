@@ -2,6 +2,9 @@ package savedmodel_test
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/converter"
@@ -19,75 +22,135 @@ func init() {
 	core.Global().RegisterBackend("cpu", func() (kernels.Backend, error) { return cpu.New(), nil })
 }
 
-// TestExportEveryLayerClass builds a model touching every exportable layer
-// class, converts it end to end (export → artifacts → reload → execute)
-// and compares against the Layers model's own predictions.
+// TestExportEveryLayerClass builds two models that between them touch
+// every registered layer class — a kitchen-sink convnet and an Embedding →
+// SimpleRNN (sequences) → SimpleRNN → Dense sequence model — converts each
+// end to end (export → artifacts → reload → execute) and compares against
+// the Layers model's own predictions. A class registered with
+// layers.RegisterLayerClass that neither model uses fails the test: every
+// class a Layers artifact can name must lower to the graph it is served as.
 func TestExportEveryLayerClass(t *testing.T) {
 	layers.SetSeed(55)
 	useBias := true
-	m := layers.NewSequential("kitchen_sink")
-	m.Add(layers.NewZeroPadding2D([]int{1}))
-	m.SetInputShape([]int{6, 6, 2})
-	m.Add(layers.NewConv2D(layers.Conv2DConfig{
+	sink := layers.NewSequential("kitchen_sink")
+	sink.Add(layers.NewZeroPadding2D([]int{1}))
+	sink.SetInputShape([]int{6, 6, 2})
+	sink.Add(layers.NewConv2D(layers.Conv2DConfig{
 		Filters: 4, KernelSize: []int{3, 3}, Padding: "valid", Activation: "relu6", UseBias: &useBias,
 	}))
-	m.Add(layers.NewBatchNormalization(layers.BatchNormConfig{}))
-	m.Add(layers.NewActivation("relu"))
-	m.Add(layers.NewDepthwiseConv2D(layers.Conv2DConfig{
+	sink.Add(layers.NewBatchNormalization(layers.BatchNormConfig{}))
+	sink.Add(layers.NewActivation("relu"))
+	sink.Add(layers.NewDepthwiseConv2D(layers.Conv2DConfig{
 		Filters: 1, KernelSize: []int{3, 3}, Padding: "same", Activation: "tanh",
 	}))
-	m.Add(layers.NewMaxPooling2D(layers.Pool2DConfig{PoolSize: []int{2, 2}}))
-	m.Add(layers.NewAveragePooling2D(layers.Pool2DConfig{PoolSize: []int{2, 2}, Strides: []int{1, 1}, Padding: "same"}))
-	m.Add(layers.NewDropout(0.3))
-	m.Add(layers.NewFlatten())
-	m.Add(layers.NewDense(layers.DenseConfig{Units: 12, Activation: "sigmoid"}))
-	m.Add(layers.NewReshape([]int{3, 4}))
-	m.Add(layers.NewFlatten())
-	m.Add(layers.NewDense(layers.DenseConfig{Units: 5, Activation: "softmax"}))
-	if err := m.Build(); err != nil {
-		t.Fatal(err)
+	sink.Add(layers.NewMaxPooling2D(layers.Pool2DConfig{PoolSize: []int{2, 2}}))
+	sink.Add(layers.NewAveragePooling2D(layers.Pool2DConfig{PoolSize: []int{2, 2}, Strides: []int{1, 1}, Padding: "same"}))
+	sink.Add(layers.NewDropout(0.3))
+	sink.Add(layers.NewFlatten())
+	sink.Add(layers.NewDense(layers.DenseConfig{Units: 12, Activation: "sigmoid"}))
+	sink.Add(layers.NewReshape([]int{2, 2, 3}))
+	sink.Add(layers.NewGlobalAveragePooling2D())
+	sink.Add(layers.NewDense(layers.DenseConfig{Units: 5, Activation: "softmax"}))
+
+	rnn := layers.NewSequential("sequence")
+	rnn.Add(layers.NewEmbedding(layers.EmbeddingConfig{InputDim: 7, OutputDim: 4, InputLength: 5}))
+	rnn.Add(layers.NewSimpleRNN(layers.SimpleRNNConfig{Units: 6, ReturnSequences: true}))
+	rnn.Add(layers.NewSimpleRNN(layers.SimpleRNNConfig{Units: 3, Activation: "relu"}))
+	rnn.Add(layers.NewDense(layers.DenseConfig{Units: 2}))
+	randomWeights(t, rnn, 8)
+	ids := make([]float32, 3*5)
+	for i := range ids {
+		ids[i] = float32((i*3 + 1) % 7)
 	}
 
-	g, err := savedmodel.FromSequential(m, true)
-	if err != nil {
-		t.Fatal(err)
+	exported := map[string]bool{}
+	for _, c := range []struct {
+		m *layers.Sequential
+		x *tensor.Tensor
+	}{
+		{sink, ops.RandNormal([]int{3, 6, 6, 2}, 0, 1, nil)},
+		{rnn, ops.FromValues(ids, 3, 5)},
+	} {
+		defer c.x.Dispose()
+		for _, l := range c.m.Layers() {
+			exported[l.ClassName()] = true
+		}
+		g, err := savedmodel.FromSequential(c.m, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := converter.NewMemStore()
+		if _, err := converter.Convert(g, store, converter.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		gm, err := graphmodel.Load(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := c.m.Predict(c.x)
+		defer want.Dispose()
+		got, err := gm.Predict(c.x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer got.Dispose()
+		wv, gv := want.DataSync(), got.DataSync()
+		if !slices.Equal(want.Shape, got.Shape) {
+			t.Fatalf("%s model: graph output shape %v, eager %v", c.m.Name(), got.Shape, want.Shape)
+		}
+		for i := range wv {
+			if math.Abs(float64(wv[i]-gv[i])) > 1e-5 {
+				t.Fatalf("%s model diverges at %d: %g vs %g", c.m.Name(), i, gv[i], wv[i])
+			}
+		}
 	}
-	store := converter.NewMemStore()
-	if _, err := converter.Convert(g, store, converter.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	gm, err := graphmodel.Load(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	x := ops.RandNormal([]int{3, 6, 6, 2}, 0, 1, nil)
-	defer x.Dispose()
-	want := m.Predict(x)
-	defer want.Dispose()
-	got, err := gm.Predict(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer got.Dispose()
-	wv, gv := want.DataSync(), got.DataSync()
-	for i := range wv {
-		if math.Abs(float64(wv[i]-gv[i])) > 1e-5 {
-			t.Fatalf("kitchen-sink model diverges at %d: %g vs %g", i, gv[i], wv[i])
+	for _, class := range layers.LayerClasses() {
+		if !exported[class] {
+			t.Errorf("layer class %q is in neither model: its export is untested", class)
 		}
 	}
 }
 
-// TestExportUnsupportedLayerErrors: classes without a graph lowering fail
-// loudly rather than producing a wrong graph.
-func TestExportUnsupportedLayerErrors(t *testing.T) {
-	m := layers.NewSequential("rnn_export")
-	m.Add(layers.NewSimpleRNN(layers.SimpleRNNConfig{Units: 4, InputShape: []int{5, 2}}))
+// randomWeights gives every weight of m values in [-0.5, 0.5): a zero
+// initializer (a bias) would hide a term the lowering dropped.
+func randomWeights(t *testing.T, m *layers.Sequential, seed int64) {
+	t.Helper()
 	if err := m.Build(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := savedmodel.FromSequential(m, false); err == nil {
-		t.Fatal("SimpleRNN export should error (no graph lowering)")
+	rng := rand.New(rand.NewSource(seed))
+	ws := m.GetWeights()
+	for i := range ws {
+		ws[i].Values = make([]float32, len(ws[i].Values))
+		for j := range ws[i].Values {
+			ws[i].Values[j] = rng.Float32() - 0.5
+		}
+	}
+	if err := m.SetWeights(ws); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// opaque is a layer class with no graph lowering: an identity no exporter
+// knows, and which is not registered.
+type opaque struct{}
+
+func (opaque) Name() string                                 { return "opaque" }
+func (opaque) ClassName() string                            { return "Opaque" }
+func (opaque) Build([]int) error                            { return nil }
+func (opaque) OutputShape(in []int) ([]int, error)          { return in, nil }
+func (opaque) Call(x *tensor.Tensor, _ bool) *tensor.Tensor { return x }
+func (opaque) Weights() []*core.Variable                    { return nil }
+func (opaque) Config() map[string]any                       { return map[string]any{"name": "opaque"} }
+
+// TestExportUnsupportedLayerErrors: a class without a graph lowering fails
+// loudly, naming the class, rather than producing a wrong graph.
+func TestExportUnsupportedLayerErrors(t *testing.T) {
+	m := layers.NewSequential("opaque_export")
+	m.SetInputShape([]int{3})
+	m.Add(opaque{})
+	if _, err := savedmodel.FromSequential(m, false); err == nil || !strings.Contains(err.Error(), `"Opaque"`) {
+		t.Fatalf("export of an unknown layer class: error %v, want one naming \"Opaque\"", err)
 	}
 }
 

@@ -19,6 +19,8 @@ type Lowering struct {
 	Kernel string
 	// Arity lists the input counts the op takes.
 	Arity []int
+	// Variadic ops take Arity[0] inputs or more: Concat joins any number.
+	Variadic bool
 	// Rank, when not 0, is the rank every input must have: a graph MatMul
 	// is rank 2 (its kernel, BatchMatMul, takes rank 3 too) and a graph
 	// Pad rank 4 (its padding attribute is [top bottom left right]).
@@ -37,8 +39,11 @@ func Lower(op string) (Lowering, bool) {
 
 // CheckArity reports an input count the op does not take.
 func (l Lowering) CheckArity(n int) error {
-	if slices.Contains(l.Arity, n) {
+	if slices.Contains(l.Arity, n) || l.Variadic && n >= l.Arity[0] {
 		return nil
+	}
+	if l.Variadic {
+		return fmt.Errorf("needs %d or more inputs, got %d", l.Arity[0], n)
 	}
 	wants := fmt.Sprint(l.Arity[0])
 	for _, w := range l.Arity[1:] {
@@ -91,6 +96,9 @@ var lowerings = func() map[string]Lowering {
 		"Mean":                       {Kernel: "Mean", Arity: one},
 		"FusedBatchNorm":             {Kernel: "FusedBatchNorm", Arity: []int{5}},
 		"Pad":                        {Kernel: "PadV2", Arity: one, Rank: 4},
+		"Slice":                      {Kernel: "Slice", Arity: one},
+		"Concat":                     {Kernel: "Concat", Arity: one, Variadic: true},
+		"GatherV2":                   {Kernel: "GatherV2", Arity: two},
 	}
 	// The element-wise table's activations, each its own kernel.
 	for _, op := range kernels.ElementwiseOps() {

@@ -199,7 +199,8 @@ func TestVerifyGraphMultipleIssues(t *testing.T) {
 // TestHostileAttributesFailAtLoad: a node attribute that decodes to no
 // kernel attribute — a wrong JSON type, a non-integral number, a window of
 // the wrong length, a stride below 1, an unknown padding, a Pad padding
-// that is not [top bottom left right], a bool spelled as a string — is a
+// that is not [top bottom left right], a bool spelled as a string, an axis
+// that is not an integer — is a
 // load-time error naming the node and the key, not a default or a
 // truncation at Execute. The graphs go through the artifact JSON, so the
 // attributes are what encoding/json decodes.
@@ -218,6 +219,10 @@ func TestHostileAttributesFailAtLoad(t *testing.T) {
 		{"numeric padding", "Conv2D", `"img", "filter"`, `{"strides": [1, 1], "padding": 5}`, "padding"},
 		{"two-entry Pad padding", "Pad", `"img"`, `{"padding": [1, 1]}`, "padding"},
 		{"string transpose_b", "MatMul", `"vec", "weights"`, `{"transpose_b": "true"}`, "transpose_b"},
+		{"string Slice begin", "Slice", `"vec"`, `{"begin": "0", "size": [-1, 4]}`, "begin"},
+		{"non-integral Slice size", "Slice", `"vec"`, `{"begin": [0, 0], "size": [-1, 2.5]}`, "size"},
+		{"non-integral Concat axis", "Concat", `"vec", "vec"`, `{"axis": 0.5}`, "axis"},
+		{"string GatherV2 axis", "GatherV2", `"weights", "vec"`, `{"axis": "0"}`, "axis"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			g, err := savedmodel.UnmarshalTopology([]byte(`{"nodes": [

@@ -55,9 +55,7 @@ type ModelOptions struct {
 	// Replicas is the number of independent engine replicas serving this
 	// model. Each replica is a full copy — its own engine, backend
 	// instance and weight upload — so N replicas execute up to N batches
-	// concurrently. 0 or 1 means one replica, on the global engine. Only
-	// graph-format models replicate; a layers model is one replica
-	// whatever this asks.
+	// concurrently. 0 or 1 means one replica, on the global engine.
 	Replicas int
 	// Tenants enables per-tenant weighted-fair admission control: a map
 	// of tenant ID → weight. Requests carry their tenant in the

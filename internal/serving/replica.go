@@ -10,7 +10,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/graphmodel"
 	"repro/internal/kernels"
-	"repro/internal/layers"
 	"repro/internal/savedmodel"
 )
 
@@ -57,21 +56,19 @@ type pool struct {
 	rr       atomic.Uint64
 }
 
-// loadPool reads the artifact in store and builds its pool with the
-// format's one constructor. It returns the format too, for Status.
+// loadPool reads the artifact in store as its graph (converter.Load: a
+// Layers model is lowered to one) and builds its pool. It returns the
+// artifact's format too, for Status.
 func loadPool(name string, store converter.Store, backend string, replicas int, ec exec.Config) (*pool, string, error) {
-	a, err := converter.Load(store)
+	g, format, err := converter.Load(store)
 	if err != nil {
 		return nil, "", err
 	}
-	if a.Layers != nil {
-		return layersPool(name, a.Layers, backend), a.Format, nil
-	}
-	p, err := graphPool(name, a.Graph, backend, replicas, ec)
-	return p, a.Format, err
+	p, err := graphPool(name, g, backend, replicas, ec)
+	return p, format, err
 }
 
-// graphPool loads max(size, 1) replicas of a graph model. Replica 0 runs on
+// graphPool loads max(size, 1) replicas of a model's graph. Replica 0 runs on
 // the global engine; the rest on engines spawned from it. Each replica
 // optimizes, verifies and compiles its own plan and uploads its own weight
 // copy, so replicas share no mutable state at all.
@@ -99,18 +96,6 @@ func graphPool(name string, g *savedmodel.GraphDef, backend string, size int, ec
 		p.replicas = append(p.replicas, &replica{id: i, eng: eng, run: run, dispose: dispose})
 	}
 	return p, nil
-}
-
-// layersPool serves a restored Layers model as one replica on the global
-// engine, the one its weights live on: a Layers model predicts eagerly and
-// does not replicate.
-func layersPool(name string, lm *layers.Sequential, backend string) *pool {
-	eng := core.Global()
-	return &pool{replicas: []*replica{{
-		eng:     eng,
-		run:     &layersRunner{model: lm, backend: backend, name: name},
-		dispose: func() { eng.RunExclusive(lm.Dispose) },
-	}}}
 }
 
 // run implements runner: execute the batch on the least-loaded replica.

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graphmodel"
-	"repro/internal/layers"
 	"repro/internal/tensor"
 )
 
@@ -122,32 +121,6 @@ func (r *graphRunner) run(batch []Instance) (out []Instance, err error) {
 		if err == nil {
 			out, err = splitBatch(r.model.Name(), outs[r.output], len(batch))
 		}
-	})
-	return out, err
-}
-
-// layersRunner serves a restored Layers-API model via Sequential.Predict.
-type layersRunner struct {
-	model   *layers.Sequential
-	backend string
-	name    string    // model name, for errors and the "<name>:predict" span
-	slab    []float32 // gatherBatch's buffer; touched only under the engine's execution lock
-}
-
-func (r *layersRunner) run(batch []Instance) (out []Instance, err error) {
-	defer recoverOpError(&err)
-	e := core.Global()
-	e.RunExclusive(func() {
-		defer e.BeginSpan(r.name + ":predict")()
-		if err = e.SetBackend(r.backend); err != nil {
-			return
-		}
-		var batched *tensor.Tensor
-		if batched, err = gatherBatch(e, &r.slab, batch); err != nil {
-			return
-		}
-		defer batched.Dispose() // also when Predict panics on a shape the model rejects
-		out, err = splitBatch(r.name, r.model.Predict(batched), len(batch))
 	})
 	return out, err
 }

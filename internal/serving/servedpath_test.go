@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/converter"
 	"repro/internal/core"
+	"repro/internal/layers"
 	"repro/internal/models"
 	"repro/internal/savedmodel"
 	"repro/internal/telemetry"
@@ -134,7 +136,8 @@ func loadReady(t *testing.T, reg *Registry, name string, store converter.Store, 
 }
 
 // smallStores is one small MobileNet per artifact format, "graph" and
-// "layers": the two kinds of runner a registry builds.
+// "layers": a registry serves both as a graph, the layers one lowered at
+// load.
 func smallStores(t *testing.T, side int) map[string]converter.Store {
 	t.Helper()
 	model, err := models.MobileNetV1(models.MobileNetConfig{
@@ -510,9 +513,9 @@ func TestOutputLeadingDimensionMustBeBatch(t *testing.T) {
 }
 
 // TestBatchedEqualsSingleEverywhere: the slab path is the only path, so it
-// is checked wherever a runner can be: graph and layers models, the native
-// and the webgl backend, one engine and a two-replica pool (each batch
-// twice, so both replicas serve one).
+// is checked wherever a runner can be: graph and layers artifacts, the
+// native and the webgl backend, one engine and a two-replica pool (each
+// batch twice, so both replicas serve one).
 func TestBatchedEqualsSingleEverywhere(t *testing.T) {
 	const side, n = 32, 4
 	stores := smallStores(t, side)
@@ -525,7 +528,7 @@ func TestBatchedEqualsSingleEverywhere(t *testing.T) {
 		replicas        int
 	}{
 		{"graph", "node", 1}, {"graph", "node", 2}, {"graph", "webgl", 1}, {"graph", "webgl", 2},
-		{"layers", "node", 1}, {"layers", "webgl", 1},
+		{"layers", "node", 1}, {"layers", "node", 2}, {"layers", "webgl", 1}, {"layers", "webgl", 2},
 	} {
 		t.Run(fmt.Sprintf("%s/%s/replicas%d", tc.format, tc.backend, tc.replicas), func(t *testing.T) {
 			reg := NewRegistry()
@@ -545,19 +548,148 @@ func TestBatchedEqualsSingleEverywhere(t *testing.T) {
 	}
 }
 
+// sequenceStore is a layers artifact of a sequence model that uses the
+// two classes MobileNet does not: Embedding → SimpleRNN (every step's
+// state) → SimpleRNN → Dense, over 6 ids from a vocabulary of 9, its
+// weights random.
+func sequenceStore(t *testing.T) converter.Store {
+	t.Helper()
+	layers.SetSeed(21)
+	m := layers.NewSequential("sequence")
+	m.Add(layers.NewEmbedding(layers.EmbeddingConfig{InputDim: 9, OutputDim: 4, InputLength: 6}))
+	m.Add(layers.NewSimpleRNN(layers.SimpleRNNConfig{Units: 5, ReturnSequences: true}))
+	m.Add(layers.NewSimpleRNN(layers.SimpleRNNConfig{Units: 3}))
+	m.Add(layers.NewDense(layers.DenseConfig{Units: 4, Activation: "softmax"}))
+	defer m.Dispose()
+	randomWeights(t, m, 21)
+	store := converter.NewMemStore()
+	if _, err := converter.SaveLayersModel(m, store, converter.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
+// randomWeights gives every weight of m values in [-0.5, 0.5): a zero
+// initializer (a bias) would hide a term the lowering dropped.
+func randomWeights(t *testing.T, m *layers.Sequential, seed int64) {
+	t.Helper()
+	if err := m.Build(); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	ws := m.GetWeights()
+	for i := range ws {
+		ws[i].Values = make([]float32, len(ws[i].Values))
+		for j := range ws[i].Values {
+			ws[i].Values[j] = rng.Float32() - 0.5
+		}
+	}
+	if err := m.SetWeights(ws); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLayersArtifactServesItsEagerModel: a layers artifact is served as its
+// lowered graph — optimized, verified, its fused kernels — so what it serves
+// is held to what the same model, weights and backend predict eagerly
+// (Sequential.Predict): the MobileNet of smallStores and a sequence model,
+// on node and on webgl, every output within 1e-5. The engine's tensor and
+// byte counts return to where they were once both are gone.
+func TestLayersArtifactServesItsEagerModel(t *testing.T) {
+	const side = 32
+	images := make([]Instance, 3)
+	for i := range images {
+		images[i] = testImage(side, i)
+	}
+	sentences := make([]Instance, 3)
+	for i := range sentences {
+		sentences[i] = Instance{Values: make([]float32, 6), Shape: []int{6}}
+		for j := range sentences[i].Values {
+			sentences[i].Values[j] = float32((i*5 + j*2) % 9)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		store converter.Store
+		batch []Instance
+	}{
+		{"mobilenet", smallStores(t, side)["layers"], images},
+		{"sequence", sequenceStore(t), sentences},
+	} {
+		for _, backend := range []string{"node", "webgl"} {
+			t.Run(c.name+"/"+backend, func(t *testing.T) {
+				before := core.Global().Memory()
+				reg := NewRegistry()
+				served, err := loadReady(t, reg, "m", c.store, ModelOptions{Backend: backend}).sched.run.run(c.batch)
+				reg.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := eagerPredict(t, c.store, backend, c.batch)
+				for i, out := range served {
+					if len(out.Values) != len(want[i]) {
+						t.Fatalf("instance %d: %d values served, %d eager", i, len(out.Values), len(want[i]))
+					}
+					for j, v := range want[i] {
+						if d := math.Abs(float64(out.Values[j] - v)); d > 1e-5 {
+							t.Fatalf("instance %d value %d: served %g, eager %g (|Δ| %.2g)", i, j, out.Values[j], v, d)
+						}
+					}
+				}
+				sameMemory(t, "after serving and predicting", before)
+			})
+		}
+	}
+}
+
+// eagerPredict loads the layers artifact in store on the global engine
+// and predicts batch eagerly on backend, returning each instance's row.
+func eagerPredict(t *testing.T, store converter.Store, backend string, batch []Instance) [][]float32 {
+	t.Helper()
+	e := core.Global()
+	var rows [][]float32
+	var err error
+	e.RunExclusive(func() {
+		if err = e.SetBackend(backend); err != nil {
+			return
+		}
+		var m *layers.Sequential
+		if m, err = converter.LoadLayersModel(store); err != nil {
+			return
+		}
+		defer m.Dispose()
+		var flat []float32
+		for _, in := range batch {
+			flat = append(flat, in.Values...)
+		}
+		x := e.MakeTensor(flat, append([]int{len(batch)}, batch[0].Shape...), tensor.Float32)
+		defer x.Dispose()
+		y := m.Predict(x)
+		defer y.Dispose()
+		vals, row := y.DataSync(), y.Size()/len(batch)
+		for i := range batch {
+			rows = append(rows, vals[i*row:(i+1)*row])
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 // TestReplicasReportTheLoadedPool: every served model is a replica pool,
 // and Model.Replicas, Status and the per-replica snapshots read that pool.
-// A layers model asked for four replicas serves one (it does not
-// replicate) and says so; a graph model of one replica keeps its Status
-// JSON free of a replica count and now reports its replica's gauges.
-// Unloading frees every replica's weights.
+// A layers artifact asked for four replicas serves four, as a graph does
+// (it served one while it predicted eagerly); a graph model of one replica
+// keeps its Status JSON free of a replica count and reports its replica's
+// gauges. Unloading frees every replica's weights.
 func TestReplicasReportTheLoadedPool(t *testing.T) {
 	stores := smallStores(t, 32)
 	for _, tc := range []struct {
 		format         string
 		asked, serving int
 	}{
-		{"layers", 4, 1}, {"graph", 0, 1}, {"graph", 2, 2},
+		{"layers", 4, 4}, {"graph", 0, 1}, {"graph", 2, 2},
 	} {
 		t.Run(fmt.Sprintf("%s/replicas%d", tc.format, tc.asked), func(t *testing.T) {
 			before := core.Global().Memory()

@@ -5,9 +5,10 @@
 //
 // Four layers:
 //
-//   - Registry: named models loaded from converter.Store artifact stores
-//     (graph models and layers models), with per-model backend selection
-//     and load/unload/ready lifecycle states.
+//   - Registry: named models loaded from converter.Store artifact stores,
+//     with per-model backend selection and load/unload/ready lifecycle
+//     states. A model of either artifact format is served as its graph
+//     (a Layers model lowered to one at load) by one runner.
 //   - Batcher: a dynamic micro-batcher coalescing concurrent single-example
 //     Predict requests into one batched Execute along the batch dimension,
 //     governed by MaxBatchSize and BatchTimeout. A batch is a slab: the

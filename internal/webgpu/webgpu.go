@@ -31,6 +31,11 @@ const TileSize = 16
 type Backend struct {
 	*webgl.Backend
 	table map[string]kernels.Kernel
+	// matmuls keeps the tiled pipeline of each BatchMatMul call signature
+	// (matmul), as webgl keeps its programs: a warmed dispatch builds
+	// nothing and binds its operand textures to the command.
+	matmuls *kernels.Memo[matmulPipeline]
+	matmul  kernels.RangeKernel
 }
 
 // New creates a WebGPU backend.
@@ -53,45 +58,65 @@ func (b *Backend) Kernel(name string) (kernels.Kernel, bool) {
 }
 
 func (b *Backend) initKernels() {
+	b.matmul, _ = kernels.LookupKernel("BatchMatMul")
+	b.matmuls = kernels.NewMemo(buildMatMul)
 	b.table = map[string]kernels.Kernel{
 		"BatchMatMul": b.matmulCompute,
 	}
 }
 
-// matmulCompute is the tiled matrix-multiply pipeline. Each workgroup owns
-// a TileSize×TileSize tile of the output; it marches over the shared
-// dimension in TileSize steps, staging the A and B tiles into workgroup
-// memory once and reusing each staged value TileSize times. What the
-// pipeline does not specialize — transposed operands, and every malformed
-// call, whose error the fragment kernel words — runs on the inherited
-// fragment-shader program, on the device.
+// matmulPipeline is one call signature's tiled pipeline and the output it
+// writes; prog is nil for a call the pipeline does not specialize.
+type matmulPipeline struct {
+	prog  *glsim.ComputeProgram
+	shape []int
+}
+
+// matmulCompute runs the tiled matrix-multiply pipeline of the call's
+// signature, built on its first dispatch. What the pipeline does not
+// specialize — transposed operands, and every malformed call, whose error
+// the fragment kernel words — runs on the inherited fragment-shader
+// program, on the device.
 func (b *Backend) matmulCompute(inputs []kernels.Input, attrs kernels.Attrs, res *kernels.TensorInfo) error {
-	fragment, _ := b.Backend.Kernel("BatchMatMul")
-	g, err := kernels.ResolveMatMul("BatchMatMul", inputs, attrs, res)
-	if err != nil || attrs.TransposeA || attrs.TransposeB {
+	p, err := b.matmuls.Get(b.matmul, inputs, &attrs)
+	if err != nil || p.prog == nil {
+		fragment, _ := b.Backend.Kernel("BatchMatMul")
 		return fragment(inputs, attrs, res)
 	}
-	batch, m, k, n, batchA, batchB := g.Dims()
-	aTex := b.InputTexture(inputs[0])
-	bTex := b.InputTexture(inputs[1])
-	out, err := b.Output(res.Shape, tensor.Float32, res)
+	operands := [2]*glsim.Texture{b.InputTexture(inputs[0]), b.InputTexture(inputs[1])}
+	out, err := b.Output(p.shape, tensor.Float32, res)
 	if err != nil {
 		return err
 	}
+	b.Device().ExecuteCompute(p.prog, operands[:], out)
+	return nil
+}
 
+// buildMatMul builds the tiled pipeline of a resolved BatchMatMul call.
+// Each workgroup owns a TileSize×TileSize tile of the output; it marches
+// over the shared dimension in TileSize steps, staging the A and B tiles
+// into workgroup memory once and reusing each staged value TileSize times.
+// The operands are the dispatch's bound inputs: A and B, in order.
+func buildMatMul(_ kernels.RangeKernel, res kernels.Resolved, inputs []kernels.Input, attrs kernels.Attrs) matmulPipeline {
+	var info kernels.TensorInfo
+	g, err := kernels.ResolveMatMul("BatchMatMul", inputs, attrs, &info)
+	if err != nil || attrs.TransposeA || attrs.TransposeB {
+		return matmulPipeline{}
+	}
+	batch, m, k, n, batchA, batchB := g.Dims()
 	tilesM := (m + TileSize - 1) / TileSize
 	tilesN := (n + TileSize - 1) / TileSize
-	groups := batch * tilesM * tilesN
 	aMat, bMat := m*k, k*n
 
-	prog := &glsim.ComputeProgram{
+	return matmulPipeline{shape: res.Shape, prog: &glsim.ComputeProgram{
 		Name:            "BatchMatMul(compute)",
-		NumGroups:       groups,
+		NumGroups:       batch * tilesM * tilesN,
 		ThreadsPerGroup: TileSize * TileSize,
 		// Shared memory: an A tile, a B tile and the accumulator tile.
 		SharedSize: 3 * TileSize * TileSize,
 		Work:       tiledMatMulWork(batch, m, k, n),
-		Main: func(group int, shared []float32, store func(int, float32)) {
+		Main: func(in [][]float32, group int, shared, dst []float32) {
+			a, b := in[0], in[1]
 			tileN := group % tilesN
 			rest := group / tilesN
 			tileM := rest % tilesM
@@ -122,7 +147,7 @@ func (b *Backend) matmulCompute(inputs []kernels.Input, attrs kernels.Attrs, res
 					}
 					base := aOff + row*k + k0
 					for c := 0; c < kLen; c++ {
-						aTile[r*TileSize+c] = aTex.FetchFlat(base + c)
+						aTile[r*TileSize+c] = a[base+c]
 					}
 				}
 				for r := 0; r < kLen; r++ {
@@ -132,7 +157,7 @@ func (b *Backend) matmulCompute(inputs []kernels.Input, attrs kernels.Attrs, res
 						cLen = n - colBase
 					}
 					for c := 0; c < cLen; c++ {
-						bTile[r*TileSize+c] = bTex.FetchFlat(base + c)
+						bTile[r*TileSize+c] = b[base+c]
 					}
 				}
 				// Multiply the staged tiles.
@@ -170,13 +195,11 @@ func (b *Backend) matmulCompute(inputs []kernels.Input, attrs kernels.Attrs, res
 			outBase := p * m * n
 			for r := 0; r < rLen; r++ {
 				for c := 0; c < cLen; c++ {
-					store(outBase+(rowBase+r)*n+colBase+c, acc[r*TileSize+c])
+					dst[outBase+(rowBase+r)*n+colBase+c] = acc[r*TileSize+c]
 				}
 			}
 		},
-	}
-	b.Device().ExecuteCompute(prog, out)
-	return nil
+	}}
 }
 
 // tiledMatMulWork is what one dispatch of the tiled pipeline costs the

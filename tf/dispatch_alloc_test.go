@@ -69,7 +69,8 @@ func TestEagerDispatchAllocBudget(t *testing.T) {
 // predicate), the six kernels that ran on the reference kernel through
 // host memory until they joined the table (All, Any, Cast, CumSum, Range,
 // Reverse), a view, a reduction and a broadcast of rank 8, Select and a
-// batch norm on operands that broadcast, and GatherV2, on node and webgl. Conv2D and MaxPool are dispatched
+// batch norm on operands that broadcast, and GatherV2, on node, webgl and
+// webgpu. Conv2D and MaxPool are dispatched
 // without strides or dilations, so a zero field's meaning allocated per
 // call shows. On webgl each dispatch is followed by a fence (two
 // allocations of its own: its channel and its command), so that the device
@@ -97,7 +98,10 @@ func TestEagerDispatchAllocBudget(t *testing.T) {
 // on webgl while each range they filled made its operands' indices in
 // slices of its own, and GatherV2 3 and 7 while it was no entry of the
 // table: node resolved it and built its body's closure on every dispatch,
-// webgl its program.
+// webgl its program. Webgpu reads what webgl does; its tiled BatchMatMul
+// pipeline read 7 while each dispatch resolved its call and built the
+// pipeline, a closure over the operand textures and a store func, before
+// the pipeline was kept in the memo and its operands bound per dispatch.
 func TestEagerDispatchAllocBudgetPerClass(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
@@ -155,7 +159,10 @@ func TestEagerDispatchAllocBudgetPerClass(t *testing.T) {
 			"Any": 4, "All": 4, "Reverse": 4, "Cast": 4, "Range": 4, "CumSum": 4,
 			"Select": 4, "FusedBatchNorm": 4, "GatherV2": 4},
 	}
-	for _, backend := range []string{"node", "webgl"} {
+	// Webgpu is webgl's data plane and kernels plus its own BatchMatMul
+	// pipeline, which costs what a webgl program does.
+	budgets["webgpu"] = budgets["webgl"]
+	for _, backend := range []string{"node", "webgl", "webgpu"} {
 		if err := tf.SetBackend(backend); err != nil {
 			t.Fatal(err)
 		}
