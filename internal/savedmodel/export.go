@@ -215,7 +215,9 @@ func exportLayer(g *GraphDef, l layers.Layer, input string, inShape []int) (stri
 		})
 		out = name + "/GatherV2"
 	case "SimpleRNN":
-		out = exportSimpleRNN(g, l, cfg, opName, out, inShape)
+		if out, err = exportSimpleRNN(g, l, cfg, opName, out, inShape); err != nil {
+			return "", err
+		}
 		opName = "" // applied at every step
 	case "Activation":
 		// handled by the shared activation lowering below
@@ -242,13 +244,27 @@ func exportLayer(g *GraphDef, l layers.Layer, input string, inShape []int) (stri
 // return_sequences one Concat on axis 1 joins the steps' [batch, units]
 // states and a Reshape makes them [batch, steps, units]; without, the last
 // state is the output.
-func exportSimpleRNN(g *GraphDef, l layers.Layer, cfg map[string]any, act, input string, inShape []int) string {
+//
+// The unrolled graph serves exactly steps steps, so the layer's step count
+// must be known (not -1) and at least 1. The graph starts with a Reshape
+// of its input to [batch, steps, features], which fails for a sequence of
+// any other length: a longer one would otherwise be served from its first
+// steps alone.
+func exportSimpleRNN(g *GraphDef, l layers.Layer, cfg map[string]any, act, input string, inShape []int) (string, error) {
 	name, weights := l.Name(), l.Weights()
+	steps, features := inShape[0], inShape[1]
+	if steps < 1 {
+		return "", fmt.Errorf("savedmodel: cannot export SimpleRNN %q over input %v: its graph unrolls a fixed step count, at least 1", name, inShape)
+	}
 	consts := make([]string, len(weights))
 	for i, suffix := range []string{"/kernel", "/recurrent_kernel", "/bias"} {
 		consts[i] = addConst(g, name+suffix, weights[i].Shape(), weights[i].Value().DataSync())
 	}
-	steps, features := inShape[0], inShape[1]
+	g.Nodes = append(g.Nodes, NodeDef{
+		Name: name + "/Reshape_input", Op: "Reshape", Inputs: []string{input},
+		Attrs: map[string]any{"shape": []int{steps, features}},
+	})
+	input = name + "/Reshape_input"
 	var h string
 	states := make([]string, steps)
 	for t := range states {
@@ -275,7 +291,7 @@ func exportSimpleRNN(g *GraphDef, l layers.Layer, cfg map[string]any, act, input
 		states[t] = h
 	}
 	if rs, _ := cfg["return_sequences"].(bool); !rs {
-		return h
+		return h, nil
 	}
 	g.Nodes = append(g.Nodes, NodeDef{Name: name + "/Concat", Op: "Concat", Inputs: states, Attrs: map[string]any{"axis": 1}})
 	units := weights[1].Shape()[0]
@@ -283,5 +299,5 @@ func exportSimpleRNN(g *GraphDef, l layers.Layer, cfg map[string]any, act, input
 		Name: name + "/Reshape", Op: "Reshape", Inputs: []string{name + "/Concat"},
 		Attrs: map[string]any{"shape": []int{steps, units}},
 	})
-	return name + "/Reshape"
+	return name + "/Reshape", nil
 }

@@ -642,6 +642,63 @@ func TestLayersArtifactServesItsEagerModel(t *testing.T) {
 	}
 }
 
+// TestSequenceOfAnotherLengthIsRejected: the sequence model's graph unrolls
+// its 6 steps, so a sentence of 5 or 7 ids is a client error (400), though
+// eager Predict takes either: a graph of 6 steps would serve a longer
+// sentence from its first 6 ids.
+func TestSequenceOfAnotherLengthIsRejected(t *testing.T) {
+	reg := NewRegistry()
+	defer reg.Close()
+	run := loadReady(t, reg, "m", sequenceStore(t), ModelOptions{Backend: "node"}).sched.run
+	for _, n := range []int{5, 7} {
+		before := core.Global().Memory()
+		sentence := Instance{Values: make([]float32, n), Shape: []int{n}}
+		for j := range sentence.Values {
+			sentence.Values[j] = float32(j % 9)
+		}
+		outs, err := run.run([]Instance{sentence})
+		if err == nil {
+			t.Errorf("a %d-id sentence was served by a 6-step model: %v", n, outs)
+		} else if statusFor(err) != http.StatusBadRequest {
+			t.Errorf("a %d-id sentence: status %d, want 400: %v", n, statusFor(err), err)
+		}
+		sameMemory(t, fmt.Sprintf("after the %d-id sentence", n), before)
+	}
+}
+
+// TestUnrollableRNNFailsItsLoad: a SimpleRNN whose step count is unknown
+// (-1) or 0 builds, and so saves, but has no graph of fixed steps. Loading
+// it fails that model, with an error naming the layer; it does not panic
+// the server.
+func TestUnrollableRNNFailsItsLoad(t *testing.T) {
+	for _, steps := range []int{-1, 0} {
+		t.Run(fmt.Sprintf("steps%d", steps), func(t *testing.T) {
+			m := layers.NewSequential("rnn")
+			m.Add(layers.NewSimpleRNN(layers.SimpleRNNConfig{Units: 2, InputShape: []int{steps, 3}, Name: "rnn_any_length"}))
+			defer m.Dispose()
+			store := converter.NewMemStore()
+			if _, err := converter.SaveLayersModel(m, store, converter.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			reg := NewRegistry()
+			defer reg.Close()
+			model, err := reg.Load("m", store, ModelOptions{Backend: "node"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			err = model.WaitReady(ctx)
+			if err == nil || !strings.Contains(err.Error(), `"rnn_any_length"`) {
+				t.Fatalf("load of a %d-step SimpleRNN: error %v, want one naming the layer", steps, err)
+			}
+			if st := model.State(); st != StateFailed {
+				t.Errorf("state %v after the failed load, want %v", st, StateFailed)
+			}
+		})
+	}
+}
+
 // eagerPredict loads the layers artifact in store on the global engine
 // and predicts batch eagerly on backend, returning each instance's row.
 func eagerPredict(t *testing.T, store converter.Store, backend string, batch []Instance) [][]float32 {

@@ -96,14 +96,20 @@ func (b *Backend) matmulCompute(inputs []kernels.Input, attrs kernels.Attrs, res
 // Each workgroup owns a TileSize×TileSize tile of the output; it marches
 // over the shared dimension in TileSize steps, staging the A and B tiles
 // into workgroup memory once and reusing each staged value TileSize times.
-// The operands are the dispatch's bound inputs: A and B, in order.
+// The operands are the dispatch's bound inputs: A and B, in order. The
+// memo has resolved the call, so A is [batchA,] m×k, B [batchB,] k×n and
+// the output [batch,] m×n.
 func buildMatMul(_ kernels.RangeKernel, res kernels.Resolved, inputs []kernels.Input, attrs kernels.Attrs) matmulPipeline {
-	var info kernels.TensorInfo
-	g, err := kernels.ResolveMatMul("BatchMatMul", inputs, attrs, &info)
-	if err != nil || attrs.TransposeA || attrs.TransposeB {
+	if attrs.TransposeA || attrs.TransposeB {
 		return matmulPipeline{}
 	}
-	batch, m, k, n, batchA, batchB := g.Dims()
+	a, b := inputs[0].Shape, inputs[1].Shape
+	rank := len(a)
+	m, k, n := a[rank-2], a[rank-1], b[rank-1]
+	batch, batchA, batchB := 1, 1, 1
+	if rank == 3 {
+		batch, batchA, batchB = res.Shape[0], a[0], b[0]
+	}
 	tilesM := (m + TileSize - 1) / TileSize
 	tilesN := (n + TileSize - 1) / TileSize
 	aMat, bMat := m*k, k*n
