@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/layers"
 	"repro/internal/savedmodel"
 	"repro/internal/tensor"
@@ -102,11 +101,11 @@ func writeArtifact(store Store, model ModelJSON, weights []savedmodel.Weight, op
 }
 
 // Load reads the model in store, whichever format its model.json declares,
-// and returns it as a graph with its format. A Layers model is built, its
-// weights restored, lowered to its graph (savedmodel.FromSequential) and
-// disposed: every loaded model runs as a graph. The Layers model lives on
-// the global engine, so it is built, read and disposed under that engine's
-// execution lock: a load may race with a model executing there (the
+// and returns it as a graph with its format: every loaded model runs as a
+// graph. A Layers model is lowered from its topology's layer configs and
+// its manifest's weights (savedmodel.FromLayers), which must be the ones
+// those layers declare. Nothing is built: a load makes no tensor and takes
+// no engine's lock, so it never waits on a model executing there (the
 // serving registry loads while it serves).
 func Load(store Store) (*savedmodel.GraphDef, string, error) {
 	model, weights, err := readArtifact(store, "")
@@ -118,14 +117,10 @@ func Load(store Store) (*savedmodel.GraphDef, string, error) {
 		g, err = graphFrom(model.ModelTopology, weights)
 		return g, model.Format, err
 	}
-	core.Global().RunExclusive(func() {
-		var m *layers.Sequential
-		if m, err = layersFrom(model.ModelTopology, weights); err != nil {
-			return
-		}
-		defer m.Dispose()
-		g, err = savedmodel.FromSequential(m, false)
-	})
+	m, err := layers.FromJSON(model.ModelTopology)
+	if err == nil {
+		g, err = savedmodel.FromLayers(m, namedWeights(weights))
+	}
 	return g, model.Format, err
 }
 

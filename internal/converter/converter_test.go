@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/converter"
 	"repro/internal/core"
@@ -366,8 +367,8 @@ func TestLoadersRejectTheOtherFormat(t *testing.T) {
 			t.Errorf("%s on a %s: error %v does not name the format found", c.name, c.found, err)
 		}
 	}
-	// Load reads either format, and returns each as its graph; the Layers
-	// model it builds to lower is disposed.
+	// Load reads either format, and returns each as its graph; it lowers a
+	// Layers model without building it, so it makes no tensor.
 	for want, store := range map[string]converter.Store{converter.GraphModel: graphStore, converter.LayersModel: layersStore} {
 		before := core.Global().Memory().NumTensors
 		g, format, err := converter.Load(store)
@@ -383,41 +384,180 @@ func TestLoadersRejectTheOtherFormat(t *testing.T) {
 	}
 }
 
-// TestLayersManifestListsEveryWeight: a layers-model manifest that leaves
-// out one of the model's weights, with its bytes, is a load-time error
-// naming the weight. It used to load, the weight left at its initializer.
+// TestLayersManifestListsEveryWeight: a layers-model manifest holds the
+// weights the model's layers declare, each with the shape its layer's
+// config gives. One left out, with its bytes, or one of another shape,
+// with its bytes, is a load-time error naming the weight, from
+// LoadLayersModel and from Load alike. The first used to load, the weight
+// left at its initializer.
 func TestLayersManifestListsEveryWeight(t *testing.T) {
+	m, _ := buildModel(t)
+	for _, c := range []struct {
+		name string
+		// edit changes the manifest's one group and its one shard, and
+		// returns the weight the load error must name.
+		edit func(group *converter.WeightsGroup, shard *[]byte) string
+	}{
+		{"weight left out", func(group *converter.WeightsGroup, shard *[]byte) string {
+			last := group.Weights[len(group.Weights)-1]
+			group.Weights = group.Weights[:len(group.Weights)-1]
+			*shard = (*shard)[:len(*shard)-4*tensor.ShapeSize(last.Shape)]
+			return last.Name
+		}},
+		{"kernel of another shape", func(group *converter.WeightsGroup, shard *[]byte) string {
+			// The Dense kernel is [64 3]; the manifest says [65 3] and
+			// holds a row more.
+			end := 0
+			for i := range group.Weights {
+				w := &group.Weights[i]
+				end += 4 * tensor.ShapeSize(w.Shape)
+				if strings.HasSuffix(w.Name, "/kernel") && len(w.Shape) == 2 {
+					w.Shape = []int{w.Shape[0] + 1, w.Shape[1]}
+					*shard = append((*shard)[:end:end], append(make([]byte, 4*w.Shape[1]), (*shard)[end:]...)...)
+					return w.Name
+				}
+			}
+			t.Fatal("the model has no Dense kernel")
+			return ""
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			store := converter.NewMemStore()
+			if _, err := converter.SaveLayersModel(m, store, converter.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := store.Read("model.json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var model converter.ModelJSON
+			if err := json.Unmarshal(raw, &model); err != nil {
+				t.Fatal(err)
+			}
+			group := &model.WeightsManifest[0]
+			shard, err := store.Read(group.Paths[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := c.edit(group, &shard)
+			if err := store.Write(group.Paths[0], shard); err != nil {
+				t.Fatal(err)
+			}
+			if raw, err = json.Marshal(model); err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Write("model.json", raw); err != nil {
+				t.Fatal(err)
+			}
+			for loader, load := range loaders {
+				err := load(store)
+				if want := fmt.Sprintf("weight %q", name); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: load error %v does not name %s", loader, err, want)
+				}
+			}
+		})
+	}
+}
+
+// loaders are the two readers of a layers-model: the in-process one, which
+// builds the model, and serving's, which lowers it to its graph.
+var loaders = map[string]func(converter.Store) error{
+	"LoadLayersModel": func(s converter.Store) error {
+		m, err := converter.LoadLayersModel(s)
+		if err == nil {
+			m.Dispose()
+		}
+		return err
+	},
+	"Load": func(s converter.Store) error { _, _, err := converter.Load(s); return err },
+}
+
+// TestHostileLayersTopologyFailsAtLoad: a layers-model topology whose layer
+// config its class rejects — a Dense of 0 or -2 units, an unknown
+// activation or kernel initializer — is a load-time error naming the
+// layer, from both loaders. It used to panic out of the layer's
+// constructor, and a server loads a model on a goroutine of its own.
+func TestHostileLayersTopologyFailsAtLoad(t *testing.T) {
+	m, _ := buildModel(t)
+	dense := m.Layers()[3].Name()
+	for _, c := range []struct {
+		name, key string
+		value     any
+	}{
+		{"zero units", "units", 0},
+		{"negative units", "units", -2},
+		{"unknown activation", "activation", "bogus"},
+		{"unknown initializer", "kernel_initializer", "bogus"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			store := converter.NewMemStore()
+			if _, err := converter.SaveLayersModel(m, store, converter.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := store.Read("model.json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var model converter.ModelJSON
+			if err := json.Unmarshal(raw, &model); err != nil {
+				t.Fatal(err)
+			}
+			var topo struct {
+				ClassName string `json:"class_name"`
+				Config    struct {
+					Name   string           `json:"name"`
+					Layers []map[string]any `json:"layers"`
+				} `json:"config"`
+			}
+			if err := json.Unmarshal(model.ModelTopology, &topo); err != nil {
+				t.Fatal(err)
+			}
+			topo.Config.Layers[3]["config"].(map[string]any)[c.key] = c.value
+			if model.ModelTopology, err = json.Marshal(topo); err != nil {
+				t.Fatal(err)
+			}
+			if raw, err = json.Marshal(model); err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Write("model.json", raw); err != nil {
+				t.Fatal(err)
+			}
+			for loader, load := range loaders {
+				if err := load(store); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", dense)) {
+					t.Errorf("%s: load error %v does not name the layer %q", loader, err, dense)
+				}
+			}
+		})
+	}
+}
+
+// TestLayersLoadTakesNoEngineLock: Load lowers a layers-model from its
+// topology and manifest alone, so it returns while another goroutine holds
+// the global engine's execution lock, as a model executing there does.
+func TestLayersLoadTakesNoEngineLock(t *testing.T) {
 	m, _ := buildModel(t)
 	store := converter.NewMemStore()
 	if _, err := converter.SaveLayersModel(m, store, converter.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := store.Read("model.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var model converter.ModelJSON
-	if err := json.Unmarshal(raw, &model); err != nil {
-		t.Fatal(err)
-	}
-	group := &model.WeightsManifest[0]
-	last := group.Weights[len(group.Weights)-1]
-	group.Weights = group.Weights[:len(group.Weights)-1]
-	shard, err := store.Read(group.Paths[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Write(group.Paths[0], shard[:len(shard)-4*tensor.ShapeSize(last.Shape)]); err != nil {
-		t.Fatal(err)
-	}
-	if raw, err = json.Marshal(model); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Write("model.json", raw); err != nil {
-		t.Fatal(err)
-	}
-	_, err = converter.LoadLayersModel(store)
-	if want := fmt.Sprintf("weight %q", last.Name); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("load error %v does not name %s", err, want)
+	held, release := make(chan struct{}), make(chan struct{})
+	go core.Global().RunExclusive(func() {
+		close(held)
+		<-release
+	})
+	<-held
+	defer close(release)
+	loaded := make(chan error, 1)
+	go func() {
+		_, _, err := converter.Load(store)
+		loaded <- err
+	}()
+	select {
+	case err := <-loaded:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Load of a layers-model waited on the engine's execution lock")
 	}
 }

@@ -2,7 +2,6 @@ package converter
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"repro/internal/layers"
 	"repro/internal/savedmodel"
@@ -49,34 +48,29 @@ func LoadLayersModel(store Store) (*layers.Sequential, error) {
 }
 
 // layersFrom builds a Layers model from its topology and restores its
-// weights. Every weight of the model must be in the manifest (one left out
-// would keep its initializer) and every manifest weight in the model
-// (SetWeights checks). A model that fails to take its weights is disposed.
+// weights, which must be the ones its layers declare
+// (Sequential.CheckWeights): one left out would keep its initializer.
 func layersFrom(topo json.RawMessage, weights []savedmodel.Weight) (*layers.Sequential, error) {
 	m, err := layers.FromJSON(topo)
 	if err != nil {
 		return nil, err
 	}
-	named := make([]layers.NamedWeight, len(weights))
-	listed := map[string]bool{}
-	for i, w := range weights {
-		named[i] = layers.NamedWeight{Name: w.Name, Shape: w.Shape, Values: w.Values}
-		listed[w.Name] = true
+	named := namedWeights(weights)
+	if _, err := m.CheckWeights(named); err != nil {
+		return nil, err
 	}
-	if err = m.Build(); err == nil {
-		for _, v := range m.Weights() {
-			if !listed[v.Name] {
-				err = fmt.Errorf("converter: weight %q of the model is not in the manifest", v.Name)
-				break
-			}
-		}
-	}
-	if err == nil {
-		err = m.SetWeights(named)
-	}
-	if err != nil {
+	if err := m.SetWeights(named); err != nil {
 		m.Dispose()
 		return nil, err
 	}
 	return m, nil
+}
+
+// namedWeights is a manifest's weights as a Layers model names them.
+func namedWeights(weights []savedmodel.Weight) []layers.NamedWeight {
+	named := make([]layers.NamedWeight, len(weights))
+	for i, w := range weights {
+		named[i] = layers.NamedWeight{Name: w.Name, Shape: w.Shape, Values: w.Values}
+	}
+	return named
 }

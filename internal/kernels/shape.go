@@ -579,27 +579,34 @@ func ResolveGather(inputs []Input, attrs Attrs, out *TensorInfo) (Gather, error)
 
 // Check is the error of a call whose indices idx name no slice of x, the
 // first such index's: the reference kernel and node reject the call with
-// it. A webgl program cannot read its indices without a readback, and does
-// not check them.
+// it. An index names a slice when it is a whole number in [0, axis): 2.7,
+// -0.5 and NaN name none. A webgl program cannot read its indices without a
+// readback, and does not check them.
 func (g Gather) Check(idx []float32) error {
 	for _, v := range idx[:g.indices] {
-		if k := int(v); k < 0 || k >= g.axis {
-			return errIn("GatherV2", "index %d out of range [0, %d)", k, g.axis)
+		if _, ok := g.slice(v); !ok {
+			return errIn("GatherV2", "index %v out of range [0, %d)", v, g.axis)
 		}
 	}
 	return nil
 }
 
+// slice is the slice of x the index v names, if it names one.
+func (g Gather) slice(v float32) (int, bool) {
+	k := int(v)
+	return k, float32(k) == v && k >= 0 && k < g.axis
+}
+
 // Fill computes the output values [lo, lo+len(dst)) of the gather into dst,
-// a copy per slice. An index out of range reads zeros: the reference
-// kernel and node reject such a call first (Check), while a webgl program
-// cannot fail, and reads 0 where a shader would read whatever lies past
-// its texture.
+// a copy per slice. An index that names no slice reads zeros: the
+// reference kernel and node reject such a call first (Check), while a
+// webgl program cannot fail, and reads 0 where a shader would read
+// whatever lies past its texture.
 func (g Gather) Fill(x, idx []float32, lo int, dst []float32) {
 	for at, hi := lo, lo+len(dst); at < hi; {
 		j, r := at%g.inner, at/g.inner
 		run := dst[at-lo : at-lo+min(g.inner-j, hi-at)]
-		if k := int(idx[r%g.indices]); k >= 0 && k < g.axis {
+		if k, ok := g.slice(idx[r%g.indices]); ok {
 			copy(run, x[(r/g.indices*g.axis+k)*g.inner+j:])
 		} else {
 			clear(run)

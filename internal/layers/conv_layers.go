@@ -53,8 +53,10 @@ func (c *Conv2DConfig) normalize(class string) error {
 	if c.Padding != "same" && c.Padding != "valid" {
 		return fmt.Errorf("layers: %s padding must be same or valid, got %q", class, c.Padding)
 	}
-	_, err := ActivationKernel(c.Activation)
-	return err
+	if _, err := ActivationKernel(c.Activation); err != nil {
+		return err
+	}
+	return checkInitializer(c.Initializer)
 }
 
 func (c Conv2DConfig) useBias() bool { return c.UseBias == nil || *c.UseBias }
@@ -65,7 +67,7 @@ type Conv2D struct {
 	cfg    Conv2DConfig
 	kernel *core.Variable
 	bias   *core.Variable
-	built  bool
+	weightVars
 }
 
 // NewConv2D creates a Conv2D layer.
@@ -89,24 +91,26 @@ func (l *Conv2D) Name() string { return l.name }
 // ClassName implements Layer.
 func (l *Conv2D) ClassName() string { return "Conv2D" }
 
-// Build implements Layer.
-func (l *Conv2D) Build(inputShape []int) error {
-	if l.built {
-		return nil
-	}
+func (l *Conv2D) weightSpecs(inputShape []int) ([]weightSpec, error) {
 	if len(inputShape) != 3 {
-		return fmt.Errorf("layers: Conv2D %q expects [h w c] per-example input, got %v", l.name, inputShape)
+		return nil, fmt.Errorf("layers: Conv2D %q expects [h w c] per-example input, got %v", l.name, inputShape)
 	}
 	inC := inputShape[2]
 	kh, kw := l.cfg.KernelSize[0], l.cfg.KernelSize[1]
 	fanIn := kh * kw * inC
 	fanOut := kh * kw * l.cfg.Filters
-	l.kernel = newWeight(l.name+"/kernel", []int{kh, kw, inC, l.cfg.Filters}, fanIn, fanOut, l.cfg.Initializer)
+	specs := []weightSpec{randomWeight(l.name+"/kernel", []int{kh, kw, inC, l.cfg.Filters}, fanIn, fanOut, l.cfg.Initializer)}
 	if l.cfg.useBias() {
-		l.bias = newConstWeight(l.name+"/bias", []int{l.cfg.Filters}, 0, true)
+		specs = append(specs, constWeight(l.name+"/bias", []int{l.cfg.Filters}, 0, true))
 	}
-	l.built = true
-	return nil
+	return specs, nil
+}
+
+// Build implements Layer.
+func (l *Conv2D) Build(inputShape []int) error {
+	var err error
+	l.kernel, l.bias, err = l.buildKernel(l, inputShape)
+	return err
 }
 
 // OutputShape implements Layer.
@@ -133,17 +137,6 @@ func (l *Conv2D) Call(x *tensor.Tensor, training bool) *tensor.Tensor {
 	return applyActivation(l.cfg.Activation, y)
 }
 
-// Weights implements Layer.
-func (l *Conv2D) Weights() []*core.Variable {
-	if l.bias != nil {
-		return []*core.Variable{l.kernel, l.bias}
-	}
-	if l.kernel != nil {
-		return []*core.Variable{l.kernel}
-	}
-	return nil
-}
-
 // Config implements Layer.
 func (l *Conv2D) Config() map[string]any {
 	return map[string]any{
@@ -160,7 +153,7 @@ type DepthwiseConv2D struct {
 	cfg    Conv2DConfig
 	kernel *core.Variable
 	bias   *core.Variable
-	built  bool
+	weightVars
 }
 
 // NewDepthwiseConv2D creates a DepthwiseConv2D layer; cfg.Filters is the
@@ -185,23 +178,25 @@ func (l *DepthwiseConv2D) Name() string { return l.name }
 // ClassName implements Layer.
 func (l *DepthwiseConv2D) ClassName() string { return "DepthwiseConv2D" }
 
-// Build implements Layer.
-func (l *DepthwiseConv2D) Build(inputShape []int) error {
-	if l.built {
-		return nil
-	}
+func (l *DepthwiseConv2D) weightSpecs(inputShape []int) ([]weightSpec, error) {
 	if len(inputShape) != 3 {
-		return fmt.Errorf("layers: DepthwiseConv2D %q expects [h w c] input, got %v", l.name, inputShape)
+		return nil, fmt.Errorf("layers: DepthwiseConv2D %q expects [h w c] input, got %v", l.name, inputShape)
 	}
 	inC := inputShape[2]
 	kh, kw := l.cfg.KernelSize[0], l.cfg.KernelSize[1]
 	fan := kh * kw * l.cfg.Filters
-	l.kernel = newWeight(l.name+"/depthwise_kernel", []int{kh, kw, inC, l.cfg.Filters}, fan, fan, l.cfg.Initializer)
+	specs := []weightSpec{randomWeight(l.name+"/depthwise_kernel", []int{kh, kw, inC, l.cfg.Filters}, fan, fan, l.cfg.Initializer)}
 	if l.cfg.useBias() {
-		l.bias = newConstWeight(l.name+"/bias", []int{inC * l.cfg.Filters}, 0, true)
+		specs = append(specs, constWeight(l.name+"/bias", []int{inC * l.cfg.Filters}, 0, true))
 	}
-	l.built = true
-	return nil
+	return specs, nil
+}
+
+// Build implements Layer.
+func (l *DepthwiseConv2D) Build(inputShape []int) error {
+	var err error
+	l.kernel, l.bias, err = l.buildKernel(l, inputShape)
+	return err
 }
 
 // OutputShape implements Layer.
@@ -226,17 +221,6 @@ func (l *DepthwiseConv2D) Call(x *tensor.Tensor, training bool) *tensor.Tensor {
 		y = ops.Add(y, l.bias.Value())
 	}
 	return applyActivation(l.cfg.Activation, y)
-}
-
-// Weights implements Layer.
-func (l *DepthwiseConv2D) Weights() []*core.Variable {
-	if l.bias != nil {
-		return []*core.Variable{l.kernel, l.bias}
-	}
-	if l.kernel != nil {
-		return []*core.Variable{l.kernel}
-	}
-	return nil
 }
 
 // Config implements Layer.
@@ -410,20 +394,26 @@ func init() {
 		}), nil
 	})
 	RegisterLayerClass("MaxPooling2D", func(c map[string]any) (Layer, error) {
-		return NewMaxPooling2D(Pool2DConfig{
+		l := NewMaxPooling2D(Pool2DConfig{
 			PoolSize: cfgInts(c, "pool_size", nil),
 			Strides:  cfgInts(c, "strides", nil),
 			Padding:  cfgString(c, "padding", "valid"),
-		}), nil
+		}).(*pool2D)
+		l.name = cfgString(c, "name", l.name)
+		return l, nil
 	})
 	RegisterLayerClass("AveragePooling2D", func(c map[string]any) (Layer, error) {
-		return NewAveragePooling2D(Pool2DConfig{
+		l := NewAveragePooling2D(Pool2DConfig{
 			PoolSize: cfgInts(c, "pool_size", nil),
 			Strides:  cfgInts(c, "strides", nil),
 			Padding:  cfgString(c, "padding", "valid"),
-		}), nil
+		}).(*pool2D)
+		l.name = cfgString(c, "name", l.name)
+		return l, nil
 	})
 	RegisterLayerClass("GlobalAveragePooling2D", func(c map[string]any) (Layer, error) {
-		return NewGlobalAveragePooling2D(), nil
+		l := NewGlobalAveragePooling2D()
+		l.name = cfgString(c, "name", l.name)
+		return l, nil
 	})
 }

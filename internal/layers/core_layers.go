@@ -36,7 +36,7 @@ type Dense struct {
 	cfg    DenseConfig
 	kernel *core.Variable
 	bias   *core.Variable
-	built  bool
+	weightVars
 }
 
 // NewDense creates a Dense layer (tf.layers.dense in Listing 1).
@@ -45,6 +45,9 @@ func NewDense(cfg DenseConfig) *Dense {
 		panic(&core.OpError{Kernel: "Dense", Err: fmt.Errorf("units must be positive, got %d", cfg.Units)})
 	}
 	if _, err := ActivationKernel(cfg.Activation); err != nil {
+		panic(&core.OpError{Kernel: "Dense", Err: err})
+	}
+	if err := checkInitializer(cfg.Initializer); err != nil {
 		panic(&core.OpError{Kernel: "Dense", Err: err})
 	}
 	name := cfg.Name
@@ -62,21 +65,23 @@ func (l *Dense) ClassName() string { return "Dense" }
 
 func (l *Dense) useBias() bool { return l.cfg.UseBias == nil || *l.cfg.UseBias }
 
-// Build implements Layer.
-func (l *Dense) Build(inputShape []int) error {
-	if l.built {
-		return nil
-	}
+func (l *Dense) weightSpecs(inputShape []int) ([]weightSpec, error) {
 	if len(inputShape) != 1 {
-		return fmt.Errorf("layers: Dense %q expects rank-1 per-example input, got %v", l.name, inputShape)
+		return nil, fmt.Errorf("layers: Dense %q expects rank-1 per-example input, got %v", l.name, inputShape)
 	}
 	in := inputShape[0]
-	l.kernel = newWeight(l.name+"/kernel", []int{in, l.cfg.Units}, in, l.cfg.Units, l.cfg.Initializer)
+	specs := []weightSpec{randomWeight(l.name+"/kernel", []int{in, l.cfg.Units}, in, l.cfg.Units, l.cfg.Initializer)}
 	if l.useBias() {
-		l.bias = newConstWeight(l.name+"/bias", []int{l.cfg.Units}, 0, true)
+		specs = append(specs, constWeight(l.name+"/bias", []int{l.cfg.Units}, 0, true))
 	}
-	l.built = true
-	return nil
+	return specs, nil
+}
+
+// Build implements Layer.
+func (l *Dense) Build(inputShape []int) error {
+	var err error
+	l.kernel, l.bias, err = l.buildKernel(l, inputShape)
+	return err
 }
 
 // OutputShape implements Layer.
@@ -94,17 +99,6 @@ func (l *Dense) Call(x *tensor.Tensor, training bool) *tensor.Tensor {
 		y = ops.Add(y, l.bias.Value())
 	}
 	return applyActivation(l.cfg.Activation, y)
-}
-
-// Weights implements Layer.
-func (l *Dense) Weights() []*core.Variable {
-	if l.bias != nil {
-		return []*core.Variable{l.kernel, l.bias}
-	}
-	if l.kernel != nil {
-		return []*core.Variable{l.kernel}
-	}
-	return nil
 }
 
 // Config implements Layer.
@@ -327,16 +321,23 @@ func init() {
 	})
 	RegisterLayerClass("Flatten", func(c map[string]any) (Layer, error) {
 		l := NewFlatten()
+		l.name = cfgString(c, "name", l.name)
 		l.InputShape = cfgInts(c, "input_shape", nil)
 		return l, nil
 	})
 	RegisterLayerClass("Activation", func(c map[string]any) (Layer, error) {
-		return NewActivation(cfgString(c, "activation", "linear")), nil
+		l := NewActivation(cfgString(c, "activation", "linear"))
+		l.name = cfgString(c, "name", l.name)
+		return l, nil
 	})
 	RegisterLayerClass("Dropout", func(c map[string]any) (Layer, error) {
-		return NewDropout(cfgFloat(c, "rate", 0.5)), nil
+		l := NewDropout(cfgFloat(c, "rate", 0.5))
+		l.name = cfgString(c, "name", l.name)
+		return l, nil
 	})
 	RegisterLayerClass("Reshape", func(c map[string]any) (Layer, error) {
-		return NewReshape(cfgInts(c, "target_shape", nil)), nil
+		l := NewReshape(cfgInts(c, "target_shape", nil))
+		l.name = cfgString(c, "name", l.name)
+		return l, nil
 	})
 }

@@ -127,29 +127,109 @@ func heNormal(shape []int, fanIn int) *tensor.Tensor {
 	return ops.FromValues(vals, shape...)
 }
 
-// newWeight creates a trainable variable using the named initializer
-// ("glorot_uniform" by default, or "he_normal").
-func newWeight(name string, shape []int, fanIn, fanOut int, initializer string) *core.Variable {
-	var init *tensor.Tensor
+// checkInitializer rejects a kernel initializer Build could not draw.
+func checkInitializer(initializer string) error {
 	switch initializer {
-	case "", "glorot_uniform":
-		init = glorotUniform(shape, fanIn, fanOut)
-	case "he_normal":
-		init = heNormal(shape, fanIn)
-	default:
-		panic(&core.OpError{Kernel: "Initializer", Err: fmt.Errorf("unknown initializer %q", initializer)})
+	case "", "glorot_uniform", "he_normal":
+		return nil
 	}
-	v := core.Global().NewVariable(init, name, true)
+	return fmt.Errorf("unknown initializer %q", initializer)
+}
+
+// ---------------------------------------------------------------------------
+// Weights
+
+// weightSpec is one weight of a layer for an input shape: its name, its
+// shape and how Build fills it. A weighted class states its weights in one
+// place (weighted.weightSpecs): Build makes its variables from that list,
+// and Sequential.CheckWeights holds a list of named weights to it without
+// building anything.
+type weightSpec struct {
+	name      string
+	shape     []int
+	trainable bool
+	// Build draws the values with initializer ("glorot_uniform" or
+	// "he_normal") over fanIn and fanOut or, with no initializer, sets
+	// every value to fill.
+	initializer   string
+	fanIn, fanOut int
+	fill          float32
+}
+
+// randomWeight is a trainable weight drawn by the named kernel initializer
+// ("glorot_uniform" when "").
+func randomWeight(name string, shape []int, fanIn, fanOut int, initializer string) weightSpec {
+	if initializer == "" {
+		initializer = "glorot_uniform"
+	}
+	return weightSpec{name: name, shape: shape, trainable: true, initializer: initializer, fanIn: fanIn, fanOut: fanOut}
+}
+
+// constWeight is a weight whose every value starts at fill.
+func constWeight(name string, shape []int, fill float32, trainable bool) weightSpec {
+	return weightSpec{name: name, shape: shape, trainable: trainable, fill: fill}
+}
+
+// variable makes the weight's variable on the global engine.
+func (s weightSpec) variable() *core.Variable {
+	var init *tensor.Tensor
+	switch s.initializer {
+	case "":
+		init = ops.Fill(s.shape, s.fill)
+	case "glorot_uniform":
+		init = glorotUniform(s.shape, s.fanIn, s.fanOut)
+	case "he_normal":
+		init = heNormal(s.shape, s.fanIn)
+	default:
+		panic(&core.OpError{Kernel: "Initializer", Err: checkInitializer(s.initializer)})
+	}
+	v := core.Global().NewVariable(init, s.name, s.trainable)
 	init.Dispose()
 	return v
 }
 
-// newZeroWeight creates a variable initialized to a constant.
-func newConstWeight(name string, shape []int, value float32, trainable bool) *core.Variable {
-	init := ops.Fill(shape, value)
-	v := core.Global().NewVariable(init, name, trainable)
-	init.Dispose()
-	return v
+// weighted is a layer class with weights.
+type weighted interface {
+	// weightSpecs lists the layer's weights for a per-example input
+	// shape, in the order of Layer.Weights.
+	weightSpecs(inputShape []int) ([]weightSpec, error)
+}
+
+// weightVars holds a weighted layer's variables once it is built, in the
+// order of its weightSpecs. Embedded, it is the layer's Weights.
+type weightVars struct{ vars []*core.Variable }
+
+// Weights implements Layer.
+func (w *weightVars) Weights() []*core.Variable { return w.vars }
+
+// build makes the variables of l, the layer w is embedded in, from its
+// weightSpecs for inputShape, unless it has them.
+func (w *weightVars) build(l weighted, inputShape []int) error {
+	if w.vars != nil {
+		return nil
+	}
+	specs, err := l.weightSpecs(inputShape)
+	if err != nil {
+		return err
+	}
+	vars := make([]*core.Variable, len(specs))
+	for i, s := range specs {
+		vars[i] = s.variable()
+	}
+	w.vars = vars
+	return nil
+}
+
+// buildKernel builds l, whose weights are a kernel and, optionally, a
+// bias, and returns those.
+func (w *weightVars) buildKernel(l weighted, inputShape []int) (kernel, bias *core.Variable, err error) {
+	if err := w.build(l, inputShape); err != nil {
+		return nil, nil, err
+	}
+	if len(w.vars) > 1 {
+		bias = w.vars[1]
+	}
+	return w.vars[0], bias, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -183,14 +263,26 @@ func LayerClasses() []string {
 	return names
 }
 
-// FromConfig rebuilds a layer from (className, config).
-func FromConfig(className string, config map[string]any) (Layer, error) {
+// FromConfig rebuilds a layer from (className, config). A config the
+// class's constructor rejects (a Dense of 0 units, an unknown activation)
+// is an error naming the layer, not the constructor's *core.OpError panic:
+// a topology comes from an artifact, which a server loads.
+func FromConfig(className string, config map[string]any) (l Layer, err error) {
 	registryMu.RLock()
 	d, ok := registry[className]
 	registryMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("layers: unknown layer class %q", className)
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			opErr, ok := r.(*core.OpError)
+			if !ok {
+				panic(r)
+			}
+			l, err = nil, fmt.Errorf("layers: %s layer %q: %w", className, cfgString(config, "name", ""), opErr)
+		}
+	}()
 	return d(config)
 }
 

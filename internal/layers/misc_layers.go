@@ -31,7 +31,7 @@ type Embedding struct {
 	name  string
 	cfg   EmbeddingConfig
 	table *core.Variable
-	built bool
+	weightVars
 }
 
 // NewEmbedding creates an Embedding layer.
@@ -52,17 +52,20 @@ func (l *Embedding) Name() string { return l.name }
 // ClassName implements Layer.
 func (l *Embedding) ClassName() string { return "Embedding" }
 
+func (l *Embedding) weightSpecs(inputShape []int) ([]weightSpec, error) {
+	if len(inputShape) != 1 {
+		return nil, fmt.Errorf("layers: Embedding %q expects a rank-1 sequence of ids, got %v", l.name, inputShape)
+	}
+	return []weightSpec{randomWeight(l.name+"/embeddings", []int{l.cfg.InputDim, l.cfg.OutputDim},
+		l.cfg.InputDim, l.cfg.OutputDim, "")}, nil
+}
+
 // Build implements Layer.
 func (l *Embedding) Build(inputShape []int) error {
-	if l.built {
-		return nil
+	if err := l.build(l, inputShape); err != nil {
+		return err
 	}
-	if len(inputShape) != 1 {
-		return fmt.Errorf("layers: Embedding %q expects a rank-1 sequence of ids, got %v", l.name, inputShape)
-	}
-	l.table = newWeight(l.name+"/embeddings", []int{l.cfg.InputDim, l.cfg.OutputDim},
-		l.cfg.InputDim, l.cfg.OutputDim, "")
-	l.built = true
+	l.table = l.vars[0]
 	return nil
 }
 
@@ -81,14 +84,6 @@ func (l *Embedding) Call(x *tensor.Tensor, training bool) *tensor.Tensor {
 	flat := ops.Reshape(x, batch*seqLen)
 	gathered := ops.Gather(l.table.Value(), flat, 0)
 	return ops.Reshape(gathered, batch, seqLen, l.cfg.OutputDim)
-}
-
-// Weights implements Layer.
-func (l *Embedding) Weights() []*core.Variable {
-	if l.table == nil {
-		return nil
-	}
-	return []*core.Variable{l.table}
 }
 
 // Config implements Layer.
@@ -181,6 +176,8 @@ func init() {
 		}), nil
 	})
 	RegisterLayerClass("ZeroPadding2D", func(c map[string]any) (Layer, error) {
-		return NewZeroPadding2D(cfgInts(c, "padding", []int{1})), nil
+		l := NewZeroPadding2D(cfgInts(c, "padding", []int{1}))
+		l.name = cfgString(c, "name", l.name)
+		return l, nil
 	})
 }

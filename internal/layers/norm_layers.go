@@ -33,7 +33,7 @@ type BatchNormalization struct {
 	beta       *core.Variable
 	movingMean *core.Variable
 	movingVar  *core.Variable
-	built      bool
+	weightVars
 }
 
 // NewBatchNormalization creates a BatchNormalization layer.
@@ -60,24 +60,36 @@ func (l *BatchNormalization) ClassName() string { return "BatchNormalization" }
 func (l *BatchNormalization) center() bool { return l.cfg.Center == nil || *l.cfg.Center }
 func (l *BatchNormalization) scale() bool  { return l.cfg.Scale == nil || *l.cfg.Scale }
 
-// Build implements Layer.
-func (l *BatchNormalization) Build(inputShape []int) error {
-	if l.built {
-		return nil
-	}
+func (l *BatchNormalization) weightSpecs(inputShape []int) ([]weightSpec, error) {
 	if len(inputShape) == 0 {
-		return fmt.Errorf("layers: BatchNormalization %q needs rank >= 1 input", l.name)
+		return nil, fmt.Errorf("layers: BatchNormalization %q needs rank >= 1 input", l.name)
 	}
-	c := inputShape[len(inputShape)-1]
+	c := []int{inputShape[len(inputShape)-1]}
+	var specs []weightSpec
 	if l.scale() {
-		l.gamma = newConstWeight(l.name+"/gamma", []int{c}, 1, true)
+		specs = append(specs, constWeight(l.name+"/gamma", c, 1, true))
 	}
 	if l.center() {
-		l.beta = newConstWeight(l.name+"/beta", []int{c}, 0, true)
+		specs = append(specs, constWeight(l.name+"/beta", c, 0, true))
 	}
-	l.movingMean = newConstWeight(l.name+"/moving_mean", []int{c}, 0, false)
-	l.movingVar = newConstWeight(l.name+"/moving_variance", []int{c}, 1, false)
-	l.built = true
+	return append(specs,
+		constWeight(l.name+"/moving_mean", c, 0, false),
+		constWeight(l.name+"/moving_variance", c, 1, false)), nil
+}
+
+// Build implements Layer.
+func (l *BatchNormalization) Build(inputShape []int) error {
+	if err := l.build(l, inputShape); err != nil {
+		return err
+	}
+	vars := l.vars
+	if l.scale() {
+		l.gamma, vars = vars[0], vars[1:]
+	}
+	if l.center() {
+		l.beta, vars = vars[0], vars[1:]
+	}
+	l.movingMean, l.movingVar = vars[0], vars[1]
 	return nil
 }
 
@@ -114,21 +126,6 @@ func (l *BatchNormalization) Call(x *tensor.Tensor, training bool) *tensor.Tenso
 	l.movingMean.Assign(ops.Add(ops.MulScalar(l.movingMean.Value(), m), ops.MulScalar(mean, 1-m)))
 	l.movingVar.Assign(ops.Add(ops.MulScalar(l.movingVar.Value(), m), ops.MulScalar(variance, 1-m)))
 	return ops.BatchNorm(x, mean, variance, beta, gamma, l.cfg.Epsilon)
-}
-
-// Weights implements Layer.
-func (l *BatchNormalization) Weights() []*core.Variable {
-	var out []*core.Variable
-	if l.gamma != nil {
-		out = append(out, l.gamma)
-	}
-	if l.beta != nil {
-		out = append(out, l.beta)
-	}
-	if l.movingMean != nil {
-		out = append(out, l.movingMean, l.movingVar)
-	}
-	return out
 }
 
 // Config implements Layer.

@@ -33,12 +33,12 @@ type SimpleRNNConfig struct {
 // The gradient tape records each unrolled step, so backpropagation through
 // time needs no special machinery.
 type SimpleRNN struct {
-	name  string
-	cfg   SimpleRNNConfig
-	wx    *core.Variable
-	wh    *core.Variable
-	bias  *core.Variable
-	built bool
+	name string
+	cfg  SimpleRNNConfig
+	wx   *core.Variable
+	wh   *core.Variable
+	bias *core.Variable
+	weightVars
 }
 
 // NewSimpleRNN creates a SimpleRNN layer.
@@ -65,19 +65,24 @@ func (l *SimpleRNN) Name() string { return l.name }
 // ClassName implements Layer.
 func (l *SimpleRNN) ClassName() string { return "SimpleRNN" }
 
+func (l *SimpleRNN) weightSpecs(inputShape []int) ([]weightSpec, error) {
+	if len(inputShape) != 2 {
+		return nil, fmt.Errorf("layers: SimpleRNN %q expects [timeSteps, features] input, got %v", l.name, inputShape)
+	}
+	features, units := inputShape[1], l.cfg.Units
+	return []weightSpec{
+		randomWeight(l.name+"/kernel", []int{features, units}, features, units, ""),
+		randomWeight(l.name+"/recurrent_kernel", []int{units, units}, units, units, ""),
+		constWeight(l.name+"/bias", []int{units}, 0, true),
+	}, nil
+}
+
 // Build implements Layer.
 func (l *SimpleRNN) Build(inputShape []int) error {
-	if l.built {
-		return nil
+	if err := l.build(l, inputShape); err != nil {
+		return err
 	}
-	if len(inputShape) != 2 {
-		return fmt.Errorf("layers: SimpleRNN %q expects [timeSteps, features] input, got %v", l.name, inputShape)
-	}
-	features := inputShape[1]
-	l.wx = newWeight(l.name+"/kernel", []int{features, l.cfg.Units}, features, l.cfg.Units, "")
-	l.wh = newWeight(l.name+"/recurrent_kernel", []int{l.cfg.Units, l.cfg.Units}, l.cfg.Units, l.cfg.Units, "")
-	l.bias = newConstWeight(l.name+"/bias", []int{l.cfg.Units}, 0, true)
-	l.built = true
+	l.wx, l.wh, l.bias = l.vars[0], l.vars[1], l.vars[2]
 	return nil
 }
 
@@ -115,14 +120,6 @@ func (l *SimpleRNN) Call(x *tensor.Tensor, training bool) *tensor.Tensor {
 		return ops.Concat(seq, 1)
 	}
 	return h
-}
-
-// Weights implements Layer.
-func (l *SimpleRNN) Weights() []*core.Variable {
-	if l.wx == nil {
-		return nil
-	}
-	return []*core.Variable{l.wx, l.wh, l.bias}
 }
 
 // Config implements Layer.

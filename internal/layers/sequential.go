@@ -53,25 +53,20 @@ func (m *Sequential) Add(l Layer) *Sequential {
 func (m *Sequential) SetInputShape(shape []int) { m.inputShape = tensor.CopyShape(shape) }
 
 // InputShape returns the per-example input shape (without the batch
-// dimension), building the model first if needed. Exporters use it to stamp
-// the serving Placeholder with a static shape so load-time graph
-// verification can propagate real dimensions.
+// dimension): the one SetInputShape set, else the first layer's
+// input_shape. It builds nothing: exporters stamp the serving Placeholder
+// with it, so load-time graph verification can propagate real dimensions.
 func (m *Sequential) InputShape() ([]int, error) {
-	if err := m.Build(); err != nil {
-		return nil, err
+	shape := m.inputShape
+	if shape == nil && len(m.layers) > 0 {
+		if s := cfgInts(m.layers[0].Config(), "input_shape", nil); len(s) > 0 {
+			shape = s
+		}
 	}
-	return tensor.CopyShape(m.inputShape), nil
-}
-
-// inputShapeFromLayers extracts InputShape from the first layer's config.
-func (m *Sequential) inputShapeFromLayers() []int {
-	if len(m.layers) == 0 {
-		return nil
+	if shape == nil {
+		return nil, fmt.Errorf("layers: model %q has no input shape; set InputShape on the first layer", m.name)
 	}
-	if s := cfgInts(m.layers[0].Config(), "input_shape", nil); len(s) > 0 {
-		return s
-	}
-	return nil
+	return tensor.CopyShape(shape), nil
 }
 
 // Build creates weights for every layer by propagating shapes from the
@@ -80,26 +75,70 @@ func (m *Sequential) Build() error {
 	if m.built {
 		return nil
 	}
-	shape := m.inputShape
-	if shape == nil {
-		shape = m.inputShapeFromLayers()
-	}
-	if shape == nil {
-		return fmt.Errorf("layers: model %q has no input shape; set InputShape on the first layer", m.name)
+	shape, err := m.InputShape()
+	if err != nil {
+		return err
 	}
 	m.inputShape = shape
 	for _, l := range m.layers {
 		if err := l.Build(shape); err != nil {
 			return err
 		}
-		next, err := l.OutputShape(shape)
-		if err != nil {
+		if shape, err = l.OutputShape(shape); err != nil {
 			return err
 		}
-		shape = next
 	}
 	m.built = true
 	return nil
+}
+
+// CheckWeights holds weights to the weights m's layers declare for its
+// input shape, without building m: every declared weight must be given
+// once, with its declared shape, and every given weight must be declared.
+// Each failure names the weight. It returns the weights by name; both
+// artifact loaders check a manifest with it.
+func (m *Sequential) CheckWeights(weights []NamedWeight) (map[string]NamedWeight, error) {
+	given := make(map[string]NamedWeight, len(weights))
+	for _, w := range weights {
+		if _, ok := given[w.Name]; ok {
+			return nil, fmt.Errorf("layers: weight %q is given twice", w.Name)
+		}
+		given[w.Name] = w
+	}
+	shape, err := m.InputShape()
+	if err != nil {
+		return nil, err
+	}
+	declared := map[string]bool{}
+	for _, l := range m.layers {
+		var specs []weightSpec
+		if w, ok := l.(weighted); ok {
+			if specs, err = w.weightSpecs(shape); err != nil {
+				return nil, err
+			}
+		}
+		for _, s := range specs {
+			w, ok := given[s.name]
+			switch {
+			case declared[s.name]:
+				return nil, fmt.Errorf("layers: weight %q is declared twice (two layers named %q)", s.name, l.Name())
+			case !ok:
+				return nil, fmt.Errorf("layers: weight %q of layer %q is missing", s.name, l.Name())
+			case !tensor.ShapesEqual(w.Shape, s.shape):
+				return nil, fmt.Errorf("layers: weight %q has shape %v, layer %q declares %v", s.name, w.Shape, l.Name(), s.shape)
+			}
+			declared[s.name] = true
+		}
+		if shape, err = l.OutputShape(shape); err != nil {
+			return nil, err
+		}
+	}
+	for _, w := range weights {
+		if !declared[w.Name] {
+			return nil, fmt.Errorf("layers: weight %q is not a weight of model %q", w.Name, m.name)
+		}
+	}
+	return given, nil
 }
 
 // OutputShape returns the per-example output shape.
@@ -511,7 +550,8 @@ type layerJSON struct {
 }
 
 // ToJSON serializes the model topology (weights are saved separately, as in
-// the tfjs format — see internal/converter).
+// the tfjs format — see internal/converter). The model's input shape is the
+// first layer's input_shape, as in Keras, whichever way it was set.
 func (m *Sequential) ToJSON() ([]byte, error) {
 	top := topologyJSON{
 		ClassName: "Sequential",
@@ -522,11 +562,16 @@ func (m *Sequential) ToJSON() ([]byte, error) {
 	for _, l := range m.layers {
 		top.Config.Layers = append(top.Config.Layers, layerJSON{ClassName: l.ClassName(), Config: l.Config()})
 	}
+	if shape, err := m.InputShape(); err == nil && len(m.layers) > 0 {
+		top.Config.Layers[0].Config["input_shape"] = shape
+	}
 	return json.MarshalIndent(top, "", "  ")
 }
 
 // FromJSON rebuilds an (unbuilt, weightless) model from a serialized
-// topology.
+// topology: every layer keeps its saved name, and the model's input shape
+// is the first layer's input_shape, also for a class whose config keeps
+// none (ZeroPadding2D).
 func FromJSON(data []byte) (*Sequential, error) {
 	var top topologyJSON
 	if err := json.Unmarshal(data, &top); err != nil {
@@ -543,11 +588,16 @@ func FromJSON(data []byte) (*Sequential, error) {
 		}
 		m.Add(l)
 	}
+	if len(top.Config.Layers) > 0 {
+		if s := cfgInts(top.Config.Layers[0].Config, "input_shape", nil); len(s) > 0 {
+			m.SetInputShape(s)
+		}
+	}
 	return m, nil
 }
 
-// NamedWeights returns (name, values, shape) for every weight, used by the
-// converter's weight manifest.
+// NamedWeight is one weight by name: what GetWeights returns, SetWeights
+// assigns and CheckWeights checks.
 type NamedWeight struct {
 	Name   string
 	Shape  []int

@@ -9,12 +9,47 @@ import (
 
 // FromSequential exports a built Layers-API model as a GraphDef — the
 // analogue of saving a Keras model as a TensorFlow SavedModel before
-// conversion. Along with the inference graph it emits a synthetic training
-// subgraph (gradient and optimizer-update nodes marked TrainingOnly), so
-// the converter's pruning step operates on a realistic serving/training
-// mixture.
+// conversion: FromLayers over m's own weights. Along with the inference
+// graph it emits a synthetic training subgraph (gradient and
+// optimizer-update nodes marked TrainingOnly), so the converter's pruning
+// step operates on a realistic serving/training mixture.
 func FromSequential(m *layers.Sequential, addTrainingOps bool) (*GraphDef, error) {
 	if err := m.Build(); err != nil {
+		return nil, err
+	}
+	g, err := FromLayers(m, m.GetWeights())
+	if err != nil || !addTrainingOps {
+		return g, err
+	}
+	// A synthetic optimizer subgraph: one gradient node and one update
+	// node per trainable weight, plus a saver. None of these are reachable
+	// from the serving output, so conversion must drop them.
+	for _, v := range m.TrainableWeights() {
+		gradName := v.Name + "/grad"
+		g.Nodes = append(g.Nodes, NodeDef{
+			Name: gradName, Op: "Gradient", Inputs: []string{g.Outputs[0], constName(v.Name)},
+			TrainingOnly: true,
+		})
+		g.Nodes = append(g.Nodes, NodeDef{
+			Name: v.Name + "/apply_sgd", Op: "ApplyGradientDescent",
+			Inputs: []string{constName(v.Name), gradName}, TrainingOnly: true,
+		})
+	}
+	g.Nodes = append(g.Nodes, NodeDef{Name: "save/SaveV2", Op: "SaveV2", TrainingOnly: true})
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// FromLayers lowers the Layers model m, built or not, to its inference
+// graph: m's layer configs give the nodes, and weights, read by name, the
+// values of their constants. weights must be the ones m's layers declare,
+// each with its declared shape (Sequential.CheckWeights). Nothing is built,
+// so a lowering touches no engine.
+func FromLayers(m *layers.Sequential, weights []layers.NamedWeight) (*GraphDef, error) {
+	byName, err := m.CheckWeights(weights)
+	if err != nil {
 		return nil, err
 	}
 	g := &GraphDef{Weights: map[string]*Weight{}}
@@ -34,7 +69,7 @@ func FromSequential(m *layers.Sequential, addTrainingOps bool) (*GraphDef, error
 
 	prev, shape := input, inShape
 	for _, l := range m.Layers() {
-		if prev, err = exportLayer(g, l, prev, shape); err != nil {
+		if prev, err = exportLayer(g, l, prev, shape, byName); err != nil {
 			return nil, err
 		}
 		if shape, err = l.OutputShape(shape); err != nil {
@@ -42,25 +77,6 @@ func FromSequential(m *layers.Sequential, addTrainingOps bool) (*GraphDef, error
 		}
 	}
 	g.Outputs = []string{prev}
-
-	if addTrainingOps {
-		// A synthetic optimizer subgraph: one gradient node and one
-		// update node per trainable weight, plus a saver. None of these
-		// are reachable from the serving output, so conversion must drop
-		// them.
-		for _, v := range m.TrainableWeights() {
-			gradName := v.Name + "/grad"
-			g.Nodes = append(g.Nodes, NodeDef{
-				Name: gradName, Op: "Gradient", Inputs: []string{g.Outputs[0], constName(v.Name)},
-				TrainingOnly: true,
-			})
-			g.Nodes = append(g.Nodes, NodeDef{
-				Name: v.Name + "/apply_sgd", Op: "ApplyGradientDescent",
-				Inputs: []string{constName(v.Name), gradName}, TrainingOnly: true,
-			})
-		}
-		g.Nodes = append(g.Nodes, NodeDef{Name: "save/SaveV2", Op: "SaveV2", TrainingOnly: true})
-	}
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -81,14 +97,19 @@ func addConst(g *GraphDef, name string, shape []int, values []float32) string {
 }
 
 // exportLayer lowers one layer, whose per-example input shape is inShape,
-// into graph nodes, returning the layer's output node name.
-func exportLayer(g *GraphDef, l layers.Layer, input string, inShape []int) (string, error) {
+// into graph nodes, returning the layer's output node name. weights holds
+// every weight of the model by name.
+func exportLayer(g *GraphDef, l layers.Layer, input string, inShape []int, weights map[string]layers.NamedWeight) (string, error) {
 	cfg := l.Config()
 	name := l.Name()
-	weights := l.Weights()
-	weightVals := func(i int) ([]int, []float32) {
-		v := weights[i]
-		return v.Shape(), v.Value().DataSync()
+	// weight adds the layer's weight called name+suffix as a constant and
+	// returns its node, or "" when the layer has no such weight.
+	weight := func(suffix string) string {
+		w, ok := weights[name+suffix]
+		if !ok {
+			return ""
+		}
+		return addConst(g, name+suffix, w.Shape, w.Values)
 	}
 	activation, _ := cfg["activation"].(string)
 	opName, err := layers.ActivationKernel(activation)
@@ -99,55 +120,34 @@ func exportLayer(g *GraphDef, l layers.Layer, input string, inShape []int) (stri
 	out := input
 	switch l.ClassName() {
 	case "Dense":
-		kShape, kVals := weightVals(0)
-		kernel := addConst(g, name+"/kernel", kShape, kVals)
+		kernel := weight("/kernel")
 		g.Nodes = append(g.Nodes, NodeDef{Name: name + "/MatMul", Op: "MatMul", Inputs: []string{out, kernel}})
 		out = name + "/MatMul"
-		if len(weights) > 1 {
-			bShape, bVals := weightVals(1)
-			bias := addConst(g, name+"/bias", bShape, bVals)
+		if bias := weight("/bias"); bias != "" {
 			g.Nodes = append(g.Nodes, NodeDef{Name: name + "/BiasAdd", Op: "BiasAdd", Inputs: []string{out, bias}})
 			out = name + "/BiasAdd"
 		}
 	case "Conv2D", "DepthwiseConv2D":
-		op := "Conv2D"
-		kernelName := name + "/kernel"
+		op, kernel := "Conv2D", "/kernel"
 		if l.ClassName() == "DepthwiseConv2D" {
-			op = "DepthwiseConv2dNative"
-			kernelName = name + "/depthwise_kernel"
+			op, kernel = "DepthwiseConv2dNative", "/depthwise_kernel"
 		}
-		kShape, kVals := weightVals(0)
-		kernel := addConst(g, kernelName, kShape, kVals)
+		kernel = weight(kernel)
 		attrs := map[string]any{
 			"strides": cfg["strides"],
 			"padding": cfg["padding"],
 		}
 		g.Nodes = append(g.Nodes, NodeDef{Name: name + "/" + op, Op: op, Inputs: []string{out, kernel}, Attrs: attrs})
 		out = name + "/" + op
-		if useBias, _ := cfg["use_bias"].(bool); useBias && len(weights) > 1 {
-			bShape, bVals := weightVals(1)
-			bias := addConst(g, name+"/bias", bShape, bVals)
+		if bias := weight("/bias"); bias != "" {
 			g.Nodes = append(g.Nodes, NodeDef{Name: name + "/BiasAdd", Op: "BiasAdd", Inputs: []string{out, bias}})
 			out = name + "/BiasAdd"
 		}
 	case "BatchNormalization":
-		// Weights order: gamma?, beta?, movingMean, movingVar.
-		idx := 0
-		var gamma, beta string
-		if scale, _ := cfg["scale"].(bool); scale {
-			s, v := weightVals(idx)
-			gamma = addConst(g, name+"/gamma", s, v)
-			idx++
-		}
-		if center, _ := cfg["center"].(bool); center {
-			s, v := weightVals(idx)
-			beta = addConst(g, name+"/beta", s, v)
-			idx++
-		}
-		mShape, mVals := weightVals(idx)
-		mean := addConst(g, name+"/moving_mean", mShape, mVals)
-		vShape, vVals := weightVals(idx + 1)
-		variance := addConst(g, name+"/moving_variance", vShape, vVals)
+		// gamma and beta are there when the layer scales and centers.
+		gamma, beta := weight("/gamma"), weight("/beta")
+		mean, variance := weight("/moving_mean"), weight("/moving_variance")
+		mShape := weights[name+"/moving_mean"].Shape
 		if gamma == "" {
 			ones := make([]float32, tensor.ShapeSize(mShape))
 			for i := range ones {
@@ -207,15 +207,15 @@ func exportLayer(g *GraphDef, l layers.Layer, input string, inShape []int) (stri
 		out = name + "/Pad"
 	case "Embedding":
 		// One gather of the ids' rows: [batch, seq] ids → [batch, seq, dim].
-		tShape, tVals := weightVals(0)
-		table := addConst(g, name+"/embeddings", tShape, tVals)
+		table := weight("/embeddings")
 		g.Nodes = append(g.Nodes, NodeDef{
 			Name: name + "/GatherV2", Op: "GatherV2", Inputs: []string{table, out},
 			Attrs: map[string]any{"axis": 0},
 		})
 		out = name + "/GatherV2"
 	case "SimpleRNN":
-		if out, err = exportSimpleRNN(g, l, cfg, opName, out, inShape); err != nil {
+		consts := []string{weight("/kernel"), weight("/recurrent_kernel"), weight("/bias")}
+		if out, err = exportSimpleRNN(g, name, cfg, consts, opName, out, inShape); err != nil {
 			return "", err
 		}
 		opName = "" // applied at every step
@@ -237,9 +237,10 @@ func exportLayer(g *GraphDef, l layers.Layer, input string, inShape []int) (stri
 	return out, nil
 }
 
-// exportSimpleRNN unrolls a built SimpleRNN over its inShape [steps,
-// features], as its eager Call does: step t slices x_t out of the input,
-// then h_t = act(x_t·Wx + h_{t-1}·Wh + b), act the activation's kernel
+// exportSimpleRNN unrolls the SimpleRNN name, its weights the constants
+// consts (Wx, Wh, b), over its inShape [steps, features], as its eager Call
+// does: step t slices x_t out of the input, then
+// h_t = act(x_t·Wx + h_{t-1}·Wh + b), act the activation's kernel
 // ("" for linear). h_{-1} is zero, so step 0 has no recurrent MatMul. With
 // return_sequences one Concat on axis 1 joins the steps' [batch, units]
 // states and a Reshape makes them [batch, steps, units]; without, the last
@@ -250,15 +251,10 @@ func exportLayer(g *GraphDef, l layers.Layer, input string, inShape []int) (stri
 // of its input to [batch, steps, features], which fails for a sequence of
 // any other length: a longer one would otherwise be served from its first
 // steps alone.
-func exportSimpleRNN(g *GraphDef, l layers.Layer, cfg map[string]any, act, input string, inShape []int) (string, error) {
-	name, weights := l.Name(), l.Weights()
+func exportSimpleRNN(g *GraphDef, name string, cfg map[string]any, consts []string, act, input string, inShape []int) (string, error) {
 	steps, features := inShape[0], inShape[1]
 	if steps < 1 {
 		return "", fmt.Errorf("savedmodel: cannot export SimpleRNN %q over input %v: its graph unrolls a fixed step count, at least 1", name, inShape)
-	}
-	consts := make([]string, len(weights))
-	for i, suffix := range []string{"/kernel", "/recurrent_kernel", "/bias"} {
-		consts[i] = addConst(g, name+suffix, weights[i].Shape(), weights[i].Value().DataSync())
 	}
 	g.Nodes = append(g.Nodes, NodeDef{
 		Name: name + "/Reshape_input", Op: "Reshape", Inputs: []string{input},
@@ -294,7 +290,7 @@ func exportSimpleRNN(g *GraphDef, l layers.Layer, cfg map[string]any, act, input
 		return h, nil
 	}
 	g.Nodes = append(g.Nodes, NodeDef{Name: name + "/Concat", Op: "Concat", Inputs: states, Attrs: map[string]any{"axis": 1}})
-	units := weights[1].Shape()[0]
+	units, _ := cfg["units"].(int)
 	g.Nodes = append(g.Nodes, NodeDef{
 		Name: name + "/Reshape", Op: "Reshape", Inputs: []string{name + "/Concat"},
 		Attrs: map[string]any{"shape": []int{steps, units}},

@@ -3,6 +3,7 @@ package savedmodel_test
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/graphmodel"
 	"repro/internal/kernels"
 	"repro/internal/layers"
+	"repro/internal/models"
 	"repro/internal/ops"
 	"repro/internal/savedmodel"
 	"repro/internal/tensor"
@@ -107,6 +109,83 @@ func TestExportEveryLayerClass(t *testing.T) {
 	for _, class := range layers.LayerClasses() {
 		if !exported[class] {
 			t.Errorf("layer class %q is in neither model: its export is untested", class)
+		}
+	}
+}
+
+// TestLoadLowersAsFromSequential: converter.Load lowers a layers-model
+// artifact from its layer configs and manifest, building nothing, to the
+// GraphDef FromSequential exports from the built model: the same nodes
+// with the same attributes, inputs and outputs, and every weight of the
+// same shape and Float32bits-equal values. It holds for the two models of
+// TestExportEveryLayerClass, which use every layer class, and a MobileNet.
+func TestLoadLowersAsFromSequential(t *testing.T) {
+	layers.SetSeed(55)
+	useBias := true
+	sink := layers.NewSequential("kitchen_sink")
+	sink.Add(layers.NewZeroPadding2D([]int{1}))
+	sink.SetInputShape([]int{6, 6, 2})
+	sink.Add(layers.NewConv2D(layers.Conv2DConfig{
+		Filters: 4, KernelSize: []int{3, 3}, Padding: "valid", Activation: "relu6", UseBias: &useBias,
+	}))
+	sink.Add(layers.NewBatchNormalization(layers.BatchNormConfig{}))
+	sink.Add(layers.NewActivation("relu"))
+	sink.Add(layers.NewDepthwiseConv2D(layers.Conv2DConfig{
+		Filters: 1, KernelSize: []int{3, 3}, Padding: "same", Activation: "tanh",
+	}))
+	sink.Add(layers.NewMaxPooling2D(layers.Pool2DConfig{PoolSize: []int{2, 2}}))
+	sink.Add(layers.NewAveragePooling2D(layers.Pool2DConfig{PoolSize: []int{2, 2}, Strides: []int{1, 1}, Padding: "same"}))
+	sink.Add(layers.NewDropout(0.3))
+	sink.Add(layers.NewFlatten())
+	sink.Add(layers.NewDense(layers.DenseConfig{Units: 12, Activation: "sigmoid"}))
+	sink.Add(layers.NewReshape([]int{2, 2, 3}))
+	sink.Add(layers.NewGlobalAveragePooling2D())
+	sink.Add(layers.NewDense(layers.DenseConfig{Units: 5, Activation: "softmax"}))
+	randomWeights(t, sink, 7)
+
+	rnn := layers.NewSequential("sequence")
+	rnn.Add(layers.NewEmbedding(layers.EmbeddingConfig{InputDim: 7, OutputDim: 4, InputLength: 5}))
+	rnn.Add(layers.NewSimpleRNN(layers.SimpleRNNConfig{Units: 6, ReturnSequences: true}))
+	rnn.Add(layers.NewSimpleRNN(layers.SimpleRNNConfig{Units: 3, Activation: "relu"}))
+	rnn.Add(layers.NewDense(layers.DenseConfig{Units: 2}))
+	randomWeights(t, rnn, 8)
+
+	mobilenet, err := models.MobileNetV1(models.MobileNetConfig{
+		Alpha: 0.25, InputSize: 32, NumClasses: 6, IncludeTop: true, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*layers.Sequential{sink, rnn, mobilenet} {
+		defer m.Dispose()
+		want, err := savedmodel.FromSequential(m, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := converter.NewMemStore()
+		if _, err := converter.SaveLayersModel(m, store, converter.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := converter.Load(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Nodes, want.Nodes) || !slices.Equal(got.Inputs, want.Inputs) || !slices.Equal(got.Outputs, want.Outputs) {
+			t.Fatalf("%s: Load's graph has other nodes than FromSequential's:\n%+v\n%+v", m.Name(), got.Nodes, want.Nodes)
+		}
+		if len(got.Weights) != len(want.Weights) {
+			t.Fatalf("%s: Load's graph has %d weights, FromSequential's %d", m.Name(), len(got.Weights), len(want.Weights))
+		}
+		for name, w := range want.Weights {
+			g := got.Weights[name]
+			if g == nil || g.Name != w.Name || g.DType != w.DType || !slices.Equal(g.Shape, w.Shape) || len(g.Values) != len(w.Values) {
+				t.Fatalf("%s: weight %q is %+v in Load's graph, %+v in FromSequential's", m.Name(), name, g, w)
+			}
+			for i, v := range w.Values {
+				if math.Float32bits(g.Values[i]) != math.Float32bits(v) {
+					t.Fatalf("%s: weight %q value %d is %g in Load's graph, %g in FromSequential's", m.Name(), name, i, g.Values[i], v)
+				}
+			}
 		}
 	}
 }

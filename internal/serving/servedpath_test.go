@@ -699,6 +699,65 @@ func TestUnrollableRNNFailsItsLoad(t *testing.T) {
 	}
 }
 
+// TestHostileLayersTopologyFailsItsLoad: a layers artifact whose Dense has
+// 0 units fails that model's load, with an error naming the layer. The
+// layer's constructor used to panic on the registry's load goroutine, and
+// so take the server down.
+func TestHostileLayersTopologyFailsItsLoad(t *testing.T) {
+	m := layers.NewSequential("hostile")
+	m.Add(layers.NewDense(layers.DenseConfig{Units: 2, InputShape: []int{3}, Name: "dense_hostile"}))
+	defer m.Dispose()
+	store := converter.NewMemStore()
+	if _, err := converter.SaveLayersModel(m, store, converter.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := store.Read("model.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile := bytes.Replace(raw, []byte(`"units": 2`), []byte(`"units": 0`), 1)
+	if bytes.Equal(hostile, raw) {
+		t.Fatal("model.json has no units to edit")
+	}
+	if err := store.Write("model.json", hostile); err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	defer reg.Close()
+	model, err := reg.Load("m", store, ModelOptions{Backend: "node"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	err = model.WaitReady(ctx)
+	if err == nil || !strings.Contains(err.Error(), `"dense_hostile"`) {
+		t.Fatalf("load of a Dense of 0 units: error %v, want one naming the layer", err)
+	}
+	if st := model.State(); st != StateFailed {
+		t.Errorf("state %v after the failed load, want %v", st, StateFailed)
+	}
+}
+
+// TestNonIntegralIdIsRejected: an id names a row of the Embedding's table,
+// so a sentence holding one that is not a whole number (2.7, -0.5) is a
+// client error (400). It used to be served the rows of its ids truncated.
+func TestNonIntegralIdIsRejected(t *testing.T) {
+	reg := NewRegistry()
+	defer reg.Close()
+	run := loadReady(t, reg, "m", sequenceStore(t), ModelOptions{Backend: "node"}).sched.run
+	for _, ids := range [][]float32{{2.7, 1.2, 0.9, 3.5, 4.99, 5.1}, {2, 1, 0, -0.5, 4, 5}} {
+		before := core.Global().Memory()
+		outs, err := run.run([]Instance{{Values: ids, Shape: []int{6}}})
+		if err == nil {
+			t.Errorf("ids %v were served: %v", ids, outs)
+		} else if statusFor(err) != http.StatusBadRequest {
+			t.Errorf("ids %v: status %d, want 400: %v", ids, statusFor(err), err)
+		}
+		sameMemory(t, fmt.Sprintf("after ids %v", ids), before)
+	}
+}
+
 // eagerPredict loads the layers artifact in store on the global engine
 // and predicts batch eagerly on backend, returning each instance's row.
 func eagerPredict(t *testing.T, store converter.Store, backend string, batch []Instance) [][]float32 {

@@ -283,24 +283,35 @@ func TestMalformedShapeCallsFailOnEveryTier(t *testing.T) {
 
 // TestGatherV2IndexOutOfRangeOnEveryTier: GatherV2 is an entry of the
 // range table whose indices only a host tier reads (Range.Check). A call
-// with an index out of range fails with the reference kernel's error on
-// cpu, naive cpu and node at 1 and 3 workers; webgl packed and unpacked at
-// fp32 and fp16 and webgpu, which cannot read the indices without a
+// with an index that names no slice — one out of range, or one that is not
+// a whole number (2.7, -0.5, NaN) — fails with the reference kernel's error
+// on cpu, naive cpu and node at 1 and 3 workers; webgl packed and unpacked
+// at fp32 and fp16 and webgpu, which cannot read the indices without a
 // readback, write 0 in the index's slice and the reference's bits
 // elsewhere. Both hold on the call's first dispatch, which resolves it,
-// and on its second, which resolves nothing.
+// and on every later one, which resolves nothing.
 func TestGatherV2IndexOutOfRangeOnEveryTier(t *testing.T) {
 	x := operand([]int{3, 5, 4}, 0, 7, 1)
-	indices := kernels.Buffer{Data: []float32{4, -1, 0, 5, 2, 5}, Shape: []int{2, 3}, DType: tensor.Int32}
 	attrs := kernels.Attrs{Axis: 1}
 	ref, _ := kernels.LookupRef("GatherV2")
-	_, wantErr := ref([]kernels.Buffer{x, indices}, attrs)
-	if got, want := fmt.Sprint(wantErr), "kernel GatherV2: index -1 out of range [0, 5)"; got != want {
-		t.Fatalf("the reference kernel's error is %q, want %q", got, want)
+	// Each case's indices name no slice at 1, 3 and 5.
+	cases := []struct {
+		name    string
+		indices []float32
+		wantErr string
+	}{
+		{"out of range", []float32{4, -1, 0, 5, 2, 5}, "kernel GatherV2: index -1 out of range [0, 5)"},
+		{"not whole", []float32{4, 2.7, 0, -0.5, 2, float32(math.NaN())}, "kernel GatherV2: index 2.7 out of range [0, 5)"},
+	}
+	for _, c := range cases {
+		indices := kernels.Buffer{Data: c.indices, Shape: []int{2, 3}, DType: tensor.Int32}
+		if _, err := ref([]kernels.Buffer{x, indices}, attrs); fmt.Sprint(err) != c.wantErr {
+			t.Fatalf("%s: the reference kernel's error is %q, want %q", c.name, fmt.Sprint(err), c.wantErr)
+		}
 	}
 	// A device's output: the reference's on in-range indices, 0 in the
 	// slices of the indices out of range.
-	good := kernels.Buffer{Data: []float32{4, 0, 0, 0, 2, 0}, Shape: indices.Shape, DType: tensor.Int32}
+	good := kernels.Buffer{Data: []float32{4, 0, 0, 0, 2, 0}, Shape: []int{2, 3}, DType: tensor.Int32}
 	want, err := ref([]kernels.Buffer{x, good}, attrs)
 	if err != nil {
 		t.Fatal(err)
@@ -328,41 +339,49 @@ func TestGatherV2IndexOutOfRangeOnEveryTier(t *testing.T) {
 		case interface{ ProgramMisses() int64 }:
 			resolves, device = r.ProgramMisses, true
 		}
-		for n, dispatch := range []string{"first", "second"} {
-			where := fmt.Sprintf("%s, %s dispatch", b.name, dispatch)
-			var before int64
-			if resolves != nil {
-				before = resolves()
-			}
-			ins := make([]kernels.Input, 2)
-			for i, in := range []kernels.Buffer{x, indices} {
-				ins[i] = kernels.Input{DataID: tensor.NewDataID(), Shape: in.Shape, DType: in.DType}
-				b.backend.Write(ins[i].DataID, in.Data, in.Shape, in.DType)
-			}
-			var out kernels.TensorInfo
-			err := kernels.Dispatch(b.backend, "GatherV2", ins, attrs, &out)
-			switch {
-			case !device && fmt.Sprint(err) != wantErr.Error():
-				t.Errorf("%s: err = %v, want the reference kernel's %v", where, err, wantErr)
-			case device && err != nil:
-				t.Errorf("%s: %v", where, err)
-			case device:
-				got := slices.Clone(b.backend.ReadSync(out.DataID))
-				for i, w := range want.Data {
-					if math.Float32bits(got[i]) != math.Float32bits(w) {
-						t.Errorf("%s: output %d is %g, want %g", where, i, got[i], w)
-						break
+		for ci, c := range cases {
+			indices := kernels.Buffer{Data: c.indices, Shape: []int{2, 3}, DType: tensor.Int32}
+			for n, dispatch := range []string{"first", "second"} {
+				where := fmt.Sprintf("%s, %s, %s dispatch", b.name, c.name, dispatch)
+				var before int64
+				if resolves != nil {
+					before = resolves()
+				}
+				ins := make([]kernels.Input, 2)
+				for i, in := range []kernels.Buffer{x, indices} {
+					ins[i] = kernels.Input{DataID: tensor.NewDataID(), Shape: in.Shape, DType: in.DType}
+					b.backend.Write(ins[i].DataID, in.Data, in.Shape, in.DType)
+				}
+				var out kernels.TensorInfo
+				err := kernels.Dispatch(b.backend, "GatherV2", ins, attrs, &out)
+				switch {
+				case !device && fmt.Sprint(err) != c.wantErr:
+					t.Errorf("%s: err = %v, want the reference kernel's %v", where, err, c.wantErr)
+				case device && err != nil:
+					t.Errorf("%s: %v", where, err)
+				case device:
+					got := slices.Clone(b.backend.ReadSync(out.DataID))
+					for i, w := range want.Data {
+						if math.Float32bits(got[i]) != math.Float32bits(w) {
+							t.Errorf("%s: output %d is %g, want %g", where, i, got[i], w)
+							break
+						}
 					}
 				}
-			}
-			if err == nil {
-				b.backend.DisposeData(out.DataID)
-			}
-			for _, in := range ins {
-				b.backend.DisposeData(in.DataID)
-			}
-			if resolves != nil && resolves()-before != int64(1-n) {
-				t.Errorf("%s: %d resolves, want %d", where, resolves()-before, 1-n)
+				if err == nil {
+					b.backend.DisposeData(out.DataID)
+				}
+				for _, in := range ins {
+					b.backend.DisposeData(in.DataID)
+				}
+				// Only the first dispatch of the call's signature resolves.
+				wantResolves := int64(0)
+				if ci == 0 && n == 0 {
+					wantResolves = 1
+				}
+				if resolves != nil && resolves()-before != wantResolves {
+					t.Errorf("%s: %d resolves, want %d", where, resolves()-before, wantResolves)
+				}
 			}
 		}
 	}
