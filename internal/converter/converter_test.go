@@ -473,21 +473,30 @@ var loaders = map[string]func(converter.Store) error{
 }
 
 // TestHostileLayersTopologyFailsAtLoad: a layers-model topology whose layer
-// config its class rejects — a Dense of 0 or -2 units, an unknown
-// activation or kernel initializer — is a load-time error naming the
-// layer, from both loaders. It used to panic out of the layer's
+// config its class rejects — a Dense of 0 or -2 units, an integer key
+// holding a fraction or a number no int holds, an unknown activation or
+// kernel initializer, an empty pooling window — is a load-time error
+// naming the layer, from both loaders. It used to panic out of the layer's
 // constructor, and a server loads a model on a goroutine of its own.
 func TestHostileLayersTopologyFailsAtLoad(t *testing.T) {
 	m, _ := buildModel(t)
-	dense := m.Layers()[3].Name()
+	const pool, dense = 1, 3
 	for _, c := range []struct {
-		name, key string
-		value     any
+		name  string
+		layer int
+		key   string
+		value any
+		want  string // the error says this besides the layer's name
 	}{
-		{"zero units", "units", 0},
-		{"negative units", "units", -2},
-		{"unknown activation", "activation", "bogus"},
-		{"unknown initializer", "kernel_initializer", "bogus"},
+		{"zero units", dense, "units", 0, "units must be positive"},
+		{"negative units", dense, "units", -2, "units must be positive"},
+		{"fractional units", dense, "units", 2.5, `config "units": 2.5 is not an integer`},
+		{"units no int holds", dense, "units", 1e30, `config "units": 1e+30 is not an integer`},
+		{"unknown activation", dense, "activation", "bogus", "bogus"},
+		{"unknown initializer", dense, "kernel_initializer", "bogus", "bogus"},
+		{"empty pool window", pool, "pool_size", []int{0, 0}, "filterSize must be at least 1, got [0 0]"},
+		{"fractional pool window", pool, "pool_size", []any{2, 1.5}, `config "pool_size": 1.5 is not an integer`},
+		{"fractional input shape", 0, "input_shape", []any{8, 8.5, 1}, `config "input_shape": 8.5 is not an integer`},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			store := converter.NewMemStore()
@@ -512,7 +521,7 @@ func TestHostileLayersTopologyFailsAtLoad(t *testing.T) {
 			if err := json.Unmarshal(model.ModelTopology, &topo); err != nil {
 				t.Fatal(err)
 			}
-			topo.Config.Layers[3]["config"].(map[string]any)[c.key] = c.value
+			topo.Config.Layers[c.layer]["config"].(map[string]any)[c.key] = c.value
 			if model.ModelTopology, err = json.Marshal(topo); err != nil {
 				t.Fatal(err)
 			}
@@ -522,9 +531,10 @@ func TestHostileLayersTopologyFailsAtLoad(t *testing.T) {
 			if err := store.Write("model.json", raw); err != nil {
 				t.Fatal(err)
 			}
+			name := m.Layers()[c.layer].Name()
 			for loader, load := range loaders {
-				if err := load(store); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", dense)) {
-					t.Errorf("%s: load error %v does not name the layer %q", loader, err, dense)
+				if err := load(store); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("%s: load error %v does not name the layer %q and say %q", loader, err, name, c.want)
 				}
 			}
 		})

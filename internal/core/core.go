@@ -90,6 +90,10 @@ type Engine struct {
 	// closes its span.
 	span atomic.Pointer[telemetry.Span]
 
+	// shapes interns the operand shapes of the kernel events the engine
+	// emits (emitKernel).
+	shapes shapeTable
+
 	// debugOn gates the NaN-checking debug mode inside the instrumented
 	// path. The dispatch-time gate itself is hub.Active() alone: enabling
 	// debug mode registers a no-op observer on the hub (debugRemove), so
@@ -811,7 +815,8 @@ func (e *Engine) RunExclusive(fn func()) {
 // Debug mode and profiling (Section 3.8)
 
 // KernelRecord describes one executed kernel, as surfaced by the debug and
-// profiling modes.
+// profiling modes. Its shapes are the kernel event's interned slices:
+// shared and immutable.
 type KernelRecord struct {
 	Name         string
 	InputShapes  [][]int
@@ -930,8 +935,9 @@ var timedDispatches = sync.Pool{New: func() any {
 // graphmodel plan executor both call, ends here, so profiles, traces and
 // /metrics describe whichever path ran in the same vocabulary. The caller
 // timed the kernel under b.Time; added and total are the bytes the kernel
-// allocated and the bytes live after it. Shapes are copied — observers retain events,
-// callers reuse their shape storage. The returned *OpError is non-nil when
+// allocated and the bytes live after it. Shapes are interned (e.shapes), not copied:
+// observers may retain them, callers reuse their own storage, and nothing writes
+// through what an event holds. The returned *OpError is non-nil when
 // debug mode found a NaN: the caller panics with it once it has let go of
 // what the kernel produced.
 func (e *Engine) emitKernel(name string, b kernels.Backend, start time.Time, ti kernels.TimeInfo,
@@ -949,20 +955,7 @@ func (e *Engine) emitKernel(name string, b kernels.Backend, start time.Time, ti 
 		TotalBytes:  total,
 		Elements:    int64(tensor.ShapeSize(out.Shape)),
 	}
-	// Two allocations for all shapes: every served kernel passes through here.
-	rank := len(out.Shape)
-	for _, in := range ins {
-		rank += len(in.Shape)
-	}
-	shapes, dims := make([][]int, 0, len(ins)+1), make([]int, 0, rank)
-	add := func(shape []int) {
-		dims = append(dims, shape...)
-		shapes = append(shapes, dims[len(dims)-len(shape):len(dims):len(dims)])
-	}
-	for _, in := range ins {
-		add(in.Shape)
-	}
-	add(out.Shape)
+	shapes := e.shapes.get(ins, out.Shape)
 	ev.InputShapes, ev.OutputShapes = shapes[:len(ins):len(ins)], shapes[len(ins):]
 	e.hub.Emit(ev)
 

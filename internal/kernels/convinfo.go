@@ -124,6 +124,11 @@ func ComputePool2DInfo(inShape, filterSize, strides []int, pad string) (Conv2DIn
 	if len(filterSize) != 2 {
 		return Conv2DInfo{}, fmt.Errorf("pool2d: filterSize must have 2 entries, got %v", filterSize)
 	}
+	// An empty window would pass the conv check below (its filter has no
+	// taps) and pool nothing: -Inf from MaxPool, zeros from AvgPool.
+	if filterSize[0] < 1 || filterSize[1] < 1 {
+		return Conv2DInfo{}, fmt.Errorf("pool2d: filterSize must be at least 1, got %v", slices.Clone(filterSize))
+	}
 	// Pooling is a depthwise window op: model it as a conv whose filter
 	// preserves channels.
 	filterShape := []int{filterSize[0], filterSize[1], inShape[3], 1}

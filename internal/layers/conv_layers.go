@@ -295,12 +295,12 @@ func (l *pool2D) Build(shape []int) error { return nil }
 // OutputShape implements Layer.
 func (l *pool2D) OutputShape(inputShape []int) ([]int, error) {
 	if len(inputShape) != 3 {
-		return nil, fmt.Errorf("layers: %s expects [h w c] input, got %v", l.class, inputShape)
+		return nil, fmt.Errorf("layers: %s %q expects [h w c] input, got %v", l.class, l.name, inputShape)
 	}
 	full := append([]int{1}, inputShape...)
 	info, err := kernels.ComputePool2DInfo(full, l.cfg.PoolSize, l.cfg.Strides, l.cfg.Padding)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("layers: %s %q: %w", l.class, l.name, err)
 	}
 	return info.OutShape()[1:], nil
 }

@@ -276,17 +276,42 @@ func FromConfig(className string, config map[string]any) (l Layer, err error) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			opErr, ok := r.(*core.OpError)
-			if !ok {
+			switch r.(type) {
+			case *core.OpError, configError:
+				l, err = nil, fmt.Errorf("layers: %s layer %q: %w", className, cfgString(config, "name", ""), r.(error))
+			default:
 				panic(r)
 			}
-			l, err = nil, fmt.Errorf("layers: %s layer %q: %w", className, cfgString(config, "name", ""), opErr)
 		}
 	}()
+	// Every class may carry input_shape (Sequential reads the first
+	// layer's), so it is checked here whether or not the class reads it.
+	cfgInts(config, "input_shape", nil)
 	return d(config)
 }
 
-// Config helpers tolerant of JSON number decoding.
+// Config helpers tolerant of JSON number decoding. An integer key holding
+// a number that is not a whole number, or that no int holds, panics with a
+// configError, which FromConfig returns naming the layer and the key.
+
+// configError is a config key whose value is not an integer.
+type configError struct {
+	key   string
+	value any
+}
+
+func (e configError) Error() string {
+	return fmt.Sprintf("config %q: %v is not an integer", e.key, e.value)
+}
+
+// configInt is the value v of integer key key as an int.
+func configInt(key string, v float64) int {
+	// math.MaxInt rounds up to a float64 no int holds (2^63 on 64 bits).
+	if v != math.Trunc(v) || v < math.MinInt || v >= math.MaxInt {
+		panic(configError{key: key, value: v})
+	}
+	return int(v)
+}
 
 func cfgString(c map[string]any, key, def string) string {
 	if v, ok := c[key].(string); ok {
@@ -300,7 +325,7 @@ func cfgInt(c map[string]any, key string, def int) int {
 	case int:
 		return v
 	case float64:
-		return int(v)
+		return configInt(key, v)
 	}
 	return def
 }
@@ -333,7 +358,7 @@ func cfgInts(c map[string]any, key string, def []int) []int {
 			case int:
 				out[i] = n
 			case float64:
-				out[i] = int(n)
+				out[i] = configInt(key, n)
 			default:
 				return def
 			}

@@ -11,22 +11,44 @@ import (
 	"repro/internal/telemetry"
 )
 
-// request is one queued single-example prediction.
+// request is one queued single-example prediction. A scheduler recycles
+// its requests (take, recycle): a Submit that received its reply puts its
+// request back, so a served request allocates none of its control state.
 type request struct {
-	ctx  context.Context
-	inst Instance
-	resp chan response // buffered(1): workers never block on delivery
+	ctx context.Context
+	// deadline is RequestTimeout past the enqueue when ctx carries no
+	// deadline of its own, zero otherwise: admission answers a request
+	// past it as it does one whose ctx expired.
+	deadline time.Time
+	inst     Instance
+	resp     chan response // buffered(1): workers never block on delivery
+	// timer bounds Submit's wait at deadline. It is the request's own and
+	// kept across reuses, stopped and drained before each.
+	timer *time.Timer
 
-	// Tracing state. trace is the request/trace ID from the context (or
-	// generated); flow is the numeric Chrome flow-event ID linking this
-	// request's span to the batched execution it joins (0 when the
-	// telemetry hub has no observers). enqueued/dequeued bound the
-	// queue-wait stage and are recorded unconditionally — they also feed
-	// the stage-latency histograms in /metrics.
+	// Tracing state. trace is the request/trace ID from the context ("" for
+	// a direct submitter, which the trace renders as req-<flow>); flow is
+	// the numeric Chrome flow-event ID linking this request's span to the
+	// batched execution it joins (0 when the telemetry hub has no
+	// observers). enqueued/dequeued bound the queue-wait stage and are
+	// recorded unconditionally — they also feed the stage-latency
+	// histograms in /metrics.
 	trace    string
 	flow     uint64
 	enqueued time.Time
 	dequeued time.Time
+}
+
+// err is why r can no longer be served at now — its context ended or its
+// deadline passed — or nil.
+func (r *request) err(now time.Time) error {
+	if err := r.ctx.Err(); err != nil {
+		return err
+	}
+	if !r.deadline.IsZero() && !now.Before(r.deadline) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // response carries the per-example result back to the submitter.
@@ -54,8 +76,12 @@ type scheduler struct {
 	hub     *telemetry.Hub
 
 	queue chan *request
-	stop  chan struct{}
-	wg    sync.WaitGroup
+	// free holds requests whose Submit has received its reply, for the
+	// next Submit. A channel, not a sync.Pool, which a GC empties; sized
+	// like the queue, which bounds the requests waiting at once.
+	free chan *request
+	stop chan struct{}
+	wg   sync.WaitGroup
 
 	closeOnce sync.Once
 }
@@ -70,6 +96,7 @@ func newScheduler(cfg Config, model string, run runner, metrics *Metrics) *sched
 		metrics: metrics,
 		hub:     core.Global().Telemetry(),
 		queue:   make(chan *request, cfg.QueueSize),
+		free:    make(chan *request, cfg.QueueSize),
 		stop:    make(chan struct{}),
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -94,26 +121,46 @@ func (s *scheduler) Close() {
 // QueueDepth samples the number of pending requests.
 func (s *scheduler) QueueDepth() int { return len(s.queue) }
 
+// take returns a recycled request, or a new one when none is free.
+func (s *scheduler) take() *request {
+	select {
+	case r := <-s.free:
+		return r
+	default:
+		return &request{resp: make(chan response, 1), timer: stoppedTimer()}
+	}
+}
+
+// recycle clears r and puts it on the free list. Only a request no worker
+// holds comes here: one never queued, or one whose reply Submit received
+// (the worker's send is its last touch of the request). A request its
+// submitter abandoned may still be answered later, so it is never
+// recycled: the GC takes it.
+func (s *scheduler) recycle(r *request) {
+	*r = request{resp: r.resp, timer: r.timer}
+	select {
+	case s.free <- r:
+	default:
+	}
+}
+
 // Submit enqueues one example and blocks until its result, the context's
 // deadline, or shutdown. The request's deadline is capped server-side at
 // RequestTimeout.
 func (s *scheduler) Submit(ctx context.Context, inst Instance) (Instance, error) {
+	req := s.take()
+	req.ctx, req.inst, req.enqueued = ctx, inst, time.Now()
 	if _, ok := ctx.Deadline(); !ok {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
+		req.deadline = req.enqueued.Add(s.cfg.RequestTimeout)
 	}
-	req := &request{ctx: ctx, inst: inst, resp: make(chan response, 1), enqueued: time.Now()}
 	if s.hub.Active() {
 		req.trace = RequestID(ctx)
-		if req.trace == "" {
-			req.trace = generateRequestID()
-		}
 		req.flow = nextID()
 	}
 	select {
 	case s.queue <- req:
 	default:
+		s.recycle(req)
 		s.metrics.ObserveRejected()
 		// ShedError unwraps to ErrQueueFull, so errors.Is callers see the
 		// same contract as before; the wrapper adds the Retry-After hint.
@@ -122,40 +169,83 @@ func (s *scheduler) Submit(ctx context.Context, inst Instance) (Instance, error)
 			RetryAfter: s.retryAfter(),
 		}
 	}
+	var timeout <-chan time.Time
+	if !req.deadline.IsZero() {
+		req.timer.Reset(time.Until(req.deadline))
+		timeout = req.timer.C
+	}
 	select {
 	case r := <-req.resp:
+		if timeout != nil {
+			stopTimer(req.timer)
+		}
+		s.recycle(req)
 		return r.inst, r.err
 	case <-ctx.Done():
+		req.timer.Stop()
 		return Instance{}, ctx.Err()
+	case <-timeout:
+		return Instance{}, context.DeadlineExceeded
 	case <-s.stop:
+		req.timer.Stop()
 		return Instance{}, ErrShuttingDown
 	}
+}
+
+// stoppedTimer returns a timer that is not running and whose channel is
+// empty, for Reset to start.
+func stoppedTimer() *time.Timer {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}
+
+// stopTimer stops t, whose channel has not been read since its last Reset,
+// and leaves the channel empty for the next Reset. go.mod's go 1.22 keeps
+// the pre-1.23 timer channel: once t has fired (Stop returns false) its
+// value is in the channel or on its way, and is received here. Under the
+// 1.23 semantics the receive would never return.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		<-t.C
+	}
+}
+
+// batcher is one worker's scratch, reused across its batches: the batch,
+// its shape groups, the group's instances and the gather timer.
+type batcher struct {
+	batch  []*request
+	groups [][]*request
+	insts  []Instance
+	timer  *time.Timer
 }
 
 // worker drains the queue: block for the first request, coalesce a batch,
 // execute, deliver.
 func (s *scheduler) worker() {
 	defer s.wg.Done()
+	b := &batcher{timer: stoppedTimer()}
 	for {
 		select {
 		case <-s.stop:
 			return
 		case first := <-s.queue:
-			s.execute(s.gather(first))
+			s.execute(b, s.gather(b, first))
 		}
 	}
 }
 
-// admit stamps a pulled request's dequeue time unless its context already
-// expired — an abandoned submitter is answered immediately (it has
-// already gone away) instead of consuming a batch slot, so a slow client
-// cannot shrink the effective batch for everyone else.
+// admit stamps a pulled request's dequeue time unless its context ended or
+// its deadline passed — an abandoned submitter is answered immediately (it
+// has already gone away) instead of consuming a batch slot, so a slow
+// client cannot shrink the effective batch for everyone else.
 func (s *scheduler) admit(batch []*request, r *request) []*request {
-	if err := r.ctx.Err(); err != nil {
+	now := time.Now()
+	if err := r.err(now); err != nil {
 		r.resp <- response{err: err}
 		return batch
 	}
-	r.dequeued = time.Now()
+	r.dequeued = now
 	return append(batch, r)
 }
 
@@ -163,41 +253,47 @@ func (s *scheduler) admit(batch []*request, r *request) []*request {
 // MaxBatchSize, waiting at most BatchTimeout past the first arrival.
 // Requests whose context expired while queued are dropped at admission,
 // so the returned batch may be smaller than what was pulled — or empty.
-func (s *scheduler) gather(first *request) []*request {
-	batch := s.admit(nil, first)
+// The batch is b's: valid until the next gather.
+func (s *scheduler) gather(b *batcher, first *request) []*request {
+	b.batch = s.admit(b.batch[:0], first)
 	if s.cfg.MaxBatchSize <= 1 {
-		return batch
+		return b.batch
 	}
-	timer := time.NewTimer(s.cfg.BatchTimeout)
-	defer timer.Stop()
-	for len(batch) < s.cfg.MaxBatchSize {
+	b.timer.Reset(s.cfg.BatchTimeout)
+	for len(b.batch) < s.cfg.MaxBatchSize {
 		select {
 		case r := <-s.queue:
-			batch = s.admit(batch, r)
-		case <-timer.C:
-			return batch
+			b.batch = s.admit(b.batch, r)
+		case <-b.timer.C:
+			return b.batch
 		case <-s.stop:
-			return batch
+			stopTimer(b.timer)
+			return b.batch
 		}
 	}
-	return batch
+	stopTimer(b.timer)
+	return b.batch
 }
 
 // execute groups the batch by instance shape (only same-shaped examples
 // can share a slab) and runs each group as one batched execution, in order
 // of each shape's first arrival.
-func (s *scheduler) execute(batch []*request) {
-	var groups [][]*request
+func (s *scheduler) execute(b *batcher, batch []*request) {
+	groups := b.groups[:0]
 	for _, r := range batch {
 		i := slices.IndexFunc(groups, func(g []*request) bool { return slices.Equal(g[0].inst.Shape, r.inst.Shape) })
 		if i < 0 {
+			// Grow keeps the group slices past len: a new group reuses
+			// the one its index held in an earlier batch.
 			i = len(groups)
-			groups = append(groups, nil)
+			groups = slices.Grow(groups, 1)[:i+1]
+			groups[i] = groups[i][:0]
 		}
 		groups[i] = append(groups[i], r)
 	}
+	b.groups = groups
 	for _, g := range groups {
-		s.runGroup(g)
+		s.runGroup(b, g)
 	}
 }
 
@@ -226,16 +322,16 @@ func (s *scheduler) stage(name string, start, end time.Time, members ...*request
 // formed and leaves — the batch-formation wait, not a copy), execute (the
 // runner: slab copy and upload, model execution, read-back) and split
 // (execute's end until its result is handed over).
-func (s *scheduler) runGroup(group []*request) {
+func (s *scheduler) runGroup(b *batcher, group []*request) {
 	execStart := time.Now()
-	insts := make([]Instance, len(group))
-	for i, r := range group {
+	b.insts = b.insts[:0]
+	for _, r := range group {
 		s.stage("queue_wait", r.enqueued, r.dequeued, r)
 		s.stage("gather", r.dequeued, execStart, r)
-		insts[i] = r.inst
+		b.insts = append(b.insts, r.inst)
 	}
 	s.metrics.ObserveBatch(len(group))
-	outs, err := s.run.run(insts)
+	outs, err := s.run.run(b.insts)
 	if err == nil && len(outs) != len(group) {
 		err = fmt.Errorf("serving: runner returned %d results for a batch of %d", len(outs), len(group))
 	}
@@ -272,6 +368,7 @@ func (s *scheduler) runGroup(group []*request) {
 			r.resp <- response{inst: outs[i]}
 		}
 	}
+	clear(b.insts) // let go of the inputs' values until the next batch
 }
 
 // durMS is the duration between two instants in float milliseconds.

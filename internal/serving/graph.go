@@ -350,5 +350,5 @@ func (s *Server) handleGraphPredict(w http.ResponseWriter, r *http.Request, g *s
 			return
 		}
 	}
-	writePredictions(w, fmt.Sprintf("graph %q", g.spec.Name), g.metrics, outs)
+	writePredictions(w, "graph", g.spec.Name, g.metrics, outs)
 }

@@ -452,7 +452,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, res Route
 			return
 		}
 	}
-	writePredictions(w, fmt.Sprintf("model %q", m.Name()), m.metrics, outs)
+	writePredictions(w, "model", m.Name(), m.metrics, outs)
 }
 
 // decodePredict reads and decodes the predict wire format shared by the
@@ -492,14 +492,14 @@ func (s *Server) decodePredict(w http.ResponseWriter, r *http.Request, metrics *
 
 // writePredictions encodes outs and writes the 200 response. Encoding
 // finishes before the status line goes out, so an output JSON cannot carry
-// (NaN, ±Inf) is a 500 naming its producer ("model ..." or "graph ...")
-// rather than a 200 with a truncated body.
-func writePredictions(w http.ResponseWriter, producer string, metrics *Metrics, outs []Instance) {
+// (NaN, ±Inf) is a 500 naming its producer (kind "model" or "graph", and
+// its name) rather than a 200 with a truncated body.
+func writePredictions(w http.ResponseWriter, kind, name string, metrics *Metrics, outs []Instance) {
 	start := time.Now()
 	bufp := encodeBufPool.Get().(*[]byte)
 	buf, err := appendPredictions((*bufp)[:0], outs)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": fmt.Sprintf("%s: %v", producer, err)})
+		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": fmt.Sprintf("%s %q: %v", kind, name, err)})
 	} else {
 		metrics.ObserveStage("encode", durMS(start, time.Now()))
 		w.Header().Set("Content-Type", "application/json")

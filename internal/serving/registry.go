@@ -231,12 +231,14 @@ func (m *Model) Predict(ctx context.Context, inst Instance) (Instance, error) {
 	return out, err
 }
 
-// outcomeLabel maps a Submit error to its metrics label.
+// outcomeLabel maps a Submit error to its metrics label. A success
+// returns before shed is declared: errors.As moves it to the heap.
 func outcomeLabel(err error) string {
+	if err == nil {
+		return "ok"
+	}
 	var shed *ShedError
 	switch {
-	case err == nil:
-		return "ok"
 	case errors.Is(err, ErrQueueFull):
 		return "queue_full"
 	case errors.As(err, &shed):

@@ -33,10 +33,12 @@ import (
 // allocation gate and planvet cover, and that plan still reports every
 // kernel. The budget is the evidence: the handle-tracking interpreter that
 // used to take over whenever an observer was attached cost ~1000
-// allocations per MobileNet execute; the plan costs under 100 (93
-// measured at GOMAXPROCS 2 to 8, 68 at 1) with the server's two observers
-// recording 31 kernel events. It read 123 while every kernel resolved its
-// call on every execute (budget 320, from 278 measured before that).
+// allocations per MobileNet execute; the plan costs 33 (measured at
+// GOMAXPROCS 2 to 8, 8 at 1) with the server's two observers recording 31
+// kernel events, whose shapes are interned, not copied. It read 93 while
+// each event copied its shapes (budget 100), 123 while every kernel
+// resolved its call on every execute (budget 320, from 278 measured
+// before that).
 func TestServedExecuteAllocBudget(t *testing.T) {
 	store := buildMobileNetStore(t, 96, 10)
 	reg := NewRegistry()
@@ -105,8 +107,8 @@ func TestServedExecuteAllocBudget(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(10, execute)
 	t.Logf("observed Model.Execute behind NewServer: %.0f allocs/op", allocs)
-	if allocs > 100 {
-		t.Fatalf("observed Model.Execute allocates %.0f/op behind NewServer, budget 100: the served path is not the direct-dispatch plan", allocs)
+	if allocs > 37 {
+		t.Fatalf("observed Model.Execute allocates %.0f/op behind NewServer, budget 37: the served path is not the direct-dispatch plan, or kernel events copy their shapes", allocs)
 	}
 }
 
@@ -835,10 +837,12 @@ func TestReplicasReportTheLoadedPool(t *testing.T) {
 
 // TestBatchedPredictAllocBudget: what a batch of eight costs the heap end
 // to end — eight Model.Predict calls, the scheduler, the slab, one plan
-// execute, one read-back — behind NewServer's observers. 210 measured at
-// GOMAXPROCS 2 to 8 (93 of them the observed plan execute); 240 while
-// every kernel resolved its call on every execute (budget 470, from 407
-// measured before that); the Concat/Slice path it replaced cost 735.
+// execute, one read-back — behind NewServer's observers. 57 measured at
+// GOMAXPROCS 2 to 8 (33 of them the observed plan execute), once kernel
+// events interned their shapes and the scheduler recycled its requests and
+// batch scratch; 210 before that (budget 225), 240 while every kernel
+// resolved its call on every execute (budget 470, from 407 measured
+// before that); the Concat/Slice path it replaced cost 735.
 func TestBatchedPredictAllocBudget(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("allocation budget: sync.Pool drops entries at random under -race")
@@ -859,8 +863,8 @@ func TestBatchedPredictAllocBudget(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(10, func() { predictAll(t, m, batch) })
 	t.Logf("batch of %d Model.Predict behind NewServer: %.0f allocs/op (%.1f per item)", n, allocs, allocs/n)
-	if allocs > 225 {
-		t.Fatalf("a batch of %d allocates %.0f/op, budget 225: bytes are being moved by something other than two copies", n, allocs)
+	if allocs > 65 {
+		t.Fatalf("a batch of %d allocates %.0f/op, budget 65: bytes are being moved by something other than two copies, or per-request state is allocated again", n, allocs)
 	}
 }
 
@@ -892,5 +896,83 @@ func TestServedBatchSizesResolveOnce(t *testing.T) {
 	t.Logf("batches of 1 to 16: %d calls resolved, then %d", warmed, resolves(m)-warmed)
 	if again := resolves(m) - warmed; again != 0 {
 		t.Errorf("a second round of batches of 1 to 16 resolved %d calls, want 0", again)
+	}
+}
+
+// TestKernelEventShapesHold: kernel events carry interned shapes that
+// observers keep (the trace ring does). An observer keeps every kernel
+// event while a served model runs batches of 1 to 16, twice, and a deep
+// copy of each event's shapes as it arrived. Afterwards every kept event
+// must still hold the shapes its step ran with: its copy, and an output
+// whose leading dimension is its batch's size. An event that borrowed a
+// caller's storage (a plan's per-step shape scratch) would be overwritten
+// by a later batch and fail here.
+func TestKernelEventShapesHold(t *testing.T) {
+	store := buildMobileNetStore(t, 96, 10)
+	reg := NewRegistry()
+	defer reg.Close()
+	m := loadReady(t, reg, "mobilenet", store, ModelOptions{Backend: "node"})
+	run := m.pool.replicas[0].run
+
+	type kept struct {
+		batch    int
+		ev       telemetry.Event
+		ins, out [][]int // deep copies, taken as the event arrived
+	}
+	var mu sync.Mutex
+	var events []kept
+	batch := 0
+	deepCopy := func(shapes [][]int) [][]int {
+		out := make([][]int, len(shapes))
+		for i, s := range shapes {
+			out[i] = slices.Clone(s)
+		}
+		return out
+	}
+	remove := core.Global().Telemetry().Register(telemetry.ObserverFunc(func(ev telemetry.Event) {
+		if ev.Kind != telemetry.KindKernel {
+			return
+		}
+		mu.Lock()
+		events = append(events, kept{batch: batch, ev: ev, ins: deepCopy(ev.InputShapes), out: deepCopy(ev.OutputShapes)})
+		mu.Unlock()
+	}))
+	defer remove()
+
+	for round := 0; round < 2; round++ {
+		for n := 1; n <= 16; n++ {
+			insts := make([]Instance, n)
+			for i := range insts {
+				insts[i] = testImage(96, i)
+			}
+			mu.Lock()
+			batch = n
+			mu.Unlock()
+			if _, err := run.run(insts); err != nil {
+				t.Fatalf("batch of %d: %v", n, err)
+			}
+		}
+	}
+	remove()
+
+	mu.Lock()
+	defer mu.Unlock()
+	if want := 2 * 16 * 30; len(events) != want { // 30 kernels an execute
+		t.Fatalf("kept %d kernel events over two rounds of batches 1 to 16, want %d", len(events), want)
+	}
+	bad := 0
+	for _, k := range events {
+		same := func(a, b [][]int) bool { return slices.EqualFunc(a, b, slices.Equal[[]int]) }
+		ok := same(k.ev.InputShapes, k.ins) && same(k.ev.OutputShapes, k.out) &&
+			len(k.ev.OutputShapes) == 1 && len(k.ev.OutputShapes[0]) > 0 && k.ev.OutputShapes[0][0] == k.batch
+		if !ok {
+			if bad++; bad <= 5 {
+				t.Errorf("%s at batch %d: kept shapes %v -> %v, want %v -> %v with leading dim %d",
+					k.ev.Name, k.batch, k.ev.InputShapes, k.ev.OutputShapes, k.ins, k.out, k.batch)
+			}
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d of %d kept kernel events no longer hold the shapes they ran with", bad, len(events))
 	}
 }

@@ -8,11 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/converter"
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -397,6 +399,142 @@ func TestRequestTimeout(t *testing.T) {
 	}
 	if statusFor(err) != http.StatusGatewayTimeout {
 		t.Errorf("statusFor(DeadlineExceeded) = %d, want 504", statusFor(err))
+	}
+}
+
+// TestServerSideRequestTimeout: a caller whose context has no deadline is
+// bounded by Config.RequestTimeout. A request stuck in a runner that never
+// answers returns DeadlineExceeded (504), and one that waited out its
+// deadline in the queue is answered at admission without reaching the
+// runner.
+func TestServerSideRequestTimeout(t *testing.T) {
+	block, entered := make(chan struct{}), make(chan struct{}, 1)
+	var mu sync.Mutex
+	var served []float32
+	run := runnerFunc(func(batch []Instance) ([]Instance, error) {
+		mu.Lock()
+		served = append(served, batch[0].Values[0])
+		mu.Unlock()
+		if batch[0].Values[0] == 1 {
+			entered <- struct{}{}
+			<-block
+		}
+		return batch, nil
+	})
+	m := stubModel("stuck", Config{MaxBatchSize: 1, QueueSize: 8, RequestTimeout: 50 * time.Millisecond}, run)
+	defer m.unload()
+
+	errs := make(chan error, 2)
+	start := time.Now()
+	predict := func(v float32) {
+		_, err := m.Predict(context.Background(), Instance{Values: []float32{v}, Shape: []int{1}})
+		errs <- err
+	}
+	go predict(1) // sticks in the runner
+	<-entered
+	go predict(2) // waits behind it in the queue
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != context.DeadlineExceeded {
+			t.Fatalf("err = %v, want DeadlineExceeded", err)
+		} else if statusFor(err) != http.StatusGatewayTimeout {
+			t.Errorf("statusFor(%v) = %d, want 504", err, statusFor(err))
+		}
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("server-side timeout took %v", elapsed)
+	}
+
+	close(block)
+	out, err := m.Predict(context.Background(), Instance{Values: []float32{3}, Shape: []int{1}})
+	if err != nil || out.Values[0] != 3 {
+		t.Fatalf("predict after the stuck batch = %v, %v; want [3]", out.Values, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Equal(served, []float32{1, 3}) {
+		t.Errorf("runner served %v, want [1 3]: the request past its deadline in the queue was executed", served)
+	}
+}
+
+// TestCancelledRequestIsNotRecycled: a scheduler reuses a request once its
+// Submit received the reply. One whose submitter gave up while it was
+// queued is answered later, into a channel nobody reads; were it reused,
+// the next Submit would receive that stale answer. Each later Submit must
+// get its own result.
+func TestCancelledRequestIsNotRecycled(t *testing.T) {
+	block, entered := make(chan struct{}), make(chan struct{}, 1)
+	run := runnerFunc(func(batch []Instance) ([]Instance, error) {
+		if batch[0].Values[0] == 1 {
+			entered <- struct{}{}
+			<-block
+		}
+		return batch, nil
+	})
+	m := stubModel("cancel", Config{MaxBatchSize: 1, QueueSize: 8}, run)
+	defer m.unload()
+
+	first := make(chan error, 1)
+	go func() {
+		_, err := m.Predict(context.Background(), Instance{Values: []float32{1}, Shape: []int{1}})
+		first <- err
+	}()
+	<-entered // the worker holds 1, stuck in the runner
+	ctx, cancel := context.WithCancel(context.Background())
+	cancelled := make(chan error, 1)
+	go func() {
+		_, err := m.Predict(ctx, Instance{Values: []float32{2}, Shape: []int{1}})
+		cancelled <- err
+	}()
+	for m.sched.QueueDepth() != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-cancelled; err != context.Canceled {
+		t.Fatalf("cancelled predict: err = %v, want Canceled", err)
+	}
+	close(block)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	for m.sched.QueueDepth() != 0 { // the worker answers the cancelled request
+		time.Sleep(time.Millisecond)
+	}
+	for v := float32(3); v < 8; v++ {
+		out, err := m.Predict(context.Background(), Instance{Values: []float32{v}, Shape: []int{1}})
+		if err != nil || len(out.Values) != 1 || out.Values[0] != v {
+			t.Fatalf("predict %v after a cancellation = %v, %v; want its own result", v, out.Values, err)
+		}
+	}
+}
+
+// TestObservedSubmitAllocs: a warmed Model.Predict through a stub runner,
+// behind NewServer's observers (every stage, batch and request event
+// recorded), allocates at most one object: the request, its reply
+// channel and timer, the worker's batch and the trace events are reused
+// or interned. 18 measured before requests were recycled.
+func TestObservedSubmitAllocs(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("allocation budget: sync.Pool drops entries at random under -race")
+	}
+	m := stubModel("submit", Config{}, runnerFunc(echoRunner))
+	defer m.unload()
+	reg := NewRegistry()
+	reg.install(m)
+	api := NewServer(reg)
+	defer api.Close()
+	inst := Instance{Values: []float32{1, 2}, Shape: []int{2}}
+	predict := func() {
+		if _, err := m.Predict(context.Background(), inst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		predict()
+	}
+	allocs := testing.AllocsPerRun(50, predict)
+	t.Logf("observed Model.Predict through a stub runner: %.2f allocs/op", allocs)
+	if allocs > 1 {
+		t.Fatalf("an observed Model.Predict allocates %.2f/op, budget 1: per-request control state is not being reused", allocs)
 	}
 }
 

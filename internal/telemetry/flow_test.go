@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -11,16 +12,18 @@ import (
 // TestRequestFlowTraceEvents verifies the fan-in rendering: a request
 // event opens a Chrome flow (ph "s") on its track, its execute stage
 // closes it (ph "f", bp "e") on the batch track, both share the flow id,
-// and the whole trace still validates against the schema.
+// and the whole trace still validates against the schema. A request with
+// no trace ID of its own (a direct submitter's) is named req-<flow id>.
 func TestRequestFlowTraceEvents(t *testing.T) {
 	r := NewRecorder(0)
 	now := time.Now()
 	r.Observe(Event{Kind: KindBatch, Name: "batch", Span: "m", FlowID: 99, Count: 2,
 		Start: now, DurMS: 4})
+	traces := map[uint64]string{7: "client-x", 8: ""}
 	for _, flow := range []uint64{7, 8} {
-		r.Observe(Event{Kind: KindStage, Name: "execute", Span: "m", Trace: "req-x",
+		r.Observe(Event{Kind: KindStage, Name: "execute", Span: "m", Trace: traces[flow],
 			FlowID: flow, Start: now, DurMS: 4})
-		r.Observe(Event{Kind: KindRequest, Name: "request", Span: "m", Trace: "req-x",
+		r.Observe(Event{Kind: KindRequest, Name: "request", Span: "m", Trace: traces[flow],
 			FlowID: flow, Start: now.Add(-time.Millisecond), DurMS: 6})
 	}
 
@@ -48,6 +51,7 @@ func TestRequestFlowTraceEvents(t *testing.T) {
 	starts := map[string]bool{}
 	finishes := map[string]bool{}
 	batchSlices := 0
+	traced := map[any]int{}
 	for _, te := range trace.TraceEvents {
 		switch te.Phase {
 		case "s":
@@ -66,8 +70,13 @@ func TestRequestFlowTraceEvents(t *testing.T) {
 				if got := te.Args["batch_size"]; got != float64(2) {
 					t.Errorf("batch slice batch_size = %v, want 2", got)
 				}
+			} else {
+				traced[te.Args["trace"]]++
 			}
 		}
+	}
+	if want := map[any]int{"client-x": 2, "req-8": 2}; !maps.Equal(traced, want) {
+		t.Errorf("request and stage slices by trace ID = %v, want %v", traced, want)
 	}
 	if len(starts) != 2 || len(finishes) != 2 {
 		t.Fatalf("flow starts/finishes = %d/%d ids, want 2/2", len(starts), len(finishes))

@@ -304,17 +304,11 @@ func toTraceEvent(ev Event) traceEvent {
 			"num_tensors": ev.NumTensors,
 			"num_bytes":   ev.TotalBytes,
 		}
-	case KindRequest:
+	case KindRequest, KindStage:
 		te.TID = requestTID(ev.FlowID)
 		te.Dur = durMicros(ev.DurMS)
-		if ev.Trace != "" {
-			te.Args["trace"] = ev.Trace
-		}
-	case KindStage:
-		te.TID = requestTID(ev.FlowID)
-		te.Dur = durMicros(ev.DurMS)
-		if ev.Trace != "" {
-			te.Args["trace"] = ev.Trace
+		if id := requestTrace(ev); id != "" {
+			te.Args["trace"] = id
 		}
 	case KindBatch:
 		te.TID = tidBatches
@@ -344,6 +338,18 @@ func toTraceEvent(ev Event) traceEvent {
 		te.Args = nil
 	}
 	return te
+}
+
+// requestTrace is a request-flow event's trace ID: its own, or, for a
+// request that arrived with none (a direct submitter), req-<FlowID>, so
+// every request and stage slice names the request it belongs to. The ID is
+// rendered here, when a trace is read, not minted per request. An event
+// with neither (its request was submitted while nothing observed) has none.
+func requestTrace(ev Event) string {
+	if ev.Trace != "" || ev.FlowID == 0 {
+		return ev.Trace
+	}
+	return fmt.Sprintf("req-%d", ev.FlowID)
 }
 
 // WriteChromeTrace renders events at or after since (zero time = all) as

@@ -102,8 +102,11 @@ func (k EventKind) String() string {
 }
 
 // Event is the single flat record all producers emit. Fields are populated
-// per kind; unused fields are zero. A flat struct (no per-kind interfaces)
-// keeps emission allocation-free on the hot path.
+// per kind; unused fields are zero. Emission allocates nothing: the event
+// is a flat struct passed by value (no per-kind interfaces), and a kernel
+// event's InputShapes/OutputShapes are interned by the engine, one
+// immutable [][]int per call signature, not copied per dispatch.
+// Observers may keep them and must not write through them.
 type Event struct {
 	Kind EventKind
 	// Name is the kernel name, scope name, span name, or device event
@@ -134,11 +137,14 @@ type Event struct {
 	// NumTensors is the engine's live-tensor count (Scope).
 	NumTensors int
 	// InputShapes / OutputShapes describe kernel operands (Kernel only).
+	// They are shared, immutable slices: read them, keep them, never
+	// write to them.
 	InputShapes  [][]int
 	OutputShapes [][]int
 	// Trace is the request/trace ID of serving request-flow events
-	// (Request, Stage). It is minted by the HTTP layer (honoring an
-	// inbound X-Request-ID) or by the scheduler for direct submitters.
+	// (Request, Stage): the inbound X-Request-ID, or the one the HTTP
+	// layer minted. A direct submitter's request has none; the trace
+	// renderer shows it as req-<FlowID>.
 	Trace string
 	// FlowID links a request span to the batched execution that served it:
 	// the Request event and its execute Stage event share a FlowID, which

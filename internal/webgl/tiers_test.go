@@ -210,8 +210,9 @@ func TestZeroLhsLeftOutOnEveryTier(t *testing.T) {
 // input), four backward window kernels handed a dy of [1,1,1,3] for a
 // [1,4,4,3] input, reductions over axes out of range, a scalar's last axis
 // or an empty index fold, a scalar Softmax, a matmul of mixed ranks, and
-// windows with a zero or negative stride or dilation or a valid window
-// larger than the input, and element-wise calls of the wrong arity or of
+// windows with a zero or negative stride or dilation, an empty or negative
+// pooling window (MaxPool once returned -Inf and AvgPool zeros for a 0×0
+// one) or a valid window larger than the input, and element-wise calls of the wrong arity or of
 // operands that do not broadcast — fail on cpu, node and every simulated
 // device with the reference kernel's error, from the one check each op has
 // (kernels.Resolve*, kernels.ElementwiseOp.Check). The devices' programs once ran the first three and
@@ -245,6 +246,9 @@ func TestMalformedShapeCallsFailOnEveryTier(t *testing.T) {
 		{"mixedRanks", "BatchMatMul", []kernels.Buffer{x, operand([]int{1, 3, 4}, 0, 7, 1)}, kernels.Attrs{}},
 		{"zeroStrides", "MaxPool", []kernels.Buffer{img}, kernels.Attrs{FilterSize: []int{2, 2}, Strides: []int{0, 0}, Pad: "valid"}},
 		{"negativeStride", "AvgPool", []kernels.Buffer{img}, kernels.Attrs{FilterSize: []int{2, 2}, Strides: []int{-1, 1}, Pad: "same"}},
+		{"emptyWindow", "MaxPool", []kernels.Buffer{img}, kernels.Attrs{FilterSize: []int{0, 0}, Strides: []int{2, 2}, Pad: "valid"}},
+		{"emptyWindow", "AvgPool", []kernels.Buffer{img}, kernels.Attrs{FilterSize: []int{0, 0}, Strides: []int{2, 2}, Pad: "valid"}},
+		{"negativeWindow", "MaxPool", []kernels.Buffer{img}, kernels.Attrs{FilterSize: []int{2, -1}, Strides: []int{1, 1}, Pad: "same"}},
 		{"validWindowTooLarge", "MaxPool", []kernels.Buffer{operand([]int{1, 2, 2, 3}, 0, 7, 1)},
 			kernels.Attrs{FilterSize: []int{4, 4}, Strides: []int{3, 3}, Pad: "valid"}},
 		{"zeroDilations", "Conv2D", []kernels.Buffer{img, operand([]int{3, 3, 3, 2}, 0, 7, 1)}, convAttrs([]int{1, 1}, []int{0, 0}, "same")},
