@@ -85,13 +85,14 @@ func BenchmarkTable1_WebGL(b *testing.B) { benchMobileNet(b, "webgl") }
 // native-binding stand-in.
 func BenchmarkTable1_NodeCPU(b *testing.B) { benchMobileNet(b, "node") }
 
-// fig23Workload enqueues a chain of matmuls on the webgl device and returns
-// the un-downloaded result, as the timelines of Figures 2 and 3 assume.
+// fig23Workload enqueues a chain of 12 matmuls of 256×256 on the webgl
+// device, the chain `tfjs-bench fig23` times, and returns the
+// un-downloaded result, as the timelines of Figures 2 and 3 assume.
 func fig23Workload() *tf.Tensor {
 	return tf.Tidy1(func() *tf.Tensor {
-		a := tf.Fill([]int{192, 192}, 1.0/192)
+		a := tf.Fill([]int{256, 256}, 1.0/256)
 		x := a
-		for i := 0; i < 8; i++ {
+		for i := 0; i < 12; i++ {
 			x = tf.MatMul(x, a, false, false)
 		}
 		return x

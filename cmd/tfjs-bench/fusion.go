@@ -1,12 +1,10 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -20,12 +18,9 @@ import (
 // native backend. For each arm it measures kernel dispatches, average
 // Predict latency and peak engine memory via the telemetry hub, checks the
 // two arms agree numerically, and prints the per-kernel dispatch and byte
-// deltas and which fusion patterns fired.
-//
-// outPath writes the numbers as a BenchResult JSON with modes "fusion_on"
-// and "fusion_off" (the CI artifact); traceDir, when set, writes Chrome
-// traces trace_fusion_on.json and trace_fusion_off.json there.
-func fusionExperiment(alpha float64, size, runs int, outPath, traceDir string) {
+// deltas and which fusion patterns fired. It exits nonzero when the arms
+// disagree beyond 1e-5.
+func fusionExperiment(alpha float64, size, runs int) {
 	fmt.Printf("\n=== Graph optimizer A/B: operator fusion on vs off ===\n")
 	fmt.Printf("MobileNet v1 alpha=%.2f input=%dx%dx3, native backend, %d runs per arm\n\n", alpha, size, size, runs)
 
@@ -53,34 +48,8 @@ func fusionExperiment(alpha float64, size, runs int, outPath, traceDir string) {
 		vals[i] = float32(i%251) / 251
 	}
 
-	results := newBenchResult("fusion", alpha, size, runs, 1)
-	arms := map[string]fusionArm{}
-	for _, arm := range []struct {
-		mode    string
-		enabled bool
-	}{
-		{"fusion_on", true},
-		{"fusion_off", false},
-	} {
-		a := runFusionArm(store, vals, size, runs, arm.enabled)
-		arms[arm.mode] = a
-		results.Modes[arm.mode] = ModeResult{
-			QPS:              1000 / a.predictMS,
-			PredictMS:        a.predictMS,
-			KernelDispatches: a.dispatches,
-			KernelCounts:     a.kernelCounts,
-			PeakBytes:        a.peakBytes,
-		}
-		if traceDir != "" {
-			path := filepath.Join(traceDir, "trace_"+arm.mode+".json")
-			if err := writeFusionTrace(path, a.trace); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote %d trace events to %s\n", a.trace.Len(), path)
-		}
-	}
-
-	on, off := arms["fusion_on"], arms["fusion_off"]
+	on := runFusionArm(store, vals, size, runs, true)
+	off := runFusionArm(store, vals, size, runs, false)
 	fmt.Printf("\n%-12s %12s %12s %12s\n", "Mode", "Predict (ms)", "dispatches", "peak MiB")
 	fmt.Printf("%-12s %12.2f %12d %12.2f\n", "fusion off", off.predictMS, off.dispatches, float64(off.peakBytes)/(1<<20))
 	fmt.Printf("%-12s %12.2f %12d %12.2f\n", "fusion on", on.predictMS, on.dispatches, float64(on.peakBytes)/(1<<20))
@@ -95,7 +64,7 @@ func fusionExperiment(alpha float64, size, runs int, outPath, traceDir string) {
 	fmt.Printf("\nper-kernel dispatches and bytes added per inference:\n")
 	fmt.Printf("%-28s %10s %10s %14s %14s\n", "Kernel", "off calls", "on calls", "off bytes", "on bytes")
 	kernels := map[string]bool{}
-	for _, a := range arms {
+	for _, a := range []fusionArm{on, off} {
 		for k := range a.kernelCounts {
 			kernels[k] = true
 		}
@@ -113,12 +82,6 @@ func fusionExperiment(alpha float64, size, runs int, outPath, traceDir string) {
 		fmt.Printf("\nfused and unfused outputs disagree beyond 1e-5; failing\n")
 		os.Exit(1)
 	}
-	if outPath != "" {
-		if err := results.writeJSON(outPath); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\nwrote results to %s\n", outPath)
-	}
 }
 
 // fusionArm is one side of the A/B measurement.
@@ -130,13 +93,12 @@ type fusionArm struct {
 	peakBytes    int64
 	output       []float32
 	stats        tf.OptimizeStats
-	trace        *tf.TraceRecorder
 }
 
 // runFusionArm loads the converted model with the optimizer on or off and
 // measures runs inferences under the telemetry hub: dispatch counts and
 // per-kernel tallies from a Stats aggregator, peak engine memory from the
-// kernel events' live-byte gauge, and the event stream for the Chrome trace.
+// kernel events' live-byte gauge.
 func runFusionArm(store converter.Store, vals []float32, size, runs int, optimize bool) fusionArm {
 	m, err := tf.LoadGraphModel(store, tf.WithOptimize(optimize))
 	if err != nil {
@@ -157,14 +119,13 @@ func runFusionArm(store converter.Store, vals []float32, size, runs int, optimiz
 	output := infer() // warmup, and the numeric-parity sample
 
 	stats := tf.NewKernelStats()
-	rec := tf.NewTraceRecorder(0)
 	var peak int64
 	peakObs := tf.TelemetryObserverFunc(func(ev telemetry.Event) {
 		if ev.Kind == telemetry.KindKernel && ev.TotalBytes > peak {
 			peak = ev.TotalBytes
 		}
 	})
-	remove := tf.WithTelemetry(stats, rec, peakObs)
+	remove := tf.WithTelemetry(stats, peakObs)
 	start := time.Now()
 	for i := 0; i < runs; i++ {
 		infer()
@@ -187,7 +148,6 @@ func runFusionArm(store converter.Store, vals []float32, size, runs int, optimiz
 		peakBytes:    peak,
 		output:       output,
 		stats:        m.OptimizeStats(),
-		trace:        rec,
 	}
 }
 
@@ -218,17 +178,4 @@ func maxAbsDiff(a, b []float32) float64 {
 		}
 	}
 	return max
-}
-
-// writeFusionTrace renders one arm's recorder as validated Chrome trace
-// JSON, the CI artifact pair for eyeballing the dispatch reduction.
-func writeFusionTrace(path string, rec *tf.TraceRecorder) error {
-	var buf bytes.Buffer
-	if err := rec.WriteChromeTrace(&buf, time.Time{}); err != nil {
-		return fmt.Errorf("rendering trace: %w", err)
-	}
-	if err := telemetry.ValidateChromeTrace(buf.Bytes()); err != nil {
-		return fmt.Errorf("generated trace fails schema validation: %w", err)
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
 }

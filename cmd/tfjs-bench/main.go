@@ -27,7 +27,7 @@
 // The fusion command is the graph-optimizer A/B: it loads the same
 // converted MobileNet with the optimizer on and off, reports kernel
 // dispatches, Predict latency and peak memory per arm, verifies the arms
-// agree to 1e-5, and (with -tracedir) writes a Chrome trace per arm.
+// agree to 1e-5 (exiting nonzero when they do not).
 //
 // The serving benchmark is bench/ (BENCHMARK.json): `bash bench/run.sh`.
 //
@@ -35,8 +35,7 @@
 // rounds with exactly serving.NewServer's observers attached against
 // rounds with none (an inactive hub: attaching observers is telemetry's
 // only switch), ten pairs, and exits nonzero when the median per-pair QPS
-// loss exceeds -overhead-budget (default 3%) — CI runs it blocking. For
-// fusion and overhead, -out writes the measured numbers as JSON.
+// loss exceeds -overhead-budget (default 3%) — CI runs it blocking.
 package main
 
 import (
@@ -56,9 +55,7 @@ func main() {
 	alpha := flag.Float64("alpha", 0.25, "MobileNet width multiplier (paper: 1.0)")
 	size := flag.Int("size", 96, "MobileNet input resolution (paper: 224)")
 	runs := flag.Int("runs", 10, "inference runs to average (paper: 100)")
-	out := flag.String("out", "", "fusion/overhead: write measured results as JSON to this file")
 	overheadBudget := flag.Float64("overhead-budget", 3.0, "overhead: max median telemetry QPS overhead in percent before exiting nonzero")
-	traceDir := flag.String("tracedir", "", "fusion: write trace_fusion_{on,off}.json Chrome traces to this directory")
 	flag.Parse()
 
 	cmd := "all"
@@ -83,9 +80,9 @@ func main() {
 	case "webgpu":
 		webgpuExperiment()
 	case "fusion":
-		fusionExperiment(*alpha, *size, *runs, *out, *traceDir)
+		fusionExperiment(*alpha, *size, *runs)
 	case "overhead":
-		overheadExperiment(*alpha, *size, 10**runs, *overheadBudget, *out)
+		overheadExperiment(*alpha, *size, 10**runs, *overheadBudget)
 	case "all":
 		table1(*alpha, *size, *runs)
 		fig23()

@@ -27,7 +27,7 @@ const overheadPairs = 10
 // pair yields one relative QPS loss, and the run exits nonzero when the
 // median loss exceeds budgetPct — the CI gate behind the "always on, low
 // overhead" claim.
-func overheadExperiment(alpha float64, size, total int, budgetPct float64, outPath string) {
+func overheadExperiment(alpha float64, size, total int, budgetPct float64) {
 	fmt.Printf("\n=== Telemetry overhead: QPS with the server's observers vs none attached (budget %.1f%%) ===\n", budgetPct)
 	fmt.Printf("MobileNet v1 alpha=%.2f input=%dx%dx3, native backend, %d CPU core(s), %d requests per round, %d pairs\n\n",
 		alpha, size, size, runtime.NumCPU(), total, overheadPairs)
@@ -105,18 +105,6 @@ func overheadExperiment(alpha float64, size, total int, budgetPct float64, outPa
 		perEvent = sampledNS / samples
 	}
 	fmt.Printf("stats aggregator measured %d kernel events; sampled observe cost %d ns/event\n", measured, perEvent)
-
-	if outPath != "" {
-		bench := newBenchResult("overhead", alpha, size, total, overheadClients)
-		bench.Modes = map[string]ModeResult{
-			"telemetry_on":  {QPS: onQ[1]},
-			"telemetry_off": {QPS: offQ[1]},
-		}
-		if err := bench.writeJSON(outPath); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote results to %s\n", outPath)
-	}
 
 	if lossQ[1] > budgetPct {
 		fmt.Printf("\ntelemetry overhead gate FAILED: %.2f%% > %.1f%% budget\n", lossQ[1], budgetPct)

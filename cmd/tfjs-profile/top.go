@@ -10,8 +10,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// The live "top" view: poll a tfjs-serve /metrics endpoint (negotiating
-// the OpenMetrics format) and render a refreshing terminal dashboard —
+// The live "top" view: poll a tfjs-serve /metrics endpoint (OpenMetrics
+// text) and render a refreshing terminal dashboard —
 // per-model request rate and latency quantiles, per-stage breakdown, and
 // the top-K kernels by measured cost from the server's kernel-stats
 // aggregator. QPS comes from counter deltas between consecutive scrapes,
@@ -19,12 +19,7 @@ import (
 
 // scrape fetches and strictly parses one OpenMetrics exposition.
 func scrape(client *http.Client, url string) (*telemetry.Parsed, error) {
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Accept", "application/openmetrics-text; version=1.0.0")
-	resp, err := client.Do(req)
+	resp, err := client.Get(url)
 	if err != nil {
 		return nil, err
 	}

@@ -52,11 +52,6 @@ type Config struct {
 	// CostModel names the per-step cost source for grain selection: empty
 	// or CostModelStatic, the only one.
 	CostModel CostModel
-
-	// PoolPoison scribbles freed buffers with NaN sentinels so a
-	// use-after-dispose through the recycler corrupts results loudly.
-	// nil means the backend default: on in race-detector builds.
-	PoolPoison *bool
 }
 
 // Option mutates a Config; the functional-options surface of the API.
@@ -77,11 +72,6 @@ func WithOptimize(on bool) Option {
 // grain (CostModelStatic is the only one).
 func WithCostModel(m CostModel) Option {
 	return func(c *Config) { c.CostModel = m }
-}
-
-// WithPoolPoison toggles NaN-scribbling of freed buffers (debug).
-func WithPoolPoison(on bool) Option {
-	return func(c *Config) { c.PoolPoison = &on }
 }
 
 // Make resolves options into a Config.
@@ -108,9 +98,6 @@ func (c Config) Merge(over Config) Config {
 	}
 	if over.CostModel != "" {
 		out.CostModel = over.CostModel
-	}
-	if over.PoolPoison != nil {
-		out.PoolPoison = over.PoolPoison
 	}
 	return out
 }

@@ -16,10 +16,12 @@ import (
 // the experiment that needs it, not here. CostModel fails the rule — it
 // has one value, CostModelStatic — and stays only because bench/fixtures.go
 // sets it and files under bench/ change only with the benchmark; the next
-// benchmark change drops that line and this field (4 → 3). Verify failed
-// the rule — no non-test caller set it — and went: every load verifies.
+// benchmark change drops that line and this field (3 → 2). Verify and
+// PoolPoison failed the rule — no non-test caller set either — and went:
+// every load verifies, and pool poison is on exactly in race builds (a
+// test that needs it calls the backend's SetPoolPoison).
 func TestConfigSurface(t *testing.T) {
-	want := []string{"Workers", "Optimize", "CostModel", "PoolPoison"}
+	want := []string{"Workers", "Optimize", "CostModel"}
 	typ := reflect.TypeOf(exec.Config{})
 	var got []string
 	for i := 0; i < typ.NumField(); i++ {
@@ -61,16 +63,13 @@ func TestMakeResolvesOptions(t *testing.T) {
 func TestMergePrecedence(t *testing.T) {
 	base := exec.Make(exec.WithWorkers(8), exec.WithCostModel(exec.CostModelStatic), exec.WithOptimize(false))
 
-	over := exec.Make(exec.WithWorkers(2), exec.WithPoolPoison(true))
+	over := exec.Make(exec.WithWorkers(2))
 	got := base.Merge(over)
 	if got.Workers != 2 {
 		t.Fatalf("override Workers must win: got %d", got.Workers)
 	}
 	if got.CostModel != exec.CostModelStatic {
 		t.Fatalf("unset CostModel must inherit: got %q", got.CostModel)
-	}
-	if got.PoolPoison == nil || !*got.PoolPoison {
-		t.Fatal("override PoolPoison must win")
 	}
 	if got.OptimizeOn() {
 		t.Fatal("inherited Optimize=false lost in merge")

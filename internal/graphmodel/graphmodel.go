@@ -31,8 +31,8 @@ type config struct {
 // Option configures Load/New.
 type Option func(*config)
 
-// WithExecOptions applies execution options (worker budget, pool poison,
-// the optimize gate) to the load. The backend-level knobs are applied to
+// WithExecOptions applies execution options (worker budget, cost model,
+// the optimize gate) to the load. The worker budget is applied to
 // the model's engine's backend at load time; the optimize gate steers the
 // optimizer.
 func WithExecOptions(opts ...exec.Option) Option {
@@ -117,8 +117,8 @@ func New(g *savedmodel.GraphDef, opts ...Option) (*Model, error) {
 	if eng == nil {
 		eng = core.Global()
 	}
-	// Backend-level knobs (worker budget, pool poison) apply to the engine
-	// this model executes on; backends without the hook ignore them.
+	// The backend-level knob (worker budget) applies to the engine
+	// this model executes on; backends without the hook ignore it.
 	exec.Apply(eng.Backend(), cfg.exec)
 	m := &Model{graph: g, exec: g, eng: eng}
 	m.span = spanName("graphmodel", g)

@@ -99,9 +99,6 @@ func (b *Backend) ApplyExecConfig(c exec.Config) {
 	if c.Workers != 0 {
 		b.SetWorkers(c.Workers)
 	}
-	if c.PoolPoison != nil {
-		b.SetPoolPoison(*c.PoolPoison)
-	}
 }
 
 // Resolves is the number of range-kernel calls the backend has resolved:

@@ -68,8 +68,8 @@ func (p *workerPool) tryDispatch(j *job) bool {
 
 // A job is one parallelFor call split into chunks, which the caller and
 // the workers it reserved claim by index from next — work-stealing, so an
-// uneven chunk mix still balances. It is the call's one allocation, and
-// what the workers it reserved receive.
+// uneven chunk mix still balances. It is what the workers it reserved
+// receive, and it comes from jobs, not the heap.
 type job struct {
 	fill            kernels.Fill
 	in              [][]float32
@@ -77,6 +77,38 @@ type job struct {
 	unit, n, chunks int
 	next            atomic.Int64
 	helpers         sync.WaitGroup
+}
+
+// jobList recycles parallelFor's jobs, so that a split call allocates
+// nothing. Unlike a sync.Pool it keeps its jobs under the race detector
+// too, where the allocation gates run as well.
+type jobList struct {
+	mu   sync.Mutex
+	free []*job
+}
+
+var jobs jobList
+
+// get returns an idle job.
+func (l *jobList) get() *job {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		j := l.free[n-1]
+		l.free = l.free[:n-1]
+		return j
+	}
+	return new(job)
+}
+
+// put takes j back. Its call must have returned from helpers.Wait: a
+// worker's last touch of a job is helpers.Done.
+func (l *jobList) put(j *job) {
+	j.fill, j.in, j.dst = nil, nil, nil
+	j.next.Store(0)
+	l.mu.Lock()
+	l.free = append(l.free, j)
+	l.mu.Unlock()
 }
 
 // run fills chunks until none is left to claim.
@@ -126,8 +158,8 @@ func chunkBounds(n, c, i int) (lo, hi int) {
 // grain is derived from its share per unit so that each chunk carries at
 // least chunkFlops of it. Nothing here reads a clock, and nothing but the
 // kernel's declared work sizes the grain. A call of one chunk — every call
-// on one worker — runs fill on the caller and allocates nothing; a call
-// of more allocates its job.
+// on one worker — runs fill on the caller; a call of more takes a recycled
+// job. Neither allocates once warm.
 //
 // Results are bit-identical for every workers setting: chunk boundaries
 // are a pure function of (units, chunks), and every body computes a value
@@ -148,7 +180,8 @@ func (b *Backend) parallelFor(fill kernels.Fill, in [][]float32, dst []float32, 
 
 	// The caller participates, and up to workers-1 idle pool goroutines
 	// help.
-	j := &job{fill: fill, in: in, dst: dst, unit: unit, n: n, chunks: chunks}
+	j := jobs.get()
+	j.fill, j.in, j.dst, j.unit, j.n, j.chunks = fill, in, dst, unit, n, chunks
 	for h := 0; h < min(workers-1, chunks-1); h++ {
 		j.helpers.Add(1)
 		if !sharedPool.tryDispatch(j) {
@@ -158,4 +191,5 @@ func (b *Backend) parallelFor(fill kernels.Fill, in [][]float32, dst []float32, 
 	}
 	j.run()
 	j.helpers.Wait()
+	jobs.put(j)
 }

@@ -86,3 +86,29 @@ func TestParallelForCostSetsTheGrain(t *testing.T) {
 		t.Errorf("8192 ops/unit of 7: %d chunks, want %d", got, maxChunks)
 	}
 }
+
+// TestSplitCallAllocatesNothing: a warmed parallelFor that splits its call
+// across workers takes a recycled job, so it allocates nothing at any
+// worker budget.
+func TestSplitCallAllocatesNothing(t *testing.T) {
+	b := New()
+	dst := make([]float32, 10000)
+	fill := func(_ [][]float32, lo int, dst []float32) {
+		for i := range dst {
+			dst[i] = float32(lo + i)
+		}
+	}
+	for _, workers := range []int{2, 4} {
+		b.ApplyExecConfig(exec.Make(exec.WithWorkers(workers)))
+		call := func() { b.parallelFor(fill, nil, dst, 1, 1024*int64(len(dst))) }
+		call() // warm-up: the job list's first job
+		if allocs := testing.AllocsPerRun(100, call); allocs != 0 {
+			t.Errorf("%d workers: a split parallelFor allocates %.1f/op, want 0", workers, allocs)
+		}
+		for i, v := range dst {
+			if v != float32(i) {
+				t.Fatalf("%d workers: dst[%d] = %v", workers, i, v)
+			}
+		}
+	}
+}

@@ -126,7 +126,7 @@ func TestConcurrentSpanAttribution(t *testing.T) {
 	wg.Wait()
 	remove()
 
-	metrics := buildExposition(reg.Snapshots(), api.Stats(), api.Trace()).RenderLegacy()
+	metrics := buildExposition(reg.Snapshots(), api.Stats(), api.Trace()).RenderOpenMetrics()
 	executes := map[string]int{}
 	counts := map[string]map[string]int{"alpha": {}, "beta": {}}
 	for _, ev := range events {

@@ -29,9 +29,9 @@ func TestExecOptionsPrecedence(t *testing.T) {
 	}
 
 	m = newModel("m", ModelOptions{Exec: []exec.Option{
-		exec.WithWorkers(2), exec.WithPoolPoison(true),
+		exec.WithWorkers(2), exec.WithCostModel(exec.CostModelStatic),
 	}})
-	if m.exec.Workers != 2 || m.exec.PoolPoison == nil || !*m.exec.PoolPoison {
+	if m.exec.Workers != 2 || m.exec.CostModel != exec.CostModelStatic {
 		t.Fatalf("Exec options lost in resolution: %+v", m.exec)
 	}
 }

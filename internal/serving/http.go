@@ -34,7 +34,7 @@ const maxBodyBytes = 64 << 20
 //	POST /v1/graphs/{name}:predict      → run an inference graph (sequence/ensemble/switch)
 //	GET  /healthz                       → liveness
 //	GET  /readyz                        → readiness (503 while loading or draining)
-//	GET  /metrics                       → Prometheus-style text
+//	GET  /metrics                       → OpenMetrics 1.0 text
 //	GET  /debug/trace?seconds=N         → Chrome trace-event JSON download
 //	GET  /debug/memory                  → engine + device memory JSON
 //	GET  /debug/memory?leaks=N          → + N-second tensor-leak capture
@@ -141,25 +141,13 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// openMetricsContentType is the negotiated content type for the
-// OpenMetrics 1.0 text format.
+// openMetricsContentType is the content type of every /metrics response:
+// the OpenMetrics 1.0 text format.
 const openMetricsContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
-// wantsOpenMetrics reports whether the request's Accept header asks for
-// the OpenMetrics text format (what a Prometheus scraper sends).
-func wantsOpenMetrics(r *http.Request) bool {
-	for _, accept := range r.Header.Values("Accept") {
-		if strings.Contains(accept, "application/openmetrics-text") {
-			return true
-		}
-	}
-	return false
-}
-
-// handleMetrics serves the metrics exposition. The historical flat text
-// format stays the default; a scraper sending
-// Accept: application/openmetrics-text gets the same samples as
-// OpenMetrics 1.0 text (HELP/TYPE metadata, contiguous families, # EOF).
+// handleMetrics serves the metrics exposition as OpenMetrics 1.0 text
+// (HELP/TYPE metadata, contiguous families, # EOF), whatever the request's
+// Accept header says.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snaps := s.reg.Snapshots()
 	s.graphMu.Lock()
@@ -167,14 +155,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		snaps[graphMetricsPrefix+name] = g.metrics.snapshot(0)
 	}
 	s.graphMu.Unlock()
-	expo := buildExposition(snaps, s.stats, s.trace)
-	if wantsOpenMetrics(r) {
-		w.Header().Set("Content-Type", openMetricsContentType)
-		fmt.Fprint(w, expo.RenderOpenMetrics())
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, expo.RenderLegacy())
+	w.Header().Set("Content-Type", openMetricsContentType)
+	fmt.Fprint(w, buildExposition(snaps, s.stats, s.trace).RenderOpenMetrics())
 }
 
 // handleTrace downloads the retained trace ring as Chrome trace-event

@@ -223,10 +223,8 @@ func modelOfSpan(span string) string {
 // buildExposition assembles the full metrics sample set: per-model
 // request/latency/batch series, the per-model per-kernel breakdowns and
 // measured kernel costs from the telemetry aggregator, the engine's
-// tensor/byte counters and the trace-ring drop counters. The sample
-// insertion order here IS the legacy wire format (RenderLegacy replays it
-// line by line), so samples must keep their historical order; the
-// OpenMetrics renderer regroups them by family on its own.
+// tensor/byte counters and the trace-ring drop counters. Families render
+// in the order they are declared here.
 func buildExposition(models map[string]Snapshot, stats *telemetry.Stats, trace *telemetry.Recorder) *telemetry.Exposition {
 	e := telemetry.NewExposition()
 	e.Family("serving_requests_total", telemetry.TypeCounter, "Finished requests by model and outcome.")
@@ -355,8 +353,8 @@ func addRuntimeSamples(e *telemetry.Exposition) {
 	metrics.Read(samples)
 	if h := samples[0].Value; h.Kind() == metrics.KindFloat64Histogram {
 		for q, v := range gcPauseQuantiles(h.Float64Histogram(), 0.5, 0.95, 0.99) {
-			// Milliseconds, matching every other *_ms series: the legacy
-			// renderer prints %.3f, and GC pauses are sub-millisecond, so a
+			// Milliseconds, matching every other *_ms series: floats render
+			// with %.3f, and GC pauses are sub-millisecond, so a
 			// seconds-valued gauge would truncate to 0.000.
 			e.Float("process_gc_pause_ms", v*1000, telemetry.L("quantile", []string{"0.5", "0.95", "0.99"}[q]))
 		}
@@ -406,10 +404,9 @@ func gcPauseQuantiles(h *metrics.Float64Histogram, qs ...float64) []float64 {
 func addKernelSamples(e *telemetry.Exposition, stats *telemetry.Stats) {
 	e.Family("serving_kernel_invocations_total", telemetry.TypeCounter, "Kernel dispatches by model and kernel.")
 	e.Family("serving_kernel_time_ms_total", telemetry.TypeCounter, "Cumulative kernel wall time by model and kernel (ms).")
-	// The legacy gauge name collides with the counter family above once
-	// OpenMetrics strips _total, so the OM rendering uses _window.
-	e.FamilyOM("serving_kernel_time_ms", "serving_kernel_time_ms_window",
-		telemetry.TypeGauge, "Kernel wall-time quantiles over the recent window (ms).")
+	// Not serving_kernel_time_ms: that is the counter family above once
+	// OpenMetrics strips _total.
+	e.Family("serving_kernel_time_ms_window", telemetry.TypeGauge, "Kernel wall-time quantiles over the recent window (ms).")
 	e.Family("serving_kernel_bytes_added_total", telemetry.TypeCounter, "Bytes of output allocated by kernel dispatches.")
 	e.Family("telemetry_upload_bytes_total", telemetry.TypeCounter, "Bytes uploaded host-to-device.")
 	e.Family("telemetry_download_bytes_total", telemetry.TypeCounter, "Bytes downloaded device-to-host.")
@@ -422,8 +419,8 @@ func addKernelSamples(e *telemetry.Exposition, stats *telemetry.Stats) {
 			kernel := telemetry.L("kernel", ks.Name)
 			e.Int("serving_kernel_invocations_total", ks.Count, model, kernel)
 			e.Float("serving_kernel_time_ms_total", ks.TotalMS, model, kernel)
-			e.Float("serving_kernel_time_ms", ks.P50MS, model, kernel, telemetry.L("quantile", "0.5"))
-			e.Float("serving_kernel_time_ms", ks.P95MS, model, kernel, telemetry.L("quantile", "0.95"))
+			e.Float("serving_kernel_time_ms_window", ks.P50MS, model, kernel, telemetry.L("quantile", "0.5"))
+			e.Float("serving_kernel_time_ms_window", ks.P95MS, model, kernel, telemetry.L("quantile", "0.95"))
 			e.Int("serving_kernel_bytes_added_total", ks.BytesAdded, model, kernel)
 		}
 	}

@@ -27,8 +27,8 @@ func observabilityServer(t *testing.T) (*Server, *httptest.Server) {
 	m.metrics.ObserveRequest("ok", 2.5)
 	m.metrics.ObserveRequest("error", 0.5)
 	// Warm the kernel-stats aggregator so /metrics renders the per-kernel
-	// series — including serving_kernel_time_ms, whose quantile gauge
-	// collides with its cumulative counter under OM _total stripping.
+	// series — including serving_kernel_time_ms_window, the quantile gauge
+	// beside the serving_kernel_time_ms counter family.
 	for i := 0; i < 3; i++ {
 		api.Stats().Observe(telemetry.Event{
 			Kind: telemetry.KindKernel, Name: "MatMul",
@@ -58,37 +58,37 @@ func get(t *testing.T, url string, headers map[string]string) (*http.Response, s
 	return resp, string(body)
 }
 
-// TestMetricsContentNegotiation checks both /metrics wire formats: the
-// historical flat text stays the default (no metadata lines, text/plain),
-// and an OpenMetrics Accept header switches to the OM content type with
-// output the strict parser accepts — including the profiler and trace-ring
-// self-observability series.
+// TestMetricsContentNegotiation checks that /metrics has one wire format:
+// no Accept header, a text/plain one and the OpenMetrics one all get the
+// OpenMetrics content type and output the strict parser accepts —
+// including the profiler and trace-ring self-observability series.
 func TestMetricsContentNegotiation(t *testing.T) {
 	_, srv := observabilityServer(t)
 
-	resp, legacyBody := get(t, srv.URL+"/metrics", nil)
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("default /metrics content type = %q", ct)
-	}
-	if strings.Contains(legacyBody, "# TYPE") || strings.Contains(legacyBody, "# EOF") {
-		t.Errorf("default /metrics leaked OpenMetrics metadata:\n%.500s", legacyBody)
-	}
-	if !strings.Contains(legacyBody, `serving_requests_total{model="mobilenet",outcome="ok"} 2`) {
-		t.Errorf("default /metrics missing legacy request counter:\n%.500s", legacyBody)
+	for _, accept := range []string{"", "text/plain", openMetricsContentType} {
+		headers := map[string]string{}
+		if accept != "" {
+			headers["Accept"] = accept
+		}
+		resp, body := get(t, srv.URL+"/metrics", headers)
+		if ct := resp.Header.Get("Content-Type"); ct != openMetricsContentType {
+			t.Errorf("Accept %q: /metrics content type = %q, want %q", accept, ct, openMetricsContentType)
+		}
+		if _, err := telemetry.ParseExposition(body); err != nil {
+			t.Errorf("Accept %q: /metrics rejected by strict parser: %v\n%.1000s", accept, err, body)
+		}
 	}
 
-	resp, body := get(t, srv.URL+"/metrics", map[string]string{
-		"Accept": "application/openmetrics-text; version=1.0.0; charset=utf-8",
-	})
-	if ct := resp.Header.Get("Content-Type"); ct != openMetricsContentType {
-		t.Errorf("OM /metrics content type = %q, want %q", ct, openMetricsContentType)
-	}
+	_, body := get(t, srv.URL+"/metrics", nil)
 	p, err := telemetry.ParseExposition(body)
 	if err != nil {
-		t.Fatalf("OM /metrics rejected by strict parser: %v\n%.1000s", err, body)
+		t.Fatalf("/metrics rejected by strict parser: %v\n%.1000s", err, body)
+	}
+	if !strings.Contains(body, `serving_requests_total{model="mobilenet",outcome="ok"} 2`) {
+		t.Errorf("/metrics missing request counter:\n%.500s", body)
 	}
 	if v, ok := p.Value("serving_requests_total", map[string]string{"model": "mobilenet", "outcome": "ok"}); !ok || v != 2 {
-		t.Errorf("OM serving_requests_total = %v, %v", v, ok)
+		t.Errorf("serving_requests_total = %v, %v", v, ok)
 	}
 	if fam := p.Family("serving_requests"); fam == nil || fam.Type != telemetry.TypeCounter {
 		t.Errorf("serving_requests family missing or untyped: %+v", fam)
@@ -97,22 +97,24 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	// overwrite counters must be present even when zero — absence and zero
 	// are different signals to a dashboard.
 	if _, ok := p.Value("telemetry_profiler_events_total", nil); !ok {
-		t.Error("OM /metrics missing telemetry_profiler_events_total")
+		t.Error("/metrics missing telemetry_profiler_events_total")
 	}
-	// The kernel-time quantile gauge keeps its legacy name in the flat
-	// format but renders as _window in OM, where the bare name would
-	// collide with the serving_kernel_time_ms counter family.
-	if !strings.Contains(legacyBody, `serving_kernel_time_ms{model="mobilenet",kernel="MatMul",quantile="0.5"}`) {
-		t.Errorf("default /metrics lost the legacy kernel-time gauge name:\n%.1500s", legacyBody)
+	// The kernel-time quantile gauge is serving_kernel_time_ms_window: the
+	// bare name is the serving_kernel_time_ms counter family.
+	if !strings.Contains(body, `serving_kernel_time_ms_window{model="mobilenet",kernel="MatMul",quantile="0.5"}`) {
+		t.Errorf("/metrics missing the kernel-time quantile gauge:\n%.1500s", body)
+	}
+	if fam := p.Family("serving_kernel_time_ms_window"); fam == nil || fam.Type != telemetry.TypeGauge {
+		t.Errorf("serving_kernel_time_ms_window gauge family missing or untyped: %+v", fam)
 	}
 	if v, ok := p.Value("serving_kernel_time_ms_window", map[string]string{"kernel": "MatMul", "quantile": "0.5"}); !ok || v <= 0 {
-		t.Errorf("OM serving_kernel_time_ms_window = %v, %v", v, ok)
+		t.Errorf("serving_kernel_time_ms_window = %v, %v", v, ok)
 	}
 	if fam := p.Family("serving_kernel_time_ms"); fam == nil || fam.Type != telemetry.TypeCounter {
 		t.Errorf("serving_kernel_time_ms counter family missing or untyped: %+v", fam)
 	}
 	if shards := p.Samples("telemetry_trace_dropped_events_total"); len(shards) == 0 {
-		t.Error("OM /metrics missing per-shard telemetry_trace_dropped_events_total")
+		t.Error("/metrics missing per-shard telemetry_trace_dropped_events_total")
 	} else {
 		for _, s := range shards {
 			if s.Label("shard") == "" {
@@ -132,7 +134,7 @@ func TestMetricsProfilerSeries(t *testing.T) {
 			Kind: telemetry.KindKernel, Name: "fused_MatMul", DurMS: 2, Elements: 1 << 16,
 		})
 	}
-	_, body := get(t, srv.URL+"/metrics", map[string]string{"Accept": "application/openmetrics-text"})
+	_, body := get(t, srv.URL+"/metrics", nil)
 	p, err := telemetry.ParseExposition(body)
 	if err != nil {
 		t.Fatalf("parse: %v", err)

@@ -65,7 +65,7 @@ type ModelOptions struct {
 	// entirely (every request competes only at the bounded queue).
 	Tenants map[string]int
 	// Exec carries the execution configuration applied to this model's
-	// load and to each replica's backend: worker budget, pool poison and
+	// load and to each replica's backend: worker budget, cost model and
 	// the optimize gate. One option list, the same surface as
 	// tf.LoadGraphModel and tf.ConfigureExec.
 	Exec []exec.Option

@@ -6,17 +6,12 @@ import (
 	"strings"
 )
 
-// Exposition is the shared metrics sample model behind the /metrics
-// endpoint's two wire formats. Producers append typed samples in whatever
-// order they naturally iterate; the legacy renderer replays them verbatim
-// (one line per sample, insertion order, no metadata — byte-identical to
-// the original hand-rolled exposition), while the OpenMetrics renderer
-// regroups the same samples into contiguous metric families with HELP and
-// TYPE metadata, per the OpenMetrics 1.0 text format.
-//
-// One producer, two renderers: the serving handler negotiates the format
-// from the Accept header, and the two outputs can never drift apart
-// because they come from the same sample list.
+// Exposition is the metrics sample model behind the /metrics endpoint,
+// rendered as OpenMetrics 1.0 text. Producers declare each metric family
+// once, then append typed samples in whatever order they naturally
+// iterate; each sample is kept under its family as it is added, so the
+// rendering writes contiguous families, each with its HELP and TYPE
+// metadata, in declaration order.
 
 // MetricType is the OpenMetrics family type.
 type MetricType string
@@ -36,89 +31,66 @@ type Label struct {
 // L is shorthand for constructing a Label.
 func L(name, value string) Label { return Label{Name: name, Value: value} }
 
-// sample is one exposition line.
+// sample is one exposition line; its name is its family's.
 type sample struct {
-	name     string // full sample name, including any _total suffix
 	labels   []Label
 	intVal   int64
 	floatVal float64
 	isFloat  bool
 }
 
-// family is one metric family's metadata. The family name is the sample
-// name with the OpenMetrics counter convention applied: a counter family
-// "foo" has samples named "foo_total".
+// family is one metric family: its metadata and its samples in insertion
+// order. name is the sample name; the OpenMetrics family name applies the
+// counter convention: a counter family "foo" has samples named
+// "foo_total".
 type family struct {
-	name   string
-	omName string // OpenMetrics sample-name override ("" = use name)
-	typ    MetricType
-	help   string
+	name    string
+	typ     MetricType
+	help    string
+	samples []sample
 }
 
 // Exposition accumulates samples for one scrape.
 type Exposition struct {
-	samples  []sample
-	families map[string]*family // keyed by sample name
-	famOrder []string           // sample-name order of first declaration
+	families []*family          // declaration order
+	byName   map[string]*family // keyed by sample name
 }
 
 // NewExposition returns an empty sample set.
 func NewExposition() *Exposition {
-	return &Exposition{families: map[string]*family{}}
+	return &Exposition{byName: map[string]*family{}}
 }
 
 // Family declares metadata for the samples named name (the full sample
 // name, e.g. "serving_requests_total" for a counter). Declaring a family
-// twice keeps the first metadata. Samples without a declared family render
-// as untyped gauges with no HELP text.
+// twice keeps the first metadata. A sample whose name was never declared
+// opens an untyped gauge family with no HELP text where it is added.
 func (e *Exposition) Family(name string, typ MetricType, help string) {
-	if _, ok := e.families[name]; ok {
-		return
-	}
-	e.families[name] = &family{name: name, typ: typ, help: help}
-	e.famOrder = append(e.famOrder, name)
+	e.declare(name, typ, help)
 }
 
-// FamilyOM declares metadata like Family, but renders the family and its
-// samples under omName in the OpenMetrics format (the legacy format keeps
-// name, so existing scrapers see no change). Needed when a legacy gauge
-// name collides with a counter family after _total stripping — OpenMetrics
-// forbids two families with the same name, the flat format doesn't care.
-func (e *Exposition) FamilyOM(name, omName string, typ MetricType, help string) {
-	if _, ok := e.families[name]; ok {
-		return
+// declare returns the family for name, declaring it when it is new.
+func (e *Exposition) declare(name string, typ MetricType, help string) *family {
+	if f, ok := e.byName[name]; ok {
+		return f
 	}
-	e.families[name] = &family{name: name, omName: omName, typ: typ, help: help}
-	e.famOrder = append(e.famOrder, name)
+	f := &family{name: name, typ: typ, help: help}
+	e.byName[name] = f
+	e.families = append(e.families, f)
+	return f
 }
 
 // Int appends one integer-valued sample (rendered with %d).
 func (e *Exposition) Int(name string, v int64, labels ...Label) {
-	e.samples = append(e.samples, sample{name: name, labels: labels, intVal: v})
+	f := e.declare(name, TypeGauge, "")
+	f.samples = append(f.samples, sample{labels: labels, intVal: v})
 }
 
-// Float appends one float-valued sample (rendered with %.3f, matching the
-// millisecond precision of the original exposition).
+// Float appends one float-valued sample (rendered with %.3f, millisecond
+// precision for the *_ms series).
 func (e *Exposition) Float(name string, v float64, labels ...Label) {
-	e.samples = append(e.samples, sample{name: name, labels: labels, floatVal: v, isFloat: true})
-}
-
-// legacyLabels renders {a="x",b="y"} with Go %q escaping — the exact bytes
-// the original fmt.Fprintf(..., %q) exposition produced.
-func legacyLabels(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", l.Name, l.Value)
-	}
-	b.WriteByte('}')
-	return b.String()
+	f := e.declare(name, TypeGauge, "")
+	f.samples = append(f.samples, sample{labels: labels, floatVal: v, isFloat: true})
 }
 
 // escapeOM escapes a label value per the OpenMetrics text format:
@@ -184,22 +156,6 @@ func (s *sample) value() string {
 	return strconv.FormatInt(s.intVal, 10)
 }
 
-// RenderLegacy writes the original flat text format: one line per sample
-// in insertion order, no metadata lines. Byte-identical to the exposition
-// the serving handler emitted before the sample model existed.
-func (e *Exposition) RenderLegacy() string {
-	var b strings.Builder
-	for i := range e.samples {
-		s := &e.samples[i]
-		b.WriteString(s.name)
-		b.WriteString(legacyLabels(s.labels))
-		b.WriteByte(' ')
-		b.WriteString(s.value())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // omFamilyName maps a sample name to its OpenMetrics family name: counter
 // samples are named <family>_total, so the family strips the suffix.
 func omFamilyName(sampleName string, typ MetricType) string {
@@ -209,60 +165,25 @@ func omFamilyName(sampleName string, typ MetricType) string {
 	return sampleName
 }
 
-// RenderOpenMetrics writes the OpenMetrics 1.0 text format: metric
-// families are contiguous, each preceded by its # HELP and # TYPE lines
-// (family order = declaration order, then first-appearance order for
-// undeclared names), counter families drop the _total suffix from the
-// family name while their samples keep it, and the output ends with the
-// mandatory # EOF line.
+// RenderOpenMetrics writes the OpenMetrics 1.0 text format: each family
+// with samples, in declaration order, is one contiguous block preceded by
+// its # HELP and # TYPE lines; counter families drop the _total suffix
+// from the family name while their samples keep it; the output ends with
+// the mandatory # EOF line.
 func (e *Exposition) RenderOpenMetrics() string {
-	// Group sample indices by sample name, preserving intra-family order.
-	bySampleName := map[string][]int{}
-	var nameOrder []string
-	for i := range e.samples {
-		n := e.samples[i].name
-		if _, ok := bySampleName[n]; !ok {
-			nameOrder = append(nameOrder, n)
-		}
-		bySampleName[n] = append(bySampleName[n], i)
-	}
-	// Families render in declaration order; sample names never declared
-	// follow in first-appearance order as untyped gauges.
-	seen := map[string]bool{}
-	ordered := make([]string, 0, len(nameOrder))
-	for _, n := range e.famOrder {
-		if len(bySampleName[n]) > 0 && !seen[n] {
-			ordered = append(ordered, n)
-			seen[n] = true
-		}
-	}
-	for _, n := range nameOrder {
-		if !seen[n] {
-			ordered = append(ordered, n)
-			seen[n] = true
-		}
-	}
 	var b strings.Builder
-	for _, n := range ordered {
-		fam := e.families[n]
-		typ := TypeGauge
-		help := ""
-		if fam != nil {
-			typ = fam.typ
-			help = fam.help
+	for _, f := range e.families {
+		if len(f.samples) == 0 {
+			continue
 		}
-		sname := n
-		if fam != nil && fam.omName != "" {
-			sname = fam.omName
+		fname := omFamilyName(f.name, f.typ)
+		if f.help != "" {
+			fmt.Fprintf(&b, "# HELP %s %s\n", fname, escapeOMHelp(f.help))
 		}
-		fname := omFamilyName(sname, typ)
-		if help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", fname, escapeOMHelp(help))
-		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", fname, typ)
-		for _, i := range bySampleName[n] {
-			s := &e.samples[i]
-			b.WriteString(sname)
+		fmt.Fprintf(&b, "# TYPE %s %s\n", fname, f.typ)
+		for i := range f.samples {
+			s := &f.samples[i]
+			b.WriteString(f.name)
 			b.WriteString(omLabels(s.labels))
 			b.WriteByte(' ')
 			b.WriteString(s.value())

@@ -17,17 +17,22 @@ func buildTestExposition() *Exposition {
 	return e
 }
 
-// TestRenderLegacyFormat pins the legacy flat format byte for byte: one
-// line per sample in insertion order, %q labels, %d ints, %.3f floats, no
-// metadata. The serving /metrics default depends on this staying stable.
-func TestRenderLegacyFormat(t *testing.T) {
-	got := buildTestExposition().RenderLegacy()
-	want := `requests_total{model="mobilenet",outcome="ok"} 32
+// TestRenderOpenMetricsFormat pins the rendering byte for byte: families
+// in declaration order, HELP then TYPE then samples in insertion order,
+// counter family names without _total, %d ints, %.3f floats, # EOF.
+func TestRenderOpenMetricsFormat(t *testing.T) {
+	got := buildTestExposition().RenderOpenMetrics()
+	want := `# HELP requests Requests served.
+# TYPE requests counter
+requests_total{model="mobilenet",outcome="ok"} 32
 requests_total{model="mobilenet",outcome="error"} 2
+# HELP queue_depth Requests waiting.
+# TYPE queue_depth gauge
 queue_depth{model="mobilenet"} 3.000
+# EOF
 `
 	if got != want {
-		t.Errorf("RenderLegacy:\n%q\nwant:\n%q", got, want)
+		t.Errorf("RenderOpenMetrics:\n%q\nwant:\n%q", got, want)
 	}
 }
 
@@ -174,39 +179,15 @@ func TestCounterMonotonicity(t *testing.T) {
 	}
 }
 
-// TestFamilyOMRenameCollision reproduces the serving_kernel_time_ms shape:
-// a counter x_total plus a gauge legacy-named x. After _total stripping
-// both would claim OM family "x" — illegal, and the strict parser rejects
-// the result. FamilyOM renames the gauge in the OM rendering only, so the
-// legacy bytes stay put while the OM output parses.
-func TestFamilyOMRenameCollision(t *testing.T) {
+// TestUndeclaredSampleRendersAsGauge: a sample with no declared family
+// opens an untyped gauge family, without HELP, where it is added.
+func TestUndeclaredSampleRendersAsGauge(t *testing.T) {
 	e := NewExposition()
-	e.Family("x_total", TypeCounter, "Cumulative x.")
-	e.FamilyOM("x", "x_window", TypeGauge, "Recent-window x quantiles.")
-	e.Int("x_total", 7, L("k", "a"))
-	e.Float("x", 1.5, L("k", "a"), L("quantile", "0.5"))
-
-	legacy := e.RenderLegacy()
-	wantLegacy := "x_total{k=\"a\"} 7\nx{k=\"a\",quantile=\"0.5\"} 1.500\n"
-	if legacy != wantLegacy {
-		t.Errorf("RenderLegacy:\n%q\nwant:\n%q", legacy, wantLegacy)
-	}
-
-	text := e.RenderOpenMetrics()
-	p, err := ParseExposition(text)
-	if err != nil {
-		t.Fatalf("OM output with renamed gauge rejected: %v\n%s", err, text)
-	}
-	if fam := p.Family("x"); fam == nil || fam.Type != TypeCounter {
-		t.Errorf("counter family x: %+v", fam)
-	}
-	if fam := p.Family("x_window"); fam == nil || fam.Type != TypeGauge {
-		t.Errorf("renamed gauge family x_window: %+v", fam)
-	}
-	if v, ok := p.Value("x_window", map[string]string{"quantile": "0.5"}); !ok || v != 1.5 {
-		t.Errorf("x_window sample = %v, %v", v, ok)
-	}
-	if _, ok := p.Value("x", nil); ok {
-		t.Errorf("bare x sample leaked into OM output:\n%s", text)
+	e.Family("a_total", TypeCounter, "A.")
+	e.Int("b", 1)
+	e.Int("a_total", 2)
+	want := "# HELP a A.\n# TYPE a counter\na_total 2\n# TYPE b gauge\nb 1\n# EOF\n"
+	if got := e.RenderOpenMetrics(); got != want {
+		t.Errorf("RenderOpenMetrics:\n%q\nwant:\n%q", got, want)
 	}
 }

@@ -6,12 +6,12 @@ import (
 )
 
 // This file is the execution-configuration surface: one functional-options
-// API, four options (workers, optimize, cost model, pool poison).
+// API, three options (workers, optimize, cost model).
 // The same ExecOption values work everywhere execution is configured:
 //
 //	tf.ConfigureExec(tf.WithWorkers(4))                 // process-wide
 //	tf.LoadGraphModel(store, tf.WithOptimize(false))    // per model
-//	serving.ModelOptions{Exec: []tf.ExecOption{tf.WithPoolPoison(true)}}
+//	serving.ModelOptions{Exec: []tf.ExecOption{tf.WithWorkers(2)}}
 //
 // The cost model has one value left, CostModelStatic (the default); asking
 // for the removed "measured" one is an error.
@@ -48,12 +48,6 @@ func WithWorkers(n int) ExecOption { return exec.WithWorkers(n) }
 // pruning; on by default).
 func WithOptimize(on bool) ExecOption { return exec.WithOptimize(on) }
 
-// WithPoolPoison toggles poison mode: recycled buffers are scribbled with
-// NaN (float32) or sentinel values on free, so use-after-dispose reads
-// fail loudly instead of silently seeing stale data. Defaults on in race
-// builds.
-func WithPoolPoison(on bool) ExecOption { return exec.WithPoolPoison(on) }
-
 // LoadGraphModel loads a converted model from an artifact store —
 // tf.loadModel(url) (Section 5.1) — applying the execution options to the
 // load and to the model's backend.
@@ -62,7 +56,7 @@ func LoadGraphModel(store ArtifactStore, opts ...ExecOption) (*GraphModel, error
 }
 
 // ConfigureExec applies execution options process-wide: backend-level
-// knobs (workers, pool poison) take effect on the live "node" backend
+// knobs (workers) take effect on the live "node" backend
 // immediately and are remembered for one instantiated later. Returns an
 // error for an invalid config (e.g. an unknown cost model).
 func ConfigureExec(opts ...ExecOption) error {
