@@ -23,6 +23,9 @@ type execState struct {
 	// temporaries): what kernel events add to the engine's byte count, so
 	// peak-memory readers see the plan's intermediates.
 	liveBytes int64
+	// outs holds an execution's outputs, one per execution-graph output,
+	// until Model.run hands them over.
+	outs []*tensor.Tensor
 }
 
 func inputBytes(in kernels.Input) int64 {
@@ -74,8 +77,9 @@ func (x *execState) kernel(name string, ins []kernels.Input, attrs kernels.Attrs
 // weights are migrated to the active backend first (weights once per backend
 // identity), intermediates go back to the backend's free lists at their last
 // use, and outputs are adopted into engine-tracked tensors at the very end —
-// the only tensor handles an execution creates.
-func (m *Model) execute(e *core.Engine, feeds map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
+// the only tensor handles an execution creates — and left in x.outs in the
+// execution graph's output order.
+func (m *Model) execute(e *core.Engine, feeds map[string]*tensor.Tensor) error {
 	p := m.plan
 	x := &p.state
 	bk := e.Backend()
@@ -110,7 +114,7 @@ func (m *Model) execute(e *core.Engine, feeds map[string]*tensor.Tensor) (map[st
 		// A feed for any node short-circuits its step.
 		if !x.fed[st.out] {
 			if err := st.run(x, st); err != nil {
-				return nil, err
+				return err
 			}
 			x.env[st.out] = kernels.Input(st.info)
 			x.owned[st.out] = !st.alias
@@ -123,21 +127,20 @@ func (m *Model) execute(e *core.Engine, feeds map[string]*tensor.Tensor) (map[st
 			}
 		}
 	}
-	results := make(map[string]*tensor.Tensor, len(p.outSlots))
 	for i, out := range m.exec.Outputs {
 		s := p.outSlots[i]
 		if x.fed[s] {
-			results[out] = feeds[out]
+			x.outs[i] = feeds[out]
 			continue
 		}
 		in := x.env[s]
 		if in.DataID == 0 {
-			return nil, fmt.Errorf("graphmodel: output %q not evaluated", out)
+			return fmt.Errorf("graphmodel: output %q not evaluated", out)
 		}
-		// CopyShape: the env shape points into per-step scratch reused by
-		// the next execution.
-		results[out] = e.AdoptData(bk, in.DataID, tensor.CopyShape(in.Shape), in.DType)
+		// The env shape points into per-step scratch reused by the next
+		// execution; the handle takes a copy of it (tensor.New).
+		x.outs[i] = e.AdoptData(bk, in.DataID, in.Shape, in.DType)
 		x.owned[p.root[s]] = false
 	}
-	return results, nil
+	return nil
 }

@@ -248,11 +248,9 @@ func (m *Model) Predict(x *tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("graphmodel: model declares no serving signature (%d inputs, %d outputs); Predict needs at least one of each",
 			len(m.graph.Inputs), len(m.graph.Outputs))
 	}
-	outs, err := m.Execute(map[string]*tensor.Tensor{m.graph.Inputs[0]: x})
-	if err != nil {
-		return nil, err
-	}
-	return outs[m.graph.Outputs[0]], nil
+	var y *tensor.Tensor
+	err := m.run(map[string]*tensor.Tensor{m.graph.Inputs[0]: x}, func(outs []*tensor.Tensor) { y = outs[0] })
+	return y, err
 }
 
 // Execute runs the graph with the given input feeds and returns the output
@@ -265,18 +263,31 @@ func (m *Model) Predict(x *tensor.Tensor) (*tensor.Tensor, error) {
 // concurrently, and output readback likewise. Models bound to different
 // engines (WithEngine) execute concurrently with each other.
 func (m *Model) Execute(feeds map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
+	var results map[string]*tensor.Tensor
+	err := m.run(feeds, func(outs []*tensor.Tensor) {
+		results = make(map[string]*tensor.Tensor, len(outs))
+		for i, out := range m.exec.Outputs {
+			results[out] = outs[i]
+		}
+	})
+	return results, err
+}
+
+// run executes the plan on feeds under the engine's execution lock and,
+// when it succeeds, hands take the outputs, one per execution-graph output
+// in order, before the lock is let go. take must not keep the slice.
+func (m *Model) run(feeds map[string]*tensor.Tensor, take func(outs []*tensor.Tensor)) error {
 	for _, in := range m.graph.Inputs {
 		if _, ok := feeds[in]; !ok {
-			return nil, fmt.Errorf("graphmodel: missing feed for input %q", in)
+			return fmt.Errorf("graphmodel: missing feed for input %q", in)
 		}
 	}
 	e := m.Engine()
 	if e.GradDepth() > 0 {
 		// The plan dispatches kernels without engine handles, so nothing
 		// would reach the tape: refuse rather than return an untaped result.
-		return nil, fmt.Errorf("graphmodel: model %q executed inside a gradient scope; graph models are inference-only and record no tape", m.span)
+		return fmt.Errorf("graphmodel: model %q executed inside a gradient scope; graph models are inference-only and record no tape", m.span)
 	}
-	var results map[string]*tensor.Tensor
 	var err error
 	e.RunExclusive(func() {
 		// The span opens inside the execution lock and lives on the engine:
@@ -284,9 +295,13 @@ func (m *Model) Execute(feeds map[string]*tensor.Tensor) (map[string]*tensor.Ten
 		// whatever other engines are executing.
 		end := e.BeginSpan(m.span)
 		defer end()
-		results, err = m.execute(e, feeds)
+		outs := m.plan.state.outs
+		if err = m.execute(e, feeds); err == nil {
+			take(outs)
+		}
+		clear(outs)
 	})
-	return results, err
+	return err
 }
 
 // Engine returns the engine this model executes on.

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernels"
 	"repro/internal/savedmodel"
+	"repro/internal/tensor"
 )
 
 // This file compiles the (optimized) graph into the execution plan: a flat
@@ -127,6 +128,7 @@ func compilePlan(g *savedmodel.GraphDef, order []string, nodes map[string]*saved
 		env:   make([]kernels.Input, p.numSlots),
 		fed:   make([]bool, p.numSlots),
 		owned: make([]bool, p.numSlots),
+		outs:  make([]*tensor.Tensor, len(p.outSlots)),
 	}
 	return p
 }

@@ -212,11 +212,13 @@ func stopTimer(t *time.Timer) {
 }
 
 // batcher is one worker's scratch, reused across its batches: the batch,
-// its shape groups, the group's instances and the gather timer.
+// its shape groups, the group's instances and results, and the gather
+// timer.
 type batcher struct {
 	batch  []*request
 	groups [][]*request
 	insts  []Instance
+	outs   []Instance
 	timer  *time.Timer
 }
 
@@ -331,7 +333,8 @@ func (s *scheduler) runGroup(b *batcher, group []*request) {
 		b.insts = append(b.insts, r.inst)
 	}
 	s.metrics.ObserveBatch(len(group))
-	outs, err := s.run.run(b.insts)
+	outs, err := s.run.run(b.insts, b.outs[:0])
+	b.outs = outs
 	if err == nil && len(outs) != len(group) {
 		err = fmt.Errorf("serving: runner returned %d results for a batch of %d", len(outs), len(group))
 	}
@@ -368,7 +371,9 @@ func (s *scheduler) runGroup(b *batcher, group []*request) {
 			r.resp <- response{inst: outs[i]}
 		}
 	}
-	clear(b.insts) // let go of the inputs' values until the next batch
+	// Let go of the inputs' and outputs' values until the next batch.
+	clear(b.insts)
+	clear(b.outs)
 }
 
 // durMS is the duration between two instants in float milliseconds.

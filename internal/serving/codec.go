@@ -61,8 +61,14 @@ var (
 	errInstancesArray = errors.New(`malformed request body: "instances" must be an array`)
 )
 
-// predictDecoder holds the request body and the per-instance scratch
-// state, all reused across requests through decoderPool.
+// predictDecoder holds the request body, the decoded instances and the
+// walk's scratch state, all reused across requests through decoderPool.
+//
+// The decoder owns what it decoded: every instance's Values and Shape are
+// capped slices of its two arenas, valid until release. Whoever calls
+// decode therefore releases the decoder only once no one can read those
+// instances any more; a decoder whose instances may still be read (by a
+// request its submitter abandoned, say) is left to the GC instead.
 type predictDecoder struct {
 	body bytes.Buffer
 	data []byte // the bytes being parsed: body's, or a test's own slice
@@ -74,16 +80,18 @@ type predictDecoder struct {
 	// supersedes the array it came from.
 	instErr error
 
-	vals   []float32 // the current instance's values, copied out exactly sized
-	dims   []int     // array length fixed at each depth; -1 while the first array there is open
-	counts []int     // elements seen so far in each open array of the current instance
-	nest   []byte    // open containers ('{' or '[') of the value being skipped
+	vals   []float32  // arena: the values of every instance decoded so far, back to back
+	shapes []int      // arena: their shapes, back to back
+	insts  []Instance // the decoded instances, sliced out of the arenas
+	dims   []int      // array length fixed at each depth; -1 while the first array there is open
+	counts []int      // elements seen so far in each open array of the current instance
+	nest   []byte     // open containers ('{' or '[') of the value being skipped
 }
 
 var decoderPool = sync.Pool{New: func() any { return new(predictDecoder) }}
 
-// release returns d to the pool unless a large request grew it past
-// poolKeepBytes.
+// release returns d, and with it every instance it decoded, to the pool
+// unless a large request grew it past poolKeepBytes.
 func (d *predictDecoder) release() {
 	d.data, d.instErr = nil, nil
 	if d.body.Cap() > poolKeepBytes || 4*cap(d.vals) > poolKeepBytes {
@@ -107,7 +115,8 @@ func (d *predictDecoder) readBody(r io.Reader, sizeHint int64) error {
 // decode walks d.data once. Object keys match "instances" the way
 // encoding/json matches a struct field (case-insensitively, after
 // unescaping), unknown keys are skipped with full grammar checking, and a
-// repeated key replaces the earlier value.
+// repeated key replaces the earlier value. The instances it returns are
+// d's (see predictDecoder).
 func (d *predictDecoder) decode() ([]Instance, error) {
 	d.pos, d.instErr = 0, nil
 	if c, ok := d.peek(); !ok {
@@ -116,7 +125,7 @@ func (d *predictDecoder) decode() ([]Instance, error) {
 		return nil, d.syntaxErr("request is not a JSON object")
 	}
 	d.pos++
-	var insts []Instance
+	insts := d.insts[:0]
 	if c, _ := d.peek(); c == '}' {
 		d.pos++
 	} else {
@@ -128,9 +137,11 @@ func (d *predictDecoder) decode() ([]Instance, error) {
 			if !bytes.EqualFold(unescape(key), []byte("instances")) {
 				err = d.skipValue(1)
 			} else if c, _ := d.peek(); c == 'n' {
-				insts, d.instErr = nil, nil
+				insts, d.instErr = insts[:0], nil
+				d.vals, d.shapes = d.vals[:0], d.shapes[:0]
 				err = d.literal()
 			} else if c == '[' {
+				d.vals, d.shapes = d.vals[:0], d.shapes[:0]
 				insts, err = d.instances(insts[:0])
 			} else {
 				err = errInstancesArray
@@ -161,12 +172,27 @@ func (d *predictDecoder) decode() ([]Instance, error) {
 	if len(insts) == 0 {
 		return nil, errNoInstances
 	}
+	// The walk appended to the arenas, which may have moved since an
+	// instance was read: only its slices' lengths are still good. Each is
+	// sliced again out of the final arenas, capped so that an append to
+	// one instance cannot write into its neighbour.
+	vlo, slo := 0, 0
+	for i, inst := range insts {
+		vhi, shi := vlo+len(inst.Values), slo+len(inst.Shape)
+		insts[i].Values = d.vals[vlo:vhi:vhi]
+		if inst.Shape != nil {
+			insts[i].Shape = d.shapes[slo:shi:shi]
+		}
+		vlo, slo = vhi, shi
+	}
+	d.insts = insts
 	return insts, nil
 }
 
 // instances parses the array at d.pos into insts. An element that fails
 // with an instanceError sets d.instErr and is walked again for grammar
-// alone, so the rest of the body is still checked.
+// alone, so the rest of the body is still checked; the arenas are cut back
+// to where an element began whenever it is not kept.
 func (d *predictDecoder) instances(insts []Instance) ([]Instance, error) {
 	d.pos++ // '['
 	d.instErr = nil
@@ -176,13 +202,15 @@ func (d *predictDecoder) instances(insts []Instance) ([]Instance, error) {
 	}
 	for {
 		d.pos = skipSpace(d.data, d.pos)
-		start := d.pos
+		start, nvals, nshapes := d.pos, len(d.vals), len(d.shapes)
 		inst, err := d.instance()
+		if err == nil && d.instErr == nil {
+			insts = append(insts, inst)
+		} else {
+			d.vals, d.shapes = d.vals[:nvals], d.shapes[:nshapes]
+		}
 		switch {
 		case err == nil:
-			if d.instErr == nil {
-				insts = append(insts, inst)
-			}
 		case isInstanceError(err):
 			if d.instErr == nil {
 				d.instErr = err
@@ -210,14 +238,18 @@ func (d *predictDecoder) instances(insts []Instance) ([]Instance, error) {
 }
 
 // instance parses one instance — a number or a rectangular nesting of
-// arrays of numbers — appending leaves to d.vals as they are read and
-// fixing each depth's length the first time an array at that depth
-// closes. It allocates exactly twice: Values and Shape. d.pos is left
-// after the instance on success and is unspecified on error.
+// arrays of numbers — appending leaves to the d.vals arena as they are
+// read, fixing each depth's length the first time an array at that depth
+// closes, and appending the shape to the d.shapes arena at the end. It
+// allocates nothing once the arenas have grown to a request's size. The
+// Instance it returns points at the arenas as they stand; decode slices it
+// again once the walk is over. d.pos is left after the instance on success
+// and is unspecified on error.
 func (d *predictDecoder) instance() (Instance, error) {
 	data, p := d.data, d.pos
-	vals, dims, counts := d.vals[:0], d.dims[:0], d.counts[:0]
+	vals, dims, counts := d.vals, d.dims[:0], d.counts[:0]
 	defer func() { d.vals, d.dims, d.counts = vals, dims, counts }()
+	first := len(vals)
 	rank := -1 // depth at which leaves sit; unknown until the first leaf or empty array
 
 	for {
@@ -269,11 +301,10 @@ func (d *predictDecoder) instance() (Instance, error) {
 			if !emptyArray {
 				if len(counts) == 0 {
 					d.pos = p
-					inst := Instance{Values: make([]float32, len(vals))}
-					copy(inst.Values, vals)
+					inst := Instance{Values: vals[first:]}
 					if rank > 0 {
-						inst.Shape = make([]int, rank)
-						copy(inst.Shape, dims)
+						d.shapes = append(d.shapes, dims[:rank]...)
+						inst.Shape = d.shapes[len(d.shapes)-rank:]
 					}
 					return inst, nil
 				}

@@ -2,17 +2,22 @@ package serving
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/bufpool"
 )
@@ -45,21 +50,38 @@ func oracleDecode(body []byte) ([]Instance, error) {
 	return insts, nil
 }
 
-// decodePredictBody runs the codec's decoder over a body held in memory,
-// as Server.decodePredict does over the one it has read.
-func decodePredictBody(data []byte) ([]Instance, error) {
+// decodePredictBody runs a pooled decoder over a body held in memory, as
+// Server.decodePredict does over the one it has read. The instances are
+// d's: the caller releases d once it is done with them.
+func decodePredictBody(data []byte) (*predictDecoder, []Instance, error) {
 	d := decoderPool.Get().(*predictDecoder)
-	defer d.release()
 	d.data = data
-	return d.decode()
+	insts, err := d.decode()
+	return d, insts, err
 }
 
-// checkAgainstOracle decodes body both ways and fails unless they agree
-// on accept/reject and, on accept, on every shape and every value bit.
+// checkAgainstOracle decodes body both ways, with a pooled decoder, and
+// fails unless they agree on accept/reject and, on accept, on every shape
+// and every value bit. The instances it returns are copies.
 func checkAgainstOracle(t *testing.T, body []byte) ([]Instance, error) {
 	t.Helper()
+	d := decoderPool.Get().(*predictDecoder)
+	defer d.release()
+	insts, err := checkDecoder(t, d, body)
+	copies := make([]Instance, len(insts))
+	for i, inst := range insts {
+		copies[i] = inst.clone()
+	}
+	return copies, err
+}
+
+// checkDecoder is checkAgainstOracle on the decoder d, which may hold what
+// it decoded before. The instances it returns are d's.
+func checkDecoder(t *testing.T, d *predictDecoder, body []byte) ([]Instance, error) {
+	t.Helper()
 	want, wantErr := oracleDecode(body)
-	got, gotErr := decodePredictBody(body)
+	d.data = body
+	got, gotErr := d.decode()
 	if (wantErr == nil) != (gotErr == nil) {
 		t.Fatalf("accept/reject differs on %.200q:\n  oracle: %v\n  codec:  %v", body, wantErr, gotErr)
 	}
@@ -81,6 +103,9 @@ func checkAgainstOracle(t *testing.T, body []byte) ([]Instance, error) {
 				t.Fatalf("%.200q: instance %d value %d = %v (%#x), oracle %v (%#x)",
 					body, i, j, g, math.Float32bits(g), w, math.Float32bits(w))
 			}
+		}
+		if len(got[i].Values) != cap(got[i].Values) || len(got[i].Shape) != cap(got[i].Shape) {
+			t.Fatalf("%.200q: instance %d's slices are not capped: an append would write into its neighbour", body, i)
 		}
 	}
 	return got, nil
@@ -117,13 +142,60 @@ func benchImageBody(seed int64) []byte {
 	return append(buf, `]]}`...)
 }
 
+// reuseBodies are bodies that leave a decoder's arenas in every state a
+// later body must not see: several instances of two shapes, a repeated
+// "instances" key over a longer array, an element that fails part-way
+// through, and a rejected body.
+var reuseBodies = []string{
+	`{"instances":[[[1,2,3],[4,5,6]],[[7,8,9],[10,11,12]]]}`,
+	`{"instances":[[1,2,3,4,5,6,7,8],[9,10,11,12,13,14,15,16]],"instances":[[17,18]]}`,
+	`{"instances":[[1,2],[3,4,[5]],[6,7]],"instances":[[[8],[9]]]}`,
+	`{"instances":[[[1,2],[3,4]],[[5,6],[7]]]}`,
+	`{"instances":[1,2,3],"instances":null}`,
+}
+
 // FuzzPredictCodec is the differential test: on any input the codec and
-// the encoding/json oracle agree. The committed seeds under
-// testdata/fuzz/FuzzPredictCodec run on every plain `go test`.
+// the encoding/json oracle agree, on a fresh decoder and on one reused
+// across bodies — body, then every reuse body, then body again. The
+// committed seeds under testdata/fuzz/FuzzPredictCodec and reuseBodies run
+// on every plain `go test`.
 func FuzzPredictCodec(f *testing.F) {
+	for _, body := range reuseBodies {
+		f.Add([]byte(body))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkAgainstOracle(t, body)
+		d := new(predictDecoder)
+		checkDecoder(t, d, body)
+		for _, other := range reuseBodies {
+			checkDecoder(t, d, []byte(other))
+		}
+		checkDecoder(t, d, body)
 	})
+}
+
+// TestReusedDecoderMatchesOracle: one decoder decodes a run of bodies — the
+// serve_http payload, repeated "instances" keys, ragged elements before and
+// after good ones, rejected bodies — and every decode agrees with the
+// oracle, so nothing a body leaves in the arenas reaches the next one.
+func TestReusedDecoderMatchesOracle(t *testing.T) {
+	bodies := [][]byte{benchImageBody(1)}
+	for _, body := range reuseBodies {
+		bodies = append(bodies, []byte(body))
+	}
+	bodies = append(bodies,
+		[]byte(`{"instances":[["ragged",[1]]],"instances":[[8]]}`),
+		[]byte(`{"instances":[[1,[2]],[3,4]],"instances":[[5,6],[7,8]]}`),
+		[]byte(`{"instances":[[1,2],[[3],[4]],[5,6]]}`),
+		benchImageBody(2),
+		[]byte(`{"instances":[[1,2]],"instances":[[3,4],[5,6]],"x":[1,2]}`),
+	)
+	d := new(predictDecoder)
+	for round := 0; round < 2; round++ {
+		for _, body := range bodies {
+			checkDecoder(t, d, body)
+		}
+	}
 }
 
 // TestPredictCodecDecode pins what the codec accepts and rejects (the
@@ -320,24 +392,26 @@ func TestPredictCodecEncodeGolden(t *testing.T) {
 	}
 }
 
-// TestPredictCodecAllocs is the allocation budget: a 96×96×3 decode
-// allocates Values, Shape and the instance slice (≤4 with pool slack),
-// and encoding a 1000-class prediction into a pooled buffer allocates
-// nothing (≤1).
+// TestPredictCodecAllocs is the allocation budget: a warm 96×96×3 decode
+// allocates nothing, its values and shape going to the pooled decoder's
+// arenas (≤1 with pool slack; 4 while each decode allocated Values, Shape
+// and the instance slice), and encoding a 1000-class prediction into a
+// pooled buffer allocates nothing (≤1).
 func TestPredictCodecAllocs(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector, so the count measures the detector")
 	}
 	body := benchImageBody(1)
-	if _, err := decodePredictBody(body); err != nil { // warm the pool
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(20, func() {
-		if _, err := decodePredictBody(body); err != nil {
+	decode := func() {
+		d, _, err := decodePredictBody(body)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}); n > 4 {
-		t.Errorf("decoding a 96×96×3 body: %v allocs, want ≤ 4", n)
+		d.release()
+	}
+	decode() // warm the pool
+	if n := testing.AllocsPerRun(20, decode); n > 1 {
+		t.Errorf("decoding a 96×96×3 body: %v allocs, want ≤ 1", n)
 	}
 
 	out := []Instance{classPrediction(1000)}
@@ -371,9 +445,11 @@ func BenchmarkPredictCodec(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := decodePredictBody(body); err != nil {
+			d, _, err := decodePredictBody(body)
+			if err != nil {
 				b.Fatal(err)
 			}
+			d.release()
 		}
 	})
 	b.Run("encode", func(b *testing.B) {
@@ -495,4 +571,171 @@ func TestPredictCodecGraphStageMetrics(t *testing.T) {
 			t.Errorf("/metrics has no %s…}", series)
 		}
 	}
+}
+
+// ownershipServer serves m behind NewServer, and sends on handled each time
+// a handler has returned: from then on, a decoder that handler released is
+// in the pool for the next request.
+func ownershipServer(t *testing.T, models ...*Model) (reg *Registry, url string, handled <-chan struct{}) {
+	t.Helper()
+	reg = NewRegistry()
+	for _, m := range models {
+		t.Cleanup(m.unload)
+		reg.install(m)
+	}
+	api := NewServer(reg)
+	t.Cleanup(api.Close)
+	done := make(chan struct{}, 16)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		api.ServeHTTP(w, r)
+		done <- struct{}{}
+	}))
+	t.Cleanup(srv.Close)
+	return reg, srv.URL, done
+}
+
+// ramp is n values from start in steps of 0.25, all exact in a float32 and
+// in JSON, and the predict body carrying them as one instance.
+func ramp(start float32, n int) ([]float32, string) {
+	vals := make([]float32, n)
+	body := []byte(`{"instances":[[`)
+	for i := range vals {
+		vals[i] = start + 0.25*float32(i)
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = strconv.AppendFloat(body, float64(vals[i]), 'g', -1, 32)
+	}
+	return vals, string(append(body, "]]}"...))
+}
+
+// post sends a predict body and returns the status, for goroutines that
+// must not call t.Fatal.
+func post(ctx context.Context, url, body string) (int, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(body))
+	if err != nil {
+		return 0, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	_, err = io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode, err
+}
+
+// onePool runs f with one P, so that a decoder one handler puts back is the
+// one the next handler's Get returns (sync.Pool keeps a Put on its P): a
+// decoder released too early is then reused, not merely reusable.
+func onePool(f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+}
+
+// blockingRunner holds its first batch until proceed is closed, then sends
+// a copy of the batch's first values on got. It echoes every batch.
+func blockingRunner(inRunner, proceed chan struct{}, got chan<- []float32) runnerFunc {
+	var calls atomic.Int32
+	return func(batch []Instance) ([]Instance, error) {
+		if calls.Add(1) == 1 {
+			close(inRunner)
+			<-proceed
+			got <- slices.Clone(batch[0].Values)
+		}
+		return batch, nil
+	}
+}
+
+// sameValues fails unless got and want are the same float32 bits.
+func sameValues(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i, w := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(w) {
+			t.Fatalf("%s: value %d = %v, want %v: another request's values were decoded over it", what, i, got[i], w)
+		}
+	}
+}
+
+// TestAbandonedRequestKeepsItsValues: request A's instance is in the
+// runner's hands when A's client goes away, and request B, with other
+// values, is decoded while the runner still holds A's. A's decoder must
+// not have gone back to the pool with A's handler: the runner reads A's
+// values, not B's. B is then served its own.
+func TestAbandonedRequestKeepsItsValues(t *testing.T) {
+	inRunner, proceed, got := make(chan struct{}), make(chan struct{}), make(chan []float32, 1)
+	m := stubModel("echo", Config{MaxBatchSize: 1, Workers: 1, QueueSize: 8}, blockingRunner(inRunner, proceed, got))
+	_, url, handled := ownershipServer(t, m)
+	url += "/v1/models/echo:predict"
+	wantA, bodyA := ramp(1, 512)
+	_, bodyB := ramp(-1000, 512)
+
+	onePool(func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		aDone := make(chan error, 1)
+		go func() {
+			_, err := post(ctx, url, bodyA)
+			aDone <- err
+		}()
+		<-inRunner
+		cancel()
+		if err := <-aDone; err == nil {
+			t.Error("request A was answered after its client cancelled it")
+		}
+		<-handled
+
+		bDone := make(chan error, 1)
+		go func() {
+			code, err := post(context.Background(), url, bodyB)
+			if err == nil && code != http.StatusOK {
+				err = fmt.Errorf("status %d", code)
+			}
+			bDone <- err
+		}()
+		for deadline := time.Now().Add(10 * time.Second); m.sched.QueueDepth() == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("request B never reached the queue")
+			}
+		}
+		close(proceed)
+		sameValues(t, "the abandoned request's instance", <-got, wantA)
+		if err := <-bDone; err != nil {
+			t.Errorf("request B: %v", err)
+		}
+	})
+}
+
+// TestShadowKeepsItsValues: a shadow prediction outlives the handler that
+// started it. The primary answers request X and X's decoder goes back to
+// the pool while the shadow still holds X's instance; request Y, with
+// other values, is then decoded. The shadow model must receive X's values
+// bit for bit.
+func TestShadowKeepsItsValues(t *testing.T) {
+	inRunner, proceed, got := make(chan struct{}), make(chan struct{}), make(chan []float32, 1)
+	v1 := stubModel("sh@v1", Config{MaxBatchSize: 1, Workers: 1, QueueSize: 8}, runnerFunc(echoRunner))
+	v2 := stubModel("sh@v2", Config{MaxBatchSize: 1, Workers: 1, QueueSize: 8}, blockingRunner(inRunner, proceed, got))
+	reg, url, handled := ownershipServer(t, v1, v2)
+	if err := reg.SetShadow("sh", "v2"); err != nil {
+		t.Fatal(err)
+	}
+	url += "/v1/models/sh:predict"
+	wantX, bodyX := ramp(3, 512)
+	_, bodyY := ramp(-2000, 512)
+
+	onePool(func() {
+		for _, body := range []string{bodyX, bodyY} {
+			if code, err := post(context.Background(), url, body); err != nil || code != http.StatusOK {
+				t.Fatalf("predict: status %d, %v", code, err)
+			}
+			<-handled
+			if body == bodyX {
+				<-inRunner
+			}
+		}
+		close(proceed)
+		sameValues(t, "the shadow's instance", <-got, wantX)
+	})
 }

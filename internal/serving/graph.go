@@ -321,13 +321,25 @@ func (s *Server) handleGraphPredict(w http.ResponseWriter, r *http.Request, g *s
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"error": ErrShuttingDown.Error()})
 		return
 	}
-	insts, reqID, ok := s.decodePredict(w, r, g.metrics)
+	d, insts, reqID, ok := s.decodePredict(w, r, g.metrics)
 	if !ok {
 		return
 	}
 	ctx := r.Context()
 	if tenant := r.Header.Get("X-Tenant-ID"); tenant != "" {
 		ctx = WithTenant(ctx, tenant)
+	}
+	// d goes back to the pool only when every model stage has answered
+	// without error (decodePredict).
+	if len(insts) == 1 {
+		out, err := s.runGraphNode(ctx, g.spec.Root, insts[0], reqID+"/"+g.spec.Name, "root")
+		if err != nil {
+			s.writePredictError(w, err)
+			return
+		}
+		writePredictions(w, "graph", g.spec.Name, g.metrics, []Instance{out})
+		d.release()
+		return
 	}
 	outs := make([]Instance, len(insts))
 	errs := make([]error, len(insts))
@@ -336,10 +348,7 @@ func (s *Server) handleGraphPredict(w http.ResponseWriter, r *http.Request, g *s
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			id := reqID
-			if len(insts) > 1 {
-				id = fmt.Sprintf("%s#%d", reqID, i)
-			}
+			id := fmt.Sprintf("%s#%d", reqID, i)
 			outs[i], errs[i] = s.runGraphNode(ctx, g.spec.Root, insts[i], id+"/"+g.spec.Name, "root")
 		}(i)
 	}
@@ -351,4 +360,5 @@ func (s *Server) handleGraphPredict(w http.ResponseWriter, r *http.Request, g *s
 		}
 	}
 	writePredictions(w, "graph", g.spec.Name, g.metrics, outs)
+	d.release()
 }

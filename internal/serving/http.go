@@ -369,7 +369,7 @@ func (s *Server) handleRollout(w http.ResponseWriter, r *http.Request, base, ver
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, res RouteResult) {
 	m := res.Model
-	insts, reqID, ok := s.decodePredict(w, r, m.metrics)
+	d, insts, reqID, ok := s.decodePredict(w, r, m.metrics)
 	if !ok {
 		return
 	}
@@ -395,16 +395,18 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, res Route
 	// Shadow traffic: duplicate the instances to the shadow version and
 	// discard its responses. Fire-and-forget on a detached context so a
 	// slow shadow never holds up (or gets cancelled by) the primary
-	// response — exactly the production-soak semantics.
+	// response — exactly the production-soak semantics. The shadow
+	// outlives this handler, and with it d, so it predicts on a copy.
 	if res.Shadow != nil {
 		shadow := res.Shadow
 		shadowCtx := context.WithoutCancel(baseCtx)
-		for i := range insts {
-			go func(i int) {
+		for i, inst := range insts {
+			inst := inst.clone()
+			go func() {
 				ctx := WithRequestID(shadowCtx, fmt.Sprintf("%s/shadow#%d", reqID, i))
 				//lint:ignore operr shadow responses are discarded by definition; errors surface via the shadow model's own metrics
-				_, _ = shadow.Predict(ctx, insts[i])
-			}(i)
+				_, _ = shadow.Predict(ctx, inst)
+			}()
 		}
 	}
 
@@ -412,22 +414,28 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, res Route
 	// coalesce across requests; a multi-instance request fans out here
 	// and joins below. Fanned-out instances get a per-instance suffix so
 	// their spans stay distinguishable under one trace ID.
+	if len(insts) == 1 {
+		out, err := m.Predict(WithRequestID(baseCtx, reqID), insts[0])
+		if err != nil {
+			s.writePredictError(w, err)
+			return
+		}
+		writePredictions(w, "model", m.Name(), m.metrics, []Instance{out})
+		d.release()
+		return
+	}
 	outs := make([]Instance, len(insts))
 	errs := make([]error, len(insts))
-	if len(insts) == 1 {
-		outs[0], errs[0] = m.Predict(WithRequestID(baseCtx, reqID), insts[0])
-	} else {
-		var wg sync.WaitGroup
-		for i := range insts {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				ctx := WithRequestID(baseCtx, fmt.Sprintf("%s#%d", reqID, i))
-				outs[i], errs[i] = m.Predict(ctx, insts[i])
-			}(i)
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	for i := range insts {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ctx := WithRequestID(baseCtx, fmt.Sprintf("%s#%d", reqID, i))
+			outs[i], errs[i] = m.Predict(ctx, insts[i])
+		}(i)
 	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			s.writePredictError(w, err)
@@ -435,6 +443,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, res Route
 		}
 	}
 	writePredictions(w, "model", m.Name(), m.metrics, outs)
+	d.release()
 }
 
 // decodePredict reads and decodes the predict wire format shared by the
@@ -444,10 +453,16 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, res Route
 // events in /debug/trace. The "decode" stage it observes on metrics is the
 // parse alone, not the wait for the client's bytes. ok=false means the
 // error response was already written.
-func (s *Server) decodePredict(w http.ResponseWriter, r *http.Request, metrics *Metrics) ([]Instance, string, bool) {
-	d := decoderPool.Get().(*predictDecoder)
-	defer d.release()
+//
+// The instances are d's. The caller releases d once every Predict on them
+// has returned its reply without error and the response is written. After
+// any error it leaves d to the GC, as the scheduler leaves an abandoned
+// request: a request whose submitter gave up (a cancelled client, a
+// deadline, shutdown) may still be gathered by a worker later.
+func (s *Server) decodePredict(w http.ResponseWriter, r *http.Request, metrics *Metrics) (d *predictDecoder, insts []Instance, reqID string, ok bool) {
+	d = decoderPool.Get().(*predictDecoder)
 	if err := d.readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength); err != nil {
+		d.release()
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeJSON(w, http.StatusRequestEntityTooLarge, map[string]any{
@@ -455,21 +470,22 @@ func (s *Server) decodePredict(w http.ResponseWriter, r *http.Request, metrics *
 		} else {
 			writeJSON(w, http.StatusBadRequest, map[string]any{"error": "reading request body: " + err.Error()})
 		}
-		return nil, "", false
+		return nil, nil, "", false
 	}
 	start := time.Now()
 	insts, err := d.decode()
 	if err != nil {
+		d.release()
 		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
-		return nil, "", false
+		return nil, nil, "", false
 	}
 	metrics.ObserveStage("decode", durMS(start, time.Now()))
-	reqID := r.Header.Get("X-Request-ID")
+	reqID = r.Header.Get("X-Request-ID")
 	if reqID == "" {
 		reqID = generateRequestID()
 	}
 	w.Header().Set("X-Request-ID", reqID)
-	return insts, reqID, true
+	return d, insts, reqID, true
 }
 
 // writePredictions encodes outs and writes the 200 response. Encoding

@@ -99,11 +99,11 @@ func graphPool(name string, g *savedmodel.GraphDef, backend string, size int, ec
 }
 
 // run implements runner: execute the batch on the least-loaded replica.
-func (p *pool) run(batch []Instance) ([]Instance, error) {
+func (p *pool) run(batch, out []Instance) ([]Instance, error) {
 	r := p.acquire()
 	r.inflight.Add(1)
 	start := time.Now()
-	out, err := r.run.run(batch)
+	out, err := r.run.run(batch, out)
 	r.busyNS.Add(int64(time.Since(start)))
 	r.batches.Add(1)
 	r.inflight.Add(-1)

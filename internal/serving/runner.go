@@ -9,16 +9,21 @@ import (
 )
 
 // runner executes one batch of same-shaped instances against a loaded
-// model. Implementations own every tensor they create and must be safe for
-// concurrent calls (they serialize internally on the engine lock).
+// model and appends one result per instance to out, the caller's scratch,
+// returning the extended slice. Implementations own every tensor they create
+// and must be safe for concurrent calls (they serialize internally on the
+// engine lock).
 type runner interface {
-	run(batch []Instance) ([]Instance, error)
+	run(batch, out []Instance) ([]Instance, error)
 }
 
 // runnerFunc adapts a function to the runner interface (tests, stubs).
 type runnerFunc func(batch []Instance) ([]Instance, error)
 
-func (f runnerFunc) run(batch []Instance) ([]Instance, error) { return f(batch) }
+func (f runnerFunc) run(batch, out []Instance) ([]Instance, error) {
+	res, err := f(batch)
+	return append(out, res...), err
+}
 
 // recoverOpError converts op panics (shape mismatches, unknown kernels)
 // into errors: one malformed request must not take the server down.
@@ -32,19 +37,19 @@ func recoverOpError(err *error) {
 	}
 }
 
-// gatherBatch copies every instance's row into *slab and uploads the slab
-// as one [n, shape...] tensor. The backend's Write (§3.4) copies it into
-// the container it owns — the only other copy a request's input bytes see —
-// so the tensor never aliases the slab, which is the runner's and keeps
-// its capacity between batches; the caller holds e's execution lock, which
-// is what lets several scheduler workers share it. An instance whose value
-// count is not its shape's, or not the batch's row length, fails the whole
-// batch before anything is uploaded, so no batch-mate can receive a
-// shifted row.
-func gatherBatch(e *core.Engine, slab *[]float32, batch []Instance) (*tensor.Tensor, error) {
-	shape := append([]int{len(batch)}, batch[0].Shape...)
+// gather copies every instance's row into r.slab and uploads the slab as
+// one [n, shape...] tensor. The backend's Write (§3.4) copies it into the
+// container it owns — the only other copy a request's input bytes see — so
+// the tensor never aliases the slab, which is the runner's and keeps its
+// capacity between batches, as r.shape does (MakeTensor copies the shape);
+// the caller holds e's execution lock, which is what lets several
+// scheduler workers share them. An instance whose value count is not its
+// shape's, or not the batch's row length, fails the whole batch before
+// anything is uploaded, so no batch-mate can receive a shifted row.
+func (r *graphRunner) gather(e *core.Engine, batch []Instance) (*tensor.Tensor, error) {
+	r.shape = append(append(r.shape[:0], len(batch)), batch[0].Shape...)
 	row := batch[0].numElements()
-	buf := (*slab)[:0]
+	buf := r.slab[:0]
 	for _, in := range batch {
 		if len(in.Values) != row || in.numElements() != row {
 			return nil, &core.OpError{Kernel: "MakeTensor", Err: fmt.Errorf(
@@ -52,54 +57,55 @@ func gatherBatch(e *core.Engine, slab *[]float32, batch []Instance) (*tensor.Ten
 		}
 		buf = append(buf, in.Values...)
 	}
-	*slab = buf
-	return e.MakeTensor(buf, shape, tensor.Float32), nil
+	r.slab = buf
+	return e.MakeTensor(buf, r.shape, tensor.Float32), nil
 }
 
-// splitBatch reads the [n, shape...] output back once, hands request i row
-// i of it and disposes the tensor. The engine's read is already safe to
-// retain; capping each row's capacity at its length keeps an append to one
+// splitBatch reads the [n, shape...] output back once, appends request i's
+// row i of it to out and disposes the tensor. The engine's read is already
+// safe to retain, and so is y's shape, which nothing writes once the handle
+// is made; capping each row's capacity at its length keeps an append to one
 // request's values out of its neighbour's. An output whose leading
 // dimension is not the batch size is the model's fault, not the client's,
 // and is reported as such (500). Caller holds the execution lock of the
 // engine y lives on.
-func splitBatch(model string, y *tensor.Tensor, n int) ([]Instance, error) {
+func splitBatch(model string, y *tensor.Tensor, n int, out []Instance) ([]Instance, error) {
 	defer y.Dispose()
 	if y.Rank() == 0 || y.Shape[0] != n {
-		return nil, fmt.Errorf("serving: model %q produced output shape %v for a batch of %d: its leading dimension is not the batch size",
+		return out, fmt.Errorf("serving: model %q produced output shape %v for a batch of %d: its leading dimension is not the batch size",
 			model, y.Shape, n)
 	}
 	vals := y.DataSync()
-	shape := tensor.CopyShape(y.Shape[1:])
+	shape := y.Shape[1:len(y.Shape):len(y.Shape)]
 	row := len(vals) / n
-	out := make([]Instance, n)
-	for i := range out {
-		out[i] = Instance{Values: vals[i*row : (i+1)*row : (i+1)*row], Shape: shape}
+	for i := 0; i < n; i++ {
+		out = append(out, Instance{Values: vals[i*row : (i+1)*row : (i+1)*row], Shape: shape})
 	}
 	return out, nil
 }
 
-// graphRunner serves a converted graph model. The batched input feeds the
-// first serving input; predictions come from the first serving output.
+// graphRunner serves a converted graph model (graphmodel.Model.Predict):
+// the batched input feeds the first serving input, and predictions come
+// from the first serving output.
 type graphRunner struct {
 	model   *graphmodel.Model
 	backend string
-	input   string
-	output  string
-	slab    []float32 // gatherBatch's buffer; touched only under the engine's execution lock
+	// slab and shape are gather's buffers, touched only under the engine's
+	// execution lock.
+	slab  []float32
+	shape []int
 }
 
 func newGraphRunner(m *graphmodel.Model, backend string) (*graphRunner, error) {
 	// A graph always declares an output (GraphDef.Validate); an input it
 	// may not.
-	g := m.Graph()
-	if len(g.Inputs) == 0 {
+	if len(m.Graph().Inputs) == 0 {
 		return nil, fmt.Errorf("serving: graph model declares no serving input")
 	}
-	return &graphRunner{model: m, backend: backend, input: g.Inputs[0], output: g.Outputs[0]}, nil
+	return &graphRunner{model: m, backend: backend}, nil
 }
 
-func (r *graphRunner) run(batch []Instance) (out []Instance, err error) {
+func (r *graphRunner) run(batch, out []Instance) (_ []Instance, err error) {
 	defer recoverOpError(&err)
 	// The model's engine, not the global one: in a replica pool each
 	// graphRunner is bound to its own engine, and the upload, execute and
@@ -109,17 +115,17 @@ func (r *graphRunner) run(batch []Instance) (out []Instance, err error) {
 	var batched *tensor.Tensor
 	e.RunExclusive(func() {
 		if err = e.SetBackend(r.backend); err == nil {
-			batched, err = gatherBatch(e, &r.slab, batch)
+			batched, err = r.gather(e, batch)
 		}
 	})
 	if err != nil {
-		return nil, err
+		return out, err
 	}
-	outs, err := r.model.Execute(map[string]*tensor.Tensor{r.input: batched})
+	y, err := r.model.Predict(batched)
 	e.RunExclusive(func() {
 		batched.Dispose()
 		if err == nil {
-			out, err = splitBatch(r.model.Name(), outs[r.output], len(batch))
+			out, err = splitBatch(r.model.Name(), y, len(batch), out)
 		}
 	})
 	return out, err

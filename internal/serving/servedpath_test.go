@@ -33,10 +33,13 @@ import (
 // allocation gate and planvet cover, and that plan still reports every
 // kernel. The budget is the evidence: the handle-tracking interpreter that
 // used to take over whenever an observer was attached cost ~1000
-// allocations per MobileNet execute; the plan costs 8 (measured at
-// GOMAXPROCS 1, 2, 4 and 8) with the server's two observers recording 31
+// allocations per MobileNet execute; the plan, called as the runner calls
+// it (graphmodel.Model.Predict: no feed or output map), costs 5 (measured
+// at GOMAXPROCS 1, 2, 4 and 8) with the server's two observers recording 31
 // kernel events, whose shapes are interned, not copied, and its split
-// kernels taking recycled jobs. It read 33 at GOMAXPROCS 2 to 8 while each
+// kernels taking recycled jobs. It read 8 (budget 9) while the runner
+// called Execute, whose output map (two objects) and second copy of the
+// output's shape are the difference, 33 at GOMAXPROCS 2 to 8 while each
 // split kernel allocated its job (budget 37), 93 while each event copied
 // its shapes (budget 100), 123 while every kernel resolved its call on
 // every execute (budget 320, from 278 measured before that).
@@ -91,25 +94,20 @@ func TestServedExecuteAllocBudget(t *testing.T) {
 	var x *tensor.Tensor
 	e.RunExclusive(func() { x = e.MakeTensor(img.Values, []int{1, 96, 96, 3}, tensor.Float32) })
 	defer e.RunExclusive(func() { x.Dispose() })
-	feeds := map[string]*tensor.Tensor{gm.Graph().Inputs[0]: x}
 	execute := func() {
-		outs, err := gm.Execute(feeds)
+		y, err := gm.Predict(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.RunExclusive(func() {
-			for _, out := range outs {
-				out.Dispose()
-			}
-		})
+		e.RunExclusive(y.Dispose)
 	}
 	for i := 0; i < 3; i++ { // warm-up: pool fill, plan caches, observer maps
 		execute()
 	}
 	allocs := testing.AllocsPerRun(10, execute)
-	t.Logf("observed Model.Execute behind NewServer: %.0f allocs/op", allocs)
-	if allocs > 9 {
-		t.Fatalf("observed Model.Execute allocates %.0f/op behind NewServer, budget 9: the served path is not the direct-dispatch plan, kernel events copy their shapes, or split kernels allocate their jobs", allocs)
+	t.Logf("observed Model.Predict behind NewServer: %.0f allocs/op", allocs)
+	if allocs > 5 {
+		t.Fatalf("observed Model.Predict allocates %.0f/op behind NewServer, budget 5: the served path is not the direct-dispatch plan, kernel events copy their shapes, or split kernels allocate their jobs", allocs)
 	}
 }
 
@@ -172,7 +170,7 @@ func oneAtATime(t *testing.T, run runner, insts []Instance) []Instance {
 	t.Helper()
 	outs := make([]Instance, len(insts))
 	for i := range insts {
-		out, err := run.run(insts[i : i+1])
+		out, err := run.run(insts[i:i+1], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,7 +344,7 @@ func TestBatchRowsBelongToTheirRequest(t *testing.T) {
 	batch := []Instance{testImage(32, 0), testImage(32, 1), testImage(32, 2)}
 	want := oneAtATime(t, run, batch)
 
-	outs, err := run.run(batch)
+	outs, err := run.run(batch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +354,7 @@ func TestBatchRowsBelongToTheirRequest(t *testing.T) {
 
 	short := slices.Clone(batch)
 	short[1].Values = short[1].Values[:len(short[1].Values)-1]
-	outs, err = run.run(short)
+	outs, err = run.run(short, nil)
 	var opErr *core.OpError
 	if !errors.As(err, &opErr) || statusFor(err) != http.StatusBadRequest {
 		t.Fatalf("batch with a short instance: error %v (status %d), want a *core.OpError (400)", err, statusFor(err))
@@ -365,7 +363,7 @@ func TestBatchRowsBelongToTheirRequest(t *testing.T) {
 		t.Fatalf("batch with a short instance still returned outputs: %v", outs)
 	}
 	// The slab is reused: the failed batch must leave nothing behind in it.
-	outs, err = run.run(batch)
+	outs, err = run.run(batch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +438,7 @@ func TestRejectedBatchLeavesNoTensor(t *testing.T) {
 			run := loadReady(t, reg, "m", store, ModelOptions{Backend: "node"}).sched.run
 			before := core.Global().Memory()
 			gray := Instance{Values: make([]float32, 32*32*2), Shape: []int{32, 32, 2}}
-			if outs, err := run.run([]Instance{gray, gray}); err == nil {
+			if outs, err := run.run([]Instance{gray, gray}, nil); err == nil {
 				t.Fatalf("an RGB model accepted two-channel instances: %v", outs)
 			}
 			sameMemory(t, "after the rejected batch", before)
@@ -499,7 +497,7 @@ func TestOutputLeadingDimensionMustBeBatch(t *testing.T) {
 			for i := range batch {
 				batch[i] = Instance{Values: make([]float32, tc.width), Shape: []int{tc.width}}
 			}
-			outs, err := m.sched.run.run(batch)
+			outs, err := m.sched.run.run(batch, nil)
 			if err == nil {
 				t.Fatalf("output of shape %s split into a batch of 2: %v", tc.shape, outs)
 			}
@@ -540,7 +538,7 @@ func TestBatchedEqualsSingleEverywhere(t *testing.T) {
 			before := core.Global().Memory()
 			want := oneAtATime(t, run, batch)
 			for round := 0; round < tc.replicas; round++ {
-				outs, err := run.run(batch)
+				outs, err := run.run(batch, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -623,7 +621,7 @@ func TestLayersArtifactServesItsEagerModel(t *testing.T) {
 			t.Run(c.name+"/"+backend, func(t *testing.T) {
 				before := core.Global().Memory()
 				reg := NewRegistry()
-				served, err := loadReady(t, reg, "m", c.store, ModelOptions{Backend: backend}).sched.run.run(c.batch)
+				served, err := loadReady(t, reg, "m", c.store, ModelOptions{Backend: backend}).sched.run.run(c.batch, nil)
 				reg.Close()
 				if err != nil {
 					t.Fatal(err)
@@ -659,7 +657,7 @@ func TestSequenceOfAnotherLengthIsRejected(t *testing.T) {
 		for j := range sentence.Values {
 			sentence.Values[j] = float32(j % 9)
 		}
-		outs, err := run.run([]Instance{sentence})
+		outs, err := run.run([]Instance{sentence}, nil)
 		if err == nil {
 			t.Errorf("a %d-id sentence was served by a 6-step model: %v", n, outs)
 		} else if statusFor(err) != http.StatusBadRequest {
@@ -751,7 +749,7 @@ func TestNonIntegralIdIsRejected(t *testing.T) {
 	run := loadReady(t, reg, "m", sequenceStore(t), ModelOptions{Backend: "node"}).sched.run
 	for _, ids := range [][]float32{{2.7, 1.2, 0.9, 3.5, 4.99, 5.1}, {2, 1, 0, -0.5, 4, 5}} {
 		before := core.Global().Memory()
-		outs, err := run.run([]Instance{{Values: ids, Shape: []int{6}}})
+		outs, err := run.run([]Instance{{Values: ids, Shape: []int{6}}}, nil)
 		if err == nil {
 			t.Errorf("ids %v were served: %v", ids, outs)
 		} else if statusFor(err) != http.StatusBadRequest {
@@ -838,12 +836,15 @@ func TestReplicasReportTheLoadedPool(t *testing.T) {
 
 // TestBatchedPredictAllocBudget: what a batch of eight costs the heap end
 // to end — eight Model.Predict calls, the scheduler, the slab, one plan
-// execute, one read-back — behind NewServer's observers. 57 measured at
-// GOMAXPROCS 2 to 8 (33 of them the observed plan execute), once kernel
-// events interned their shapes and the scheduler recycled its requests and
-// batch scratch; 210 before that (budget 225), 240 while every kernel
-// resolved its call on every execute (budget 470, from 407 measured
-// before that); the Concat/Slice path it replaced cost 735.
+// execute, one read-back — behind NewServer's observers. 22 measured at
+// GOMAXPROCS 1, 2, 4 and 8, once the runner kept its slab shape and result
+// slice and called the plan without feed or output maps; 29 before that
+// (budget 65), 57 at GOMAXPROCS 2 to 8 (33 of them the observed plan
+// execute) once kernel events interned their shapes and the scheduler
+// recycled its requests and batch scratch; 210 before that (budget 225),
+// 240 while every kernel resolved its call on every execute (budget 470,
+// from 407 measured before that); the Concat/Slice path it replaced cost
+// 735.
 func TestBatchedPredictAllocBudget(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("allocation budget: sync.Pool drops entries at random under -race")
@@ -864,8 +865,8 @@ func TestBatchedPredictAllocBudget(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(10, func() { predictAll(t, m, batch) })
 	t.Logf("batch of %d Model.Predict behind NewServer: %.0f allocs/op (%.1f per item)", n, allocs, allocs/n)
-	if allocs > 65 {
-		t.Fatalf("a batch of %d allocates %.0f/op, budget 65: bytes are being moved by something other than two copies, or per-request state is allocated again", n, allocs)
+	if allocs > 22 {
+		t.Fatalf("a batch of %d allocates %.0f/op, budget 22: bytes are being moved by something other than two copies, or per-request state is allocated again", n, allocs)
 	}
 }
 
@@ -886,7 +887,7 @@ func TestServedBatchSizesResolveOnce(t *testing.T) {
 			for i := range batch {
 				batch[i] = testImage(96, i)
 			}
-			if _, err := run.run(batch); err != nil {
+			if _, err := run.run(batch, nil); err != nil {
 				t.Fatalf("batch of %d: %v", n, err)
 			}
 		}
@@ -949,7 +950,7 @@ func TestKernelEventShapesHold(t *testing.T) {
 			mu.Lock()
 			batch = n
 			mu.Unlock()
-			if _, err := run.run(insts); err != nil {
+			if _, err := run.run(insts, nil); err != nil {
 				t.Fatalf("batch of %d: %v", n, err)
 			}
 		}

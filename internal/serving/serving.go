@@ -36,6 +36,7 @@ package serving
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -108,6 +109,11 @@ func (in Instance) numElements() int {
 		n *= d
 	}
 	return n
+}
+
+// clone returns a copy of in that shares no storage with it.
+func (in Instance) clone() Instance {
+	return Instance{Values: slices.Clone(in.Values), Shape: slices.Clone(in.Shape)}
 }
 
 // ParseInstance converts a decoded JSON value (nested arrays of numbers,
