@@ -242,14 +242,24 @@ func topoSort(g *savedmodel.GraphDef) ([]string, error) {
 }
 
 // Predict executes the graph on a single input tensor (models with one
-// serving input). Intermediates are tidied; the caller owns the result.
+// serving input) and returns its first output. Intermediates and the other
+// outputs are freed; the caller owns the result.
 func (m *Model) Predict(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if len(m.graph.Inputs) == 0 || len(m.graph.Outputs) == 0 {
 		return nil, fmt.Errorf("graphmodel: model declares no serving signature (%d inputs, %d outputs); Predict needs at least one of each",
 			len(m.graph.Inputs), len(m.graph.Outputs))
 	}
 	var y *tensor.Tensor
-	err := m.run(map[string]*tensor.Tensor{m.graph.Inputs[0]: x}, func(outs []*tensor.Tensor) { y = outs[0] })
+	err := m.run(map[string]*tensor.Tensor{m.graph.Inputs[0]: x}, func(outs []*tensor.Tensor) {
+		y = outs[0]
+		// The other outputs' handles are nobody's: free them, but not x,
+		// which an output names when it is the fed input itself.
+		for _, out := range outs[1:] {
+			if out != x {
+				out.Dispose()
+			}
+		}
+	})
 	return y, err
 }
 

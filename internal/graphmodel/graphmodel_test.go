@@ -55,6 +55,36 @@ func TestExecuteTinyGraph(t *testing.T) {
 	}
 }
 
+// TestPredictFreesOtherOutputs: Predict returns a multi-output graph's
+// first output, and the handles of the others do not outlive the call.
+func TestPredictFreesOtherOutputs(t *testing.T) {
+	g := tinyGraph()
+	g.Outputs = []string{"y", "mm", "x"}
+	m, err := graphmodel.New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := ops.FromValues([]float32{1, 1}, 1, 2)
+	defer x.Dispose()
+	before := core.Global().NumTensors()
+	for i := 0; i < 5; i++ {
+		out, err := m.Predict(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.DataSync(); got[0] != 3.5 || got[1] != 0 {
+			t.Fatalf("first output %v, want [3.5 0]", got)
+		}
+		out.Dispose()
+	}
+	if after := core.Global().NumTensors(); after != before {
+		t.Fatalf("Predict leaked the other outputs: %d -> %d tensors", before, after)
+	}
+	if x.Disposed() {
+		t.Fatal("Predict disposed its input, which an output names")
+	}
+}
+
 func TestExecuteDoesNotLeak(t *testing.T) {
 	m, err := graphmodel.New(tinyGraph())
 	if err != nil {

@@ -20,6 +20,7 @@ import (
 	"strconv"
 	"sync"
 	"unicode/utf8"
+	"unsafe"
 )
 
 const (
@@ -30,8 +31,9 @@ const (
 	// on the word of an (untrusted) Content-Length; past it the buffer
 	// grows as bytes actually arrive.
 	bodyPresize = 1 << 20
-	// poolKeepBytes is the largest buffer returned to a sync.Pool; one
-	// oversized request must not pin its buffer for the process lifetime.
+	// poolKeepBytes is the most a buffer, or a decoder's buffers together,
+	// may hold and still go back to a sync.Pool; one oversized request must
+	// not pin its buffers for the process lifetime.
 	poolKeepBytes = 4 << 20
 )
 
@@ -94,10 +96,18 @@ var decoderPool = sync.Pool{New: func() any { return new(predictDecoder) }}
 // unless a large request grew it past poolKeepBytes.
 func (d *predictDecoder) release() {
 	d.data, d.instErr = nil, nil
-	if d.body.Cap() > poolKeepBytes || 4*cap(d.vals) > poolKeepBytes {
+	if d.heldBytes() > poolKeepBytes {
 		return
 	}
 	decoderPool.Put(d)
+}
+
+// heldBytes is what d's body buffer, arenas and instance slice hold
+// between requests. The per-depth scratch is left out: maxJSONDepth
+// bounds it.
+func (d *predictDecoder) heldBytes() int {
+	return d.body.Cap() + 4*cap(d.vals) + 8*cap(d.shapes) +
+		int(unsafe.Sizeof(Instance{}))*cap(d.insts)
 }
 
 // readBody buffers r, which the caller has already bounded. sizeHint is

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/bufpool"
+	"repro/internal/core"
 )
 
 // oracleDecode is the decode pipeline the codec replaced, kept as the
@@ -737,5 +738,91 @@ func TestShadowKeepsItsValues(t *testing.T) {
 		}
 		close(proceed)
 		sameValues(t, "the shadow's instance", <-got, wantX)
+	})
+}
+
+// TestReleaseCountsInstances: a body of many scalars is small, and so are
+// its values, but its []Instance is not. The decoder holds more than
+// poolKeepBytes and does not go back to the pool.
+func TestReleaseCountsInstances(t *testing.T) {
+	const n = 1 << 17
+	body := append([]byte(`{"instances":[0`), bytes.Repeat([]byte(",0"), n-1)...)
+	body = append(body, "]}"...)
+	d := new(predictDecoder)
+	d.data = body
+	insts, err := d.decode()
+	if err != nil || len(insts) != n {
+		t.Fatalf("decoded %d instances, %v; want %d", len(insts), err, n)
+	}
+	if len(body) > poolKeepBytes || 4*cap(d.vals) > poolKeepBytes {
+		t.Fatal("the body or its values alone pass poolKeepBytes: the test shows nothing")
+	}
+	if held := d.heldBytes(); held <= poolKeepBytes {
+		t.Fatalf("decoder of %d instances holds %d bytes by its count, want > %d", n, held, poolKeepBytes)
+	}
+	onePool(func() {
+		d.release()
+		if decoderPool.Get().(*predictDecoder) == d {
+			t.Error("a decoder past poolKeepBytes went back to the pool")
+		}
+	})
+}
+
+// TestReleaseAfterErrors: a predict that failed gives its decoder back to
+// the pool unless the error says Submit gave up on a request a worker may
+// still gather; the rule sees through wrapping, and one abandoned request
+// among several keeps the decoder out.
+func TestReleaseAfterErrors(t *testing.T) {
+	cases := []struct {
+		errs []error
+		back bool
+	}{
+		{[]error{&ShedError{Reason: "queue_full"}}, true},
+		{[]error{&ShedError{Reason: "tenant_quota", Tenant: "free"}}, true},
+		{[]error{ErrNotReady}, true},
+		{[]error{&core.OpError{Kernel: "MatMul", Err: errors.New("shape mismatch")}}, true},
+		{[]error{nil, errors.New("runner failed")}, true},
+		{[]error{context.Canceled}, false},
+		{[]error{fmt.Errorf("graph node root: %w", context.DeadlineExceeded)}, false},
+		{[]error{ErrShuttingDown}, false},
+		{[]error{ErrNotReady, nil, context.Canceled}, false},
+	}
+	onePool(func() {
+		for _, c := range cases {
+			d := new(predictDecoder)
+			d.releaseAfter(c.errs...)
+			back := decoderPool.Get().(*predictDecoder) == d
+			// Under the race detector sync.Pool drops Puts at random, so
+			// only a decoder that came back proves anything there.
+			if back != c.back && (back || !bufpool.RaceEnabled) {
+				t.Errorf("after %v: decoder back in the pool = %v, want %v", c.errs, back, c.back)
+			}
+		}
+	})
+}
+
+// TestFailedPredictReleasesDecoder: a predict the runner answers with an
+// error (a 400 here) is done with its instance, so its decoder goes back to
+// the pool: the next Get is a decoder whose arena holds the request's
+// values.
+func TestFailedPredictReleasesDecoder(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	fail := runnerFunc(func(batch []Instance) ([]Instance, error) {
+		return nil, &core.OpError{Kernel: "Conv2D", Err: errors.New("bad input shape")}
+	})
+	m := stubModel("fail", Config{MaxBatchSize: 1, Workers: 1, QueueSize: 8}, fail)
+	_, url, handled := ownershipServer(t, m)
+	want, body := ramp(7, 512)
+	onePool(func() {
+		if code, err := post(context.Background(), url+"/v1/models/fail:predict", body); err != nil || code != http.StatusBadRequest {
+			t.Fatalf("predict: status %d, %v; want 400", code, err)
+		}
+		<-handled
+		d := decoderPool.Get().(*predictDecoder)
+		if cap(d.vals) < len(want) || !slices.Equal(d.vals[:len(want)], want) {
+			t.Error("the failed request's decoder did not go back to the pool")
+		}
 	})
 }

@@ -329,18 +329,6 @@ func (s *Server) handleGraphPredict(w http.ResponseWriter, r *http.Request, g *s
 	if tenant := r.Header.Get("X-Tenant-ID"); tenant != "" {
 		ctx = WithTenant(ctx, tenant)
 	}
-	// d goes back to the pool only when every model stage has answered
-	// without error (decodePredict).
-	if len(insts) == 1 {
-		out, err := s.runGraphNode(ctx, g.spec.Root, insts[0], reqID+"/"+g.spec.Name, "root")
-		if err != nil {
-			s.writePredictError(w, err)
-			return
-		}
-		writePredictions(w, "graph", g.spec.Name, g.metrics, []Instance{out})
-		d.release()
-		return
-	}
 	outs := make([]Instance, len(insts))
 	errs := make([]error, len(insts))
 	var wg sync.WaitGroup
@@ -348,11 +336,18 @@ func (s *Server) handleGraphPredict(w http.ResponseWriter, r *http.Request, g *s
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			id := fmt.Sprintf("%s#%d", reqID, i)
+			id := reqID
+			if len(insts) > 1 {
+				id = fmt.Sprintf("%s#%d", reqID, i)
+			}
 			outs[i], errs[i] = s.runGraphNode(ctx, g.spec.Root, insts[i], id+"/"+g.spec.Name, "root")
 		}(i)
 	}
 	wg.Wait()
+	// d goes back to the pool only when every model stage has answered
+	// without error. An ensemble reports one member's error, so a graph
+	// error cannot show that no other member abandoned its request on the
+	// same instance (releaseAfter).
 	for _, err := range errs {
 		if err != nil {
 			s.writePredictError(w, err)

@@ -388,6 +388,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, res Route
 	if res.Resurrected {
 		if err := m.WaitReady(baseCtx); err != nil {
 			s.writePredictError(w, err)
+			d.release()
 			return
 		}
 	}
@@ -418,6 +419,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, res Route
 		out, err := m.Predict(WithRequestID(baseCtx, reqID), insts[0])
 		if err != nil {
 			s.writePredictError(w, err)
+			d.releaseAfter(err)
 			return
 		}
 		writePredictions(w, "model", m.Name(), m.metrics, []Instance{out})
@@ -439,6 +441,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, res Route
 	for _, err := range errs {
 		if err != nil {
 			s.writePredictError(w, err)
+			d.releaseAfter(errs...)
 			return
 		}
 	}
@@ -455,10 +458,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, res Route
 // error response was already written.
 //
 // The instances are d's. The caller releases d once every Predict on them
-// has returned its reply without error and the response is written. After
-// any error it leaves d to the GC, as the scheduler leaves an abandoned
-// request: a request whose submitter gave up (a cancelled client, a
-// deadline, shutdown) may still be gathered by a worker later.
+// has returned and the response is written, unless a Predict's submitter
+// gave up on its request (releaseAfter).
 func (s *Server) decodePredict(w http.ResponseWriter, r *http.Request, metrics *Metrics) (d *predictDecoder, insts []Instance, reqID string, ok bool) {
 	d = decoderPool.Get().(*predictDecoder)
 	if err := d.readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength); err != nil {
@@ -486,6 +487,21 @@ func (s *Server) decodePredict(w http.ResponseWriter, r *http.Request, metrics *
 	}
 	w.Header().Set("X-Request-ID", reqID)
 	return d, insts, reqID, true
+}
+
+// releaseAfter releases d once the Predicts on its instances have returned
+// errs, unless one of them says its request was abandoned: Submit gave up
+// on a queued request (a cancelled client, a deadline, shutdown), which a
+// worker may still gather later. d is then left to the GC, as the
+// scheduler leaves that request. Every other error (a shed, not ready, the
+// runner's reply) comes from a request no worker holds.
+func (d *predictDecoder) releaseAfter(errs ...error) {
+	for _, err := range errs {
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrShuttingDown) {
+			return
+		}
+	}
+	d.release()
 }
 
 // writePredictions encodes outs and writes the 200 response. Encoding
