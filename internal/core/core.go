@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -71,7 +72,10 @@ type Engine struct {
 	numBytes   int64
 	peakBytes  int64
 
-	scopes []*scope
+	// scopes is the tidy-scope stack, innermost last; freeScopes holds
+	// the frames EndScope has finished with, for StartScope to reuse.
+	scopes     []*scope
+	freeScopes []*scope
 
 	tapes      []*tape
 	gradDepth  int
@@ -127,7 +131,8 @@ type Engine struct {
 	isGlobalEngine bool
 }
 
-// scope is one tidy frame (Section 3.7).
+// scope is one tidy frame (Section 3.7). Frames are recycled: one on the
+// engine's free list keeps its arrays but no tensor handle.
 type scope struct {
 	name  string
 	track []*tensor.Tensor
@@ -636,11 +641,7 @@ func (e *Engine) tryFreeKernel(name string, inputs []*tensor.Tensor, attrs kerne
 			opPanic(name, fmt.Errorf("got %d inputs, want 1", len(inputs)))
 		}
 		in := inputs[0]
-		shape, err := tensor.InferShape(attrs.Shape, in.Size())
-		if err != nil {
-			opPanic(name, err)
-		}
-		out := e.shareData(in, shape, in.DType)
+		out := e.shareData(name, in, attrs.Shape, in.DType)
 		e.recordOnTape(name, inputs, out, kernels.Attrs{})
 		return out, true
 	case "Identity":
@@ -648,7 +649,7 @@ func (e *Engine) tryFreeKernel(name string, inputs []*tensor.Tensor, attrs kerne
 			opPanic(name, fmt.Errorf("got %d inputs, want 1", len(inputs)))
 		}
 		in := inputs[0]
-		out := e.shareData(in, in.Shape, in.DType)
+		out := e.shareData(name, in, in.Shape, in.DType)
 		e.recordOnTape(name, inputs, out, kernels.Attrs{})
 		return out, true
 	case "Cast":
@@ -659,7 +660,7 @@ func (e *Engine) tryFreeKernel(name string, inputs []*tensor.Tensor, attrs kerne
 		if dt == in.DType || (in.DType == tensor.Bool && dt != tensor.Bool) || (in.DType == tensor.Int32 && dt == tensor.Float32) {
 			// Bool (0/1) and Int32 values are already valid float32
 			// payloads; only float->int/bool needs value conversion.
-			out := e.shareData(in, in.Shape, dt)
+			out := e.shareData(name, in, in.Shape, dt)
 			e.recordOnTape("Cast", inputs, out, attrs)
 			return out, true
 		}
@@ -668,8 +669,10 @@ func (e *Engine) tryFreeKernel(name string, inputs []*tensor.Tensor, attrs kerne
 	return nil, false
 }
 
-// shareData creates a tensor sharing an existing data container.
-func (e *Engine) shareData(in *tensor.Tensor, shape []int, dtype tensor.DataType) *tensor.Tensor {
+// shareData creates a tensor sharing an existing data container. Its
+// shape is shape with a -1 wildcard resolved against in's size, in the
+// handle's own storage: a free op allocates the handle and nothing else.
+func (e *Engine) shareData(kernel string, in *tensor.Tensor, shape []int, dtype tensor.DataType) *tensor.Tensor {
 	e.mu.Lock()
 	entry, ok := e.data[in.DataID]
 	e.mu.Unlock()
@@ -677,6 +680,9 @@ func (e *Engine) shareData(in *tensor.Tensor, shape []int, dtype tensor.DataType
 		opPanic("shareData", fmt.Errorf("tensor %d has no data (already disposed?)", in.ID))
 	}
 	out := tensor.New(in.DataID, shape, dtype)
+	if err := tensor.InferInto(out.Shape, in.Size()); err != nil {
+		opPanic(kernel, err)
+	}
 	e.registerTensor(out, entry.backend)
 	return out
 }
@@ -717,8 +723,20 @@ func (e *Engine) EnsureOnBackend(t *tensor.Tensor, b kernels.Backend) {
 func (e *Engine) StartScope(name string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.scopes = append(e.scopes, &scope{name: name})
+	var s *scope
+	if n := len(e.freeScopes); n > 0 {
+		s = e.freeScopes[n-1]
+		e.freeScopes = e.freeScopes[:n-1]
+	} else {
+		s = new(scope)
+	}
+	s.name = name
+	e.scopes = append(e.scopes, s)
 }
+
+// maxScopeTrack bounds the track array a recycled scope keeps (64 KiB):
+// a scope that tracked more hands its array to the garbage collector.
+const maxScopeTrack = 8192
 
 // EndScope pops the current scope and disposes every tensor created inside
 // it except the escaping tensors and those marked with Keep.
@@ -730,50 +748,64 @@ func (e *Engine) EndScope(escaping []*tensor.Tensor) {
 		panic("core: EndScope without matching StartScope")
 	}
 	s := e.scopes[n-1]
+	e.scopes[n-1] = nil
 	e.scopes = e.scopes[:n-1]
-	survive := map[int64]bool{}
-	for id := range s.keep {
-		survive[id] = true
+	var parent *scope
+	if n > 1 {
+		parent = e.scopes[n-2]
 	}
-	for _, t := range escaping {
-		if t != nil {
-			survive[t.ID] = true
+	if len(escaping) > 8 {
+		// Many escaping tensors are looked up by id, not scanned for each
+		// tracked one.
+		if s.keep == nil {
+			s.keep = map[int64]bool{}
 		}
+		for _, t := range escaping {
+			if t != nil {
+				s.keep[t.ID] = true
+			}
+		}
+		escaping = nil
 	}
-	var toDispose []*tensor.Tensor
-	var toParent []*tensor.Tensor
 	// While a gradient tape is active, intermediates must survive inner
 	// tidy scopes: the backward pass still needs them. They migrate to
 	// the parent scope and are disposed when the gradient computation's
 	// own scope ends (the same policy as the TensorFlow.js engine, which
-	// keeps tensors while gradientDepth > 0).
+	// keeps tensors while gradientDepth > 0). Escaping and kept tensors
+	// are re-tracked in the parent scope too, so nested tidies compose.
+	// The tensors to dispose are filtered into the front of s.track.
 	inGradMode := e.gradDepth > 0
+	dispose := s.track[:0]
 	for _, t := range s.track {
-		if survive[t.ID] || t.Disposed() || inGradMode {
-			toParent = append(toParent, t)
+		if inGradMode || t.Disposed() || s.keep[t.ID] || slices.Contains(escaping, t) {
+			if parent != nil {
+				parent.track = append(parent.track, t)
+			}
 			continue
 		}
-		toDispose = append(toDispose, t)
-	}
-	// Escaping tensors are re-tracked in the parent scope so nested tidies
-	// compose.
-	if n2 := len(e.scopes); n2 > 0 {
-		parent := e.scopes[n2-1]
-		parent.track = append(parent.track, toParent...)
+		dispose = append(dispose, t)
 	}
 	e.mu.Unlock()
-	for _, t := range toDispose {
+	for _, t := range dispose {
 		t.Dispose()
 	}
+	e.mu.Lock()
+	numTensors, numBytes, name := e.numTensors, e.numBytes, s.name
+	clear(s.track)
+	s.track = s.track[:0]
+	if cap(s.track) > maxScopeTrack {
+		s.track = nil
+	}
+	s.name = ""
+	clear(s.keep)
+	e.freeScopes = append(e.freeScopes, s)
+	e.mu.Unlock()
 	if e.hub.Active() {
 		// Sample the engine memory gauges at the scope boundary — the
 		// memory-timeline points of the §3.7 accounting.
-		e.mu.Lock()
-		numTensors, numBytes := e.numTensors, e.numBytes
-		e.mu.Unlock()
 		e.hub.Emit(telemetry.Event{
 			Kind:       telemetry.KindScope,
-			Name:       s.name,
+			Name:       name,
 			Span:       e.Span(),
 			NumTensors: numTensors,
 			TotalBytes: numBytes,

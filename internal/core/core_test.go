@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/kernels"
 	"repro/internal/ops"
+	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -115,6 +117,91 @@ func TestKeepSurvivesTidy(t *testing.T) {
 		t.Fatal("kept tensor corrupted")
 	}
 	kept.Dispose()
+}
+
+// TestRecycledScopesKeepTidySemantics runs one tidy program three times,
+// so that its later rounds run on scopes recycled from the earlier ones:
+// nested tidies, Keep, escaping outputs, an inner tidy that panics and a
+// fresh one after it, and a tidy inside a gradient computation, whose
+// intermediates migrate to the gradient's scope. Every round must dispose,
+// keep and name exactly what the first did.
+func TestRecycledScopesKeepTidySemantics(t *testing.T) {
+	e := core.Global()
+	if err := e.SetBackend("cpu"); err != nil {
+		t.Fatal(err)
+	}
+	var closed []string
+	remove := e.Telemetry().Register(telemetry.ObserverFunc(func(ev telemetry.Event) {
+		if ev.Kind == telemetry.KindScope {
+			closed = append(closed, ev.Name)
+		}
+	}))
+	defer remove()
+	before := e.NumTensors()
+	for round := 0; round < 3; round++ {
+		closed = closed[:0]
+		var kept, escaped, dropped, lost, mid *tensor.Tensor
+		out := e.Tidy("outer", func() []*tensor.Tensor {
+			a := ops.Scalar(3)
+			escaped = e.Tidy("inner", func() []*tensor.Tensor {
+				dropped = ops.Add(a, a)
+				kept = ops.Mul(a, a).Keep()
+				return []*tensor.Tensor{ops.Sub(dropped, a)}
+			})[0]
+			if !dropped.Disposed() || kept.Disposed() || escaped.Disposed() {
+				t.Fatalf("round %d: after the inner tidy dropped disposed=%v, kept %v, escaped %v",
+					round, dropped.Disposed(), kept.Disposed(), escaped.Disposed())
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("round %d: the inner panic did not reach its caller", round)
+					}
+				}()
+				e.Tidy("panics", func() []*tensor.Tensor {
+					lost = ops.Neg(a)
+					panic("inner")
+				})
+			}()
+			if !lost.Disposed() {
+				t.Fatalf("round %d: a panicking tidy left its tensor live", round)
+			}
+			fresh := e.Tidy("fresh", func() []*tensor.Tensor {
+				return []*tensor.Tensor{ops.Add(escaped, kept)}
+			})[0]
+			res := e.Gradients(func() *tensor.Tensor {
+				y := e.Tidy("in-grad", func() []*tensor.Tensor {
+					mid = ops.Mul(a, a)
+					return []*tensor.Tensor{ops.Sum(mid, nil, false)}
+				})[0]
+				if mid.Disposed() {
+					t.Fatalf("round %d: a tidy in grad mode disposed an intermediate", round)
+				}
+				return y
+			}, []*tensor.Tensor{a}, nil)
+			if !mid.Disposed() {
+				t.Fatalf("round %d: the gradient's scope left an intermediate live", round)
+			}
+			return []*tensor.Tensor{fresh, res.Grads[0]}
+		})
+		if !escaped.Disposed() || out[0].Disposed() || out[1].Disposed() {
+			t.Fatalf("round %d: after the outer tidy escaped disposed=%v, outputs %v %v",
+				round, escaped.Disposed(), out[0].Disposed(), out[1].Disposed())
+		}
+		if fresh, grad := out[0].DataSync()[0], out[1].DataSync()[0]; fresh != 12 || grad != 6 {
+			t.Fatalf("round %d: outputs %v and %v, want 12 and 6", round, fresh, grad)
+		}
+		kept.Dispose()
+		if got := e.NumTensors(); got != before+len(out) {
+			t.Fatalf("round %d: %d live tensors, want %d", round, got, before+len(out))
+		}
+		for _, o := range out {
+			o.Dispose()
+		}
+		if want := []string{"inner", "panics", "fresh", "in-grad", "gradients", "outer"}; !slices.Equal(closed, want) {
+			t.Fatalf("round %d: scopes closed %v, want %v", round, closed, want)
+		}
+	}
 }
 
 func TestBackendMigration(t *testing.T) {

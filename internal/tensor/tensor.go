@@ -74,7 +74,6 @@ type Tensor struct {
 	// DType is the logical element type.
 	DType DataType
 
-	size     int
 	disposed atomic.Bool
 	// owner is the engine that registered this tensor, when that engine is
 	// not the process-global one. With several engines alive (replica
@@ -86,15 +85,83 @@ type Tensor struct {
 
 // New constructs a tensor handle. It is intended for use by the engine and
 // backends, not end users; user code creates tensors through the tf facade.
+// A handle and its shape are one object: for ranks 1–8 the shape's storage
+// is allocated behind the Tensor, which is its first field, so the handle
+// is one allocation and a finalizer may be set on it (the engine's
+// auto-finalize, Section 4.2). A slice of a handle's Shape therefore keeps
+// the whole handle reachable, and under auto-finalize its data container.
 func New(dataID DataID, shape []int, dtype DataType) *Tensor {
-	s := CopyShape(shape)
-	return &Tensor{
-		ID:     NewTensorID(),
-		DataID: dataID,
-		Shape:  s,
-		DType:  dtype,
-		size:   ShapeSize(s),
+	t := withShape(len(shape))
+	copy(t.Shape, shape)
+	t.ID = NewTensorID()
+	t.DataID = dataID
+	t.DType = dtype
+	return t
+}
+
+// withShape allocates a handle whose Shape has room for rank dims.
+func withShape(rank int) *Tensor {
+	switch rank {
+	case 1:
+		h := new(struct {
+			t Tensor
+			s [1]int
+		})
+		h.t.Shape = h.s[:]
+		return &h.t
+	case 2:
+		h := new(struct {
+			t Tensor
+			s [2]int
+		})
+		h.t.Shape = h.s[:]
+		return &h.t
+	case 3:
+		h := new(struct {
+			t Tensor
+			s [3]int
+		})
+		h.t.Shape = h.s[:]
+		return &h.t
+	case 4:
+		h := new(struct {
+			t Tensor
+			s [4]int
+		})
+		h.t.Shape = h.s[:]
+		return &h.t
+	case 5:
+		h := new(struct {
+			t Tensor
+			s [5]int
+		})
+		h.t.Shape = h.s[:]
+		return &h.t
+	case 6:
+		h := new(struct {
+			t Tensor
+			s [6]int
+		})
+		h.t.Shape = h.s[:]
+		return &h.t
+	case 7:
+		h := new(struct {
+			t Tensor
+			s [7]int
+		})
+		h.t.Shape = h.s[:]
+		return &h.t
+	case 8:
+		h := new(struct {
+			t Tensor
+			s [8]int
+		})
+		h.t.Shape = h.s[:]
+		return &h.t
 	}
+	// A scalar's empty shape allocates nothing; a shape of rank 9 or more
+	// is a second object.
+	return &Tensor{Shape: make([]int, rank)}
 }
 
 // SetOwner binds the tensor to the engine that registered it. Called by
@@ -115,13 +182,13 @@ func (t *Tensor) handler() Handler {
 }
 
 // Size returns the number of elements.
-func (t *Tensor) Size() int { return t.size }
+func (t *Tensor) Size() int { return ShapeSize(t.Shape) }
 
 // Rank returns the number of dimensions.
 func (t *Tensor) Rank() int { return len(t.Shape) }
 
 // Bytes returns the logical memory footprint of the tensor.
-func (t *Tensor) Bytes() int { return t.size * t.DType.BytesPerElement() }
+func (t *Tensor) Bytes() int { return t.Size() * t.DType.BytesPerElement() }
 
 // DataSync synchronously downloads the tensor's values. In the browser
 // setting this blocks the main thread until the GPU finishes (Figure 2).

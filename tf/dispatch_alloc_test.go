@@ -15,12 +15,13 @@ import (
 // allocator: op → Engine.RunKernel → kernels.Dispatch → the backend's kernel
 // → one tracked tensor, and the dispose. The budgets are the readings with
 // one pooled dispatch frame per call, a tape node built only when a tape
-// keeps it and no per-tensor strides (3 on cpu: the handle, its shape and
-// the reference kernel's result; 2 on node, the handle and its shape: a
-// warmed call's resolution is looked up in the backend's memo, not built;
-// 2 and 2 on webgl, the handle and its shape: a warmed program is looked
-// up, not built, its inputs are bound to the device command and its
-// output's record is recycled). Node read 3 and 3 while every dispatch
+// keeps it, no per-tensor strides and the handle and its shape one object
+// (2 on cpu: the handle and the reference kernel's result; 1 on node, the
+// handle: a warmed call's resolution is looked up in the backend's memo,
+// not built; 1 and 1 on webgl, the handle: a warmed program is looked up,
+// not built, its inputs are bound to the device command and its output's
+// record is recycled). They read 3, 2 and 2 / 2 while the handle's shape
+// was an allocation of its own. Node read 3 and 3 while every dispatch
 // resolved its call and built its body's closure. Webgl read 8 and 8
 // while each dispatch resolved its call and built a program, a closure, a
 // texture list and a record, and Add 10 while its program broadcast the
@@ -38,7 +39,7 @@ func TestEagerDispatchAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		backend   string
 		add, relu float64
-	}{{"cpu", 3, 3}, {"node", 2, 2}, {"webgl", 2, 2}} {
+	}{{"cpu", 2, 2}, {"node", 1, 1}, {"webgl", 1, 1}} {
 		if err := tf.SetBackend(c.backend); err != nil {
 			t.Fatal(err)
 		}
@@ -69,8 +70,8 @@ func TestEagerDispatchAllocBudget(t *testing.T) {
 // predicate), the six kernels that ran on the reference kernel through
 // host memory until they joined the table (All, Any, Cast, CumSum, Range,
 // Reverse), a view, a reduction and a broadcast of rank 8, Select and a
-// batch norm on operands that broadcast, and GatherV2, on node, webgl and
-// webgpu. Conv2D and MaxPool are dispatched
+// batch norm on operands that broadcast, GatherV2 and Reshape, a free op,
+// on node, webgl and webgpu. Conv2D and MaxPool are dispatched
 // without strides or dilations, so a zero field's meaning allocated per
 // call shows. On webgl each dispatch is followed by a fence (two
 // allocations of its own: its channel and its command), so that the device
@@ -78,12 +79,16 @@ func TestEagerDispatchAllocBudget(t *testing.T) {
 // the reading depends on how far the device lags. The device's cores are
 // started once, so the webgl readings are the same on one CPU and on
 // several. A budget is the lowest reading yet; a change may lower one and
-// may not raise any. Node reads 2 (the handle and its shape: a warmed call
-// is resolved once, in the backend's memo); it read 3 (4 for Concat and
-// Step) while every dispatch resolved its call and built its body's
-// closure. Webgl reads 4 (the handle, its shape and the fence);
-// Conv2DBackpropInput read 5 while its program staged its transposed
-// filter into a buffer made per dispatch, not the device's own, and every
+// may not raise any. Node reads 1 (the handle, one object with its shape:
+// a warmed call is resolved once, in the backend's memo); Reshape, a free
+// op that dispatches no kernel, reads the same, its wildcard resolved in
+// the handle's own shape. Webgl reads 3 (the handle and the fence's two).
+// Node read 2 and webgl 4 while the handle's shape was an allocation of its
+// own (Reshape 3 and 5: InferShape's copy, then the handle's); node read
+// 3 (4 for Concat and Step) while every dispatch resolved its call and
+// built its body's closure. Conv2DBackpropInput read 5 on webgl while its
+// program staged its transposed filter into a buffer made per dispatch,
+// not the device's own, and every
 // kernel read 10–12 on one CPU while each dispatch resolved its
 // call and built its program, and 15–17 on two, where each dispatch also
 // started a goroutine per device core. Node read 10 a dispatch (12
@@ -146,22 +151,12 @@ func TestEagerDispatchAllocBudgetPerClass(t *testing.T) {
 		{"Select", [][]int{{6, 1}, {6, 8}, {8}}, kernels.Attrs{}},
 		{"FusedBatchNorm", [][]int{{2, 3, 8}, {3, 1}, {3, 1}, {3, 1}, {3, 1}}, kernels.Attrs{Epsilon: 1e-3}},
 		{"GatherV2", [][]int{{6, 8}, {4}}, kernels.Attrs{}},
+		{"Reshape", [][]int{{6, 8}}, kernels.Attrs{Shape: []int{-1, 4, 2}}},
 	}
-	budgets := map[string]map[string]float64{
-		"node": {"Conv2D": 2, "FusedConv2D": 2, "DepthwiseConv2dNative": 2, "MaxPool": 2, "BatchMatMul": 2, "Sum": 2, "Softmax": 2,
-			"Transpose": 2, "Concat": 2, "Conv2DBackpropFilter": 2, "Conv2DBackpropInput": 2, "AdamMoments": 2,
-			"Mul": 2, "Add": 2, "Sub": 2, "Relu6": 2, "Step": 2, "GreaterEqual": 2,
-			"Any": 2, "All": 2, "Reverse": 2, "Cast": 2, "Range": 2, "CumSum": 2,
-			"Select": 2, "FusedBatchNorm": 2, "GatherV2": 2},
-		"webgl": {"Conv2D": 4, "FusedConv2D": 4, "DepthwiseConv2dNative": 4, "MaxPool": 4, "BatchMatMul": 4, "Sum": 4, "Softmax": 4,
-			"Transpose": 4, "Concat": 4, "Conv2DBackpropFilter": 4, "Conv2DBackpropInput": 4, "AdamMoments": 4,
-			"Mul": 4, "Add": 4, "Sub": 4, "Relu6": 4, "Step": 4, "GreaterEqual": 4,
-			"Any": 4, "All": 4, "Reverse": 4, "Cast": 4, "Range": 4, "CumSum": 4,
-			"Select": 4, "FusedBatchNorm": 4, "GatherV2": 4},
-	}
-	// Webgpu is webgl's data plane and kernels plus its own BatchMatMul
-	// pipeline, which costs what a webgl program does.
-	budgets["webgpu"] = budgets["webgl"]
+	// Every class has its backend's budget. Webgpu is webgl's data plane
+	// and kernels plus its own BatchMatMul pipeline, which costs what a
+	// webgl program does.
+	budgets := map[string]float64{"node": 1, "webgl": 3, "webgpu": 3}
 	for _, backend := range []string{"node", "webgl", "webgpu"} {
 		if err := tf.SetBackend(backend); err != nil {
 			t.Fatal(err)
@@ -188,7 +183,7 @@ func TestEagerDispatchAllocBudgetPerClass(t *testing.T) {
 			for i := 0; i < 3; i++ { // warmup
 				run()
 			}
-			got, budget := testing.AllocsPerRun(100, run), budgets[backend][c.kernel]
+			got, budget := testing.AllocsPerRun(100, run), budgets[backend]
 			t.Logf("%s %s: %.0f allocs/op (budget %.0f)", backend, c.kernel, got, budget)
 			if got > budget {
 				t.Errorf("%s %s: %.0f allocs/op, budget %.0f", backend, c.kernel, got, budget)
@@ -197,6 +192,48 @@ func TestEagerDispatchAllocBudgetPerClass(t *testing.T) {
 				in.Dispose()
 			}
 		}
+	}
+}
+
+// TestWebGLPredictAllocBudget pins the Table 1 WebGL row end to end: one
+// warmed Layers MobileNet v1 α=0.25 @96 Predict on webgl, its upload, its
+// eager ops and tidy scopes, the readback and both disposes. It reads 95:
+// one handle per eager op (every Conv → BatchNorm → ReLU6 block is three
+// programs) and a few for the upload and the readback. It read 199 while
+// every handle's shape was an allocation of its own and every tidy grew
+// its tracking slices and map afresh.
+func TestWebGLPredictAllocBudget(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	defer tf.SetBackend("cpu")
+	if err := tf.SetBackend("webgl"); err != nil {
+		t.Fatal(err)
+	}
+	m, err := tf.MobileNetV1(tf.MobileNetConfig{Alpha: 0.25, InputSize: 96, NumClasses: 1000, IncludeTop: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Dispose()
+	img := make([]float32, 96*96*3)
+	for i := range img {
+		img[i] = float32(i%255) / 255
+	}
+	predict := func() {
+		x := tf.TensorOf(img, 1, 96, 96, 3)
+		out := m.Predict(x)
+		out.DataSync()
+		out.Dispose()
+		x.Dispose()
+	}
+	for i := 0; i < 3; i++ { // warmup: programs, texture free list
+		predict()
+	}
+	const budget = 95
+	got := testing.AllocsPerRun(20, predict)
+	t.Logf("warmed webgl MobileNet predict: %.0f allocs (budget %d)", got, budget)
+	if got > budget {
+		t.Errorf("warmed webgl MobileNet predict: %.0f allocs, budget %d", got, budget)
 	}
 }
 
