@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -734,8 +733,9 @@ func (e *Engine) StartScope(name string) {
 	e.scopes = append(e.scopes, s)
 }
 
-// maxScopeTrack bounds the track array a recycled scope keeps (64 KiB):
-// a scope that tracked more hands its array to the garbage collector.
+// maxScopeTrack bounds the track array (64 KiB) and the keep map a
+// recycled scope keeps: a scope that held more hands them to the garbage
+// collector.
 const maxScopeTrack = 8192
 
 // EndScope pops the current scope and disposes every tensor created inside
@@ -754,18 +754,15 @@ func (e *Engine) EndScope(escaping []*tensor.Tensor) {
 	if n > 1 {
 		parent = e.scopes[n-2]
 	}
-	if len(escaping) > 8 {
-		// Many escaping tensors are looked up by id, not scanned for each
-		// tracked one.
-		if s.keep == nil {
-			s.keep = map[int64]bool{}
+	// Escaping tensors survive as kept ones do; a recycled frame's map
+	// allocates nothing once warmed.
+	if len(escaping) > 0 && s.keep == nil {
+		s.keep = map[int64]bool{}
+	}
+	for _, t := range escaping {
+		if t != nil {
+			s.keep[t.ID] = true
 		}
-		for _, t := range escaping {
-			if t != nil {
-				s.keep[t.ID] = true
-			}
-		}
-		escaping = nil
 	}
 	// While a gradient tape is active, intermediates must survive inner
 	// tidy scopes: the backward pass still needs them. They migrate to
@@ -777,7 +774,7 @@ func (e *Engine) EndScope(escaping []*tensor.Tensor) {
 	inGradMode := e.gradDepth > 0
 	dispose := s.track[:0]
 	for _, t := range s.track {
-		if inGradMode || t.Disposed() || s.keep[t.ID] || slices.Contains(escaping, t) {
+		if inGradMode || t.Disposed() || s.keep[t.ID] {
 			if parent != nil {
 				parent.track = append(parent.track, t)
 			}
@@ -797,6 +794,9 @@ func (e *Engine) EndScope(escaping []*tensor.Tensor) {
 		s.track = nil
 	}
 	s.name = ""
+	if len(s.keep) > maxScopeTrack {
+		s.keep = nil
+	}
 	clear(s.keep)
 	e.freeScopes = append(e.freeScopes, s)
 	e.mu.Unlock()

@@ -47,17 +47,6 @@ func CopyShape(shape []int) []int {
 	return out
 }
 
-// InferShape resolves a shape specification that may contain a single -1
-// wildcard dimension, given the total element count, into a copy
-// (InferInto).
-func InferShape(shape []int, size int) ([]int, error) {
-	out := CopyShape(shape)
-	if err := InferInto(out, size); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // InferInto resolves, in place and without allocating, a shape that may
 // contain a single -1 wildcard dimension against the total element count.
 // It returns an error if the size is not divisible or the shape contains

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -36,18 +37,25 @@ func TestComputeStrides(t *testing.T) {
 }
 
 func TestInferShape(t *testing.T) {
-	got, err := InferShape([]int{2, -1}, 6)
-	if err != nil || !reflect.DeepEqual(got, []int{2, 3}) {
-		t.Errorf("InferShape([2,-1], 6) = %v, %v", got, err)
+	got := []int{2, -1}
+	if err := InferInto(got, 6); err != nil || !reflect.DeepEqual(got, []int{2, 3}) {
+		t.Errorf("InferInto([2,-1], 6) = %v, %v", got, err)
 	}
-	if _, err := InferShape([]int{2, -1, -1}, 6); err == nil {
-		t.Error("two wildcards should error")
-	}
-	if _, err := InferShape([]int{4}, 6); err == nil {
-		t.Error("mismatched size should error")
-	}
-	if _, err := InferShape([]int{4, -1}, 6); err == nil {
-		t.Error("non-divisible wildcard should error")
+	for _, c := range []struct {
+		shape []int
+		why   string
+	}{
+		{[]int{2, -1, -1}, "two wildcards should error"},
+		{[]int{4}, "mismatched size should error"},
+		{[]int{4, -1}, "non-divisible wildcard should error"},
+	} {
+		shape := slices.Clone(c.shape)
+		if err := InferInto(shape, 6); err == nil {
+			t.Error(c.why)
+		}
+		if !reflect.DeepEqual(shape, c.shape) {
+			t.Errorf("InferInto(%v, 6) failed but changed the shape to %v", c.shape, shape)
+		}
 	}
 }
 

@@ -84,7 +84,7 @@ func TestEagerDispatchAllocBudget(t *testing.T) {
 // op that dispatches no kernel, reads the same, its wildcard resolved in
 // the handle's own shape. Webgl reads 3 (the handle and the fence's two).
 // Node read 2 and webgl 4 while the handle's shape was an allocation of its
-// own (Reshape 3 and 5: InferShape's copy, then the handle's); node read
+// own (Reshape 3 and 5: a copy of its inferred shape, then the handle's); node read
 // 3 (4 for Concat and Step) while every dispatch resolved its call and
 // built its body's closure. Conv2DBackpropInput read 5 on webgl while its
 // program staged its transposed filter into a buffer made per dispatch,
