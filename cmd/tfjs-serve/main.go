@@ -20,9 +20,8 @@
 // -replicas N loads N independent engine replicas per model, so
 // concurrent batches execute in parallel (set GOMAXPROCS ≥ N to realize
 // the speedup). -tenant id=weight (repeatable) enables weighted-fair
-// admission control keyed on the X-Tenant-ID header. -graph name=file
-// registers an inference graph from a JSON GraphSpec. Versioned models
-// roll out via POST /v1/models/{base}:promote|:canary|:shadow|:evict.
+// admission control keyed on the X-Tenant-ID header. Versioned models
+// roll out via POST /v1/models/{base}:promote|:canary.
 //
 // -debug-addr localhost:6060 exposes net/http/pprof on a second,
 // typically loopback-only listener kept off the serving address.
@@ -34,7 +33,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -97,32 +95,11 @@ func (f *tenantFlags) Set(v string) error {
 	return nil
 }
 
-// graphFlags accumulates repeated -graph name=specfile flags.
-type graphFlags []graphSpecFile
-
-type graphSpecFile struct {
-	name string
-	path string
-}
-
-func (f *graphFlags) String() string { return fmt.Sprint(*f) }
-
-func (f *graphFlags) Set(v string) error {
-	name, path, ok := strings.Cut(v, "=")
-	if !ok || name == "" || path == "" {
-		return fmt.Errorf("want name=specfile.json, got %q", v)
-	}
-	*f = append(*f, graphSpecFile{name: name, path: path})
-	return nil
-}
-
 func main() {
 	var models modelFlags
 	var tenants tenantFlags
-	var graphs graphFlags
 	flag.Var(&models, "model", "serve a model: name[@version]=dir[:backend] (repeatable)")
 	flag.Var(&tenants, "tenant", "weighted-fair admission: id=weight (repeatable; enables X-Tenant-ID quotas)")
-	flag.Var(&graphs, "graph", "register an inference graph: name=specfile.json (repeatable)")
 	addr := flag.String("addr", ":8500", "listen address")
 	maxBatch := flag.Int("max-batch", 16, "micro-batcher: max examples per batch")
 	batchTimeout := flag.Duration("batch-timeout", 2*time.Millisecond, "micro-batcher: max wait after first request")
@@ -183,21 +160,6 @@ func main() {
 
 	api := serving.NewServer(reg)
 	defer api.Close()
-	for _, g := range graphs {
-		data, err := os.ReadFile(g.path)
-		if err != nil {
-			log.Fatalf("reading graph spec %s: %v", g.path, err)
-		}
-		var spec serving.GraphSpec
-		if err := json.Unmarshal(data, &spec); err != nil {
-			log.Fatalf("parsing graph spec %s: %v", g.path, err)
-		}
-		spec.Name = g.name
-		if err := api.RegisterGraph(spec); err != nil {
-			log.Fatalf("registering graph %q: %v", g.name, err)
-		}
-		log.Printf("registered inference graph %q from %s", g.name, g.path)
-	}
 
 	if *debugAddr != "" {
 		// pprof lives on its own mux and listener so profiling endpoints

@@ -25,7 +25,7 @@ func init() {
 }
 
 // buildModel returns a small convnet exported with training ops attached.
-func buildModel(t *testing.T) (*layers.Sequential, *savedmodel.GraphDef) {
+func buildModel(t testing.TB) (*layers.Sequential, *savedmodel.GraphDef) {
 	t.Helper()
 	layers.SetSeed(99)
 	m := layers.NewSequential("convert_test")
@@ -257,83 +257,104 @@ func TestLoadMissingArtifact(t *testing.T) {
 	}
 }
 
+// hostileWeightSpecs are manifest edits the loader cannot honour — a
+// negative dim, a shape whose size overflows, an unknown dtype, a shard
+// holding bytes past the last weight or fewer than its weights need, a shard
+// that is not there, a weight no Const node uses, a weight listed twice —
+// each with what its load error must name (the weight, or the missing
+// shard). edit changes tinyGraph's artifact: its model.json and its one
+// shard.
+var hostileWeightSpecs = []struct {
+	name, want string
+	edit       func(model *converter.ModelJSON, shard *[]byte)
+}{
+	{"negative dim", `weight "W"`, func(m *converter.ModelJSON, _ *[]byte) {
+		m.WeightsManifest[0].Weights[0].Shape = []int{-1, 4}
+	}},
+	{"overflowing size", `weight "W"`, func(m *converter.ModelJSON, _ *[]byte) {
+		m.WeightsManifest[0].Weights[0].Shape = []int{4611686018427387904, 4}
+	}},
+	{"unknown dtype", `weight "W"`, func(m *converter.ModelJSON, _ *[]byte) {
+		m.WeightsManifest[0].Weights[0].DType = "complex128"
+	}},
+	{"bytes past the last weight", `weight "W"`, func(_ *converter.ModelJSON, shard *[]byte) {
+		*shard = append(*shard, 0, 0, 0, 0)
+	}},
+	{"truncated shard", `weight "W"`, func(_ *converter.ModelJSON, shard *[]byte) {
+		*shard = (*shard)[:len(*shard)-4]
+	}},
+	{"missing shard", `"missing.bin"`, func(m *converter.ModelJSON, _ *[]byte) {
+		m.WeightsManifest[0].Paths = []string{"missing.bin"}
+	}},
+	{"weight no Const uses", `weight "V"`, func(m *converter.ModelJSON, shard *[]byte) {
+		group := &m.WeightsManifest[0]
+		group.Weights = append(group.Weights, converter.WeightSpec{Name: "V", Shape: []int{1}, DType: "float32"})
+		*shard = append(*shard, 0, 0, 0, 0)
+	}},
+	{"weight listed twice", `weight "W"`, func(m *converter.ModelJSON, _ *[]byte) {
+		m.WeightsManifest = append(m.WeightsManifest, m.WeightsManifest[0])
+	}},
+}
+
+// tinyGraph is x:[-1,2] · W:[2,4], converted into a fresh store.
+func tinyGraph(t testing.TB) converter.Store {
+	t.Helper()
+	g := &savedmodel.GraphDef{
+		Nodes: []savedmodel.NodeDef{
+			{Name: "x", Op: "Placeholder", Attrs: map[string]any{"shape": []int{-1, 2}}},
+			{Name: "W", Op: "Const"},
+			{Name: "y", Op: "MatMul", Inputs: []string{"x", "W"}},
+		},
+		Weights: map[string]*savedmodel.Weight{"W": {Name: "W", Shape: []int{2, 4}, DType: "float32", Values: make([]float32, 8)}},
+		Inputs:  []string{"x"}, Outputs: []string{"y"},
+	}
+	store := converter.NewMemStore()
+	if _, err := converter.Convert(g, store, converter.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
+// editArtifact applies edit to the model.json of the artifact in store and
+// to the first shard its manifest names, and writes both back.
+func editArtifact(t testing.TB, store converter.Store, edit func(model *converter.ModelJSON, shard *[]byte)) {
+	t.Helper()
+	raw, err := store.Read("model.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var model converter.ModelJSON
+	if err := json.Unmarshal(raw, &model); err != nil {
+		t.Fatal(err)
+	}
+	path := model.WeightsManifest[0].Paths[0]
+	shard, err := store.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(&model, &shard)
+	if raw, err = json.Marshal(model); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Write("model.json", raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Write(path, shard); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestHostileWeightSpecsFailAtLoad: a manifest the loader cannot honour
-// — a negative dim, a shape whose size overflows, an unknown dtype, a
-// shard holding bytes past the last weight or fewer than its weights
-// need, a shard that is not there, a weight no Const node uses, a weight
-// listed twice — is a load-time error naming the weight (or the missing
-// shard), not a panic, a weight of zero values, a silent truncation or a
-// silently dropped copy. A group's payload is exactly its weights' bytes.
+// (hostileWeightSpecs) is a load-time error naming the weight (or the
+// missing shard), not a panic, a weight of zero values, a silent truncation
+// or a silently dropped copy. A group's payload is exactly its weights'
+// bytes.
 func TestHostileWeightSpecsFailAtLoad(t *testing.T) {
-	for _, c := range []struct {
-		name, want string // want is what the error must name
-		edit       func(model *converter.ModelJSON, shard *[]byte)
-	}{
-		{"negative dim", `weight "W"`, func(m *converter.ModelJSON, _ *[]byte) {
-			m.WeightsManifest[0].Weights[0].Shape = []int{-1, 4}
-		}},
-		{"overflowing size", `weight "W"`, func(m *converter.ModelJSON, _ *[]byte) {
-			m.WeightsManifest[0].Weights[0].Shape = []int{4611686018427387904, 4}
-		}},
-		{"unknown dtype", `weight "W"`, func(m *converter.ModelJSON, _ *[]byte) {
-			m.WeightsManifest[0].Weights[0].DType = "complex128"
-		}},
-		{"bytes past the last weight", `weight "W"`, func(_ *converter.ModelJSON, shard *[]byte) {
-			*shard = append(*shard, 0, 0, 0, 0)
-		}},
-		{"truncated shard", `weight "W"`, func(_ *converter.ModelJSON, shard *[]byte) {
-			*shard = (*shard)[:len(*shard)-4]
-		}},
-		{"missing shard", `"missing.bin"`, func(m *converter.ModelJSON, _ *[]byte) {
-			m.WeightsManifest[0].Paths = []string{"missing.bin"}
-		}},
-		{"weight no Const uses", `weight "V"`, func(m *converter.ModelJSON, shard *[]byte) {
-			group := &m.WeightsManifest[0]
-			group.Weights = append(group.Weights, converter.WeightSpec{Name: "V", Shape: []int{1}, DType: "float32"})
-			*shard = append(*shard, 0, 0, 0, 0)
-		}},
-		{"weight listed twice", `weight "W"`, func(m *converter.ModelJSON, _ *[]byte) {
-			m.WeightsManifest = append(m.WeightsManifest, m.WeightsManifest[0])
-		}},
-	} {
+	for _, c := range hostileWeightSpecs {
 		t.Run(c.name, func(t *testing.T) {
-			g := &savedmodel.GraphDef{
-				Nodes: []savedmodel.NodeDef{
-					{Name: "x", Op: "Placeholder", Attrs: map[string]any{"shape": []int{-1, 2}}},
-					{Name: "W", Op: "Const"},
-					{Name: "y", Op: "MatMul", Inputs: []string{"x", "W"}},
-				},
-				Weights: map[string]*savedmodel.Weight{"W": {Name: "W", Shape: []int{2, 4}, DType: "float32", Values: make([]float32, 8)}},
-				Inputs:  []string{"x"}, Outputs: []string{"y"},
-			}
-			store := converter.NewMemStore()
-			if _, err := converter.Convert(g, store, converter.Options{}); err != nil {
-				t.Fatal(err)
-			}
-			raw, err := store.Read("model.json")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var model converter.ModelJSON
-			if err := json.Unmarshal(raw, &model); err != nil {
-				t.Fatal(err)
-			}
-			path := model.WeightsManifest[0].Paths[0]
-			shard, err := store.Read(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.edit(&model, &shard)
-			if raw, err = json.Marshal(model); err != nil {
-				t.Fatal(err)
-			}
-			if err := store.Write("model.json", raw); err != nil {
-				t.Fatal(err)
-			}
-			if err := store.Write(path, shard); err != nil {
-				t.Fatal(err)
-			}
-			_, err = converter.LoadArtifacts(store)
+			store := tinyGraph(t)
+			editArtifact(t, store, c.edit)
+			_, err := converter.LoadArtifacts(store)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("load error %v does not name %s", err, c.want)
 			}
@@ -426,29 +447,10 @@ func TestLayersManifestListsEveryWeight(t *testing.T) {
 			if _, err := converter.SaveLayersModel(m, store, converter.Options{}); err != nil {
 				t.Fatal(err)
 			}
-			raw, err := store.Read("model.json")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var model converter.ModelJSON
-			if err := json.Unmarshal(raw, &model); err != nil {
-				t.Fatal(err)
-			}
-			group := &model.WeightsManifest[0]
-			shard, err := store.Read(group.Paths[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			name := c.edit(group, &shard)
-			if err := store.Write(group.Paths[0], shard); err != nil {
-				t.Fatal(err)
-			}
-			if raw, err = json.Marshal(model); err != nil {
-				t.Fatal(err)
-			}
-			if err := store.Write("model.json", raw); err != nil {
-				t.Fatal(err)
-			}
+			var name string
+			editArtifact(t, store, func(model *converter.ModelJSON, shard *[]byte) {
+				name = c.edit(&model.WeightsManifest[0], shard)
+			})
 			for loader, load := range loaders {
 				err := load(store)
 				if want := fmt.Sprintf("weight %q", name); err == nil || !strings.Contains(err.Error(), want) {
@@ -472,65 +474,67 @@ var loaders = map[string]func(converter.Store) error{
 	"Load": func(s converter.Store) error { _, _, err := converter.Load(s); return err },
 }
 
+// hostileTopologies are layer configs their class rejects, set on
+// buildModel's layers: a Dense of 0 or -2 units, an integer key holding a
+// fraction or a number no int holds, an unknown activation or kernel
+// initializer, an empty pooling window. want is what the load error says
+// besides the layer's name.
+var hostileTopologies = []struct {
+	name  string
+	layer int
+	key   string
+	value any
+	want  string
+}{
+	{"zero units", denseLayer, "units", 0, "units must be positive"},
+	{"negative units", denseLayer, "units", -2, "units must be positive"},
+	{"fractional units", denseLayer, "units", 2.5, `config "units": 2.5 is not an integer`},
+	{"units no int holds", denseLayer, "units", 1e30, `config "units": 1e+30 is not an integer`},
+	{"unknown activation", denseLayer, "activation", "bogus", "bogus"},
+	{"unknown initializer", denseLayer, "kernel_initializer", "bogus", "bogus"},
+	{"empty pool window", poolLayer, "pool_size", []int{0, 0}, "filterSize must be at least 1, got [0 0]"},
+	{"fractional pool window", poolLayer, "pool_size", []any{2, 1.5}, `config "pool_size": 1.5 is not an integer`},
+	{"fractional input shape", 0, "input_shape", []any{8, 8.5, 1}, `config "input_shape": 8.5 is not an integer`},
+}
+
+// buildModel's pooling and Dense layers.
+const poolLayer, denseLayer = 1, 3
+
+// setLayerConfig returns an edit of a layers-model artifact that sets key
+// to value in the config of its topology's layer.
+func setLayerConfig(t testing.TB, layer int, key string, value any) func(*converter.ModelJSON, *[]byte) {
+	return func(model *converter.ModelJSON, _ *[]byte) {
+		var topo struct {
+			ClassName string `json:"class_name"`
+			Config    struct {
+				Name   string           `json:"name"`
+				Layers []map[string]any `json:"layers"`
+			} `json:"config"`
+		}
+		if err := json.Unmarshal(model.ModelTopology, &topo); err != nil {
+			t.Fatal(err)
+		}
+		topo.Config.Layers[layer]["config"].(map[string]any)[key] = value
+		var err error
+		if model.ModelTopology, err = json.Marshal(topo); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestHostileLayersTopologyFailsAtLoad: a layers-model topology whose layer
-// config its class rejects — a Dense of 0 or -2 units, an integer key
-// holding a fraction or a number no int holds, an unknown activation or
-// kernel initializer, an empty pooling window — is a load-time error
-// naming the layer, from both loaders. It used to panic out of the layer's
+// config its class rejects (hostileTopologies) is a load-time error naming
+// the layer, from both loaders. It used to panic out of the layer's
 // constructor, and a server loads a model on a goroutine of its own.
 func TestHostileLayersTopologyFailsAtLoad(t *testing.T) {
 	m, _ := buildModel(t)
-	const pool, dense = 1, 3
-	for _, c := range []struct {
-		name  string
-		layer int
-		key   string
-		value any
-		want  string // the error says this besides the layer's name
-	}{
-		{"zero units", dense, "units", 0, "units must be positive"},
-		{"negative units", dense, "units", -2, "units must be positive"},
-		{"fractional units", dense, "units", 2.5, `config "units": 2.5 is not an integer`},
-		{"units no int holds", dense, "units", 1e30, `config "units": 1e+30 is not an integer`},
-		{"unknown activation", dense, "activation", "bogus", "bogus"},
-		{"unknown initializer", dense, "kernel_initializer", "bogus", "bogus"},
-		{"empty pool window", pool, "pool_size", []int{0, 0}, "filterSize must be at least 1, got [0 0]"},
-		{"fractional pool window", pool, "pool_size", []any{2, 1.5}, `config "pool_size": 1.5 is not an integer`},
-		{"fractional input shape", 0, "input_shape", []any{8, 8.5, 1}, `config "input_shape": 8.5 is not an integer`},
-	} {
+	for _, c := range hostileTopologies {
 		t.Run(c.name, func(t *testing.T) {
 			store := converter.NewMemStore()
 			if _, err := converter.SaveLayersModel(m, store, converter.Options{}); err != nil {
 				t.Fatal(err)
 			}
-			raw, err := store.Read("model.json")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var model converter.ModelJSON
-			if err := json.Unmarshal(raw, &model); err != nil {
-				t.Fatal(err)
-			}
-			var topo struct {
-				ClassName string `json:"class_name"`
-				Config    struct {
-					Name   string           `json:"name"`
-					Layers []map[string]any `json:"layers"`
-				} `json:"config"`
-			}
-			if err := json.Unmarshal(model.ModelTopology, &topo); err != nil {
-				t.Fatal(err)
-			}
-			topo.Config.Layers[c.layer]["config"].(map[string]any)[c.key] = c.value
-			if model.ModelTopology, err = json.Marshal(topo); err != nil {
-				t.Fatal(err)
-			}
-			if raw, err = json.Marshal(model); err != nil {
-				t.Fatal(err)
-			}
-			if err := store.Write("model.json", raw); err != nil {
-				t.Fatal(err)
-			}
+			editArtifact(t, store, setLayerConfig(t, c.layer, c.key, c.value))
 			name := m.Layers()[c.layer].Name()
 			for loader, load := range loaders {
 				if err := load(store); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) || !strings.Contains(err.Error(), c.want) {
@@ -570,4 +574,110 @@ func TestLayersLoadTakesNoEngineLock(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Load of a layers-model waited on the engine's execution lock")
 	}
+}
+
+// FuzzArtifactLoad mutates the model.json (topology and manifest) and the
+// shard of tinyGraph's artifact and of buildModel's layers-model, and loads
+// them as a server does: converter.Load, then graphmodel.New. Each load is
+// an error or a model that predicts a zero instance of its input shape;
+// never a panic. The seeds are the two artifacts and every hostile case
+// above.
+func FuzzArtifactLoad(f *testing.F) {
+	m, _ := buildModel(f)
+	layersArtifact := func() converter.Store {
+		store := converter.NewMemStore()
+		if _, err := converter.SaveLayersModel(m, store, converter.Options{}); err != nil {
+			f.Fatal(err)
+		}
+		return store
+	}
+	shardPath := ""
+	seed := func(store converter.Store, edit func(*converter.ModelJSON, *[]byte)) {
+		var path string
+		editArtifact(f, store, func(model *converter.ModelJSON, shard *[]byte) {
+			path = model.WeightsManifest[0].Paths[0]
+			edit(model, shard)
+		})
+		if shardPath == "" {
+			shardPath = path
+		} else if path != shardPath {
+			f.Fatalf("the artifacts' shards are %q and %q: the fuzz writes one path", shardPath, path)
+		}
+		raw, err := store.Read("model.json")
+		if err != nil {
+			f.Fatal(err)
+		}
+		shard, err := store.Read(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw, shard)
+	}
+	unchanged := func(*converter.ModelJSON, *[]byte) {}
+	seed(tinyGraph(f), unchanged)
+	seed(layersArtifact(), unchanged)
+	for _, c := range hostileWeightSpecs {
+		seed(tinyGraph(f), c.edit)
+	}
+	for _, c := range hostileTopologies {
+		seed(layersArtifact(), setLayerConfig(f, c.layer, c.key, c.value))
+	}
+	f.Fuzz(func(t *testing.T, model, shard []byte) {
+		store := converter.NewMemStore()
+		if err := store.Write("model.json", model); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Write(shardPath, shard); err != nil {
+			t.Fatal(err)
+		}
+		g, _, err := converter.Load(store)
+		if err != nil {
+			return
+		}
+		gm, err := graphmodel.New(g)
+		if err != nil || len(g.Inputs) == 0 {
+			return // serving's runner refuses a graph without an input
+		}
+		e := core.Global()
+		defer e.RunExclusive(gm.Dispose)
+		// Predict only what the verifier sized, and what is small: a
+		// mutated Reshape or Pad may name an output of any size.
+		shapes, err := savedmodel.InferShapes(g, 1)
+		if err != nil {
+			t.Fatalf("graphmodel.New accepted a graph its verifier rejects: %v", err)
+		}
+		for i := range g.Nodes {
+			if s, ok := shapes[g.Nodes[i].Name]; !ok || !small(s) {
+				return
+			}
+		}
+		in := shapes[g.Inputs[0]]
+		var x *tensor.Tensor
+		e.RunExclusive(func() { x = e.MakeTensor(make([]float32, tensor.ShapeSize(in)), in, tensor.Float32) })
+		y, err := gm.Predict(x)
+		e.RunExclusive(func() {
+			x.Dispose()
+			if y != nil {
+				y.Dispose()
+			}
+		})
+		if err != nil {
+			t.Fatalf("a loaded model fails on a zero instance of shape %v: %v", in, err)
+		}
+	})
+}
+
+// small reports whether shape holds at most 1<<16 elements, without
+// overflowing on the way.
+func small(shape []int) bool {
+	n := 1
+	for _, d := range shape {
+		if d < 0 || d > 1<<16 {
+			return false
+		}
+		if n *= d; n > 1<<16 {
+			return false
+		}
+	}
+	return true
 }

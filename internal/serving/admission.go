@@ -36,6 +36,12 @@ func TenantOf(ctx context.Context) string {
 // fairness.
 const anonymousTenant = "_anonymous"
 
+// unlistedTenants is the one metrics series of every tenant
+// ModelOptions.Tenants does not list. A client chooses its X-Tenant-ID, so
+// a series per ID would let clients grow the shed map and /metrics without
+// bound.
+const unlistedTenants = "_unlisted"
+
 // ShedError is returned when admission control or the bounded queue
 // refuses a request. It maps to HTTP 429 with a Retry-After header
 // estimated from the model's recent execution latency.
@@ -81,7 +87,7 @@ type admission struct {
 	defaultWeight int
 	capacity      int
 	inflight      map[string]int
-	shed          map[string]int64 // tenant → sheds, for metrics
+	shed          map[string]int64 // series (seriesOf) → sheds, for metrics
 }
 
 // newAdmission builds the controller. capacity is the model's total
@@ -132,7 +138,7 @@ func (a *admission) tryAdmit(tenant string) (release func(), ok bool) {
 		share = 1
 	}
 	if a.inflight[tenant] >= share {
-		a.shed[tenant]++
+		a.shed[a.seriesOf(tenant)]++
 		return nil, false
 	}
 	a.inflight[tenant]++
@@ -156,31 +162,35 @@ type TenantSnapshot struct {
 	Shed     int64  `json:"shed"`
 }
 
-// snapshots samples per-tenant admission state: every configured tenant,
-// plus any unconfigured tenant that has current in-flight work or sheds.
+// seriesOf names the metrics series tenant is counted under: its own when
+// it is listed or anonymous, unlistedTenants otherwise. Admission still
+// gives each unlisted tenant its own share.
+func (a *admission) seriesOf(tenant string) string {
+	if _, listed := a.weights[tenant]; listed || tenant == anonymousTenant {
+		return tenant
+	}
+	return unlistedTenants
+}
+
+// snapshots samples admission state per series: every configured tenant,
+// and the anonymous and unlisted series while they have in-flight work or
+// once they have shed.
 func (a *admission) snapshots() []TenantSnapshot {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	seen := map[string]bool{}
-	var out []TenantSnapshot
-	add := func(t string) {
-		if seen[t] {
-			return
-		}
-		seen[t] = true
-		out = append(out, TenantSnapshot{
-			Tenant: t, Weight: a.weightOf(t),
-			Inflight: a.inflight[t], Shed: a.shed[t],
-		})
-	}
+	inflight := make(map[string]int, len(a.weights)+2)
 	for t := range a.weights {
-		add(t)
+		inflight[t] = 0
 	}
-	for t := range a.inflight {
-		add(t)
+	for t, n := range a.inflight {
+		inflight[a.seriesOf(t)] += n
 	}
 	for t := range a.shed {
-		add(t)
+		inflight[t] += 0
+	}
+	out := make([]TenantSnapshot, 0, len(inflight))
+	for t, n := range inflight {
+		out = append(out, TenantSnapshot{Tenant: t, Weight: a.weightOf(t), Inflight: n, Shed: a.shed[t]})
 	}
 	return out
 }

@@ -71,7 +71,7 @@ func checkAgainstOracle(t *testing.T, body []byte) ([]Instance, error) {
 	insts, err := checkDecoder(t, d, body)
 	copies := make([]Instance, len(insts))
 	for i, inst := range insts {
-		copies[i] = inst.clone()
+		copies[i] = Instance{Values: slices.Clone(inst.Values), Shape: slices.Clone(inst.Shape)}
 	}
 	return copies, err
 }
@@ -470,8 +470,8 @@ func BenchmarkPredictCodec(b *testing.B) {
 	})
 }
 
-// codecTestServer serves one echo model and a one-step graph over it.
-func codecTestServer(t *testing.T, run runner) (*Server, *httptest.Server) {
+// codecTestServer serves one echo model.
+func codecTestServer(t *testing.T, run runner) *httptest.Server {
 	t.Helper()
 	reg := NewRegistry()
 	m := stubModel("echo", Config{MaxBatchSize: 4, Workers: 1, QueueSize: 64}, run)
@@ -481,18 +481,15 @@ func codecTestServer(t *testing.T, run runner) (*Server, *httptest.Server) {
 	t.Cleanup(api.Close)
 	srv := httptest.NewServer(api)
 	t.Cleanup(srv.Close)
-	if err := api.RegisterGraph(GraphSpec{Name: "flow", Root: &GraphNode{Kind: NodeModel, Model: "echo"}}); err != nil {
-		t.Fatal(err)
-	}
-	return api, srv
+	return srv
 }
 
-// TestPredictCodecHTTPStatus covers the wire-level status codes on both
-// predict endpoints: 413 for a body over the limit (400 before the
+// TestPredictCodecHTTPStatus covers the wire-level status codes on the
+// predict endpoint: 413 for a body over the limit (400 before the
 // codec), 400 for bytes after the request object (accepted before), and
 // the unchanged 400s and 200.
 func TestPredictCodecHTTPStatus(t *testing.T) {
-	_, srv := codecTestServer(t, runnerFunc(echoRunner))
+	srv := codecTestServer(t, runnerFunc(echoRunner))
 	oversize := `{"pad":"` + strings.Repeat("x", maxBodyBytes) + `","instances":[[1]]}`
 	cases := []struct {
 		name, body string
@@ -509,24 +506,23 @@ func TestPredictCodecHTTPStatus(t *testing.T) {
 		{"no instances", `{"inputs":[[1]]}`, http.StatusBadRequest},
 		{"out of range", `{"instances":[[1e400]]}`, http.StatusBadRequest},
 	}
-	for _, path := range []string{"/v1/models/echo:predict", "/v1/graphs/flow:predict"} {
-		for _, tc := range cases {
-			code, data, _ := postJSON(t, srv.URL+path, tc.body, nil)
-			if code != tc.want {
-				t.Errorf("%s %s: status %d, want %d: %.200s", path, tc.name, code, tc.want, data)
-			}
-			var reply map[string]any
-			if err := json.Unmarshal(data, &reply); err != nil {
-				t.Errorf("%s %s: response is not JSON: %v: %.200s", path, tc.name, err, data)
-			} else if _, isErr := reply["error"]; isErr == (code == http.StatusOK) {
-				t.Errorf("%s %s: status %d with body %.200s", path, tc.name, code, data)
-			}
+	url := srv.URL + "/v1/models/echo:predict"
+	for _, tc := range cases {
+		code, data, _ := postJSON(t, url, tc.body, nil)
+		if code != tc.want {
+			t.Errorf("%s: status %d, want %d: %.200s", tc.name, code, tc.want, data)
 		}
-		// The server must still be serving after every rejected body.
-		if code, data, _ := postJSON(t, srv.URL+path, `{"instances":[[1,2]]}`, nil); code != http.StatusOK ||
-			string(data) != "{\"predictions\":[[1,2]]}\n" {
-			t.Errorf("%s after rejects: status %d body %q", path, code, data)
+		var reply map[string]any
+		if err := json.Unmarshal(data, &reply); err != nil {
+			t.Errorf("%s: response is not JSON: %v: %.200s", tc.name, err, data)
+		} else if _, isErr := reply["error"]; isErr == (code == http.StatusOK) {
+			t.Errorf("%s: status %d with body %.200s", tc.name, code, data)
 		}
+	}
+	// The server must still be serving after every rejected body.
+	if code, data, _ := postJSON(t, url, `{"instances":[[1,2]]}`, nil); code != http.StatusOK ||
+		string(data) != "{\"predictions\":[[1,2]]}\n" {
+		t.Errorf("after rejects: status %d body %q", code, data)
 	}
 }
 
@@ -541,36 +537,16 @@ func TestPredictCodecNonFiniteOutput(t *testing.T) {
 		}
 		return out, nil
 	})
-	_, srv := codecTestServer(t, nan)
-	for path, producer := range map[string]string{
-		"/v1/models/echo:predict": `model "echo"`,
-		"/v1/graphs/flow:predict": `graph "flow"`,
-	} {
-		code, data, _ := postJSON(t, srv.URL+path, `{"instances":[[1,2]]}`, nil)
-		if code != http.StatusInternalServerError {
-			t.Errorf("%s: status %d, want 500: %q", path, code, data)
-		}
-		var reply struct {
-			Error string `json:"error"`
-		}
-		if err := json.Unmarshal(data, &reply); err != nil || !strings.Contains(reply.Error, producer) || !strings.Contains(reply.Error, "NaN") {
-			t.Errorf("%s: error body %q does not name %s and NaN (%v)", path, data, producer, err)
-		}
+	srv := codecTestServer(t, nan)
+	code, data, _ := postJSON(t, srv.URL+"/v1/models/echo:predict", `{"instances":[[1,2]]}`, nil)
+	if code != http.StatusInternalServerError {
+		t.Errorf("status %d, want 500: %q", code, data)
 	}
-}
-
-// TestPredictCodecGraphStageMetrics: the graph endpoint reports its own
-// decode and encode stages on /metrics, under the graph/ model label.
-func TestPredictCodecGraphStageMetrics(t *testing.T) {
-	_, srv := codecTestServer(t, runnerFunc(echoRunner))
-	if code, data, _ := postJSON(t, srv.URL+"/v1/graphs/flow:predict", `{"instances":[[1,2]]}`, nil); code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, data)
+	var reply struct {
+		Error string `json:"error"`
 	}
-	_, metrics := get(t, srv.URL+"/metrics", nil)
-	for _, stage := range []string{"decode", "encode"} {
-		if series := fmt.Sprintf("serving_stage_latency_ms{model=%q,stage=%q,", "graph/flow", stage); !strings.Contains(metrics, series) {
-			t.Errorf("/metrics has no %s…}", series)
-		}
+	if err := json.Unmarshal(data, &reply); err != nil || !strings.Contains(reply.Error, `model "echo"`) || !strings.Contains(reply.Error, "NaN") {
+		t.Errorf("error body %q does not name model \"echo\" and NaN (%v)", data, err)
 	}
 }
 
@@ -706,38 +682,6 @@ func TestAbandonedRequestKeepsItsValues(t *testing.T) {
 		if err := <-bDone; err != nil {
 			t.Errorf("request B: %v", err)
 		}
-	})
-}
-
-// TestShadowKeepsItsValues: a shadow prediction outlives the handler that
-// started it. The primary answers request X and X's decoder goes back to
-// the pool while the shadow still holds X's instance; request Y, with
-// other values, is then decoded. The shadow model must receive X's values
-// bit for bit.
-func TestShadowKeepsItsValues(t *testing.T) {
-	inRunner, proceed, got := make(chan struct{}), make(chan struct{}), make(chan []float32, 1)
-	v1 := stubModel("sh@v1", Config{MaxBatchSize: 1, Workers: 1, QueueSize: 8}, runnerFunc(echoRunner))
-	v2 := stubModel("sh@v2", Config{MaxBatchSize: 1, Workers: 1, QueueSize: 8}, blockingRunner(inRunner, proceed, got))
-	reg, url, handled := ownershipServer(t, v1, v2)
-	if err := reg.SetShadow("sh", "v2"); err != nil {
-		t.Fatal(err)
-	}
-	url += "/v1/models/sh:predict"
-	wantX, bodyX := ramp(3, 512)
-	_, bodyY := ramp(-2000, 512)
-
-	onePool(func() {
-		for _, body := range []string{bodyX, bodyY} {
-			if code, err := post(context.Background(), url, body); err != nil || code != http.StatusOK {
-				t.Fatalf("predict: status %d, %v", code, err)
-			}
-			<-handled
-			if body == bodyX {
-				<-inRunner
-			}
-		}
-		close(proceed)
-		sameValues(t, "the shadow's instance", <-got, wantX)
 	})
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,36 +16,6 @@ import (
 	"testing"
 	"time"
 )
-
-// addRunner returns each instance with delta added to every value.
-func addRunner(delta float32) runnerFunc {
-	return func(batch []Instance) ([]Instance, error) {
-		out := make([]Instance, len(batch))
-		for i, in := range batch {
-			vals := make([]float32, len(in.Values))
-			for j, v := range in.Values {
-				vals[j] = v + delta
-			}
-			out[i] = Instance{Values: vals, Shape: in.Shape}
-		}
-		return out, nil
-	}
-}
-
-// scaleRunner returns each instance with every value scaled.
-func scaleRunner(factor float32) runnerFunc {
-	return func(batch []Instance) ([]Instance, error) {
-		out := make([]Instance, len(batch))
-		for i, in := range batch {
-			vals := make([]float32, len(in.Values))
-			for j, v := range in.Values {
-				vals[j] = v * factor
-			}
-			out[i] = Instance{Values: vals, Shape: in.Shape}
-		}
-		return out, nil
-	}
-}
 
 // postJSON posts a predict body and returns status, response body and
 // headers.
@@ -215,53 +186,6 @@ func TestCanaryOverHTTP(t *testing.T) {
 	}
 	if st.Default != "v1" || st.Canary != "v2" || st.CanaryPercent != 10 {
 		t.Fatalf("rollout status = %+v", st)
-	}
-}
-
-// TestShadowMirrors verifies duplicate-and-discard routing: every
-// bare-name request is mirrored to the shadow version, responses come
-// only from the primary.
-func TestShadowMirrors(t *testing.T) {
-	reg := NewRegistry()
-	v1 := stubModel("sh@v1", Config{MaxBatchSize: 1, Workers: 1, QueueSize: 64}, addRunner(0))
-	v2 := stubModel("sh@v2", Config{MaxBatchSize: 1, Workers: 1, QueueSize: 64}, addRunner(100))
-	defer v1.unload()
-	defer v2.unload()
-	reg.install(v1)
-	reg.install(v2)
-	if err := reg.SetShadow("sh", "v2"); err != nil {
-		t.Fatal(err)
-	}
-	api := NewServer(reg)
-	defer api.Close()
-	srv := httptest.NewServer(api)
-	defer srv.Close()
-
-	const n = 5
-	for i := 0; i < n; i++ {
-		code, data, hdr := postJSON(t, srv.URL+"/v1/models/sh:predict", `{"instances": [[7]]}`, nil)
-		if code != http.StatusOK {
-			t.Fatalf("predict: status %d: %s", code, data)
-		}
-		// The primary echoes 7; the shadow would have returned 107.
-		if !bytes.Contains(data, []byte("[7]")) {
-			t.Fatalf("response leaked shadow output: %s", data)
-		}
-		if got := hdr.Get("X-Serving-Model"); got != "sh@v1" {
-			t.Fatalf("served by %q, want primary sh@v1", got)
-		}
-	}
-
-	// Shadow predictions are fire-and-forget; wait for them to land.
-	deadline := time.Now().Add(5 * time.Second)
-	for v2.Metrics().Requests("ok") != n {
-		if time.Now().After(deadline) {
-			t.Fatalf("shadow received %d requests, want %d", v2.Metrics().Requests("ok"), n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if got := v2.Metrics().Routes(RouteShadow); got != n {
-		t.Errorf("shadow route counter = %d, want %d", got, n)
 	}
 }
 
@@ -459,160 +383,6 @@ func TestTenantShedding(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSequenceGraphE2E runs a preprocessor → classifier sequence graph
-// over HTTP and verifies the stages link up in the downloaded trace
-// under one request ID.
-func TestSequenceGraphE2E(t *testing.T) {
-	reg := NewRegistry()
-	pre := stubModel("pre", Config{MaxBatchSize: 4, Workers: 1, QueueSize: 64}, scaleRunner(2))
-	clf := stubModel("clf", Config{MaxBatchSize: 4, Workers: 1, QueueSize: 64}, addRunner(10))
-	defer pre.unload()
-	defer clf.unload()
-	reg.install(pre)
-	reg.install(clf)
-	api := NewServer(reg)
-	defer api.Close()
-	srv := httptest.NewServer(api)
-	defer srv.Close()
-
-	err := api.RegisterGraph(GraphSpec{
-		Name: "imgflow",
-		Root: &GraphNode{Kind: NodeSequence, Steps: []*GraphNode{
-			{Kind: NodeModel, Model: "pre"},
-			{Kind: NodeModel, Model: "clf"},
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	code, data, hdr := postJSON(t, srv.URL+"/v1/graphs/imgflow:predict",
-		`{"instances": [[1, 2]]}`, map[string]string{"X-Request-ID": "gtrace"})
-	if code != http.StatusOK {
-		t.Fatalf("graph predict: status %d: %s", code, data)
-	}
-	if hdr.Get("X-Request-ID") != "gtrace" {
-		t.Errorf("graph response echoed X-Request-ID %q", hdr.Get("X-Request-ID"))
-	}
-	var out struct {
-		Predictions [][]float64 `json:"predictions"`
-	}
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatalf("parsing graph response: %v\n%s", err, data)
-	}
-	// [1,2] ×2 → [2,4], +10 → [12,14].
-	if len(out.Predictions) != 1 || len(out.Predictions[0]) != 2 ||
-		out.Predictions[0][0] != 12 || out.Predictions[0][1] != 14 {
-		t.Fatalf("graph output = %v, want [[12 14]]", out.Predictions)
-	}
-
-	// Both stages must appear in the trace under the request's ID, tagged
-	// with their graph paths.
-	resp, err := http.Get(srv.URL + "/debug/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var parsed struct {
-		TraceEvents []struct {
-			Cat  string         `json:"cat"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(trace, &parsed); err != nil {
-		t.Fatal(err)
-	}
-	traceIDs := map[string]bool{}
-	for _, te := range parsed.TraceEvents {
-		if te.Cat == "request" {
-			if id, _ := te.Args["trace"].(string); id != "" {
-				traceIDs[id] = true
-			}
-		}
-	}
-	for _, want := range []string{"gtrace/imgflow/root.0", "gtrace/imgflow/root.1"} {
-		if !traceIDs[want] {
-			t.Errorf("trace missing stage %q; tagged: %v", want, traceIDs)
-		}
-	}
-}
-
-// TestEnsembleAndSwitchGraphs covers the other two composition nodes:
-// ensemble fan-out with an average combiner, and content-based switch
-// routing.
-func TestEnsembleAndSwitchGraphs(t *testing.T) {
-	reg := NewRegistry()
-	a := stubModel("ens-a", Config{MaxBatchSize: 4, Workers: 1, QueueSize: 64}, addRunner(1))
-	b := stubModel("ens-b", Config{MaxBatchSize: 4, Workers: 1, QueueSize: 64}, addRunner(3))
-	c := stubModel("ens-c", Config{MaxBatchSize: 4, Workers: 1, QueueSize: 64}, runnerFunc(echoRunner))
-	defer a.unload()
-	defer b.unload()
-	defer c.unload()
-	reg.install(a)
-	reg.install(b)
-	reg.install(c)
-	api := NewServer(reg)
-	defer api.Close()
-	srv := httptest.NewServer(api)
-	defer srv.Close()
-
-	if err := api.RegisterGraph(GraphSpec{
-		Name: "avg",
-		Root: &GraphNode{Kind: NodeEnsemble, Combine: CombineAverage, Members: []*GraphNode{
-			{Kind: NodeModel, Model: "ens-a"},
-			{Kind: NodeModel, Model: "ens-b"},
-		}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := api.RegisterGraph(GraphSpec{
-		Name: "router",
-		Root: &GraphNode{Kind: NodeSwitch, Cases: []SwitchCase{
-			{Value: 1, Node: &GraphNode{Kind: NodeModel, Model: "ens-a"}},
-			{Value: 2, Node: &GraphNode{Kind: NodeModel, Model: "ens-b"}},
-		}, Default: &GraphNode{Kind: NodeModel, Model: "ens-c"}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Ensemble: (5+1 + 5+3)/2 = 7.
-	code, data, _ := postJSON(t, srv.URL+"/v1/graphs/avg:predict", `{"instances": [[5]]}`, nil)
-	if code != http.StatusOK {
-		t.Fatalf("ensemble predict: status %d: %s", code, data)
-	}
-	if !bytes.Contains(data, []byte("[7]")) {
-		t.Fatalf("ensemble average = %s, want [[7]]", data)
-	}
-
-	// Switch: selector 1 → +1, selector 2 → +3, selector 9 → default echo.
-	for _, tc := range []struct{ in, want string }{
-		{`[[1]]`, "[2]"},
-		{`[[2]]`, "[5]"},
-		{`[[9]]`, "[9]"},
-	} {
-		code, data, _ := postJSON(t, srv.URL+"/v1/graphs/router:predict",
-			`{"instances": `+tc.in+`}`, nil)
-		if code != http.StatusOK {
-			t.Fatalf("switch predict %s: status %d: %s", tc.in, code, data)
-		}
-		if !bytes.Contains(data, []byte(tc.want)) {
-			t.Fatalf("switch %s = %s, want %s", tc.in, data, tc.want)
-		}
-	}
-
-	// Graph listing surfaces both.
-	resp, err := http.Get(srv.URL + "/v1/graphs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !bytes.Contains(data, []byte(`"avg"`)) || !bytes.Contains(data, []byte(`"router"`)) {
-		t.Fatalf("graph listing = %s", data)
-	}
-}
-
 // TestReadyzAndDrain covers the readiness endpoint and graceful drain:
 // /readyz turns 503 during drain and predicts are refused while health
 // stays up.
@@ -671,6 +441,50 @@ func TestReadyzAndDrain(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz with loading model: %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestUnlistedTenantsShareOneSeries: a client picks its X-Tenant-ID, so
+// tenants the model does not list are counted in one series. A thousand IDs
+// shed once each, and two more holding a slot each, are one snapshot beside
+// the listed tenant's, and no shed or slot goes uncounted.
+func TestUnlistedTenantsShareOneSeries(t *testing.T) {
+	a := newAdmission(map[string]int{"pro": 4}, 2)
+	shedOnce := func(tenant string) {
+		var releases []func()
+		for {
+			release, ok := a.tryAdmit(tenant)
+			if !ok {
+				break
+			}
+			releases = append(releases, release)
+		}
+		for _, release := range releases {
+			release()
+		}
+	}
+	const ids = 1000
+	for i := 0; i < ids; i++ {
+		shedOnce(fmt.Sprintf("client-%d", i))
+	}
+	shedOnce("pro")
+	for _, tenant := range []string{"holder-1", "holder-2"} {
+		release, ok := a.tryAdmit(tenant)
+		if !ok {
+			t.Fatalf("%s shed with every slot free", tenant)
+		}
+		defer release()
+	}
+	got := map[string]TenantSnapshot{}
+	for _, ts := range a.snapshots() {
+		got[ts.Tenant] = ts
+	}
+	want := map[string]TenantSnapshot{
+		"pro":       {Tenant: "pro", Weight: 4, Shed: 1},
+		"_unlisted": {Tenant: "_unlisted", Weight: 1, Inflight: 2, Shed: ids},
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("tenant snapshots %v, want %v", got, want)
 	}
 }
 

@@ -28,10 +28,6 @@ const maxBodyBytes = 64 << 20
 //	GET  /v1/models/{base}:rollout      → version set + routing state
 //	POST /v1/models/{base}:promote      → ?version=v2: make v2 the default (hot swap)
 //	POST /v1/models/{base}:canary       → ?version=v2&percent=10: weighted canary split
-//	POST /v1/models/{base}:shadow       → ?version=v2: duplicate-and-discard mirror ("" clears)
-//	POST /v1/models/{base}:evict        → ?idle=5m: LRU-evict idle versions registry-wide
-//	GET  /v1/graphs                     → {"graphs": [...]}
-//	POST /v1/graphs/{name}:predict      → run an inference graph (sequence/ensemble/switch)
 //	GET  /healthz                       → liveness
 //	GET  /readyz                        → readiness (503 while loading or draining)
 //	GET  /metrics                       → OpenMetrics 1.0 text
@@ -40,7 +36,7 @@ const maxBodyBytes = 64 << 20
 //	GET  /debug/memory?leaks=N          → + N-second tensor-leak capture
 //
 // Predicting against a bare model name routes through the group's
-// rollout state (default/canary/shadow); base@version pins a version.
+// rollout state (default/canary); base@version pins a version.
 // The chosen version and route ride back on X-Serving-Model and
 // X-Serving-Route headers. Requests carrying X-Tenant-ID are subject to
 // that model's weighted-fair admission control; shed requests get 429
@@ -63,20 +59,16 @@ type Server struct {
 	stats      *telemetry.Stats
 	unregister func()
 	draining   atomic.Bool
-
-	graphMu sync.Mutex
-	graphs  map[string]*servedGraph
 }
 
 // NewServer wraps a registry in the HTTP API and attaches the telemetry
 // collectors to the global engine's hub.
 func NewServer(reg *Registry) *Server {
 	s := &Server{
-		reg:    reg,
-		mux:    http.NewServeMux(),
-		trace:  telemetry.NewRecorder(0),
-		stats:  telemetry.NewStats(),
-		graphs: map[string]*servedGraph{},
+		reg:   reg,
+		mux:   http.NewServeMux(),
+		trace: telemetry.NewRecorder(0),
+		stats: telemetry.NewStats(),
 	}
 	hub := core.Global().Telemetry()
 	removeTrace := hub.Register(s.trace)
@@ -92,8 +84,6 @@ func NewServer(reg *Registry) *Server {
 	s.mux.HandleFunc("/debug/memory", s.handleMemory)
 	s.mux.HandleFunc("/v1/models", s.handleList)
 	s.mux.HandleFunc("/v1/models/", s.handleModel)
-	s.mux.HandleFunc("/v1/graphs", s.handleGraphList)
-	s.mux.HandleFunc("/v1/graphs/", s.handleGraph)
 	return s
 }
 
@@ -149,14 +139,8 @@ const openMetricsContentType = "application/openmetrics-text; version=1.0.0; cha
 // (HELP/TYPE metadata, contiguous families, # EOF), whatever the request's
 // Accept header says.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snaps := s.reg.Snapshots()
-	s.graphMu.Lock()
-	for name, g := range s.graphs {
-		snaps[graphMetricsPrefix+name] = g.metrics.snapshot(0)
-	}
-	s.graphMu.Unlock()
 	w.Header().Set("Content-Type", openMetricsContentType)
-	fmt.Fprint(w, buildExposition(snaps, s.stats, s.trace).RenderOpenMetrics())
+	fmt.Fprint(w, buildExposition(s.reg.Snapshots(), s.stats, s.trace).RenderOpenMetrics())
 }
 
 // handleTrace downloads the retained trace ring as Chrome trace-event
@@ -263,9 +247,8 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleModel routes /v1/models/{name} (status), {name}:predict
-// (inference) and the rollout verbs (rollout/promote/canary/shadow/
-// evict). The verb rides the last path segment after a colon, as in
-// KServe/TF-Serving V1.
+// (inference) and the rollout verbs (rollout/promote/canary). The verb
+// rides the last path segment after a colon, as in KServe/TF-Serving V1.
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/models/")
 	name, verb := rest, ""
@@ -307,8 +290,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		writeJSON(w, http.StatusOK, st)
-	case r.Method == http.MethodPost &&
-		(verb == "promote" || verb == "canary" || verb == "shadow" || verb == "evict"):
+	case r.Method == http.MethodPost && (verb == "promote" || verb == "canary"):
 		s.handleRollout(w, r, name, verb)
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -337,19 +319,6 @@ func (s *Server) handleRollout(w http.ResponseWriter, r *http.Request, base, ver
 			}
 		}
 		err = s.reg.SetCanary(base, version, percent)
-	case "shadow":
-		err = s.reg.SetShadow(base, version)
-	case "evict":
-		idle := time.Duration(0)
-		if d := q.Get("idle"); d != "" {
-			idle, err = time.ParseDuration(d)
-			if err != nil {
-				writeJSON(w, http.StatusBadRequest, map[string]any{"error": "bad idle parameter"})
-				return
-			}
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"evicted": s.reg.EvictIdle(idle)})
-		return
 	}
 	if err != nil {
 		code := http.StatusBadRequest
@@ -383,34 +352,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, res Route
 		baseCtx = WithTenant(baseCtx, tenant)
 	}
 
-	// A freshly resurrected (post-eviction) version is still pulling its
-	// artifacts; wait for the lazy reload within the request's deadline.
-	if res.Resurrected {
-		if err := m.WaitReady(baseCtx); err != nil {
-			s.writePredictError(w, err)
-			d.release()
-			return
-		}
-	}
-
-	// Shadow traffic: duplicate the instances to the shadow version and
-	// discard its responses. Fire-and-forget on a detached context so a
-	// slow shadow never holds up (or gets cancelled by) the primary
-	// response — exactly the production-soak semantics. The shadow
-	// outlives this handler, and with it d, so it predicts on a copy.
-	if res.Shadow != nil {
-		shadow := res.Shadow
-		shadowCtx := context.WithoutCancel(baseCtx)
-		for i, inst := range insts {
-			inst := inst.clone()
-			go func() {
-				ctx := WithRequestID(shadowCtx, fmt.Sprintf("%s/shadow#%d", reqID, i))
-				//lint:ignore operr shadow responses are discarded by definition; errors surface via the shadow model's own metrics
-				_, _ = shadow.Predict(ctx, inst)
-			}()
-		}
-	}
-
 	// Each instance is its own schedulable unit so the micro-batcher can
 	// coalesce across requests; a multi-instance request fans out here
 	// and joins below. Fanned-out instances get a per-instance suffix so
@@ -422,7 +363,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, res Route
 			d.releaseAfter(err)
 			return
 		}
-		writePredictions(w, "model", m.Name(), m.metrics, []Instance{out})
+		writePredictions(w, m.Name(), m.metrics, []Instance{out})
 		d.release()
 		return
 	}
@@ -445,17 +386,16 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, res Route
 			return
 		}
 	}
-	writePredictions(w, "model", m.Name(), m.metrics, outs)
+	writePredictions(w, m.Name(), m.metrics, outs)
 	d.release()
 }
 
-// decodePredict reads and decodes the predict wire format shared by the
-// model and graph endpoints, and stamps the X-Request-ID response header:
-// the caller's ID is honored, one is minted otherwise, and it is echoed so
-// the caller can correlate this HTTP exchange with the request's stage
-// events in /debug/trace. The "decode" stage it observes on metrics is the
-// parse alone, not the wait for the client's bytes. ok=false means the
-// error response was already written.
+// decodePredict reads and decodes the predict wire format, and stamps the
+// X-Request-ID response header: the caller's ID is honored, one is minted
+// otherwise, and it is echoed so the caller can correlate this HTTP
+// exchange with the request's stage events in /debug/trace. The "decode"
+// stage it observes on metrics is the parse alone, not the wait for the
+// client's bytes. ok=false means the error response was already written.
 //
 // The instances are d's. The caller releases d once every Predict on them
 // has returned and the response is written, unless a Predict's submitter
@@ -506,14 +446,14 @@ func (d *predictDecoder) releaseAfter(errs ...error) {
 
 // writePredictions encodes outs and writes the 200 response. Encoding
 // finishes before the status line goes out, so an output JSON cannot carry
-// (NaN, ±Inf) is a 500 naming its producer (kind "model" or "graph", and
-// its name) rather than a 200 with a truncated body.
-func writePredictions(w http.ResponseWriter, kind, name string, metrics *Metrics, outs []Instance) {
+// (NaN, ±Inf) is a 500 naming the model rather than a 200 with a truncated
+// body.
+func writePredictions(w http.ResponseWriter, name string, metrics *Metrics, outs []Instance) {
 	start := time.Now()
 	bufp := encodeBufPool.Get().(*[]byte)
 	buf, err := appendPredictions((*bufp)[:0], outs)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": fmt.Sprintf("%s %q: %v", kind, name, err)})
+		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": fmt.Sprintf("model %q: %v", name, err)})
 	} else {
 		metrics.ObserveStage("encode", durMS(start, time.Now()))
 		w.Header().Set("Content-Type", "application/json")

@@ -37,8 +37,8 @@ type Metrics struct {
 	// latency number.
 	stages map[string]*telemetry.Distribution
 
-	// routes counts routing decisions by label (stable, canary, shadow,
-	// pinned) — the observability behind a rollout's traffic split.
+	// routes counts routing decisions by label (stable, canary, pinned) —
+	// the observability behind a rollout's traffic split.
 	routes map[string]int64
 }
 
@@ -53,8 +53,7 @@ func NewMetrics() *Metrics {
 	}
 }
 
-// ObserveRoute counts one routing decision (stable, canary, shadow,
-// pinned).
+// ObserveRoute counts one routing decision (stable, canary, pinned).
 func (m *Metrics) ObserveRoute(route string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -232,7 +231,7 @@ func buildExposition(models map[string]Snapshot, stats *telemetry.Stats, trace *
 	e.Family("serving_batch_size_total", telemetry.TypeCounter, "Executed batches by batch size.")
 	e.Family("serving_queue_depth", telemetry.TypeGauge, "Requests waiting in the batching queue.")
 	e.Family("serving_queue_rejected_total", telemetry.TypeCounter, "Submissions refused because the queue was full.")
-	e.Family("serving_route_total", telemetry.TypeCounter, "Routing decisions by label (stable, canary, shadow, pinned).")
+	e.Family("serving_route_total", telemetry.TypeCounter, "Routing decisions by label (stable, canary, pinned).")
 	e.Family("serving_replica_inflight", telemetry.TypeGauge, "Batches currently executing per replica.")
 	e.Family("serving_replica_batches_total", telemetry.TypeCounter, "Batches executed per replica.")
 	e.Family("serving_replica_busy_ms_total", telemetry.TypeCounter, "Cumulative busy time per replica (ms).")

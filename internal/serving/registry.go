@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/converter"
@@ -20,8 +19,7 @@ type State int
 
 // Lifecycle states: Load is asynchronous, so a model is visible (and
 // reports 503) while loading; Unload stops the scheduler and frees
-// weights. Evicted versions look Unloaded until a request resurrects
-// them.
+// weights.
 const (
 	StateLoading State = iota
 	StateReady
@@ -324,34 +322,18 @@ func displayName(base, version string) string {
 	return base + "@" + version
 }
 
-// entry is one version's slot in a group. The store and options are
-// retained so an LRU-evicted version can be reloaded lazily on its next
-// request (the converter store is the artifact source of truth; eviction
-// frees the weights, not the artifacts).
-type entry struct {
-	model    *Model
-	store    converter.Store
-	opts     ModelOptions
-	lastUsed atomic.Int64 // unix nanos of the last routed request
-	evicted  bool         // true between EvictIdle and lazy reload
-}
-
-func (e *entry) touch() { e.lastUsed.Store(time.Now().UnixNano()) }
-
 // group is one model name's version set plus its rollout state: which
-// version is the default, whether a canary takes a weighted slice of
-// traffic, and whether a shadow version receives duplicate-and-discard
+// version is the default, and whether a canary takes a weighted slice of
 // traffic.
 type group struct {
 	base string
 
 	mu        sync.Mutex
-	versions  map[string]*entry
+	versions  map[string]*Model
 	order     []string // registration order; order[0]'s successor inherits default on unload
 	defaultV  string
 	canaryV   string
 	canaryPct int
-	shadowV   string
 }
 
 // Route labels for metrics and response headers.
@@ -359,7 +341,6 @@ const (
 	RouteStable = "stable"
 	RouteCanary = "canary"
 	RoutePinned = "pinned"
-	RouteShadow = "shadow"
 )
 
 // Registry holds the named models a server exposes, each name a group of
@@ -382,7 +363,7 @@ func (r *Registry) groupFor(base string, create bool) (*group, bool) {
 	defer r.mu.Unlock()
 	g, ok := r.groups[base]
 	if !ok && create {
-		g = &group{base: base, versions: map[string]*entry{}}
+		g = &group{base: base, versions: map[string]*Model{}}
 		r.groups[base] = g
 		ok = true
 	}
@@ -416,7 +397,7 @@ func newModel(name string, opts ModelOptions) *Model {
 // artifacts asynchronously; the returned model reports StateLoading until
 // done (WaitReady blocks). The first version loaded under a base becomes
 // the group's default; later versions receive traffic only when promoted,
-// canaried, shadowed, or addressed explicitly as base@version.
+// canaried, or addressed explicitly as base@version.
 func (r *Registry) Load(name string, store converter.Store, opts ModelOptions) (*Model, error) {
 	if name == "" {
 		return nil, fmt.Errorf("serving: empty model name")
@@ -432,9 +413,7 @@ func (r *Registry) Load(name string, store converter.Store, opts ModelOptions) (
 		g.mu.Unlock()
 		return nil, fmt.Errorf("serving: model %q already loaded", name)
 	}
-	e := &entry{model: m, store: store, opts: opts}
-	e.touch()
-	g.versions[version] = e
+	g.versions[version] = m
 	g.order = append(g.order, version)
 	if len(g.order) == 1 {
 		g.defaultV = version
@@ -451,9 +430,7 @@ func (r *Registry) install(m *Model) {
 	g, _ := r.groupFor(base, true)
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	e := &entry{model: m}
-	e.touch()
-	g.versions[version] = e
+	g.versions[version] = m
 	g.order = append(g.order, version)
 	if len(g.order) == 1 {
 		g.defaultV = version
@@ -462,8 +439,8 @@ func (r *Registry) install(m *Model) {
 
 // Unload stops and removes a model. A bare name removes the whole group;
 // "base@version" removes one version — if it was the default, the oldest
-// remaining version inherits the default (and any canary/shadow pointer
-// at it is cleared).
+// remaining version inherits the default (and a canary pointer at it is
+// cleared).
 func (r *Registry) Unload(name string) error {
 	base, version := parseModelName(name)
 	g, ok := r.groupFor(base, false)
@@ -482,17 +459,15 @@ func (r *Registry) Unload(name string) error {
 			g.mu.Unlock()
 			return ErrNotFound
 		}
-		for _, e := range g.versions {
-			if e.model != nil {
-				toUnload = append(toUnload, e.model)
-			}
+		for _, m := range g.versions {
+			toUnload = append(toUnload, m)
 		}
-		g.versions = map[string]*entry{}
+		g.versions = map[string]*Model{}
 		g.order = nil
 		g.mu.Unlock()
 	} else {
 		g.mu.Lock()
-		e, ok := g.versions[version]
+		m, ok := g.versions[version]
 		if !ok {
 			g.mu.Unlock()
 			return ErrNotFound
@@ -507,9 +482,6 @@ func (r *Registry) Unload(name string) error {
 		if g.canaryV == version {
 			g.canaryV, g.canaryPct = "", 0
 		}
-		if g.shadowV == version {
-			g.shadowV = ""
-		}
 		if g.defaultV == version {
 			g.defaultV = ""
 			if len(g.order) > 0 {
@@ -518,9 +490,7 @@ func (r *Registry) Unload(name string) error {
 		}
 		empty := len(g.versions) == 0
 		g.mu.Unlock()
-		if e.model != nil {
-			toUnload = append(toUnload, e.model)
-		}
+		toUnload = append(toUnload, m)
 		if empty {
 			r.mu.Lock()
 			// Another Load may have raced a fresh group in; only remove ours.
@@ -538,8 +508,7 @@ func (r *Registry) Unload(name string) error {
 
 // Get returns the named model without routing: "base" resolves to the
 // group's default version, "base@version" to that exact version. Get is
-// passive — it does not count routes, touch LRU clocks, or resurrect
-// evicted versions.
+// passive: it does not count routes.
 func (r *Registry) Get(name string) (*Model, bool) {
 	base, version := parseModelName(name)
 	g, ok := r.groupFor(base, false)
@@ -551,11 +520,8 @@ func (r *Registry) Get(name string) (*Model, bool) {
 	if !strings.Contains(name, "@") {
 		version = g.defaultV
 	}
-	e, ok := g.versions[version]
-	if !ok || e.model == nil {
-		return nil, false
-	}
-	return e.model, true
+	m, ok := g.versions[version]
+	return m, ok
 }
 
 // RouteResult describes one routing decision.
@@ -564,21 +530,12 @@ type RouteResult struct {
 	Model *Model
 	// Route is how it was chosen: stable, canary, or pinned.
 	Route string
-	// Shadow, when non-nil, must receive a duplicate of the request whose
-	// response is discarded.
-	Shadow *Model
-	// Resurrected reports that Model was just revived from eviction and is
-	// loading; callers should WaitReady before predicting.
-	Resurrected bool
 }
 
 // Route resolves a request's model with rollout routing: an explicit
 // "base@version" pins that version; a bare name rolls the canary dice
-// (canaryPct% of traffic to the canary version, the rest to the default)
-// and attaches the shadow version when one is set. Routed entries'
-// LRU clocks are touched, evicted entries are resurrected (the request
-// should WaitReady on the returned model), and the chosen model's route
-// counter increments.
+// (canaryPct% of traffic to the canary version, the rest to the default).
+// The chosen model's route counter increments.
 func (r *Registry) Route(name string) (RouteResult, error) {
 	base, version := parseModelName(name)
 	g, ok := r.groupFor(base, false)
@@ -596,38 +553,13 @@ func (r *Registry) Route(name string) (RouteResult, error) {
 			route = RouteCanary
 		}
 	}
-	e, ok := g.versions[version]
-	if !ok || e.model == nil {
-		g.mu.Unlock()
+	m, ok := g.versions[version]
+	g.mu.Unlock()
+	if !ok {
 		return RouteResult{}, ErrNotFound
 	}
-	res := RouteResult{Route: route}
-	res.Model, res.Resurrected = g.resurrectLocked(e)
-	if !pinned && g.shadowV != "" && g.shadowV != version {
-		if se, ok := g.versions[g.shadowV]; ok && se.model != nil {
-			res.Shadow, _ = g.resurrectLocked(se)
-			res.Shadow.metrics.ObserveRoute(RouteShadow)
-		}
-	}
-	g.mu.Unlock()
-	res.Model.metrics.ObserveRoute(route)
-	return res, nil
-}
-
-// resurrectLocked touches an entry's LRU clock and, if the entry was
-// evicted, swaps in a fresh Model and restarts its asynchronous load from
-// the retained store — the lazy artifact pull behind LRU eviction. Caller
-// holds g.mu.
-func (g *group) resurrectLocked(e *entry) (*Model, bool) {
-	e.touch()
-	if e.evicted && e.store != nil {
-		m := newModel(e.model.name, e.opts)
-		e.model = m
-		e.evicted = false
-		go m.load(e.store)
-		return m, true
-	}
-	return e.model, false
+	m.metrics.ObserveRoute(route)
+	return RouteResult{Model: m, Route: route}, nil
 }
 
 // Promote makes version the group's default — the zero-downtime hot swap:
@@ -675,27 +607,6 @@ func (r *Registry) SetCanary(base, version string, percent int) error {
 	return nil
 }
 
-// SetShadow duplicates the group's bare-name traffic to version,
-// discarding the duplicate's responses — the risk-free way to soak a new
-// version on production traffic. An empty version clears the shadow.
-func (r *Registry) SetShadow(base, version string) error {
-	g, ok := r.groupFor(base, false)
-	if !ok {
-		return ErrNotFound
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if version == "" {
-		g.shadowV = ""
-		return nil
-	}
-	if _, ok := g.versions[version]; !ok {
-		return ErrNotFound
-	}
-	g.shadowV = version
-	return nil
-}
-
 // RolloutStatus is the JSON shape of one group's rollout state.
 type RolloutStatus struct {
 	Name          string   `json:"name"`
@@ -703,8 +614,6 @@ type RolloutStatus struct {
 	Default       string   `json:"default"`
 	Canary        string   `json:"canary,omitempty"`
 	CanaryPercent int      `json:"canary_percent,omitempty"`
-	Shadow        string   `json:"shadow,omitempty"`
-	Evicted       []string `json:"evicted,omitempty"`
 }
 
 // Rollout reports a group's version set and routing state.
@@ -715,58 +624,13 @@ func (r *Registry) Rollout(base string) (RolloutStatus, error) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	st := RolloutStatus{
+	return RolloutStatus{
 		Name:          base,
 		Versions:      append([]string(nil), g.order...),
 		Default:       g.defaultV,
 		Canary:        g.canaryV,
 		CanaryPercent: g.canaryPct,
-		Shadow:        g.shadowV,
-	}
-	for _, v := range g.order {
-		if e := g.versions[v]; e != nil && e.evicted {
-			st.Evicted = append(st.Evicted, v)
-		}
-	}
-	return st, nil
-}
-
-// EvictIdle unloads versions that are not routing targets (not default,
-// canary or shadow) and have not been routed to for at least idleFor.
-// Evicted versions keep their registry slot and artifact store; the next
-// pinned request resurrects them with a lazy reload. Returns the evicted
-// display names.
-func (r *Registry) EvictIdle(idleFor time.Duration) []string {
-	cutoff := time.Now().Add(-idleFor).UnixNano()
-	var evicted []string
-	var toUnload []*Model
-	for _, base := range r.groupNames() {
-		g, ok := r.groupFor(base, false)
-		if !ok {
-			continue
-		}
-		g.mu.Lock()
-		for v, e := range g.versions {
-			if v == g.defaultV || v == g.canaryV || v == g.shadowV {
-				continue
-			}
-			if e.evicted || e.model == nil || !e.model.Ready() {
-				continue
-			}
-			if e.lastUsed.Load() > cutoff {
-				continue
-			}
-			toUnload = append(toUnload, e.model)
-			e.evicted = true
-			evicted = append(evicted, displayName(base, v))
-		}
-		g.mu.Unlock()
-	}
-	for _, m := range toUnload {
-		m.unload()
-	}
-	sort.Strings(evicted)
-	return evicted
+	}, nil
 }
 
 // groupNames lists group base names, sorted.
@@ -808,10 +672,8 @@ func (r *Registry) models() map[string]*Model {
 			continue
 		}
 		g.mu.Lock()
-		for v, e := range g.versions {
-			if e.model != nil {
-				out[displayName(base, v)] = e.model
-			}
+		for v, m := range g.versions {
+			out[displayName(base, v)] = m
 		}
 		g.mu.Unlock()
 	}
@@ -834,8 +696,8 @@ func (r *Registry) Snapshots() map[string]Snapshot {
 	return out
 }
 
-// AllReady reports whether every registered, non-evicted model version is
-// ready — the /readyz condition. An empty registry is ready.
+// AllReady reports whether every registered model version is ready — the
+// /readyz condition. An empty registry is ready.
 func (r *Registry) AllReady() bool {
 	for _, base := range r.groupNames() {
 		g, ok := r.groupFor(base, false)
@@ -843,11 +705,8 @@ func (r *Registry) AllReady() bool {
 			continue
 		}
 		g.mu.Lock()
-		for _, e := range g.versions {
-			if e.evicted || e.model == nil {
-				continue
-			}
-			if e.model.State() == StateLoading || e.model.State() == StateFailed {
+		for _, m := range g.versions {
+			if st := m.State(); st == StateLoading || st == StateFailed {
 				g.mu.Unlock()
 				return false
 			}

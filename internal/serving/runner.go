@@ -121,7 +121,7 @@ func (r *graphRunner) run(batch, out []Instance) (_ []Instance, err error) {
 	if err != nil {
 		return out, err
 	}
-	y, err := r.model.Predict(batched)
+	y, err := r.predict(batched)
 	e.RunExclusive(func() {
 		batched.Dispose()
 		if err == nil {
@@ -129,4 +129,11 @@ func (r *graphRunner) run(batch, out []Instance) (_ []Instance, err error) {
 		}
 	})
 	return out, err
+}
+
+// predict is the model's Predict with its panics turned into errors here,
+// so that run disposes the batched input whatever the plan does.
+func (r *graphRunner) predict(x *tensor.Tensor) (_ *tensor.Tensor, err error) {
+	defer recoverOpError(&err)
+	return r.model.Predict(x)
 }

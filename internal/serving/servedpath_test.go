@@ -447,6 +447,51 @@ func TestRejectedBatchLeavesNoTensor(t *testing.T) {
 	}
 }
 
+// TestPanickingPlanLeavesNoTensor: a batch whose plan panics (debug mode
+// throws on the NaN that 1e30·1e30 − 1e30·1e30 introduces) is the op's 400
+// for each of its requests, and the uploaded slab tensor is disposed on
+// that path too.
+func TestPanickingPlanLeavesNoTensor(t *testing.T) {
+	g := &savedmodel.GraphDef{
+		Nodes: []savedmodel.NodeDef{
+			{Name: "x", Op: "Placeholder", Attrs: map[string]any{"shape": []int{-1, 4}}},
+			{Name: "sq", Op: "Mul", Inputs: []string{"x", "x"}},
+			{Name: "y", Op: "Sub", Inputs: []string{"sq", "sq"}},
+		},
+		Inputs: []string{"x"}, Outputs: []string{"y"},
+	}
+	store := converter.NewMemStore()
+	if _, err := converter.Convert(g, store, converter.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	defer reg.Close()
+	m := loadReady(t, reg, "m", store, ModelOptions{Backend: "node", Batching: wholeBatches(2)})
+	core.Global().SetDebugMode(true)
+	t.Cleanup(func() { core.Global().SetDebugMode(false) })
+	before := core.Global().Memory()
+	insts := []Instance{
+		{Values: []float32{1, 2, 3, 4}, Shape: []int{4}},
+		{Values: []float32{1e30, 2, 3, 4}, Shape: []int{4}},
+	}
+	errs := make([]error, len(insts))
+	var wg sync.WaitGroup
+	for i := range insts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = m.Predict(context.Background(), insts[i])
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if code := statusFor(err); code != http.StatusBadRequest {
+			t.Errorf("request %d: status %d (%v), want the op's 400", i, code, err)
+		}
+	}
+	sameMemory(t, "after the panicking batch", before)
+}
+
 // TestOutputLeadingDimensionMustBeBatch: a model whose output does not
 // have one row per instance is a broken model (500, naming it and the
 // shape) whatever the shape is — not a panic, not an Instance with k times

@@ -36,7 +36,6 @@ package serving
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 )
 
@@ -109,11 +108,6 @@ func (in Instance) numElements() int {
 		n *= d
 	}
 	return n
-}
-
-// clone returns a copy of in that shares no storage with it.
-func (in Instance) clone() Instance {
-	return Instance{Values: slices.Clone(in.Values), Shape: slices.Clone(in.Shape)}
 }
 
 // ParseInstance converts a decoded JSON value (nested arrays of numbers,

@@ -22,19 +22,12 @@ type (
 	ServingModelOptions = serving.ModelOptions
 	// ServingInstance is one JSON-shaped example (values + shape).
 	ServingInstance = serving.Instance
-	// ServingRolloutStatus describes a versioned model group: default,
-	// canary and shadow versions plus evicted entries.
+	// ServingRolloutStatus describes a versioned model group: its versions,
+	// the default and the canary with its share of traffic.
 	ServingRolloutStatus = serving.RolloutStatus
 	// ServingShedError is returned when admission control or the bounded
 	// queue rejects a request; it carries a Retry-After hint.
 	ServingShedError = serving.ShedError
-	// ServingGraphSpec is a named inference graph (sequence / ensemble /
-	// switch composition over served models).
-	ServingGraphSpec = serving.GraphSpec
-	// ServingGraphNode is one node of an inference graph.
-	ServingGraphNode = serving.GraphNode
-	// ServingSwitchCase routes a switch node by an input value.
-	ServingSwitchCase = serving.SwitchCase
 )
 
 // NewServingRegistry returns an empty model registry.
