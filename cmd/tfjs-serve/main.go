@@ -5,12 +5,12 @@
 //	tfjs-serve -model mnist=./artifacts/mnist -model mobilenet=./m:webgl
 //	tfjs-serve -demo -replicas 4
 //
-// Each -model flag names a model (optionally "name@version" for
-// versioned rollout) and points it at a converted artifact directory
-// (the output of tfjs-convert), optionally suffixed with ":backend"
-// (cpu, webgl, node; default node). -demo synthesizes a MobileNet v1
-// α=0.25 model in memory and serves it as "mobilenet" so the API can be
-// exercised without artifacts on disk:
+// Each -model flag, name=dir[:backend], names a model and points it at a
+// converted artifact directory (the output of tfjs-convert), optionally
+// suffixed with ":backend" (cpu, webgl, node; default node). A name
+// holding '/' or ':' is refused, since no URL could reach it. -demo
+// synthesizes a MobileNet v1 α=0.25 model in memory and serves it as
+// "mobilenet" so the API can be exercised without artifacts on disk:
 //
 //	curl localhost:8500/v1/models
 //	curl localhost:8500/v1/models/mobilenet
@@ -19,9 +19,8 @@
 //
 // -replicas N loads N independent engine replicas per model, so
 // concurrent batches execute in parallel (set GOMAXPROCS ≥ N to realize
-// the speedup). -tenant id=weight (repeatable) enables weighted-fair
-// admission control keyed on the X-Tenant-ID header. Versioned models
-// roll out via POST /v1/models/{base}:promote|:canary.
+// the speedup). A predict that finds the model's queue full gets 429
+// with a Retry-After hint.
 //
 // -debug-addr localhost:6060 exposes net/http/pprof on a second,
 // typically loopback-only listener kept off the serving address.
@@ -40,7 +39,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -74,32 +72,9 @@ func (f *modelFlags) Set(v string) error {
 	return nil
 }
 
-// tenantFlags accumulates repeated -tenant id=weight flags.
-type tenantFlags map[string]int
-
-func (f *tenantFlags) String() string { return fmt.Sprint(*f) }
-
-func (f *tenantFlags) Set(v string) error {
-	id, weight, ok := strings.Cut(v, "=")
-	if !ok || id == "" {
-		return fmt.Errorf("want id=weight, got %q", v)
-	}
-	w, err := strconv.Atoi(weight)
-	if err != nil || w < 1 {
-		return fmt.Errorf("bad tenant weight %q", weight)
-	}
-	if *f == nil {
-		*f = tenantFlags{}
-	}
-	(*f)[id] = w
-	return nil
-}
-
 func main() {
 	var models modelFlags
-	var tenants tenantFlags
-	flag.Var(&models, "model", "serve a model: name[@version]=dir[:backend] (repeatable)")
-	flag.Var(&tenants, "tenant", "weighted-fair admission: id=weight (repeatable; enables X-Tenant-ID quotas)")
+	flag.Var(&models, "model", "serve a model: name=dir[:backend] (repeatable)")
 	addr := flag.String("addr", ":8500", "listen address")
 	maxBatch := flag.Int("max-batch", 16, "micro-batcher: max examples per batch")
 	batchTimeout := flag.Duration("batch-timeout", 2*time.Millisecond, "micro-batcher: max wait after first request")
@@ -128,7 +103,6 @@ func main() {
 	opts := serving.ModelOptions{
 		Batching: cfg,
 		Replicas: *replicas,
-		Tenants:  tenants,
 	}
 	reg := serving.NewRegistry()
 	defer reg.Close()

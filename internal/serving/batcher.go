@@ -23,7 +23,8 @@ type request struct {
 	inst     Instance
 	resp     chan response // buffered(1): workers never block on delivery
 	// timer bounds Submit's wait at deadline. It is the request's own and
-	// kept across reuses, stopped and drained before each.
+	// kept across reuses, stopped before each: a stopped timer's channel
+	// holds no stale value.
 	timer *time.Timer
 
 	// Tracing state. trace is the request/trace ID from the context ("" for
@@ -106,10 +107,52 @@ func newScheduler(cfg Config, model string, run runner, metrics *Metrics) *sched
 	return s
 }
 
+// ShedError is returned when the bounded queue refuses a request. It
+// unwraps to ErrQueueFull and maps to HTTP 429 with a Retry-After header
+// estimated from the model's recent execution latency.
+type ShedError struct {
+	// RetryAfter is the server's backoff hint.
+	RetryAfter time.Duration
+}
+
+// Error implements the error interface.
+func (e *ShedError) Error() string {
+	return fmt.Sprintf("serving: request shed (queue_full); retry after %s", e.RetryAfter)
+}
+
+// Unwrap lets errors.Is(err, ErrQueueFull) see a shed.
+func (e *ShedError) Unwrap() error { return ErrQueueFull }
+
 // retryAfter computes the backoff hint for a shed request from the
 // model's execute-stage latency and the queue ahead of it.
 func (s *scheduler) retryAfter() time.Duration {
 	return retryAfterHint(s.metrics, len(s.queue), s.cfg.MaxBatchSize)
+}
+
+// retryAfterHint estimates a client backoff from the model's recent
+// execute-stage latency and queue depth: roughly "one queue drain" —
+// p50 execution time times the batches ahead — clamped to a sane band.
+// The execute stage is sampled once per completed batch execute, so it is
+// the model's measured execution time; a model that has executed nothing
+// yet is assumed to take 50 ms.
+func retryAfterHint(m *Metrics, queueDepth, maxBatch int) time.Duration {
+	p50, _, _ := m.StagePercentiles("execute")
+	if p50 <= 0 {
+		p50 = 50 // nothing observed yet: assume a 50ms model
+	}
+	if maxBatch < 1 {
+		maxBatch = 1
+	}
+	batchesAhead := queueDepth/maxBatch + 1
+	d := time.Duration(p50*float64(batchesAhead)) * time.Millisecond
+	const floor, ceil = 100 * time.Millisecond, 5 * time.Second
+	if d < floor {
+		return floor
+	}
+	if d > ceil {
+		return ceil
+	}
+	return d
 }
 
 // Close stops the workers and waits for in-flight batches to finish.
@@ -162,12 +205,7 @@ func (s *scheduler) Submit(ctx context.Context, inst Instance) (Instance, error)
 	default:
 		s.recycle(req)
 		s.metrics.ObserveRejected()
-		// ShedError unwraps to ErrQueueFull, so errors.Is callers see the
-		// same contract as before; the wrapper adds the Retry-After hint.
-		return Instance{}, &ShedError{
-			Reason:     "queue_full",
-			RetryAfter: s.retryAfter(),
-		}
+		return Instance{}, &ShedError{RetryAfter: s.retryAfter()}
 	}
 	var timeout <-chan time.Time
 	if !req.deadline.IsZero() {
@@ -176,9 +214,7 @@ func (s *scheduler) Submit(ctx context.Context, inst Instance) (Instance, error)
 	}
 	select {
 	case r := <-req.resp:
-		if timeout != nil {
-			stopTimer(req.timer)
-		}
+		req.timer.Stop()
 		s.recycle(req)
 		return r.inst, r.err
 	case <-ctx.Done():
@@ -198,17 +234,6 @@ func stoppedTimer() *time.Timer {
 	t := time.NewTimer(time.Hour)
 	t.Stop()
 	return t
-}
-
-// stopTimer stops t, whose channel has not been read since its last Reset,
-// and leaves the channel empty for the next Reset. go.mod's go 1.22 keeps
-// the pre-1.23 timer channel: once t has fired (Stop returns false) its
-// value is in the channel or on its way, and is received here. Under the
-// 1.23 semantics the receive would never return.
-func stopTimer(t *time.Timer) {
-	if !t.Stop() {
-		<-t.C
-	}
 }
 
 // batcher is one worker's scratch, reused across its batches: the batch,
@@ -269,11 +294,11 @@ func (s *scheduler) gather(b *batcher, first *request) []*request {
 		case <-b.timer.C:
 			return b.batch
 		case <-s.stop:
-			stopTimer(b.timer)
+			b.timer.Stop()
 			return b.batch
 		}
 	}
-	stopTimer(b.timer)
+	b.timer.Stop()
 	return b.batch
 }
 

@@ -508,7 +508,7 @@ func TestPredictCodecHTTPStatus(t *testing.T) {
 	}
 	url := srv.URL + "/v1/models/echo:predict"
 	for _, tc := range cases {
-		code, data, _ := postJSON(t, url, tc.body, nil)
+		code, data := postJSON(t, url, tc.body)
 		if code != tc.want {
 			t.Errorf("%s: status %d, want %d: %.200s", tc.name, code, tc.want, data)
 		}
@@ -520,7 +520,7 @@ func TestPredictCodecHTTPStatus(t *testing.T) {
 		}
 	}
 	// The server must still be serving after every rejected body.
-	if code, data, _ := postJSON(t, url, `{"instances":[[1,2]]}`, nil); code != http.StatusOK ||
+	if code, data := postJSON(t, url, `{"instances":[[1,2]]}`); code != http.StatusOK ||
 		string(data) != "{\"predictions\":[[1,2]]}\n" {
 		t.Errorf("after rejects: status %d body %q", code, data)
 	}
@@ -538,7 +538,7 @@ func TestPredictCodecNonFiniteOutput(t *testing.T) {
 		return out, nil
 	})
 	srv := codecTestServer(t, nan)
-	code, data, _ := postJSON(t, srv.URL+"/v1/models/echo:predict", `{"instances":[[1,2]]}`, nil)
+	code, data := postJSON(t, srv.URL+"/v1/models/echo:predict", `{"instances":[[1,2]]}`)
 	if code != http.StatusInternalServerError {
 		t.Errorf("status %d, want 500: %q", code, data)
 	}
@@ -721,8 +721,7 @@ func TestReleaseAfterErrors(t *testing.T) {
 		errs []error
 		back bool
 	}{
-		{[]error{&ShedError{Reason: "queue_full"}}, true},
-		{[]error{&ShedError{Reason: "tenant_quota", Tenant: "free"}}, true},
+		{[]error{&ShedError{}}, true},
 		{[]error{ErrNotReady}, true},
 		{[]error{&core.OpError{Kernel: "MatMul", Err: errors.New("shape mismatch")}}, true},
 		{[]error{nil, errors.New("runner failed")}, true},

@@ -23,11 +23,8 @@ const maxBodyBytes = 64 << 20
 // Server exposes a Registry over the KServe-V1-style HTTP surface:
 //
 //	GET  /v1/models                     → {"models": [...]}
-//	GET  /v1/models/{name}              → readiness + state ({name} may be base@version)
+//	GET  /v1/models/{name}              → readiness + state
 //	POST /v1/models/{name}:predict      → {"instances": [...]} → {"predictions": [...]}
-//	GET  /v1/models/{base}:rollout      → version set + routing state
-//	POST /v1/models/{base}:promote      → ?version=v2: make v2 the default (hot swap)
-//	POST /v1/models/{base}:canary       → ?version=v2&percent=10: weighted canary split
 //	GET  /healthz                       → liveness
 //	GET  /readyz                        → readiness (503 while loading or draining)
 //	GET  /metrics                       → OpenMetrics 1.0 text
@@ -35,12 +32,8 @@ const maxBodyBytes = 64 << 20
 //	GET  /debug/memory                  → engine + device memory JSON
 //	GET  /debug/memory?leaks=N          → + N-second tensor-leak capture
 //
-// Predicting against a bare model name routes through the group's
-// rollout state (default/canary); base@version pins a version.
-// The chosen version and route ride back on X-Serving-Model and
-// X-Serving-Route headers. Requests carrying X-Tenant-ID are subject to
-// that model's weighted-fair admission control; shed requests get 429
-// with a Retry-After hint.
+// A predict the model's bounded queue refuses gets 429 with a Retry-After
+// hint.
 //
 // Every predict response echoes an X-Request-ID header — honored from
 // the inbound request or minted here — and the same ID tags the
@@ -115,8 +108,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReady is the load-balancer readiness gate: 200 only when every
-// registered model version finished loading and the server is not
-// draining.
+// registered model finished loading and the server is not draining.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	switch {
@@ -246,9 +238,9 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"models": s.reg.Names()})
 }
 
-// handleModel routes /v1/models/{name} (status), {name}:predict
-// (inference) and the rollout verbs (rollout/promote/canary). The verb
-// rides the last path segment after a colon, as in KServe/TF-Serving V1.
+// handleModel routes /v1/models/{name} (status) and {name}:predict
+// (inference). The verb rides the last path segment after a colon, as in
+// KServe/TF-Serving V1.
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/models/")
 	name, verb := rest, ""
@@ -277,87 +269,30 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusServiceUnavailable, map[string]any{"error": ErrShuttingDown.Error()})
 			return
 		}
-		res, err := s.reg.Route(name)
-		if err != nil {
-			writeJSON(w, statusFor(err), map[string]any{"error": fmt.Sprintf("model %q not found", name)})
+		m, ok := s.reg.Get(name)
+		if !ok {
+			writeJSON(w, http.StatusNotFound, map[string]any{"error": fmt.Sprintf("model %q not found", name)})
 			return
 		}
-		s.handlePredict(w, r, res)
-	case verb == "rollout" && r.Method == http.MethodGet:
-		st, err := s.reg.Rollout(name)
-		if err != nil {
-			writeJSON(w, statusFor(err), map[string]any{"error": err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
-	case r.Method == http.MethodPost && (verb == "promote" || verb == "canary"):
-		s.handleRollout(w, r, name, verb)
+		s.handlePredict(w, r, m)
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
 }
 
-// handleRollout executes one rollout mutation verb against a model group.
-func (s *Server) handleRollout(w http.ResponseWriter, r *http.Request, base, verb string) {
-	q := r.URL.Query()
-	version := q.Get("version")
-	var err error
-	switch verb {
-	case "promote":
-		if version == "" {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": "promote requires ?version="})
-			return
-		}
-		err = s.reg.Promote(base, version)
-	case "canary":
-		percent := 0
-		if p := q.Get("percent"); p != "" {
-			percent, err = strconv.Atoi(p)
-			if err != nil {
-				writeJSON(w, http.StatusBadRequest, map[string]any{"error": "bad percent parameter"})
-				return
-			}
-		}
-		err = s.reg.SetCanary(base, version, percent)
-	}
-	if err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, ErrNotFound) {
-			code = http.StatusNotFound
-		}
-		writeJSON(w, code, map[string]any{"error": err.Error()})
-		return
-	}
-	st, rerr := s.reg.Rollout(base)
-	if rerr != nil {
-		writeJSON(w, statusFor(rerr), map[string]any{"error": rerr.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, res RouteResult) {
-	m := res.Model
+func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, m *Model) {
 	d, insts, reqID, ok := s.decodePredict(w, r, m.metrics)
 	if !ok {
 		return
 	}
-	// Which version served this, and why — the observable half of a
-	// canary rollout.
-	w.Header().Set("X-Serving-Model", m.Name())
-	w.Header().Set("X-Serving-Route", res.Route)
-
-	baseCtx := r.Context()
-	if tenant := r.Header.Get("X-Tenant-ID"); tenant != "" {
-		baseCtx = WithTenant(baseCtx, tenant)
-	}
+	ctx := r.Context()
 
 	// Each instance is its own schedulable unit so the micro-batcher can
 	// coalesce across requests; a multi-instance request fans out here
 	// and joins below. Fanned-out instances get a per-instance suffix so
 	// their spans stay distinguishable under one trace ID.
 	if len(insts) == 1 {
-		out, err := m.Predict(WithRequestID(baseCtx, reqID), insts[0])
+		out, err := m.Predict(WithRequestID(ctx, reqID), insts[0])
 		if err != nil {
 			s.writePredictError(w, err)
 			d.releaseAfter(err)
@@ -374,8 +309,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, res Route
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ctx := WithRequestID(baseCtx, fmt.Sprintf("%s#%d", reqID, i))
-			outs[i], errs[i] = m.Predict(ctx, insts[i])
+			outs[i], errs[i] = m.Predict(WithRequestID(ctx, fmt.Sprintf("%s#%d", reqID, i)), insts[i])
 		}(i)
 	}
 	wg.Wait()
@@ -477,14 +411,13 @@ func (s *Server) writePredictError(w http.ResponseWriter, err error) {
 	writeJSON(w, statusFor(err), map[string]any{"error": err.Error()})
 }
 
-// statusFor maps serving errors onto HTTP status codes: queue-full and
-// tenant sheds are backpressure (429), not-ready is 503, deadline is
-// 504, and op errors (bad instance shapes) are the client's fault (400).
+// statusFor maps serving errors onto HTTP status codes: queue-full sheds
+// are backpressure (429), not-ready is 503, deadline is 504, and op
+// errors (bad instance shapes) are the client's fault (400).
 func statusFor(err error) int {
 	var opErr *core.OpError
-	var shed *ShedError
 	switch {
-	case errors.Is(err, ErrQueueFull), errors.As(err, &shed):
+	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrNotReady), errors.Is(err, ErrShuttingDown):
 		return http.StatusServiceUnavailable

@@ -36,10 +36,6 @@ type Metrics struct {
 	// execute, split — the request-flow breakdown behind the end-to-end
 	// latency number.
 	stages map[string]*telemetry.Distribution
-
-	// routes counts routing decisions by label (stable, canary, pinned) —
-	// the observability behind a rollout's traffic split.
-	routes map[string]int64
 }
 
 // NewMetrics returns an empty metrics collector.
@@ -49,22 +45,7 @@ func NewMetrics() *Metrics {
 		latency:    telemetry.NewDistribution(),
 		batchSizes: map[int]int64{},
 		stages:     map[string]*telemetry.Distribution{},
-		routes:     map[string]int64{},
 	}
-}
-
-// ObserveRoute counts one routing decision (stable, canary, pinned).
-func (m *Metrics) ObserveRoute(route string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.routes[route]++
-}
-
-// Routes returns the count for one routing label.
-func (m *Metrics) Routes(route string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.routes[route]
 }
 
 // ObserveRequest records one finished request: its outcome label and, for
@@ -169,9 +150,7 @@ type Snapshot struct {
 	QueueDepth    int                     `json:"queue_depth"`
 	QueueRejected int64                   `json:"queue_rejected"`
 	Stages        map[string]StageLatency `json:"stages,omitempty"`
-	Routes        map[string]int64        `json:"routes,omitempty"`
 	Replicas      []ReplicaSnapshot       `json:"replicas,omitempty"`
-	Tenants       []TenantSnapshot        `json:"tenants,omitempty"`
 }
 
 // snapshot captures the current state; queueDepth is sampled by the caller.
@@ -195,12 +174,6 @@ func (m *Metrics) snapshot(queueDepth int) Snapshot {
 	}
 	for k, v := range m.batchSizes {
 		s.BatchSizes[k] = v
-	}
-	if len(m.routes) > 0 {
-		s.Routes = make(map[string]int64, len(m.routes))
-		for k, v := range m.routes {
-			s.Routes[k] = v
-		}
 	}
 	m.mu.Unlock()
 	for k, d := range stages {
@@ -231,7 +204,6 @@ func buildExposition(models map[string]Snapshot, stats *telemetry.Stats, trace *
 	e.Family("serving_batch_size_total", telemetry.TypeCounter, "Executed batches by batch size.")
 	e.Family("serving_queue_depth", telemetry.TypeGauge, "Requests waiting in the batching queue.")
 	e.Family("serving_queue_rejected_total", telemetry.TypeCounter, "Submissions refused because the queue was full.")
-	e.Family("serving_route_total", telemetry.TypeCounter, "Routing decisions by label (stable, canary, pinned).")
 	e.Family("serving_replica_inflight", telemetry.TypeGauge, "Batches currently executing per replica.")
 	e.Family("serving_replica_batches_total", telemetry.TypeCounter, "Batches executed per replica.")
 	e.Family("serving_replica_busy_ms_total", telemetry.TypeCounter, "Cumulative busy time per replica (ms).")
@@ -240,8 +212,6 @@ func buildExposition(models map[string]Snapshot, stats *telemetry.Stats, trace *
 	e.Family("serving_replica_pool_hits_total", telemetry.TypeCounter, "Allocations served from the replica's recycler free lists.")
 	e.Family("serving_replica_pool_misses_total", telemetry.TypeCounter, "Allocations that fell through the replica's recycler to the heap.")
 	e.Family("serving_replica_pool_recycled_bytes_total", telemetry.TypeCounter, "Bytes of heap allocation avoided by the replica's recycler.")
-	e.Family("serving_tenant_inflight", telemetry.TypeGauge, "Requests currently admitted per tenant.")
-	e.Family("serving_tenant_shed_total", telemetry.TypeCounter, "Requests shed by tenant admission control.")
 	e.Family("serving_stage_latency_ms", telemetry.TypeGauge, "Per-stage latency quantiles over the recent window (ms).")
 	names := make([]string, 0, len(models))
 	for name := range models {
@@ -272,14 +242,6 @@ func buildExposition(models map[string]Snapshot, stats *telemetry.Stats, trace *
 		}
 		e.Int("serving_queue_depth", int64(s.QueueDepth), model)
 		e.Int("serving_queue_rejected_total", s.QueueRejected, model)
-		routeLabels := make([]string, 0, len(s.Routes))
-		for route := range s.Routes {
-			routeLabels = append(routeLabels, route)
-		}
-		sort.Strings(routeLabels)
-		for _, route := range routeLabels {
-			e.Int("serving_route_total", s.Routes[route], model, telemetry.L("route", route))
-		}
 		for _, rs := range s.Replicas {
 			replica := telemetry.L("replica", strconv.Itoa(rs.ID))
 			e.Int("serving_replica_inflight", int64(rs.Inflight), model, replica)
@@ -290,11 +252,6 @@ func buildExposition(models map[string]Snapshot, stats *telemetry.Stats, trace *
 			e.Int("serving_replica_pool_hits_total", rs.PoolHits, model, replica)
 			e.Int("serving_replica_pool_misses_total", rs.PoolMisses, model, replica)
 			e.Int("serving_replica_pool_recycled_bytes_total", rs.PoolRecycledBytes, model, replica)
-		}
-		for _, ts := range s.Tenants {
-			tenant := telemetry.L("tenant", ts.Tenant)
-			e.Int("serving_tenant_inflight", int64(ts.Inflight), model, tenant)
-			e.Int("serving_tenant_shed_total", ts.Shed, model, tenant)
 		}
 		stages := make([]string, 0, len(s.Stages))
 		for stage := range s.Stages {

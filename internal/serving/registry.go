@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -55,13 +55,6 @@ type ModelOptions struct {
 	// instance and weight upload — so N replicas execute up to N batches
 	// concurrently. 0 or 1 means one replica, on the global engine.
 	Replicas int
-	// Tenants enables per-tenant weighted-fair admission control: a map
-	// of tenant ID → weight. Requests carry their tenant in the
-	// X-Tenant-ID header (or WithTenant); unlisted tenants get weight 1,
-	// anonymous requests share one bucket. A tenant over its share is
-	// shed with 429 + Retry-After. Nil disables admission control
-	// entirely (every request competes only at the bounded queue).
-	Tenants map[string]int
 	// Exec carries the execution configuration applied to this model's
 	// load and to each replica's backend: worker budget, cost model and
 	// the optimize gate. One option list, the same surface as
@@ -69,16 +62,14 @@ type ModelOptions struct {
 	Exec []exec.Option
 }
 
-// Model is one served model version: scheduler, metrics and lifecycle
-// state.
+// Model is one served model: scheduler, metrics and lifecycle state.
 type Model struct {
-	name     string // display name, "base" or "base@version"
+	name     string
 	backend  string
 	exec     exec.Config
 	replicas int // ModelOptions.Replicas: what the load asks for
 	cfg      Config
 	metrics  *Metrics
-	adm      *admission // nil when ModelOptions.Tenants is nil
 
 	mu      sync.Mutex
 	state   State
@@ -90,8 +81,7 @@ type Model struct {
 	ready chan struct{} // closed when loading finishes either way
 }
 
-// Name returns the registry name (including the @version suffix when the
-// model was registered with one).
+// Name returns the registry name.
 func (m *Model) Name() string { return m.name }
 
 // Backend returns the backend this model executes on.
@@ -199,8 +189,7 @@ func (m *Model) Status() Status {
 	return s
 }
 
-// Predict runs one example through admission control and the scheduler,
-// recording metrics.
+// Predict runs one example through the scheduler, recording metrics.
 func (m *Model) Predict(ctx context.Context, inst Instance) (Instance, error) {
 	start := time.Now()
 	m.mu.Lock()
@@ -211,36 +200,18 @@ func (m *Model) Predict(ctx context.Context, inst Instance) (Instance, error) {
 		m.metrics.ObserveRequest("not_ready", 0)
 		return Instance{}, ErrNotReady
 	}
-	if m.adm != nil {
-		tenant := TenantOf(ctx)
-		release, ok := m.adm.tryAdmit(tenant)
-		if !ok {
-			m.metrics.ObserveRequest("shed", 0)
-			return Instance{}, &ShedError{
-				Reason:     "tenant_quota",
-				Tenant:     tenant,
-				RetryAfter: sched.retryAfter(),
-			}
-		}
-		defer release()
-	}
 	out, err := sched.Submit(ctx, inst)
 	m.metrics.ObserveRequest(outcomeLabel(err), float64(time.Since(start))/float64(time.Millisecond))
 	return out, err
 }
 
-// outcomeLabel maps a Submit error to its metrics label. A success
-// returns before shed is declared: errors.As moves it to the heap.
+// outcomeLabel maps a Submit error to its metrics label.
 func outcomeLabel(err error) string {
-	if err == nil {
-		return "ok"
-	}
-	var shed *ShedError
 	switch {
+	case err == nil:
+		return "ok"
 	case errors.Is(err, ErrQueueFull):
 		return "queue_full"
-	case errors.As(err, &shed):
-		return "shed"
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return "timeout"
 	case errors.Is(err, ErrShuttingDown):
@@ -302,72 +273,17 @@ func (m *Model) unload() {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Versioned registry
-
-// parseModelName splits "base@version" into its parts; a bare name has
-// version "".
-func parseModelName(name string) (base, version string) {
-	if i := strings.LastIndex(name, "@"); i >= 0 {
-		return name[:i], name[i+1:]
-	}
-	return name, ""
-}
-
-// displayName re-joins a base and version into the registry name.
-func displayName(base, version string) string {
-	if version == "" {
-		return base
-	}
-	return base + "@" + version
-}
-
-// group is one model name's version set plus its rollout state: which
-// version is the default, and whether a canary takes a weighted slice of
-// traffic.
-type group struct {
-	base string
-
-	mu        sync.Mutex
-	versions  map[string]*Model
-	order     []string // registration order; order[0]'s successor inherits default on unload
-	defaultV  string
-	canaryV   string
-	canaryPct int
-}
-
-// Route labels for metrics and response headers.
-const (
-	RouteStable = "stable"
-	RouteCanary = "canary"
-	RoutePinned = "pinned"
-)
-
-// Registry holds the named models a server exposes, each name a group of
-// versions with rollout routing. Multiple models may be loaded
-// concurrently, each with its own backend, batching config and replica
-// pool.
+// Registry holds the named models a server exposes, one model per name.
+// Multiple models may be loaded concurrently, each with its own backend,
+// batching config and replica pool.
 type Registry struct {
 	mu     sync.Mutex
-	groups map[string]*group
+	models map[string]*Model
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{groups: map[string]*group{}}
-}
-
-// groupFor returns (creating if asked) the named group.
-func (r *Registry) groupFor(base string, create bool) (*group, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.groups[base]
-	if !ok && create {
-		g = &group{base: base, versions: map[string]*Model{}}
-		r.groups[base] = g
-		ok = true
-	}
-	return g, ok
+	return &Registry{models: map[string]*Model{}}
 }
 
 // newModel builds the registry entry struct (not yet loaded).
@@ -376,49 +292,34 @@ func newModel(name string, opts ModelOptions) *Model {
 	if backend == "" {
 		backend = "node"
 	}
-	cfg := opts.Batching.withDefaults()
-	m := &Model{
+	return &Model{
 		name:     name,
 		backend:  backend,
 		exec:     exec.Make(opts.Exec...),
 		replicas: opts.Replicas,
-		cfg:      cfg,
+		cfg:      opts.Batching.withDefaults(),
 		metrics:  NewMetrics(),
 		state:    StateLoading,
 		ready:    make(chan struct{}),
 	}
-	if opts.Tenants != nil {
-		m.adm = newAdmission(opts.Tenants, cfg.QueueSize)
-	}
-	return m
 }
 
-// Load registers name (optionally "base@version") and starts loading its
-// artifacts asynchronously; the returned model reports StateLoading until
-// done (WaitReady blocks). The first version loaded under a base becomes
-// the group's default; later versions receive traffic only when promoted,
-// canaried, or addressed explicitly as base@version.
+// Load registers name and starts loading its artifacts asynchronously; the
+// returned model reports StateLoading until done (WaitReady blocks). A
+// name is the {name} of /v1/models/{name}[:verb], so one that is empty or
+// holds a '/' or ':' is refused: no URL could reach it.
 func (r *Registry) Load(name string, store converter.Store, opts ModelOptions) (*Model, error) {
-	if name == "" {
-		return nil, fmt.Errorf("serving: empty model name")
-	}
-	base, version := parseModelName(name)
-	if base == "" {
-		return nil, fmt.Errorf("serving: model name %q has no base", name)
+	if name == "" || strings.ContainsAny(name, "/:") {
+		return nil, fmt.Errorf("serving: model name %q is empty or holds '/' or ':'", name)
 	}
 	m := newModel(name, opts)
-	g, _ := r.groupFor(base, true)
-	g.mu.Lock()
-	if _, dup := g.versions[version]; dup {
-		g.mu.Unlock()
+	r.mu.Lock()
+	if _, dup := r.models[name]; dup {
+		r.mu.Unlock()
 		return nil, fmt.Errorf("serving: model %q already loaded", name)
 	}
-	g.versions[version] = m
-	g.order = append(g.order, version)
-	if len(g.order) == 1 {
-		g.defaultV = version
-	}
-	g.mu.Unlock()
+	r.models[name] = m
+	r.mu.Unlock()
 	go m.load(store)
 	return m, nil
 }
@@ -426,300 +327,78 @@ func (r *Registry) Load(name string, store converter.Store, opts ModelOptions) (
 // install registers an already-built model under its name (tests and
 // embedders that construct Models directly).
 func (r *Registry) install(m *Model) {
-	base, version := parseModelName(m.name)
-	g, _ := r.groupFor(base, true)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.versions[version] = m
-	g.order = append(g.order, version)
-	if len(g.order) == 1 {
-		g.defaultV = version
-	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.models[m.name] = m
 }
 
-// Unload stops and removes a model. A bare name removes the whole group;
-// "base@version" removes one version — if it was the default, the oldest
-// remaining version inherits the default (and a canary pointer at it is
-// cleared).
+// Unload stops the named model and removes it.
 func (r *Registry) Unload(name string) error {
-	base, version := parseModelName(name)
-	g, ok := r.groupFor(base, false)
+	r.mu.Lock()
+	m, ok := r.models[name]
+	delete(r.models, name)
+	r.mu.Unlock()
 	if !ok {
 		return ErrNotFound
 	}
-	hadVersion := strings.Contains(name, "@")
-	var toUnload []*Model
-	if !hadVersion {
-		// Whole group, whichever versions it holds.
-		r.mu.Lock()
-		delete(r.groups, base)
-		r.mu.Unlock()
-		g.mu.Lock()
-		if len(g.versions) == 0 {
-			g.mu.Unlock()
-			return ErrNotFound
-		}
-		for _, m := range g.versions {
-			toUnload = append(toUnload, m)
-		}
-		g.versions = map[string]*Model{}
-		g.order = nil
-		g.mu.Unlock()
-	} else {
-		g.mu.Lock()
-		m, ok := g.versions[version]
-		if !ok {
-			g.mu.Unlock()
-			return ErrNotFound
-		}
-		delete(g.versions, version)
-		for i, v := range g.order {
-			if v == version {
-				g.order = append(g.order[:i], g.order[i+1:]...)
-				break
-			}
-		}
-		if g.canaryV == version {
-			g.canaryV, g.canaryPct = "", 0
-		}
-		if g.defaultV == version {
-			g.defaultV = ""
-			if len(g.order) > 0 {
-				g.defaultV = g.order[0]
-			}
-		}
-		empty := len(g.versions) == 0
-		g.mu.Unlock()
-		toUnload = append(toUnload, m)
-		if empty {
-			r.mu.Lock()
-			// Another Load may have raced a fresh group in; only remove ours.
-			if cur, ok := r.groups[base]; ok && cur == g {
-				delete(r.groups, base)
-			}
-			r.mu.Unlock()
-		}
-	}
-	for _, m := range toUnload {
-		m.unload()
-	}
+	m.unload()
 	return nil
 }
 
-// Get returns the named model without routing: "base" resolves to the
-// group's default version, "base@version" to that exact version. Get is
-// passive: it does not count routes.
+// Get returns the named model.
 func (r *Registry) Get(name string) (*Model, bool) {
-	base, version := parseModelName(name)
-	g, ok := r.groupFor(base, false)
-	if !ok {
-		return nil, false
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !strings.Contains(name, "@") {
-		version = g.defaultV
-	}
-	m, ok := g.versions[version]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	m, ok := r.models[name]
 	return m, ok
 }
 
-// RouteResult describes one routing decision.
-type RouteResult struct {
-	// Model serves the request.
-	Model *Model
-	// Route is how it was chosen: stable, canary, or pinned.
-	Route string
-}
-
-// Route resolves a request's model with rollout routing: an explicit
-// "base@version" pins that version; a bare name rolls the canary dice
-// (canaryPct% of traffic to the canary version, the rest to the default).
-// The chosen model's route counter increments.
-func (r *Registry) Route(name string) (RouteResult, error) {
-	base, version := parseModelName(name)
-	g, ok := r.groupFor(base, false)
-	if !ok {
-		return RouteResult{}, ErrNotFound
-	}
-	pinned := strings.Contains(name, "@")
-	g.mu.Lock()
-	route := RoutePinned
-	if !pinned {
-		version = g.defaultV
-		route = RouteStable
-		if g.canaryV != "" && g.canaryPct > 0 && rand.Intn(100) < g.canaryPct {
-			version = g.canaryV
-			route = RouteCanary
-		}
-	}
-	m, ok := g.versions[version]
-	g.mu.Unlock()
-	if !ok {
-		return RouteResult{}, ErrNotFound
-	}
-	m.metrics.ObserveRoute(route)
-	return RouteResult{Model: m, Route: route}, nil
-}
-
-// Promote makes version the group's default — the zero-downtime hot swap:
-// the new default starts taking routed traffic at the instant the lock
-// releases, while in-flight requests on the old default drain through its
-// own scheduler untouched.
-func (r *Registry) Promote(base, version string) error {
-	g, ok := r.groupFor(base, false)
-	if !ok {
-		return ErrNotFound
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, ok := g.versions[version]; !ok {
-		return ErrNotFound
-	}
-	g.defaultV = version
-	if g.canaryV == version {
-		// The canary is now the default; the split is moot.
-		g.canaryV, g.canaryPct = "", 0
-	}
-	return nil
-}
-
-// SetCanary routes percent% of the group's bare-name traffic to version.
-// percent 0 clears the canary.
-func (r *Registry) SetCanary(base, version string, percent int) error {
-	if percent < 0 || percent > 100 {
-		return fmt.Errorf("serving: canary percent %d out of range [0,100]", percent)
-	}
-	g, ok := r.groupFor(base, false)
-	if !ok {
-		return ErrNotFound
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if percent == 0 {
-		g.canaryV, g.canaryPct = "", 0
-		return nil
-	}
-	if _, ok := g.versions[version]; !ok {
-		return ErrNotFound
-	}
-	g.canaryV, g.canaryPct = version, percent
-	return nil
-}
-
-// RolloutStatus is the JSON shape of one group's rollout state.
-type RolloutStatus struct {
-	Name          string   `json:"name"`
-	Versions      []string `json:"versions"`
-	Default       string   `json:"default"`
-	Canary        string   `json:"canary,omitempty"`
-	CanaryPercent int      `json:"canary_percent,omitempty"`
-}
-
-// Rollout reports a group's version set and routing state.
-func (r *Registry) Rollout(base string) (RolloutStatus, error) {
-	g, ok := r.groupFor(base, false)
-	if !ok {
-		return RolloutStatus{}, ErrNotFound
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return RolloutStatus{
-		Name:          base,
-		Versions:      append([]string(nil), g.order...),
-		Default:       g.defaultV,
-		Canary:        g.canaryV,
-		CanaryPercent: g.canaryPct,
-	}, nil
-}
-
-// groupNames lists group base names, sorted.
-func (r *Registry) groupNames() []string {
+// Names lists loaded model names, sorted.
+func (r *Registry) Names() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.groups))
-	for base := range r.groups {
-		out = append(out, base)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(r.models))
 }
 
-// Names lists loaded model display names, sorted.
-func (r *Registry) Names() []string {
-	var out []string
-	for _, base := range r.groupNames() {
-		g, ok := r.groupFor(base, false)
-		if !ok {
-			continue
-		}
-		g.mu.Lock()
-		for _, v := range g.order {
-			out = append(out, displayName(base, v))
-		}
-		g.mu.Unlock()
-	}
-	sort.Strings(out)
-	return out
-}
-
-// models snapshots every registered model keyed by display name.
-func (r *Registry) models() map[string]*Model {
-	out := map[string]*Model{}
-	for _, base := range r.groupNames() {
-		g, ok := r.groupFor(base, false)
-		if !ok {
-			continue
-		}
-		g.mu.Lock()
-		for v, m := range g.versions {
-			out[displayName(base, v)] = m
-		}
-		g.mu.Unlock()
-	}
-	return out
+// snapshot copies the name → model map, so callers sample models without
+// holding the registry lock.
+func (r *Registry) snapshot() map[string]*Model {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return maps.Clone(r.models)
 }
 
 // Snapshots collects per-model metrics for the /metrics endpoint,
-// including per-replica utilization and per-tenant admission state.
+// including per-replica utilization.
 func (r *Registry) Snapshots() map[string]Snapshot {
-	models := r.models()
+	models := r.snapshot()
 	out := make(map[string]Snapshot, len(models))
 	for name, m := range models {
 		snap := m.metrics.snapshot(m.QueueDepth())
 		snap.Replicas = m.replicaSnapshots()
-		if m.adm != nil {
-			snap.Tenants = m.adm.snapshots()
-		}
 		out[name] = snap
 	}
 	return out
 }
 
-// AllReady reports whether every registered model version is ready — the
-// /readyz condition. An empty registry is ready.
+// AllReady reports whether every registered model is ready — the /readyz
+// condition. An empty registry is ready.
 func (r *Registry) AllReady() bool {
-	for _, base := range r.groupNames() {
-		g, ok := r.groupFor(base, false)
-		if !ok {
-			continue
+	for _, m := range r.snapshot() {
+		if st := m.State(); st == StateLoading || st == StateFailed {
+			return false
 		}
-		g.mu.Lock()
-		for _, m := range g.versions {
-			if st := m.State(); st == StateLoading || st == StateFailed {
-				g.mu.Unlock()
-				return false
-			}
-		}
-		g.mu.Unlock()
 	}
 	return true
 }
 
 // Close unloads every model.
 func (r *Registry) Close() {
-	for _, base := range r.groupNames() {
-		//lint:ignore operr best-effort shutdown; Unload fails only for unknown names, which groupNames() just enumerated
-		_ = r.Unload(base)
+	r.mu.Lock()
+	models := r.models
+	r.models = map[string]*Model{}
+	r.mu.Unlock()
+	for _, m := range models {
+		m.unload()
 	}
 }

@@ -166,6 +166,30 @@ func sameMemory(t *testing.T, when string, before core.MemoryInfo) {
 	}
 }
 
+// replicaMemory samples every replica engine's memory.
+func replicaMemory(p *pool) []core.MemoryInfo {
+	out := make([]core.MemoryInfo, len(p.replicas))
+	for i, r := range p.replicas {
+		out[i] = r.eng.Memory()
+	}
+	return out
+}
+
+// sameReplicaMemory fails unless every replica ran exactly one batch and
+// its engine tracks as many tensors and bytes as it did at before.
+func sameReplicaMemory(t *testing.T, when string, p *pool, before []core.MemoryInfo) {
+	t.Helper()
+	for i, r := range p.replicas {
+		if n := r.batches.Load(); n != 1 {
+			t.Errorf("replica %d ran %d batches, want 1", i, n)
+		}
+		if after := r.eng.Memory(); after.NumTensors != before[i].NumTensors || after.NumBytes != before[i].NumBytes {
+			t.Errorf("replica %d's engine holds %d tensors / %d bytes %s, %d / %d before",
+				i, after.NumTensors, after.NumBytes, when, before[i].NumTensors, before[i].NumBytes)
+		}
+	}
+}
+
 // oneAtATime runs every instance as its own batch of one.
 func oneAtATime(t *testing.T, run runner, insts []Instance) []Instance {
 	t.Helper()
@@ -429,20 +453,27 @@ func TestMixedShapeBatchRunsPerShape(t *testing.T) {
 }
 
 // TestRejectedBatchLeavesNoTensor: a batch the model rejects (here: two
-// channels where its first convolution takes three) is an error for its requests and nothing else —
-// the uploaded slab tensor is disposed on that path too.
+// channels where its first convolution takes three) is the op's error for
+// its requests and nothing else — the uploaded slab tensor is disposed on
+// that path too, on the global engine and on a spawned replica's.
 func TestRejectedBatchLeavesNoTensor(t *testing.T) {
 	for format, store := range smallStores(t, 32) {
 		t.Run(format, func(t *testing.T) {
-			reg := NewRegistry()
-			defer reg.Close()
-			run := loadReady(t, reg, "m", store, ModelOptions{Backend: "node"}).sched.run
-			before := core.Global().Memory()
-			gray := Instance{Values: make([]float32, 32*32*2), Shape: []int{32, 32, 2}}
-			if outs, err := run.run([]Instance{gray, gray}, nil); err == nil {
-				t.Fatalf("an RGB model accepted two-channel instances: %v", outs)
+			for _, replicas := range []int{1, 2} {
+				t.Run(fmt.Sprintf("replicas%d", replicas), func(t *testing.T) {
+					reg := NewRegistry()
+					defer reg.Close()
+					p := loadReady(t, reg, "m", store, ModelOptions{Backend: "node", Replicas: replicas}).pool
+					before := replicaMemory(p)
+					gray := Instance{Values: make([]float32, 32*32*2), Shape: []int{32, 32, 2}}
+					for range replicas {
+						if outs, err := p.run([]Instance{gray, gray}, nil); statusFor(err) != http.StatusBadRequest {
+							t.Fatalf("an RGB model answered two-channel instances with %v, %v; want the op's 400", outs, err)
+						}
+					}
+					sameReplicaMemory(t, "after the rejected batches", p, before)
+				})
 			}
-			sameMemory(t, "after the rejected batch", before)
 		})
 	}
 }
@@ -450,7 +481,7 @@ func TestRejectedBatchLeavesNoTensor(t *testing.T) {
 // TestPanickingPlanLeavesNoTensor: a batch whose plan panics (debug mode
 // throws on the NaN that 1e30·1e30 − 1e30·1e30 introduces) is the op's 400
 // for each of its requests, and the uploaded slab tensor is disposed on
-// that path too.
+// that path too, on the global engine and on a spawned replica's.
 func TestPanickingPlanLeavesNoTensor(t *testing.T) {
 	g := &savedmodel.GraphDef{
 		Nodes: []savedmodel.NodeDef{
@@ -464,32 +495,46 @@ func TestPanickingPlanLeavesNoTensor(t *testing.T) {
 	if _, err := converter.Convert(g, store, converter.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry()
-	defer reg.Close()
-	m := loadReady(t, reg, "m", store, ModelOptions{Backend: "node", Batching: wholeBatches(2)})
-	core.Global().SetDebugMode(true)
-	t.Cleanup(func() { core.Global().SetDebugMode(false) })
-	before := core.Global().Memory()
 	insts := []Instance{
 		{Values: []float32{1, 2, 3, 4}, Shape: []int{4}},
 		{Values: []float32{1e30, 2, 3, 4}, Shape: []int{4}},
 	}
-	errs := make([]error, len(insts))
-	var wg sync.WaitGroup
-	for i := range insts {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, errs[i] = m.Predict(context.Background(), insts[i])
-		}()
+	for _, replicas := range []int{1, 2} {
+		t.Run(fmt.Sprintf("replicas%d", replicas), func(t *testing.T) {
+			reg := NewRegistry()
+			defer reg.Close()
+			p := loadReady(t, reg, "m", store, ModelOptions{Backend: "node", Replicas: replicas}).pool
+			// Debug mode is the engine's own: a spawned replica does not
+			// inherit it.
+			for _, r := range p.replicas {
+				r.eng.SetDebugMode(true)
+				t.Cleanup(func() { r.eng.SetDebugMode(false) })
+			}
+			// One worker, so each pair of requests is one batch, and the
+			// pool hands consecutive batches to its replicas in turn.
+			sched := newScheduler(wholeBatches(2).withDefaults(), "m", p, NewMetrics())
+			defer sched.Close()
+			before := replicaMemory(p)
+			for range replicas {
+				errs := make([]error, len(insts))
+				var wg sync.WaitGroup
+				for i := range insts {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						_, errs[i] = sched.Submit(context.Background(), insts[i])
+					}()
+				}
+				wg.Wait()
+				for i, err := range errs {
+					if code := statusFor(err); code != http.StatusBadRequest {
+						t.Errorf("request %d: status %d (%v), want the op's 400", i, code, err)
+					}
+				}
+			}
+			sameReplicaMemory(t, "after the panicking batches", p, before)
+		})
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if code := statusFor(err); code != http.StatusBadRequest {
-			t.Errorf("request %d: status %d (%v), want the op's 400", i, code, err)
-		}
-	}
-	sameMemory(t, "after the panicking batch", before)
 }
 
 // TestOutputLeadingDimensionMustBeBatch: a model whose output does not

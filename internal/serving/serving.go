@@ -5,10 +5,11 @@
 //
 // Four layers:
 //
-//   - Registry: named models loaded from converter.Store artifact stores,
-//     with per-model backend selection and load/unload/ready lifecycle
-//     states. A model of either artifact format is served as its graph
-//     (a Layers model lowered to one at load) by one runner.
+//   - Registry: one model per name, loaded from a converter.Store
+//     artifact store as a pool of engine replicas, with per-model backend
+//     selection and load/unload/ready lifecycle states. A model of either
+//     artifact format is served as its graph (a Layers model lowered to
+//     one at load) by one runner.
 //   - Batcher: a dynamic micro-batcher coalescing concurrent single-example
 //     Predict requests into one batched Execute along the batch dimension,
 //     governed by MaxBatchSize and BatchTimeout. A batch is a slab: the
@@ -18,12 +19,13 @@
 //     copies are timed inside the execute stage; the gather stage is the
 //     wait for the batch to form.
 //   - Scheduler: a bounded per-model request queue and worker pool with
-//     backpressure — queue-full and not-ready fail fast instead of
-//     blocking — and context-deadline propagation.
+//     backpressure — queue-full (a ShedError with a Retry-After hint) and
+//     not-ready fail fast instead of blocking — and context-deadline
+//     propagation.
 //   - HTTP API: a KServe-V1-style surface (GET /v1/models,
-//     GET /v1/models/{name}, POST /v1/models/{name}:predict) plus /healthz
-//     and /metrics with latency/batch-size histograms and engine memory
-//     counters.
+//     GET /v1/models/{name}, POST /v1/models/{name}:predict) plus
+//     /healthz, /readyz, /debug/trace, /debug/memory and /metrics with
+//     latency/batch-size histograms and engine memory counters.
 //
 // Concurrency model: the engine's tidy scope stack is process-global, so
 // every tensor-touching section runs under core.Engine.RunExclusive and

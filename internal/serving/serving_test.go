@@ -261,6 +261,11 @@ func TestQueueFullReturns429(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("429 took %v; backpressure must not block", elapsed)
 	}
+	// Nothing executed yet: 50 ms assumed for the one batch ahead, lifted
+	// to the 100 ms floor and rounded up to whole seconds.
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", got)
+	}
 	if got := m.Metrics().Requests("queue_full"); got == 0 {
 		t.Error("queue_full outcome not recorded")
 	}
@@ -553,6 +558,45 @@ func TestLoadFailure(t *testing.T) {
 	st := m.Status()
 	if st.State != "failed" || st.Error == "" {
 		t.Errorf("status = %+v, want failed with error", st)
+	}
+}
+
+// TestLoadRefusesUnreachableNames: a model name is the {name} of
+// /v1/models/{name}[:verb], so Load refuses one that is empty or holds a
+// '/' (every such path is a 404) or a ':' (its status GET parses as a
+// verb). Any other name, '@' included, is served under exactly that name.
+func TestLoadRefusesUnreachableNames(t *testing.T) {
+	for _, name := range []string{"", "a/b", "/a", "a:b", "a:predict"} {
+		reg := NewRegistry()
+		if _, err := reg.Load(name, converter.NewMemStore(), ModelOptions{}); err == nil {
+			t.Errorf("Load(%q) succeeded; no URL reaches that name", name)
+		}
+		if names := reg.Names(); len(names) != 0 {
+			t.Errorf("after Load(%q) the registry lists %q", name, names)
+		}
+		reg.Close()
+	}
+
+	reg := NewRegistry()
+	defer reg.Close()
+	m, err := reg.Load("clf@v2", converter.NewMemStore(), ModelOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = m.WaitReady(context.Background()) // an empty store: the load fails
+	api := NewServer(reg)
+	defer api.Close()
+	srv := httptest.NewServer(api)
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/v1/models/clf@v2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st Status
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusServiceUnavailable || st.Name != "clf@v2" || st.State != "failed" {
+		t.Errorf("GET /v1/models/clf@v2: %d %+v (%v), want 503 with the failed model's status", resp.StatusCode, st, err)
 	}
 }
 

@@ -1,10 +1,6 @@
 package tf
 
-import (
-	"context"
-
-	"repro/internal/serving"
-)
+import "repro/internal/serving"
 
 // Serving re-exports: the model-serving subsystem (registry, dynamic
 // micro-batcher, KServe-V1-style HTTP API). See internal/serving and
@@ -22,11 +18,8 @@ type (
 	ServingModelOptions = serving.ModelOptions
 	// ServingInstance is one JSON-shaped example (values + shape).
 	ServingInstance = serving.Instance
-	// ServingRolloutStatus describes a versioned model group: its versions,
-	// the default and the canary with its share of traffic.
-	ServingRolloutStatus = serving.RolloutStatus
-	// ServingShedError is returned when admission control or the bounded
-	// queue rejects a request; it carries a Retry-After hint.
+	// ServingShedError is returned when a model's bounded queue rejects a
+	// request; it carries a Retry-After hint.
 	ServingShedError = serving.ShedError
 )
 
@@ -35,9 +28,3 @@ func NewServingRegistry() *ServingRegistry { return serving.NewRegistry() }
 
 // NewServingServer wraps a registry in the KServe-V1-style HTTP API.
 func NewServingServer(reg *ServingRegistry) *ServingServer { return serving.NewServer(reg) }
-
-// WithServingTenant tags ctx with a tenant ID for weighted-fair admission
-// control (the HTTP layer reads it from the X-Tenant-ID header).
-func WithServingTenant(ctx context.Context, tenant string) context.Context {
-	return serving.WithTenant(ctx, tenant)
-}
