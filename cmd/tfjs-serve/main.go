@@ -77,7 +77,7 @@ func main() {
 	flag.Var(&models, "model", "serve a model: name=dir[:backend] (repeatable)")
 	addr := flag.String("addr", ":8500", "listen address")
 	maxBatch := flag.Int("max-batch", 16, "micro-batcher: max examples per batch")
-	batchTimeout := flag.Duration("batch-timeout", 2*time.Millisecond, "micro-batcher: max wait after first request")
+	batchTimeout := flag.Duration("batch-timeout", 2*time.Millisecond, "micro-batcher: the longest an under-full batch waits while other goroutines are still runnable; an idle process seals it at once")
 	queueSize := flag.Int("queue-size", 128, "scheduler: bounded queue size (overflow → 429)")
 	workers := flag.Int("workers", 1, "scheduler: workers per model (raised to the model's replica count when lower)")
 	replicas := flag.Int("replicas", 1, "engine replicas per model (parallel batch execution)")

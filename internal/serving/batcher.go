@@ -3,6 +3,7 @@ package serving
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -61,8 +62,9 @@ type response struct {
 // scheduler owns one model's bounded request queue, worker pool and
 // dynamic micro-batcher. Submissions beyond QueueSize fail fast with
 // ErrQueueFull (backpressure, 429); each worker coalesces up to
-// MaxBatchSize queued requests, waiting at most BatchTimeout after the
-// first arrival, and executes them as one batch.
+// MaxBatchSize queued requests and executes them as one batch. An
+// under-full batch waits at most BatchTimeout, and only while other
+// goroutines are still runnable: an idle process seals it at once.
 //
 // Every request is traced through four stages — queue_wait, gather,
 // execute, split — with per-stage latency histograms; when the telemetry
@@ -237,21 +239,19 @@ func stoppedTimer() *time.Timer {
 }
 
 // batcher is one worker's scratch, reused across its batches: the batch,
-// its shape groups, the group's instances and results, and the gather
-// timer.
+// its shape groups and the group's instances and results.
 type batcher struct {
 	batch  []*request
 	groups [][]*request
 	insts  []Instance
 	outs   []Instance
-	timer  *time.Timer
 }
 
 // worker drains the queue: block for the first request, coalesce a batch,
 // execute, deliver.
 func (s *scheduler) worker() {
 	defer s.wg.Done()
-	b := &batcher{timer: stoppedTimer()}
+	b := &batcher{}
 	for {
 		select {
 		case <-s.stop:
@@ -276,8 +276,18 @@ func (s *scheduler) admit(batch []*request, r *request) []*request {
 	return append(batch, r)
 }
 
-// gather coalesces queued requests behind first into a batch: up to
-// MaxBatchSize, waiting at most BatchTimeout past the first arrival.
+// gather coalesces queued requests behind first into a batch of up to
+// MaxBatchSize. It never sleeps on a timer: it drains the queue, and when
+// the queue is empty it yields (runtime.Gosched), which lets every
+// goroutine that is already runnable — a handler finishing its decode, the
+// rest of a fan-out — reach the queue. The batch is sealed when it is full,
+// when two yields in a row bring no request (nothing runnable is about to
+// submit: an idle process does not hold a batch back), or, checked between
+// yields, when BatchTimeout has passed since first was dequeued. Two
+// yields, not one: Gosched puts the worker on the global run queue, which
+// the runtime checks ahead of the local one on every 61st schedule, so a
+// single yield can resume the worker before a runnable submitter has run.
+//
 // Requests whose context expired while queued are dropped at admission,
 // so the returned batch may be smaller than what was pulled — or empty.
 // The batch is b's: valid until the next gather.
@@ -286,19 +296,23 @@ func (s *scheduler) gather(b *batcher, first *request) []*request {
 	if s.cfg.MaxBatchSize <= 1 {
 		return b.batch
 	}
-	b.timer.Reset(s.cfg.BatchTimeout)
-	for len(b.batch) < s.cfg.MaxBatchSize {
+	seal := time.Now().Add(s.cfg.BatchTimeout)
+	for idle := 0; len(b.batch) < s.cfg.MaxBatchSize; {
 		select {
 		case r := <-s.queue:
 			b.batch = s.admit(b.batch, r)
-		case <-b.timer.C:
-			return b.batch
+			idle = 0
+			continue
 		case <-s.stop:
-			b.timer.Stop()
+			return b.batch
+		default:
+		}
+		if idle == 2 || !time.Now().Before(seal) {
 			return b.batch
 		}
+		runtime.Gosched()
+		idle++
 	}
-	b.timer.Stop()
 	return b.batch
 }
 

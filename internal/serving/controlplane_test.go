@@ -25,6 +25,33 @@ func postJSON(t *testing.T, url, body string) (int, []byte) {
 	return resp.StatusCode, data
 }
 
+// TestReplicasAnswerLightTrafficAtOnce: a pool of two replicas has two
+// workers, and two concurrent predicts can land one on each, as two
+// batches of one. Neither may wait out the 2 s BatchTimeout: nothing
+// runnable is about to join it. While gather slept on a timer, each such
+// pair took the whole BatchTimeout (300–310 ms at 300 ms).
+func TestReplicasAnswerLightTrafficAtOnce(t *testing.T) {
+	store := buildMobileNetStore(t, 32, 6)
+	reg := NewRegistry()
+	defer reg.Close()
+	m := loadReady(t, reg, "m", store, ModelOptions{
+		Backend: "node", Replicas: 2, Batching: Config{MaxBatchSize: 2, BatchTimeout: 2 * time.Second},
+	})
+	insts := []Instance{testImage(32, 0), testImage(32, 1)}
+	for _, inst := range insts { // one warm-up predict per replica: the pool takes them in turn
+		if _, err := m.Predict(context.Background(), inst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 3 {
+		start := time.Now()
+		predictAll(t, m, insts)
+		if took := time.Since(start); took > 200*time.Millisecond {
+			t.Fatalf("two concurrent predicts on two replicas took %v, want under 200ms", took)
+		}
+	}
+}
+
 // TestReplicaPoolOverlap proves the replica router delivers real
 // concurrency: two 100ms predicts against a 2-replica pool must overlap
 // in time (serialized execution would take ≥200ms), and the work must

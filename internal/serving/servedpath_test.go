@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -204,10 +205,79 @@ func oneAtATime(t *testing.T, run runner, insts []Instance) []Instance {
 	return outs
 }
 
-// wholeBatches makes a batch leave the moment it holds n requests and not
-// before: the timeout is only how long a broken test waits to fail.
-func wholeBatches(n int) Config {
-	return Config{MaxBatchSize: n, BatchTimeout: 20 * time.Second, QueueSize: 64}
+// gate is a runner that makes a one-worker scheduler's next batch exactly
+// n requests, whatever order their submitters run in. Its gate request
+// holds the worker in run until n requests are queued behind it; the
+// worker's next gather drains those n and seals the batch full. Every
+// other batch runs on the runner it wraps.
+type gate struct {
+	runner
+	s       *scheduler
+	n       int
+	submit  chan struct{} // asks the submitter for one gate request
+	entered chan struct{} // the worker holds the gate request, alone
+	done    chan error    // the gate request's reply
+}
+
+// gateInstance marks the gate request: no served instance has a negative
+// dimension.
+var gateInstance = Instance{Shape: []int{-1}}
+
+// newGate starts a one-worker scheduler over a gate on run whose batches
+// leave when they hold n requests: the 20 s BatchTimeout is only how long
+// a broken test waits to fail. The gate's submitter lives as long as the
+// test, so a gated batch starts no goroutine of its own.
+func newGate(t testing.TB, run runner, n int, model string, metrics *Metrics) *gate {
+	g := &gate{runner: run, n: n, submit: make(chan struct{}), entered: make(chan struct{}), done: make(chan error, 1)}
+	cfg := Config{MaxBatchSize: n, BatchTimeout: 20 * time.Second, QueueSize: 64, Workers: 1}
+	g.s = newScheduler(cfg.withDefaults(), model, g, metrics)
+	go func() {
+		for range g.submit {
+			_, err := g.s.Submit(context.Background(), gateInstance)
+			g.done <- err
+		}
+	}()
+	t.Cleanup(func() {
+		close(g.submit)
+		g.s.Close()
+	})
+	return g
+}
+
+// gated re-seats m on a gate over its runner.
+func gated(t testing.TB, m *Model, n int) *gate {
+	g := newGate(t, m.sched.run, n, m.name, m.metrics)
+	m.mu.Lock()
+	old := m.sched
+	m.sched = g.s
+	m.mu.Unlock()
+	old.Close()
+	return g
+}
+
+// batch runs fire, which submits n requests and may wait for their
+// replies, while the worker holds the gate request, and returns the gate
+// request's error.
+func (g *gate) batch(fire func()) error {
+	g.submit <- struct{}{}
+	<-g.entered
+	fire()
+	return <-g.done
+}
+
+// run answers the gate request once n requests are queued behind it, and
+// hands any other batch to the wrapped runner.
+func (g *gate) run(batch, out []Instance) ([]Instance, error) {
+	if !slices.Equal(batch[0].Shape, gateInstance.Shape) {
+		return g.runner.run(batch, out)
+	}
+	g.entered <- struct{}{}
+	for deadline := time.Now().Add(10 * time.Second); g.s.QueueDepth() < g.n; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			return out, fmt.Errorf("gate: %d of %d requests queued after 10s", g.s.QueueDepth(), g.n)
+		}
+	}
+	return append(out, batch...), nil
 }
 
 // predictAll submits every instance concurrently and returns the outputs
@@ -251,17 +321,18 @@ func sameBits(t *testing.T, what string, got, want []Instance) {
 }
 
 // TestCoalescedBatchIsOneSlab: eight concurrent HTTP predicts that share
-// one batch cost one upload and one download, dispatch no kernel of the
-// runner's own, return what the same eight instances return one at a time,
-// bit for bit, and leave the engine's tensor and byte counts where they
-// were.
+// one batch (queued behind a gate request, which runs no model) cost one
+// upload and one download, dispatch no kernel of the runner's own, return
+// what the same eight instances return one at a time, bit for bit, and
+// leave the engine's tensor and byte counts where they were.
 func TestCoalescedBatchIsOneSlab(t *testing.T) {
 	const n = 8
 	store := buildMobileNetStore(t, 96, 10)
 	reg := NewRegistry()
 	defer reg.Close()
 	loadReady(t, reg, "single", store, ModelOptions{Backend: "node", Batching: Config{MaxBatchSize: 1}})
-	batched := loadReady(t, reg, "batched", store, ModelOptions{Backend: "node", Batching: wholeBatches(n)})
+	batched := loadReady(t, reg, "batched", store, ModelOptions{Backend: "node"})
+	g := gated(t, batched, n)
 	api := NewServer(reg)
 	defer api.Close()
 	srv := httptest.NewServer(api)
@@ -320,22 +391,24 @@ func TestCoalescedBatchIsOneSlab(t *testing.T) {
 	}))
 	got := make([]Instance, n)
 	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range got {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[i], errs[i] = predict("batched", i)
-		}()
-	}
-	wg.Wait()
+	gateErr := g.batch(func() {
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], errs[i] = predict("batched", i)
+			}()
+		}
+		wg.Wait()
+	})
 	remove()
-	if err := errors.Join(errs...); err != nil {
+	if err := errors.Join(append(errs, gateErr)...); err != nil {
 		t.Fatal(err)
 	}
 
-	if sizes := batched.metrics.snapshot(0).BatchSizes; len(sizes) != 1 || sizes[n] != 1 {
-		t.Fatalf("the %d predicts ran as batches %v, want one batch of %d", n, sizes, n)
+	if sizes := batched.metrics.snapshot(0).BatchSizes; len(sizes) != 2 || sizes[1] != 1 || sizes[n] != 1 {
+		t.Fatalf("the gate and the %d predicts ran as batches %v, want one of 1 and one of %d", n, sizes, n)
 	}
 	sameBits(t, "batch of 8 vs one at a time", got, want)
 	if moved[telemetry.KindUpload] != 1 || moved[telemetry.KindDownload] != 1 {
@@ -428,7 +501,7 @@ func TestWorkersShareOneSlab(t *testing.T) {
 func TestMixedShapeBatchRunsPerShape(t *testing.T) {
 	var mu sync.Mutex
 	var calls [][]Instance
-	m := stubModel("mixed", wholeBatches(4), runnerFunc(func(batch []Instance) ([]Instance, error) {
+	m := stubModel("mixed", Config{}, runnerFunc(func(batch []Instance) ([]Instance, error) {
 		mu.Lock()
 		calls = append(calls, batch)
 		mu.Unlock()
@@ -441,7 +514,11 @@ func TestMixedShapeBatchRunsPerShape(t *testing.T) {
 		{Values: []float32{5, 6}, Shape: []int{2}},
 		{Values: []float32{7, 8}, Shape: []int{1, 2}},
 	}
-	sameBits(t, "echo of a mixed batch", predictAll(t, m, insts), insts)
+	var got []Instance
+	if err := gated(t, m, len(insts)).batch(func() { got = predictAll(t, m, insts) }); err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, "echo of a mixed batch", got, insts)
 	if len(calls) != 2 || len(calls[0]) != 2 || len(calls[1]) != 2 {
 		t.Fatalf("runner saw %v, want two groups of two", calls)
 	}
@@ -510,22 +587,27 @@ func TestPanickingPlanLeavesNoTensor(t *testing.T) {
 				r.eng.SetDebugMode(true)
 				t.Cleanup(func() { r.eng.SetDebugMode(false) })
 			}
-			// One worker, so each pair of requests is one batch, and the
-			// pool hands consecutive batches to its replicas in turn.
-			sched := newScheduler(wholeBatches(2).withDefaults(), "m", p, NewMetrics())
-			defer sched.Close()
+			// Each pair of requests is one batch behind a gate (which runs
+			// no model), and the pool hands consecutive batches to its
+			// replicas in turn.
+			g := newGate(t, p, len(insts), "m", NewMetrics())
 			before := replicaMemory(p)
 			for range replicas {
 				errs := make([]error, len(insts))
-				var wg sync.WaitGroup
-				for i := range insts {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						_, errs[i] = sched.Submit(context.Background(), insts[i])
-					}()
+				gateErr := g.batch(func() {
+					var wg sync.WaitGroup
+					for i := range insts {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							_, errs[i] = g.s.Submit(context.Background(), insts[i])
+						}()
+					}
+					wg.Wait()
+				})
+				if gateErr != nil {
+					t.Fatal(gateErr)
 				}
-				wg.Wait()
 				for i, err := range errs {
 					if code := statusFor(err); code != http.StatusBadRequest {
 						t.Errorf("request %d: status %d (%v), want the op's 400", i, code, err)
@@ -946,17 +1028,23 @@ func TestBatchedPredictAllocBudget(t *testing.T) {
 	store := buildMobileNetStore(t, 96, 10)
 	reg := NewRegistry()
 	defer reg.Close()
-	m := loadReady(t, reg, "mobilenet", store, ModelOptions{Backend: "node", Batching: wholeBatches(n)})
+	m := loadReady(t, reg, "mobilenet", store, ModelOptions{Backend: "node"})
+	g := gated(t, m, n)
 	api := NewServer(reg)
 	defer api.Close()
 	batch := make([]Instance, n)
 	for i := range batch {
 		batch[i] = testImage(96, i)
 	}
-	for i := 0; i < 3; i++ { // warm-up: pool fill, plan caches, the slab
-		predictAll(t, m, batch)
+	predictBatch := func() {
+		if err := g.batch(func() { predictAll(t, m, batch) }); err != nil {
+			t.Fatal(err)
+		}
 	}
-	allocs := testing.AllocsPerRun(10, func() { predictAll(t, m, batch) })
+	for i := 0; i < 3; i++ { // warm-up: pool fill, plan caches, the slab
+		predictBatch()
+	}
+	allocs := testing.AllocsPerRun(10, predictBatch)
 	t.Logf("batch of %d Model.Predict behind NewServer: %.0f allocs/op (%.1f per item)", n, allocs, allocs/n)
 	if allocs > 20 {
 		t.Fatalf("a batch of %d allocates %.0f/op, budget 20: bytes are being moved by something other than two copies, or per-request state is allocated again", n, allocs)

@@ -12,12 +12,13 @@
 //     one at load) by one runner.
 //   - Batcher: a dynamic micro-batcher coalescing concurrent single-example
 //     Predict requests into one batched Execute along the batch dimension,
-//     governed by MaxBatchSize and BatchTimeout. A batch is a slab: the
-//     runner copies each request's row into one reused buffer, uploads it
-//     with a single write, reads the output back once and hands every
-//     request its row of it — no kernel is dispatched to move bytes. Both
-//     copies are timed inside the execute stage; the gather stage is the
-//     wait for the batch to form.
+//     governed by MaxBatchSize and BatchTimeout (a cap, not a fixed wait:
+//     a batch leaves as soon as nothing runnable is about to join it). A
+//     batch is a slab: the runner copies each request's row into one
+//     reused buffer, uploads it with a single write, reads the output back
+//     once and hands every request its row of it — no kernel is dispatched
+//     to move bytes. Both copies are timed inside the execute stage; the
+//     gather stage is the wait for the batch to form.
 //   - Scheduler: a bounded per-model request queue and worker pool with
 //     backpressure — queue-full (a ShedError with a Retry-After hint) and
 //     not-ready fail fast instead of blocking — and context-deadline
@@ -60,8 +61,9 @@ type Config struct {
 	// MaxBatchSize caps how many queued single-example requests coalesce
 	// into one batched execution. 1 disables batching. Default 16.
 	MaxBatchSize int
-	// BatchTimeout bounds how long an under-full batch waits for more
-	// requests after the first arrives. Default 2ms.
+	// BatchTimeout is the longest an under-full batch waits, from its
+	// first request, while other goroutines are still runnable; an idle
+	// process seals it at once. Default 2ms.
 	BatchTimeout time.Duration
 	// QueueSize bounds the pending-request queue; submissions beyond it
 	// fail with ErrQueueFull. Default 128.

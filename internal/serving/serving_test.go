@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -509,6 +510,61 @@ func TestCancelledRequestIsNotRecycled(t *testing.T) {
 		if err != nil || len(out.Values) != 1 || out.Values[0] != v {
 			t.Fatalf("predict %v after a cancellation = %v, %v; want its own result", v, out.Values, err)
 		}
+	}
+}
+
+// TestLoneRequestIsNotHeld: a lone request on an idle scheduler is
+// answered at once, not after BatchTimeout: nothing runnable is about to
+// join its batch.
+func TestLoneRequestIsNotHeld(t *testing.T) {
+	m := stubModel("lone", Config{MaxBatchSize: 8, BatchTimeout: 20 * time.Second}, runnerFunc(echoRunner))
+	defer m.unload()
+	start := time.Now()
+	if _, err := m.Predict(context.Background(), Instance{Values: []float32{1, 2}, Shape: []int{2}}); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("a lone request took %v under a 20s BatchTimeout, want under 1s", took)
+	}
+}
+
+// TestBatchTimeoutCapsAFedBatch: BatchTimeout bounds a batch that requests
+// keep joining. A feeder queues a request whenever the queue is empty and
+// yields, so each of gather's yields brings one, and MaxBatchSize is far
+// above what can arrive: only the cap seals the batch. gather returns no
+// earlier than BatchTimeout, with more than its first request and fewer
+// than MaxBatchSize.
+func TestBatchTimeoutCapsAFedBatch(t *testing.T) {
+	// One P: the feeder, always runnable, runs at each of gather's yields.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const timeout = 50 * time.Millisecond
+	cfg := Config{MaxBatchSize: 1 << 30, BatchTimeout: timeout, QueueSize: 1}.withDefaults()
+	s := &scheduler{cfg: cfg, queue: make(chan *request, cfg.QueueSize), stop: make(chan struct{})}
+	fed := &request{ctx: context.Background()}
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			case s.queue <- fed:
+			default:
+			}
+			runtime.Gosched()
+		}
+	}()
+	start := time.Now()
+	batch := s.gather(&batcher{}, &request{ctx: context.Background()})
+	took := time.Since(start)
+	close(stop)
+	<-stopped
+	t.Logf("gather took %v and sealed a batch of %d", took, len(batch))
+	if took < timeout {
+		t.Errorf("gather sealed a fed batch after %v, before its %v BatchTimeout", took, timeout)
+	}
+	if len(batch) < 2 || len(batch) >= cfg.MaxBatchSize {
+		t.Errorf("gather sealed a batch of %d, want more than 1 and fewer than %d", len(batch), cfg.MaxBatchSize)
 	}
 }
 

@@ -24,9 +24,11 @@ import (
 // contract: inbound IDs are honored and echoed, and the same ID tags the
 // request's events in the trace.
 func TestRequestFlowFanIn(t *testing.T) {
-	// A runner slow enough that requests queue behind the first batch.
+	// A runner slow enough that requests queue behind the first batch:
+	// an under-full batch leaves as soon as nothing runnable is about to
+	// join it, so the execute is the window in which the others arrive.
 	run := runnerFunc(func(batch []Instance) ([]Instance, error) {
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(20 * time.Millisecond)
 		return batch, nil
 	})
 	m := stubModel("flow", Config{MaxBatchSize: 8, BatchTimeout: 50 * time.Millisecond, Workers: 1}, run)
@@ -39,8 +41,8 @@ func TestRequestFlowFanIn(t *testing.T) {
 	srv := httptest.NewServer(api)
 	defer srv.Close()
 
-	// Fire concurrent requests; the 50ms batch timeout guarantees the
-	// ones that arrive while the first waits share its batch.
+	// Fire concurrent requests; the ones that arrive while the first
+	// batch executes share the next one.
 	const clients = 4
 	var wg sync.WaitGroup
 	echoed := make([]string, clients)
