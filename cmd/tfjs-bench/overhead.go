@@ -67,15 +67,9 @@ func overheadExperiment(alpha float64, size, total int, budgetPct float64) {
 	}
 	inst := serving.Instance{Values: make([]float32, size*size*3), Shape: []int{size, size, 3}}
 
-	var measured, samples, sampledNS int64
 	round := func(on bool) float64 {
 		if on {
-			api := serving.NewServer(reg)
-			defer func() {
-				api.Close()
-				e, s, ns := api.Stats().SelfCost()
-				measured, samples, sampledNS = measured+e, samples+s, sampledNS+ns
-			}()
+			defer serving.NewServer(reg).Close()
 		}
 		return serveThroughput(ctx, m, inst, total)
 	}
@@ -100,11 +94,6 @@ func overheadExperiment(alpha float64, size, total int, budgetPct float64) {
 	fmt.Printf("QPS off: median %.1f, quartiles %.1f–%.1f\n", offQ[1], offQ[0], offQ[2])
 	fmt.Printf("overhead: median %.2f%% of throughput, quartiles %.2f–%.2f (IQR %.2f), budget %.1f%%\n",
 		lossQ[1], lossQ[0], lossQ[2], lossQ[2]-lossQ[0], budgetPct)
-	perEvent := int64(0)
-	if samples > 0 {
-		perEvent = sampledNS / samples
-	}
-	fmt.Printf("stats aggregator measured %d kernel events; sampled observe cost %d ns/event\n", measured, perEvent)
 
 	if lossQ[1] > budgetPct {
 		fmt.Printf("\ntelemetry overhead gate FAILED: %.2f%% > %.1f%% budget\n", lossQ[1], budgetPct)

@@ -5,7 +5,7 @@
 //
 //   - tensorleak: every ops.*/tf.* constructor result must be disposed,
 //     kept, returned, or escape on every path (the static counterpart of
-//     the runtime LifetimeTracker behind tfjs-profile -leaks).
+//     the runtime LifetimeTracker behind tf.LeakCheck).
 //   - syncread: no synchronous tensor readback (DataSync/ReadSync) or
 //     Future.Await reachable from a jsenv event-loop callback — the
 //     "blocks the UI thread" hazard of Section 3 that the async Data()

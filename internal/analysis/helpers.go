@@ -76,7 +76,8 @@ func selectorName(call *ast.CallExpr) string {
 
 // site renders an allocation/call site the way the runtime LifetimeTracker
 // names its sites — "func (file:line)" — so static findings and
-// tfjs-profile -leaks reports line up on the same naming.
+// tf.LeakCheck and /debug/memory?leaks=N reports line up on the same
+// naming.
 func (p *Pass) site(funcName string, pos ast.Node) string {
 	position := p.Prog.Fset.Position(pos.Pos())
 	return funcName + " (" + filepath.Base(position.Filename) + ":" +

@@ -8,7 +8,7 @@ import (
 
 // TensorLeak flags tensor constructor results that can leave a function
 // without being disposed, kept, returned, or handed to other code — the
-// static complement of the runtime LifetimeTracker (tfjs-profile -leaks).
+// static complement of the runtime LifetimeTracker (tf.LeakCheck).
 // The paper's WebGL/engine memory model has no GC for tensor data, so a
 // tensor that merely goes out of scope is a real leak.
 //

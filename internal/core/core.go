@@ -985,7 +985,6 @@ func (e *Engine) emitKernel(name string, b kernels.Backend, start time.Time, ti 
 		HasKernelMS: ti.HasKernelMS,
 		Bytes:       added,
 		TotalBytes:  total,
-		Elements:    int64(tensor.ShapeSize(out.Shape)),
 	}
 	shapes := e.shapes.get(ins, out.Shape)
 	ev.InputShapes, ev.OutputShapes = shapes[:len(ins):len(ins)], shapes[len(ins):]

@@ -36,7 +36,7 @@ func shapeSignature(ev telemetry.Event) string {
 // events from a model's plan carry that model's span and nobody else's,
 // no kernel runs outside a span (the runner moves a batch without
 // dispatching any), and the per-model kernel counters on /metrics equal executes × the kernels
-// one execute dispatches, exactly.
+// one execute dispatches, exactly, in an exposition the strict parser accepts.
 func TestConcurrentSpanAttribution(t *testing.T) {
 	reg := NewRegistry()
 	defer reg.Close()
@@ -127,6 +127,9 @@ func TestConcurrentSpanAttribution(t *testing.T) {
 	remove()
 
 	metrics := buildExposition(reg.Snapshots(), api.Stats(), api.Trace()).RenderOpenMetrics()
+	if _, err := telemetry.ParseExposition(metrics); err != nil {
+		t.Fatalf("/metrics rejected by the strict OpenMetrics parser: %v", err)
+	}
 	executes := map[string]int{}
 	counts := map[string]map[string]int{"alpha": {}, "beta": {}}
 	for _, ev := range events {

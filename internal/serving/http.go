@@ -192,12 +192,7 @@ func (s *Server) handleMemory(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	eng := core.Global()
-	rep := memoryReport{Backend: eng.BackendName(), Engine: eng.Memory()}
-	if dm, ok := eng.Backend().(interface {
-		DeviceMemory() *telemetry.DeviceMemory
-	}); ok {
-		rep.Device = dm.DeviceMemory()
-	}
+	var leaks *telemetry.LeakReport
 	if q := r.URL.Query().Get("leaks"); q != "" {
 		sec, err := strconv.ParseFloat(q, 64)
 		if err != nil || !(sec > 0) || math.IsInf(sec, 0) {
@@ -214,7 +209,7 @@ func (s *Server) handleMemory(w http.ResponseWriter, r *http.Request) {
 		remove, err := eng.TrackLifetimes(lt)
 		if err != nil {
 			// One capture at a time: the tracker slot is already taken
-			// (another capture, or a tfjs-profile -leaks run).
+			// (another capture, or a tf.LeakCheck in the process).
 			writeJSON(w, http.StatusConflict, map[string]any{"error": err.Error()})
 			return
 		}
@@ -223,9 +218,18 @@ func (s *Server) handleMemory(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 		}
 		remove()
-		leaks := lt.Report()
+		leaks = lt.Report()
+	}
+	// Sampled after the capture window, as tf.LeakCheck does, so the
+	// counters include the tensors the leak report names.
+	rep := memoryReport{Backend: eng.BackendName(), Engine: eng.Memory(), Leaks: leaks}
+	if dm, ok := eng.Backend().(interface {
+		DeviceMemory() *telemetry.DeviceMemory
+	}); ok {
+		rep.Device = dm.DeviceMemory()
+	}
+	if leaks != nil {
 		leaks.Device = rep.Device
-		rep.Leaks = leaks
 	}
 	writeJSON(w, http.StatusOK, rep)
 }

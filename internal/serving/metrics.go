@@ -194,8 +194,9 @@ func modelOfSpan(span string) string {
 
 // buildExposition assembles the full metrics sample set: per-model
 // request/latency/batch series, the per-model per-kernel breakdowns and
-// measured kernel costs from the telemetry aggregator, the engine's
-// tensor/byte counters and the trace-ring drop counters. Families render
+// transfer counters from the telemetry aggregator, the engine's
+// tensor/byte counters, the Go runtime's GC series and the trace-ring drop
+// counters. Families render
 // in the order they are declared here.
 func buildExposition(models map[string]Snapshot, stats *telemetry.Stats, trace *telemetry.Recorder) *telemetry.Exposition {
 	e := telemetry.NewExposition()
@@ -288,7 +289,6 @@ func buildExposition(models map[string]Snapshot, stats *telemetry.Stats, trace *
 	e.Int("engine_pool_recycled_bytes_total", mem.Backend.RecycledBytes)
 	addRuntimeSamples(e)
 	addTraceSamples(e, trace)
-	addKernelCostSamples(e, stats)
 	return e
 }
 
@@ -355,8 +355,8 @@ func gcPauseQuantiles(h *metrics.Float64Histogram, qs ...float64) []float64 {
 }
 
 // addKernelSamples appends the per-model per-kernel series sourced from
-// the telemetry aggregator — the same numbers tfjs-profile prints, so the
-// two surfaces agree by construction.
+// the telemetry aggregator — the same numbers tf.NewKernelStats returns, so
+// the two surfaces agree by construction.
 func addKernelSamples(e *telemetry.Exposition, stats *telemetry.Stats) {
 	e.Family("serving_kernel_invocations_total", telemetry.TypeCounter, "Kernel dispatches by model and kernel.")
 	e.Family("serving_kernel_time_ms_total", telemetry.TypeCounter, "Cumulative kernel wall time by model and kernel (ms).")
@@ -395,33 +395,5 @@ func addTraceSamples(e *telemetry.Exposition, trace *telemetry.Recorder) {
 	e.Family("telemetry_trace_dropped_events_total", telemetry.TypeCounter, "Trace events overwritten by ring wraparound, per shard.")
 	for shard, n := range trace.DroppedByShard() {
 		e.Int("telemetry_trace_dropped_events_total", n, telemetry.L("shard", strconv.Itoa(shard)))
-	}
-}
-
-// addKernelCostSamples appends the continuous-profiling series: how many
-// kernel events the aggregator measured, what its sampled self-overhead
-// cost, and the per-kernel measured cost (ns per output element: mean plus
-// windowed quantiles).
-func addKernelCostSamples(e *telemetry.Exposition, stats *telemetry.Stats) {
-	e.Family("telemetry_profiler_events_total", telemetry.TypeCounter, "Kernel events folded into the measured kernel costs.")
-	e.Family("telemetry_profiler_overhead_samples_total", telemetry.TypeCounter, "Aggregator self-overhead samples taken (1 in 64 events).")
-	e.Family("telemetry_profiler_overhead_ns_total", telemetry.TypeCounter, "Sampled wall time spent inside the aggregator's observe path (ns).")
-	e.Family("telemetry_kernel_cost_ns_total", telemetry.TypeCounter, "Cumulative measured kernel time by kernel (ns).")
-	e.Family("telemetry_kernel_cost_items_total", telemetry.TypeCounter, "Output elements processed by measured kernel dispatches.")
-	e.Family("telemetry_kernel_cost_ns_per_element", telemetry.TypeGauge, "Measured kernel cost: ns per output element (mean, plus p50/p95 quantiles over the recent window).")
-	measured, samples, overheadNS := stats.SelfCost()
-	e.Int("telemetry_profiler_events_total", measured)
-	e.Int("telemetry_profiler_overhead_samples_total", samples)
-	e.Int("telemetry_profiler_overhead_ns_total", overheadNS)
-	for _, ks := range stats.Kernels() {
-		if ks.Elements == 0 {
-			continue
-		}
-		kernel := telemetry.L("kernel", ks.Name)
-		e.Int("telemetry_kernel_cost_ns_total", ks.CostNS, kernel)
-		e.Int("telemetry_kernel_cost_items_total", ks.Elements, kernel)
-		e.Float("telemetry_kernel_cost_ns_per_element", ks.NSPerElement(), kernel)
-		e.Float("telemetry_kernel_cost_ns_per_element", ks.P50NSPerElement, kernel, telemetry.L("quantile", "0.5"))
-		e.Float("telemetry_kernel_cost_ns_per_element", ks.P95NSPerElement, kernel, telemetry.L("quantile", "0.95"))
 	}
 }

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -8,7 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/ops"
 	"repro/internal/telemetry"
+	"repro/internal/tensor"
 )
 
 // observabilityServer spins up a server with one stub model that has seen
@@ -61,7 +65,7 @@ func get(t *testing.T, url string, headers map[string]string) (*http.Response, s
 // TestMetricsContentNegotiation checks that /metrics has one wire format:
 // no Accept header, a text/plain one and the OpenMetrics one all get the
 // OpenMetrics content type and output the strict parser accepts —
-// including the profiler and trace-ring self-observability series.
+// including the transfer and trace-ring series, present even at zero.
 func TestMetricsContentNegotiation(t *testing.T) {
 	_, srv := observabilityServer(t)
 
@@ -93,11 +97,11 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	if fam := p.Family("serving_requests"); fam == nil || fam.Type != telemetry.TypeCounter {
 		t.Errorf("serving_requests family missing or untyped: %+v", fam)
 	}
-	// The profiler's self-observability series and the per-shard trace-ring
-	// overwrite counters must be present even when zero — absence and zero
-	// are different signals to a dashboard.
-	if _, ok := p.Value("telemetry_profiler_events_total", nil); !ok {
-		t.Error("/metrics missing telemetry_profiler_events_total")
+	// The transfer counters and the per-shard trace-ring overwrite
+	// counters must be present even when zero — absence and zero are
+	// different signals to a dashboard.
+	if _, ok := p.Value("telemetry_fence_total", nil); !ok {
+		t.Error("/metrics missing telemetry_fence_total")
 	}
 	// The kernel-time quantile gauge is serving_kernel_time_ms_window: the
 	// bare name is the serving_kernel_time_ms counter family.
@@ -121,42 +125,6 @@ func TestMetricsContentNegotiation(t *testing.T) {
 				t.Errorf("trace drop sample without shard label: %+v", s)
 			}
 		}
-	}
-}
-
-// TestMetricsProfilerSeries feeds kernel events through the server's
-// stats aggregator and checks the per-kernel measured-cost series appear
-// on the OpenMetrics exposition with their quantile variants.
-func TestMetricsProfilerSeries(t *testing.T) {
-	api, srv := observabilityServer(t)
-	for i := 0; i < 10; i++ {
-		api.Stats().Observe(telemetry.Event{
-			Kind: telemetry.KindKernel, Name: "fused_MatMul", DurMS: 2, Elements: 1 << 16,
-		})
-	}
-	_, body := get(t, srv.URL+"/metrics", nil)
-	p, err := telemetry.ParseExposition(body)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	want := map[string]string{"kernel": "fused_MatMul"}
-	if v, ok := p.Value("telemetry_kernel_cost_ns_total", want); !ok || v <= 0 {
-		t.Errorf("telemetry_kernel_cost_ns_total = %v, %v", v, ok)
-	}
-	if v, ok := p.Value("telemetry_kernel_cost_items_total", want); !ok || v != 10*(1<<16) {
-		t.Errorf("telemetry_kernel_cost_items_total = %v, %v", v, ok)
-	}
-	for _, q := range []string{"", "0.5", "0.95"} {
-		labels := map[string]string{"kernel": "fused_MatMul"}
-		if q != "" {
-			labels["quantile"] = q
-		}
-		if v, ok := p.Value("telemetry_kernel_cost_ns_per_element", labels); !ok || v <= 0 {
-			t.Errorf("ns_per_element quantile=%q = %v, %v", q, v, ok)
-		}
-	}
-	if v, ok := p.Value("telemetry_profiler_events_total", nil); !ok || v != 10 {
-		t.Errorf("telemetry_profiler_events_total = %v, %v", v, ok)
 	}
 }
 
@@ -210,5 +178,64 @@ func TestDebugMemoryParamValidation(t *testing.T) {
 	}
 	if got := resp.Header.Get("X-Leak-Capture-Seconds"); got != "0.05" {
 		t.Errorf("X-Leak-Capture-Seconds = %q, want 0.05", got)
+	}
+}
+
+// TestDebugMemoryCountsTheCapturedLeaks leaks tensors on the global engine
+// during a ?leaks capture: the report's engine counters are sampled after
+// the window, so they count every tensor its leak report names.
+func TestDebugMemoryCountsTheCapturedLeaks(t *testing.T) {
+	_, srv := observabilityServer(t)
+	base := core.Global().Memory().NumTensors
+
+	type result struct {
+		body string
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, err := http.Get(srv.URL + "/debug/memory?leaks=0.2")
+		if err != nil {
+			done <- result{err: err}
+			return
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		done <- result{string(body), err}
+	}()
+	// Leak one tensor at a time until the capture answers, so some are
+	// allocated inside the window whenever the handler starts it.
+	var leaked []*tensor.Tensor
+	defer func() {
+		for _, x := range leaked {
+			x.Dispose()
+		}
+	}()
+	var res result
+	for waiting := true; waiting; {
+		leaked = append(leaked, ops.FromValues([]float32{1, 2, 3}, 3))
+		select {
+		case res = <-done:
+			waiting = false
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	var rep struct {
+		Engine struct{ NumTensors int } `json:"engine"`
+		Leaks  struct {
+			LiveTensors int `json:"live_tensors"`
+		} `json:"leaks"`
+	}
+	if err := json.Unmarshal([]byte(res.body), &rep); err != nil {
+		t.Fatalf("parsing /debug/memory: %v\n%s", err, res.body)
+	}
+	if rep.Leaks.LiveTensors == 0 {
+		t.Fatalf("no leak captured in the window: %s", res.body)
+	}
+	if got := rep.Engine.NumTensors - base; got < rep.Leaks.LiveTensors {
+		t.Errorf("engine.num_tensors counts %d tensors more than before the capture; its leak report names %d", got, rep.Leaks.LiveTensors)
 	}
 }

@@ -195,9 +195,8 @@ func (e *Exposition) RenderOpenMetrics() string {
 }
 
 // ---------------------------------------------------------------------------
-// Strict OpenMetrics parsing — shared by the tfjs-profile live view and
-// the format tests, so what the renderer emits is continuously checked
-// against what a consumer accepts.
+// Strict OpenMetrics parsing — the format tests' consumer, so what the
+// renderer emits is continuously checked against what a scraper accepts.
 
 // ParsedSample is one parsed exposition line.
 type ParsedSample struct {

@@ -145,7 +145,7 @@ func TestParseExpositionCounterSuffix(t *testing.T) {
 
 // TestCounterMonotonicity simulates two consecutive scrapes of a live
 // exposition and checks every counter sample moved monotonically — the
-// property the tfjs-profile live view's QPS-from-deltas math relies on.
+// property a scraper's rate-from-deltas math relies on.
 func TestCounterMonotonicity(t *testing.T) {
 	render := func(requests, errors int64) *Parsed {
 		e := NewExposition()

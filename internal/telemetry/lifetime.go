@@ -66,21 +66,24 @@ func NewLifetimeTracker(sampleEvery int) *LifetimeTracker {
 // sampled allocations. scope and span are the enclosing tidy scope and
 // open model span at allocation time.
 func (l *LifetimeTracker) OnAlloc(id, bytes int64, scope, span string) {
-	rec := &allocRecord{id: id, bytes: bytes, scope: scope, span: span}
 	l.mu.Lock()
 	l.allocs++
-	rec.seq = l.allocs
-	sampled := l.allocs%l.sampleEvery == 0
-	l.live[id] = rec
+	seq := l.allocs
 	l.mu.Unlock()
-	if sampled {
+	var pcs []uintptr
+	if seq%l.sampleEvery == 0 {
 		// Captured outside the lock: runtime.Callers is the expensive part
 		// and needs no tracker state. Skip runtime.Callers + OnAlloc; the
 		// engine frames above are pruned symbolically at report time.
-		pcs := make([]uintptr, siteFrames)
-		n := runtime.Callers(2, pcs)
-		rec.pcs = pcs[:n]
+		pcs = make([]uintptr, siteFrames)
+		pcs = pcs[:runtime.Callers(2, pcs)]
 	}
+	// Published complete, under the lock: a concurrent Report never reads
+	// a record whose stack is still being written.
+	rec := &allocRecord{id: id, bytes: bytes, scope: scope, span: span, pcs: pcs, seq: seq}
+	l.mu.Lock()
+	l.live[id] = rec
+	l.mu.Unlock()
 }
 
 // OnDispose records one tensor-handle disposal.
@@ -304,8 +307,8 @@ func (l *LifetimeTracker) Report() *LeakReport {
 	return rep
 }
 
-// String renders the report as the human-readable text tfjs-profile -leaks
-// prints.
+// String renders the report as human-readable text: what fmt.Print of a
+// tf.LeakCheck report shows.
 func (r *LeakReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "leak report: %d live tensor(s), %.2f KiB live (%d allocs, %d disposes, %d finalizer-reclaimed)\n",

@@ -97,8 +97,8 @@ func TestLifetimeTrackerSampling(t *testing.T) {
 	}
 }
 
-// TestLeakReportString smoke-tests the human rendering tfjs-profile
-// -leaks prints.
+// TestLeakReportString smoke-tests the human rendering fmt.Print gives a
+// tf.LeakCheck report.
 func TestLeakReportString(t *testing.T) {
 	lt := telemetry.NewLifetimeTracker(1)
 	allocate(lt, 1, 2048, "predict")

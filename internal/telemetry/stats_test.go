@@ -1,7 +1,7 @@
 package telemetry
 
 import (
-	"math"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -53,66 +53,39 @@ func TestDistributionConcurrentQuantiles(t *testing.T) {
 	}
 }
 
-// TestProfilerObserve checks the measured-cost columns of Stats — the
-// continuous profiler's per-kernel view: only kernel events with a positive
-// element count feed them, and the plain count/total columns see every
-// kernel event regardless. There is no switch: an attached Stats measures.
-func TestProfilerObserve(t *testing.T) {
+// TestKernelsSumSpans checks that Kernels is the per-name sum over the
+// spans, the one without a span included: counts, totals and bytes add up,
+// and p50/p95 are taken over the union of the spans' windows. Spans lists
+// the named spans only.
+func TestKernelsSumSpans(t *testing.T) {
 	s := NewStats()
-	s.Observe(Event{Kind: KindKernel, Name: "MatMul", DurMS: 1, Elements: 1000})
-	s.Observe(Event{Kind: KindKernel, Name: "MatMul", DurMS: 3, Elements: 1000})
-	s.Observe(Event{Kind: KindKernel, Name: "Relu", DurMS: 0.5, Elements: 500})
-	s.Observe(Event{Kind: KindUpload, Name: "upload", DurMS: 9, Elements: 100}) // wrong kind
-	s.Observe(Event{Kind: KindKernel, Name: "NoElems", DurMS: 9})               // no element count
-	if got, _, _ := s.SelfCost(); got != 3 {
-		t.Fatalf("measured events = %d, want 3", got)
+	for i := 1; i <= 10; i++ {
+		s.Observe(Event{Kind: KindKernel, Name: "MatMul", Span: "a:predict", DurMS: float64(i), Bytes: 1})
 	}
-	s.Observe(Event{Kind: KindKernel, Name: "MatMul", DurMS: 1, Elements: 1000})
-	if got, _, _ := s.SelfCost(); got != 4 {
-		t.Fatalf("measured events = %d, want 4", got)
+	for i := 11; i <= 20; i++ {
+		s.Observe(Event{Kind: KindKernel, Name: "MatMul", Span: "b:predict", DurMS: float64(i), Bytes: 2})
 	}
+	s.Observe(Event{Kind: KindKernel, Name: "MatMul", DurMS: 21, Bytes: 4})
+	s.Observe(Event{Kind: KindKernel, Name: "Relu", Span: "a:predict", DurMS: 0.5})
 
-	// Kernels sorts by total time descending: NoElems 9ms, MatMul 5ms over
-	// 3 measured dispatches (3000 elements), Relu.
-	snap := s.Kernels()
-	if len(snap) != 3 || snap[0].Name != "NoElems" || snap[1].Name != "MatMul" || snap[2].Name != "Relu" {
-		t.Fatalf("Kernels() = %+v", snap)
+	ks := s.Kernels()
+	if len(ks) != 2 || ks[0].Name != "MatMul" || ks[1].Name != "Relu" {
+		t.Fatalf("Kernels() = %+v", ks)
 	}
-	if snap[0].Elements != 0 || snap[0].NSPerElement() != 0 {
-		t.Errorf("NoElems was measured: %+v", snap[0])
+	want := KernelStat{Name: "MatMul", Count: 21, TotalMS: 231, P50MS: 11, P95MS: 20, BytesAdded: 34}
+	if ks[0] != want {
+		t.Errorf("MatMul over three spans = %+v, want %+v", ks[0], want)
 	}
-	mm := snap[1]
-	if mm.Count != 3 || mm.Elements != 3000 || mm.CostNS != 5e6 {
-		t.Errorf("MatMul summary: %+v", mm)
+	if spans := s.Spans(); !slices.Equal(spans, []string{"a:predict", "b:predict"}) {
+		t.Errorf("Spans() = %v", spans)
 	}
-	if got := mm.NSPerElement(); math.Abs(got-5e6/3000) > 1e-9 {
-		t.Errorf("MatMul NSPerElement = %v", got)
+	// One span's aggregate is that span's window alone.
+	want = KernelStat{Name: "MatMul", Count: 10, TotalMS: 155, P50MS: 15, P95MS: 19, BytesAdded: 20}
+	if sk := s.KernelsForSpan("b:predict"); len(sk) != 1 || sk[0] != want {
+		t.Errorf("KernelsForSpan(b) = %+v, want [%+v]", sk, want)
 	}
-	// Per-dispatch ns/element samples were 1000, 3000, 1000; Distribution
-	// takes the floor rank, so both quantiles of three samples are 1000.
-	if mm.P50NSPerElement != 1000 || mm.P95NSPerElement != 1000 {
-		t.Errorf("MatMul ns/element quantiles p50=%v p95=%v", mm.P50NSPerElement, mm.P95NSPerElement)
-	}
-}
-
-// TestProfilerOverheadSampling drives enough measured events through
-// Stats.Observe that the 1-in-overheadSampleEvery self-timing must have
-// triggered exactly three times.
-func TestProfilerOverheadSampling(t *testing.T) {
-	s := NewStats()
-	for i := 0; i < 3*overheadSampleEvery; i++ {
-		s.Observe(Event{Kind: KindKernel, Name: "K", DurMS: 0.1, Elements: 10})
-	}
-	_, samples, totalNS := s.SelfCost()
-	if samples != 3 {
-		t.Errorf("overhead samples = %d, want 3", samples)
-	}
-	if totalNS < 0 {
-		t.Errorf("overhead totalNS = %d", totalNS)
-	}
-	s.Reset()
-	if measured, samples, _ := s.SelfCost(); measured != 0 || samples != 0 {
-		t.Errorf("Reset left measured=%d samples=%d", measured, samples)
+	if sk := s.KernelsForSpan(""); len(sk) != 1 || sk[0].Count != 1 || sk[0].TotalMS != 21 {
+		t.Errorf("KernelsForSpan(\"\") = %+v", sk)
 	}
 }
 

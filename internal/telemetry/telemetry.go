@@ -8,9 +8,10 @@
 // tidy-scope close), the graph executor (model spans) and the simulated
 // WebGL device layer (fences, texture paging) — emit flat Event values into
 // a Hub. Consumers register Observers on the hub: the ring-buffer trace
-// Recorder (Chrome trace-event JSON), the Stats aggregator (count /
-// total / p50 / p95 per kernel, bytes moved, memory timeline), or any
-// user-supplied hook via tf.WithTelemetry.
+// Recorder (Chrome trace-event JSON, where tidy-scope closes become the
+// engine memory counter track), the Stats aggregator (count / total /
+// p50 / p95 per kernel and model span, bytes moved), or any user-supplied
+// hook via tf.WithTelemetry.
 //
 // The hub is engineered for zero cost when nothing observes: producers
 // gate every emission on Hub.Active(), a single atomic load, so an
@@ -154,10 +155,6 @@ type Event struct {
 	FlowID uint64
 	// Count is a generic cardinality: the batch size on Batch events.
 	Count int
-	// Elements is the total output element count of a kernel dispatch
-	// (Kernel only) — the denominator of the continuous profiler's
-	// measured ns/element accounts.
-	Elements int64
 }
 
 // Observer receives telemetry events. Implementations must be safe for

@@ -244,7 +244,7 @@ func TestStatsAggregation(t *testing.T) {
 	s.Observe(Event{Kind: KindKernel, Name: "Relu", DurMS: 0.5, Start: now})
 	s.Observe(Event{Kind: KindUpload, Bytes: 64, DurMS: 0.1, Start: now})
 	s.Observe(Event{Kind: KindDownload, Bytes: 32, DurMS: 0.1, Start: now})
-	s.Observe(Event{Kind: KindScope, Name: "tidy", NumTensors: 3, TotalBytes: 300, Start: now})
+	s.Observe(Event{Kind: KindFence, Start: now})
 
 	ks := s.Kernels()
 	if len(ks) != 2 || ks[0].Name != "MatMul" {
@@ -265,15 +265,11 @@ func TestStatsAggregation(t *testing.T) {
 		t.Fatalf("span kernels = %+v", sk)
 	}
 	tr := s.Transfers()
-	if tr.UploadCount != 1 || tr.UploadBytes != 64 || tr.DownloadCount != 1 {
+	if tr != (TransferStat{UploadBytes: 64, DownloadBytes: 32, FenceCount: 1}) {
 		t.Fatalf("transfers = %+v", tr)
 	}
-	tl := s.Timeline()
-	if len(tl) != 1 || tl[0].NumTensors != 3 || tl[0].NumBytes != 300 {
-		t.Fatalf("timeline = %+v", tl)
-	}
 	s.Reset()
-	if len(s.Kernels()) != 0 || len(s.Timeline()) != 0 {
+	if len(s.Kernels()) != 0 || len(s.Spans()) != 0 || s.Transfers() != (TransferStat{}) {
 		t.Fatal("reset did not clear")
 	}
 }

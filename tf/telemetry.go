@@ -26,7 +26,8 @@ type TelemetryObserverFunc = telemetry.ObserverFunc
 type TraceRecorder = telemetry.Recorder
 
 // KernelStats aggregates per-kernel counts, total/p50/p95 times and bytes
-// moved; register it with WithTelemetry.
+// added, per model span and summed (Kernels), plus the transfer counters;
+// register it with WithTelemetry.
 type KernelStats = telemetry.Stats
 
 // NewTraceRecorder returns a trace recorder keeping the last capacity
@@ -38,8 +39,8 @@ func NewKernelStats() *KernelStats { return telemetry.NewStats() }
 
 // WithTelemetry registers observers on the global engine's telemetry hub
 // and returns a function removing them. This is the one instrumentation
-// surface: tracing, kernel statistics, memory timelines and custom hooks
-// all attach here. With no observer registered the engine's hot path pays
+// surface: tracing (with the engine memory counter track), kernel
+// statistics and custom hooks all attach here. With no observer registered the engine's hot path pays
 // a single atomic load per kernel.
 //
 //	rec := tf.NewTraceRecorder(0)
