@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/bufpool"
 )
 
 // The modelled device's cost constants, in picoseconds. They are the whole
@@ -81,10 +83,16 @@ type command struct {
 	// every dispatch of its shapes.
 	prog  *Program
 	cprog *ComputeProgram
-	out   *Texture
-	nin   int
-	in    [InlineInputs]*Texture
-	more  []*Texture
+	// An upload or a readback is its texture (out) and its host buffer
+	// (vals): an upload's staged values, which the command stores and
+	// gives back to the device's staging pool, or the slice a readback
+	// copies the texels into, sending on done when it has.
+	out  *Texture
+	vals []float32
+	done chan struct{}
+	nin  int
+	in   [InlineInputs]*Texture
+	more []*Texture
 }
 
 // inputs returns the textures the command's program samples, in order.
@@ -102,8 +110,18 @@ func (d *Device) do(cmd command) {
 		d.execute(cmd.prog, cmd.inputs(), cmd.out)
 	case cmd.cprog != nil:
 		d.executeCompute(cmd.cprog, cmd.inputs(), cmd.out)
-	default:
+	case cmd.run != nil:
 		cmd.run()
+	case cmd.done != nil: // a readback
+		copy(cmd.vals, cmd.out.data)
+		d.stats.reads.Add(1)
+		cmd.done <- struct{}{}
+	default: // an upload
+		for i, v := range cmd.vals {
+			cmd.out.store(i, v)
+		}
+		d.staging.Put(cmd.vals)
+		d.stats.uploads.Add(1)
 	}
 }
 
@@ -143,6 +161,11 @@ type Device struct {
 	shared []float32
 	cores  *cores
 	closed bool
+
+	// staging holds uploads' copies of their values until the queue
+	// stores them; replies are readbacks' one-slot channels.
+	staging *bufpool.Pool
+	replies sync.Pool
 
 	mu           sync.Mutex
 	textureBytes int64
@@ -192,7 +215,10 @@ func NewDevice(cfg Config) *Device {
 		queue:   make(chan command, cfg.QueueDepth),
 		done:    make(chan struct{}),
 		workers: cfg.Workers,
+		staging: bufpool.New(),
+		replies: sync.Pool{New: func() any { return make(chan struct{}, 1) }},
 	}
+	d.staging.SetPoison(bufpool.RaceEnabled)
 	d.wg.Add(1)
 	go d.run()
 	return d
@@ -311,33 +337,30 @@ func (d *Device) DeleteTexture(t *Texture) {
 
 // Upload queues a texSubImage2D-style data upload into the texture. values
 // are laid out in flat texel-major order and may be shorter than the
-// texture (trailing texels stay zero).
+// texture (trailing texels stay zero). Like texSubImage2D it copies values
+// before it returns, into a staging buffer from the device's recycler that
+// the queued upload gives back once it has stored the texels, so the
+// caller may reuse values at once; a warmed upload allocates nothing.
 func (d *Device) Upload(t *Texture, values []float32) {
 	if len(values) > t.Len() {
 		panic(fmt.Sprintf("glsim: upload of %d values into %v", len(values), t))
 	}
-	d.submit(func() {
-		for i, v := range values {
-			t.store(i, v)
-		}
-		d.stats.uploads.Add(1)
-	})
+	staged := d.staging.Get(len(values))
+	copy(staged, values)
+	d.enqueue(command{out: t, vals: staged})
 }
 
 // ReadPixels synchronously downloads the texture: it blocks the calling
 // goroutine until all previously submitted commands have executed, exactly
 // like gl.readPixels blocks the JS main thread (Figure 2), then returns a
-// copy of the texel data.
+// copy of the texel data. The copy is the one allocation it makes: it
+// waits on a one-slot channel recycled across readbacks.
 func (d *Device) ReadPixels(t *Texture) []float32 {
-	var out []float32
-	ch := make(chan struct{})
-	d.submit(func() {
-		out = make([]float32, t.Len())
-		copy(out, t.data)
-		d.stats.reads.Add(1)
-		close(ch)
-	})
-	<-ch
+	out := make([]float32, t.Len())
+	done := d.replies.Get().(chan struct{})
+	d.enqueue(command{out: t, vals: out, done: done})
+	<-done
+	d.replies.Put(done)
 	return out
 }
 

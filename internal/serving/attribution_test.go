@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/telemetrytest"
 )
 
 // shapeSignature identifies a kernel dispatch by everything but its batch
@@ -127,7 +128,7 @@ func TestConcurrentSpanAttribution(t *testing.T) {
 	remove()
 
 	metrics := buildExposition(reg.Snapshots(), api.Stats(), api.Trace()).RenderOpenMetrics()
-	if _, err := telemetry.ParseExposition(metrics); err != nil {
+	if _, err := telemetrytest.ParseExposition(metrics); err != nil {
 		t.Fatalf("/metrics rejected by the strict OpenMetrics parser: %v", err)
 	}
 	executes := map[string]int{}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ops"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/telemetrytest"
 	"repro/internal/tensor"
 )
 
@@ -78,13 +79,13 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		if ct := resp.Header.Get("Content-Type"); ct != openMetricsContentType {
 			t.Errorf("Accept %q: /metrics content type = %q, want %q", accept, ct, openMetricsContentType)
 		}
-		if _, err := telemetry.ParseExposition(body); err != nil {
+		if _, err := telemetrytest.ParseExposition(body); err != nil {
 			t.Errorf("Accept %q: /metrics rejected by strict parser: %v\n%.1000s", accept, err, body)
 		}
 	}
 
 	_, body := get(t, srv.URL+"/metrics", nil)
-	p, err := telemetry.ParseExposition(body)
+	p, err := telemetrytest.ParseExposition(body)
 	if err != nil {
 		t.Fatalf("/metrics rejected by strict parser: %v\n%.1000s", err, body)
 	}

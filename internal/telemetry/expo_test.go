@@ -1,19 +1,22 @@
-package telemetry
+package telemetry_test
 
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/telemetry"
+	"repro/internal/telemetry/telemetrytest"
 )
 
 // buildTestExposition assembles a small two-family scrape exercising
 // counters, gauges, float rendering and labels.
-func buildTestExposition() *Exposition {
-	e := NewExposition()
-	e.Family("requests_total", TypeCounter, "Requests served.")
-	e.Family("queue_depth", TypeGauge, "Requests waiting.")
-	e.Int("requests_total", 32, L("model", "mobilenet"), L("outcome", "ok"))
-	e.Int("requests_total", 2, L("model", "mobilenet"), L("outcome", "error"))
-	e.Float("queue_depth", 3, L("model", "mobilenet"))
+func buildTestExposition() *telemetry.Exposition {
+	e := telemetry.NewExposition()
+	e.Family("requests_total", telemetry.TypeCounter, "Requests served.")
+	e.Family("queue_depth", telemetry.TypeGauge, "Requests waiting.")
+	e.Int("requests_total", 32, telemetry.L("model", "mobilenet"), telemetry.L("outcome", "ok"))
+	e.Int("requests_total", 2, telemetry.L("model", "mobilenet"), telemetry.L("outcome", "error"))
+	e.Float("queue_depth", 3, telemetry.L("model", "mobilenet"))
 	return e
 }
 
@@ -44,7 +47,7 @@ func TestRenderOpenMetricsRoundTrip(t *testing.T) {
 	if !strings.HasSuffix(text, "# EOF\n") {
 		t.Fatalf("output does not end with # EOF:\n%s", text)
 	}
-	p, err := ParseExposition(text)
+	p, err := telemetrytest.ParseExposition(text)
 	if err != nil {
 		t.Fatalf("renderer output rejected by strict parser: %v\n%s", err, text)
 	}
@@ -52,7 +55,7 @@ func TestRenderOpenMetricsRoundTrip(t *testing.T) {
 	if fam == nil {
 		t.Fatalf("counter family %q missing (got %+v)", "requests", p.Families)
 	}
-	if fam.Type != TypeCounter || fam.Help != "Requests served." {
+	if fam.Type != telemetry.TypeCounter || fam.Help != "Requests served." {
 		t.Errorf("requests family metadata: %+v", fam)
 	}
 	if v, ok := p.Value("requests_total", map[string]string{"model": "mobilenet", "outcome": "ok"}); !ok || v != 32 {
@@ -74,12 +77,12 @@ func TestRenderOpenMetricsRoundTrip(t *testing.T) {
 func TestOMLabelEscapingRoundTrip(t *testing.T) {
 	hostile := `quote " backslash \ newline
 tab	end`
-	e := NewExposition()
-	e.Family("hostile_total", TypeCounter, `help with "quotes" and \ slashes
+	e := telemetry.NewExposition()
+	e.Family("hostile_total", telemetry.TypeCounter, `help with "quotes" and \ slashes
 and a newline`)
-	e.Int("hostile_total", 1, L("path", hostile))
+	e.Int("hostile_total", 1, telemetry.L("path", hostile))
 	text := e.RenderOpenMetrics()
-	p, err := ParseExposition(text)
+	p, err := telemetrytest.ParseExposition(text)
 	if err != nil {
 		t.Fatalf("parse: %v\n%s", err, text)
 	}
@@ -118,7 +121,7 @@ func TestParseExpositionRejects(t *testing.T) {
 		{"unknown metadata", "# FOO a bar\na 1\n# EOF\n"},
 	}
 	for _, tc := range cases {
-		if _, err := ParseExposition(tc.text); err == nil {
+		if _, err := telemetrytest.ParseExposition(tc.text); err == nil {
 			t.Errorf("%s: accepted malformed exposition:\n%s", tc.name, tc.text)
 		}
 	}
@@ -128,7 +131,7 @@ func TestParseExpositionRejects(t *testing.T) {
 // inside a counter family "a", samples must be named a_total or a_created;
 // a differently-named sample opens its own untyped family instead.
 func TestParseExpositionCounterSuffix(t *testing.T) {
-	p, err := ParseExposition("# TYPE a counter\na_total 5\na_created 1\n# EOF\n")
+	p, err := telemetrytest.ParseExposition("# TYPE a counter\na_total 5\na_created 1\n# EOF\n")
 	if err != nil {
 		t.Fatalf("valid counter family rejected: %v", err)
 	}
@@ -138,7 +141,7 @@ func TestParseExpositionCounterSuffix(t *testing.T) {
 	}
 	// A bare "a" sample does not belong to counter family "a" — it opens a
 	// second family also named "a", which the contiguity check rejects.
-	if _, err := ParseExposition("# TYPE a counter\na_total 5\na 1\n# EOF\n"); err == nil {
+	if _, err := telemetrytest.ParseExposition("# TYPE a counter\na_total 5\na 1\n# EOF\n"); err == nil {
 		t.Error("bare sample inside counter family accepted")
 	}
 }
@@ -147,14 +150,14 @@ func TestParseExpositionCounterSuffix(t *testing.T) {
 // exposition and checks every counter sample moved monotonically — the
 // property a scraper's rate-from-deltas math relies on.
 func TestCounterMonotonicity(t *testing.T) {
-	render := func(requests, errors int64) *Parsed {
-		e := NewExposition()
-		e.Family("requests_total", TypeCounter, "Requests served.")
-		e.Family("queue_depth", TypeGauge, "Requests waiting.")
-		e.Int("requests_total", requests, L("model", "m"), L("outcome", "ok"))
-		e.Int("requests_total", errors, L("model", "m"), L("outcome", "error"))
-		e.Float("queue_depth", float64(requests%7), L("model", "m"))
-		p, err := ParseExposition(e.RenderOpenMetrics())
+	render := func(requests, errors int64) *telemetrytest.Parsed {
+		e := telemetry.NewExposition()
+		e.Family("requests_total", telemetry.TypeCounter, "Requests served.")
+		e.Family("queue_depth", telemetry.TypeGauge, "Requests waiting.")
+		e.Int("requests_total", requests, telemetry.L("model", "m"), telemetry.L("outcome", "ok"))
+		e.Int("requests_total", errors, telemetry.L("model", "m"), telemetry.L("outcome", "error"))
+		e.Float("queue_depth", float64(requests%7), telemetry.L("model", "m"))
+		p, err := telemetrytest.ParseExposition(e.RenderOpenMetrics())
 		if err != nil {
 			t.Fatalf("parse: %v", err)
 		}
@@ -163,7 +166,7 @@ func TestCounterMonotonicity(t *testing.T) {
 	first := render(10, 1)
 	second := render(42, 3)
 	for _, fam := range first.Families {
-		if fam.Type != TypeCounter {
+		if fam.Type != telemetry.TypeCounter {
 			continue
 		}
 		for _, s := range fam.Samples {
@@ -182,8 +185,8 @@ func TestCounterMonotonicity(t *testing.T) {
 // TestUndeclaredSampleRendersAsGauge: a sample with no declared family
 // opens an untyped gauge family, without HELP, where it is added.
 func TestUndeclaredSampleRendersAsGauge(t *testing.T) {
-	e := NewExposition()
-	e.Family("a_total", TypeCounter, "A.")
+	e := telemetry.NewExposition()
+	e.Family("a_total", telemetry.TypeCounter, "A.")
 	e.Int("b", 1)
 	e.Int("a_total", 2)
 	want := "# HELP a A.\n# TYPE a counter\na_total 2\n# TYPE b gauge\nb 1\n# EOF\n"

@@ -253,12 +253,4 @@ func (s *Stats) Transfers() TransferStat {
 	return s.transfer
 }
 
-// Reset clears all aggregates.
-func (s *Stats) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.bySpan = map[string]map[string]*kernelAgg{}
-	s.transfer = TransferStat{}
-}
-
 var _ Observer = (*Stats)(nil)

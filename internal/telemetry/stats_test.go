@@ -6,6 +6,15 @@ import (
 	"testing"
 )
 
+// Reset clears all aggregates. Only tests clear a Stats: a served process
+// keeps one for its lifetime.
+func (s *Stats) Reset() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.bySpan = map[string]map[string]*kernelAgg{}
+	s.transfer = TransferStat{}
+}
+
 // TestDistributionConcurrentQuantiles races quantile reads against writes:
 // Quantiles must copy the window under the lock, so a concurrent Observe
 // can never hand sort.Float64s a mutating slice. Run with -race.

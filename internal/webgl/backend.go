@@ -160,15 +160,14 @@ func (b *Backend) newTexData(id tensor.DataID, shape []int, dtype tensor.DataTyp
 	return td, nil
 }
 
-// Write implements kernels.Backend.
+// Write implements kernels.Backend. The device's upload is the copy of
+// values the contract asks for: it stages them before it returns.
 func (b *Backend) Write(d tensor.DataID, values []float32, shape []int, dtype tensor.DataType) {
 	td, err := b.newTexData(d, shape, dtype)
 	if err != nil {
 		panic(&core.OpError{Kernel: "webgl.Write", Err: err})
 	}
-	vals := make([]float32, len(values))
-	copy(vals, values)
-	b.device.Upload(td.tex, vals)
+	b.device.Upload(td.tex, values)
 }
 
 // lookup returns the container record for d.

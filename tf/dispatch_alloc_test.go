@@ -2,6 +2,7 @@ package tf_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/bufpool"
@@ -197,11 +198,16 @@ func TestEagerDispatchAllocBudgetPerClass(t *testing.T) {
 
 // TestWebGLPredictAllocBudget pins the Table 1 WebGL row end to end: one
 // warmed Layers MobileNet v1 α=0.25 @96 Predict on webgl, its upload, its
-// eager ops and tidy scopes, the readback and both disposes. It reads 95:
-// one handle per eager op (every Conv → BatchNorm → ReLU6 block is three
-// programs) and a few for the upload and the readback. It read 199 while
-// every handle's shape was an allocation of its own and every tidy grew
-// its tracking slices and map afresh.
+// eager ops and tidy scopes, the readback and both disposes. It reads 90
+// allocations: one handle per eager op (every Conv → BatchNorm → ReLU6
+// block is three programs), the readback's slice and a few more. It read
+// 95 while the upload queued a closure and webgl's Write copied the image
+// into a slice of its own, and the readback queued a closure, a captured
+// variable and a channel; 199 while every handle's shape was an
+// allocation of its own and every tidy grew its tracking slices and map
+// afresh. It allocates ≈13.7 KB, most of it the 4 KB readback of the 1,000
+// logits and the handles; it allocated ≈128.7 KB while Write copied the
+// 110,592-byte image.
 func TestWebGLPredictAllocBudget(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
@@ -229,11 +235,23 @@ func TestWebGLPredictAllocBudget(t *testing.T) {
 	for i := 0; i < 3; i++ { // warmup: programs, texture free list
 		predict()
 	}
-	const budget = 95
+	const budget, byteBudget = 91, 20_000
 	got := testing.AllocsPerRun(20, predict)
 	t.Logf("warmed webgl MobileNet predict: %.0f allocs (budget %d)", got, budget)
 	if got > budget {
 		t.Errorf("warmed webgl MobileNet predict: %.0f allocs, budget %d", got, budget)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		predict()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("warmed webgl MobileNet predict: %d bytes (budget %d)", bytes, byteBudget)
+	if bytes > byteBudget {
+		t.Errorf("warmed webgl MobileNet predict: %d bytes allocated, budget %d", bytes, byteBudget)
 	}
 }
 

@@ -2,11 +2,14 @@ package tf_test
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/data"
+	"repro/internal/kernels"
+	"repro/internal/webgl"
 	"repro/tf"
 )
 
@@ -59,6 +62,55 @@ func TestBackendSwitchingAcrossComputation(t *testing.T) {
 		out.Dispose()
 	}
 	tf.SetBackend("cpu")
+}
+
+// TestTensorOfCopiesAtCallOnWebGL: a tensor made from a slice holds the
+// values the slice had at the call, whatever the caller writes into the
+// slice before the upload reaches the device: webgl's upload copies before
+// it returns, as texSubImage2D does. On a packed, an unpacked and a
+// half-float device the tensor and an op on it read bit for bit what they
+// read when the slice is left alone.
+func TestTensorOfCopiesAtCallOnWebGL(t *testing.T) {
+	half := webgl.DefaultConfig()
+	half.Device.HalfFloatOnly = true
+	tf.EngineOf().RegisterBackend("webgl-fp16", func() (kernels.Backend, error) { return webgl.New(half), nil })
+	defer tf.SetBackend("cpu")
+	run := func(overwrite bool) [][]float32 {
+		src := make([]float32, 6*7)
+		for i := range src {
+			src[i] = float32(i%13-6) / 3
+		}
+		x := tf.TensorOf(src, 6, 7)
+		y := tf.Mul(x, x)
+		if overwrite {
+			for i := range src {
+				src[i] = float32(math.NaN())
+			}
+		}
+		got := [][]float32{append([]float32(nil), x.DataSync()...), append([]float32(nil), y.DataSync()...)}
+		x.Dispose()
+		y.Dispose()
+		return got
+	}
+	var full [][]float32
+	for _, backend := range []string{"webgl", "webgl-unpacked", "webgl-fp16"} {
+		if err := tf.SetBackend(backend); err != nil {
+			t.Fatal(err)
+		}
+		want, got := run(false), run(true)
+		if full == nil {
+			full = want
+		} else if backend == "webgl-fp16" && slices.Equal(want[0], full[0]) {
+			t.Fatal("webgl-fp16 stored its values at full precision: not a half-float device")
+		}
+		for k, name := range []string{"x", "x*x"} {
+			for i := range want[k] {
+				if math.Float32bits(got[k][i]) != math.Float32bits(want[k][i]) {
+					t.Fatalf("%s: %s[%d] = %g after the slice was overwritten, want %g", backend, name, i, got[k][i], want[k][i])
+				}
+			}
+		}
+	}
 }
 
 // backendName maps a registered name to the backend's self-reported name.
