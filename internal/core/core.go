@@ -76,7 +76,11 @@ type Engine struct {
 	scopes     []*scope
 	freeScopes []*scope
 
+	// tapes is the active gradient-tape stack, outermost first;
+	// freeTapes holds the tapes Gradients has finished with, cleared, for
+	// the next one to reuse.
 	tapes      []*tape
+	freeTapes  []*tape
 	gradDepth  int
 	tapePaused bool
 
@@ -518,7 +522,7 @@ func (e *Engine) Clone(t *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(t.DataID, t.Shape, t.DType)
 	e.registerTensor(out, entry.backend)
 	// A clone is differentiable: record it like an identity kernel.
-	e.recordOnTape("Identity", []*tensor.Tensor{t}, out, kernels.Attrs{})
+	e.record("Identity", kernels.Attrs{}, nil, []*tensor.Tensor{t}, out)
 	return out
 }
 
@@ -605,7 +609,7 @@ func (e *Engine) RunKernel(name string, inputs []*tensor.Tensor, attrs kernels.A
 	}
 	out := tensor.New(f.out.DataID, f.out.Shape, f.out.DType)
 	e.registerTensor(out, b)
-	e.recordOnTape(name, inputs, out, attrs)
+	e.record(name, attrs, nil, inputs, out)
 	return out
 }
 
@@ -641,7 +645,7 @@ func (e *Engine) tryFreeKernel(name string, inputs []*tensor.Tensor, attrs kerne
 		}
 		in := inputs[0]
 		out := e.shareData(name, in, attrs.Shape, in.DType)
-		e.recordOnTape(name, inputs, out, kernels.Attrs{})
+		e.record(name, kernels.Attrs{}, nil, inputs, out)
 		return out, true
 	case "Identity":
 		if len(inputs) != 1 {
@@ -649,7 +653,7 @@ func (e *Engine) tryFreeKernel(name string, inputs []*tensor.Tensor, attrs kerne
 		}
 		in := inputs[0]
 		out := e.shareData(name, in, in.Shape, in.DType)
-		e.recordOnTape(name, inputs, out, kernels.Attrs{})
+		e.record(name, kernels.Attrs{}, nil, inputs, out)
 		return out, true
 	case "Cast":
 		if len(inputs) != 1 {
@@ -660,7 +664,7 @@ func (e *Engine) tryFreeKernel(name string, inputs []*tensor.Tensor, attrs kerne
 			// Bool (0/1) and Int32 values are already valid float32
 			// payloads; only float->int/bool needs value conversion.
 			out := e.shareData(name, in, in.Shape, dt)
-			e.recordOnTape("Cast", inputs, out, attrs)
+			e.record("Cast", attrs, nil, inputs, out)
 			return out, true
 		}
 		return nil, false

@@ -12,7 +12,8 @@ import (
 // GradFunc computes the gradients of a kernel's inputs given the gradients
 // of its outputs. Entries in the returned slice align with the kernel's
 // inputs; a nil entry means the input is not differentiable (for example,
-// integer index inputs).
+// integer index inputs). dys, inputs and outputs are the tape's: the
+// function must not keep the slices past its return.
 type GradFunc func(e *Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs) []*tensor.Tensor
 
 // WatchedGradFunc is a GradFunc that is also told which of the kernel's
@@ -22,7 +23,7 @@ type GradFunc func(e *Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Te
 // The function may return nil for such an input instead of running the
 // backward kernel (TF.js prunes the same way: a gradient function returns
 // one thunk per input and the engine calls only those on a path from the
-// requested xs).
+// requested xs). watched, like dys, is the tape's scratch.
 type WatchedGradFunc func(e *Engine, dys []*tensor.Tensor, inputs, outputs []*tensor.Tensor, attrs kernels.Attrs, watched []bool) []*tensor.Tensor
 
 var (
@@ -71,36 +72,117 @@ type tapeNode struct {
 	attrs   kernels.Attrs
 	gradFn  GradFunc // non-nil for custom gradients
 	// out and in back outputs and inputs for a kernel's one output and up
-	// to three inputs: recording a dispatch is one allocation.
+	// to three inputs: recording a dispatch writes into the slab alone.
 	out [1]*tensor.Tensor
 	in  [3]*tensor.Tensor
 }
 
-// tape is one active gradient recording.
+// tapeChunk is the number of nodes in one chunk of a tape's slab, and
+// maxTapeNodes the most a recycled tape keeps: a tape that recorded more
+// hands the rest of its slab, and its maps, to the garbage collector.
+const (
+	tapeChunk    = 64
+	maxTapeNodes = 1024
+)
+
+// tape is one gradient recording. An engine recycles its tapes
+// (takeTape, releaseTape): a training step records into the slab, the maps
+// and the slices the last step left, cleared.
+//
+// A node lives in the slab of the outermost active tape that keeps it, and
+// an inner tape that keeps it too points there. Tapes are strictly nested
+// (Gradients pushes its tape and pops it before it returns), so every
+// inner tape is released before the outer one whose slab it points into
+// is cleared.
 type tape struct {
-	nodes   []*tapeNode
+	// nodes are the recorded nodes in order, some of them in an outer
+	// tape's slab; slab holds the nodes this tape owns, used of them
+	// taken.
+	nodes []*tapeNode
+	slab  []*[tapeChunk]tapeNode
+	used  int
+	// watched holds the ids of the xs and of every recorded output.
 	watched map[int64]bool
+	// accum is the backward pass's gradient sum per tensor id.
+	accum map[int64]*tensor.Tensor
+	// xs are the tensors differentiated against (nil for one that is
+	// not), grads their gradients; keep is the gradient scope's escaping
+	// list; dys and watchedIn are backprop's per-node scratch.
+	xs, grads, keep, dys []*tensor.Tensor
+	watchedIn            []bool
 }
 
-// recordOnTape records a kernel's one output through record. The node
-// copies the inputs, so the caller's slice is not kept and need not
-// escape.
-func (e *Engine) recordOnTape(kernel string, inputs []*tensor.Tensor, out *tensor.Tensor, attrs kernels.Attrs) {
-	e.record(inputs, func() *tapeNode {
-		node := &tapeNode{kernel: kernel, attrs: attrs}
-		node.inputs, node.out[0] = append(node.in[:0], inputs...), out
-		node.outputs = node.out[:]
-		return node
-	})
+// alloc returns a zeroed node from t's slab. A chunk never moves, so the
+// node stays where it is until reset.
+func (t *tape) alloc() *tapeNode {
+	c, i := t.used/tapeChunk, t.used%tapeChunk
+	if c == len(t.slab) {
+		t.slab = append(t.slab, new([tapeChunk]tapeNode))
+	}
+	t.used++
+	return &t.slab[c][i]
 }
 
-// record adds the node build returns to every active tape that watches one
-// of inputs, calling build only once a tape keeps it: with no tape
-// recording, or none watching, an op allocates nothing here. Nested tapes
-// (higher-order gradients) each need their own view of the forward pass:
-// an op executed inside an inner gradient scope may still be a function
-// of an outer tape's watched tensors.
-func (e *Engine) record(inputs []*tensor.Tensor, build func() *tapeNode) {
+// reset clears t for its next recording: it holds no tensor afterwards.
+func (t *tape) reset() {
+	for c := 0; c*tapeChunk < t.used; c++ {
+		clear(t.slab[c][:min(t.used-c*tapeChunk, tapeChunk)])
+	}
+	t.used = 0
+	if len(t.slab) > maxTapeNodes/tapeChunk {
+		clear(t.slab[maxTapeNodes/tapeChunk:])
+		t.slab = t.slab[:maxTapeNodes/tapeChunk]
+	}
+	t.nodes = clearSlice(t.nodes)
+	t.xs, t.grads, t.keep, t.dys = clearSlice(t.xs), clearSlice(t.grads), clearSlice(t.keep), clearSlice(t.dys)
+	t.watchedIn = clearSlice(t.watchedIn)
+	if len(t.watched) > maxTapeNodes || len(t.accum) > maxTapeNodes {
+		t.watched, t.accum = map[int64]bool{}, map[int64]*tensor.Tensor{}
+	}
+	clear(t.watched)
+	clear(t.accum)
+}
+
+// clearSlice zeroes s up to its capacity (a scratch slice may end shorter
+// than it once was) and returns it empty, or nil once it has grown past
+// what a recycled tape keeps.
+func clearSlice[E any](s []E) []E {
+	if cap(s) > maxTapeNodes {
+		return nil
+	}
+	clear(s[:cap(s)])
+	return s[:0]
+}
+
+// takeTape hands out one of the engine's spare tapes, or a new one.
+func (e *Engine) takeTape() *tape {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if n := len(e.freeTapes); n > 0 {
+		t := e.freeTapes[n-1]
+		e.freeTapes = e.freeTapes[:n-1]
+		return t
+	}
+	return &tape{watched: map[int64]bool{}, accum: map[int64]*tensor.Tensor{}}
+}
+
+// releaseTape clears t and keeps it for the next takeTape. It runs on
+// the way out of a gradient computation, a panicking one too.
+func (e *Engine) releaseTape(t *tape) {
+	t.reset()
+	e.mu.Lock()
+	e.freeTapes = append(e.freeTapes, t)
+	e.mu.Unlock()
+}
+
+// record adds a node for one kernel execution to every active tape that
+// watches one of inputs, writing it only once a tape keeps it: with no tape
+// recording, or none watching, an op costs a lock and a lookup per tape.
+// The node copies inputs and outputs, so the caller's slices are not
+// kept. Nested tapes (higher-order gradients) each need their own view of
+// the forward pass: an op executed inside an inner gradient scope may still
+// be a function of an outer tape's watched tensors.
+func (e *Engine) record(kernel string, attrs kernels.Attrs, gradFn GradFunc, inputs []*tensor.Tensor, outputs ...*tensor.Tensor) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.tapePaused {
@@ -112,7 +194,12 @@ func (e *Engine) record(inputs []*tensor.Tensor, build func() *tapeNode) {
 			continue
 		}
 		if node == nil {
-			node = build()
+			// e.tapes is outermost first: the first tape keeping the node
+			// owns it.
+			node = t.alloc()
+			node.kernel, node.attrs, node.gradFn = kernel, attrs, gradFn
+			node.inputs = append(node.in[:0], inputs...)
+			node.outputs = append(node.out[:0], outputs...)
 		}
 		t.nodes = append(t.nodes, node)
 		for _, out := range node.outputs {
@@ -156,24 +243,41 @@ func (e *Engine) Gradients(f func() *tensor.Tensor, xs []*tensor.Tensor, dy *ten
 	if len(xs) == 0 {
 		opPanic("Gradients", fmt.Errorf("no tensors to differentiate against"))
 	}
-	var res GradResult
-	e.StartScope("gradients")
-	escaping := func() []*tensor.Tensor {
-		out := append([]*tensor.Tensor{res.Value}, res.Grads...)
-		return out
-	}
-	defer func() { e.EndScope(escaping()) }()
+	t := e.takeTape()
+	defer e.releaseTape(t)
+	t.xs = append(t.xs, xs...)
+	value := e.runTape(t, f, dy)
+	return GradResult{Value: value, Grads: slices.Clone(t.grads)}
+}
 
-	t := &tape{watched: map[int64]bool{}}
-	for _, x := range xs {
-		t.watched[x.ID] = true
+// runTape records f on t, which watches t.xs, and walks the tape back from
+// f's value, seeded with dy (1 for a scalar value when dy is nil): t.grads
+// then holds d(f)/d(x) for each x of t.xs, nil for a nil x. It disposes the
+// intermediates of both passes; the value and the gradients survive in the
+// caller's scope, unless f or a gradient function panics: then nothing
+// does.
+func (e *Engine) runTape(t *tape, f func() *tensor.Tensor, dy *tensor.Tensor) *tensor.Tensor {
+	e.StartScope("gradients")
+	var y *tensor.Tensor
+	done := false
+	defer func() {
+		if done {
+			t.keep = append(append(t.keep, y), t.grads...)
+		}
+		e.EndScope(t.keep)
+	}()
+
+	for _, x := range t.xs {
+		if x != nil {
+			t.watched[x.ID] = true
+		}
 	}
 	e.mu.Lock()
 	e.tapes = append(e.tapes, t)
 	e.gradDepth++
 	e.mu.Unlock()
 
-	y := func() *tensor.Tensor {
+	y = func() *tensor.Tensor {
 		defer func() {
 			e.mu.Lock()
 			e.tapes = e.tapes[:len(e.tapes)-1]
@@ -185,7 +289,6 @@ func (e *Engine) Gradients(f func() *tensor.Tensor, xs []*tensor.Tensor, dy *ten
 	if y == nil {
 		opPanic("Gradients", fmt.Errorf("function returned nil"))
 	}
-	res.Value = y
 
 	seed := dy
 	if seed == nil {
@@ -197,31 +300,34 @@ func (e *Engine) Gradients(f func() *tensor.Tensor, xs []*tensor.Tensor, dy *ten
 		opPanic("Gradients", fmt.Errorf("dy shape %v does not match value shape %v", seed.Shape, y.Shape))
 	}
 
-	accum := e.backprop(t, y, seed)
-	res.Grads = make([]*tensor.Tensor, len(xs))
-	for i, x := range xs {
-		if g, ok := accum[x.ID]; ok {
-			res.Grads[i] = g
-		} else {
-			res.Grads[i] = e.RunKernel("Fill", nil, kernels.Attrs{Shape: tensor.CopyShape(x.Shape), Value: 0.0})
-		}
-	}
-	return res
-}
-
-// backprop walks the tape in reverse, accumulating gradients per tensor id.
-func (e *Engine) backprop(t *tape, y, seed *tensor.Tensor) map[int64]*tensor.Tensor {
-	accum := map[int64]*tensor.Tensor{y.ID: seed}
-	for i := len(t.nodes) - 1; i >= 0; i-- {
-		node := t.nodes[i]
-		dys := make([]*tensor.Tensor, len(node.outputs))
-		any := false
-		for j, out := range node.outputs {
-			if g, ok := accum[out.ID]; ok {
-				dys[j] = g
-				any = true
+	e.backprop(t, y, seed)
+	for _, x := range t.xs {
+		var g *tensor.Tensor
+		if x != nil {
+			if g = t.accum[x.ID]; g == nil {
+				g = e.RunKernel("Fill", nil, kernels.Attrs{Shape: tensor.CopyShape(x.Shape), Value: 0.0})
 			}
 		}
+		t.grads = append(t.grads, g)
+	}
+	done = true
+	return y
+}
+
+// backprop walks the tape in reverse, summing gradients per tensor id into
+// t.accum.
+func (e *Engine) backprop(t *tape, y, seed *tensor.Tensor) {
+	t.accum[y.ID] = seed
+	for i := len(t.nodes) - 1; i >= 0; i-- {
+		node := t.nodes[i]
+		dys := t.dys[:0]
+		any := false
+		for _, out := range node.outputs {
+			g := t.accum[out.ID]
+			any = any || g != nil
+			dys = append(dys, g)
+		}
+		t.dys = dys
 		if !any {
 			continue
 		}
@@ -242,10 +348,11 @@ func (e *Engine) backprop(t *tape, y, seed *tensor.Tensor) map[int64]*tensor.Ten
 			}
 			// An input this tape does not watch is neither one of the xs
 			// nor the output of a recorded node: nothing reads its gradient.
-			watched := make([]bool, len(node.inputs))
-			for j, in := range node.inputs {
-				watched[j] = t.watched[in.ID]
+			watched := t.watchedIn[:0]
+			for _, in := range node.inputs {
+				watched = append(watched, t.watched[in.ID])
 			}
+			t.watchedIn = watched
 			inGrads = fn(e, dys, node.inputs, node.outputs, node.attrs, watched)
 		}
 		if len(inGrads) != len(node.inputs) {
@@ -259,14 +366,13 @@ func (e *Engine) backprop(t *tape, y, seed *tensor.Tensor) map[int64]*tensor.Ten
 			if !tensor.ShapesEqual(g.Shape, in.Shape) {
 				opPanic(node.kernel, fmt.Errorf("gradient %d has shape %v, input has shape %v", j, g.Shape, in.Shape))
 			}
-			if prev, ok := accum[in.ID]; ok {
-				accum[in.ID] = e.RunKernel("Add", []*tensor.Tensor{prev, g}, kernels.Attrs{})
+			if prev, ok := t.accum[in.ID]; ok {
+				t.accum[in.ID] = e.RunKernel("Add", []*tensor.Tensor{prev, g}, kernels.Attrs{})
 			} else {
-				accum[in.ID] = g
+				t.accum[in.ID] = g
 			}
 		}
 	}
-	return accum
 }
 
 // CustomGrad runs fwd with tape recording paused and records the whole call
@@ -281,7 +387,7 @@ func (e *Engine) CustomGrad(name string, inputs []*tensor.Tensor, fwd func() ([]
 	if gradFn == nil {
 		opPanic(name, fmt.Errorf("custom gradient function is nil"))
 	}
-	e.record(inputs, func() *tapeNode { return &tapeNode{kernel: name, inputs: inputs, outputs: outs, gradFn: gradFn} })
+	e.record(name, kernels.Attrs{}, gradFn, inputs, outs...)
 	return outs
 }
 

@@ -119,21 +119,39 @@ type VariableGradsResult struct {
 // (all trainable variables an optimizer tracks). f must return a scalar
 // loss.
 func (e *Engine) VariableGrads(f func() *tensor.Tensor, vars []*Variable) VariableGradsResult {
-	var watch []*Variable
-	var xs []*tensor.Tensor
-	for _, v := range vars {
-		if v.Trainable {
-			watch = append(watch, v)
-			xs = append(xs, v.Value())
+	out := VariableGradsResult{Grads: map[*Variable]*tensor.Tensor{}}
+	out.Value = e.ApplyVariableGrads(f, vars, func(vars []*Variable, grads []*tensor.Tensor) {
+		for i, v := range vars {
+			if grads[i] != nil {
+				out.Grads[v] = grads[i]
+			}
 		}
+	})
+	return out
+}
+
+// ApplyVariableGrads is VariableGrads handing the gradients to apply, in
+// the order of vars: grads[i] is d(f)/d(vars[i]), nil for a variable that
+// is not trainable. apply runs after the gradient scope has closed, in the
+// caller's, and returns before the tape is cleared: grads is the tape's
+// and must not be kept. The value of f is returned. A training step
+// through it allocates nothing of its own: the tape, its slices and its
+// maps are the engine's, recycled from the last step.
+func (e *Engine) ApplyVariableGrads(f func() *tensor.Tensor, vars []*Variable, apply func(vars []*Variable, grads []*tensor.Tensor)) *tensor.Tensor {
+	t := e.takeTape()
+	defer e.releaseTape(t)
+	trainable := false
+	for _, v := range vars {
+		var x *tensor.Tensor
+		if v.Trainable {
+			x, trainable = v.Value(), true
+		}
+		t.xs = append(t.xs, x)
 	}
-	if len(watch) == 0 {
+	if !trainable {
 		opPanic("VariableGrads", fmt.Errorf("no trainable variables"))
 	}
-	res := e.Gradients(f, xs, nil)
-	out := VariableGradsResult{Value: res.Value, Grads: map[*Variable]*tensor.Tensor{}}
-	for i, v := range watch {
-		out.Grads[v] = res.Grads[i]
-	}
-	return out
+	value := e.runTape(t, f, nil)
+	apply(vars, t.grads)
+	return value
 }

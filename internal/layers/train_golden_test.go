@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/bufpool"
@@ -111,10 +112,13 @@ func TestBenchConvnetLossHistoryBitIdenticalToReferenceTier(t *testing.T) {
 }
 
 // TestTrainStepAllocBudget: one warmed 32-example step of the bench convnet
-// on node makes 263 allocations at GOMAXPROCS 1, 2, 4 and 8 — eager
-// dispatch (one object per tensor handle, its shape inside it) and the
-// tape; the tidy scopes are recycled. The budget is that reading. It made
-// 406 (budget 426) while every handle's shape was an allocation of its own
+// on node makes 161 allocations at GOMAXPROCS 1, 2, 4 and 8 — almost all of
+// them eager dispatch, one object per tensor handle with its shape inside
+// it; the tidy scopes and the gradient tape (its nodes, maps and slices)
+// are recycled. The budget is that reading. It made 263 while every step
+// built its tape afresh — a node per recorded op, the watched set, the
+// gradient sums and per-node scratch — and VariableGrads its slices and
+// map; 406 (budget 426) while every handle's shape was an allocation of its own
 // and every tidy grew its tracking slices and map afresh, 423 at 2 and 4
 // (406 at 1) while a kernel
 // split across workers allocated its job, and 428 (411 at 1)
@@ -161,11 +165,48 @@ func TestTrainStepAllocBudget(t *testing.T) {
 	}
 	step()
 	step()
-	const budget = 263
+	const budget = 161
 	allocs := testing.AllocsPerRun(10, step)
 	t.Logf("one warmed training step: %.0f allocs (budget %d)", allocs, budget)
 	if allocs > budget {
 		t.Fatalf("%v allocs per training step, budget %d", allocs, budget)
+	}
+}
+
+// TestTrainStepAllocBytesBudget: the same warmed step allocates ≈16.4 KB
+// (TotalAlloc over ten steps, at GOMAXPROCS 1, 2 and 4; a step whose
+// buffer recycler missed after a collection reads ≈18.5 KB), almost all of
+// it the tensor handles and Fit's shuffling source. The budget leaves room
+// for the recycler's misses and none for a per-op record: it was ≈33.1 KB
+// while the tape allocated a ≈512-byte node per recorded op and grew its
+// maps and slices every step.
+func TestTrainStepAllocBytesBudget(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("sync.Pool drops entries at random under -race")
+	}
+	onNode(t)
+	m := benchConvnet(t)
+	defer m.Dispose()
+	d := data.SyntheticDigits(32, 0.15, 1)
+	defer d.Dispose()
+	step := func() {
+		if _, err := m.Fit(d.Images, d.Labels, layers.FitConfig{Epochs: 1, BatchSize: 32}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step()
+	step()
+	const budget, steps = 20_000, 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range steps {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	perStep := (after.TotalAlloc - before.TotalAlloc) / steps
+	t.Logf("one warmed training step: %d bytes (budget %d)", perStep, budget)
+	if perStep > budget {
+		t.Fatalf("%d bytes allocated per training step, budget %d", perStep, budget)
 	}
 }
 

@@ -87,24 +87,28 @@ type chainAdam struct {
 
 func (o *chainAdam) Name() string { return "adam-chain" }
 
-func (o *chainAdam) ApplyGradients(grads []train.VarGrad) {
+func (o *chainAdam) ApplyGradients(vars []*core.Variable, grads []*tensor.Tensor) {
 	o.step++
 	e := core.Global()
 	e.Tidy("adam-chain", func() []*tensor.Tensor {
-		for _, vg := range grads {
-			mv, ok := o.slots[vg.Var]
+		for i, w := range vars {
+			g := grads[i]
+			if g == nil {
+				continue
+			}
+			mv, ok := o.slots[w]
 			if !ok {
 				for i := range mv {
-					zeros := ops.ZerosLike(vg.Grad)
+					zeros := ops.ZerosLike(g)
 					mv[i] = e.NewVariable(zeros, "", false)
 					zeros.Dispose()
 				}
-				o.slots[vg.Var] = mv
+				o.slots[w] = mv
 			}
-			x, m, v := adamChain(vg.Var.Value(), mv[0].Value(), mv[1].Value(), vg.Grad, 0.01, 0.9, 0.999, 1e-8, o.step)
+			x, m, v := adamChain(w.Value(), mv[0].Value(), mv[1].Value(), g, 0.01, 0.9, 0.999, 1e-8, o.step)
 			mv[0].Assign(m)
 			mv[1].Assign(v)
-			vg.Var.Assign(x)
+			w.Assign(x)
 		}
 		return nil
 	})
@@ -130,25 +134,26 @@ func BenchmarkOptimizerStep(b *testing.B) {
 	}
 	defer e.SetBackend("cpu")
 	rng := rand.New(rand.NewSource(1))
-	var grads []train.VarGrad
+	var vars []*core.Variable
+	var grads []*tensor.Tensor
 	for i, shape := range convnetShapes {
 		init := ops.RandNormal(shape, 0, 0.1, rng)
 		v := e.NewVariable(init, fmt.Sprintf("v%d", i), true)
 		init.Dispose()
-		grads = append(grads, train.VarGrad{Var: v, Grad: ops.RandNormal(shape, 0, 0.1, rng)})
+		vars, grads = append(vars, v), append(grads, ops.RandNormal(shape, 0, 0.1, rng))
 		defer v.Dispose()
-		defer grads[i].Grad.Dispose()
+		defer grads[i].Dispose()
 	}
 	for _, opt := range []train.Optimizer{
 		train.NewSGD(0.01), train.NewMomentum(0.01, 0.9, false), train.NewRMSProp(0.01, 0.9, 0),
 		train.NewAdagrad(0.01), train.NewAdam(0.01, 0, 0, 0), &chainAdam{slots: map[*core.Variable][2]*core.Variable{}},
 	} {
 		b.Run(opt.Name(), func(b *testing.B) {
-			opt.ApplyGradients(grads) // creates the slots
-			dispatches := len(e.Profile(func() { opt.ApplyGradients(grads) }).Kernels)
+			opt.ApplyGradients(vars, grads) // creates the slots
+			dispatches := len(e.Profile(func() { opt.ApplyGradients(vars, grads) }).Kernels)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				opt.ApplyGradients(grads)
+				opt.ApplyGradients(vars, grads)
 			}
 			b.ReportMetric(float64(dispatches), "dispatches/op")
 		})
@@ -212,7 +217,7 @@ func TestAdamKernelsMatchTheOpChain(t *testing.T) {
 					mv = e.RunKernel("AdamMoments", []*tensor.Tensor{mv, g}, kernels.Attrs{Beta1: beta1, Beta2: beta2})
 					corr := ops.FromValues(kernels.AdamCorrections(beta1, beta2, step+1), 2)
 					x = e.RunKernel("ApplyAdam", []*tensor.Tensor{x, mv, corr}, kernels.Attrs{LearningRate: lr, Epsilon: eps})
-					opt.ApplyGradients([]train.VarGrad{{Var: w, Grad: g}})
+					opt.ApplyGradients([]*core.Variable{w}, []*tensor.Tensor{g})
 					moments := mv.DataSync()
 					for i, got := range [][]float32{x.DataSync(), moments[:n], moments[n:], w.Value().DataSync()} {
 						if err := sameBits(got, want[step][i%3]); err != nil {

@@ -19,36 +19,24 @@ type Optimizer interface {
 	// Name identifies the optimizer in serialized configs ("sgd", "adam").
 	Name() string
 	// ApplyGradients applies one update step, to the variables in the
-	// order given.
-	ApplyGradients(grads []VarGrad)
+	// order given: grads[i] is vars[i]'s gradient, and a nil one leaves
+	// vars[i] as it is. It keeps neither slice.
+	ApplyGradients(vars []*core.Variable, grads []*tensor.Tensor)
 	// Dispose releases slot variables.
 	Dispose()
-}
-
-// VarGrad is a variable and its gradient: ApplyGradients takes a list of
-// them, as TensorFlow's apply_gradients takes (gradient, variable) pairs,
-// so an update visits the variables in one fixed order.
-type VarGrad struct {
-	Var  *core.Variable
-	Grad *tensor.Tensor
 }
 
 // Minimize computes gradients of f with respect to vars and applies them,
 // in the order of vars, returning the loss value. It is the
 // optimizer.minimize() of the paper's training loop; all intermediates are
-// tidied away (Section 3.7: "model.fit ... internally manage memory").
+// tidied away (Section 3.7: "model.fit ... internally manage memory"). The
+// optimizer reads the gradients from the engine's recycled tape, aligned
+// with vars, as TensorFlow's apply_gradients takes (gradient, variable)
+// pairs.
 func Minimize(opt Optimizer, f func() *tensor.Tensor, vars []*core.Variable) *tensor.Tensor {
 	e := core.Global()
 	outs := e.Tidy("minimize", func() []*tensor.Tensor {
-		res := e.VariableGrads(f, vars)
-		grads := make([]VarGrad, 0, len(res.Grads))
-		for _, v := range vars {
-			if g, ok := res.Grads[v]; ok {
-				grads = append(grads, VarGrad{v, g})
-			}
-		}
-		opt.ApplyGradients(grads)
-		return []*tensor.Tensor{res.Value}
+		return []*tensor.Tensor{e.ApplyVariableGrads(f, vars, opt.ApplyGradients)}
 	})
 	return outs[0]
 }
@@ -93,11 +81,14 @@ func NewSGD(lr float64) *SGD { return &SGD{LearningRate: lr} }
 func (o *SGD) Name() string { return "sgd" }
 
 // ApplyGradients implements Optimizer.
-func (o *SGD) ApplyGradients(grads []VarGrad) {
+func (o *SGD) ApplyGradients(vars []*core.Variable, grads []*tensor.Tensor) {
 	e := core.Global()
 	e.Tidy("sgd", func() []*tensor.Tensor {
-		for _, vg := range grads {
-			v, g := vg.Var, vg.Grad
+		for i, v := range vars {
+			g := grads[i]
+			if g == nil {
+				continue
+			}
 			v.Assign(ops.Sub(v.Value(), ops.MulScalar(g, float32(o.LearningRate))))
 		}
 		return nil
@@ -125,11 +116,14 @@ func NewMomentum(lr, momentum float64, nesterov bool) *Momentum {
 func (o *Momentum) Name() string { return "momentum" }
 
 // ApplyGradients implements Optimizer.
-func (o *Momentum) ApplyGradients(grads []VarGrad) {
+func (o *Momentum) ApplyGradients(vars []*core.Variable, grads []*tensor.Tensor) {
 	e := core.Global()
 	e.Tidy("momentum", func() []*tensor.Tensor {
-		for _, vg := range grads {
-			v, g := vg.Var, vg.Grad
+		for i, v := range vars {
+			g := grads[i]
+			if g == nil {
+				continue
+			}
 			m := o.accum.get(v, "momentum", 1)
 			newM := ops.Add(ops.MulScalar(m.Value(), float32(o.MomentumRate)), g)
 			m.Assign(newM)
@@ -167,11 +161,14 @@ func NewRMSProp(lr, decay, epsilon float64) *RMSProp {
 func (o *RMSProp) Name() string { return "rmsprop" }
 
 // ApplyGradients implements Optimizer.
-func (o *RMSProp) ApplyGradients(grads []VarGrad) {
+func (o *RMSProp) ApplyGradients(vars []*core.Variable, grads []*tensor.Tensor) {
 	e := core.Global()
 	e.Tidy("rmsprop", func() []*tensor.Tensor {
-		for _, vg := range grads {
-			v, g := vg.Var, vg.Grad
+		for i, v := range vars {
+			g := grads[i]
+			if g == nil {
+				continue
+			}
 			s := o.ms.get(v, "rms", 1)
 			newS := ops.Add(
 				ops.MulScalar(s.Value(), float32(o.Decay)),
@@ -205,11 +202,14 @@ func NewAdagrad(lr float64) *Adagrad {
 func (o *Adagrad) Name() string { return "adagrad" }
 
 // ApplyGradients implements Optimizer.
-func (o *Adagrad) ApplyGradients(grads []VarGrad) {
+func (o *Adagrad) ApplyGradients(vars []*core.Variable, grads []*tensor.Tensor) {
 	e := core.Global()
 	e.Tidy("adagrad", func() []*tensor.Tensor {
-		for _, vg := range grads {
-			v, g := vg.Var, vg.Grad
+		for i, v := range vars {
+			g := grads[i]
+			if g == nil {
+				continue
+			}
 			s := o.accum.get(v, "accum", 1)
 			newS := ops.Add(s.Value(), ops.Square(g))
 			s.Assign(newS)
@@ -261,18 +261,21 @@ func (o *Adam) Name() string { return "adam" }
 // ApplyGradients implements Optimizer. The attributes are the same every
 // step; what changes, the two bias corrections, is one [2] operand per step
 // that every variable's ApplyAdam reads (kernels.AdamCorrections).
-func (o *Adam) ApplyGradients(grads []VarGrad) {
+func (o *Adam) ApplyGradients(vars []*core.Variable, grads []*tensor.Tensor) {
 	o.step++
 	moments := kernels.Attrs{Beta1: o.Beta1, Beta2: o.Beta2}
 	update := kernels.Attrs{LearningRate: o.LearningRate, Epsilon: o.Epsilon}
 	e := core.Global()
 	e.Tidy("adam", func() []*tensor.Tensor {
 		corr := e.MakeTensor(kernels.AdamCorrections(o.Beta1, o.Beta2, o.step), []int{2}, tensor.Float32)
-		for _, vg := range grads {
-			slot := o.moments.get(vg.Var, "moments", 2)
-			mv := e.RunKernel("AdamMoments", []*tensor.Tensor{slot.Value(), vg.Grad}, moments)
+		for i, v := range vars {
+			if grads[i] == nil {
+				continue
+			}
+			slot := o.moments.get(v, "moments", 2)
+			mv := e.RunKernel("AdamMoments", []*tensor.Tensor{slot.Value(), grads[i]}, moments)
 			slot.Assign(mv)
-			vg.Var.Assign(e.RunKernel("ApplyAdam", []*tensor.Tensor{vg.Var.Value(), mv, corr}, update))
+			v.Assign(e.RunKernel("ApplyAdam", []*tensor.Tensor{v.Value(), mv, corr}, update))
 		}
 		return nil
 	})

@@ -221,6 +221,10 @@ func seq(n int) []float32 {
 //
 // Comparing the enqueue with the host's wall-clock time of the execution
 // stays only as a sanity check, when the execution is long enough to read.
+// Under the race detector only that ordering is checked: instrumented code
+// on a loaded host has read 462 µs an enqueue on code that reads well
+// under the budget alone, so the host-time bound, like the allocation
+// count, holds in plain builds only.
 func TestDispatchIsAsync(t *testing.T) {
 	const (
 		dispatchAllocs = 450 // 425 at the time of writing
@@ -263,11 +267,13 @@ func TestDispatchIsAsync(t *testing.T) {
 		}
 	}
 	t.Logf("an enqueue: %v of host time (budget %v) for %v of modelled device time", best, enqueueBudget, modelled)
+	if bufpool.RaceEnabled {
+		// The detector's instrumentation sets the host time, and sync.Pool
+		// drops entries at random under it.
+		return
+	}
 	if best > enqueueBudget {
 		t.Errorf("an enqueue took %v of host time at best, over its %v budget", best, enqueueBudget)
-	}
-	if bufpool.RaceEnabled {
-		return // sync.Pool drops entries at random under the race detector
 	}
 	allocs := testing.AllocsPerRun(10, func() { cycle() })
 	t.Logf("a cycle of six enqueues: %.0f allocations (budget %d)", allocs, dispatchAllocs)
